@@ -273,6 +273,22 @@ impl CircuitBreaker {
         }
     }
 
+    /// Returns a half-open probe ticket whose fetch ended without an outcome
+    /// (the leader panicked or was cancelled and nobody took the flight
+    /// over).  Without this the ticket stays issued forever and a half-open
+    /// breaker with every probe lost refuses all fetches for good.  Outside
+    /// half-open there is no ticket to return.
+    pub fn release_probe(&mut self) {
+        if let State::HalfOpen { issued, succeeded } = self.state {
+            if issued > succeeded {
+                self.state = State::HalfOpen {
+                    issued: issued - 1,
+                    succeeded,
+                };
+            }
+        }
+    }
+
     /// Records a successful fetch outcome.
     pub fn record_success(&mut self, _now: Timestamp) {
         match self.state {
@@ -560,6 +576,32 @@ mod tests {
         assert_eq!(breaker.state(), BreakerState::Open);
         assert!(!breaker.admit(ts(250)), "reopened from the failure time");
         assert!(breaker.admit(ts(302)));
+    }
+
+    #[test]
+    fn released_probe_ticket_can_be_drawn_again() {
+        let mut breaker = CircuitBreaker::new(BreakerConfig {
+            window: 4,
+            failure_threshold: 0.5,
+            min_samples: 2,
+            open_for_us: 100,
+            half_open_probes: 1,
+        });
+        breaker.record_failure(ts(1));
+        breaker.record_failure(ts(2));
+        assert!(breaker.admit(ts(200)), "the one probe ticket");
+        assert!(!breaker.admit(ts(201)), "probe cap respected");
+        // The probe's leader died without an outcome: the ticket comes back.
+        breaker.release_probe();
+        assert_eq!(breaker.state(), BreakerState::HalfOpen);
+        assert!(breaker.admit(ts(202)), "returned ticket is drawn again");
+        breaker.record_success(ts(203));
+        assert_eq!(breaker.state(), BreakerState::Closed);
+        // A settled probe holds no ticket, and neither does a closed breaker.
+        let transitions = breaker.transitions();
+        breaker.release_probe();
+        assert_eq!(breaker.state(), BreakerState::Closed);
+        assert_eq!(breaker.transitions(), transitions);
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //! * [`Watchman::get_or_execute`] / [`Watchman::get_or_execute_async`] —
 //!   the session entry points, with **single-flight** deduplication so
 //!   concurrent misses on the same query execute the warehouse query exactly
-//!   once.  Both front doors drive one poll-based implementation
-//!   ([`LookupFuture`]): the async one suspends waiting sessions as futures
-//!   on the engine's [`Runtime`](crate::runtime::Runtime) (a waiting session
-//!   costs a waker, not a parked OS thread), the sync one is a
-//!   [`block_on`](crate::runtime::block_on) shim over the same code;
+//!   once.  Every front door — these two, the deadline variant and the
+//!   fallible `try_*` pair — is a thin adapter over one poll-based state
+//!   machine ([`LookupFuture`]): the async doors suspend waiting sessions as
+//!   futures on the engine's [`Runtime`](crate::runtime::Runtime) (a waiting
+//!   session costs a waker, not a parked OS thread) and spawn the leader's
+//!   fetch there; the sync doors put a hit fast path in front and drive the
+//!   same future with [`block_on`](crate::runtime::block_on), fetching
+//!   inline;
 //! * [`PolicyKind`] — the one construction path for every replacement /
 //!   admission policy, shared by the engine, the simulator and the examples;
 //! * [`CacheEvent`] / [`CacheObserver`] — the lifecycle event stream that
@@ -39,7 +42,11 @@
 //! Expected failures — the warehouse itself erroring out — go through the
 //! *fallible* front doors [`Watchman::try_get_or_execute`] /
 //! [`Watchman::try_get_or_execute_async`], whose fetch closures return
-//! `Result<(V, ExecutionCost), FetchError>`.  A terminal error (retry
+//! `Result<(V, ExecutionCost), FetchError>`.  They run the same state
+//! machine *inside the failure domain* described next; the infallible doors
+//! stay outside it (they neither consult nor feed the negative cache, the
+//! breaker or the stale store, and a session coalesced behind a fallible
+//! leader that failed starts over with its own fetch).  A terminal error (retry
 //! budget from [`RetryPolicy`] exhausted, or a fatal error) resolves the
 //! flight for **every** coalesced waiter with one shared
 //! `Arc<FetchError>`, feeds a short-TTL per-key negative cache, and trips
@@ -88,7 +95,7 @@ pub use policy_kind::PolicyKind;
 pub use rebalance::{RebalanceConfig, RebalanceOutcome};
 pub use watchman::{
     DeadlineLookup, KeyNormalizer, Lookup, LookupFuture, LookupSource, LookupTimedOut,
-    StatsSnapshot, TryLookupFuture, Watchman, WatchmanBuilder,
+    StatsSnapshot, Watchman, WatchmanBuilder,
 };
 
 #[cfg(test)]
@@ -578,12 +585,14 @@ mod tests {
 
     #[test]
     fn sync_and_async_paths_yield_identical_snapshots() {
-        // One deterministic single-session op sequence, replayed through both
-        // front doors on fresh engines: the poll-based implementation is
-        // shared, so every counter must match exactly.
+        // One deterministic single-session op sequence, replayed through
+        // each of the four front doors on fresh engines: they are adapters
+        // over one state machine, so every counter must match exactly.
         use crate::runtime::block_on;
         let sync_engine = engine(4, 40_000);
         let async_engine = engine(4, 40_000);
+        let try_sync_engine = engine(4, 40_000);
+        let try_async_engine = engine(4, 40_000);
         for i in 0..400u64 {
             let name = format!("q{}", i % 37);
             let k = key(&name);
@@ -594,8 +603,26 @@ mod tests {
             block_on(
                 async_engine.get_or_execute_async(&k, now, move || (SizedPayload::new(size), cost)),
             );
+            try_sync_engine
+                .try_get_or_execute(&k, now, || Ok((SizedPayload::new(size), cost)))
+                .expect("fetch never fails");
+            block_on(
+                try_async_engine
+                    .try_get_or_execute_async(&k, now, move || Ok((SizedPayload::new(size), cost))),
+            )
+            .expect("fetch never fails");
         }
         assert_eq!(sync_engine.stats_snapshot(), async_engine.stats_snapshot());
+        // A snapshot records one fragmentation sample, so each comparison
+        // pairs engines that have been snapshotted equally often.
+        assert_eq!(
+            try_sync_engine.stats_snapshot(),
+            try_async_engine.stats_snapshot()
+        );
+        assert_eq!(
+            sync_engine.stats_snapshot(),
+            try_sync_engine.stats_snapshot()
+        );
     }
 
     #[test]
@@ -1424,6 +1451,218 @@ mod tests {
             .try_get_or_execute(&key("c"), ts(1_200_000), || unreachable!("cached"))
             .expect("hit");
         assert_eq!(hit.source, LookupSource::Hit);
+    }
+
+    /// A one-shard engine whose breaker (one probe ticket when half-open,
+    /// open for a logical second) two failing lookups have just tripped.
+    fn engine_with_tripped_breaker(
+        runtime: Arc<crate::runtime::Runtime>,
+    ) -> Watchman<SizedPayload> {
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .runtime(runtime)
+            .failure(FailureConfig {
+                retry: RetryPolicy::none(),
+                breaker: Some(BreakerConfig {
+                    window: 8,
+                    failure_threshold: 0.5,
+                    min_samples: 2,
+                    open_for_us: 1_000_000,
+                    half_open_probes: 1,
+                }),
+                ..FailureConfig::default()
+            })
+            .build();
+        for (name, now) in [("a", 10), ("b", 20)] {
+            engine
+                .try_get_or_execute(&key(name), ts(now), || {
+                    Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("down"))
+                })
+                .unwrap_err();
+        }
+        let refused = engine
+            .try_get_or_execute(&key("c"), ts(30), || unreachable!("breaker is open"))
+            .expect_err("breaker refuses");
+        assert!(refused.error.message().contains("circuit breaker open"));
+        engine
+    }
+
+    /// Polls `future` once with a no-op waker, asserting it suspends: the
+    /// deterministic way to put a session into a flight (as its leader or
+    /// as a registered waiter) before the test lets the flight resolve.
+    fn poll_once_pending<F: std::future::Future + Unpin>(future: &mut F) {
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        assert!(std::pin::Pin::new(future).poll(&mut cx).is_pending());
+    }
+
+    #[test]
+    fn panicking_probe_returns_its_half_open_ticket() {
+        // Regression: a half-open probe whose fetch panicked never returned
+        // its ticket; with `half_open_probes: 1` the shard then refused
+        // every fetch forever.
+        let runtime = Arc::new(crate::runtime::Runtime::with_workers(1));
+        let engine = engine_with_tripped_breaker(runtime);
+        for (door, now) in [("sync", 1_100_000), ("async", 1_100_001)] {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let fetch = || -> Result<(SizedPayload, ExecutionCost), FetchError> {
+                    panic!("warehouse connection lost")
+                };
+                match door {
+                    "sync" => engine.try_get_or_execute(&key("c"), ts(now), fetch),
+                    _ => crate::runtime::block_on(engine.try_get_or_execute_async(
+                        &key("c"),
+                        ts(now),
+                        fetch,
+                    )),
+                }
+            }));
+            assert!(panicked.is_err(), "{door}: the probe's panic propagates");
+            // The async leader re-raises the moment the payload is set; the
+            // fetch task retires the cell a hair behind.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while engine.inflight_entries() > 0 {
+                assert!(std::time::Instant::now() < deadline, "cell never retired");
+                std::thread::yield_now();
+            }
+        }
+        // The ticket is back: the next arrival is the probe, long after.
+        let recovered = engine
+            .try_get_or_execute(&key("c"), ts(2_000_000_000), || payload_ok(64, 500))
+            .expect("the returned ticket admits a new probe");
+        assert_eq!(recovered.source, LookupSource::Executed);
+        // closed→open, open→half-open, half-open→closed: the lost probes
+        // moved no state.
+        assert_eq!(engine.stats_snapshot().breaker_transitions, 3);
+    }
+
+    #[test]
+    fn cancelled_probe_leader_returns_its_half_open_ticket() {
+        // Same leak through the other unresolved ending: the probe's leader
+        // session is dropped before its spawned fetch gets a worker.
+        use std::sync::mpsc;
+        let runtime = Arc::new(crate::runtime::Runtime::with_workers(1));
+        let engine = engine_with_tripped_breaker(Arc::clone(&runtime));
+        // Occupy the only worker so the spawned fetch task stays queued.
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = runtime.spawn(async move {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        started_rx.recv().unwrap();
+        {
+            let mut probe = engine.try_get_or_execute_async(&key("c"), ts(1_100_000), || {
+                unreachable!("a cancelled fetch is never invoked")
+            });
+            poll_once_pending(&mut probe);
+            assert_eq!(engine.inflight_entries(), 1, "probe leadership claimed");
+            let refused = engine
+                .try_get_or_execute(&key("d"), ts(1_100_001), || unreachable!("no ticket left"))
+                .expect_err("the one ticket is out");
+            assert!(refused.error.message().contains("circuit breaker open"));
+            // Dropping the future here is the cancellation.
+        }
+        release_tx.send(()).unwrap();
+        crate::runtime::block_on(gate).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while engine.inflight_entries() > 0 {
+            assert!(std::time::Instant::now() < deadline, "cell never retired");
+            std::thread::yield_now();
+        }
+        let recovered = engine
+            .try_get_or_execute(&key("d"), ts(2_000_000_000), || payload_ok(64, 500))
+            .expect("the returned ticket admits a new probe");
+        assert_eq!(recovered.source, LookupSource::Executed);
+        assert_eq!(engine.stats_snapshot().breaker_transitions, 3);
+    }
+
+    #[test]
+    fn infallible_waiter_restarts_when_its_fallible_leader_fails() {
+        use std::sync::mpsc;
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .failure(no_retry())
+            .runtime_workers(2)
+            .build();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let mut leader = engine.try_get_or_execute_async(&key("shared"), ts(1), move || {
+            release_rx.recv().unwrap();
+            Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("warehouse gone"))
+        });
+        poll_once_pending(&mut leader);
+        let executions = Arc::new(AtomicU64::new(0));
+        let mut waiter = {
+            let executions = Arc::clone(&executions);
+            engine.get_or_execute_async(&key("shared"), ts(2), move || {
+                executions.fetch_add(1, Ordering::SeqCst);
+                (SizedPayload::new(64), ExecutionCost::from_blocks(700))
+            })
+        };
+        poll_once_pending(&mut waiter);
+        release_tx.send(()).unwrap();
+        crate::runtime::block_on(leader).expect_err("the leader surfaces its error");
+        // The waiter cannot surface an error: it starts over, leads a fresh
+        // flight past the negative entry the failure left, and executes.
+        let lookup = crate::runtime::block_on(waiter);
+        assert_eq!(lookup.source, LookupSource::Executed);
+        assert_eq!(executions.load(Ordering::SeqCst), 1);
+        assert_eq!(engine.inflight_entries(), 0);
+        let stats = engine.stats();
+        assert_eq!(stats.references, 2);
+        assert_eq!((stats.hits, stats.coalesced, stats.stale_serves), (0, 0, 0));
+        assert_eq!(stats.fetch_errors, 1, "the leader's reference");
+        assert_eq!(stats.misses(), 1, "the waiter's reference");
+        assert_eq!(stats.insertions_offered, 1);
+    }
+
+    #[test]
+    fn infallible_lookups_bypass_the_negative_cache_and_the_breaker() {
+        let engine =
+            engine_with_tripped_breaker(Arc::new(crate::runtime::Runtime::with_workers(1)));
+        let memoized = engine
+            .try_get_or_execute(&key("a"), ts(31), || unreachable!("memoized or refused"))
+            .expect_err("inside the failure domain the key stays failed");
+        assert!(memoized.negative_hit);
+        // Same key, same instant, open breaker: the infallible door executes.
+        let lookup = engine.get_or_execute(&key("a"), ts(31), || {
+            (SizedPayload::new(64), ExecutionCost::from_blocks(700))
+        });
+        assert_eq!(lookup.source, LookupSource::Executed);
+        // And it fed nothing back: the breaker is still open.
+        let refused = engine
+            .try_get_or_execute(&key("c"), ts(32), || unreachable!("breaker is open"))
+            .expect_err("breaker still refuses");
+        assert!(refused.error.message().contains("circuit breaker open"));
+        assert_eq!(engine.stats_snapshot().breaker_transitions, 1);
+    }
+
+    #[test]
+    fn fallible_waiter_coalesces_behind_an_infallible_leader() {
+        use std::sync::mpsc;
+        let engine = engine(1, 1 << 20);
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let mut leader = engine.get_or_execute_async(&key("shared"), ts(1), move || {
+            release_rx.recv().unwrap();
+            (SizedPayload::new(64), ExecutionCost::from_blocks(700))
+        });
+        poll_once_pending(&mut leader);
+        let mut waiter = engine.try_get_or_execute_async(&key("shared"), ts(2), || {
+            unreachable!("waiters never execute")
+        });
+        poll_once_pending(&mut waiter);
+        release_tx.send(()).unwrap();
+        assert_eq!(
+            crate::runtime::block_on(leader).source,
+            LookupSource::Executed
+        );
+        let shared = crate::runtime::block_on(waiter).expect("the leader's value is shared");
+        assert_eq!(shared.source, LookupSource::Coalesced);
+        assert_eq!(shared.value.size_bytes(), 64);
+        assert_eq!(engine.stats().coalesced, 1);
     }
 
     #[test]

@@ -159,6 +159,10 @@ pub struct Flight<V> {
     /// epoch whose session must re-raise it (successive takeovers can fail
     /// too, so there may briefly be more than one).
     panic_payload: Mutex<Vec<(u64, Box<dyn Any + Send>)>>,
+    /// Whether this cell holds one of its shard breaker's half-open probe
+    /// tickets.  The ticket belongs to the *cell*, not to a session, so it
+    /// survives takeovers; whoever settles or retires the cell takes it.
+    probe: std::sync::atomic::AtomicBool,
 }
 
 impl<V> std::fmt::Debug for Flight<V> {
@@ -172,6 +176,12 @@ impl<V> std::fmt::Debug for Flight<V> {
 impl<V> Flight<V> {
     /// Creates a pending flight with no registered waiters.
     pub fn new() -> Self {
+        Self::with_probe(false)
+    }
+
+    /// Like [`Flight::new`]; `probe` says whether the cell's admission drew
+    /// a half-open probe ticket from its shard's circuit breaker.
+    pub fn with_probe(probe: bool) -> Self {
         Flight {
             state: Mutex::new(FlightState::Pending {
                 waiters: Vec::new(),
@@ -181,7 +191,15 @@ impl<V> Flight<V> {
             next_epoch: std::sync::atomic::AtomicU64::new(0),
             outcome: Mutex::new(None),
             panic_payload: Mutex::new(Vec::new()),
+            probe: std::sync::atomic::AtomicBool::new(probe),
         }
+    }
+
+    /// Takes the cell's half-open probe ticket, if it still holds one: `true`
+    /// at most once per cell, so a ticket is settled or returned exactly once.
+    /// Only called under the shard lock, which orders it against the breaker.
+    pub fn take_probe(&self) -> bool {
+        self.probe.swap(false, std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Draws a fresh leadership epoch.  Called by each session that starts

@@ -368,9 +368,68 @@ struct Shard<V> {
     state: Mutex<ShardState<V>>,
 }
 
+impl<V> ShardState<V> {
+    /// Removes `flight`'s cell from the in-flight table, if it is still the
+    /// one registered for `key`: a racer that cloned an abandoned cell's
+    /// `Arc` before its retirement can still take the orphan over and settle
+    /// it, by which time the entry is gone or belongs to a fresh flight.
+    fn retire(&mut self, key: &QueryKey, flight: &Arc<Flight<V>>) {
+        if self
+            .inflight
+            .get(key)
+            .is_some_and(|entry| Arc::ptr_eq(entry, flight))
+        {
+            self.inflight.remove(key);
+        }
+    }
+
+    /// Retires a cell that no session is left to resolve.  This is the one
+    /// place a half-open probe ticket is *returned*: the cell's fetch ended
+    /// without an outcome for the breaker (its leader panicked or was
+    /// cancelled, and nobody took the flight over), so the ticket it drew at
+    /// admission goes back for the next arrival to draw.
+    fn retire_unresolved(&mut self, key: &QueryKey, flight: &Arc<Flight<V>>) {
+        self.retire(key, flight);
+        if flight.take_probe() {
+            if let Some(breaker) = self.failure.breaker.as_mut() {
+                breaker.release_probe();
+            }
+        }
+    }
+}
+
 impl<V> Shard<V> {
     fn lock(&self) -> MutexGuard<'_, ShardState<V>> {
         self.state.lock()
+    }
+
+    /// Abandons `flight` — its leader panicked, was cancelled, or passed on
+    /// a takeover — waking one waiter to take it over; when no waiter holds
+    /// a claim on it, retires the cell instead.  Without that, a panicking
+    /// key that is never re-requested would leak its cell (and panic
+    /// payload) forever.
+    ///
+    /// This is the single abandon path: shard lock first, then the flight's
+    /// own lock inside [`Flight::abandon`], so the zero-waiter check and the
+    /// removal are atomic against new sessions joining the flight.  The
+    /// worst case of the orphan race described at [`ShardState::retire`] is
+    /// one duplicate execution.
+    fn abandon(&self, key: &QueryKey, flight: &Arc<Flight<V>>) {
+        let mut state = self.lock();
+        if flight.abandon() == 0 {
+            state.retire_unresolved(key, flight);
+        }
+    }
+
+    /// Deregisters a cancelled waiter (same lock order as
+    /// [`Shard::abandon`]).  If it had been woken to take an abandoned
+    /// flight over, the wake moves to the next waiter; if it was the last
+    /// one, the cell is retired.
+    fn forget_waiter(&self, key: &QueryKey, flight: &Arc<Flight<V>>, slot: &mut WaiterSlot) {
+        let mut state = self.lock();
+        if flight.forget_waiter(slot) {
+            state.retire_unresolved(key, flight);
+        }
     }
 }
 
@@ -748,10 +807,11 @@ impl<V> WatchmanBuilder<V> {
 /// * [`Watchman::get_or_execute`] / [`Watchman::get_or_execute_async`]
 ///   deduplicate concurrent misses on the same query (*single-flight*):
 ///   exactly one session executes the warehouse query, the rest share its
-///   result.  Both entry points drive the **same poll-based implementation**;
-///   the synchronous one is a [`block_on`](crate::runtime::block_on) shim,
-///   the asynchronous one suspends waiting sessions as futures on the
-///   engine's [`Runtime`] instead of parking OS threads;
+///   result.  Both entry points — and the fallible `try_*` pair — drive
+///   the **same poll-based state machine**; the synchronous ones
+///   [`block_on`](crate::runtime::block_on) it with an inline fetch, the
+///   asynchronous ones suspend waiting sessions as futures on the engine's
+///   [`Runtime`] instead of parking OS threads;
 /// * admissions, rejections, evictions and invalidations are published to
 ///   [`CacheObserver`]s, which the coherence index and the buffer manager's
 ///   p₀-hint machinery subscribe to;
@@ -1098,49 +1158,17 @@ where
     /// panics, exactly one waiter is woken to take over as the new leader
     /// and the panic propagates out of the leader's call.
     ///
-    /// This is the synchronous front door: a
-    /// [`block_on`](crate::runtime::block_on) shim over the same poll-based
-    /// implementation [`Watchman::get_or_execute_async`] returns, with the
-    /// one difference that the leader's `fetch` runs *inline on the calling
-    /// thread* (so `fetch` needs no `Send + 'static` bounds and a
-    /// single-threaded replay is fully deterministic).
+    /// This is the synchronous front door: a lock-and-`get` hit fast path,
+    /// then [`block_on`](crate::runtime::block_on) over the same
+    /// [`LookupFuture`] state machine [`Watchman::get_or_execute_async`]
+    /// returns, with the one difference that the leader's `fetch` runs
+    /// *inline on the calling thread* (so `fetch` needs no `Send + 'static`
+    /// bounds and a single-threaded replay is fully deterministic).
     pub fn get_or_execute<F>(&self, key: &QueryKey, now: Timestamp, fetch: F) -> Lookup<V>
     where
         F: FnOnce() -> (V, ExecutionCost) + Unpin,
     {
-        self.observe_now(now);
-        let started = crate::telemetry::now();
-        let key = self.inner.normalizer.apply(key);
-        let shard = self.shard_index(&key);
-        // Hit fast path: the engine's hottest operation needs none of the
-        // future machinery (engine clone, waker, pinning).  This is exactly
-        // the check the future's Start state performs; on a miss the Start
-        // state repeats the `get`, which is stat-neutral (misses are
-        // recorded at insert, and retained-reference records deduplicate on
-        // the timestamp), so both front doors stay byte-identical.
-        {
-            let mut state = self.inner.shards[shard].lock();
-            if let Some(value) = state.cache.get(&key, now) {
-                let lookup = Lookup {
-                    value: Arc::clone(value),
-                    source: LookupSource::Hit,
-                    outcome: None,
-                };
-                drop(state);
-                record_lookup_telemetry(Some(started), LookupSource::Hit);
-                return lookup;
-            }
-        }
-        crate::runtime::block_on(LookupFuture {
-            engine: self.clone(),
-            key,
-            shard: Some(shard),
-            now,
-            driver: FetchDriver::Inline(Some(fetch)),
-            state: LookupState::Start,
-            leader_cancel: None,
-            started: Some(started),
-        })
+        self.lookup_blocking(key, now, Infallible(Some(fetch)))
     }
 
     /// The asynchronous front door: like [`Watchman::get_or_execute`], but
@@ -1168,23 +1196,12 @@ where
         key: &QueryKey,
         now: Timestamp,
         fetch: F,
-    ) -> LookupFuture<V, F>
+    ) -> LookupFuture<V, Infallible<F>>
     where
         F: FnOnce() -> (V, ExecutionCost) + Send + 'static,
     {
-        LookupFuture {
-            engine: self.clone(),
-            key: self.inner.normalizer.apply(key),
-            shard: None,
-            now,
-            driver: FetchDriver::Spawn {
-                fetch: Some(fetch),
-                spawn: spawn_fetch_task::<V, F>,
-            },
-            state: LookupState::Start,
-            leader_cancel: None,
-            started: None,
-        }
+        let key = self.inner.normalizer.apply(key);
+        self.lookup(key, now, Infallible(Some(fetch)), Some(spawn_fetch_task))
     }
 
     /// Like [`Watchman::get_or_execute_async`], but the lookup gives up once
@@ -1238,6 +1255,11 @@ where
     ///   new executions outright (stale-serving when possible) until a
     ///   half-open probe succeeds.
     ///
+    /// The infallible doors run the same state machine *outside* this
+    /// failure domain: they consult neither the negative cache nor the
+    /// breaker, feed neither, and a session coalesced behind a fallible
+    /// leader that failed starts over with its own fetch.
+    ///
     /// A **panicking** fetch keeps the infallible contract: the panic
     /// propagates to this caller and one waiter takes over the execution.
     pub fn try_get_or_execute<F>(
@@ -1249,39 +1271,11 @@ where
     where
         F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Unpin,
     {
-        self.observe_now(now);
-        let started = crate::telemetry::now();
-        let key = self.inner.normalizer.apply(key);
-        let shard = self.shard_index(&key);
-        // Hit fast path, identical to the infallible front door.
-        {
-            let mut state = self.inner.shards[shard].lock();
-            if let Some(value) = state.cache.get(&key, now) {
-                let lookup = Lookup {
-                    value: Arc::clone(value),
-                    source: LookupSource::Hit,
-                    outcome: None,
-                };
-                drop(state);
-                record_lookup_telemetry(Some(started), LookupSource::Hit);
-                return Ok(lookup);
-            }
-        }
-        crate::runtime::block_on(TryLookupFuture {
-            engine: self.clone(),
-            key,
-            shard: Some(shard),
-            now,
-            driver: TryFetchDriver::Inline(fetch),
-            state: TryLookupState::Start,
-            attempts: 0,
-            leader_cancel: None,
-            started: Some(started),
-        })
+        self.lookup_blocking(key, now, Fallible(fetch))
     }
 
     /// The asynchronous fallible front door: like
-    /// [`Watchman::try_get_or_execute`], but returns a [`TryLookupFuture`]
+    /// [`Watchman::try_get_or_execute`], but returns a [`LookupFuture`]
     /// and runs the leader's fetch (and its retry backoffs) on the engine's
     /// [`Runtime`], so waiting sessions suspend instead of blocking OS
     /// threads.  Cancellation behaves exactly like
@@ -1293,24 +1287,71 @@ where
         key: &QueryKey,
         now: Timestamp,
         fetch: F,
-    ) -> TryLookupFuture<V, F>
+    ) -> LookupFuture<V, Fallible<F>>
     where
         F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Send + 'static,
     {
-        TryLookupFuture {
+        let key = self.inner.normalizer.apply(key);
+        self.lookup(key, now, Fallible(fetch), Some(spawn_fetch_task))
+    }
+
+    /// The one constructor behind every front door.  `spawn` is the hook an
+    /// async door supplies to run its leader fetch on the runtime; `None`
+    /// runs it inline on the polling thread.
+    fn lookup<M>(
+        &self,
+        key: QueryKey,
+        now: Timestamp,
+        mode: M,
+        spawn: Option<SpawnFetch<V, M>>,
+    ) -> LookupFuture<V, M> {
+        LookupFuture {
             engine: self.clone(),
-            key: self.inner.normalizer.apply(key),
+            key,
             shard: None,
             now,
-            driver: TryFetchDriver::Spawn {
-                fetch: Some(fetch),
-                spawn: spawn_try_fetch_task::<V, F>,
-            },
-            state: TryLookupState::Start,
+            mode: Some(mode),
+            spawn,
+            state: LookupState::Start,
             attempts: 0,
             leader_cancel: None,
             started: None,
         }
+    }
+
+    /// The synchronous doors: the hit fast path, then the state machine
+    /// driven in place with an inline fetch.
+    fn lookup_blocking<M>(&self, key: &QueryKey, now: Timestamp, mode: M) -> M::Output
+    where
+        M: FetchMode<V> + Unpin,
+    {
+        self.observe_now(now);
+        let started = crate::telemetry::now();
+        let key = self.inner.normalizer.apply(key);
+        let shard = self.shard_index(&key);
+        // Hit fast path: the engine's hottest operation needs none of the
+        // future machinery (engine clone, waker, pinning).  This is exactly
+        // the check the future's Start state performs; on a miss the Start
+        // state repeats the `get`, which is stat-neutral (misses are
+        // recorded at insert, and retained-reference records deduplicate on
+        // the timestamp), so sync and async doors stay byte-identical.
+        {
+            let mut state = self.inner.shards[shard].lock();
+            if let Some(value) = state.cache.get(&key, now) {
+                let lookup = Lookup {
+                    value: Arc::clone(value),
+                    source: LookupSource::Hit,
+                    outcome: None,
+                };
+                drop(state);
+                record_lookup_telemetry(Some(started), LookupSource::Hit);
+                return M::output(Ok(lookup));
+            }
+        }
+        let mut lookup = self.lookup(key, now, mode, None);
+        lookup.shard = Some(shard);
+        lookup.started = Some(started);
+        crate::runtime::block_on(lookup)
     }
 
     /// Fetch retries the fallible pipeline has issued (attempts beyond the
@@ -1324,33 +1365,65 @@ where
         self.inner.negative_hits.load(Ordering::Relaxed)
     }
 
-    /// Abandons `flight` after a failed fetch and, when no waiter holds a
-    /// takeover claim on it, retires its entry from the shard's in-flight
-    /// table — without this, a panicking key that is never re-requested
-    /// would leak its cell (and panic payload) forever.
-    ///
-    /// Runs under the shard lock so the zero-waiter check and the removal
-    /// are atomic against new sessions joining the flight; no other path
-    /// acquires these two locks in the reverse order.  A racer that already
-    /// cloned the cell's `Arc` but has not polled yet can still take the
-    /// orphaned cell over and complete it (its `finish_leader_insert` then
-    /// finds no matching entry and removes nothing) — the worst case is one
-    /// duplicate execution, the same window the in-flight table has always
-    /// had around abandonment.
-    fn abandon_flight(&self, key: &QueryKey, shard_index: usize, flight: &Arc<Flight<V>>) {
-        let mut state = self.inner.shards[shard_index].lock();
-        if flight.abandon() == 0
-            && state
-                .inflight
-                .get(key)
-                .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-        {
-            state.inflight.remove(key);
+    /// The failure-domain gate in front of a new flight, under the shard
+    /// lock.  `Err((error, negative_hit))` resolves the lookup without a
+    /// fetch: the key has a fresh memoized failure, or the shard's breaker
+    /// refuses.  `Ok(probe)` lets the fetch proceed; `probe` says the
+    /// admission drew a half-open probe ticket, which the new cell carries.
+    fn admit_fetch(
+        &self,
+        state: &mut ShardState<V>,
+        key: &QueryKey,
+        now: Timestamp,
+    ) -> Result<bool, (Arc<FetchError>, bool)> {
+        if let Some(error) = state.failure.fresh_negative(key, now) {
+            self.inner.negative_hits.fetch_add(1, Ordering::Relaxed);
+            crate::telemetry::global().negative_hits.incr();
+            return Err((error, true));
         }
+        let Some(breaker) = state.failure.breaker.as_mut() else {
+            return Ok(false);
+        };
+        if breaker.admit(now) {
+            Ok(matches!(breaker.state(), BreakerState::HalfOpen))
+        } else {
+            let refused = FetchError::transient("circuit breaker open: fetch refused");
+            Err((Arc::new(refused), false))
+        }
+    }
+
+    /// Decides whether a leader whose `attempt`-th try returned `error`
+    /// tries again.  `Some(backoff)` counts and traces the retry; `None`
+    /// means the error is terminal (fatal, or the budget is spent).
+    fn plan_retry(&self, key: &QueryKey, attempt: u32, error: &FetchError) -> Option<Duration> {
+        let retry = &self.inner.failure.retry;
+        if !error.is_retryable() || attempt >= retry.max_attempts {
+            return None;
+        }
+        self.inner.fetch_retries.fetch_add(1, Ordering::Relaxed);
+        let delay = retry.backoff(attempt, key.signature().value());
+        let telemetry = crate::telemetry::global();
+        telemetry.fetch_retries.incr();
+        telemetry.recorder.record(
+            TraceKind::FetchRetry,
+            key.signature().value(),
+            u64::from(attempt),
+            delay.as_micros() as u64,
+        );
+        Some(delay)
     }
 
     /// Completes a leader's execution: offers the value for admission,
     /// retires the in-flight entry, and publishes the resulting events.
+    ///
+    /// A `failure_domain` leader also updates the failure domain under the
+    /// same shard lock: the breaker records a success, a fresh
+    /// last-known-good copy lands in the stale store (when a
+    /// [`StalenessPolicy`] is configured), and any memoized failure for the
+    /// key is dropped.  Outside it none of that is touched — except that a
+    /// cell carrying a half-open probe ticket (taken over from a
+    /// failure-domain leader) settles the ticket whoever completes it.
+    #[allow(clippy::too_many_arguments)]
     fn finish_leader_insert(
         &self,
         key: &QueryKey,
@@ -1359,34 +1432,16 @@ where
         value: Arc<V>,
         cost: ExecutionCost,
         now: Timestamp,
-    ) -> InsertOutcome {
-        self.finish_leader_insert_with(key, shard_index, flight, value, cost, now, false)
-    }
-
-    /// Like [`Watchman::finish_leader_insert`], but a *fallible* leader also
-    /// updates the failure domain under the same shard lock: the breaker
-    /// records a success, a fresh last-known-good copy lands in the stale
-    /// store (when a [`StalenessPolicy`] is configured), and any memoized
-    /// failure for the key is dropped.  The infallible path passes `false`
-    /// and touches none of it, so its behavior is byte-identical to before
-    /// the failure domain existed.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_leader_insert_with(
-        &self,
-        key: &QueryKey,
-        shard_index: usize,
-        flight: &Arc<Flight<V>>,
-        value: Arc<V>,
-        cost: ExecutionCost,
-        now: Timestamp,
-        record_fetch_success: bool,
+        failure_domain: bool,
     ) -> InsertOutcome {
         let size_bytes = value.size_bytes();
         let mut state = self.inner.shards[shard_index].lock();
-        if record_fetch_success {
+        if flight.take_probe() || failure_domain {
             if let Some(breaker) = state.failure.breaker.as_mut() {
                 breaker.record_success(now);
             }
+        }
+        if failure_domain {
             if let Some(staleness) = &self.inner.failure.staleness {
                 state.failure.store_stale(
                     key,
@@ -1407,15 +1462,7 @@ where
             shard_index as u64,
             cost.value() as u64,
         );
-        // Retire the in-flight entry only if it is still ours (defensive:
-        // completion is the only remover, so it always is).
-        if state
-            .inflight
-            .get(key)
-            .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-        {
-            state.inflight.remove(key);
-        }
+        state.retire(key, flight);
         // Emitted under the shard lock: observers see this shard's events in
         // cache order.
         if !self.inner.observers.is_empty() {
@@ -1446,13 +1493,7 @@ where
         now: Timestamp,
     ) {
         let mut state = self.inner.shards[shard_index].lock();
-        if state
-            .inflight
-            .get(key)
-            .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-        {
-            state.inflight.remove(key);
-        }
+        state.retire(key, flight);
         state
             .failure
             .store_negative(key, Arc::clone(error), now, &self.inner.failure.negative);
@@ -1751,132 +1792,109 @@ where
     }
 }
 
-/// The hook an async lookup uses to launch its fetch on the runtime: a
-/// plain `fn` pointer, monomorphized in [`Watchman::get_or_execute_async`]
-/// (the one place `F`'s `Send + 'static` bounds are in scope) and stored in
-/// [`FetchDriver::Spawn`] next to the still-unboxed fetch closure.  A hit
-/// therefore resolves without ever touching the allocator for its driver —
-/// only an actual miss, when the leader transition calls this hook, pays
-/// for spawning the fetch task.  The future itself stays a single
-/// non-virtual implementation shared with the synchronous path.  The final
-/// `Arc<AtomicBool>` is the leader session's cancellation flag: set when
-/// the session's future is dropped, checked by the spawned task before it
-/// invokes the fetch.
-type SpawnFetch<V, F> =
-    fn(&Watchman<V>, F, QueryKey, usize, Timestamp, Arc<Flight<V>>, u64, Arc<AtomicBool>);
+/// How a lookup's leader obtains the retrieved set: the one parameter of
+/// [`LookupFuture`].  The two implementations are the infallible doors'
+/// [`Infallible`] and the `try_*` doors' [`Fallible`]; everything else —
+/// hit, coalesce, lead, retry, abandonment, takeover — is the same code.
+pub trait FetchMode<V> {
+    /// What the lookup resolves to.
+    type Output;
 
-/// The [`SpawnFetch`] implementation: hands the fetch closure to a task on
-/// the engine's runtime.  Generic so the closure rides along unboxed; the
-/// task future it creates is the miss path's one unavoidable allocation.
-#[allow(clippy::too_many_arguments)]
-fn spawn_fetch_task<V, F>(
-    engine: &Watchman<V>,
-    fetch: F,
-    key: QueryKey,
-    shard: usize,
-    now: Timestamp,
-    flight: Arc<Flight<V>>,
-    epoch: u64,
-    cancelled: Arc<AtomicBool>,
-) where
-    V: CachePayload + Send + Sync + 'static,
-    F: FnOnce() -> (V, ExecutionCost) + Send + 'static,
-{
-    let weak = Arc::downgrade(&engine.inner);
-    engine.runtime().spawn(async move {
-        run_spawned_fetch(weak, key, shard, now, flight, epoch, cancelled, fetch);
-    });
+    /// Whether the session takes part in the failure domain: it consults
+    /// the negative cache and the shard's breaker before leading, feeds
+    /// breaker, stale store and negative cache when its fetch settles, and
+    /// shares a coalesced leader's terminal error.  Outside the domain none
+    /// of that state is read or written, and a session whose leader failed
+    /// with an error starts over with its own fetch.
+    const FAILURE_DOMAIN: bool;
+
+    /// Runs one fetch attempt.
+    fn attempt(&mut self) -> Result<(V, ExecutionCost), FetchError>;
+
+    /// Converts the resolved lookup into the door's output type.
+    fn output(result: Result<Lookup<V>, LookupError>) -> Self::Output;
 }
 
-/// Runs a spawned leader fetch to completion on a runtime worker: executes
-/// the closure, admits the result, and completes (or, on panic, abandons)
-/// the flight.  Holds only a weak engine reference so a task queued behind a
-/// long fetch never keeps a dropped engine alive.
-#[allow(clippy::too_many_arguments)]
-fn run_spawned_fetch<V, F>(
-    engine: Weak<Inner<V>>,
-    key: QueryKey,
-    shard: usize,
-    now: Timestamp,
-    flight: Arc<Flight<V>>,
-    epoch: u64,
-    cancelled: Arc<AtomicBool>,
-    fetch: F,
-) where
-    V: CachePayload + Send + Sync + 'static,
+/// The fetch of [`Watchman::get_or_execute`] and its async variants: runs
+/// once, cannot return an error, and stays outside the failure domain.
+#[derive(Debug)]
+pub struct Infallible<F>(Option<F>);
+
+impl<V, F> FetchMode<V> for Infallible<F>
+where
     F: FnOnce() -> (V, ExecutionCost),
 {
-    // Cooperative cancellation point: the leader session dropped its future
-    // (deadline elapsed, connection torn down) before this task got a
-    // worker.  The fetch closure is never invoked; abandoning the flight
-    // wakes one still-interested waiter to take leadership over with its
-    // own fetch — and with no waiters, retires the cell so the next arrival
-    // starts fresh.  No panic payload is stored: the only session that
-    // would re-raise it is the one that was dropped.
-    if cancelled.load(Ordering::Acquire) {
-        match engine.upgrade() {
-            Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-            None => {
-                flight.abandon();
-            }
-        }
-        return;
+    type Output = Lookup<V>;
+    const FAILURE_DOMAIN: bool = false;
+
+    fn attempt(&mut self) -> Result<(V, ExecutionCost), FetchError> {
+        let fetch = self.0.take().expect("leader consumes its fetch once");
+        Ok(fetch())
     }
-    // The completion stage (insert + observer emit) runs under its own
-    // catch_unwind for the same reason the inline path keeps its guard armed
-    // through it: a panic in user observer code must abandon the flight, not
-    // strand the waiters on a cell that never resolves.
-    let fetch_start = crate::telemetry::now();
-    let fetched = catch_unwind(AssertUnwindSafe(fetch));
-    crate::telemetry::global()
-        .fetch_attempt_us
-        .record(crate::telemetry::elapsed_us(fetch_start));
-    let result = fetched.and_then(|(value, cost)| {
-        let value = Arc::new(value);
-        catch_unwind(AssertUnwindSafe(|| {
-            if let Some(inner) = engine.upgrade() {
-                let engine = Watchman { inner };
-                let outcome = engine.finish_leader_insert(
-                    &key,
-                    shard,
-                    &flight,
-                    Arc::clone(&value),
-                    cost,
-                    now,
-                );
-                flight.set_outcome(outcome);
-            }
-            (value, cost)
-        }))
-    });
-    match result {
-        Ok((value, cost)) => flight.complete(value, cost),
-        Err(payload) => {
-            // Payload first, then abandon: the leader session must observe
-            // the payload when its abandonment wake arrives.
-            flight.set_panic(epoch, payload);
-            match engine.upgrade() {
-                Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-                // Engine gone: there is no table left to retire from.
-                None => {
-                    flight.abandon();
-                }
-            }
+
+    fn output(result: Result<Lookup<V>, LookupError>) -> Lookup<V> {
+        match result {
+            Ok(lookup) => lookup,
+            // Its own fetch never returns `Err`, it restarts instead of
+            // sharing a fallible leader's error, and it never consults the
+            // negative cache or the breaker.
+            Err(failure) => unreachable!("infallible lookup observed a fetch error: {failure}"),
         }
     }
 }
 
-/// The [`SpawnFetch`] analogue for the fallible pipeline.
-type SpawnTryFetch<V, F> =
-    fn(&Watchman<V>, F, QueryKey, usize, Timestamp, Arc<Flight<V>>, u64, Arc<AtomicBool>);
+/// The fetch of [`Watchman::try_get_or_execute`] and its async variant:
+/// re-invoked on every retry, inside the failure domain.
+#[derive(Debug)]
+pub struct Fallible<F>(F);
 
-/// Hands a fallible fetch closure to a task on the engine's runtime.  The
+impl<V, F> FetchMode<V> for Fallible<F>
+where
+    F: FnMut() -> Result<(V, ExecutionCost), FetchError>,
+{
+    type Output = Result<Lookup<V>, LookupError>;
+    const FAILURE_DOMAIN: bool = true;
+
+    fn attempt(&mut self) -> Result<(V, ExecutionCost), FetchError> {
+        (self.0)()
+    }
+
+    fn output(result: Result<Lookup<V>, LookupError>) -> Self::Output {
+        result
+    }
+}
+
+/// Times one fetch attempt into the `fetch.attempt_us` histogram.
+fn timed_attempt<T>(attempt: impl FnOnce() -> T) -> T {
+    let start = crate::telemetry::now();
+    let result = attempt();
+    crate::telemetry::global()
+        .fetch_attempt_us
+        .record(crate::telemetry::elapsed_us(start));
+    result
+}
+
+/// The hook an async lookup uses to launch its fetch on the runtime: a
+/// plain `fn` pointer, monomorphized in the async front doors (the one
+/// place the fetch's `Send + 'static` bounds are in scope) and stored in the
+/// [`LookupFuture`] next to the still-unboxed fetch.  A hit therefore
+/// resolves without ever touching the allocator — only an actual miss, when
+/// the leader transition calls this hook, pays for spawning the fetch task.
+/// The final `Arc<AtomicBool>` is the leader session's cancellation flag:
+/// set when the session's future is dropped, checked by the spawned task
+/// before every attempt.
+type SpawnFetch<V, M> =
+    fn(&Watchman<V>, M, QueryKey, usize, Timestamp, Arc<Flight<V>>, u64, Arc<AtomicBool>);
+
+/// The [`SpawnFetch`] implementation: hands the fetch to a task on the
+/// engine's runtime.  Generic so the closure rides along unboxed; the task
+/// future it creates is the miss path's one unavoidable allocation.  The
 /// task owns the whole retry loop: backoffs are real `Sleep`s awaited on the
 /// runtime timer, so a retrying leader occupies no worker while it waits.
 #[allow(clippy::too_many_arguments)]
-fn spawn_try_fetch_task<V, F>(
+fn spawn_fetch_task<V, M>(
     engine: &Watchman<V>,
-    fetch: F,
+    mode: M,
     key: QueryKey,
     shard: usize,
     now: Timestamp,
@@ -1885,24 +1903,42 @@ fn spawn_try_fetch_task<V, F>(
     cancelled: Arc<AtomicBool>,
 ) where
     V: CachePayload + Send + Sync + 'static,
-    F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Send + 'static,
+    M: FetchMode<V> + Send + 'static,
 {
     let weak = Arc::downgrade(&engine.inner);
     let runtime = engine.runtime();
     let timer = runtime.inner_handle();
-    runtime.spawn(run_spawned_try_fetch(
-        weak, timer, key, shard, now, flight, epoch, cancelled, fetch,
+    runtime.spawn(run_spawned_fetch(
+        weak, timer, key, shard, now, flight, epoch, cancelled, mode,
     ));
 }
 
-/// Runs a spawned fallible leader fetch to completion: invokes the closure,
-/// retrying transient errors under the engine's [`RetryPolicy`] (sleeping
-/// the deterministic backoff on the runtime timer), then either admits the
-/// result or resolves the flight with the terminal error for every waiter.
-/// Holds only weak references so a task queued behind a long fetch never
-/// keeps a dropped engine (or runtime) alive.
+/// Abandons `flight` from a spawned fetch task, which holds the engine only
+/// weakly: through the shard while the engine lives (so a waiterless cell is
+/// retired), bare once it is gone — there is no table left to retire from.
+fn abandon_from_task<V>(
+    engine: &Weak<Inner<V>>,
+    key: &QueryKey,
+    shard: usize,
+    flight: &Arc<Flight<V>>,
+) {
+    match engine.upgrade() {
+        Some(inner) => inner.shards[shard].abandon(key, flight),
+        None => {
+            flight.abandon();
+        }
+    }
+}
+
+/// Runs a spawned leader fetch to completion on a runtime worker: invokes
+/// the fetch, retrying transient errors under the engine's
+/// [`RetryPolicy`](crate::engine::RetryPolicy) (sleeping the deterministic
+/// backoff on the runtime timer), then admits the result, or resolves the
+/// flight with the terminal error for every waiter, or — on a panic —
+/// abandons it.  Holds only weak references so a task queued behind a long
+/// fetch never keeps a dropped engine (or runtime) alive.
 #[allow(clippy::too_many_arguments)]
-async fn run_spawned_try_fetch<V, F>(
+async fn run_spawned_fetch<V, M>(
     engine: Weak<Inner<V>>,
     timer: Weak<crate::runtime::RuntimeInner>,
     key: QueryKey,
@@ -1911,124 +1947,83 @@ async fn run_spawned_try_fetch<V, F>(
     flight: Arc<Flight<V>>,
     epoch: u64,
     cancelled: Arc<AtomicBool>,
-    mut fetch: F,
+    mut mode: M,
 ) where
     V: CachePayload + Send + Sync + 'static,
-    F: FnMut() -> Result<(V, ExecutionCost), FetchError>,
+    M: FetchMode<V>,
 {
     let mut attempt: u32 = 0;
     loop {
         // Cooperative cancellation point, re-checked before *every* attempt:
-        // a leader session dropped mid-backoff must not burn further
-        // attempts on a result nobody claims (waiters take the flight over).
+        // the leader session dropped its future (deadline elapsed,
+        // connection torn down) before this task got a worker, or
+        // mid-backoff.  The fetch is not invoked (again); abandoning the
+        // flight wakes one still-interested waiter to take leadership over
+        // with its own fetch — and with no waiters, retires the cell so the
+        // next arrival starts fresh.  No panic payload is stored: the only
+        // session that would re-raise it is the one that was dropped.
         if cancelled.load(Ordering::Acquire) {
-            match engine.upgrade() {
-                Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-                None => {
-                    flight.abandon();
-                }
-            }
+            abandon_from_task(&engine, &key, shard, &flight);
             return;
         }
         attempt += 1;
-        let fetch_start = crate::telemetry::now();
-        let result = catch_unwind(AssertUnwindSafe(&mut fetch));
-        crate::telemetry::global()
-            .fetch_attempt_us
-            .record(crate::telemetry::elapsed_us(fetch_start));
-        match result {
-            // A panic keeps the infallible contract: payload to the leader
-            // session, flight abandoned so one waiter takes over.
+        let fetched = timed_attempt(|| catch_unwind(AssertUnwindSafe(|| mode.attempt())));
+        // The completion stage (insert + observer emit) runs under its own
+        // catch_unwind for the same reason the inline path keeps its guard
+        // armed through it: a panic in user observer code must abandon the
+        // flight, not strand the waiters on a cell that never resolves.
+        let settled = fetched.and_then(|fetched| {
+            let (value, cost) = match fetched {
+                Ok(fetched) => fetched,
+                Err(error) => return Ok(Err(error)),
+            };
+            let value = Arc::new(value);
+            catch_unwind(AssertUnwindSafe(|| {
+                if let Some(inner) = engine.upgrade() {
+                    let outcome = Watchman { inner }.finish_leader_insert(
+                        &key,
+                        shard,
+                        &flight,
+                        Arc::clone(&value),
+                        cost,
+                        now,
+                        M::FAILURE_DOMAIN,
+                    );
+                    flight.set_outcome(outcome);
+                }
+            }))?;
+            Ok(Ok((value, cost)))
+        });
+        let error = match settled {
+            Ok(Ok((value, cost))) => return flight.complete(value, cost),
+            Ok(Err(error)) => error,
+            // A panic is re-raised on the leader session and one waiter
+            // takes over.  Payload first, then abandon: the leader session
+            // must observe the payload when its abandonment wake arrives.
             Err(payload) => {
                 flight.set_panic(epoch, payload);
-                match engine.upgrade() {
-                    Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-                    None => {
-                        flight.abandon();
-                    }
-                }
+                abandon_from_task(&engine, &key, shard, &flight);
                 return;
             }
-            Ok(Ok((value, cost))) => {
-                let value = Arc::new(value);
-                // The completion stage (insert + observer emit) runs under
-                // its own catch_unwind, mirroring `run_spawned_fetch`.
-                let completed = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(inner) = engine.upgrade() {
-                        let engine = Watchman { inner };
-                        let outcome = engine.finish_leader_insert_with(
-                            &key,
-                            shard,
-                            &flight,
-                            Arc::clone(&value),
-                            cost,
-                            now,
-                            true,
-                        );
-                        flight.set_outcome(outcome);
-                    }
-                }));
-                match completed {
-                    Ok(()) => flight.complete(value, cost),
-                    Err(payload) => {
-                        flight.set_panic(epoch, payload);
-                        match engine.upgrade() {
-                            Some(inner) => Watchman { inner }.abandon_flight(&key, shard, &flight),
-                            None => {
-                                flight.abandon();
-                            }
-                        }
-                    }
-                }
-                return;
+        };
+        let Some(inner) = engine.upgrade() else {
+            return flight.fail(Arc::new(error));
+        };
+        let engine = Watchman { inner };
+        if let Some(delay) = engine.plan_retry(&key, attempt, &error) {
+            drop(engine);
+            if !delay.is_zero() {
+                Sleep::until(timer.clone(), crate::telemetry::now() + delay).await;
             }
-            Ok(Err(error)) => {
-                let Some(inner) = engine.upgrade() else {
-                    flight.fail(Arc::new(error));
-                    return;
-                };
-                let handle = Watchman { inner };
-                let retry = handle.inner.failure.retry.clone();
-                if error.is_retryable() && attempt < retry.max_attempts {
-                    handle.inner.fetch_retries.fetch_add(1, Ordering::Relaxed);
-                    let delay = retry.backoff(attempt, key.signature().value());
-                    let telemetry = crate::telemetry::global();
-                    telemetry.fetch_retries.incr();
-                    telemetry.recorder.record(
-                        TraceKind::FetchRetry,
-                        key.signature().value(),
-                        u64::from(attempt),
-                        delay.as_micros() as u64,
-                    );
-                    drop(handle);
-                    if !delay.is_zero() {
-                        Sleep::until(timer.clone(), crate::telemetry::now() + delay).await;
-                    }
-                    continue;
-                }
-                // Terminal: memoize, feed the breaker, retire the cell —
-                // then fail the flight so every waiter observes the same
-                // shared error.
-                let error = Arc::new(error);
-                handle.fail_leader(&key, shard, &flight, &error, now);
-                drop(handle);
-                flight.fail(error);
-                return;
-            }
+            continue;
         }
+        // Terminal: memoize, feed the breaker, retire the cell — then fail
+        // the flight so every waiter observes the same shared error.
+        let error = Arc::new(error);
+        engine.fail_leader(&key, shard, &flight, &error, now);
+        drop(engine);
+        return flight.fail(error);
     }
-}
-
-/// How a [`LookupFuture`]'s leader runs its fetch: inline on the polling
-/// thread (synchronous front door) or spawned onto the runtime (async front
-/// door).  Everything else — hit, coalesce, abandonment, takeover — is the
-/// same code.
-enum FetchDriver<V, F> {
-    Inline(Option<F>),
-    Spawn {
-        fetch: Option<F>,
-        spawn: SpawnFetch<V, F>,
-    },
 }
 
 enum LookupState<V> {
@@ -2041,6 +2036,13 @@ enum LookupState<V> {
         /// coalescing waiter.
         leading: Option<u64>,
     },
+    /// An *inline* leader sleeping out a retry backoff on the runtime timer.
+    /// The flight stays pending (this session still leads it); waiters keep
+    /// coalescing onto it while the backoff elapses.
+    Backoff {
+        flight: Arc<Flight<V>>,
+        sleep: Sleep,
+    },
     Finished,
 }
 
@@ -2048,6 +2050,12 @@ enum LookupState<V> {
 /// machine can transition freely.
 enum Step<V> {
     Return(Lookup<V>),
+    /// Resolve a failure for *this* session: stale-serve if the staleness
+    /// policy allows, otherwise surface the shared error.
+    Resolve {
+        error: Arc<FetchError>,
+        negative_hit: bool,
+    },
     BecomeWaiter(Arc<Flight<V>>),
     Lead(Arc<Flight<V>>),
     /// Won the takeover race on an abandoned flight: re-check the cache
@@ -2057,55 +2065,85 @@ enum Step<V> {
     TakeOver(Arc<Flight<V>>),
     Suspend,
     LeaderFailed(Option<Box<dyn std::any::Any + Send>>),
-    /// The awaited flight resolved in a way this session cannot consume
-    /// (a fallible leader failed it); go back to `Start` and look again.
+    /// A failure-domain leader failed the awaited flight with an error and
+    /// this session is outside the domain: go back to `Start` and look
+    /// again with its own, still unconsumed fetch.
     Restart,
 }
 
-/// The future returned by [`Watchman::get_or_execute_async`] (and driven by
-/// [`block_on`](crate::runtime::block_on) inside the synchronous
-/// [`Watchman::get_or_execute`]).
+/// The one lookup state machine: the future every async front door returns,
+/// and the one [`block_on`](crate::runtime::block_on) drives in place inside
+/// the synchronous doors.  `M` is the door's [`FetchMode`].
+///
+/// Resolves to [`Lookup`] for the infallible doors; for the `try_*` doors to
+/// `Ok(`[`Lookup`]`)` — including [`LookupSource::Stale`] serves — or
+/// `Err(`[`LookupError`]`)` carrying the shared `Arc<FetchError>`.
 ///
 /// Lazy: nothing happens until first poll.  Cancellation-safe: dropping it
 /// deregisters this session's waker from the flight it waits on; a dropped
-/// takeover candidate passes its wake to the next waiter.
-pub struct LookupFuture<V, F> {
+/// takeover candidate passes its wake to the next waiter, and a dropped
+/// leader abandons its flight to one.
+pub struct LookupFuture<V, M> {
     engine: Watchman<V>,
     /// The normalized key.
     key: QueryKey,
     /// Shard index, resolved on first poll.
     shard: Option<usize>,
     now: Timestamp,
-    driver: FetchDriver<V, F>,
+    /// The fetch; taken when a leader hands it to a spawned task.
+    mode: Option<M>,
+    /// How a leader runs its fetch: spawned onto the runtime through this
+    /// hook (async doors), or inline on the polling thread (`None`).
+    spawn: Option<SpawnFetch<V, M>>,
     state: LookupState<V>,
+    /// Fetch attempts this session has made as the inline leader of the
+    /// current flight (spawned leaders count inside their task instead).
+    attempts: u32,
     /// Set once this session spawns a leader fetch; flipped by `Drop` so a
     /// fetch task that has not started yet observes the cancellation and
     /// never invokes the closure.
     leader_cancel: Option<Arc<AtomicBool>>,
-    /// When this session first touched the engine (the synchronous front
-    /// door presets it; the async one stamps it on first poll), feeding the
+    /// When this session first touched the engine (the synchronous doors
+    /// preset it; the async ones stamp it on first poll), feeding the
     /// outcome-keyed lookup-latency telemetry.
     started: Option<Instant>,
 }
 
-impl<V, F> std::fmt::Debug for LookupFuture<V, F> {
+impl<V, M> std::fmt::Debug for LookupFuture<V, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LookupFuture")
             .field("key", &self.key)
             .field("now", &self.now)
+            .field("attempts", &self.attempts)
             .finish_non_exhaustive()
     }
 }
 
-impl<V, F> Future for LookupFuture<V, F>
+impl<V, M> LookupFuture<V, M>
+where
+    M: FetchMode<V>,
+{
+    /// Resolves the session: records its outcome-keyed latency and wraps the
+    /// result in the door's output type.
+    fn finish(&mut self, result: Result<Lookup<V>, LookupError>) -> Poll<M::Output> {
+        self.state = LookupState::Finished;
+        match &result {
+            Ok(lookup) => record_lookup_telemetry(self.started, lookup.source),
+            Err(_) => record_lookup_error_telemetry(self.started),
+        }
+        Poll::Ready(M::output(result))
+    }
+}
+
+impl<V, M> Future for LookupFuture<V, M>
 where
     V: CachePayload + Send + Sync + 'static,
-    F: FnOnce() -> (V, ExecutionCost) + Unpin,
+    M: FetchMode<V> + Unpin,
 {
-    type Output = Lookup<V>;
+    type Output = M::Output;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Lookup<V>> {
-        // All fields are Unpin (`F` by bound — every ordinary closure is),
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<M::Output> {
+        // All fields are Unpin (`M` by bound — every ordinary closure is),
         // so plain projection is safe without unsafe code.
         let this = self.get_mut();
         if this.started.is_none() {
@@ -2126,14 +2164,30 @@ where
                             source: LookupSource::Hit,
                             outcome: None,
                         })
+                    } else if let Some(flight) = state.inflight.get(&this.key) {
+                        // A live flight wins over a memoized failure: the
+                        // in-flight leader may be retrying its way to a
+                        // success this session can share.
+                        Step::BecomeWaiter(Arc::clone(flight))
                     } else {
-                        match state.inflight.get(&this.key) {
-                            Some(flight) => Step::BecomeWaiter(Arc::clone(flight)),
-                            None => {
-                                let flight = Arc::new(Flight::new());
+                        // A refused shard degrades without ever invoking
+                        // the fetch; outside the failure domain every miss
+                        // leads.
+                        let admitted = if M::FAILURE_DOMAIN {
+                            this.engine.admit_fetch(&mut state, &this.key, this.now)
+                        } else {
+                            Ok(false)
+                        };
+                        match admitted {
+                            Ok(probe) => {
+                                let flight = Arc::new(Flight::with_probe(probe));
                                 state.inflight.insert(this.key.clone(), Arc::clone(&flight));
                                 Step::Lead(flight)
                             }
+                            Err((error, negative_hit)) => Step::Resolve {
+                                error,
+                                negative_hit,
+                            },
                         }
                     }
                 }
@@ -2152,12 +2206,10 @@ where
                         })
                     }
                     Poll::Ready(LeaderOutcome::Failed(payload)) => Step::LeaderFailed(payload),
-                    // An infallible leader's fetch returns `(V, Cost)` — it
-                    // can panic but never produce a `FetchError`, so its own
-                    // flight is never `fail()`ed under it.
-                    Poll::Ready(LeaderOutcome::Error(error)) => {
-                        unreachable!("infallible leader observed a fetch error: {error}")
-                    }
+                    Poll::Ready(LeaderOutcome::Error(error)) => Step::Resolve {
+                        error,
+                        negative_hit: false,
+                    },
                 },
                 LookupState::Waiting {
                     flight,
@@ -2189,13 +2241,26 @@ where
                     // takeover race: it is the leader now, on the same
                     // flight cell, with its own (still unconsumed) fetch.
                     Poll::Ready(FlightOutcome::TakeOver) => Step::TakeOver(Arc::clone(flight)),
-                    // A *fallible* leader (the try_* front doors) resolved
-                    // the shared flight with a fetch error and retired the
-                    // cell.  This infallible session cannot surface an error,
-                    // but it still holds its own unconsumed fetch: start
-                    // over — the retired cell means it will lead a fresh
-                    // flight (or hit the negative-cache-free cache).
+                    // The leader's terminal error resolved the flight for
+                    // every coalesced waiter at once; inside the failure
+                    // domain all of them share one `Arc<FetchError>` (and
+                    // each resolves its own stale-vs-error outcome below).
+                    Poll::Ready(FlightOutcome::Failed(error)) if M::FAILURE_DOMAIN => {
+                        Step::Resolve {
+                            error,
+                            negative_hit: false,
+                        }
+                    }
+                    // Outside it the session cannot surface an error, but it
+                    // still holds its own fetch: start over — the failed
+                    // cell is retired, so it leads a fresh flight.
                     Poll::Ready(FlightOutcome::Failed(_)) => Step::Restart,
+                },
+                LookupState::Backoff { flight, sleep } => match Pin::new(sleep).poll(cx) {
+                    Poll::Pending => Step::Suspend,
+                    // Backoff elapsed: resume leading the same flight with
+                    // the next attempt.
+                    Poll::Ready(()) => Step::Lead(Arc::clone(flight)),
                 },
             };
 
@@ -2204,10 +2269,8 @@ where
             let step = match step {
                 Step::TakeOver(flight) => {
                     let shard_index = this.shard.expect("set before waiting");
-                    let cached = {
-                        let mut state = this.engine.inner.shards[shard_index].lock();
-                        state.cache.get(&this.key, this.now).map(Arc::clone)
-                    };
+                    let shard = &this.engine.inner.shards[shard_index];
+                    let cached = shard.lock().cache.get(&this.key, this.now).map(Arc::clone);
                     match cached {
                         // The value landed before the old leader failed (a
                         // panic in its post-insert observer emit): serve the
@@ -2216,14 +2279,19 @@ where
                         // repeats this check, and the last abandonment
                         // retires the cell.
                         Some(value) => {
-                            this.engine.abandon_flight(&this.key, shard_index, &flight);
+                            shard.abandon(&this.key, &flight);
                             Step::Return(Lookup {
                                 value,
                                 source: LookupSource::Hit,
                                 outcome: None,
                             })
                         }
-                        None => Step::Lead(flight),
+                        None => {
+                            // Fresh leadership on the taken-over cell: this
+                            // session's own retry budget starts from zero.
+                            this.attempts = 0;
+                            Step::Lead(flight)
+                        }
                     }
                 }
                 other => other,
@@ -2236,10 +2304,20 @@ where
                     this.state = LookupState::Start;
                     // Loop: look the key up afresh.
                 }
-                Step::Return(lookup) => {
-                    this.state = LookupState::Finished;
-                    record_lookup_telemetry(this.started, lookup.source);
-                    return Poll::Ready(lookup);
+                Step::Return(lookup) => return this.finish(Ok(lookup)),
+                Step::Resolve {
+                    error,
+                    negative_hit,
+                } => {
+                    let shard_index = this.shard.expect("set before resolving");
+                    let result = this.engine.resolve_failed_lookup(
+                        &this.key,
+                        shard_index,
+                        this.now,
+                        error,
+                        negative_hit,
+                    );
+                    return this.finish(result);
                 }
                 Step::BecomeWaiter(flight) => {
                     this.state = LookupState::Waiting {
@@ -2260,56 +2338,91 @@ where
                 }
                 Step::Lead(flight) => {
                     let shard_index = this.shard.expect("set before leading");
-                    match &mut this.driver {
-                        FetchDriver::Inline(fetch) => {
-                            let fetch = fetch.take().expect("leader consumes its fetch once");
-                            // The guard stays armed through the fetch AND the
-                            // completion (insert + observer emit): a panic
-                            // anywhere before `complete` — including user
-                            // observer code — must wake exactly one waiter to
-                            // take over this same flight cell (retiring the
-                            // cell when nobody waits) instead of stranding
-                            // the waiters on a flight that never resolves.
-                            // The panic itself propagates to the caller.
+                    match this.spawn {
+                        // Inline leader: fetch (and retry) on this thread.
+                        None => loop {
+                            this.attempts += 1;
+                            // The guard stays armed through the fetch AND, on
+                            // success, the completion (insert + observer
+                            // emit): a panic anywhere before `complete` —
+                            // including user observer code — must wake
+                            // exactly one waiter to take over this same
+                            // flight cell (retiring the cell when nobody
+                            // waits) instead of stranding the waiters on a
+                            // flight that never resolves.  The panic itself
+                            // propagates to the caller.
                             let guard = AbandonGuard {
-                                engine: &this.engine,
+                                shard: &this.engine.inner.shards[shard_index],
                                 key: &this.key,
-                                shard_index,
                                 flight: &flight,
                             };
-                            let fetch_start = crate::telemetry::now();
-                            let (value, cost) = fetch();
-                            crate::telemetry::global()
-                                .fetch_attempt_us
-                                .record(crate::telemetry::elapsed_us(fetch_start));
-                            let value = Arc::new(value);
-                            let outcome = this.engine.finish_leader_insert(
-                                &this.key,
-                                shard_index,
-                                &flight,
-                                Arc::clone(&value),
-                                cost,
-                                this.now,
-                            );
-                            flight.complete(Arc::clone(&value), cost);
-                            std::mem::forget(guard);
-                            this.state = LookupState::Finished;
-                            record_lookup_telemetry(this.started, LookupSource::Executed);
-                            return Poll::Ready(Lookup {
-                                value,
-                                source: LookupSource::Executed,
-                                outcome: Some(outcome),
-                            });
-                        }
-                        FetchDriver::Spawn { fetch, spawn } => {
-                            let fetch = fetch.take().expect("leader consumes its fetch once");
-                            let spawn = *spawn;
+                            let mode = this
+                                .mode
+                                .as_mut()
+                                .expect("an inline leader keeps its fetch");
+                            match timed_attempt(|| mode.attempt()) {
+                                Ok((value, cost)) => {
+                                    let value = Arc::new(value);
+                                    let outcome = this.engine.finish_leader_insert(
+                                        &this.key,
+                                        shard_index,
+                                        &flight,
+                                        Arc::clone(&value),
+                                        cost,
+                                        this.now,
+                                        M::FAILURE_DOMAIN,
+                                    );
+                                    flight.complete(Arc::clone(&value), cost);
+                                    std::mem::forget(guard);
+                                    return this.finish(Ok(Lookup {
+                                        value,
+                                        source: LookupSource::Executed,
+                                        outcome: Some(outcome),
+                                    }));
+                                }
+                                Err(error) => {
+                                    // The error is handled explicitly — the
+                                    // flight must NOT be abandoned.
+                                    std::mem::forget(guard);
+                                    let retry =
+                                        this.engine.plan_retry(&this.key, this.attempts, &error);
+                                    if let Some(delay) = retry {
+                                        if delay.is_zero() {
+                                            continue;
+                                        }
+                                        let sleep = this.engine.runtime().sleep(delay);
+                                        this.state = LookupState::Backoff { flight, sleep };
+                                        // Loop: poll the backoff sleep.
+                                        break;
+                                    }
+                                    let error = Arc::new(error);
+                                    this.engine.fail_leader(
+                                        &this.key,
+                                        shard_index,
+                                        &flight,
+                                        &error,
+                                        this.now,
+                                    );
+                                    flight.fail(Arc::clone(&error));
+                                    let result = this.engine.resolve_failed_lookup(
+                                        &this.key,
+                                        shard_index,
+                                        this.now,
+                                        error,
+                                        false,
+                                    );
+                                    return this.finish(result);
+                                }
+                            }
+                        },
+                        Some(spawn) => {
+                            let mode = this.mode.take().expect("leader consumes its fetch once");
                             let epoch = flight.new_leader_epoch();
                             let cancel = Arc::new(AtomicBool::new(false));
                             this.leader_cancel = Some(Arc::clone(&cancel));
                             spawn(
                                 &this.engine,
-                                fetch,
+                                mode,
                                 this.key.clone(),
                                 shard_index,
                                 this.now,
@@ -2331,7 +2444,7 @@ where
     }
 }
 
-impl<V, F> Drop for LookupFuture<V, F> {
+impl<V, M> Drop for LookupFuture<V, M> {
     fn drop(&mut self) {
         // A cancelled *leader* flips its cancellation flag: a spawned fetch
         // task that has not started yet observes it, skips the closure
@@ -2342,28 +2455,27 @@ impl<V, F> Drop for LookupFuture<V, F> {
         if let Some(cancel) = &self.leader_cancel {
             cancel.store(true, Ordering::Release);
         }
-        // A cancelled waiter must deregister; if it had been woken to take
-        // over an abandoned flight, forget_waiter passes the wake along so
-        // no takeover is lost, and if it was the *last* waiter of an
-        // abandoned flight, the cell is retired from the in-flight table.
-        if let LookupState::Waiting {
-            flight,
-            slot,
-            leading: None,
-        } = &mut self.state
-        {
-            let shard_index = self.shard.expect("set before waiting");
-            // Shard lock first, then the flight's lock inside forget_waiter —
-            // the same order abandon_flight uses.
-            let mut state = self.engine.inner.shards[shard_index].lock();
-            if flight.forget_waiter(slot)
-                && state
-                    .inflight
-                    .get(&self.key)
-                    .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-            {
-                state.inflight.remove(&self.key);
+        match &mut self.state {
+            // A cancelled waiter must deregister; if it had been woken to
+            // take over an abandoned flight, the wake is passed along so no
+            // takeover is lost, and the last waiter of an abandoned flight
+            // retires the cell.
+            LookupState::Waiting {
+                flight,
+                slot,
+                leading: None,
+            } => {
+                let shard_index = self.shard.expect("set before waiting");
+                self.engine.inner.shards[shard_index].forget_waiter(&self.key, flight, slot);
             }
+            // An inline leader dropped mid-backoff still owns a pending
+            // flight: abandon it so a waiter takes leadership over with its
+            // own fetch (a waiterless cell is retired).
+            LookupState::Backoff { flight, .. } => {
+                let shard_index = self.shard.expect("set before leading");
+                self.engine.inner.shards[shard_index].abandon(&self.key, flight);
+            }
+            _ => {}
         }
     }
 }
@@ -2371,477 +2483,16 @@ impl<V, F> Drop for LookupFuture<V, F> {
 /// Abandons the leader's flight if its inline fetch panics, so waiters are
 /// not stranded on a flight that will never complete.  Exactly one waiter is
 /// woken to take over leadership of the same cell; with no waiters at all
-/// the cell is retired from the in-flight table (see
-/// [`Watchman::abandon_flight`]).
-struct AbandonGuard<'a, V>
-where
-    V: CachePayload + Send + Sync + 'static,
-{
-    engine: &'a Watchman<V>,
+/// the cell is retired from the in-flight table (see [`Shard::abandon`]).
+struct AbandonGuard<'a, V> {
+    shard: &'a Shard<V>,
     key: &'a QueryKey,
-    shard_index: usize,
     flight: &'a Arc<Flight<V>>,
 }
 
-impl<V> Drop for AbandonGuard<'_, V>
-where
-    V: CachePayload + Send + Sync + 'static,
-{
+impl<V> Drop for AbandonGuard<'_, V> {
     fn drop(&mut self) {
-        self.engine
-            .abandon_flight(self.key, self.shard_index, self.flight);
-    }
-}
-
-/// How a [`TryLookupFuture`]'s leader runs its fallible fetch.  Unlike
-/// [`FetchDriver`], the inline closure is stored directly (not as an
-/// `Option`): retries re-invoke it, so it is `FnMut` and never consumed.
-enum TryFetchDriver<V, F> {
-    Inline(F),
-    Spawn {
-        fetch: Option<F>,
-        spawn: SpawnTryFetch<V, F>,
-    },
-}
-
-enum TryLookupState<V> {
-    Start,
-    Waiting {
-        flight: Arc<Flight<V>>,
-        slot: WaiterSlot,
-        /// `Some(epoch)` when this session leads via a spawned fetch task.
-        leading: Option<u64>,
-    },
-    /// An *inline* leader sleeping out a retry backoff on the runtime timer.
-    /// The flight stays pending (this session still leads it); waiters keep
-    /// coalescing onto it while the backoff elapses.
-    Backoff {
-        flight: Arc<Flight<V>>,
-        sleep: Sleep,
-    },
-    Finished,
-}
-
-/// What one fallible poll step decided.
-enum TryStep<V> {
-    Return(Lookup<V>),
-    /// Resolve a failure for *this* session: stale-serve if the staleness
-    /// policy allows, otherwise surface the shared error.
-    Resolve {
-        error: Arc<FetchError>,
-        negative_hit: bool,
-    },
-    BecomeWaiter(Arc<Flight<V>>),
-    Lead(Arc<Flight<V>>),
-    TakeOver(Arc<Flight<V>>),
-    Suspend,
-    LeaderFailed(Option<Box<dyn std::any::Any + Send>>),
-}
-
-/// The future returned by [`Watchman::try_get_or_execute_async`] (and driven
-/// by [`block_on`](crate::runtime::block_on) inside the synchronous
-/// [`Watchman::try_get_or_execute`]).
-///
-/// Resolves to `Ok(`[`Lookup`]`)` — including [`LookupSource::Stale`] serves
-/// — or `Err(`[`LookupError`]`)` carrying the shared `Arc<FetchError>`.
-/// Lazy and cancellation-safe with the same semantics as [`LookupFuture`].
-pub struct TryLookupFuture<V, F> {
-    engine: Watchman<V>,
-    key: QueryKey,
-    shard: Option<usize>,
-    now: Timestamp,
-    driver: TryFetchDriver<V, F>,
-    state: TryLookupState<V>,
-    /// Fetch attempts this session has made as the inline leader of the
-    /// current flight (spawned leaders count inside their task instead).
-    attempts: u32,
-    leader_cancel: Option<Arc<AtomicBool>>,
-    /// When this session first touched the engine (see [`LookupFuture`]).
-    started: Option<Instant>,
-}
-
-impl<V, F> std::fmt::Debug for TryLookupFuture<V, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TryLookupFuture")
-            .field("key", &self.key)
-            .field("now", &self.now)
-            .field("attempts", &self.attempts)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<V, F> Future for TryLookupFuture<V, F>
-where
-    V: CachePayload + Send + Sync + 'static,
-    F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Unpin,
-{
-    type Output = Result<Lookup<V>, LookupError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if this.started.is_none() {
-            this.started = Some(crate::telemetry::now());
-        }
-        loop {
-            let step = match &mut this.state {
-                TryLookupState::Finished => panic!("TryLookupFuture polled after completion"),
-                TryLookupState::Start => {
-                    this.engine.observe_now(this.now);
-                    let shard_index = *this
-                        .shard
-                        .get_or_insert_with(|| this.engine.shard_index(&this.key));
-                    let mut state = this.engine.inner.shards[shard_index].lock();
-                    if let Some(value) = state.cache.get(&this.key, this.now) {
-                        TryStep::Return(Lookup {
-                            value: Arc::clone(value),
-                            source: LookupSource::Hit,
-                            outcome: None,
-                        })
-                    } else if let Some(flight) = state.inflight.get(&this.key) {
-                        // A live flight wins over a memoized failure: the
-                        // in-flight leader may be retrying its way to a
-                        // success this session can share.
-                        TryStep::BecomeWaiter(Arc::clone(flight))
-                    } else if let Some(error) = state.failure.fresh_negative(&this.key, this.now) {
-                        this.engine
-                            .inner
-                            .negative_hits
-                            .fetch_add(1, Ordering::Relaxed);
-                        crate::telemetry::global().negative_hits.incr();
-                        TryStep::Resolve {
-                            error,
-                            negative_hit: true,
-                        }
-                    } else {
-                        // The breaker's admit() is the half-open probe
-                        // ticket: a refused shard degrades without ever
-                        // invoking the fetch.
-                        let admitted = match state.failure.breaker.as_mut() {
-                            Some(breaker) => breaker.admit(this.now),
-                            None => true,
-                        };
-                        if admitted {
-                            let flight = Arc::new(Flight::new());
-                            state.inflight.insert(this.key.clone(), Arc::clone(&flight));
-                            TryStep::Lead(flight)
-                        } else {
-                            TryStep::Resolve {
-                                error: Arc::new(FetchError::transient(
-                                    "circuit breaker open: fetch refused",
-                                )),
-                                negative_hit: false,
-                            }
-                        }
-                    }
-                }
-                TryLookupState::Waiting {
-                    flight,
-                    slot: _,
-                    leading: Some(epoch),
-                } => match flight.poll_leader(*epoch, cx) {
-                    Poll::Pending => TryStep::Suspend,
-                    Poll::Ready(LeaderOutcome::Done(value, _cost)) => {
-                        let outcome = flight.take_outcome();
-                        TryStep::Return(Lookup {
-                            value,
-                            source: LookupSource::Executed,
-                            outcome,
-                        })
-                    }
-                    Poll::Ready(LeaderOutcome::Failed(payload)) => TryStep::LeaderFailed(payload),
-                    Poll::Ready(LeaderOutcome::Error(error)) => TryStep::Resolve {
-                        error,
-                        negative_hit: false,
-                    },
-                },
-                TryLookupState::Waiting {
-                    flight,
-                    slot,
-                    leading: None,
-                } => match flight.poll_wait(slot, cx) {
-                    Poll::Pending => TryStep::Suspend,
-                    Poll::Ready(FlightOutcome::Done(value, cost)) => {
-                        let shard_index = this.shard.expect("set before waiting");
-                        {
-                            let mut state = this.engine.inner.shards[shard_index].lock();
-                            state.cache.record_coalesced_reference(cost);
-                        }
-                        this.engine
-                            .inner
-                            .coalesced_misses
-                            .fetch_add(1, Ordering::Relaxed);
-                        TryStep::Return(Lookup {
-                            value,
-                            source: LookupSource::Coalesced,
-                            outcome: None,
-                        })
-                    }
-                    Poll::Ready(FlightOutcome::TakeOver) => TryStep::TakeOver(Arc::clone(flight)),
-                    // The leader's terminal error resolved the flight for
-                    // every coalesced waiter at once; all of them share one
-                    // `Arc<FetchError>` (and each resolves its own
-                    // stale-vs-error outcome below).
-                    Poll::Ready(FlightOutcome::Failed(error)) => TryStep::Resolve {
-                        error,
-                        negative_hit: false,
-                    },
-                },
-                TryLookupState::Backoff { flight, sleep } => match Pin::new(sleep).poll(cx) {
-                    Poll::Pending => TryStep::Suspend,
-                    // Backoff elapsed: resume leading the same flight with
-                    // the next attempt.
-                    Poll::Ready(()) => TryStep::Lead(Arc::clone(flight)),
-                },
-            };
-
-            // Resolve a takeover into a hit or fresh leadership, exactly
-            // like the infallible path.
-            let step = match step {
-                TryStep::TakeOver(flight) => {
-                    let shard_index = this.shard.expect("set before waiting");
-                    let cached = {
-                        let mut state = this.engine.inner.shards[shard_index].lock();
-                        state.cache.get(&this.key, this.now).map(Arc::clone)
-                    };
-                    match cached {
-                        Some(value) => {
-                            this.engine.abandon_flight(&this.key, shard_index, &flight);
-                            TryStep::Return(Lookup {
-                                value,
-                                source: LookupSource::Hit,
-                                outcome: None,
-                            })
-                        }
-                        None => {
-                            // Fresh leadership on the taken-over cell: this
-                            // session's own retry budget starts from zero.
-                            this.attempts = 0;
-                            TryStep::Lead(flight)
-                        }
-                    }
-                }
-                other => other,
-            };
-
-            match step {
-                TryStep::TakeOver(_) => unreachable!("resolved into Return or Lead above"),
-                TryStep::Suspend => return Poll::Pending,
-                TryStep::Return(lookup) => {
-                    this.state = TryLookupState::Finished;
-                    record_lookup_telemetry(this.started, lookup.source);
-                    return Poll::Ready(Ok(lookup));
-                }
-                TryStep::Resolve {
-                    error,
-                    negative_hit,
-                } => {
-                    let shard_index = this.shard.expect("set before resolving");
-                    this.state = TryLookupState::Finished;
-                    let result = this.engine.resolve_failed_lookup(
-                        &this.key,
-                        shard_index,
-                        this.now,
-                        error,
-                        negative_hit,
-                    );
-                    match &result {
-                        Ok(lookup) => record_lookup_telemetry(this.started, lookup.source),
-                        Err(_) => record_lookup_error_telemetry(this.started),
-                    }
-                    return Poll::Ready(result);
-                }
-                TryStep::BecomeWaiter(flight) => {
-                    this.state = TryLookupState::Waiting {
-                        flight,
-                        slot: WaiterSlot::new(),
-                        leading: None,
-                    };
-                }
-                TryStep::LeaderFailed(payload) => {
-                    this.state = TryLookupState::Finished;
-                    match payload {
-                        Some(payload) => std::panic::resume_unwind(payload),
-                        None => panic!("single-flight leader fetch failed"),
-                    }
-                }
-                TryStep::Lead(flight) => {
-                    let shard_index = this.shard.expect("set before leading");
-                    match &mut this.driver {
-                        TryFetchDriver::Inline(fetch) => {
-                            loop {
-                                this.attempts += 1;
-                                // Armed through the fetch and (on success)
-                                // the completion stage: a panic anywhere
-                                // before `complete` hands the flight to a
-                                // waiter, mirroring the infallible path.
-                                let guard = AbandonGuard {
-                                    engine: &this.engine,
-                                    key: &this.key,
-                                    shard_index,
-                                    flight: &flight,
-                                };
-                                let fetch_start = crate::telemetry::now();
-                                let fetched = fetch();
-                                crate::telemetry::global()
-                                    .fetch_attempt_us
-                                    .record(crate::telemetry::elapsed_us(fetch_start));
-                                match fetched {
-                                    Ok((value, cost)) => {
-                                        let value = Arc::new(value);
-                                        let outcome = this.engine.finish_leader_insert_with(
-                                            &this.key,
-                                            shard_index,
-                                            &flight,
-                                            Arc::clone(&value),
-                                            cost,
-                                            this.now,
-                                            true,
-                                        );
-                                        flight.complete(Arc::clone(&value), cost);
-                                        std::mem::forget(guard);
-                                        this.state = TryLookupState::Finished;
-                                        record_lookup_telemetry(
-                                            this.started,
-                                            LookupSource::Executed,
-                                        );
-                                        return Poll::Ready(Ok(Lookup {
-                                            value,
-                                            source: LookupSource::Executed,
-                                            outcome: Some(outcome),
-                                        }));
-                                    }
-                                    Err(error) => {
-                                        // The error is handled explicitly —
-                                        // the flight must NOT be abandoned.
-                                        std::mem::forget(guard);
-                                        let retry = &this.engine.inner.failure.retry;
-                                        if error.is_retryable()
-                                            && this.attempts < retry.max_attempts
-                                        {
-                                            this.engine
-                                                .inner
-                                                .fetch_retries
-                                                .fetch_add(1, Ordering::Relaxed);
-                                            let delay = retry.backoff(
-                                                this.attempts,
-                                                this.key.signature().value(),
-                                            );
-                                            let telemetry = crate::telemetry::global();
-                                            telemetry.fetch_retries.incr();
-                                            telemetry.recorder.record(
-                                                TraceKind::FetchRetry,
-                                                this.key.signature().value(),
-                                                u64::from(this.attempts),
-                                                delay.as_micros() as u64,
-                                            );
-                                            if delay.is_zero() {
-                                                continue;
-                                            }
-                                            let sleep = this.engine.runtime().sleep(delay);
-                                            this.state = TryLookupState::Backoff { flight, sleep };
-                                            break;
-                                        }
-                                        let error = Arc::new(error);
-                                        this.engine.fail_leader(
-                                            &this.key,
-                                            shard_index,
-                                            &flight,
-                                            &error,
-                                            this.now,
-                                        );
-                                        flight.fail(Arc::clone(&error));
-                                        this.state = TryLookupState::Finished;
-                                        let result = this.engine.resolve_failed_lookup(
-                                            &this.key,
-                                            shard_index,
-                                            this.now,
-                                            error,
-                                            false,
-                                        );
-                                        match &result {
-                                            Ok(lookup) => {
-                                                record_lookup_telemetry(this.started, lookup.source)
-                                            }
-                                            Err(_) => record_lookup_error_telemetry(this.started),
-                                        }
-                                        return Poll::Ready(result);
-                                    }
-                                }
-                            }
-                            // Fell out via `break`: poll the backoff sleep.
-                        }
-                        TryFetchDriver::Spawn { fetch, spawn } => {
-                            let fetch = fetch.take().expect("leader consumes its fetch once");
-                            let spawn = *spawn;
-                            let epoch = flight.new_leader_epoch();
-                            let cancel = Arc::new(AtomicBool::new(false));
-                            this.leader_cancel = Some(Arc::clone(&cancel));
-                            spawn(
-                                &this.engine,
-                                fetch,
-                                this.key.clone(),
-                                shard_index,
-                                this.now,
-                                Arc::clone(&flight),
-                                epoch,
-                                cancel,
-                            );
-                            this.state = TryLookupState::Waiting {
-                                flight,
-                                slot: WaiterSlot::new(),
-                                leading: Some(epoch),
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<V, F> Drop for TryLookupFuture<V, F> {
-    fn drop(&mut self) {
-        if let Some(cancel) = &self.leader_cancel {
-            cancel.store(true, Ordering::Release);
-        }
-        match &mut self.state {
-            // A cancelled waiter deregisters, passing along any takeover
-            // claim (see LookupFuture's Drop).
-            TryLookupState::Waiting {
-                flight,
-                slot,
-                leading: None,
-            } => {
-                let shard_index = self.shard.expect("set before waiting");
-                let mut state = self.engine.inner.shards[shard_index].lock();
-                if flight.forget_waiter(slot)
-                    && state
-                        .inflight
-                        .get(&self.key)
-                        .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-                {
-                    state.inflight.remove(&self.key);
-                }
-            }
-            // An inline leader dropped mid-backoff still owns a pending
-            // flight: abandon it so a waiter takes leadership over with its
-            // own fetch (a waiterless cell is retired).  Open-coded (rather
-            // than `abandon_flight`) because `Drop` carries no `V` bounds;
-            // same locks, same order.
-            TryLookupState::Backoff { flight, .. } => {
-                let shard_index = self.shard.expect("set before leading");
-                let mut state = self.engine.inner.shards[shard_index].lock();
-                if flight.abandon() == 0
-                    && state
-                        .inflight
-                        .get(&self.key)
-                        .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-                {
-                    state.inflight.remove(&self.key);
-                }
-            }
-            _ => {}
-        }
+        self.shard.abandon(self.key, self.flight);
     }
 }
 
@@ -2867,7 +2518,7 @@ impl std::error::Error for LookupTimedOut {}
 /// takeover claim) or cancels a leader whose fetch has not started yet.
 pub struct DeadlineLookup<V, F> {
     /// `None` after the deadline fired (the drop *is* the cancellation).
-    lookup: Option<LookupFuture<V, F>>,
+    lookup: Option<LookupFuture<V, Infallible<F>>>,
     deadline: Sleep,
 }
 

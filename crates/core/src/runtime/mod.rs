@@ -13,8 +13,10 @@
 //!   (itself a future) for its output;
 //! * [`block_on`] — drives any future to completion on the calling thread,
 //!   parking between polls.  This is the bridge the synchronous engine entry
-//!   points use: `get_or_execute` is literally `block_on(get_or_execute_async
-//!   (..))`.
+//!   points use: after a lock-and-`get` hit fast path, `get_or_execute`
+//!   drives the same lookup future as `get_or_execute_async` with
+//!   `block_on` — but with the leader's fetch run inline on the calling
+//!   thread instead of spawned here, so it never touches the worker pool.
 //!
 //! ## Scheduling model
 //!

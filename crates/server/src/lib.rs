@@ -11,10 +11,11 @@
 //!   format and versioning rules are specified in its module docs);
 //! * [`server`] — `watchmand`: an accept *task* on the engine's runtime
 //!   spawns one session *task* per connection over the runtime's epoll
-//!   reactor (sessions are parked futures, not threads); lookups run
-//!   through
-//!   [`get_or_execute_async`](watchman_core::engine::Watchman::get_or_execute_async),
-//!   so hits never suspend and concurrent misses on one query coalesce
+//!   reactor (sessions are parked futures, not threads); every `GET` is
+//!   one
+//!   [`try_get_or_execute_async`](watchman_core::engine::Watchman::try_get_or_execute_async)
+//!   call — the fetch consults the installed [`FaultPlan`], if any — so
+//!   hits never suspend and concurrent misses on one query coalesce
 //!   **across connections** into a single execution;
 //! * [`client`] — a typed client with pipelining and transparent
 //!   reconnect;

@@ -10,9 +10,11 @@
 //!   a thousand parked futures, not a thousand stacks;
 //! * session tasks decode request frames ([`crate::wire`]) over the
 //!   runtime's reactor-driven streams and execute lookups through
-//!   [`Watchman::get_or_execute_async`]: **hits never suspend**, and misses
-//!   coalesce across *connections* through the engine's single-flight cells
-//!   (two clients missing on the same query execute it once);
+//!   [`Watchman::try_get_or_execute_async`] — the one `GET` path, whose
+//!   fetch fails only when an installed [`FaultPlan`] says so: **hits never
+//!   suspend**, and misses coalesce across *connections* through the
+//!   engine's single-flight cells (two clients missing on the same query
+//!   execute it once);
 //! * admin opcodes (`STATS`, `PEEK`, `INVALIDATE`, `REBALANCE_NOW`,
 //!   `SHUTDOWN`, `SERVER_INFO`) map onto the engine's snapshot,
 //!   non-mutating probe, coherence, rebalancing and introspection entry
@@ -104,9 +106,9 @@ pub struct ServerConfig {
     /// Optional profit-aware capacity rebalancing between shards.
     pub rebalance: Option<RebalanceConfig>,
     /// Failure-domain configuration handed to the engine: fetch retry
-    /// policy, circuit breaker, stale serving, negative cache.  Only
-    /// consulted on the fallible lookup path, i.e. when
-    /// [`fault_plan`](Self::fault_plan) is installed.
+    /// policy, circuit breaker, stale serving, negative cache.  Every
+    /// `GET` runs inside it, but only a fetch error engages it, and only an
+    /// installed [`fault_plan`](Self::fault_plan) produces those.
     pub failure: FailureConfig,
     /// Maximum `GET`s allowed in flight across every session before the
     /// server sheds with `BUSY` + a retry-after hint.  `0` (the default)
@@ -116,10 +118,10 @@ pub struct ServerConfig {
     /// (the slow-loris defence).  `None` (the default) keeps the seed
     /// behavior: a stalled peer is only bounded by shutdown's drain grace.
     pub read_deadline: Option<Duration>,
-    /// Deterministic fault plan.  `Some` routes every `GET` through the
-    /// engine's fallible pipeline (even an empty plan — that is what the
-    /// byte-identical replay test exercises) and installs the plan's wire
-    /// schedule on every accepted session stream.
+    /// Deterministic fault plan.  `Some` makes every `GET`'s fetch consult
+    /// the plan's fetch schedule (an empty plan never fails one — that is
+    /// what the byte-identical replay test exercises) and installs the
+    /// plan's wire schedule on every accepted session stream.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -999,54 +1001,38 @@ async fn handle_get(shared: &Shared, get: GetRequest) -> Response {
     let fetch_delay = Duration::from_micros(u64::from(get.fetch_delay_us));
     // Misses execute on the engine runtime (single-flight across every
     // connection); hits resolve on the first poll without suspending the
-    // session at all.  With a fault plan installed the lookup runs through
-    // the engine's *fallible* pipeline — retry, breaker, stale serving,
-    // negative cache — and a terminal failure answers this request with an
-    // error response instead of killing the session.
-    let lookup = match &shared.fault {
-        Some(plan) => {
-            let plan = Arc::clone(plan);
-            let outcome = shared
-                .engine
-                .try_get_or_execute_async(&key, now, move || {
-                    if let Some(error) = plan.fetch_fault(signature) {
-                        return Err(error);
-                    }
-                    if !fetch_delay.is_zero() {
-                        thread::sleep(fetch_delay);
-                    }
-                    Ok((
-                        synthesize_payload(signature, result_bytes),
-                        ExecutionCost::from_blocks(cost_blocks),
-                    ))
-                })
-                .await;
-            match outcome {
-                Ok(lookup) => lookup,
-                Err(failure) => {
-                    record_service_time(
-                        shared,
-                        u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    );
-                    return Response::Error {
-                        message: format!("fetch failed: {}", failure.error.message()),
-                    };
-                }
+    // session at all.  Every `GET` takes the engine's fallible door: the
+    // fetch consults the fault plan, if one is installed, and otherwise
+    // never fails, which is stat-identical to the infallible door.  A
+    // terminal failure — after retry, breaker, stale serving and negative
+    // cache had their say — answers this request with an error response
+    // instead of killing the session.
+    let plan = shared.fault.clone();
+    let outcome = shared
+        .engine
+        .try_get_or_execute_async(&key, now, move || {
+            if let Some(error) = plan.as_ref().and_then(|plan| plan.fetch_fault(signature)) {
+                return Err(error);
             }
-        }
-        None => {
-            shared
-                .engine
-                .get_or_execute_async(&key, now, move || {
-                    if !fetch_delay.is_zero() {
-                        thread::sleep(fetch_delay);
-                    }
-                    (
-                        synthesize_payload(signature, result_bytes),
-                        ExecutionCost::from_blocks(cost_blocks),
-                    )
-                })
-                .await
+            if !fetch_delay.is_zero() {
+                thread::sleep(fetch_delay);
+            }
+            Ok((
+                synthesize_payload(signature, result_bytes),
+                ExecutionCost::from_blocks(cost_blocks),
+            ))
+        })
+        .await;
+    let lookup = match outcome {
+        Ok(lookup) => lookup,
+        Err(failure) => {
+            record_service_time(
+                shared,
+                u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+            );
+            return Response::Error {
+                message: format!("fetch failed: {}", failure.error.message()),
+            };
         }
     };
     let service_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);

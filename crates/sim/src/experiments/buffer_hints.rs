@@ -23,9 +23,9 @@ use watchman_core::key::QueryKey;
 use watchman_core::sync::Mutex;
 use watchman_core::value::{ExecutionCost, SizedPayload};
 
-use crate::policy_kind::PolicyKind;
 use crate::table::{percent, ratio, TextTable};
 use crate::workload::{ExperimentScale, Workload};
+use crate::PolicyKind;
 
 /// Configuration of the buffer-interaction experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -14,10 +14,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::policy_kind::PolicyKind;
 use crate::runner::{run_infinite, run_policy, RunResult};
 use crate::table::{percent, ratio, TextTable};
 use crate::workload::{ExperimentScale, Workload};
+use crate::PolicyKind;
 
 /// The cache-size sweep used by Figures 4–6 (fractions of database size).
 pub const PAPER_CACHE_FRACTIONS: [f64; 8] = [0.001, 0.002, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05];

@@ -9,10 +9,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::policy_kind::PolicyKind;
 use crate::runner::run_policy;
 use crate::table::{percent, TextTable};
 use crate::workload::{ExperimentScale, Workload};
+use crate::PolicyKind;
 
 /// The cache-size sweep used by Figure 6 (the paper starts at 0.2 %).
 pub const PAPER_CACHE_FRACTIONS: [f64; 7] = [0.002, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05];

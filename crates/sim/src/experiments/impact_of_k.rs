@@ -7,10 +7,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::policy_kind::PolicyKind;
 use crate::runner::run_policy;
 use crate::table::{ratio, TextTable};
 use crate::workload::{ExperimentScale, Workload};
+use crate::PolicyKind;
 
 /// The cache size used throughout Figure 3: 1 % of the database.
 pub const CACHE_FRACTION: f64 = 0.01;

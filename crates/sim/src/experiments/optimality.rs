@@ -16,10 +16,10 @@ use serde::{Deserialize, Serialize};
 use watchman_core::theory::{lnc_star_skipping, KnapsackItem};
 use watchman_warehouse::QueryInstance;
 
-use crate::policy_kind::PolicyKind;
 use crate::runner::run_policy;
 use crate::table::{percent, ratio, TextTable};
 use crate::workload::{ExperimentScale, Workload};
+use crate::PolicyKind;
 
 /// One row of the optimality-gap table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -9,10 +9,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::policy_kind::PolicyKind;
 use crate::runner::{run_policy, RunResult};
 use crate::table::{percent, ratio, TextTable};
 use crate::workload::{ExperimentScale, Workload};
+use crate::PolicyKind;
 
 /// The cache fractions used by the ablation.
 pub const CACHE_FRACTIONS: [f64; 3] = [0.005, 0.01, 0.05];

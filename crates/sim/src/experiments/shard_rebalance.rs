@@ -30,10 +30,10 @@
 use serde::{Deserialize, Serialize};
 use watchman_core::engine::RebalanceConfig;
 
-use crate::policy_kind::PolicyKind;
 use crate::runner::{run_policy_sharded_with, RunResult};
 use crate::table::{percent, ratio, TextTable};
 use crate::workload::{ExperimentScale, Workload};
+use crate::PolicyKind;
 
 /// The shard counts swept.
 pub const SHARD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];

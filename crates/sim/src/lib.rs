@@ -7,7 +7,10 @@
 //! ([`watchman-buffer`](watchman_buffer)) into the experiments of the paper's
 //! evaluation section.
 //!
-//! * [`policy_kind`] — named policy configurations;
+//! * [`PolicyKind`] — named policy configurations (the engine's own type,
+//!   re-exported so the experiments, the engine and the examples share one
+//!   construction path), with the [`SimPayload`] / [`BoxedCache`] aliases
+//!   the experiment runners use;
 //! * [`workload`] — the TPC-D, Set Query and buffer-experiment workloads;
 //! * [`runner`] — trace replay and metric collection;
 //! * [`experiments`] — one module per paper figure (2–7) plus extension
@@ -25,7 +28,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod policy_kind;
 pub mod runner;
 pub mod table;
 pub mod workload;
@@ -34,10 +36,17 @@ pub use experiments::{
     BufferHintExperiment, CostSavingsExperiment, FragmentationExperiment, ImpactOfKExperiment,
     InfiniteCacheExperiment, OptimalityExperiment, PolicyZooExperiment, ShardRebalanceExperiment,
 };
-pub use policy_kind::{BoxedCache, PolicyKind, SimPayload};
 pub use runner::{
     replay_trace, replay_trace_engine, replay_trace_engine_async, replay_trace_engine_concurrent,
     run_infinite, run_policy, run_policy_sharded, run_policy_sharded_with,
     run_result_from_snapshot, RunResult, REBALANCE_EVERY_RECORDS,
 };
+pub use watchman_core::engine::PolicyKind;
 pub use workload::{ExperimentScale, Workload};
+
+/// The payload type used by all simulation experiments: retrieved sets are
+/// represented by their size only, which is all any policy decision uses.
+pub type SimPayload = watchman_core::value::SizedPayload;
+
+/// A boxed cache policy over simulation payloads.
+pub type BoxedCache = Box<dyn watchman_core::policy::QueryCache<SimPayload> + Send>;

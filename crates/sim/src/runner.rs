@@ -23,7 +23,7 @@ use watchman_core::runtime::block_on;
 use watchman_core::value::{ExecutionCost, SizedPayload};
 use watchman_trace::Trace;
 
-use crate::policy_kind::{BoxedCache, PolicyKind};
+use crate::{BoxedCache, PolicyKind};
 
 /// How often the deterministic replay drivers schedule a rebalance pass
 /// ([`Watchman::rebalance_now`]), in trace records.  The engine itself never
