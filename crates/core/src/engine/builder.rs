@@ -1,0 +1,210 @@
+//! Engine configuration: the key normalizer and the builder.
+
+use std::sync::Arc;
+
+use crate::engine::events::CacheObserver;
+use crate::engine::failure::FailureConfig;
+use crate::engine::policy_kind::PolicyKind;
+use crate::engine::rebalance::RebalanceConfig;
+use crate::engine::watchman::Watchman;
+use crate::key::QueryKey;
+use crate::runtime::Runtime;
+use crate::value::CachePayload;
+
+/// Pluggable key normalization applied to every key entering the engine.
+///
+/// The paper matches queries by exact (delimiter-compressed) text; §6 lists a
+/// cheaper-than-rewrite equivalence test as future work.  The engine makes
+/// that choice a configuration knob: [`KeyNormalizer::Exact`] is the paper's
+/// behavior, [`KeyNormalizer::CanonicalSql`] routes every key through
+/// [`crate::equivalence::canonical_key`] so syntactically different but
+/// canonically equivalent queries share one cache entry, and
+/// [`KeyNormalizer::Custom`] accepts any user function.
+#[derive(Clone)]
+pub enum KeyNormalizer {
+    /// Exact query-ID matching (the paper's §3 lookup).
+    Exact,
+    /// Canonical-SQL matching via the [`crate::equivalence`] canonicalizer.
+    CanonicalSql,
+    /// A caller-supplied normalization function.
+    Custom(Arc<dyn Fn(&QueryKey) -> QueryKey + Send + Sync>),
+}
+
+impl std::fmt::Debug for KeyNormalizer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KeyNormalizer::Exact => f.write_str("Exact"),
+            KeyNormalizer::CanonicalSql => f.write_str("CanonicalSql"),
+            KeyNormalizer::Custom(_) => f.write_str("Custom(..)"),
+        }
+    }
+}
+
+impl KeyNormalizer {
+    pub(super) fn apply(&self, key: &QueryKey) -> QueryKey {
+        match self {
+            KeyNormalizer::Exact => key.clone(),
+            KeyNormalizer::CanonicalSql => crate::equivalence::canonical_key(&key.to_string()),
+            KeyNormalizer::Custom(normalize) => normalize(key),
+        }
+    }
+}
+
+/// Configures and builds a [`Watchman`] engine.
+///
+/// ```
+/// use watchman_core::engine::{PolicyKind, Watchman};
+/// use watchman_core::value::SizedPayload;
+///
+/// let engine: Watchman<SizedPayload> = Watchman::builder()
+///     .shards(8)
+///     .policy(PolicyKind::LncRa { k: 4 })
+///     .capacity_bytes(64 << 20)
+///     .build();
+/// assert_eq!(engine.shard_count(), 8);
+/// assert_eq!(engine.capacity_bytes(), 64 << 20);
+/// ```
+pub struct WatchmanBuilder<V> {
+    pub(super) shards: usize,
+    pub(super) policy: PolicyKind,
+    pub(super) capacity_bytes: u64,
+    pub(super) normalizer: KeyNormalizer,
+    pub(super) observers: Vec<Arc<dyn CacheObserver>>,
+    pub(super) rebalance: Option<RebalanceConfig>,
+    pub(super) runtime: Option<Arc<Runtime>>,
+    pub(super) runtime_workers: usize,
+    pub(super) failure: FailureConfig,
+    _payload: std::marker::PhantomData<fn() -> V>,
+}
+
+impl<V> std::fmt::Debug for WatchmanBuilder<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WatchmanBuilder")
+            .field("shards", &self.shards)
+            .field("policy", &self.policy)
+            .field("capacity_bytes", &self.capacity_bytes)
+            .field("normalizer", &self.normalizer)
+            .field("observers", &self.observers.len())
+            .field("rebalance", &self.rebalance)
+            .field("runtime", &self.runtime.is_some())
+            .field("runtime_workers", &self.runtime_workers)
+            .finish()
+    }
+}
+
+impl<V> Default for WatchmanBuilder<V> {
+    fn default() -> Self {
+        WatchmanBuilder {
+            shards: 1,
+            policy: PolicyKind::LNC_RA,
+            capacity_bytes: 0,
+            normalizer: KeyNormalizer::Exact,
+            observers: Vec::new(),
+            rebalance: None,
+            runtime: None,
+            runtime_workers: 2,
+            failure: FailureConfig::default(),
+            _payload: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<V> WatchmanBuilder<V> {
+    /// Sets the number of shards the keyspace is hash-partitioned across.
+    ///
+    /// Each shard holds an independent policy instance behind its own lock,
+    /// so sessions touching different shards never contend.  Values are
+    /// clamped to at least 1.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards.max(1);
+        self
+    }
+
+    /// Sets the replacement/admission policy every shard runs.
+    pub fn policy(mut self, policy: PolicyKind) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// Sets the total cache capacity, split evenly across shards.
+    pub fn capacity_bytes(mut self, capacity_bytes: u64) -> Self {
+        self.capacity_bytes = capacity_bytes;
+        self
+    }
+
+    /// Sets the key-normalization step applied to every key.
+    pub fn normalizer(mut self, normalizer: KeyNormalizer) -> Self {
+        self.normalizer = normalizer;
+        self
+    }
+
+    /// Routes every key through the [`crate::equivalence`] canonicalizer so
+    /// canonically equivalent queries share one cache entry.
+    pub fn canonical_sql_matching(self) -> Self {
+        self.normalizer(KeyNormalizer::CanonicalSql)
+    }
+
+    /// Subscribes an observer to the engine's [`CacheEvent`] stream.
+    pub fn observer(mut self, observer: Arc<dyn CacheObserver>) -> Self {
+        self.observers.push(observer);
+        self
+    }
+
+    /// Enables profit-aware capacity rebalancing between shards.
+    ///
+    /// Without this, every shard keeps its static `total/N` split for the
+    /// engine's lifetime.  Passes run on a background runtime task every
+    /// [`RebalanceConfig::period`] (never on a session's request path); a
+    /// `manual()` config leaves scheduling to explicit
+    /// [`Watchman::rebalance_now`] calls.  See [`RebalanceConfig`] for the
+    /// profit signal and pass mechanics.
+    pub fn rebalance(mut self, config: RebalanceConfig) -> Self {
+        self.rebalance = Some(config.sanitized());
+        self
+    }
+
+    /// Shares an externally owned [`Runtime`] instead of letting the engine
+    /// lazily create its own pool.  Several engines may share one runtime;
+    /// each engine's background task still stops when *its* engine is
+    /// dropped.
+    pub fn runtime(mut self, runtime: Arc<Runtime>) -> Self {
+        self.runtime = Some(runtime);
+        self
+    }
+
+    /// Sets the worker count of the engine's own lazily created runtime
+    /// (ignored when [`WatchmanBuilder::runtime`] supplies one).  Each
+    /// in-flight fetch occupies a worker for its duration, so this is the
+    /// engine's execution multiprogramming level.  Defaults to 2.
+    pub fn runtime_workers(mut self, workers: usize) -> Self {
+        self.runtime_workers = workers.max(1);
+        self
+    }
+
+    /// Configures the failure domain of the fallible fetch pipeline
+    /// ([`Watchman::try_get_or_execute`] /
+    /// [`Watchman::try_get_or_execute_async`]): the leader's retry policy,
+    /// the per-shard circuit breaker, the staleness policy that gates
+    /// last-known-good serving, and the negative cache for memoized
+    /// failures.  The default config retries transient errors with seeded
+    /// exponential backoff but enables neither breaker nor stale serving.
+    pub fn failure(mut self, config: FailureConfig) -> Self {
+        self.failure = config;
+        self
+    }
+
+    /// Builds the engine.
+    ///
+    /// The configured capacity is split evenly across shards (any division
+    /// remainder goes to the first shards, so the shard capacities always sum
+    /// to the configured total).  When the total capacity is positive but
+    /// smaller than the shard count, the shard count is clamped down so that
+    /// no shard is created with zero bytes — an even `total/N` split would
+    /// otherwise leave shards that reject every insert with `ZeroCapacity`.
+    pub fn build(self) -> Watchman<V>
+    where
+        V: CachePayload + Send + Sync + 'static,
+    {
+        Watchman::from_builder(self)
+    }
+}

@@ -79,24 +79,25 @@
 //! assert!(engine.contains(&key));
 //! ```
 
+mod builder;
 mod events;
 mod failure;
+mod lookup;
 mod policy_kind;
 mod rebalance;
 pub(crate) mod single_flight;
 mod watchman;
 
+pub use builder::{KeyNormalizer, WatchmanBuilder};
 pub use events::{CacheEvent, CacheObserver, EventCounters};
 pub use failure::{
     splitmix64, BreakerConfig, BreakerState, CircuitBreaker, FailureConfig, FetchError,
     LookupError, NegativeCacheConfig, RetryPolicy, StalenessPolicy,
 };
+pub use lookup::{DeadlineLookup, Lookup, LookupFuture, LookupSource, LookupTimedOut};
 pub use policy_kind::PolicyKind;
 pub use rebalance::{RebalanceConfig, RebalanceOutcome};
-pub use watchman::{
-    DeadlineLookup, KeyNormalizer, Lookup, LookupFuture, LookupSource, LookupTimedOut,
-    StatsSnapshot, Watchman, WatchmanBuilder,
-};
+pub use watchman::{StatsSnapshot, Watchman};
 
 #[cfg(test)]
 mod tests {
