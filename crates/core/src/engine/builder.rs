@@ -144,7 +144,8 @@ impl<V> WatchmanBuilder<V> {
         self.normalizer(KeyNormalizer::CanonicalSql)
     }
 
-    /// Subscribes an observer to the engine's [`CacheEvent`] stream.
+    /// Subscribes an observer to the engine's
+    /// [`CacheEvent`](crate::engine::CacheEvent) stream.
     pub fn observer(mut self, observer: Arc<dyn CacheObserver>) -> Self {
         self.observers.push(observer);
         self

@@ -77,6 +77,18 @@ pub struct Lookup<V> {
     pub outcome: Option<InsertOutcome>,
 }
 
+impl<V> Lookup<V> {
+    /// A lookup this session did not execute: nothing was offered for
+    /// admission, so there is no outcome.
+    fn served(value: Arc<V>, source: LookupSource) -> Self {
+        Lookup {
+            value,
+            source,
+            outcome: None,
+        }
+    }
+}
+
 impl<V> Watchman<V>
 where
     V: CachePayload + Send + Sync + 'static,
@@ -105,8 +117,8 @@ where
 
     /// The asynchronous front door: like [`Watchman::get_or_execute`], but
     /// returns a [`LookupFuture`] and runs the leader's `fetch` on the
-    /// engine's [`Runtime`](crate::runtime::Runtime), so a waiting session suspends (a registered
-    /// waker) instead of blocking an OS thread.
+    /// engine's [`Runtime`](crate::runtime::Runtime), so a waiting session
+    /// suspends (a registered waker) instead of blocking an OS thread.
     ///
     /// Thousands of sessions can wait on slow warehouse queries while the
     /// thread count stays at the runtime's worker-pool size.  The future is
@@ -177,7 +189,8 @@ where
     /// * **Negative caching.** A terminal failure is memoized per key for a
     ///   short TTL; lookups inside the window resolve immediately
     ///   (`negative_hit == true`) without invoking the fetch.
-    /// * **Graceful degradation.** When a [`StalenessPolicy`](crate::engine::StalenessPolicy) is configured,
+    /// * **Graceful degradation.** When a
+    ///   [`StalenessPolicy`](crate::engine::StalenessPolicy) is configured,
     ///   a failed (or breaker-refused) lookup serves the last-known-good
     ///   value as [`LookupSource::Stale`] — cost-gated by the paper's profit
     ///   machinery, paid into `total_cost` but never into `saved_cost`, so
@@ -209,8 +222,8 @@ where
     /// The asynchronous fallible front door: like
     /// [`Watchman::try_get_or_execute`], but returns a [`LookupFuture`]
     /// and runs the leader's fetch (and its retry backoffs) on the engine's
-    /// [`Runtime`](crate::runtime::Runtime), so waiting sessions suspend instead of blocking OS
-    /// threads.  Cancellation behaves exactly like
+    /// [`Runtime`](crate::runtime::Runtime), so waiting sessions suspend
+    /// instead of blocking OS threads.  Cancellation behaves exactly like
     /// [`Watchman::get_or_execute_async`]: dropping the future deregisters a
     /// waiter, and a leader whose spawned fetch has not started yet cancels
     /// the execution entirely.
@@ -270,11 +283,7 @@ where
         {
             let mut state = self.inner.shards[shard].lock();
             if let Some(value) = state.cache.get(&key, now) {
-                let lookup = Lookup {
-                    value: Arc::clone(value),
-                    source: LookupSource::Hit,
-                    outcome: None,
-                };
+                let lookup = Lookup::served(Arc::clone(value), LookupSource::Hit);
                 drop(state);
                 record_lookup_telemetry(Some(started), LookupSource::Hit);
                 return M::output(Ok(lookup));
@@ -340,10 +349,11 @@ where
     /// A `failure_domain` leader also updates the failure domain under the
     /// same shard lock: the breaker records a success, a fresh
     /// last-known-good copy lands in the stale store (when a
-    /// [`StalenessPolicy`](crate::engine::StalenessPolicy) is configured), and any memoized failure for the
-    /// key is dropped.  Outside it none of that is touched — except that a
-    /// cell carrying a half-open probe ticket (taken over from a
-    /// failure-domain leader) settles the ticket whoever completes it.
+    /// [`StalenessPolicy`](crate::engine::StalenessPolicy) is configured),
+    /// and any memoized failure for the key is dropped.  Outside it none of
+    /// that is touched — except that a cell carrying a half-open probe
+    /// ticket (taken over from a failure-domain leader) settles the ticket
+    /// whoever completes it.
     #[allow(clippy::too_many_arguments)]
     fn finish_leader_insert(
         &self,
@@ -398,26 +408,27 @@ where
         outcome
     }
 
-    /// Resolves a fallible leader's *terminal* fetch failure under the shard
-    /// lock: retires the in-flight entry (so new arrivals start a fresh
+    /// Resolves a fallible leader's *terminal* fetch failure.  Under the
+    /// shard lock: retires the in-flight entry (so new arrivals start a fresh
     /// flight instead of joining a doomed one), memoizes the error in the
-    /// negative cache, and feeds the breaker's rolling failure window.  The
-    /// caller fails the flight cell *after* this returns — waking waiters
-    /// only once the negative entry is visible keeps their stale/negative
-    /// consultations consistent.
+    /// negative cache, and feeds the breaker's rolling failure window.  Then
+    /// fails the flight cell, so every waiter observes the same shared error
+    /// — waking them only once the negative entry is visible keeps their
+    /// stale/negative consultations consistent.
     fn fail_leader(
         &self,
         key: &QueryKey,
         shard_index: usize,
         flight: &Arc<Flight<V>>,
-        error: &Arc<FetchError>,
+        error: FetchError,
         now: Timestamp,
-    ) {
+    ) -> Arc<FetchError> {
+        let error = Arc::new(error);
         let mut state = self.inner.shards[shard_index].lock();
         state.retire(key, flight);
         state
             .failure
-            .store_negative(key, Arc::clone(error), now, &self.inner.failure.negative);
+            .store_negative(key, Arc::clone(&error), now, &self.inner.failure.negative);
         if let Some(breaker) = state.failure.breaker.as_mut() {
             let was_open = matches!(breaker.state(), BreakerState::Open);
             breaker.record_failure(now);
@@ -432,6 +443,31 @@ where
                 );
             }
         }
+        drop(state);
+        flight.fail(Arc::clone(&error));
+        error
+    }
+
+    /// Resolves a won takeover race on an abandoned flight into a hit or real
+    /// leadership.  The failed leader may have panicked *after* its insert
+    /// succeeded (in a user observer's emit), leaving the value cached: then
+    /// the session is served the hit instead of re-running a multi-second
+    /// fetch, and passes leadership along — the next candidate repeats this
+    /// check, and the last abandonment retires the cell.
+    fn take_over(
+        &self,
+        key: &QueryKey,
+        shard_index: usize,
+        now: Timestamp,
+        flight: Arc<Flight<V>>,
+    ) -> Step<V> {
+        let shard = &self.inner.shards[shard_index];
+        let cached = shard.lock().cache.get(key, now).map(Arc::clone);
+        let Some(value) = cached else {
+            return Step::Lead(flight);
+        };
+        shard.abandon(key, &flight);
+        Step::Return(Lookup::served(value, LookupSource::Hit))
     }
 
     /// Resolves this session's share of a failed lookup: serves the
@@ -460,11 +496,7 @@ where
                     shard_index as u64,
                     cost.value() as u64,
                 );
-                return Ok(Lookup {
-                    value,
-                    source: LookupSource::Stale,
-                    outcome: None,
-                });
+                return Ok(Lookup::served(value, LookupSource::Stale));
             }
         }
         state.cache.record_error_reference();
@@ -706,12 +738,9 @@ async fn run_spawned_fetch<V, M>(
             }
             continue;
         }
-        // Terminal: memoize, feed the breaker, retire the cell — then fail
-        // the flight so every waiter observes the same shared error.
-        let error = Arc::new(error);
-        engine.fail_leader(&key, shard, &flight, &error, now);
-        drop(engine);
-        return flight.fail(error);
+        // Terminal: the error is fatal, or the retry budget is spent.
+        engine.fail_leader(&key, shard, &flight, error, now);
+        return;
     }
 }
 
@@ -747,11 +776,6 @@ enum Step<V> {
     },
     BecomeWaiter(Arc<Flight<V>>),
     Lead(Arc<Flight<V>>),
-    /// Won the takeover race on an abandoned flight: re-check the cache
-    /// before re-executing (the failed leader may have panicked *after* its
-    /// insert succeeded — e.g. in a user observer — leaving the value
-    /// cached), then lead.
-    TakeOver(Arc<Flight<V>>),
     Suspend,
     LeaderFailed(Option<Box<dyn std::any::Any + Send>>),
     /// A failure-domain leader failed the awaited flight with an error and
@@ -762,7 +786,9 @@ enum Step<V> {
 
 /// The one lookup state machine: the future every async front door returns,
 /// and the one [`block_on`](crate::runtime::block_on) drives in place inside
-/// the synchronous doors.  `M` is the door's [`FetchMode`].
+/// the synchronous doors.  `M` is the door's fetch mode — infallible, or
+/// fallible and so inside the failure domain — and is not nameable outside
+/// the engine.
 ///
 /// Resolves to [`Lookup`] for the infallible doors; for the `try_*` doors to
 /// `Ok(`[`Lookup`]`)` — including [`LookupSource::Stale`] serves — or
@@ -810,8 +836,23 @@ impl<V, M> std::fmt::Debug for LookupFuture<V, M> {
 
 impl<V, M> LookupFuture<V, M>
 where
+    V: CachePayload + Send + Sync + 'static,
     M: FetchMode<V>,
 {
+    /// Resolves this session's share of a failed lookup: a stale serve if
+    /// the staleness policy allows, otherwise the shared error.
+    fn resolve(&mut self, error: Arc<FetchError>, negative_hit: bool) -> Poll<M::Output> {
+        let shard_index = self.shard.expect("set before resolving");
+        let result = self.engine.resolve_failed_lookup(
+            &self.key,
+            shard_index,
+            self.now,
+            error,
+            negative_hit,
+        );
+        self.finish(result)
+    }
+
     /// Resolves the session: records its outcome-keyed latency and wraps the
     /// result in the door's output type.
     fn finish(&mut self, result: Result<Lookup<V>, LookupError>) -> Poll<M::Output> {
@@ -848,11 +889,7 @@ where
                         .get_or_insert_with(|| this.engine.shard_index(&this.key));
                     let mut state = this.engine.inner.shards[shard_index].lock();
                     if let Some(value) = state.cache.get(&this.key, this.now) {
-                        Step::Return(Lookup {
-                            value: Arc::clone(value),
-                            source: LookupSource::Hit,
-                            outcome: None,
-                        })
+                        Step::Return(Lookup::served(Arc::clone(value), LookupSource::Hit))
                     } else if let Some(flight) = state.inflight.get(&this.key) {
                         // A live flight wins over a memoized failure: the
                         // in-flight leader may be retrying its way to a
@@ -920,16 +957,18 @@ where
                             .inner
                             .coalesced_misses
                             .fetch_add(1, Ordering::Relaxed);
-                        Step::Return(Lookup {
-                            value,
-                            source: LookupSource::Coalesced,
-                            outcome: None,
-                        })
+                        Step::Return(Lookup::served(value, LookupSource::Coalesced))
                     }
                     // The previous leader failed and this session won the
                     // takeover race: it is the leader now, on the same
-                    // flight cell, with its own (still unconsumed) fetch.
-                    Poll::Ready(FlightOutcome::TakeOver) => Step::TakeOver(Arc::clone(flight)),
+                    // flight cell, with its own (still unconsumed) fetch
+                    // and a retry budget that starts from zero.
+                    Poll::Ready(FlightOutcome::TakeOver) => {
+                        let shard_index = this.shard.expect("set before waiting");
+                        this.attempts = 0;
+                        this.engine
+                            .take_over(&this.key, shard_index, this.now, Arc::clone(flight))
+                    }
                     // The leader's terminal error resolved the flight for
                     // every coalesced waiter at once; inside the failure
                     // domain all of them share one `Arc<FetchError>` (and
@@ -953,41 +992,7 @@ where
                 },
             };
 
-            // Resolve a takeover into a hit or real leadership before the
-            // state transition below.
-            let step = match step {
-                Step::TakeOver(flight) => {
-                    let shard_index = this.shard.expect("set before waiting");
-                    let shard = &this.engine.inner.shards[shard_index];
-                    let cached = shard.lock().cache.get(&this.key, this.now).map(Arc::clone);
-                    match cached {
-                        // The value landed before the old leader failed (a
-                        // panic in its post-insert observer emit): serve the
-                        // hit instead of re-running a multi-second fetch,
-                        // and pass leadership along — the next candidate
-                        // repeats this check, and the last abandonment
-                        // retires the cell.
-                        Some(value) => {
-                            shard.abandon(&this.key, &flight);
-                            Step::Return(Lookup {
-                                value,
-                                source: LookupSource::Hit,
-                                outcome: None,
-                            })
-                        }
-                        None => {
-                            // Fresh leadership on the taken-over cell: this
-                            // session's own retry budget starts from zero.
-                            this.attempts = 0;
-                            Step::Lead(flight)
-                        }
-                    }
-                }
-                other => other,
-            };
-
             match step {
-                Step::TakeOver(_) => unreachable!("resolved into Return or Lead above"),
                 Step::Suspend => return Poll::Pending,
                 Step::Restart => {
                     this.state = LookupState::Start;
@@ -997,17 +1002,7 @@ where
                 Step::Resolve {
                     error,
                     negative_hit,
-                } => {
-                    let shard_index = this.shard.expect("set before resolving");
-                    let result = this.engine.resolve_failed_lookup(
-                        &this.key,
-                        shard_index,
-                        this.now,
-                        error,
-                        negative_hit,
-                    );
-                    return this.finish(result);
-                }
+                } => return this.resolve(error, negative_hit),
                 Step::BecomeWaiter(flight) => {
                     this.state = LookupState::Waiting {
                         flight,
@@ -1084,23 +1079,14 @@ where
                                         // Loop: poll the backoff sleep.
                                         break;
                                     }
-                                    let error = Arc::new(error);
-                                    this.engine.fail_leader(
+                                    let error = this.engine.fail_leader(
                                         &this.key,
                                         shard_index,
                                         &flight,
-                                        &error,
-                                        this.now,
-                                    );
-                                    flight.fail(Arc::clone(&error));
-                                    let result = this.engine.resolve_failed_lookup(
-                                        &this.key,
-                                        shard_index,
-                                        this.now,
                                         error,
-                                        false,
+                                        this.now,
                                     );
-                                    return this.finish(result);
+                                    return this.resolve(error, false);
                                 }
                             }
                         },
