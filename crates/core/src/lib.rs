@@ -94,6 +94,7 @@
 pub mod checker;
 pub mod clock;
 pub mod coherence;
+mod decay;
 pub mod engine;
 pub mod equivalence;
 pub mod history;

@@ -16,11 +16,18 @@
 //! indexes: same-key refreshes that change sizes and priorities, removals
 //! (invalidation does not evict), evictions of freshly admitted entries,
 //! slot reuse after removal, and repeated decisions at both advancing and
-//! unchanged timestamps.
+//! unchanged timestamps.  The LNC traces add what its decay index is
+//! sensitive to: time stepping *backwards*, weights drawn from a coarse grid
+//! (so buckets hold several sets and profits tie exactly), and a 200-query
+//! id space.  The §2.4 retained store is driven against [`ScanRetained`],
+//! the `HashMap::retain` implementation it replaced.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use crate::clock::Timestamp;
+use crate::history::ReferenceHistory;
 use crate::key::QueryKey;
 use crate::policy::gds::GreedyDualSizeCache;
 use crate::policy::lcs::LcsCache;
@@ -29,6 +36,8 @@ use crate::policy::lnc::{LncCache, LncConfig};
 use crate::policy::lru::LruCache;
 use crate::policy::lru_k::LruKCache;
 use crate::policy::QueryCache;
+use crate::profit::Profit;
+use crate::retained::{RetainedInfo, RetainedStore};
 use crate::value::{ExecutionCost, SizedPayload};
 
 /// One step of a generated trace.
@@ -44,12 +53,13 @@ struct Op {
     /// Execution cost in block reads.
     cost: u64,
     /// Logical time increment before the operation (0 = reuse the previous
-    /// timestamp, exercising the same-epoch paths).
-    advance_us: u64,
+    /// timestamp, exercising the same-epoch paths; negative only in the LNC
+    /// traces: two sessions can reach a shard out of order).
+    advance_us: i64,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..12, 0u8..24, 1u64..2_000, 1u64..20_000, 0u64..2_000_000).prop_map(
+    (0u8..12, 0u8..24, 1u64..2_000, 1u64..20_000, 0i64..2_000_000).prop_map(
         |(action, query, size, cost, advance_us)| Op {
             action,
             query,
@@ -58,6 +68,25 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             advance_us,
         },
     )
+}
+
+/// Traces for LNC: sizes and costs from a coarse grid, a wide id space, and
+/// about one step in eight going back in time.
+fn lnc_op_strategy() -> impl Strategy<Value = Op> {
+    (
+        0u8..12,
+        0u8..200,
+        1u64..40,
+        0u64..20,
+        -300_000i64..2_000_000,
+    )
+        .prop_map(|(action, query, size, cost, advance_us)| Op {
+            action,
+            query,
+            size: size * 50,
+            cost: cost * 100,
+            advance_us,
+        })
 }
 
 fn query_key(op: &Op) -> QueryKey {
@@ -95,7 +124,7 @@ where
 {
     let mut now = 0u64;
     for op in ops {
-        now += op.advance_us;
+        now = now.saturating_add_signed(op.advance_us);
         let ts = Timestamp::from_micros(now.max(1));
         let key = query_key(op);
         match op.action {
@@ -240,9 +269,10 @@ proptest! {
 
     #[test]
     fn lnc_ranking_matches_sort_reference(
-        ops in proptest::collection::vec(op_strategy(), 1..120),
-        capacity in 2_000u64..40_000,
+        ops in proptest::collection::vec(lnc_op_strategy(), 1..160),
+        capacity in 4_000u64..120_000,
         admission in 0u8..2,
+        window in 0u32..3,
     ) {
         let config = if admission == 1 {
             LncConfig::lnc_ra(capacity)
@@ -250,7 +280,7 @@ proptest! {
             LncConfig::lnc_r(capacity)
         };
         run_differential(
-            LncCache::<SizedPayload>::new(config),
+            LncCache::<SizedPayload>::new(config.with_k(1 << window)),
             &ops,
             |cache, needed, now| {
                 let reference = cache
@@ -289,5 +319,147 @@ proptest! {
                 }
             },
         );
+    }
+
+    #[test]
+    fn retained_purge_matches_scan_reference(
+        ops in proptest::collection::vec(retained_op_strategy(), 1..200),
+        bound in 4usize..40,
+    ) {
+        let mut indexed = RetainedStore::new(bound);
+        let mut scan = ScanRetained { entries: HashMap::new(), max_entries: bound };
+        let mut now = 1_000_000u64;
+        for op in &ops {
+            now = now.saturating_add_signed(op.advance_us);
+            let ts = Timestamp::from_micros(now);
+            let key = QueryKey::new(format!("retained-{}", op.query));
+            match op.action {
+                0 => {
+                    let taken = indexed.take(&key).map(|info| info.history);
+                    assert_eq!(taken, scan.entries.remove(&key).map(|info| info.history));
+                }
+                1 | 2 => {
+                    assert_eq!(
+                        indexed.record_reference(&key, ts),
+                        scan.record_reference(&key, ts)
+                    );
+                }
+                3..=5 => {
+                    // Thresholds at, just beside and far from the profit of
+                    // a history held (`==` must survive), and zero.
+                    let mut held: Vec<Profit> = scan.entries.values().map(|i| i.profit(ts)).collect();
+                    held.sort();
+                    let at = held.get(op.pick as usize % held.len().max(1)).map_or(1.0, |p| p.value());
+                    let factor = [0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0, 1.0 + 1e-12, 3.0][op.pick as usize % 7];
+                    let threshold = Profit::new(at * factor);
+                    assert_eq!(
+                        indexed.purge_below(threshold, ts),
+                        scan.purge_below(threshold, ts),
+                        "purge at {threshold} dropped a different number"
+                    );
+                }
+                _ => {
+                    // References on a 1 ms grid: several histories share one
+                    // oldest reference.
+                    let mut history = ReferenceHistory::new(1 << (op.pick % 3));
+                    for back in (0..=op.pick as u64 % 3).rev() {
+                        history.record(Timestamp::from_micros((now / 1_000).saturating_sub(back) * 1_000));
+                    }
+                    let info = RetainedInfo {
+                        key,
+                        size_bytes: op.size,
+                        cost: ExecutionCost::from_blocks(op.cost),
+                        history,
+                    };
+                    indexed.insert(info.clone(), ts);
+                    scan.insert(info, ts);
+                }
+            }
+            let mut left: Vec<&str> = indexed.iter().map(|info| info.key.text()).collect();
+            let mut right: Vec<&str> = scan.entries.keys().map(QueryKey::text).collect();
+            left.sort_unstable();
+            right.sort_unstable();
+            assert_eq!(left, right, "retained key sets diverged after {op:?}");
+        }
+    }
+}
+
+/// One step of a retained-store trace.
+#[derive(Debug, Clone)]
+struct RetainedOp {
+    /// 0 = take, 1–2 = record a reference, 3–5 = purge, else insert.
+    action: u8,
+    query: u8,
+    size: u64,
+    /// Zero for a tenth of the sets: their profit is zero.
+    cost: u64,
+    /// Selects the purge threshold, the window and the number of references.
+    pick: u8,
+    advance_us: i64,
+}
+
+fn retained_op_strategy() -> impl Strategy<Value = RetainedOp> {
+    (
+        0u8..12,
+        0u8..60,
+        1u64..40,
+        0u64..10,
+        0u8..255,
+        -2_000i64..20_000,
+    )
+        .prop_map(|(action, query, size, cost, pick, advance_us)| RetainedOp {
+            action,
+            query,
+            size: size * 50,
+            cost: cost * 100,
+            pick,
+            advance_us,
+        })
+}
+
+/// The retained store as it was before the decay index — every operation a
+/// scan of a hash map — kept verbatim as the oracle for [`RetainedStore`].
+pub(crate) struct ScanRetained {
+    pub(crate) entries: HashMap<QueryKey, RetainedInfo>,
+    pub(crate) max_entries: usize,
+}
+
+impl ScanRetained {
+    pub(crate) fn record_reference(&mut self, key: &QueryKey, now: Timestamp) -> bool {
+        match self.entries.get_mut(key) {
+            Some(info) => {
+                if info.history.last_reference() != Some(now) {
+                    info.history.record(now);
+                }
+                true
+            }
+            None => false,
+        }
+    }
+
+    pub(crate) fn insert(&mut self, info: RetainedInfo, now: Timestamp) {
+        if !self.entries.contains_key(&info.key) && self.entries.len() >= self.max_entries {
+            if let Some(worst) = self
+                .entries
+                .values()
+                .min_by_key(|i| (i.profit(now), i.key.signature().value()))
+                .map(|i| i.key.clone())
+            {
+                let worst_profit = self.entries[&worst].profit(now);
+                if info.profit(now) >= worst_profit {
+                    self.entries.remove(&worst);
+                } else {
+                    return;
+                }
+            }
+        }
+        self.entries.insert(info.key.clone(), info);
+    }
+
+    pub(crate) fn purge_below(&mut self, min_cached_profit: Profit, now: Timestamp) -> usize {
+        let before = self.entries.len();
+        self.entries
+            .retain(|_, info| info.profit(now) >= min_cached_profit);
+        before - self.entries.len()
     }
 }

@@ -13,26 +13,35 @@
 //! off in [`LncConfig`] to obtain plain LNC-R, which then admits every set
 //! that fits (like a buffer manager would).
 //!
-//! # The victim ranking
+//! # The victim order
 //!
 //! The paper's §3 sketches a priority-queue implementation of LNC-R, but an
 //! exact profit order cannot live in a statically keyed index: the rate
 //! estimate `λᵢ = K/(now − t_K)` (Eq. 3) re-evaluates at every decision
 //! point, and the profits of two untouched sets can *cross* as `now`
-//! advances (their profit curves are hyperbolas with different poles).  The
-//! cache therefore keeps a [`VictimRanking`] — the two-level eviction order
-//! of Figure 1 (per-sample-count groups, ascending profit within each
-//! group) — as an *epoch-cached* structure: it remembers the full order
-//! scored at the last decision's timestamp and, on the next decision,
-//! re-scores entries in the cached order and repairs the handful of
-//! positions that actually changed (profits shift together, so the cached
-//! order is nearly sorted) instead of re-deriving the order from scratch.
-//! Decisions at an unchanged timestamp reuse the ranking outright.  This
-//! keeps victim order bit-identical to the reference sort (asserted by the
-//! differential property tests) while removing the per-eviction
-//! O(n log n) sort and its allocations.
+//! advances (their profit curves are hyperbolas with different poles).
+//! What does hold still is a lower bound: until a set is referenced again
+//! its profit is `samples·cᵢ/sᵢ` over a time that only grows.  The cache
+//! files every set in a decay index (`crate::decay`) by sample-count group,
+//! the top bits of that weight and `t_K`, and reads the two-level eviction
+//! order of Figure 1 off it: the index merges its buckets best-first by the
+//! bound, each set it reaches is scored by the reference expression, and a
+//! set is a victim once no unreached bound is at or below its
+//! `(samples, profit, slot)` rank.  A decision looks at the buckets of the
+//! lowest group and the sets within a bucket's width of the last victim, not
+//! at the cache; the victims are bit-identical to the reference sort
+//! (asserted by the differential property tests).
+//!
+//! A hit records its reference and nothing else: a reference only raises a
+//! set's group and profit, so the position it was filed at stays a valid
+//! bound and is corrected when a decision next reaches it.  An invalidation
+//! leaves a dead item behind for the same treatment.  Only a refresh with a
+//! new size or cost re-files at once.  When `now` is earlier than a
+//! reference already recorded (callers supply `now`) the bound is void and
+//! that one decision scores and sorts every set.
 
 use crate::clock::Timestamp;
+use crate::decay::{DecayIndex, Filed, Probe, Spot};
 use crate::history::ReferenceHistory;
 use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
@@ -112,10 +121,8 @@ struct LncEntry<V> {
     size_bytes: u64,
     cost: ExecutionCost,
     history: ReferenceHistory,
-    /// Admission sequence number; distinguishes this entry from a later one
-    /// reusing the same [`EntryId`] slot, so stale ranking items are
-    /// detected exactly.
-    seq: u64,
+    /// Where the entry's live item sits in the decay index.
+    filed: Filed,
 }
 
 impl<V> LncEntry<V> {
@@ -125,104 +132,15 @@ impl<V> LncEntry<V> {
             None => Profit::ZERO,
         }
     }
+
+    fn spot(&self) -> Spot {
+        Spot::of(&self.history, self.cost, self.size_bytes)
+    }
 }
 
 impl<V> KeyedEntry for LncEntry<V> {
     fn key(&self) -> &QueryKey {
         &self.key
-    }
-}
-
-/// One cached set's position data inside the [`VictimRanking`].
-#[derive(Debug, Clone, Copy)]
-struct RankedSet {
-    /// Number of retained reference samples — the Figure 1 group: fewer
-    /// samples evict first.
-    samples: usize,
-    /// Profit `λ·c/s` scored at the ranking's epoch.
-    profit: Profit,
-    id: EntryId,
-    /// The entry's admission sequence (stale-item detection).
-    seq: u64,
-    size_bytes: u64,
-}
-
-impl RankedSet {
-    /// The eviction order: ascending `(samples, profit)`, slot order for
-    /// exact ties — precisely the order of the reference stable sort.
-    fn rank(&self) -> (usize, Profit, EntryId) {
-        (self.samples, self.profit, self.id)
-    }
-}
-
-/// The epoch-cached LNC-R eviction order (see the module docs).
-///
-/// `ranked` holds every cached set in ascending `(samples, profit, id)`
-/// order *as scored at `epoch`*, possibly interleaved with stale items whose
-/// entries have since been evicted or re-admitted (detected by sequence
-/// mismatch and compacted on the next rescore).  `incoming` lists sets
-/// admitted since the last rescore; `dirty` records whether any score input
-/// (a reference history, a refreshed payload, membership) changed.
-#[derive(Debug, Clone, Default)]
-struct VictimRanking {
-    ranked: Vec<RankedSet>,
-    incoming: Vec<(EntryId, u64)>,
-    epoch: Option<Timestamp>,
-    dirty: bool,
-}
-
-/// When a rescore finds more than this many out-of-place sets it stops
-/// repairing (each repair shifts a slice) and falls back to a full sort.
-const REPAIR_BUDGET: usize = 48;
-
-impl VictimRanking {
-    /// Whether the scores of the *ranked* entries are exact for decisions at
-    /// `now` (sets admitted since the last rescore may still sit in
-    /// `incoming`; they carry their own scores on demand).
-    fn scores_current(&self, now: Timestamp) -> bool {
-        self.epoch == Some(now) && !self.dirty
-    }
-
-    /// Whether the cached order is exactly the full eviction order at `now`.
-    fn is_current(&self, now: Timestamp) -> bool {
-        self.scores_current(now) && self.incoming.is_empty()
-    }
-
-    /// Marks the scores stale (membership is unchanged).
-    fn touch(&mut self) {
-        self.dirty = true;
-    }
-
-    /// Registers a newly admitted entry.  The ranked order and its scores
-    /// stay valid; the newcomer waits in `incoming` until the next rescore.
-    fn admit(&mut self, id: EntryId, seq: u64) {
-        self.incoming.push((id, seq));
-    }
-
-    /// Unlinks an eviction that removed exactly the first `victims.len()`
-    /// ranked sets (victim selections are always ranking prefixes), keeping
-    /// the survivors' scores current.  Falls back to marking the ranking
-    /// dirty if the removal does not line up with the prefix.
-    fn evict_prefix(&mut self, victims: &[EntryId], now: Timestamp) {
-        let prefix_current = self.scores_current(now)
-            && victims.len() <= self.ranked.len()
-            && self
-                .ranked
-                .iter()
-                .zip(victims)
-                .all(|(item, &id)| item.id == id);
-        if prefix_current {
-            self.ranked.drain(..victims.len());
-        } else {
-            self.touch();
-        }
-    }
-
-    fn clear(&mut self) {
-        self.ranked.clear();
-        self.incoming.clear();
-        self.epoch = None;
-        self.dirty = false;
     }
 }
 
@@ -232,8 +150,11 @@ pub struct LncCache<V> {
     config: LncConfig,
     entries: EntryStore<LncEntry<V>>,
     retained: RetainedStore,
-    ranking: VictimRanking,
-    next_seq: u64,
+    index: DecayIndex,
+    /// The latest reference recorded in any cached set's history.
+    newest: Timestamp,
+    /// The last victim selection, kept for its allocation.
+    victims: Vec<EntryId>,
     used_bytes: u64,
     stats: CacheStats,
 }
@@ -246,8 +167,9 @@ impl<V: CachePayload> LncCache<V> {
             config,
             entries: EntryStore::new(),
             retained: RetainedStore::new(max_retained),
-            ranking: VictimRanking::default(),
-            next_seq: 0,
+            index: DecayIndex::default(),
+            newest: Timestamp::ZERO,
+            victims: Vec::new(),
             used_bytes: 0,
             stats: CacheStats::new(),
         }
@@ -302,70 +224,29 @@ impl<V: CachePayload> LncCache<V> {
     pub fn remove(&mut self, key: &QueryKey) -> Option<V> {
         let entry = self.entries.remove_by_key(key)?;
         self.used_bytes -= entry.size_bytes;
-        self.ranking.touch();
         Some(entry.value)
     }
 
-    /// Brings the victim ranking up to date for decisions at time `now`.
-    ///
-    /// Compacts stale items, folds in newly admitted sets, re-scores every
-    /// cached set's profit at `now` in the cached order and repairs the
-    /// order where profits crossed since the previous epoch.  A clean
-    /// ranking at the same timestamp returns immediately.
-    fn rescore(&mut self, now: Timestamp) {
-        if self.ranking.is_current(now) {
-            return;
-        }
-        let ranking = &mut self.ranking;
-        ranking
-            .ranked
-            .extend(ranking.incoming.drain(..).map(|(id, seq)| RankedSet {
-                samples: 0,
-                profit: Profit::ZERO,
-                id,
-                seq,
-                size_bytes: 0,
-            }));
-        let entries = &self.entries;
-        ranking
-            .ranked
-            .retain_mut(|item| match entries.by_id(item.id) {
-                Some(entry) if entry.seq == item.seq => {
-                    item.samples = entry.history.sample_count();
-                    item.profit = entry.profit(now);
-                    item.size_bytes = entry.size_bytes;
-                    true
+    /// Answers the decay index about the item `(at, id)` an ascent at `now`
+    /// reached: dead, or the set's rank by the reference expressions.
+    fn probe(
+        entries: &mut EntryStore<LncEntry<V>>,
+        id: EntryId,
+        at: Filed,
+        now: Timestamp,
+    ) -> Probe {
+        match entries.by_id_mut(id) {
+            Some(entry) if entry.filed == at => {
+                let spot = entry.spot();
+                entry.filed = spot.filed();
+                Probe::Live {
+                    spot,
+                    profit: entry.profit(now),
+                    tie: id.index() as u64,
                 }
-                _ => false,
-            });
-        debug_assert_eq!(ranking.ranked.len(), self.entries.len());
-
-        // The previous epoch's order is a near-sorted permutation of the
-        // order at `now`: repair the few crossings by binary insertion, or
-        // give up and sort when the epochs are too far apart.  Either path
-        // ends in the unique ascending `(samples, profit, id)` order — the
-        // reference order of a stable sort over slot-ordered entries.
-        let ranked = &mut ranking.ranked;
-        let mut out_of_place = 0usize;
-        let mut i = 1;
-        while i < ranked.len() {
-            if ranked[i - 1].rank() <= ranked[i].rank() {
-                i += 1;
-                continue;
             }
-            out_of_place += 1;
-            if out_of_place > REPAIR_BUDGET {
-                ranked.sort_unstable_by_key(RankedSet::rank);
-                break;
-            }
-            let moved = ranked[i].rank();
-            let pos = ranked[..i].partition_point(|r| r.rank() <= moved);
-            ranked[pos..=i].rotate_right(1);
-            i += 1;
+            _ => Probe::Dead,
         }
-
-        ranking.epoch = Some(now);
-        ranking.dirty = false;
     }
 
     /// Selects replacement candidates to free at least `needed` bytes
@@ -375,13 +256,15 @@ impl<V: CachePayload> LncCache<V> {
     /// (1, 2, …, K); within each group they are ordered by ascending profit;
     /// the groups are concatenated in order of increasing sample count and
     /// the minimal prefix whose sizes sum to at least `needed` is returned.
-    /// The prefix is read off the maintained [`VictimRanking`].
+    /// The prefix is read off the decay index (see the module docs).
     ///
     /// Returns `None` if even evicting every cached set would not free
     /// `needed` bytes.
     pub(crate) fn select_victims(&mut self, needed: u64, now: Timestamp) -> Option<Vec<EntryId>> {
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
         if needed == 0 {
-            return Some(Vec::new());
+            return Some(victims);
         }
         // The occupancy counter is maintained on every admission and
         // removal; re-deriving it by summing all entry sizes (as this check
@@ -393,17 +276,16 @@ impl<V: CachePayload> LncCache<V> {
             "maintained occupancy diverged from entry sizes"
         );
         if self.used_bytes < needed {
+            self.victims = victims;
             return None;
         }
-        self.rescore(now);
-        let mut victims = Vec::new();
+        let mut ascent = self.index.ascend(now, now >= self.newest, true, None);
         let mut freed = 0u64;
-        for item in &self.ranking.ranked {
-            if freed >= needed {
-                break;
-            }
-            victims.push(item.id);
-            freed += item.size_bytes;
+        while freed < needed {
+            let reached = ascent.next(|id, at| Self::probe(&mut self.entries, id, at, now));
+            let Some((id, _)) = reached else { break };
+            victims.push(id);
+            freed += self.entries.by_id(id).map_or(0, |e| e.size_bytes);
         }
         Some(victims)
     }
@@ -504,11 +386,8 @@ impl<V: CachePayload> LncCache<V> {
     /// Evicts the given entries, retaining their reference information when
     /// configured to do so.  Returns the evicted keys.
     fn evict(&mut self, victims: Vec<EntryId>, now: Timestamp) -> Vec<QueryKey> {
-        // Victim selections are prefixes of the ranking, so the survivors'
-        // order and scores stay current through the eviction.
-        self.ranking.evict_prefix(&victims, now);
         let mut evicted = Vec::with_capacity(victims.len());
-        for id in victims {
+        for &id in &victims {
             if let Some(entry) = self.entries.remove(id) {
                 self.used_bytes -= entry.size_bytes;
                 self.stats.record_eviction(entry.size_bytes);
@@ -526,6 +405,7 @@ impl<V: CachePayload> LncCache<V> {
                 }
             }
         }
+        self.victims = victims;
         evicted
     }
 
@@ -535,9 +415,6 @@ impl<V: CachePayload> LncCache<V> {
         if !self.config.retain_reference_info || self.retained.is_empty() {
             return;
         }
-        // Read the threshold through the trait impl: right after an
-        // admission the ranking's scores are still current, so the minimum
-        // comes from the group heads instead of a full profit scan.
         if let Some(min_profit) = QueryCache::min_cached_profit(self, now) {
             self.retained.purge_below(min_profit, now);
         }
@@ -597,17 +474,21 @@ impl<V: CachePayload> LncCache<V> {
         evicted: Vec<QueryKey>,
         now: Timestamp,
     ) -> InsertOutcome {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        self.newest = self.newest.max(now);
+        let spot = Spot::of(&history, cost, size_bytes);
         let id = self.entries.insert(LncEntry {
             key,
             value,
             size_bytes,
             cost,
             history,
-            seq,
+            filed: spot.filed(),
         });
-        self.ranking.admit(id, seq);
+        self.index.file(&spot, id);
+        let entries = &self.entries;
+        self.index.sweep(entries.len(), |id, at| {
+            entries.by_id(id).is_some_and(|e| e.filed == at)
+        });
         self.used_bytes += size_bytes;
         self.stats.record_admission(true);
         debug_assert!(self.used_bytes <= self.config.capacity_bytes);
@@ -631,15 +512,11 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
             // after an abandoned flight re-issues the same logical
             // reference, and its first pass may already sit in the history
             // via promoted retained information (§2.4).
-            let mut touched = false;
             if entry.history.last_reference() != Some(now) {
                 entry.history.record(now);
-                touched = true;
+                self.newest = self.newest.max(now);
             }
             let cost = entry.cost;
-            if touched {
-                self.ranking.touch();
-            }
             self.stats.record_hit(cost);
             // Re-borrow immutably for the return value.
             return self.entries.get(key).map(|e| &e.value);
@@ -663,15 +540,18 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         self.stats.record_miss(cost);
 
         // Already cached: refresh the payload and cost, count the reference.
-        if let Some(entry) = self.entries.get_mut(&key) {
+        if let Some(id) = self.entries.find(&key) {
+            let entry = self.entries.by_id_mut(id).expect("found above");
             let old_size = entry.size_bytes;
             entry.value = value;
             entry.cost = cost;
             entry.size_bytes = size_bytes;
             if entry.history.last_reference() != Some(now) {
                 entry.history.record(now);
+                self.newest = self.newest.max(now);
             }
-            self.ranking.touch();
+            // A new size or cost can lower the profit: re-file at once.
+            entry.filed = self.index.file(&entry.spot(), id);
             self.used_bytes = self.used_bytes - old_size + size_bytes;
             // If the refreshed payload grew, restore the capacity invariant by
             // evicting the lowest-profit sets (possibly the refreshed one).
@@ -744,6 +624,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         };
 
         if !admit {
+            self.victims = victims;
             self.retain_rejected(key, size_bytes, cost, history, now);
             self.stats.record_admission(false);
             self.purge_retained(now);
@@ -798,44 +679,11 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     }
 
     fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
-        // A ranking with current scores answers from its group heads: within
-        // a sample-count group profits ascend, so the minimum over the
-        // ranked sets is the smallest group head — O(groups · log n) — plus
-        // a direct score of the handful of sets admitted since the last
-        // rescore.  This is the path the post-admission §2.4 purge and the
-        // engine's rebalancer hit.
-        if self.ranking.scores_current(now) {
-            debug_assert_eq!(
-                self.ranking.ranked.len() + self.ranking.incoming.len(),
-                self.entries.len(),
-                "a current ranking must cover the cache exactly"
-            );
-            let ranked = &self.ranking.ranked;
-            let mut min: Option<Profit> = None;
-            let mut consider = |profit: Profit| {
-                min = Some(match min {
-                    Some(m) if m <= profit => m,
-                    _ => profit,
-                });
-            };
-            let mut i = 0;
-            while i < ranked.len() {
-                let head = ranked[i];
-                consider(head.profit);
-                i += ranked[i..].partition_point(|r| r.samples == head.samples);
-            }
-            for &(id, seq) in &self.ranking.incoming {
-                if let Some(entry) = self.entries.by_id(id) {
-                    if entry.seq == seq {
-                        consider(entry.profit(now));
-                    }
-                }
-            }
-            return min;
-        }
-        // Otherwise fall back to the Eq. 2 scan — cheaper than forcing a
-        // full rescore just to read one aggregate.
-        LncCache::min_cached_profit(self, now)
+        // The first set of the ascent over all groups: this is the path the
+        // §2.4 purge after every decision and the engine's rebalancer hit.
+        let mut ascent = self.index.ascend(now, now >= self.newest, false, None);
+        let least = ascent.next(|id, at| Self::probe(&mut self.entries, id, at, now));
+        least.map(|(_, profit)| profit)
     }
 
     fn max_retained_profit(&mut self, now: Timestamp) -> Option<Profit> {
@@ -898,7 +746,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     fn clear(&mut self) {
         self.entries.clear();
         self.retained.clear();
-        self.ranking.clear();
+        self.index.clear();
         self.used_bytes = 0;
     }
 
@@ -1256,7 +1104,7 @@ mod tests {
     }
 
     #[test]
-    fn ranking_fast_path_matches_scan_after_rescore() {
+    fn index_min_matches_scan_after_a_selection() {
         let mut cache = LncCache::lnc_r(2_000);
         for i in 0..12u64 {
             let name = format!("q{i}");
@@ -1266,12 +1114,27 @@ mod tests {
             }
         }
         let now = ts(100);
-        // Force a rescore through the victim-selection path, then compare
-        // the group-head fast path against the plain scan.
+        // A selection re-files the stale sets it reaches; the minimum read
+        // off the index afterwards must still be the plain scan's.
         let _ = cache.select_victims(1, now);
-        assert!(cache.ranking.is_current(now));
         let fast = QueryCache::min_cached_profit(&mut cache, now);
         let scan = LncCache::min_cached_profit(&cache, now);
         assert_eq!(fast, scan);
+    }
+
+    #[test]
+    fn a_hit_leaves_the_index_alone() {
+        let mut cache = LncCache::lnc_ra(100_000);
+        for i in 0..50u64 {
+            reference(&mut cache, &format!("q{i}"), 1_000, 10.0 + i as f64, i + 1);
+        }
+        let _ = cache.select_victims(5_000, ts(100));
+        let index = format!("{:?}", cache.index);
+        let retained = format!("{:?}", cache.retained);
+        for i in 0..50u64 {
+            assert!(cache.get(&key(&format!("q{i}")), ts(200 + i)).is_some());
+        }
+        assert_eq!(format!("{:?}", cache.index), index);
+        assert_eq!(format!("{:?}", cache.retained), retained);
     }
 }

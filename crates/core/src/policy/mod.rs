@@ -55,7 +55,7 @@ pub mod lru;
 pub mod lru_k;
 
 #[cfg(test)]
-mod differential;
+pub(crate) mod differential;
 
 use std::fmt;
 

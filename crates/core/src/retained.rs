@@ -15,11 +15,27 @@
 //! frequently referenced sets) survive long, worthless ones disappear
 //! quickly, and the amount of retained information automatically scales with
 //! the cache size.
-
-use std::collections::HashMap;
+//!
+//! # The purge does not scan
+//!
+//! That rule runs after every admission and every rejection, and between
+//! two decisions only the few histories *near the threshold* can have
+//! crossed it.  The store therefore files every history in a decay index
+//! (`crate::decay`; see there for the bound) and
+//! [`purge_below`](RetainedStore::purge_below) ascends it from the
+//! low-profit end, deciding every history it reaches with the reference
+//! expression `profit(now) < threshold` and stopping where the bound shows
+//! that nothing further can be below it.  The hard-bound displacement reads
+//! the same low end.  A recorded reference only raises a profit, so it does
+//! not touch the index: the stale position is still a valid bound and is
+//! corrected when an ascent reaches it.  Only a `now` earlier than a
+//! reference already recorded voids the bound; that call examines every
+//! history.
 
 use crate::clock::Timestamp;
+use crate::decay::{DecayIndex, Filed, Probe, Spot};
 use crate::history::ReferenceHistory;
+use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
 use crate::profit::Profit;
 use crate::value::ExecutionCost;
@@ -52,12 +68,32 @@ impl RetainedInfo {
     pub fn metadata_bytes(&self) -> u64 {
         self.key.metadata_bytes() + self.history.metadata_bytes() + 16
     }
+
+    fn spot(&self) -> Spot {
+        Spot::of(&self.history, self.cost, self.size_bytes).ungrouped()
+    }
+}
+
+/// A retained history and the position its live index item sits at.
+#[derive(Debug, Clone)]
+struct Slot {
+    info: RetainedInfo,
+    filed: Filed,
+}
+
+impl KeyedEntry for Slot {
+    fn key(&self) -> &QueryKey {
+        &self.info.key
+    }
 }
 
 /// The side table of retained reference information.
 #[derive(Debug, Clone, Default)]
 pub struct RetainedStore {
-    entries: HashMap<QueryKey, RetainedInfo>,
+    entries: EntryStore<Slot>,
+    index: DecayIndex,
+    /// The latest reference recorded in any history held.
+    newest: Timestamp,
     /// Hard safety bound on the number of retained entries; the profit-based
     /// policy normally keeps the table far smaller, but a bound protects
     /// against pathological workloads where the cache is empty (min profit is
@@ -69,8 +105,8 @@ impl RetainedStore {
     /// Creates a store bounded to `max_entries` retained histories.
     pub fn new(max_entries: usize) -> Self {
         RetainedStore {
-            entries: HashMap::new(),
             max_entries: max_entries.max(1),
+            ..Self::default()
         }
     }
 
@@ -86,20 +122,17 @@ impl RetainedStore {
 
     /// Total metadata bytes held by the store.
     pub fn metadata_bytes(&self) -> u64 {
-        self.entries
-            .values()
-            .map(RetainedInfo::metadata_bytes)
-            .sum()
+        self.iter().map(RetainedInfo::metadata_bytes).sum()
     }
 
     /// Returns the retained information for `key`, if any.
     pub fn get(&self, key: &QueryKey) -> Option<&RetainedInfo> {
-        self.entries.get(key)
+        self.entries.get(key).map(|slot| &slot.info)
     }
 
     /// Whether information for `key` is retained.
     pub fn contains(&self, key: &QueryKey) -> bool {
-        self.entries.contains_key(key)
+        self.entries.contains(key)
     }
 
     /// Records a reference to a non-cached retrieved set, if its information
@@ -112,13 +145,43 @@ impl RetainedStore {
     /// counting it would inflate the λ estimate of Eq. 3.
     pub fn record_reference(&mut self, key: &QueryKey, now: Timestamp) -> bool {
         match self.entries.get_mut(key) {
-            Some(info) => {
-                if info.history.last_reference() != Some(now) {
-                    info.history.record(now);
+            Some(slot) => {
+                if slot.info.history.last_reference() != Some(now) {
+                    slot.info.history.record(now);
+                    self.newest = self.newest.max(now);
                 }
                 true
             }
             None => false,
+        }
+    }
+
+    /// Hands out the histories in ascending `(profit, signature)` order at
+    /// `now` — those with a profit under `below`, if given — until `visit`
+    /// returns `false`.
+    fn ascend(
+        &mut self,
+        now: Timestamp,
+        below: Option<Profit>,
+        mut visit: impl FnMut(&mut EntryStore<Slot>, EntryId, Profit) -> bool,
+    ) {
+        let entries = &mut self.entries;
+        let mut ascent = self.index.ascend(now, now >= self.newest, false, below);
+        while let Some((id, profit)) = ascent.next(|id, at| match entries.by_id_mut(id) {
+            Some(slot) if slot.filed == at => {
+                let spot = slot.info.spot();
+                slot.filed = spot.filed();
+                Probe::Live {
+                    spot,
+                    profit: slot.info.profit(now),
+                    tie: slot.info.key.signature().value(),
+                }
+            }
+            _ => Probe::Dead,
+        }) {
+            if !visit(entries, id, profit) {
+                break;
+            }
         }
     }
 
@@ -127,30 +190,47 @@ impl RetainedStore {
     /// by key signature, so displacement is deterministic rather than
     /// following hash-map iteration order).
     pub fn insert(&mut self, info: RetainedInfo, now: Timestamp) {
-        if !self.entries.contains_key(&info.key) && self.entries.len() >= self.max_entries {
-            if let Some(worst) = self
-                .entries
-                .values()
-                .min_by_key(|i| (i.profit(now), i.key.signature().value()))
-                .map(|i| i.key.clone())
-            {
-                // Only displace an existing entry if the newcomer is at least
-                // as valuable; otherwise drop the newcomer.
-                let worst_profit = self.entries[&worst].profit(now);
-                if info.profit(now) >= worst_profit {
-                    self.entries.remove(&worst);
-                } else {
-                    return;
+        self.newest = self
+            .newest
+            .max(info.history.last_reference().unwrap_or(Timestamp::ZERO));
+        let spot = info.spot();
+        if let Some(id) = self.entries.find(&info.key) {
+            // A new size or cost can lower the profit: re-file at once.
+            let filed = self.index.file(&spot, id);
+            *self.entries.by_id_mut(id).expect("found above") = Slot { info, filed };
+            return;
+        }
+        if self.entries.len() >= self.max_entries {
+            // Only displace an existing entry if the newcomer is at least
+            // as valuable; otherwise drop the newcomer.
+            let newcomer = info.profit(now);
+            let mut admitted = true;
+            self.ascend(now, None, |entries, worst, profit| {
+                admitted = newcomer >= profit;
+                if admitted {
+                    entries.remove(worst);
                 }
+                false
+            });
+            if !admitted {
+                return;
             }
         }
-        self.entries.insert(info.key.clone(), info);
+        let id = self.entries.insert(Slot {
+            info,
+            filed: spot.filed(),
+        });
+        self.index.file(&spot, id);
+        let entries = &self.entries;
+        self.index.sweep(entries.len(), |id, at| {
+            entries.by_id(id).is_some_and(|slot| slot.filed == at)
+        });
     }
 
     /// Removes and returns the retained information for `key`, typically
     /// because the retrieved set is being (re-)admitted to the cache.
     pub fn take(&mut self, key: &QueryKey) -> Option<RetainedInfo> {
-        self.entries.remove(key)
+        self.entries.remove_by_key(key).map(|slot| slot.info)
     }
 
     /// Applies the paper's retention policy: drop every retained entry whose
@@ -162,19 +242,27 @@ impl RetainedStore {
     /// to the hard bound).
     pub fn purge_below(&mut self, min_cached_profit: Profit, now: Timestamp) -> usize {
         let before = self.entries.len();
-        self.entries
-            .retain(|_, info| info.profit(now) >= min_cached_profit);
+        if min_cached_profit > Profit::ZERO {
+            self.ascend(now, Some(min_cached_profit), |entries, id, profit| {
+                let drop = profit < min_cached_profit;
+                if drop {
+                    entries.remove(id);
+                }
+                drop
+            });
+        }
         before - self.entries.len()
     }
 
     /// Removes every retained entry.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.index.clear();
     }
 
     /// Iterates over retained entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &RetainedInfo> {
-        self.entries.values()
+        self.entries.iter().map(|(_, slot)| &slot.info)
     }
 
     /// Retained entries ranked by descending profit at `now`, ties broken by
@@ -185,7 +273,7 @@ impl RetainedStore {
     /// greedily packs this order): callers no longer sort hash-map iteration
     /// output themselves, which made tie outcomes depend on the map's seed.
     pub fn ranked_by_profit_desc(&self, now: Timestamp) -> Vec<&RetainedInfo> {
-        let mut ranked: Vec<&RetainedInfo> = self.entries.values().collect();
+        let mut ranked: Vec<&RetainedInfo> = self.iter().collect();
         ranked.sort_unstable_by_key(|info| {
             (
                 std::cmp::Reverse(info.profit(now)),
@@ -355,5 +443,81 @@ mod tests {
         assert_eq!(store.iter().count(), 2);
         store.clear();
         assert!(store.is_empty());
+    }
+
+    /// A deterministic stream of sets with weights spread over four decades.
+    fn churn(i: u64, now: u64) -> RetainedInfo {
+        let mixed = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+        let size = 64 + mixed % 4_000;
+        let cost = 1.0 + (mixed % 9_973) as f64 * (1 + mixed % 7) as f64;
+        info(&format!("churn-{i}"), size, cost, &[now], 4)
+    }
+
+    #[test]
+    fn a_purge_evaluates_what_it_drops_and_a_band_not_the_store() {
+        // One set is rejected every 100 µs; a set of weight w stays until its
+        // profit w/age falls under the threshold.  The threshold is set so
+        // that about 10 000 histories are held in steady state.
+        let mut store = RetainedStore::new(1 << 20);
+        let threshold = Profit::new(1.8e-5);
+        let mut now = 0;
+        let step = |store: &mut RetainedStore, i: u64, now: &mut u64| {
+            *now += 100;
+            store.insert(churn(i, *now), ts(*now));
+            store.purge_below(threshold, ts(*now))
+        };
+        for i in 0..60_000 {
+            step(&mut store, i, &mut now);
+        }
+        assert!(
+            (9_000..12_000).contains(&store.len()),
+            "steady state holds {} histories",
+            store.len()
+        );
+        let mut dropped_total = 0;
+        for i in 60_000..62_000 {
+            let before = store.index.evaluations();
+            let dropped = step(&mut store, i, &mut now);
+            let evaluated = (store.index.evaluations() - before) as usize;
+            dropped_total += dropped;
+            assert!(
+                evaluated <= dropped + store.index.occupied_buckets() + 8,
+                "a purge that dropped {dropped} of {} histories evaluated {evaluated}",
+                store.len()
+            );
+            assert!(evaluated < store.len() / 20);
+        }
+        assert!(dropped_total > 1_000, "the steady state must keep purging");
+    }
+
+    #[test]
+    fn hard_bound_displacement_matches_the_scan() {
+        use crate::policy::differential::ScanRetained;
+        // Filled to the bound with sets that tie in profit in fours (same
+        // size, cost and reference): ties fall to the signature.
+        let bound = 64;
+        let mut store = RetainedStore::new(bound);
+        let mut scan = ScanRetained {
+            entries: std::collections::HashMap::new(),
+            max_entries: bound,
+        };
+        let set = |i: u64| info(&format!("tie-{i}"), 100, (1 + i / 4) as f64, &[10], 2);
+        for i in 0..bound as u64 {
+            store.insert(set(i), ts(20));
+            scan.insert(set(i), ts(20));
+        }
+        // Newcomers from worthless to more valuable than anything held: each
+        // displaces the scan's victim, or is dropped when the scan drops it.
+        for i in 0..3 * bound as u64 {
+            let newcomer = info(&format!("new-{i}"), 100, (i / 3) as f64, &[10 + i], 2);
+            store.insert(newcomer.clone(), ts(30 + i));
+            scan.insert(newcomer, ts(30 + i));
+            let mut held: Vec<&str> = store.iter().map(|info| info.key.text()).collect();
+            let mut expected: Vec<&str> = scan.entries.keys().map(QueryKey::text).collect();
+            held.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(held, expected, "displacement {i} diverged from the scan");
+        }
+        assert_eq!(store.len(), bound);
     }
 }
