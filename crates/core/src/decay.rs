@@ -5,11 +5,12 @@
 //! It changes at every decision, but between two references of the set it
 //! only decays, and it decays along a curve two numbers describe.  The index
 //! files each set under a **bucket** — its Figure 1 sample-count group and
-//! the top bits of `w` — and inside the bucket by `t_K`.  Every set filed in
-//! a bucket from `t_K` on then has a profit at `now` of at least
+//! the top bits of `w` — and inside the bucket by an **anchor** time, at
+//! first `t_K`.  Every set filed in a bucket from anchor `a` on then has a
+//! profit at `now` of at least
 //!
 //! ```text
-//! floor · (1 − 2⁻⁴⁰) / max(1, now − t_K)
+//! floor · (1 − 2⁻⁴⁰) / max(1, now − a)
 //! ```
 //!
 //! where `floor` is the least weight filed in the bucket (the 2⁻⁴⁰ covers
@@ -19,23 +20,30 @@
 //! expression**; a set is handed out once no unreached set's bound is at or
 //! below its exact rank.  The bound only decides *which sets are looked at*,
 //! never how they compare, so the order is bit for bit the one a full
-//! re-score and sort produces — at a cost of the buckets of one group plus
-//! the sets whose profit lies within a bucket's width of the answer.
+//! re-score and sort produces.
+//!
+//! A set that was reached but not handed out had a profit `p` above its
+//! bound.  It is re-filed under the latest anchor that keeps the bound under
+//! `p` now — `now − floor/p` — which keeps it under the profit from now on,
+//! because the bound decays faster than the profit (`floor ≤ w`).  The set is
+//! next reached when most of the time it has left above the current answer
+//! has passed, so over its life it is scored a logarithmic number of times:
+//! a decision costs the buckets of one group plus the sets it hands out, not
+//! the sets near them.
 //!
 //! # Stale and dead items
 //!
-//! Items are `(bucket, t_K, slot)`; the owner keeps each set's [`Filed`]
-//! position beside the set.  Nothing here is touched when a set is
-//! referenced or removed:
+//! Items are `(bucket, anchor, slot)`, and the index knows the position of
+//! each slot's item.  It is not told when a set is referenced or removed:
 //!
 //! * a reference can only raise a set's sample count and weight and move its
 //!   `t_K` forward, so the position it was filed at remains a valid lower
-//!   bound (a *stale* item).  When an ascent reaches it, the owner's probe
-//!   reports where it belongs now and it is re-filed after the ascent.  The
-//!   one change that can *lower* a profit — a new size or cost — must be
-//!   re-[`file`](DecayIndex::file)d by the owner at once;
-//! * a removed set leaves its item behind (a *dead* item: the slot is empty
-//!   or filed elsewhere).  It is dropped when reached, and
+//!   bound (a *stale* item), corrected when an ascent next re-files the set.
+//!   The one change that can *lower* a profit — a new size or cost — must be
+//!   [`file`](DecayIndex::file)d by the owner at once;
+//! * a removed set leaves its item behind (a *dead* item: the owner's probe
+//!   finds the slot empty, or the slot's item is elsewhere).  It is dropped
+//!   when reached or when the slot is filed again, and
 //!   [`DecayIndex::sweep`] drops all of them once they outnumber the live
 //!   ones.
 //!
@@ -43,11 +51,11 @@
 //!
 //! The rate clamps `now` to a set's last reference, so a `now` earlier than a
 //! reference the owner has already recorded (callers supply `now`) makes
-//! profits *smaller* than the bound assumes.  The owner passes
-//! `decayed = false` for such a call and every bound is zero: the ascent
-//! degenerates into the full exact sort.  Weights outside `1e±250`, where a
-//! profit could leave the normal f64 range, live in buckets whose floor is
-//! zero for the same effect.
+//! profits *smaller* than the bound assumes, and an anchor is good only from
+//! the decision that chose it on.  For a `now` earlier than either, every
+//! bound is zero: the ascent degenerates into the full exact sort.  Weights
+//! outside `1e±250`, where a profit could leave the normal f64 range, live
+//! in buckets whose floor is zero for the same effect.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -90,42 +98,22 @@ impl Spot {
         Spot { group: 0, ..self }
     }
 
-    /// The position a set with these statistics is filed at.
-    pub(crate) fn filed(&self) -> Filed {
+    /// The bucket a set with these statistics belongs to.  Weight bits are
+    /// zero for weights the bound does not cover.
+    fn bucket(&self) -> (u32, u16) {
         let bounded = (1e-250..=1e250).contains(&self.weight);
-        Filed {
-            group: self.group,
-            weight_bits: if bounded {
-                (self.weight.to_bits() >> (52 - MANTISSA_BITS)) as u16
-            } else {
-                0
-            },
-            oldest: self.oldest,
-        }
+        let bits = self.weight.to_bits() >> (52 - MANTISSA_BITS);
+        (self.group, if bounded { bits as u16 } else { 0 })
     }
 }
 
-/// Where a set's live item sits; an item that disagrees with its slot's
-/// `Filed` is dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct Filed {
-    group: u32,
-    /// Zero for weights the bound does not cover.
-    weight_bits: u16,
-    oldest: Timestamp,
-}
-
-/// The owner's answer about an item an ascent reached.
-pub(crate) enum Probe {
-    /// The slot is empty or its set is filed elsewhere.
-    Dead,
-    /// The set is this item's; `profit` is the reference expression at the
-    /// ascent's `now`, `tie` orders sets of equal profit.
-    Live {
-        spot: Spot,
-        profit: Profit,
-        tie: u64,
-    },
+/// The owner's answer about an occupied slot: where its set belongs now, its
+/// profit by the reference expression at the ascent's `now`, and what orders
+/// it among sets of equal profit.
+pub(crate) struct Scored {
+    pub(crate) spot: Spot,
+    pub(crate) profit: Profit,
+    pub(crate) tie: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -138,8 +126,8 @@ struct Bucket {
 }
 
 impl Bucket {
-    fn bound(&self, oldest: Timestamp, now: Timestamp) -> Profit {
-        Profit::new(self.floor * SLACK / now.saturating_since(oldest).max(1) as f64)
+    fn bound(&self, anchor: Timestamp, now: Timestamp) -> Profit {
+        Profit::new(self.floor * SLACK / now.saturating_since(anchor).max(1) as f64)
     }
 
     fn remove(&mut self, item: &(Timestamp, EntryId)) -> bool {
@@ -151,7 +139,10 @@ impl Bucket {
     }
 }
 
-/// `(group, bound, bucket, t_K, slot)`: the oldest unreached item of a bucket.
+/// `(group, weight_bits, anchor)`: where a slot's item sits.
+type Position = (u32, u16, Timestamp);
+/// `(group, bound, bucket, anchor, slot)`: the oldest unreached item of a
+/// bucket.
 type Front = (u32, Profit, usize, Timestamp, EntryId);
 /// `(group, profit, tie)`: a reached set's exact rank.
 type Rank = (u32, Profit, u64);
@@ -161,63 +152,81 @@ type Rank = (u32, Profit, u64);
 pub(crate) struct DecayIndex {
     /// Ascending `(group, weight_bits)`.
     buckets: Vec<Bucket>,
+    /// By slot; meaningless for a slot never filed.
+    positions: Vec<Position>,
     items: usize,
+    /// The latest `now` an ascent chose anchors at.
+    anchored: Timestamp,
     /// Exact profit evaluations ascents have asked for.
     evaluations: u64,
-    // Scratch of an ascent, kept for its allocations.
+    // Scratch of an ascent, kept for its allocations: the bucket fronts, the
+    // reached sets by rank, and what was learnt about each (`true` once
+    // handed out).
     fronts: BinaryHeap<Reverse<Front>>,
-    reached: BinaryHeap<Reverse<(Rank, EntryId)>>,
-    refile: Vec<(Spot, EntryId)>,
+    reached: BinaryHeap<Reverse<(Rank, usize)>>,
+    scored: Vec<(EntryId, Spot, Profit, bool)>,
 }
 
 impl DecayIndex {
-    /// Files `slot` where `spot` says and returns the position for the owner
-    /// to keep.  An earlier item of the slot becomes dead.
-    pub(crate) fn file(&mut self, spot: &Spot, slot: EntryId) -> Filed {
-        let filed = spot.filed();
-        let key = (filed.group, filed.weight_bits);
-        let at = match self
-            .buckets
+    /// Files `slot`'s set where `spot` says, anchored at its oldest
+    /// reference, in place of the slot's earlier item.
+    pub(crate) fn file(&mut self, spot: &Spot, slot: EntryId) {
+        self.place(spot, slot, None);
+    }
+
+    fn bucket_at(&self, key: (u32, u16)) -> Result<usize, usize> {
+        self.buckets
             .binary_search_by_key(&key, |b| (b.group, b.weight_bits))
-        {
-            Ok(at) => at,
-            Err(at) => {
-                let bucket = Bucket {
-                    group: filed.group,
-                    weight_bits: filed.weight_bits,
-                    floor: f64::INFINITY,
-                    items: BTreeSet::new(),
-                };
-                self.buckets.insert(at, bucket);
-                at
-            }
-        };
+    }
+
+    /// `scored` is the set's profit at the time given, when an ascent has
+    /// just found it above the bound: the anchor moves up to where the bound
+    /// meets it.
+    fn place(&mut self, spot: &Spot, slot: EntryId, scored: Option<(Profit, Timestamp)>) {
+        if self.positions.len() <= slot.index() {
+            self.positions.resize(slot.index() + 1, Position::default());
+        }
+        let (group, weight_bits, anchor) = self.positions[slot.index()];
+        if let Ok(at) = self.bucket_at((group, weight_bits)) {
+            self.items -= usize::from(self.buckets[at].remove(&(anchor, slot)));
+        }
+        let (group, weight_bits) = spot.bucket();
+        let at = self.bucket_at((group, weight_bits)).unwrap_or_else(|at| {
+            let bucket = Bucket {
+                group,
+                weight_bits,
+                floor: f64::INFINITY,
+                items: BTreeSet::new(),
+            };
+            self.buckets.insert(at, bucket);
+            at
+        });
         let bucket = &mut self.buckets[at];
-        let weight = if filed.weight_bits == 0 {
-            0.0
-        } else {
-            spot.weight
-        };
+        let weight = if weight_bits == 0 { 0.0 } else { spot.weight };
         bucket.floor = bucket.floor.min(weight);
-        self.items += usize::from(bucket.items.insert((filed.oldest, slot)));
-        filed
+        let anchor = match scored {
+            Some((profit, now)) if bucket.floor > 0.0 && profit > Profit::ZERO => {
+                let age = ((bucket.floor / profit.value()) as u64).saturating_add(1);
+                let met = Timestamp::from_micros(now.as_micros().saturating_sub(age));
+                spot.oldest.max(met)
+            }
+            _ => spot.oldest,
+        };
+        self.items += usize::from(bucket.items.insert((anchor, slot)));
+        self.positions[slot.index()] = (group, weight_bits, anchor);
     }
 
     /// Drops the dead items (and the buckets they leave empty) once they
-    /// outnumber the `live` sets.
-    pub(crate) fn sweep(&mut self, live: usize, is_live: impl Fn(EntryId, Filed) -> bool) {
+    /// outnumber the `live` sets; `occupied` is whether a slot holds a set.
+    pub(crate) fn sweep(&mut self, live: usize, occupied: impl Fn(EntryId) -> bool) {
         if self.items <= 2 * live + 32 {
             return;
         }
+        let positions = &self.positions;
         for bucket in &mut self.buckets {
             let (group, weight_bits) = (bucket.group, bucket.weight_bits);
-            bucket.items.retain(|&(oldest, slot)| {
-                let filed = Filed {
-                    group,
-                    weight_bits,
-                    oldest,
-                };
-                is_live(slot, filed)
+            bucket.items.retain(|&(anchor, slot)| {
+                positions[slot.index()] == (group, weight_bits, anchor) && occupied(slot)
             });
         }
         self.buckets.retain(|b| !b.items.is_empty());
@@ -254,6 +263,11 @@ impl DecayIndex {
     ) -> Ascent<'_> {
         self.fronts.clear();
         self.reached.clear();
+        self.scored.clear();
+        let decayed = decayed && now >= self.anchored;
+        if decayed {
+            self.anchored = now;
+        }
         Ascent {
             index: self,
             now,
@@ -265,7 +279,7 @@ impl DecayIndex {
     }
 }
 
-/// An ascent in progress; dropping it re-files the stale sets it reached.
+/// An ascent in progress; dropping it re-files the sets it reached and kept.
 pub(crate) struct Ascent<'a> {
     index: &'a mut DecayIndex,
     now: Timestamp,
@@ -277,12 +291,11 @@ pub(crate) struct Ascent<'a> {
 }
 
 impl Ascent<'_> {
-    /// The next set and its profit.  `probe` is asked about every item the
-    /// merge reaches and must, for a live one, record `spot.filed()` as the
-    /// set's position.
+    /// The next set and its profit.  `probe` is asked about the slot of
+    /// every item the merge reaches; `None` is an empty slot.
     pub(crate) fn next(
         &mut self,
-        mut probe: impl FnMut(EntryId, Filed) -> Probe,
+        mut probe: impl FnMut(EntryId) -> Option<Scored>,
     ) -> Option<(EntryId, Profit)> {
         loop {
             // The least rank a set not reached yet can have.
@@ -290,10 +303,12 @@ impl Ascent<'_> {
                 Some(&Reverse((group, bound, ..))) => Some((group, bound)),
                 None => self.next_group().map(|group| (group, Profit::ZERO)),
             };
-            if let Some(&Reverse(((group, profit, _), slot))) = self.index.reached.peek() {
+            if let Some(&Reverse(((group, profit, _), at))) = self.index.reached.peek() {
                 if horizon.is_none_or(|h| (group, profit) < h) {
                     self.index.reached.pop();
-                    return Some((slot, profit));
+                    let scored = &mut self.index.scored[at];
+                    scored.3 = true;
+                    return Some((scored.0, profit));
                 }
             }
             match self.index.fronts.pop() {
@@ -303,9 +318,9 @@ impl Ascent<'_> {
         }
     }
 
-    fn group_of(&self, bucket: &Bucket) -> u32 {
+    fn group_of(&self, group: u32) -> u32 {
         if self.by_group {
-            bucket.group
+            group
         } else {
             0
         }
@@ -313,7 +328,7 @@ impl Ascent<'_> {
 
     fn next_group(&self) -> Option<u32> {
         let bucket = self.index.buckets.get(self.unloaded)?;
-        Some(self.group_of(bucket))
+        Some(self.group_of(bucket.group))
     }
 
     /// Adds the fronts of the next group's buckets to the merge.
@@ -322,56 +337,43 @@ impl Ascent<'_> {
         while self.next_group() == Some(group) {
             let at = self.unloaded;
             self.unloaded += 1;
-            if let Some(&(oldest, slot)) = self.index.buckets[at].items.first() {
-                self.push_front(at, oldest, slot);
+            if let Some(&(anchor, slot)) = self.index.buckets[at].items.first() {
+                self.push_front(at, anchor, slot);
             }
         }
         Some(())
     }
 
-    fn push_front(&mut self, at: usize, oldest: Timestamp, slot: EntryId) {
+    fn push_front(&mut self, at: usize, anchor: Timestamp, slot: EntryId) {
         let bucket = &self.index.buckets[at];
         let bound = if self.decayed {
-            bucket.bound(oldest, self.now)
+            bucket.bound(anchor, self.now)
         } else {
             Profit::ZERO
         };
         if self.below.is_none_or(|below| bound < below) {
-            let front = (self.group_of(bucket), bound, at, oldest, slot);
+            let front = (self.group_of(bucket.group), bound, at, anchor, slot);
             self.index.fronts.push(Reverse(front));
         }
     }
 
-    fn reach(&mut self, front: Front, probe: &mut impl FnMut(EntryId, Filed) -> Probe) {
-        let (_, _, at, oldest, slot) = front;
-        let item = (oldest, slot);
+    fn reach(&mut self, front: Front, probe: &mut impl FnMut(EntryId) -> Option<Scored>) {
+        let (_, _, at, anchor, slot) = front;
+        let item = (anchor, slot);
         let bucket = &self.index.buckets[at];
-        let filed = Filed {
-            group: bucket.group,
-            weight_bits: bucket.weight_bits,
-            oldest,
-        };
-        if let Some(&(oldest, slot)) = bucket.items.range((Excluded(item), Unbounded)).next() {
-            self.push_front(at, oldest, slot);
+        let position = (bucket.group, bucket.weight_bits, anchor);
+        if let Some(&(anchor, slot)) = bucket.items.range((Excluded(item), Unbounded)).next() {
+            self.push_front(at, anchor, slot);
         }
-        match probe(slot, filed) {
-            Probe::Dead => {
-                self.index.items -= usize::from(self.index.buckets[at].remove(&item));
-            }
-            Probe::Live { spot, profit, tie } => {
+        let live = self.index.positions[slot.index()] == position;
+        match if live { probe(slot) } else { None } {
+            None => self.index.items -= usize::from(self.index.buckets[at].remove(&item)),
+            Some(Scored { spot, profit, tie }) => {
                 self.index.evaluations += 1;
-                let current = spot.filed();
-                if current != filed {
-                    // Re-filed when the ascent ends: an item inserted now
-                    // could land ahead of its bucket's front and be reached
-                    // a second time.
-                    self.index.items -= usize::from(self.index.buckets[at].remove(&item));
-                    self.index.refile.push((spot, slot));
-                }
-                let group = if self.by_group { current.group } else { 0 };
-                self.index
-                    .reached
-                    .push(Reverse(((group, profit, tie), slot)));
+                let rank = (self.group_of(spot.group), profit, tie);
+                let at = self.index.scored.len();
+                self.index.scored.push((slot, spot, profit, false));
+                self.index.reached.push(Reverse((rank, at)));
             }
         }
     }
@@ -379,10 +381,17 @@ impl Ascent<'_> {
 
 impl Drop for Ascent<'_> {
     fn drop(&mut self) {
-        let mut refile = std::mem::take(&mut self.index.refile);
-        for (spot, slot) in refile.drain(..) {
-            self.index.file(&spot, slot);
+        if !self.decayed {
+            return;
         }
-        self.index.refile = refile;
+        // Re-filed only now: an item moved during the merge could land ahead
+        // of its bucket's front and be reached a second time.
+        let mut scored = std::mem::take(&mut self.index.scored);
+        for (slot, spot, profit, handed_out) in scored.drain(..) {
+            if !handed_out {
+                self.index.place(&spot, slot, Some((profit, self.now)));
+            }
+        }
+        self.index.scored = scored;
     }
 }

@@ -41,7 +41,7 @@
 //! that one decision scores and sorts every set.
 
 use crate::clock::Timestamp;
-use crate::decay::{DecayIndex, Filed, Probe, Spot};
+use crate::decay::{DecayIndex, Scored, Spot};
 use crate::history::ReferenceHistory;
 use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
@@ -121,8 +121,6 @@ struct LncEntry<V> {
     size_bytes: u64,
     cost: ExecutionCost,
     history: ReferenceHistory,
-    /// Where the entry's live item sits in the decay index.
-    filed: Filed,
 }
 
 impl<V> LncEntry<V> {
@@ -227,26 +225,14 @@ impl<V: CachePayload> LncCache<V> {
         Some(entry.value)
     }
 
-    /// Answers the decay index about the item `(at, id)` an ascent at `now`
-    /// reached: dead, or the set's rank by the reference expressions.
-    fn probe(
-        entries: &mut EntryStore<LncEntry<V>>,
-        id: EntryId,
-        at: Filed,
-        now: Timestamp,
-    ) -> Probe {
-        match entries.by_id_mut(id) {
-            Some(entry) if entry.filed == at => {
-                let spot = entry.spot();
-                entry.filed = spot.filed();
-                Probe::Live {
-                    spot,
-                    profit: entry.profit(now),
-                    tie: id.index() as u64,
-                }
-            }
-            _ => Probe::Dead,
-        }
+    /// Answers an ascent of the decay index at `now` about slot `id`: the
+    /// set's rank by the reference expressions, if the slot holds one.
+    fn probe(entries: &EntryStore<LncEntry<V>>, id: EntryId, now: Timestamp) -> Option<Scored> {
+        entries.by_id(id).map(|entry| Scored {
+            spot: entry.spot(),
+            profit: entry.profit(now),
+            tie: id.index() as u64,
+        })
     }
 
     /// Selects replacement candidates to free at least `needed` bytes
@@ -282,7 +268,7 @@ impl<V: CachePayload> LncCache<V> {
         let mut ascent = self.index.ascend(now, now >= self.newest, true, None);
         let mut freed = 0u64;
         while freed < needed {
-            let reached = ascent.next(|id, at| Self::probe(&mut self.entries, id, at, now));
+            let reached = ascent.next(|id| Self::probe(&self.entries, id, now));
             let Some((id, _)) = reached else { break };
             victims.push(id);
             freed += self.entries.by_id(id).map_or(0, |e| e.size_bytes);
@@ -482,13 +468,11 @@ impl<V: CachePayload> LncCache<V> {
             size_bytes,
             cost,
             history,
-            filed: spot.filed(),
         });
         self.index.file(&spot, id);
         let entries = &self.entries;
-        self.index.sweep(entries.len(), |id, at| {
-            entries.by_id(id).is_some_and(|e| e.filed == at)
-        });
+        self.index
+            .sweep(entries.len(), |id| entries.by_id(id).is_some());
         self.used_bytes += size_bytes;
         self.stats.record_admission(true);
         debug_assert!(self.used_bytes <= self.config.capacity_bytes);
@@ -551,7 +535,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
                 self.newest = self.newest.max(now);
             }
             // A new size or cost can lower the profit: re-file at once.
-            entry.filed = self.index.file(&entry.spot(), id);
+            self.index.file(&entry.spot(), id);
             self.used_bytes = self.used_bytes - old_size + size_bytes;
             // If the refreshed payload grew, restore the capacity invariant by
             // evicting the lowest-profit sets (possibly the refreshed one).
@@ -682,7 +666,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         // The first set of the ascent over all groups: this is the path the
         // §2.4 purge after every decision and the engine's rebalancer hit.
         let mut ascent = self.index.ascend(now, now >= self.newest, false, None);
-        let least = ascent.next(|id, at| Self::probe(&mut self.entries, id, at, now));
+        let least = ascent.next(|id| Self::probe(&self.entries, id, now));
         least.map(|(_, profit)| profit)
     }
 

@@ -33,7 +33,7 @@
 //! history.
 
 use crate::clock::Timestamp;
-use crate::decay::{DecayIndex, Filed, Probe, Spot};
+use crate::decay::{DecayIndex, Scored, Spot};
 use crate::history::ReferenceHistory;
 use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
@@ -74,23 +74,16 @@ impl RetainedInfo {
     }
 }
 
-/// A retained history and the position its live index item sits at.
-#[derive(Debug, Clone)]
-struct Slot {
-    info: RetainedInfo,
-    filed: Filed,
-}
-
-impl KeyedEntry for Slot {
+impl KeyedEntry for RetainedInfo {
     fn key(&self) -> &QueryKey {
-        &self.info.key
+        &self.key
     }
 }
 
 /// The side table of retained reference information.
 #[derive(Debug, Clone, Default)]
 pub struct RetainedStore {
-    entries: EntryStore<Slot>,
+    entries: EntryStore<RetainedInfo>,
     index: DecayIndex,
     /// The latest reference recorded in any history held.
     newest: Timestamp,
@@ -127,7 +120,7 @@ impl RetainedStore {
 
     /// Returns the retained information for `key`, if any.
     pub fn get(&self, key: &QueryKey) -> Option<&RetainedInfo> {
-        self.entries.get(key).map(|slot| &slot.info)
+        self.entries.get(key)
     }
 
     /// Whether information for `key` is retained.
@@ -145,9 +138,9 @@ impl RetainedStore {
     /// counting it would inflate the λ estimate of Eq. 3.
     pub fn record_reference(&mut self, key: &QueryKey, now: Timestamp) -> bool {
         match self.entries.get_mut(key) {
-            Some(slot) => {
-                if slot.info.history.last_reference() != Some(now) {
-                    slot.info.history.record(now);
+            Some(info) => {
+                if info.history.last_reference() != Some(now) {
+                    info.history.record(now);
                     self.newest = self.newest.max(now);
                 }
                 true
@@ -163,21 +156,16 @@ impl RetainedStore {
         &mut self,
         now: Timestamp,
         below: Option<Profit>,
-        mut visit: impl FnMut(&mut EntryStore<Slot>, EntryId, Profit) -> bool,
+        mut visit: impl FnMut(&mut EntryStore<RetainedInfo>, EntryId, Profit) -> bool,
     ) {
         let entries = &mut self.entries;
         let mut ascent = self.index.ascend(now, now >= self.newest, false, below);
-        while let Some((id, profit)) = ascent.next(|id, at| match entries.by_id_mut(id) {
-            Some(slot) if slot.filed == at => {
-                let spot = slot.info.spot();
-                slot.filed = spot.filed();
-                Probe::Live {
-                    spot,
-                    profit: slot.info.profit(now),
-                    tie: slot.info.key.signature().value(),
-                }
-            }
-            _ => Probe::Dead,
+        while let Some((id, profit)) = ascent.next(|id| {
+            entries.by_id(id).map(|info| Scored {
+                spot: info.spot(),
+                profit: info.profit(now),
+                tie: info.key.signature().value(),
+            })
         }) {
             if !visit(entries, id, profit) {
                 break;
@@ -196,8 +184,8 @@ impl RetainedStore {
         let spot = info.spot();
         if let Some(id) = self.entries.find(&info.key) {
             // A new size or cost can lower the profit: re-file at once.
-            let filed = self.index.file(&spot, id);
-            *self.entries.by_id_mut(id).expect("found above") = Slot { info, filed };
+            self.index.file(&spot, id);
+            *self.entries.by_id_mut(id).expect("found above") = info;
             return;
         }
         if self.entries.len() >= self.max_entries {
@@ -216,21 +204,17 @@ impl RetainedStore {
                 return;
             }
         }
-        let id = self.entries.insert(Slot {
-            info,
-            filed: spot.filed(),
-        });
+        let id = self.entries.insert(info);
         self.index.file(&spot, id);
         let entries = &self.entries;
-        self.index.sweep(entries.len(), |id, at| {
-            entries.by_id(id).is_some_and(|slot| slot.filed == at)
-        });
+        self.index
+            .sweep(entries.len(), |id| entries.by_id(id).is_some());
     }
 
     /// Removes and returns the retained information for `key`, typically
     /// because the retrieved set is being (re-)admitted to the cache.
     pub fn take(&mut self, key: &QueryKey) -> Option<RetainedInfo> {
-        self.entries.remove_by_key(key).map(|slot| slot.info)
+        self.entries.remove_by_key(key)
     }
 
     /// Applies the paper's retention policy: drop every retained entry whose
@@ -262,7 +246,7 @@ impl RetainedStore {
 
     /// Iterates over retained entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &RetainedInfo> {
-        self.entries.iter().map(|(_, slot)| &slot.info)
+        self.entries.iter().map(|(_, info)| info)
     }
 
     /// Retained entries ranked by descending profit at `now`, ties broken by
@@ -480,12 +464,13 @@ mod tests {
             let dropped = step(&mut store, i, &mut now);
             let evaluated = (store.index.evaluations() - before) as usize;
             dropped_total += dropped;
+            // What it drops, the one it stops at, and the few whose anchors
+            // ran out: far inside one evaluation per non-empty bucket.
             assert!(
-                evaluated <= dropped + store.index.occupied_buckets() + 8,
+                evaluated <= dropped + 16 && 16 < store.index.occupied_buckets(),
                 "a purge that dropped {dropped} of {} histories evaluated {evaluated}",
                 store.len()
             );
-            assert!(evaluated < store.len() / 20);
         }
         assert!(dropped_total > 1_000, "the steady state must keep purging");
     }
