@@ -42,10 +42,9 @@
 //!   The one change that can *lower* a profit — a new size or cost — must be
 //!   [`file`](DecayIndex::file)d by the owner at once;
 //! * a removed set leaves its item behind (a *dead* item: the owner's probe
-//!   finds the slot empty, or the slot's item is elsewhere).  It is dropped
-//!   when reached or when the slot is filed again, and
-//!   [`DecayIndex::sweep`] drops all of them once they outnumber the live
-//!   ones.
+//!   finds the slot empty).  It is dropped when reached or when the slot is
+//!   filed again, whichever comes first; slots are reused, so there are never
+//!   more dead items than the owner once held sets.
 //!
 //! # When the bound is void
 //!
@@ -62,10 +61,9 @@ use std::collections::{BTreeSet, BinaryHeap};
 use std::ops::Bound::{Excluded, Unbounded};
 
 use crate::clock::Timestamp;
-use crate::history::ReferenceHistory;
 use crate::index::EntryId;
 use crate::profit::Profit;
-use crate::value::ExecutionCost;
+use crate::retained::RetainedInfo;
 
 /// Mantissa bits of the weight that take part in the bucket key: a bucket
 /// spans weights within 2⁻³ of each other.
@@ -76,26 +74,21 @@ const SLACK: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
 
 /// What decides where a set is filed, read off the set as it is now.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Spot {
+struct Spot {
     group: u32,
     weight: f64,
     oldest: Timestamp,
 }
 
 impl Spot {
-    pub(crate) fn of(history: &ReferenceHistory, cost: ExecutionCost, size_bytes: u64) -> Spot {
-        let samples = history.sample_count();
+    fn of(set: &RetainedInfo, grouped: bool) -> Spot {
+        let samples = set.history.sample_count();
+        let group = if grouped { samples } else { 0 };
         Spot {
-            group: u32::try_from(samples).unwrap_or(u32::MAX),
-            weight: samples as f64 * cost.value() / size_bytes.max(1) as f64,
-            oldest: history.oldest_reference().unwrap_or(Timestamp::ZERO),
+            group: u32::try_from(group).unwrap_or(u32::MAX),
+            weight: samples as f64 * set.cost.value() / set.size_bytes.max(1) as f64,
+            oldest: set.history.oldest_reference().unwrap_or(Timestamp::ZERO),
         }
-    }
-
-    /// For an owner that never asks for sets by sample-count group: one
-    /// group, a fourth of the buckets.
-    pub(crate) fn ungrouped(self) -> Spot {
-        Spot { group: 0, ..self }
     }
 
     /// The bucket a set with these statistics belongs to.  Weight bits are
@@ -105,15 +98,6 @@ impl Spot {
         let bits = self.weight.to_bits() >> (52 - MANTISSA_BITS);
         (self.group, if bounded { bits as u16 } else { 0 })
     }
-}
-
-/// The owner's answer about an occupied slot: where its set belongs now, its
-/// profit by the reference expression at the ascent's `now`, and what orders
-/// it among sets of equal profit.
-pub(crate) struct Scored {
-    pub(crate) spot: Spot,
-    pub(crate) profit: Profit,
-    pub(crate) tie: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -147,14 +131,36 @@ type Front = (u32, Profit, usize, Timestamp, EntryId);
 /// `(group, profit, tie)`: a reached set's exact rank.
 type Rank = (u32, Profit, u64);
 
+/// The parameters of one ascent.
+#[derive(Clone, Copy)]
+struct Ascent {
+    now: Timestamp,
+    /// Whether the bounds hold at `now`.
+    decayed: bool,
+    by_group: bool,
+    below: Option<Profit>,
+}
+
+impl Ascent {
+    fn group_of(&self, group: u32) -> u32 {
+        if self.by_group {
+            group
+        } else {
+            0
+        }
+    }
+}
+
 /// See the module docs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DecayIndex {
+    /// Whether sets are filed by sample-count group; an owner that never
+    /// ascends by group does with a fourth of the buckets.
+    grouped: bool,
     /// Ascending `(group, weight_bits)`.
     buckets: Vec<Bucket>,
     /// By slot; meaningless for a slot never filed.
     positions: Vec<Position>,
-    items: usize,
     /// The latest `now` an ascent chose anchors at.
     anchored: Timestamp,
     /// Exact profit evaluations ascents have asked for.
@@ -168,10 +174,18 @@ pub(crate) struct DecayIndex {
 }
 
 impl DecayIndex {
-    /// Files `slot`'s set where `spot` says, anchored at its oldest
+    /// An index that can ascend by sample-count group.
+    pub(crate) fn grouped() -> Self {
+        DecayIndex {
+            grouped: true,
+            ..Self::default()
+        }
+    }
+
+    /// Files `slot`'s `set` by what it is now, anchored at its oldest
     /// reference, in place of the slot's earlier item.
-    pub(crate) fn file(&mut self, spot: &Spot, slot: EntryId) {
-        self.place(spot, slot, None);
+    pub(crate) fn file(&mut self, set: &RetainedInfo, slot: EntryId) {
+        self.place(&Spot::of(set, self.grouped), slot, None);
     }
 
     fn bucket_at(&self, key: (u32, u16)) -> Result<usize, usize> {
@@ -188,7 +202,7 @@ impl DecayIndex {
         }
         let (group, weight_bits, anchor) = self.positions[slot.index()];
         if let Ok(at) = self.bucket_at((group, weight_bits)) {
-            self.items -= usize::from(self.buckets[at].remove(&(anchor, slot)));
+            self.buckets[at].remove(&(anchor, slot));
         }
         let (group, weight_bits) = spot.bucket();
         let at = self.bucket_at((group, weight_bits)).unwrap_or_else(|at| {
@@ -212,30 +226,12 @@ impl DecayIndex {
             }
             _ => spot.oldest,
         };
-        self.items += usize::from(bucket.items.insert((anchor, slot)));
+        bucket.items.insert((anchor, slot));
         self.positions[slot.index()] = (group, weight_bits, anchor);
-    }
-
-    /// Drops the dead items (and the buckets they leave empty) once they
-    /// outnumber the `live` sets; `occupied` is whether a slot holds a set.
-    pub(crate) fn sweep(&mut self, live: usize, occupied: impl Fn(EntryId) -> bool) {
-        if self.items <= 2 * live + 32 {
-            return;
-        }
-        let positions = &self.positions;
-        for bucket in &mut self.buckets {
-            let (group, weight_bits) = (bucket.group, bucket.weight_bits);
-            bucket.items.retain(|&(anchor, slot)| {
-                positions[slot.index()] == (group, weight_bits, anchor) && occupied(slot)
-            });
-        }
-        self.buckets.retain(|b| !b.items.is_empty());
-        self.items = self.buckets.iter().map(|b| b.items.len()).sum();
     }
 
     pub(crate) fn clear(&mut self) {
         self.buckets.clear();
-        self.items = 0;
     }
 
     #[cfg(test)]
@@ -248,150 +244,122 @@ impl DecayIndex {
         self.buckets.iter().filter(|b| !b.items.is_empty()).count()
     }
 
-    /// Starts handing out the filed sets in ascending `(group, profit, tie)`
+    /// Hands the filed sets to `take` in ascending `(group, profit, tie)`
     /// order at `now` — `(profit, tie)` order over all groups unless
-    /// `by_group`.  With `below`, sets whose bound is not under it are never
-    /// looked at: the ascent ends early, and is exact for every set whose
-    /// profit is under `below`.  `decayed` is whether `now` is at or after
-    /// every reference the owner has recorded.
-    pub(crate) fn ascend(
+    /// `by_group` — until it returns `false`.  With `below`, sets whose bound
+    /// is not under it are never looked at: the ascent ends early, and is
+    /// exact for every set whose profit is under `below`.  `decayed` is
+    /// whether `now` is at or after every reference the owner has recorded.
+    /// `probe` is asked for the set in the slot of every item the merge
+    /// reaches (`None` is an empty slot) and for what orders it among sets of
+    /// equal profit.
+    pub(crate) fn ascend<'s>(
         &mut self,
         now: Timestamp,
         decayed: bool,
         by_group: bool,
         below: Option<Profit>,
-    ) -> Ascent<'_> {
-        self.fronts.clear();
-        self.reached.clear();
-        self.scored.clear();
+        mut probe: impl FnMut(EntryId) -> Option<(&'s RetainedInfo, u64)>,
+        mut take: impl FnMut(EntryId, Profit) -> bool,
+    ) {
         let decayed = decayed && now >= self.anchored;
-        if decayed {
-            self.anchored = now;
-        }
-        Ascent {
-            index: self,
+        let ascent = Ascent {
             now,
             decayed,
             by_group,
             below,
-            unloaded: 0,
-        }
-    }
-}
-
-/// An ascent in progress; dropping it re-files the sets it reached and kept.
-pub(crate) struct Ascent<'a> {
-    index: &'a mut DecayIndex,
-    now: Timestamp,
-    decayed: bool,
-    by_group: bool,
-    below: Option<Profit>,
-    /// The first bucket whose front is not in the merge yet.
-    unloaded: usize,
-}
-
-impl Ascent<'_> {
-    /// The next set and its profit.  `probe` is asked about the slot of
-    /// every item the merge reaches; `None` is an empty slot.
-    pub(crate) fn next(
-        &mut self,
-        mut probe: impl FnMut(EntryId) -> Option<Scored>,
-    ) -> Option<(EntryId, Profit)> {
+        };
+        self.fronts.clear();
+        self.reached.clear();
+        self.scored.clear();
+        // The first bucket whose front is not in the merge yet.
+        let mut unloaded = 0;
         loop {
             // The least rank a set not reached yet can have.
-            let horizon = match self.index.fronts.peek() {
-                Some(&Reverse((group, bound, ..))) => Some((group, bound)),
-                None => self.next_group().map(|group| (group, Profit::ZERO)),
+            let horizon = match (self.fronts.peek(), self.buckets.get(unloaded)) {
+                (Some(&Reverse((group, bound, ..))), _) => Some((group, bound)),
+                (None, Some(bucket)) => Some((ascent.group_of(bucket.group), Profit::ZERO)),
+                (None, None) => None,
             };
-            if let Some(&Reverse(((group, profit, _), at))) = self.index.reached.peek() {
+            if let Some(&Reverse(((group, profit, _), at))) = self.reached.peek() {
                 if horizon.is_none_or(|h| (group, profit) < h) {
-                    self.index.reached.pop();
-                    let scored = &mut self.index.scored[at];
-                    scored.3 = true;
-                    return Some((scored.0, profit));
+                    self.reached.pop();
+                    self.scored[at].3 = true;
+                    if take(self.scored[at].0, profit) {
+                        continue;
+                    }
+                    break;
                 }
             }
-            match self.index.fronts.pop() {
-                Some(Reverse(front)) => self.reach(front, &mut probe),
-                None => self.load_group()?,
+            match (self.fronts.pop(), horizon) {
+                (Some(Reverse(front)), _) => self.reach(ascent, front, &mut probe),
+                // Add the fronts of the next group's buckets to the merge.
+                (None, Some((group, _))) => {
+                    while let Some(bucket) = self.buckets.get(unloaded) {
+                        if ascent.group_of(bucket.group) != group {
+                            break;
+                        }
+                        if let Some(&(anchor, slot)) = bucket.items.first() {
+                            self.push_front(ascent, unloaded, anchor, slot);
+                        }
+                        unloaded += 1;
+                    }
+                }
+                (None, None) => break,
+            }
+        }
+        if decayed {
+            // The sets reached and kept are re-filed only now: an item moved
+            // during the merge could land ahead of its bucket's front and be
+            // reached a second time.
+            self.anchored = now;
+            for at in 0..self.scored.len() {
+                let (slot, spot, profit, handed_out) = self.scored[at];
+                if !handed_out {
+                    self.place(&spot, slot, Some((profit, now)));
+                }
             }
         }
     }
 
-    fn group_of(&self, group: u32) -> u32 {
-        if self.by_group {
-            group
-        } else {
-            0
-        }
-    }
-
-    fn next_group(&self) -> Option<u32> {
-        let bucket = self.index.buckets.get(self.unloaded)?;
-        Some(self.group_of(bucket.group))
-    }
-
-    /// Adds the fronts of the next group's buckets to the merge.
-    fn load_group(&mut self) -> Option<()> {
-        let group = self.next_group()?;
-        while self.next_group() == Some(group) {
-            let at = self.unloaded;
-            self.unloaded += 1;
-            if let Some(&(anchor, slot)) = self.index.buckets[at].items.first() {
-                self.push_front(at, anchor, slot);
-            }
-        }
-        Some(())
-    }
-
-    fn push_front(&mut self, at: usize, anchor: Timestamp, slot: EntryId) {
-        let bucket = &self.index.buckets[at];
-        let bound = if self.decayed {
-            bucket.bound(anchor, self.now)
+    fn push_front(&mut self, ascent: Ascent, at: usize, anchor: Timestamp, slot: EntryId) {
+        let bucket = &self.buckets[at];
+        let bound = if ascent.decayed {
+            bucket.bound(anchor, ascent.now)
         } else {
             Profit::ZERO
         };
-        if self.below.is_none_or(|below| bound < below) {
-            let front = (self.group_of(bucket.group), bound, at, anchor, slot);
-            self.index.fronts.push(Reverse(front));
+        if ascent.below.is_none_or(|below| bound < below) {
+            let front = (ascent.group_of(bucket.group), bound, at, anchor, slot);
+            self.fronts.push(Reverse(front));
         }
     }
 
-    fn reach(&mut self, front: Front, probe: &mut impl FnMut(EntryId) -> Option<Scored>) {
+    fn reach<'s>(
+        &mut self,
+        ascent: Ascent,
+        front: Front,
+        probe: &mut impl FnMut(EntryId) -> Option<(&'s RetainedInfo, u64)>,
+    ) {
         let (_, _, at, anchor, slot) = front;
         let item = (anchor, slot);
-        let bucket = &self.index.buckets[at];
+        let bucket = &self.buckets[at];
         let position = (bucket.group, bucket.weight_bits, anchor);
         if let Some(&(anchor, slot)) = bucket.items.range((Excluded(item), Unbounded)).next() {
-            self.push_front(at, anchor, slot);
+            self.push_front(ascent, at, anchor, slot);
         }
-        let live = self.index.positions[slot.index()] == position;
+        let live = self.positions[slot.index()] == position;
         match if live { probe(slot) } else { None } {
-            None => self.index.items -= usize::from(self.index.buckets[at].remove(&item)),
-            Some(Scored { spot, profit, tie }) => {
-                self.index.evaluations += 1;
-                let rank = (self.group_of(spot.group), profit, tie);
-                let at = self.index.scored.len();
-                self.index.scored.push((slot, spot, profit, false));
-                self.index.reached.push(Reverse((rank, at)));
+            None => {
+                self.buckets[at].remove(&item);
+            }
+            Some((set, tie)) => {
+                self.evaluations += 1;
+                let (spot, profit) = (Spot::of(set, self.grouped), set.profit(ascent.now));
+                let rank = (ascent.group_of(spot.group), profit, tie);
+                self.reached.push(Reverse((rank, self.scored.len())));
+                self.scored.push((slot, spot, profit, false));
             }
         }
-    }
-}
-
-impl Drop for Ascent<'_> {
-    fn drop(&mut self) {
-        if !self.decayed {
-            return;
-        }
-        // Re-filed only now: an item moved during the merge could land ahead
-        // of its bucket's front and be reached a second time.
-        let mut scored = std::mem::take(&mut self.index.scored);
-        for (slot, spot, profit, handed_out) in scored.drain(..) {
-            if !handed_out {
-                self.index.place(&spot, slot, Some((profit, self.now)));
-            }
-        }
-        self.index.scored = scored;
     }
 }

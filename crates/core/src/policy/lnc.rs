@@ -41,7 +41,7 @@
 //! that one decision scores and sorts every set.
 
 use crate::clock::Timestamp;
-use crate::decay::{DecayIndex, Scored, Spot};
+use crate::decay::DecayIndex;
 use crate::history::ReferenceHistory;
 use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
@@ -113,32 +113,17 @@ impl LncConfig {
     }
 }
 
-/// A cached retrieved set together with the statistics LNC-R needs.
+/// A cached retrieved set: the statistics LNC-R needs — the same ones that
+/// are retained when the set is evicted — and the payload.
 #[derive(Debug, Clone)]
 struct LncEntry<V> {
-    key: QueryKey,
+    info: RetainedInfo,
     value: V,
-    size_bytes: u64,
-    cost: ExecutionCost,
-    history: ReferenceHistory,
-}
-
-impl<V> LncEntry<V> {
-    fn profit(&self, now: Timestamp) -> Profit {
-        match self.history.rate(now) {
-            Some(rate) => Profit::of_set(rate, self.cost, self.size_bytes),
-            None => Profit::ZERO,
-        }
-    }
-
-    fn spot(&self) -> Spot {
-        Spot::of(&self.history, self.cost, self.size_bytes)
-    }
 }
 
 impl<V> KeyedEntry for LncEntry<V> {
     fn key(&self) -> &QueryKey {
-        &self.key
+        &self.info.key
     }
 }
 
@@ -165,7 +150,7 @@ impl<V: CachePayload> LncCache<V> {
             config,
             entries: EntryStore::new(),
             retained: RetainedStore::new(max_retained),
-            index: DecayIndex::default(),
+            index: DecayIndex::grouped(),
             newest: Timestamp::ZERO,
             victims: Vec::new(),
             used_bytes: 0,
@@ -200,13 +185,13 @@ impl<V: CachePayload> LncCache<V> {
 
     /// The profit of the cached set for `key` at time `now`, if cached.
     pub fn profit_of(&self, key: &QueryKey, now: Timestamp) -> Option<Profit> {
-        self.entries.get(key).map(|e| e.profit(now))
+        self.entries.get(key).map(|e| e.info.profit(now))
     }
 
     /// The smallest profit among cached sets at time `now`, or `None` if the
     /// cache is empty.
     pub fn min_cached_profit(&self, now: Timestamp) -> Option<Profit> {
-        self.entries.iter().map(|(_, e)| e.profit(now)).min()
+        self.entries.iter().map(|(_, e)| e.info.profit(now)).min()
     }
 
     /// Removes the retrieved set for `key` from the cache, returning its
@@ -221,18 +206,8 @@ impl<V: CachePayload> LncCache<V> {
     /// the eviction statistics.
     pub fn remove(&mut self, key: &QueryKey) -> Option<V> {
         let entry = self.entries.remove_by_key(key)?;
-        self.used_bytes -= entry.size_bytes;
+        self.used_bytes -= entry.info.size_bytes;
         Some(entry.value)
-    }
-
-    /// Answers an ascent of the decay index at `now` about slot `id`: the
-    /// set's rank by the reference expressions, if the slot holds one.
-    fn probe(entries: &EntryStore<LncEntry<V>>, id: EntryId, now: Timestamp) -> Option<Scored> {
-        entries.by_id(id).map(|entry| Scored {
-            spot: entry.spot(),
-            profit: entry.profit(now),
-            tie: id.index() as u64,
-        })
     }
 
     /// Selects replacement candidates to free at least `needed` bytes
@@ -252,27 +227,31 @@ impl<V: CachePayload> LncCache<V> {
         if needed == 0 {
             return Some(victims);
         }
-        // The occupancy counter is maintained on every admission and
-        // removal; re-deriving it by summing all entry sizes (as this check
-        // originally did) was an O(n) walk per eviction for a number the
-        // cache already knows.
         debug_assert_eq!(
             self.used_bytes,
-            self.entries.iter().map(|(_, e)| e.size_bytes).sum::<u64>(),
+            self.entries
+                .iter()
+                .map(|(_, e)| e.info.size_bytes)
+                .sum::<u64>(),
             "maintained occupancy diverged from entry sizes"
         );
         if self.used_bytes < needed {
             self.victims = victims;
             return None;
         }
-        let mut ascent = self.index.ascend(now, now >= self.newest, true, None);
-        let mut freed = 0u64;
-        while freed < needed {
-            let reached = ascent.next(|id| Self::probe(&self.entries, id, now));
-            let Some((id, _)) = reached else { break };
-            victims.push(id);
-            freed += self.entries.by_id(id).map_or(0, |e| e.size_bytes);
-        }
+        let (entries, mut freed) = (&self.entries, 0u64);
+        self.index.ascend(
+            now,
+            now >= self.newest,
+            true,
+            None,
+            |id| entries.by_id(id).map(|e| (&e.info, id.index() as u64)),
+            |id, _| {
+                victims.push(id);
+                freed += entries.by_id(id).map_or(0, |e| e.info.size_bytes);
+                freed < needed
+            },
+        );
         Some(victims)
     }
 
@@ -288,7 +267,7 @@ impl<V: CachePayload> LncCache<V> {
         if needed == 0 {
             return Some(Vec::new());
         }
-        let total: u64 = self.entries.iter().map(|(_, e)| e.size_bytes).sum();
+        let total: u64 = self.entries.iter().map(|(_, e)| e.info.size_bytes).sum();
         if total < needed {
             return None;
         }
@@ -296,7 +275,8 @@ impl<V: CachePayload> LncCache<V> {
         let mut ranked: Vec<(usize, Profit, EntryId, u64)> = self
             .entries
             .iter()
-            .map(|(id, e)| (e.history.sample_count(), e.profit(now), id, e.size_bytes))
+            .map(|(id, e)| (&e.info, id))
+            .map(|(e, id)| (e.history.sample_count(), e.profit(now), id, e.size_bytes))
             .collect();
         ranked.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut victims = Vec::new();
@@ -316,7 +296,7 @@ impl<V: CachePayload> LncCache<V> {
     #[cfg(test)]
     pub(crate) fn keys_of(&self, ids: &[EntryId]) -> Vec<QueryKey> {
         ids.iter()
-            .filter_map(|&id| self.entries.by_id(id).map(|e| e.key.clone()))
+            .filter_map(|&id| self.entries.by_id(id).map(|e| e.info.key.clone()))
             .collect()
     }
 
@@ -333,6 +313,7 @@ impl<V: CachePayload> LncCache<V> {
         Some(Profit::of_list(victims.iter().filter_map(|&id| {
             self.entries
                 .by_id(id)
+                .map(|e| &e.info)
                 .map(|e| (e.history.rate(now).unwrap_or(0.0), e.cost, e.size_bytes))
         })))
     }
@@ -374,20 +355,12 @@ impl<V: CachePayload> LncCache<V> {
     fn evict(&mut self, victims: Vec<EntryId>, now: Timestamp) -> Vec<QueryKey> {
         let mut evicted = Vec::with_capacity(victims.len());
         for &id in &victims {
-            if let Some(entry) = self.entries.remove(id) {
-                self.used_bytes -= entry.size_bytes;
-                self.stats.record_eviction(entry.size_bytes);
-                evicted.push(entry.key.clone());
+            if let Some(LncEntry { info, .. }) = self.entries.remove(id) {
+                self.used_bytes -= info.size_bytes;
+                self.stats.record_eviction(info.size_bytes);
+                evicted.push(info.key.clone());
                 if self.config.retain_reference_info {
-                    self.retained.insert(
-                        RetainedInfo {
-                            key: entry.key,
-                            size_bytes: entry.size_bytes,
-                            cost: entry.cost,
-                            history: entry.history,
-                        },
-                        now,
-                    );
+                    self.retained.insert(info, now);
                 }
             }
         }
@@ -428,52 +401,35 @@ impl<V: CachePayload> LncCache<V> {
     /// Records an admission rejection: the reference information of the
     /// rejected set is retained so that it may be admitted later once enough
     /// references accumulate (paper §2.4, last paragraph).
-    fn retain_rejected(
-        &mut self,
-        key: QueryKey,
-        size_bytes: u64,
-        cost: ExecutionCost,
-        history: ReferenceHistory,
-        now: Timestamp,
-    ) {
+    fn retain_rejected(&mut self, info: RetainedInfo, now: Timestamp) {
         if self.config.retain_reference_info {
-            self.retained.insert(
-                RetainedInfo {
-                    key,
-                    size_bytes,
-                    cost,
-                    history,
-                },
-                now,
-            );
+            self.retained.insert(info, now);
         }
+        self.stats.record_admission(false);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The aggregate profit (Eq. 5) of the given cached sets at `now`.
+    fn list_profit(&self, victims: &[EntryId], now: Timestamp) -> Profit {
+        Profit::of_list(
+            victims
+                .iter()
+                .filter_map(|&id| self.entries.by_id(id).map(|e| &e.info))
+                .map(|e| (e.history.rate(now).unwrap_or(0.0), e.cost, e.size_bytes)),
+        )
+    }
+
     fn admit(
         &mut self,
-        key: QueryKey,
+        info: RetainedInfo,
         value: V,
-        size_bytes: u64,
-        cost: ExecutionCost,
-        history: ReferenceHistory,
         evicted: Vec<QueryKey>,
         now: Timestamp,
     ) -> InsertOutcome {
         self.newest = self.newest.max(now);
-        let spot = Spot::of(&history, cost, size_bytes);
-        let id = self.entries.insert(LncEntry {
-            key,
-            value,
-            size_bytes,
-            cost,
-            history,
-        });
-        self.index.file(&spot, id);
-        let entries = &self.entries;
-        self.index
-            .sweep(entries.len(), |id| entries.by_id(id).is_some());
-        self.used_bytes += size_bytes;
+        self.used_bytes += info.size_bytes;
+        let id = self.entries.insert(LncEntry { info, value });
+        let entry = self.entries.by_id(id).expect("just inserted");
+        self.index.file(&entry.info, id);
         self.stats.record_admission(true);
         debug_assert!(self.used_bytes <= self.config.capacity_bytes);
         self.purge_retained(now);
@@ -496,11 +452,11 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
             // after an abandoned flight re-issues the same logical
             // reference, and its first pass may already sit in the history
             // via promoted retained information (§2.4).
-            if entry.history.last_reference() != Some(now) {
-                entry.history.record(now);
+            if entry.info.history.last_reference() != Some(now) {
+                entry.info.history.record(now);
                 self.newest = self.newest.max(now);
             }
-            let cost = entry.cost;
+            let cost = entry.info.cost;
             self.stats.record_hit(cost);
             // Re-borrow immutably for the return value.
             return self.entries.get(key).map(|e| &e.value);
@@ -526,16 +482,16 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         // Already cached: refresh the payload and cost, count the reference.
         if let Some(id) = self.entries.find(&key) {
             let entry = self.entries.by_id_mut(id).expect("found above");
-            let old_size = entry.size_bytes;
+            let old_size = entry.info.size_bytes;
             entry.value = value;
-            entry.cost = cost;
-            entry.size_bytes = size_bytes;
-            if entry.history.last_reference() != Some(now) {
-                entry.history.record(now);
+            entry.info.cost = cost;
+            entry.info.size_bytes = size_bytes;
+            if entry.info.history.last_reference() != Some(now) {
+                entry.info.history.record(now);
                 self.newest = self.newest.max(now);
             }
             // A new size or cost can lower the profit: re-file at once.
-            self.index.file(&entry.spot(), id);
+            self.index.file(&entry.info, id);
             self.used_bytes = self.used_bytes - old_size + size_bytes;
             // If the refreshed payload grew, restore the capacity invariant by
             // evicting the lowest-profit sets (possibly the refreshed one).
@@ -553,70 +509,60 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
             self.stats.record_admission(false);
             return InsertOutcome::Rejected(RejectReason::ZeroCapacity);
         }
+        let (history, had_history) = self.admission_history(&key, now);
+        let info = RetainedInfo {
+            key,
+            size_bytes,
+            cost,
+            history,
+        };
         if size_bytes > self.config.capacity_bytes {
             // The set can never fit; remember its references anyway.
-            let (history, _) = self.admission_history(&key, now);
-            self.retain_rejected(key, size_bytes, cost, history, now);
-            self.stats.record_admission(false);
+            self.retain_rejected(info, now);
             return InsertOutcome::Rejected(RejectReason::TooLarge);
         }
 
         let available = self.config.capacity_bytes - self.used_bytes;
-        let (history, had_history) = self.admission_history(&key, now);
-
         if available >= size_bytes {
             // Enough free space: cache unconditionally (Figure 1, middle case).
-            return self.admit(key, value, size_bytes, cost, history, Vec::new(), now);
+            return self.admit(info, value, Vec::new(), now);
         }
 
         // Not enough space: run LNC-R to find replacement candidates.
-        let needed = size_bytes - available;
-        let victims = match self.select_victims(needed, now) {
-            Some(v) => v,
-            None => {
-                // Cannot free enough space (should not happen given the size
-                // check above, but be defensive).
-                self.retain_rejected(key, size_bytes, cost, history, now);
-                self.stats.record_admission(false);
-                return InsertOutcome::Rejected(RejectReason::TooLarge);
-            }
+        let Some(victims) = self.select_victims(size_bytes - available, now) else {
+            // Cannot free enough space (should not happen given the size
+            // check above, but be defensive).
+            self.retain_rejected(info, now);
+            return InsertOutcome::Rejected(RejectReason::TooLarge);
         };
 
         let admit = if !self.config.admission {
             // Plain LNC-R admits everything that fits.
             true
-        } else if had_history && history.sample_count() > 1 {
+        } else if had_history && info.history.sample_count() > 1 {
             // Past reference information available: compare real profits
             // (Eq. 4 / Eq. 5).
-            let candidate_profit = Profit::of_list(victims.iter().filter_map(|&id| {
-                self.entries
-                    .by_id(id)
-                    .map(|e| (e.history.rate(now).unwrap_or(0.0), e.cost, e.size_bytes))
-            }));
-            let own_rate = history.rate(now).unwrap_or(0.0);
-            let own_profit = Profit::of_set(own_rate, cost, size_bytes);
-            own_profit > candidate_profit
+            info.profit(now) > self.list_profit(&victims, now)
         } else {
             // First-time set: compare estimated profits (Eq. 7 / Eq. 8).
             let candidate_eprofit = Profit::estimated_of_list(
                 victims
                     .iter()
-                    .filter_map(|&id| self.entries.by_id(id).map(|e| (e.cost, e.size_bytes))),
+                    .filter_map(|&id| self.entries.by_id(id).map(|e| &e.info))
+                    .map(|e| (e.cost, e.size_bytes)),
             );
-            let own_eprofit = Profit::estimated(cost, size_bytes);
-            own_eprofit > candidate_eprofit
+            Profit::estimated(cost, size_bytes) > candidate_eprofit
         };
 
         if !admit {
             self.victims = victims;
-            self.retain_rejected(key, size_bytes, cost, history, now);
-            self.stats.record_admission(false);
+            self.retain_rejected(info, now);
             self.purge_retained(now);
             return InsertOutcome::Rejected(RejectReason::AdmissionTest);
         }
 
         let evicted = self.evict(victims, now);
-        self.admit(key, value, size_bytes, cost, history, evicted, now)
+        self.admit(info, value, evicted, now)
     }
 
     fn remove(&mut self, key: &QueryKey) -> bool {
@@ -665,9 +611,19 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
         // The first set of the ascent over all groups: this is the path the
         // §2.4 purge after every decision and the engine's rebalancer hit.
-        let mut ascent = self.index.ascend(now, now >= self.newest, false, None);
-        let least = ascent.next(|id| Self::probe(&self.entries, id, now));
-        least.map(|(_, profit)| profit)
+        let (entries, mut least) = (&self.entries, None);
+        self.index.ascend(
+            now,
+            now >= self.newest,
+            false,
+            None,
+            |id| entries.by_id(id).map(|e| (&e.info, id.index() as u64)),
+            |_, profit| {
+                least = Some(profit);
+                false
+            },
+        );
+        least
     }
 
     fn max_retained_profit(&mut self, now: Timestamp) -> Option<Profit> {
@@ -683,11 +639,9 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         // Price the victims LNC-R would actually pick for this shrink.
         let needed = (bytes - free).min(self.used_bytes);
         let victims = self.select_victims(needed, now)?;
-        Some(Profit::of_list(victims.iter().filter_map(|&id| {
-            self.entries
-                .by_id(id)
-                .map(|e| (e.history.rate(now).unwrap_or(0.0), e.cost, e.size_bytes))
-        })))
+        let loss = self.list_profit(&victims, now);
+        self.victims = victims;
+        Some(loss)
     }
 
     fn grow_gain(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
@@ -735,7 +689,10 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     }
 
     fn cached_keys(&self) -> Vec<QueryKey> {
-        self.entries.iter().map(|(_, e)| e.key.clone()).collect()
+        self.entries
+            .iter()
+            .map(|(_, e)| e.info.key.clone())
+            .collect()
     }
 }
 

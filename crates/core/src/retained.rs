@@ -33,7 +33,7 @@
 //! history.
 
 use crate::clock::Timestamp;
-use crate::decay::{DecayIndex, Scored, Spot};
+use crate::decay::DecayIndex;
 use crate::history::ReferenceHistory;
 use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
@@ -68,10 +68,6 @@ impl RetainedInfo {
     pub fn metadata_bytes(&self) -> u64 {
         self.key.metadata_bytes() + self.history.metadata_bytes() + 16
     }
-
-    fn spot(&self) -> Spot {
-        Spot::of(&self.history, self.cost, self.size_bytes).ungrouped()
-    }
 }
 
 impl KeyedEntry for RetainedInfo {
@@ -87,6 +83,8 @@ pub struct RetainedStore {
     index: DecayIndex,
     /// The latest reference recorded in any history held.
     newest: Timestamp,
+    /// What a purge is about to drop, kept for its allocation.
+    doomed: Vec<EntryId>,
     /// Hard safety bound on the number of retained entries; the profit-based
     /// policy normally keeps the table far smaller, but a bound protects
     /// against pathological workloads where the cache is empty (min profit is
@@ -149,30 +147,6 @@ impl RetainedStore {
         }
     }
 
-    /// Hands out the histories in ascending `(profit, signature)` order at
-    /// `now` — those with a profit under `below`, if given — until `visit`
-    /// returns `false`.
-    fn ascend(
-        &mut self,
-        now: Timestamp,
-        below: Option<Profit>,
-        mut visit: impl FnMut(&mut EntryStore<RetainedInfo>, EntryId, Profit) -> bool,
-    ) {
-        let entries = &mut self.entries;
-        let mut ascent = self.index.ascend(now, now >= self.newest, false, below);
-        while let Some((id, profit)) = ascent.next(|id| {
-            entries.by_id(id).map(|info| Scored {
-                spot: info.spot(),
-                profit: info.profit(now),
-                tie: info.key.signature().value(),
-            })
-        }) {
-            if !visit(entries, id, profit) {
-                break;
-            }
-        }
-    }
-
     /// Inserts or replaces retained information.  If the store is at its hard
     /// bound, the entry with the lowest profit is dropped first (ties broken
     /// by key signature, so displacement is deterministic rather than
@@ -181,34 +155,40 @@ impl RetainedStore {
         self.newest = self
             .newest
             .max(info.history.last_reference().unwrap_or(Timestamp::ZERO));
-        let spot = info.spot();
         if let Some(id) = self.entries.find(&info.key) {
             // A new size or cost can lower the profit: re-file at once.
-            self.index.file(&spot, id);
+            self.index.file(&info, id);
             *self.entries.by_id_mut(id).expect("found above") = info;
             return;
         }
         if self.entries.len() >= self.max_entries {
             // Only displace an existing entry if the newcomer is at least
             // as valuable; otherwise drop the newcomer.
-            let newcomer = info.profit(now);
-            let mut admitted = true;
-            self.ascend(now, None, |entries, worst, profit| {
-                admitted = newcomer >= profit;
-                if admitted {
-                    entries.remove(worst);
-                }
-                false
-            });
-            if !admitted {
-                return;
-            }
+            let (entries, mut worst) = (&self.entries, None);
+            self.index.ascend(
+                now,
+                now >= self.newest,
+                false,
+                None,
+                |id| {
+                    entries
+                        .by_id(id)
+                        .map(|info| (info, info.key.signature().value()))
+                },
+                |id, profit| {
+                    worst = Some((id, profit));
+                    false
+                },
+            );
+            match worst {
+                Some((_, profit)) if info.profit(now) < profit => return,
+                Some((id, _)) => self.entries.remove(id),
+                None => None,
+            };
         }
         let id = self.entries.insert(info);
-        self.index.file(&spot, id);
-        let entries = &self.entries;
         self.index
-            .sweep(entries.len(), |id| entries.by_id(id).is_some());
+            .file(self.entries.by_id(id).expect("just inserted"), id);
     }
 
     /// Removes and returns the retained information for `key`, typically
@@ -227,13 +207,28 @@ impl RetainedStore {
     pub fn purge_below(&mut self, min_cached_profit: Profit, now: Timestamp) -> usize {
         let before = self.entries.len();
         if min_cached_profit > Profit::ZERO {
-            self.ascend(now, Some(min_cached_profit), |entries, id, profit| {
-                let drop = profit < min_cached_profit;
-                if drop {
-                    entries.remove(id);
-                }
-                drop
-            });
+            let (entries, doomed) = (&self.entries, &mut self.doomed);
+            self.index.ascend(
+                now,
+                now >= self.newest,
+                false,
+                Some(min_cached_profit),
+                |id| {
+                    entries
+                        .by_id(id)
+                        .map(|info| (info, info.key.signature().value()))
+                },
+                |id, profit| {
+                    let drop = profit < min_cached_profit;
+                    if drop {
+                        doomed.push(id);
+                    }
+                    drop
+                },
+            );
+            for id in self.doomed.drain(..) {
+                self.entries.remove(id);
+            }
         }
         before - self.entries.len()
     }
