@@ -149,6 +149,16 @@ const PRE_PR_MEASURED_10K: &[(&str, f64)] = &[
     ("GreedyDual-Size", 51_637.0),
 ];
 
+/// LNC admissions/sec as committed before the decay index replaced the
+/// per-decision rescore and the retained-store scan (PR 13), same workload:
+/// the reference points for ROADMAP item 2's "≥ 100x at 100 000 entries".
+const PRE_PR_13: &[(&str, usize, f64)] = &[
+    ("LNC-RA", 10_000, 7_530.2),
+    ("LNC-R", 10_000, 7_827.8),
+    ("LNC-RA", 100_000, 645.4),
+    ("LNC-R", 100_000, 631.3),
+];
+
 /// One measured cell of the report.
 struct PressureResult {
     policy: String,
@@ -260,7 +270,7 @@ fn measure_scan_gds(entries: usize, ops: u64) -> PressureResult {
 }
 
 /// The pre-index LNC-R admission path, cost-faithful to what `lnc.rs` did
-/// per admission before the epoch-cached ranking:
+/// per admission before it kept any order between decisions:
 ///
 /// 1. re-sum every entry's size (the `total` recompute this PR fixed),
 /// 2. collect every cached set's `(samples, profit)` and stable-sort the lot
@@ -531,8 +541,22 @@ fn eviction_pressure_report(quick: bool, assert_ref: Option<&str>) {
         }
     }
 
+    let mut pre_pr_13 = Vec::new();
+    for &(policy, entries, rate) in PRE_PR_13 {
+        let now = results
+            .iter()
+            .find(|r| r.policy == policy && r.entries == entries);
+        let factor = now.map_or("null".to_owned(), |r| {
+            format!("{:.1}", r.admissions_per_sec / rate)
+        });
+        println!("{policy:>34} @{entries} vs pre-PR-13: {factor}x");
+        pre_pr_13.push(format!(
+            "{{\"policy\": \"{policy}\", \"entries\": {entries}, \"admissions_per_sec\": {rate:.1}, \"speedup\": {factor}}}"
+        ));
+    }
+
     let json = format!(
-        "{{\n  \"benchmark\": \"micro_cache_ops/eviction_pressure\",\n  \"payload_bytes\": {},\n  \"quick\": {},\n  \"results\": [\n    {}\n  ],\n  \"scan_baselines\": [\n    {}\n  ],\n  \"pre_pr_measured_at_10k\": [\n    {}\n  ],\n  \"speedup_vs_scan_baseline_at_10k\": {{\"GreedyDual-Size\": {}, \"LNC-R\": {}}},\n  \"speedup_vs_pre_pr_at_10k\": {{{}}}\n}}\n",
+        "{{\n  \"benchmark\": \"micro_cache_ops/eviction_pressure\",\n  \"payload_bytes\": {},\n  \"quick\": {},\n  \"results\": [\n    {}\n  ],\n  \"scan_baselines\": [\n    {}\n  ],\n  \"pre_pr_measured_at_10k\": [\n    {}\n  ],\n  \"speedup_vs_scan_baseline_at_10k\": {{\"GreedyDual-Size\": {}, \"LNC-R\": {}}},\n  \"speedup_vs_pre_pr_at_10k\": {{{}}},\n  \"pre_pr_13\": [\n    {}\n  ]\n}}\n",
         PAYLOAD_BYTES,
         quick,
         results
@@ -555,6 +579,7 @@ fn eviction_pressure_report(quick: bool, assert_ref: Option<&str>) {
         gds_speedup.map_or("null".to_owned(), |s| format!("{s:.2}")),
         lnc_speedup.map_or("null".to_owned(), |s| format!("{s:.2}")),
         pre_pr_speedups.join(", "),
+        pre_pr_13.join(",\n    "),
     );
     // Cargo runs benches with the package directory as CWD; anchor the
     // report at the workspace root so the committed artifact stays in place.

@@ -114,12 +114,11 @@ impl Bucket {
         Profit::new(self.floor * SLACK / now.saturating_since(anchor).max(1) as f64)
     }
 
-    fn remove(&mut self, item: &(Timestamp, EntryId)) -> bool {
-        let removed = self.items.remove(item);
+    fn remove(&mut self, item: &(Timestamp, EntryId)) {
+        self.items.remove(item);
         if self.items.is_empty() {
             self.floor = f64::INFINITY;
         }
-        removed
     }
 }
 
@@ -350,9 +349,7 @@ impl DecayIndex {
         }
         let live = self.positions[slot.index()] == position;
         match if live { probe(slot) } else { None } {
-            None => {
-                self.buckets[at].remove(&item);
-            }
+            None => self.buckets[at].remove(&item),
             Some((set, tie)) => {
                 self.evaluations += 1;
                 let (spot, profit) = (Spot::of(set, self.grouped), set.profit(ascent.now));

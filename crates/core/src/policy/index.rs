@@ -35,8 +35,9 @@
 //!
 //! LNC-R/LNC-RA cannot use a statically keyed index — its profit
 //! `λᵢ(now)·cᵢ/sᵢ` re-evaluates the reference rate at every decision point,
-//! and two sets' profits can cross as `now` advances — so it maintains an
-//! epoch-cached ranking instead; see [`crate::policy::lnc`].
+//! and two sets' profits can cross as `now` advances — so it keys its index
+//! by a lower bound on the profit and confirms every set it reaches with the
+//! exact expression; see [`crate::policy::lnc`].
 
 use std::collections::BTreeSet;
 

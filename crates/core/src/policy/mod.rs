@@ -18,9 +18,10 @@
 //!
 //! # Per-operation complexity
 //!
-//! Every policy maintains an incremental victim index (see [`index`] and the
-//! epoch-cached ranking in [`lnc`]) instead of re-scanning the cache per
-//! eviction, with `n` cached sets and `v` victims per decision:
+//! Every policy maintains an incremental victim index (see [`index`], and
+//! for the LNC policies the decay index described in [`lnc`]) instead of
+//! re-scanning the cache per eviction, with `n` cached sets and `v` victims
+//! per decision:
 //!
 //! | policy | admit | hit | evict (total) | `min_cached_profit` | shrink by `b` |
 //! |---|---|---|---|---|---|
@@ -29,17 +30,18 @@
 //! | LFU | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
 //! | LCS | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
 //! | GreedyDual-Size | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
-//! | LNC-R / LNC-RA | O(1)¹ | O(1)¹ | O(n + v)¹ | O(groups · log n)² | O(n + v)¹ |
+//! | LNC-R / LNC-RA | O(log n) | O(1) | O(b + v log n)¹ | O(b + log n)¹ | O(b + v log n)¹ |
 //!
 //! ¹ LNC profits re-evaluate the Eq. 3 rate at the decision's `now`, and the
-//! profits of two untouched sets can cross as time advances, so an exact
-//! decision at a *new* timestamp must re-score all n profits; the epoch
-//! cache makes that one near-sorted repair pass (amortized O(n), worst case
-//! O(n log n) when the order drifted far) instead of a fresh sort plus
-//! allocation, reuses the order outright for decisions at an unchanged
-//! timestamp, and keeps admissions and hits constant-time (they only mark
-//! the cache dirty).  ² With a current ranking; falls back to the O(n) scan
-//! otherwise.
+//! profits of two untouched sets can cross as time advances, so no static
+//! key orders them.  The decay index files sets in `b` buckets (sample-count
+//! group × the top bits of `samples·c/s`, a few dozen per group) under a
+//! lower bound on their profit that holds until they are referenced again;
+//! a decision merges the bucket fronts, scores the sets it hands out with
+//! the reference expression, and re-scores a set it passes over only a
+//! logarithmic number of times over the set's life.  A hit does not touch
+//! the index.  The one O(n log n) case left is a decision whose `now` lies
+//! before a reference already recorded, where the bound is void.
 //!
 //! The per-policy scan implementations these indexes replaced are retained
 //! under `#[cfg(test)]` as differential-test oracles: the `differential`
