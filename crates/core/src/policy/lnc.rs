@@ -127,6 +127,14 @@ impl<V> KeyedEntry for LncEntry<V> {
     }
 }
 
+/// What the decay index asks of the cache: the set in a slot, and the slot
+/// to order sets of equal profit as the reference's stable sort does.
+fn by_slot<'s, V>(
+    entries: &'s EntryStore<LncEntry<V>>,
+) -> impl FnMut(EntryId) -> Option<(&'s RetainedInfo, u64)> {
+    move |id| Some((&entries.by_id(id)?.info, id.index() as u64))
+}
+
 /// The LNC-R / LNC-RA retrieved-set cache.
 #[derive(Debug, Clone)]
 pub struct LncCache<V> {
@@ -245,7 +253,7 @@ impl<V: CachePayload> LncCache<V> {
             now >= self.newest,
             true,
             None,
-            |id| entries.by_id(id).map(|e| (&e.info, id.index() as u64)),
+            by_slot(entries),
             |id, _| {
                 victims.push(id);
                 freed += entries.by_id(id).map_or(0, |e| e.info.size_bytes);
@@ -617,7 +625,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
             now >= self.newest,
             false,
             None,
-            |id| entries.by_id(id).map(|e| (&e.info, id.index() as u64)),
+            by_slot(entries),
             |_, profit| {
                 least = Some(profit);
                 false

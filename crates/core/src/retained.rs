@@ -76,6 +76,17 @@ impl KeyedEntry for RetainedInfo {
     }
 }
 
+/// What the decay index asks of the store: the history in a slot, and its
+/// signature to order histories of equal profit.
+fn by_signature<'s>(
+    entries: &'s EntryStore<RetainedInfo>,
+) -> impl FnMut(EntryId) -> Option<(&'s RetainedInfo, u64)> {
+    move |id| {
+        let info = entries.by_id(id)?;
+        Some((info, info.key.signature().value()))
+    }
+}
+
 /// The side table of retained reference information.
 #[derive(Debug, Clone, Default)]
 pub struct RetainedStore {
@@ -170,11 +181,7 @@ impl RetainedStore {
                 now >= self.newest,
                 false,
                 None,
-                |id| {
-                    entries
-                        .by_id(id)
-                        .map(|info| (info, info.key.signature().value()))
-                },
+                by_signature(entries),
                 |id, profit| {
                     worst = Some((id, profit));
                     false
@@ -213,11 +220,7 @@ impl RetainedStore {
                 now >= self.newest,
                 false,
                 Some(min_cached_profit),
-                |id| {
-                    entries
-                        .by_id(id)
-                        .map(|info| (info, info.key.signature().value()))
-                },
+                by_signature(entries),
                 |id, profit| {
                     let drop = profit < min_cached_profit;
                     if drop {
