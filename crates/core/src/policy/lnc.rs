@@ -28,9 +28,10 @@
 //! bound, each set it reaches is scored by the reference expression, and a
 //! set is a victim once no unreached bound is at or below its
 //! `(samples, profit, slot)` rank.  A decision looks at the buckets of the
-//! lowest group and the sets within a bucket's width of the last victim, not
-//! at the cache; the victims are bit-identical to the reference sort
-//! (asserted by the differential property tests).
+//! lowest group and at the sets it hands out, not at the cache (a set it
+//! passes over is re-anchored so that it is not looked at again until its
+//! profit has nearly decayed to the answer's); the victims are bit-identical
+//! to the reference sort (asserted by the differential property tests).
 //!
 //! A hit records its reference and nothing else: a reference only raises a
 //! set's group and profit, so the position it was filed at stays a valid
@@ -433,7 +434,10 @@ impl<V: CachePayload> LncCache<V> {
         evicted: Vec<QueryKey>,
         now: Timestamp,
     ) -> InsertOutcome {
-        self.newest = self.newest.max(now);
+        // A retained history can end after `now` when time stepped back.
+        self.newest = self
+            .newest
+            .max(info.history.last_reference().unwrap_or(now));
         self.used_bytes += info.size_bytes;
         let id = self.entries.insert(LncEntry { info, value });
         let entry = self.entries.by_id(id).expect("just inserted");
