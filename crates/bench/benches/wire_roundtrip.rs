@@ -194,10 +194,22 @@ const P99_TOLERANCE: u64 = 3;
 /// The buffered path must beat them by the ratios below.
 const UNBUFFERED_SYSCALLS_PER_FRAME: f64 = 3.22;
 const UNBUFFERED_ALLOCS_PER_FRAME: f64 = 12.05;
-/// Required improvement ratios at pipeline 64 (ISSUE 8 acceptance
-/// criteria): ≥5x fewer syscalls per frame, ≥2x fewer allocations.
+/// Required improvement ratios at pipeline 64: ≥5x fewer syscalls per
+/// frame (ISSUE 8), and — since PR 15 took the served hit from 5.06 to 2.06
+/// allocations (the request's key is decoded in place, the key kernel
+/// allocates once, the handler is pinned on the stack) — ≥4.9x fewer
+/// allocations: at most 2.46 per frame, about a fifth above what is
+/// observed, so one allocation creeping back into the hit path trips it.
 const SYSCALL_IMPROVEMENT_MIN: f64 = 5.0;
-const ALLOC_IMPROVEMENT_MIN: f64 = 2.0;
+const ALLOC_IMPROVEMENT_MIN: f64 = 4.9;
+
+/// The pipeline-64 loopback row as committed before PR 15 (measured on an
+/// earlier, one-core container), and the same parent code re-measured on
+/// the day of PR 15's rows, pinned to one CPU like them.
+const PRE_PR_15_PIPELINE_64: &str =
+    "{\"mode\": \"loopback\", \"pipeline\": 64, \"frames\": 49984, \
+     \"throughput_qps\": 634088.8, \"syscalls_per_frame\": 0.04, \"allocs_per_frame\": 5.06, \
+     \"remeasured_with_pr_15_qps\": 500044.0}";
 
 /// The uninstrumented wire path's pipeline-64 loopback throughput (full
 /// rounds, this container), measured at the commit immediately before the
@@ -320,6 +332,7 @@ fn bench_connection_scaling(quick: bool, loopback: &[PipelineRow]) {
          \"sessions\": {}, \"server_threads\": {}, \"runtime_workers\": {}, \
          \"client_steals\": {}, \"client_parks\": {}, \
          \"p50_us\": {}, \"p99_us\": {}, \"wall_ms\": {:.1}}}\n  ],\n  \
+         \"pre_pr_15\": {PRE_PR_15_PIPELINE_64},\n  \
          \"gate\": {{\"p99_us_observed\": {replay_p99}, \"p99_us_max\": {}, \
          \"pipeline64_syscalls_per_frame\": {:.2}, \"pipeline64_syscalls_max\": {:.2}, \
          \"pipeline64_allocs_per_frame\": {:.2}, \"pipeline64_allocs_max\": {:.2}, \

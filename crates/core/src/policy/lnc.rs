@@ -459,7 +459,8 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     }
 
     fn get(&mut self, key: &QueryKey, now: Timestamp) -> Option<&V> {
-        if let Some(entry) = self.entries.get_mut(key) {
+        if let Some(id) = self.entries.find(key) {
+            let entry = self.entries.by_id_mut(id).expect("found above");
             // Skip duplicate timestamps: a single-flight waiter retrying
             // after an abandoned flight re-issues the same logical
             // reference, and its first pass may already sit in the history
@@ -468,10 +469,8 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
                 entry.info.history.record(now);
                 self.newest = self.newest.max(now);
             }
-            let cost = entry.info.cost;
-            self.stats.record_hit(cost);
-            // Re-borrow immutably for the return value.
-            return self.entries.get(key).map(|e| &e.value);
+            self.stats.record_hit(entry.info.cost);
+            return Some(&entry.value);
         }
         // Miss: record the reference against retained information (if any) so
         // that the admission decision that typically follows sees it.

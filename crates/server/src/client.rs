@@ -7,9 +7,11 @@
 //!   [`Client::rebalance_now`], [`Client::shutdown_server`];
 //! * **Pipelining** — [`Client::get_many`] encodes every request frame
 //!   into one buffer and sends the batch with a single write before
-//!   reading the first response, so a batch pays one round trip — and one
-//!   syscall on the send side — instead of one per query (the server
-//!   answers a connection's requests strictly in order);
+//!   reading the first response, and the responses are read back through
+//!   a buffered [`wire::FrameReader`], so a batch pays one round trip —
+//!   one `send` and, while the responses fit the reader's chunk, one `recv`
+//!   — instead of one per query (the server answers a connection's requests
+//!   strictly in order);
 //! * **Reconnect** — a call that fails with a socket error transparently
 //!   re-establishes the connection (including the handshake) and retries
 //!   under the client's [`RetryPolicy`]: bounded attempts with capped
@@ -128,10 +130,18 @@ pub fn connect_handshaken(addr: &str) -> Result<TcpStream, ClientError> {
     Ok(stream)
 }
 
+/// One established connection: the handshaken stream and the reader that
+/// buffers its responses.  They are made and dropped together — bytes read
+/// ahead from a connection that died must never prefix the next one's.
+struct Connection {
+    stream: TcpStream,
+    reader: wire::FrameReader,
+}
+
 /// A connection to a `watchmand` server.
 pub struct Client {
     addr: String,
-    stream: Option<TcpStream>,
+    conn: Option<Connection>,
     next_id: u64,
     /// Governs reconnect-and-retry of failed batches and the pacing of
     /// `BUSY` retries: bounded attempts, capped exponential backoff,
@@ -149,17 +159,13 @@ pub struct Client {
     /// steady-state batches reuse its capacity instead of growing a fresh
     /// `Vec` per call.
     encode_buf: Vec<u8>,
-    /// Reused response-body buffer for [`wire::read_frame_into`]: after the
-    /// first response it holds capacity for the connection's largest body,
-    /// so reading a frame costs no allocation.
-    read_buf: Vec<u8>,
 }
 
 impl fmt::Debug for Client {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Client")
             .field("addr", &self.addr)
-            .field("connected", &self.stream.is_some())
+            .field("connected", &self.conn.is_some())
             .finish()
     }
 }
@@ -169,13 +175,12 @@ impl Client {
     pub fn connect(addr: impl Into<String>) -> Result<Client, ClientError> {
         let mut client = Client {
             addr: addr.into(),
-            stream: None,
+            conn: None,
             next_id: 0,
             reconnect: RetryPolicy::default(),
             retry_stream: 0,
             read_timeout: None,
             encode_buf: Vec::new(),
-            read_buf: Vec::new(),
         };
         client.ensure_connected()?;
         Ok(client)
@@ -195,8 +200,8 @@ impl Client {
     /// connection, not an eternal block.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) {
         self.read_timeout = timeout;
-        if let Some(stream) = &self.stream {
-            let _ = stream.set_read_timeout(timeout);
+        if let Some(conn) = &self.conn {
+            let _ = conn.stream.set_read_timeout(timeout);
         }
     }
 
@@ -227,15 +232,18 @@ impl Client {
         &self.addr
     }
 
-    fn ensure_connected(&mut self) -> Result<&mut TcpStream, ClientError> {
-        if self.stream.is_none() {
+    fn ensure_connected(&mut self) -> Result<&mut Connection, ClientError> {
+        if self.conn.is_none() {
             let stream = connect_handshaken(&self.addr)?;
             if self.read_timeout.is_some() {
                 let _ = stream.set_read_timeout(self.read_timeout);
             }
-            self.stream = Some(stream);
+            self.conn = Some(Connection {
+                stream,
+                reader: wire::FrameReader::new(),
+            });
         }
-        Ok(self.stream.as_mut().expect("just connected"))
+        Ok(self.conn.as_mut().expect("just connected"))
     }
 
     /// Whether a lost-response retry of `request` is safe.  A retried `GET`
@@ -290,7 +298,7 @@ impl Client {
                     ClientError::Wire(WireError::Io(_) | WireError::Truncated { .. })
                     | ClientError::Connect { .. },
                 ) if retryable && attempt < budget => {
-                    self.stream = None;
+                    self.conn = None;
                     let backoff = self.retry_backoff(attempt);
                     if !backoff.is_zero() {
                         thread::sleep(backoff);
@@ -328,10 +336,8 @@ impl Client {
         let first_id = self.next_id;
         self.next_id += requests.len() as u64;
         self.ensure_connected()?;
-        let stream = self
-            .stream
-            .as_mut()
-            .expect("ensure_connected fills the slot");
+        let Connection { stream, reader } =
+            self.conn.as_mut().expect("ensure_connected fills the slot");
         // Pipelining: every request frame is encoded into one contiguous
         // buffer (length prefixes interleaved in place) and the whole batch
         // goes out in a single write before the first response is read.
@@ -348,12 +354,14 @@ impl Client {
         stream.flush().map_err(WireError::Io)?;
         let mut responses = Vec::with_capacity(requests.len());
         for offset in 0..requests.len() {
-            if !wire::read_frame_into(stream, &mut self.read_buf)? {
-                return Err(ClientError::Wire(WireError::Truncated {
+            // Whatever one `recv` brought is decoded before the next: a
+            // burst of small responses costs one syscall, not two apiece.
+            let body = reader
+                .next_frame_from(stream)?
+                .ok_or(WireError::Truncated {
                     context: "response frame",
-                }));
-            }
-            let (id, response) = wire::decode_response(&self.read_buf)?;
+                })?;
+            let (id, response) = wire::decode_response(body)?;
             let expected = first_id + offset as u64;
             if id != expected {
                 return Err(ClientError::Wire(WireError::Protocol(format!(
@@ -499,8 +507,8 @@ impl Client {
         &mut self,
         f: impl FnOnce(&mut TcpStream) -> R,
     ) -> Result<R, ClientError> {
-        let stream = self.ensure_connected()?;
-        Ok(f(stream))
+        let conn = self.ensure_connected()?;
+        Ok(f(&mut conn.stream))
     }
 
     /// Asks the server to drain and exit.

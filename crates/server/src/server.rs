@@ -51,7 +51,7 @@ use bytes::Bytes;
 use watchman_core::clock::Timestamp;
 use watchman_core::coherence::DependencyObserver;
 use watchman_core::engine::{FailureConfig, LookupSource, PolicyKind, RebalanceConfig, Watchman};
-use watchman_core::key::QueryKey;
+use watchman_core::key::{QueryKey, Signature};
 use watchman_core::runtime::net::{FaultInjector, TcpListener, TcpStream};
 use watchman_core::runtime::{block_on, Runtime};
 use watchman_core::sync::Mutex;
@@ -662,9 +662,9 @@ async fn await_frame(
 /// leader panic resumed in a waiter) resolves to `Err` instead of killing
 /// the session task.
 async fn catch_task_panic<F: Future>(future: F) -> Result<F::Output, ()> {
-    let mut future = Box::pin(future);
+    let mut future = std::pin::pin!(future);
     poll_fn(
-        move |cx| match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(cx))) {
+        |cx| match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(cx))) {
             Ok(Poll::Ready(output)) => Poll::Ready(Ok(output)),
             Ok(Poll::Pending) => Poll::Pending,
             Err(_) => Poll::Ready(Err(())),
@@ -716,9 +716,9 @@ async fn serve_session(stream: TcpStream, guard: SessionGuard) {
             // connection ends; every other connection keeps running.
             Awaited::End => return,
         }
-        // Decode before the handler runs so the borrow of the reader's
-        // buffer ends ahead of the first await point.
-        let decoded = wire::decode_request(reader.take_frame());
+        // Decoded in place: the request's text borrows the reader's buffer,
+        // which is not filled again until this request has been answered.
+        let decoded = wire::decode_request_as::<&str>(reader.take_frame());
         let (request_id, response, shutdown_after) = match decoded {
             Ok((request_id, request)) => {
                 let shutdown_after = matches!(request, Request::Shutdown);
@@ -787,11 +787,11 @@ fn parse_thread_count(status: &str) -> Option<u32> {
         .and_then(|rest| rest.trim().parse().ok())
 }
 
-async fn handle_request(shared: &Shared, request: Request) -> Response {
+async fn handle_request(shared: &Shared, request: Request<&str>) -> Response {
     match request {
         Request::Get(get) => handle_get(shared, get).await,
         Request::Peek { key } => {
-            let key = QueryKey::from_raw_query(&key);
+            let key = QueryKey::from_raw_query(key);
             match shared.engine.peek(&key) {
                 Some(value) => Response::Peek {
                     cached: true,
@@ -811,7 +811,7 @@ async fn handle_request(shared: &Shared, request: Request) -> Response {
             Response::Stats(snapshot)
         }
         Request::Invalidate { relation } => {
-            let report = shared.deps.apply_update(&shared.engine, &relation);
+            let report = shared.deps.apply_update(&shared.engine, relation);
             Response::Invalidate {
                 affected: report.affected.len() as u32,
                 invalidated: report.invalidated.len() as u32,
@@ -938,13 +938,14 @@ fn retry_after_hint(shared: &Shared) -> u64 {
 /// One shed: the server-local counter (folded into `STATS`), the telemetry
 /// counter, and a `Shed` anomaly trace carrying the refused query's
 /// signature and the hint the client was sent.
-fn record_shed(shared: &Shared, get: &GetRequest, retry_after_us: u64) {
+fn record_shed(shared: &Shared, get: &GetRequest<&str>, retry_after_us: u64) {
     shared.sheds.fetch_add(1, Ordering::Relaxed);
     let telemetry = telemetry::global();
     telemetry.sheds.incr();
     telemetry.anomaly(
         TraceKind::Shed,
-        QueryKey::from_raw_query(&get.key).signature().value(),
+        // Signature only: a shedding server has no CPU to build keys with.
+        Signature::of_raw_query(get.key).value(),
         shared.inflight.load(Ordering::SeqCst) as u64,
         retry_after_us,
     );
@@ -961,7 +962,7 @@ fn record_service_time(shared: &Shared, service_us: u64) {
     shared.service_ewma_us.store(next, Ordering::Relaxed);
 }
 
-async fn handle_get(shared: &Shared, get: GetRequest) -> Response {
+async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response {
     if get.result_bytes > MAX_RESULT_BYTES {
         return Response::Error {
             message: format!(
@@ -993,7 +994,7 @@ async fn handle_get(shared: &Shared, get: GetRequest) -> Response {
         }
     }
     let started = telemetry::now();
-    let key = QueryKey::from_raw_query(&get.key);
+    let key = QueryKey::from_raw_query(get.key);
     let now = Timestamp::from_micros(get.timestamp_us);
     let signature = key.signature().value();
     let result_bytes = get.result_bytes;

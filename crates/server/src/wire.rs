@@ -86,15 +86,19 @@
 //! is decoded before the opcode precisely so this is possible), which is
 //! what lets newer clients degrade gracefully against older servers.
 //!
-//! ## Buffered session IO
+//! ## Buffered IO
 //!
 //! Framing helpers come in two tiers.  The per-frame helpers
-//! ([`read_frame`], [`write_frame`] and their async variants) issue one
-//! syscall per frame — right for lockstep callers with a single request in
-//! flight.  Session hot paths use [`FrameReader`] / [`FrameWriter`]
-//! instead: the reader drains every pipelined frame a single `recv`
-//! returned out of a reusable buffer, and the writer stages each burst's
-//! responses and flushes them as one vectored write.  The analyzer's
+//! ([`read_frame`], [`write_frame`] and their async variants) issue two
+//! syscalls per frame — right for the handshake and for lockstep callers
+//! with a single request in flight.  Everything after the handshake, on
+//! **both** ends, reads through a [`FrameReader`]: it drains every pipelined
+//! frame a single `recv` returned out of a reusable buffer, filled by
+//! [`poll_fill`](FrameReader::poll_fill) in a server session and by its
+//! blocking twin [`fill_from`](FrameReader::fill_from) in the client, so a
+//! depth-32 burst costs each side one `recv`, not 64.  Sessions answer
+//! through a [`FrameWriter`], which stages each burst's responses and
+//! flushes them as one vectored write.  The analyzer's
 //! `unbuffered-frame-write-in-session` rule keeps the per-frame helpers
 //! out of session paths.
 
@@ -223,12 +227,14 @@ impl From<io::Error> for WireError {
 }
 
 /// One `GET` request: the replay protocol of the simulator carried over the
-/// wire (see the [module docs](self) for field semantics).
+/// wire (see the [module docs](self) for field semantics).  `K` is how the
+/// text is held: `String` for a request to send, `&str` for one decoded in
+/// place from its frame ([`decode_request_as`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct GetRequest {
+pub struct GetRequest<K = String> {
     /// Raw query text; the server derives the cache key with
     /// [`QueryKey::from_raw_query`](watchman_core::key::QueryKey::from_raw_query).
-    pub key: String,
+    pub key: K,
     /// Logical timestamp of the reference in microseconds.
     pub timestamp_us: u64,
     /// Size of the retrieved set executing the query would produce.
@@ -268,23 +274,23 @@ impl GetRequest {
     }
 }
 
-/// A decoded request frame payload.
+/// A decoded request frame payload (`K` as in [`GetRequest`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+pub enum Request<K = String> {
     /// Look up a query, executing on a miss (single-flight across every
     /// connection).
-    Get(GetRequest),
+    Get(GetRequest<K>),
     /// Non-mutating admin probe: is this query cached, and how large is it?
     Peek {
         /// Raw query text of the probed key.
-        key: String,
+        key: K,
     },
     /// Fetch the engine's full [`StatsSnapshot`].
     Stats,
     /// Invalidate every cached set that depends on a base relation.
     Invalidate {
         /// The updated base relation (case-insensitive match).
-        relation: String,
+        relation: K,
     },
     /// Run one capacity-rebalance pass immediately.
     RebalanceNow {
@@ -429,37 +435,23 @@ pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads one frame body, enforcing [`MAX_FRAME_BYTES`].
+/// Reads one frame body, enforcing [`MAX_FRAME_BYTES`] before the body is
+/// allocated.
 ///
 /// Returns `Ok(None)` on a clean EOF *between* frames; EOF inside a frame is
 /// a [`WireError::Truncated`] error.
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    let mut body = Vec::new();
-    Ok(read_frame_into(reader, &mut body)?.then_some(body))
-}
-
-/// Reads one frame body into `buf`, reusing its capacity across calls.
-///
-/// The steady-state twin of [`read_frame`] for callers that read many
-/// frames on one connection: `buf` is cleared and refilled in place, so
-/// once it has grown to the connection's largest body size every further
-/// frame arrives without touching the allocator.  Returns `Ok(true)` with
-/// the body in `buf`, or `Ok(false)` on a clean EOF *between* frames
-/// (`buf` left empty); EOF inside a frame is a [`WireError::Truncated`]
-/// error and [`MAX_FRAME_BYTES`] is enforced before the body is read.
-pub fn read_frame_into(reader: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, WireError> {
-    buf.clear();
     let mut header = [0u8; 4];
     match read_exact_or_eof(reader, &mut header)? {
-        ReadOutcome::Eof => return Ok(false),
+        ReadOutcome::Eof => return Ok(None),
         ReadOutcome::Full => {}
     }
     let declared = u32::from_le_bytes(header);
     if declared > MAX_FRAME_BYTES {
         return Err(WireError::FrameTooLarge { declared });
     }
-    buf.resize(declared as usize, 0);
-    reader.read_exact(buf).map_err(|err| {
+    let mut body = vec![0u8; declared as usize];
+    reader.read_exact(&mut body).map_err(|err| {
         if err.kind() == io::ErrorKind::UnexpectedEof {
             WireError::Truncated {
                 context: "frame body",
@@ -468,7 +460,7 @@ pub fn read_frame_into(reader: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool
             WireError::Io(err)
         }
     })?;
-    Ok(true)
+    Ok(Some(body))
 }
 
 /// Writes one frame to a reactor-driven stream (async twin of
@@ -554,10 +546,10 @@ fn read_exact_or_eof(reader: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutco
 /// in one syscall at depth 64.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// A buffered frame reader: one reusable userspace buffer per session that
-/// drains as many pipelined frames per `recv` as arrived, instead of the
-/// two-plus syscalls per frame the unbuffered [`read_frame_async`] costs
-/// (header `read_exact`, then body).
+/// A buffered frame reader: one reusable userspace buffer per connection
+/// end that drains as many pipelined frames per `recv` as arrived, instead
+/// of the two-plus syscalls per frame the unbuffered [`read_frame`] /
+/// [`read_frame_async`] cost (header `read_exact`, then body).
 ///
 /// [`FrameReader::take_frame`] hands the frame body out as a slice into the
 /// buffer — no per-frame allocation — whose borrow ends when the caller is
@@ -674,13 +666,9 @@ impl FrameReader {
         self.end += bytes.len();
     }
 
-    /// Polls one `recv` into the buffer; `Ok(0)` is end-of-stream.  Sized so
-    /// a visible partial frame's whole body fits in one read.
-    pub fn poll_fill(
-        &mut self,
-        cx: &mut Context<'_>,
-        stream: &NetStream,
-    ) -> Poll<io::Result<usize>> {
+    /// The space one `recv` reads into: at least [`READ_CHUNK`], and enough
+    /// that a visible partial frame's whole body fits in one read.
+    fn room(&mut self) -> &mut [u8] {
         let want = match self.declared_len() {
             Some(declared) => {
                 let total = 4 + declared.min(MAX_FRAME_BYTES) as usize;
@@ -689,8 +677,16 @@ impl FrameReader {
             None => READ_CHUNK,
         };
         self.ensure_room(want);
-        let end = self.end;
-        let n = ready!(stream.poll_read(cx, &mut self.buf[end..]))?;
+        &mut self.buf[self.end..]
+    }
+
+    /// Polls one `recv` into the buffer; `Ok(0)` is end-of-stream.
+    pub fn poll_fill(
+        &mut self,
+        cx: &mut Context<'_>,
+        stream: &NetStream,
+    ) -> Poll<io::Result<usize>> {
+        let n = ready!(stream.poll_read(cx, self.room()))?;
         self.end += n;
         Poll::Ready(Ok(n))
     }
@@ -699,6 +695,21 @@ impl FrameReader {
     /// end-of-stream.
     pub async fn fill(&mut self, stream: &NetStream) -> io::Result<usize> {
         poll_fn(|cx| self.poll_fill(cx, stream)).await
+    }
+
+    /// The blocking twin of [`fill`](Self::fill): one `read` into the same
+    /// buffer, sized the same way; `Ok(0)` is end-of-stream.
+    pub fn fill_from(&mut self, reader: &mut impl Read) -> io::Result<usize> {
+        loop {
+            match reader.read(self.room()) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err),
+            }
+        }
     }
 
     /// Which decode step an EOF right now would truncate — mirrors the
@@ -711,22 +722,37 @@ impl FrameReader {
         }
     }
 
+    /// What end-of-stream means right now: `Ok(None)` *between* frames,
+    /// [`WireError::Truncated`] inside one.
+    fn end_of_stream(&self) -> Result<Option<&[u8]>, WireError> {
+        if self.buffered() == 0 {
+            Ok(None)
+        } else {
+            Err(WireError::Truncated {
+                context: self.truncation_context(),
+            })
+        }
+    }
+
     /// Reads the next frame: the buffered twin of [`read_frame_async`],
     /// returning `Ok(None)` on a clean EOF *between* frames and
     /// [`WireError::Truncated`] on EOF inside one.
     pub async fn next_frame(&mut self, stream: &NetStream) -> Result<Option<&[u8]>, WireError> {
-        loop {
-            if self.frame_ready()? {
-                break;
-            }
+        while !self.frame_ready()? {
             if self.fill(stream).await? == 0 {
-                return if self.buffered() == 0 {
-                    Ok(None)
-                } else {
-                    Err(WireError::Truncated {
-                        context: self.truncation_context(),
-                    })
-                };
+                return self.end_of_stream();
+            }
+        }
+        Ok(Some(self.take_frame()))
+    }
+
+    /// The blocking twin of [`next_frame`](Self::next_frame), and of
+    /// [`read_frame`] with the same outcomes: the client's one read path
+    /// after the handshake.
+    pub fn next_frame_from(&mut self, reader: &mut impl Read) -> Result<Option<&[u8]>, WireError> {
+        while !self.frame_ready()? {
+            if self.fill_from(reader)? == 0 {
+                return self.end_of_stream();
             }
         }
         Ok(Some(self.take_frame()))
@@ -935,8 +961,13 @@ impl<'a> BodyReader<'a> {
         Ok(self.take(len, context)?.to_vec())
     }
 
+    fn str(&mut self, context: &'static str) -> Result<&'a str, WireError> {
+        let len = self.u32(context)? as usize;
+        std::str::from_utf8(self.take(len, context)?).map_err(|_| WireError::InvalidUtf8)
+    }
+
     fn string(&mut self, context: &'static str) -> Result<String, WireError> {
-        String::from_utf8(self.bytes(context)?).map_err(|_| WireError::InvalidUtf8)
+        self.str(context).map(str::to_owned)
     }
 
     fn finish(&self) -> Result<(), WireError> {
@@ -1029,12 +1060,21 @@ pub fn encode_request_into(out: &mut Vec<u8>, request_id: u64, request: &Request
 
 /// Decodes a request frame body into `(request_id, request)`.
 pub fn decode_request(body: &[u8]) -> Result<(u64, Request), WireError> {
+    decode_request_as(body)
+}
+
+/// The request decoder, generic over how the request holds its text:
+/// `String` copies it out of the frame, `&str` reads it in place — what a
+/// session does, since it is done with the frame before it reads the next.
+pub fn decode_request_as<'a, K: From<&'a str>>(
+    body: &'a [u8],
+) -> Result<(u64, Request<K>), WireError> {
     let mut reader = BodyReader::new(body);
     let request_id = reader.u64("request id")?;
     let opcode = reader.u8("opcode")?;
     let request = match opcode {
         OP_GET => Request::Get(GetRequest {
-            key: reader.string("GET key")?,
+            key: reader.str("GET key")?.into(),
             timestamp_us: reader.u64("GET timestamp")?,
             result_bytes: reader.u64("GET result bytes")?,
             cost_blocks: reader.u64("GET cost")?,
@@ -1043,11 +1083,11 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, Request), WireError> {
             payload_prefix_cap: reader.u32("GET prefix cap")?,
         }),
         OP_PEEK => Request::Peek {
-            key: reader.string("PEEK key")?,
+            key: reader.str("PEEK key")?.into(),
         },
         OP_STATS => Request::Stats,
         OP_INVALIDATE => Request::Invalidate {
-            relation: reader.string("INVALIDATE relation")?,
+            relation: reader.str("INVALIDATE relation")?.into(),
         },
         OP_REBALANCE_NOW => Request::RebalanceNow {
             timestamp_us: reader.u64("REBALANCE_NOW timestamp")?,
@@ -1612,6 +1652,152 @@ mod tests {
                 Err(error) => return (frames, Some(format!("{error:?}"))),
             }
         }
+    }
+
+    /// A `Read` over fixed bytes that hands out at most `next_chunk()` bytes
+    /// per call (and never more than the caller has room for) and counts
+    /// the calls — a socket whose `recv` sizes the test scripts.
+    struct ScriptedRead<'a, F> {
+        bytes: &'a [u8],
+        next_chunk: F,
+        reads: usize,
+    }
+
+    impl<F: FnMut() -> usize> Read for ScriptedRead<'_, F> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = (self.next_chunk)()
+                .max(1)
+                .min(buf.len())
+                .min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// The client's read path over `bytes`: frames and terminal outcome in
+    /// the shape of [`unbuffered_replay`], plus how many reads it took.
+    fn blocking_replay(
+        bytes: &[u8],
+        next_chunk: impl FnMut() -> usize,
+    ) -> (Vec<Vec<u8>>, Option<String>, usize) {
+        let mut source = ScriptedRead {
+            bytes,
+            next_chunk,
+            reads: 0,
+        };
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        let outcome = loop {
+            match reader.next_frame_from(&mut source) {
+                Ok(Some(frame)) => frames.push(frame.to_vec()),
+                Ok(None) => break None,
+                Err(error) => break Some(format!("{error:?}")),
+            }
+        };
+        (frames, outcome, source.reads)
+    }
+
+    #[test]
+    fn blocking_reader_matches_the_unbuffered_codec_at_every_split() {
+        // Responses of three shapes, one of them larger than READ_CHUNK.
+        let mut stream = Vec::new();
+        for (id, prefix_len) in [(0u64, 0usize), (1, 5), (2, READ_CHUNK + 100), (3, 0)] {
+            let response = Response::Get(GetResponse {
+                source: WireSource::Hit,
+                cost_blocks: 3.0,
+                full_len: prefix_len as u64,
+                prefix: (0..=255u8).cycle().take(prefix_len).collect(),
+                service_us: id,
+                deadline_exceeded: false,
+            });
+            write_frame(&mut stream, &encode_response(id, &response).unwrap()).unwrap();
+        }
+        let expected = unbuffered_replay(&stream);
+        assert_eq!(expected.0.len(), 4);
+        // One read of `split` bytes, then the rest: every byte offset of
+        // the stream is the split point once.
+        for split in 1..stream.len() {
+            let mut first = true;
+            let chunk = move || {
+                if std::mem::take(&mut first) {
+                    split
+                } else {
+                    usize::MAX
+                }
+            };
+            let (frames, outcome, _) = blocking_replay(&stream, chunk);
+            assert_eq!((frames, outcome), expected.clone(), "split at {split}");
+        }
+        for chunk in [1, 2, 3, 5, 4_096, usize::MAX] {
+            let (frames, outcome, _) = blocking_replay(&stream, || chunk);
+            assert_eq!((frames, outcome), expected.clone(), "chunk size {chunk}");
+        }
+    }
+
+    #[test]
+    fn blocking_reader_reports_eof_and_oversize_like_the_unbuffered_codec() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"good").unwrap();
+        write_frame(&mut stream, b"truncated body").unwrap();
+        // EOF inside the second frame's header (cut 10) and body (cut 14).
+        for (cut, context) in [(10, "frame header"), (14, "frame body")] {
+            let (frames, outcome, _) = blocking_replay(&stream[..cut], || 3);
+            let expected = unbuffered_replay(&stream[..cut]);
+            assert_eq!((frames, outcome.clone()), expected, "cut at {cut}");
+            assert!(outcome.unwrap().contains(context), "cut at {cut}");
+        }
+        // An oversized prefix fails on its four bytes: nothing past the
+        // chunk already requested is read, and no room is made for the body.
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"good").unwrap();
+        stream.extend_from_slice(&MAX_FRAME_BYTES.saturating_add(1).to_le_bytes());
+        stream.extend_from_slice(&vec![0u8; 3 * READ_CHUNK]);
+        let mut source = ScriptedRead {
+            bytes: &stream,
+            next_chunk: || 12,
+            reads: 0,
+        };
+        let mut reader = FrameReader::new();
+        assert_eq!(
+            reader.next_frame_from(&mut source).unwrap().unwrap(),
+            b"good"
+        );
+        assert!(matches!(
+            reader.next_frame_from(&mut source),
+            Err(WireError::FrameTooLarge { .. })
+        ));
+        assert_eq!(source.reads, 1, "the header was in the first read");
+        assert!(reader.buf.len() <= 2 * READ_CHUNK, "no body was buffered");
+    }
+
+    #[test]
+    fn a_depth_32_burst_of_small_responses_costs_at_most_two_reads() {
+        let mut stream = Vec::new();
+        for id in 0..32u64 {
+            let response = Response::Get(GetResponse {
+                source: WireSource::Hit,
+                cost_blocks: 1.0,
+                full_len: 4_096,
+                prefix: Vec::new(),
+                service_us: 1,
+                deadline_exceeded: false,
+            });
+            write_frame(&mut stream, &encode_response(id, &response).unwrap()).unwrap();
+        }
+        let mut source = ScriptedRead {
+            bytes: &stream,
+            next_chunk: || usize::MAX,
+            reads: 0,
+        };
+        let mut reader = FrameReader::new();
+        for id in 0..32u64 {
+            let body = reader.next_frame_from(&mut source).unwrap().unwrap();
+            assert_eq!(decode_response(body).unwrap().0, id);
+        }
+        // The unbuffered path paid two reads per response: 64.
+        assert!(source.reads <= 2, "{} reads for one burst", source.reads);
     }
 
     #[test]

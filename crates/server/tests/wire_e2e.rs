@@ -596,3 +596,109 @@ fn client_reconnects_transparently_after_a_server_side_drop() {
     assert_eq!(response.source, WireSource::Hit);
     server.join();
 }
+
+#[test]
+fn a_connection_killed_mid_burst_leaves_no_bytes_for_the_retry() {
+    use std::net::TcpListener;
+    use watchman_core::engine::RetryPolicy;
+    use watchman_server::wire::{GetResponse, WireError};
+
+    // A scripted peer, so the kill can land in the middle of a frame: the
+    // client reads responses through a buffer, and whatever that buffer
+    // held when the connection died must not prefix the next connection's
+    // first response.
+    const BATCH: usize = 8;
+
+    /// Accepts one connection, serves the handshake and reads one burst.
+    fn accept_burst(listener: &TcpListener) -> (TcpStream, Vec<(u64, u64)>) {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let hello = wire::read_frame(&mut stream).expect("hello").expect("sent");
+        wire::decode_hello(&hello).expect("client hello");
+        wire::write_frame(&mut stream, &wire::encode_hello()).expect("server hello");
+        let burst = (0..BATCH)
+            .map(|_| {
+                let frame = wire::read_frame(&mut stream).expect("frame").expect("sent");
+                match wire::decode_request(&frame).expect("request") {
+                    (id, Request::Get(get)) => (id, get.result_bytes),
+                    other => panic!("expected a GET, got {other:?}"),
+                }
+            })
+            .collect();
+        (stream, burst)
+    }
+
+    /// The response frame for request `id`, recognisable by `full_len`.
+    fn answer(id: u64, full_len: u64) -> Vec<u8> {
+        let response = Response::Get(GetResponse {
+            source: WireSource::Hit,
+            cost_blocks: 1.0,
+            full_len,
+            prefix: Vec::new(),
+            service_us: 0,
+            deadline_exceeded: false,
+        });
+        let mut frame = Vec::new();
+        wire::write_frame(&mut frame, &wire::encode_response(id, &response).unwrap()).unwrap();
+        frame
+    }
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let peer = std::thread::spawn(move || {
+        // Connection 1: two whole responses and most of a third, then dead.
+        let (mut stream, burst) = accept_burst(&listener);
+        let bytes: Vec<u8> = burst[..3]
+            .iter()
+            .flat_map(|&(id, full_len)| answer(id, full_len))
+            .collect();
+        stream
+            .write_all(&bytes[..bytes.len() - 9])
+            .expect("partial");
+        drop(stream);
+        // Connection 2: the retried burst (under fresh ids), answered whole.
+        let (mut stream, burst) = accept_burst(&listener);
+        for &(id, full_len) in &burst {
+            stream.write_all(&answer(id, full_len)).expect("answer");
+        }
+        // Then a request nobody answers: only the client's read timeout
+        // ends that call.  Hold the socket open until the client hangs up.
+        let _ = wire::read_frame(&mut stream);
+        let _ = stream.read(&mut [0u8; 1]);
+    });
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.set_read_timeout(Some(Duration::from_millis(200)));
+    client.set_retry_policy(RetryPolicy {
+        max_attempts: 2,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(5),
+        jitter_seed: 7,
+    });
+    let requests: Vec<GetRequest> = (0..BATCH)
+        .map(|k| GetRequest::metrics_only(format!("SELECT k{k} FROM t"), 1_000, 100 + k as u64, 1))
+        .collect();
+    let responses = client.get_many(requests).expect("the retry succeeds");
+    for (k, response) in responses.iter().enumerate() {
+        assert_eq!(response.full_len, 100 + k as u64, "response {k}");
+    }
+
+    // The read timeout was set before the reconnect and still binds the
+    // stream the reconnect made.
+    client.set_retry_policy(RetryPolicy::none());
+    let started = Instant::now();
+    let error = client
+        .get(GetRequest::metrics_only(
+            "SELECT stalled FROM t",
+            2_000,
+            64,
+            1,
+        ))
+        .expect_err("nobody answers");
+    assert!(
+        matches!(error, ClientError::Wire(WireError::Io(_))),
+        "{error:?}"
+    );
+    assert!(started.elapsed() < Duration::from_secs(5));
+    drop(client);
+    peer.join().expect("peer thread");
+}
