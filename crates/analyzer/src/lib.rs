@@ -29,8 +29,10 @@
 //!    and with one worker per core a handful of such tasks deadlock the
 //!    whole runtime.
 //! 4. **`policy-signal-coverage`** — every `QueryCache` impl under
-//!    `policy/` must define the signal-method set the engine's replacement,
-//!    rebalance and failure loops drive (`min_cached_profit`,
+//!    `policy/` (two today: `RankedCache`, which is all five rule-ranked
+//!    baselines, and `LncCache`) must define the signal-method set the
+//!    engine's replacement, rebalance and failure loops drive
+//!    (`min_cached_profit`,
 //!    `set_capacity_bytes`, `peek`, `record_coalesced_reference`,
 //!    `record_error_reference`, `record_stale_reference`, `clear`), and
 //!    every variant of `enum PolicyKind` must appear in a

@@ -2,8 +2,8 @@
 //! admission with eviction, LNC-R victim selection pressure, and the
 //! concurrent engine — plus an **eviction-pressure report**: every policy is
 //! filled to capacity and hammered with admissions that each force an
-//! eviction, measuring sustained admissions/sec against the pre-index
-//! scan/sort implementations (re-created locally below as baselines).  The
+//! eviction, measuring sustained admissions/sec beside the rates measured
+//! once on the scan/sort implementations the victim indexes replaced.  The
 //! report is written to `BENCH_policy_ops.json` at the workspace root so
 //! the perf trajectory of the replacement machinery is recorded run over
 //! run.  Pass `--quick` for a CI-sized smoke pass.
@@ -138,7 +138,7 @@ const PAYLOAD_BYTES: u64 = 512;
 /// victim-index rewrite) on this repo's 1-core CI-grade container, same
 /// workload (10 000 entries, 500 pressure ops).  Kept as fixed reference
 /// points so every report can state the speedup against the *actual*
-/// replaced implementation, not just the re-runnable scan baselines below.
+/// replaced implementation.
 const PRE_PR_MEASURED_10K: &[(&str, f64)] = &[
     ("LNC-RA", 3_322.0),
     ("LNC-R", 3_513.0),
@@ -213,166 +213,6 @@ fn measure_policy(kind: PolicyKind, entries: usize, ops: u64) -> PressureResult 
     }
 }
 
-/// The pre-index GreedyDual-Size replacement loop: one O(n) scan per victim
-/// (exactly what `gds.rs::evict_for` did before the credit index), kept here
-/// as the measured baseline the speedup criterion compares against.
-struct ScanGds {
-    capacity: u64,
-    used: u64,
-    inflation: f64,
-    /// (credit, size) per cached set.
-    sets: Vec<(f64, u64)>,
-}
-
-impl ScanGds {
-    fn insert(&mut self, cost_over_size: f64, size: u64) {
-        while self.used + size > self.capacity {
-            let Some((index, &(credit, victim_size))) = self
-                .sets
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-            else {
-                break;
-            };
-            self.inflation = self.inflation.max(credit);
-            self.used -= victim_size;
-            self.sets.swap_remove(index);
-        }
-        self.sets.push((self.inflation + cost_over_size, size));
-        self.used += size;
-    }
-}
-
-fn measure_scan_gds(entries: usize, ops: u64) -> PressureResult {
-    let capacity = entries as u64 * PAYLOAD_BYTES;
-    let mut cache = ScanGds {
-        capacity,
-        used: 0,
-        inflation: 0.0,
-        sets: Vec::new(),
-    };
-    for _ in 0..entries {
-        cache.insert(1_000.0 / PAYLOAD_BYTES as f64, PAYLOAD_BYTES);
-    }
-    let start = Instant::now();
-    for _ in 0..ops {
-        cache.insert(50_000.0 / PAYLOAD_BYTES as f64, PAYLOAD_BYTES);
-    }
-    let elapsed = start.elapsed();
-    PressureResult {
-        policy: "GreedyDual-Size (pre-index scan)".to_owned(),
-        entries,
-        ops,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        admissions_per_sec: ops as f64 / elapsed.as_secs_f64(),
-    }
-}
-
-/// The pre-index LNC-R admission path, cost-faithful to what `lnc.rs` did
-/// per admission before it kept any order between decisions:
-///
-/// 1. re-sum every entry's size (the `total` recompute this PR fixed),
-/// 2. collect every cached set's `(samples, profit)` and stable-sort the lot
-///    (`select_victims`), evicting the prefix,
-/// 3. retain the victims' reference information (§2.4),
-/// 4. re-scan all cached profits for the minimum and purge the retained
-///    table below it (`purge_retained` ran on every admission).
-struct SortLnc {
-    capacity: u64,
-    used: u64,
-    /// (first_reference_us, cost, size) per cached set (K = 1 histories:
-    /// the scans and the sort dominate either way).
-    sets: Vec<(u64, f64, u64)>,
-    /// Retained reference information: (first_reference_us, cost, size).
-    retained: Vec<(u64, f64, u64)>,
-}
-
-impl SortLnc {
-    fn profit(&self, set: &(u64, f64, u64), now_us: u64) -> f64 {
-        let rate = 1.0 / now_us.saturating_sub(set.0).max(1) as f64;
-        rate * set.1 / set.2 as f64
-    }
-
-    fn insert(&mut self, cost: f64, size: u64, now_us: u64) {
-        let available = self.capacity - self.used;
-        if available < size {
-            let total: u64 = self.sets.iter().map(|s| s.2).sum();
-            assert!(total >= size - available);
-            let needed = size - available;
-            let mut ranked: Vec<(f64, usize, u64)> = self
-                .sets
-                .iter()
-                .enumerate()
-                .map(|(index, set)| (self.profit(set, now_us), index, set.2))
-                .collect();
-            ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut freed = 0u64;
-            let mut victims: Vec<usize> = Vec::new();
-            for &(_, index, s) in &ranked {
-                if freed >= needed {
-                    break;
-                }
-                victims.push(index);
-                freed += s;
-            }
-            victims.sort_unstable_by(|a, b| b.cmp(a));
-            for index in victims {
-                let victim = self.sets[index];
-                self.used -= victim.2;
-                if self.retained.len() < 16_384 {
-                    self.retained.push(victim);
-                }
-                self.sets.swap_remove(index);
-            }
-        }
-        self.sets.push((now_us, cost, size));
-        self.used += size;
-        // purge_retained: the minimum cached profit is a second full scan,
-        // then every retained history is re-priced against it.
-        if !self.retained.is_empty() {
-            let min = self
-                .sets
-                .iter()
-                .map(|set| self.profit(set, now_us))
-                .fold(f64::INFINITY, f64::min);
-            let keep: Vec<(u64, f64, u64)> = self
-                .retained
-                .iter()
-                .copied()
-                .filter(|set| self.profit(set, now_us) >= min)
-                .collect();
-            self.retained = keep;
-        }
-    }
-}
-
-fn measure_sort_lnc(entries: usize, ops: u64) -> PressureResult {
-    let capacity = entries as u64 * PAYLOAD_BYTES;
-    let mut cache = SortLnc {
-        capacity,
-        used: 0,
-        sets: Vec::new(),
-        retained: Vec::new(),
-    };
-    for i in 0..entries as u64 {
-        cache.insert(1_000.0, PAYLOAD_BYTES, i + 1);
-    }
-    let base = entries as u64 + 1;
-    let start = Instant::now();
-    for i in 0..ops {
-        cache.insert(50_000.0, PAYLOAD_BYTES, base + i);
-    }
-    let elapsed = start.elapsed();
-    PressureResult {
-        policy: "LNC-R (pre-index sort)".to_owned(),
-        entries,
-        ops,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        admissions_per_sec: ops as f64 / elapsed.as_secs_f64(),
-    }
-}
-
 /// Operation count per cell, scaled down with the cache size so the report
 /// stays CI-sized.
 fn ops_for(entries: usize, quick: bool) -> u64 {
@@ -395,8 +235,8 @@ const REFERENCE_TOLERANCE: f64 = 3.0;
 
 /// Parses `(policy, entries, admissions_per_sec)` rows out of a previously
 /// committed `BENCH_policy_ops.json` (the format this bench writes).  Only
-/// the `results` section is read; the scan baselines are measured with
-/// different op counts and are not comparable across runs.
+/// the `results` section is read; the sections after it are fixed reference
+/// points, not measurements of the run.
 fn parse_reference(json: &str) -> Vec<(String, usize, f64)> {
     // The bench writes one result object per line; a row is complete when
     // all three fields appear on it.
@@ -407,7 +247,7 @@ fn parse_reference(json: &str) -> Vec<(String, usize, f64)> {
     }
     let mut rows = Vec::new();
     for line in json.lines() {
-        if line.trim_start().starts_with("\"scan_baselines\"") {
+        if line.trim_start().starts_with(']') {
             break;
         }
         let policy = line
@@ -466,7 +306,6 @@ fn assert_against_reference(ref_path: &str, results: &[PressureResult]) {
 fn eviction_pressure_report(quick: bool, assert_ref: Option<&str>) {
     let sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
     let mut results = Vec::new();
-    let mut baselines = Vec::new();
     println!(
         "\neviction-pressure report (payload {PAYLOAD_BYTES} B, full cache, every insert evicts)\n"
     );
@@ -487,48 +326,8 @@ fn eviction_pressure_report(quick: bool, assert_ref: Option<&str>) {
             );
             results.push(result);
         }
-        // The scan baselines re-create the pre-index replacement loops; they
-        // get fewer operations (each one is O(n) or O(n log n)).
-        let scan_ops = ops_for(entries, quick).min(if quick { 250 } else { 1_000 });
-        for baseline in [
-            measure_scan_gds(entries, scan_ops),
-            measure_sort_lnc(entries, scan_ops),
-        ] {
-            println!(
-                "{:>34} {:>9} {:>8} {:>9.1} ms {:>16.0}",
-                baseline.policy,
-                baseline.entries,
-                baseline.ops,
-                baseline.elapsed_ms,
-                baseline.admissions_per_sec
-            );
-            baselines.push(baseline);
-        }
     }
 
-    let speedup = |policy: &str, baseline_policy: &str, entries: usize| -> Option<f64> {
-        let indexed = results
-            .iter()
-            .find(|r| r.policy == policy && r.entries == entries)?;
-        let scan = baselines
-            .iter()
-            .find(|r| r.policy == baseline_policy && r.entries == entries)?;
-        Some(indexed.admissions_per_sec / scan.admissions_per_sec)
-    };
-    let gds_speedup = speedup(
-        "GreedyDual-Size",
-        "GreedyDual-Size (pre-index scan)",
-        10_000,
-    );
-    let lnc_speedup = speedup("LNC-R", "LNC-R (pre-index sort)", 10_000);
-    if let (Some(gds), Some(lnc)) = (gds_speedup, lnc_speedup) {
-        println!("\nspeedup vs in-bench scan baselines at 10k entries: GreedyDual-Size {gds:.1}x, LNC-R {lnc:.1}x");
-        assert!(
-            gds >= 5.0 || lnc >= 5.0,
-            "the worst pre-index offender must be at least 5x faster under the victim indexes \
-             (GreedyDual-Size {gds:.1}x, LNC-R {lnc:.1}x)"
-        );
-    }
     let mut pre_pr_speedups = Vec::new();
     for &(policy, pre_pr_rate) in PRE_PR_MEASURED_10K {
         if let Some(result) = results
@@ -556,15 +355,10 @@ fn eviction_pressure_report(quick: bool, assert_ref: Option<&str>) {
     }
 
     let json = format!(
-        "{{\n  \"benchmark\": \"micro_cache_ops/eviction_pressure\",\n  \"payload_bytes\": {},\n  \"quick\": {},\n  \"results\": [\n    {}\n  ],\n  \"scan_baselines\": [\n    {}\n  ],\n  \"pre_pr_measured_at_10k\": [\n    {}\n  ],\n  \"speedup_vs_scan_baseline_at_10k\": {{\"GreedyDual-Size\": {}, \"LNC-R\": {}}},\n  \"speedup_vs_pre_pr_at_10k\": {{{}}},\n  \"pre_pr_13\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"micro_cache_ops/eviction_pressure\",\n  \"payload_bytes\": {},\n  \"quick\": {},\n  \"results\": [\n    {}\n  ],\n  \"pre_pr_measured_at_10k\": [\n    {}\n  ],\n  \"speedup_vs_pre_pr_at_10k\": {{{}}},\n  \"pre_pr_13\": [\n    {}\n  ]\n}}\n",
         PAYLOAD_BYTES,
         quick,
         results
-            .iter()
-            .map(PressureResult::json)
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-        baselines
             .iter()
             .map(PressureResult::json)
             .collect::<Vec<_>>()
@@ -576,8 +370,6 @@ fn eviction_pressure_report(quick: bool, assert_ref: Option<&str>) {
             ))
             .collect::<Vec<_>>()
             .join(",\n    "),
-        gds_speedup.map_or("null".to_owned(), |s| format!("{s:.2}")),
-        lnc_speedup.map_or("null".to_owned(), |s| format!("{s:.2}")),
         pre_pr_speedups.join(", "),
         pre_pr_13.join(",\n    "),
     );

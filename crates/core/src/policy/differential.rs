@@ -1,9 +1,10 @@
 //! Differential property tests: indexed victim selection vs. the scan/sort
 //! reference implementations.
 //!
-//! Every policy keeps its pre-index victim selection — the O(n)-per-victim
-//! scan (or, for LNC, the O(n log n) sort of Figure 1) — under `#[cfg(test)]`
-//! as an oracle.  These properties replay random admit / reference / remove /
+//! The pre-index victim selection — for the rule-ranked baselines one
+//! O(n)-per-victim scan over the rule's ranks, on [`RankedCache`]; for LNC
+//! the O(n log n) sort of Figure 1 — is kept under `#[cfg(test)]` as an
+//! oracle.  These properties replay random admit / reference / remove /
 //! shrink traces against the real (index-driven) caches and assert, at every
 //! step, that the index would pick *identical victim sequences* for a spread
 //! of space demands, and that the capacity-planning signals
@@ -35,6 +36,7 @@ use crate::policy::lfu::LfuCache;
 use crate::policy::lnc::{LncCache, LncConfig};
 use crate::policy::lru::LruCache;
 use crate::policy::lru_k::LruKCache;
+use crate::policy::ranked::{RankRule, RankedCache};
 use crate::policy::QueryCache;
 use crate::profit::Profit;
 use crate::retained::{RetainedInfo, RetainedStore};
@@ -184,6 +186,23 @@ where
     assert_eq!(cache.used_bytes(), 0);
 }
 
+/// The one property of the rule-ranked baselines: whatever the rule, the
+/// index picks the victims the scan over the same ranks picks.
+fn run_ranked<R: RankRule>(cache: RankedCache<SizedPayload, R>, ops: &[Op]) {
+    run_differential(
+        cache,
+        ops,
+        |cache, needed, now| {
+            (
+                cache.indexed_victim_plan(needed, now),
+                cache.reference_victim_plan(needed),
+            )
+        },
+        |cache, target, _| cache.reference_victim_plan(cache.capacity_bytes() - target),
+        |_, _| {},
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -192,15 +211,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_differential(
-            LruCache::<SizedPayload>::new(capacity),
-            &ops,
-            |cache, needed, _| {
-                (cache.indexed_victim_plan(needed), cache.reference_victim_plan(needed))
-            },
-            |cache, target, _| cache.reference_victim_plan(cache.capacity_bytes() - target),
-            |_, _| {},
-        );
+        run_ranked(LruCache::new(capacity), &ops);
     }
 
     #[test]
@@ -208,15 +219,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_differential(
-            LruKCache::<SizedPayload>::with_capacity(capacity, 3),
-            &ops,
-            |cache, needed, _| {
-                (cache.indexed_victim_plan(needed), cache.reference_victim_plan(needed))
-            },
-            |cache, target, _| cache.reference_victim_plan(cache.capacity_bytes() - target),
-            |_, _| {},
-        );
+        run_ranked(LruKCache::with_capacity(capacity, 3), &ops);
     }
 
     #[test]
@@ -224,15 +227,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_differential(
-            LfuCache::<SizedPayload>::new(capacity),
-            &ops,
-            |cache, needed, _| {
-                (cache.indexed_victim_plan(needed), cache.reference_victim_plan(needed))
-            },
-            |cache, target, _| cache.reference_victim_plan(cache.capacity_bytes() - target),
-            |_, _| {},
-        );
+        run_ranked(LfuCache::new(capacity), &ops);
     }
 
     #[test]
@@ -240,15 +235,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_differential(
-            LcsCache::<SizedPayload>::new(capacity),
-            &ops,
-            |cache, needed, _| {
-                (cache.indexed_victim_plan(needed), cache.reference_victim_plan(needed))
-            },
-            |cache, target, _| cache.reference_victim_plan(cache.capacity_bytes() - target),
-            |_, _| {},
-        );
+        run_ranked(LcsCache::new(capacity), &ops);
     }
 
     #[test]
@@ -256,15 +243,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_differential(
-            GreedyDualSizeCache::<SizedPayload>::new(capacity),
-            &ops,
-            |cache, needed, _| {
-                (cache.indexed_victim_plan(needed), cache.reference_victim_plan(needed))
-            },
-            |cache, target, _| cache.reference_victim_plan(cache.capacity_bytes() - target),
-            |_, _| {},
-        );
+        run_ranked(GreedyDualSizeCache::new(capacity), &ops);
     }
 
     #[test]

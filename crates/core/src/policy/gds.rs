@@ -12,295 +12,78 @@
 //! reference-rate estimate plays in LNC-R: it ages sets that have not been
 //! referenced recently.
 //!
-//! Credits are indexed in an [`OrdIndex`] (the exact-deletion form of the
-//! min-heap Cao & Irani manage their cache with), so the victim is the index
-//! head and every hit, admission and eviction costs O(log n) — the original
-//! implementation of this module re-scanned all entries per eviction.
+//! As a [`RankRule`]: a set's rank is its credit — the ranked cache's index
+//! is the exact-deletion form of the min-heap Cao & Irani manage their cache
+//! with — and the rule owns `L`.
 
 use crate::clock::Timestamp;
-use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
-use crate::metrics::CacheStats;
-use crate::policy::index::{OrdF64, OrdIndex, VictimIndexed};
-use crate::policy::{InsertOutcome, QueryCache, RejectReason};
+use crate::policy::index::OrdF64;
+use crate::policy::ranked::{RankRule, RankedCache};
 use crate::profit::Profit;
 use crate::value::{CachePayload, ExecutionCost};
 
-#[derive(Debug, Clone)]
-struct GdsEntry<V> {
-    key: QueryKey,
-    value: V,
-    size_bytes: u64,
-    cost: ExecutionCost,
-    /// The credit value `H`.
-    credit: f64,
+/// Ranks a set by its credit `H`; the smallest credit is the victim.
+#[derive(Debug, Clone, Default)]
+pub struct GdsRule {
+    /// The global inflation value `L`.
+    inflation: f64,
 }
 
-impl<V> KeyedEntry for GdsEntry<V> {
-    fn key(&self) -> &QueryKey {
-        &self.key
+impl RankRule for GdsRule {
+    /// The credit value `H`.
+    type State = f64;
+    type Rank = OrdF64;
+    const NAME: &'static str = "GreedyDual-Size";
+
+    fn rank(&self, credit: &f64, _: u64) -> OrdF64 {
+        OrdF64(*credit)
+    }
+
+    /// Only the newcomer's `c/s`: its own evictions have yet to raise `L`.
+    fn admit(&mut self, _: &QueryKey, cost: ExecutionCost, size_bytes: u64, _: Timestamp) -> f64 {
+        Profit::estimated(cost, size_bytes).value()
+    }
+
+    fn settle(&mut self, credit: &mut f64) {
+        *credit += self.inflation;
+    }
+
+    fn touch(&mut self, credit: &mut f64, cost: ExecutionCost, size_bytes: u64, _: Timestamp) {
+        *credit = self.inflation + Profit::estimated(cost, size_bytes).value();
+    }
+
+    /// Evicting the smallest-credit set raises the global inflation `L`.
+    fn evicted(&mut self, _: &QueryKey, credit: f64, _: Timestamp) {
+        self.inflation = self.inflation.max(credit);
+    }
+
+    fn cleared(&mut self) {
+        self.inflation = 0.0;
     }
 }
 
 /// A retrieved-set cache with GreedyDual-Size replacement.
-#[derive(Debug, Clone)]
-pub struct GreedyDualSizeCache<V> {
-    capacity_bytes: u64,
-    entries: EntryStore<GdsEntry<V>>,
-    /// Victim index over credits; the victim is [`OrdIndex::min`].
-    credits: OrdIndex<OrdF64>,
-    /// The global inflation value `L`.
-    inflation: f64,
-    used_bytes: u64,
-    stats: CacheStats,
-}
+pub type GreedyDualSizeCache<V> = RankedCache<V, GdsRule>;
 
 impl<V: CachePayload> GreedyDualSizeCache<V> {
     /// Creates a GreedyDual-Size cache with the given capacity in bytes.
     pub fn new(capacity_bytes: u64) -> Self {
-        GreedyDualSizeCache {
-            capacity_bytes,
-            entries: EntryStore::new(),
-            credits: OrdIndex::new(),
-            inflation: 0.0,
-            used_bytes: 0,
-            stats: CacheStats::new(),
-        }
+        RankedCache::with_rule(capacity_bytes, GdsRule::default())
     }
 
     /// The current global inflation value `L` (exposed for tests and
     /// diagnostics).
     pub fn inflation(&self) -> f64 {
-        self.inflation
-    }
-
-    fn fresh_credit(&self, cost: ExecutionCost, size_bytes: u64) -> f64 {
-        self.inflation + Profit::estimated(cost, size_bytes).value()
-    }
-
-    /// Re-keys `id` to its freshly restored credit `L + c/s`.
-    fn restore_credit(&mut self, id: EntryId) {
-        let inflation = self.inflation;
-        if let Some(entry) = self.entries.by_id_mut(id) {
-            let old = entry.credit;
-            entry.credit = inflation + Profit::estimated(entry.cost, entry.size_bytes).value();
-            let new = entry.credit;
-            self.credits.update(OrdF64(old), OrdF64(new), id);
-        }
-    }
-
-    /// The entry GreedyDual-Size would evict next (smallest credit `H`) and
-    /// its credit.  Single source of truth for `evict_one` and
-    /// `min_cached_profit`.
-    fn victim(&self) -> Option<(EntryId, f64)> {
-        self.credits.min().map(|(credit, id)| (id, credit.0))
-    }
-
-    /// The eviction order the pre-index implementation derived by scanning.
-    /// Kept as the differential-test oracle.  (Inflation updates do not
-    /// change the relative credit order mid-loop, so the plan is pure.)
-    #[cfg(test)]
-    pub(crate) fn reference_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut excluded = std::collections::HashSet::new();
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        while used + needed > self.capacity_bytes {
-            let Some((id, entry)) = self
-                .entries
-                .iter()
-                .filter(|(id, _)| !excluded.contains(id))
-                .min_by(|a, b| a.1.credit.total_cmp(&b.1.credit))
-            else {
-                break;
-            };
-            excluded.insert(id);
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-
-    /// The eviction order the index would produce, without mutating.
-    #[cfg(test)]
-    pub(crate) fn indexed_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        for (_, id) in self.credits.iter() {
-            if used + needed <= self.capacity_bytes {
-                break;
-            }
-            let entry = self.entries.by_id(id).expect("indexed entry is cached");
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-}
-
-impl<V: CachePayload> VictimIndexed for GreedyDualSizeCache<V> {
-    fn occupied_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn limit_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn evict_one(&mut self, _now: Timestamp) -> Option<QueryKey> {
-        let (credit, id) = self.credits.min()?;
-        self.credits.remove(credit, id);
-        // Evicting the smallest-credit set raises the global inflation `L`.
-        self.inflation = self.inflation.max(credit.0);
-        let entry = self.entries.remove(id)?;
-        self.used_bytes -= entry.size_bytes;
-        self.stats.record_eviction(entry.size_bytes);
-        Some(entry.key)
-    }
-}
-
-impl<V: CachePayload> QueryCache<V> for GreedyDualSizeCache<V> {
-    fn name(&self) -> &'static str {
-        "GreedyDual-Size"
-    }
-
-    fn get(&mut self, key: &QueryKey, _now: Timestamp) -> Option<&V> {
-        match self.entries.find(key) {
-            Some(id) => {
-                self.restore_credit(id);
-                let cost = self.entries.by_id(id).map(|e| e.cost).unwrap_or_default();
-                self.stats.record_hit(cost);
-                self.entries.by_id(id).map(|e| &e.value)
-            }
-            None => None,
-        }
-    }
-
-    fn insert(
-        &mut self,
-        key: QueryKey,
-        value: V,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> InsertOutcome {
-        let size_bytes = value.size_bytes();
-        self.stats.record_miss(cost);
-
-        if let Some(id) = self.entries.find(&key) {
-            if let Some(entry) = self.entries.by_id_mut(id) {
-                let old = entry.size_bytes;
-                entry.value = value;
-                entry.cost = cost;
-                entry.size_bytes = size_bytes;
-                self.used_bytes = self.used_bytes - old + size_bytes;
-            }
-            self.restore_credit(id);
-            // Restore the capacity invariant if the refreshed payload grew.
-            let evicted = self.evict_for(0, now);
-            return InsertOutcome::AlreadyCached { evicted };
-        }
-
-        if self.capacity_bytes == 0 {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::ZeroCapacity);
-        }
-        if size_bytes > self.capacity_bytes {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::TooLarge);
-        }
-
-        let evicted = self.evict_for(size_bytes, now);
-        let credit = self.fresh_credit(cost, size_bytes);
-        let id = self.entries.insert(GdsEntry {
-            key,
-            value,
-            size_bytes,
-            cost,
-            credit,
-        });
-        self.credits.insert(OrdF64(credit), id);
-        self.used_bytes += size_bytes;
-        self.stats.record_admission(true);
-        InsertOutcome::Admitted { evicted }
-    }
-
-    fn remove(&mut self, key: &QueryKey) -> bool {
-        match self.entries.find(key) {
-            Some(id) => {
-                let entry = self.entries.remove(id).expect("found entry is live");
-                self.credits.remove(OrdF64(entry.credit), id);
-                self.used_bytes -= entry.size_bytes;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn peek(&self, key: &QueryKey) -> Option<&V> {
-        self.entries.get(key).map(|entry| &entry.value)
-    }
-
-    fn contains(&self, key: &QueryKey) -> bool {
-        self.entries.contains(key)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
-        self.capacity_bytes = capacity_bytes;
-        // Shrinking below occupancy evicts the smallest-credit sets first,
-        // inflating `L` exactly as demand-driven evictions do.
-        self.evict_for(0, now)
-    }
-
-    fn min_cached_profit(&mut self, _now: Timestamp) -> Option<Profit> {
-        // GDS's next victim is the smallest-credit set; report its estimated
-        // profit `c/s` (the non-inflated part of its credit).
-        self.victim()
-            .and_then(|(id, _)| self.entries.by_id(id))
-            .map(|e| Profit::estimated(e.cost, e.size_bytes))
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn record_coalesced_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_coalesced(cost);
-    }
-
-    fn record_error_reference(&mut self) {
-        self.stats.record_fetch_error();
-    }
-
-    fn record_stale_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_stale(cost);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.credits.clear();
-        self.used_bytes = 0;
-        self.inflation = 0.0;
-    }
-
-    fn cached_keys(&self) -> Vec<QueryKey> {
-        self.entries.iter().map(|(_, e)| e.key.clone()).collect()
+        self.rule.inflation
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ranked::contract;
+    use crate::policy::{InsertOutcome, QueryCache};
     use crate::value::SizedPayload;
 
     fn ts(us: u64) -> Timestamp {
@@ -392,32 +175,12 @@ mod tests {
 
     #[test]
     fn rejects_oversized_and_zero_capacity() {
-        let mut cache = GreedyDualSizeCache::new(100);
-        assert_eq!(
-            insert_with_cost(&mut cache, "big", 500, 10.0, 1),
-            InsertOutcome::Rejected(RejectReason::TooLarge)
-        );
-        let mut zero = GreedyDualSizeCache::new(0);
-        assert_eq!(
-            insert_with_cost(&mut zero, "x", 1, 10.0, 1),
-            InsertOutcome::Rejected(RejectReason::ZeroCapacity)
-        );
+        contract::rejects_oversized_and_zero_capacity(GreedyDualSizeCache::new);
     }
 
     #[test]
     fn capacity_invariant_holds() {
-        let mut cache = GreedyDualSizeCache::new(1_000);
-        for i in 0..200u64 {
-            let name = format!("q{}", i % 29);
-            insert_with_cost(
-                &mut cache,
-                &name,
-                50 + (i % 13) * 40,
-                10.0 + (i % 7) as f64 * 80.0,
-                i + 1,
-            );
-            assert!(cache.used_bytes() <= cache.capacity_bytes());
-        }
+        contract::used_bytes_never_exceeds_capacity(GreedyDualSizeCache::new);
     }
 
     #[test]

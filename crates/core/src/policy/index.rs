@@ -1,37 +1,29 @@
-//! Incrementally maintained victim indexes shared by the cache policies.
+//! The ordered victim index under the rule-ranked baseline policies.
 //!
-//! Before this module existed every policy re-derived its eviction victim by
-//! scanning (or sorting) the whole cache on each admission, so an admission
-//! under pressure cost O(n) *per victim* and a rebalancer pass polling
-//! [`min_cached_profit`](crate::policy::QueryCache::min_cached_profit) cost
-//! O(shards · n).  The policies now keep a priority index next to their
-//! [`EntryStore`](crate::index::EntryStore) and update it on every reference,
-//! admission, refresh and removal, which makes victim selection O(log n) —
-//! the heap-managed replacement of GreedyDual-Size (Cao & Irani '97) and the
-//! priority-queue LNC-R implementation sketched in the paper's §3.
+//! [`RankedCache`](crate::policy::ranked::RankedCache) keeps every cached
+//! set's eviction priority in an [`OrdIndex`] next to its
+//! [`EntryStore`](crate::index::EntryStore) and updates it on every
+//! reference, admission, refresh and removal, so victim selection — and
+//! [`min_cached_profit`](crate::policy::QueryCache::min_cached_profit), which
+//! the rebalancer polls per shard — is O(log n) where a scan of the cache was
+//! O(n) per victim: the heap-managed replacement of GreedyDual-Size (Cao &
+//! Irani '97) and the priority-queue LNC-R implementation sketched in the
+//! paper's §3.
 //!
-//! Two pieces live here:
-//!
-//! * [`OrdIndex`] — an ordered victim index (a B-tree set of
-//!   `(priority key, entry id)` pairs).  A B-tree with *exact* deletion is
-//!   used instead of the textbook lazy-deletion binary heap: the policies
-//!   always know an entry's current key when it changes or leaves, so stale
-//!   heap items (and the rebuild sweeps they eventually force) never need to
-//!   exist, and peeking the victim does not have to mutate the structure to
-//!   drain tombstones.  Every operation is O(log n).
-//! * [`VictimIndexed`] — the shared eviction loop over such an index.  The
-//!   per-policy `evict_for` loops were byte-for-byte clones of each other
-//!   except for the single line that picked (and unlinked) the victim; the
-//!   trait keeps that line per-policy ([`VictimIndexed::evict_one`]) and
-//!   shares the loop.
+//! [`OrdIndex`] is a B-tree set of `(priority key, entry id)` pairs.  A
+//! B-tree with *exact* deletion is used instead of the textbook
+//! lazy-deletion binary heap: the cache always knows an entry's current key
+//! when it changes or leaves, so stale heap items (and the rebuild sweeps
+//! they eventually force) never need to exist, and peeking the victim does
+//! not have to mutate the structure to drain tombstones.  Every operation is
+//! O(log n).
 //!
 //! Tie-breaking is part of the policies' observable behaviour (deterministic
 //! trace replays are asserted byte-identical), so the index encodes the tie
-//! rules the old scans had: a scan with `Iterator::min_by_key` returned the
-//! *first* minimal entry in slot order — [`OrdIndex::min`] with the
-//! [`EntryId`] as the final key component returns the same entry — and
-//! `Iterator::max_by_key` returned the *last* maximal one, which
-//! [`OrdIndex::max`] reproduces likewise.
+//! rules a scan has: `Iterator::min_by_key` returns the *first* minimal entry
+//! in slot order — [`OrdIndex::min`] with the [`EntryId`] as the final key
+//! component returns the same entry — and `Iterator::max_by_key` returns the
+//! *last* maximal one, which [`OrdIndex::max`] reproduces likewise.
 //!
 //! LNC-R/LNC-RA cannot use a statically keyed index — its profit
 //! `λᵢ(now)·cᵢ/sᵢ` re-evaluates the reference rate at every decision point,
@@ -41,15 +33,21 @@
 
 use std::collections::BTreeSet;
 
-use crate::clock::Timestamp;
 use crate::index::EntryId;
-use crate::key::QueryKey;
 
 /// A totally ordered `f64` wrapper (IEEE-754 `total_cmp` order), used to key
 /// victim indexes by floating-point priorities such as the GreedyDual-Size
 /// credit `H`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF64(pub f64);
+#[derive(Debug, Clone, Copy)]
+pub struct OrdF64(pub f64);
+
+/// Equality agrees with the order: the ranked cache re-files an entry exactly
+/// when its old and new keys differ, and `0.0 == -0.0` file apart.
+impl PartialEq for OrdF64 {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
 
 impl Eq for OrdF64 {}
 
@@ -70,7 +68,7 @@ impl Ord for OrdF64 {
 /// An ordered victim index: the policy's eviction priority for every cached
 /// entry, kept in a B-tree set of `(key, id)` pairs.
 ///
-/// The policy owns the key discipline: it must [`remove`](OrdIndex::remove)
+/// The cache owns the key discipline: it must [`remove`](OrdIndex::remove)
 /// an entry's *current* key before mutating state the key derives from, and
 /// re-[`insert`](OrdIndex::insert) the new key afterwards (or call
 /// [`update`](OrdIndex::update)).  Violations are caught by the debug
@@ -124,53 +122,9 @@ impl<K: Ord + Copy> OrdIndex<K> {
         self.set.last().copied()
     }
 
-    /// Iterates `(key, id)` pairs in ascending key order (used by the
-    /// differential tests' non-mutating victim plans).
-    #[cfg(test)]
-    pub fn iter(&self) -> impl Iterator<Item = (K, EntryId)> + '_ {
-        self.set.iter().copied()
-    }
-
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.set.clear();
-    }
-}
-
-/// The shared eviction loop of the index-driven policies.
-///
-/// Implementors provide [`evict_one`](VictimIndexed::evict_one) — unlink the
-/// single next victim from the entry store *and* the index, retain whatever
-/// reference information the policy keeps, update byte accounting and the
-/// eviction statistics, and return the victim's key — and inherit the loop
-/// that frees space for `needed` incoming bytes.
-pub(crate) trait VictimIndexed {
-    /// Bytes currently occupied by cached sets.
-    fn occupied_bytes(&self) -> u64;
-
-    /// The capacity the loop must shrink under.
-    fn limit_bytes(&self) -> u64;
-
-    /// Evicts the policy's next victim, returning its key, or `None` when
-    /// the cache is empty.  `now` is the logical time of the eviction (used
-    /// by policies that retain victims' reference histories).
-    fn evict_one(&mut self, now: Timestamp) -> Option<QueryKey>;
-
-    /// Evicts victims until `needed` more bytes fit within the capacity.
-    ///
-    /// This is the loop every policy used to duplicate: it terminates when
-    /// the invariant `occupied + needed <= capacity` is restored or the
-    /// cache runs out of victims (the caller has already rejected sets that
-    /// can never fit).
-    fn evict_for(&mut self, needed: u64, now: Timestamp) -> Vec<QueryKey> {
-        let mut evicted = Vec::new();
-        while self.occupied_bytes() + needed > self.limit_bytes() {
-            let Some(key) = self.evict_one(now) else {
-                break;
-            };
-            evicted.push(key);
-        }
-        evicted
     }
 }
 
@@ -212,5 +166,6 @@ mod tests {
         keys.sort();
         assert_eq!(keys[0], OrdF64(-1.0));
         assert_eq!(keys[3], OrdF64(2.0));
+        assert_ne!(OrdF64(0.0), OrdF64(-0.0));
     }
 }

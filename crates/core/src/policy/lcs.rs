@@ -7,284 +7,56 @@
 //! aggregate results.  LCS uses size information but — unlike LNC-R — neither
 //! reference rates nor execution costs.
 //!
-//! Entries live in a size-ordered [`OrdIndex`] (largest last, recency as the
-//! tie-break), so victim selection and eviction are O(log n).
+//! As a [`RankRule`]: a set's rank is its size, and the victim is the
+//! *maximum* of the rank order.
 
 use std::cmp::Reverse;
 
 use crate::clock::Timestamp;
-use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
-use crate::metrics::CacheStats;
-use crate::policy::index::{OrdIndex, VictimIndexed};
-use crate::policy::{InsertOutcome, QueryCache, RejectReason};
-use crate::profit::Profit;
+use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
 
-#[derive(Debug, Clone)]
-struct LcsEntry<V> {
-    key: QueryKey,
-    value: V,
-    size_bytes: u64,
-    cost: ExecutionCost,
-    last_used: Timestamp,
-}
+/// Ranks a set by its size; the largest is the victim, ties broken by
+/// *least* recent use (hence the reversed timestamp under a maximum).
+#[derive(Debug, Clone, Default)]
+pub struct LcsRule;
 
-impl<V> LcsEntry<V> {
-    /// The victim-index key: the *maximum* of this key is the victim —
-    /// largest set first, ties broken by *least* recent use (hence the
-    /// reversed timestamp).
-    fn rank(&self) -> (u64, Reverse<Timestamp>) {
-        (self.size_bytes, Reverse(self.last_used))
+impl RankRule for LcsRule {
+    /// When the set was last used.
+    type State = Timestamp;
+    type Rank = (u64, Reverse<Timestamp>);
+    const NAME: &'static str = "LCS";
+    const VICTIM_IS_MAX: bool = true;
+
+    fn rank(&self, last_used: &Timestamp, size_bytes: u64) -> Self::Rank {
+        (size_bytes, Reverse(*last_used))
     }
-}
 
-impl<V> KeyedEntry for LcsEntry<V> {
-    fn key(&self) -> &QueryKey {
-        &self.key
+    fn admit(&mut self, _: &QueryKey, _: ExecutionCost, _: u64, now: Timestamp) -> Timestamp {
+        now
+    }
+
+    fn touch(&mut self, last_used: &mut Timestamp, _: ExecutionCost, _: u64, now: Timestamp) {
+        *last_used = now;
     }
 }
 
 /// A retrieved-set cache that always evicts the largest cached set first.
-#[derive(Debug, Clone)]
-pub struct LcsCache<V> {
-    capacity_bytes: u64,
-    entries: EntryStore<LcsEntry<V>>,
-    /// Size-ordered victim index; the victim is [`OrdIndex::max`].
-    sizes: OrdIndex<(u64, Reverse<Timestamp>)>,
-    used_bytes: u64,
-    stats: CacheStats,
-}
+pub type LcsCache<V> = RankedCache<V, LcsRule>;
 
 impl<V: CachePayload> LcsCache<V> {
     /// Creates an LCS cache with the given capacity in bytes.
     pub fn new(capacity_bytes: u64) -> Self {
-        LcsCache {
-            capacity_bytes,
-            entries: EntryStore::new(),
-            sizes: OrdIndex::new(),
-            used_bytes: 0,
-            stats: CacheStats::new(),
-        }
-    }
-
-    /// The entry LCS would evict next: largest first, ties broken by least
-    /// recent use.  Single source of truth for `evict_one` and
-    /// `min_cached_profit`.
-    fn victim(&self) -> Option<EntryId> {
-        self.sizes.max().map(|(_, id)| id)
-    }
-
-    /// The eviction order the pre-index implementation derived by scanning.
-    /// Kept as the differential-test oracle.
-    #[cfg(test)]
-    pub(crate) fn reference_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut excluded = std::collections::HashSet::new();
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        while used + needed > self.capacity_bytes {
-            let Some((id, entry)) = self
-                .entries
-                .iter()
-                .filter(|(id, _)| !excluded.contains(id))
-                .max_by_key(|(_, e)| (e.size_bytes, Reverse(e.last_used)))
-            else {
-                break;
-            };
-            excluded.insert(id);
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-
-    /// The eviction order the index would produce, without mutating.
-    #[cfg(test)]
-    pub(crate) fn indexed_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        let descending: Vec<EntryId> = self.sizes.iter().map(|(_, id)| id).collect();
-        for id in descending.into_iter().rev() {
-            if used + needed <= self.capacity_bytes {
-                break;
-            }
-            let entry = self.entries.by_id(id).expect("indexed entry is cached");
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-}
-
-impl<V: CachePayload> VictimIndexed for LcsCache<V> {
-    fn occupied_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn limit_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn evict_one(&mut self, _now: Timestamp) -> Option<QueryKey> {
-        let (rank, id) = self.sizes.max()?;
-        self.sizes.remove(rank, id);
-        let entry = self.entries.remove(id)?;
-        self.used_bytes -= entry.size_bytes;
-        self.stats.record_eviction(entry.size_bytes);
-        Some(entry.key)
-    }
-}
-
-impl<V: CachePayload> QueryCache<V> for LcsCache<V> {
-    fn name(&self) -> &'static str {
-        "LCS"
-    }
-
-    fn get(&mut self, key: &QueryKey, now: Timestamp) -> Option<&V> {
-        match self.entries.find(key) {
-            Some(id) => {
-                if let Some(entry) = self.entries.by_id_mut(id) {
-                    let old = entry.rank();
-                    entry.last_used = now;
-                    let new = entry.rank();
-                    self.sizes.update(old, new, id);
-                }
-                let cost = self.entries.by_id(id).map(|e| e.cost).unwrap_or_default();
-                self.stats.record_hit(cost);
-                self.entries.by_id(id).map(|e| &e.value)
-            }
-            None => None,
-        }
-    }
-
-    fn insert(
-        &mut self,
-        key: QueryKey,
-        value: V,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> InsertOutcome {
-        let size_bytes = value.size_bytes();
-        self.stats.record_miss(cost);
-
-        if let Some(id) = self.entries.find(&key) {
-            if let Some(entry) = self.entries.by_id_mut(id) {
-                let old_rank = entry.rank();
-                let old = entry.size_bytes;
-                entry.value = value;
-                entry.cost = cost;
-                entry.size_bytes = size_bytes;
-                entry.last_used = now;
-                let new_rank = entry.rank();
-                self.used_bytes = self.used_bytes - old + size_bytes;
-                self.sizes.update(old_rank, new_rank, id);
-            }
-            // Restore the capacity invariant if the refreshed payload grew.
-            let evicted = self.evict_for(0, now);
-            return InsertOutcome::AlreadyCached { evicted };
-        }
-
-        if self.capacity_bytes == 0 {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::ZeroCapacity);
-        }
-        if size_bytes > self.capacity_bytes {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::TooLarge);
-        }
-
-        let evicted = self.evict_for(size_bytes, now);
-        let entry = LcsEntry {
-            key,
-            value,
-            size_bytes,
-            cost,
-            last_used: now,
-        };
-        let rank = entry.rank();
-        let id = self.entries.insert(entry);
-        self.sizes.insert(rank, id);
-        self.used_bytes += size_bytes;
-        self.stats.record_admission(true);
-        InsertOutcome::Admitted { evicted }
-    }
-
-    fn remove(&mut self, key: &QueryKey) -> bool {
-        match self.entries.find(key) {
-            Some(id) => {
-                let entry = self.entries.remove(id).expect("found entry is live");
-                self.sizes.remove(entry.rank(), id);
-                self.used_bytes -= entry.size_bytes;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn peek(&self, key: &QueryKey) -> Option<&V> {
-        self.entries.get(key).map(|entry| &entry.value)
-    }
-
-    fn contains(&self, key: &QueryKey) -> bool {
-        self.entries.contains(key)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
-        self.capacity_bytes = capacity_bytes;
-        // Shrinking below occupancy evicts the largest sets first.
-        self.evict_for(0, now)
-    }
-
-    fn min_cached_profit(&mut self, _now: Timestamp) -> Option<Profit> {
-        // LCS's next victim is the largest set; report its estimated profit
-        // (Eq. 6) since LCS keeps no rate estimate.
-        self.victim()
-            .and_then(|id| self.entries.by_id(id))
-            .map(|e| Profit::estimated(e.cost, e.size_bytes))
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn record_coalesced_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_coalesced(cost);
-    }
-
-    fn record_error_reference(&mut self) {
-        self.stats.record_fetch_error();
-    }
-
-    fn record_stale_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_stale(cost);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.sizes.clear();
-        self.used_bytes = 0;
-    }
-
-    fn cached_keys(&self) -> Vec<QueryKey> {
-        self.entries.iter().map(|(_, e)| e.key.clone()).collect()
+        RankedCache::with_rule(capacity_bytes, LcsRule)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ranked::contract;
+    use crate::policy::{InsertOutcome, QueryCache};
     use crate::value::SizedPayload;
 
     fn ts(us: u64) -> Timestamp {
@@ -351,16 +123,7 @@ mod tests {
 
     #[test]
     fn rejects_oversized_and_zero_capacity() {
-        let mut cache = LcsCache::new(100);
-        assert_eq!(
-            insert(&mut cache, "big", 200, 1),
-            InsertOutcome::Rejected(RejectReason::TooLarge)
-        );
-        let mut zero = LcsCache::new(0);
-        assert_eq!(
-            insert(&mut zero, "x", 1, 1),
-            InsertOutcome::Rejected(RejectReason::ZeroCapacity)
-        );
+        contract::rejects_oversized_and_zero_capacity(LcsCache::new);
     }
 
     #[test]
@@ -378,20 +141,11 @@ mod tests {
 
     #[test]
     fn capacity_invariant_holds() {
-        let mut cache = LcsCache::new(700);
-        for i in 0..150u64 {
-            let name = format!("q{}", i % 19);
-            insert(&mut cache, &name, 40 + (i % 9) * 70, i + 1);
-            assert!(cache.used_bytes() <= cache.capacity_bytes());
-        }
+        contract::used_bytes_never_exceeds_capacity(LcsCache::new);
     }
 
     #[test]
     fn clear_empties_cache() {
-        let mut cache = LcsCache::new(300);
-        insert(&mut cache, "a", 100, 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.used_bytes(), 0);
+        contract::clear_resets_contents(LcsCache::new);
     }
 }

@@ -6,286 +6,52 @@
 //! execution costs, but unlike LRU it is not fooled by long scans of
 //! never-repeated queries.
 //!
-//! Entries are bucketed by their `(reference count, last use)` pair in an
-//! [`OrdIndex`] — the flattened form of the classic LFU frequency-bucket
-//! scheme — so the victim is the head of the index and every admission,
-//! hit and eviction maintains it in O(log n).
+//! As a [`RankRule`]: a set's rank is its `(reference count, last use)` pair
+//! — the flattened form of the classic LFU frequency-bucket scheme.
 
 use crate::clock::Timestamp;
-use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
-use crate::metrics::CacheStats;
-use crate::policy::index::{OrdIndex, VictimIndexed};
-use crate::policy::{InsertOutcome, QueryCache, RejectReason};
-use crate::profit::Profit;
+use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
 
-#[derive(Debug, Clone)]
-struct LfuEntry<V> {
-    key: QueryKey,
-    value: V,
-    size_bytes: u64,
-    cost: ExecutionCost,
-    references: u64,
-    last_used: Timestamp,
-}
+/// Ranks a set by `(references, last use)`: fewest references first, then
+/// least recent use.
+#[derive(Debug, Clone, Default)]
+pub struct LfuRule;
 
-impl<V> LfuEntry<V> {
-    /// The victim-index key: fewest references first, then least recent use.
-    fn rank(&self) -> (u64, Timestamp) {
-        (self.references, self.last_used)
+impl RankRule for LfuRule {
+    type State = (u64, Timestamp);
+    type Rank = (u64, Timestamp);
+    const NAME: &'static str = "LFU";
+
+    fn rank(&self, state: &Self::State, _: u64) -> Self::Rank {
+        *state
     }
-}
 
-impl<V> KeyedEntry for LfuEntry<V> {
-    fn key(&self) -> &QueryKey {
-        &self.key
+    fn admit(&mut self, _: &QueryKey, _: ExecutionCost, _: u64, now: Timestamp) -> Self::State {
+        (1, now)
+    }
+
+    fn touch(&mut self, state: &mut Self::State, _: ExecutionCost, _: u64, now: Timestamp) {
+        *state = (state.0 + 1, now);
     }
 }
 
 /// A retrieved-set cache with least-frequently-used replacement.
-#[derive(Debug, Clone)]
-pub struct LfuCache<V> {
-    capacity_bytes: u64,
-    entries: EntryStore<LfuEntry<V>>,
-    /// Victim index over `(references, last_used)` frequency buckets.
-    frequency: OrdIndex<(u64, Timestamp)>,
-    used_bytes: u64,
-    stats: CacheStats,
-}
+pub type LfuCache<V> = RankedCache<V, LfuRule>;
 
 impl<V: CachePayload> LfuCache<V> {
     /// Creates an LFU cache with the given capacity in bytes.
     pub fn new(capacity_bytes: u64) -> Self {
-        LfuCache {
-            capacity_bytes,
-            entries: EntryStore::new(),
-            frequency: OrdIndex::new(),
-            used_bytes: 0,
-            stats: CacheStats::new(),
-        }
-    }
-
-    /// The entry LFU would evict next: fewest references, ties broken by
-    /// least-recent use.  Single source of truth for `evict_one` and
-    /// `min_cached_profit`.
-    fn victim(&self) -> Option<EntryId> {
-        self.frequency.min().map(|(_, id)| id)
-    }
-
-    /// Records one use of `id` at `now`, re-keying its index position.
-    fn touch(&mut self, id: EntryId, now: Timestamp) {
-        if let Some(entry) = self.entries.by_id_mut(id) {
-            let old = entry.rank();
-            entry.references += 1;
-            entry.last_used = now;
-            let new = entry.rank();
-            self.frequency.update(old, new, id);
-        }
-    }
-
-    /// The eviction order the pre-index implementation derived by scanning.
-    /// Kept as the differential-test oracle.
-    #[cfg(test)]
-    pub(crate) fn reference_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut excluded = std::collections::HashSet::new();
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        while used + needed > self.capacity_bytes {
-            let Some((id, entry)) = self
-                .entries
-                .iter()
-                .filter(|(id, _)| !excluded.contains(id))
-                .min_by_key(|(_, e)| (e.references, e.last_used))
-            else {
-                break;
-            };
-            excluded.insert(id);
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-
-    /// The eviction order the index would produce, without mutating.
-    #[cfg(test)]
-    pub(crate) fn indexed_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        for (_, id) in self.frequency.iter() {
-            if used + needed <= self.capacity_bytes {
-                break;
-            }
-            let entry = self.entries.by_id(id).expect("indexed entry is cached");
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-}
-
-impl<V: CachePayload> VictimIndexed for LfuCache<V> {
-    fn occupied_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn limit_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn evict_one(&mut self, _now: Timestamp) -> Option<QueryKey> {
-        let (rank, id) = self.frequency.min()?;
-        self.frequency.remove(rank, id);
-        let entry = self.entries.remove(id)?;
-        self.used_bytes -= entry.size_bytes;
-        self.stats.record_eviction(entry.size_bytes);
-        Some(entry.key)
-    }
-}
-
-impl<V: CachePayload> QueryCache<V> for LfuCache<V> {
-    fn name(&self) -> &'static str {
-        "LFU"
-    }
-
-    fn get(&mut self, key: &QueryKey, now: Timestamp) -> Option<&V> {
-        match self.entries.find(key) {
-            Some(id) => {
-                self.touch(id, now);
-                let cost = self.entries.by_id(id).map(|e| e.cost).unwrap_or_default();
-                self.stats.record_hit(cost);
-                self.entries.by_id(id).map(|e| &e.value)
-            }
-            None => None,
-        }
-    }
-
-    fn insert(
-        &mut self,
-        key: QueryKey,
-        value: V,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> InsertOutcome {
-        let size_bytes = value.size_bytes();
-        self.stats.record_miss(cost);
-
-        if let Some(id) = self.entries.find(&key) {
-            if let Some(entry) = self.entries.by_id_mut(id) {
-                let old = entry.size_bytes;
-                entry.value = value;
-                entry.cost = cost;
-                entry.size_bytes = size_bytes;
-                self.used_bytes = self.used_bytes - old + size_bytes;
-            }
-            self.touch(id, now);
-            // Restore the capacity invariant if the refreshed payload grew.
-            let evicted = self.evict_for(0, now);
-            return InsertOutcome::AlreadyCached { evicted };
-        }
-
-        if self.capacity_bytes == 0 {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::ZeroCapacity);
-        }
-        if size_bytes > self.capacity_bytes {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::TooLarge);
-        }
-
-        let evicted = self.evict_for(size_bytes, now);
-        let entry = LfuEntry {
-            key,
-            value,
-            size_bytes,
-            cost,
-            references: 1,
-            last_used: now,
-        };
-        let rank = entry.rank();
-        let id = self.entries.insert(entry);
-        self.frequency.insert(rank, id);
-        self.used_bytes += size_bytes;
-        self.stats.record_admission(true);
-        InsertOutcome::Admitted { evicted }
-    }
-
-    fn remove(&mut self, key: &QueryKey) -> bool {
-        match self.entries.find(key) {
-            Some(id) => {
-                let entry = self.entries.remove(id).expect("found entry is live");
-                self.frequency.remove(entry.rank(), id);
-                self.used_bytes -= entry.size_bytes;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn peek(&self, key: &QueryKey) -> Option<&V> {
-        self.entries.get(key).map(|entry| &entry.value)
-    }
-
-    fn contains(&self, key: &QueryKey) -> bool {
-        self.entries.contains(key)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
-        self.capacity_bytes = capacity_bytes;
-        // Shrinking below occupancy evicts least-frequently-used sets first.
-        self.evict_for(0, now)
-    }
-
-    fn min_cached_profit(&mut self, _now: Timestamp) -> Option<Profit> {
-        // LFU's next victim is the least-referenced set; report its estimated
-        // profit (Eq. 6) since LFU keeps no rate estimate.
-        self.victim()
-            .and_then(|id| self.entries.by_id(id))
-            .map(|e| Profit::estimated(e.cost, e.size_bytes))
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn record_coalesced_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_coalesced(cost);
-    }
-
-    fn record_error_reference(&mut self) {
-        self.stats.record_fetch_error();
-    }
-
-    fn record_stale_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_stale(cost);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.frequency.clear();
-        self.used_bytes = 0;
-    }
-
-    fn cached_keys(&self) -> Vec<QueryKey> {
-        self.entries.iter().map(|(_, e)| e.key.clone()).collect()
+        RankedCache::with_rule(capacity_bytes, LfuRule)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ranked::contract;
+    use crate::policy::{InsertOutcome, QueryCache};
     use crate::value::SizedPayload;
 
     fn ts(us: u64) -> Timestamp {
@@ -352,16 +118,7 @@ mod tests {
 
     #[test]
     fn rejects_oversized_and_zero_capacity() {
-        let mut cache = LfuCache::new(100);
-        assert_eq!(
-            insert(&mut cache, "big", 200, 1),
-            InsertOutcome::Rejected(RejectReason::TooLarge)
-        );
-        let mut zero = LfuCache::new(0);
-        assert_eq!(
-            insert(&mut zero, "x", 1, 1),
-            InsertOutcome::Rejected(RejectReason::ZeroCapacity)
-        );
+        contract::rejects_oversized_and_zero_capacity(LfuCache::new);
     }
 
     #[test]
@@ -382,12 +139,7 @@ mod tests {
 
     #[test]
     fn capacity_invariant_holds() {
-        let mut cache = LfuCache::new(500);
-        for i in 0..100u64 {
-            let name = format!("q{}", i % 17);
-            insert(&mut cache, &name, 50 + (i % 5) * 60, i + 1);
-            assert!(cache.used_bytes() <= cache.capacity_bytes());
-        }
+        contract::used_bytes_never_exceeds_capacity(LfuCache::new);
     }
 
     #[test]

@@ -6,280 +6,63 @@
 //! execution cost play no role in the decision, which is exactly why LRU
 //! underperforms on decision-support workloads (paper §4.2).
 //!
-//! Recency is tracked with a monotone tick per reference and an
-//! [`OrdIndex`] keyed by that tick, so victim selection, eviction and
-//! [`min_cached_profit`](QueryCache::min_cached_profit) are all O(log n).
+//! As a [`RankRule`]: a set's rank is the tick of its last reference, and
+//! every reference spends one tick.
 
 use crate::clock::Timestamp;
-use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
-use crate::metrics::CacheStats;
-use crate::policy::index::{OrdIndex, VictimIndexed};
-use crate::policy::{InsertOutcome, QueryCache, RejectReason};
-use crate::profit::Profit;
+use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
 
-#[derive(Debug, Clone)]
-struct LruEntry<V> {
-    key: QueryKey,
-    value: V,
-    size_bytes: u64,
-    cost: ExecutionCost,
-    /// Recency sequence number; larger = more recently used.
-    tick: u64,
+/// Ranks a set by the tick of its last reference; the oldest tick is the
+/// victim.
+#[derive(Debug, Clone, Default)]
+pub struct LruRule {
+    next_tick: u64,
 }
 
-impl<V> KeyedEntry for LruEntry<V> {
-    fn key(&self) -> &QueryKey {
-        &self.key
+impl LruRule {
+    /// Every reference — admission, hit or refresh — spends one tick.
+    fn tick(&mut self) -> u64 {
+        self.next_tick += 1;
+        self.next_tick - 1
+    }
+}
+
+impl RankRule for LruRule {
+    /// Recency sequence number; larger = more recently used.
+    type State = u64;
+    type Rank = u64;
+    const NAME: &'static str = "LRU";
+
+    fn rank(&self, tick: &u64, _: u64) -> u64 {
+        *tick
+    }
+
+    fn admit(&mut self, _: &QueryKey, _: ExecutionCost, _: u64, _: Timestamp) -> u64 {
+        self.tick()
+    }
+
+    fn touch(&mut self, tick: &mut u64, _: ExecutionCost, _: u64, _: Timestamp) {
+        *tick = self.tick();
     }
 }
 
 /// A retrieved-set cache with least-recently-used replacement.
-#[derive(Debug, Clone)]
-pub struct LruCache<V> {
-    capacity_bytes: u64,
-    entries: EntryStore<LruEntry<V>>,
-    /// Victim index keyed by recency tick, oldest first.
-    recency: OrdIndex<u64>,
-    next_tick: u64,
-    used_bytes: u64,
-    stats: CacheStats,
-}
+pub type LruCache<V> = RankedCache<V, LruRule>;
 
 impl<V: CachePayload> LruCache<V> {
     /// Creates an LRU cache with the given capacity in bytes.
     pub fn new(capacity_bytes: u64) -> Self {
-        LruCache {
-            capacity_bytes,
-            entries: EntryStore::new(),
-            recency: OrdIndex::new(),
-            next_tick: 0,
-            used_bytes: 0,
-            stats: CacheStats::new(),
-        }
-    }
-
-    fn bump(&mut self, id: EntryId) {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        if let Some(entry) = self.entries.by_id_mut(id) {
-            let old = entry.tick;
-            entry.tick = tick;
-            self.recency.update(old, tick, id);
-        }
-    }
-
-    /// The entry LRU would evict next (the oldest recency tick).  Single
-    /// source of truth for `evict_one` and `min_cached_profit`.
-    fn victim(&self) -> Option<(u64, EntryId)> {
-        self.recency.min()
-    }
-
-    /// The eviction order the pre-index implementation derived by scanning:
-    /// repeatedly pick the oldest-tick entry until `needed` bytes fit.
-    /// Kept as the differential-test oracle.
-    #[cfg(test)]
-    pub(crate) fn reference_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut excluded = std::collections::HashSet::new();
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        while used + needed > self.capacity_bytes {
-            let Some((id, entry)) = self
-                .entries
-                .iter()
-                .filter(|(id, _)| !excluded.contains(id))
-                .min_by_key(|(_, e)| e.tick)
-            else {
-                break;
-            };
-            excluded.insert(id);
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-
-    /// The eviction order the index would produce for `needed` incoming
-    /// bytes, without mutating the cache.
-    #[cfg(test)]
-    pub(crate) fn indexed_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        for (_, id) in self.recency.iter() {
-            if used + needed <= self.capacity_bytes {
-                break;
-            }
-            let entry = self.entries.by_id(id).expect("indexed entry is cached");
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-}
-
-impl<V: CachePayload> VictimIndexed for LruCache<V> {
-    fn occupied_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn limit_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn evict_one(&mut self, _now: Timestamp) -> Option<QueryKey> {
-        let (tick, id) = self.victim()?;
-        self.recency.remove(tick, id);
-        let entry = self.entries.remove(id)?;
-        self.used_bytes -= entry.size_bytes;
-        self.stats.record_eviction(entry.size_bytes);
-        Some(entry.key)
-    }
-}
-
-impl<V: CachePayload> QueryCache<V> for LruCache<V> {
-    fn name(&self) -> &'static str {
-        "LRU"
-    }
-
-    fn get(&mut self, key: &QueryKey, _now: Timestamp) -> Option<&V> {
-        match self.entries.find(key) {
-            Some(id) => {
-                self.bump(id);
-                let cost = self.entries.by_id(id).map(|e| e.cost).unwrap_or_default();
-                self.stats.record_hit(cost);
-                self.entries.by_id(id).map(|e| &e.value)
-            }
-            None => None,
-        }
-    }
-
-    fn insert(
-        &mut self,
-        key: QueryKey,
-        value: V,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> InsertOutcome {
-        let size_bytes = value.size_bytes();
-        self.stats.record_miss(cost);
-
-        if let Some(id) = self.entries.find(&key) {
-            if let Some(entry) = self.entries.by_id_mut(id) {
-                let old = entry.size_bytes;
-                entry.value = value;
-                entry.cost = cost;
-                entry.size_bytes = size_bytes;
-                self.used_bytes = self.used_bytes - old + size_bytes;
-            }
-            self.bump(id);
-            // Restore the capacity invariant if the refreshed payload grew.
-            let evicted = self.evict_for(0, now);
-            return InsertOutcome::AlreadyCached { evicted };
-        }
-
-        if self.capacity_bytes == 0 {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::ZeroCapacity);
-        }
-        if size_bytes > self.capacity_bytes {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::TooLarge);
-        }
-
-        let evicted = self.evict_for(size_bytes, now);
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        let id = self.entries.insert(LruEntry {
-            key,
-            value,
-            size_bytes,
-            cost,
-            tick,
-        });
-        self.recency.insert(tick, id);
-        self.used_bytes += size_bytes;
-        self.stats.record_admission(true);
-        InsertOutcome::Admitted { evicted }
-    }
-
-    fn remove(&mut self, key: &QueryKey) -> bool {
-        match self.entries.find(key) {
-            Some(id) => {
-                let entry = self.entries.remove(id).expect("found entry is live");
-                self.recency.remove(entry.tick, id);
-                self.used_bytes -= entry.size_bytes;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn peek(&self, key: &QueryKey) -> Option<&V> {
-        self.entries.get(key).map(|entry| &entry.value)
-    }
-
-    fn contains(&self, key: &QueryKey) -> bool {
-        self.entries.contains(key)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
-        self.capacity_bytes = capacity_bytes;
-        // Shrinking below occupancy evicts least-recently-used sets first.
-        self.evict_for(0, now)
-    }
-
-    fn min_cached_profit(&mut self, _now: Timestamp) -> Option<Profit> {
-        // LRU's next victim is the least recently used set; report its
-        // estimated profit (Eq. 6) since LRU keeps no rate estimate.
-        let (_, id) = self.victim()?;
-        self.entries
-            .by_id(id)
-            .map(|e| Profit::estimated(e.cost, e.size_bytes))
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn record_coalesced_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_coalesced(cost);
-    }
-
-    fn record_error_reference(&mut self) {
-        self.stats.record_fetch_error();
-    }
-
-    fn record_stale_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_stale(cost);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.recency.clear();
-        self.used_bytes = 0;
-    }
-
-    fn cached_keys(&self) -> Vec<QueryKey> {
-        self.entries.iter().map(|(_, e)| e.key.clone()).collect()
+        RankedCache::with_rule(capacity_bytes, LruRule::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ranked::contract;
+    use crate::policy::{InsertOutcome, QueryCache};
     use crate::value::SizedPayload;
 
     fn ts(us: u64) -> Timestamp {
@@ -369,46 +152,21 @@ mod tests {
 
     #[test]
     fn rejects_oversized_and_zero_capacity() {
-        let mut cache = LruCache::new(100);
-        assert_eq!(
-            insert(&mut cache, "big", 200, 1),
-            InsertOutcome::Rejected(RejectReason::TooLarge)
-        );
-        let mut zero = LruCache::new(0);
-        assert_eq!(
-            insert(&mut zero, "any", 1, 1),
-            InsertOutcome::Rejected(RejectReason::ZeroCapacity)
-        );
+        contract::rejects_oversized_and_zero_capacity(LruCache::new);
     }
 
     #[test]
     fn already_cached_refreshes_size() {
-        let mut cache = LruCache::new(500);
-        insert(&mut cache, "a", 100, 1);
-        let outcome = insert(&mut cache, "a", 200, 2);
-        assert_eq!(outcome, InsertOutcome::already_cached());
-        assert_eq!(cache.used_bytes(), 200);
-        assert_eq!(cache.len(), 1);
+        contract::already_cached_refreshes_size(LruCache::new);
     }
 
     #[test]
     fn clear_resets_contents() {
-        let mut cache = LruCache::new(500);
-        insert(&mut cache, "a", 100, 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.used_bytes(), 0);
-        insert(&mut cache, "b", 100, 2);
-        assert_eq!(cache.len(), 1);
+        contract::clear_resets_contents(LruCache::new);
     }
 
     #[test]
     fn used_bytes_never_exceeds_capacity() {
-        let mut cache = LruCache::new(1_000);
-        for i in 0..300u64 {
-            let name = format!("q{}", i % 41);
-            insert(&mut cache, &name, 60 + (i % 11) * 40, i);
-            assert!(cache.used_bytes() <= cache.capacity_bytes());
-        }
+        contract::used_bytes_never_exceeds_capacity(LruCache::new);
     }
 }

@@ -13,20 +13,17 @@
 //! retained for a configurable period after eviction so a re-referenced set
 //! does not restart with an empty history.
 //!
-//! The backward-K-distance rank of every entry is kept in an [`OrdIndex`]
-//! and re-keyed on each reference, so victim selection is O(log n) instead
-//! of the former full scan per eviction.
+//! As a [`RankRule`]: a set's state is its reference history, its rank the
+//! backward K-distance read off it, and the rule owns the retained
+//! histories — it records misses into them, promotes one when its set is
+//! admitted again, and files every victim's.
 
 use std::collections::HashMap;
 
 use crate::clock::Timestamp;
 use crate::history::ReferenceHistory;
-use crate::index::{EntryId, EntryStore, KeyedEntry};
 use crate::key::QueryKey;
-use crate::metrics::CacheStats;
-use crate::policy::index::{OrdIndex, VictimIndexed};
-use crate::policy::{InsertOutcome, QueryCache, RejectReason};
-use crate::profit::Profit;
+use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
 
 /// Configuration for [`LruKCache`].
@@ -57,50 +54,128 @@ impl LruKConfig {
 }
 
 #[derive(Debug, Clone)]
-struct LruKEntry<V> {
-    key: QueryKey,
-    value: V,
-    size_bytes: u64,
-    cost: ExecutionCost,
-    history: ReferenceHistory,
-}
-
-impl<V> KeyedEntry for LruKEntry<V> {
-    fn key(&self) -> &QueryKey {
-        &self.key
-    }
-}
-
-#[derive(Debug, Clone)]
 struct RetainedHistory {
     history: ReferenceHistory,
     evicted_at: Timestamp,
 }
 
-/// A retrieved-set cache with LRU-K replacement.
+/// Ranks a set by its backward K-distance; the greatest distance is the
+/// victim.
 #[derive(Debug, Clone)]
-pub struct LruKCache<V> {
-    config: LruKConfig,
-    entries: EntryStore<LruKEntry<V>>,
-    /// Victim index over backward-K-distance ranks; the victim is
-    /// [`OrdIndex::min`].
-    distance: OrdIndex<(bool, u64)>,
+pub struct LruKRule {
+    k: usize,
+    retained_info_period: u64,
+    max_retained_entries: usize,
     retained: HashMap<QueryKey, RetainedHistory>,
-    used_bytes: u64,
-    stats: CacheStats,
 }
+
+/// Records a reference at `now` unless it is already the latest one: a
+/// single-flight waiter retrying after an abandoned flight re-issues the same
+/// logical reference, and a promoted retained history may already hold it.
+fn record_once(history: &mut ReferenceHistory, now: Timestamp) {
+    if history.last_reference() != Some(now) {
+        history.record(now);
+    }
+}
+
+impl LruKRule {
+    /// Drops retained histories older than the configured retention period
+    /// (the timeout-based scheme of the original LRU-K paper).
+    fn expire_retained(&mut self, now: Timestamp) {
+        let period = self.retained_info_period;
+        self.retained
+            .retain(|_, r| now.saturating_since(r.evicted_at) <= period);
+    }
+}
+
+impl RankRule for LruKRule {
+    type State = ReferenceHistory;
+    type Rank = (bool, u64);
+    const NAME: &'static str = "LRU-K";
+
+    /// Entries with fewer than K samples sort first (ascending by last
+    /// reference), then entries by ascending K-th most recent reference time.
+    fn rank(&self, history: &ReferenceHistory, _: u64) -> (bool, u64) {
+        let full = history.sample_count() >= self.k;
+        // Once full, the oldest retained sample is exactly the K-th most
+        // recent one.
+        let reference = if full {
+            history.oldest_reference()
+        } else {
+            history.last_reference()
+        };
+        (full, reference.map_or(0, |t| t.as_micros()))
+    }
+
+    /// Takes the set's retained history out *before* room is made: its
+    /// victims' histories are about to be filed, against the same bound.
+    fn admit(
+        &mut self,
+        key: &QueryKey,
+        _: ExecutionCost,
+        _: u64,
+        now: Timestamp,
+    ) -> ReferenceHistory {
+        self.expire_retained(now);
+        match self.retained.remove(key) {
+            Some(mut retained) => {
+                record_once(&mut retained.history, now);
+                retained.history
+            }
+            None => ReferenceHistory::with_first_reference(self.k, now),
+        }
+    }
+
+    fn touch(&mut self, history: &mut ReferenceHistory, _: ExecutionCost, _: u64, now: Timestamp) {
+        record_once(history, now);
+    }
+
+    fn missed(&mut self, key: &QueryKey, now: Timestamp) {
+        if let Some(retained) = self.retained.get_mut(key) {
+            record_once(&mut retained.history, now);
+        }
+    }
+
+    /// Files the victim's history, unless the bound holds even after expiry.
+    fn evicted(&mut self, key: &QueryKey, history: ReferenceHistory, now: Timestamp) {
+        if self.retained.len() >= self.max_retained_entries {
+            self.expire_retained(now);
+            if self.retained.len() >= self.max_retained_entries {
+                return;
+            }
+        }
+        self.retained.insert(
+            key.clone(),
+            RetainedHistory {
+                history,
+                evicted_at: now,
+            },
+        );
+    }
+
+    fn cleared(&mut self) {
+        self.retained.clear();
+    }
+}
+
+/// A retrieved-set cache with LRU-K replacement.
+///
+/// Invalidation ([`QueryCache::remove`](crate::policy::QueryCache::remove))
+/// discards the resident set's reference history with the set — the update
+/// that triggered it may have changed the set entirely — and has nothing
+/// retained to discard: a key is never resident and retained at once.
+pub type LruKCache<V> = RankedCache<V, LruKRule>;
 
 impl<V: CachePayload> LruKCache<V> {
     /// Creates an LRU-K cache from a configuration.
     pub fn new(config: LruKConfig) -> Self {
-        LruKCache {
-            config,
-            entries: EntryStore::new(),
-            distance: OrdIndex::new(),
+        let rule = LruKRule {
+            k: config.k,
+            retained_info_period: config.retained_info_period,
+            max_retained_entries: config.max_retained_entries,
             retained: HashMap::new(),
-            used_bytes: 0,
-            stats: CacheStats::new(),
-        }
+        };
+        RankedCache::with_rule(config.capacity_bytes, rule)
     }
 
     /// Creates an LRU-K cache with the given capacity and `K`.
@@ -110,310 +185,20 @@ impl<V: CachePayload> LruKCache<V> {
 
     /// The configured `K`.
     pub fn k(&self) -> usize {
-        self.config.k
+        self.rule.k
     }
 
     /// Number of retained (post-eviction) histories currently held.
     pub fn retained_entries(&self) -> usize {
-        self.retained.len()
-    }
-
-    /// The eviction priority of an entry: entries with fewer than K samples
-    /// sort first (ascending by last reference), then entries by ascending
-    /// K-th most recent reference time.
-    fn victim_rank(entry: &LruKEntry<V>, k: usize) -> (bool, u64) {
-        let full = entry.history.sample_count() >= k;
-        if full {
-            // Oldest retained sample is exactly the K-th most recent one.
-            (
-                true,
-                entry
-                    .history
-                    .oldest_reference()
-                    .map_or(0, |t| t.as_micros()),
-            )
-        } else {
-            (
-                false,
-                entry.history.last_reference().map_or(0, |t| t.as_micros()),
-            )
-        }
-    }
-
-    /// Records a reference for `id` at `now` (skipping duplicate
-    /// timestamps), re-keying its index position.
-    fn touch(&mut self, id: EntryId, now: Timestamp) {
-        let k = self.config.k;
-        if let Some(entry) = self.entries.by_id_mut(id) {
-            if entry.history.last_reference() == Some(now) {
-                return;
-            }
-            let old = Self::victim_rank(entry, k);
-            entry.history.record(now);
-            let new = Self::victim_rank(entry, k);
-            if old != new {
-                self.distance.update(old, new, id);
-            }
-        }
-    }
-
-    /// The entry LRU-K would evict next (greatest backward K-distance).
-    /// Single source of truth for `evict_one` and `min_cached_profit`.
-    fn victim(&self) -> Option<EntryId> {
-        self.distance.min().map(|(_, id)| id)
-    }
-
-    /// The eviction order the pre-index implementation derived by scanning.
-    /// Kept as the differential-test oracle.
-    #[cfg(test)]
-    pub(crate) fn reference_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut excluded = std::collections::HashSet::new();
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        while used + needed > self.config.capacity_bytes {
-            let Some((id, entry)) = self
-                .entries
-                .iter()
-                .filter(|(id, _)| !excluded.contains(id))
-                .min_by_key(|(_, e)| Self::victim_rank(e, self.config.k))
-            else {
-                break;
-            };
-            excluded.insert(id);
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-
-    /// The eviction order the index would produce, without mutating.
-    #[cfg(test)]
-    pub(crate) fn indexed_victim_plan(&self, needed: u64) -> Vec<QueryKey> {
-        let mut used = self.used_bytes;
-        let mut plan = Vec::new();
-        for (_, id) in self.distance.iter() {
-            if used + needed <= self.config.capacity_bytes {
-                break;
-            }
-            let entry = self.entries.by_id(id).expect("indexed entry is cached");
-            used -= entry.size_bytes;
-            plan.push(entry.key.clone());
-        }
-        plan
-    }
-
-    fn retain_history(&mut self, key: QueryKey, history: ReferenceHistory, now: Timestamp) {
-        if self.retained.len() >= self.config.max_retained_entries {
-            self.expire_retained(now);
-            if self.retained.len() >= self.config.max_retained_entries {
-                return;
-            }
-        }
-        self.retained.insert(
-            key,
-            RetainedHistory {
-                history,
-                evicted_at: now,
-            },
-        );
-    }
-
-    /// Drops retained histories older than the configured retention period
-    /// (the timeout-based scheme of the original LRU-K paper).
-    fn expire_retained(&mut self, now: Timestamp) {
-        let period = self.config.retained_info_period;
-        self.retained
-            .retain(|_, r| now.saturating_since(r.evicted_at) <= period);
-    }
-}
-
-impl<V: CachePayload> VictimIndexed for LruKCache<V> {
-    fn occupied_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn limit_bytes(&self) -> u64 {
-        self.config.capacity_bytes
-    }
-
-    fn evict_one(&mut self, now: Timestamp) -> Option<QueryKey> {
-        let (rank, id) = self.distance.min()?;
-        self.distance.remove(rank, id);
-        let entry = self.entries.remove(id)?;
-        self.used_bytes -= entry.size_bytes;
-        self.stats.record_eviction(entry.size_bytes);
-        self.retain_history(entry.key.clone(), entry.history, now);
-        Some(entry.key)
-    }
-}
-
-impl<V: CachePayload> QueryCache<V> for LruKCache<V> {
-    fn name(&self) -> &'static str {
-        "LRU-K"
-    }
-
-    fn get(&mut self, key: &QueryKey, now: Timestamp) -> Option<&V> {
-        if let Some(id) = self.entries.find(key) {
-            // Same-timestamp dedupe happens in `touch`: a retried logical
-            // reference may already be in the history via a promoted
-            // retained one.
-            self.touch(id, now);
-            let cost = self.entries.by_id(id).map(|e| e.cost).unwrap_or_default();
-            self.stats.record_hit(cost);
-            return self.entries.by_id(id).map(|e| &e.value);
-        }
-        if let Some(retained) = self.retained.get_mut(key) {
-            // Skip duplicate timestamps: a single-flight waiter retrying after
-            // an abandoned flight re-issues the same logical reference.
-            if retained.history.last_reference() != Some(now) {
-                retained.history.record(now);
-            }
-        }
-        None
-    }
-
-    fn insert(
-        &mut self,
-        key: QueryKey,
-        value: V,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> InsertOutcome {
-        let size_bytes = value.size_bytes();
-        self.stats.record_miss(cost);
-
-        if let Some(id) = self.entries.find(&key) {
-            if let Some(entry) = self.entries.by_id_mut(id) {
-                let old = entry.size_bytes;
-                entry.value = value;
-                entry.cost = cost;
-                entry.size_bytes = size_bytes;
-                self.used_bytes = self.used_bytes - old + size_bytes;
-            }
-            self.touch(id, now);
-            // Restore the capacity invariant if the refreshed payload grew.
-            let evicted = self.evict_for(0, now);
-            return InsertOutcome::AlreadyCached { evicted };
-        }
-
-        if self.config.capacity_bytes == 0 {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::ZeroCapacity);
-        }
-        if size_bytes > self.config.capacity_bytes {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::TooLarge);
-        }
-
-        self.expire_retained(now);
-        let history = match self.retained.remove(&key) {
-            Some(mut retained) => {
-                if retained.history.last_reference() != Some(now) {
-                    retained.history.record(now);
-                }
-                retained.history
-            }
-            None => ReferenceHistory::with_first_reference(self.config.k, now),
-        };
-
-        let evicted = self.evict_for(size_bytes, now);
-        let entry = LruKEntry {
-            key,
-            value,
-            size_bytes,
-            cost,
-            history,
-        };
-        let rank = Self::victim_rank(&entry, self.config.k);
-        let id = self.entries.insert(entry);
-        self.distance.insert(rank, id);
-        self.used_bytes += size_bytes;
-        self.stats.record_admission(true);
-        InsertOutcome::Admitted { evicted }
-    }
-
-    fn remove(&mut self, key: &QueryKey) -> bool {
-        match self.entries.find(key) {
-            Some(id) => {
-                let entry = self.entries.remove(id).expect("found entry is live");
-                self.distance
-                    .remove(Self::victim_rank(&entry, self.config.k), id);
-                // Invalidation discards reference history: the update that
-                // triggered it may have changed the set entirely.
-                self.retained.remove(key);
-                self.used_bytes -= entry.size_bytes;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn peek(&self, key: &QueryKey) -> Option<&V> {
-        self.entries.get(key).map(|entry| &entry.value)
-    }
-
-    fn contains(&self, key: &QueryKey) -> bool {
-        self.entries.contains(key)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.config.capacity_bytes
-    }
-
-    fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
-        self.config.capacity_bytes = capacity_bytes;
-        // Shrinking below occupancy evicts by greatest backward K-distance,
-        // retaining the victims' histories like any other eviction.
-        self.evict_for(0, now)
-    }
-
-    fn min_cached_profit(&mut self, _now: Timestamp) -> Option<Profit> {
-        // LRU-K's next victim is the greatest-backward-K-distance set; report
-        // its estimated profit (Eq. 6) since LRU-K ignores cost and size.
-        self.victim()
-            .and_then(|id| self.entries.by_id(id))
-            .map(|e| Profit::estimated(e.cost, e.size_bytes))
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn record_coalesced_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_coalesced(cost);
-    }
-
-    fn record_error_reference(&mut self) {
-        self.stats.record_fetch_error();
-    }
-
-    fn record_stale_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_stale(cost);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.distance.clear();
-        self.retained.clear();
-        self.used_bytes = 0;
-    }
-
-    fn cached_keys(&self) -> Vec<QueryKey> {
-        self.entries.iter().map(|(_, e)| e.key.clone()).collect()
+        self.rule.retained.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ranked::contract;
+    use crate::policy::{InsertOutcome, QueryCache};
     use crate::value::SizedPayload;
 
     fn ts(us: u64) -> Timestamp {
@@ -512,6 +297,7 @@ mod tests {
         assert!(cache.get(&key("a"), ts(5)).is_none());
         assert!(cache.get(&key("a"), ts(5)).is_none()); // the retry
         let samples = cache
+            .rule
             .retained
             .get(&key("a"))
             .unwrap()
@@ -535,16 +321,12 @@ mod tests {
             1,
             "only b's fresh eviction is retained"
         );
-        assert!(!cache.retained.contains_key(&key("a")));
+        assert!(!cache.rule.retained.contains_key(&key("a")));
     }
 
     #[test]
     fn rejects_oversized_sets() {
-        let mut cache = LruKCache::with_capacity(100, 2);
-        assert_eq!(
-            insert(&mut cache, "big", 500, 1),
-            InsertOutcome::Rejected(RejectReason::TooLarge)
-        );
+        contract::rejects_oversized_and_zero_capacity(|bytes| LruKCache::with_capacity(bytes, 2));
     }
 
     #[test]
@@ -560,12 +342,7 @@ mod tests {
 
     #[test]
     fn used_bytes_bounded_by_capacity() {
-        let mut cache = LruKCache::with_capacity(1_000, 3);
-        for i in 0..200u64 {
-            let name = format!("q{}", i % 23);
-            insert(&mut cache, &name, 80 + (i % 7) * 50, i + 1);
-            assert!(cache.used_bytes() <= cache.capacity_bytes());
-        }
+        contract::used_bytes_never_exceeds_capacity(|bytes| LruKCache::with_capacity(bytes, 3));
     }
 
     #[test]

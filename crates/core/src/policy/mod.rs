@@ -1,7 +1,8 @@
 //! Cache policies.
 //!
 //! The [`QueryCache`] trait is the public interface shared by the paper's
-//! LNC-R / LNC-RA policies ([`lnc`]) and the comparison baselines:
+//! LNC-R / LNC-RA policies ([`lnc`]) and the comparison baselines.  The
+//! baselines are one cache, [`ranked::RankedCache`], under five rank rules:
 //! vanilla LRU ([`lru`]), LRU-K ([`lru_k`]), LFU ([`lfu`]), largest-space
 //! LCS ([`lcs`]) and GreedyDual-Size ([`gds`]).
 //!
@@ -18,18 +19,14 @@
 //!
 //! # Per-operation complexity
 //!
-//! Every policy maintains an incremental victim index (see [`index`], and
-//! for the LNC policies the decay index described in [`lnc`]) instead of
-//! re-scanning the cache per eviction, with `n` cached sets and `v` victims
-//! per decision:
+//! Every policy maintains an incremental victim index (the ranked cache's
+//! [`index`], and for the LNC policies the decay index described in [`lnc`])
+//! instead of re-scanning the cache per eviction, with `n` cached sets and
+//! `v` victims per decision:
 //!
 //! | policy | admit | hit | evict (total) | `min_cached_profit` | shrink by `b` |
 //! |---|---|---|---|---|---|
-//! | LRU | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
-//! | LRU-K | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
-//! | LFU | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
-//! | LCS | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
-//! | GreedyDual-Size | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
+//! | any rank rule | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
 //! | LNC-R / LNC-RA | O(log n) | O(1) | O(b + v log n)¹ | O(b + log n)¹ | O(b + v log n)¹ |
 //!
 //! ¹ LNC profits re-evaluate the Eq. 3 rate at the decision's `now`, and the
@@ -43,10 +40,11 @@
 //! the index.  The one O(n log n) case left is a decision whose `now` lies
 //! before a reference already recorded, where the bound is void.
 //!
-//! The per-policy scan implementations these indexes replaced are retained
-//! under `#[cfg(test)]` as differential-test oracles: the `differential`
-//! module (test builds only) holds the property suite asserting identical
-//! victim sequences and signal values on random traces.
+//! The scans these indexes replaced are retained under `#[cfg(test)]` as
+//! differential-test oracles — one scan over the rule's ranks on the ranked
+//! cache, four reference methods on LNC: the `differential` module (test
+//! builds only) holds the property suite asserting identical victim
+//! sequences and signal values on random traces.
 
 pub mod gds;
 pub(crate) mod index;
@@ -55,6 +53,7 @@ pub mod lfu;
 pub mod lnc;
 pub mod lru;
 pub mod lru_k;
+pub mod ranked;
 
 #[cfg(test)]
 pub(crate) mod differential;
