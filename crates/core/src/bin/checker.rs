@@ -15,21 +15,22 @@
 //! real models are trusted.
 
 use watchman_core::checker::models::{
-    CircuitBreakerModel, InvertedLockOrderModel, ReactorRegistrationModel, RebalanceModel,
-    RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
+    CircuitBreakerModel, DriverSeatModel, InvertedLockOrderModel, ReactorRegistrationModel,
+    RebalanceModel, RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
 };
 use watchman_core::checker::{explore, Model};
 
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let budget = if quick { 150 } else { 1_500 };
-    let models: [&dyn Model; 6] = [
+    let models: [&dyn Model; 7] = [
         &SingleFlightModel,
         &RuntimeDropModel,
         &RebalanceModel,
         &ReactorRegistrationModel,
         &WorkStealingQueueModel,
         &CircuitBreakerModel,
+        &DriverSeatModel,
     ];
 
     let mut total_schedules = 0;

@@ -49,10 +49,13 @@
 //! cancelled task dropping its registration, against the real `ReadyCell`),
 //! [`models::WorkStealingQueueModel`] (the run-queue push/steal/park
 //! protocol, against the real `RunQueue` — a parked worker nobody wakes
-//! while work sits queued is a lost wakeup) and
+//! while work sits queued is a lost wakeup),
 //! [`models::CircuitBreakerModel`] (the per-shard breaker's trip /
-//! half-open / re-close cycle, against the real `CircuitBreaker`).
-//! `cargo run -p watchman-core --bin checker` explores all six; see
+//! half-open / re-close cycle, against the real `CircuitBreaker`) and
+//! [`models::DriverSeatModel`] (the same run queue with the reactor's
+//! driver seat: one idle worker blocks in the reactor's turn instead of on
+//! its condvar, and an unpark must reach it there).
+//! `cargo run -p watchman-core --bin checker` explores all seven; see
 //! `CONCURRENCY.md`.
 //!
 //! [`Flight`]: crate::engine::single_flight::Flight
@@ -940,7 +943,8 @@ pub mod models {
 
     /// Model 4: reactor event delivery versus registration drop, driving
     /// the **real** [`ReadyCell`](crate::runtime::reactor::ReadyCell) from
-    /// the IO reactor.
+    /// the IO reactor.  (Which thread delivers — today the worker in the
+    /// driver seat — is immaterial to the cell: see model 7 for the seat.)
     ///
     /// Thread 0 is a session task's read future running the exact net-wrapper
     /// loop: `poll_ready` → non-blocking syscall → tick-checked
@@ -948,7 +952,7 @@ pub mod models {
     /// tolerates one suspension; if it suspends a *second* time (a spurious
     /// readable edge with no data, e.g. `EPOLLRDHUP`) the task is cancelled —
     /// its future drops, which deregisters the token from the table.  Thread
-    /// 1 is the reactor thread delivering two edge events for that token —
+    /// 1 is the driving worker delivering two edge events for that token —
     /// one spurious, one carrying data — each time cloning the cell `Arc`
     /// out of the (virtually locked) registration table and calling
     /// `set_ready` strictly after releasing it.
@@ -957,7 +961,7 @@ pub mod models {
     /// an event landing between the syscall and the `clear_ready` (the tick
     /// mismatch must keep the cell ready — losing that edge parks the task
     /// forever and the scheduler reports the lost wakeup), and the
-    /// deregister-while-ready race where the reactor has cloned the cell,
+    /// deregister-while-ready race where the driver has cloned the cell,
     /// the task drops the registration, and `set_ready` then wakes a stale
     /// waker on an orphaned cell (harmless by construction).  Invariants: no
     /// schedule deadlocks, the task either reads exactly once or is
@@ -1031,7 +1035,7 @@ pub mod models {
                         }
                     };
                     // Registration::drop — remove the table entry.  The
-                    // reactor may already hold a clone of the cell.
+                    // driver may already hold a clone of the cell.
                     ctl.lock(LOCK_TABLE);
                     let registration = table.lock().take();
                     ctl.unlock(LOCK_TABLE);
@@ -1043,7 +1047,7 @@ pub mod models {
                 }) as ThreadBody
             };
 
-            let reactor = {
+            let driver = {
                 let table = Arc::clone(&table);
                 let data = Arc::clone(&data);
                 Box::new(move |ctl: &Ctl| {
@@ -1070,7 +1074,7 @@ pub mod models {
             };
 
             ModelRun {
-                threads: vec![io_task, reactor],
+                threads: vec![io_task, driver],
                 finale: Box::new(move || {
                     if table.lock().is_some() {
                         return Err(
@@ -1156,99 +1160,162 @@ pub mod models {
         }
 
         fn instantiate(&self) -> ModelRun {
-            use crate::runtime::queue::{RunQueue, NO_WORKER};
+            queue_model(false)
+        }
+    }
 
-            let queue: Arc<RunQueue<u32>> = Arc::new(RunQueue::new(2));
-            let state = Arc::new(Mutex::new(QueueModelState {
-                remaining: QUEUE_ITEMS.len() as u32,
-                consumed: Vec::new(),
-            }));
+    /// Model 7: model 5 with the reactor's **driver seat** — the same
+    /// producer and two workers on the real
+    /// [`RunQueue`](crate::runtime::queue::RunQueue), but a parking worker
+    /// first tries the seat, step for step as the worker loop's `drive`
+    /// does: seat CAS, *then* the permit check, then "blocked in the
+    /// reactor's turn", modelled as a wait on a wake-pipe flag that only
+    /// the queue's real driver waker sets (installed as a checker flag
+    /// waker, so the write happens inside the real `unpark`, not in a
+    /// mirror).  The worker that loses the seat parks on its condvar as in
+    /// model 5.  The pipe is drained and the idle list left *before* the
+    /// seat is, as `Reactor::turn` and `drive` do; a byte that lands after
+    /// the drain stays for the next driver, which it costs one spurious
+    /// turn.
+    ///
+    /// The explored windows: an unpark landing between the seat CAS and the
+    /// permit check (the check must see the permit), between the check and
+    /// the block (the unparker must see the seat and write the pipe), and
+    /// after the turn returned but before the seat is left (a stale byte,
+    /// never a lost one).  A worker asleep in the turn with its permit
+    /// granted and the pipe empty is the lost wakeup this model exists to
+    /// rule out.  Invariants as in model 5.
+    pub struct DriverSeatModel;
 
-            let producer = {
-                let queue = Arc::clone(&queue);
-                Box::new(move |ctl: &Ctl| {
-                    for (index, item) in QUEUE_ITEMS.into_iter().enumerate() {
-                        ctl.point();
-                        // One injector submission, one with a worker hint —
-                        // both unpark paths.  The real push grants permits;
-                        // mirror them onto the checker flags within this
-                        // same model step (no yield between), so flag and
-                        // permit appear together atomically.
-                        let hint = if index == 0 { NO_WORKER } else { 0 };
-                        queue.push_remote(hint, item);
-                        for (worker, flag) in FLAG_PARK.into_iter().enumerate() {
-                            if queue.has_permit(worker) {
-                                ctl.set_flag(flag);
-                            }
+    /// Set by the queue's driver waker: unread bytes in the wake pipe.
+    const FLAG_TURN: u64 = 402;
+
+    impl Model for DriverSeatModel {
+        fn name(&self) -> &'static str {
+            "driver seat: seat CAS / permit check / blocked in turn vs unpark"
+        }
+
+        fn instantiate(&self) -> ModelRun {
+            queue_model(true)
+        }
+    }
+
+    /// Models 5 and 7: a producer and two workers on one real run queue;
+    /// `with_seat` lets a parking worker block in the driver seat.
+    fn queue_model(with_seat: bool) -> ModelRun {
+        use crate::runtime::queue::{RunQueue, NO_WORKER};
+
+        let queue: Arc<RunQueue<u32>> = Arc::new(RunQueue::new(2));
+        let state = Arc::new(Mutex::new(QueueModelState {
+            remaining: QUEUE_ITEMS.len() as u32,
+            consumed: Vec::new(),
+        }));
+
+        let producer = {
+            let queue = Arc::clone(&queue);
+            Box::new(move |ctl: &Ctl| {
+                for (index, item) in QUEUE_ITEMS.into_iter().enumerate() {
+                    ctl.point();
+                    // One injector submission, one with a worker hint —
+                    // both unpark paths.  The real push grants permits;
+                    // mirror them onto the checker flags within this
+                    // same model step (no yield between), so flag and
+                    // permit appear together atomically.
+                    let hint = if index == 0 { NO_WORKER } else { 0 };
+                    queue.push_remote(hint, item);
+                    for (worker, flag) in FLAG_PARK.into_iter().enumerate() {
+                        if queue.has_permit(worker) {
+                            ctl.set_flag(flag);
                         }
                     }
-                }) as ThreadBody
-            };
+                }
+            }) as ThreadBody
+        };
 
-            let worker = |me: usize| {
-                let queue = Arc::clone(&queue);
-                let state = Arc::clone(&state);
-                Box::new(move |ctl: &Ctl| {
-                    loop {
-                        ctl.point();
-                        if let Some(item) = queue.pop(me).or_else(|| queue.steal(me)) {
-                            queue_model_consume(ctl, &queue, &state, item);
-                            continue;
-                        }
-                        // The worker-loop idle protocol, step for step:
-                        // register as idle FIRST...
-                        ctl.point();
-                        queue.prepare_park(me);
-                        // ...re-scan SECOND (a push that missed the
-                        // registration must be seen here)...
-                        ctl.point();
-                        if let Some(item) = queue.pop(me).or_else(|| queue.steal(me)) {
-                            queue.cancel_park(me);
-                            queue_model_consume(ctl, &queue, &state, item);
-                            continue;
-                        }
-                        if state.lock().remaining == 0 {
-                            queue.cancel_park(me);
-                            return;
-                        }
-                        // ...and only then park.  The blocking park_wait is
-                        // modelled as: consume a pending permit, else wait
-                        // on the mirrored flag — a wait nobody will satisfy
-                        // is reported by the scheduler as a lost wakeup.
-                        ctl.clear_flag(FLAG_PARK[me]);
+        let worker = |me: usize| {
+            let queue = Arc::clone(&queue);
+            let state = Arc::clone(&state);
+            Box::new(move |ctl: &Ctl| {
+                if with_seat {
+                    // First call wins; both workers offer the same flag.
+                    queue.set_driver_waker(ctl.flag_waker(FLAG_TURN));
+                }
+                loop {
+                    ctl.point();
+                    if let Some(item) = queue.pop(me).or_else(|| queue.steal(me)) {
+                        queue_model_consume(ctl, &queue, &state, item);
+                        continue;
+                    }
+                    // The worker-loop idle protocol, step for step:
+                    // register as idle FIRST...
+                    ctl.point();
+                    queue.prepare_park(me);
+                    // ...re-scan SECOND (a push that missed the
+                    // registration must be seen here)...
+                    ctl.point();
+                    if let Some(item) = queue.pop(me).or_else(|| queue.steal(me)) {
+                        queue.cancel_park(me);
+                        queue_model_consume(ctl, &queue, &state, item);
+                        continue;
+                    }
+                    if state.lock().remaining == 0 {
+                        queue.cancel_park(me);
+                        return;
+                    }
+                    // ...and only then park: in the driver seat if it is
+                    // free — seat FIRST, permit check SECOND, and without a
+                    // permit block until the wake pipe is written...
+                    ctl.point();
+                    if with_seat && queue.try_take_seat(me) {
                         ctl.point();
                         if !queue.try_take_permit(me) {
-                            ctl.wait_flag(FLAG_PARK[me]);
-                            let _ = queue.try_take_permit(me);
+                            ctl.wait_flag(FLAG_TURN);
+                            // The turn drains the pipe from the seat.
+                            ctl.clear_flag(FLAG_TURN);
                         }
+                        // Off the idle list, deliver, then out of the seat.
+                        queue.cancel_park(me);
+                        ctl.point();
+                        queue.leave_seat(me);
+                        continue;
                     }
-                }) as ThreadBody
-            };
+                    // ...else on the condvar.  The blocking park_wait is
+                    // modelled as: consume a pending permit, else wait
+                    // on the mirrored flag — a wait nobody will satisfy
+                    // is reported by the scheduler as a lost wakeup.
+                    ctl.clear_flag(FLAG_PARK[me]);
+                    ctl.point();
+                    if !queue.try_take_permit(me) {
+                        ctl.wait_flag(FLAG_PARK[me]);
+                        let _ = queue.try_take_permit(me);
+                    }
+                }
+            }) as ThreadBody
+        };
 
-            ModelRun {
-                threads: vec![producer, worker(0), worker(1)],
-                finale: Box::new(move || {
-                    let state = state.lock();
-                    if state.remaining != 0 {
-                        return Err(format!(
-                            "{} items never consumed (lost in the queues)",
-                            state.remaining
-                        ));
-                    }
-                    let mut consumed = state.consumed.clone();
-                    consumed.sort_unstable();
-                    if consumed != QUEUE_ITEMS {
-                        return Err(format!(
-                            "items consumed {consumed:?}, expected {QUEUE_ITEMS:?} \
-                             (lost or double-consumed)"
-                        ));
-                    }
-                    if !queue.drain().is_empty() {
-                        return Err("queue not empty after all items consumed".to_owned());
-                    }
-                    Ok(())
-                }),
-            }
+        ModelRun {
+            threads: vec![producer, worker(0), worker(1)],
+            finale: Box::new(move || {
+                let state = state.lock();
+                if state.remaining != 0 {
+                    return Err(format!(
+                        "{} items never consumed (lost in the queues)",
+                        state.remaining
+                    ));
+                }
+                let mut consumed = state.consumed.clone();
+                consumed.sort_unstable();
+                if consumed != QUEUE_ITEMS {
+                    return Err(format!(
+                        "items consumed {consumed:?}, expected {QUEUE_ITEMS:?} \
+                         (lost or double-consumed)"
+                    ));
+                }
+                if !queue.drain().is_empty() {
+                    return Err("queue not empty after all items consumed".to_owned());
+                }
+                Ok(())
+            }),
         }
     }
 
@@ -1445,8 +1512,8 @@ pub mod models {
 #[cfg(test)]
 mod tests {
     use super::models::{
-        CircuitBreakerModel, InvertedLockOrderModel, ReactorRegistrationModel, RebalanceModel,
-        RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
+        CircuitBreakerModel, DriverSeatModel, InvertedLockOrderModel, ReactorRegistrationModel,
+        RebalanceModel, RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
     };
     use super::*;
 
@@ -1501,6 +1568,18 @@ mod tests {
     #[test]
     fn work_stealing_queue_model_is_clean() {
         let exploration = explore(&WorkStealingQueueModel, 4_000);
+        assert!(exploration.schedules > 10, "{}", exploration.summary());
+        assert!(
+            exploration.violations.is_empty(),
+            "{}\nfirst violation: {:?}",
+            exploration.summary(),
+            exploration.violations.first()
+        );
+    }
+
+    #[test]
+    fn driver_seat_model_is_clean() {
+        let exploration = explore(&DriverSeatModel, 4_000);
         assert!(exploration.schedules > 10, "{}", exploration.summary());
         assert!(
             exploration.violations.is_empty(),

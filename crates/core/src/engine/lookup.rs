@@ -865,6 +865,21 @@ where
     }
 }
 
+impl<V, F> LookupFuture<V, Fallible<F>> {
+    /// Runs the leader's fetch on the polling thread instead of spawning
+    /// it — what the synchronous doors do — for a caller that awaits this
+    /// lookup before doing anything else, where a spawned fetch overlaps
+    /// with nothing and costs a task, a queue push, a suspension and a
+    /// second poll per miss.  Followers still suspend on their waker and
+    /// retry backoffs still sleep on the runtime timer; what is given up is
+    /// cancelling a fetch that has not started (it starts in the poll that
+    /// takes leadership).
+    pub fn in_place(mut self) -> Self {
+        self.spawn = None;
+        self
+    }
+}
+
 impl<V, M> Future for LookupFuture<V, M>
 where
     V: CachePayload + Send + Sync + 'static,

@@ -30,12 +30,12 @@
 //!   (a single-flight leader waking a follower hands it off while its state
 //!   is cache-hot, subject to a streak cap so hand-off chains cannot starve
 //!   the FIFO), or at the FIFO back when a task re-queues itself
-//!   ([`yield_now`] keeps its everything-else-first meaning).  Wakes from
-//!   outside the pool — the IO reactor, external threads — go to the queue
-//!   of the worker that *last polled* the task, so a session keeps
-//!   returning to the same core; fresh spawns with no history go to the
-//!   injector.  With one worker this degenerates to the strict FIFO
-//!   executor the deterministic tests rely on.
+//!   ([`yield_now`] keeps its everything-else-first meaning); IO readiness
+//!   is delivered by a worker (below) and follows the same rule.  Wakes
+//!   from outside the pool go to the queue of the worker that *last
+//!   polled* the task, so a session keeps returning to the same core;
+//!   fresh spawns with no history go to the injector.  With one worker this
+//!   degenerates to the strict FIFO executor the deterministic tests rely on.
 //! * **Stealing bounds imbalance.**  A worker with an empty local queue
 //!   sweeps its siblings in xorshift-randomized order and takes half of the
 //!   first non-empty FIFO it finds, then falls back to the injector; every
@@ -46,17 +46,18 @@
 //!   is documented in `queue.rs`, asserted leaf-level in the lock-order
 //!   graph, and model-checked by the checker's work-stealing model
 //!   (`CONCURRENCY.md`).
-//! * **IO readiness comes from a reactor thread.**  The first
-//!   [`net::TcpListener`]/[`net::TcpStream`] registration lazily starts one
-//!   dedicated reactor thread parked in `epoll_wait`; sockets are
-//!   registered edge-triggered and IO futures park per-direction wakers in
-//!   a readiness cell the reactor flips on events (the full wakeup
-//!   protocol, including the tick scheme that makes edge-triggered clears
-//!   race-free, is documented in `reactor.rs` and `CONCURRENCY.md`).
-//!   Runtimes that never touch the network never pay for the thread.
-//!   Waking a task from the reactor is a push onto its last worker's queue:
-//!   IO-bound sessions are ordinary tasks, so thousands of idle connections
-//!   cost two parked wakers each — not threads.
+//! * **IO readiness comes from the worker that goes idle.**  The first
+//!   [`net::TcpListener`]/[`net::TcpStream`] registration lazily creates
+//!   the reactor — one epoll instance, no thread.  From then on one idle
+//!   worker at a time holds the *driver seat* and parks in `epoll_wait`
+//!   instead of on its condvar (the cell and tick protocol is documented in
+//!   `reactor.rs`, the seat in `queue.rs`, both in `CONCURRENCY.md`).  A
+//!   readiness wake is a push onto the driver's own queue, so the session
+//!   runs on the thread `epoll_wait` returned on: one wake-up per request.
+//!   A worker that leaves the seat with something to run hands it to an
+//!   idle sibling first, and a busy pool polls epoll without blocking every
+//!   61st task, so readiness is never stuck behind a long poll or a full
+//!   queue.  Idle connections cost two parked wakers each, not threads.
 //! * **Blocking closures occupy a worker.**  The engine's fetch closures are
 //!   *blocking* by design (they model multi-second warehouse scans), and each
 //!   one occupies a worker thread for its duration.  Size the pool to the
@@ -68,13 +69,14 @@
 //! * **Timers are best-effort.**  [`Sleep`] deadlines live in one global
 //!   heap guarded by an atomic earliest-deadline mirror, so the per-pop
 //!   check is a single load; workers fire due timers between tasks and park
-//!   against the earliest deadline.  A pool whose every worker is stuck in
-//!   a long blocking fetch fires timers late.  Fine for the engine's
-//!   background maintenance (rebalance passes), unsuitable for
+//!   against the earliest deadline (in the seat, `epoll_wait`'s timeout
+//!   rounds it up to a whole millisecond).  A pool whose every worker is
+//!   stuck in a long blocking fetch fires timers late.  Fine for the
+//!   engine's background maintenance (rebalance passes), unsuitable for
 //!   high-resolution timing.
 //! * **Shutdown is prompt, not graceful-drain.**  Dropping the [`Runtime`]
-//!   (or calling [`Runtime::shutdown`] on a shared handle) stops the
-//!   reactor, grants every worker's park permit, stops polling, drops all
+//!   (or calling [`Runtime::shutdown`] on a shared handle) grants every
+//!   worker's park permit, stops polling, drops all
 //!   pending tasks (their [`JoinHandle`]s resolve to
 //!   [`JoinError::Cancelled`]) and joins the workers.  In-flight polls
 //!   finish; suspended tasks never run again.  Callers that want a graceful
@@ -101,13 +103,14 @@ use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use crate::sync::{Condvar, Mutex};
 
 use queue::RunQueue;
+use reactor::Reactor;
 use task::{RunnableTask, TaskFuture};
 use timer::TimerEntry;
 
@@ -152,6 +155,9 @@ pub(crate) struct RuntimeInner {
     /// epilogue), closing the race with the cancel sweep; workers exit once
     /// they observe it.
     shutdown: AtomicBool,
+    /// The IO reactor, created by the first socket registration; from then
+    /// on the worker that goes idle parks in it (`drive`).
+    reactor: OnceLock<Arc<Reactor>>,
 }
 
 impl RuntimeInner {
@@ -278,10 +284,35 @@ impl RuntimeInner {
         POLLING_TASK.with(|current| current.set(std::ptr::null()));
     }
 
+    /// One turn in the driver seat, if there is a reactor and nobody drives
+    /// it: `index` sleeps in `epoll_wait` (up to `timeout`) instead of on
+    /// its condvar.  See [`RunQueue::try_take_seat`] for the protocol.
+    fn drive(&self, index: usize, timeout: Option<Duration>) -> bool {
+        let Some(reactor) = self.reactor.get() else {
+            return false;
+        };
+        if !self.queue.try_take_seat(index) {
+            return false;
+        }
+        let awake = || self.queue.cancel_park(index);
+        if self.queue.try_take_permit(index) {
+            awake();
+        } else {
+            reactor.turn(timeout, awake);
+        }
+        self.queue.leave_seat(index);
+        true
+    }
+
     fn worker_loop(self: &Arc<Self>, index: usize) {
         WORKER_CONTEXT.with(|context| {
             context.set(Some((index, Arc::as_ptr(self).cast::<()>())));
         });
+        let next = || self.queue.pop(index).or_else(|| self.queue.steal(index));
+        // Whether this worker has just left the driver seat, and how many
+        // tasks it has run.
+        let mut drove = false;
+        let mut polls = 0u32;
         loop {
             if self.is_shutting_down() {
                 return;
@@ -289,25 +320,39 @@ impl RuntimeInner {
             // Fire due timers first so a busy run queue cannot starve the
             // timer heap indefinitely (one atomic load when nothing is due).
             self.fire_due_timers();
-            if let Some(task) = self.queue.pop(index).or_else(|| self.queue.steal(index)) {
-                self.run_task(index, task);
+            let Some(task) = next().or_else(|| {
+                // Going idle: register as a parking candidate FIRST, re-scan
+                // SECOND — the order that makes the park race-free (a push
+                // that missed the registration is seen by this re-scan; a
+                // push that saw it grants the permit; see queue.rs).
+                self.queue.prepare_park(index);
+                let task = next();
+                if task.is_some() || self.is_shutting_down() {
+                    self.queue.cancel_park(index);
+                } else {
+                    drove = self.drive(index, self.park_timeout());
+                    if !drove {
+                        self.queue.park_wait(index, self.park_timeout());
+                    }
+                }
+                task
+            }) else {
                 continue;
+            };
+            if std::mem::take(&mut drove) {
+                // Out of the seat with work that may block: an idle sibling
+                // takes it over, so readiness keeps flowing.
+                self.queue.unpark_one();
             }
-            // Going idle: register as a parking candidate FIRST, re-scan
-            // SECOND — the order that makes the park race-free (a push that
-            // missed the registration is seen by this re-scan; a push that
-            // saw it grants the permit; see queue.rs).
-            self.queue.prepare_park(index);
-            if let Some(task) = self.queue.pop(index).or_else(|| self.queue.steal(index)) {
-                self.queue.cancel_park(index);
-                self.run_task(index, task);
-                continue;
+            polls += 1;
+            let look = polls.is_multiple_of(queue::INJECTOR_INTERVAL);
+            if look && self.drive(index, Some(Duration::ZERO)) {
+                // That turn did not block: ready sockets must not starve
+                // behind a queue that never empties.  A sibling that went
+                // idle during it found the seat taken: send it back.
+                self.queue.unpark_one();
             }
-            if self.is_shutting_down() {
-                self.queue.cancel_park(index);
-                return;
-            }
-            self.queue.park_wait(index, self.park_timeout());
+            self.run_task(index, task);
         }
     }
 }
@@ -333,13 +378,6 @@ pub struct Runtime {
     /// The configured pool size ([`Runtime::worker_count`] must stay
     /// meaningful after shutdown drains the join handles).
     worker_total: usize,
-    /// The IO reactor, started lazily by the first socket registration.
-    reactor: Mutex<Option<ReactorHandle>>,
-}
-
-struct ReactorHandle {
-    reactor: Arc<reactor::Reactor>,
-    thread: std::thread::JoinHandle<()>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -375,6 +413,7 @@ impl Runtime {
             alive: AtomicUsize::new(0),
             timer_seq: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            reactor: OnceLock::new(),
         });
         let workers = (0..worker_total)
             .map(|index| {
@@ -389,7 +428,6 @@ impl Runtime {
             inner,
             workers: Mutex::new(workers),
             worker_total,
-            reactor: Mutex::new(None),
         }
     }
 
@@ -469,22 +507,28 @@ impl Runtime {
         Arc::downgrade(&self.inner)
     }
 
-    /// The runtime's IO reactor, starting its thread on first use.
-    pub(crate) fn reactor(&self) -> std::io::Result<Arc<reactor::Reactor>> {
-        let mut slot = self.reactor.lock();
-        if let Some(handle) = slot.as_ref() {
-            return Ok(Arc::clone(&handle.reactor));
+    /// The runtime's IO reactor, created on first use.
+    pub(crate) fn reactor(&self) -> std::io::Result<Arc<Reactor>> {
+        if let Some(reactor) = self.inner.reactor.get() {
+            return Ok(Arc::clone(reactor));
         }
-        let (reactor, thread) = reactor::Reactor::start()?;
-        *slot = Some(ReactorHandle {
-            reactor: Arc::clone(&reactor),
-            thread,
-        });
+        // Two first registrations may race (the loser's candidate drops);
+        // the winner's closure runs before any worker can see the reactor,
+        // so none is seated without a way to interrupt it.
+        let candidate = Arc::new(Reactor::new()?);
+        let reactor = Arc::clone(self.inner.reactor.get_or_init(|| {
+            let waker = Waker::from(Arc::clone(&candidate));
+            self.inner.queue.set_driver_waker(waker);
+            candidate
+        }));
+        // Workers already parked on their condvars predate the reactor:
+        // kick one so it re-parks in the seat.
+        self.inner.queue.unpark_one();
         Ok(reactor)
     }
 
-    /// Shuts the runtime down through a shared handle: stops the reactor,
-    /// wakes every worker, drops all pending tasks (their [`JoinHandle`]s
+    /// Shuts the runtime down through a shared handle: wakes every worker,
+    /// drops all pending tasks (their [`JoinHandle`]s
     /// resolve to [`JoinError::Cancelled`]) and joins the worker threads.
     ///
     /// Idempotent — later calls (including the one from `Drop`) are no-ops.
@@ -504,16 +548,9 @@ impl Runtime {
         let tasks = std::mem::take(&mut *self.inner.tasks.lock());
         drop(drained);
         drop(cleared_timers);
-        // Grant every park permit — parked or mid-park, no worker sleeps
-        // through the flag.
+        // Grant every park permit — parked, seated or mid-park, no worker
+        // sleeps through the flag.
         self.inner.queue.unpark_all();
-        // Stop the reactor before cancelling tasks: no new readiness events
-        // will arrive while IO futures are being dropped.
-        let reactor = self.reactor.lock().take();
-        if let Some(handle) = reactor {
-            handle.reactor.initiate_shutdown();
-            let _ = handle.thread.join();
-        }
         // Cancel tasks suspended on *external* wakers too (the clears above
         // cannot reach them).  try_cancel never blocks: a task whose future
         // mutex is held is being polled at this instant — possibly by THIS
@@ -807,12 +844,208 @@ mod tests {
                 ran.fetch_add(1, Ordering::SeqCst);
             }));
         }
+        // `alive` drops when the poll that ran the side effect returns, a
+        // moment after the side effect is visible: wait for both.
+        wait_until("the detached task ran and finished", || {
+            ran.load(Ordering::SeqCst) == 1 && runtime.alive_tasks() == 0
+        });
+    }
+
+    /// A connected loopback pair: `(client, server side)`.
+    fn socket_pair() -> (std::net::TcpStream, std::net::TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = std::net::TcpStream::connect(listener.local_addr().expect("addr"));
+        let (server_side, _) = listener.accept().expect("accept");
+        (client.expect("connect"), server_side)
+    }
+
+    /// Spins until `condition` holds (5 s deadline).
+    fn wait_until(what: &str, condition: impl Fn() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while ran.load(Ordering::SeqCst) == 0 {
-            assert!(Instant::now() < deadline, "detached task never ran");
+        while !condition() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
             std::thread::yield_now();
         }
-        assert_eq!(runtime.alive_tasks(), 0);
+    }
+
+    /// Runs `body` on its own thread and fails if it has not returned after
+    /// 5 s — for tests whose failure mode is a wake that never comes.
+    fn within_deadline<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(body()));
+        result
+            .recv_timeout(Duration::from_secs(5))
+            .expect("no wake-up arrived within 5 s")
+    }
+
+    /// A one-shot the test thread opens: the task parked on it is woken from
+    /// outside the pool, so it is filed at — and calls up — its last worker.
+    #[derive(Default)]
+    struct Gate {
+        open: AtomicBool,
+        waker: Mutex<Option<Waker>>,
+    }
+
+    impl Gate {
+        async fn wait(&self) {
+            std::future::poll_fn(|cx| {
+                *self.waker.lock() = Some(cx.waker().clone());
+                match self.open.load(Ordering::SeqCst) {
+                    true => Poll::Ready(()),
+                    false => Poll::Pending,
+                }
+            })
+            .await;
+        }
+
+        fn open(&self) {
+            self.open.store(true, Ordering::SeqCst);
+            if let Some(waker) = self.waker.lock().take() {
+                waker.wake();
+            }
+        }
+    }
+
+    #[test]
+    fn a_driver_called_away_to_blocking_work_hands_the_seat_over() {
+        use std::io::Write;
+        let runtime = Arc::new(Runtime::with_workers(2));
+        let idle_and_seated = || runtime.inner.queue.all_parked(true);
+        let (mut client, server_side) = socket_pair();
+        let stream = net::TcpStream::from_std(&runtime, server_side).expect("register");
+        let rounds = Arc::new(AtomicU64::new(0));
+        let reader = {
+            let rounds = Arc::clone(&rounds);
+            runtime.spawn(async move {
+                let mut byte = [0u8; 1];
+                stream.read_exact(&mut byte).await.expect("first byte");
+                rounds.store(1, Ordering::SeqCst);
+                stream.read_exact(&mut byte).await.expect("second byte");
+                Instant::now()
+            })
+        };
+        client.write_all(&[1]).expect("send");
+        wait_until("the reader is parked on its socket", || {
+            rounds.load(Ordering::SeqCst) == 1 && idle_and_seated()
+        });
+        // Outside submissions call up the condvar sleeper before the driver
+        // (it parked last).  Keep it busy, so the blocker-to-be is first
+        // polled by the driver — which then returns to the seat, the
+        // sibling to its condvar.
+        let napping = Arc::new(AtomicBool::new(false));
+        let nap = {
+            let napping = Arc::clone(&napping);
+            runtime.spawn(async move {
+                napping.store(true, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(50));
+            })
+        };
+        wait_until("the sibling naps", || napping.load(Ordering::SeqCst));
+        let gate = Arc::new(Gate::default());
+        let blocker = {
+            let gate = Arc::clone(&gate);
+            runtime.spawn(async move {
+                gate.wait().await;
+                std::thread::sleep(Duration::from_millis(200));
+            })
+        };
+        wait_until("the blocker is parked on its gate", || {
+            gate.waker.lock().is_some()
+        });
+        block_on(nap).expect("nap");
+        wait_until("driver seated, sibling asleep", idle_and_seated);
+        // The wake goes to the blocker's last worker: the driver.  It must
+        // not take the seat along into its 200 ms of blocking.
+        gate.open();
+        std::thread::sleep(Duration::from_millis(10));
+        let readable_at = Instant::now();
+        client.write_all(&[2]).expect("send");
+        let served_at = block_on(reader).expect("reader");
+        let waited = served_at.saturating_duration_since(readable_at);
+        assert!(
+            waited < Duration::from_millis(100),
+            "readiness sat {waited:?} behind the blocked ex-driver: the seat was left empty"
+        );
+        block_on(blocker).expect("blocker");
+    }
+
+    #[test]
+    fn workers_parked_before_the_reactor_existed_serve_its_first_socket() {
+        use std::io::Write;
+        let runtime = Runtime::with_workers(2);
+        wait_until("both workers parked on condvars", || {
+            runtime.inner.queue.all_parked(false)
+        });
+        let (mut client, server_side) = socket_pair();
+        // Registered and polled from outside the pool: nothing is spawned,
+        // so only the reactor's own kick can put a worker in the seat.
+        let stream = net::TcpStream::from_std(&runtime, server_side).expect("register");
+        let mut byte = [0u8; 1];
+        let parked = {
+            let mut read = std::pin::pin!(stream.read(&mut byte));
+            let mut cx = Context::from_waker(Waker::noop());
+            read.as_mut().poll(&mut cx)
+        };
+        assert!(parked.is_pending(), "nothing to read yet");
+        client.write_all(&[7]).expect("send");
+        let read = within_deadline(move || {
+            let mut byte = [0u8; 1];
+            block_on(stream.read(&mut byte)).map(|n| (n, byte[0]))
+        });
+        assert_eq!(read.expect("read"), (1, 7));
+    }
+
+    #[test]
+    fn a_seated_worker_fires_timers_within_the_millisecond_rounding() {
+        let runtime = Arc::new(Runtime::with_workers(1));
+        let _listener = net::TcpListener::bind(&runtime, "127.0.0.1:0").expect("bind");
+        wait_until("the worker sits in the seat", || {
+            runtime.inner.queue.all_parked(true)
+        });
+        let lag = within_deadline(move || {
+            let sleep = runtime.sleep(Duration::from_millis(5));
+            block_on(runtime.spawn(async move {
+                let deadline = sleep.deadline();
+                sleep.await;
+                Instant::now().saturating_duration_since(deadline)
+            }))
+        });
+        // epoll_wait's timeout is whole milliseconds, rounded up: at most
+        // 1 ms late by design; the rest is slack for a loaded test box.
+        let lag = lag.expect("sleeper");
+        assert!(
+            lag < Duration::from_millis(1 + 50),
+            "timer fired {lag:?} late"
+        );
+    }
+
+    #[test]
+    fn a_worker_that_never_idles_still_looks_at_the_reactor() {
+        use std::io::Write;
+        let runtime = Runtime::with_workers(1);
+        let (mut client, server_side) = socket_pair();
+        let stream = net::TcpStream::from_std(&runtime, server_side).expect("register");
+        let done = Arc::new(AtomicBool::new(false));
+        // The spinner re-queues itself forever: the one worker never parks.
+        let spinner = {
+            let done = Arc::clone(&done);
+            runtime.spawn(async move {
+                while !done.load(Ordering::SeqCst) {
+                    yield_now().await;
+                }
+            })
+        };
+        let reader = runtime.spawn(async move {
+            let mut byte = [0u8; 1];
+            stream.read_exact(&mut byte).await.expect("read");
+            done.store(true, Ordering::SeqCst);
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        client.write_all(&[1]).expect("send");
+        within_deadline(move || {
+            block_on(reader).expect("reader");
+            block_on(spinner).expect("spinner");
+        });
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! [`TcpListener`] and [`TcpStream`] wrap their `std::net` counterparts in
 //! non-blocking mode, registered edge-triggered with the owning runtime's
 //! reactor.  Their `poll_*` methods follow the reactor's tick protocol
-//! (attempt the syscall while the readiness cell says ready; on
-//! `WouldBlock`, clear the observed tick and suspend), and the `async`
-//! convenience methods wrap those polls so protocol code can be written as
-//! plain `async fn` state machines.
+//! (`Registration::poll_io`), and the `async` convenience methods wrap those
+//! polls so protocol code can be written as plain `async fn` state machines.
 //!
 //! A stream is driven by **one task at a time** per direction — the wrapper
 //! stores a single waker per direction, exactly like the rest of this
@@ -78,13 +76,13 @@ struct FaultState {
 
 impl FaultState {
     fn action(&self, dir: Dir) -> FaultAction {
-        let op = match dir {
-            Dir::Read => self.reads.load(Ordering::Relaxed),
-            Dir::Write => self.writes.load(Ordering::Relaxed),
-        };
         match dir {
-            Dir::Read => self.injector.on_read(self.conn, op),
-            Dir::Write => self.injector.on_write(self.conn, op),
+            Dir::Read => self
+                .injector
+                .on_read(self.conn, self.reads.load(Ordering::Relaxed)),
+            Dir::Write => self
+                .injector
+                .on_write(self.conn, self.writes.load(Ordering::Relaxed)),
         }
     }
 
@@ -96,16 +94,14 @@ impl FaultState {
     }
 }
 
-/// A fault that preempts the IO attempt entirely (as opposed to a clamp,
-/// which merely narrows it).
-enum FaultVerdict {
-    Reset,
-    Stall,
-}
-
 /// The error an injected [`FaultAction::Reset`] surfaces as.
 fn injected_reset() -> io::Error {
     io::Error::new(io::ErrorKind::ConnectionReset, "injected connection reset")
+}
+
+/// A write that accepted nothing: the stream will never take the rest.
+fn write_zero() -> io::Error {
+    io::Error::new(io::ErrorKind::WriteZero, "stream refused further bytes")
 }
 
 /// Process-wide counters of the read/write syscalls issued through
@@ -149,8 +145,8 @@ pub struct TcpListener {
 }
 
 impl TcpListener {
-    /// Binds a listener and registers it with `runtime`'s reactor (starting
-    /// the reactor thread on first use).
+    /// Binds a listener and registers it with `runtime`'s reactor (creating
+    /// it on first use).
     pub fn bind(runtime: &Runtime, addr: &str) -> io::Result<TcpListener> {
         let std = std::net::TcpListener::bind(addr)?;
         std.set_nonblocking(true)?;
@@ -166,20 +162,10 @@ impl TcpListener {
     /// Polls for an inbound connection; the accepted stream is registered
     /// with the same reactor.
     pub fn poll_accept(&self, cx: &mut Context<'_>) -> Poll<io::Result<(TcpStream, SocketAddr)>> {
-        loop {
-            let tick = ready!(self.registration.cell().poll_ready(Dir::Read, cx));
-            match self.std.accept() {
-                Ok((stream, peer)) => {
-                    let stream = TcpStream::register(self.registration.reactor(), stream)?;
-                    return Poll::Ready(Ok((stream, peer)));
-                }
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    self.registration.cell().clear_ready(Dir::Read, tick);
-                }
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                Err(error) => return Poll::Ready(Err(error)),
-            }
-        }
+        let accept = || self.std.accept();
+        let (stream, peer) = ready!(self.registration.poll_io(Dir::Read, cx, accept))?;
+        let stream = TcpStream::register(self.registration.reactor(), stream)?;
+        Poll::Ready(Ok((stream, peer)))
     }
 
     /// Accepts one inbound connection.
@@ -231,23 +217,42 @@ impl TcpStream {
         });
     }
 
-    /// Resolves the injected action for one attempt in `dir`, translating
-    /// `Reset` into the socket shutdown + error it stands for.  Returns
-    /// `None` when the attempt should proceed (possibly clamped to the
-    /// returned byte budget).
-    fn fault_gate(&self, dir: Dir) -> Result<Option<usize>, FaultVerdict> {
-        let Some(state) = &self.fault else {
-            return Ok(None);
-        };
-        match state.action(dir) {
-            FaultAction::Pass => Ok(None),
-            FaultAction::Clamp(limit) => Ok(Some(limit.max(1))),
-            FaultAction::Reset => {
+    /// Resolves the injected action for one attempt in `dir`: `Ok` is the
+    /// byte budget the attempt may proceed with (`usize::MAX` unclamped);
+    /// `Err` is what the poll returns instead — the `Reset`'s socket
+    /// shutdown + error, or the `Stall`'s waker-less `Pending`.
+    fn fault_gate<T>(&self, dir: Dir) -> Result<usize, Poll<io::Result<T>>> {
+        match self.fault.as_ref().map(|state| state.action(dir)) {
+            None | Some(FaultAction::Pass) => Ok(usize::MAX),
+            Some(FaultAction::Clamp(limit)) => Ok(limit.max(1)),
+            Some(FaultAction::Reset) => {
                 let _ = self.std.shutdown(std::net::Shutdown::Both);
-                Err(FaultVerdict::Reset)
+                Err(Poll::Ready(Err(injected_reset())))
             }
-            FaultAction::Stall => Err(FaultVerdict::Stall),
+            Some(FaultAction::Stall) => Err(Poll::Pending),
         }
+    }
+
+    /// One non-blocking syscall under the reactor's tick protocol, counted
+    /// in [`stats`] per attempt and in the fault schedule per completion.
+    fn poll_io<T>(
+        &self,
+        dir: Dir,
+        cx: &mut Context<'_>,
+        mut op: impl FnMut(&std::net::TcpStream) -> io::Result<T>,
+    ) -> Poll<io::Result<T>> {
+        let attempt = || {
+            match dir {
+                Dir::Read => stats::note_read(),
+                Dir::Write => stats::note_write(),
+            }
+            op(&self.std)
+        };
+        let result = ready!(self.registration.poll_io(dir, cx, attempt));
+        if let (Ok(_), Some(state)) = (&result, &self.fault) {
+            state.note_completed(dir);
+        }
+        Poll::Ready(result)
     }
 
     /// The peer's address.
@@ -262,61 +267,20 @@ impl TcpStream {
 
     /// Polls one non-blocking read into `buf`; `Ok(0)` is end-of-stream.
     pub fn poll_read(&self, cx: &mut Context<'_>, buf: &mut [u8]) -> Poll<io::Result<usize>> {
-        let buf = match self.fault_gate(Dir::Read) {
-            Ok(None) => buf,
-            Ok(Some(limit)) => {
-                let take = limit.min(buf.len());
-                &mut buf[..take]
-            }
-            Err(FaultVerdict::Reset) => return Poll::Ready(Err(injected_reset())),
-            Err(FaultVerdict::Stall) => return Poll::Pending,
+        let limit = match self.fault_gate(Dir::Read) {
+            Ok(limit) => limit.min(buf.len()),
+            Err(verdict) => return verdict,
         };
-        loop {
-            let tick = ready!(self.registration.cell().poll_ready(Dir::Read, cx));
-            stats::note_read();
-            match (&self.std).read(buf) {
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    self.registration.cell().clear_ready(Dir::Read, tick);
-                }
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                result => {
-                    if result.is_ok() {
-                        if let Some(state) = &self.fault {
-                            state.note_completed(Dir::Read);
-                        }
-                    }
-                    return Poll::Ready(result);
-                }
-            }
-        }
+        self.poll_io(Dir::Read, cx, |mut std| std.read(&mut buf[..limit]))
     }
 
     /// Polls one non-blocking write of `buf`.
     pub fn poll_write(&self, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-        let buf = match self.fault_gate(Dir::Write) {
-            Ok(None) => buf,
-            Ok(Some(limit)) => &buf[..limit.min(buf.len())],
-            Err(FaultVerdict::Reset) => return Poll::Ready(Err(injected_reset())),
-            Err(FaultVerdict::Stall) => return Poll::Pending,
+        let limit = match self.fault_gate(Dir::Write) {
+            Ok(limit) => limit.min(buf.len()),
+            Err(verdict) => return verdict,
         };
-        loop {
-            let tick = ready!(self.registration.cell().poll_ready(Dir::Write, cx));
-            stats::note_write();
-            match (&self.std).write(buf) {
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    self.registration.cell().clear_ready(Dir::Write, tick);
-                }
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                result => {
-                    if result.is_ok() {
-                        if let Some(state) = &self.fault {
-                            state.note_completed(Dir::Write);
-                        }
-                    }
-                    return Poll::Ready(result);
-                }
-            }
-        }
+        self.poll_io(Dir::Write, cx, |mut std| std.write(&buf[..limit]))
     }
 
     /// Polls one non-blocking vectored write of `bufs` (a single `writev`
@@ -326,62 +290,19 @@ impl TcpStream {
         cx: &mut Context<'_>,
         bufs: &[io::IoSlice<'_>],
     ) -> Poll<io::Result<usize>> {
-        // A clamped vectored write degrades to a plain clamped write of the
-        // first non-empty slice — a short `writev` is already legal, so the
-        // framing layer resumes from the torn byte exactly as it would after
-        // a partial kernel write.
-        let clamp = match self.fault_gate(Dir::Write) {
-            Ok(clamp) => clamp,
-            Err(FaultVerdict::Reset) => return Poll::Ready(Err(injected_reset())),
-            Err(FaultVerdict::Stall) => return Poll::Pending,
-        };
-        if let Some(limit) = clamp {
-            let first = bufs.iter().find(|buf| !buf.is_empty());
-            return match first {
-                Some(first) => self.poll_write_clamped(cx, &first[..limit.min(first.len())]),
-                None => self.poll_write_clamped(cx, &[]),
-            };
-        }
-        loop {
-            let tick = ready!(self.registration.cell().poll_ready(Dir::Write, cx));
-            stats::note_write();
-            match (&self.std).write_vectored(bufs) {
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    self.registration.cell().clear_ready(Dir::Write, tick);
-                }
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                result => {
-                    if result.is_ok() {
-                        if let Some(state) = &self.fault {
-                            state.note_completed(Dir::Write);
-                        }
-                    }
-                    return Poll::Ready(result);
-                }
+        match self.fault_gate(Dir::Write) {
+            Ok(usize::MAX) => self.poll_io(Dir::Write, cx, |mut std| std.write_vectored(bufs)),
+            // A clamped vectored write degrades to a plain clamped write of
+            // the first non-empty slice — a short `writev` is already legal,
+            // so the framing layer resumes from the torn byte exactly as it
+            // would after a partial kernel write.  (The gate has run: going
+            // through `poll_write` would consult it twice for one op.)
+            Ok(limit) => {
+                let first = bufs.iter().find(|buf| !buf.is_empty());
+                let first = first.map_or(&[][..], |first| &first[..limit.min(first.len())]);
+                self.poll_io(Dir::Write, cx, |mut std| std.write(first))
             }
-        }
-    }
-
-    /// The syscall half of a fault-clamped write: the gate has already run,
-    /// so this must not consult it again (it would double-count the op).
-    fn poll_write_clamped(&self, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-        loop {
-            let tick = ready!(self.registration.cell().poll_ready(Dir::Write, cx));
-            stats::note_write();
-            match (&self.std).write(buf) {
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    self.registration.cell().clear_ready(Dir::Write, tick);
-                }
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                result => {
-                    if result.is_ok() {
-                        if let Some(state) = &self.fault {
-                            state.note_completed(Dir::Write);
-                        }
-                    }
-                    return Poll::Ready(result);
-                }
-            }
+            Err(verdict) => verdict,
         }
     }
 
@@ -419,12 +340,7 @@ impl TcpStream {
         let mut written = 0;
         while written < buf.len() {
             match poll_fn(|cx| self.poll_write(cx, &buf[written..])).await? {
-                0 => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "stream refused further bytes",
-                    ))
-                }
+                0 => return Err(write_zero()),
                 n => written += n,
             }
         }
@@ -450,12 +366,7 @@ impl TcpStream {
                 skip = 0;
             }
             match self.write_vectored(&slices).await? {
-                0 => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "stream refused further bytes",
-                    ))
-                }
+                0 => return Err(write_zero()),
                 n => written += n,
             }
         }

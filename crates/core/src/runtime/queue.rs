@@ -25,13 +25,18 @@
 //!   herd).  The park protocol is the lost-wakeup-sensitive part and is
 //!   verified by the checker's `WorkStealingQueueModel`; the invariant is
 //!   documented on [`RunQueue::prepare_park`].
+//! * **A driver seat** — once the runtime has an IO reactor, one idle
+//!   worker at a time sleeps in its `epoll_wait` instead of on its condvar:
+//!   same permit, different sleep ([`RunQueue::try_take_seat`]).
 //!
 //! The queue is generic over the item type so the checker can drive the
 //! exact production code with plain integers (`RunQueue<u32>`) under its
 //! controlled scheduler.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::task::Waker;
 use std::time::Duration;
 
 use crate::sync::{Condvar, Mutex};
@@ -41,8 +46,9 @@ use crate::sync::{Condvar, Mutex};
 const LIFO_STREAK_CAP: u8 = 16;
 
 /// Every this-many pops, a worker services the injector *before* its local
-/// queue, so remote submissions cannot starve behind local wake traffic.
-const INJECTOR_INTERVAL: u32 = 61;
+/// queue, so remote submissions cannot starve behind local wake traffic
+/// (and, at the same cadence, looks at the reactor if nobody drives it).
+pub(crate) const INJECTOR_INTERVAL: u32 = 61;
 
 /// The worker-hint value meaning "no usable worker" (submit to the
 /// injector).
@@ -89,7 +95,8 @@ struct Parker {
 pub struct QueueStats {
     /// Successful steals (one per victim raid, not per task moved).
     pub steals: u64,
-    /// Times a worker parked with nothing to run.
+    /// Times a worker parked with nothing to run, or took the reactor's
+    /// driver seat (a busy worker does, for a look, every 61st task).
     pub parks: u64,
 }
 
@@ -102,6 +109,12 @@ pub(crate) struct RunQueue<T> {
     /// [`RunQueue::prepare_park`].
     idle: Mutex<Vec<usize>>,
     parkers: Vec<Parker>,
+    /// The worker in (or about to enter, or just out of) the reactor's
+    /// `epoll_wait`; [`NO_WORKER`] when the seat is empty.
+    seat: AtomicUsize,
+    /// Interrupts the seated worker's `epoll_wait`; installed with the
+    /// reactor, before any worker can be seated.
+    driver_waker: OnceLock<Waker>,
     /// Per-worker xorshift state for randomized steal sweeps (atomics, so
     /// stealing needs no lock on the thief's own queue).
     rng: Vec<AtomicU64>,
@@ -130,6 +143,8 @@ impl<T> RunQueue<T> {
                     wakeup: Condvar::new(),
                 })
                 .collect(),
+            seat: AtomicUsize::new(NO_WORKER),
+            driver_waker: OnceLock::new(),
             rng: (0..workers)
                 .map(|index| AtomicU64::new(0x9E37_79B9_7F4A_7C15 ^ (index as u64 + 1)))
                 .collect(),
@@ -155,19 +170,23 @@ impl<T> RunQueue<T> {
 
     /// Submits to `worker`'s LIFO slot (a worker waking *another* task: run
     /// it next, its state is hot).  A task already in the slot is demoted to
-    /// the FIFO back.
+    /// the FIFO back.  The driver delivering into its own empty queue wakes
+    /// nobody: it runs that task next itself (handing the seat to an idle
+    /// sibling as it does); anything behind it is surplus for a sibling.
     pub(crate) fn push_local_lifo(&self, worker: usize, item: T) {
-        {
+        let surplus = {
             let mut local = self.locals[worker].lock();
-            if let Some(displaced) = local.lifo.replace(item) {
-                local.fifo.push_back(displaced);
-            }
+            let displaced = local.lifo.replace(item);
+            local.fifo.extend(displaced);
+            !local.fifo.is_empty()
+        };
+        if surplus || self.seat.load(Ordering::SeqCst) != worker {
+            self.unpark_one();
         }
-        self.unpark_one();
     }
 
-    /// Submits from outside the worker pool (reactor, external threads,
-    /// spawns): to `hint`'s FIFO when the task has run on a worker before
+    /// Submits from outside the worker pool (external threads, spawns):
+    /// to `hint`'s FIFO when the task has run on a worker before
     /// ([`NO_WORKER`] otherwise → the injector), preferring to wake that
     /// same worker.
     pub(crate) fn push_remote(&self, hint: usize, item: T) {
@@ -275,9 +294,40 @@ impl<T> RunQueue<T> {
         self.idle.lock().retain(|idle| *idle != worker);
     }
 
+    /// Installs the waker that interrupts a seated worker (first call wins).
+    pub(crate) fn set_driver_waker(&self, waker: Waker) {
+        let _ = self.driver_waker.set(waker);
+    }
+
+    /// Claims the driver seat for `worker`, which has registered idle and
+    /// re-scanned like any parking worker.  **Protocol** (`CONCURRENCY.md`;
+    /// the checker's `DriverSeatModel`): seat FIRST, permit check
+    /// ([`try_take_permit`](Self::try_take_permit)) SECOND, block in the
+    /// reactor's turn only without one; [`unpark`](Self::unpark) grants the
+    /// permit first and reads the seat second.  The permit mutex orders the
+    /// two: either the worker sees the permit, or the unparker sees it seated
+    /// and writes the wake pipe — whose byte stays readable, so it interrupts
+    /// an `epoll_wait` not yet entered.  Counts as a park.
+    pub(crate) fn try_take_seat(&self, worker: usize) -> bool {
+        let seat = &self.seat;
+        let taken = seat.compare_exchange(NO_WORKER, worker, Ordering::SeqCst, Ordering::SeqCst);
+        if taken.is_ok() {
+            self.parks.fetch_add(1, Ordering::Relaxed);
+        }
+        taken.is_ok()
+    }
+
+    /// Gives up the seat — after [`cancel_park`](Self::cancel_park) and the
+    /// turn's deliveries, so no wake picks the thread performing it —
+    /// consuming a permit granted meanwhile (the worker re-scans anyway).
+    pub(crate) fn leave_seat(&self, worker: usize) {
+        self.seat.store(NO_WORKER, Ordering::SeqCst);
+        self.try_take_permit(worker);
+    }
+
     /// Consumes `worker`'s pending permit without blocking, if one was
-    /// granted.  The checker's model uses this in place of the blocking
-    /// [`park_wait`](Self::park_wait).
+    /// granted: the seated worker's permit check (the checker's models also
+    /// use it in place of the blocking [`park_wait`](Self::park_wait)).
     pub(crate) fn try_take_permit(&self, worker: usize) -> bool {
         let mut permit = self.parkers[worker].permit.lock();
         std::mem::replace(&mut *permit, false)
@@ -320,23 +370,25 @@ impl<T> RunQueue<T> {
         granted
     }
 
-    /// Grants `worker`'s permit and wakes it.
+    /// Grants `worker`'s permit and wakes it: out of the reactor's turn if
+    /// it holds the driver seat, off its condvar otherwise.
     fn unpark(&self, worker: usize) {
         {
             let mut permit = self.parkers[worker].permit.lock();
             *permit = true;
         }
-        self.parkers[worker].wakeup.notify_one();
+        if self.seat.load(Ordering::SeqCst) != worker {
+            self.parkers[worker].wakeup.notify_one();
+        } else if let Some(waker) = self.driver_waker.get() {
+            waker.wake_by_ref();
+        }
     }
 
     /// Wakes one idle worker, if any (also used by the timer path when a
     /// new earliest deadline needs a parked worker to recompute its
     /// timeout).
     pub(crate) fn unpark_one(&self) {
-        let target = self.idle.lock().pop();
-        if let Some(worker) = target {
-            self.unpark(worker);
-        }
+        self.unpark_preferring(NO_WORKER);
     }
 
     /// Wakes `worker` if it is idle, else any other idle worker.
@@ -390,6 +442,16 @@ impl<T> RunQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> RunQueue<T> {
+        /// Whether every worker is registered idle, one of them in the
+        /// driver seat iff `seated`.  The runtime's tests wait on this
+        /// instead of sleeping.
+        pub(crate) fn all_parked(&self, seated: bool) -> bool {
+            let seat_taken = self.seat.load(Ordering::SeqCst) != NO_WORKER;
+            self.idle.lock().len() == self.parkers.len() && seat_taken == seated
+        }
+    }
 
     #[test]
     fn pop_prefers_lifo_then_fifo_then_injector() {
@@ -485,6 +547,55 @@ mod tests {
         assert!(!queue.park_wait(0, Some(Duration::from_millis(1))));
         assert!(queue.idle.lock().is_empty(), "timed-out worker left idle");
         assert_eq!(queue.stats().parks, 1);
+    }
+
+    #[test]
+    fn unparking_the_seated_worker_grants_its_permit_and_interrupts_its_turn() {
+        struct CountWakes(AtomicUsize);
+        impl std::task::Wake for CountWakes {
+            fn wake(self: std::sync::Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let interrupts = std::sync::Arc::new(CountWakes(AtomicUsize::new(0)));
+        let queue: RunQueue<u32> = RunQueue::new(2);
+        queue.set_driver_waker(Waker::from(std::sync::Arc::clone(&interrupts)));
+
+        queue.prepare_park(0);
+        assert!(queue.try_take_seat(0));
+        assert!(!queue.try_take_seat(1), "one driver at a time");
+        assert!(
+            !queue.try_take_permit(0),
+            "nothing granted yet: block in the turn"
+        );
+        queue.push_remote(NO_WORKER, 5);
+        assert_eq!(interrupts.0.load(Ordering::SeqCst), 1, "wake pipe written");
+
+        // Awake and out of the seat, the permit consumed: the next
+        // submission has nobody to wake and writes no pipe.
+        queue.cancel_park(0);
+        queue.leave_seat(0);
+        assert!(queue.try_take_seat(1), "the seat is free again");
+        assert!(!queue.has_permit(0));
+        queue.push_remote(NO_WORKER, 6);
+        assert_eq!(interrupts.0.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn the_driver_delivering_into_its_own_empty_slot_wakes_nobody() {
+        let queue: RunQueue<u32> = RunQueue::new(2);
+        queue.prepare_park(1);
+        assert!(queue.try_take_seat(0));
+        queue.push_local_lifo(0, 1);
+        assert!(!queue.has_permit(1), "the driver runs that one itself");
+        queue.push_local_lifo(0, 2);
+        assert!(queue.has_permit(1), "a displaced task is surplus");
+        // Out of the seat a worker's wakes unpark as ever.
+        queue.leave_seat(0);
+        assert!(queue.try_take_permit(1));
+        queue.prepare_park(1);
+        queue.push_local_lifo(0, 3);
+        assert!(queue.has_permit(1));
     }
 
     #[test]

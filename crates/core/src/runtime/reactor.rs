@@ -1,12 +1,13 @@
 //! The IO reactor: an epoll-based readiness layer for the runtime.
 //!
-//! Sessions in the networked front end used to park one OS thread each in
-//! blocking reads with a 25 ms poll tick.  The reactor replaces that with
-//! the classic readiness design (mio-shaped, hand-rolled because this build
+//! The classic readiness design (mio-shaped, hand-rolled because this build
 //! environment has no crates.io): sockets are registered **edge-triggered**
-//! with one epoll instance owned by a dedicated reactor thread, and each
-//! registration carries a [`ReadyCell`] — a small waker cell the IO futures
-//! in [`super::net`] park on.
+//! with one epoll instance, and each registration carries a [`ReadyCell`] — a
+//! small waker cell the IO futures in [`super::net`] park on.  There is no
+//! reactor thread: the runtime worker that goes idle takes the **driver
+//! seat** (`queue.rs`) and parks *in* [`Reactor::turn`] — one `epoll_wait`,
+//! then delivery — so the thread that learns a socket is ready is the thread
+//! that serves it.
 //!
 //! ## Wakeup protocol
 //!
@@ -21,21 +22,23 @@
 //! 2. It attempts the non-blocking syscall.  Anything but `WouldBlock`
 //!    resolves the future.
 //! 3. On `WouldBlock` it calls [`ReadyCell::clear_ready`] *with the tick it
-//!    observed*.  If the reactor delivered a new event in the window between
+//!    observed*.  If a driver delivered a new event in the window between
 //!    the syscall and the clear, the tick no longer matches, the clear is a
 //!    no-op, and the loop retries the syscall instead of losing the edge.
 //!
-//! The reactor thread's side is the mirror image: on an epoll event it
+//! The driving worker's side is the mirror image: on an epoll event it
 //! bumps the tick, marks the direction ready, and wakes the parked waker
-//! **after** releasing the cell lock.  New registrations start ready in
-//! both directions (the first syscall attempt discovers the true state),
-//! which is what makes edge-triggered registration sound: no event can be
-//! missed between `epoll_ctl(ADD)` and the first poll.
+//! **after** releasing the cell lock — into its own run queue, which wakes
+//! no second thread for a task the driver runs next itself.  New
+//! registrations start ready in both directions (the first syscall attempt
+//! discovers the true state), which is what makes edge-triggered
+//! registration sound: no event can be missed between `epoll_ctl(ADD)` and
+//! the first poll.
 //!
 //! ## Locks
 //!
 //! Two lock classes, both leaves of the documented hierarchy
-//! (`CONCURRENCY.md`):
+//! (`CONCURRENCY.md`), both taken on whichever worker is driving:
 //!
 //! * the **registration table** (`Reactor::registrations`), held only to
 //!   insert/remove/clone-out a registration — never while a cell lock or
@@ -48,22 +51,25 @@
 //! ## Shutdown and the deregistration race
 //!
 //! [`Registration::drop`] removes the token from the table *first*, then
-//! issues `EPOLL_CTL_DEL`.  The reactor thread may already have pulled an
+//! issues `EPOLL_CTL_DEL`.  The driving worker may already have pulled an
 //! event for that token and cloned the cell `Arc`: it will set readiness on
 //! a cell whose registration is gone and wake a stale waker, which is
 //! harmless by construction (waking a completed task is a no-op).  The
 //! checker's deregister-while-ready model enumerates exactly this window.
 //!
-//! Reactor shutdown (runtime drop) sets a flag and writes one byte into a
-//! wake pipe registered as token 0; the reactor thread observes the flag
-//! after `epoll_wait` returns and exits.  The epoll fd itself closes when
-//! the last registration drops its `Arc<Reactor>`.
+//! The seated worker is interrupted like any parked worker, through its
+//! permit: `RunQueue::unpark` grants it and, seeing the seat held, writes a
+//! byte into the wake pipe (token 0).  Runtime shutdown unparks every
+//! worker, so nothing here needs stopping; the epoll fd closes with the
+//! last `Arc<Reactor>` (runtime, registrations).
 
 use std::collections::HashMap;
-use std::io::{self, PipeWriter};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
+use std::time::Duration;
 
 use crate::sync::Mutex;
 
@@ -145,13 +151,18 @@ mod sys {
             cvt(unsafe { epoll_ctl(self.0, EPOLL_CTL_DEL, fd, &mut event) }).map(|_| ())
         }
 
-        /// Blocks until at least one event arrives; returns how many of
-        /// `events` were filled.
-        pub(super) fn wait(&self, events: &mut [EpollEvent]) -> io::Result<usize> {
+        /// Blocks until an event arrives or `timeout_ms` elapses (`-1` =
+        /// no deadline); returns how many of `events` were filled.
+        pub(super) fn wait(
+            &self,
+            events: &mut [EpollEvent],
+            timeout_ms: c_int,
+        ) -> io::Result<usize> {
             let capacity = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
             // SAFETY: `events` is a live buffer of exactly `capacity`
             // epoll_event slots; the kernel writes at most that many.
-            let filled = cvt(unsafe { epoll_wait(self.0, events.as_mut_ptr(), capacity, -1) })?;
+            let filled =
+                cvt(unsafe { epoll_wait(self.0, events.as_mut_ptr(), capacity, timeout_ms) })?;
             Ok(filled as usize)
         }
     }
@@ -188,7 +199,7 @@ struct Direction {
     /// Whether the fd is believed ready (true until a syscall proves
     /// otherwise — see the module docs on edge-triggered soundness).
     ready: bool,
-    /// Bumped by every reactor-delivered event; [`ReadyCell::clear_ready`]
+    /// Bumped by every delivered event; [`ReadyCell::clear_ready`]
     /// only clears when the caller's observed tick still matches.
     tick: u64,
     /// The parked waker, if a future is suspended on this direction.
@@ -221,17 +232,13 @@ impl ReadyCell {
     /// A fresh cell: both directions optimistically ready (the first
     /// syscall attempt discovers the true state).
     pub(crate) fn new() -> Self {
+        let ready = || Direction {
+            ready: true,
+            ..Direction::default()
+        };
+        let (read, write) = (ready(), ready());
         ReadyCell {
-            state: Mutex::new(ReadyState {
-                read: Direction {
-                    ready: true,
-                    ..Direction::default()
-                },
-                write: Direction {
-                    ready: true,
-                    ..Direction::default()
-                },
-            }),
+            state: Mutex::new(ReadyState { read, write }),
         }
     }
 
@@ -259,69 +266,49 @@ impl ReadyCell {
         }
     }
 
-    /// The reactor's event delivery: bump ticks, set ready bits, and wake
+    /// The driver's event delivery: bump ticks, set ready bits, and wake
     /// any parked wakers (strictly after the cell lock is released).
     pub(crate) fn set_ready(&self, readable: bool, writable: bool) {
-        let mut woken = (None, None);
-        {
+        let deliver = |direction: &mut Direction| {
+            direction.tick = direction.tick.wrapping_add(1);
+            direction.ready = true;
+            direction.waker.take()
+        };
+        let woken = {
             let mut state = self.state.lock();
-            if readable {
-                state.read.tick = state.read.tick.wrapping_add(1);
-                state.read.ready = true;
-                woken.0 = state.read.waker.take();
-            }
-            if writable {
-                state.write.tick = state.write.tick.wrapping_add(1);
-                state.write.ready = true;
-                woken.1 = state.write.waker.take();
-            }
-        }
-        if let Some(waker) = woken.0 {
-            waker.wake();
-        }
-        if let Some(waker) = woken.1 {
-            waker.wake();
-        }
+            let read = readable.then(|| deliver(&mut state.read));
+            [read, writable.then(|| deliver(&mut state.write))]
+        };
+        woken.into_iter().flatten().flatten().for_each(Waker::wake);
     }
 }
 
 /// The reactor: one epoll instance, a registration table, and a wake pipe.
-/// Owned via `Arc` by the runtime, the reactor thread, and every live
-/// [`Registration`].
+/// Owned via `Arc` by the runtime and every live [`Registration`]; driven by
+/// whichever worker holds the driver seat.
 pub(crate) struct Reactor {
     epoll: sys::EpollFd,
     /// token → readiness cell.  See the module docs for the lock discipline.
     registrations: Mutex<HashMap<u64, Arc<ReadyCell>>>,
     /// Monotonic token source (token 0 is the wake pipe's).
     next_token: AtomicU64,
-    /// Writing one byte wakes the reactor thread out of `epoll_wait`.
-    wake: PipeWriter,
-    /// Set by [`Reactor::initiate_shutdown`]; the thread exits on its next
-    /// pass through the event loop.
-    shutdown: AtomicBool,
+    /// Writing one byte brings the seated worker out of `epoll_wait`.
+    wake_tx: io::PipeWriter,
+    wake_rx: io::PipeReader,
 }
 
 impl Reactor {
-    /// Creates the reactor and starts its dedicated thread.
-    pub(crate) fn start() -> io::Result<(Arc<Reactor>, std::thread::JoinHandle<()>)> {
+    pub(crate) fn new() -> io::Result<Reactor> {
         let epoll = sys::EpollFd::create()?;
         let (wake_rx, wake_tx) = io::pipe()?;
-        epoll.add(raw_fd(&wake_rx), WAKE_TOKEN, sys::EPOLLIN | sys::EPOLLET)?;
-        let reactor = Arc::new(Reactor {
+        epoll.add(wake_rx.as_raw_fd(), WAKE_TOKEN, sys::EPOLLIN | sys::EPOLLET)?;
+        Ok(Reactor {
             epoll,
             registrations: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(WAKE_TOKEN + 1),
-            wake: wake_tx,
-            shutdown: AtomicBool::new(false),
-        });
-        let thread = {
-            let reactor = Arc::clone(&reactor);
-            std::thread::Builder::new()
-                .name("watchman-reactor".to_owned())
-                .spawn(move || reactor.run(wake_rx))
-                .map_err(io::Error::other)?
-        };
-        Ok((reactor, thread))
+            wake_tx,
+            wake_rx,
+        })
     }
 
     /// Registers `fd` (which must already be non-blocking) for
@@ -342,59 +329,58 @@ impl Reactor {
         })
     }
 
-    /// Requests the reactor thread to exit (the runtime joins it after).
-    pub(crate) fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        let _ = io::Write::write(&mut (&self.wake), &[1]);
-    }
-
-    fn run(self: Arc<Self>, wake_rx: io::PipeReader) {
-        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 64];
-        loop {
-            let filled = match self.epoll.wait(&mut events) {
-                Ok(filled) => filled,
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
-                // The epoll fd went bad: nothing to serve events from.
-                Err(_) => return,
-            };
-            if filled > 0 {
-                // One wakeup per epoll_wait return with events: the metric
-                // distinguishes event-coalescing efficiency (few wakeups,
-                // many events) from wakeup churn.
-                crate::telemetry::global().reactor_wakeups.incr();
-            }
-            for event in &events[..filled] {
-                // Copy out of the (possibly packed) struct before use.
-                let bits = event.events;
-                let token = event.data;
-                if token == WAKE_TOKEN {
-                    // Drain a batch of wake bytes; partial drains are fine
-                    // (edge-triggered delivery re-fires on every new write,
-                    // and one wake serves any number of coalesced requests).
-                    let mut buf = [0u8; 64];
-                    let _ = io::Read::read(&mut (&wake_rx), &mut buf);
-                    continue;
-                }
-                // Clone out under the table lock, deliver after dropping it:
-                // the cell lock and the table lock never nest.
-                let cell = self.registrations.lock().get(&token).cloned();
-                if let Some(cell) = cell {
-                    let closed = bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0;
-                    let readable = closed || bits & sys::EPOLLIN != 0;
-                    let writable = closed || bits & sys::EPOLLOUT != 0;
-                    cell.set_ready(readable, writable);
-                }
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
+    /// One driver turn, for the worker holding the driver seat from before
+    /// the call until after it (so one thread at a time waits on the epoll
+    /// fd and reads the wake pipe): a single `epoll_wait` bounded by
+    /// `timeout` (rounded up to a millisecond; `None` = until an event or a
+    /// wake), then `awake` — the driver leaving the idle list, so the wakes
+    /// below cannot pick the thread that performs them — then delivery.
+    pub(crate) fn turn(&self, timeout: Option<Duration>, awake: impl FnOnce()) {
+        let timeout_ms = timeout.map_or(-1, |timeout| {
+            i32::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+        });
+        // EINTR, or an epoll fd gone bad: deliver nothing, the caller loops.
+        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
+        let filled = self.epoll.wait(&mut events, timeout_ms).unwrap_or(0);
+        let events = &events[..filled];
+        if events.iter().any(|event| event.data == WAKE_TOKEN) {
+            // Only ever read from the seat: once it is free, bytes in the
+            // pipe are the next driver's wake, and under edge-triggered
+            // interest a byte read by the wrong thread is a wake the right
+            // one never sees.  Partial drains are fine (every new write
+            // re-fires, one wake serves any number of requests).
+            let mut buf = [0u8; 64];
+            let _ = io::Read::read(&mut (&self.wake_rx), &mut buf);
+        }
+        awake();
+        if filled > 0 {
+            // Per turn, not per event: the metric tells event-coalescing
+            // efficiency (few wakeups, many events) from wakeup churn.
+            crate::telemetry::global().reactor_wakeups.incr();
+        }
+        for event in events {
+            // Copy out of the (possibly packed) struct before use.
+            let bits = event.events;
+            let token = event.data;
+            // Clone out under the table lock, deliver after dropping it:
+            // the two never nest.  (The wake token is in no table.)
+            let cell = self.registrations.lock().get(&token).cloned();
+            if let Some(cell) = cell {
+                let closed = bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0;
+                let readable = closed || bits & sys::EPOLLIN != 0;
+                let writable = closed || bits & sys::EPOLLOUT != 0;
+                cell.set_ready(readable, writable);
             }
         }
     }
 }
 
-fn raw_fd(pipe: &io::PipeReader) -> i32 {
-    use std::os::fd::AsRawFd;
-    pipe.as_raw_fd()
+/// Waking the reactor interrupts the seated worker's `epoll_wait`
+/// (`RunQueue::unpark` holds it as the queue's driver waker).
+impl Wake for Reactor {
+    fn wake(self: Arc<Self>) {
+        let _ = io::Write::write(&mut (&self.wake_tx), &[1]);
+    }
 }
 
 /// A socket's registration with the reactor.  Dropping it deregisters the
@@ -409,9 +395,25 @@ pub(crate) struct Registration {
 }
 
 impl Registration {
-    /// The readiness cell IO futures poll and clear.
-    pub(crate) fn cell(&self) -> &ReadyCell {
-        &self.cell
+    /// The tick protocol around one non-blocking syscall (see the module
+    /// docs): attempt `op` while the cell says ready; on `WouldBlock` clear
+    /// the observed tick and re-check, suspending if no event landed since.
+    pub(crate) fn poll_io<T>(
+        &self,
+        dir: Dir,
+        cx: &mut Context<'_>,
+        mut op: impl FnMut() -> io::Result<T>,
+    ) -> Poll<io::Result<T>> {
+        loop {
+            let tick = std::task::ready!(self.cell.poll_ready(dir, cx));
+            match op() {
+                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
+                    self.cell.clear_ready(dir, tick);
+                }
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+                result => return Poll::Ready(result),
+            }
+        }
     }
 
     /// The reactor this registration belongs to (accepted sockets register
@@ -426,13 +428,7 @@ impl Drop for Registration {
         self.reactor.registrations.lock().remove(&self.token);
         // EPOLL_CTL_DEL can fail benignly (fd already closed elsewhere);
         // the kernel drops closed fds from interest lists on its own.
-        let _ = self.epoll_del();
-    }
-}
-
-impl Registration {
-    fn epoll_del(&self) -> io::Result<()> {
-        self.reactor.epoll.del(self.fd)
+        let _ = self.reactor.epoll.del(self.fd);
     }
 }
 
@@ -509,15 +505,46 @@ mod tests {
     }
 
     #[test]
-    fn reactor_starts_registers_and_shuts_down() {
-        let (reactor, thread) = Reactor::start().expect("reactor starts");
-        // Register a real fd (a pipe read end) and drop the registration.
-        let (rx, _tx) = io::pipe().expect("pipe");
-        let registration = reactor.register(raw_fd(&rx)).expect("register");
-        assert!(registration.cell().state.lock().read.ready);
+    fn a_turn_waits_its_timeout_delivers_readiness_and_hears_an_early_wake() {
+        let reactor = Arc::new(Reactor::new().expect("reactor"));
+        // Register a real fd (a pipe read end) and park a reader on it.
+        let (rx, mut tx) = io::pipe().expect("pipe");
+        let registration = reactor.register(rx.as_raw_fd()).expect("register");
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let waker = count_waker(Arc::clone(&wakes));
+        let mut cx = Context::from_waker(&waker);
+        let Poll::Ready(tick) = registration.cell.poll_ready(Dir::Read, &mut cx) else {
+            panic!("fresh cell must be ready");
+        };
+        registration.cell.clear_ready(Dir::Read, tick);
+        assert!(registration
+            .cell
+            .poll_ready(Dir::Read, &mut cx)
+            .is_pending());
+
+        // Nothing readable: the turn returns on its (rounded-up) timeout.
+        let started = std::time::Instant::now();
+        reactor.turn(Some(Duration::from_micros(1_500)), || {});
+        assert!(
+            started.elapsed() >= Duration::from_millis(2),
+            "1.5 ms rounds up"
+        );
+        assert_eq!(wakes.load(Ordering::SeqCst), 0);
+
+        // Readable: the waker fires, strictly after `awake` ran.
+        io::Write::write_all(&mut tx, b"x").expect("write");
+        let wakes_at_awake = AtomicUsize::new(usize::MAX);
+        reactor.turn(None, || {
+            wakes_at_awake.store(wakes.load(Ordering::SeqCst), Ordering::SeqCst);
+        });
+        assert_eq!(wakes_at_awake.load(Ordering::SeqCst), 0);
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
+
+        // A wake written before the turn starts still interrupts it.
+        Arc::clone(&reactor).wake();
+        reactor.turn(None, || {});
+
         drop(registration);
         assert!(reactor.registrations.lock().is_empty());
-        reactor.initiate_shutdown();
-        thread.join().expect("reactor thread exits");
     }
 }

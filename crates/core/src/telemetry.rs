@@ -612,7 +612,8 @@ pub struct Telemetry {
     pub slow_loris_evictions: Counter,
     /// Task polls at or above [`LONG_POLL_THRESHOLD_US`].
     pub long_polls: Counter,
-    /// Times the IO reactor returned from `epoll_wait` with events.
+    /// Driver turns that returned events: times a worker in the driver seat
+    /// came out of `epoll_wait` with at least one.
     pub reactor_wakeups: Counter,
     /// Automatic anomaly dumps emitted (rate-limited).
     pub anomaly_dumps: Counter,

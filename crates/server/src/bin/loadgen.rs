@@ -173,7 +173,8 @@ fn parse_args() -> Result<Args, ExitCode> {
 }
 
 /// Ceiling on the server-side thread count a storm tolerates, however many
-/// connections it opens.  Workers + reactor + supervisor + client-side
+/// connections it opens.  Workers (one of them drives epoll; there is no
+/// reactor thread) + supervisor + client-side
 /// storm machinery (under `--spawn` the server shares the process) stay
 /// comfortably below this; a thread-per-session server blows through it by
 /// an order of magnitude at 256 connections.

@@ -425,7 +425,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let runtime = engine.runtime();
 
     // The listener registers with the runtime's reactor at bind time (this
-    // also starts the reactor thread on first use).
+    // also creates the reactor on first use; an idle worker drives it).
     let listener =
         TcpListener::bind(&runtime, &config.addr).map_err(|source| ServerError::Bind {
             addr: config.addr.clone(),
@@ -481,7 +481,7 @@ fn supervise(shared: Arc<Shared>, slot: usize) {
         thread::sleep(Duration::from_millis(5));
     }
     // Cancels the accept task (closing the listening socket) and any
-    // straggler sessions, stops the reactor, joins the workers.
+    // straggler sessions, joins the workers.
     shared.runtime.shutdown();
 }
 
@@ -766,9 +766,11 @@ fn synthesize_payload(signature: u64, len: u64) -> Bytes {
     let pattern = signature.to_le_bytes();
     let len = len as usize;
     let mut data = Vec::with_capacity(len);
+    data.extend_from_slice(&pattern[..pattern.len().min(len)]);
+    // Doubling keeps the period: every copy starts at a multiple of 8.
     while data.len() < len {
-        let take = pattern.len().min(len - data.len());
-        data.extend_from_slice(&pattern[..take]);
+        let take = data.len().min(len - data.len());
+        data.extend_from_within(..take);
     }
     Bytes::from(data)
 }
@@ -787,7 +789,20 @@ fn parse_thread_count(status: &str) -> Option<u32> {
         .and_then(|rest| rest.trim().parse().ok())
 }
 
-async fn handle_request(shared: &Shared, request: Request<&str>) -> Response {
+/// A `GET` response's payload prefix: the cached set itself, cut to length
+/// where it is written into the frame — never copied out first.
+struct Prefix {
+    value: Arc<ServerPayload>,
+    len: usize,
+}
+
+impl AsRef<[u8]> for Prefix {
+    fn as_ref(&self) -> &[u8] {
+        &self.value[..self.len]
+    }
+}
+
+async fn handle_request(shared: &Shared, request: Request<&str>) -> Response<Prefix> {
     match request {
         Request::Get(get) => handle_get(shared, get).await,
         Request::Peek { key } => {
@@ -962,7 +977,7 @@ fn record_service_time(shared: &Shared, service_us: u64) {
     shared.service_ewma_us.store(next, Ordering::Relaxed);
 }
 
-async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response {
+async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response<Prefix> {
     if get.result_bytes > MAX_RESULT_BYTES {
         return Response::Error {
             message: format!(
@@ -1000,9 +1015,10 @@ async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response {
     let result_bytes = get.result_bytes;
     let cost_blocks = get.cost_blocks;
     let fetch_delay = Duration::from_micros(u64::from(get.fetch_delay_us));
-    // Misses execute on the engine runtime (single-flight across every
-    // connection); hits resolve on the first poll without suspending the
-    // session at all.  Every `GET` takes the engine's fallible door: the
+    // Misses are single-flight across every connection; hits resolve on
+    // the first poll without suspending the session at all.  The session
+    // answers strictly in order, so a leader's fetch runs in place: spawned,
+    // it would overlap with nothing.  Every `GET` takes the engine's fallible door: the
     // fetch consults the fault plan, if one is installed, and otherwise
     // never fails, which is stat-identical to the infallible door.  A
     // terminal failure — after retry, breaker, stale serving and negative
@@ -1023,6 +1039,7 @@ async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response {
                 ExecutionCost::from_blocks(cost_blocks),
             ))
         })
+        .in_place()
         .await;
     let lookup = match outcome {
         Ok(lookup) => lookup,
@@ -1053,7 +1070,10 @@ async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response {
         source,
         cost_blocks: get.cost_blocks as f64,
         full_len,
-        prefix: lookup.value[..prefix_len].to_vec(),
+        prefix: Prefix {
+            value: lookup.value,
+            len: prefix_len,
+        },
         service_us,
         deadline_exceeded: get.deadline_hint_us != 0 && service_us > get.deadline_hint_us,
     })
@@ -1081,6 +1101,17 @@ mod tests {
         assert_eq!(a.len(), 20);
         assert_eq!(synthesize_payload(1, 0).len(), 0);
         assert_eq!(synthesize_payload(1, 3).len(), 3);
+        // The documented rule, byte for byte, across the doubling's seams.
+        let signature = 0x0102_0304_0506_0708_u64;
+        for len in [1u64, 7, 8, 9, 16, 23, 24, 25, 5_000] {
+            let expected: Vec<u8> = signature
+                .to_le_bytes()
+                .into_iter()
+                .cycle()
+                .take(len as usize)
+                .collect();
+            assert_eq!(&synthesize_payload(signature, len)[..], &expected[..]);
+        }
     }
 
     #[test]

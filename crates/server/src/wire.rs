@@ -337,9 +337,11 @@ impl fmt::Display for WireSource {
     }
 }
 
-/// The per-request result of a `GET`.
+/// The per-request result of a `GET`.  `P` is how the payload prefix is
+/// held: `Vec<u8>` for a decoded response, anything that derefs to the bytes
+/// for one to encode (the server hands over the cached set itself).
 #[derive(Debug, Clone, PartialEq)]
-pub struct GetResponse {
+pub struct GetResponse<P = Vec<u8>> {
     /// How the value was obtained.
     pub source: WireSource,
     /// Execution cost of the query in block reads.
@@ -347,7 +349,7 @@ pub struct GetResponse {
     /// Full size of the retrieved set in bytes.
     pub full_len: u64,
     /// The first `min(full_len, payload_prefix_cap)` payload bytes.
-    pub prefix: Vec<u8>,
+    pub prefix: P,
     /// Server-side service time in microseconds.
     pub service_us: u64,
     /// Whether `service_us` exceeded the request's `deadline_hint_us`.
@@ -367,11 +369,11 @@ pub struct RebalanceSummary {
     pub evicted: u32,
 }
 
-/// A decoded response frame payload.
+/// A response frame payload (`P` as in [`GetResponse`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Response {
+pub enum Response<P = Vec<u8>> {
     /// Answer to [`Request::Get`].
-    Get(GetResponse),
+    Get(GetResponse<P>),
     /// Answer to [`Request::Peek`].
     Peek {
         /// Whether the key is cached.
@@ -818,10 +820,10 @@ impl FrameWriter {
     /// Encodes a response frame directly into the staging buffer: the
     /// length prefix is reserved up front and backfilled once the body's
     /// size is known.  On encode failure nothing is staged.
-    pub fn stage_response(
+    pub fn stage_response<P: AsRef<[u8]>>(
         &mut self,
         request_id: u64,
-        response: &Response,
+        response: &Response<P>,
     ) -> Result<(), WireError> {
         let frame_start = self.buf.len();
         self.buf.extend_from_slice(&[0u8; 4]);
@@ -1117,10 +1119,10 @@ pub fn encode_response(request_id: u64, response: &Response) -> Result<Vec<u8>, 
 /// through this without per-frame allocations.  On error the buffer may
 /// hold a partial body; callers that need atomicity truncate (the
 /// `FrameWriter` does).
-pub fn encode_response_into(
+pub fn encode_response_into<P: AsRef<[u8]>>(
     out: &mut Vec<u8>,
     request_id: u64,
-    response: &Response,
+    response: &Response<P>,
 ) -> Result<(), WireError> {
     put_u64(out, request_id);
     match response {
@@ -1148,7 +1150,7 @@ pub fn encode_response_into(
             put_u8(out, source);
             put_f64(out, get.cost_blocks);
             put_u64(out, get.full_len);
-            put_bytes(out, &get.prefix);
+            put_bytes(out, get.prefix.as_ref());
             put_u64(out, get.service_us);
             put_u8(out, u8::from(get.deadline_exceeded));
         }
@@ -1369,14 +1371,28 @@ mod tests {
 
     #[test]
     fn responses_round_trip() {
-        round_trip_response(Response::Get(GetResponse {
+        let get = GetResponse {
             source: WireSource::Coalesced,
             cost_blocks: 1234.5,
             full_len: 99,
             prefix: vec![1, 2, 3],
             service_us: 777,
             deadline_exceeded: true,
-        }));
+        };
+        round_trip_response(Response::Get(get.clone()));
+        // A borrowed prefix stages the same bytes as an owned one.
+        let borrowed = Response::Get(GetResponse {
+            prefix: &get.prefix[..],
+            source: get.source,
+            cost_blocks: get.cost_blocks,
+            full_len: get.full_len,
+            service_us: get.service_us,
+            deadline_exceeded: get.deadline_exceeded,
+        });
+        let (mut from_borrowed, mut from_owned) = (FrameWriter::new(), FrameWriter::new());
+        from_borrowed.stage_response(9, &borrowed).unwrap();
+        from_owned.stage_response(9, &Response::Get(get)).unwrap();
+        assert_eq!(from_borrowed.buf, from_owned.buf);
         round_trip_response(Response::Peek {
             cached: true,
             size_bytes: 512,
@@ -1942,14 +1958,12 @@ mod tests {
             let mut writer = FrameWriter::new();
             writer.stage(&encode_hello()).expect("stage hello");
             for id in 0..3u64 {
+                let response: Response = Response::Peek {
+                    cached: id % 2 == 0,
+                    size_bytes: id * 100,
+                };
                 writer
-                    .stage_response(
-                        id,
-                        &Response::Peek {
-                            cached: id % 2 == 0,
-                            size_bytes: id * 100,
-                        },
-                    )
+                    .stage_response(id, &response)
                     .expect("stage response");
             }
             assert!(!writer.is_empty());

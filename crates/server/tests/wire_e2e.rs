@@ -362,6 +362,78 @@ fn version_mismatch_is_answered_with_the_server_hello_then_closed() {
     server.join();
 }
 
+/// The `key` field of a `/proc/<..>/status` file.
+fn status_field(status: &str, key: &str) -> Option<u64> {
+    let line = status.lines().find_map(|line| line.strip_prefix(key))?;
+    line.trim_start_matches(':').trim().parse().ok()
+}
+
+#[test]
+fn a_depth_1_get_costs_the_worker_one_wake_up_and_no_reactor_thread_exists() {
+    const REQUESTS: u64 = 2_000;
+    let server = serve(ServerConfig {
+        runtime_workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server binds on loopback");
+    // The one worker names itself: a task spawned on its runtime reads the
+    // thread's own procfs directory, so parallel tests' workers (same
+    // thread name, other runtimes) are not counted.
+    let runtime = server.engine().runtime();
+    let worker = watchman_core::runtime::block_on(
+        runtime.spawn(async { std::fs::read_link("/proc/thread-self") }),
+    )
+    .expect("probe task");
+    let Ok(worker) = worker.map(|task| std::path::Path::new("/proc").join(task)) else {
+        eprintln!("skipped: no /proc/thread-self on this platform");
+        return server.join();
+    };
+    let status = || std::fs::read_to_string(worker.join("status")).expect("worker status");
+    assert!(
+        status().contains("watchman-runtim"),
+        "the probe ran on a runtime worker: {}",
+        status()
+    );
+    let switches = || status_field(&status(), "voluntary_ctxt_switches").expect("switch count");
+
+    let mut client = Client::connect(server.addr().to_string()).expect("client");
+    let get = |client: &mut Client, i: u64| {
+        // Every key is asked for twice in a row: a miss, then a hit.
+        let key = format!("SELECT wake{} FROM t", i / 2);
+        client
+            .get(GetRequest::metrics_only(key, (i + 1) * 1_000, 2_048, 10))
+            .expect("get")
+    };
+    get(&mut client, 0); // handshake and first-use costs stay out of the count
+    get(&mut client, 1);
+    let before = switches();
+    for i in 2..REQUESTS + 2 {
+        let expected = if i % 2 == 0 {
+            WireSource::Executed
+        } else {
+            WireSource::Hit
+        };
+        assert_eq!(get(&mut client, i).source, expected);
+    }
+    let per_request = (switches() - before) as f64 / REQUESTS as f64;
+    assert!(
+        per_request <= 1.25,
+        "{per_request:.2} voluntary context switches per depth-1 GET on the worker: \
+         readiness is being handed between threads again"
+    );
+    for task in std::fs::read_dir("/proc/self/task")
+        .expect("task list")
+        .flatten()
+    {
+        let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+        assert!(
+            !comm.starts_with("watchman-react"),
+            "a reactor thread runs: {comm}"
+        );
+    }
+    server.join();
+}
+
 #[test]
 fn get_many_batches_into_one_write_and_matches_ids_in_request_order() {
     // The client encodes a pipelined batch into one contiguous buffer and
