@@ -29,7 +29,21 @@
 //! next reached when most of the time it has left above the current answer
 //! has passed, so over its life it is scored a logarithmic number of times:
 //! a decision costs the buckets of one group plus the sets it hands out, not
-//! the sets near them.
+//! the sets near them.  Each bucket keeps its front item at hand, so the
+//! ascent loads a group into the merge with one heapify over the fronts of
+//! its non-empty buckets and walks a tree only to step past an item it
+//! reached.
+//!
+//! # The floors' second reader
+//!
+//! A floor is also a bound that does not decay: `floor/group` is at most
+//! `cost/size` of every set filed in the bucket, because the weights filed
+//! there are `group·cost/size`.  A set is filed in a group no higher than
+//! its sample count, so the least such ratio over the groups up to `g`,
+//! [`DecayIndex::least_ratio`], bounds `cost/size` of every set with at most
+//! `g` samples; LNC-A uses it to reject a first-time set without selecting
+//! its victims (see `crate::policy::lnc`).  Weights ascend within a group,
+//! so only each group's first non-empty bucket is read.
 //!
 //! # Stale and dead items
 //!
@@ -106,7 +120,10 @@ struct Bucket {
     weight_bits: u16,
     /// The least weight filed since the bucket was last empty.
     floor: f64,
-    items: BTreeSet<(Timestamp, EntryId)>,
+    items: BTreeSet<Item>,
+    /// `items.first()`, kept so that an ascent reads a front without
+    /// walking the tree.
+    front: Option<Item>,
 }
 
 impl Bucket {
@@ -114,14 +131,26 @@ impl Bucket {
         Profit::new(self.floor * SLACK / now.saturating_since(anchor).max(1) as f64)
     }
 
-    fn remove(&mut self, item: &(Timestamp, EntryId)) {
+    fn insert(&mut self, item: Item) {
+        self.items.insert(item);
+        if self.front.is_none_or(|front| item < front) {
+            self.front = Some(item);
+        }
+    }
+
+    fn remove(&mut self, item: &Item) {
         self.items.remove(item);
-        if self.items.is_empty() {
-            self.floor = f64::INFINITY;
+        if self.front == Some(*item) {
+            self.front = self.items.first().copied();
+            if self.front.is_none() {
+                self.floor = f64::INFINITY;
+            }
         }
     }
 }
 
+/// `(anchor, slot)`: a set filed in a bucket.
+type Item = (Timestamp, EntryId);
 /// `(group, weight_bits, anchor)`: where a slot's item sits.
 type Position = (u32, u16, Timestamp);
 /// `(group, bound, bucket, anchor, slot)`: the oldest unreached item of a
@@ -210,6 +239,7 @@ impl DecayIndex {
                 weight_bits,
                 floor: f64::INFINITY,
                 items: BTreeSet::new(),
+                front: None,
             };
             self.buckets.insert(at, bucket);
             at
@@ -225,12 +255,28 @@ impl DecayIndex {
             }
             _ => spot.oldest,
         };
-        bucket.items.insert((anchor, slot));
+        bucket.insert((anchor, slot));
         self.positions[slot.index()] = (group, weight_bits, anchor);
     }
 
     pub(crate) fn clear(&mut self) {
         self.buckets.clear();
+    }
+
+    /// The least `floor/group` over the non-empty buckets of groups up to
+    /// `groups` (see "The floors' second reader"); infinite for none.
+    pub(crate) fn least_ratio(&self, groups: u32) -> f64 {
+        debug_assert!(self.grouped, "an ungrouped floor bounds samples·cost/size");
+        let (mut least, mut at) = (f64::INFINITY, 0);
+        while let Some(bucket) = self.buckets.get(at).filter(|b| b.group <= groups) {
+            if bucket.front.is_none() {
+                at += 1;
+                continue;
+            }
+            least = least.min(bucket.floor / f64::from(bucket.group));
+            at += self.buckets[at..].partition_point(|b| b.group == bucket.group);
+        }
+        least
     }
 
     #[cfg(test)]
@@ -240,7 +286,7 @@ impl DecayIndex {
 
     #[cfg(test)]
     pub(crate) fn occupied_buckets(&self) -> usize {
-        self.buckets.iter().filter(|b| !b.items.is_empty()).count()
+        self.buckets.iter().filter(|b| b.front.is_some()).count()
     }
 
     /// Hands the filed sets to `take` in ascending `(group, profit, tie)`
@@ -292,17 +338,20 @@ impl DecayIndex {
             }
             match (self.fronts.pop(), horizon) {
                 (Some(Reverse(front)), _) => self.reach(ascent, front, &mut probe),
-                // Add the fronts of the next group's buckets to the merge.
+                // Load the fronts of the next group's buckets into the (empty)
+                // merge with one heapify.
                 (None, Some((group, _))) => {
+                    let mut fronts = std::mem::take(&mut self.fronts).into_vec();
                     while let Some(bucket) = self.buckets.get(unloaded) {
                         if ascent.group_of(bucket.group) != group {
                             break;
                         }
-                        if let Some(&(anchor, slot)) = bucket.items.first() {
-                            self.push_front(ascent, unloaded, anchor, slot);
+                        if let Some(item) = bucket.front {
+                            fronts.extend(self.front_of(ascent, unloaded, item));
                         }
                         unloaded += 1;
                     }
+                    self.fronts = BinaryHeap::from(fronts);
                 }
                 (None, None) => break,
             }
@@ -321,17 +370,20 @@ impl DecayIndex {
         }
     }
 
-    fn push_front(&mut self, ascent: Ascent, at: usize, anchor: Timestamp, slot: EntryId) {
+    /// The merge entry for bucket `at`'s `item`, unless its bound is not
+    /// under the ascent's `below`.
+    fn front_of(&self, ascent: Ascent, at: usize, (anchor, slot): Item) -> Option<Reverse<Front>> {
         let bucket = &self.buckets[at];
         let bound = if ascent.decayed {
             bucket.bound(anchor, ascent.now)
         } else {
             Profit::ZERO
         };
-        if ascent.below.is_none_or(|below| bound < below) {
-            let front = (ascent.group_of(bucket.group), bound, at, anchor, slot);
-            self.fronts.push(Reverse(front));
-        }
+        let front = (ascent.group_of(bucket.group), bound, at, anchor, slot);
+        ascent
+            .below
+            .is_none_or(|below| bound < below)
+            .then_some(Reverse(front))
     }
 
     fn reach<'s>(
@@ -344,8 +396,8 @@ impl DecayIndex {
         let item = (anchor, slot);
         let bucket = &self.buckets[at];
         let position = (bucket.group, bucket.weight_bits, anchor);
-        if let Some(&(anchor, slot)) = bucket.items.range((Excluded(item), Unbounded)).next() {
-            self.push_front(ascent, at, anchor, slot);
+        if let Some(&next) = bucket.items.range((Excluded(item), Unbounded)).next() {
+            self.fronts.extend(self.front_of(ascent, at, next));
         }
         let live = self.positions[slot.index()] == position;
         match if live { probe(slot) } else { None } {

@@ -213,6 +213,15 @@ impl QueryKey {
         })
     }
 
+    /// A key with a chosen signature, to make two keys collide in tests.
+    #[cfg(test)]
+    pub(crate) fn with_signature_for_tests(text: &str, signature: u64) -> Self {
+        QueryKey {
+            text: Arc::from(text),
+            signature: Signature(signature),
+        }
+    }
+
     /// Returns the canonical query ID text.
     pub fn text(&self) -> &str {
         &self.text

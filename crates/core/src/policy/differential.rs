@@ -20,8 +20,10 @@
 //! unchanged timestamps.  The LNC traces add what its decay index is
 //! sensitive to: time stepping *backwards*, weights drawn from a coarse grid
 //! (so buckets hold several sets and profits tie exactly), and a 200-query
-//! id space.  The §2.4 retained store is driven against [`ScanRetained`],
-//! the `HashMap::retain` implementation it replaced.
+//! id space.  LNC-RA's admission decisions, the rejections its bound settles
+//! without a selection included, are checked one by one against Figure 1's
+//! decision over the scan oracle.  The §2.4 retained store is driven against
+//! [`ScanRetained`], the `HashMap::retain` implementation it replaced.
 
 use std::collections::HashMap;
 
@@ -283,6 +285,7 @@ proptest! {
                 cache.keys_of(&ids)
             },
             |cache, now| {
+                assert!(cache.books_balance(), "group bytes diverged from the sets");
                 // The capacity-planning signals must be value-identical to
                 // their scan/sort references.
                 let fast = QueryCache::min_cached_profit(cache, now);
@@ -359,6 +362,45 @@ proptest! {
             left.sort_unstable();
             right.sort_unstable();
             assert_eq!(left, right, "retained key sets diverged after {op:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3_000))]
+
+    /// Every LNC-A decision — including the rejections its bound settles
+    /// without a selection — is Figure 1's over the scan oracle.
+    #[test]
+    fn lnc_ra_admission_matches_the_reference_decision(
+        ops in proptest::collection::vec(lnc_op_strategy(), 1..120),
+        capacity in 2_000u64..30_000,
+        window in 0u32..3,
+    ) {
+        let config = LncConfig::lnc_ra(capacity).with_k(1 << window);
+        let mut cache = LncCache::<SizedPayload>::new(config);
+        let mut now = 0u64;
+        for op in &ops {
+            now = now.saturating_add_signed(op.advance_us);
+            let ts = Timestamp::from_micros(now.max(1));
+            let key = query_key(op);
+            match op.action {
+                0 => {
+                    cache.remove(&key);
+                }
+                1 => {
+                    cache.set_capacity_bytes(cache.used_bytes() / 2, ts);
+                    cache.set_capacity_bytes(capacity, ts);
+                }
+                _ if cache.get(&key, ts).is_none() => {
+                    let cost = ExecutionCost::from_blocks(op.cost);
+                    let expected = cache.admits_reference(&key, op.size, cost, ts);
+                    let outcome = cache.insert(key, SizedPayload::new(op.size), cost, ts);
+                    assert_eq!(outcome.is_admitted(), expected, "{op:?}: {outcome:?}");
+                }
+                _ => {}
+            }
+            assert!(cache.books_balance(), "group bytes diverged after {op:?}");
         }
     }
 }

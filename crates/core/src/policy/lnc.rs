@@ -33,13 +33,30 @@
 //! profit has nearly decayed to the answer's); the victims are bit-identical
 //! to the reference sort (asserted by the differential property tests).
 //!
-//! A hit records its reference and nothing else: a reference only raises a
-//! set's group and profit, so the position it was filed at stays a valid
-//! bound and is corrected when a decision next reaches it.  An invalidation
-//! leaves a dead item behind for the same treatment.  Only a refresh with a
-//! new size or cost re-files at once.  When `now` is earlier than a
-//! reference already recorded (callers supply `now`) the bound is void and
-//! that one decision scores and sorts every set.
+//! A hit records its reference and leaves the index alone: a reference only
+//! raises a set's group and profit, so the position it was filed at stays a
+//! valid bound and is corrected when a decision next reaches it.  An
+//! invalidation leaves a dead item behind for the same treatment.  Only a
+//! refresh with a new size or cost re-files at once.  When `now` is earlier
+//! than a reference already recorded (callers supply `now`) the bound is
+//! void and that one decision scores and sorts every set.
+//!
+//! # Rejections without victims
+//!
+//! Most first-time sets LNC-A sees are turned away: one-off queries whose
+//! `c/s` (Eq. 7) does not beat `Σcᵢ/Σsᵢ` (Eq. 8) of the sets they would
+//! displace.  Eq. 8 is a mediant, at least the least `cᵢ/sᵢ` among the
+//! victims, so a lower bound on that suffices to reject, and the cache has
+//! one without selecting anybody.  It keeps its bytes per sample-count group
+//! (updated in O(1) on admit, evict, invalidate, refresh and a hit that adds
+//! a sample); Figure 1 takes every victim from the groups up to the first
+//! whose cumulative bytes reach the space needed; and the decay index's
+//! floors bound `cᵢ/sᵢ` from below for every set in those groups.  A set whose
+//! `c/s` is at or under that bound, less a slack for the roundings of Eq. 8
+//! over up to every cached set, is rejected with the same retention and purge
+//! as after a selection.  Every other first-time set, and every set with a
+//! history, goes through the selection and the comparison unchanged, so the
+//! decisions are the reference's bit for bit; only the work differs.
 
 use crate::clock::Timestamp;
 use crate::decay::DecayIndex;
@@ -147,8 +164,13 @@ pub struct LncCache<V> {
     newest: Timestamp,
     /// The last victim selection, kept for its allocation.
     victims: Vec<EntryId>,
-    used_bytes: u64,
+    /// Cached bytes by sample count, Figure 1's groups (index 0 unused):
+    /// they sum to the occupancy.
+    group_bytes: Vec<u64>,
     stats: CacheStats,
+    /// Rejections the bound settled without a victim selection.
+    #[cfg(test)]
+    settled_by_bound: u64,
 }
 
 impl<V: CachePayload> LncCache<V> {
@@ -156,14 +178,16 @@ impl<V: CachePayload> LncCache<V> {
     pub fn new(config: LncConfig) -> Self {
         let max_retained = config.max_retained_entries.max(1);
         LncCache {
+            group_bytes: vec![0; config.k.max(1) + 1],
             config,
             entries: EntryStore::new(),
             retained: RetainedStore::new(max_retained),
             index: DecayIndex::grouped(),
             newest: Timestamp::ZERO,
             victims: Vec::new(),
-            used_bytes: 0,
             stats: CacheStats::new(),
+            #[cfg(test)]
+            settled_by_bound: 0,
         }
     }
 
@@ -215,7 +239,7 @@ impl<V: CachePayload> LncCache<V> {
     /// the eviction statistics.
     pub fn remove(&mut self, key: &QueryKey) -> Option<V> {
         let entry = self.entries.remove_by_key(key)?;
-        self.used_bytes -= entry.info.size_bytes;
+        self.group_bytes[entry.info.history.sample_count()] -= entry.info.size_bytes;
         Some(entry.value)
     }
 
@@ -236,15 +260,11 @@ impl<V: CachePayload> LncCache<V> {
         if needed == 0 {
             return Some(victims);
         }
-        debug_assert_eq!(
-            self.used_bytes,
-            self.entries
-                .iter()
-                .map(|(_, e)| e.info.size_bytes)
-                .sum::<u64>(),
-            "maintained occupancy diverged from entry sizes"
+        debug_assert!(
+            self.books_balance(),
+            "group bytes diverged from the cached sets"
         );
-        if self.used_bytes < needed {
+        if self.used_bytes() < needed {
             self.victims = victims;
             return None;
         }
@@ -262,6 +282,39 @@ impl<V: CachePayload> LncCache<V> {
             },
         );
         Some(victims)
+    }
+
+    /// Whether every group's bytes are the sum of the sizes of the cached
+    /// sets with that many samples.
+    pub(crate) fn books_balance(&self) -> bool {
+        let mut groups = vec![0; self.group_bytes.len()];
+        for (_, e) in self.entries.iter() {
+            groups[e.info.history.sample_count()] += e.info.size_bytes;
+        }
+        groups == self.group_bytes
+    }
+
+    /// Whether Eq. 8 rejects a first-time set of `cost` and `size` whatever
+    /// victims free `needed` bytes (see "Rejections without victims").
+    fn rejected_by_bound(&self, cost: ExecutionCost, size: u64, needed: u64) -> bool {
+        let mut cumulative = 0;
+        let Some(groups) = self.group_bytes.iter().position(|&bytes| {
+            cumulative += bytes;
+            cumulative >= needed
+        }) else {
+            return false;
+        };
+        let least = self.index.least_ratio(groups as u32);
+        // With u = 2⁻⁵³ and m ≤ n victims (n cached sets): each sum of Eq. 8
+        // rounds m − 1 times and the sizes are converted once each, so with
+        // the quotient the computed ratio is at least (1 − 3m·u) of the exact
+        // Σcᵢ/Σsᵢ, itself at least the least exact cᵢ/sᵢ.  `least` exceeds
+        // that by at most (1 + 4u) (the roundings of `samples·c/s` and of
+        // `floor/group`), and the product below rounds once more.  The slack
+        // (n + 4)·4u covers 3m·u + 6u with room for the second-order terms,
+        // so a set at or under the product is at or under Eq. 8 as computed.
+        let slack = (self.entries.len() + 4) as f64 * 2.0 * f64::EPSILON;
+        Profit::estimated(cost, size) <= Profit::new(least * (1.0 - slack))
     }
 
     /// The reference victim selection this module shipped with — an O(n)
@@ -300,6 +353,58 @@ impl<V: CachePayload> LncCache<V> {
         Some(victims)
     }
 
+    /// Figure 1's decision on a missed set, made over the reference victim
+    /// selection with the retained history read in place: the oracle for
+    /// whether [`QueryCache::insert`] admits it.
+    #[cfg(test)]
+    pub(crate) fn admits_reference(
+        &self,
+        key: &QueryKey,
+        size_bytes: u64,
+        cost: ExecutionCost,
+        now: Timestamp,
+    ) -> bool {
+        let capacity = self.config.capacity_bytes;
+        let used: u64 = self.entries.iter().map(|(_, e)| e.info.size_bytes).sum();
+        if size_bytes > capacity || capacity == 0 {
+            return false;
+        }
+        if capacity - used >= size_bytes {
+            return true;
+        }
+        let Some(victims) = self.select_victims_reference(size_bytes - (capacity - used), now)
+        else {
+            return false;
+        };
+        let retained = self.retained.get(key);
+        let mut history = retained.map_or_else(
+            || ReferenceHistory::new(self.config.k),
+            |info| info.history.clone(),
+        );
+        if history.last_reference() != Some(now) {
+            history.record(now);
+        }
+        if !self.config.admission {
+            true
+        } else if retained.is_some() && history.sample_count() > 1 {
+            let info = RetainedInfo {
+                key: key.clone(),
+                size_bytes,
+                cost,
+                history,
+            };
+            info.profit(now) > self.list_profit(&victims, now)
+        } else {
+            Profit::estimated(cost, size_bytes)
+                > Profit::estimated_of_list(
+                    victims
+                        .iter()
+                        .filter_map(|&id| self.entries.by_id(id))
+                        .map(|e| (e.info.cost, e.info.size_bytes)),
+                )
+        }
+    }
+
     /// The keys of the given cached entries, in order (differential tests
     /// translate victim-id plans into the key sequences evictions report).
     #[cfg(test)]
@@ -313,11 +418,11 @@ impl<V: CachePayload> LncCache<V> {
     /// selection — the differential-test oracle.
     #[cfg(test)]
     pub(crate) fn shrink_loss_reference(&self, bytes: u64, now: Timestamp) -> Option<Profit> {
-        let free = self.config.capacity_bytes.saturating_sub(self.used_bytes);
+        let free = self.config.capacity_bytes.saturating_sub(self.used_bytes());
         if bytes <= free || self.entries.is_empty() {
             return Some(Profit::ZERO);
         }
-        let needed = (bytes - free).min(self.used_bytes);
+        let needed = (bytes - free).min(self.used_bytes());
         let victims = self.select_victims_reference(needed, now)?;
         Some(Profit::of_list(victims.iter().filter_map(|&id| {
             self.entries
@@ -365,7 +470,7 @@ impl<V: CachePayload> LncCache<V> {
         let mut evicted = Vec::with_capacity(victims.len());
         for &id in &victims {
             if let Some(LncEntry { info, .. }) = self.entries.remove(id) {
-                self.used_bytes -= info.size_bytes;
+                self.group_bytes[info.history.sample_count()] -= info.size_bytes;
                 self.stats.record_eviction(info.size_bytes);
                 evicted.push(info.key.clone());
                 if self.config.retain_reference_info {
@@ -417,6 +522,13 @@ impl<V: CachePayload> LncCache<V> {
         self.stats.record_admission(false);
     }
 
+    /// A set the admission test turned away: retain it, then purge (§2.4).
+    fn fail_admission(&mut self, info: RetainedInfo, now: Timestamp) -> InsertOutcome {
+        self.retain_rejected(info, now);
+        self.purge_retained(now);
+        InsertOutcome::Rejected(RejectReason::AdmissionTest)
+    }
+
     /// The aggregate profit (Eq. 5) of the given cached sets at `now`.
     fn list_profit(&self, victims: &[EntryId], now: Timestamp) -> Profit {
         Profit::of_list(
@@ -438,12 +550,12 @@ impl<V: CachePayload> LncCache<V> {
         self.newest = self
             .newest
             .max(info.history.last_reference().unwrap_or(now));
-        self.used_bytes += info.size_bytes;
+        self.group_bytes[info.history.sample_count()] += info.size_bytes;
         let id = self.entries.insert(LncEntry { info, value });
         let entry = self.entries.by_id(id).expect("just inserted");
         self.index.file(&entry.info, id);
         self.stats.record_admission(true);
-        debug_assert!(self.used_bytes <= self.config.capacity_bytes);
+        debug_assert!(self.used_bytes() <= self.config.capacity_bytes);
         self.purge_retained(now);
         InsertOutcome::Admitted { evicted }
     }
@@ -466,8 +578,12 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
             // reference, and its first pass may already sit in the history
             // via promoted retained information (§2.4).
             if entry.info.history.last_reference() != Some(now) {
+                let samples = entry.info.history.sample_count();
                 entry.info.history.record(now);
                 self.newest = self.newest.max(now);
+                let size = entry.info.size_bytes;
+                self.group_bytes[samples] -= size;
+                self.group_bytes[entry.info.history.sample_count()] += size;
             }
             self.stats.record_hit(entry.info.cost);
             return Some(&entry.value);
@@ -494,6 +610,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         if let Some(id) = self.entries.find(&key) {
             let entry = self.entries.by_id_mut(id).expect("found above");
             let old_size = entry.info.size_bytes;
+            self.group_bytes[entry.info.history.sample_count()] -= old_size;
             entry.value = value;
             entry.info.cost = cost;
             entry.info.size_bytes = size_bytes;
@@ -501,14 +618,14 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
                 entry.info.history.record(now);
                 self.newest = self.newest.max(now);
             }
+            self.group_bytes[entry.info.history.sample_count()] += size_bytes;
             // A new size or cost can lower the profit: re-file at once.
             self.index.file(&entry.info, id);
-            self.used_bytes = self.used_bytes - old_size + size_bytes;
             // If the refreshed payload grew, restore the capacity invariant by
             // evicting the lowest-profit sets (possibly the refreshed one).
             let mut evicted = Vec::new();
-            if self.used_bytes > self.config.capacity_bytes {
-                let needed = self.used_bytes - self.config.capacity_bytes;
+            if self.used_bytes() > self.config.capacity_bytes {
+                let needed = self.used_bytes() - self.config.capacity_bytes;
                 if let Some(victims) = self.select_victims(needed, now) {
                     evicted = self.evict(victims, now);
                 }
@@ -533,14 +650,25 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
             return InsertOutcome::Rejected(RejectReason::TooLarge);
         }
 
-        let available = self.config.capacity_bytes - self.used_bytes;
+        let available = self.config.capacity_bytes - self.used_bytes();
         if available >= size_bytes {
             // Enough free space: cache unconditionally (Figure 1, middle case).
             return self.admit(info, value, Vec::new(), now);
         }
 
-        // Not enough space: run LNC-R to find replacement candidates.
-        let Some(victims) = self.select_victims(size_bytes - available, now) else {
+        // Not enough space: run LNC-R to find replacement candidates, unless
+        // the estimated-profit test (Eq. 7 / Eq. 8) rejects a first-time set
+        // whichever they are.
+        let needed = size_bytes - available;
+        let first_time = !(had_history && info.history.sample_count() > 1);
+        if self.config.admission && first_time && self.rejected_by_bound(cost, size_bytes, needed) {
+            #[cfg(test)]
+            {
+                self.settled_by_bound += 1;
+            }
+            return self.fail_admission(info, now);
+        }
+        let Some(victims) = self.select_victims(needed, now) else {
             // Cannot free enough space (should not happen given the size
             // check above, but be defensive).
             self.retain_rejected(info, now);
@@ -550,7 +678,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         let admit = if !self.config.admission {
             // Plain LNC-R admits everything that fits.
             true
-        } else if had_history && info.history.sample_count() > 1 {
+        } else if !first_time {
             // Past reference information available: compare real profits
             // (Eq. 4 / Eq. 5).
             info.profit(now) > self.list_profit(&victims, now)
@@ -567,9 +695,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
 
         if !admit {
             self.victims = victims;
-            self.retain_rejected(info, now);
-            self.purge_retained(now);
-            return InsertOutcome::Rejected(RejectReason::AdmissionTest);
+            return self.fail_admission(info, now);
         }
 
         let evicted = self.evict(victims, now);
@@ -593,7 +719,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     }
 
     fn used_bytes(&self) -> u64 {
-        self.used_bytes
+        self.group_bytes.iter().sum()
     }
 
     fn capacity_bytes(&self) -> u64 {
@@ -602,16 +728,16 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
 
     fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
         self.config.capacity_bytes = capacity_bytes;
-        if self.used_bytes <= capacity_bytes {
+        if self.used_bytes() <= capacity_bytes {
             return Vec::new();
         }
         // Shrink below occupancy: run LNC-R over the full cache to free the
         // overshoot, lowest-profit victims first.
-        let needed = self.used_bytes - capacity_bytes;
+        let needed = self.used_bytes() - capacity_bytes;
         match self.select_victims(needed, now) {
             Some(victims) => {
                 let evicted = self.evict(victims, now);
-                debug_assert!(self.used_bytes <= self.config.capacity_bytes);
+                debug_assert!(self.used_bytes() <= self.config.capacity_bytes);
                 evicted
             }
             // Unreachable: evicting everything always frees `needed`.
@@ -643,12 +769,12 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
 
     fn shrink_loss(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
         // Shrinking into free space costs nothing.
-        let free = self.config.capacity_bytes.saturating_sub(self.used_bytes);
+        let free = self.config.capacity_bytes.saturating_sub(self.used_bytes());
         if bytes <= free || self.entries.is_empty() {
             return Some(Profit::ZERO);
         }
         // Price the victims LNC-R would actually pick for this shrink.
-        let needed = (bytes - free).min(self.used_bytes);
+        let needed = (bytes - free).min(self.used_bytes());
         let victims = self.select_victims(needed, now)?;
         let loss = self.list_profit(&victims, now);
         self.victims = victims;
@@ -696,7 +822,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         self.entries.clear();
         self.retained.clear();
         self.index.clear();
-        self.used_bytes = 0;
+        self.group_bytes.fill(0);
     }
 
     fn cached_keys(&self) -> Vec<QueryKey> {
@@ -1072,6 +1198,64 @@ mod tests {
         let fast = QueryCache::min_cached_profit(&mut cache, now);
         let scan = LncCache::min_cached_profit(&cache, now);
         assert_eq!(fast, scan);
+    }
+
+    #[test]
+    fn the_bound_leaves_an_eq8_that_rounds_down_to_the_selection() {
+        // Victims that all have the candidate's c/s, but whose Eq. 8 sum
+        // rounds below it, so the reference admits; the floor they leave is
+        // exactly c/s, and only the slack keeps the bound from rejecting.
+        let (m, c, s) = (2..=8u64)
+            .flat_map(|m| (1..100).flat_map(move |k| (1..20).map(move |s| (m, k, s))))
+            .map(|(m, k, s)| (m, f64::from(k) / 10.0, s))
+            .find(|&(m, c, s)| {
+                let e = Profit::estimated(cost(c), s);
+                Profit::estimated_of_list((0..m).map(|_| (cost(c), s))) < e
+                    && Profit::estimated(cost(c * m as f64), m * s) == e
+            })
+            .expect("a small search finds an Eq. 8 that rounds down");
+        let mut cache = LncCache::lnc_ra(m * s);
+        for i in 0..m {
+            assert!(reference(&mut cache, &format!("v{i}"), s, c, i + 1).is_admitted());
+        }
+        assert!(cache.admits_reference(&key("candidate"), m * s, cost(c * m as f64), ts(100)));
+        let outcome = reference(&mut cache, "candidate", m * s, c * m as f64, 100);
+        assert_eq!(outcome.evicted().len() as u64, m, "{outcome:?}");
+        assert_eq!(cache.settled_by_bound, 0);
+    }
+
+    /// Rejections settled without a selection on the golden skewed trace
+    /// (`crates/sim/tests/golden_replay.rs`: seed 13, 4 shards), summed over
+    /// the shards, beside the rejections pinned there.
+    const SKEWED_RA_4_SETTLED: (u64, u64) = (4_897, 3_966);
+
+    #[test]
+    fn the_bound_settles_the_golden_skewed_rejections() {
+        use watchman_sim::{ExperimentScale, Workload};
+        let trace = Workload::tpcd_skewed(ExperimentScale::quick(12_000).with_seed(13)).trace;
+        let shards = 4;
+        let per_shard = (trace.database_bytes as f64 * 0.01).round() as u64 / shards;
+        let mut caches: Vec<LncCache<SizedPayload>> = (0..shards)
+            .map(|_| LncCache::new(LncConfig::lnc_ra(per_shard).with_k(4)))
+            .collect();
+        for record in trace.iter() {
+            let now = ts(record.timestamp_us);
+            let key = QueryKey::from_raw_query(&record.query_text);
+            let mixed = key.signature().value().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let cache = &mut caches[((mixed >> 32) % shards) as usize];
+            if cache.get(&key, now).is_none() {
+                let size = payload(record.result_bytes);
+                cache.insert(
+                    key,
+                    size,
+                    ExecutionCost::from_blocks(record.cost_blocks),
+                    now,
+                );
+            }
+        }
+        let rejections = caches.iter().map(|c| c.stats().rejections).sum();
+        let settled = caches.iter().map(|c| c.settled_by_bound).sum();
+        assert_eq!((rejections, settled), SKEWED_RA_4_SETTLED);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! |---|---|---|---|---|---|
 //! | any rank rule | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
 //! | LNC-R / LNC-RA | O(log n) | O(1) | O(b + v log n)¹ | O(b + log n)¹ | O(b + v log n)¹ |
+//! | LNC-RA, first-time set the bound rejects² | O(K + b) + purge | — | none | — | — |
 //!
 //! ¹ LNC profits re-evaluate the Eq. 3 rate at the decision's `now`, and the
 //! profits of two untouched sets can cross as time advances, so no static
@@ -40,9 +41,17 @@
 //! the index.  The one O(n log n) case left is a decision whose `now` lies
 //! before a reference already recorded, where the bound is void.
 //!
+//! ² Before selecting victims for a first-time set, LNC-RA compares its
+//! `c/s` with a lower bound on the `cᵢ/sᵢ` of every set Figure 1 could evict
+//! for it: the least floor of the first non-empty bucket of each of the
+//! `K` sample-count groups the victims can come from.  When that bound
+//! already rejects the set, no victim is selected or scored; the §2.4 purge
+//! that follows every decision (`min_cached_profit`) is the rest of the
+//! rejection.
+//!
 //! The scans these indexes replaced are retained under `#[cfg(test)]` as
 //! differential-test oracles — one scan over the rule's ranks on the ranked
-//! cache, four reference methods on LNC: the `differential` module (test
+//! cache, five reference methods on LNC: the `differential` module (test
 //! builds only) holds the property suite asserting identical victim
 //! sequences and signal values on random traces.
 
