@@ -60,15 +60,10 @@
 //!   filed again, whichever comes first; slots are reused, so there are never
 //!   more dead items than the owner once held sets.
 //!
-//! # When the bound is void
-//!
-//! The rate clamps `now` to a set's last reference, so a `now` earlier than a
-//! reference the owner has already recorded (callers supply `now`) makes
-//! profits *smaller* than the bound assumes, and an anchor is good only from
-//! the decision that chose it on.  For a `now` earlier than either, every
-//! bound is zero: the ascent degenerates into the full exact sort.  Weights
+//! The bound assumes what Eq. 3 assumes: the owner's `now` never steps back,
+//! so no recorded reference and no chosen anchor lies after it.  Weights
 //! outside `1e±250`, where a profit could leave the normal f64 range, live
-//! in buckets whose floor is zero for the same effect.
+//! in buckets whose floor is zero: their sets are always looked at.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -163,8 +158,6 @@ type Rank = (u32, Profit, u64);
 #[derive(Clone, Copy)]
 struct Ascent {
     now: Timestamp,
-    /// Whether the bounds hold at `now`.
-    decayed: bool,
     by_group: bool,
     below: Option<Profit>,
 }
@@ -189,8 +182,6 @@ pub(crate) struct DecayIndex {
     buckets: Vec<Bucket>,
     /// By slot; meaningless for a slot never filed.
     positions: Vec<Position>,
-    /// The latest `now` an ascent chose anchors at.
-    anchored: Timestamp,
     /// Exact profit evaluations ascents have asked for.
     evaluations: u64,
     // Scratch of an ascent, kept for its allocations: the bucket fronts, the
@@ -293,24 +284,21 @@ impl DecayIndex {
     /// order at `now` — `(profit, tie)` order over all groups unless
     /// `by_group` — until it returns `false`.  With `below`, sets whose bound
     /// is not under it are never looked at: the ascent ends early, and is
-    /// exact for every set whose profit is under `below`.  `decayed` is
-    /// whether `now` is at or after every reference the owner has recorded.
+    /// exact for every set whose profit is under `below`.  `now` is at or
+    /// after every earlier ascent's and every reference the owner recorded.
     /// `probe` is asked for the set in the slot of every item the merge
     /// reaches (`None` is an empty slot) and for what orders it among sets of
     /// equal profit.
     pub(crate) fn ascend<'s>(
         &mut self,
         now: Timestamp,
-        decayed: bool,
         by_group: bool,
         below: Option<Profit>,
         mut probe: impl FnMut(EntryId) -> Option<(&'s RetainedInfo, u64)>,
         mut take: impl FnMut(EntryId, Profit) -> bool,
     ) {
-        let decayed = decayed && now >= self.anchored;
         let ascent = Ascent {
             now,
-            decayed,
             by_group,
             below,
         };
@@ -356,16 +344,13 @@ impl DecayIndex {
                 (None, None) => break,
             }
         }
-        if decayed {
-            // The sets reached and kept are re-filed only now: an item moved
-            // during the merge could land ahead of its bucket's front and be
-            // reached a second time.
-            self.anchored = now;
-            for at in 0..self.scored.len() {
-                let (slot, spot, profit, handed_out) = self.scored[at];
-                if !handed_out {
-                    self.place(&spot, slot, Some((profit, now)));
-                }
+        // The sets reached and kept are re-filed only now: an item moved
+        // during the merge could land ahead of its bucket's front and be
+        // reached a second time.
+        for at in 0..self.scored.len() {
+            let (slot, spot, profit, handed_out) = self.scored[at];
+            if !handed_out {
+                self.place(&spot, slot, Some((profit, now)));
             }
         }
     }
@@ -374,11 +359,7 @@ impl DecayIndex {
     /// under the ascent's `below`.
     fn front_of(&self, ascent: Ascent, at: usize, (anchor, slot): Item) -> Option<Reverse<Front>> {
         let bucket = &self.buckets[at];
-        let bound = if ascent.decayed {
-            bucket.bound(anchor, ascent.now)
-        } else {
-            Profit::ZERO
-        };
+        let bound = bucket.bound(anchor, ascent.now);
         let front = (ascent.group_of(bucket.group), bound, at, anchor, slot);
         ascent
             .below

@@ -18,7 +18,8 @@
 //! (invalidation does not evict), evictions of freshly admitted entries,
 //! slot reuse after removal, and repeated decisions at both advancing and
 //! unchanged timestamps.  The LNC traces add what its decay index is
-//! sensitive to: time stepping *backwards*, weights drawn from a coarse grid
+//! sensitive to: time stepping *backwards* (which the cache's clamp must
+//! absorb), weights drawn from a coarse grid
 //! (so buckets hold several sets and profits tie exactly), and a 200-query
 //! id space.  LNC-RA's admission decisions, the rejections its bound settles
 //! without a selection included, are checked one by one against Figure 1's
@@ -264,6 +265,7 @@ proptest! {
             LncCache::<SizedPayload>::new(config.with_k(1 << window)),
             &ops,
             |cache, needed, now| {
+                let now = cache.clock(now);
                 let reference = cache
                     .select_victims_reference(needed, now)
                     .map(|ids| cache.keys_of(&ids))
@@ -275,6 +277,7 @@ proptest! {
                 (indexed, reference)
             },
             |cache, target, now| {
+                let now = cache.clock(now);
                 let used = cache.used_bytes();
                 if used <= target {
                     return Vec::new();
@@ -285,6 +288,7 @@ proptest! {
                 cache.keys_of(&ids)
             },
             |cache, now| {
+                let now = cache.clock(now);
                 assert!(cache.books_balance(), "group bytes diverged from the sets");
                 // The capacity-planning signals must be value-identical to
                 // their scan/sort references.
@@ -310,10 +314,12 @@ proptest! {
     ) {
         let mut indexed = RetainedStore::new(bound);
         let mut scan = ScanRetained { entries: HashMap::new(), max_entries: bound };
-        let mut now = 1_000_000u64;
+        let (mut now, mut latest) = (1_000_000u64, 0);
         for op in &ops {
+            // The store's owner supplies monotone time.
             now = now.saturating_add_signed(op.advance_us);
-            let ts = Timestamp::from_micros(now);
+            latest = latest.max(now);
+            let ts = Timestamp::from_micros(latest);
             let key = QueryKey::new(format!("retained-{}", op.query));
             match op.action {
                 0 => {
@@ -345,7 +351,7 @@ proptest! {
                     // oldest reference.
                     let mut history = ReferenceHistory::new(1 << (op.pick % 3));
                     for back in (0..=op.pick as u64 % 3).rev() {
-                        history.record(Timestamp::from_micros((now / 1_000).saturating_sub(back) * 1_000));
+                        history.record(Timestamp::from_micros((latest / 1_000).saturating_sub(back) * 1_000));
                     }
                     let info = RetainedInfo {
                         key,
@@ -382,7 +388,7 @@ proptest! {
         let mut now = 0u64;
         for op in &ops {
             now = now.saturating_add_signed(op.advance_us);
-            let ts = Timestamp::from_micros(now.max(1));
+            let ts = cache.clock(Timestamp::from_micros(now.max(1)));
             let key = query_key(op);
             match op.action {
                 0 => {

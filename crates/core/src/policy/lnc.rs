@@ -37,9 +37,10 @@
 //! raises a set's group and profit, so the position it was filed at stays a
 //! valid bound and is corrected when a decision next reaches it.  An
 //! invalidation leaves a dead item behind for the same treatment.  Only a
-//! refresh with a new size or cost re-files at once.  When `now` is earlier
-//! than a reference already recorded (callers supply `now`) the bound is
-//! void and that one decision scores and sorts every set.
+//! refresh with a new size or cost re-files at once.  The bound needs a
+//! `now` that never steps back, and callers supply `now`, so every entry
+//! point raises it to the latest one the cache has seen: a lagging
+//! reference is recorded at that time.
 //!
 //! # Rejections without victims
 //!
@@ -160,8 +161,8 @@ pub struct LncCache<V> {
     entries: EntryStore<LncEntry<V>>,
     retained: RetainedStore,
     index: DecayIndex,
-    /// The latest reference recorded in any cached set's history.
-    newest: Timestamp,
+    /// The latest `now` any call passed: every call's own is raised to it.
+    latest: Timestamp,
     /// The last victim selection, kept for its allocation.
     victims: Vec<EntryId>,
     /// Cached bytes by sample count, Figure 1's groups (index 0 unused):
@@ -183,7 +184,7 @@ impl<V: CachePayload> LncCache<V> {
             entries: EntryStore::new(),
             retained: RetainedStore::new(max_retained),
             index: DecayIndex::grouped(),
-            newest: Timestamp::ZERO,
+            latest: Timestamp::ZERO,
             victims: Vec::new(),
             stats: CacheStats::new(),
             #[cfg(test)]
@@ -243,6 +244,13 @@ impl<V: CachePayload> LncCache<V> {
         Some(entry.value)
     }
 
+    /// Raises `now` to the latest time any call passed (Eq. 3 assumes time
+    /// never steps back) and returns it.
+    pub(crate) fn clock(&mut self, now: Timestamp) -> Timestamp {
+        self.latest = self.latest.max(now);
+        self.latest
+    }
+
     /// Selects replacement candidates to free at least `needed` bytes
     /// (the LNC-R procedure of Figure 1).
     ///
@@ -269,18 +277,12 @@ impl<V: CachePayload> LncCache<V> {
             return None;
         }
         let (entries, mut freed) = (&self.entries, 0u64);
-        self.index.ascend(
-            now,
-            now >= self.newest,
-            true,
-            None,
-            by_slot(entries),
-            |id, _| {
+        self.index
+            .ascend(now, true, None, by_slot(entries), |id, _| {
                 victims.push(id);
                 freed += entries.by_id(id).map_or(0, |e| e.info.size_bytes);
                 freed < needed
-            },
-        );
+            });
         Some(victims)
     }
 
@@ -546,10 +548,6 @@ impl<V: CachePayload> LncCache<V> {
         evicted: Vec<QueryKey>,
         now: Timestamp,
     ) -> InsertOutcome {
-        // A retained history can end after `now` when time stepped back.
-        self.newest = self
-            .newest
-            .max(info.history.last_reference().unwrap_or(now));
         self.group_bytes[info.history.sample_count()] += info.size_bytes;
         let id = self.entries.insert(LncEntry { info, value });
         let entry = self.entries.by_id(id).expect("just inserted");
@@ -571,6 +569,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     }
 
     fn get(&mut self, key: &QueryKey, now: Timestamp) -> Option<&V> {
+        let now = self.clock(now);
         if let Some(id) = self.entries.find(key) {
             let entry = self.entries.by_id_mut(id).expect("found above");
             // Skip duplicate timestamps: a single-flight waiter retrying
@@ -580,7 +579,6 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
             if entry.info.history.last_reference() != Some(now) {
                 let samples = entry.info.history.sample_count();
                 entry.info.history.record(now);
-                self.newest = self.newest.max(now);
                 let size = entry.info.size_bytes;
                 self.group_bytes[samples] -= size;
                 self.group_bytes[entry.info.history.sample_count()] += size;
@@ -603,6 +601,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
         cost: ExecutionCost,
         now: Timestamp,
     ) -> InsertOutcome {
+        let now = self.clock(now);
         let size_bytes = value.size_bytes();
         self.stats.record_miss(cost);
 
@@ -616,7 +615,6 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
             entry.info.size_bytes = size_bytes;
             if entry.info.history.last_reference() != Some(now) {
                 entry.info.history.record(now);
-                self.newest = self.newest.max(now);
             }
             self.group_bytes[entry.info.history.sample_count()] += size_bytes;
             // A new size or cost can lower the profit: re-file at once.
@@ -727,6 +725,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     }
 
     fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
+        let now = self.clock(now);
         self.config.capacity_bytes = capacity_bytes;
         if self.used_bytes() <= capacity_bytes {
             return Vec::new();
@@ -746,28 +745,25 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     }
 
     fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
+        let now = self.clock(now);
         // The first set of the ascent over all groups: this is the path the
         // §2.4 purge after every decision and the engine's rebalancer hit.
         let (entries, mut least) = (&self.entries, None);
-        self.index.ascend(
-            now,
-            now >= self.newest,
-            false,
-            None,
-            by_slot(entries),
-            |_, profit| {
+        self.index
+            .ascend(now, false, None, by_slot(entries), |_, profit| {
                 least = Some(profit);
                 false
-            },
-        );
+            });
         least
     }
 
     fn max_retained_profit(&mut self, now: Timestamp) -> Option<Profit> {
+        let now = self.clock(now);
         self.retained.iter().map(|info| info.profit(now)).max()
     }
 
     fn shrink_loss(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
+        let now = self.clock(now);
         // Shrinking into free space costs nothing.
         let free = self.config.capacity_bytes.saturating_sub(self.used_bytes());
         if bytes <= free || self.entries.is_empty() {
@@ -782,6 +778,7 @@ impl<V: CachePayload> QueryCache<V> for LncCache<V> {
     }
 
     fn grow_gain(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
+        let now = self.clock(now);
         if bytes == 0 || self.retained.is_empty() {
             return Some(Profit::ZERO);
         }
@@ -1229,8 +1226,9 @@ mod tests {
     /// the shards, beside the rejections pinned there.
     const SKEWED_RA_4_SETTLED: (u64, u64) = (4_897, 3_966);
 
-    #[test]
-    fn the_bound_settles_the_golden_skewed_rejections() {
+    /// Replays the golden skewed trace through four LNC-RA shards, each
+    /// reference's time moved back by `lag(i)` µs for the `i`-th record.
+    fn replay_skewed(lag: impl Fn(usize) -> u64) -> Vec<LncCache<SizedPayload>> {
         use watchman_sim::{ExperimentScale, Workload};
         let trace = Workload::tpcd_skewed(ExperimentScale::quick(12_000).with_seed(13)).trace;
         let shards = 4;
@@ -1238,8 +1236,8 @@ mod tests {
         let mut caches: Vec<LncCache<SizedPayload>> = (0..shards)
             .map(|_| LncCache::new(LncConfig::lnc_ra(per_shard).with_k(4)))
             .collect();
-        for record in trace.iter() {
-            let now = ts(record.timestamp_us);
+        for (i, record) in trace.iter().enumerate() {
+            let now = ts(record.timestamp_us.saturating_sub(lag(i)));
             let key = QueryKey::from_raw_query(&record.query_text);
             let mixed = key.signature().value().wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let cache = &mut caches[((mixed >> 32) % shards) as usize];
@@ -1253,9 +1251,43 @@ mod tests {
                 );
             }
         }
+        caches
+    }
+
+    #[test]
+    fn the_bound_settles_the_golden_skewed_rejections() {
+        let caches = replay_skewed(|_| 0);
         let rejections = caches.iter().map(|c| c.stats().rejections).sum();
         let settled = caches.iter().map(|c| c.settled_by_bound).sum();
         assert_eq!((rejections, settled), SKEWED_RA_4_SETTLED);
+    }
+
+    /// Profit evaluations of a replay: the cache's victim order and the
+    /// retained store's, over every shard.
+    fn evaluations(caches: &[LncCache<SizedPayload>]) -> u64 {
+        caches
+            .iter()
+            .map(|c| c.index.evaluations() + c.retained.evaluations())
+            .sum()
+    }
+
+    #[test]
+    fn a_lagging_now_costs_what_an_in_order_one_costs() {
+        // One reference in eight reaches its shard up to 300 ms late, as when
+        // two sessions' timestamps interleave; the cache records it at the
+        // latest time it has seen, and every bound stays valid.
+        let in_order = evaluations(&replay_skewed(|_| 0));
+        let lagging = evaluations(&replay_skewed(|i| {
+            if i % 8 == 7 {
+                ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % 300_001
+            } else {
+                0
+            }
+        }));
+        assert!(
+            lagging * 10 <= in_order * 11,
+            "lagging replay evaluated {lagging} profits, in-order {in_order}"
+        );
     }
 
     #[test]

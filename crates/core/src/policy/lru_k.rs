@@ -252,11 +252,11 @@ mod tests {
     fn full_histories_compared_by_kth_reference() {
         let mut cache = LruKCache::with_capacity(200, 2);
         // "x": references at 1 and 10 → 2nd most recent = 1.
-        insert(&mut cache, "x", 100, 1);
-        cache.get(&key("x"), ts(10));
         // "y": references at 5 and 6 → 2nd most recent = 5.
+        insert(&mut cache, "x", 100, 1);
         insert(&mut cache, "y", 100, 5);
         cache.get(&key("y"), ts(6));
+        cache.get(&key("x"), ts(10));
         // Victim must be "x" (older K-th reference) even though its most
         // recent reference (10) is newer than y's (6) — the defining
         // difference between LRU and LRU-K.

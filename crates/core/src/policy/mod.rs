@@ -15,7 +15,9 @@
 //! [`QueryCache::insert`], passing the observed execution cost; the policy
 //! decides whether to admit it (possibly evicting other sets) or reject it.
 //! Both calls take an explicit logical [`Timestamp`] so that trace replay is
-//! deterministic.
+//! deterministic; a policy raises every `now` it is passed to the latest one
+//! it has seen, because the rate estimate of Eq. 3 assumes time never steps
+//! back.
 //!
 //! # Per-operation complexity
 //!
@@ -38,8 +40,7 @@
 //! a decision merges the bucket fronts, scores the sets it hands out with
 //! the reference expression, and re-scores a set it passes over only a
 //! logarithmic number of times over the set's life.  A hit does not touch
-//! the index.  The one O(n log n) case left is a decision whose `now` lies
-//! before a reference already recorded, where the bound is void.
+//! the index.
 //!
 //! ² Before selecting victims for a first-time set, LNC-RA compares its
 //! `c/s` with a lower bound on the `cᵢ/sᵢ` of every set Figure 1 could evict
@@ -189,7 +190,9 @@ pub trait QueryCache<V: CachePayload> {
     ///
     /// `cost` is the execution cost of the query that produced the set.  The
     /// same `now` that was passed to the preceding `get` should be used (or a
-    /// later one); policies tolerate either.
+    /// later one).  Time never steps back inside a policy: every method that
+    /// takes `now` raises it to the latest `now` any call has passed, so a
+    /// lagging caller's reference is recorded at that latest time.
     fn insert(
         &mut self,
         key: QueryKey,

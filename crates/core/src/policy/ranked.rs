@@ -107,6 +107,8 @@ pub struct RankedCache<V, R: RankRule> {
     pub(super) rule: R,
     used_bytes: u64,
     stats: CacheStats,
+    /// The latest `now` any call passed: every call's own is raised to it.
+    latest: Timestamp,
 }
 
 impl<V: CachePayload, R: RankRule> RankedCache<V, R> {
@@ -118,7 +120,14 @@ impl<V: CachePayload, R: RankRule> RankedCache<V, R> {
             rule,
             used_bytes: 0,
             stats: CacheStats::new(),
+            latest: Timestamp::ZERO,
         }
+    }
+
+    /// Raises `now` to the latest time any call passed and returns it.
+    fn clock(&mut self, now: Timestamp) -> Timestamp {
+        self.latest = self.latest.max(now);
+        self.latest
     }
 
     /// The set the rule would evict next.
@@ -192,6 +201,7 @@ impl<V: CachePayload, R: RankRule> QueryCache<V> for RankedCache<V, R> {
     }
 
     fn get(&mut self, key: &QueryKey, now: Timestamp) -> Option<&V> {
+        let now = self.clock(now);
         let Some(id) = self.entries.find(key) else {
             self.rule.missed(key, now);
             return None;
@@ -215,6 +225,7 @@ impl<V: CachePayload, R: RankRule> QueryCache<V> for RankedCache<V, R> {
         cost: ExecutionCost,
         now: Timestamp,
     ) -> InsertOutcome {
+        let now = self.clock(now);
         let size_bytes = value.size_bytes();
         self.stats.record_miss(cost);
 
@@ -296,13 +307,15 @@ impl<V: CachePayload, R: RankRule> QueryCache<V> for RankedCache<V, R> {
     }
 
     fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
+        let now = self.clock(now);
         self.capacity_bytes = capacity_bytes;
         // Shrinking below occupancy evicts in the rule's own victim order,
         // with the same side effects as demand-driven evictions.
         self.evict_for(0, now)
     }
 
-    fn min_cached_profit(&mut self, _now: Timestamp) -> Option<Profit> {
+    fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
+        self.clock(now);
         // None of these rules keeps a rate estimate, so the next victim is
         // priced by its estimated profit `c/s` (Eq. 6).
         let (_, id) = self.victim()?;

@@ -28,9 +28,9 @@
 //! that nothing further can be below it.  The hard-bound displacement reads
 //! the same low end.  A recorded reference only raises a profit, so it does
 //! not touch the index: the stale position is still a valid bound and is
-//! corrected when an ascent reaches it.  Only a `now` earlier than a
-//! reference already recorded voids the bound; that call examines every
-//! history.
+//! corrected when an ascent reaches it.  The bound holds because the
+//! store's owner supplies monotone time: no `now` it passes is earlier than
+//! one it passed before.
 
 use crate::clock::Timestamp;
 use crate::decay::DecayIndex;
@@ -92,8 +92,6 @@ fn by_signature<'s>(
 pub struct RetainedStore {
     entries: EntryStore<RetainedInfo>,
     index: DecayIndex,
-    /// The latest reference recorded in any history held.
-    newest: Timestamp,
     /// What a purge is about to drop, kept for its allocation.
     doomed: Vec<EntryId>,
     /// Hard safety bound on the number of retained entries; the profit-based
@@ -150,7 +148,6 @@ impl RetainedStore {
             Some(info) => {
                 if info.history.last_reference() != Some(now) {
                     info.history.record(now);
-                    self.newest = self.newest.max(now);
                 }
                 true
             }
@@ -163,9 +160,6 @@ impl RetainedStore {
     /// by key signature, so displacement is deterministic rather than
     /// following hash-map iteration order).
     pub fn insert(&mut self, info: RetainedInfo, now: Timestamp) {
-        self.newest = self
-            .newest
-            .max(info.history.last_reference().unwrap_or(Timestamp::ZERO));
         if let Some(id) = self.entries.find(&info.key) {
             // A new size or cost can lower the profit: re-file at once.
             self.index.file(&info, id);
@@ -176,17 +170,11 @@ impl RetainedStore {
             // Only displace an existing entry if the newcomer is at least
             // as valuable; otherwise drop the newcomer.
             let (entries, mut worst) = (&self.entries, None);
-            self.index.ascend(
-                now,
-                now >= self.newest,
-                false,
-                None,
-                by_signature(entries),
-                |id, profit| {
+            self.index
+                .ascend(now, false, None, by_signature(entries), |id, profit| {
                     worst = Some((id, profit));
                     false
-                },
-            );
+                });
             match worst {
                 Some((_, profit)) if info.profit(now) < profit => return,
                 Some((id, _)) => self.entries.remove(id),
@@ -217,7 +205,6 @@ impl RetainedStore {
             let (entries, doomed) = (&self.entries, &mut self.doomed);
             self.index.ascend(
                 now,
-                now >= self.newest,
                 false,
                 Some(min_cached_profit),
                 by_signature(entries),
@@ -234,6 +221,12 @@ impl RetainedStore {
             }
         }
         before - self.entries.len()
+    }
+
+    /// Exact profit evaluations the store's ascents have asked for.
+    #[cfg(test)]
+    pub(crate) fn evaluations(&self) -> u64 {
+        self.index.evaluations()
     }
 
     /// Removes every retained entry.
