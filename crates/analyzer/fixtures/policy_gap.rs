@@ -1,6 +1,5 @@
-//! Seeded violations for `policy-signal-coverage`: a QueryCache impl
-//! missing a signal method, and a PolicyKind variant nothing dispatches.
-//! This file is a lint fixture, never compiled.
+//! Seeded violation for `policy-dispatch-coverage`: a PolicyKind variant
+//! nothing dispatches.  This file is a lint fixture, never compiled.
 
 pub enum PolicyKind {
     Lru,
@@ -14,19 +13,4 @@ pub fn build(kind: PolicyKind) -> BoxedCache {
         PolicyKind::LruK { k } => lru_k(k),
         _ => unreachable!("Orphan has no construction path"),
     }
-}
-
-impl<V: CachePayload> QueryCache<V> for GapCache<V> {
-    fn min_cached_profit(&mut self, _now: Timestamp) -> Option<Profit> {
-        None
-    }
-    fn set_capacity_bytes(&mut self, _capacity: u64, _now: Timestamp) -> Vec<QueryKey> {
-        Vec::new()
-    }
-    fn peek(&self, _key: &QueryKey) -> Option<&V> {
-        None
-    }
-    fn clear(&mut self) {}
-    // missing: record_coalesced_reference — coalesced hits would silently
-    // stop feeding the policy's reference-rate estimator.
 }

@@ -2,9 +2,9 @@
 //!
 //! The type system cannot see every rule this repo lives by: "route all
 //! locking through `watchman_core::sync`" compiles fine when violated,
-//! "every policy must implement the rebalance signal methods" compiles fine
-//! when violated (the trait has defaults that silently disable rebalancing),
-//! and the wire-protocol size caps are plain constants someone can fork.
+//! "every `PolicyKind` can be built" compiles fine when a variant is never
+//! constructed, and the wire-protocol size caps are plain constants someone
+//! can fork.
 //! This crate enforces those invariants as a CI gate.
 //!
 //! It is deliberately **not** built on `syn` or rustc internals: the
@@ -28,16 +28,12 @@
 //!    nested `block_on` on a runtime worker parks the worker's OS thread,
 //!    and with one worker per core a handful of such tasks deadlock the
 //!    whole runtime.
-//! 4. **`policy-signal-coverage`** — every `QueryCache` impl under
-//!    `policy/` (two today: `RankedCache`, which is all five rule-ranked
-//!    baselines, and `LncCache`) must define the signal-method set the
-//!    engine's replacement, rebalance and failure loops drive
-//!    (`min_cached_profit`,
-//!    `set_capacity_bytes`, `peek`, `record_coalesced_reference`,
-//!    `record_error_reference`, `record_stale_reference`, `clear`), and
-//!    every variant of `enum PolicyKind` must appear in a
-//!    `PolicyKind::Variant` dispatch path — a variant nobody constructs is
-//!    an unreachable policy.
+//! 4. **`policy-dispatch-coverage`** — every variant of `enum PolicyKind`
+//!    must appear in a `PolicyKind::Variant` dispatch path: a variant nobody
+//!    constructs is an unreachable policy.  That every policy defines the
+//!    signal methods the engine's replacement, rebalance and failure loops
+//!    drive is rustc's to check: none of them has a default in
+//!    `QueryCache`.
 //! 5. **`frame-size-consistency`** — the wire-protocol size caps
 //!    (`MAX_FRAME_BYTES`, `MAX_PREFIX_BYTES`, `MAX_RESULT_BYTES`) must be
 //!    declared exactly once, in their home files, and must satisfy
@@ -371,7 +367,7 @@ pub fn analyze(set: &FileSet) -> Vec<Finding> {
         rule_fallible_unwrap_in_session(path, tokens, &mut findings);
         rule_unbounded_retry_loop(path, tokens, &mut findings);
         rule_raw_instant_timing(path, tokens, &mut findings);
-        rule_policy_signal_coverage(path, tokens, set, &mut findings);
+        rule_policy_dispatch_coverage(path, tokens, set, &mut findings);
     }
     rule_frame_size_consistency(set, &mut findings);
     findings
@@ -855,62 +851,13 @@ fn rule_raw_instant_timing(path: &str, tokens: &[Token], findings: &mut Vec<Find
     }
 }
 
-/// The signal methods the engine's replacement and rebalance loops drive.
-/// `QueryCache` gives several of them no-op defaults, so forgetting one
-/// compiles clean and silently degrades the policy.
-const REQUIRED_SIGNALS: [&str; 7] = [
-    "min_cached_profit",
-    "set_capacity_bytes",
-    "peek",
-    "record_coalesced_reference",
-    "record_error_reference",
-    "record_stale_reference",
-    "clear",
-];
-
-/// Rule 4: policy impls define the signal-method set; `PolicyKind` variants
-/// are all dispatched somewhere.
-fn rule_policy_signal_coverage(
+/// Rule 4: every `PolicyKind` variant is dispatched somewhere.
+fn rule_policy_dispatch_coverage(
     path: &str,
     tokens: &[Token],
     set: &FileSet,
     findings: &mut Vec<Finding>,
 ) {
-    // Part 1: files implementing `QueryCache<…> for …` under policy/.
-    if path.contains("policy/") {
-        let mut is_impl = false;
-        let mut impl_line = 0;
-        for (i, token) in tokens.iter().enumerate() {
-            if token.is_ident("QueryCache")
-                && tokens[i + 1..].iter().take(20).any(|t| t.is_ident("for"))
-            {
-                is_impl = true;
-                impl_line = token.line;
-                break;
-            }
-        }
-        if is_impl {
-            for method in REQUIRED_SIGNALS {
-                let defines = tokens
-                    .windows(2)
-                    .any(|w| w[0].is_ident("fn") && w[1].is_ident(method));
-                if !defines {
-                    findings.push(Finding {
-                        file: path.to_owned(),
-                        line: impl_line,
-                        rule: "policy-signal-coverage",
-                        message: format!(
-                            "QueryCache impl does not define `fn {method}` — the trait \
-                             default silently disables this replacement/rebalance signal"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    // Part 2: every `enum PolicyKind` variant must appear in a
-    // `PolicyKind::Variant` dispatch path somewhere in the tree.
     let mut i = 0;
     while i + 2 < tokens.len() {
         if tokens[i].is_ident("enum") && tokens[i + 1].is_ident("PolicyKind") {
@@ -949,7 +896,7 @@ fn rule_policy_signal_coverage(
                     findings.push(Finding {
                         file: path.to_owned(),
                         line,
-                        rule: "policy-signal-coverage",
+                        rule: "policy-dispatch-coverage",
                         message: format!(
                             "PolicyKind::{variant} is never constructed via a \
                              PolicyKind::{variant} path — an undispatchable policy arm"
@@ -1423,34 +1370,13 @@ mod tests {
     }
 
     #[test]
-    fn policy_fixture_reports_missing_signals_and_orphan_variants() {
+    fn policy_fixture_reports_orphan_variants() {
         let source = fixture("policy_gap.rs");
-        let findings = analyze_one("crates/core/src/policy/gap.rs", &source);
-        let missing: Vec<_> = findings
-            .iter()
-            .filter(|f| f.message.contains("does not define"))
-            .collect();
-        assert!(
-            missing
-                .iter()
-                .any(|f| f.message.contains("record_coalesced_reference")),
-            "{findings:?}"
-        );
-        // The failure-pipeline signals are part of the required set too: a
-        // policy that never hears about error/stale references mis-estimates
-        // every arrival rate under degradation.
-        for signal in ["record_error_reference", "record_stale_reference"] {
-            assert!(
-                missing.iter().any(|f| f.message.contains(signal)),
-                "{signal}: {findings:?}"
-            );
-        }
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("PolicyKind::Orphan")),
-            "{findings:?}"
-        );
+        let findings = analyze_one("crates/core/src/engine/policy_kind.rs", &source);
+        let rule = |f: &&Finding| f.rule == "policy-dispatch-coverage";
+        let orphans: Vec<_> = findings.iter().filter(rule).collect();
+        assert_eq!(orphans.len(), 1, "{findings:?}");
+        assert!(orphans[0].message.contains("PolicyKind::Orphan"));
     }
 
     #[test]

@@ -91,12 +91,12 @@ struct Spot {
 
 impl Spot {
     fn of(set: &RetainedInfo, grouped: bool) -> Spot {
-        let samples = set.history.sample_count();
+        let samples = set.state.sample_count();
         let group = if grouped { samples } else { 0 };
         Spot {
             group: u32::try_from(group).unwrap_or(u32::MAX),
             weight: samples as f64 * set.cost.value() / set.size_bytes.max(1) as f64,
-            oldest: set.history.oldest_reference().unwrap_or(Timestamp::ZERO),
+            oldest: set.state.oldest_reference().unwrap_or(Timestamp::ZERO),
         }
     }
 
@@ -172,9 +172,10 @@ impl Ascent {
     }
 }
 
-/// See the module docs.
+/// The victim order of LNC-R/LNC-RA and of the §2.4 retained store: see
+/// the module docs.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct DecayIndex {
+pub struct DecayIndex {
     /// Whether sets are filed by sample-count group; an owner that never
     /// ascends by group does with a fourth of the buckets.
     grouped: bool,
@@ -356,7 +357,9 @@ impl DecayIndex {
     }
 
     /// The merge entry for bucket `at`'s `item`, unless its bound is not
-    /// under the ascent's `below`.
+    /// under the ascent's `below`.  Inlined: it runs once per merge step,
+    /// and left to the compiler a call per step showed in LNC's decisions.
+    #[inline]
     fn front_of(&self, ascent: Ascent, at: usize, (anchor, slot): Item) -> Option<Reverse<Front>> {
         let bucket = &self.buckets[at];
         let bound = bucket.bound(anchor, ascent.now);

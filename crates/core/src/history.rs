@@ -71,6 +71,15 @@ impl ReferenceHistory {
         self.total_references += 1;
     }
 
+    /// Records a reference at `now` unless it is already the latest one: a
+    /// single-flight waiter retrying after an abandoned flight re-issues the
+    /// same logical reference, and counting it twice would inflate the rate.
+    pub(crate) fn record_once(&mut self, now: Timestamp) {
+        if self.last_reference() != Some(now) {
+            self.record(now);
+        }
+    }
+
     /// Number of samples currently retained (`≤ K`).
     pub fn sample_count(&self) -> usize {
         self.times.len()

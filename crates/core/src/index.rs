@@ -11,6 +11,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::key::QueryKey;
+use crate::value::ExecutionCost;
 
 /// A stable handle to an entry inside an [`EntryStore`].
 ///
@@ -38,6 +39,28 @@ impl EntryId {
 pub trait KeyedEntry {
     /// The query key identifying this entry.
     fn key(&self) -> &QueryKey;
+}
+
+/// What a cache knows about a retrieved set besides its payload: the key,
+/// the size and execution cost of the set, and what the policy keeps about
+/// it (for LNC-R and LRU-K its reference history, which is also what is
+/// retained once the set is evicted).
+#[derive(Debug, Clone)]
+pub struct SetInfo<S> {
+    /// The query key the set belongs to.
+    pub key: QueryKey,
+    /// The size of the retrieved set when it was last materialized.
+    pub size_bytes: u64,
+    /// The execution cost of the associated query.
+    pub cost: ExecutionCost,
+    /// What the policy keeps about the set.
+    pub state: S,
+}
+
+impl<S> KeyedEntry for SetInfo<S> {
+    fn key(&self) -> &QueryKey {
+        &self.key
+    }
 }
 
 /// The ids of the entries with one signature: one inline, so that an insert

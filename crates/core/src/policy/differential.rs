@@ -1,49 +1,118 @@
-//! Differential property tests: indexed victim selection vs. the scan/sort
-//! reference implementations.
+//! Differential property tests: every policy over its index against the
+//! same policy over [`Scan`].
 //!
-//! The pre-index victim selection — for the rule-ranked baselines one
-//! O(n)-per-victim scan over the rule's ranks, on [`RankedCache`]; for LNC
-//! the O(n log n) sort of Figure 1 — is kept under `#[cfg(test)]` as an
-//! oracle.  These properties replay random admit / reference / remove /
-//! shrink traces against the real (index-driven) caches and assert, at every
-//! step, that the index would pick *identical victim sequences* for a spread
-//! of space demands, and that the capacity-planning signals
-//! (`min_cached_profit`, `shrink_loss`, `grow_gain`) are value-identical.
-//! Shrinks additionally check the *actual* eviction sequence end to end
-//! against the oracle's plan, including a final shrink-to-zero drain of the
-//! whole cache.
+//! [`Scan`] is the victim order the indexes replaced: at every decision it
+//! re-scores every set with the rule's own rank expression and sorts.  It is
+//! the one oracle.  Each property replays one generated trace through a
+//! policy twice — over its index (the [`OrdIndex`] of static ranks for the
+//! five baselines, the decay index for LNC-R/LNC-RA) and over the scan — and
+//! asserts at every step that both caches answer each `get` alike, return
+//! equal [`InsertOutcome`]s (evicted keys in order), evict alike on every
+//! capacity change, price `min_cached_profit`, `shrink_loss` and `grow_gain`
+//! alike, and retain the same histories.  The scan offers no bound on the
+//! victims' `c/s`, so it always selects them: LNC-A's shortcut is held to
+//! the full selection.  The §2.4 store is driven on its own against a store
+//! ordered by the scan.
 //!
 //! The traces deliberately hammer the corners that break incremental
 //! indexes: same-key refreshes that change sizes and priorities, removals
 //! (invalidation does not evict), evictions of freshly admitted entries,
 //! slot reuse after removal, and repeated decisions at both advancing and
 //! unchanged timestamps.  The LNC traces add what its decay index is
-//! sensitive to: time stepping *backwards* (which the cache's clamp must
-//! absorb), weights drawn from a coarse grid
-//! (so buckets hold several sets and profits tie exactly), and a 200-query
-//! id space.  LNC-RA's admission decisions, the rejections its bound settles
-//! without a selection included, are checked one by one against Figure 1's
-//! decision over the scan oracle.  The §2.4 retained store is driven against
-//! [`ScanRetained`], the `HashMap::retain` implementation it replaced.
-
-use std::collections::HashMap;
+//! sensitive to: time stepping *backwards* (which both caches' clamp must
+//! absorb alike), weights drawn from a coarse grid (so buckets hold several
+//! sets and profits tie exactly), and a 200-query id space.
+//!
+//! [`OrdIndex`]: crate::policy::index::OrdIndex
+//! [`InsertOutcome`]: crate::policy::InsertOutcome
 
 use proptest::prelude::*;
 
 use crate::clock::Timestamp;
+use crate::decay::DecayIndex;
 use crate::history::ReferenceHistory;
+use crate::index::{EntryId, EntryStore, SetInfo};
 use crate::key::QueryKey;
-use crate::policy::gds::GreedyDualSizeCache;
-use crate::policy::lcs::LcsCache;
-use crate::policy::lfu::LfuCache;
-use crate::policy::lnc::{LncCache, LncConfig};
-use crate::policy::lru::LruCache;
-use crate::policy::lru_k::LruKCache;
-use crate::policy::ranked::{RankRule, RankedCache};
+use crate::policy::gds::{GdsRule, GreedyDualSizeCache};
+use crate::policy::lcs::{LcsCache, LcsRule};
+use crate::policy::lfu::{LfuCache, LfuRule};
+use crate::policy::lnc::{LncCache, LncConfig, LncRule};
+use crate::policy::lru::{LruCache, LruRule};
+use crate::policy::lru_k::{LruKCache, LruKConfig, LruKRule};
+use crate::policy::ranked::{Entry, RankRule, RankedCache, VictimOrder};
 use crate::policy::QueryCache;
 use crate::profit::Profit;
-use crate::retained::{RetainedInfo, RetainedStore};
+use crate::retained::{RetainedInfo, RetainedOrder, RetainedStore};
 use crate::value::{ExecutionCost, SizedPayload};
+
+/// The order that re-scores every set at the decision's `now` and sorts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scan;
+
+/// Hands the keyed slots to `take` in ascending `(key, slot)` order —
+/// descending when `max` — until it returns `false`.
+fn walk<K: Ord + Copy>(
+    mut keyed: Vec<(K, EntryId)>,
+    max: bool,
+    mut take: impl FnMut(EntryId, K) -> bool,
+) {
+    keyed.sort_unstable();
+    if max {
+        keyed.reverse();
+    }
+    for (key, id) in keyed {
+        if !take(id, key) {
+            break;
+        }
+    }
+}
+
+impl<R: RankRule> VictimOrder<R> for Scan {
+    fn new() -> Self {
+        Scan
+    }
+
+    fn file(&mut self, _: &SetInfo<R::State>, _: EntryId, _: Timestamp) {}
+
+    fn ascend<V>(
+        &mut self,
+        entries: &EntryStore<Entry<V, R::State>>,
+        now: Timestamp,
+        by_group: bool,
+        mut take: impl FnMut(EntryId) -> bool,
+    ) {
+        let keyed = entries
+            .iter()
+            .map(|(id, e)| {
+                let group = if by_group { R::group(&e.info.state) } else { 0 };
+                ((group, R::rank(&e.info, now)), id)
+            })
+            .collect();
+        walk(keyed, R::VICTIM_IS_MAX, |id, _| take(id));
+    }
+
+    fn clear(&mut self) {}
+}
+
+impl RetainedOrder for Scan {
+    fn file(&mut self, _: &RetainedInfo, _: EntryId) {}
+
+    fn ascend(
+        &mut self,
+        entries: &EntryStore<RetainedInfo>,
+        now: Timestamp,
+        _: Option<Profit>,
+        mut take: impl FnMut(EntryId, Profit) -> bool,
+    ) {
+        let keyed = entries
+            .iter()
+            .map(|(id, info)| ((info.profit(now), info.key.signature().value()), id))
+            .collect();
+        walk(keyed, false, |id, (profit, _)| take(id, profit));
+    }
+
+    fn clear(&mut self) {}
+}
 
 /// One step of a generated trace.
 #[derive(Debug, Clone)]
@@ -63,147 +132,174 @@ struct Op {
     advance_us: i64,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..12, 0u8..24, 1u64..2_000, 1u64..20_000, 0i64..2_000_000).prop_map(
-        |(action, query, size, cost, advance_us)| Op {
+/// Steps with one of `queries` ids, and sizes and costs drawn from the
+/// ranges in multiples of `grid`.
+fn steps(
+    queries: u8,
+    sizes: std::ops::Range<u64>,
+    costs: std::ops::Range<u64>,
+    grid: (u64, u64),
+    advances: std::ops::Range<i64>,
+) -> impl Strategy<Value = Op> {
+    (0u8..12, 0..queries, sizes, costs, advances).prop_map(
+        move |(action, query, size, cost, advance_us)| Op {
             action,
             query,
-            size,
-            cost,
+            size: size * grid.0,
+            cost: cost * grid.1,
             advance_us,
         },
     )
 }
 
+fn op_strategy() -> impl Strategy<Value = Op> {
+    steps(24, 1..2_000, 1..20_000, (1, 1), 0..2_000_000)
+}
+
 /// Traces for LNC: sizes and costs from a coarse grid, a wide id space, and
 /// about one step in eight going back in time.
 fn lnc_op_strategy() -> impl Strategy<Value = Op> {
-    (
-        0u8..12,
-        0u8..200,
-        1u64..40,
-        0u64..20,
-        -300_000i64..2_000_000,
-    )
-        .prop_map(|(action, query, size, cost, advance_us)| Op {
-            action,
-            query,
-            size: size * 50,
-            cost: cost * 100,
-            advance_us,
-        })
+    steps(200, 1..40, 0..20, (50, 100), -300_000..2_000_000)
 }
 
 fn query_key(op: &Op) -> QueryKey {
     QueryKey::new(format!("diff-query-{}", op.query))
 }
 
-/// The space demands to probe victim plans with after each step: almost
-/// nothing, barely one victim, a partial drain, everything, more than
-/// everything.
-fn needed_probes(used: u64, capacity: u64) -> [u64; 5] {
-    let free = capacity.saturating_sub(used);
-    [
-        1,
-        free + 1,
-        free + used / 2,
-        free + used,
-        free + used + 1_000,
-    ]
-}
-
-/// Drives one policy through a trace, checking the provided oracles after
-/// every step.
-///
-/// * `plans(cache, needed, now)` must return the `(indexed, reference)`
-///   victim plans for an incoming demand of `needed` bytes;
-/// * `shrink_plan(cache, new_capacity, now)` must return the oracle's
-///   predicted eviction sequence for a shrink to `new_capacity`;
-/// * `signals(cache, now)` hosts per-policy signal equivalence checks.
-fn run_differential<C, P, S, X>(mut cache: C, ops: &[Op], plans: P, shrink_plan: S, signals: X)
-where
-    C: QueryCache<SizedPayload>,
-    P: Fn(&mut C, u64, Timestamp) -> (Vec<QueryKey>, Vec<QueryKey>),
-    S: Fn(&mut C, u64, Timestamp) -> Vec<QueryKey>,
-    X: Fn(&mut C, Timestamp),
+/// The one property: `indexed` and `scan`, one policy over two orders,
+/// decide alike at every step of `ops`.
+fn run_differential<R, O, S>(
+    mut indexed: RankedCache<SizedPayload, R, O>,
+    mut scan: RankedCache<SizedPayload, S, Scan>,
+    ops: &[Op],
+) where
+    R: RankRule,
+    O: VictimOrder<R>,
+    S: RankRule,
 {
+    let name = indexed.name();
     let mut now = 0u64;
     for op in ops {
         now = now.saturating_add_signed(op.advance_us);
         let ts = Timestamp::from_micros(now.max(1));
         let key = query_key(op);
         match op.action {
-            0 => {
-                cache.remove(&key);
-            }
+            0 => assert_eq!(
+                QueryCache::remove(&mut indexed, &key),
+                QueryCache::remove(&mut scan, &key)
+            ),
             1 => {
-                // Shrink to half the occupancy: the oracle predicts the exact
-                // eviction sequence; then grow back so the trace continues.
-                let capacity = cache.capacity_bytes();
-                let target = cache.used_bytes() / 2;
-                let expected = shrink_plan(&mut cache, target, ts);
-                let evicted = cache.set_capacity_bytes(target, ts);
-                assert_eq!(
-                    evicted,
-                    expected,
-                    "{}: shrink eviction sequence diverged from the scan oracle",
-                    cache.name()
-                );
-                cache.set_capacity_bytes(capacity, ts);
+                // Shrink to half the occupancy, then grow back so the trace
+                // continues.
+                let capacity = indexed.capacity_bytes();
+                let target = indexed.used_bytes() / 2;
+                for bytes in [target, capacity] {
+                    assert_eq!(
+                        indexed.set_capacity_bytes(bytes, ts),
+                        scan.set_capacity_bytes(bytes, ts),
+                        "{name}: resizing to {bytes} evicted differently"
+                    );
+                }
             }
             _ => {
-                if cache.get(&key, ts).is_none() {
-                    cache.insert(
-                        key,
+                let hit = indexed.get(&key, ts).is_some();
+                assert_eq!(hit, scan.get(&key, ts).is_some(), "{name}: {op:?}");
+                if !hit {
+                    let (value, cost) = (
                         SizedPayload::new(op.size),
                         ExecutionCost::from_blocks(op.cost),
-                        ts,
+                    );
+                    assert_eq!(
+                        indexed.insert(key.clone(), value, cost, ts),
+                        scan.insert(key, value, cost, ts),
+                        "{name}: {op:?}"
                     );
                 }
             }
         }
-
-        for needed in needed_probes(cache.used_bytes(), cache.capacity_bytes()) {
-            let (indexed, reference) = plans(&mut cache, needed, ts);
-            assert_eq!(
-                indexed,
-                reference,
-                "{}: victim plan diverged for needed={needed}",
-                cache.name()
-            );
-        }
-        signals(&mut cache, ts);
+        assert!(
+            indexed.books_balance(),
+            "{name}: group bytes diverged after {op:?}"
+        );
+        agree(&mut indexed, &mut scan, ts);
     }
 
-    // Final end-to-end drain: shrinking to zero must evict every cached set
-    // in exactly the oracle's order.
+    // Final end-to-end drain: shrinking to zero evicts every cached set in
+    // the same order.
     let ts = Timestamp::from_micros(now.max(1) + 1);
-    let expected = shrink_plan(&mut cache, 0, ts);
-    let evicted = cache.set_capacity_bytes(0, ts);
     assert_eq!(
-        evicted,
-        expected,
-        "{}: full-drain eviction sequence diverged from the scan oracle",
-        cache.name()
+        indexed.set_capacity_bytes(0, ts),
+        scan.set_capacity_bytes(0, ts),
+        "{name}: full drain diverged"
     );
-    assert_eq!(cache.used_bytes(), 0);
+    assert_eq!(indexed.used_bytes(), 0);
 }
 
-/// The one property of the rule-ranked baselines: whatever the rule, the
-/// index picks the victims the scan over the same ranks picks.
-fn run_ranked<R: RankRule>(cache: RankedCache<SizedPayload, R>, ops: &[Op]) {
-    run_differential(
-        cache,
-        ops,
-        |cache, needed, now| {
-            (
-                cache.indexed_victim_plan(needed, now),
-                cache.reference_victim_plan(needed),
-            )
-        },
-        |cache, target, _| cache.reference_victim_plan(cache.capacity_bytes() - target),
-        |_, _| {},
+/// The victims of a spread of shrinks, on copies, and the signals and
+/// retained histories of both caches at `now`.
+fn agree<R, O, S>(
+    indexed: &mut RankedCache<SizedPayload, R, O>,
+    scan: &mut RankedCache<SizedPayload, S, Scan>,
+    now: Timestamp,
+) where
+    R: RankRule,
+    O: VictimOrder<R>,
+    S: RankRule,
+{
+    let (name, used, capacity) = (
+        indexed.name(),
+        indexed.used_bytes(),
+        indexed.capacity_bytes(),
     );
+    for target in [used.saturating_sub(1), used / 2, 0] {
+        assert_eq!(
+            indexed.clone().set_capacity_bytes(target, now),
+            scan.clone().set_capacity_bytes(target, now),
+            "{name}: victims of a shrink to {target} diverged"
+        );
+    }
+    assert_eq!(
+        indexed.min_cached_profit(now),
+        scan.min_cached_profit(now),
+        "{name}: min_cached_profit diverged"
+    );
+    for bytes in [1, 500, capacity / 2, capacity] {
+        assert_eq!(
+            indexed.shrink_loss(bytes, now),
+            scan.shrink_loss(bytes, now),
+            "{name}: shrink_loss diverged for {bytes} bytes"
+        );
+        assert_eq!(
+            indexed.grow_gain(bytes, now),
+            scan.grow_gain(bytes, now),
+            "{name}: grow_gain diverged for {bytes} bytes"
+        );
+    }
+    let retained = |mut keys: Vec<QueryKey>| {
+        keys.sort_unstable_by(|a, b| a.text().cmp(b.text()));
+        keys
+    };
+    assert_eq!(
+        retained(indexed.rule.retained_keys()),
+        retained(scan.rule.retained_keys()),
+        "{name}: retained histories diverged"
+    );
+}
+
+/// The baseline over its static-rank index and over the scan.
+fn run_baseline<R: RankRule>(
+    indexed: RankedCache<SizedPayload, R, impl VictimOrder<R>>,
+    rule: R,
+    ops: &[Op],
+) {
+    let scan = RankedCache::with_rule(indexed.capacity_bytes(), rule);
+    run_differential(indexed, scan, ops);
+}
+
+/// LNC over the decay index and over the scan.
+fn run_lnc(config: LncConfig, ops: &[Op]) {
+    let scan = RankedCache::<SizedPayload, LncRule<Scan>, Scan>::new(config.clone());
+    run_differential(LncCache::new(config), scan, ops);
 }
 
 proptest! {
@@ -214,7 +310,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_ranked(LruCache::new(capacity), &ops);
+        run_baseline(LruCache::new(capacity), LruRule::default(), &ops);
     }
 
     #[test]
@@ -222,7 +318,8 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_ranked(LruKCache::with_capacity(capacity, 3), &ops);
+        let indexed = LruKCache::with_capacity(capacity, 3);
+        run_baseline(indexed, LruKRule::new(&LruKConfig::new(capacity, 3)), &ops);
     }
 
     #[test]
@@ -230,7 +327,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_ranked(LfuCache::new(capacity), &ops);
+        run_baseline(LfuCache::new(capacity), LfuRule, &ops);
     }
 
     #[test]
@@ -238,7 +335,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_ranked(LcsCache::new(capacity), &ops);
+        run_baseline(LcsCache::new(capacity), LcsRule, &ops);
     }
 
     #[test]
@@ -246,7 +343,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         capacity in 2_000u64..40_000,
     ) {
-        run_ranked(GreedyDualSizeCache::new(capacity), &ops);
+        run_baseline(GreedyDualSizeCache::new(capacity), GdsRule::default(), &ops);
     }
 
     #[test]
@@ -261,50 +358,7 @@ proptest! {
         } else {
             LncConfig::lnc_r(capacity)
         };
-        run_differential(
-            LncCache::<SizedPayload>::new(config.with_k(1 << window)),
-            &ops,
-            |cache, needed, now| {
-                let now = cache.clock(now);
-                let reference = cache
-                    .select_victims_reference(needed, now)
-                    .map(|ids| cache.keys_of(&ids))
-                    .unwrap_or_default();
-                let indexed = cache
-                    .select_victims(needed, now)
-                    .map(|ids| cache.keys_of(&ids))
-                    .unwrap_or_default();
-                (indexed, reference)
-            },
-            |cache, target, now| {
-                let now = cache.clock(now);
-                let used = cache.used_bytes();
-                if used <= target {
-                    return Vec::new();
-                }
-                let ids = cache
-                    .select_victims_reference(used - target, now)
-                    .expect("evicting everything frees the overshoot");
-                cache.keys_of(&ids)
-            },
-            |cache, now| {
-                let now = cache.clock(now);
-                assert!(cache.books_balance(), "group bytes diverged from the sets");
-                // The capacity-planning signals must be value-identical to
-                // their scan/sort references.
-                let fast = QueryCache::min_cached_profit(cache, now);
-                let scan = LncCache::min_cached_profit(cache, now);
-                assert_eq!(fast, scan, "min_cached_profit fast path diverged");
-                for bytes in [1u64, 500, cache.capacity_bytes() / 2, cache.capacity_bytes()] {
-                    let loss_ref = cache.shrink_loss_reference(bytes, now);
-                    let loss = QueryCache::shrink_loss(cache, bytes, now);
-                    assert_eq!(loss, loss_ref, "shrink_loss diverged for {bytes} bytes");
-                    let gain_ref = cache.grow_gain_reference(bytes, now);
-                    let gain = QueryCache::grow_gain(cache, bytes, now);
-                    assert_eq!(gain, gain_ref, "grow_gain diverged for {bytes} bytes");
-                }
-            },
-        );
+        run_lnc(config.with_k(1 << window), &ops);
     }
 
     #[test]
@@ -312,8 +366,8 @@ proptest! {
         ops in proptest::collection::vec(retained_op_strategy(), 1..200),
         bound in 4usize..40,
     ) {
-        let mut indexed = RetainedStore::new(bound);
-        let mut scan = ScanRetained { entries: HashMap::new(), max_entries: bound };
+        let mut indexed: RetainedStore<DecayIndex> = RetainedStore::new(bound);
+        let mut scan: RetainedStore<Scan> = RetainedStore::new(bound);
         let (mut now, mut latest) = (1_000_000u64, 0);
         for op in &ops {
             // The store's owner supplies monotone time.
@@ -323,8 +377,8 @@ proptest! {
             let key = QueryKey::new(format!("retained-{}", op.query));
             match op.action {
                 0 => {
-                    let taken = indexed.take(&key).map(|info| info.history);
-                    assert_eq!(taken, scan.entries.remove(&key).map(|info| info.history));
+                    let taken = indexed.take(&key).map(|info| info.state);
+                    assert_eq!(taken, scan.take(&key).map(|info| info.state));
                 }
                 1 | 2 => {
                     assert_eq!(
@@ -335,7 +389,7 @@ proptest! {
                 3..=5 => {
                     // Thresholds at, just beside and far from the profit of
                     // a history held (`==` must survive), and zero.
-                    let mut held: Vec<Profit> = scan.entries.values().map(|i| i.profit(ts)).collect();
+                    let mut held: Vec<Profit> = scan.iter().map(|i| i.profit(ts)).collect();
                     held.sort();
                     let at = held.get(op.pick as usize % held.len().max(1)).map_or(1.0, |p| p.value());
                     let factor = [0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0, 1.0 + 1e-12, 3.0][op.pick as usize % 7];
@@ -357,14 +411,14 @@ proptest! {
                         key,
                         size_bytes: op.size,
                         cost: ExecutionCost::from_blocks(op.cost),
-                        history,
+                        state: history,
                     };
                     indexed.insert(info.clone(), ts);
                     scan.insert(info, ts);
                 }
             }
             let mut left: Vec<&str> = indexed.iter().map(|info| info.key.text()).collect();
-            let mut right: Vec<&str> = scan.entries.keys().map(QueryKey::text).collect();
+            let mut right: Vec<&str> = scan.iter().map(|info| info.key.text()).collect();
             left.sort_unstable();
             right.sort_unstable();
             assert_eq!(left, right, "retained key sets diverged after {op:?}");
@@ -376,38 +430,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3_000))]
 
     /// Every LNC-A decision — including the rejections its bound settles
-    /// without a selection — is Figure 1's over the scan oracle.
+    /// without a selection — is the one the scan's full selection makes.
     #[test]
     fn lnc_ra_admission_matches_the_reference_decision(
         ops in proptest::collection::vec(lnc_op_strategy(), 1..120),
         capacity in 2_000u64..30_000,
         window in 0u32..3,
     ) {
-        let config = LncConfig::lnc_ra(capacity).with_k(1 << window);
-        let mut cache = LncCache::<SizedPayload>::new(config);
-        let mut now = 0u64;
-        for op in &ops {
-            now = now.saturating_add_signed(op.advance_us);
-            let ts = cache.clock(Timestamp::from_micros(now.max(1)));
-            let key = query_key(op);
-            match op.action {
-                0 => {
-                    cache.remove(&key);
-                }
-                1 => {
-                    cache.set_capacity_bytes(cache.used_bytes() / 2, ts);
-                    cache.set_capacity_bytes(capacity, ts);
-                }
-                _ if cache.get(&key, ts).is_none() => {
-                    let cost = ExecutionCost::from_blocks(op.cost);
-                    let expected = cache.admits_reference(&key, op.size, cost, ts);
-                    let outcome = cache.insert(key, SizedPayload::new(op.size), cost, ts);
-                    assert_eq!(outcome.is_admitted(), expected, "{op:?}: {outcome:?}");
-                }
-                _ => {}
-            }
-            assert!(cache.books_balance(), "group bytes diverged after {op:?}");
-        }
+        run_lnc(LncConfig::lnc_ra(capacity).with_k(1 << window), &ops);
     }
 }
 
@@ -442,51 +472,4 @@ fn retained_op_strategy() -> impl Strategy<Value = RetainedOp> {
             pick,
             advance_us,
         })
-}
-
-/// The retained store as it was before the decay index — every operation a
-/// scan of a hash map — kept verbatim as the oracle for [`RetainedStore`].
-pub(crate) struct ScanRetained {
-    pub(crate) entries: HashMap<QueryKey, RetainedInfo>,
-    pub(crate) max_entries: usize,
-}
-
-impl ScanRetained {
-    pub(crate) fn record_reference(&mut self, key: &QueryKey, now: Timestamp) -> bool {
-        match self.entries.get_mut(key) {
-            Some(info) => {
-                if info.history.last_reference() != Some(now) {
-                    info.history.record(now);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    pub(crate) fn insert(&mut self, info: RetainedInfo, now: Timestamp) {
-        if !self.entries.contains_key(&info.key) && self.entries.len() >= self.max_entries {
-            if let Some(worst) = self
-                .entries
-                .values()
-                .min_by_key(|i| (i.profit(now), i.key.signature().value()))
-                .map(|i| i.key.clone())
-            {
-                let worst_profit = self.entries[&worst].profit(now);
-                if info.profit(now) >= worst_profit {
-                    self.entries.remove(&worst);
-                } else {
-                    return;
-                }
-            }
-        }
-        self.entries.insert(info.key.clone(), info);
-    }
-
-    pub(crate) fn purge_below(&mut self, min_cached_profit: Profit, now: Timestamp) -> usize {
-        let before = self.entries.len();
-        self.entries
-            .retain(|_, info| info.profit(now) >= min_cached_profit);
-        before - self.entries.len()
-    }
 }

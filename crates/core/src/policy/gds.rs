@@ -17,8 +17,9 @@
 //! with — and the rule owns `L`.
 
 use crate::clock::Timestamp;
+use crate::index::SetInfo;
 use crate::key::QueryKey;
-use crate::policy::index::OrdF64;
+use crate::policy::index::{OrdF64, OrdIndex};
 use crate::policy::ranked::{RankRule, RankedCache};
 use crate::profit::Profit;
 use crate::value::{CachePayload, ExecutionCost};
@@ -34,10 +35,13 @@ impl RankRule for GdsRule {
     /// The credit value `H`.
     type State = f64;
     type Rank = OrdF64;
-    const NAME: &'static str = "GreedyDual-Size";
 
-    fn rank(&self, credit: &f64, _: u64) -> OrdF64 {
-        OrdF64(*credit)
+    fn name(&self) -> &'static str {
+        "GreedyDual-Size"
+    }
+
+    fn rank(set: &SetInfo<f64>, _: Timestamp) -> OrdF64 {
+        OrdF64(set.state)
     }
 
     /// Only the newcomer's `c/s`: its own evictions have yet to raise `L`.
@@ -49,13 +53,13 @@ impl RankRule for GdsRule {
         *credit += self.inflation;
     }
 
-    fn touch(&mut self, credit: &mut f64, cost: ExecutionCost, size_bytes: u64, _: Timestamp) {
-        *credit = self.inflation + Profit::estimated(cost, size_bytes).value();
+    fn touch(&mut self, set: &mut SetInfo<f64>, _: Timestamp) {
+        set.state = self.inflation + Profit::estimated(set.cost, set.size_bytes).value();
     }
 
     /// Evicting the smallest-credit set raises the global inflation `L`.
-    fn evicted(&mut self, _: &QueryKey, credit: f64, _: Timestamp) {
-        self.inflation = self.inflation.max(credit);
+    fn denied(&mut self, set: SetInfo<f64>, _: Timestamp) {
+        self.inflation = self.inflation.max(set.state);
     }
 
     fn cleared(&mut self) {
@@ -64,7 +68,7 @@ impl RankRule for GdsRule {
 }
 
 /// A retrieved-set cache with GreedyDual-Size replacement.
-pub type GreedyDualSizeCache<V> = RankedCache<V, GdsRule>;
+pub type GreedyDualSizeCache<V> = RankedCache<V, GdsRule, OrdIndex<OrdF64>>;
 
 impl<V: CachePayload> GreedyDualSizeCache<V> {
     /// Creates a GreedyDual-Size cache with the given capacity in bytes.
@@ -82,17 +86,9 @@ impl<V: CachePayload> GreedyDualSizeCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ranked::contract;
+    use crate::policy::ranked::contract::{self, key, ts};
     use crate::policy::{InsertOutcome, QueryCache};
     use crate::value::SizedPayload;
-
-    fn ts(us: u64) -> Timestamp {
-        Timestamp::from_micros(us)
-    }
-
-    fn key(name: &str) -> QueryKey {
-        QueryKey::new(name.to_owned())
-    }
 
     fn insert_with_cost(
         cache: &mut GreedyDualSizeCache<SizedPayload>,

@@ -12,28 +12,28 @@
 //!
 //! [`OrdIndex`] is a B-tree set of `(priority key, entry id)` pairs.  A
 //! B-tree with *exact* deletion is used instead of the textbook
-//! lazy-deletion binary heap: the cache always knows an entry's current key
-//! when it changes or leaves, so stale heap items (and the rebuild sweeps
-//! they eventually force) never need to exist, and peeking the victim does
-//! not have to mutate the structure to drain tombstones.  Every operation is
-//! O(log n).
+//! lazy-deletion binary heap: the index remembers the key each slot is filed
+//! under, so stale heap items (and the rebuild sweeps they eventually force)
+//! never need to exist, and reading the victims does not have to mutate the
+//! structure to drain tombstones.  Every operation is O(log n).
 //!
 //! Tie-breaking is part of the policies' observable behaviour (deterministic
 //! trace replays are asserted byte-identical), so the index encodes the tie
 //! rules a scan has: `Iterator::min_by_key` returns the *first* minimal entry
-//! in slot order — [`OrdIndex::min`] with the [`EntryId`] as the final key
-//! component returns the same entry — and `Iterator::max_by_key` returns the
-//! *last* maximal one, which [`OrdIndex::max`] reproduces likewise.
+//! in slot order, which the [`EntryId`] as the final key component
+//! reproduces, and `Iterator::max_by_key` the *last* maximal one, which
+//! reading the set from its end reproduces.
 //!
 //! LNC-R/LNC-RA cannot use a statically keyed index — its profit
 //! `λᵢ(now)·cᵢ/sᵢ` re-evaluates the reference rate at every decision point,
-//! and two sets' profits can cross as `now` advances — so it keys its index
-//! by a lower bound on the profit and confirms every set it reaches with the
-//! exact expression; see [`crate::policy::lnc`].
+//! and two sets' profits can cross as `now` advances — so its victim order is
+//! the decay index instead ([`crate::decay`]).
 
 use std::collections::BTreeSet;
 
-use crate::index::EntryId;
+use crate::clock::Timestamp;
+use crate::index::{EntryId, EntryStore, SetInfo};
+use crate::policy::ranked::{Entry, RankRule, VictimOrder};
 
 /// A totally ordered `f64` wrapper (IEEE-754 `total_cmp` order), used to key
 /// victim indexes by floating-point priorities such as the GreedyDual-Size
@@ -65,66 +65,105 @@ impl Ord for OrdF64 {
     }
 }
 
-/// An ordered victim index: the policy's eviction priority for every cached
-/// entry, kept in a B-tree set of `(key, id)` pairs.
-///
-/// The cache owns the key discipline: it must [`remove`](OrdIndex::remove)
-/// an entry's *current* key before mutating state the key derives from, and
-/// re-[`insert`](OrdIndex::insert) the new key afterwards (or call
-/// [`update`](OrdIndex::update)).  Violations are caught by the debug
-/// assertions on removal.
+/// An ordered victim index: every cached entry's eviction priority, kept in
+/// a B-tree set of `(key, id)` pairs beside the key each slot is filed
+/// under, so that an entry is re-keyed or removed by its slot alone.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct OrdIndex<K: Ord + Copy> {
+pub struct OrdIndex<K: Ord + Copy> {
     set: BTreeSet<(K, EntryId)>,
+    keys: Vec<Option<K>>,
 }
 
 impl<K: Ord + Copy> OrdIndex<K> {
     /// Creates an empty index.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OrdIndex {
             set: BTreeSet::new(),
+            keys: Vec::new(),
         }
     }
 
     /// Number of indexed entries.
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.set.len()
     }
 
-    /// Adds an entry under its current priority key.
-    pub fn insert(&mut self, key: K, id: EntryId) {
-        let fresh = self.set.insert((key, id));
-        debug_assert!(fresh, "victim index already holds this (key, id) pair");
+    /// Files `id` under `key`, in place of the key it was filed under.
+    pub(crate) fn insert(&mut self, key: K, id: EntryId) {
+        if self.keys.len() <= id.index() {
+            self.keys.resize(id.index() + 1, None);
+        }
+        match self.keys[id.index()].replace(key) {
+            Some(old) if old == key => return,
+            Some(old) => {
+                self.set.remove(&(old, id));
+            }
+            None => {}
+        }
+        self.set.insert((key, id));
     }
 
-    /// Removes an entry by its current priority key.
-    pub fn remove(&mut self, key: K, id: EntryId) {
-        let found = self.set.remove(&(key, id));
-        debug_assert!(found, "victim index lost track of an entry's key");
-    }
-
-    /// Re-keys an entry whose priority changed.
-    pub fn update(&mut self, old_key: K, new_key: K, id: EntryId) {
-        self.remove(old_key, id);
-        self.insert(new_key, id);
+    /// Removes `id`, if it is filed.
+    pub(crate) fn remove(&mut self, id: EntryId) {
+        if let Some(old) = self.keys.get_mut(id.index()).and_then(Option::take) {
+            self.set.remove(&(old, id));
+        }
     }
 
     /// The entry with the smallest key; ties resolve to the smallest
     /// [`EntryId`] (the first match of the old slot-order scan).
-    pub fn min(&self) -> Option<(K, EntryId)> {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> Option<(K, EntryId)> {
         self.set.first().copied()
     }
 
     /// The entry with the largest key; ties resolve to the largest
     /// [`EntryId`] (the last match of the old slot-order scan).
-    pub fn max(&self) -> Option<(K, EntryId)> {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> Option<(K, EntryId)> {
         self.set.last().copied()
     }
+}
 
-    /// Removes every entry.
-    pub fn clear(&mut self) {
+/// The order of a rule whose rank does not move with time: ranks are
+/// computed when a set is filed or referenced and read back in order.  The
+/// victim is the least rank (first slot among ties), or for a
+/// [`RankRule::VICTIM_IS_MAX`] rule the greatest (last slot among ties).
+impl<R: RankRule> VictimOrder<R> for OrdIndex<R::Rank> {
+    fn new() -> Self {
+        OrdIndex::new()
+    }
+
+    fn file(&mut self, set: &SetInfo<R::State>, slot: EntryId, now: Timestamp) {
+        self.insert(R::rank(set, now), slot);
+    }
+
+    fn touch(&mut self, set: &SetInfo<R::State>, slot: EntryId, now: Timestamp) {
+        self.insert(R::rank(set, now), slot);
+    }
+
+    fn unfile(&mut self, slot: EntryId) {
+        self.remove(slot);
+    }
+
+    fn ascend<V>(
+        &mut self,
+        _: &EntryStore<Entry<V, R::State>>,
+        _: Timestamp,
+        _: bool,
+        mut take: impl FnMut(EntryId) -> bool,
+    ) {
+        if R::VICTIM_IS_MAX {
+            self.set.iter().rev().all(|&(_, id)| take(id));
+        } else {
+            self.set.iter().all(|&(_, id)| take(id));
+        }
+    }
+
+    fn clear(&mut self) {
         self.set.clear();
+        self.keys.clear();
     }
 }
 
@@ -154,7 +193,7 @@ mod tests {
         let mut index: OrdIndex<u64> = OrdIndex::new();
         index.insert(1, id(0));
         index.insert(2, id(1));
-        index.update(1, 10, id(0));
+        index.insert(10, id(0));
         assert_eq!(index.min(), Some((2, id(1))));
         assert_eq!(index.max(), Some((10, id(0))));
         assert_eq!(index.len(), 2);

@@ -13,7 +13,9 @@
 use std::cmp::Reverse;
 
 use crate::clock::Timestamp;
+use crate::index::SetInfo;
 use crate::key::QueryKey;
+use crate::policy::index::OrdIndex;
 use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
 
@@ -26,24 +28,27 @@ impl RankRule for LcsRule {
     /// When the set was last used.
     type State = Timestamp;
     type Rank = (u64, Reverse<Timestamp>);
-    const NAME: &'static str = "LCS";
     const VICTIM_IS_MAX: bool = true;
 
-    fn rank(&self, last_used: &Timestamp, size_bytes: u64) -> Self::Rank {
-        (size_bytes, Reverse(*last_used))
+    fn name(&self) -> &'static str {
+        "LCS"
+    }
+
+    fn rank(set: &SetInfo<Timestamp>, _: Timestamp) -> Self::Rank {
+        (set.size_bytes, Reverse(set.state))
     }
 
     fn admit(&mut self, _: &QueryKey, _: ExecutionCost, _: u64, now: Timestamp) -> Timestamp {
         now
     }
 
-    fn touch(&mut self, last_used: &mut Timestamp, _: ExecutionCost, _: u64, now: Timestamp) {
-        *last_used = now;
+    fn touch(&mut self, set: &mut SetInfo<Timestamp>, now: Timestamp) {
+        set.state = now;
     }
 }
 
 /// A retrieved-set cache that always evicts the largest cached set first.
-pub type LcsCache<V> = RankedCache<V, LcsRule>;
+pub type LcsCache<V> = RankedCache<V, LcsRule, OrdIndex<(u64, Reverse<Timestamp>)>>;
 
 impl<V: CachePayload> LcsCache<V> {
     /// Creates an LCS cache with the given capacity in bytes.
@@ -55,31 +60,8 @@ impl<V: CachePayload> LcsCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ranked::contract;
+    use crate::policy::ranked::contract::{self, insert, key, ts};
     use crate::policy::{InsertOutcome, QueryCache};
-    use crate::value::SizedPayload;
-
-    fn ts(us: u64) -> Timestamp {
-        Timestamp::from_micros(us)
-    }
-
-    fn key(name: &str) -> QueryKey {
-        QueryKey::new(name.to_owned())
-    }
-
-    fn insert(
-        cache: &mut LcsCache<SizedPayload>,
-        name: &str,
-        size: u64,
-        now: u64,
-    ) -> InsertOutcome {
-        cache.insert(
-            key(name),
-            SizedPayload::new(size),
-            ExecutionCost::from_blocks(10),
-            ts(now),
-        )
-    }
 
     #[test]
     fn evicts_largest_set_first() {

@@ -10,7 +10,9 @@
 //! — the flattened form of the classic LFU frequency-bucket scheme.
 
 use crate::clock::Timestamp;
+use crate::index::SetInfo;
 use crate::key::QueryKey;
+use crate::policy::index::OrdIndex;
 use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
 
@@ -22,23 +24,26 @@ pub struct LfuRule;
 impl RankRule for LfuRule {
     type State = (u64, Timestamp);
     type Rank = (u64, Timestamp);
-    const NAME: &'static str = "LFU";
 
-    fn rank(&self, state: &Self::State, _: u64) -> Self::Rank {
-        *state
+    fn name(&self) -> &'static str {
+        "LFU"
+    }
+
+    fn rank(set: &SetInfo<Self::State>, _: Timestamp) -> Self::Rank {
+        set.state
     }
 
     fn admit(&mut self, _: &QueryKey, _: ExecutionCost, _: u64, now: Timestamp) -> Self::State {
         (1, now)
     }
 
-    fn touch(&mut self, state: &mut Self::State, _: ExecutionCost, _: u64, now: Timestamp) {
-        *state = (state.0 + 1, now);
+    fn touch(&mut self, set: &mut SetInfo<Self::State>, now: Timestamp) {
+        set.state = (set.state.0 + 1, now);
     }
 }
 
 /// A retrieved-set cache with least-frequently-used replacement.
-pub type LfuCache<V> = RankedCache<V, LfuRule>;
+pub type LfuCache<V> = RankedCache<V, LfuRule, OrdIndex<(u64, Timestamp)>>;
 
 impl<V: CachePayload> LfuCache<V> {
     /// Creates an LFU cache with the given capacity in bytes.
@@ -50,31 +55,8 @@ impl<V: CachePayload> LfuCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ranked::contract;
+    use crate::policy::ranked::contract::{self, insert, key, ts};
     use crate::policy::{InsertOutcome, QueryCache};
-    use crate::value::SizedPayload;
-
-    fn ts(us: u64) -> Timestamp {
-        Timestamp::from_micros(us)
-    }
-
-    fn key(name: &str) -> QueryKey {
-        QueryKey::new(name.to_owned())
-    }
-
-    fn insert(
-        cache: &mut LfuCache<SizedPayload>,
-        name: &str,
-        size: u64,
-        now: u64,
-    ) -> InsertOutcome {
-        cache.insert(
-            key(name),
-            SizedPayload::new(size),
-            ExecutionCost::from_blocks(10),
-            ts(now),
-        )
-    }
 
     #[test]
     fn evicts_least_frequently_used() {

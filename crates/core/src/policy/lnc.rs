@@ -9,9 +9,10 @@
 //! * **LNC-RA** is the combination of the two; it is the policy WATCHMAN
 //!   deploys, and the one evaluated in Figures 3–6 of the paper.
 //!
-//! [`LncCache`] implements all three: the admission algorithm can be turned
-//! off in [`LncConfig`] to obtain plain LNC-R, which then admits every set
-//! that fits (like a buffer manager would).
+//! [`LncCache`] implements all three as one [`LncRule`] of the shared cache
+//! shell ([`RankedCache`]): the admission algorithm can be turned off in
+//! [`LncConfig`] to obtain plain LNC-R, which then admits every set that
+//! fits (like a buffer manager would).
 //!
 //! # The victim order
 //!
@@ -38,9 +39,9 @@
 //! valid bound and is corrected when a decision next reaches it.  An
 //! invalidation leaves a dead item behind for the same treatment.  Only a
 //! refresh with a new size or cost re-files at once.  The bound needs a
-//! `now` that never steps back, and callers supply `now`, so every entry
-//! point raises it to the latest one the cache has seen: a lagging
-//! reference is recorded at that time.
+//! `now` that never steps back; the shell raises every `now` it is passed to
+//! the latest one it has seen, so a lagging reference is recorded at that
+//! time.
 //!
 //! # Rejections without victims
 //!
@@ -62,12 +63,11 @@
 use crate::clock::Timestamp;
 use crate::decay::DecayIndex;
 use crate::history::ReferenceHistory;
-use crate::index::{EntryId, EntryStore, KeyedEntry};
+use crate::index::{EntryId, EntryStore};
 use crate::key::QueryKey;
-use crate::metrics::CacheStats;
-use crate::policy::{InsertOutcome, QueryCache, RejectReason};
+use crate::policy::ranked::{Entry, RankRule, RankedCache, VictimOrder};
 use crate::profit::Profit;
-use crate::retained::{RetainedInfo, RetainedStore};
+use crate::retained::{RetainedInfo, RetainedOrder, RetainedStore};
 use crate::value::{CachePayload, ExecutionCost};
 
 /// Configuration of an [`LncCache`].
@@ -132,64 +132,262 @@ impl LncConfig {
     }
 }
 
-/// A cached retrieved set: the statistics LNC-R needs — the same ones that
-/// are retained when the set is evicted — and the payload.
+/// LNC-R's ranking and LNC-A's admission test over sets whose state is their
+/// reference history, with the §2.4 retained histories kept in a store
+/// ordered by `X`.
 #[derive(Debug, Clone)]
-struct LncEntry<V> {
-    info: RetainedInfo,
-    value: V,
-}
-
-impl<V> KeyedEntry for LncEntry<V> {
-    fn key(&self) -> &QueryKey {
-        &self.info.key
-    }
-}
-
-/// What the decay index asks of the cache: the set in a slot, and the slot
-/// to order sets of equal profit as the reference's stable sort does.
-fn by_slot<'s, V>(
-    entries: &'s EntryStore<LncEntry<V>>,
-) -> impl FnMut(EntryId) -> Option<(&'s RetainedInfo, u64)> {
-    move |id| Some((&entries.by_id(id)?.info, id.index() as u64))
-}
-
-/// The LNC-R / LNC-RA retrieved-set cache.
-#[derive(Debug, Clone)]
-pub struct LncCache<V> {
-    config: LncConfig,
-    entries: EntryStore<LncEntry<V>>,
-    retained: RetainedStore,
-    index: DecayIndex,
-    /// The latest `now` any call passed: every call's own is raised to it.
-    latest: Timestamp,
-    /// The last victim selection, kept for its allocation.
-    victims: Vec<EntryId>,
-    /// Cached bytes by sample count, Figure 1's groups (index 0 unused):
-    /// they sum to the occupancy.
-    group_bytes: Vec<u64>,
-    stats: CacheStats,
+pub struct LncRule<X: RetainedOrder = DecayIndex> {
+    k: usize,
+    admission: bool,
+    retain_reference_info: bool,
+    retained: RetainedStore<X>,
     /// Rejections the bound settled without a victim selection.
     #[cfg(test)]
     settled_by_bound: u64,
 }
 
-impl<V: CachePayload> LncCache<V> {
-    /// Creates a cache with the given configuration.
-    pub fn new(config: LncConfig) -> Self {
-        let max_retained = config.max_retained_entries.max(1);
-        LncCache {
-            group_bytes: vec![0; config.k.max(1) + 1],
-            config,
-            entries: EntryStore::new(),
-            retained: RetainedStore::new(max_retained),
-            index: DecayIndex::grouped(),
-            latest: Timestamp::ZERO,
-            victims: Vec::new(),
-            stats: CacheStats::new(),
+impl<X: RetainedOrder> LncRule<X> {
+    pub(crate) fn new(config: &LncConfig) -> Self {
+        LncRule {
+            k: config.k.max(1),
+            admission: config.admission,
+            retain_reference_info: config.retain_reference_info,
+            retained: RetainedStore::new(config.max_retained_entries),
             #[cfg(test)]
             settled_by_bound: 0,
         }
+    }
+}
+
+impl<X: RetainedOrder> RankRule for LncRule<X> {
+    type State = ReferenceHistory;
+    type Rank = Profit;
+    const RATED: bool = true;
+
+    fn name(&self) -> &'static str {
+        if self.admission {
+            "LNC-RA"
+        } else {
+            "LNC-R"
+        }
+    }
+
+    /// Sets with fewer reference samples have less reliable rate estimates
+    /// and are evicted first (Figure 1).
+    fn group(history: &ReferenceHistory) -> usize {
+        history.sample_count()
+    }
+
+    fn groups(&self) -> usize {
+        self.k + 1
+    }
+
+    /// The paper's profit `λ·c/s`, which is also what the least set is worth.
+    fn rank(set: &RetainedInfo, now: Timestamp) -> Profit {
+        set.profit(now)
+    }
+
+    fn price(set: &RetainedInfo, now: Timestamp) -> Profit {
+        set.profit(now)
+    }
+
+    fn rate(set: &RetainedInfo, now: Timestamp) -> f64 {
+        set.state.rate(now).unwrap_or(0.0)
+    }
+
+    /// The retained history if one exists, with the current reference, or a
+    /// fresh history holding only it.
+    fn admit(
+        &mut self,
+        key: &QueryKey,
+        _: ExecutionCost,
+        _: u64,
+        now: Timestamp,
+    ) -> ReferenceHistory {
+        match self.retained.take(key) {
+            Some(mut info) => {
+                info.state.record_once(now);
+                info.state
+            }
+            None => ReferenceHistory::with_first_reference(self.k, now),
+        }
+    }
+
+    // Skip duplicate timestamps: a single-flight waiter retrying after an
+    // abandoned flight re-issues the same logical reference, and its first
+    // pass may already sit in the history via promoted retained information.
+    fn touch(&mut self, set: &mut RetainedInfo, now: Timestamp) {
+        set.state.record_once(now);
+    }
+
+    /// Records the reference against retained information, if any, so that
+    /// the admission decision that typically follows sees it.
+    fn missed(&mut self, key: &QueryKey, now: Timestamp) {
+        if self.retain_reference_info {
+            self.retained.record_reference(key, now);
+        }
+    }
+
+    /// Whether Eq. 8 rejects a first-time set whatever victims free `needed`
+    /// bytes (see "Rejections without victims").
+    fn rejects_unseen(
+        &mut self,
+        set: &RetainedInfo,
+        needed: u64,
+        group_bytes: &[u64],
+        cached: usize,
+        floor: impl FnOnce(u32) -> f64,
+    ) -> bool {
+        if !self.admission || set.state.sample_count() > 1 {
+            return false;
+        }
+        let mut cumulative = 0;
+        let Some(groups) = group_bytes.iter().position(|&bytes| {
+            cumulative += bytes;
+            cumulative >= needed
+        }) else {
+            return false;
+        };
+        let least = floor(groups as u32);
+        // With u = 2⁻⁵³ and m ≤ n victims (n cached sets): each sum of Eq. 8
+        // rounds m − 1 times and the sizes are converted once each, so with
+        // the quotient the computed ratio is at least (1 − 3m·u) of the exact
+        // Σcᵢ/Σsᵢ, itself at least the least exact cᵢ/sᵢ.  `least` exceeds
+        // that by at most (1 + 4u) (the roundings of `samples·c/s` and of
+        // `floor/group`), and the product below rounds once more.  The slack
+        // (n + 4)·4u covers 3m·u + 6u with room for the second-order terms,
+        // so a set at or under the product is at or under Eq. 8 as computed.
+        let slack = (cached + 4) as f64 * 2.0 * f64::EPSILON;
+        let estimated = Profit::estimated(set.cost, set.size_bytes);
+        let rejected = estimated <= Profit::new(least * (1.0 - slack));
+        #[cfg(test)]
+        {
+            self.settled_by_bound += u64::from(rejected);
+        }
+        rejected
+    }
+
+    /// Past reference information compares real profits (Eq. 4 / Eq. 5); a
+    /// first-time set compares estimated ones (Eq. 7 / Eq. 8).  Plain LNC-R
+    /// admits everything that fits.
+    fn admits<'e>(
+        &self,
+        set: &RetainedInfo,
+        victims: impl Iterator<Item = &'e RetainedInfo>,
+        now: Timestamp,
+    ) -> bool {
+        if !self.admission {
+            true
+        } else if set.state.sample_count() > 1 {
+            let victims = victims.map(|v| (Self::rate(v, now), v.cost, v.size_bytes));
+            set.profit(now) > Profit::of_list(victims)
+        } else {
+            let victims = victims.map(|v| (v.cost, v.size_bytes));
+            Profit::estimated(set.cost, set.size_bytes) > Profit::estimated_of_list(victims)
+        }
+    }
+
+    /// Retains the reference information of an evicted or rejected set (a
+    /// rejected one may be admitted later once enough references accumulate,
+    /// §2.4, last paragraph).
+    fn denied(&mut self, set: RetainedInfo, now: Timestamp) {
+        if self.retain_reference_info {
+            self.retained.insert(set, now);
+        }
+    }
+
+    /// The set can never fit; remember its references anyway.
+    fn oversized(&mut self, key: &QueryKey, cost: ExecutionCost, size: u64, now: Timestamp) {
+        let state = self.admit(key, cost, size, now);
+        let (key, size_bytes) = (key.clone(), size);
+        self.denied(
+            RetainedInfo {
+                key,
+                size_bytes,
+                cost,
+                state,
+            },
+            now,
+        );
+    }
+
+    /// The §2.4 retention policy: drop retained histories whose profit is
+    /// below the least profit among cached sets.
+    fn purge(&mut self, least: impl FnOnce() -> Option<Profit>, now: Timestamp) {
+        if !self.retain_reference_info || self.retained.is_empty() {
+            return;
+        }
+        if let Some(min_profit) = least() {
+            self.retained.purge_below(min_profit, now);
+        }
+    }
+
+    /// Greedily packs the most profitable retained (denied-residency) sets
+    /// into the hypothetical extra capacity.
+    fn grow_gain(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
+        if bytes == 0 || self.retained.is_empty() {
+            return Some(Profit::ZERO);
+        }
+        let mut free = bytes;
+        let mut packed = Vec::new();
+        for info in self.retained.ranked_by_profit_desc(now) {
+            if info.size_bytes <= free {
+                free -= info.size_bytes;
+                packed.push((Self::rate(info, now), info.cost, info.size_bytes));
+            }
+        }
+        Some(Profit::of_list(packed))
+    }
+
+    fn cleared(&mut self) {
+        self.retained.clear();
+    }
+
+    #[cfg(test)]
+    fn retained_keys(&self) -> Vec<QueryKey> {
+        self.retained.iter().map(|info| info.key.clone()).collect()
+    }
+}
+
+/// Figure 1's decaying two-level order, read off the decay index (see the
+/// module docs).  A reference or an invalidation leaves it alone; sets of
+/// equal profit fall to their slot, as the reference sort's do.
+impl VictimOrder<LncRule> for DecayIndex {
+    fn new() -> Self {
+        DecayIndex::grouped()
+    }
+
+    fn file(&mut self, set: &RetainedInfo, slot: EntryId, _: Timestamp) {
+        DecayIndex::file(self, set, slot);
+    }
+
+    fn ascend<V>(
+        &mut self,
+        entries: &EntryStore<Entry<V, ReferenceHistory>>,
+        now: Timestamp,
+        by_group: bool,
+        mut take: impl FnMut(EntryId) -> bool,
+    ) {
+        let set = |id: EntryId| Some((&entries.by_id(id)?.info, id.index() as u64));
+        DecayIndex::ascend(self, now, by_group, None, set, |id, _| take(id));
+    }
+
+    fn least_ratio(&self, groups: u32) -> f64 {
+        DecayIndex::least_ratio(self, groups)
+    }
+
+    fn clear(&mut self) {
+        DecayIndex::clear(self);
+    }
+}
+
+/// The LNC-R / LNC-RA retrieved-set cache.
+pub type LncCache<V> = RankedCache<V, LncRule, DecayIndex>;
+
+impl<V: CachePayload, X: RetainedOrder, O: VictimOrder<LncRule<X>>> RankedCache<V, LncRule<X>, O> {
+    /// Creates a cache with the given configuration.
+    pub fn new(config: LncConfig) -> Self {
+        RankedCache::with_rule(config.capacity_bytes, LncRule::new(&config))
     }
 
     /// Creates an LNC-RA cache with capacity `capacity_bytes` and `K = 4`.
@@ -202,30 +400,19 @@ impl<V: CachePayload> LncCache<V> {
         Self::new(LncConfig::lnc_r(capacity_bytes))
     }
 
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &LncConfig {
-        &self.config
-    }
-
     /// Number of retained reference-information entries currently held.
     pub fn retained_entries(&self) -> usize {
-        self.retained.len()
+        self.rule.retained.len()
     }
 
     /// Approximate bytes of metadata used by retained reference information.
     pub fn retained_metadata_bytes(&self) -> u64 {
-        self.retained.metadata_bytes()
+        self.rule.retained.metadata_bytes()
     }
 
     /// The profit of the cached set for `key` at time `now`, if cached.
     pub fn profit_of(&self, key: &QueryKey, now: Timestamp) -> Option<Profit> {
-        self.entries.get(key).map(|e| e.info.profit(now))
-    }
-
-    /// The smallest profit among cached sets at time `now`, or `None` if the
-    /// cache is empty.
-    pub fn min_cached_profit(&self, now: Timestamp) -> Option<Profit> {
-        self.entries.iter().map(|(_, e)| e.info.profit(now)).min()
+        Some(self.info(key)?.profit(now))
     }
 
     /// Removes the retrieved set for `key` from the cache, returning its
@@ -239,612 +426,23 @@ impl<V: CachePayload> LncCache<V> {
     /// update may have changed the set's size and cost) and is not counted in
     /// the eviction statistics.
     pub fn remove(&mut self, key: &QueryKey) -> Option<V> {
-        let entry = self.entries.remove_by_key(key)?;
-        self.group_bytes[entry.info.history.sample_count()] -= entry.info.size_bytes;
-        Some(entry.value)
-    }
-
-    /// Raises `now` to the latest time any call passed (Eq. 3 assumes time
-    /// never steps back) and returns it.
-    pub(crate) fn clock(&mut self, now: Timestamp) -> Timestamp {
-        self.latest = self.latest.max(now);
-        self.latest
-    }
-
-    /// Selects replacement candidates to free at least `needed` bytes
-    /// (the LNC-R procedure of Figure 1).
-    ///
-    /// Cached sets are grouped by the number of retained reference samples
-    /// (1, 2, …, K); within each group they are ordered by ascending profit;
-    /// the groups are concatenated in order of increasing sample count and
-    /// the minimal prefix whose sizes sum to at least `needed` is returned.
-    /// The prefix is read off the decay index (see the module docs).
-    ///
-    /// Returns `None` if even evicting every cached set would not free
-    /// `needed` bytes.
-    pub(crate) fn select_victims(&mut self, needed: u64, now: Timestamp) -> Option<Vec<EntryId>> {
-        let mut victims = std::mem::take(&mut self.victims);
-        victims.clear();
-        if needed == 0 {
-            return Some(victims);
-        }
-        debug_assert!(
-            self.books_balance(),
-            "group bytes diverged from the cached sets"
-        );
-        if self.used_bytes() < needed {
-            self.victims = victims;
-            return None;
-        }
-        let (entries, mut freed) = (&self.entries, 0u64);
-        self.index
-            .ascend(now, true, None, by_slot(entries), |id, _| {
-                victims.push(id);
-                freed += entries.by_id(id).map_or(0, |e| e.info.size_bytes);
-                freed < needed
-            });
-        Some(victims)
-    }
-
-    /// Whether every group's bytes are the sum of the sizes of the cached
-    /// sets with that many samples.
-    pub(crate) fn books_balance(&self) -> bool {
-        let mut groups = vec![0; self.group_bytes.len()];
-        for (_, e) in self.entries.iter() {
-            groups[e.info.history.sample_count()] += e.info.size_bytes;
-        }
-        groups == self.group_bytes
-    }
-
-    /// Whether Eq. 8 rejects a first-time set of `cost` and `size` whatever
-    /// victims free `needed` bytes (see "Rejections without victims").
-    fn rejected_by_bound(&self, cost: ExecutionCost, size: u64, needed: u64) -> bool {
-        let mut cumulative = 0;
-        let Some(groups) = self.group_bytes.iter().position(|&bytes| {
-            cumulative += bytes;
-            cumulative >= needed
-        }) else {
-            return false;
-        };
-        let least = self.index.least_ratio(groups as u32);
-        // With u = 2⁻⁵³ and m ≤ n victims (n cached sets): each sum of Eq. 8
-        // rounds m − 1 times and the sizes are converted once each, so with
-        // the quotient the computed ratio is at least (1 − 3m·u) of the exact
-        // Σcᵢ/Σsᵢ, itself at least the least exact cᵢ/sᵢ.  `least` exceeds
-        // that by at most (1 + 4u) (the roundings of `samples·c/s` and of
-        // `floor/group`), and the product below rounds once more.  The slack
-        // (n + 4)·4u covers 3m·u + 6u with room for the second-order terms,
-        // so a set at or under the product is at or under Eq. 8 as computed.
-        let slack = (self.entries.len() + 4) as f64 * 2.0 * f64::EPSILON;
-        Profit::estimated(cost, size) <= Profit::new(least * (1.0 - slack))
-    }
-
-    /// The reference victim selection this module shipped with — an O(n)
-    /// collect plus an O(n log n) stable sort per decision — kept verbatim
-    /// as the differential-test oracle for the ranking-based path.
-    #[cfg(test)]
-    pub(crate) fn select_victims_reference(
-        &self,
-        needed: u64,
-        now: Timestamp,
-    ) -> Option<Vec<EntryId>> {
-        if needed == 0 {
-            return Some(Vec::new());
-        }
-        let total: u64 = self.entries.iter().map(|(_, e)| e.info.size_bytes).sum();
-        if total < needed {
-            return None;
-        }
-        // (sample_count, profit, id, size) for every cached set.
-        let mut ranked: Vec<(usize, Profit, EntryId, u64)> = self
-            .entries
-            .iter()
-            .map(|(id, e)| (&e.info, id))
-            .map(|(e, id)| (e.history.sample_count(), e.profit(now), id, e.size_bytes))
-            .collect();
-        ranked.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut victims = Vec::new();
-        let mut freed = 0u64;
-        for (_, _, id, size) in ranked {
-            if freed >= needed {
-                break;
-            }
-            victims.push(id);
-            freed += size;
-        }
-        Some(victims)
-    }
-
-    /// Figure 1's decision on a missed set, made over the reference victim
-    /// selection with the retained history read in place: the oracle for
-    /// whether [`QueryCache::insert`] admits it.
-    #[cfg(test)]
-    pub(crate) fn admits_reference(
-        &self,
-        key: &QueryKey,
-        size_bytes: u64,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> bool {
-        let capacity = self.config.capacity_bytes;
-        let used: u64 = self.entries.iter().map(|(_, e)| e.info.size_bytes).sum();
-        if size_bytes > capacity || capacity == 0 {
-            return false;
-        }
-        if capacity - used >= size_bytes {
-            return true;
-        }
-        let Some(victims) = self.select_victims_reference(size_bytes - (capacity - used), now)
-        else {
-            return false;
-        };
-        let retained = self.retained.get(key);
-        let mut history = retained.map_or_else(
-            || ReferenceHistory::new(self.config.k),
-            |info| info.history.clone(),
-        );
-        if history.last_reference() != Some(now) {
-            history.record(now);
-        }
-        if !self.config.admission {
-            true
-        } else if retained.is_some() && history.sample_count() > 1 {
-            let info = RetainedInfo {
-                key: key.clone(),
-                size_bytes,
-                cost,
-                history,
-            };
-            info.profit(now) > self.list_profit(&victims, now)
-        } else {
-            Profit::estimated(cost, size_bytes)
-                > Profit::estimated_of_list(
-                    victims
-                        .iter()
-                        .filter_map(|&id| self.entries.by_id(id))
-                        .map(|e| (e.info.cost, e.info.size_bytes)),
-                )
-        }
-    }
-
-    /// The keys of the given cached entries, in order (differential tests
-    /// translate victim-id plans into the key sequences evictions report).
-    #[cfg(test)]
-    pub(crate) fn keys_of(&self, ids: &[EntryId]) -> Vec<QueryKey> {
-        ids.iter()
-            .filter_map(|&id| self.entries.by_id(id).map(|e| e.info.key.clone()))
-            .collect()
-    }
-
-    /// [`QueryCache::shrink_loss`] computed over the reference victim
-    /// selection — the differential-test oracle.
-    #[cfg(test)]
-    pub(crate) fn shrink_loss_reference(&self, bytes: u64, now: Timestamp) -> Option<Profit> {
-        let free = self.config.capacity_bytes.saturating_sub(self.used_bytes());
-        if bytes <= free || self.entries.is_empty() {
-            return Some(Profit::ZERO);
-        }
-        let needed = (bytes - free).min(self.used_bytes());
-        let victims = self.select_victims_reference(needed, now)?;
-        Some(Profit::of_list(victims.iter().filter_map(|&id| {
-            self.entries
-                .by_id(id)
-                .map(|e| &e.info)
-                .map(|e| (e.history.rate(now).unwrap_or(0.0), e.cost, e.size_bytes))
-        })))
-    }
-
-    /// [`QueryCache::grow_gain`] computed by independently collecting and
-    /// sorting the retained entries — the differential-test oracle.
-    #[cfg(test)]
-    pub(crate) fn grow_gain_reference(&self, bytes: u64, now: Timestamp) -> Option<Profit> {
-        if bytes == 0 || self.retained.is_empty() {
-            return Some(Profit::ZERO);
-        }
-        let mut candidates: Vec<(Profit, u64, f64, ExecutionCost, u64)> = self
-            .retained
-            .iter()
-            .map(|info| {
-                (
-                    info.profit(now),
-                    info.key.signature().value(),
-                    info.history.rate(now).unwrap_or(0.0),
-                    info.cost,
-                    info.size_bytes,
-                )
-            })
-            .collect();
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut free = bytes;
-        let mut packed = Vec::new();
-        for (_, _, rate, cost, size) in candidates {
-            if size <= free {
-                free -= size;
-                packed.push((rate, cost, size));
-            }
-        }
-        Some(Profit::of_list(packed))
-    }
-
-    /// Evicts the given entries, retaining their reference information when
-    /// configured to do so.  Returns the evicted keys.
-    fn evict(&mut self, victims: Vec<EntryId>, now: Timestamp) -> Vec<QueryKey> {
-        let mut evicted = Vec::with_capacity(victims.len());
-        for &id in &victims {
-            if let Some(LncEntry { info, .. }) = self.entries.remove(id) {
-                self.group_bytes[info.history.sample_count()] -= info.size_bytes;
-                self.stats.record_eviction(info.size_bytes);
-                evicted.push(info.key.clone());
-                if self.config.retain_reference_info {
-                    self.retained.insert(info, now);
-                }
-            }
-        }
-        self.victims = victims;
-        evicted
-    }
-
-    /// Applies the §2.4 retention policy: drop retained histories whose
-    /// profit is below the least profit among cached sets.
-    fn purge_retained(&mut self, now: Timestamp) {
-        if !self.config.retain_reference_info || self.retained.is_empty() {
-            return;
-        }
-        if let Some(min_profit) = QueryCache::min_cached_profit(self, now) {
-            self.retained.purge_below(min_profit, now);
-        }
-    }
-
-    /// Builds the reference history to use for a set being admitted: the
-    /// retained history if one exists (updated with the current reference if
-    /// it has not been recorded yet), otherwise a fresh history containing
-    /// only the current reference.
-    fn admission_history(&mut self, key: &QueryKey, now: Timestamp) -> (ReferenceHistory, bool) {
-        match self.retained.take(key) {
-            Some(mut info) => {
-                if info.history.last_reference() != Some(now) {
-                    info.history.record(now);
-                }
-                (info.history, true)
-            }
-            None => (
-                ReferenceHistory::with_first_reference(self.config.k, now),
-                false,
-            ),
-        }
-    }
-
-    /// Records an admission rejection: the reference information of the
-    /// rejected set is retained so that it may be admitted later once enough
-    /// references accumulate (paper §2.4, last paragraph).
-    fn retain_rejected(&mut self, info: RetainedInfo, now: Timestamp) {
-        if self.config.retain_reference_info {
-            self.retained.insert(info, now);
-        }
-        self.stats.record_admission(false);
-    }
-
-    /// A set the admission test turned away: retain it, then purge (§2.4).
-    fn fail_admission(&mut self, info: RetainedInfo, now: Timestamp) -> InsertOutcome {
-        self.retain_rejected(info, now);
-        self.purge_retained(now);
-        InsertOutcome::Rejected(RejectReason::AdmissionTest)
-    }
-
-    /// The aggregate profit (Eq. 5) of the given cached sets at `now`.
-    fn list_profit(&self, victims: &[EntryId], now: Timestamp) -> Profit {
-        Profit::of_list(
-            victims
-                .iter()
-                .filter_map(|&id| self.entries.by_id(id).map(|e| &e.info))
-                .map(|e| (e.history.rate(now).unwrap_or(0.0), e.cost, e.size_bytes)),
-        )
-    }
-
-    fn admit(
-        &mut self,
-        info: RetainedInfo,
-        value: V,
-        evicted: Vec<QueryKey>,
-        now: Timestamp,
-    ) -> InsertOutcome {
-        self.group_bytes[info.history.sample_count()] += info.size_bytes;
-        let id = self.entries.insert(LncEntry { info, value });
-        let entry = self.entries.by_id(id).expect("just inserted");
-        self.index.file(&entry.info, id);
-        self.stats.record_admission(true);
-        debug_assert!(self.used_bytes() <= self.config.capacity_bytes);
-        self.purge_retained(now);
-        InsertOutcome::Admitted { evicted }
-    }
-}
-
-impl<V: CachePayload> QueryCache<V> for LncCache<V> {
-    fn name(&self) -> &'static str {
-        if self.config.admission {
-            "LNC-RA"
-        } else {
-            "LNC-R"
-        }
-    }
-
-    fn get(&mut self, key: &QueryKey, now: Timestamp) -> Option<&V> {
-        let now = self.clock(now);
-        if let Some(id) = self.entries.find(key) {
-            let entry = self.entries.by_id_mut(id).expect("found above");
-            // Skip duplicate timestamps: a single-flight waiter retrying
-            // after an abandoned flight re-issues the same logical
-            // reference, and its first pass may already sit in the history
-            // via promoted retained information (§2.4).
-            if entry.info.history.last_reference() != Some(now) {
-                let samples = entry.info.history.sample_count();
-                entry.info.history.record(now);
-                let size = entry.info.size_bytes;
-                self.group_bytes[samples] -= size;
-                self.group_bytes[entry.info.history.sample_count()] += size;
-            }
-            self.stats.record_hit(entry.info.cost);
-            return Some(&entry.value);
-        }
-        // Miss: record the reference against retained information (if any) so
-        // that the admission decision that typically follows sees it.
-        if self.config.retain_reference_info {
-            self.retained.record_reference(key, now);
-        }
-        None
-    }
-
-    fn insert(
-        &mut self,
-        key: QueryKey,
-        value: V,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> InsertOutcome {
-        let now = self.clock(now);
-        let size_bytes = value.size_bytes();
-        self.stats.record_miss(cost);
-
-        // Already cached: refresh the payload and cost, count the reference.
-        if let Some(id) = self.entries.find(&key) {
-            let entry = self.entries.by_id_mut(id).expect("found above");
-            let old_size = entry.info.size_bytes;
-            self.group_bytes[entry.info.history.sample_count()] -= old_size;
-            entry.value = value;
-            entry.info.cost = cost;
-            entry.info.size_bytes = size_bytes;
-            if entry.info.history.last_reference() != Some(now) {
-                entry.info.history.record(now);
-            }
-            self.group_bytes[entry.info.history.sample_count()] += size_bytes;
-            // A new size or cost can lower the profit: re-file at once.
-            self.index.file(&entry.info, id);
-            // If the refreshed payload grew, restore the capacity invariant by
-            // evicting the lowest-profit sets (possibly the refreshed one).
-            let mut evicted = Vec::new();
-            if self.used_bytes() > self.config.capacity_bytes {
-                let needed = self.used_bytes() - self.config.capacity_bytes;
-                if let Some(victims) = self.select_victims(needed, now) {
-                    evicted = self.evict(victims, now);
-                }
-            }
-            return InsertOutcome::AlreadyCached { evicted };
-        }
-
-        if self.config.capacity_bytes == 0 {
-            self.stats.record_admission(false);
-            return InsertOutcome::Rejected(RejectReason::ZeroCapacity);
-        }
-        let (history, had_history) = self.admission_history(&key, now);
-        let info = RetainedInfo {
-            key,
-            size_bytes,
-            cost,
-            history,
-        };
-        if size_bytes > self.config.capacity_bytes {
-            // The set can never fit; remember its references anyway.
-            self.retain_rejected(info, now);
-            return InsertOutcome::Rejected(RejectReason::TooLarge);
-        }
-
-        let available = self.config.capacity_bytes - self.used_bytes();
-        if available >= size_bytes {
-            // Enough free space: cache unconditionally (Figure 1, middle case).
-            return self.admit(info, value, Vec::new(), now);
-        }
-
-        // Not enough space: run LNC-R to find replacement candidates, unless
-        // the estimated-profit test (Eq. 7 / Eq. 8) rejects a first-time set
-        // whichever they are.
-        let needed = size_bytes - available;
-        let first_time = !(had_history && info.history.sample_count() > 1);
-        if self.config.admission && first_time && self.rejected_by_bound(cost, size_bytes, needed) {
-            #[cfg(test)]
-            {
-                self.settled_by_bound += 1;
-            }
-            return self.fail_admission(info, now);
-        }
-        let Some(victims) = self.select_victims(needed, now) else {
-            // Cannot free enough space (should not happen given the size
-            // check above, but be defensive).
-            self.retain_rejected(info, now);
-            return InsertOutcome::Rejected(RejectReason::TooLarge);
-        };
-
-        let admit = if !self.config.admission {
-            // Plain LNC-R admits everything that fits.
-            true
-        } else if !first_time {
-            // Past reference information available: compare real profits
-            // (Eq. 4 / Eq. 5).
-            info.profit(now) > self.list_profit(&victims, now)
-        } else {
-            // First-time set: compare estimated profits (Eq. 7 / Eq. 8).
-            let candidate_eprofit = Profit::estimated_of_list(
-                victims
-                    .iter()
-                    .filter_map(|&id| self.entries.by_id(id).map(|e| &e.info))
-                    .map(|e| (e.cost, e.size_bytes)),
-            );
-            Profit::estimated(cost, size_bytes) > candidate_eprofit
-        };
-
-        if !admit {
-            self.victims = victims;
-            return self.fail_admission(info, now);
-        }
-
-        let evicted = self.evict(victims, now);
-        self.admit(info, value, evicted, now)
-    }
-
-    fn remove(&mut self, key: &QueryKey) -> bool {
-        LncCache::remove(self, key).is_some()
-    }
-
-    fn peek(&self, key: &QueryKey) -> Option<&V> {
-        self.entries.get(key).map(|entry| &entry.value)
-    }
-
-    fn contains(&self, key: &QueryKey) -> bool {
-        self.entries.contains(key)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.group_bytes.iter().sum()
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.config.capacity_bytes
-    }
-
-    fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
-        let now = self.clock(now);
-        self.config.capacity_bytes = capacity_bytes;
-        if self.used_bytes() <= capacity_bytes {
-            return Vec::new();
-        }
-        // Shrink below occupancy: run LNC-R over the full cache to free the
-        // overshoot, lowest-profit victims first.
-        let needed = self.used_bytes() - capacity_bytes;
-        match self.select_victims(needed, now) {
-            Some(victims) => {
-                let evicted = self.evict(victims, now);
-                debug_assert!(self.used_bytes() <= self.config.capacity_bytes);
-                evicted
-            }
-            // Unreachable: evicting everything always frees `needed`.
-            None => Vec::new(),
-        }
-    }
-
-    fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
-        let now = self.clock(now);
-        // The first set of the ascent over all groups: this is the path the
-        // §2.4 purge after every decision and the engine's rebalancer hit.
-        let (entries, mut least) = (&self.entries, None);
-        self.index
-            .ascend(now, false, None, by_slot(entries), |_, profit| {
-                least = Some(profit);
-                false
-            });
-        least
-    }
-
-    fn max_retained_profit(&mut self, now: Timestamp) -> Option<Profit> {
-        let now = self.clock(now);
-        self.retained.iter().map(|info| info.profit(now)).max()
-    }
-
-    fn shrink_loss(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
-        let now = self.clock(now);
-        // Shrinking into free space costs nothing.
-        let free = self.config.capacity_bytes.saturating_sub(self.used_bytes());
-        if bytes <= free || self.entries.is_empty() {
-            return Some(Profit::ZERO);
-        }
-        // Price the victims LNC-R would actually pick for this shrink.
-        let needed = (bytes - free).min(self.used_bytes());
-        let victims = self.select_victims(needed, now)?;
-        let loss = self.list_profit(&victims, now);
-        self.victims = victims;
-        Some(loss)
-    }
-
-    fn grow_gain(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
-        let now = self.clock(now);
-        if bytes == 0 || self.retained.is_empty() {
-            return Some(Profit::ZERO);
-        }
-        // Greedily pack the most profitable retained (denied-residency) sets
-        // into the hypothetical extra capacity.
-        let mut free = bytes;
-        let mut packed = Vec::new();
-        for info in self.retained.ranked_by_profit_desc(now) {
-            if info.size_bytes <= free {
-                free -= info.size_bytes;
-                packed.push((
-                    info.history.rate(now).unwrap_or(0.0),
-                    info.cost,
-                    info.size_bytes,
-                ));
-            }
-        }
-        Some(Profit::of_list(packed))
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn record_coalesced_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_coalesced(cost);
-    }
-
-    fn record_error_reference(&mut self) {
-        self.stats.record_fetch_error();
-    }
-
-    fn record_stale_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_stale(cost);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.retained.clear();
-        self.index.clear();
-        self.group_bytes.fill(0);
-    }
-
-    fn cached_keys(&self) -> Vec<QueryKey> {
-        self.entries
-            .iter()
-            .map(|(_, e)| e.info.key.clone())
-            .collect()
+        self.invalidate(key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::differential::Scan;
+    use crate::policy::ranked::contract::{key, ts};
+    use crate::policy::{InsertOutcome, QueryCache, RejectReason};
     use crate::value::SizedPayload;
 
-    fn ts(us: u64) -> Timestamp {
-        Timestamp::from_micros(us)
-    }
+    /// The same policy over the order that re-scores and sorts.
+    type ScanLnc = RankedCache<SizedPayload, LncRule<Scan>, Scan>;
 
     fn cost(c: f64) -> ExecutionCost {
         ExecutionCost::from_block_reads(c)
-    }
-
-    fn key(name: &str) -> QueryKey {
-        QueryKey::new(name.to_owned())
     }
 
     fn payload(bytes: u64) -> SizedPayload {
@@ -853,7 +451,7 @@ mod tests {
 
     /// Reference a query: get (miss expected) then insert.
     fn reference(
-        cache: &mut LncCache<SizedPayload>,
+        cache: &mut impl QueryCache<SizedPayload>,
         name: &str,
         size: u64,
         c: f64,
@@ -1181,20 +779,21 @@ mod tests {
     #[test]
     fn index_min_matches_scan_after_a_selection() {
         let mut cache = LncCache::lnc_r(2_000);
+        let mut scan = ScanLnc::lnc_r(2_000);
         for i in 0..12u64 {
             let name = format!("q{i}");
             reference(&mut cache, &name, 150, 10.0 + i as f64 * 37.0, i + 1);
+            reference(&mut scan, &name, 150, 10.0 + i as f64 * 37.0, i + 1);
             if i % 3 == 0 {
                 cache.get(&key(&name), ts(40 + i));
+                scan.get(&key(&name), ts(40 + i));
             }
         }
         let now = ts(100);
         // A selection re-files the stale sets it reaches; the minimum read
-        // off the index afterwards must still be the plain scan's.
-        let _ = cache.select_victims(1, now);
-        let fast = QueryCache::min_cached_profit(&mut cache, now);
-        let scan = LncCache::min_cached_profit(&cache, now);
-        assert_eq!(fast, scan);
+        // off the index afterwards must still be the scan's.
+        let _ = cache.select(1, now);
+        assert_eq!(cache.min_cached_profit(now), scan.min_cached_profit(now));
     }
 
     #[test]
@@ -1212,13 +811,18 @@ mod tests {
             })
             .expect("a small search finds an Eq. 8 that rounds down");
         let mut cache = LncCache::lnc_ra(m * s);
+        let mut scan = ScanLnc::lnc_ra(m * s);
         for i in 0..m {
             assert!(reference(&mut cache, &format!("v{i}"), s, c, i + 1).is_admitted());
+            assert!(reference(&mut scan, &format!("v{i}"), s, c, i + 1).is_admitted());
         }
-        assert!(cache.admits_reference(&key("candidate"), m * s, cost(c * m as f64), ts(100)));
         let outcome = reference(&mut cache, "candidate", m * s, c * m as f64, 100);
+        assert_eq!(
+            outcome,
+            reference(&mut scan, "candidate", m * s, c * m as f64, 100)
+        );
         assert_eq!(outcome.evicted().len() as u64, m, "{outcome:?}");
-        assert_eq!(cache.settled_by_bound, 0);
+        assert_eq!(cache.rule.settled_by_bound, 0);
     }
 
     /// Rejections settled without a selection on the golden skewed trace
@@ -1258,7 +862,7 @@ mod tests {
     fn the_bound_settles_the_golden_skewed_rejections() {
         let caches = replay_skewed(|_| 0);
         let rejections = caches.iter().map(|c| c.stats().rejections).sum();
-        let settled = caches.iter().map(|c| c.settled_by_bound).sum();
+        let settled = caches.iter().map(|c| c.rule.settled_by_bound).sum();
         assert_eq!((rejections, settled), SKEWED_RA_4_SETTLED);
     }
 
@@ -1267,7 +871,7 @@ mod tests {
     fn evaluations(caches: &[LncCache<SizedPayload>]) -> u64 {
         caches
             .iter()
-            .map(|c| c.index.evaluations() + c.retained.evaluations())
+            .map(|c| c.order.evaluations() + c.rule.retained.evaluations())
             .sum()
     }
 
@@ -1296,13 +900,13 @@ mod tests {
         for i in 0..50u64 {
             reference(&mut cache, &format!("q{i}"), 1_000, 10.0 + i as f64, i + 1);
         }
-        let _ = cache.select_victims(5_000, ts(100));
-        let index = format!("{:?}", cache.index);
-        let retained = format!("{:?}", cache.retained);
+        let _ = cache.select(5_000, ts(100));
+        let index = format!("{:?}", cache.order);
+        let retained = format!("{:?}", cache.rule.retained);
         for i in 0..50u64 {
             assert!(cache.get(&key(&format!("q{i}")), ts(200 + i)).is_some());
         }
-        assert_eq!(format!("{:?}", cache.index), index);
-        assert_eq!(format!("{:?}", cache.retained), retained);
+        assert_eq!(format!("{:?}", cache.order), index);
+        assert_eq!(format!("{:?}", cache.rule.retained), retained);
     }
 }

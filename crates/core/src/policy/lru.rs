@@ -10,7 +10,9 @@
 //! every reference spends one tick.
 
 use crate::clock::Timestamp;
+use crate::index::SetInfo;
 use crate::key::QueryKey;
+use crate::policy::index::OrdIndex;
 use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
 
@@ -33,23 +35,26 @@ impl RankRule for LruRule {
     /// Recency sequence number; larger = more recently used.
     type State = u64;
     type Rank = u64;
-    const NAME: &'static str = "LRU";
 
-    fn rank(&self, tick: &u64, _: u64) -> u64 {
-        *tick
+    fn name(&self) -> &'static str {
+        "LRU"
+    }
+
+    fn rank(set: &SetInfo<u64>, _: Timestamp) -> u64 {
+        set.state
     }
 
     fn admit(&mut self, _: &QueryKey, _: ExecutionCost, _: u64, _: Timestamp) -> u64 {
         self.tick()
     }
 
-    fn touch(&mut self, tick: &mut u64, _: ExecutionCost, _: u64, _: Timestamp) {
-        *tick = self.tick();
+    fn touch(&mut self, set: &mut SetInfo<u64>, _: Timestamp) {
+        set.state = self.tick();
     }
 }
 
 /// A retrieved-set cache with least-recently-used replacement.
-pub type LruCache<V> = RankedCache<V, LruRule>;
+pub type LruCache<V> = RankedCache<V, LruRule, OrdIndex<u64>>;
 
 impl<V: CachePayload> LruCache<V> {
     /// Creates an LRU cache with the given capacity in bytes.
@@ -61,31 +66,9 @@ impl<V: CachePayload> LruCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ranked::contract;
-    use crate::policy::{InsertOutcome, QueryCache};
+    use crate::policy::ranked::contract::{self, insert, key, ts};
+    use crate::policy::QueryCache;
     use crate::value::SizedPayload;
-
-    fn ts(us: u64) -> Timestamp {
-        Timestamp::from_micros(us)
-    }
-
-    fn key(name: &str) -> QueryKey {
-        QueryKey::new(name.to_owned())
-    }
-
-    fn insert(
-        cache: &mut LruCache<SizedPayload>,
-        name: &str,
-        size: u64,
-        now: u64,
-    ) -> InsertOutcome {
-        cache.insert(
-            key(name),
-            SizedPayload::new(size),
-            ExecutionCost::from_blocks(10),
-            ts(now),
-        )
-    }
 
     #[test]
     fn evicts_least_recently_used_first() {

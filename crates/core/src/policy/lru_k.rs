@@ -16,14 +16,22 @@
 //! As a [`RankRule`]: a set's state is its reference history, its rank the
 //! backward K-distance read off it, and the rule owns the retained
 //! histories — it records misses into them, promotes one when its set is
-//! admitted again, and files every victim's.
+//! admitted again, and files every victim's.  They live in the same
+//! [`RetainedStore`] as LNC's, unranked: a history expires by time, so the
+//! rule queues every filing by its time and drops the front of the queue
+//! once it is older than the period, skipping a filing whose history was
+//! taken or filed again since.  Time never steps back inside the cache, so
+//! an expiry costs what it drops.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use crate::clock::Timestamp;
 use crate::history::ReferenceHistory;
+use crate::index::{EntryId, SetInfo};
 use crate::key::QueryKey;
-use crate::policy::ranked::{RankRule, RankedCache};
+use crate::policy::index::OrdIndex;
+use crate::policy::ranked::{RankRule, RankedCache, VictimOrder};
+use crate::retained::RetainedStore;
 use crate::value::{CachePayload, ExecutionCost};
 
 /// Configuration for [`LruKCache`].
@@ -53,50 +61,63 @@ impl LruKConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct RetainedHistory {
-    history: ReferenceHistory,
-    evicted_at: Timestamp,
-}
-
 /// Ranks a set by its backward K-distance; the greatest distance is the
 /// victim.
 #[derive(Debug, Clone)]
 pub struct LruKRule {
     k: usize,
     retained_info_period: u64,
-    max_retained_entries: usize,
-    retained: HashMap<QueryKey, RetainedHistory>,
-}
-
-/// Records a reference at `now` unless it is already the latest one: a
-/// single-flight waiter retrying after an abandoned flight re-issues the same
-/// logical reference, and a promoted retained history may already hold it.
-fn record_once(history: &mut ReferenceHistory, now: Timestamp) {
-    if history.last_reference() != Some(now) {
-        history.record(now);
-    }
+    retained: RetainedStore<()>,
+    /// `(filed at, slot)` of every history filed, oldest first.
+    filings: VecDeque<(Timestamp, EntryId)>,
+    /// When the history in each slot was filed.
+    filed_at: Vec<Timestamp>,
 }
 
 impl LruKRule {
-    /// Drops retained histories older than the configured retention period
+    pub(crate) fn new(config: &LruKConfig) -> Self {
+        LruKRule {
+            k: config.k,
+            retained_info_period: config.retained_info_period,
+            retained: RetainedStore::new(config.max_retained_entries),
+            filings: VecDeque::new(),
+            filed_at: Vec::new(),
+        }
+    }
+
+    /// Drops retained histories filed longer ago than the retention period
     /// (the timeout-based scheme of the original LRU-K paper).
-    fn expire_retained(&mut self, now: Timestamp) {
-        let period = self.retained_info_period;
-        self.retained
-            .retain(|_, r| now.saturating_since(r.evicted_at) <= period);
+    fn expire(&mut self, now: Timestamp) {
+        while let Some(&(at, slot)) = self.filings.front() {
+            if now.saturating_since(at) <= self.retained_info_period {
+                break;
+            }
+            self.filings.pop_front();
+            if self.filed_at[slot.index()] == at {
+                self.retained.remove(slot);
+            }
+        }
+    }
+
+    /// Whether a queued filing still describes the history in its slot.
+    fn current(&self, (at, slot): (Timestamp, EntryId)) -> bool {
+        self.filed_at[slot.index()] == at && self.retained.holds(slot)
     }
 }
 
 impl RankRule for LruKRule {
     type State = ReferenceHistory;
     type Rank = (bool, u64);
-    const NAME: &'static str = "LRU-K";
+
+    fn name(&self) -> &'static str {
+        "LRU-K"
+    }
 
     /// Entries with fewer than K samples sort first (ascending by last
     /// reference), then entries by ascending K-th most recent reference time.
-    fn rank(&self, history: &ReferenceHistory, _: u64) -> (bool, u64) {
-        let full = history.sample_count() >= self.k;
+    fn rank(set: &SetInfo<ReferenceHistory>, _: Timestamp) -> (bool, u64) {
+        let history = &set.state;
+        let full = history.sample_count() >= history.window();
         // Once full, the oldest retained sample is exactly the K-th most
         // recent one.
         let reference = if full {
@@ -116,45 +137,54 @@ impl RankRule for LruKRule {
         _: u64,
         now: Timestamp,
     ) -> ReferenceHistory {
-        self.expire_retained(now);
-        match self.retained.remove(key) {
+        self.expire(now);
+        match self.retained.take(key) {
             Some(mut retained) => {
-                record_once(&mut retained.history, now);
-                retained.history
+                retained.state.record_once(now);
+                retained.state
             }
             None => ReferenceHistory::with_first_reference(self.k, now),
         }
     }
 
-    fn touch(&mut self, history: &mut ReferenceHistory, _: ExecutionCost, _: u64, now: Timestamp) {
-        record_once(history, now);
+    fn touch(&mut self, set: &mut SetInfo<ReferenceHistory>, now: Timestamp) {
+        set.state.record_once(now);
     }
 
     fn missed(&mut self, key: &QueryKey, now: Timestamp) {
-        if let Some(retained) = self.retained.get_mut(key) {
-            record_once(&mut retained.history, now);
-        }
+        self.retained.record_reference(key, now);
     }
 
     /// Files the victim's history, unless the bound holds even after expiry.
-    fn evicted(&mut self, key: &QueryKey, history: ReferenceHistory, now: Timestamp) {
-        if self.retained.len() >= self.max_retained_entries {
-            self.expire_retained(now);
-            if self.retained.len() >= self.max_retained_entries {
-                return;
-            }
+    fn denied(&mut self, set: SetInfo<ReferenceHistory>, now: Timestamp) {
+        if self.retained.is_full() {
+            self.expire(now);
         }
-        self.retained.insert(
-            key.clone(),
-            RetainedHistory {
-                history,
-                evicted_at: now,
-            },
-        );
+        let Some(slot) = self.retained.insert(set, now) else {
+            return;
+        };
+        if self.filed_at.len() <= slot.index() {
+            self.filed_at.resize(slot.index() + 1, Timestamp::ZERO);
+        }
+        self.filed_at[slot.index()] = now;
+        self.filings.push_back((now, slot));
+        // Filings of histories taken since pile up until their time passes;
+        // past twice the bound, drop them at once.
+        if self.filings.len() > 2 * self.filed_at.len() {
+            let filings = std::mem::take(&mut self.filings);
+            self.filings = filings.into_iter().filter(|&f| self.current(f)).collect();
+        }
     }
 
     fn cleared(&mut self) {
         self.retained.clear();
+        self.filings.clear();
+        self.filed_at.clear();
+    }
+
+    #[cfg(test)]
+    fn retained_keys(&self) -> Vec<QueryKey> {
+        self.retained.iter().map(|info| info.key.clone()).collect()
     }
 }
 
@@ -164,18 +194,12 @@ impl RankRule for LruKRule {
 /// discards the resident set's reference history with the set — the update
 /// that triggered it may have changed the set entirely — and has nothing
 /// retained to discard: a key is never resident and retained at once.
-pub type LruKCache<V> = RankedCache<V, LruKRule>;
+pub type LruKCache<V> = RankedCache<V, LruKRule, OrdIndex<(bool, u64)>>;
 
-impl<V: CachePayload> LruKCache<V> {
+impl<V: CachePayload, O: VictimOrder<LruKRule>> RankedCache<V, LruKRule, O> {
     /// Creates an LRU-K cache from a configuration.
     pub fn new(config: LruKConfig) -> Self {
-        let rule = LruKRule {
-            k: config.k,
-            retained_info_period: config.retained_info_period,
-            max_retained_entries: config.max_retained_entries,
-            retained: HashMap::new(),
-        };
-        RankedCache::with_rule(config.capacity_bytes, rule)
+        RankedCache::with_rule(config.capacity_bytes, LruKRule::new(&config))
     }
 
     /// Creates an LRU-K cache with the given capacity and `K`.
@@ -197,31 +221,9 @@ impl<V: CachePayload> LruKCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ranked::contract;
-    use crate::policy::{InsertOutcome, QueryCache};
+    use crate::policy::ranked::contract::{self, insert, key, ts};
+    use crate::policy::QueryCache;
     use crate::value::SizedPayload;
-
-    fn ts(us: u64) -> Timestamp {
-        Timestamp::from_micros(us)
-    }
-
-    fn key(name: &str) -> QueryKey {
-        QueryKey::new(name.to_owned())
-    }
-
-    fn insert(
-        cache: &mut LruKCache<SizedPayload>,
-        name: &str,
-        size: u64,
-        now: u64,
-    ) -> InsertOutcome {
-        cache.insert(
-            key(name),
-            SizedPayload::new(size),
-            ExecutionCost::from_blocks(10),
-            ts(now),
-        )
-    }
 
     #[test]
     fn k_equals_one_behaves_like_lru() {
@@ -301,7 +303,7 @@ mod tests {
             .retained
             .get(&key("a"))
             .unwrap()
-            .history
+            .state
             .sample_count();
         assert_eq!(samples, 2, "insert-time + one miss, not two");
     }
@@ -321,7 +323,54 @@ mod tests {
             1,
             "only b's fresh eviction is retained"
         );
-        assert!(!cache.rule.retained.contains_key(&key("a")));
+        assert!(!cache.rule.retained.contains(&key("a")));
+    }
+
+    fn timed_out(
+        period: u64,
+        max_retained_entries: usize,
+        capacity: u64,
+    ) -> LruKCache<SizedPayload> {
+        let mut config = LruKConfig::new(capacity, 2);
+        config.retained_info_period = period;
+        config.max_retained_entries = max_retained_entries;
+        LruKCache::new(config)
+    }
+
+    #[test]
+    fn retained_histories_expire_by_their_latest_filing() {
+        let mut cache = timed_out(10, 16, 100);
+        let retained =
+            |cache: &LruKCache<SizedPayload>, name: &str| cache.rule.retained.contains(&key(name));
+        insert(&mut cache, "a", 100, 1);
+        insert(&mut cache, "b", 100, 2); // a filed at 2
+        insert(&mut cache, "a", 100, 3); // a taken; b filed at 3, in a's slot
+        insert(&mut cache, "c", 100, 8); // a filed again at 8
+                                         // a's first filing is due, but its slot now holds b, filed later.
+        insert(&mut cache, "d", 100, 13);
+        assert!(retained(&cache, "b") && retained(&cache, "a"));
+        insert(&mut cache, "e", 100, 15);
+        assert!(!retained(&cache, "b"), "b expires 10 after its filing");
+        assert!(retained(&cache, "a"), "a expires by its latest filing");
+        insert(&mut cache, "f", 100, 19);
+        assert!(!retained(&cache, "a"));
+        assert_eq!(cache.retained_entries(), 3);
+    }
+
+    #[test]
+    fn a_full_store_expires_before_it_refuses() {
+        let mut cache = timed_out(10, 2, 200);
+        for (name, now) in [("a", 1), ("b", 2), ("c", 3), ("d", 4)] {
+            insert(&mut cache, name, 100, now);
+        }
+        assert_eq!(cache.retained_entries(), 2);
+        // Full and nothing due: the victim's history is refused.
+        assert_eq!(cache.set_capacity_bytes(100, ts(5)), vec![key("c")]);
+        assert!(!cache.rule.retained.contains(&key("c")));
+        // Full, but both held histories are due: they make room.
+        assert_eq!(cache.set_capacity_bytes(0, ts(20)), vec![key("d")]);
+        assert!(cache.rule.retained.contains(&key("d")));
+        assert_eq!(cache.retained_entries(), 1);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Cache policies.
 //!
 //! The [`QueryCache`] trait is the public interface shared by the paper's
-//! LNC-R / LNC-RA policies ([`lnc`]) and the comparison baselines.  The
-//! baselines are one cache, [`ranked::RankedCache`], under five rank rules:
-//! vanilla LRU ([`lru`]), LRU-K ([`lru_k`]), LFU ([`lfu`]), largest-space
-//! LCS ([`lcs`]) and GreedyDual-Size ([`gds`]).
+//! LNC-R / LNC-RA policies ([`lnc`]) and the comparison baselines.  All of
+//! them are one cache shell, [`ranked::RankedCache`], under six rank
+//! rules: LNC-R and LNC-RA ([`lnc`], one rule), vanilla LRU ([`lru`]), LRU-K
+//! ([`lru_k`]), LFU ([`lfu`]), largest-space LCS ([`lcs`]) and
+//! GreedyDual-Size ([`gds`]).
 //!
 //! # Usage protocol
 //!
@@ -21,16 +22,16 @@
 //!
 //! # Per-operation complexity
 //!
-//! Every policy maintains an incremental victim index (the ranked cache's
-//! [`index`], and for the LNC policies the decay index described in [`lnc`])
-//! instead of re-scanning the cache per eviction, with `n` cached sets and
-//! `v` victims per decision:
+//! The shell finds its victims through one of three orders instead of
+//! re-scanning the cache per eviction.  With `n` cached sets and `v` victims
+//! per decision:
 //!
-//! | policy | admit | hit | evict (total) | `min_cached_profit` | shrink by `b` |
-//! |---|---|---|---|---|---|
-//! | any rank rule | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
-//! | LNC-R / LNC-RA | O(log n) | O(1) | O(b + v log n)¹ | O(b + log n)¹ | O(b + v log n)¹ |
-//! | LNC-RA, first-time set the bound rejects² | O(K + b) + purge | — | none | — | — |
+//! | order | policies | admit | hit | evict (total) | `min_cached_profit` | shrink by `b` |
+//! |---|---|---|---|---|---|---|
+//! | [`index`] of static ranks | LRU, LRU-K³, LFU, LCS, GDS | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
+//! | decay index | LNC-R, LNC-RA | O(log n) | O(1) | O(b + v log n)¹ | O(b + log n)¹ | O(b + v log n)¹ |
+//! | decay index, a first-time set the bound rejects² | LNC-RA | O(K + b) + purge | — | none | — | — |
+//! | scan (tests only) | all seven | O(1) | O(1) | O(n log n) | O(n log n) | O(n log n) |
 //!
 //! ¹ LNC profits re-evaluate the Eq. 3 rate at the decision's `now`, and the
 //! profits of two untouched sets can cross as time advances, so no static
@@ -50,11 +51,13 @@
 //! that follows every decision (`min_cached_profit`) is the rest of the
 //! rejection.
 //!
-//! The scans these indexes replaced are retained under `#[cfg(test)]` as
-//! differential-test oracles — one scan over the rule's ranks on the ranked
-//! cache, five reference methods on LNC: the `differential` module (test
-//! builds only) holds the property suite asserting identical victim
-//! sequences and signal values on random traces.
+//! ³ LRU-K's admission also expires the retained histories whose period has
+//! passed, at O(1) per history expired.
+//!
+//! The scan is the one oracle: it re-scores every set and sorts, and the
+//! `differential` module (test builds only) replays random traces through
+//! each policy over its index and over the scan, asserting identical
+//! decisions, evictions, signal values and retained histories at every step.
 
 pub mod gds;
 pub(crate) mod index;
@@ -268,38 +271,20 @@ pub trait QueryCache<V: CachePayload> {
     /// statistics are never changed.
     fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit>;
 
-    /// The highest profit among sets the policy recently denied residency
-    /// (evicted or rejected) but still remembers, or `None` when the policy
-    /// does not retain such information.
-    ///
-    /// LNC-RA's §2.4 retained reference information makes this exact: it is
-    /// the `λ·c/s` of the most valuable set the cache turned away, i.e. the
-    /// *marginal gain* of giving the cache more capacity.  The engine's
-    /// rebalancer grows a shard when its marginal gain exceeds another
-    /// shard's marginal loss.  Policies without retained information return
-    /// `None` (the default) and the rebalancer falls back to
-    /// rejection/eviction pressure.
-    fn max_retained_profit(&mut self, _now: Timestamp) -> Option<Profit> {
-        None
-    }
-
     /// The aggregate profit (Eq. 5: `Σλc / Σs`) of the sets this cache would
     /// evict to shrink by `bytes` — what a capacity donation of that size
-    /// would actually cost.  `None` (the default) when the policy cannot
-    /// price a shrink; the engine's rebalancer then falls back to
-    /// [`QueryCache::min_cached_profit`].
-    fn shrink_loss(&mut self, _bytes: u64, _now: Timestamp) -> Option<Profit> {
-        None
-    }
+    /// would actually cost.  `None` when the policy keeps no rate estimate
+    /// to price a shrink with (the baselines); the engine's rebalancer then
+    /// falls back to [`QueryCache::min_cached_profit`].
+    fn shrink_loss(&mut self, bytes: u64, now: Timestamp) -> Option<Profit>;
 
     /// The aggregate profit (Eq. 5) of the most valuable denied-residency
     /// sets that would fit into `bytes` of additional capacity — what a
-    /// capacity grant of that size could plausibly win back.  `None` (the
-    /// default) when the policy retains no such information; the engine's
-    /// rebalancer then falls back to rejection/eviction pressure.
-    fn grow_gain(&mut self, _bytes: u64, _now: Timestamp) -> Option<Profit> {
-        None
-    }
+    /// capacity grant of that size could plausibly win back.  LNC-RA's §2.4
+    /// retained reference information makes this exact.  `None` when the
+    /// policy retains no such information to price (the baselines); the
+    /// engine's rebalancer then falls back to rejection/eviction pressure.
+    fn grow_gain(&mut self, bytes: u64, now: Timestamp) -> Option<Profit>;
 
     /// Accumulated reference / cost statistics.
     fn stats(&self) -> &CacheStats;

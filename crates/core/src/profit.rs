@@ -25,6 +25,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::clock::Timestamp;
+use crate::history::ReferenceHistory;
 use crate::value::ExecutionCost;
 
 /// A profit value; higher means more valuable to keep in cache.
@@ -48,6 +50,19 @@ impl Profit {
     pub fn of_set(rate: f64, cost: ExecutionCost, size_bytes: u64) -> Self {
         let size = size_bytes.max(1) as f64;
         Profit::new(rate * cost.value() / size)
+    }
+
+    /// The profit (Eq. 2) at `now` of a set referenced as `history` records,
+    /// with the rate of Eq. 3; zero for a set never referenced.
+    pub fn of_history(
+        history: &ReferenceHistory,
+        cost: ExecutionCost,
+        size_bytes: u64,
+        now: Timestamp,
+    ) -> Self {
+        history
+            .rate(now)
+            .map_or(Profit::ZERO, |rate| Profit::of_set(rate, cost, size_bytes))
     }
 
     /// The estimated profit of a first-time retrieved set (Eq. 6): `c / s`.

@@ -31,67 +31,105 @@
 //! corrected when an ascent reaches it.  The bound holds because the
 //! store's owner supplies monotone time: no `now` it passes is earlier than
 //! one it passed before.
+//!
+//! LRU-K keeps its histories in the same store under the timeout scheme of
+//! the original LRU-K design instead, and ranks them not at all
+//! ([`RetainedOrder`] for `()`).
+
+use std::fmt;
 
 use crate::clock::Timestamp;
 use crate::decay::DecayIndex;
 use crate::history::ReferenceHistory;
-use crate::index::{EntryId, EntryStore, KeyedEntry};
+use crate::index::{EntryId, EntryStore, SetInfo};
 use crate::key::QueryKey;
 use crate::profit::Profit;
-use crate::value::ExecutionCost;
 
-/// Reference metadata kept for a retrieved set that is not currently cached.
-#[derive(Debug, Clone)]
-pub struct RetainedInfo {
-    /// The query key the information belongs to.
-    pub key: QueryKey,
-    /// The size of the retrieved set when it was last materialized.
-    pub size_bytes: u64,
-    /// The execution cost of the associated query.
-    pub cost: ExecutionCost,
-    /// The last (up to) K reference times.
-    pub history: ReferenceHistory,
-}
+/// Reference metadata kept for a retrieved set that is not currently
+/// cached: the set's statistics with its last (up to) K reference times.
+pub type RetainedInfo = SetInfo<ReferenceHistory>;
 
 impl RetainedInfo {
     /// The profit of the retrieved set this information describes, evaluated
     /// at time `now` using the maximal available number of reference samples
     /// (paper §2.4: fewer than K samples are used as-is).
     pub fn profit(&self, now: Timestamp) -> Profit {
-        match self.history.rate(now) {
-            Some(rate) => Profit::of_set(rate, self.cost, self.size_bytes),
-            None => Profit::ZERO,
-        }
+        Profit::of_history(&self.state, self.cost, self.size_bytes, now)
     }
 
     /// Approximate number of bytes of cache metadata this entry occupies.
     pub fn metadata_bytes(&self) -> u64 {
-        self.key.metadata_bytes() + self.history.metadata_bytes() + 16
+        self.key.metadata_bytes() + self.state.metadata_bytes() + 16
     }
 }
 
-impl KeyedEntry for RetainedInfo {
-    fn key(&self) -> &QueryKey {
-        &self.key
+/// How a [`RetainedStore`] finds its least profitable histories.
+pub trait RetainedOrder: Clone + fmt::Debug + Default {
+    /// Files the history in `slot`, just inserted or replaced.
+    fn file(&mut self, info: &RetainedInfo, slot: EntryId);
+
+    /// Hands the held histories to `take` in ascending `(profit, signature)`
+    /// order at `now`, until it returns `false`.  With `below`, the order
+    /// need only be exact for histories whose profit is under it.
+    fn ascend(
+        &mut self,
+        entries: &EntryStore<RetainedInfo>,
+        now: Timestamp,
+        below: Option<Profit>,
+        take: impl FnMut(EntryId, Profit) -> bool,
+    );
+
+    /// Forgets every history.
+    fn clear(&mut self);
+}
+
+impl RetainedOrder for DecayIndex {
+    fn file(&mut self, info: &RetainedInfo, slot: EntryId) {
+        DecayIndex::file(self, info, slot);
+    }
+
+    fn ascend(
+        &mut self,
+        entries: &EntryStore<RetainedInfo>,
+        now: Timestamp,
+        below: Option<Profit>,
+        take: impl FnMut(EntryId, Profit) -> bool,
+    ) {
+        // Histories of equal profit fall to their signature.
+        let probe = |id| {
+            let info: &RetainedInfo = entries.by_id(id)?;
+            Some((info, info.key.signature().value()))
+        };
+        DecayIndex::ascend(self, now, false, below, probe, take);
+    }
+
+    fn clear(&mut self) {
+        DecayIndex::clear(self);
     }
 }
 
-/// What the decay index asks of the store: the history in a slot, and its
-/// signature to order histories of equal profit.
-fn by_signature<'s>(
-    entries: &'s EntryStore<RetainedInfo>,
-) -> impl FnMut(EntryId) -> Option<(&'s RetainedInfo, u64)> {
-    move |id| {
-        let info = entries.by_id(id)?;
-        Some((info, info.key.signature().value()))
+/// The order of a store whose histories expire by time, never by profit
+/// (LRU-K's): nothing is ranked, so a full store refuses newcomers.
+impl RetainedOrder for () {
+    fn file(&mut self, _: &RetainedInfo, _: EntryId) {}
+
+    fn ascend(
+        &mut self,
+        _: &EntryStore<RetainedInfo>,
+        _: Timestamp,
+        _: Option<Profit>,
+        _: impl FnMut(EntryId, Profit) -> bool,
+    ) {
     }
+
+    fn clear(&mut self) {}
 }
 
 /// The side table of retained reference information.
 #[derive(Debug, Clone, Default)]
-pub struct RetainedStore {
+pub struct RetainedStore<X: RetainedOrder = DecayIndex> {
     entries: EntryStore<RetainedInfo>,
-    index: DecayIndex,
+    index: X,
     /// What a purge is about to drop, kept for its allocation.
     doomed: Vec<EntryId>,
     /// Hard safety bound on the number of retained entries; the profit-based
@@ -101,7 +139,7 @@ pub struct RetainedStore {
     max_entries: usize,
 }
 
-impl RetainedStore {
+impl<X: RetainedOrder> RetainedStore<X> {
     /// Creates a store bounded to `max_entries` retained histories.
     pub fn new(max_entries: usize) -> Self {
         RetainedStore {
@@ -118,6 +156,11 @@ impl RetainedStore {
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Whether the store holds as many histories as its bound allows.
+    pub fn is_full(&self) -> bool {
+        self.entries.len() >= self.max_entries
     }
 
     /// Total metadata bytes held by the store.
@@ -146,50 +189,58 @@ impl RetainedStore {
     pub fn record_reference(&mut self, key: &QueryKey, now: Timestamp) -> bool {
         match self.entries.get_mut(key) {
             Some(info) => {
-                if info.history.last_reference() != Some(now) {
-                    info.history.record(now);
-                }
+                info.state.record_once(now);
                 true
             }
             None => false,
         }
     }
 
-    /// Inserts or replaces retained information.  If the store is at its hard
-    /// bound, the entry with the lowest profit is dropped first (ties broken
-    /// by key signature, so displacement is deterministic rather than
-    /// following hash-map iteration order).
-    pub fn insert(&mut self, info: RetainedInfo, now: Timestamp) {
+    /// Inserts or replaces retained information, returning the slot it was
+    /// filed in.  If the store is at its hard bound, the entry with the
+    /// lowest profit is dropped first (ties broken by key signature, so
+    /// displacement is deterministic rather than following hash-map
+    /// iteration order), unless the newcomer is worth less: it is then
+    /// dropped instead, and `None` returned.
+    pub fn insert(&mut self, info: RetainedInfo, now: Timestamp) -> Option<EntryId> {
         if let Some(id) = self.entries.find(&info.key) {
             // A new size or cost can lower the profit: re-file at once.
             self.index.file(&info, id);
             *self.entries.by_id_mut(id).expect("found above") = info;
-            return;
+            return Some(id);
         }
-        if self.entries.len() >= self.max_entries {
-            // Only displace an existing entry if the newcomer is at least
-            // as valuable; otherwise drop the newcomer.
+        if self.is_full() {
             let (entries, mut worst) = (&self.entries, None);
-            self.index
-                .ascend(now, false, None, by_signature(entries), |id, profit| {
-                    worst = Some((id, profit));
-                    false
-                });
-            match worst {
-                Some((_, profit)) if info.profit(now) < profit => return,
-                Some((id, _)) => self.entries.remove(id),
-                None => None,
-            };
+            self.index.ascend(entries, now, None, |id, profit| {
+                worst = Some((id, profit));
+                false
+            });
+            let (id, profit) = worst?;
+            if info.profit(now) < profit {
+                return None;
+            }
+            self.entries.remove(id);
         }
         let id = self.entries.insert(info);
         self.index
             .file(self.entries.by_id(id).expect("just inserted"), id);
+        Some(id)
     }
 
     /// Removes and returns the retained information for `key`, typically
     /// because the retrieved set is being (re-)admitted to the cache.
     pub fn take(&mut self, key: &QueryKey) -> Option<RetainedInfo> {
         self.entries.remove_by_key(key)
+    }
+
+    /// Whether a history is filed in `slot`.
+    pub(crate) fn holds(&self, slot: EntryId) -> bool {
+        self.entries.by_id(slot).is_some()
+    }
+
+    /// Drops the history filed in `slot`, if any.
+    pub(crate) fn remove(&mut self, slot: EntryId) {
+        self.entries.remove(slot);
     }
 
     /// Applies the paper's retention policy: drop every retained entry whose
@@ -203,30 +254,19 @@ impl RetainedStore {
         let before = self.entries.len();
         if min_cached_profit > Profit::ZERO {
             let (entries, doomed) = (&self.entries, &mut self.doomed);
-            self.index.ascend(
-                now,
-                false,
-                Some(min_cached_profit),
-                by_signature(entries),
-                |id, profit| {
+            self.index
+                .ascend(entries, now, Some(min_cached_profit), |id, profit| {
                     let drop = profit < min_cached_profit;
                     if drop {
                         doomed.push(id);
                     }
                     drop
-                },
-            );
+                });
             for id in self.doomed.drain(..) {
                 self.entries.remove(id);
             }
         }
         before - self.entries.len()
-    }
-
-    /// Exact profit evaluations the store's ascents have asked for.
-    #[cfg(test)]
-    pub(crate) fn evaluations(&self) -> u64 {
-        self.index.evaluations()
     }
 
     /// Removes every retained entry.
@@ -259,9 +299,22 @@ impl RetainedStore {
     }
 }
 
+impl RetainedStore {
+    /// Exact profit evaluations the store's ascents have asked for.
+    #[cfg(test)]
+    pub(crate) fn evaluations(&self) -> u64 {
+        self.index.evaluations()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::ExecutionCost;
+
+    fn store(max_entries: usize) -> RetainedStore {
+        RetainedStore::new(max_entries)
+    }
 
     fn ts(us: u64) -> Timestamp {
         Timestamp::from_micros(us)
@@ -276,13 +329,13 @@ mod tests {
             key: QueryKey::new(name.to_owned()),
             size_bytes: size,
             cost: ExecutionCost::from_block_reads(cost),
-            history,
+            state: history,
         }
     }
 
     #[test]
     fn record_reference_updates_existing_entry_only() {
-        let mut store = RetainedStore::new(16);
+        let mut store = store(16);
         store.insert(info("q1", 100, 50.0, &[10], 2), ts(10));
         assert!(store.record_reference(&QueryKey::new("q1"), ts(20)));
         assert!(!store.record_reference(&QueryKey::new("q2"), ts(20)));
@@ -290,7 +343,7 @@ mod tests {
             store
                 .get(&QueryKey::new("q1"))
                 .unwrap()
-                .history
+                .state
                 .sample_count(),
             2
         );
@@ -301,7 +354,7 @@ mod tests {
         // A single-flight waiter retrying after an abandoned flight re-enters
         // the lookup path with the same logical timestamp; the retained
         // history must not count that logical reference twice.
-        let mut store = RetainedStore::new(16);
+        let mut store = store(16);
         store.insert(info("q1", 100, 50.0, &[10], 4), ts(10));
         assert!(store.record_reference(&QueryKey::new("q1"), ts(20)));
         assert!(store.record_reference(&QueryKey::new("q1"), ts(20)));
@@ -309,7 +362,7 @@ mod tests {
             store
                 .get(&QueryKey::new("q1"))
                 .unwrap()
-                .history
+                .state
                 .sample_count(),
             2,
             "the second same-timestamp record must be a no-op"
@@ -320,7 +373,7 @@ mod tests {
             store
                 .get(&QueryKey::new("q1"))
                 .unwrap()
-                .history
+                .state
                 .sample_count(),
             3
         );
@@ -328,7 +381,7 @@ mod tests {
 
     #[test]
     fn take_removes_the_entry() {
-        let mut store = RetainedStore::new(16);
+        let mut store = store(16);
         store.insert(info("q1", 100, 50.0, &[10], 2), ts(10));
         let taken = store.take(&QueryKey::new("q1")).unwrap();
         assert_eq!(taken.size_bytes, 100);
@@ -338,7 +391,7 @@ mod tests {
 
     #[test]
     fn purge_drops_entries_below_min_cached_profit() {
-        let mut store = RetainedStore::new(16);
+        let mut store = store(16);
         // Valuable: small, expensive, recently referenced twice.
         store.insert(info("valuable", 10, 1_000.0, &[90, 100], 2), ts(100));
         // Worthless: huge, cheap, referenced once long ago.
@@ -355,7 +408,7 @@ mod tests {
 
     #[test]
     fn purge_with_zero_threshold_keeps_everything() {
-        let mut store = RetainedStore::new(16);
+        let mut store = store(16);
         store.insert(info("a", 10, 10.0, &[5], 2), ts(5));
         store.insert(info("b", 10, 10.0, &[6], 2), ts(6));
         assert_eq!(store.purge_below(Profit::ZERO, ts(100)), 0);
@@ -364,7 +417,7 @@ mod tests {
 
     #[test]
     fn hard_bound_displaces_lowest_profit_entry() {
-        let mut store = RetainedStore::new(2);
+        let mut store = store(2);
         store.insert(info("low", 1_000_000, 1.0, &[1], 2), ts(1));
         store.insert(info("mid", 100, 100.0, &[2], 2), ts(2));
         // Store is full; inserting a high-profit entry displaces "low".
@@ -377,7 +430,7 @@ mod tests {
 
     #[test]
     fn hard_bound_rejects_entry_worse_than_all_retained() {
-        let mut store = RetainedStore::new(2);
+        let mut store = store(2);
         store.insert(info("a", 10, 1_000.0, &[1, 2], 2), ts(2));
         store.insert(info("b", 10, 1_000.0, &[1, 2], 2), ts(2));
         store.insert(info("junk", 1_000_000, 1.0, &[3], 2), ts(3));
@@ -387,7 +440,7 @@ mod tests {
 
     #[test]
     fn reinsert_same_key_replaces_in_place_even_when_full() {
-        let mut store = RetainedStore::new(1);
+        let mut store = store(1);
         store.insert(info("a", 10, 10.0, &[1], 2), ts(1));
         store.insert(info("a", 20, 10.0, &[2], 2), ts(2));
         assert_eq!(store.len(), 1);
@@ -402,7 +455,7 @@ mod tests {
 
     #[test]
     fn metadata_bytes_is_positive_and_additive() {
-        let mut store = RetainedStore::new(8);
+        let mut store = store(8);
         assert_eq!(store.metadata_bytes(), 0);
         store.insert(info("a", 10, 10.0, &[1], 2), ts(1));
         let one = store.metadata_bytes();
@@ -412,7 +465,7 @@ mod tests {
 
     #[test]
     fn clear_and_iter() {
-        let mut store = RetainedStore::new(8);
+        let mut store = store(8);
         store.insert(info("a", 10, 10.0, &[1], 2), ts(1));
         store.insert(info("b", 10, 10.0, &[1], 2), ts(1));
         assert_eq!(store.iter().count(), 2);
@@ -433,7 +486,7 @@ mod tests {
         // One set is rejected every 100 µs; a set of weight w stays until its
         // profit w/age falls under the threshold.  The threshold is set so
         // that about 10 000 histories are held in steady state.
-        let mut store = RetainedStore::new(1 << 20);
+        let mut store = store(1 << 20);
         let threshold = Profit::new(1.8e-5);
         let mut now = 0;
         let step = |store: &mut RetainedStore, i: u64, now: &mut u64| {
@@ -468,15 +521,12 @@ mod tests {
 
     #[test]
     fn hard_bound_displacement_matches_the_scan() {
-        use crate::policy::differential::ScanRetained;
+        use crate::policy::differential::Scan;
         // Filled to the bound with sets that tie in profit in fours (same
         // size, cost and reference): ties fall to the signature.
         let bound = 64;
-        let mut store = RetainedStore::new(bound);
-        let mut scan = ScanRetained {
-            entries: std::collections::HashMap::new(),
-            max_entries: bound,
-        };
+        let mut store = store(bound);
+        let mut scan: RetainedStore<Scan> = RetainedStore::new(bound);
         let set = |i: u64| info(&format!("tie-{i}"), 100, (1 + i / 4) as f64, &[10], 2);
         for i in 0..bound as u64 {
             store.insert(set(i), ts(20));
@@ -489,7 +539,7 @@ mod tests {
             store.insert(newcomer.clone(), ts(30 + i));
             scan.insert(newcomer, ts(30 + i));
             let mut held: Vec<&str> = store.iter().map(|info| info.key.text()).collect();
-            let mut expected: Vec<&str> = scan.entries.keys().map(QueryKey::text).collect();
+            let mut expected: Vec<&str> = scan.iter().map(|info| info.key.text()).collect();
             held.sort_unstable();
             expected.sort_unstable();
             assert_eq!(held, expected, "displacement {i} diverged from the scan");
