@@ -11,11 +11,12 @@
 //!   load generator reaches engine-limited throughput from few
 //!   connections.
 //! * **Connection scaling** — what happens when connections stop being
-//!   threads?  A 64-connection trace replay (the workload the
-//!   thread-per-connection server was last measured on) pins latency
-//!   against the recorded baseline, and a 512-connection storm records the
-//!   session-vs-thread counts the task refactor exists for.  The report is
-//!   written to `BENCH_connection_scaling.json` at the workspace root.
+//!   threads?  A 64-connection trace replay reports latency and throughput
+//!   (ungated), and a 512-connection storm records the session-vs-thread
+//!   counts the task refactor exists for.  Both run through the server
+//!   crate's `Scenario` runner, and its reports are serialized with the
+//!   loopback rows and the gates to `BENCH_connection_scaling.json` at the
+//!   workspace root.
 //!
 //! Run with `--quick` for a CI-sized smoke pass.
 
@@ -23,10 +24,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use serde::Serialize;
 use watchman_core::engine::PolicyKind;
 use watchman_core::runtime::net::stats as net_stats;
 use watchman_server::wire::{self, GetRequest, Request};
-use watchman_server::{run_connection_storm, run_load, serve, Client, LoadOptions, ServerConfig};
+use watchman_server::{serve, Client, Report, Requests, Scenario, ServerConfig};
 use watchman_sim::{ExperimentScale, Workload};
 
 /// Counts every heap allocation in the process so the loopback table can
@@ -69,6 +71,7 @@ fn allocation_count() -> u64 {
 /// per-frame syscall and allocation costs over the whole process (server
 /// sessions drive the async `TcpStream` counters; the allocator counter
 /// covers both sides of the loopback).
+#[derive(Clone, Copy, Serialize)]
 struct PipelineRow {
     pipeline: usize,
     frames: u64,
@@ -176,17 +179,6 @@ fn bench_loopback(rounds: u64) -> Vec<PipelineRow> {
     rows
 }
 
-/// The thread-per-connection server's last measured p99, in microseconds,
-/// for exactly the replay row below (`tpcd_skewed`, 64 clients, pipeline 1,
-/// 12 800 queries, loopback, 1-core container) — recorded immediately
-/// before the reactor refactor landed.
-const THREAD_PER_CONN_P99_US: u64 = 5_430;
-/// Tolerance over the baseline: same-box reruns of the blocking server
-/// jittered ~1.5x on the shared 1-core CI container, so the gate trips at
-/// 3x — loose enough to ignore noise, tight enough to catch the reactor
-/// adding a polling tick or a lost-wakeup stall to every round trip.
-const P99_TOLERANCE: u64 = 3;
-
 /// The unbuffered wire path's measured loopback costs at pipeline depth 64
 /// (`--quick`, this container), recorded immediately before the buffered
 /// `FrameReader`/`FrameWriter` landed: 3.22 syscalls and 12.05 allocations
@@ -202,14 +194,6 @@ const UNBUFFERED_ALLOCS_PER_FRAME: f64 = 12.05;
 /// observed, so one allocation creeping back into the hit path trips it.
 const SYSCALL_IMPROVEMENT_MIN: f64 = 5.0;
 const ALLOC_IMPROVEMENT_MIN: f64 = 4.9;
-
-/// The pipeline-64 loopback row as committed before PR 15 (measured on an
-/// earlier, one-core container), and the same parent code re-measured on
-/// the day of PR 15's rows, pinned to one CPU like them.
-const PRE_PR_15_PIPELINE_64: &str =
-    "{\"mode\": \"loopback\", \"pipeline\": 64, \"frames\": 49984, \
-     \"throughput_qps\": 634088.8, \"syscalls_per_frame\": 0.04, \"allocs_per_frame\": 5.06, \
-     \"remeasured_with_pr_15_qps\": 500044.0}";
 
 /// The uninstrumented wire path's pipeline-64 loopback throughput (full
 /// rounds, this container), measured at the commit immediately before the
@@ -231,7 +215,33 @@ const UNINSTRUMENTED_P64_QPS: f64 = 696_563.4;
 const TELEMETRY_OVERHEAD_MAX: f64 = 1.10;
 const TELEMETRY_OVERHEAD_MAX_QUICK: f64 = 2.0;
 
-fn bench_connection_scaling(quick: bool, loopback: &[PipelineRow]) {
+/// The gated pipeline-64 numbers beside their bounds.
+#[derive(Serialize)]
+struct Gate {
+    unbuffered_syscalls_per_frame: f64,
+    unbuffered_allocs_per_frame: f64,
+    pipeline64_syscalls_per_frame: f64,
+    pipeline64_syscalls_max: f64,
+    pipeline64_allocs_per_frame: f64,
+    pipeline64_allocs_max: f64,
+    uninstrumented_p64_qps: f64,
+    telemetry_overhead_max: f64,
+    pipeline64_qps_observed: f64,
+    pipeline64_qps_min: f64,
+}
+
+/// `BENCH_connection_scaling.json`.
+#[derive(Serialize)]
+struct ConnectionScaling {
+    benchmark: String,
+    quick: bool,
+    loopback: Vec<PipelineRow>,
+    replay: Report,
+    storm: Report,
+    gate: Gate,
+}
+
+fn bench_connection_scaling(quick: bool, loopback: Vec<PipelineRow>) {
     let overhead_max = if quick {
         TELEMETRY_OVERHEAD_MAX_QUICK
     } else {
@@ -239,155 +249,103 @@ fn bench_connection_scaling(quick: bool, loopback: &[PipelineRow]) {
     };
     let queries = if quick { 3_200 } else { 12_800 };
     let storm_connections = if quick { 128 } else { 512 };
-    let storm_rounds = 4;
 
-    // Row 1: the baseline's exact workload — 64 unpipelined connections
-    // replaying the skewed TPC-D trace, capacity at 1% of the database
-    // (what `loadgen --spawn` builds).
+    // Row 1: 64 unpipelined connections replaying the skewed TPC-D trace,
+    // capacity at 1% of the database (what `loadgen --spawn` builds).
+    // Reported, not gated.
     let workload = Workload::tpcd_skewed(ExperimentScale::quick(queries));
     let capacity = (workload.database_bytes() as f64 * 0.01).round() as u64;
-    let replay_server = serve(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        capacity_bytes: capacity,
-        ..ServerConfig::default()
-    })
-    .expect("replay server binds");
-    let replay_addr = replay_server.addr().to_string();
-    let options = LoadOptions {
-        clients: 64,
+    let run = |scenario: Scenario<'_>| {
+        let server = serve(ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            capacity_bytes: capacity,
+            ..ServerConfig::default()
+        })
+        .expect("scaling server binds");
+        let report = scenario
+            .run(&server.addr().to_string())
+            .expect("scaling scenario");
+        server.join();
+        report
+    };
+    let replay = run(Scenario {
+        connections: 64,
         pipeline: 1,
         fetch_delay_us: 0,
-        payload_prefix_cap: 0,
-    };
-    let replay = run_load(&replay_addr, &workload.trace, &options).expect("64-connection replay");
-    replay_server.join();
-    let replay_p99 = replay.latency_quantile_us(0.99);
+        requests: Requests::Trace(&workload.trace),
+    });
     println!(
-        "\nconnection scaling: 64-conn replay p50 {} us  p95 {} us  p99 {} us \
-         ({:.0} q/s; thread-per-connection baseline p99 {} us)",
-        replay.latency_quantile_us(0.50),
-        replay.latency_quantile_us(0.95),
-        replay_p99,
-        replay.throughput_qps(),
-        THREAD_PER_CONN_P99_US,
+        "\nconnection scaling: 64-conn replay p50 {} us  p95 {} us  p99 {} us ({:.0} q/s)",
+        replay.latency_p50_us, replay.latency_p95_us, replay.latency_p99_us, replay.throughput_qps,
     );
 
     // Row 2: the storm — connections far past any sane thread count, with
     // the server's SERVER_INFO sampled while all of them are open.
-    let storm_server = serve(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        capacity_bytes: capacity,
-        ..ServerConfig::default()
-    })
-    .expect("storm server binds");
-    let storm = run_connection_storm(
-        &storm_server.addr().to_string(),
-        storm_connections,
-        storm_rounds,
-    )
-    .expect("connection storm");
-    storm_server.join();
+    let storm = run(Scenario {
+        connections: storm_connections,
+        pipeline: 1,
+        fetch_delay_us: 0,
+        requests: Requests::Storm { rounds: 4 },
+    });
+    let probe = storm.storm.expect("a storm reports its probe");
     println!(
-        "connection scaling: {}-conn storm p50 {} us  p99 {} us  wall {:.2} s  \
+        "connection scaling: {storm_connections}-conn storm p50 {} us  p99 {} us  wall {:.2} s  \
          ({} sessions on {} server threads; {} client-side steals, {} parks)",
-        storm.connections,
-        storm.latency_quantile_us(0.50),
-        storm.latency_quantile_us(0.99),
-        storm.wall.as_secs_f64(),
-        storm.server_sessions,
-        storm.server_threads,
-        storm.client_steals,
-        storm.client_parks,
+        storm.latency_p50_us,
+        storm.latency_p99_us,
+        storm.wall_s,
+        probe.server_sessions,
+        probe.server_threads,
+        probe.client_steals,
+        probe.client_parks,
     );
 
-    let pipeline_64 = loopback
+    let pipeline_64 = *loopback
         .iter()
         .find(|row| row.pipeline == 64)
         .expect("loopback sweep includes pipeline 64");
-    let loopback_rows: String = loopback
-        .iter()
-        .map(|row| {
-            format!(
-                "    {{\"mode\": \"loopback\", \"pipeline\": {}, \"frames\": {}, \
-                 \"throughput_qps\": {:.1}, \"syscalls_per_frame\": {:.2}, \
-                 \"allocs_per_frame\": {:.2}}},\n",
-                row.pipeline,
-                row.frames,
-                row.throughput_qps,
-                row.syscalls_per_frame,
-                row.allocs_per_frame
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"wire_roundtrip/connection_scaling\",\n  \"quick\": {quick},\n  \
-         \"baseline\": {{\"mode\": \"thread-per-connection\", \"connections\": 64, \
-         \"pipeline\": 1, \"queries\": 12800, \"p99_us\": {THREAD_PER_CONN_P99_US}, \
-         \"unbuffered_syscalls_per_frame\": {UNBUFFERED_SYSCALLS_PER_FRAME}, \
-         \"unbuffered_allocs_per_frame\": {UNBUFFERED_ALLOCS_PER_FRAME}}},\n  \
-         \"rows\": [\n{loopback_rows}    \
-         {{\"mode\": \"replay\", \"connections\": 64, \"pipeline\": 1, \"queries\": {queries}, \
-         \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"throughput_qps\": {:.1}}},\n    \
-         {{\"mode\": \"storm\", \"connections\": {}, \"rounds\": {storm_rounds}, \
-         \"sessions\": {}, \"server_threads\": {}, \"runtime_workers\": {}, \
-         \"client_steals\": {}, \"client_parks\": {}, \
-         \"p50_us\": {}, \"p99_us\": {}, \"wall_ms\": {:.1}}}\n  ],\n  \
-         \"pre_pr_15\": {PRE_PR_15_PIPELINE_64},\n  \
-         \"gate\": {{\"p99_us_observed\": {replay_p99}, \"p99_us_max\": {}, \
-         \"pipeline64_syscalls_per_frame\": {:.2}, \"pipeline64_syscalls_max\": {:.2}, \
-         \"pipeline64_allocs_per_frame\": {:.2}, \"pipeline64_allocs_max\": {:.2}, \
-         \"uninstrumented_p64_qps\": {UNINSTRUMENTED_P64_QPS}, \
-         \"telemetry_overhead_max\": {overhead_max}, \
-         \"pipeline64_qps_observed\": {:.1}, \"pipeline64_qps_min\": {:.1}}}\n}}\n",
-        replay.latency_quantile_us(0.50),
-        replay.latency_quantile_us(0.95),
-        replay_p99,
-        replay.throughput_qps(),
-        storm.connections,
-        storm.server_sessions,
-        storm.server_threads,
-        storm.server_workers,
-        storm.client_steals,
-        storm.client_parks,
-        storm.latency_quantile_us(0.50),
-        storm.latency_quantile_us(0.99),
-        storm.wall.as_secs_f64() * 1_000.0,
-        THREAD_PER_CONN_P99_US * P99_TOLERANCE,
-        pipeline_64.syscalls_per_frame,
-        UNBUFFERED_SYSCALLS_PER_FRAME / SYSCALL_IMPROVEMENT_MIN,
-        pipeline_64.allocs_per_frame,
-        UNBUFFERED_ALLOCS_PER_FRAME / ALLOC_IMPROVEMENT_MIN,
-        pipeline_64.throughput_qps,
-        UNINSTRUMENTED_P64_QPS / overhead_max,
-    );
+    let scaling = ConnectionScaling {
+        benchmark: "wire_roundtrip/connection_scaling".to_owned(),
+        quick,
+        loopback,
+        replay,
+        storm,
+        gate: Gate {
+            unbuffered_syscalls_per_frame: UNBUFFERED_SYSCALLS_PER_FRAME,
+            unbuffered_allocs_per_frame: UNBUFFERED_ALLOCS_PER_FRAME,
+            pipeline64_syscalls_per_frame: pipeline_64.syscalls_per_frame,
+            pipeline64_syscalls_max: UNBUFFERED_SYSCALLS_PER_FRAME / SYSCALL_IMPROVEMENT_MIN,
+            pipeline64_allocs_per_frame: pipeline_64.allocs_per_frame,
+            pipeline64_allocs_max: UNBUFFERED_ALLOCS_PER_FRAME / ALLOC_IMPROVEMENT_MIN,
+            uninstrumented_p64_qps: UNINSTRUMENTED_P64_QPS,
+            telemetry_overhead_max: overhead_max,
+            pipeline64_qps_observed: pipeline_64.throughput_qps,
+            pipeline64_qps_min: UNINSTRUMENTED_P64_QPS / overhead_max,
+        },
+    };
     // Cargo runs benches with the package directory as CWD; anchor the
     // report at the workspace root next to BENCH_policy_ops.json.
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_connection_scaling.json"
     );
-    match std::fs::write(path, &json) {
+    let json = serde_json::to_string_pretty(&scaling).expect("report serializes");
+    match std::fs::write(path, json + "\n") {
         Ok(()) => println!("wrote {path}"),
         Err(error) => println!("could not write {path}: {error}"),
     }
 
     assert!(
-        storm.server_sessions >= storm.connections as u32,
+        probe.server_sessions >= storm_connections as u32,
         "storm sessions ({}) below its connection count ({})",
-        storm.server_sessions,
-        storm.connections
+        probe.server_sessions,
+        storm_connections
     );
     assert!(
-        storm.client_steals > 0,
+        probe.client_steals > 0,
         "storm reported zero client-side steals: {} connection tasks on 4 \
          workers never redistributed — is the work-stealing path wired in?",
-        storm.connections
-    );
-    assert!(
-        replay_p99 <= THREAD_PER_CONN_P99_US * P99_TOLERANCE,
-        "64-connection p99 regressed past the thread-per-connection server: \
-         {replay_p99} us observed vs {} us baseline (x{P99_TOLERANCE} tolerance)",
-        THREAD_PER_CONN_P99_US,
+        storm_connections
     );
     assert!(
         pipeline_64.syscalls_per_frame <= UNBUFFERED_SYSCALLS_PER_FRAME / SYSCALL_IMPROVEMENT_MIN,
@@ -426,7 +384,7 @@ fn main() {
     println!("wire_roundtrip: codec rounds {rounds}, loopback rounds {loopback_rounds}\n");
     bench_codec(rounds);
     let loopback = bench_loopback(loopback_rounds);
-    bench_connection_scaling(quick, &loopback);
+    bench_connection_scaling(quick, loopback);
     // The codec must never be the bottleneck of a session thread; fail the
     // bench loudly if it regresses below a floor even CI machines clear.
     let floor_start = Instant::now();

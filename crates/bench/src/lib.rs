@@ -1,49 +1,11 @@
 //! # watchman-bench
 //!
-//! Criterion benchmark harnesses that regenerate every table and figure of
-//! the WATCHMAN paper's evaluation section, plus micro-benchmarks of the
-//! cache-manager hot paths.
-//!
-//! Each `fig*` bench does two things:
-//!
-//! 1. **Prints the figure's table** (once, before measurement) at a reduced
-//!    but representative scale, so `cargo bench` output contains the same
-//!    rows/series the paper reports.  Paper-scale runs are available through
-//!    the `watchman-sim` binaries (`cargo run --release -p watchman-sim --bin
-//!    run_all`).
-//! 2. **Measures** the end-to-end experiment runtime with Criterion, so
-//!    regressions in the policies or the simulator show up as benchmark
-//!    regressions.
+//! Benchmark harnesses for the cache-manager hot paths (`micro_cache_ops`,
+//! `engine_concurrency`, `async_coalescing`) and the wire front end
+//! (`wire_roundtrip`).  The paper's tables and figures are printed by the
+//! `watchman-sim` binaries (`cargo run --release -p watchman-sim --bin
+//! fig2_infinite_cache -- --quick`, …, `run_all`), not here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
-
-use watchman_sim::ExperimentScale;
-
-/// The trace length used when a figure bench prints its table.
-pub const REPORT_QUERIES: usize = 4_000;
-
-/// The trace length used inside Criterion measurement loops (smaller, so the
-/// measured iterations stay in the tens of milliseconds).
-pub const MEASURE_QUERIES: usize = 1_000;
-
-/// The scale used to print figure tables from benches.
-pub fn report_scale() -> ExperimentScale {
-    ExperimentScale::quick(REPORT_QUERIES)
-}
-
-/// The scale used inside Criterion measurement loops.
-pub fn measure_scale() -> ExperimentScale {
-    ExperimentScale::quick(MEASURE_QUERIES)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scales_are_ordered() {
-        assert!(report_scale().query_count > measure_scale().query_count);
-    }
-}

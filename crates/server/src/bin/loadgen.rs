@@ -12,35 +12,46 @@
 //! (what CI smokes); `--shutdown` sends the `SHUTDOWN` opcode when done so
 //! a backgrounded `watchmand` exits cleanly.
 //!
-//! `--connections N` switches to the **connection storm**: N simultaneously
-//! open connections (256, 1 000, …) each send `--rounds` requests, and the
-//! server's `SERVER_INFO` is sampled while all of them are open.  The run
-//! *fails* if the server's thread count scales with the connection count —
-//! the proof that sessions are tasks on the IO reactor, not threads.
+//! Every mode runs one [`Scenario`] and reads its one [`Report`].  A trace
+//! replay or a storm *fails* unless the client's tally equals the server's
+//! `STATS` delta over the run (requests, hits, executions, coalesced, stale
+//! and fetch-error counts, one for one), which also holds against a server
+//! that has served other traffic before.
+//!
+//! `--connections N` switches from the trace replay to the **connection
+//! storm**: N simultaneously open connections (256, 1 000, …) each send
+//! `--rounds` requests, and the server's `SERVER_INFO` is sampled while all
+//! of them are open.  The run also *fails* if the server's thread count
+//! scales with the connection count — the proof that sessions are tasks on
+//! the IO reactor, not threads.
 //!
 //! `--chaos PLAN` switches to the **fault-injection scorecard** (implies
 //! `--spawn`: the fault plan is installed server-side at bind time).  PLAN
-//! is `empty` or `canonical`, optionally `:SEED`.  Two chaos storms run
-//! against servers configured for degradation (stale serving, breaker,
-//! overload shedding, read deadlines): a fault-free baseline under the
-//! empty plan, then the requested plan.  The run *fails* unless every
-//! client-observed error is explained by the plan, the degradation paths
-//! actually engaged (stale serves and sheds observed), and tail latency
-//! stayed within 3x of the baseline.  The scorecard lands in
-//! `BENCH_fault_injection.json` at the workspace root.
+//! is `empty` or `canonical`, optionally `:SEED`.  Two sweeps run against
+//! servers configured for degradation (stale serving, breaker, overload
+//! shedding, read deadlines): a fault-free baseline under the empty plan,
+//! then the requested plan.  The gates count outcomes only: the run *fails*
+//! unless every client-observed error is explained by the plan, the client
+//! buckets sum to the requests, the engine saw at least every answered
+//! request, the plan actually fired, and the degradation counters moved
+//! while the sweep was live.  Latency is reported, not gated.  The
+//! scorecard lands in `BENCH_fault_injection.json` at the workspace root.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
+use serde::Serialize;
 use watchman_core::engine::{
     BreakerConfig, FailureConfig, NegativeCacheConfig, RetryPolicy, StalenessPolicy,
 };
+use watchman_core::telemetry::METRICS_SCHEMA_VERSION;
 use watchman_server::{
-    run_chaos_load, run_connection_storm, serve, ChaosOptions, ChaosReport, Client, FaultPlan,
-    LoadOptions, ServerConfig, ServerHandle,
+    serve, Client, FaultPlan, Report, Requests, Scenario, ServerConfig, SWEEP_KEYS,
+    SWEEP_RESULT_BYTES,
 };
-use watchman_sim::{run_result_from_snapshot, ExperimentScale, Workload};
+use watchman_sim::{ExperimentScale, Workload};
 
 struct Args {
     addr: Option<String>,
@@ -89,6 +100,11 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// The value following a flag, parsed.
+fn value<T: FromStr>(iter: &mut std::slice::Iter<'_, String>) -> Result<T, ExitCode> {
+    iter.next().and_then(|v| v.parse().ok()).ok_or_else(usage)
+}
+
 fn parse_args() -> Result<Args, ExitCode> {
     let mut args = Args::default();
     let mut quick = false;
@@ -99,31 +115,17 @@ fn parse_args() -> Result<Args, ExitCode> {
     let mut iter = raw.iter();
     while let Some(flag) = iter.next() {
         match flag.as_str() {
-            "--addr" => args.addr = Some(iter.next().ok_or_else(usage)?.clone()),
+            "--addr" => args.addr = Some(value(&mut iter)?),
             "--spawn" => args.spawn = true,
-            "--workload" => args.workload = iter.next().ok_or_else(usage)?.clone(),
-            "--clients" => {
-                explicit_clients = Some(iter.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
-            }
-            "--queries" => {
-                explicit_queries = Some(iter.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
-            }
-            "--pipeline" => {
-                args.pipeline = iter.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?
-            }
-            "--fetch-delay-us" => {
-                args.fetch_delay_us = iter.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?
-            }
-            "--cache-fraction" => {
-                args.cache_fraction = iter.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?
-            }
-            "--connections" => {
-                args.connections = iter.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?
-            }
-            "--rounds" => {
-                explicit_rounds = Some(iter.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
-            }
-            "--chaos" => args.chaos = Some(iter.next().ok_or_else(usage)?.clone()),
+            "--workload" => args.workload = value(&mut iter)?,
+            "--clients" => explicit_clients = Some(value(&mut iter)?),
+            "--queries" => explicit_queries = Some(value(&mut iter)?),
+            "--pipeline" => args.pipeline = value(&mut iter)?,
+            "--fetch-delay-us" => args.fetch_delay_us = value(&mut iter)?,
+            "--cache-fraction" => args.cache_fraction = value(&mut iter)?,
+            "--connections" => args.connections = value(&mut iter)?,
+            "--rounds" => explicit_rounds = Some(value(&mut iter)?),
+            "--chaos" => args.chaos = Some(value(&mut iter)?),
             "--metrics" => args.metrics = true,
             "--quick" => quick = true,
             "--shutdown" => args.shutdown = true,
@@ -142,19 +144,13 @@ fn parse_args() -> Result<Args, ExitCode> {
         args.rounds = 2;
     }
     if args.chaos.is_some() {
-        // Chaos defaults mirror ChaosOptions; --quick shortens the storm.
+        // The chaos sweep's defaults; --quick shortens it.
         args.clients = 8;
         args.rounds = if quick { 80 } else { 200 };
     }
-    if let Some(clients) = explicit_clients {
-        args.clients = clients;
-    }
-    if let Some(queries) = explicit_queries {
-        args.queries = queries;
-    }
-    if let Some(rounds) = explicit_rounds {
-        args.rounds = rounds;
-    }
+    args.clients = explicit_clients.unwrap_or(args.clients);
+    args.queries = explicit_queries.unwrap_or(args.queries);
+    args.rounds = explicit_rounds.unwrap_or(args.rounds);
     if args.chaos.is_some() {
         if args.addr.is_some() {
             eprintln!(
@@ -180,34 +176,36 @@ fn parse_args() -> Result<Args, ExitCode> {
 /// an order of magnitude at 256 connections.
 const MAX_STORM_THREADS: u32 = 32;
 
+/// The live `METRICS` counts a faulted sweep must have moved: degradation
+/// (retries, stale serves, sheds), scheduling and the flight recorder.
+const MID_RUN_MUST_MOVE: [&str; 5] = [
+    "engine.fetch.retries",
+    "engine.lookup.stale_us",
+    "server.sheds",
+    "runtime.scheduler.steals",
+    "telemetry.trace_events",
+];
+
+fn connect(addr: &str) -> Result<Client, String> {
+    Client::connect_with_retries(addr, 5, Duration::from_millis(50)).map_err(|e| e.to_string())
+}
+
 /// `--metrics`: scrape the `METRICS` and `TRACE_DUMP` admin opcodes from a
 /// running server, assert the exposition parses at the expected schema
 /// version with the core metric families present, and print a one-screen
 /// summary.  This is the CI proof that a *spawned* `watchmand` actually
 /// serves the telemetry surface — not just the in-process servers the
 /// tests build.
-fn run_metrics_scrape(addr: &str, shutdown: bool) -> ExitCode {
-    let mut client = match Client::connect_with_retries(addr, 5, Duration::from_millis(50)) {
-        Ok(client) => client,
-        Err(err) => {
-            eprintln!("loadgen: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let metrics = match client.metrics() {
-        Ok(metrics) => metrics,
-        Err(err) => {
-            eprintln!("loadgen: METRICS scrape failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if metrics.schema != watchman_core::telemetry::METRICS_SCHEMA_VERSION {
-        eprintln!(
-            "loadgen: METRICS schema {} does not match the client's expected {}",
-            metrics.schema,
-            watchman_core::telemetry::METRICS_SCHEMA_VERSION
-        );
-        return ExitCode::FAILURE;
+fn run_metrics_scrape(addr: &str) -> Result<(), String> {
+    let mut client = connect(addr)?;
+    let metrics = client
+        .metrics()
+        .map_err(|err| format!("METRICS scrape failed: {err}"))?;
+    if metrics.schema != METRICS_SCHEMA_VERSION {
+        return Err(format!(
+            "METRICS schema {} does not match the client's expected {METRICS_SCHEMA_VERSION}",
+            metrics.schema
+        ));
     }
     // The registry always emits the full catalog, so an absent family means
     // the exposition is broken, not that the server has been idle.
@@ -227,21 +225,14 @@ fn run_metrics_scrape(addr: &str, shutdown: bool) -> ExitCode {
         ),
     ] {
         if !present {
-            eprintln!("loadgen: METRICS exposition is missing {family}");
-            return ExitCode::FAILURE;
+            return Err(format!("METRICS exposition is missing {family}"));
         }
     }
-    let lookups: u64 = [
-        "engine.lookup.hit_us",
-        "engine.lookup.executed_us",
-        "engine.lookup.coalesced_us",
-        "engine.lookup.stale_us",
-        "engine.lookup.error_us",
-    ]
-    .iter()
-    .filter_map(|name| metrics.histogram(name))
-    .map(|h| h.count)
-    .sum();
+    let lookups: u64 = ["hit", "executed", "coalesced", "stale", "error"]
+        .iter()
+        .filter_map(|outcome| metrics.histogram(&format!("engine.lookup.{outcome}_us")))
+        .map(|h| h.count)
+        .sum();
     println!(
         "loadgen: METRICS schema v{} from {addr}: {} counters, {} gauges, {} histograms; \
          {} lookups, {} retries, {} sheds, uptime {:.1} s",
@@ -254,114 +245,158 @@ fn run_metrics_scrape(addr: &str, shutdown: bool) -> ExitCode {
         metrics.counter("server.sheds"),
         metrics.uptime_us as f64 / 1e6,
     );
-    match client.trace_dump() {
-        Ok(dump) => println!(
-            "loadgen: TRACE_DUMP schema v{}: {} events in the ring ({} recorded overall)",
-            dump.schema,
-            dump.events.len(),
-            dump.recorded,
-        ),
-        Err(err) => {
-            eprintln!("loadgen: TRACE_DUMP scrape failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if shutdown {
-        if let Err(err) = client.shutdown_server() {
-            eprintln!("loadgen: shutdown failed: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!("loadgen: server drained");
-    }
-    ExitCode::SUCCESS
+    let dump = client
+        .trace_dump()
+        .map_err(|err| format!("TRACE_DUMP scrape failed: {err}"))?;
+    println!(
+        "loadgen: TRACE_DUMP schema v{}: {} events in the ring ({} recorded overall)",
+        dump.schema,
+        dump.events.len(),
+        dump.recorded,
+    );
+    Ok(())
 }
 
-fn run_storm(addr: &str, connections: usize, rounds: usize, shutdown: bool) -> ExitCode {
+/// Prints a report: outcome buckets, latency, the server's account of the
+/// run, and whichever probe the scenario took.
+fn print_report(label: &str, report: &Report) {
+    let (outcomes, server) = (&report.outcomes, &report.server);
     println!(
-        "loadgen: storm of {connections} concurrent connections ({rounds} rounds) against {addr}"
+        "  {label:<9} {} requests: {} ok ({} hit / {} executed / {} coalesced / {} stale), \
+         {} fetch-errors, {} busy, {} reconnects, {} unexplained",
+        report.requests,
+        outcomes.ok(),
+        outcomes.hits,
+        outcomes.executed,
+        outcomes.coalesced,
+        outcomes.stale,
+        outcomes.fetch_errors,
+        outcomes.busy,
+        outcomes.reconnects,
+        outcomes.unexplained,
     );
-    let report = match run_connection_storm(addr, connections, rounds) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("loadgen: {err}");
-            return ExitCode::FAILURE;
+    println!(
+        "  {label:<9} throughput {:.0} q/s  latency mean {:.0} us  p50 {} us  p95 {} us  \
+         p99 {} us  wall {:.2} s",
+        report.throughput_qps,
+        report.latency_mean_us,
+        report.latency_p50_us,
+        report.latency_p95_us,
+        report.latency_p99_us,
+        report.wall_s,
+    );
+    println!(
+        "  {label:<9} server: csr {:.4}  hr {:.4}  {} refs, {} stale-serves, {} sheds, \
+         {} retries, {} negative-hits, {} breaker-transitions",
+        server.total.cost_savings_ratio(),
+        server.total.hit_ratio(),
+        server.total.references,
+        server.total.stale_serves,
+        server.sheds,
+        server.fetch_retries,
+        server.negative_hits,
+        server.breaker_transitions,
+    );
+    if let Some(storm) = &report.storm {
+        println!(
+            "  {label:<9} {} sessions on {} server threads ({} runtime workers); \
+             client scheduler: {} steals, {} parks",
+            storm.server_sessions,
+            storm.server_threads,
+            storm.server_workers,
+            storm.client_steals,
+            storm.client_parks,
+        );
+    }
+    if let Some(moved) = &report.mid_run {
+        let counts: Vec<String> = MID_RUN_MUST_MOVE
+            .iter()
+            .map(|name| format!("{name} +{}", moved.get(*name).copied().unwrap_or(0)))
+            .collect();
+        println!("  {label:<9} mid-run METRICS: {}", counts.join(", "));
+    }
+}
+
+/// The replay and storm modes: one scenario, its report, and its gates.
+fn run_load(args: &Args, addr: &str, workload: &Workload) -> Result<(), String> {
+    let scenario = if args.connections > 0 {
+        println!(
+            "loadgen: storm of {} concurrent connections ({} rounds) against {addr}",
+            args.connections, args.rounds
+        );
+        Scenario {
+            connections: args.connections,
+            pipeline: args.pipeline,
+            fetch_delay_us: args.fetch_delay_us,
+            requests: Requests::Storm {
+                rounds: args.rounds,
+            },
+        }
+    } else {
+        println!(
+            "loadgen: {} queries of {} over {} clients (pipeline {}) against {addr}",
+            workload.trace.len(),
+            args.workload,
+            args.clients,
+            args.pipeline
+        );
+        Scenario {
+            connections: args.clients,
+            pipeline: args.pipeline,
+            fetch_delay_us: args.fetch_delay_us,
+            requests: Requests::Trace(&workload.trace),
         }
     };
-    println!(
-        "  sessions {} (storm {})  server threads {}  runtime workers {}",
-        report.server_sessions, report.connections, report.server_threads, report.server_workers,
-    );
-    println!(
-        "  latency p50 {} us  p95 {} us  p99 {} us  wall {:.2} s",
-        report.latency_quantile_us(0.50),
-        report.latency_quantile_us(0.95),
-        report.latency_quantile_us(0.99),
-        report.wall.as_secs_f64(),
-    );
-    println!(
-        "  client scheduler: {} steals, {} parks across the storm",
-        report.client_steals, report.client_parks,
-    );
+    let report = scenario.run(addr).map_err(|err| err.to_string())?;
+    let storm = report.storm;
+    print_report(if storm.is_some() { "storm" } else { "replay" }, &report);
+    report.check_tally()?;
+    println!("loadgen: client tally matches the server's STATS delta");
 
     // The point of the storm: sessions are tasks, not threads.
-    if report.server_sessions < report.connections as u32 {
-        eprintln!(
-            "loadgen: server saw {} sessions, expected at least the {} storm connections",
-            report.server_sessions, report.connections
-        );
-        return ExitCode::FAILURE;
-    }
-    // threads == 0 means procfs is unavailable; the session-count proof
-    // above still holds there, so only the thread bound is skipped.
-    if report.server_threads > MAX_STORM_THREADS {
-        eprintln!(
-            "loadgen: {} server threads for {} connections — sessions are costing threads",
-            report.server_threads, report.connections
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "loadgen: thread count is bounded by the pool, not the connection count ({} threads / {} sessions)",
-        report.server_threads, report.server_sessions
-    );
-
-    if shutdown {
-        let mut client = match Client::connect_with_retries(addr, 5, Duration::from_millis(50)) {
-            Ok(client) => client,
-            Err(err) => {
-                eprintln!("loadgen: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(err) = client.shutdown_server() {
-            eprintln!("loadgen: shutdown failed: {err}");
-            return ExitCode::FAILURE;
+    if let Some(storm) = storm {
+        if storm.server_sessions < report.connections as u32 {
+            return Err(format!(
+                "server saw {} sessions, expected at least the {} storm connections",
+                storm.server_sessions, report.connections
+            ));
         }
-        println!("loadgen: server drained");
+        // threads == 0 means procfs is unavailable; the session-count proof
+        // above still holds there, so only the thread bound is skipped.
+        if storm.server_threads > MAX_STORM_THREADS {
+            return Err(format!(
+                "{} server threads for {} connections — sessions are costing threads",
+                storm.server_threads, report.connections
+            ));
+        }
+        println!(
+            "loadgen: thread count is bounded by the pool, not the connection count \
+             ({} threads / {} sessions)",
+            storm.server_threads, storm.server_sessions
+        );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Tail-latency budget for a faulted storm, as a multiple of the fault-free
-/// baseline's p99.  Degradation (retries, stale serves, shed-and-retry) may
-/// slow the tail, but not collapse it.
-const CHAOS_P99_BUDGET: f64 = 3.0;
-
-/// Spawns a `watchmand` configured so every degradation path can engage:
-/// a capacity far below the keyspace footprint (refetches — and therefore
-/// stale serving of doomed keys — require eviction pressure), stale serving
-/// and the circuit breaker enabled, a small admission gate so concurrent
-/// executions trip overload shedding, and a read deadline that evicts
-/// stalled sessions.
-fn chaos_server(plan: Arc<FaultPlan>, options: &ChaosOptions) -> Result<ServerHandle, ExitCode> {
-    let footprint = options.keyspace as u64 * options.result_bytes;
-    serve(ServerConfig {
-        capacity_bytes: footprint / 4,
+/// One chaos sweep against a freshly spawned `watchmand` configured so
+/// every degradation path can engage: a capacity far below the sweep's
+/// footprint (refetches — and therefore stale serving of doomed keys —
+/// require eviction pressure), stale serving and the circuit breaker
+/// enabled, a small admission gate so concurrent executions trip overload
+/// shedding, and a read deadline that evicts stalled sessions.  The server
+/// is drained before returning.
+fn chaos_sweep(
+    label: &str,
+    plan: Arc<FaultPlan>,
+    scenario: &Scenario<'_>,
+) -> Result<Report, String> {
+    let server = serve(ServerConfig {
+        capacity_bytes: SWEEP_KEYS as u64 * SWEEP_RESULT_BYTES / 4,
         failure: FailureConfig {
             retry: RetryPolicy::default(),
             breaker: Some(BreakerConfig::default()),
             staleness: Some(StalenessPolicy {
-                max_entries: options.keyspace * 4,
+                max_entries: SWEEP_KEYS * 4,
                 min_cost_per_byte: 0.0,
                 max_age_us: None,
             }),
@@ -372,290 +407,155 @@ fn chaos_server(plan: Arc<FaultPlan>, options: &ChaosOptions) -> Result<ServerHa
         fault_plan: Some(plan),
         ..ServerConfig::default()
     })
-    .map_err(|err| {
-        eprintln!("loadgen: {err}");
-        ExitCode::FAILURE
-    })
-}
-
-/// One chaos storm against a freshly spawned server; the server is drained
-/// before returning.
-fn chaos_storm(
-    label: &str,
-    plan: Arc<FaultPlan>,
-    options: &ChaosOptions,
-) -> Result<ChaosReport, ExitCode> {
-    let server = chaos_server(plan, options)?;
-    let addr = server.addr().to_string();
-    let report = run_chaos_load(&addr, options).map_err(|err| {
-        eprintln!("loadgen: chaos {label} storm: {err}");
-        ExitCode::FAILURE
-    })?;
+    .map_err(|err| err.to_string())?;
+    let report = scenario
+        .run(&server.addr().to_string())
+        .map_err(|err| format!("chaos {label} sweep: {err}"))?;
     server.join();
-    println!(
-        "  {label:<9} {} requests: {} ok ({} hit / {} executed / {} coalesced / {} stale), \
-         {} fetch-errors, {} busy, {} reconnects, {} unexplained",
-        report.requests,
-        report.ok(),
-        report.hits,
-        report.executed,
-        report.coalesced,
-        report.stale,
-        report.fetch_errors,
-        report.busy,
-        report.reconnects,
-        report.unexplained,
-    );
-    println!(
-        "  {label:<9} p50 {} us  p95 {} us  p99 {} us  wall {:.2} s  \
-         server: {} stale-serves, {} sheds, {} retries, {} negative-hits, {} breaker-transitions",
-        report.latency_quantile_us(0.50),
-        report.latency_quantile_us(0.95),
-        report.latency_quantile_us(0.99),
-        report.wall.as_secs_f64(),
-        report.snapshot.total.stale_serves,
-        report.snapshot.sheds,
-        report.snapshot.fetch_retries,
-        report.snapshot.negative_hits,
-        report.snapshot.breaker_transitions,
-    );
-    match &report.mid_storm_metrics {
-        Some(metrics) => println!(
-            "  {label:<9} mid-storm METRICS (schema v{}): {} retries, {} stale-serves, \
-             {} sheds, {} steals, {} trace-events, fragmentation {}permille",
-            metrics.schema,
-            metrics.counter("engine.fetch.retries"),
-            metrics
-                .histogram("engine.lookup.stale_us")
-                .map_or(0, |h| h.count),
-            metrics.counter("server.sheds"),
-            metrics.counter("runtime.scheduler.steals"),
-            metrics.counter("telemetry.trace_events"),
-            metrics.gauge("engine.fragmentation.used_permille"),
-        ),
-        None => println!("  {label:<9} mid-storm METRICS: no scrape landed"),
-    }
+    print_report(label, &report);
     Ok(report)
 }
 
-fn chaos_report_json(report: &ChaosReport) -> String {
-    let snapshot =
-        serde_json::to_string(&report.snapshot.total).unwrap_or_else(|_| "null".to_owned());
-    let mid_storm = match &report.mid_storm_metrics {
-        Some(metrics) => format!(
-            "{{\"schema\": {}, \"fetch_retries\": {}, \"stale_serves\": {}, \"sheds\": {}, \
-             \"scheduler_steals\": {}, \"trace_events\": {}, \"fragmentation_permille\": {}}}",
-            metrics.schema,
-            metrics.counter("engine.fetch.retries"),
-            metrics
-                .histogram("engine.lookup.stale_us")
-                .map_or(0, |h| h.count),
-            metrics.counter("server.sheds"),
-            metrics.counter("runtime.scheduler.steals"),
-            metrics.counter("telemetry.trace_events"),
-            metrics.gauge("engine.fragmentation.used_permille"),
-        ),
-        None => "null".to_owned(),
-    };
-    format!(
-        "{{\n      \"requests\": {}, \"ok\": {}, \"hits\": {}, \"executed\": {}, \
-         \"coalesced\": {}, \"stale\": {},\n      \"fetch_errors\": {}, \"busy\": {}, \
-         \"reconnects\": {}, \"unexplained\": {},\n      \"latency_us\": \
-         {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}, \"wall_s\": {:.3},\n      \
-         \"server\": {{\"stale_serves\": {}, \"sheds\": {}, \"fetch_retries\": {}, \
-         \"negative_hits\": {}, \"breaker_transitions\": {}}},\n      \
-         \"mid_storm_metrics\": {mid_storm},\n      \
-         \"engine_totals\": {snapshot}\n    }}",
-        report.requests,
-        report.ok(),
-        report.hits,
-        report.executed,
-        report.coalesced,
-        report.stale,
-        report.fetch_errors,
-        report.busy,
-        report.reconnects,
-        report.unexplained,
-        report.latency_quantile_us(0.50),
-        report.latency_quantile_us(0.95),
-        report.latency_quantile_us(0.99),
-        report.wall.as_secs_f64(),
-        report.snapshot.total.stale_serves,
-        report.snapshot.sheds,
-        report.snapshot.fetch_retries,
-        report.snapshot.negative_hits,
-        report.snapshot.breaker_transitions,
-    )
+/// The counted gates one chaos sweep must pass.
+fn chaos_gates(label: &str, report: &Report, failures: &mut Vec<String>) {
+    let outcomes = &report.outcomes;
+    if outcomes.unexplained != 0 {
+        failures.push(format!(
+            "{label} sweep saw {} unexplained errors",
+            outcomes.unexplained
+        ));
+    }
+    if outcomes.total() != report.requests {
+        failures.push(format!(
+            "{label} sweep's buckets hold {} of {} requests",
+            outcomes.total(),
+            report.requests
+        ));
+    }
+    // Sheds are refused before the engine, and lost requests may replay, so
+    // the engine can see more references than answers but never fewer.
+    let answered = outcomes.ok() + outcomes.fetch_errors;
+    if report.server.total.references < answered {
+        failures.push(format!(
+            "{label} engine counted {} references for {answered} answered requests",
+            report.server.total.references
+        ));
+    }
 }
 
-/// The `--chaos` mode: a fault-free baseline storm under the empty plan,
+#[derive(Serialize)]
+struct ChaosScorecard {
+    benchmark: String,
+    plan: String,
+    injected_fetch_errors: u64,
+    triggered_resets: Vec<u64>,
+    triggered_stalls: Vec<u64>,
+    gates_failed: Vec<String>,
+    baseline: Report,
+    faulted: Report,
+}
+
+/// The `--chaos` mode: a fault-free baseline sweep under the empty plan,
 /// then the requested plan, then the self-gating scorecard.
-fn run_chaos(spec: &str, args: &Args) -> ExitCode {
-    let Some(plan) = FaultPlan::parse(spec) else {
-        eprintln!("loadgen: unknown fault plan {spec:?} (want empty|canonical[:SEED])");
-        return usage();
-    };
-    let plan = Arc::new(plan);
-    let options = ChaosOptions {
-        clients: args.clients,
-        rounds: args.rounds,
-        ..ChaosOptions::default()
+fn run_chaos(spec: &str, args: &Args) -> Result<(), String> {
+    let plan = FaultPlan::parse(spec)
+        .map(Arc::new)
+        .ok_or_else(|| format!("unknown fault plan {spec:?} (want empty|canonical[:SEED])"))?;
+    let scenario = Scenario {
+        connections: args.clients,
+        pipeline: 1,
+        fetch_delay_us: 200,
+        requests: Requests::Sweep {
+            rounds: args.rounds,
+        },
     };
     println!(
-        "loadgen: chaos scorecard — {} clients x {} rounds over {} keys, plan {spec}",
-        options.clients, options.rounds, options.keyspace
+        "loadgen: chaos scorecard — {} clients x {} rounds over {SWEEP_KEYS} keys, plan {spec}",
+        args.clients, args.rounds
     );
+    let baseline = chaos_sweep("baseline", Arc::new(FaultPlan::empty(0)), &scenario)?;
+    let faulted = chaos_sweep("faulted", Arc::clone(&plan), &scenario)?;
 
-    let baseline_plan = Arc::new(FaultPlan::empty(0));
-    let baseline = match chaos_storm("baseline", baseline_plan, &options) {
-        Ok(report) => report,
-        Err(code) => return code,
-    };
-    let faulted = match chaos_storm("faulted", Arc::clone(&plan), &options) {
-        Ok(report) => report,
-        Err(code) => return code,
-    };
-
-    // The gates.  Every client-observed outcome must be explained by the
-    // plan, the degradation machinery must actually have engaged, and the
-    // tail must hold.
-    let baseline_p99 = baseline.latency_quantile_us(0.99).max(1);
-    let faulted_p99 = faulted.latency_quantile_us(0.99);
-    let p99_ratio = faulted_p99 as f64 / baseline_p99 as f64;
     let mut failures: Vec<String> = Vec::new();
-    if baseline.unexplained != 0 {
-        failures.push(format!(
-            "baseline storm saw {} unexplained errors",
-            baseline.unexplained
-        ));
-    }
-    if faulted.unexplained != 0 {
-        failures.push(format!(
-            "faulted storm saw {} unexplained errors",
-            faulted.unexplained
-        ));
-    }
+    chaos_gates("baseline", &baseline, &mut failures);
+    chaos_gates("faulted", &faulted, &mut failures);
     if !plan.is_noop() {
-        if faulted.stale == 0 && faulted.snapshot.total.stale_serves == 0 {
-            failures.push("no stale serves — graceful degradation never engaged".to_owned());
-        }
-        if faulted.snapshot.sheds == 0 {
-            failures.push("no sheds — the overload gate never engaged".to_owned());
-        }
-        // Clients seeing zero of these is the success story (retries and
-        // stale serves absorb them) — but the plan must really have fired.
+        // Clients seeing zero fetch errors is the success story (retries
+        // and stale serves absorb them) — but the plan must really have
+        // fired, on both seams.
         if plan.injected_fetch_errors() == 0 {
             failures.push("the plan injected no fetch failures".to_owned());
         }
-        // The observability gate: the METRICS surface must have answered
-        // while the storm was live, and the counters that prove the
-        // degradation and scheduling machinery engaged must have moved.
-        match &faulted.mid_storm_metrics {
-            None => failures.push("no METRICS scrape landed mid-storm".to_owned()),
-            Some(metrics) => {
-                let mut require = |name: &str, value: u64| {
-                    if value == 0 {
-                        failures.push(format!("mid-storm METRICS shows zero {name}"));
+        if plan.triggered_resets().is_empty() {
+            failures.push("the plan reset no connection".to_owned());
+        }
+        // The observability gate: the METRICS surface answered while the
+        // sweep was live, and the counters that prove the degradation and
+        // scheduling machinery engaged had moved by then.
+        match &faulted.mid_run {
+            None => failures.push("no METRICS scrape landed mid-run".to_owned()),
+            Some(moved) => {
+                for name in MID_RUN_MUST_MOVE {
+                    if moved.get(name).copied().unwrap_or(0) == 0 {
+                        failures.push(format!("mid-run METRICS shows {name} unmoved"));
                     }
-                };
-                require("fetch retries", metrics.counter("engine.fetch.retries"));
-                require("sheds", metrics.counter("server.sheds"));
-                require(
-                    "stale serves",
-                    metrics
-                        .histogram("engine.lookup.stale_us")
-                        .map_or(0, |h| h.count),
-                );
-                require(
-                    "scheduler steals",
-                    metrics.counter("runtime.scheduler.steals"),
-                );
-                require("trace events", metrics.counter("telemetry.trace_events"));
+                }
             }
         }
     }
-    if p99_ratio > CHAOS_P99_BUDGET {
-        failures.push(format!(
-            "faulted p99 {faulted_p99} us is {p99_ratio:.2}x the baseline {baseline_p99} us \
-             (budget {CHAOS_P99_BUDGET}x)"
-        ));
-    }
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"loadgen/chaos\",\n  \"plan\": \"{spec}\",\n  \
-         \"clients\": {},\n  \"rounds\": {},\n  \"keyspace\": {},\n  \
-         \"injected_fetch_errors\": {},\n  \"triggered_resets\": {:?},\n  \
-         \"triggered_stalls\": {:?},\n  \"p99_ratio\": {p99_ratio:.3},\n  \
-         \"p99_budget\": {CHAOS_P99_BUDGET},\n  \"gates_failed\": {:?},\n  \
-         \"baseline\": {},\n  \"faulted\": {}\n}}\n",
-        options.clients,
-        options.rounds,
-        options.keyspace,
-        plan.injected_fetch_errors(),
-        plan.triggered_resets(),
-        plan.triggered_stalls(),
-        failures,
-        chaos_report_json(&baseline),
-        chaos_report_json(&faulted),
-    );
+    let scorecard = ChaosScorecard {
+        benchmark: "loadgen/chaos".to_owned(),
+        plan: spec.to_owned(),
+        injected_fetch_errors: plan.injected_fetch_errors(),
+        triggered_resets: plan.triggered_resets(),
+        triggered_stalls: plan.triggered_stalls(),
+        gates_failed: failures.clone(),
+        baseline,
+        faulted,
+    };
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_fault_injection.json"
     );
-    match std::fs::write(path, &json) {
+    let json = serde_json::to_string_pretty(&scorecard).map_err(|err| err.to_string())?;
+    match std::fs::write(path, json + "\n") {
         Ok(()) => println!("loadgen: wrote {path}"),
         Err(error) => println!("loadgen: could not write {path}: {error}"),
     }
 
-    if failures.is_empty() {
-        println!(
-            "loadgen: chaos gates hold — every error explained, degradation engaged, \
-             p99 {p99_ratio:.2}x baseline (budget {CHAOS_P99_BUDGET}x)"
-        );
-        ExitCode::SUCCESS
-    } else {
-        for failure in &failures {
-            eprintln!("loadgen: chaos gate failed: {failure}");
-        }
-        ExitCode::FAILURE
+    if !failures.is_empty() {
+        return Err(format!("chaos gates failed: {}", failures.join("; ")));
     }
+    println!(
+        "loadgen: chaos gates hold — every error explained, every request counted, \
+         the plan fired and degradation engaged"
+    );
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(code) => return code,
-    };
-
+fn run(args: &Args) -> Result<(), String> {
     // --chaos: the fault-injection scorecard instead of the trace replay.
-    if let Some(spec) = args.chaos.clone() {
-        return run_chaos(&spec, &args);
+    if let Some(spec) = &args.chaos {
+        return run_chaos(spec, args);
     }
-
+    let scale = ExperimentScale::quick(args.queries);
     let workload = match args.workload.as_str() {
-        "tpcd_skewed" => Workload::tpcd_skewed(ExperimentScale::quick(args.queries)),
-        "set_query_skewed" => Workload::set_query_skewed(ExperimentScale::quick(args.queries)),
-        "tpcd" => Workload::tpcd(ExperimentScale::quick(args.queries)),
-        other => {
-            eprintln!("loadgen: unknown workload {other}");
-            return usage();
-        }
+        "tpcd_skewed" => Workload::tpcd_skewed(scale),
+        "set_query_skewed" => Workload::set_query_skewed(scale),
+        "tpcd" => Workload::tpcd(scale),
+        other => return Err(format!("unknown workload {other}")),
     };
     let capacity = (workload.database_bytes() as f64 * args.cache_fraction).round() as u64;
 
     // --spawn: an in-process watchmand on an ephemeral loopback port (the
     // exact server the standalone binary runs).
     let spawned = if args.spawn {
-        match serve(ServerConfig {
+        let config = ServerConfig {
             capacity_bytes: capacity,
             ..ServerConfig::default()
-        }) {
-            Ok(handle) => Some(handle),
-            Err(err) => {
-                eprintln!("loadgen: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        };
+        Some(serve(config).map_err(|err| err.to_string())?)
     } else {
         None
     };
@@ -666,101 +566,36 @@ fn main() -> ExitCode {
     };
 
     // --metrics: scrape the telemetry admin surface instead of replaying.
-    if args.metrics {
-        let code = run_metrics_scrape(&addr, args.shutdown);
-        if let Some(handle) = spawned {
-            handle.join();
-        }
-        return code;
+    let result = if args.metrics {
+        run_metrics_scrape(&addr)
+    } else {
+        run_load(args, &addr, &workload)
     }
-
-    // --connections: the high-concurrency storm instead of the trace replay.
-    if args.connections > 0 {
-        let code = run_storm(&addr, args.connections, args.rounds, args.shutdown);
-        if let Some(handle) = spawned {
-            handle.join();
+    .and_then(|()| {
+        if args.shutdown {
+            connect(&addr)?
+                .shutdown_server()
+                .map_err(|err| format!("shutdown failed: {err}"))?;
+            println!("loadgen: server drained");
         }
-        return code;
-    }
-
-    println!(
-        "loadgen: {} queries of {} over {} clients (pipeline {}) against {addr}",
-        workload.trace.len(),
-        args.workload,
-        args.clients,
-        args.pipeline
-    );
-
-    let options = LoadOptions {
-        clients: args.clients,
-        pipeline: args.pipeline,
-        fetch_delay_us: args.fetch_delay_us,
-        payload_prefix_cap: 0,
-    };
-    let report = match watchman_server::run_load(&addr, &workload.trace, &options) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("loadgen: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut client = match Client::connect_with_retries(&addr, 5, Duration::from_millis(50)) {
-        Ok(client) => client,
-        Err(err) => {
-            eprintln!("loadgen: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let snapshot = match client.stats() {
-        Ok(snapshot) => snapshot,
-        Err(err) => {
-            eprintln!("loadgen: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = run_result_from_snapshot(
-        format!("{} over wire", args.workload),
-        capacity,
-        args.cache_fraction,
-        &snapshot,
-    );
-
-    println!(
-        "  csr {:.4}  hr {:.4}  refs {}  hits {}  coalesced {}  misses {}",
-        result.cost_savings_ratio,
-        result.hit_ratio,
-        snapshot.total.references,
-        snapshot.total.hits,
-        snapshot.total.coalesced,
-        snapshot.total.misses(),
-    );
-    println!(
-        "  throughput {:.0} q/s  batch latency mean {:.0} us  p50 {} us  p95 {} us  p99 {} us",
-        report.throughput_qps(),
-        report.latency_mean_us(),
-        report.latency_quantile_us(0.50),
-        report.latency_quantile_us(0.95),
-        report.latency_quantile_us(0.99),
-    );
-
-    // Sanity: every reference must be accounted exactly once.
-    if snapshot.total.references
-        != snapshot.total.hits + snapshot.total.coalesced + snapshot.total.misses()
-    {
-        eprintln!("loadgen: reference accounting violated");
-        return ExitCode::FAILURE;
-    }
-
-    if args.shutdown {
-        if let Err(err) = client.shutdown_server() {
-            eprintln!("loadgen: shutdown failed: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!("loadgen: server drained");
-    }
+        Ok(())
+    });
     if let Some(handle) = spawned {
         handle.join();
     }
-    ExitCode::SUCCESS
+    result
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("loadgen: {message}");
+            ExitCode::FAILURE
+        }
+    }
 }

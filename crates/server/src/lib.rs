@@ -23,12 +23,14 @@
 //!   deterministic single-session replay whose final
 //!   [`StatsSnapshot`](watchman_core::engine::StatsSnapshot) is
 //!   byte-identical to the in-process replay of the same trace, and the
-//!   concurrent load driver behind the `loadgen` binary.
+//!   one load driver, [`Scenario`]: N connections replay a trace, sweep the
+//!   chaos keyspace or hold a connection storm open, every outcome lands in
+//!   one [`Outcome`] bucket, and one serializable [`Report`] comes back.
 //!
 //! Two binaries ship with the crate: `watchmand` (the server) and `loadgen`
-//! (drives the simulator's workloads over sockets from N concurrent
-//! clients, reporting CSR and latency).  See the repository README for the
-//! quickstart.
+//! (runs scenarios over sockets — trace replay, connection storm, fault
+//! injection — and gates on their reports).  See the repository README for
+//! the quickstart.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -43,8 +45,7 @@ pub mod wire;
 pub use client::{Client, ClientError};
 pub use fault::FaultPlan;
 pub use replay::{
-    replay_trace_wire, run_chaos_load, run_connection_storm, run_load, ChaosOptions, ChaosReport,
-    LoadOptions, LoadReport, StormReport,
+    replay_trace_wire, Outcome, Report, Requests, Scenario, SWEEP_KEYS, SWEEP_RESULT_BYTES,
 };
 pub use server::{serve, ServerConfig, ServerError, ServerHandle, ServerPayload};
 pub use wire::{

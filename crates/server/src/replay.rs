@@ -1,4 +1,4 @@
-//! Wire-backed trace replay: the simulator's drivers, over real sockets.
+//! Wire-backed trace replay and the one load driver, over real sockets.
 //!
 //! [`replay_trace_wire`] is the network twin of
 //! [`watchman_sim::replay_trace_engine_async`]: one connection replays a
@@ -10,28 +10,24 @@
 //! trace on the same engine configuration, which is the end-to-end proof
 //! that the wire adds no replay-visible semantics.
 //!
-//! [`run_load`] is the concurrent driver underneath the `loadgen` binary: N
-//! client connections replay disjoint slices of a trace against one server,
-//! measuring client-observed latency.
-//!
-//! [`run_connection_storm`] is the high-concurrency variant: hundreds to
-//! thousands of **simultaneously open** connections, each driven by an
-//! async task on a small client-side runtime (the client cannot afford a
-//! thread per connection any more than the server can).  While every
-//! connection is still open it snapshots the server's `SERVER_INFO`, which
-//! is what proves server sessions are tasks: the reported thread count
-//! stays bounded by the worker pool while the session count matches the
-//! storm size.
+//! [`Scenario`] is the one load driver (`loadgen`, `wire_roundtrip`, the
+//! chaos tests): N connections send one [`Requests`] source, every
+//! request's [`Outcome`] is counted, and one [`Report`] comes back,
+//! bracketed by two `STATS` calls so it carries the server's account of the
+//! same run.  Replays and sweeps run a blocking [`Client`] per thread; the
+//! storm runs an async task per connection, since thousands of open
+//! connections cannot each cost a client thread any more than a server
+//! session can.
 
-use std::future::poll_fn;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
-use std::task::{Context, Poll, Waker};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
-use watchman_core::sync::Mutex;
 
+use serde::Serialize;
 use watchman_core::engine::{RetryPolicy, StatsSnapshot};
+use watchman_core::metrics::CacheStats;
 use watchman_core::runtime::net::TcpStream;
 use watchman_core::runtime::{block_on, Runtime};
 use watchman_core::telemetry::{HistogramSnapshot, MetricsSnapshot};
@@ -39,7 +35,7 @@ use watchman_sim::REBALANCE_EVERY_RECORDS;
 use watchman_trace::Trace;
 
 use crate::client::{connect_handshaken, Client, ClientError};
-use crate::wire::{self, GetRequest, Request, Response, WireError, WireSource};
+use crate::wire::{self, GetRequest, GetResponse, Request, Response, WireError, WireSource};
 
 /// Replays `trace` through `client` with the deterministic protocol of the
 /// in-process drivers (one session, in trace order, a rebalance pass every
@@ -70,679 +66,757 @@ pub fn replay_trace_wire(client: &mut Client, trace: &Trace) -> Result<StatsSnap
     client.stats()
 }
 
-/// What one [`run_load`] run measured, aggregated across clients.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Number of client connections.
-    pub clients: usize,
-    /// Total requests sent.
-    pub requests: u64,
-    /// Requests answered from cache.
-    pub hits: u64,
-    /// Requests that led an execution.
-    pub executed: u64,
-    /// Requests coalesced onto another connection's execution.
-    pub coalesced: u64,
-    /// Requests degraded to a last-known-good stale value after a fetch
-    /// failure (only possible when the server runs a fault plan with stale
-    /// serving configured).
-    pub stale: u64,
-    /// Client-observed round-trip latency histogram (one sample per
-    /// pipelined batch; with `pipeline == 1`, one per request).  A shared
-    /// [`HistogramSnapshot`] instead of a sorted sample vector: quantiles
-    /// cost a bucket walk, and a million-request run holds 252 buckets per
-    /// client rather than a million `u64`s.
-    pub batch_latency_us: HistogramSnapshot,
-    /// Requests per latency sample (the pipeline depth).
-    pub pipeline: usize,
-    /// Wall-clock of the whole run.
-    pub wall: Duration,
+/// Distinct query keys a [`Requests::Sweep`] spreads over.
+pub const SWEEP_KEYS: usize = 256;
+/// Declared retrieved-set size of every sweep key — together with the
+/// server's capacity this sets the eviction pressure that forces refetches.
+pub const SWEEP_RESULT_BYTES: u64 = 32 << 10;
+/// Declared retrieved-set size of every storm key.
+const STORM_RESULT_BYTES: u64 = 1_024;
+/// Declared execution cost of every sweep and storm key, in blocks.
+const COST_BLOCKS: u64 = 500;
+/// Client-side read timeout, on top of the scenario's fetch delay per
+/// batch: the escape hatch from a stalled connection (a timed-out read is
+/// connection loss, retried on a fresh connection).
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+/// Every runner connection's retry policy for reconnects and `BUSY` pacing.
+const CLIENT_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 5,
+    base_delay: Duration::from_millis(1),
+    max_delay: Duration::from_millis(50),
+    jitter_seed: 0xC4A0_5EED,
+};
+/// Client-side runtime workers driving a storm: a handful of threads on
+/// each side, whatever the connection count.
+const STORM_WORKERS: usize = 4;
+
+/// Where a [`Scenario`]'s requests come from.
+#[derive(Debug, Clone, Copy)]
+pub enum Requests<'a> {
+    /// Replays a trace, its records dealt round-robin across the
+    /// connections like the in-process concurrent replay, so concurrent
+    /// misses on one query coalesce *across connections*.
+    Trace(&'a Trace),
+    /// `rounds` requests per connection sweeping [`SWEEP_KEYS`] shared keys
+    /// with a per-connection stride, so connections collide on keys
+    /// (coalescing, hits) while still covering the whole keyspace
+    /// (eviction pressure) — the chaos harness's traffic.  The runner
+    /// scrapes `METRICS` while the sweep is live.
+    Sweep {
+        /// Requests each connection sends.
+        rounds: usize,
+    },
+    /// `rounds` metrics-only requests per connection, every connection on
+    /// the same per-round key (round N misses once and coalesces or hits
+    /// everywhere else), every connection open at once as an async task
+    /// sending one request at a time.
+    Storm {
+        /// Requests each connection sends.
+        rounds: usize,
+    },
 }
 
-impl LoadReport {
-    /// Requests per second over the whole run.
-    pub fn throughput_qps(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.requests as f64 / secs
-        }
-    }
-
-    /// The `q`-quantile (0.0–1.0) of the latency samples, in microseconds.
-    pub fn latency_quantile_us(&self, q: f64) -> u64 {
-        self.batch_latency_us.quantile(q)
-    }
-
-    /// Mean latency sample in microseconds.
-    pub fn latency_mean_us(&self) -> f64 {
-        self.batch_latency_us.mean()
-    }
-}
-
-/// Options for [`run_load`].
-#[derive(Debug, Clone)]
-pub struct LoadOptions {
-    /// Number of concurrent client connections.
-    pub clients: usize,
+/// One load run against a server: how many connections, how they send, and
+/// what.
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario<'a> {
+    /// Concurrent client connections.
+    pub connections: usize,
     /// Requests per pipelined batch (1 = one round trip per request).
     pub pipeline: usize,
     /// Simulated execution time attached to every request, in microseconds.
     pub fetch_delay_us: u32,
-    /// Payload bytes each response carries back (0 = metrics only).
-    pub payload_prefix_cap: u32,
+    /// What the connections send.
+    pub requests: Requests<'a>,
 }
 
-impl Default for LoadOptions {
-    fn default() -> Self {
-        LoadOptions {
-            clients: 4,
-            pipeline: 8,
-            fetch_delay_us: 0,
-            payload_prefix_cap: 0,
-        }
-    }
+/// The bucket one request's outcome lands in.  Under a
+/// [`FaultPlan`](crate::fault::FaultPlan) every bucket but
+/// [`Unexplained`](Outcome::Unexplained) is explained by the plan; on a
+/// fault-free run only the first four should ever fill.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Answered from cache.
+    Hit,
+    /// Led an execution.
+    Executed,
+    /// Coalesced onto another connection's execution.
+    Coalesced,
+    /// Degraded to a last-known-good stale value after a fetch failure.
+    Stale,
+    /// Answered with a terminal fetch failure.
+    FetchError,
+    /// Still `BUSY` after the client's retry budget: the server shed it.
+    Busy,
+    /// Lost with a connection the client had to replace (a reset, or a
+    /// stall caught by the read timeout).
+    Reconnect,
+    /// Anything no fault explains.
+    Unexplained,
 }
 
-/// Drives `trace` against the server at `addr` from `options.clients`
-/// concurrent connections (records dealt round-robin, like the in-process
-/// concurrent replay), measuring client-observed latency.
-///
-/// Connections race on the shared server cache exactly like live analyst
-/// sessions: concurrent misses on one query coalesce *across connections*
-/// into a single execution, which the per-request sources in the report
-/// make visible.
-pub fn run_load(
-    addr: &str,
-    trace: &Trace,
-    options: &LoadOptions,
-) -> Result<LoadReport, ClientError> {
-    let clients = options.clients.max(1);
-    let pipeline = options.pipeline.max(1);
-    let shared_error: Arc<Mutex<Option<ClientError>>> = Arc::new(Mutex::new(None));
-    let started = Instant::now();
-    let mut per_client: Vec<(u64, u64, u64, u64, HistogramSnapshot)> = Vec::new();
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for client_index in 0..clients {
-            let shared_error = Arc::clone(&shared_error);
-            // Each connection owns its round-robin slice of the trace.
-            let records: Vec<GetRequest> = trace
-                .iter()
-                .skip(client_index)
-                .step_by(clients)
-                .map(|record| GetRequest {
-                    key: record.query_text.clone(),
-                    timestamp_us: record.timestamp_us,
-                    result_bytes: record.result_bytes,
-                    cost_blocks: record.cost_blocks,
-                    fetch_delay_us: options.fetch_delay_us,
-                    deadline_hint_us: 0,
-                    payload_prefix_cap: options.payload_prefix_cap,
-                })
-                .collect();
-            handles.push(scope.spawn(move || {
-                let run = || -> Result<(u64, u64, u64, u64, HistogramSnapshot), ClientError> {
-                    let mut client =
-                        Client::connect_with_retries(addr, 20, Duration::from_millis(50))?;
-                    let (mut hits, mut executed, mut coalesced, mut stale) =
-                        (0u64, 0u64, 0u64, 0u64);
-                    let mut latencies = HistogramSnapshot::empty();
-                    for batch in records.chunks(pipeline) {
-                        let sent = Instant::now();
-                        let responses = client.get_many(batch.to_vec())?;
-                        latencies
-                            .record(u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX));
-                        for response in responses {
-                            match response.source {
-                                WireSource::Hit => hits += 1,
-                                WireSource::Executed => executed += 1,
-                                WireSource::Coalesced => coalesced += 1,
-                                WireSource::Stale => stale += 1,
-                            }
-                        }
-                    }
-                    Ok((hits, executed, coalesced, stale, latencies))
-                };
-                match run() {
-                    Ok(result) => Some(result),
-                    Err(err) => {
-                        // Sync-layer lock: recovers from poisoning instead of
-                        // letting one panicked client thread cascade unwrap
-                        // panics across every other client.
-                        shared_error.lock().get_or_insert(err);
-                        None
-                    }
-                }
-            }));
-        }
-        for handle in handles {
-            if let Some(result) = handle.join().expect("client thread") {
-                per_client.push(result);
+impl Outcome {
+    /// Classifies what a client call returned for one request.
+    pub fn classify(result: Result<&GetResponse, &ClientError>) -> Outcome {
+        match result {
+            Ok(response) => match response.source {
+                WireSource::Hit => Outcome::Hit,
+                WireSource::Executed => Outcome::Executed,
+                WireSource::Coalesced => Outcome::Coalesced,
+                WireSource::Stale => Outcome::Stale,
+            },
+            Err(ClientError::Server { message }) if message.starts_with("fetch failed") => {
+                Outcome::FetchError
+            }
+            Err(ClientError::Busy { .. }) => Outcome::Busy,
+            Err(ClientError::Wire(_) | ClientError::Connect { .. }) => Outcome::Reconnect,
+            Err(ClientError::Server { .. } | ClientError::UnexpectedResponse { .. }) => {
+                Outcome::Unexplained
             }
         }
-    });
-    if let Some(err) = shared_error.lock().take() {
-        return Err(err);
     }
-    let wall = started.elapsed();
-    let mut report = LoadReport {
-        clients,
-        requests: trace.len() as u64,
-        hits: 0,
-        executed: 0,
-        coalesced: 0,
-        stale: 0,
-        batch_latency_us: HistogramSnapshot::empty(),
-        pipeline,
-        wall,
-    };
-    for (hits, executed, coalesced, stale, latencies) in per_client {
-        report.hits += hits;
-        report.executed += executed;
-        report.coalesced += coalesced;
-        report.stale += stale;
-        report.batch_latency_us.merge(&latencies);
-    }
-    Ok(report)
 }
 
-/// What one [`run_connection_storm`] run measured.
-#[derive(Debug, Clone)]
-pub struct StormReport {
-    /// Connections held open simultaneously.
-    pub connections: usize,
-    /// Requests each connection sent.
-    pub rounds: usize,
-    /// Per-request round-trip latency histogram, across every connection.
-    pub latency_us: HistogramSnapshot,
+/// Requests per [`Outcome`] bucket.  Every request lands in exactly one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct Outcomes {
+    /// [`Outcome::Hit`].
+    pub hits: u64,
+    /// [`Outcome::Executed`].
+    pub executed: u64,
+    /// [`Outcome::Coalesced`].
+    pub coalesced: u64,
+    /// [`Outcome::Stale`].
+    pub stale: u64,
+    /// [`Outcome::FetchError`].
+    pub fetch_errors: u64,
+    /// [`Outcome::Busy`].
+    pub busy: u64,
+    /// [`Outcome::Reconnect`].
+    pub reconnects: u64,
+    /// [`Outcome::Unexplained`].
+    pub unexplained: u64,
+}
+
+impl Outcomes {
+    /// Requests that completed with a usable value (fresh or stale).
+    pub fn ok(&self) -> u64 {
+        self.hits + self.executed + self.coalesced + self.stale
+    }
+
+    /// Requests across every bucket.
+    pub fn total(&self) -> u64 {
+        self.ok() + self.fetch_errors + self.busy + self.reconnects + self.unexplained
+    }
+
+    fn add(&mut self, outcome: Outcome, requests: u64) {
+        *match outcome {
+            Outcome::Hit => &mut self.hits,
+            Outcome::Executed => &mut self.executed,
+            Outcome::Coalesced => &mut self.coalesced,
+            Outcome::Stale => &mut self.stale,
+            Outcome::FetchError => &mut self.fetch_errors,
+            Outcome::Busy => &mut self.busy,
+            Outcome::Reconnect => &mut self.reconnects,
+            Outcome::Unexplained => &mut self.unexplained,
+        } += requests;
+    }
+}
+
+/// How far the server's `STATS` moved over the run (after − before).
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct ServerDelta {
+    /// The engine's counters, summed across shards.
+    pub total: CacheStats,
+    /// Requests the overload gate refused.
+    pub sheds: u64,
+    /// Fetch retries past the first attempt.
+    pub fetch_retries: u64,
+    /// Lookups absorbed by the negative cache.
+    pub negative_hits: u64,
+    /// Circuit-breaker state transitions.
+    pub breaker_transitions: u64,
+}
+
+impl ServerDelta {
+    fn between(before: &StatsSnapshot, after: &StatsSnapshot) -> ServerDelta {
+        let (b, a) = (&before.total, &after.total);
+        ServerDelta {
+            total: CacheStats {
+                references: a.references - b.references,
+                hits: a.hits - b.hits,
+                coalesced: a.coalesced - b.coalesced,
+                fetch_errors: a.fetch_errors - b.fetch_errors,
+                stale_serves: a.stale_serves - b.stale_serves,
+                total_cost: a.total_cost - b.total_cost,
+                saved_cost: a.saved_cost - b.saved_cost,
+                insertions_offered: a.insertions_offered - b.insertions_offered,
+                admissions: a.admissions - b.admissions,
+                rejections: a.rejections - b.rejections,
+                evictions: a.evictions - b.evictions,
+                bytes_evicted: a.bytes_evicted - b.bytes_evicted,
+            },
+            sheds: after.sheds - before.sheds,
+            fetch_retries: after.fetch_retries - before.fetch_retries,
+            negative_hits: after.negative_hits - before.negative_hits,
+            breaker_transitions: after.breaker_transitions - before.breaker_transitions,
+        }
+    }
+}
+
+/// Both execution stacks as a storm left them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct StormProbe {
     /// The server process's OS thread count, sampled over `SERVER_INFO`
     /// while every storm connection was still open (0 when the platform
     /// cannot report it).
     pub server_threads: u32,
     /// The server runtime's worker count, from the same sample.
     pub server_workers: u32,
-    /// The server's live session count from the same sample — the storm
-    /// connections plus the sampling connection itself.
+    /// Live sessions in the same sample: the storm's connections plus the
+    /// runner's admin connection.
     pub server_sessions: u32,
-    /// Ready-queue raids on the client-side runtime over the run: the
-    /// work-stealing scheduler redistributing connection tasks across the
-    /// [`STORM_WORKERS`] workers whenever wake placement left one worker
-    /// with a backlog.  Zero would mean the storm never actually exercised
-    /// the steal path.
+    /// Ready-queue raids on the client runtime: zero would mean the storm
+    /// never exercised the work-stealing path.
     pub client_steals: u64,
-    /// Times a client-side worker parked empty-handed over the run.
+    /// Times a client-side worker parked empty-handed.
     pub client_parks: u64,
-    /// Wall-clock of the whole run.
-    pub wall: Duration,
 }
 
-impl StormReport {
-    /// The `q`-quantile (0.0–1.0) of the latency samples, in microseconds.
-    pub fn latency_quantile_us(&self, q: f64) -> u64 {
-        self.latency_us.quantile(q)
+/// What one [`Scenario`] run measured.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Report {
+    /// Client connections.
+    pub connections: usize,
+    /// Requests per pipelined batch.
+    pub pipeline: usize,
+    /// Requests the scenario scheduled; the outcome buckets sum to this.
+    pub requests: u64,
+    /// Where every request landed.
+    pub outcomes: Outcomes,
+    /// Mean client-observed round trip, over answered batches (requests,
+    /// with `pipeline == 1`), in microseconds.
+    pub latency_mean_us: f64,
+    /// Median round trip, in microseconds.
+    pub latency_p50_us: u64,
+    /// 95th-percentile round trip, in microseconds.
+    pub latency_p95_us: u64,
+    /// 99th-percentile round trip, in microseconds.
+    pub latency_p99_us: u64,
+    /// Wall-clock of the requests, in seconds.
+    pub wall_s: f64,
+    /// `requests / wall_s`.
+    pub throughput_qps: f64,
+    /// The server's own account of the run.
+    pub server: ServerDelta,
+    /// The storm's `SERVER_INFO` sample and client scheduler counters.
+    pub storm: Option<StormProbe>,
+    /// For a sweep, how far every `METRICS` counter and every histogram's
+    /// sample count had moved between a scrape just before the run and the
+    /// last one issued while it was live (`None` if none landed).  Deltas,
+    /// because the registry is process-global.
+    pub mid_run: Option<BTreeMap<String, u64>>,
+}
+
+impl Report {
+    /// Checks the client's tally against the server's `STATS` delta over
+    /// the same run: requests, hits, executions, coalesced, stale and
+    /// fetch-error counts must match one for one.  Because both sides
+    /// balance their books, a match also means no request was shed, lost
+    /// with a connection or left unexplained.  Holds on any fault-free
+    /// run; under a fault plan a lost request may replay, so the server
+    /// can count more.
+    pub fn check_tally(&self) -> Result<(), String> {
+        let (seen, counted) = (&self.outcomes, &self.server.total);
+        let client = [
+            self.requests,
+            seen.hits,
+            seen.executed,
+            seen.coalesced,
+            seen.stale,
+            seen.fetch_errors,
+        ];
+        let server = [
+            counted.references,
+            counted.hits,
+            counted.misses(),
+            counted.coalesced,
+            counted.stale_serves,
+            counted.fetch_errors,
+        ];
+        if client == server {
+            return Ok(());
+        }
+        Err(format!(
+            "client tally {client:?} != server STATS delta {server:?} \
+             (requests, hits, executed, coalesced, stale, fetch errors)"
+        ))
     }
 }
 
-/// A one-shot release gate: storm tasks finish their rounds, report done,
-/// and park here with their connection **still open** until the driver has
-/// sampled `SERVER_INFO`.
-struct ReleaseGate {
-    fired: AtomicBool,
-    wakers: Mutex<Vec<Waker>>,
-}
+impl Scenario<'_> {
+    /// Runs the scenario against the server at `addr`.  Client errors do
+    /// not abort the run: each one is classified and counted (the caller
+    /// gates on the buckets).  Only the runner's own admin connection
+    /// failing, or a storm that cannot open its connections, is an `Err`.
+    pub fn run(&self, addr: &str) -> Result<Report, ClientError> {
+        let connections = self.connections.max(1);
+        let pipeline = self.pipeline.max(1);
+        let read_timeout =
+            READ_TIMEOUT + Duration::from_micros(u64::from(self.fetch_delay_us) * pipeline as u64);
+        let lists: Vec<Vec<GetRequest>> = (0..connections)
+            .map(|connection| self.requests_for(connection, connections))
+            .collect();
+        let requests = lists.iter().map(Vec::len).sum::<usize>() as u64;
 
-impl ReleaseGate {
-    fn poll_wait(&self, cx: &mut Context<'_>) -> Poll<()> {
-        if self.fired.load(Ordering::SeqCst) {
-            return Poll::Ready(());
-        }
-        let mut wakers = self.wakers.lock();
-        if self.fired.load(Ordering::SeqCst) {
-            return Poll::Ready(());
-        }
-        wakers.push(cx.waker().clone());
-        Poll::Pending
+        let mut admin = connect(addr, read_timeout)?;
+        let before = admin.stats()?;
+        let started = Instant::now();
+        let (tally, storm, mid_run) = match self.requests {
+            Requests::Storm { .. } => {
+                let (tally, probe) = run_storm(addr, lists, &mut admin)?;
+                (tally, Some(probe), None)
+            }
+            Requests::Trace(_) | Requests::Sweep { .. } => {
+                let scraper = matches!(self.requests, Requests::Sweep { .. }).then_some(&mut admin);
+                let (tally, mid_run) = run_threads(addr, lists, pipeline, read_timeout, scraper);
+                (tally, None, mid_run)
+            }
+        };
+        let wall_s = started.elapsed().as_secs_f64();
+        let after = admin.stats()?;
+        Ok(Report {
+            connections,
+            pipeline,
+            requests,
+            outcomes: tally.outcomes,
+            latency_mean_us: tally.latency.mean(),
+            latency_p50_us: tally.latency.quantile(0.50),
+            latency_p95_us: tally.latency.quantile(0.95),
+            latency_p99_us: tally.latency.quantile(0.99),
+            wall_s,
+            throughput_qps: requests as f64 / wall_s.max(f64::MIN_POSITIVE),
+            server: ServerDelta::between(&before, &after),
+            storm,
+            mid_run,
+        })
     }
 
-    fn fire(&self) {
-        if self.fired.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let woken: Vec<Waker> = std::mem::take(&mut *self.wakers.lock());
-        for waker in woken {
-            waker.wake();
-        }
-    }
-}
-
-/// How many client-side runtime workers drive a storm.  The point of the
-/// exercise: a handful of tasks' worth of threads on each side, regardless
-/// of the connection count.
-const STORM_WORKERS: usize = 4;
-
-/// Holds `connections` connections open against the server at `addr`
-/// simultaneously, sends `rounds` metrics-only `GET`s on each (all
-/// connections sweep the same per-round key, so round N misses once and
-/// coalesces/hits everywhere else), samples the server's `SERVER_INFO`
-/// while every connection is still open, and only then lets go.
-///
-/// Client-side the connections are async tasks on a [`STORM_WORKERS`]-wide
-/// runtime; connects and handshakes are done upfront (blocking, one at a
-/// time) so the async phase measures steady-state request traffic.
-pub fn run_connection_storm(
-    addr: &str,
-    connections: usize,
-    rounds: usize,
-) -> Result<StormReport, ClientError> {
-    let connections = connections.max(1);
-    let rounds = rounds.max(1);
-    let runtime = Arc::new(Runtime::with_workers(STORM_WORKERS));
-    let started = Instant::now();
-
-    // Phase 1: blocking connect + handshake, one connection at a time, then
-    // hand each stream to the reactor.
-    let mut streams = Vec::with_capacity(connections);
-    for _ in 0..connections {
-        let std_stream = connect_handshaken(addr)?;
-        let stream = TcpStream::from_std(&runtime, std_stream)
-            .map_err(|err| ClientError::Wire(WireError::Io(err)))?;
-        streams.push(stream);
-    }
-
-    // Phase 2: one task per connection.
-    let done = Arc::new(AtomicUsize::new(0));
-    let gate = Arc::new(ReleaseGate {
-        fired: AtomicBool::new(false),
-        wakers: Mutex::new(Vec::new()),
-    });
-    let first_error: Arc<Mutex<Option<ClientError>>> = Arc::new(Mutex::new(None));
-    let mut tasks = Vec::with_capacity(connections);
-    for stream in streams {
-        let done = Arc::clone(&done);
-        let gate = Arc::clone(&gate);
-        let first_error = Arc::clone(&first_error);
-        tasks.push(runtime.spawn(async move {
-            let run = async {
-                let mut latencies = HistogramSnapshot::empty();
-                for round in 0..rounds {
-                    let request = Request::Get(GetRequest::metrics_only(
+    /// The requests connection `connection` of `connections` sends, in
+    /// order.
+    fn requests_for(&self, connection: usize, connections: usize) -> Vec<GetRequest> {
+        let request =
+            |key: String, timestamp_us: u64, result_bytes: u64, cost_blocks: u64| GetRequest {
+                fetch_delay_us: self.fetch_delay_us,
+                ..GetRequest::metrics_only(key, timestamp_us, result_bytes, cost_blocks)
+            };
+        match self.requests {
+            Requests::Trace(trace) => trace
+                .iter()
+                .skip(connection)
+                .step_by(connections)
+                .map(|record| {
+                    request(
+                        record.query_text.clone(),
+                        record.timestamp_us,
+                        record.result_bytes,
+                        record.cost_blocks,
+                    )
+                })
+                .collect(),
+            Requests::Sweep { rounds } => (0..rounds)
+                .map(|round| {
+                    let key = (connection + round * 7) % SWEEP_KEYS;
+                    request(
+                        format!("SELECT payload FROM chaos WHERE k = {key}"),
+                        ((round * connections + connection) as u64 + 1) * 1_000,
+                        SWEEP_RESULT_BYTES,
+                        COST_BLOCKS,
+                    )
+                })
+                .collect(),
+            Requests::Storm { rounds } => (0..rounds)
+                .map(|round| {
+                    request(
                         format!("SELECT storm_round{round} FROM stormload"),
                         (round as u64 + 1) * 1_000,
-                        1_024,
-                        500,
-                    ));
-                    let body = wire::encode_request(round as u64, &request);
-                    let sent = Instant::now();
-                    wire::write_frame_async(&stream, &body).await?;
-                    let reply =
-                        wire::read_frame_async(&stream)
-                            .await?
-                            .ok_or(WireError::Truncated {
-                                context: "response frame",
-                            })?;
-                    let (id, response) = wire::decode_response(&reply)?;
-                    if id != round as u64 {
-                        return Err(WireError::Protocol(format!(
-                            "response id {id} does not match request id {round}"
-                        )));
-                    }
-                    if let Response::Error { message } = response {
-                        return Err(WireError::Protocol(format!("server error: {message}")));
-                    }
-                    latencies.record(u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX));
-                }
-                Ok::<HistogramSnapshot, WireError>(latencies)
-            };
-            let result = run.await;
-            // Done is reported on the error path too, or the driver would
-            // wait for a connection that will never finish.
-            done.fetch_add(1, Ordering::SeqCst);
-            let latencies = match result {
-                Ok(latencies) => Some(latencies),
-                Err(err) => {
-                    first_error.lock().get_or_insert(ClientError::Wire(err));
-                    None
-                }
-            };
-            // Park with the connection open until SERVER_INFO is sampled.
-            poll_fn(|cx| gate.poll_wait(cx)).await;
-            latencies
-        }));
-    }
-
-    // Phase 3: wait for every connection to finish its rounds, then sample
-    // the server's shape while all of them are still open.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while done.load(Ordering::SeqCst) < connections {
-        if Instant::now() >= deadline {
-            gate.fire();
-            return Err(ClientError::Server {
-                message: "connection storm timed out waiting for rounds".to_owned(),
-            });
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    let info = Client::connect(addr).and_then(|mut admin| admin.server_info());
-    gate.fire();
-
-    let mut latency_us = HistogramSnapshot::empty();
-    for task in tasks {
-        if let Ok(Some(latencies)) = block_on(task) {
-            latency_us.merge(&latencies);
-        }
-    }
-    if let Some(err) = first_error.lock().take() {
-        return Err(err);
-    }
-    let (server_threads, server_workers, server_sessions) = info?;
-    let scheduler = runtime.scheduler_stats();
-    Ok(StormReport {
-        connections,
-        rounds,
-        latency_us,
-        server_threads,
-        server_workers,
-        server_sessions,
-        client_steals: scheduler.steals,
-        client_parks: scheduler.parks,
-        wall: started.elapsed(),
-    })
-}
-
-/// Options for [`run_chaos_load`].
-#[derive(Debug, Clone)]
-pub struct ChaosOptions {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Requests each client sends.
-    pub rounds: usize,
-    /// Distinct query keys the clients sweep (shared across clients, so
-    /// concurrent misses coalesce and repeat visits hit or go stale).
-    pub keyspace: usize,
-    /// Declared retrieved-set size per key — together with the server's
-    /// capacity this sets the eviction pressure that forces refetches.
-    pub result_bytes: u64,
-    /// Declared execution cost per key, in blocks.
-    pub cost_blocks: u64,
-    /// Simulated execution time per fetch, in microseconds.
-    pub fetch_delay_us: u32,
-    /// Client-side read timeout: the escape hatch from a stalled
-    /// connection (a timed-out read is treated as connection loss and
-    /// retried on a fresh connection).
-    pub read_timeout: Duration,
-    /// Per-client retry policy for reconnects and `BUSY` pacing.
-    pub retry: RetryPolicy,
-}
-
-impl Default for ChaosOptions {
-    fn default() -> Self {
-        ChaosOptions {
-            clients: 8,
-            rounds: 200,
-            keyspace: 256,
-            result_bytes: 32 << 10,
-            cost_blocks: 500,
-            fetch_delay_us: 200,
-            read_timeout: Duration::from_millis(500),
-            retry: RetryPolicy {
-                max_attempts: 5,
-                base_delay: Duration::from_millis(1),
-                max_delay: Duration::from_millis(50),
-                jitter_seed: 0xC4A0_5EED,
-            },
+                        STORM_RESULT_BYTES,
+                        COST_BLOCKS,
+                    )
+                })
+                .collect(),
         }
     }
 }
 
-/// What one [`run_chaos_load`] run observed, client-side tallies plus the
-/// server's final snapshot.  Every request lands in exactly one bucket, so
-/// `ok() + fetch_errors + busy + reconnects + unexplained == requests`.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Number of client connections.
-    pub clients: usize,
-    /// Total requests attempted (client-visible; internal retries of one
-    /// request are not double-counted).
-    pub requests: u64,
-    /// Requests answered from cache.
-    pub hits: u64,
-    /// Requests that led an execution.
-    pub executed: u64,
-    /// Requests coalesced onto another connection's execution.
-    pub coalesced: u64,
-    /// Requests degraded to a stale last-known-good value.
-    pub stale: u64,
-    /// Requests answered with a terminal fetch failure — *explained*: the
-    /// fault plan injected those failures.
-    pub fetch_errors: u64,
-    /// Requests still `BUSY` after the client's retry budget — *explained*:
-    /// the server was configured to shed.
-    pub busy: u64,
-    /// Requests lost to a connection the client had to replace (plan
-    /// resets, stalls caught by the read timeout) — *explained*.
-    pub reconnects: u64,
-    /// Errors the fault plan does **not** account for.  The chaos gates
-    /// require this to be zero.
-    pub unexplained: u64,
-    /// Per-request round-trip latency histogram (successful requests only,
-    /// including any internal retry pacing they absorbed).
-    pub latency_us: HistogramSnapshot,
-    /// Wall-clock of the whole run.
-    pub wall: Duration,
-    /// The server's final statistics (includes the shed counter the server
-    /// folds in).
-    pub snapshot: StatsSnapshot,
-    /// A `METRICS` exposition scraped **while the storm was still
-    /// running** — the live-observability proof: the scrape was issued
-    /// before any client finished, so its counters reflect a server under
-    /// fire, not a post-mortem.  `None` only if every scrape attempt failed.
-    pub mid_storm_metrics: Option<MetricsSnapshot>,
+/// One connection's tally, and merged, the run's.
+struct Tally {
+    outcomes: Outcomes,
+    latency: HistogramSnapshot,
 }
 
-impl ChaosReport {
-    /// Requests that completed with a usable value (fresh or stale).
-    pub fn ok(&self) -> u64 {
-        self.hits + self.executed + self.coalesced + self.stale
-    }
-
-    /// The `q`-quantile (0.0–1.0) of the latency samples, in microseconds.
-    pub fn latency_quantile_us(&self, q: f64) -> u64 {
-        self.latency_us.quantile(q)
-    }
-}
-
-/// One chaos client's tallies (the tuple the threads report back).
-#[derive(Debug, Clone)]
-struct ChaosTally {
-    hits: u64,
-    executed: u64,
-    coalesced: u64,
-    stale: u64,
-    fetch_errors: u64,
-    busy: u64,
-    reconnects: u64,
-    unexplained: u64,
-    latency_us: HistogramSnapshot,
-}
-
-impl Default for ChaosTally {
-    fn default() -> Self {
-        ChaosTally {
-            hits: 0,
-            executed: 0,
-            coalesced: 0,
-            stale: 0,
-            fetch_errors: 0,
-            busy: 0,
-            reconnects: 0,
-            unexplained: 0,
-            latency_us: HistogramSnapshot::empty(),
+impl Tally {
+    fn new() -> Tally {
+        Tally {
+            outcomes: Outcomes::default(),
+            latency: HistogramSnapshot::empty(),
         }
     }
+
+    fn merge(&mut self, other: &Tally) {
+        let (mine, theirs) = (&mut self.outcomes, &other.outcomes);
+        mine.hits += theirs.hits;
+        mine.executed += theirs.executed;
+        mine.coalesced += theirs.coalesced;
+        mine.stale += theirs.stale;
+        mine.fetch_errors += theirs.fetch_errors;
+        mine.busy += theirs.busy;
+        mine.reconnects += theirs.reconnects;
+        mine.unexplained += theirs.unexplained;
+        self.latency.merge(&other.latency);
+    }
 }
 
-/// Drives a barrier-released storm of retrying clients against the server
-/// at `addr` and classifies every outcome: the measurement half of the
-/// fault-injection harness (the injection half is the
-/// [`FaultPlan`](crate::fault::FaultPlan) installed server-side).
-///
-/// Unlike [`run_load`], client errors do not abort the run — surviving
-/// injected faults is the point.  Each client classifies what it saw
-/// (fresh value, stale value, injected fetch failure, shed, replaced
-/// connection) and anything that no plan category explains lands in
-/// [`ChaosReport::unexplained`].
-pub fn run_chaos_load(addr: &str, options: &ChaosOptions) -> Result<ChaosReport, ClientError> {
-    let clients = options.clients.max(1);
-    let rounds = options.rounds.max(1);
-    let keyspace = options.keyspace.max(1);
-    let barrier = Arc::new(Barrier::new(clients));
-    let started = Instant::now();
-    let mut tallies: Vec<ChaosTally> = Vec::with_capacity(clients);
-    let storm_done = Arc::new(AtomicBool::new(false));
-    let mid_storm_metrics: Arc<Mutex<Option<MetricsSnapshot>>> = Arc::new(Mutex::new(None));
+fn elapsed_us(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Connects (riding out a server that is still starting) with the runner's
+/// retry policy and `read_timeout`.
+fn connect(addr: &str, read_timeout: Duration) -> Result<Client, ClientError> {
+    let mut client = Client::connect_with_retries(addr, 20, Duration::from_millis(20))?;
+    client.set_retry_policy(CLIENT_RETRY);
+    client.set_read_timeout(Some(read_timeout));
+    Ok(client)
+}
+
+/// How far every `METRICS` counter and every histogram's sample count moved
+/// from `before` to `live`.
+fn moved(before: &MetricsSnapshot, live: &MetricsSnapshot) -> BTreeMap<String, u64> {
+    let counts = |metrics: &MetricsSnapshot| -> BTreeMap<String, u64> {
+        let histograms = metrics
+            .histograms
+            .iter()
+            .map(|(name, h)| (name.clone(), h.count));
+        metrics
+            .counters
+            .clone()
+            .into_iter()
+            .chain(histograms)
+            .collect()
+    };
+    let before = counts(before);
+    counts(live)
+        .into_iter()
+        .map(|(name, now)| {
+            let moved = now.saturating_sub(before.get(&name).copied().unwrap_or(0));
+            (name, moved)
+        })
+        .collect()
+}
+
+/// The blocking transport: a thread and a [`Client`] per connection, all
+/// released together once every one has connected.  With `scraper`, that
+/// connection scrapes `METRICS` once before the run and then polls it until
+/// the clients finish; the last scrape *issued* before they did is kept,
+/// so it is a picture of a server under load.
+fn run_threads(
+    addr: &str,
+    lists: Vec<Vec<GetRequest>>,
+    pipeline: usize,
+    read_timeout: Duration,
+    scraper: Option<&mut Client>,
+) -> (Tally, Option<BTreeMap<String, u64>>) {
+    let barrier = Barrier::new(lists.len());
+    let finished = AtomicBool::new(false);
     thread::scope(|scope| {
-        // The mid-storm scraper: a dedicated admin connection polling the
-        // `METRICS` opcode while the clients are still firing.  A scrape is
-        // kept only when it was *issued* before the storm finished, so the
-        // stored exposition is guaranteed to be a picture of a server under
-        // load.
-        {
-            let storm_done = Arc::clone(&storm_done);
-            let slot = Arc::clone(&mid_storm_metrics);
-            let retry = options.retry.clone();
-            let read_timeout = options.read_timeout;
-            scope.spawn(move || {
-                let Ok(mut admin) =
-                    Client::connect_with_retries(addr, 20, Duration::from_millis(20))
-                else {
-                    return;
-                };
-                admin.set_retry_policy(retry);
-                admin.set_read_timeout(Some(read_timeout));
-                while !storm_done.load(Ordering::SeqCst) {
-                    if let Ok(snapshot) = admin.metrics() {
-                        *slot.lock() = Some(snapshot);
+        let scraper = scraper.and_then(|admin| {
+            let before = admin.metrics().ok()?;
+            let finished = &finished;
+            Some(scope.spawn(move || {
+                let mut latest = None;
+                while !finished.load(Ordering::SeqCst) {
+                    if let Ok(live) = admin.metrics() {
+                        latest = Some(moved(&before, &live));
                     }
                     thread::sleep(Duration::from_millis(10));
                 }
-            });
+                latest
+            }))
+        });
+        let barrier = &barrier;
+        let handles: Vec<_> = lists
+            .into_iter()
+            .map(|requests| {
+                scope.spawn(move || {
+                    drive_connection(addr, &requests, pipeline, read_timeout, barrier)
+                })
+            })
+            .collect();
+        let mut tally = Tally::new();
+        for handle in handles {
+            tally.merge(&handle.join().expect("client thread"));
         }
-        let mut handles = Vec::new();
-        for client_index in 0..clients {
-            let barrier = Arc::clone(&barrier);
-            let options = options.clone();
-            handles.push(scope.spawn(move || {
-                let mut tally = ChaosTally::default();
-                let connect = |tally: &mut ChaosTally| -> Option<Client> {
-                    match Client::connect_with_retries(addr, 20, Duration::from_millis(20)) {
-                        Ok(mut client) => {
-                            client.set_retry_policy(options.retry.clone());
-                            client.set_read_timeout(Some(options.read_timeout));
-                            Some(client)
-                        }
-                        Err(_) => {
-                            tally.unexplained += 1;
-                            None
-                        }
-                    }
-                };
-                let mut client = connect(&mut tally);
-                barrier.wait();
-                for round in 0..rounds {
-                    let Some(live) = client.as_mut() else {
-                        // Could not even connect: every remaining request of
-                        // this client is unexplained (the plan never cuts the
-                        // server off entirely).
-                        tally.unexplained += 1;
-                        continue;
-                    };
-                    // A deterministic sweep with per-client stride, so
-                    // clients collide on keys (coalescing, hits) while still
-                    // covering the whole keyspace (eviction pressure).
-                    let key_index = (client_index + round * 7) % keyspace;
-                    let request = GetRequest {
-                        key: format!("SELECT payload FROM chaos WHERE k = {key_index}"),
-                        timestamp_us: ((round * clients + client_index) as u64 + 1) * 1_000,
-                        result_bytes: options.result_bytes,
-                        cost_blocks: options.cost_blocks,
-                        fetch_delay_us: options.fetch_delay_us,
-                        deadline_hint_us: 0,
-                        payload_prefix_cap: 0,
-                    };
+        finished.store(true, Ordering::SeqCst);
+        let mid_run = scraper.and_then(|handle| handle.join().expect("scraper thread"));
+        (tally, mid_run)
+    })
+}
+
+/// One blocking connection's share of a run: connect, wait for the others,
+/// send `requests` in `pipeline`-sized batches and classify every outcome.
+/// A batch the client could not complete is lost as a whole: every request
+/// in it lands in the failure's bucket.
+fn drive_connection(
+    addr: &str,
+    requests: &[GetRequest],
+    pipeline: usize,
+    read_timeout: Duration,
+    barrier: &Barrier,
+) -> Tally {
+    let mut tally = Tally::new();
+    let mut client = connect(addr, read_timeout).ok();
+    barrier.wait();
+    for batch in requests.chunks(pipeline) {
+        // A connection that could not be (re)established leaves the rest of
+        // its requests unexplained: no fault plan cuts the server off.
+        let Some(live) = client.as_mut() else {
+            tally.outcomes.add(Outcome::Unexplained, batch.len() as u64);
+            continue;
+        };
+        let sent = Instant::now();
+        match live.get_many(batch.to_vec()) {
+            Ok(responses) => {
+                tally.latency.record(elapsed_us(sent));
+                for response in &responses {
+                    tally.outcomes.add(Outcome::classify(Ok(response)), 1);
+                }
+            }
+            Err(err) => {
+                let outcome = Outcome::classify(Err(&err));
+                tally.outcomes.add(outcome, batch.len() as u64);
+                if outcome == Outcome::Reconnect {
+                    // The client's own retry budget is spent: this
+                    // connection is gone (a plan reset, or a stall caught
+                    // by the read timeout).  Replace it.
+                    client = connect(addr, read_timeout).ok();
+                }
+            }
+        }
+    }
+    tally
+}
+
+/// The storm transport: every connection open at once, each an async task
+/// on a [`STORM_WORKERS`]-wide runtime.  Connects and handshakes are done
+/// upfront (blocking, one at a time) so the async phase measures
+/// steady-state request traffic.  Each task hands its stream back when its
+/// rounds are done, so every connection is still open when `SERVER_INFO`
+/// is sampled on `admin`; they close only after that.
+fn run_storm(
+    addr: &str,
+    lists: Vec<Vec<GetRequest>>,
+    admin: &mut Client,
+) -> Result<(Tally, StormProbe), ClientError> {
+    let runtime = Runtime::with_workers(STORM_WORKERS);
+    let mut tasks = Vec::with_capacity(lists.len());
+    for requests in lists {
+        let stream = TcpStream::from_std(&runtime, connect_handshaken(addr)?)
+            .map_err(|err| ClientError::Wire(WireError::Io(err)))?;
+        tasks.push((stream, requests));
+    }
+    let tasks: Vec<_> = tasks
+        .into_iter()
+        .map(|(stream, requests)| {
+            runtime.spawn(async move {
+                let mut tally = Tally::new();
+                let total = requests.len();
+                for (id, request) in requests.into_iter().enumerate() {
                     let sent = Instant::now();
-                    match live.get(request) {
-                        Ok(response) => {
-                            match response.source {
-                                WireSource::Hit => tally.hits += 1,
-                                WireSource::Executed => tally.executed += 1,
-                                WireSource::Coalesced => tally.coalesced += 1,
-                                WireSource::Stale => tally.stale += 1,
-                            }
-                            tally.latency_us.record(
-                                u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX),
-                            );
-                        }
-                        Err(ClientError::Server { message })
-                            if message.starts_with("fetch failed") =>
-                        {
-                            tally.fetch_errors += 1;
-                        }
-                        Err(ClientError::Busy { .. }) => tally.busy += 1,
-                        Err(ClientError::Wire(_) | ClientError::Connect { .. }) => {
-                            // The client's own retry budget is already spent:
-                            // this connection is gone (plan reset, or a stall
-                            // caught by the read timeout).  Replace it.
-                            tally.reconnects += 1;
-                            client = connect(&mut tally);
-                        }
-                        Err(_) => tally.unexplained += 1,
+                    let result = storm_round_trip(&stream, id as u64, request).await;
+                    let outcome = Outcome::classify(result.as_ref());
+                    tally.outcomes.add(outcome, 1);
+                    if result.is_ok() {
+                        tally.latency.record(elapsed_us(sent));
+                    }
+                    if outcome == Outcome::Reconnect {
+                        // A storm connection is not replaced mid-run: what
+                        // it had left to send goes unexplained.
+                        tally
+                            .outcomes
+                            .add(Outcome::Unexplained, (total - id - 1) as u64);
+                        break;
                     }
                 }
-                tally
-            }));
-        }
-        for handle in handles {
-            tallies.push(handle.join().expect("chaos client thread"));
-        }
-        storm_done.store(true, Ordering::SeqCst);
-    });
-    let wall = started.elapsed();
+                (stream, tally)
+            })
+        })
+        .collect();
 
-    // The storm is over; fetch the server's final snapshot on a fresh admin
-    // connection (retrying: the plan may target whatever conn id it gets).
-    let mut admin = Client::connect_with_retries(addr, 20, Duration::from_millis(20))?;
-    admin.set_retry_policy(options.retry.clone());
-    admin.set_read_timeout(Some(options.read_timeout));
-    let snapshot = admin.stats()?;
-
-    let mut report = ChaosReport {
-        clients,
-        requests: (clients * rounds) as u64,
-        hits: 0,
-        executed: 0,
-        coalesced: 0,
-        stale: 0,
-        fetch_errors: 0,
-        busy: 0,
-        reconnects: 0,
-        unexplained: 0,
-        latency_us: HistogramSnapshot::empty(),
-        wall,
-        snapshot,
-        mid_storm_metrics: mid_storm_metrics.lock().take(),
-    };
-    for tally in tallies {
-        report.hits += tally.hits;
-        report.executed += tally.executed;
-        report.coalesced += tally.coalesced;
-        report.stale += tally.stale;
-        report.fetch_errors += tally.fetch_errors;
-        report.busy += tally.busy;
-        report.reconnects += tally.reconnects;
-        report.unexplained += tally.unexplained;
-        report.latency_us.merge(&tally.latency_us);
+    let mut tally = Tally::new();
+    let mut open = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        if let Ok((stream, part)) = block_on(task) {
+            tally.merge(&part);
+            open.push(stream);
+        }
     }
-    Ok(report)
+    let (server_threads, server_workers, server_sessions) = admin.server_info()?;
+    drop(open);
+    let scheduler = runtime.scheduler_stats();
+    Ok((
+        tally,
+        StormProbe {
+            server_threads,
+            server_workers,
+            server_sessions,
+            client_steals: scheduler.steals,
+            client_parks: scheduler.parks,
+        },
+    ))
+}
+
+/// One storm request on `stream`, answered as a [`Client`] call would
+/// answer it.
+async fn storm_round_trip(
+    stream: &TcpStream,
+    id: u64,
+    request: GetRequest,
+) -> Result<GetResponse, ClientError> {
+    let body = wire::encode_request(id, &Request::Get(request));
+    wire::write_frame_async(stream, &body)
+        .await
+        .map_err(WireError::Io)?;
+    let reply = wire::read_frame_async(stream)
+        .await?
+        .ok_or(WireError::Truncated {
+            context: "response frame",
+        })?;
+    let (reply_id, response) = wire::decode_response(&reply)?;
+    if reply_id != id {
+        return Err(ClientError::Wire(WireError::Protocol(format!(
+            "response id {reply_id} does not match request id {id}"
+        ))));
+    }
+    match response {
+        Response::Get(response) => Ok(response),
+        Response::Error { message } => Err(ClientError::Server { message }),
+        Response::Busy { retry_after_us } => Err(ClientError::Busy { retry_after_us }),
+        _ => Err(ClientError::UnexpectedResponse { expected: "GET" }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io;
+
+    fn answered(source: WireSource) -> GetResponse {
+        GetResponse {
+            source,
+            cost_blocks: 1.0,
+            full_len: 0,
+            prefix: Vec::new(),
+            service_us: 0,
+            deadline_exceeded: false,
+        }
+    }
+
+    #[test]
+    fn classifier_maps_every_source_and_error_to_its_bucket() {
+        for (source, bucket) in [
+            (WireSource::Hit, Outcome::Hit),
+            (WireSource::Executed, Outcome::Executed),
+            (WireSource::Coalesced, Outcome::Coalesced),
+            (WireSource::Stale, Outcome::Stale),
+        ] {
+            assert_eq!(Outcome::classify(Ok(&answered(source))), bucket);
+        }
+        let server = |message: &str| ClientError::Server {
+            message: message.to_owned(),
+        };
+        for (error, bucket) in [
+            (server("fetch failed: injected"), Outcome::FetchError),
+            (server("no such table"), Outcome::Unexplained),
+            (ClientError::Busy { retry_after_us: 5 }, Outcome::Busy),
+            (
+                ClientError::Wire(WireError::Truncated {
+                    context: "response frame",
+                }),
+                Outcome::Reconnect,
+            ),
+            (
+                ClientError::Connect {
+                    addr: "127.0.0.1:1".to_owned(),
+                    source: io::Error::from(io::ErrorKind::ConnectionRefused),
+                },
+                Outcome::Reconnect,
+            ),
+            (
+                ClientError::UnexpectedResponse { expected: "GET" },
+                Outcome::Unexplained,
+            ),
+        ] {
+            assert_eq!(Outcome::classify(Err(&error)), bucket, "{error}");
+        }
+    }
+
+    /// A report whose client tally matches its server delta exactly.
+    fn balanced_report() -> Report {
+        Report {
+            connections: 1,
+            pipeline: 1,
+            requests: 10,
+            outcomes: Outcomes {
+                hits: 4,
+                executed: 2,
+                coalesced: 2,
+                stale: 1,
+                fetch_errors: 1,
+                ..Outcomes::default()
+            },
+            latency_mean_us: 0.0,
+            latency_p50_us: 0,
+            latency_p95_us: 0,
+            latency_p99_us: 0,
+            wall_s: 1.0,
+            throughput_qps: 10.0,
+            server: ServerDelta {
+                total: CacheStats {
+                    references: 10,
+                    hits: 4,
+                    coalesced: 2,
+                    stale_serves: 1,
+                    fetch_errors: 1,
+                    ..CacheStats::default()
+                },
+                ..ServerDelta::default()
+            },
+            storm: None,
+            mid_run: None,
+        }
+    }
+
+    #[test]
+    fn tally_gate_rejects_a_tally_off_by_one() {
+        assert_eq!(balanced_report().check_tally(), Ok(()));
+        let skews: [fn(&mut Report); 7] = [
+            |r| r.requests += 1,
+            |r| r.outcomes.hits -= 1,
+            |r| r.outcomes.executed += 1,
+            |r| r.outcomes.coalesced += 1,
+            |r| r.outcomes.stale -= 1,
+            |r| r.outcomes.fetch_errors += 1,
+            // A shed request: the client sent it, the engine never saw it.
+            |r| {
+                r.requests += 1;
+                r.outcomes.busy += 1;
+            },
+        ];
+        for (index, skew) in skews.iter().enumerate() {
+            let mut report = balanced_report();
+            skew(&mut report);
+            assert!(report.check_tally().is_err(), "skew {index} passed");
+        }
+    }
 }

@@ -32,8 +32,8 @@ use watchman_core::key::QueryKey;
 use watchman_core::value::SizedPayload;
 use watchman_server::wire;
 use watchman_server::{
-    replay_trace_wire, run_chaos_load, serve, ChaosOptions, Client, ClientError, FaultPlan,
-    GetRequest, ServerConfig, ServerHandle, WireSource,
+    replay_trace_wire, serve, Client, ClientError, FaultPlan, GetRequest, Requests, Scenario,
+    ServerConfig, ServerHandle, WireSource, SWEEP_KEYS, SWEEP_RESULT_BYTES,
 };
 use watchman_sim::{replay_trace_engine_async, ExperimentScale, Workload};
 
@@ -70,24 +70,31 @@ fn degradation_server(
 #[test]
 fn canonical_chaos_storm_explains_every_error() {
     let plan = Arc::new(FaultPlan::canonical(0xC4A0_5EED));
-    let options = ChaosOptions {
-        rounds: 120,
-        ..ChaosOptions::default()
+    let scenario = Scenario {
+        connections: 8,
+        pipeline: 1,
+        fetch_delay_us: 200,
+        requests: Requests::Sweep { rounds: 120 },
     };
     // Capacity far below the keyspace footprint: doomed keys must be
     // evicted so their refetches fail and stale serving engages.
-    let capacity = options.keyspace as u64 * options.result_bytes / 4;
+    let capacity = SWEEP_KEYS as u64 * SWEEP_RESULT_BYTES / 4;
     let server = degradation_server(capacity, 4, 2, Some(Arc::clone(&plan)));
     let addr = server.addr().to_string();
 
-    let report = run_chaos_load(&addr, &options).expect("chaos storm");
+    let report = scenario.run(&addr).expect("chaos storm");
     server.join();
 
     // The hard gate: the fault plan explains every error the clients saw.
-    assert_eq!(report.unexplained, 0, "unexplained client errors");
-    assert_eq!(report.requests, (options.clients * options.rounds) as u64);
+    let outcomes = &report.outcomes;
+    assert_eq!(outcomes.unexplained, 0, "unexplained client errors");
+    assert_eq!(report.requests, 8 * 120);
     assert_eq!(
-        report.ok() + report.fetch_errors + report.busy + report.reconnects + report.unexplained,
+        outcomes.ok()
+            + outcomes.fetch_errors
+            + outcomes.busy
+            + outcomes.reconnects
+            + outcomes.unexplained,
         report.requests,
         "every request lands in exactly one client-side bucket"
     );
@@ -106,7 +113,7 @@ fn canonical_chaos_storm_explains_every_error() {
     );
 
     // The degradation machinery engaged rather than surfacing raw errors.
-    let snapshot = &report.snapshot;
+    let snapshot = &report.server;
     assert!(snapshot.total.stale_serves > 0, "no stale serves");
     assert!(snapshot.sheds > 0, "the admission gate never shed");
     assert!(snapshot.fetch_retries > 0, "flaky keys were never retried");
@@ -115,10 +122,10 @@ fn canonical_chaos_storm_explains_every_error() {
     // reference (sheds are refused before the engine; lost requests may
     // replay, so the engine can see a handful more).
     assert!(
-        snapshot.total.references >= report.ok() + report.fetch_errors,
+        snapshot.total.references >= outcomes.ok() + outcomes.fetch_errors,
         "engine references ({}) below client-visible outcomes ({})",
         snapshot.total.references,
-        report.ok() + report.fetch_errors
+        outcomes.ok() + outcomes.fetch_errors
     );
 }
 

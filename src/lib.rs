@@ -88,7 +88,9 @@ pub mod prelude {
         BufferPool, BufferStats, QueryReferenceTracker, RedundancyHintObserver,
     };
     pub use watchman_core::prelude::*;
-    pub use watchman_server::{serve, Client, GetRequest, LoadOptions, ServerConfig, ServerHandle};
+    pub use watchman_server::{
+        serve, Client, GetRequest, Report, Requests, Scenario, ServerConfig, ServerHandle,
+    };
     pub use watchman_sim::{
         replay_trace, replay_trace_engine, replay_trace_engine_async,
         replay_trace_engine_concurrent, run_infinite, run_policy, run_policy_sharded,
