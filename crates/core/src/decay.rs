@@ -45,6 +45,33 @@
 //! its victims (see `crate::policy::lnc`).  Weights ascend within a group,
 //! so only each group's first non-empty bucket is read.
 //!
+//! # Due buckets
+//!
+//! The two ascents every LNC-RA decision ends with — the least cached profit
+//! and the §2.4 purge below it — look only for sets under a threshold that
+//! seldom moves between decisions, yet a full ascent reads the front of every
+//! bucket to find the few whose bound is under it.  So the index keeps, side
+//! by side with the buckets, each bucket's **due time** against a threshold
+//! θ: the first `now` at which its front's bound can be at or under θ,
+//! `anchor + floor·SLACK²/θ`.  The second `SLACK` is a margin over the
+//! roundings of this quotient and of the bound, so before its due time a
+//! bucket's bound, as computed, is above θ.  An empty bucket is never due.
+//!
+//! [`key`](DecayIndex::key) sets θ after an ascent.  The next ascent may pass
+//! a `within` at or under θ, vouching that it ends before any set above
+//! `within` matters: the purge's `below` cuts off every bound at or above its
+//! threshold, and the least cached profit is at most what it was last time
+//! while that set stays cached and unreferenced (a certificate its owner
+//! keeps).  That ascent loads only the buckets that are due.  A bucket that is
+//! not due has a front bound above θ ≥ `within`: the full ascent would have
+//! cut it off or never popped it, so the same sets are reached, scored and
+//! handed out, and the evaluations do not change.  Without a `within`, or
+//! with one above θ (the threshold rose), the ascent reads every front, and
+//! keying re-keys every bucket; keying at or under θ re-keys only the buckets
+//! the ascent loaded, as the rest are keyed against a θ at least as high.  Every
+//! change to a bucket's front or floor — filing, re-filing, dropping a dead
+//! item — re-keys that bucket at once.
+//!
 //! # Stale and dead items
 //!
 //! Items are `(bucket, anchor, slot)`, and the index knows the position of
@@ -126,6 +153,25 @@ impl Bucket {
         Profit::new(self.floor * SLACK / now.saturating_since(anchor).max(1) as f64)
     }
 
+    /// The first `now` at which the front's bound can be at or under
+    /// `keyed`: before it the bound is above it (see "Due buckets").
+    fn due(&self, keyed: Option<Profit>) -> u64 {
+        let Some((anchor, _)) = self.front else {
+            return u64::MAX;
+        };
+        let Some(theta) = keyed else {
+            return 0;
+        };
+        // Every age up to this one keeps the bound above θ; a zero floor
+        // (NaN here) or an age under 1 µs is due at once.
+        let age = self.floor * SLACK * SLACK / theta.value();
+        if age >= 1.0 {
+            anchor.as_micros().saturating_add(age as u64)
+        } else {
+            0
+        }
+    }
+
     fn insert(&mut self, item: Item) {
         self.items.insert(item);
         if self.front.is_none_or(|front| item < front) {
@@ -181,10 +227,20 @@ pub struct DecayIndex {
     grouped: bool,
     /// Ascending `(group, weight_bits)`.
     buckets: Vec<Bucket>,
+    /// By bucket: its due time against `keyed` (see "Due buckets"), kept
+    /// apart so that an ascent scans these and not the buckets.
+    due: Vec<u64>,
+    /// The threshold the due times are keyed against; `None` until keyed.
+    keyed: Option<Profit>,
+    /// The buckets the last ascent loaded, by position.
+    loaded: Vec<usize>,
     /// By slot; meaningless for a slot never filed.
     positions: Vec<Position>,
     /// Exact profit evaluations ascents have asked for.
     evaluations: u64,
+    /// Bucket fronts ascents have loaded into their merge: across groups,
+    /// and by group.
+    fronts_loaded: [u64; 2],
     // Scratch of an ascent, kept for its allocations: the bucket fronts, the
     // reached sets by rank, and what was learnt about each (`true` once
     // handed out).
@@ -222,7 +278,7 @@ impl DecayIndex {
         }
         let (group, weight_bits, anchor) = self.positions[slot.index()];
         if let Ok(at) = self.bucket_at((group, weight_bits)) {
-            self.buckets[at].remove(&(anchor, slot));
+            self.remove(at, &(anchor, slot));
         }
         let (group, weight_bits) = spot.bucket();
         let at = self.bucket_at((group, weight_bits)).unwrap_or_else(|at| {
@@ -234,6 +290,10 @@ impl DecayIndex {
                 front: None,
             };
             self.buckets.insert(at, bucket);
+            self.due.insert(at, u64::MAX);
+            for loaded in self.loaded.iter_mut().filter(|loaded| **loaded >= at) {
+                *loaded += 1;
+            }
             at
         });
         let bucket = &mut self.buckets[at];
@@ -248,11 +308,38 @@ impl DecayIndex {
             _ => spot.oldest,
         };
         bucket.insert((anchor, slot));
+        self.due[at] = bucket.due(self.keyed);
         self.positions[slot.index()] = (group, weight_bits, anchor);
+    }
+
+    /// Drops `item` from bucket `at`, re-keying the bucket.
+    fn remove(&mut self, at: usize, item: &Item) {
+        let bucket = &mut self.buckets[at];
+        bucket.remove(item);
+        self.due[at] = bucket.due(self.keyed);
     }
 
     pub(crate) fn clear(&mut self) {
         self.buckets.clear();
+        self.due.clear();
+        self.loaded.clear();
+    }
+
+    /// Keys the due times against `theta`, which the owner vouches for as
+    /// the `within` of a later ascent (see "Due buckets").  Lowering the key
+    /// re-keys only the buckets the last ascent loaded.
+    pub(crate) fn key(&mut self, theta: Profit) {
+        let lowered = self.keyed.is_some_and(|keyed| theta <= keyed);
+        self.keyed = Some(theta);
+        if lowered {
+            for &at in &self.loaded {
+                self.due[at] = self.buckets[at].due(self.keyed);
+            }
+        } else {
+            for (due, bucket) in self.due.iter_mut().zip(&self.buckets) {
+                *due = bucket.due(self.keyed);
+            }
+        }
     }
 
     /// The least `floor/group` over the non-empty buckets of groups up to
@@ -277,6 +364,11 @@ impl DecayIndex {
     }
 
     #[cfg(test)]
+    pub(crate) fn fronts_loaded(&self, by_group: bool) -> u64 {
+        self.fronts_loaded[usize::from(by_group)]
+    }
+
+    #[cfg(test)]
     pub(crate) fn occupied_buckets(&self) -> usize {
         self.buckets.iter().filter(|b| b.front.is_some()).count()
     }
@@ -285,16 +377,18 @@ impl DecayIndex {
     /// order at `now` — `(profit, tie)` order over all groups unless
     /// `by_group` — until it returns `false`.  With `below`, sets whose bound
     /// is not under it are never looked at: the ascent ends early, and is
-    /// exact for every set whose profit is under `below`.  `now` is at or
-    /// after every earlier ascent's and every reference the owner recorded.
-    /// `probe` is asked for the set in the slot of every item the merge
-    /// reaches (`None` is an empty slot) and for what orders it among sets of
-    /// equal profit.
+    /// exact for every set whose profit is under `below`.  With `within` at
+    /// or under the key, only the buckets due at `now` are read (see "Due
+    /// buckets").  `now` is at or after every earlier ascent's and every
+    /// reference the owner recorded.  `probe` is asked for the set in the
+    /// slot of every item the merge reaches (`None` is an empty slot) and for
+    /// what orders it among sets of equal profit.
     pub(crate) fn ascend<'s>(
         &mut self,
         now: Timestamp,
         by_group: bool,
         below: Option<Profit>,
+        within: Option<Profit>,
         mut probe: impl FnMut(EntryId) -> Option<(&'s RetainedInfo, u64)>,
         mut take: impl FnMut(EntryId, Profit) -> bool,
     ) {
@@ -303,7 +397,9 @@ impl DecayIndex {
             by_group,
             below,
         };
+        let due_only = within.is_some_and(|within| self.keyed.is_some_and(|key| within <= key));
         self.fronts.clear();
+        self.loaded.clear();
         self.reached.clear();
         self.scored.clear();
         // The first bucket whose front is not in the merge yet.
@@ -330,16 +426,24 @@ impl DecayIndex {
                 // Load the fronts of the next group's buckets into the (empty)
                 // merge with one heapify.
                 (None, Some((group, _))) => {
+                    let end = if by_group {
+                        let rest = &self.buckets[unloaded..];
+                        unloaded + rest.partition_point(|b| b.group == group)
+                    } else {
+                        self.buckets.len()
+                    };
                     let mut fronts = std::mem::take(&mut self.fronts).into_vec();
-                    while let Some(bucket) = self.buckets.get(unloaded) {
-                        if ascent.group_of(bucket.group) != group {
-                            break;
+                    for at in unloaded..end {
+                        if due_only && self.due[at] > now.as_micros() {
+                            continue;
                         }
-                        if let Some(item) = bucket.front {
-                            fronts.extend(self.front_of(ascent, unloaded, item));
+                        if let Some(item) = self.buckets[at].front {
+                            self.loaded.push(at);
+                            self.fronts_loaded[usize::from(by_group)] += 1;
+                            fronts.extend(self.front_of(ascent, at, item));
                         }
-                        unloaded += 1;
                     }
+                    unloaded = end;
                     self.fronts = BinaryHeap::from(fronts);
                 }
                 (None, None) => break,
@@ -385,13 +489,195 @@ impl DecayIndex {
         }
         let live = self.positions[slot.index()] == position;
         match if live { probe(slot) } else { None } {
-            None => self.buckets[at].remove(&item),
+            None => self.remove(at, &item),
             Some((set, tie)) => {
                 self.evaluations += 1;
                 let (spot, profit) = (Spot::of(set, self.grouped), set.profit(ascent.now));
                 let rank = (ascent.group_of(spot.group), profit, tie);
                 self.reached.push(Reverse((rank, self.scored.len())));
                 self.scored.push((slot, spot, profit, false));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::history::ReferenceHistory;
+    use crate::key::QueryKey;
+    use crate::value::ExecutionCost;
+
+    fn ts(us: u64) -> Timestamp {
+        Timestamp::from_micros(us)
+    }
+
+    fn slot(index: usize) -> EntryId {
+        EntryId::from_index_for_tests(index)
+    }
+
+    /// A 100-byte set of `cost` blocks referenced at `refs`.
+    fn set(cost: f64, refs: &[u64]) -> RetainedInfo {
+        let mut state = ReferenceHistory::new(4);
+        for &at in refs {
+            state.record(ts(at));
+        }
+        RetainedInfo {
+            key: QueryKey::new("set"),
+            size_bytes: 100,
+            cost: ExecutionCost::from_block_reads(cost),
+            state,
+        }
+    }
+
+    /// What one ascent over the sets held by slot hands out, while `more`.
+    fn hand_out(
+        index: &mut DecayIndex,
+        sets: &[Option<RetainedInfo>],
+        now: Timestamp,
+        (by_group, below, within): (bool, Option<Profit>, Option<Profit>),
+        mut more: impl FnMut(Profit) -> bool,
+    ) -> Vec<(EntryId, Profit)> {
+        let mut handed = Vec::new();
+        let probe = |id: EntryId| Some((sets.get(id.index())?.as_ref()?, id.index() as u64));
+        index.ascend(now, by_group, below, within, probe, |id, profit| {
+            handed.push((id, profit));
+            more(profit)
+        });
+        handed
+    }
+
+    #[test]
+    fn a_bucket_within_an_ulp_of_the_key_is_loaded() {
+        // One set of weight 3 whose bucket's bound is `bound` after 2⁵³ µs,
+        // an age at which one ulp of the due time's quotient is a whole
+        // microsecond.  Keyed within an ulp of the bound, the bucket is due;
+        // keyed at half of it, it is not.
+        let (anchor, now) = (1_000, 1_000 + (1 << 53));
+        let sets = [Some(set(300.0, &[anchor]))];
+        let bound = 3.0 * SLACK / (now - anchor) as f64;
+        let keys = [bound.next_up(), bound, bound.next_down(), bound / 2.0];
+        for (theta, loaded) in keys.into_iter().zip([1, 1, 1, 0]) {
+            let theta = Profit::new(theta);
+            let mut index = DecayIndex::default();
+            index.file(sets[0].as_ref().expect("held"), slot(0));
+            index.key(theta);
+            let purge = (false, Some(theta), Some(theta));
+            hand_out(&mut index, &sets, ts(now), purge, |_| true);
+            assert_eq!(index.fronts_loaded(false), loaded, "keyed at {theta}");
+        }
+    }
+
+    /// One step of a trace over an index: 0–3 files a set in `slot` (a new
+    /// one, or a refresh), 4 references it, 5 drops it, 6–7 purge, 8–9 ask
+    /// for the least set, and the rest select a few.
+    #[derive(Debug, Clone)]
+    struct Step {
+        action: u8,
+        slot: usize,
+        cost: u64,
+        pick: u8,
+        advance_us: u64,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..12, 0usize..24, 1u64..16, 0u8..255, 0u64..3_000).prop_map(
+            |(action, slot, cost, pick, advance_us)| Step {
+                action,
+                slot,
+                cost,
+                pick,
+                advance_us,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Ascents that read only the due buckets — a purge within its
+        /// threshold, the least within the certificate kept as the cache
+        /// keeps it — hand out what ascents reading every bucket hand out,
+        /// from as many evaluations.
+        #[test]
+        fn due_ascents_match_full_ascents(
+            steps in proptest::collection::vec(step(), 1..200),
+            grouped in 0u8..2,
+        ) {
+            let fresh = || if grouped == 1 { DecayIndex::grouped() } else { DecayIndex::default() };
+            let (mut keyed, mut full) = (fresh(), fresh());
+            let mut sets: Vec<Option<RetainedInfo>> = vec![None; 24];
+            let mut certified: Option<(EntryId, Profit)> = None;
+            let mut now = 1_000;
+            for step in &steps {
+                now += step.advance_us;
+                let (at, id) = (ts(now), slot(step.slot));
+                if certified.is_some_and(|(held, _)| held == id) && step.action <= 5 {
+                    certified = None;
+                }
+                match step.action {
+                    0..=3 => {
+                        let refs: Vec<u64> = (0..=u64::from(step.pick % 3))
+                            .rev()
+                            .map(|back| now.saturating_sub(back * 500))
+                            .collect();
+                        let new = set(step.cost as f64 * 50.0, &refs);
+                        keyed.file(&new, id);
+                        full.file(&new, id);
+                        sets[step.slot] = Some(new);
+                    }
+                    4 => {
+                        if let Some(held) = &mut sets[step.slot] {
+                            held.state.record_once(at);
+                        }
+                    }
+                    5 => sets[step.slot] = None,
+                    6 | 7 => {
+                        // Thresholds at, beside and far from a held profit.
+                        let mut held: Vec<Profit> = sets.iter().flatten().map(|s| s.profit(at)).collect();
+                        held.sort();
+                        let near = held.get(usize::from(step.pick) % held.len().max(1)).map_or(1.0, |p| p.value());
+                        let factor = [0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 4.0][usize::from(step.pick) % 5];
+                        let theta = Profit::new(near * factor);
+                        let under = |profit| profit < theta;
+                        let dropped = hand_out(&mut keyed, &sets, at, (false, Some(theta), Some(theta)), under);
+                        keyed.key(theta);
+                        let expected = hand_out(&mut full, &sets, at, (false, Some(theta), None), under);
+                        assert_eq!(dropped, expected, "purge at {theta}");
+                        for (gone, _) in dropped.into_iter().filter(|&(_, profit)| under(profit)) {
+                            sets[gone.index()] = None;
+                            if certified.is_some_and(|(held, _)| held == gone) {
+                                certified = None;
+                            }
+                        }
+                    }
+                    8 | 9 => {
+                        let within = certified.map(|(_, price)| price);
+                        let least = hand_out(&mut keyed, &sets, at, (false, None, within), |_| false);
+                        let expected = hand_out(&mut full, &sets, at, (false, None, None), |_| false);
+                        assert_eq!(least, expected, "least within {within:?}");
+                        certified = least.first().copied();
+                        if let Some((_, price)) = certified {
+                            keyed.key(price);
+                        }
+                    }
+                    _ => {
+                        let (wanted, by_group) = (usize::from(step.pick % 4) + 1, grouped == 1);
+                        let first = || {
+                            let mut taken = 0;
+                            move |_| {
+                                taken += 1;
+                                taken < wanted
+                            }
+                        };
+                        let victims = hand_out(&mut keyed, &sets, at, (by_group, None, None), first());
+                        let expected = hand_out(&mut full, &sets, at, (by_group, None, None), first());
+                        assert_eq!(victims, expected, "selection of {wanted}");
+                    }
+                }
+                assert_eq!(keyed.evaluations(), full.evaluations(), "after {step:?}");
             }
         }
     }

@@ -11,8 +11,12 @@
 //!
 //! * letter case of keywords and identifiers (quoted literals are preserved),
 //! * whitespace and delimiter runs,
-//! * the order of top-level `AND` conjuncts in the `WHERE` clause and of
-//!   entries in `GROUP BY` / `ORDER BY` lists (both are order-insensitive),
+//! * the order of top-level `AND` conjuncts in a `WHERE` or `HAVING` clause
+//!   with no top-level `OR` (`a AND b OR c` is `(a AND b) OR c`, so such a
+//!   clause is left in its order),
+//! * the order of entries in a `GROUP BY` list, which is a set.  An
+//!   `ORDER BY` list is a sequence — `ORDER BY a, b` and `ORDER BY b, a`
+//!   return rows in different orders — and keeps its order,
 //!
 //! and a [`canonical_key`] helper that produces a [`QueryKey`] from the
 //! canonical form.  Queries that differ only in these aspects then map to the
@@ -74,16 +78,44 @@ fn split_top_level<'a>(text: &'a str, separator: &str) -> Vec<&'a str> {
     parts
 }
 
-/// Sorts the elements of an order-insensitive list clause (comma separated)
-/// into a canonical order.
+/// Sorts the elements of a `GROUP BY` list (comma separated) into a
+/// canonical order.
 fn canonicalize_list(list: &str) -> String {
     let mut items: Vec<&str> = split_top_level(list, ",");
     items.sort_unstable();
     items.join(", ")
 }
 
-/// Sorts top-level `AND` conjuncts of a predicate into a canonical order.
+/// Whether `predicate` has an `or` outside parentheses and literals.
+fn has_top_level_or(predicate: &str) -> bool {
+    let bytes = predicate.as_bytes();
+    let word = |at: usize| {
+        bytes
+            .get(at)
+            .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
+    };
+    let (mut depth, mut in_literal) = (0usize, false);
+    for (i, &byte) in bytes.iter().enumerate() {
+        match byte {
+            b'\'' => in_literal = !in_literal,
+            b'(' if !in_literal => depth += 1,
+            b')' if !in_literal => depth = depth.saturating_sub(1),
+            _ if in_literal || depth > 0 => {}
+            _ if bytes[i..].starts_with(b"or") && (i == 0 || !word(i - 1)) && !word(i + 2) => {
+                return true;
+            }
+            _ => {}
+        }
+    }
+    false
+}
+
+/// Sorts top-level `AND` conjuncts of a predicate into a canonical order,
+/// unless a top-level `OR` makes their order part of the meaning.
 fn canonicalize_conjunction(predicate: &str) -> String {
+    if has_top_level_or(predicate) {
+        return predicate.to_owned();
+    }
     let mut conjuncts: Vec<String> = split_top_level(predicate, " and ")
         .into_iter()
         .map(|c| c.split_whitespace().collect::<Vec<_>>().join(" "))
@@ -95,9 +127,10 @@ fn canonicalize_conjunction(predicate: &str) -> String {
 /// Produces the canonical form of a single-block SQL query.
 ///
 /// The canonical form lowercases everything outside string literals,
-/// normalizes whitespace, orders `WHERE` conjuncts and orders the `GROUP BY`
-/// and `ORDER BY` lists.  Queries whose canonical forms are equal are
-/// considered equivalent for caching purposes.
+/// normalizes whitespace, orders the conjuncts of a `WHERE` or `HAVING`
+/// clause without a top-level `OR`, and orders the `GROUP BY` list.  Queries
+/// whose canonical forms are equal are considered equivalent for caching
+/// purposes.
 pub fn canonicalize(sql: &str) -> String {
     let lowered = lowercase_outside_literals(sql);
     let collapsed = lowered.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -136,7 +169,7 @@ pub fn canonicalize(sql: &str) -> String {
         let body = collapsed[body_start..body_end].trim();
         let canonical_body = match marker {
             " where " | " having " => canonicalize_conjunction(body),
-            " group by " | " order by " => canonicalize_list(body),
+            " group by " => canonicalize_list(body),
             _ => body.to_owned(),
         };
         out.push_str(marker);
@@ -217,6 +250,35 @@ mod tests {
             a,
             "select * from t where A = 1 or B = 2"
         ));
+    }
+
+    #[test]
+    fn order_by_is_a_sequence() {
+        let a = canonical_key("SELECT a, b FROM t ORDER BY a, b");
+        let b = canonical_key("SELECT a, b FROM t ORDER BY b, a");
+        assert_ne!(a, b);
+        assert_eq!(a, canonical_key("select a, b from T order by a, b"));
+    }
+
+    #[test]
+    fn a_clause_with_a_top_level_or_keeps_its_order() {
+        // (a ∧ b) ∨ c against b ∨ (c ∧ a): sorting the split on AND would
+        // give both the conjuncts `a = 1` and `b = 2 or c = 3`.
+        let a = canonical_key("SELECT * FROM t WHERE a = 1 AND b = 2 OR c = 3");
+        let b = canonical_key("SELECT * FROM t WHERE b = 2 OR c = 3 AND a = 1");
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn a_top_level_or_is_a_word_outside_parentheses_and_literals() {
+        for (predicate, has_or) in [
+            ("a = 1 and b = 2 or(c = 3)", true),
+            ("x = 'a or b' and y = 1", false),
+            ("color = 1 and orders = 2", false),
+            ("(a = 1 or b = 2) and c = 3", false),
+        ] {
+            assert_eq!(has_top_level_or(predicate), has_or, "{predicate}");
+        }
     }
 
     #[test]

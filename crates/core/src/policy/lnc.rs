@@ -43,6 +43,20 @@
 //! the latest one it has seen, so a lagging reference is recorded at that
 //! time.
 //!
+//! # The least cached profit
+//!
+//! Every admission and every rejection ends with the §2.4 purge, which needs
+//! the least profit among cached sets across groups.  The shell keeps the
+//! set the last such ascent found, with its profit then, as a certificate:
+//! until that set is hit, refreshed, evicted or invalidated (or the cache is
+//! cleared), no least can be above that profit, because the set's own profit
+//! only decays and an admission only adds candidates.  Within a certificate
+//! the ascent reads only the decay index's due buckets (`crate::decay`, "Due
+//! buckets") and keys them against its answer, the next certificate; a
+//! voided one reads every bucket.  The answer and the sets scored on the way
+//! are the full ascent's, so a decision costs a bucket or two here instead of
+//! one per weight class, and the purge does the same against its threshold.
+//!
 //! # Rejections without victims
 //!
 //! Most first-time sets LNC-A sees are turned away: one-off queries whose
@@ -369,7 +383,27 @@ impl VictimOrder<LncRule> for DecayIndex {
         mut take: impl FnMut(EntryId) -> bool,
     ) {
         let set = |id: EntryId| Some((&entries.by_id(id)?.info, id.index() as u64));
-        DecayIndex::ascend(self, now, by_group, None, set, |id, _| take(id));
+        DecayIndex::ascend(self, now, by_group, None, None, set, |id, _| take(id));
+    }
+
+    /// Reads only the due buckets within a certificate, and keys them
+    /// against the answer, the next certificate.
+    fn least<V>(
+        &mut self,
+        entries: &EntryStore<Entry<V, ReferenceHistory>>,
+        now: Timestamp,
+        within: Option<Profit>,
+    ) -> Option<(EntryId, Profit)> {
+        let set = |id: EntryId| Some((&entries.by_id(id)?.info, id.index() as u64));
+        let mut least = None;
+        DecayIndex::ascend(self, now, false, None, within, set, |id, profit| {
+            least = Some((id, profit));
+            false
+        });
+        if let Some((_, profit)) = least {
+            self.key(profit);
+        }
+        least
     }
 
     fn least_ratio(&self, groups: u32) -> f64 {
@@ -908,5 +942,192 @@ mod tests {
         }
         assert_eq!(format!("{:?}", cache.order), index);
         assert_eq!(format!("{:?}", cache.rule.retained), retained);
+    }
+
+    /// What the golden skewed replay costs when every ascent reads every
+    /// bucket: profit evaluations, and bucket fronts loaded by the ascents
+    /// across groups (the least cached profit, the purge and the
+    /// displacement) and by group (the victim selections).
+    const SKEWED_RA_4_FULL_ASCENTS: (u64, u64, u64) = (18_163, 317_484, 27_069);
+
+    #[test]
+    fn due_buckets_score_the_same_sets_from_a_tenth_of_the_fronts() {
+        let caches = replay_skewed(|_| 0);
+        let across: u64 = caches
+            .iter()
+            .map(|c| c.order.fronts_loaded(false) + c.rule.retained.fronts_loaded())
+            .sum();
+        let by_group: u64 = caches.iter().map(|c| c.order.fronts_loaded(true)).sum();
+        let (evaluated, across_full, by_group_full) = SKEWED_RA_4_FULL_ASCENTS;
+        assert_eq!(evaluations(&caches), evaluated);
+        // A selection still reads every bucket of the groups it reaches.
+        assert_eq!(by_group, by_group_full);
+        // The decisions are the same ones, so this is per decision too.
+        assert!(
+            across * 10 <= across_full,
+            "the least profit and the purge loaded {across} fronts, not {across_full}"
+        );
+    }
+
+    /// LNC-RA with `K = 2` over the decay index and over the scan, after
+    /// three decisions at 1 600 µs: "low" (w = 0.1, referenced at 1 µs) and
+    /// "high" (w = 1, at 1 500 µs) are cached, "mid" was rejected and is
+    /// retained, and the purge that followed certified "low" as the least.
+    fn certified_low() -> (LncCache<SizedPayload>, ScanLnc) {
+        let config = LncConfig::lnc_ra(2_000).with_k(2);
+        let mut both = (LncCache::new(config.clone()), ScanLnc::new(config));
+        decide(&mut both, "low", 1_000, 100.0, 1);
+        decide(&mut both, "high", 1_000, 1_000.0, 1_500);
+        let outcome = decide(&mut both, "mid", 1_500, 100.0, 1_600);
+        assert_eq!(
+            outcome,
+            InsertOutcome::Rejected(RejectReason::AdmissionTest)
+        );
+        both
+    }
+
+    /// A reference on both caches, which must decide, retain and price alike.
+    fn decide(
+        (cache, scan): &mut (LncCache<SizedPayload>, ScanLnc),
+        name: &str,
+        size: u64,
+        c: f64,
+        now: u64,
+    ) -> InsertOutcome {
+        let outcome = reference(cache, name, size, c, now);
+        assert_eq!(outcome, reference(scan, name, size, c, now), "{name}");
+        let held = |mut keys: Vec<QueryKey>| {
+            keys.sort_unstable_by(|a, b| a.text().cmp(b.text()));
+            keys
+        };
+        assert_eq!(
+            held(cache.rule.retained_keys()),
+            held(scan.rule.retained_keys()),
+            "retained after {name}"
+        );
+        assert_eq!(
+            cache.min_cached_profit(ts(now)),
+            scan.min_cached_profit(ts(now))
+        );
+        outcome
+    }
+
+    // Each breaker below makes the least cached profit rise past the one
+    // certified, so a certificate it left standing would have the next
+    // decision read only buckets due against the old least, price the least
+    // wrong, and purge a different set of histories than the scan.
+
+    #[test]
+    fn a_hit_on_the_certified_set_voids_the_certificate() {
+        let mut both = certified_low();
+        for now in [2_000, 2_001] {
+            assert!(both.0.get(&key("low"), ts(now)).is_some());
+            assert!(both.1.get(&key("low"), ts(now)).is_some());
+        }
+        decide(&mut both, "keeper", 1_000, 25.0, 2_005);
+    }
+
+    #[test]
+    fn a_refresh_of_the_certified_set_voids_the_certificate() {
+        let mut both = certified_low();
+        for cache in [
+            &mut both.0 as &mut dyn QueryCache<SizedPayload>,
+            &mut both.1,
+        ] {
+            let refreshed = cache.insert(key("low"), payload(1_000), cost(100_000.0), ts(2_000));
+            assert_eq!(refreshed, InsertOutcome::already_cached());
+        }
+        decide(&mut both, "keeper", 1_000, 25.0, 2_005);
+    }
+
+    #[test]
+    fn evicting_the_certified_set_voids_the_certificate() {
+        let mut both = certified_low();
+        let outcome = decide(&mut both, "vip", 1_000, 10_000.0, 2_000);
+        assert_eq!(outcome.evicted(), &[key("low")]);
+    }
+
+    #[test]
+    fn invalidating_the_certified_set_voids_the_certificate() {
+        let mut both = certified_low();
+        assert!(both.0.remove(&key("low")).is_some());
+        assert!(both.1.remove(&key("low")).is_some());
+        decide(&mut both, "keeper", 1_000, 25.0, 2_005);
+    }
+
+    #[test]
+    fn a_shrink_that_evicts_the_certified_set_voids_the_certificate() {
+        let mut both = certified_low();
+        let evicted = QueryCache::set_capacity_bytes(&mut both.0, 1_000, ts(2_000));
+        assert_eq!(evicted, vec![key("low")]);
+        assert_eq!(
+            QueryCache::set_capacity_bytes(&mut both.1, 1_000, ts(2_000)),
+            evicted
+        );
+        decide(&mut both, "keeper", 1_000, 25.0, 2_005);
+    }
+
+    #[test]
+    fn clear_voids_the_certificate() {
+        let mut both = certified_low();
+        both.0.clear();
+        both.1.clear();
+        // The first newcomer takes a slot the certified set held.
+        decide(&mut both, "x", 1_000, 1_000.0, 2_000);
+        decide(&mut both, "y", 2_000, 10.0, 2_001);
+    }
+
+    /// `grow_gain` as it was: the retained store sorted by keys priced at
+    /// every comparison, then packed greedily.
+    fn sort_and_pack(retained: &RetainedStore, bytes: u64, now: Timestamp) -> Option<Profit> {
+        if bytes == 0 || retained.is_empty() {
+            return Some(Profit::ZERO);
+        }
+        let mut ranked: Vec<&RetainedInfo> = retained.iter().collect();
+        ranked.sort_unstable_by_key(|info| {
+            (
+                std::cmp::Reverse(info.profit(now)),
+                info.key.signature().value(),
+            )
+        });
+        let (mut free, mut packed) = (bytes, Vec::new());
+        for info in ranked {
+            if info.size_bytes <= free {
+                free -= info.size_bytes;
+                packed.push((
+                    LncRule::<DecayIndex>::rate(info, now),
+                    info.cost,
+                    info.size_bytes,
+                ));
+            }
+        }
+        Some(Profit::of_list(packed))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Histories from a coarse grid, so that profits tie and sizes are
+        /// zero: the gain is the sort's, bit for bit.
+        #[test]
+        fn grow_gain_packs_what_the_sort_packed(
+            histories in proptest::collection::vec((0u64..4, 0u64..4, 1u64..4, 0u64..4), 0..150),
+            bytes in 0u64..6_000,
+        ) {
+            let mut rule: LncRule = LncRule::new(&LncConfig::lnc_ra(1));
+            let now = ts(10_000);
+            for (i, &(size, c, samples, first)) in histories.iter().enumerate() {
+                let mut state = ReferenceHistory::new(4);
+                for at in 0..samples {
+                    state.record(ts(first * 1_000 + at * 500));
+                }
+                let (size_bytes, cost) = (size * 500, ExecutionCost::from_blocks(c * 10));
+                let info = RetainedInfo { key: key(&format!("h{i}")), size_bytes, cost, state };
+                rule.retained.insert(info, now);
+            }
+            let expected = sort_and_pack(&rule.retained, bytes, now);
+            let gain = rule.grow_gain(bytes, now);
+            assert_eq!(gain.map(|p| p.value().to_bits()), expected.map(|p| p.value().to_bits()));
+        }
     }
 }

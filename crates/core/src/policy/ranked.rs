@@ -187,6 +187,23 @@ pub trait VictimOrder<R: RankRule>: Clone + fmt::Debug {
         take: impl FnMut(EntryId) -> bool,
     );
 
+    /// The least-ranked set across groups at `now` and its price.  With
+    /// `within`, the owner vouches that the price is at most that: an order
+    /// may then skip what it knows to be priced above it.
+    fn least<V>(
+        &mut self,
+        entries: &EntryStore<Entry<V, R::State>>,
+        now: Timestamp,
+        _within: Option<Profit>,
+    ) -> Option<(EntryId, Profit)> {
+        let mut least = None;
+        self.ascend(entries, now, false, |id| {
+            least = entries.by_id(id).map(|e| (id, R::price(&e.info, now)));
+            false
+        });
+        least
+    }
+
     /// A lower bound on `c/s` of every cached set in the groups up to
     /// `groups`; an order that offers none answers `-∞`.
     fn least_ratio(&self, _groups: u32) -> f64 {
@@ -225,20 +242,23 @@ pub struct RankedCache<V, R: RankRule, O: VictimOrder<R>> {
     stats: CacheStats,
     /// The latest `now` any call passed: every call's own is raised to it.
     latest: Timestamp,
+    /// The set the last [`least`] found and its price then.  Where the rank
+    /// is the decaying profit (LNC), no least is priced above it until that
+    /// set is referenced, refreshed or removed: its own profit only decays,
+    /// and a newcomer can only lower the minimum.
+    certified: Option<(EntryId, Profit)>,
 }
 
-/// The least-ranked cached set across groups, priced by its rule.
+/// The least-ranked cached set across groups, priced by its rule, ascended
+/// within the certificate, which it renews.
 fn least<V, R: RankRule, O: VictimOrder<R>>(
     order: &mut O,
     entries: &EntryStore<Entry<V, R::State>>,
+    certified: &mut Option<(EntryId, Profit)>,
     now: Timestamp,
 ) -> Option<Profit> {
-    let mut least = None;
-    order.ascend(entries, now, false, |id| {
-        least = entries.by_id(id).map(|e| R::price(&e.info, now));
-        false
-    });
-    least
+    *certified = order.least(entries, now, certified.map(|(_, price)| price));
+    certified.map(|(_, price)| price)
 }
 
 impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
@@ -252,6 +272,7 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
             victims: Vec::new(),
             stats: CacheStats::new(),
             latest: Timestamp::ZERO,
+            certified: None,
         }
     }
 
@@ -259,6 +280,17 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
     fn clock(&mut self, now: Timestamp) -> Timestamp {
         self.latest = self.latest.max(now);
         self.latest
+    }
+
+    /// The set in `slot` may be priced higher now, or be gone: it no longer
+    /// certifies the least price.
+    fn uncertify(&mut self, slot: EntryId) {
+        if self
+            .certified
+            .is_some_and(|(certified, _)| certified == slot)
+        {
+            self.certified = None;
+        }
     }
 
     /// Selects the victims that free at least `needed` bytes: the shortest
@@ -296,6 +328,7 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
             let Some(Entry { info, .. }) = self.entries.remove(id) else {
                 continue;
             };
+            self.uncertify(id);
             self.order.unfile(id);
             self.group_bytes[R::group(&info.state)] -= info.size_bytes;
             self.stats.record_eviction(info.size_bytes);
@@ -317,8 +350,9 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
     }
 
     fn purge(&mut self, now: Timestamp) {
-        let (order, entries) = (&mut self.order, &self.entries);
-        self.rule.purge(|| least(order, entries, now), now);
+        let (order, entries, certified) = (&mut self.order, &self.entries, &mut self.certified);
+        self.rule
+            .purge(|| least(order, entries, certified, now), now);
     }
 
     /// A set the admission test turned away.
@@ -341,6 +375,7 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
         let Entry { info, value } = self.entries.remove(id)?;
         // Invalidation is not an eviction: the rule is not told, so whatever
         // it remembered about the set goes with the entry.
+        self.uncertify(id);
         self.order.unfile(id);
         self.group_bytes[R::group(&info.state)] -= info.size_bytes;
         Some(value)
@@ -358,6 +393,7 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
             self.rule.missed(key, now);
             return None;
         };
+        self.uncertify(id);
         let Entry { info, value } = self.entries.by_id_mut(id)?;
         let group = R::group(&info.state);
         self.rule.touch(info, now);
@@ -383,6 +419,7 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
         self.stats.record_miss(cost);
 
         if let Some(id) = self.entries.find(&key) {
+            self.uncertify(id);
             let entry = self.entries.by_id_mut(id).expect("found above");
             let info = &mut entry.info;
             self.group_bytes[R::group(&info.state)] -= info.size_bytes;
@@ -476,7 +513,7 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
 
     fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
         let now = self.clock(now);
-        least(&mut self.order, &self.entries, now)
+        least(&mut self.order, &self.entries, &mut self.certified, now)
     }
 
     fn shrink_loss(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
@@ -526,6 +563,7 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
 
     fn clear(&mut self) {
         self.entries.clear();
+        self.certified = None;
         self.order.clear();
         self.group_bytes.fill(0);
         self.rule.cleared();

@@ -25,8 +25,14 @@
 //! [`purge_below`](RetainedStore::purge_below) ascends it from the
 //! low-profit end, deciding every history it reaches with the reference
 //! expression `profit(now) < threshold` and stopping where the bound shows
-//! that nothing further can be below it.  The hard-bound displacement reads
-//! the same low end.  A recorded reference only raises a profit, so it does
+//! that nothing further can be below it.  Nor does it read every bucket: the
+//! buckets are keyed by the time their bound can first cross the last
+//! purge's threshold, and a purge at or under that threshold loads only the
+//! buckets whose time has come (the index's "Due buckets").  A threshold
+//! that rose — the least cached set was referenced or left — reads every
+//! bucket and keys them all against itself.  Either way the same histories
+//! are reached and dropped.  The hard-bound displacement reads the same low
+//! end, in full.  A recorded reference only raises a profit, so it does
 //! not touch the index: the stale position is still a valid bound and is
 //! corrected when an ascent reaches it.  The bound holds because the
 //! store's owner supplies monotone time: no `now` it passes is earlier than
@@ -36,6 +42,7 @@
 //! the original LRU-K design instead, and ranks them not at all
 //! ([`RetainedOrder`] for `()`).
 
+use std::cmp::Reverse;
 use std::fmt;
 
 use crate::clock::Timestamp;
@@ -100,7 +107,12 @@ impl RetainedOrder for DecayIndex {
             let info: &RetainedInfo = entries.by_id(id)?;
             Some((info, info.key.signature().value()))
         };
-        DecayIndex::ascend(self, now, false, below, probe, take);
+        // A purge's threshold cuts off every bound at or above it, so it
+        // reads only the due buckets whenever it is at or under the key.
+        DecayIndex::ascend(self, now, false, below, below, probe, take);
+        if let Some(threshold) = below {
+            self.key(threshold);
+        }
     }
 
     fn clear(&mut self) {
@@ -287,15 +299,17 @@ impl<X: RetainedOrder> RetainedStore<X> {
     /// ([`QueryCache::grow_gain`](crate::policy::QueryCache::grow_gain)
     /// greedily packs this order): callers no longer sort hash-map iteration
     /// output themselves, which made tie outcomes depend on the map's seed.
-    pub fn ranked_by_profit_desc(&self, now: Timestamp) -> Vec<&RetainedInfo> {
-        let mut ranked: Vec<&RetainedInfo> = self.iter().collect();
-        ranked.sort_unstable_by_key(|info| {
-            (
-                std::cmp::Reverse(info.profit(now)),
-                info.key.signature().value(),
-            )
-        });
-        ranked
+    pub fn ranked_by_profit_desc(&self, now: Timestamp) -> impl Iterator<Item = &RetainedInfo> {
+        // Each history is priced once, not on both sides of every comparison.
+        let mut ranked: Vec<_> = self
+            .iter()
+            .map(|info| {
+                let rank = (Reverse(info.profit(now)), info.key.signature().value());
+                (rank, info)
+            })
+            .collect();
+        ranked.sort_unstable_by_key(|&(rank, _)| rank);
+        ranked.into_iter().map(|(_, info)| info)
     }
 }
 
@@ -304,6 +318,12 @@ impl RetainedStore {
     #[cfg(test)]
     pub(crate) fn evaluations(&self) -> u64 {
         self.index.evaluations()
+    }
+
+    /// Bucket fronts the store's ascents have loaded.
+    #[cfg(test)]
+    pub(crate) fn fronts_loaded(&self) -> u64 {
+        self.index.fronts_loaded(false)
     }
 }
 
@@ -517,6 +537,42 @@ mod tests {
             );
         }
         assert!(dropped_total > 1_000, "the steady state must keep purging");
+    }
+
+    #[test]
+    fn a_risen_threshold_reads_every_bucket() {
+        use crate::policy::differential::Scan;
+        let mut store = store(1 << 12);
+        let mut scan: RetainedStore<Scan> = RetainedStore::new(1 << 12);
+        for i in 0..400 {
+            store.insert(churn(i, 100 * i), ts(100 * i));
+            scan.insert(churn(i, 100 * i), ts(100 * i));
+        }
+        let now = ts(40_000);
+        let mut held: Vec<Profit> = scan.iter().map(|info| info.profit(now)).collect();
+        held.sort();
+        let (least, risen) = (held[40], held[100]);
+        let purge = |store: &mut RetainedStore, scan: &mut RetainedStore<Scan>, threshold| {
+            let (occupied, before) = (store.index.occupied_buckets(), store.fronts_loaded());
+            let dropped = store.purge_below(threshold, now);
+            assert_eq!(
+                dropped,
+                scan.purge_below(threshold, now),
+                "purge at {threshold}"
+            );
+            (store.fronts_loaded() - before, occupied as u64)
+        };
+        purge(&mut store, &mut scan, least);
+        // The least cached set was evicted, and the threshold rose past the
+        // one the buckets are keyed against: every front is read.
+        let (loaded, occupied) = purge(&mut store, &mut scan, risen);
+        assert_eq!(loaded, occupied);
+        // At the same threshold again, only the due buckets are: first those
+        // holding what the last purge dropped, then the one it stops at.
+        let (loaded, occupied) = purge(&mut store, &mut scan, risen);
+        assert!(loaded < occupied, "{loaded} of {occupied} fronts loaded");
+        let (loaded, _) = purge(&mut store, &mut scan, risen);
+        assert_eq!(loaded, 1);
     }
 
     #[test]
