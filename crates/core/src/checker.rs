@@ -580,7 +580,7 @@ pub mod models {
     //! the explorer actually detects deadlocks.
 
     use super::{Ctl, Model, ModelRun, ThreadBody};
-    use crate::engine::single_flight::{Flight, FlightOutcome, LeaderOutcome, WaiterSlot};
+    use crate::engine::single_flight::{Flight, FlightOutcome, WaiterSlot};
     use crate::sync::Mutex;
     use crate::value::ExecutionCost;
     use std::sync::Arc;
@@ -589,9 +589,8 @@ pub mod models {
     /// Model 1: the single-flight abandonment / takeover protocol, driving
     /// the **real** [`Flight`] cell.
     ///
-    /// Thread 0 is the original leader: its fetch fails, so it records the
-    /// panic payload, abandons the flight, and then polls as the leader
-    /// session expecting to observe its own failure.  Thread 1 is a loyal
+    /// Thread 0 is the original leader: its fetch panics inside its own
+    /// poll, and the unwind abandons the flight.  Thread 1 is a loyal
     /// waiter: it polls until the flight resolves, and if it wins the
     /// takeover race it completes the flight itself.  Thread 2 is a flaky
     /// waiter: the first time it suspends it gives up (`forget_waiter`),
@@ -606,8 +605,7 @@ pub mod models {
 
     /// The value the takeover leader publishes.
     const TAKEOVER_VALUE: u64 = 42;
-    /// Wake flags: one per session.
-    const FLAG_LEADER: u64 = 100;
+    /// Wake flags: one per waiting session.
     const FLAG_LOYAL: u64 = 101;
     const FLAG_FLAKY: u64 = 102;
 
@@ -659,36 +657,9 @@ pub mod models {
             let leader = {
                 let flight = Arc::clone(&flight);
                 Box::new(move |ctl: &Ctl| {
-                    let epoch = flight.new_leader_epoch();
-                    ctl.point();
-                    // The fetch fails: record the payload, then abandon.
-                    flight.set_panic(epoch, Box::new("fetch failed"));
+                    // The fetch runs, then panics: the unwind abandons.
                     ctl.point();
                     flight.abandon();
-                    // The leader session observes its own generation's
-                    // failure, even if a takeover already completed the cell.
-                    let waker = ctl.flag_waker(FLAG_LEADER);
-                    let mut cx = Context::from_waker(&waker);
-                    loop {
-                        ctl.clear_flag(FLAG_LEADER);
-                        ctl.point();
-                        match flight.poll_leader(epoch, &mut cx) {
-                            Poll::Ready(LeaderOutcome::Failed(payload)) => {
-                                assert!(
-                                    payload.is_some(),
-                                    "leader session must observe its recorded panic payload"
-                                );
-                                return;
-                            }
-                            Poll::Ready(LeaderOutcome::Done(..)) => {
-                                panic!("leader session must observe its own failure, not Done")
-                            }
-                            Poll::Ready(LeaderOutcome::Error(_)) => {
-                                panic!("this model never fails the flight with a fetch error")
-                            }
-                            Poll::Pending => ctl.wait_flag(FLAG_LEADER),
-                        }
-                    }
                 }) as Box<dyn FnOnce(&Ctl) + Send>
             };
 

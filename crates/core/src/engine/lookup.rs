@@ -1,20 +1,20 @@
 //! The lookup protocol of paper §3 — probe the cache, on a miss execute once
 //! and offer the retrieved set for admission — as one poll-based state
-//! machine ([`LookupFuture`]), the five front doors that adapt it, and the
-//! task that runs a spawned leader fetch.
+//! machine ([`LookupFuture`]) and the four front doors that adapt it.  A
+//! session that takes leadership runs its fetch inside that same poll, on
+//! whichever thread polls it.
 
 use std::future::Future;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use crate::clock::Timestamp;
 use crate::engine::failure::{BreakerState, FetchError, LookupError};
-use crate::engine::single_flight::{Flight, FlightOutcome, LeaderOutcome, WaiterSlot};
-use crate::engine::watchman::{record_insert_telemetry, Inner, Shard, ShardState, Watchman};
+use crate::engine::single_flight::{Flight, FlightOutcome, WaiterSlot};
+use crate::engine::watchman::{record_shard_telemetry, Shard, ShardState, Watchman};
 use crate::key::QueryKey;
 use crate::policy::InsertOutcome;
 use crate::runtime::Sleep;
@@ -105,9 +105,9 @@ where
     /// This is the synchronous front door: a lock-and-`get` hit fast path,
     /// then [`block_on`](crate::runtime::block_on) over the same
     /// [`LookupFuture`] state machine [`Watchman::get_or_execute_async`]
-    /// returns, with the one difference that the leader's `fetch` runs
-    /// *inline on the calling thread* (so `fetch` needs no `Send + 'static`
-    /// bounds and a single-threaded replay is fully deterministic).
+    /// returns.  The leader's `fetch` runs on the calling thread, so it
+    /// needs no `Send + 'static` bounds and a single-threaded replay is
+    /// fully deterministic.
     pub fn get_or_execute<F>(&self, key: &QueryKey, now: Timestamp, fetch: F) -> Lookup<V>
     where
         F: FnOnce() -> (V, ExecutionCost) + Unpin,
@@ -116,25 +116,20 @@ where
     }
 
     /// The asynchronous front door: like [`Watchman::get_or_execute`], but
-    /// returns a [`LookupFuture`] and runs the leader's `fetch` on the
-    /// engine's [`Runtime`](crate::runtime::Runtime), so a waiting session
-    /// suspends (a registered waker) instead of blocking an OS thread.
+    /// returns a [`LookupFuture`], so a waiting session suspends (a
+    /// registered waker) instead of blocking an OS thread.
     ///
     /// Thousands of sessions can wait on slow warehouse queries while the
-    /// thread count stays at the runtime's worker-pool size.  The future is
-    /// lazy (nothing happens until it is polled) and cancellation-safe:
-    /// dropping it deregisters the session's waker, and if the session had
-    /// been woken to take over an abandoned flight, the wake is passed to
-    /// the next waiter.  Dropping a *leader* whose spawned fetch has not
-    /// started yet cancels the execution entirely: the fetch closure is
-    /// never invoked, and the flight is abandoned so a still-interested
-    /// waiter takes leadership over with its own fetch (with no waiters the
-    /// cell is retired).  A fetch already running is past cancellation —
-    /// it completes the flight for any remaining waiters.
+    /// thread count stays at the runtime's worker-pool size.  The leader's
+    /// `fetch` runs inside the poll that takes leadership, on whichever
+    /// thread polls the future, and occupies that thread for its duration.
+    /// The future is lazy (nothing happens until it is polled) and
+    /// cancellation-safe: dropping it deregisters the session's waker, and
+    /// if the session had been woken to take over an abandoned flight, the
+    /// wake is passed to the next waiter.
     ///
-    /// A panicking `fetch` is re-raised on the leader session when it awaits
-    /// the result, mirroring the synchronous contract; one waiter takes over
-    /// the execution.
+    /// A panicking `fetch` unwinds out of the leader's poll, exactly as on
+    /// the synchronous door; one waiter takes over the execution.
     pub fn get_or_execute_async<F>(
         &self,
         key: &QueryKey,
@@ -142,36 +137,10 @@ where
         fetch: F,
     ) -> LookupFuture<V, Infallible<F>>
     where
-        F: FnOnce() -> (V, ExecutionCost) + Send + 'static,
+        F: FnOnce() -> (V, ExecutionCost) + Unpin,
     {
         let key = self.inner.normalizer.apply(key);
-        self.lookup(key, now, Infallible(Some(fetch)), Some(spawn_fetch_task))
-    }
-
-    /// Like [`Watchman::get_or_execute_async`], but the lookup gives up once
-    /// `timeout` has elapsed (measured from this call), resolving to
-    /// `Err(`[`LookupTimedOut`]`)`.
-    ///
-    /// A timed-out lookup behaves exactly like a dropped [`LookupFuture`]:
-    /// a waiter deregisters (passing along any takeover claim), and a leader
-    /// whose spawned fetch has not started yet cancels it — the closure is
-    /// never invoked and leadership moves to a remaining waiter.  A fetch
-    /// already running finishes and its result still lands in the cache for
-    /// future sessions; only *this* session stops waiting for it.
-    pub fn get_or_execute_async_with_timeout<F>(
-        &self,
-        key: &QueryKey,
-        now: Timestamp,
-        timeout: Duration,
-        fetch: F,
-    ) -> DeadlineLookup<V, F>
-    where
-        F: FnOnce() -> (V, ExecutionCost) + Send + 'static,
-    {
-        DeadlineLookup {
-            lookup: Some(self.get_or_execute_async(key, now, fetch)),
-            deadline: self.runtime().sleep(timeout),
-        }
+        self.lookup(key, now, Infallible(Some(fetch)))
     }
 
     /// Like [`Watchman::get_or_execute`], but the fetch is **fallible**: it
@@ -220,13 +189,13 @@ where
     }
 
     /// The asynchronous fallible front door: like
-    /// [`Watchman::try_get_or_execute`], but returns a [`LookupFuture`]
-    /// and runs the leader's fetch (and its retry backoffs) on the engine's
-    /// [`Runtime`](crate::runtime::Runtime), so waiting sessions suspend
-    /// instead of blocking OS threads.  Cancellation behaves exactly like
-    /// [`Watchman::get_or_execute_async`]: dropping the future deregisters a
-    /// waiter, and a leader whose spawned fetch has not started yet cancels
-    /// the execution entirely.
+    /// [`Watchman::try_get_or_execute`], but returns a [`LookupFuture`], so
+    /// waiting sessions suspend instead of blocking OS threads.  The leader
+    /// fetches in the poll that takes leadership and sleeps its retry
+    /// backoffs on the engine's runtime timer.  Dropping the future
+    /// deregisters a waiter; a leader dropped during a backoff abandons its
+    /// flight, so one waiter takes over with its own fetch (with no waiters
+    /// the cell is retired).
     pub fn try_get_or_execute_async<F>(
         &self,
         key: &QueryKey,
@@ -234,38 +203,28 @@ where
         fetch: F,
     ) -> LookupFuture<V, Fallible<F>>
     where
-        F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Send + 'static,
+        F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Unpin,
     {
         let key = self.inner.normalizer.apply(key);
-        self.lookup(key, now, Fallible(fetch), Some(spawn_fetch_task))
+        self.lookup(key, now, Fallible(fetch))
     }
 
-    /// The one constructor behind every front door.  `spawn` is the hook an
-    /// async door supplies to run its leader fetch on the runtime; `None`
-    /// runs it inline on the polling thread.
-    fn lookup<M>(
-        &self,
-        key: QueryKey,
-        now: Timestamp,
-        mode: M,
-        spawn: Option<SpawnFetch<V, M>>,
-    ) -> LookupFuture<V, M> {
+    /// The one constructor behind every front door.
+    fn lookup<M>(&self, key: QueryKey, now: Timestamp, mode: M) -> LookupFuture<V, M> {
         LookupFuture {
             engine: self.clone(),
             key,
             shard: None,
             now,
-            mode: Some(mode),
-            spawn,
+            mode,
             state: LookupState::Start,
             attempts: 0,
-            leader_cancel: None,
             started: None,
         }
     }
 
     /// The synchronous doors: the hit fast path, then the state machine
-    /// driven in place with an inline fetch.
+    /// driven to completion on the calling thread.
     fn lookup_blocking<M>(&self, key: &QueryKey, now: Timestamp, mode: M) -> M::Output
     where
         M: FetchMode<V> + Unpin,
@@ -289,7 +248,7 @@ where
                 return M::output(Ok(lookup));
             }
         }
-        let mut lookup = self.lookup(key, now, mode, None);
+        let mut lookup = self.lookup(key, now, mode);
         lookup.shard = Some(shard);
         lookup.started = Some(started);
         crate::runtime::block_on(lookup)
@@ -386,7 +345,7 @@ where
             state.failure.drop_negative(key);
         }
         let outcome = state.cache.insert(key.clone(), value, cost, now);
-        record_insert_telemetry(shard_index, state.cache.used_bytes(), &outcome);
+        record_shard_telemetry(shard_index, state.cache.used_bytes(), outcome.evicted());
         crate::telemetry::global().recorder.record(
             TraceKind::LookupExecuted,
             key.signature().value(),
@@ -536,7 +495,7 @@ pub trait FetchMode<V> {
     fn output(result: Result<Lookup<V>, LookupError>) -> Self::Output;
 }
 
-/// The fetch of [`Watchman::get_or_execute`] and its async variants: runs
+/// The fetch of [`Watchman::get_or_execute`] and its async variant: runs
 /// once, cannot return an error, and stays outside the failure domain.
 #[derive(Debug)]
 pub struct Infallible<F>(Option<F>);
@@ -595,167 +554,15 @@ fn timed_attempt<T>(attempt: impl FnOnce() -> T) -> T {
     result
 }
 
-/// The hook an async lookup uses to launch its fetch on the runtime: a
-/// plain `fn` pointer, monomorphized in the async front doors (the one
-/// place the fetch's `Send + 'static` bounds are in scope) and stored in the
-/// [`LookupFuture`] next to the still-unboxed fetch.  A hit therefore
-/// resolves without ever touching the allocator — only an actual miss, when
-/// the leader transition calls this hook, pays for spawning the fetch task.
-/// The final `Arc<AtomicBool>` is the leader session's cancellation flag:
-/// set when the session's future is dropped, checked by the spawned task
-/// before every attempt.
-type SpawnFetch<V, M> =
-    fn(&Watchman<V>, M, QueryKey, usize, Timestamp, Arc<Flight<V>>, u64, Arc<AtomicBool>);
-
-/// The [`SpawnFetch`] implementation: hands the fetch to a task on the
-/// engine's runtime.  Generic so the closure rides along unboxed; the task
-/// future it creates is the miss path's one unavoidable allocation.  The
-/// task owns the whole retry loop: backoffs are real `Sleep`s awaited on the
-/// runtime timer, so a retrying leader occupies no worker while it waits.
-#[allow(clippy::too_many_arguments)]
-fn spawn_fetch_task<V, M>(
-    engine: &Watchman<V>,
-    mode: M,
-    key: QueryKey,
-    shard: usize,
-    now: Timestamp,
-    flight: Arc<Flight<V>>,
-    epoch: u64,
-    cancelled: Arc<AtomicBool>,
-) where
-    V: CachePayload + Send + Sync + 'static,
-    M: FetchMode<V> + Send + 'static,
-{
-    let weak = Arc::downgrade(&engine.inner);
-    let runtime = engine.runtime();
-    let timer = runtime.inner_handle();
-    runtime.spawn(run_spawned_fetch(
-        weak, timer, key, shard, now, flight, epoch, cancelled, mode,
-    ));
-}
-
-/// Abandons `flight` from a spawned fetch task, which holds the engine only
-/// weakly: through the shard while the engine lives (so a waiterless cell is
-/// retired), bare once it is gone — there is no table left to retire from.
-fn abandon_from_task<V>(
-    engine: &Weak<Inner<V>>,
-    key: &QueryKey,
-    shard: usize,
-    flight: &Arc<Flight<V>>,
-) {
-    match engine.upgrade() {
-        Some(inner) => inner.shards[shard].abandon(key, flight),
-        None => {
-            flight.abandon();
-        }
-    }
-}
-
-/// Runs a spawned leader fetch to completion on a runtime worker: invokes
-/// the fetch, retrying transient errors under the engine's
-/// [`RetryPolicy`](crate::engine::RetryPolicy) (sleeping the deterministic
-/// backoff on the runtime timer), then admits the result, or resolves the
-/// flight with the terminal error for every waiter, or — on a panic —
-/// abandons it.  Holds only weak references so a task queued behind a long
-/// fetch never keeps a dropped engine (or runtime) alive.
-#[allow(clippy::too_many_arguments)]
-async fn run_spawned_fetch<V, M>(
-    engine: Weak<Inner<V>>,
-    timer: Weak<crate::runtime::RuntimeInner>,
-    key: QueryKey,
-    shard: usize,
-    now: Timestamp,
-    flight: Arc<Flight<V>>,
-    epoch: u64,
-    cancelled: Arc<AtomicBool>,
-    mut mode: M,
-) where
-    V: CachePayload + Send + Sync + 'static,
-    M: FetchMode<V>,
-{
-    let mut attempt: u32 = 0;
-    loop {
-        // Cooperative cancellation point, re-checked before *every* attempt:
-        // the leader session dropped its future (deadline elapsed,
-        // connection torn down) before this task got a worker, or
-        // mid-backoff.  The fetch is not invoked (again); abandoning the
-        // flight wakes one still-interested waiter to take leadership over
-        // with its own fetch — and with no waiters, retires the cell so the
-        // next arrival starts fresh.  No panic payload is stored: the only
-        // session that would re-raise it is the one that was dropped.
-        if cancelled.load(Ordering::Acquire) {
-            abandon_from_task(&engine, &key, shard, &flight);
-            return;
-        }
-        attempt += 1;
-        let fetched = timed_attempt(|| catch_unwind(AssertUnwindSafe(|| mode.attempt())));
-        // The completion stage (insert + observer emit) runs under its own
-        // catch_unwind for the same reason the inline path keeps its guard
-        // armed through it: a panic in user observer code must abandon the
-        // flight, not strand the waiters on a cell that never resolves.
-        let settled = fetched.and_then(|fetched| {
-            let (value, cost) = match fetched {
-                Ok(fetched) => fetched,
-                Err(error) => return Ok(Err(error)),
-            };
-            let value = Arc::new(value);
-            catch_unwind(AssertUnwindSafe(|| {
-                if let Some(inner) = engine.upgrade() {
-                    let outcome = Watchman { inner }.finish_leader_insert(
-                        &key,
-                        shard,
-                        &flight,
-                        Arc::clone(&value),
-                        cost,
-                        now,
-                        M::FAILURE_DOMAIN,
-                    );
-                    flight.set_outcome(outcome);
-                }
-            }))?;
-            Ok(Ok((value, cost)))
-        });
-        let error = match settled {
-            Ok(Ok((value, cost))) => return flight.complete(value, cost),
-            Ok(Err(error)) => error,
-            // A panic is re-raised on the leader session and one waiter
-            // takes over.  Payload first, then abandon: the leader session
-            // must observe the payload when its abandonment wake arrives.
-            Err(payload) => {
-                flight.set_panic(epoch, payload);
-                abandon_from_task(&engine, &key, shard, &flight);
-                return;
-            }
-        };
-        let Some(inner) = engine.upgrade() else {
-            return flight.fail(Arc::new(error));
-        };
-        let engine = Watchman { inner };
-        if let Some(delay) = engine.plan_retry(&key, attempt, &error) {
-            drop(engine);
-            if !delay.is_zero() {
-                Sleep::until(timer.clone(), crate::telemetry::now() + delay).await;
-            }
-            continue;
-        }
-        // Terminal: the error is fatal, or the retry budget is spent.
-        engine.fail_leader(&key, shard, &flight, error, now);
-        return;
-    }
-}
-
 enum LookupState<V> {
     Start,
+    /// A coalescing waiter, suspended on the flight's waker list.
     Waiting {
         flight: Arc<Flight<V>>,
         slot: WaiterSlot,
-        /// `Some(epoch)` when this session is the leader of that leadership
-        /// generation, awaiting its own spawned fetch; `None` for a
-        /// coalescing waiter.
-        leading: Option<u64>,
     },
-    /// An *inline* leader sleeping out a retry backoff on the runtime timer.
-    /// The flight stays pending (this session still leads it); waiters keep
+    /// A leader sleeping out a retry backoff on the runtime timer.  The
+    /// flight stays pending (this session still leads it); waiters keep
     /// coalescing onto it while the backoff elapses.
     Backoff {
         flight: Arc<Flight<V>>,
@@ -777,7 +584,6 @@ enum Step<V> {
     BecomeWaiter(Arc<Flight<V>>),
     Lead(Arc<Flight<V>>),
     Suspend,
-    LeaderFailed(Option<Box<dyn std::any::Any + Send>>),
     /// A failure-domain leader failed the awaited flight with an error and
     /// this session is outside the domain: go back to `Start` and look
     /// again with its own, still unconsumed fetch.
@@ -794,10 +600,11 @@ enum Step<V> {
 /// `Ok(`[`Lookup`]`)` — including [`LookupSource::Stale`] serves — or
 /// `Err(`[`LookupError`]`)` carrying the shared `Arc<FetchError>`.
 ///
-/// Lazy: nothing happens until first poll.  Cancellation-safe: dropping it
-/// deregisters this session's waker from the flight it waits on; a dropped
-/// takeover candidate passes its wake to the next waiter, and a dropped
-/// leader abandons its flight to one.
+/// Lazy: nothing happens until first poll.  The poll that takes leadership
+/// runs the fetch, so a leader suspends only to sleep out a retry backoff.
+/// Cancellation-safe: dropping it deregisters this session's waker from the
+/// flight it waits on; a dropped takeover candidate passes its wake to the
+/// next waiter, and a leader dropped mid-backoff abandons its flight to one.
 pub struct LookupFuture<V, M> {
     engine: Watchman<V>,
     /// The normalized key.
@@ -805,19 +612,12 @@ pub struct LookupFuture<V, M> {
     /// Shard index, resolved on first poll.
     shard: Option<usize>,
     now: Timestamp,
-    /// The fetch; taken when a leader hands it to a spawned task.
-    mode: Option<M>,
-    /// How a leader runs its fetch: spawned onto the runtime through this
-    /// hook (async doors), or inline on the polling thread (`None`).
-    spawn: Option<SpawnFetch<V, M>>,
+    /// The fetch.
+    mode: M,
     state: LookupState<V>,
-    /// Fetch attempts this session has made as the inline leader of the
-    /// current flight (spawned leaders count inside their task instead).
+    /// Fetch attempts this session has made as the leader of the current
+    /// flight.
     attempts: u32,
-    /// Set once this session spawns a leader fetch; flipped by `Drop` so a
-    /// fetch task that has not started yet observes the cancellation and
-    /// never invokes the closure.
-    leader_cancel: Option<Arc<AtomicBool>>,
     /// When this session first touched the engine (the synchronous doors
     /// preset it; the async ones stamp it on first poll), feeding the
     /// outcome-keyed lookup-latency telemetry.
@@ -862,21 +662,6 @@ where
             Err(_) => record_lookup_error_telemetry(self.started),
         }
         Poll::Ready(M::output(result))
-    }
-}
-
-impl<V, F> LookupFuture<V, Fallible<F>> {
-    /// Runs the leader's fetch on the polling thread instead of spawning
-    /// it — what the synchronous doors do — for a caller that awaits this
-    /// lookup before doing anything else, where a spawned fetch overlaps
-    /// with nothing and costs a task, a queue push, a suspension and a
-    /// second poll per miss.  Followers still suspend on their waker and
-    /// retry backoffs still sleep on the runtime timer; what is given up is
-    /// cancelling a fetch that has not started (it starts in the poll that
-    /// takes leadership).
-    pub fn in_place(mut self) -> Self {
-        self.spawn = None;
-        self
     }
 }
 
@@ -932,31 +717,7 @@ where
                         }
                     }
                 }
-                LookupState::Waiting {
-                    flight,
-                    slot: _,
-                    leading: Some(epoch),
-                } => match flight.poll_leader(*epoch, cx) {
-                    Poll::Pending => Step::Suspend,
-                    Poll::Ready(LeaderOutcome::Done(value, _cost)) => {
-                        let outcome = flight.take_outcome();
-                        Step::Return(Lookup {
-                            value,
-                            source: LookupSource::Executed,
-                            outcome,
-                        })
-                    }
-                    Poll::Ready(LeaderOutcome::Failed(payload)) => Step::LeaderFailed(payload),
-                    Poll::Ready(LeaderOutcome::Error(error)) => Step::Resolve {
-                        error,
-                        negative_hit: false,
-                    },
-                },
-                LookupState::Waiting {
-                    flight,
-                    slot,
-                    leading: None,
-                } => match flight.poll_wait(slot, cx) {
+                LookupState::Waiting { flight, slot } => match flight.poll_wait(slot, cx) {
                     Poll::Pending => Step::Suspend,
                     Poll::Ready(FlightOutcome::Done(value, cost)) => {
                         // A coalesced wait is still one logical reference
@@ -968,10 +729,6 @@ where
                             let mut state = this.engine.inner.shards[shard_index].lock();
                             state.cache.record_coalesced_reference(cost);
                         }
-                        this.engine
-                            .inner
-                            .coalesced_misses
-                            .fetch_add(1, Ordering::Relaxed);
                         Step::Return(Lookup::served(value, LookupSource::Coalesced))
                     }
                     // The previous leader failed and this session won the
@@ -1022,110 +779,74 @@ where
                     this.state = LookupState::Waiting {
                         flight,
                         slot: WaiterSlot::new(),
-                        leading: None,
                     };
                     // Loop: poll the flight, registering our waker.
                 }
-                Step::LeaderFailed(payload) => {
-                    this.state = LookupState::Finished;
-                    match payload {
-                        // Re-raise the fetch's panic on the leader session,
-                        // mirroring the synchronous contract.
-                        Some(payload) => std::panic::resume_unwind(payload),
-                        None => panic!("single-flight leader fetch failed"),
-                    }
-                }
                 Step::Lead(flight) => {
+                    // The guard below owns the flight while the fetch runs:
+                    // a leader left in `Backoff` would be abandoned a second
+                    // time by `Drop` if the fetch panicked.
+                    this.state = LookupState::Finished;
                     let shard_index = this.shard.expect("set before leading");
-                    match this.spawn {
-                        // Inline leader: fetch (and retry) on this thread.
-                        None => loop {
-                            this.attempts += 1;
-                            // The guard stays armed through the fetch AND, on
-                            // success, the completion (insert + observer
-                            // emit): a panic anywhere before `complete` —
-                            // including user observer code — must wake
-                            // exactly one waiter to take over this same
-                            // flight cell (retiring the cell when nobody
-                            // waits) instead of stranding the waiters on a
-                            // flight that never resolves.  The panic itself
-                            // propagates to the caller.
-                            let guard = AbandonGuard {
-                                shard: &this.engine.inner.shards[shard_index],
-                                key: &this.key,
-                                flight: &flight,
-                            };
-                            let mode = this
-                                .mode
-                                .as_mut()
-                                .expect("an inline leader keeps its fetch");
-                            match timed_attempt(|| mode.attempt()) {
-                                Ok((value, cost)) => {
-                                    let value = Arc::new(value);
-                                    let outcome = this.engine.finish_leader_insert(
-                                        &this.key,
-                                        shard_index,
-                                        &flight,
-                                        Arc::clone(&value),
-                                        cost,
-                                        this.now,
-                                        M::FAILURE_DOMAIN,
-                                    );
-                                    flight.complete(Arc::clone(&value), cost);
-                                    std::mem::forget(guard);
-                                    return this.finish(Ok(Lookup {
-                                        value,
-                                        source: LookupSource::Executed,
-                                        outcome: Some(outcome),
-                                    }));
-                                }
-                                Err(error) => {
-                                    // The error is handled explicitly — the
-                                    // flight must NOT be abandoned.
-                                    std::mem::forget(guard);
-                                    let retry =
-                                        this.engine.plan_retry(&this.key, this.attempts, &error);
-                                    if let Some(delay) = retry {
-                                        if delay.is_zero() {
-                                            continue;
-                                        }
-                                        let sleep = this.engine.runtime().sleep(delay);
-                                        this.state = LookupState::Backoff { flight, sleep };
-                                        // Loop: poll the backoff sleep.
-                                        break;
-                                    }
-                                    let error = this.engine.fail_leader(
-                                        &this.key,
-                                        shard_index,
-                                        &flight,
-                                        error,
-                                        this.now,
-                                    );
-                                    return this.resolve(error, false);
-                                }
+                    loop {
+                        this.attempts += 1;
+                        // The guard stays armed through the fetch AND, on
+                        // success, the completion (insert + observer emit):
+                        // a panic anywhere before `complete` — including
+                        // user observer code — must wake exactly one waiter
+                        // to take over this same flight cell (retiring the
+                        // cell when nobody waits) instead of stranding the
+                        // waiters on a flight that never resolves.  The
+                        // panic itself unwinds out of this poll.
+                        let guard = AbandonGuard {
+                            shard: &this.engine.inner.shards[shard_index],
+                            key: &this.key,
+                            flight: &flight,
+                        };
+                        match timed_attempt(|| this.mode.attempt()) {
+                            Ok((value, cost)) => {
+                                let value = Arc::new(value);
+                                let outcome = this.engine.finish_leader_insert(
+                                    &this.key,
+                                    shard_index,
+                                    &flight,
+                                    Arc::clone(&value),
+                                    cost,
+                                    this.now,
+                                    M::FAILURE_DOMAIN,
+                                );
+                                flight.complete(Arc::clone(&value), cost);
+                                std::mem::forget(guard);
+                                return this.finish(Ok(Lookup {
+                                    value,
+                                    source: LookupSource::Executed,
+                                    outcome: Some(outcome),
+                                }));
                             }
-                        },
-                        Some(spawn) => {
-                            let mode = this.mode.take().expect("leader consumes its fetch once");
-                            let epoch = flight.new_leader_epoch();
-                            let cancel = Arc::new(AtomicBool::new(false));
-                            this.leader_cancel = Some(Arc::clone(&cancel));
-                            spawn(
-                                &this.engine,
-                                mode,
-                                this.key.clone(),
-                                shard_index,
-                                this.now,
-                                Arc::clone(&flight),
-                                epoch,
-                                cancel,
-                            );
-                            this.state = LookupState::Waiting {
-                                flight,
-                                slot: WaiterSlot::new(),
-                                leading: Some(epoch),
-                            };
-                            // Loop: poll as leader, registering our waker.
+                            Err(error) => {
+                                // The error is handled explicitly — the
+                                // flight must NOT be abandoned.
+                                std::mem::forget(guard);
+                                let retry =
+                                    this.engine.plan_retry(&this.key, this.attempts, &error);
+                                if let Some(delay) = retry {
+                                    if delay.is_zero() {
+                                        continue;
+                                    }
+                                    let sleep = this.engine.runtime().sleep(delay);
+                                    this.state = LookupState::Backoff { flight, sleep };
+                                    // Loop: poll the backoff sleep.
+                                    break;
+                                }
+                                let error = this.engine.fail_leader(
+                                    &this.key,
+                                    shard_index,
+                                    &flight,
+                                    error,
+                                    this.now,
+                                );
+                                return this.resolve(error, false);
+                            }
                         }
                     }
                 }
@@ -1136,42 +857,29 @@ where
 
 impl<V, M> Drop for LookupFuture<V, M> {
     fn drop(&mut self) {
-        // A cancelled *leader* flips its cancellation flag: a spawned fetch
-        // task that has not started yet observes it, skips the closure
-        // entirely and abandons the flight (leadership moves to a waiter; a
-        // waiterless cell is retired).  A fetch already running is past the
-        // check and completes the flight for the remaining waiters — either
-        // way nobody is stranded.
-        if let Some(cancel) = &self.leader_cancel {
-            cancel.store(true, Ordering::Release);
-        }
         match &mut self.state {
             // A cancelled waiter must deregister; if it had been woken to
             // take over an abandoned flight, the wake is passed along so no
             // takeover is lost, and the last waiter of an abandoned flight
             // retires the cell.
-            LookupState::Waiting {
-                flight,
-                slot,
-                leading: None,
-            } => {
+            LookupState::Waiting { flight, slot } => {
                 let shard_index = self.shard.expect("set before waiting");
                 self.engine.inner.shards[shard_index].forget_waiter(&self.key, flight, slot);
             }
-            // An inline leader dropped mid-backoff still owns a pending
-            // flight: abandon it so a waiter takes leadership over with its
-            // own fetch (a waiterless cell is retired).
+            // A leader dropped mid-backoff still owns a pending flight:
+            // abandon it so a waiter takes leadership over with its own
+            // fetch (a waiterless cell is retired).
             LookupState::Backoff { flight, .. } => {
                 let shard_index = self.shard.expect("set before leading");
                 self.engine.inner.shards[shard_index].abandon(&self.key, flight);
             }
-            _ => {}
+            LookupState::Start | LookupState::Finished => {}
         }
     }
 }
 
-/// Abandons the leader's flight if its inline fetch panics, so waiters are
-/// not stranded on a flight that will never complete.  Exactly one waiter is
+/// Abandons the leader's flight if its fetch panics, so waiters are not
+/// stranded on a flight that will never complete.  Exactly one waiter is
 /// woken to take over leadership of the same cell; with no waiters at all
 /// the cell is retired from the in-flight table (see [`Shard::abandon`]).
 struct AbandonGuard<'a, V> {
@@ -1183,69 +891,5 @@ struct AbandonGuard<'a, V> {
 impl<V> Drop for AbandonGuard<'_, V> {
     fn drop(&mut self) {
         self.shard.abandon(self.key, self.flight);
-    }
-}
-
-/// The error a [`DeadlineLookup`] resolves to when its timeout elapses
-/// before the lookup completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LookupTimedOut;
-
-impl std::fmt::Display for LookupTimedOut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("lookup deadline elapsed before the query completed")
-    }
-}
-
-impl std::error::Error for LookupTimedOut {}
-
-/// The future returned by [`Watchman::get_or_execute_async_with_timeout`]:
-/// a [`LookupFuture`] raced against a [`Sleep`] deadline.
-///
-/// Resolves to `Ok(`[`Lookup`]`)` if the lookup completes first, or
-/// `Err(`[`LookupTimedOut`]`)` once the deadline fires — at which point the
-/// inner lookup is dropped, which deregisters a waiter (handing along any
-/// takeover claim) or cancels a leader whose fetch has not started yet.
-pub struct DeadlineLookup<V, F> {
-    /// `None` after the deadline fired (the drop *is* the cancellation).
-    lookup: Option<LookupFuture<V, Infallible<F>>>,
-    deadline: Sleep,
-}
-
-impl<V, F> std::fmt::Debug for DeadlineLookup<V, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeadlineLookup")
-            .field("lookup", &self.lookup)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<V, F> Future for DeadlineLookup<V, F>
-where
-    V: CachePayload + Send + Sync + 'static,
-    F: FnOnce() -> (V, ExecutionCost) + Unpin,
-{
-    type Output = Result<Lookup<V>, LookupTimedOut>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let Some(lookup) = this.lookup.as_mut() else {
-            panic!("DeadlineLookup polled after completion");
-        };
-        // Lookup first: a result that is ready when the deadline fires in
-        // the same poll round still wins (the work was already done).
-        if let Poll::Ready(lookup) = Pin::new(lookup).poll(cx) {
-            this.lookup = None;
-            return Poll::Ready(Ok(lookup));
-        }
-        match Pin::new(&mut this.deadline).poll(cx) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(()) => {
-                // Dropping the lookup is the cancellation: waiter wakers
-                // deregister, an unstarted leader fetch is skipped.
-                this.lookup = None;
-                Poll::Ready(Err(LookupTimedOut))
-            }
-        }
     }
 }

@@ -10,14 +10,13 @@
 //! * [`Watchman::get_or_execute`] / [`Watchman::get_or_execute_async`] —
 //!   the session entry points, with **single-flight** deduplication so
 //!   concurrent misses on the same query execute the warehouse query exactly
-//!   once.  Every front door — these two, the deadline variant and the
-//!   fallible `try_*` pair — is a thin adapter over one poll-based state
-//!   machine ([`LookupFuture`]): the async doors suspend waiting sessions as
-//!   futures on the engine's [`Runtime`](crate::runtime::Runtime) (a waiting
-//!   session costs a waker, not a parked OS thread) and spawn the leader's
-//!   fetch there; the sync doors put a hit fast path in front and drive the
-//!   same future with [`block_on`](crate::runtime::block_on), fetching
-//!   inline;
+//!   once.  Every front door — these two and the fallible `try_*` pair —
+//!   is a thin adapter over one poll-based state machine ([`LookupFuture`]):
+//!   the async doors suspend waiting sessions as futures (a waiting session
+//!   costs a waker, not a parked OS thread); the sync doors put a hit fast
+//!   path in front and drive the same future with
+//!   [`block_on`](crate::runtime::block_on).  Either way the leader fetches
+//!   in the poll that takes leadership, on whichever thread polls it;
 //! * [`PolicyKind`] — the one construction path for every replacement /
 //!   admission policy, shared by the engine, the simulator and the examples;
 //! * [`CacheEvent`] / [`CacheObserver`] — the lifecycle event stream that
@@ -37,7 +36,7 @@
 //! exactly one waiter is woken to take over leadership (no thundering herd,
 //! no lost wakeup — a cancelled candidate passes the wake along), the other
 //! waiters keep sleeping until the new leader completes the same flight
-//! cell, and the panic is re-raised on the original leader's session.
+//! cell, and the panic unwinds out of the original leader's poll.
 //!
 //! Expected failures — the warehouse itself erroring out — go through the
 //! *fallible* front doors [`Watchman::try_get_or_execute`] /
@@ -94,7 +93,7 @@ pub use failure::{
     splitmix64, BreakerConfig, BreakerState, CircuitBreaker, FailureConfig, FetchError,
     LookupError, NegativeCacheConfig, RetryPolicy, StalenessPolicy,
 };
-pub use lookup::{DeadlineLookup, Lookup, LookupFuture, LookupSource, LookupTimedOut};
+pub use lookup::{Lookup, LookupFuture, LookupSource};
 pub use policy_kind::PolicyKind;
 pub use rebalance::{RebalanceConfig, RebalanceOutcome};
 pub use watchman::{StatsSnapshot, Watchman};
@@ -496,7 +495,7 @@ mod tests {
         );
         let snapshot = engine.stats_snapshot();
         assert!(
-            snapshot.coalesced_misses >= 1,
+            snapshot.total.coalesced >= 1,
             "at least one session must have coalesced"
         );
     }
@@ -788,7 +787,8 @@ mod tests {
             "sync panic must not leak an in-flight cell"
         );
 
-        // Async path: same, with the fetch on a runtime worker.
+        // Async path: same.  The fetch panics inside the leader's own poll,
+        // so the cell is retired before the panic reaches this caller.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             block_on(
                 engine.get_or_execute_async(&key("doomed-async"), ts(2), || {
@@ -797,16 +797,11 @@ mod tests {
             )
         }));
         assert!(result.is_err());
-        // The leader session observes the panic the moment the payload is
-        // set; the fetch task's retirement of the entry races a hair behind.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while engine.inflight_entries() > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "async panic must not leak an in-flight cell"
-            );
-            std::thread::yield_now();
-        }
+        assert_eq!(
+            engine.inflight_entries(),
+            0,
+            "async panic must not leak an in-flight cell"
+        );
 
         // The keys are usable again afterwards (fresh flights).
         let lookup = engine.get_or_execute(&key("doomed-sync"), ts(3), || {
@@ -814,178 +809,6 @@ mod tests {
         });
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(engine.inflight_entries(), 0);
-    }
-
-    #[test]
-    fn cancelled_leader_fetch_is_never_invoked() {
-        // Regression for the abandoned-fetch work leak: a session that
-        // claims single-flight leadership and is then dropped (connection
-        // torn down, deadline elapsed) before its spawned fetch gets a
-        // worker used to run the multi-second warehouse query to
-        // completion anyway.  Now the fetch task observes the cancellation
-        // flag, never invokes the closure, and retires the flight cell.
-        use crate::runtime::Runtime;
-        use std::future::Future;
-        use std::pin::Pin;
-        use std::sync::atomic::AtomicBool;
-        use std::task::{Context, Waker};
-
-        let runtime = Arc::new(Runtime::with_workers(1));
-        let engine: Watchman<SizedPayload> = Watchman::builder()
-            .shards(1)
-            .policy(PolicyKind::LNC_RA)
-            .capacity_bytes(1 << 20)
-            .runtime(Arc::clone(&runtime))
-            .build();
-
-        // Occupy the only worker so the spawned fetch task stays queued.
-        let gate_started = Arc::new(AtomicBool::new(false));
-        let gate_release = Arc::new(AtomicBool::new(false));
-        let gate = {
-            let started = Arc::clone(&gate_started);
-            let release = Arc::clone(&gate_release);
-            runtime.spawn(async move {
-                started.store(true, Ordering::SeqCst);
-                while !release.load(Ordering::SeqCst) {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            })
-        };
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while !gate_started.load(Ordering::SeqCst) {
-            assert!(std::time::Instant::now() < deadline, "gate never ran");
-            std::thread::yield_now();
-        }
-
-        // Claim leadership (one poll spawns the fetch task), then abandon
-        // the session.  The closure would hang forever if it ever ran; the
-        // counter proves it never does.
-        let executed = Arc::new(AtomicU64::new(0));
-        {
-            let executed = Arc::clone(&executed);
-            let mut lookup = engine.get_or_execute_async(&key("abandoned"), ts(1), move || {
-                executed.fetch_add(1, Ordering::SeqCst);
-                loop {
-                    std::thread::sleep(std::time::Duration::from_secs(3600));
-                }
-            });
-            let waker = Waker::noop();
-            let mut cx = Context::from_waker(waker);
-            assert!(
-                Pin::new(&mut lookup).poll(&mut cx).is_pending(),
-                "leader suspends on its spawned fetch"
-            );
-            assert_eq!(engine.inflight_entries(), 1, "leadership claimed");
-            // Dropping the future here is the cancellation.
-        }
-
-        gate_release.store(true, Ordering::SeqCst);
-        crate::runtime::block_on(gate).unwrap();
-        // The fetch task (now scheduled) must observe the cancellation,
-        // skip the closure and retire the cell.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while engine.inflight_entries() > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "cancelled flight cell never retired"
-            );
-            std::thread::yield_now();
-        }
-        assert_eq!(
-            executed.load(Ordering::SeqCst),
-            0,
-            "cancelled fetch must never be invoked"
-        );
-
-        // The key starts a fresh flight afterwards.
-        let lookup = engine.get_or_execute(&key("abandoned"), ts(2), || {
-            (SizedPayload::new(16), ExecutionCost::from_blocks(5))
-        });
-        assert_eq!(lookup.source, LookupSource::Executed);
-    }
-
-    #[test]
-    fn timed_out_waiter_resolves_err_while_the_leader_completes() {
-        // A coalescing session with a deadline gives up without disturbing
-        // the leader: the lookup resolves Err(LookupTimedOut), the waiter
-        // deregisters, and the leader's result still lands in the cache.
-        use crate::runtime::block_on;
-        let engine: Watchman<SizedPayload> = Watchman::builder()
-            .shards(1)
-            .policy(PolicyKind::LNC_RA)
-            .capacity_bytes(1 << 20)
-            .runtime_workers(2)
-            .build();
-        let started = Arc::new(AtomicU64::new(0));
-        let finish = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            {
-                let engine = engine.clone();
-                let started = Arc::clone(&started);
-                let finish = Arc::clone(&finish);
-                scope.spawn(move || {
-                    let lookup =
-                        block_on(engine.get_or_execute_async(&key("slow"), ts(1), move || {
-                            started.fetch_add(1, Ordering::SeqCst);
-                            // Hold the flight open until the waiter timed out.
-                            let deadline =
-                                std::time::Instant::now() + std::time::Duration::from_secs(10);
-                            while finish.load(Ordering::SeqCst) == 0 {
-                                assert!(std::time::Instant::now() < deadline);
-                                std::thread::sleep(std::time::Duration::from_millis(1));
-                            }
-                            (SizedPayload::new(64), ExecutionCost::from_blocks(100))
-                        }));
-                    assert_eq!(lookup.source, LookupSource::Executed);
-                });
-            }
-            {
-                let engine = engine.clone();
-                let started = Arc::clone(&started);
-                let finish = Arc::clone(&finish);
-                scope.spawn(move || {
-                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                    while started.load(Ordering::SeqCst) == 0 {
-                        assert!(std::time::Instant::now() < deadline, "leader never started");
-                        std::thread::yield_now();
-                    }
-                    let result = block_on(engine.get_or_execute_async_with_timeout(
-                        &key("slow"),
-                        ts(2),
-                        std::time::Duration::from_millis(30),
-                        || unreachable!("the waiter coalesces; its fetch never runs"),
-                    ));
-                    assert_eq!(result.unwrap_err(), LookupTimedOut);
-                    // Only now let the leader's fetch finish.
-                    finish.store(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(started.load(Ordering::SeqCst), 1, "exactly one execution");
-        assert!(engine.contains(&key("slow")), "leader's result is cached");
-        assert_eq!(engine.inflight_entries(), 0);
-    }
-
-    #[test]
-    fn deadline_lookup_resolves_ok_when_the_fetch_beats_the_timeout() {
-        use crate::runtime::block_on;
-        let engine = engine(2, 1 << 20);
-        let lookup = block_on(engine.get_or_execute_async_with_timeout(
-            &key("fast"),
-            ts(1),
-            std::time::Duration::from_secs(30),
-            || (SizedPayload::new(32), ExecutionCost::from_blocks(10)),
-        ))
-        .expect("well within the deadline");
-        assert_eq!(lookup.source, LookupSource::Executed);
-        let hit = block_on(engine.get_or_execute_async_with_timeout(
-            &key("fast"),
-            ts(2),
-            std::time::Duration::from_secs(30),
-            || unreachable!("cached"),
-        ))
-        .expect("hits resolve immediately");
-        assert_eq!(hit.source, LookupSource::Hit);
     }
 
     #[test]
@@ -1455,9 +1278,11 @@ mod tests {
     }
 
     /// A one-shard engine whose breaker (one probe ticket when half-open,
-    /// open for a logical second) two failing lookups have just tripped.
+    /// open for a logical second) two fatally failing lookups have just
+    /// tripped.  `retry` applies to later transient errors only.
     fn engine_with_tripped_breaker(
         runtime: Arc<crate::runtime::Runtime>,
+        retry: RetryPolicy,
     ) -> Watchman<SizedPayload> {
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(1)
@@ -1465,7 +1290,7 @@ mod tests {
             .capacity_bytes(1 << 20)
             .runtime(runtime)
             .failure(FailureConfig {
-                retry: RetryPolicy::none(),
+                retry,
                 breaker: Some(BreakerConfig {
                     window: 8,
                     failure_threshold: 0.5,
@@ -1479,7 +1304,7 @@ mod tests {
         for (name, now) in [("a", 10), ("b", 20)] {
             engine
                 .try_get_or_execute(&key(name), ts(now), || {
-                    Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("down"))
+                    Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("down"))
                 })
                 .unwrap_err();
         }
@@ -1491,8 +1316,8 @@ mod tests {
     }
 
     /// Polls `future` once with a no-op waker, asserting it suspends: the
-    /// deterministic way to put a session into a flight (as its leader or
-    /// as a registered waiter) before the test lets the flight resolve.
+    /// deterministic way to register a session as a flight's waiter, or to
+    /// park a leader in its retry backoff, before the test goes on.
     fn poll_once_pending<F: std::future::Future + Unpin>(future: &mut F) {
         let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
         assert!(std::pin::Pin::new(future).poll(&mut cx).is_pending());
@@ -1504,7 +1329,7 @@ mod tests {
         // its ticket; with `half_open_probes: 1` the shard then refused
         // every fetch forever.
         let runtime = Arc::new(crate::runtime::Runtime::with_workers(1));
-        let engine = engine_with_tripped_breaker(runtime);
+        let engine = engine_with_tripped_breaker(runtime, RetryPolicy::none());
         for (door, now) in [("sync", 1_100_000), ("async", 1_100_001)] {
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let fetch = || -> Result<(SizedPayload, ExecutionCost), FetchError> {
@@ -1520,13 +1345,9 @@ mod tests {
                 }
             }));
             assert!(panicked.is_err(), "{door}: the probe's panic propagates");
-            // The async leader re-raises the moment the payload is set; the
-            // fetch task retires the cell a hair behind.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while engine.inflight_entries() > 0 {
-                assert!(std::time::Instant::now() < deadline, "cell never retired");
-                std::thread::yield_now();
-            }
+            // The fetch panicked inside the leader's poll: the cell was
+            // retired before the panic reached this caller.
+            assert_eq!(engine.inflight_entries(), 0, "{door}: cell retired");
         }
         // The ticket is back: the next arrival is the probe, long after.
         let recovered = engine
@@ -1538,45 +1359,208 @@ mod tests {
         assert_eq!(engine.stats_snapshot().breaker_transitions, 3);
     }
 
+    /// A retry policy whose one backoff outlasts any test: a leader whose
+    /// first attempt fails transiently sleeps until it is dropped.
+    fn retry_after_an_hour() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 2,
+            base_delay: std::time::Duration::from_secs(3_600),
+            max_delay: std::time::Duration::from_secs(3_600),
+            jitter_seed: 0,
+        }
+    }
+
+    /// A waker that records whether it was woken.
+    struct WokenFlag(std::sync::atomic::AtomicBool);
+
+    impl std::task::Wake for WokenFlag {
+        fn wake(self: Arc<Self>) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn leader_dropped_in_backoff_hands_the_flight_to_one_waiter() {
+        use std::future::Future;
+        use std::task::{Context, Poll, Waker};
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .failure(FailureConfig {
+                retry: retry_after_an_hour(),
+                ..FailureConfig::default()
+            })
+            .runtime_workers(1)
+            .build();
+        let mut leader = engine.try_get_or_execute_async(&key("shared"), ts(1), || {
+            Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("blip"))
+        });
+        // The first attempt fails inside this poll; the leader sleeps.
+        poll_once_pending(&mut leader);
+        assert_eq!(engine.fetch_retries(), 1, "the leader is in its backoff");
+        let executions = Arc::new(AtomicU64::new(0));
+        let mut waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let executions = Arc::clone(&executions);
+                let flag = Arc::new(WokenFlag(std::sync::atomic::AtomicBool::new(false)));
+                let waiter = engine.try_get_or_execute_async(&key("shared"), ts(2), move || {
+                    executions.fetch_add(1, Ordering::SeqCst);
+                    payload_ok(64, 700)
+                });
+                (waiter, flag)
+            })
+            .collect();
+        for (waiter, flag) in &mut waiters {
+            let waker = Waker::from(Arc::clone(flag));
+            let mut cx = Context::from_waker(&waker);
+            assert!(std::pin::Pin::new(waiter).poll(&mut cx).is_pending());
+        }
+
+        drop(leader);
+        let woken: Vec<usize> = (0..waiters.len())
+            .filter(|&i| waiters[i].1 .0.load(Ordering::SeqCst))
+            .collect();
+        assert_eq!(woken.len(), 1, "exactly one waiter is woken to take over");
+        // The candidate leads the same cell with its own fetch, which runs
+        // in this poll; completing the flight wakes the other waiter.
+        let mut sources = Vec::new();
+        for index in [woken[0], 1 - woken[0]] {
+            let (waiter, flag) = &mut waiters[index];
+            assert!(flag.0.load(Ordering::SeqCst), "waiter {index} was woken");
+            let waker = Waker::from(Arc::clone(flag));
+            let mut cx = Context::from_waker(&waker);
+            match std::pin::Pin::new(waiter).poll(&mut cx) {
+                Poll::Ready(lookup) => sources.push(lookup.expect("the takeover succeeds").source),
+                Poll::Pending => panic!("waiter {index} must resolve once woken"),
+            }
+        }
+        assert_eq!(sources, [LookupSource::Executed, LookupSource::Coalesced]);
+        assert_eq!(executions.load(Ordering::SeqCst), 1);
+        assert_eq!(engine.inflight_entries(), 0);
+        assert!(engine.contains(&key("shared")));
+    }
+
     #[test]
     fn cancelled_probe_leader_returns_its_half_open_ticket() {
-        // Same leak through the other unresolved ending: the probe's leader
-        // session is dropped before its spawned fetch gets a worker.
-        use std::sync::mpsc;
+        // A half-open probe that fails transiently sleeps out its backoff
+        // while holding the shard's only ticket.  Dropped there with no
+        // waiter, it must retire the cell and hand the ticket back, or the
+        // shard refuses every fetch forever.
         let runtime = Arc::new(crate::runtime::Runtime::with_workers(1));
-        let engine = engine_with_tripped_breaker(Arc::clone(&runtime));
-        // Occupy the only worker so the spawned fetch task stays queued.
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let gate = runtime.spawn(async move {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap();
+        let engine = engine_with_tripped_breaker(runtime, retry_after_an_hour());
         {
             let mut probe = engine.try_get_or_execute_async(&key("c"), ts(1_100_000), || {
-                unreachable!("a cancelled fetch is never invoked")
+                Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("still down"))
             });
             poll_once_pending(&mut probe);
-            assert_eq!(engine.inflight_entries(), 1, "probe leadership claimed");
+            assert_eq!(engine.fetch_retries(), 1, "the probe is in its backoff");
+            assert_eq!(engine.inflight_entries(), 1, "probe leadership held");
             let refused = engine
                 .try_get_or_execute(&key("d"), ts(1_100_001), || unreachable!("no ticket left"))
                 .expect_err("the one ticket is out");
             assert!(refused.error.message().contains("circuit breaker open"));
             // Dropping the future here is the cancellation.
         }
-        release_tx.send(()).unwrap();
-        crate::runtime::block_on(gate).unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while engine.inflight_entries() > 0 {
-            assert!(std::time::Instant::now() < deadline, "cell never retired");
-            std::thread::yield_now();
-        }
+        assert_eq!(
+            engine.inflight_entries(),
+            0,
+            "the waiterless cell is retired"
+        );
         let recovered = engine
             .try_get_or_execute(&key("d"), ts(2_000_000_000), || payload_ok(64, 500))
             .expect("the returned ticket admits a new probe");
         assert_eq!(recovered.source, LookupSource::Executed);
+        // closed→open, open→half-open, half-open→closed.
         assert_eq!(engine.stats_snapshot().breaker_transitions, 3);
+    }
+
+    #[test]
+    fn cancelled_leader_fetch_is_never_invoked() {
+        // A session cancelled before its first poll never claims the flight
+        // (the future is lazy), and a leader cancelled mid-backoff runs no
+        // further attempt.  Either way the key is left with no cell, and
+        // the next session starts a fresh flight.
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .failure(FailureConfig {
+                retry: retry_after_an_hour(),
+                ..FailureConfig::default()
+            })
+            .runtime_workers(1)
+            .build();
+        let attempts = Arc::new(AtomicU64::new(0));
+        let failing = || {
+            let attempts = Arc::clone(&attempts);
+            move || {
+                attempts.fetch_add(1, Ordering::SeqCst);
+                Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("blip"))
+            }
+        };
+
+        drop(engine.try_get_or_execute_async(&key("abandoned"), ts(1), failing()));
+        assert_eq!(
+            attempts.load(Ordering::SeqCst),
+            0,
+            "never polled, never run"
+        );
+        assert_eq!(engine.inflight_entries(), 0);
+
+        let mut leader = engine.try_get_or_execute_async(&key("abandoned"), ts(2), failing());
+        poll_once_pending(&mut leader);
+        assert_eq!(attempts.load(Ordering::SeqCst), 1, "first attempt failed");
+        assert_eq!(engine.inflight_entries(), 1, "leadership held in backoff");
+        drop(leader);
+        assert_eq!(
+            engine.inflight_entries(),
+            0,
+            "cancelled flight cell retired"
+        );
+        assert_eq!(
+            attempts.load(Ordering::SeqCst),
+            1,
+            "cancelled leader never retries"
+        );
+
+        let lookup = engine.get_or_execute(&key("abandoned"), ts(3), || {
+            (SizedPayload::new(16), ExecutionCost::from_blocks(5))
+        });
+        assert_eq!(lookup.source, LookupSource::Executed);
+    }
+
+    #[test]
+    fn leader_fetch_runs_on_the_polling_thread() {
+        use crate::runtime::block_on;
+        use std::sync::mpsc;
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .runtime_workers(2)
+            .build();
+        let caller = std::thread::current().id();
+        let (ran_on_tx, ran_on) = mpsc::channel();
+        let tx = ran_on_tx.clone();
+        let lookup = block_on(
+            engine.get_or_execute_async(&key("infallible"), ts(1), move || {
+                tx.send(std::thread::current().id()).unwrap();
+                (SizedPayload::new(64), ExecutionCost::from_blocks(700))
+            }),
+        );
+        assert_eq!(lookup.source, LookupSource::Executed);
+        assert_eq!(ran_on.recv().unwrap(), caller, "infallible door");
+        let lookup =
+            block_on(
+                engine.try_get_or_execute_async(&key("fallible"), ts(2), move || {
+                    ran_on_tx.send(std::thread::current().id()).unwrap();
+                    payload_ok(64, 700)
+                }),
+            )
+            .expect("the fetch succeeds");
+        assert_eq!(lookup.source, LookupSource::Executed);
+        assert_eq!(ran_on.recv().unwrap(), caller, "fallible door");
     }
 
     #[test]
@@ -1589,26 +1573,42 @@ mod tests {
             .failure(no_retry())
             .runtime_workers(2)
             .build();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        let mut leader = engine.try_get_or_execute_async(&key("shared"), ts(1), move || {
-            release_rx.recv().unwrap();
-            Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("warehouse gone"))
-        });
-        poll_once_pending(&mut leader);
         let executions = Arc::new(AtomicU64::new(0));
-        let mut waiter = {
-            let executions = Arc::clone(&executions);
-            engine.get_or_execute_async(&key("shared"), ts(2), move || {
-                executions.fetch_add(1, Ordering::SeqCst);
-                (SizedPayload::new(64), ExecutionCost::from_blocks(700))
-            })
-        };
-        poll_once_pending(&mut waiter);
-        release_tx.send(()).unwrap();
-        crate::runtime::block_on(leader).expect_err("the leader surfaces its error");
-        // The waiter cannot surface an error: it starts over, leads a fresh
-        // flight past the negative entry the failure left, and executes.
-        let lookup = crate::runtime::block_on(waiter);
+        let lookup = std::thread::scope(|scope| {
+            // The leader fetches in its own poll, so it leads from a thread
+            // of its own while this one joins its flight.
+            let leader = scope.spawn(|| {
+                crate::runtime::block_on(engine.try_get_or_execute_async(
+                    &key("shared"),
+                    ts(1),
+                    move || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("warehouse gone"))
+                    },
+                ))
+            });
+            started_rx.recv().unwrap();
+            let mut waiter = {
+                let executions = Arc::clone(&executions);
+                engine.get_or_execute_async(&key("shared"), ts(2), move || {
+                    executions.fetch_add(1, Ordering::SeqCst);
+                    (SizedPayload::new(64), ExecutionCost::from_blocks(700))
+                })
+            };
+            poll_once_pending(&mut waiter);
+            release_tx.send(()).unwrap();
+            leader
+                .join()
+                .unwrap()
+                .expect_err("the leader surfaces its error");
+            // The waiter cannot surface an error: it starts over, leads a
+            // fresh flight past the negative entry the failure left, and
+            // executes.
+            crate::runtime::block_on(waiter)
+        });
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(executions.load(Ordering::SeqCst), 1);
         assert_eq!(engine.inflight_entries(), 0);
@@ -1622,8 +1622,10 @@ mod tests {
 
     #[test]
     fn infallible_lookups_bypass_the_negative_cache_and_the_breaker() {
-        let engine =
-            engine_with_tripped_breaker(Arc::new(crate::runtime::Runtime::with_workers(1)));
+        let engine = engine_with_tripped_breaker(
+            Arc::new(crate::runtime::Runtime::with_workers(1)),
+            RetryPolicy::none(),
+        );
         let memoized = engine
             .try_get_or_execute(&key("a"), ts(31), || unreachable!("memoized or refused"))
             .expect_err("inside the failure domain the key stays failed");
@@ -1645,22 +1647,29 @@ mod tests {
     fn fallible_waiter_coalesces_behind_an_infallible_leader() {
         use std::sync::mpsc;
         let engine = engine(1, 1 << 20);
+        let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        let mut leader = engine.get_or_execute_async(&key("shared"), ts(1), move || {
-            release_rx.recv().unwrap();
-            (SizedPayload::new(64), ExecutionCost::from_blocks(700))
+        let shared = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                crate::runtime::block_on(engine.get_or_execute_async(
+                    &key("shared"),
+                    ts(1),
+                    move || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        (SizedPayload::new(64), ExecutionCost::from_blocks(700))
+                    },
+                ))
+            });
+            started_rx.recv().unwrap();
+            let mut waiter = engine.try_get_or_execute_async(&key("shared"), ts(2), || {
+                unreachable!("waiters never execute")
+            });
+            poll_once_pending(&mut waiter);
+            release_tx.send(()).unwrap();
+            assert_eq!(leader.join().unwrap().source, LookupSource::Executed);
+            crate::runtime::block_on(waiter).expect("the leader's value is shared")
         });
-        poll_once_pending(&mut leader);
-        let mut waiter = engine.try_get_or_execute_async(&key("shared"), ts(2), || {
-            unreachable!("waiters never execute")
-        });
-        poll_once_pending(&mut waiter);
-        release_tx.send(()).unwrap();
-        assert_eq!(
-            crate::runtime::block_on(leader).source,
-            LookupSource::Executed
-        );
-        let shared = crate::runtime::block_on(waiter).expect("the leader's value is shared");
         assert_eq!(shared.source, LookupSource::Coalesced);
         assert_eq!(shared.value.size_bytes(), 64);
         assert_eq!(engine.stats().coalesced, 1);

@@ -29,11 +29,9 @@
 //! pending), so waiters registered before the failure never need to migrate
 //! to a new cell.
 //!
-//! The original leader's *session* is woken too — not as a takeover
-//! candidate but to observe the failure: the engine stores the fetch's
-//! panic payload in the cell ([`Flight::set_panic`]) and the leader session
-//! re-raises it ([`Flight::poll_leader`]), preserving the synchronous API's
-//! panic-propagation contract through the async path.
+//! The leader runs its fetch inside its own poll, so a panicking fetch
+//! unwinds out of the leader's session directly; the engine's guard on that
+//! unwind is what abandons the cell.
 //!
 //! ## Errors are not panics
 //!
@@ -45,7 +43,6 @@
 //! failed cell immediately, so the next reference to the key starts a fresh
 //! flight (or is answered by the negative cache).
 
-use std::any::Any;
 use std::sync::Arc;
 
 use crate::engine::failure::FetchError;
@@ -53,7 +50,6 @@ use crate::engine::failure::FetchError;
 use crate::sync::{Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
-use crate::policy::InsertOutcome;
 use crate::value::ExecutionCost;
 
 /// The observable state of one in-flight execution.
@@ -62,9 +58,6 @@ enum FlightState<V> {
     Pending {
         /// The suspended waiter sessions, in registration order.
         waiters: Vec<(u64, Waker)>,
-        /// The leader session's waker, when the fetch runs elsewhere (the
-        /// async path spawns it on the runtime).
-        leader: Option<Waker>,
     },
     /// The leader failed; one waiter has been woken to take over.
     Abandoned {
@@ -81,10 +74,9 @@ enum FlightState<V> {
 impl<V> std::fmt::Debug for FlightState<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FlightState::Pending { waiters, leader } => f
+            FlightState::Pending { waiters } => f
                 .debug_struct("Pending")
                 .field("waiters", &waiters.len())
-                .field("leader", &leader.is_some())
                 .finish(),
             FlightState::Abandoned { waiters } => f
                 .debug_struct("Abandoned")
@@ -110,21 +102,6 @@ pub enum FlightOutcome<V> {
     Failed(Arc<FetchError>),
 }
 
-/// What the leader's session observes when its poll completes (async path,
-/// where the fetch itself runs on the runtime).
-#[derive(Debug)]
-pub enum LeaderOutcome<V> {
-    /// The spawned fetch completed the flight with this value and cost.
-    Done(Arc<V>, ExecutionCost),
-    /// The spawned fetch panicked; the payload (if any) should be re-raised
-    /// on the session so the async path propagates panics exactly like the
-    /// synchronous one.
-    Failed(Option<Box<dyn Any + Send>>),
-    /// The spawned fetch failed terminally with a fetch error (fallible
-    /// pipeline); the session surfaces it as a `LookupError`, not a panic.
-    Error(Arc<FetchError>),
-}
-
 /// A waiter's registration handle on a [`Flight`].
 ///
 /// Create one per waiting session with [`WaiterSlot::new`]; pass it to every
@@ -147,18 +124,6 @@ pub struct Flight<V> {
     state: Mutex<FlightState<V>>,
     /// Monotonic waiter-id source.
     next_waiter: std::sync::atomic::AtomicU64,
-    /// Monotonic leadership-generation source: each session that leads this
-    /// cell (the original leader and every takeover) draws an epoch, so a
-    /// failed fetch's panic is re-raised on *its own* session even after a
-    /// takeover leader has completed the flight.
-    next_epoch: std::sync::atomic::AtomicU64,
-    /// The admission outcome of the leader's insert, for the leader session
-    /// to take (async path; the sync path returns it directly).
-    outcome: Mutex<Option<InsertOutcome>>,
-    /// The panic payloads of failed fetches, each tagged with the leadership
-    /// epoch whose session must re-raise it (successive takeovers can fail
-    /// too, so there may briefly be more than one).
-    panic_payload: Mutex<Vec<(u64, Box<dyn Any + Send>)>>,
     /// Whether this cell holds one of its shard breaker's half-open probe
     /// tickets.  The ticket belongs to the *cell*, not to a session, so it
     /// survives takeovers; whoever settles or retires the cell takes it.
@@ -185,12 +150,8 @@ impl<V> Flight<V> {
         Flight {
             state: Mutex::new(FlightState::Pending {
                 waiters: Vec::new(),
-                leader: None,
             }),
             next_waiter: std::sync::atomic::AtomicU64::new(0),
-            next_epoch: std::sync::atomic::AtomicU64::new(0),
-            outcome: Mutex::new(None),
-            panic_payload: Mutex::new(Vec::new()),
             probe: std::sync::atomic::AtomicBool::new(probe),
         }
     }
@@ -202,14 +163,6 @@ impl<V> Flight<V> {
         self.probe.swap(false, std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Draws a fresh leadership epoch.  Called by each session that starts
-    /// (or takes over) an execution on this cell, before spawning its fetch.
-    pub fn new_leader_epoch(&self) -> u64 {
-        self.next_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            + 1
-    }
-
     fn lock(&self) -> MutexGuard<'_, FlightState<V>> {
         // The engine never panics while holding this lock (fetches run
         // outside it); the sync layer's poison recovery keeps waiters alive
@@ -217,22 +170,13 @@ impl<V> Flight<V> {
         self.state.lock()
     }
 
-    /// Publishes the leader's result and wakes the leader session and every
-    /// waiter.
+    /// Publishes the leader's result and wakes every waiter.
     pub fn complete(&self, value: Arc<V>, cost: ExecutionCost) {
         let mut state = self.lock();
         let previous = std::mem::replace(&mut *state, FlightState::Done(value, cost));
         drop(state);
         match previous {
-            FlightState::Pending { waiters, leader } => {
-                for (_, waker) in waiters {
-                    waker.wake();
-                }
-                if let Some(leader) = leader {
-                    leader.wake();
-                }
-            }
-            FlightState::Abandoned { waiters } => {
+            FlightState::Pending { waiters } | FlightState::Abandoned { waiters } => {
                 for (_, waker) in waiters {
                     waker.wake();
                 }
@@ -242,7 +186,7 @@ impl<V> Flight<V> {
     }
 
     /// Resolves the flight with a terminal fetch error, waking **every**
-    /// waiter and the leader session at once.  Unlike [`Flight::abandon`]
+    /// waiter at once.  Unlike [`Flight::abandon`]
     /// there is no takeover candidate: the leader already exhausted its
     /// retry budget, so each waiter observes the same shared error (and
     /// decides for itself whether a stale serve applies).  The caller must
@@ -259,15 +203,7 @@ impl<V> Flight<V> {
         let previous = std::mem::replace(&mut *state, FlightState::Failed(error));
         drop(state);
         match previous {
-            FlightState::Pending { waiters, leader } => {
-                for (_, waker) in waiters {
-                    waker.wake();
-                }
-                if let Some(leader) = leader {
-                    leader.wake();
-                }
-            }
-            FlightState::Abandoned { waiters } => {
+            FlightState::Pending { waiters } | FlightState::Abandoned { waiters } => {
                 for (_, waker) in waiters {
                     waker.wake();
                 }
@@ -277,8 +213,7 @@ impl<V> Flight<V> {
     }
 
     /// Marks the flight as failed and wakes **exactly one** waiter to take
-    /// over leadership (plus the original leader session, so it can observe
-    /// the failure).  Returns the number of waiters still registered after
+    /// over leadership.  Returns the number of waiters still registered after
     /// the wake — **including** the woken candidate's claim on the cell, so
     /// when it is zero (nobody waiting at all) the engine retires the cell
     /// from its in-flight table instead of leaking it.
@@ -289,17 +224,13 @@ impl<V> Flight<V> {
     pub fn abandon(&self) -> usize {
         let mut state = self.lock();
         match &mut *state {
-            FlightState::Pending { waiters, leader } => {
-                let leader = leader.take();
+            FlightState::Pending { waiters } => {
                 let (invested, candidate) = pop_candidate(waiters);
                 let waiters = std::mem::take(waiters);
                 *state = FlightState::Abandoned { waiters };
                 drop(state);
                 if let Some(candidate) = candidate {
                     candidate.wake();
-                }
-                if let Some(leader) = leader {
-                    leader.wake();
                 }
                 invested
             }
@@ -344,13 +275,10 @@ impl<V> Flight<V> {
                     waiters.retain(|(waiter, _)| *waiter != id);
                 }
                 let waiters = std::mem::take(waiters);
-                *state = FlightState::Pending {
-                    waiters,
-                    leader: None,
-                };
+                *state = FlightState::Pending { waiters };
                 Poll::Ready(FlightOutcome::TakeOver)
             }
-            FlightState::Pending { waiters, .. } => {
+            FlightState::Pending { waiters } => {
                 match slot.id {
                     Some(id) => {
                         if let Some(entry) = waiters.iter_mut().find(|(waiter, _)| *waiter == id) {
@@ -376,40 +304,6 @@ impl<V> Flight<V> {
         }
     }
 
-    /// Polls the flight as the leader *session* of leadership generation
-    /// `epoch`, while its fetch runs elsewhere (the async path spawns the
-    /// fetch on the runtime).
-    ///
-    /// The epoch check matters after a failure: a takeover leader may have
-    /// completed (or re-failed) the cell before the original session gets to
-    /// poll, so each session re-raises only the panic tagged with *its own*
-    /// generation and otherwise reports whatever the cell's current state
-    /// says.
-    pub fn poll_leader(&self, epoch: u64, cx: &mut Context<'_>) -> Poll<LeaderOutcome<V>> {
-        // Own-generation failure wins over any later state: the session that
-        // spawned the failed fetch must observe the failure even if a
-        // takeover has already completed the flight with a fresh value.
-        if let Some(payload) = self.take_panic_for(epoch) {
-            return Poll::Ready(LeaderOutcome::Failed(Some(payload)));
-        }
-        let mut state = self.lock();
-        match &mut *state {
-            FlightState::Done(value, cost) => {
-                Poll::Ready(LeaderOutcome::Done(Arc::clone(value), *cost))
-            }
-            FlightState::Failed(error) => Poll::Ready(LeaderOutcome::Error(Arc::clone(error))),
-            FlightState::Abandoned { .. } => {
-                // This generation's fetch failed without recording a payload
-                // (it should always record one; be defensive).
-                Poll::Ready(LeaderOutcome::Failed(None))
-            }
-            FlightState::Pending { leader, .. } => {
-                *leader = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
-
     /// Removes a cancelled waiter's registration (its future was dropped
     /// before the flight resolved).
     ///
@@ -426,7 +320,7 @@ impl<V> Flight<V> {
         };
         let mut state = self.lock();
         match &mut *state {
-            FlightState::Pending { waiters, .. } => {
+            FlightState::Pending { waiters } => {
                 waiters.retain(|(waiter, _)| *waiter != id);
                 false
             }
@@ -447,36 +341,12 @@ impl<V> Flight<V> {
     fn deregister(&self, slot: &mut WaiterSlot) {
         if let Some(id) = slot.id.take() {
             let mut state = self.lock();
-            if let FlightState::Pending { waiters, .. } | FlightState::Abandoned { waiters } =
+            if let FlightState::Pending { waiters } | FlightState::Abandoned { waiters } =
                 &mut *state
             {
                 waiters.retain(|(waiter, _)| *waiter != id);
             }
         }
-    }
-
-    /// Stores the admission outcome of the leader's insert for the leader
-    /// session to collect (async path).
-    pub fn set_outcome(&self, outcome: InsertOutcome) {
-        *self.outcome.lock() = Some(outcome);
-    }
-
-    /// Takes the stored admission outcome, if any.
-    pub fn take_outcome(&self) -> Option<InsertOutcome> {
-        self.outcome.lock().take()
-    }
-
-    /// Stores a failed fetch's panic payload for the leader session of
-    /// generation `epoch` to re-raise.  Call **before** [`Flight::abandon`]
-    /// so the leader observes the payload when its abandonment wake arrives.
-    pub fn set_panic(&self, epoch: u64, payload: Box<dyn Any + Send>) {
-        self.panic_payload.lock().push((epoch, payload));
-    }
-
-    fn take_panic_for(&self, epoch: u64) -> Option<Box<dyn Any + Send>> {
-        let mut payloads = self.panic_payload.lock();
-        let index = payloads.iter().position(|(e, _)| *e == epoch)?;
-        Some(payloads.swap_remove(index).1)
     }
 
     /// Whether the flight has completed.
@@ -638,68 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn leader_poll_observes_completion_and_failure() {
-        let flight: Flight<u64> = Flight::new();
-        let epoch = flight.new_leader_epoch();
-        let wake = CountingWake::new();
-        let waker = Waker::from(Arc::clone(&wake));
-        let mut cx = Context::from_waker(&waker);
-        assert!(flight.poll_leader(epoch, &mut cx).is_pending());
-
-        flight.set_panic(epoch, Box::new("boom"));
-        flight.abandon();
-        assert_eq!(wake.count(), 1, "leader session woken on abandonment");
-        match flight.poll_leader(epoch, &mut cx) {
-            Poll::Ready(LeaderOutcome::Failed(Some(payload))) => {
-                assert_eq!(*payload.downcast::<&str>().unwrap(), "boom");
-            }
-            other => panic!("expected Failed with payload, got {other:?}"),
-        }
-
-        let done: Flight<u64> = Flight::new();
-        let epoch = done.new_leader_epoch();
-        done.set_outcome(InsertOutcome::already_cached());
-        done.complete(Arc::new(3), ExecutionCost::from_blocks(2));
-        match done.poll_leader(epoch, &mut cx) {
-            Poll::Ready(LeaderOutcome::Done(value, _)) => assert_eq!(*value, 3),
-            other => panic!("expected Done, got {other:?}"),
-        }
-        assert!(done.take_outcome().is_some());
-        assert!(done.take_outcome().is_none(), "outcome taken once");
-    }
-
-    #[test]
-    fn own_generation_failure_wins_over_a_takeover_completion() {
-        // The race the epoch exists for: leader A's fetch fails, waiter B
-        // takes over and completes before A polls.  A must still observe its
-        // own failure, and B's result must not be misread as A's.
-        let flight: Flight<u64> = Flight::new();
-        let epoch_a = flight.new_leader_epoch();
-        flight.set_panic(epoch_a, Box::new("a failed"));
-        flight.abandon();
-
-        // B takes over (fresh epoch) and completes the same cell.
-        let epoch_b = flight.new_leader_epoch();
-        flight.complete(Arc::new(11), ExecutionCost::from_blocks(4));
-
-        let wake = CountingWake::new();
-        let waker = Waker::from(Arc::clone(&wake));
-        let mut cx = Context::from_waker(&waker);
-        // A polls late: its own generation's panic, not B's value.
-        match flight.poll_leader(epoch_a, &mut cx) {
-            Poll::Ready(LeaderOutcome::Failed(Some(payload))) => {
-                assert_eq!(*payload.downcast::<&str>().unwrap(), "a failed");
-            }
-            other => panic!("A must observe its own failure, got {other:?}"),
-        }
-        // B polls: the completed value.
-        match flight.poll_leader(epoch_b, &mut cx) {
-            Poll::Ready(LeaderOutcome::Done(value, _)) => assert_eq!(*value, 11),
-            other => panic!("B must observe its completion, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn fail_wakes_every_waiter_with_one_shared_error() {
         let flight: Flight<u64> = Flight::new();
         let wakes: Vec<_> = (0..4).map(|_| CountingWake::new()).collect();
@@ -725,26 +533,6 @@ mod tests {
         }
         // Terminal: no takeover, no further abandonment claims.
         assert_eq!(flight.abandon(), 0);
-    }
-
-    #[test]
-    fn leader_session_observes_the_fetch_error() {
-        let flight: Flight<u64> = Flight::new();
-        let epoch = flight.new_leader_epoch();
-        let wake = CountingWake::new();
-        let waker = Waker::from(Arc::clone(&wake));
-        let mut cx = Context::from_waker(&waker);
-        assert!(flight.poll_leader(epoch, &mut cx).is_pending());
-
-        let error = Arc::new(FetchError::fatal("relation dropped"));
-        flight.fail(Arc::clone(&error));
-        assert_eq!(wake.count(), 1, "leader session woken by fail");
-        match flight.poll_leader(epoch, &mut cx) {
-            Poll::Ready(LeaderOutcome::Error(observed)) => {
-                assert!(Arc::ptr_eq(&observed, &error));
-            }
-            other => panic!("expected Error, got {other:?}"),
-        }
     }
 
     #[test]

@@ -27,23 +27,15 @@ use crate::runtime::{Runtime, Sleep};
 use crate::sync::{Mutex, MutexGuard};
 use crate::value::{CachePayload, ExecutionCost};
 
-/// Publishes an insert's side effects to telemetry: the shard's occupancy
-/// gauge and the global eviction counter.  Called under the shard lock (both
-/// targets are atomics, so this adds no lock class).
-pub(super) fn record_insert_telemetry(
-    shard_index: usize,
-    used_bytes: u64,
-    outcome: &InsertOutcome,
-) {
+/// Publishes a change to a shard's contents to telemetry — an insert, or a
+/// rebalance transfer's capacity change: the shard's occupancy gauge and the
+/// global eviction counter.  Called under the shard lock (both targets are
+/// atomics, so this adds no lock class).
+pub(super) fn record_shard_telemetry(shard_index: usize, used_bytes: u64, evicted: &[QueryKey]) {
     let telemetry = crate::telemetry::global();
     telemetry.set_shard_used(shard_index, used_bytes);
-    match outcome {
-        InsertOutcome::Admitted { evicted } | InsertOutcome::AlreadyCached { evicted } => {
-            if !evicted.is_empty() {
-                telemetry.evictions.add(evicted.len() as u64);
-            }
-        }
-        InsertOutcome::Rejected(_) => {}
+    if !evicted.is_empty() {
+        telemetry.evictions.add(evicted.len() as u64);
     }
 }
 
@@ -76,9 +68,6 @@ pub struct StatsSnapshot {
     pub capacity_bytes: u64,
     /// Number of cached retrieved sets across shards.
     pub entries: usize,
-    /// Number of misses whose execution was coalesced into another session's
-    /// in-flight query instead of re-executing.  Equals `total.coalesced`.
-    pub coalesced_misses: u64,
     /// Number of capacity transfers the rebalancer has performed.
     pub rebalances: u64,
     /// Number of fetch retries the fallible pipeline issued (attempts beyond
@@ -317,8 +306,7 @@ impl<V> Shard<V> {
     /// Abandons `flight` — its leader panicked, was cancelled, or passed on
     /// a takeover — waking one waiter to take it over; when no waiter holds
     /// a claim on it, retires the cell instead.  Without that, a panicking
-    /// key that is never re-requested would leak its cell (and panic
-    /// payload) forever.
+    /// key that is never re-requested would leak its cell forever.
     ///
     /// This is the single abandon path: shard lock first, then the flight's
     /// own lock inside [`Flight::abandon`], so the zero-waiter check and the
@@ -415,9 +403,9 @@ impl ShutdownCell {
 }
 
 /// Where the engine's runtime comes from: an externally shared one, or a
-/// lazily created owned pool (no threads are spawned until the first async
-/// leader or background task needs them — purely synchronous, hit-heavy
-/// usage never pays for a pool).
+/// lazily created owned pool (no threads are spawned until a retry backoff's
+/// timer or a background task needs them — a lookup that never sleeps, on
+/// any door, never pays for a pool).
 struct RuntimeSlot {
     external: Option<Arc<Runtime>>,
     workers: usize,
@@ -442,7 +430,6 @@ pub(super) struct Inner<V> {
     pub(super) normalizer: KeyNormalizer,
     policy: PolicyKind,
     total_capacity_bytes: u64,
-    pub(super) coalesced_misses: AtomicU64,
     /// Failure-domain configuration for the fallible fetch pipeline.
     pub(super) failure: FailureConfig,
     /// Fetch retries issued by the fallible pipeline (attempts beyond the
@@ -607,7 +594,6 @@ where
                 normalizer: builder.normalizer,
                 policy: builder.policy,
                 total_capacity_bytes: builder.capacity_bytes,
-                coalesced_misses: AtomicU64::new(0),
                 failure: builder.failure,
                 fetch_retries: AtomicU64::new(0),
                 negative_hits: AtomicU64::new(0),
@@ -645,11 +631,13 @@ where
         self.inner.shards.len()
     }
 
-    /// The runtime the engine spawns fetches and background tasks on.
+    /// The runtime whose timer sleeps retry backoffs and which runs the
+    /// engine's background tasks.
     ///
     /// Lazily created on first use unless [`WatchmanBuilder::runtime`]
     /// supplied a shared one.  Applications can spawn their own session
-    /// tasks here so sessions and fetches share one worker pool.
+    /// tasks here; a session that leads a flight runs its fetch on the
+    /// worker polling it.
     pub fn runtime(&self) -> Arc<Runtime> {
         self.inner.runtime.get()
     }
@@ -840,8 +828,10 @@ where
             .cache
             .set_capacity_bytes(recipient_capacity + amount, now);
         // The donor's evictions are real removals: publish them (under the
-        // donor's lock, like every other eviction) so observer mirrors stay
-        // exact.
+        // donor's lock, like every other eviction) so the registry and
+        // observer mirrors stay exact.
+        record_shard_telemetry(donor, donor_state.cache.used_bytes(), &evicted);
+        record_shard_telemetry(recipient, recipient_state.cache.used_bytes(), &[]);
         if !self.inner.observers.is_empty() {
             let events = evicted
                 .iter()
@@ -903,7 +893,7 @@ where
         let size_bytes = value.size_bytes();
         let mut shard = self.inner.shards[index].lock();
         let outcome = shard.cache.insert(key.clone(), value, cost, now);
-        record_insert_telemetry(index, shard.cache.used_bytes(), &outcome);
+        record_shard_telemetry(index, shard.cache.used_bytes(), outcome.evicted());
         // Emitted under the shard lock so observers see this shard's events
         // in cache order (see the events module docs).
         if !self.inner.observers.is_empty() {
@@ -1120,7 +1110,6 @@ where
             used_bytes,
             capacity_bytes,
             entries,
-            coalesced_misses: self.inner.coalesced_misses.load(Ordering::Relaxed),
             rebalances: self
                 .inner
                 .rebalancer

@@ -117,10 +117,9 @@ pub mod prelude {
         invalidate_affected, DependencyIndex, DependencyObserver, InvalidationReport,
     };
     pub use crate::engine::{
-        BreakerConfig, CacheEvent, CacheObserver, DeadlineLookup, FailureConfig, FetchError,
-        KeyNormalizer, Lookup, LookupError, LookupFuture, LookupSource, LookupTimedOut,
-        NegativeCacheConfig, PolicyKind, RebalanceConfig, RebalanceOutcome, RetryPolicy,
-        StalenessPolicy, StatsSnapshot, Watchman,
+        BreakerConfig, CacheEvent, CacheObserver, FailureConfig, FetchError, KeyNormalizer, Lookup,
+        LookupError, LookupFuture, LookupSource, NegativeCacheConfig, PolicyKind, RebalanceConfig,
+        RebalanceOutcome, RetryPolicy, StalenessPolicy, StatsSnapshot, Watchman,
     };
     pub use crate::history::ReferenceHistory;
     pub use crate::key::{QueryKey, Signature};

@@ -15,8 +15,8 @@
 //!   parking between polls.  This is the bridge the synchronous engine entry
 //!   points use: after a lock-and-`get` hit fast path, `get_or_execute`
 //!   drives the same lookup future as `get_or_execute_async` with
-//!   `block_on` — but with the leader's fetch run inline on the calling
-//!   thread instead of spawned here, so it never touches the worker pool.
+//!   `block_on`, so a leader's fetch runs on the calling thread and never
+//!   touches the worker pool.
 //!
 //! ## Scheduling model
 //!
@@ -59,13 +59,14 @@
 //!   61st task, so readiness is never stuck behind a long poll or a full
 //!   queue.  Idle connections cost two parked wakers each, not threads.
 //! * **Blocking closures occupy a worker.**  The engine's fetch closures are
-//!   *blocking* by design (they model multi-second warehouse scans), and each
-//!   one occupies a worker thread for its duration.  Size the pool to the
-//!   number of concurrent executions you want to allow, exactly like the
-//!   paper sizes its multiprogramming level; waiting *sessions* cost nothing
-//!   either way because they suspend instead of holding threads.  Tasks
-//!   queued behind a blocked worker do not wait for it — a sibling steals
-//!   them.
+//!   *blocking* by design (they model multi-second warehouse scans), and a
+//!   leader runs its fetch inside the poll that took leadership, so a task
+//!   that leads occupies its worker for the fetch's duration.  Size the pool
+//!   to the number of concurrent executions you want to allow, exactly like
+//!   the paper sizes its multiprogramming level; waiting *sessions* cost
+//!   nothing either way because they suspend instead of holding threads.
+//!   Tasks queued behind a blocked worker do not wait for it — a sibling
+//!   steals them.
 //! * **Timers are best-effort.**  [`Sleep`] deadlines live in one global
 //!   heap guarded by an atomic earliest-deadline mirror, so the per-pop
 //!   check is a single load; workers fire due timers between tasks and park

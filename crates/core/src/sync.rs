@@ -31,8 +31,8 @@
 //!      the first witnessing acquisition stack retained for the report;
 //!    * a cycle among the recorded edges is a **potential deadlock** even if
 //!      no run ever deadlocked — two threads taking the classes in opposite
-//!      orders only have to collide once.  [`lock_graph::report`] runs the
-//!      cycle detection and [`lock_graph::assert_clean`] turns any finding
+//!      orders only have to collide once.  `lock_graph::report` runs the
+//!      cycle detection and `lock_graph::assert_clean` turns any finding
 //!      into a panic with both witness stacks, which is how the CI
 //!      `lock-graph` test runs gate the repo;
 //!    * *same-class* nesting (the rebalancer holding two shard locks at

@@ -678,20 +678,6 @@ impl Telemetry {
         self.shard_used[index.min(MAX_SHARD_GAUGES - 1)].get()
     }
 
-    /// Records a lookup latency into the histogram for `outcome_name`
-    /// (`"hit"`, `"executed"`, `"coalesced"`, `"stale"`, `"error"`).
-    /// Unknown names are ignored.
-    pub fn record_lookup(&self, outcome_name: &str, micros: u64) {
-        match outcome_name {
-            "hit" => self.lookup_hit_us.record(micros),
-            "executed" => self.lookup_executed_us.record(micros),
-            "coalesced" => self.lookup_coalesced_us.record(micros),
-            "stale" => self.lookup_stale_us.record(micros),
-            "error" => self.lookup_error_us.record(micros),
-            _ => {}
-        }
-    }
-
     /// Records an event that doubles as an **anomaly**: appends it to the
     /// flight recorder and, at most once per 5 s, emits a one-line summary
     /// of the recorder state to stderr so post-hoc logs show what led up to

@@ -1016,11 +1016,11 @@ async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response<Prefix> 
     let cost_blocks = get.cost_blocks;
     let fetch_delay = Duration::from_micros(u64::from(get.fetch_delay_us));
     // Misses are single-flight across every connection; hits resolve on
-    // the first poll without suspending the session at all.  The session
-    // answers strictly in order, so a leader's fetch runs in place: spawned,
-    // it would overlap with nothing.  Every `GET` takes the engine's fallible door: the
-    // fetch consults the fault plan, if one is installed, and otherwise
-    // never fails, which is stat-identical to the infallible door.  A
+    // the first poll without suspending the session at all, and a leader
+    // runs its fetch in that same poll, on this session's worker.  Every
+    // `GET` takes the engine's fallible door: the fetch consults the fault
+    // plan, if one is installed, and otherwise never fails, which is
+    // stat-identical to the infallible door.  A
     // terminal failure — after retry, breaker, stale serving and negative
     // cache had their say — answers this request with an error response
     // instead of killing the session.
@@ -1039,7 +1039,6 @@ async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response<Prefix> 
                 ExecutionCost::from_blocks(cost_blocks),
             ))
         })
-        .in_place()
         .await;
     let lookup = match outcome {
         Ok(lookup) => lookup,

@@ -155,9 +155,9 @@ pub fn replay_trace_engine(
 /// Like [`replay_trace_engine`], but drives the **asynchronous** front door
 /// ([`Watchman::get_or_execute_async`]) to completion for each record.
 ///
-/// One session awaiting each lookup in turn is still fully deterministic —
-/// the leader's fetch runs on the engine's runtime, but the driver does not
-/// proceed until it lands — so this replay yields a byte-identical
+/// One session awaiting each lookup in turn is fully deterministic — the
+/// leader's fetch runs on this thread, in the poll that takes leadership —
+/// so this replay yields a byte-identical
 /// [`RunResult`] (and engine `StatsSnapshot`) to the synchronous one: the
 /// two front doors share a single miss/coalesce/abandon implementation.
 pub fn replay_trace_engine_async(

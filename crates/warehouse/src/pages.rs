@@ -2,7 +2,7 @@
 //!
 //! The warehouse stores every relation as a contiguous run of fixed-size disk
 //! pages.  Page identifiers are what the query access model produces and what
-//! the buffer manager ([`watchman-buffer`]) caches; the number of *logical
+//! the buffer manager (`watchman-buffer`) caches; the number of *logical
 //! block reads* a query performs (its execution cost in the paper's setup,
 //! §4.1) is simply the length of its page-access list.
 

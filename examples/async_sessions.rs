@@ -51,10 +51,11 @@ fn main() {
                 let executor = QueryExecutor::new(&benchmark);
                 let mut sources = [0u64; 3]; // hit, executed, coalesced
                 for i in 0..queries_per_session {
-                    // Analysts cluster on the same few drill-down reports:
-                    // lots of overlap between sessions → hits + coalescing.
-                    let instance =
-                        QueryInstance::new(TemplateId(((session as u64 + i) % 9) as u16), i % 7);
+                    // Analysts cluster on the same few drill-down reports,
+                    // two sessions per sequence: lots of overlap between
+                    // sessions → hits + coalescing.
+                    let template = (session as u64 / 2 + i) % 9;
+                    let instance = QueryInstance::new(TemplateId(template as u16), i % 7);
                     let key = executor.query_key(instance);
                     let now = clock.advance(1_000);
                     let fetch_benchmark = benchmark.clone();
@@ -62,6 +63,9 @@ fn main() {
                         .get_or_execute_async(&key, now, move || {
                             let executor = QueryExecutor::new(&fetch_benchmark);
                             let result = executor.execute(instance);
+                            // The scan's latency: the leader holds its worker
+                            // this long while later sessions coalesce.
+                            std::thread::sleep(std::time::Duration::from_millis(1));
                             (SizedPayload::new(result.declared_result_bytes), result.cost)
                         })
                         .await;

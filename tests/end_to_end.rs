@@ -163,7 +163,6 @@ fn engine_serves_concurrent_sessions() {
         snapshot.total.references,
         snapshot.total.hits + snapshot.total.coalesced + snapshot.total.misses()
     );
-    assert_eq!(snapshot.coalesced_misses, snapshot.total.coalesced);
     assert!(
         snapshot.total.hits > 0,
         "concurrent sessions must share cached results"
