@@ -18,12 +18,12 @@ async fn serve_session(stream: NetStream, shared: Arc<Shared>) {
         let body = wire::encode_response(id, &response);
         // VIOLATION: one syscall per response, even when the client
         // pipelined a whole burst of requests.
-        wire::write_frame_async(&stream, &body).await.ok();
+        wire::write_frame(&mut stream.as_std(), &body).ok();
     }
 }
 
 fn flush_sync_fallback(stream: &mut impl Write, body: &[u8]) {
-    // VIOLATION: the blocking variant is just as unbuffered.
+    // VIOLATION: a blocking fallback is just as unbuffered.
     wire::write_frame(stream, body).unwrap();
 }
 

@@ -49,13 +49,12 @@
 //!    chaos stall detection, not an idle tick) and the CLI binaries under
 //!    `src/bin/` are the deliberate exceptions; `std::net::SocketAddr` and
 //!    friends carry no blocking IO and stay legal everywhere.
-//! 7. **`unbuffered-frame-write-in-session`** — no `write_frame` /
-//!    `write_frame_async` in the server crate's session paths.  Those
-//!    helpers issue one write syscall per frame; the session loop stages
-//!    responses into a `wire::FrameWriter` and flushes the whole burst as
-//!    one vectored write, which is where the pipelined-throughput win
-//!    lives — a single per-frame write sneaking back in silently undoes
-//!    it.  `wire.rs` (the helpers' home), the lockstep clients
+//! 7. **`unbuffered-frame-write-in-session`** — no `write_frame` in the
+//!    server crate's session paths.  That helper issues one write syscall
+//!    per frame; the session loop stages responses into a
+//!    `wire::FrameWriter` and flushes the whole burst as one vectored
+//!    write, which is where the pipelined-throughput win lives — a single
+//!    per-frame write sneaking back in silently undoes it.  `wire.rs` (the helper's home), the lockstep clients
 //!    (`client.rs`, `replay.rs` — one request in flight, nothing to
 //!    coalesce) and the CLI binaries under `src/bin/` are exempt.
 //! 8. **`fallible-unwrap-in-session`** — no `.unwrap()` / `.expect()` on
@@ -594,14 +593,14 @@ fn rule_blocking_net_in_session(path: &str, tokens: &[Token], findings: &mut Vec
     }
 }
 
-/// Rule 7: per-frame `write_frame` / `write_frame_async` calls in the
-/// server crate's session paths.  The session loop writes through a
+/// Rule 7: per-frame `write_frame` calls in the server crate's session
+/// paths.  The session loop writes through a
 /// `wire::FrameWriter` — responses staged per burst, flushed as one
 /// vectored write — and the pipelined-throughput numbers in
 /// `BENCH_connection_scaling.json` gate on the syscalls-per-frame that
 /// buys.  A per-frame write helper reintroduced into a session path
 /// silently reverts to one syscall per response.  Exempt: `wire.rs` (where
-/// the helpers live), the lockstep clients `client.rs` and `replay.rs`
+/// the helper lives), the lockstep clients `client.rs` and `replay.rs`
 /// (one request in flight at a time — there is never a burst to coalesce),
 /// the CLI binaries under `src/bin/`, and inline `mod tests` peers.
 fn rule_unbuffered_frame_write_in_session(
@@ -619,7 +618,7 @@ fn rule_unbuffered_frame_write_in_session(
     }
     let tokens = strip_test_modules(tokens);
     for token in &tokens {
-        if token.is_ident("write_frame") || token.is_ident("write_frame_async") {
+        if token.is_ident("write_frame") {
             findings.push(Finding {
                 file: path.to_owned(),
                 line: token.line,
@@ -668,7 +667,7 @@ fn strip_test_modules(tokens: &[Token]) -> Vec<Token> {
 /// (or `Option` over one) whose failure the session layer must route into
 /// the degradation pipeline — retry, stale serve, shed — rather than crash
 /// on.  Infallible conversions like `try_into()` are deliberately absent.
-const FALLIBLE_CALLS: [&str; 15] = [
+const FALLIBLE_CALLS: [&str; 13] = [
     "accept",
     "connect",
     "connect_handshaken",
@@ -677,13 +676,11 @@ const FALLIBLE_CALLS: [&str; 15] = [
     "next_frame",
     "read_exact",
     "read_frame",
-    "read_frame_async",
     "stage",
     "try_get_or_execute",
     "try_get_or_execute_async",
     "write_all",
     "write_frame",
-    "write_frame_async",
 ];
 
 /// Rule 8: `.unwrap()` / `.expect()` on a fallible fetch or IO call in the
@@ -1245,11 +1242,11 @@ mod tests {
             .iter()
             .filter(|f| f.rule == "unbuffered-frame-write-in-session")
             .collect();
-        // The async session write and the sync fallback; the per-frame
+        // The session loop's write and the sync fallback; the per-frame
         // write inside `mod tests` (a test playing the peer) is legal.
         assert_eq!(hits.len(), 2, "{findings:?}");
         assert!(
-            hits.iter().any(|f| f.message.contains("write_frame_async")),
+            hits.iter().all(|f| f.message.contains("`write_frame`")),
             "{hits:?}"
         );
         // The helpers' home file, the lockstep clients and the CLI

@@ -4,8 +4,8 @@
 //! non-decreasing notion of "now" that is shared between the cache manager and
 //! the workload driver.  WATCHMAN traces carry their own timestamps, so the
 //! library never reads the wall clock on the hot path; instead every operation
-//! receives an explicit [`Timestamp`].  A [`Clock`] abstraction is provided for
-//! applications that prefer the library to stamp operations itself.
+//! receives an explicit [`Timestamp`].  A [`ManualClock`] is provided for
+//! drivers that want one shared authority for "now".
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,15 +87,6 @@ impl From<Timestamp> for u64 {
     }
 }
 
-/// A source of timestamps.
-///
-/// Policies never call a clock themselves; the clock exists for embedding
-/// applications (and the simulator) that want a single authority for "now".
-pub trait Clock {
-    /// Returns the current logical time.
-    fn now(&self) -> Timestamp;
-}
-
 /// A manually driven clock, useful in tests and trace replay.
 ///
 /// The clock is thread-safe; `advance` and `set` use atomic operations.
@@ -107,14 +98,12 @@ pub struct ManualClock {
 impl ManualClock {
     /// Creates a clock starting at [`Timestamp::ZERO`].
     pub fn new() -> Self {
-        Self::starting_at(Timestamp::ZERO)
+        Self::default()
     }
 
-    /// Creates a clock starting at the given time.
-    pub fn starting_at(start: Timestamp) -> Self {
-        ManualClock {
-            micros: AtomicU64::new(start.as_micros()),
-        }
+    /// Returns the current logical time.
+    pub fn now(&self) -> Timestamp {
+        Timestamp::from_micros(self.micros.load(Ordering::SeqCst))
     }
 
     /// Advances the clock by `micros` microseconds and returns the new time.
@@ -127,40 +116,6 @@ impl ManualClock {
     /// setting a time earlier than the current one is a no-op.
     pub fn set(&self, ts: Timestamp) {
         self.micros.fetch_max(ts.as_micros(), Ordering::SeqCst);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> Timestamp {
-        Timestamp::from_micros(self.micros.load(Ordering::SeqCst))
-    }
-}
-
-/// A clock backed by [`std::time::Instant`], for embedding WATCHMAN into a
-/// live application rather than a trace-driven simulation.
-#[derive(Debug)]
-pub struct MonotonicClock {
-    origin: std::time::Instant,
-}
-
-impl MonotonicClock {
-    /// Creates a clock whose origin is the moment of construction.
-    pub fn new() -> Self {
-        MonotonicClock {
-            origin: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for MonotonicClock {
-    fn now(&self) -> Timestamp {
-        Timestamp::from_micros(self.origin.elapsed().as_micros() as u64)
     }
 }
 
@@ -216,19 +171,12 @@ mod tests {
 
     #[test]
     fn manual_clock_never_goes_backwards() {
-        let clock = ManualClock::starting_at(Timestamp::from_micros(500));
+        let clock = ManualClock::new();
+        clock.set(Timestamp::from_micros(500));
         clock.set(Timestamp::from_micros(100));
         assert_eq!(clock.now().as_micros(), 500);
         clock.set(Timestamp::from_micros(900));
         assert_eq!(clock.now().as_micros(), 900);
-    }
-
-    #[test]
-    fn monotonic_clock_is_non_decreasing() {
-        let clock = MonotonicClock::new();
-        let a = clock.now();
-        let b = clock.now();
-        assert!(b >= a);
     }
 
     #[test]

@@ -131,13 +131,6 @@ pub struct InvalidationReport {
     pub invalidated: Vec<QueryKey>,
 }
 
-impl InvalidationReport {
-    /// Whether the update invalidated anything.
-    pub fn any_invalidated(&self) -> bool {
-        !self.invalidated.is_empty()
-    }
-}
-
 /// Invalidates every cached retrieved set that depends on `relation`.
 ///
 /// `remove` is called for each affected key and should remove the entry from
@@ -212,11 +205,6 @@ where
 
     fn lock(&self) -> MutexGuard<'_, DependencyIndex> {
         self.index.lock()
-    }
-
-    /// Runs a closure with access to the tracked index.
-    pub fn with_index<R>(&self, f: impl FnOnce(&DependencyIndex) -> R) -> R {
-        f(&self.lock())
     }
 
     /// The keys of all tracked sets that read the given relation.
@@ -356,7 +344,7 @@ mod tests {
 
         // An update lands on LINEITEM: only the orders summary is affected.
         let report = invalidate_affected(&mut index, "LINEITEM", |k| cache.remove(k).is_some());
-        assert!(report.any_invalidated());
+        assert!(!report.invalidated.is_empty());
         assert_eq!(report.affected, vec![key("orders-summary")]);
         assert_eq!(report.invalidated, vec![key("orders-summary")]);
         assert!(!cache.contains(&key("orders-summary")));
@@ -364,7 +352,7 @@ mod tests {
 
         // A second update to the same relation finds nothing left to do.
         let report = invalidate_affected(&mut index, "LINEITEM", |k| cache.remove(k).is_some());
-        assert!(!report.any_invalidated());
+        assert!(report.invalidated.is_empty());
         assert!(report.affected.is_empty());
     }
 
@@ -373,7 +361,7 @@ mod tests {
         let mut index = DependencyIndex::new();
         let report = invalidate_affected(&mut index, "NOWHERE", |_| true);
         assert!(report.affected.is_empty());
-        assert!(!report.any_invalidated());
+        assert!(report.invalidated.is_empty());
     }
 
     #[test]

@@ -1,4 +1,9 @@
-//! Engine configuration: the key normalizer and the builder.
+//! Engine configuration: the builder.
+//!
+//! The engine looks up exactly the key it is given — the paper's §3 match on
+//! delimiter-compressed query text.  A caller that wants canonically
+//! equivalent queries to share an entry applies
+//! [`crate::equivalence::canonical_key`] before the lookup.
 
 use std::sync::Arc;
 
@@ -7,48 +12,7 @@ use crate::engine::failure::FailureConfig;
 use crate::engine::policy_kind::PolicyKind;
 use crate::engine::rebalance::RebalanceConfig;
 use crate::engine::watchman::Watchman;
-use crate::key::QueryKey;
-use crate::runtime::Runtime;
 use crate::value::CachePayload;
-
-/// Pluggable key normalization applied to every key entering the engine.
-///
-/// The paper matches queries by exact (delimiter-compressed) text; §6 lists a
-/// cheaper-than-rewrite equivalence test as future work.  The engine makes
-/// that choice a configuration knob: [`KeyNormalizer::Exact`] is the paper's
-/// behavior, [`KeyNormalizer::CanonicalSql`] routes every key through
-/// [`crate::equivalence::canonical_key`] so syntactically different but
-/// canonically equivalent queries share one cache entry, and
-/// [`KeyNormalizer::Custom`] accepts any user function.
-#[derive(Clone)]
-pub enum KeyNormalizer {
-    /// Exact query-ID matching (the paper's §3 lookup).
-    Exact,
-    /// Canonical-SQL matching via the [`crate::equivalence`] canonicalizer.
-    CanonicalSql,
-    /// A caller-supplied normalization function.
-    Custom(Arc<dyn Fn(&QueryKey) -> QueryKey + Send + Sync>),
-}
-
-impl std::fmt::Debug for KeyNormalizer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KeyNormalizer::Exact => f.write_str("Exact"),
-            KeyNormalizer::CanonicalSql => f.write_str("CanonicalSql"),
-            KeyNormalizer::Custom(_) => f.write_str("Custom(..)"),
-        }
-    }
-}
-
-impl KeyNormalizer {
-    pub(super) fn apply(&self, key: &QueryKey) -> QueryKey {
-        match self {
-            KeyNormalizer::Exact => key.clone(),
-            KeyNormalizer::CanonicalSql => crate::equivalence::canonical_key(&key.to_string()),
-            KeyNormalizer::Custom(normalize) => normalize(key),
-        }
-    }
-}
 
 /// Configures and builds a [`Watchman`] engine.
 ///
@@ -68,10 +32,8 @@ pub struct WatchmanBuilder<V> {
     pub(super) shards: usize,
     pub(super) policy: PolicyKind,
     pub(super) capacity_bytes: u64,
-    pub(super) normalizer: KeyNormalizer,
     pub(super) observers: Vec<Arc<dyn CacheObserver>>,
     pub(super) rebalance: Option<RebalanceConfig>,
-    pub(super) runtime: Option<Arc<Runtime>>,
     pub(super) runtime_workers: usize,
     pub(super) failure: FailureConfig,
     _payload: std::marker::PhantomData<fn() -> V>,
@@ -83,10 +45,8 @@ impl<V> std::fmt::Debug for WatchmanBuilder<V> {
             .field("shards", &self.shards)
             .field("policy", &self.policy)
             .field("capacity_bytes", &self.capacity_bytes)
-            .field("normalizer", &self.normalizer)
             .field("observers", &self.observers.len())
             .field("rebalance", &self.rebalance)
-            .field("runtime", &self.runtime.is_some())
             .field("runtime_workers", &self.runtime_workers)
             .finish()
     }
@@ -98,10 +58,8 @@ impl<V> Default for WatchmanBuilder<V> {
             shards: 1,
             policy: PolicyKind::LNC_RA,
             capacity_bytes: 0,
-            normalizer: KeyNormalizer::Exact,
             observers: Vec::new(),
             rebalance: None,
-            runtime: None,
             runtime_workers: 2,
             failure: FailureConfig::default(),
             _payload: std::marker::PhantomData,
@@ -132,18 +90,6 @@ impl<V> WatchmanBuilder<V> {
         self
     }
 
-    /// Sets the key-normalization step applied to every key.
-    pub fn normalizer(mut self, normalizer: KeyNormalizer) -> Self {
-        self.normalizer = normalizer;
-        self
-    }
-
-    /// Routes every key through the [`crate::equivalence`] canonicalizer so
-    /// canonically equivalent queries share one cache entry.
-    pub fn canonical_sql_matching(self) -> Self {
-        self.normalizer(KeyNormalizer::CanonicalSql)
-    }
-
     /// Subscribes an observer to the engine's
     /// [`CacheEvent`](crate::engine::CacheEvent) stream.
     pub fn observer(mut self, observer: Arc<dyn CacheObserver>) -> Self {
@@ -164,19 +110,10 @@ impl<V> WatchmanBuilder<V> {
         self
     }
 
-    /// Shares an externally owned [`Runtime`] instead of letting the engine
-    /// lazily create its own pool.  Several engines may share one runtime;
-    /// each engine's background task still stops when *its* engine is
-    /// dropped.
-    pub fn runtime(mut self, runtime: Arc<Runtime>) -> Self {
-        self.runtime = Some(runtime);
-        self
-    }
-
-    /// Sets the worker count of the engine's own lazily created runtime
-    /// (ignored when [`WatchmanBuilder::runtime`] supplies one).  Each
-    /// in-flight fetch occupies a worker for its duration, so this is the
-    /// engine's execution multiprogramming level.  Defaults to 2.
+    /// Sets the worker count of the engine's lazily created runtime
+    /// ([`Watchman::runtime`]).  Each in-flight async fetch occupies a worker
+    /// for its duration, so this is the engine's execution multiprogramming
+    /// level.  Defaults to 2.
     pub fn runtime_workers(mut self, workers: usize) -> Self {
         self.runtime_workers = workers.max(1);
         self
@@ -185,8 +122,8 @@ impl<V> WatchmanBuilder<V> {
     /// Configures the failure domain of the fallible fetch pipeline
     /// ([`Watchman::try_get_or_execute`] /
     /// [`Watchman::try_get_or_execute_async`]): the leader's retry policy,
-    /// the per-shard circuit breaker, the staleness policy that gates
-    /// last-known-good serving, and the negative cache for memoized
+    /// the per-shard circuit breaker, the last-known-good store stale
+    /// serves come from, and the negative cache for memoized
     /// failures.  The default config retries transient errors with seeded
     /// exponential backoff but enables neither breaker nor stale serving.
     pub fn failure(mut self, config: FailureConfig) -> Self {

@@ -81,15 +81,6 @@ impl CacheEvent {
             | CacheEvent::Invalidated { shard, .. } => *shard,
         }
     }
-
-    /// Whether the event removes the key from the cache (eviction or
-    /// invalidation).
-    pub fn is_removal(&self) -> bool {
-        matches!(
-            self,
-            CacheEvent::Evicted { .. } | CacheEvent::Invalidated { .. }
-        )
-    }
 }
 
 /// A subscriber to the engine's event stream.

@@ -4,8 +4,8 @@
 //! presumes the warehouse answers.  This module is the engine's model of the
 //! warehouse *not* answering: typed fetch errors, a bounded retry policy with
 //! deterministic jitter (replay stays byte-identical), a per-shard circuit
-//! breaker, the profit gate that decides when serving a stale last-known-good
-//! value beats refetching, and the negative-cache sizing knobs.
+//! breaker, and the sizing of the last-known-good store and the negative
+//! cache.
 //!
 //! Everything here is pure state + logical time: the breaker takes an
 //! explicit `now` [`Timestamp`] instead of reading a clock, so the checker
@@ -17,7 +17,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::clock::Timestamp;
-use crate::value::ExecutionCost;
 
 /// Deterministic 64-bit mix (splitmix64 finalizer).  Shared by the retry
 /// jitter here and the fault-injection schedules in the server crate: the
@@ -371,51 +370,17 @@ impl CircuitBreaker {
     }
 }
 
-/// When a failed fetch may be answered with the last-known-good value.
-///
-/// The gate is the paper's own currency: a stale serve is only worth the
-/// freshness risk when the *refetch* the client is being spared is expensive
-/// per byte — `cost/size ≥ min_cost_per_byte`, the c/s factor of
-/// `profit = λ·c/s`.  Cheap-to-recompute sets fail fast instead.
-#[derive(Debug, Clone, PartialEq)]
+/// Sizing for the per-shard last-known-good store.  A failed fetch is
+/// answered with the stored value whenever the store holds one for its key.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StalenessPolicy {
     /// Last-known-good entries retained per shard.
     pub max_entries: usize,
-    /// Minimum `cost/size` (blocks per byte) for a stale serve to be
-    /// worth it; `0.0` serves stale whenever a value is available.
-    pub min_cost_per_byte: f64,
-    /// Oldest acceptable last-known-good age in logical microseconds;
-    /// `None` = any age.
-    pub max_age_us: Option<u64>,
-}
-
-impl StalenessPolicy {
-    /// Whether a stale serve is profitable for a set of this cost and size,
-    /// last refreshed at `stored` and requested at `now`.
-    pub fn worth_serving(
-        &self,
-        cost: ExecutionCost,
-        size_bytes: u64,
-        stored: Timestamp,
-        now: Timestamp,
-    ) -> bool {
-        if let Some(max_age) = self.max_age_us {
-            if now.saturating_since(stored) > max_age {
-                return false;
-            }
-        }
-        let density = cost.value() / size_bytes.max(1) as f64;
-        density >= self.min_cost_per_byte
-    }
 }
 
 impl Default for StalenessPolicy {
     fn default() -> Self {
-        StalenessPolicy {
-            max_entries: 256,
-            min_cost_per_byte: 0.0,
-            max_age_us: None,
-        }
+        StalenessPolicy { max_entries: 256 }
     }
 }
 
@@ -625,28 +590,6 @@ mod tests {
         breaker.record_failure(ts(11));
         breaker.record_failure(ts(12));
         assert_eq!(breaker.state(), BreakerState::Open);
-    }
-
-    #[test]
-    fn staleness_gate_uses_cost_density_and_age() {
-        let policy = StalenessPolicy {
-            max_entries: 8,
-            min_cost_per_byte: 0.5,
-            max_age_us: Some(1_000),
-        };
-        let expensive = ExecutionCost::from_blocks(1_000);
-        let cheap = ExecutionCost::from_blocks(10);
-        assert!(policy.worth_serving(expensive, 1_000, ts(0), ts(500)));
-        assert!(
-            !policy.worth_serving(cheap, 1_000, ts(0), ts(500)),
-            "cheap refetch: fail fast"
-        );
-        assert!(
-            !policy.worth_serving(expensive, 1_000, ts(0), ts(2_000)),
-            "too old"
-        );
-        let anything = StalenessPolicy::default();
-        assert!(anything.worth_serving(cheap, 1_000_000, ts(0), ts(u64::MAX >> 1)));
     }
 
     #[test]

@@ -139,8 +139,7 @@ where
     where
         F: FnOnce() -> (V, ExecutionCost) + Unpin,
     {
-        let key = self.inner.normalizer.apply(key);
-        self.lookup(key, now, Infallible(Some(fetch)))
+        self.lookup(key.clone(), now, Infallible(Some(fetch)))
     }
 
     /// Like [`Watchman::get_or_execute`], but the fetch is **fallible**: it
@@ -161,9 +160,9 @@ where
     /// * **Graceful degradation.** When a
     ///   [`StalenessPolicy`](crate::engine::StalenessPolicy) is configured,
     ///   a failed (or breaker-refused) lookup serves the last-known-good
-    ///   value as [`LookupSource::Stale`] — cost-gated by the paper's profit
-    ///   machinery, paid into `total_cost` but never into `saved_cost`, so
-    ///   stale serves cannot inflate the cost-savings ratio.
+    ///   value the shard holds as [`LookupSource::Stale`] — paid into
+    ///   `total_cost` but never into `saved_cost`, so stale serves cannot
+    ///   inflate the cost-savings ratio.
     /// * **Circuit breaking.** With a [`crate::engine::BreakerConfig`], a
     ///   shard whose rolling fetch-failure rate trips the threshold refuses
     ///   new executions outright (stale-serving when possible) until a
@@ -205,8 +204,7 @@ where
     where
         F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Unpin,
     {
-        let key = self.inner.normalizer.apply(key);
-        self.lookup(key, now, Fallible(fetch))
+        self.lookup(key.clone(), now, Fallible(fetch))
     }
 
     /// The one constructor behind every front door.
@@ -231,8 +229,7 @@ where
     {
         self.observe_now(now);
         let started = crate::telemetry::now();
-        let key = self.inner.normalizer.apply(key);
-        let shard = self.shard_index(&key);
+        let shard = self.shard_index(key);
         // Hit fast path: the engine's hottest operation needs none of the
         // future machinery (engine clone, waker, pinning).  This is exactly
         // the check the future's Start state performs; on a miss the Start
@@ -241,14 +238,14 @@ where
         // the timestamp), so sync and async doors stay byte-identical.
         {
             let mut state = self.inner.shards[shard].lock();
-            if let Some(value) = state.cache.get(&key, now) {
+            if let Some(value) = state.cache.get(key, now) {
                 let lookup = Lookup::served(Arc::clone(value), LookupSource::Hit);
                 drop(state);
                 record_lookup_telemetry(Some(started), LookupSource::Hit);
                 return M::output(Ok(lookup));
             }
         }
-        let mut lookup = self.lookup(key, now, mode);
+        let mut lookup = self.lookup(key.clone(), now, mode);
         lookup.shard = Some(shard);
         lookup.started = Some(started);
         crate::runtime::block_on(lookup)
@@ -333,14 +330,9 @@ where
         }
         if failure_domain {
             if let Some(staleness) = &self.inner.failure.staleness {
-                state.failure.store_stale(
-                    key,
-                    Arc::clone(&value),
-                    cost,
-                    size_bytes,
-                    now,
-                    staleness,
-                );
+                state
+                    .failure
+                    .store_stale(key, Arc::clone(&value), cost, staleness);
             }
             state.failure.drop_negative(key);
         }
@@ -430,7 +422,7 @@ where
     }
 
     /// Resolves this session's share of a failed lookup: serves the
-    /// last-known-good value when the staleness policy judges it worth it
+    /// last-known-good value when the shard holds one
     /// (recording a stale reference — cost paid, nothing saved), otherwise
     /// records an error reference and surfaces the shared error.  Every
     /// session — leader, coalesced waiter, negative-cache hit — resolves
@@ -441,22 +433,20 @@ where
         &self,
         key: &QueryKey,
         shard_index: usize,
-        now: Timestamp,
         error: Arc<FetchError>,
         negative_hit: bool,
     ) -> Result<Lookup<V>, LookupError> {
         let mut state = self.inner.shards[shard_index].lock();
-        if let Some(staleness) = &self.inner.failure.staleness {
-            if let Some((value, cost)) = state.failure.stale_for(key, now, staleness) {
-                state.cache.record_stale_reference(cost);
-                crate::telemetry::global().recorder.record(
-                    TraceKind::LookupStale,
-                    key.signature().value(),
-                    shard_index as u64,
-                    cost.value() as u64,
-                );
-                return Ok(Lookup::served(value, LookupSource::Stale));
-            }
+        // The store is empty unless a staleness policy is configured.
+        if let Some((value, cost)) = state.failure.stale_for(key) {
+            state.cache.record_stale_reference(cost);
+            crate::telemetry::global().recorder.record(
+                TraceKind::LookupStale,
+                key.signature().value(),
+                shard_index as u64,
+                cost.value() as u64,
+            );
+            return Ok(Lookup::served(value, LookupSource::Stale));
         }
         state.cache.record_error_reference();
         crate::telemetry::global().recorder.record(
@@ -575,8 +565,8 @@ enum LookupState<V> {
 /// machine can transition freely.
 enum Step<V> {
     Return(Lookup<V>),
-    /// Resolve a failure for *this* session: stale-serve if the staleness
-    /// policy allows, otherwise surface the shared error.
+    /// Resolve a failure for *this* session: stale-serve if the shard holds
+    /// a last-known-good value, otherwise surface the shared error.
     Resolve {
         error: Arc<FetchError>,
         negative_hit: bool,
@@ -607,7 +597,7 @@ enum Step<V> {
 /// next waiter, and a leader dropped mid-backoff abandons its flight to one.
 pub struct LookupFuture<V, M> {
     engine: Watchman<V>,
-    /// The normalized key.
+    /// The key being looked up.
     key: QueryKey,
     /// Shard index, resolved on first poll.
     shard: Option<usize>,
@@ -640,16 +630,12 @@ where
     M: FetchMode<V>,
 {
     /// Resolves this session's share of a failed lookup: a stale serve if
-    /// the staleness policy allows, otherwise the shared error.
+    /// the shard holds a last-known-good value, otherwise the shared error.
     fn resolve(&mut self, error: Arc<FetchError>, negative_hit: bool) -> Poll<M::Output> {
         let shard_index = self.shard.expect("set before resolving");
-        let result = self.engine.resolve_failed_lookup(
-            &self.key,
-            shard_index,
-            self.now,
-            error,
-            negative_hit,
-        );
+        let result = self
+            .engine
+            .resolve_failed_lookup(&self.key, shard_index, error, negative_hit);
         self.finish(result)
     }
 

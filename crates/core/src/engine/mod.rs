@@ -50,10 +50,10 @@
 //! flight for **every** coalesced waiter with one shared
 //! `Arc<FetchError>`, feeds a short-TTL per-key negative cache, and trips
 //! the per-shard [`CircuitBreaker`] once the rolling failure rate crosses
-//! its threshold.  When a [`StalenessPolicy`] is configured and its profit
-//! gate passes, failed lookups are answered from the shard's last-known-good
-//! store as [`LookupSource::Stale`] — accounted separately so degraded
-//! answers never inflate the paper's CSR.
+//! its threshold.  When a [`StalenessPolicy`] is configured, a failed lookup
+//! whose key the shard's last-known-good store holds is answered from it as
+//! [`LookupSource::Stale`] — accounted separately so degraded answers never
+//! inflate the paper's CSR.
 //!
 //! ## Quick start
 //!
@@ -87,7 +87,7 @@ mod rebalance;
 pub(crate) mod single_flight;
 mod watchman;
 
-pub use builder::{KeyNormalizer, WatchmanBuilder};
+pub use builder::WatchmanBuilder;
 pub use events::{CacheEvent, CacheObserver, EventCounters};
 pub use failure::{
     splitmix64, BreakerConfig, BreakerState, CircuitBreaker, FailureConfig, FetchError,
@@ -329,27 +329,23 @@ mod tests {
 
     #[test]
     fn rebalancer_moves_capacity_to_the_starved_shard() {
-        const TOTAL: u64 = 20_000;
+        // One step (5% of a 20 kB half) fits exactly one hot set.
+        const TOTAL: u64 = 40_000;
         let counters = Arc::new(EventCounters::new());
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(2)
             .policy(PolicyKind::LNC_RA)
             .capacity_bytes(TOTAL)
-            .rebalance(
-                RebalanceConfig::new()
-                    .manual() // driven explicitly below
-                    .with_min_shard_fraction(0.25)
-                    .with_step_fraction(0.1),
-            )
+            .rebalance(RebalanceConfig::new().manual()) // driven explicitly below
             .observer(Arc::clone(&counters) as Arc<dyn CacheObserver>)
             .build();
         let buckets = keys_by_shard(2, 120);
         // Shard 0 sees a hot working set of valuable summaries that does not
         // fit its static half; shard 1 sees only one-off junk.
-        let hot: Vec<_> = buckets[0].iter().take(15).cloned().collect();
+        let hot: Vec<_> = buckets[0].iter().take(30).cloned().collect();
         let junk: Vec<_> = buckets[1].clone();
         assert!(
-            hot.len() == 15 && junk.len() >= 20,
+            hot.len() == 30 && junk.len() >= 20,
             "probe found too few keys"
         );
 
@@ -393,7 +389,7 @@ mod tests {
         }
 
         let capacities = engine.shard_capacities();
-        let floor = (0.25 * (TOTAL / 2) as f64) as u64;
+        let floor = (0.5 * (TOTAL / 2) as f64) as u64;
         assert!(
             engine.rebalance_count() > 0,
             "the starved shard must have attracted capacity"
@@ -448,14 +444,11 @@ mod tests {
 
     #[test]
     fn canonical_sql_matching_merges_equivalent_queries() {
-        let engine: Watchman<SizedPayload> = Watchman::builder()
-            .shards(4)
-            .policy(PolicyKind::LNC_RA)
-            .capacity_bytes(1 << 20)
-            .canonical_sql_matching()
-            .build();
-        let a = QueryKey::from_raw_query("SELECT sum(x) FROM t WHERE p = 1 AND q = 2");
-        let b = QueryKey::from_raw_query("select SUM(x) from t where q = 2 and p = 1");
+        // The engine matches keys exactly; canonicalizing before the lookup
+        // is the caller's step.
+        let engine = engine(4, 1 << 20);
+        let a = crate::equivalence::canonical_key("SELECT sum(x) FROM t WHERE p = 1 AND q = 2");
+        let b = crate::equivalence::canonical_key("select SUM(x) from t where q = 2 and p = 1");
         engine.insert(
             a.clone(),
             SizedPayload::new(64),
@@ -558,7 +551,7 @@ mod tests {
             ExecutionCost::from_blocks(10),
             ts(1),
         );
-        assert!(engine.utilization() > 0.0);
+        assert!(engine.stats_snapshot().used_bytes > 0);
         assert_eq!(engine.cached_keys().len(), 1);
         engine.clear();
         assert!(engine.is_empty());
@@ -813,32 +806,37 @@ mod tests {
 
     #[test]
     fn rebalance_passes_never_run_on_a_session_thread() {
-        use crate::runtime::Runtime;
-        let runtime = Arc::new(Runtime::with_workers(1));
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(4)
             .policy(PolicyKind::LNC_RA)
             .capacity_bytes(10_000)
-            .runtime(Arc::clone(&runtime))
-            .rebalance(
-                RebalanceConfig::new()
-                    .with_period(std::time::Duration::from_millis(2))
-                    .with_min_shard_fraction(0.25)
-                    .with_step_fraction(0.1),
-            )
+            .runtime_workers(1)
+            .rebalance(RebalanceConfig::new().with_period(std::time::Duration::from_millis(2)))
             .build();
+        // Shard 0 sees a hot working set of valuable sets that does not fit
+        // its quarter (and fits a step, 5% of the quarter, one set at a
+        // time); the other shards see cheap one-off junk.
+        let buckets = keys_by_shard(4, 200);
+        let hot = &buckets[0][..30];
+        let junk = buckets[1..].concat();
         // Hammer the request path from this (session) thread while the
-        // background task runs passes on the runtime worker.
+        // background task runs passes, and moves capacity, on the runtime
+        // worker.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut i = 0u64;
-        while engine.rebalance_passes() < 3 {
+        let mut i = 0usize;
+        while engine.rebalance_passes() < 3 || engine.stats_snapshot().rebalances == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
-                "background task never ran a pass"
+                "background task never ran a pass that moved capacity"
             );
             i += 1;
-            engine.get_or_execute(&key(&format!("q{}", i % 50)), ts(i + 1), || {
-                (SizedPayload::new(400), ExecutionCost::from_blocks(1_000))
+            let (k, size, cost) = if i.is_multiple_of(2) {
+                (&hot[i / 2 % hot.len()], 100, 100_000)
+            } else {
+                (&junk[i / 2 % junk.len()], 200, 1)
+            };
+            engine.get_or_execute(k, ts(i as u64 + 1), || {
+                (SizedPayload::new(size), ExecutionCost::from_blocks(cost))
             });
         }
         let session_thread = std::thread::current().id();
@@ -874,17 +872,16 @@ mod tests {
 
     #[test]
     fn background_rebalancer_stops_when_the_engine_drops() {
-        use crate::runtime::Runtime;
-        // A shared runtime that outlives the engine: the engine's background
-        // task must exit promptly once the engine is dropped.
-        let runtime = Arc::new(Runtime::with_workers(1));
+        // The engine's runtime, held here, outlives the engine: the
+        // engine's background task must exit promptly once it is dropped.
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(2)
             .policy(PolicyKind::LNC_RA)
             .capacity_bytes(10_000)
-            .runtime(Arc::clone(&runtime))
+            .runtime_workers(1)
             .rebalance(RebalanceConfig::new().with_period(std::time::Duration::from_millis(5)))
             .build();
+        let runtime = engine.runtime();
         assert_eq!(runtime.alive_tasks(), 1, "background task spawned");
         // Let it run at least one pass so we know it was really alive.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
@@ -1097,7 +1094,7 @@ mod tests {
             .expect("third attempt succeeds");
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
-        assert_eq!(engine.fetch_retries(), 2);
+        assert_eq!(engine.stats_snapshot().fetch_retries, 2);
         let stats = engine.stats();
         assert_eq!(
             stats.fetch_errors, 0,
@@ -1123,7 +1120,7 @@ mod tests {
         assert_eq!(attempts.load(Ordering::SeqCst), 1, "fatal = no retry");
         assert!(!err.error.is_retryable());
         assert!(!err.negative_hit);
-        assert_eq!(engine.fetch_retries(), 0);
+        assert_eq!(engine.stats_snapshot().fetch_retries, 0);
         let stats = engine.stats();
         assert_eq!(stats.fetch_errors, 1);
         assert_eq!(stats.references, 1);
@@ -1155,7 +1152,7 @@ mod tests {
         assert!(second.negative_hit);
         assert!(Arc::ptr_eq(&first.error, &second.error));
         assert_eq!(invocations.load(Ordering::SeqCst), 1);
-        assert_eq!(engine.negative_hits(), 1);
+        assert_eq!(engine.stats_snapshot().negative_hits, 1);
         // Past the TTL (default 50ms of logical time): the entry expired and
         // the fetch runs again.
         let third = engine
@@ -1280,15 +1277,12 @@ mod tests {
     /// A one-shard engine whose breaker (one probe ticket when half-open,
     /// open for a logical second) two fatally failing lookups have just
     /// tripped.  `retry` applies to later transient errors only.
-    fn engine_with_tripped_breaker(
-        runtime: Arc<crate::runtime::Runtime>,
-        retry: RetryPolicy,
-    ) -> Watchman<SizedPayload> {
+    fn engine_with_tripped_breaker(retry: RetryPolicy) -> Watchman<SizedPayload> {
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(1)
             .policy(PolicyKind::LNC_RA)
             .capacity_bytes(1 << 20)
-            .runtime(runtime)
+            .runtime_workers(1)
             .failure(FailureConfig {
                 retry,
                 breaker: Some(BreakerConfig {
@@ -1328,8 +1322,7 @@ mod tests {
         // Regression: a half-open probe whose fetch panicked never returned
         // its ticket; with `half_open_probes: 1` the shard then refused
         // every fetch forever.
-        let runtime = Arc::new(crate::runtime::Runtime::with_workers(1));
-        let engine = engine_with_tripped_breaker(runtime, RetryPolicy::none());
+        let engine = engine_with_tripped_breaker(RetryPolicy::none());
         for (door, now) in [("sync", 1_100_000), ("async", 1_100_001)] {
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let fetch = || -> Result<(SizedPayload, ExecutionCost), FetchError> {
@@ -1398,7 +1391,11 @@ mod tests {
         });
         // The first attempt fails inside this poll; the leader sleeps.
         poll_once_pending(&mut leader);
-        assert_eq!(engine.fetch_retries(), 1, "the leader is in its backoff");
+        assert_eq!(
+            engine.stats_snapshot().fetch_retries,
+            1,
+            "the leader is in its backoff"
+        );
         let executions = Arc::new(AtomicU64::new(0));
         let mut waiters: Vec<_> = (0..2)
             .map(|_| {
@@ -1447,14 +1444,17 @@ mod tests {
         // while holding the shard's only ticket.  Dropped there with no
         // waiter, it must retire the cell and hand the ticket back, or the
         // shard refuses every fetch forever.
-        let runtime = Arc::new(crate::runtime::Runtime::with_workers(1));
-        let engine = engine_with_tripped_breaker(runtime, retry_after_an_hour());
+        let engine = engine_with_tripped_breaker(retry_after_an_hour());
         {
             let mut probe = engine.try_get_or_execute_async(&key("c"), ts(1_100_000), || {
                 Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("still down"))
             });
             poll_once_pending(&mut probe);
-            assert_eq!(engine.fetch_retries(), 1, "the probe is in its backoff");
+            assert_eq!(
+                engine.stats_snapshot().fetch_retries,
+                1,
+                "the probe is in its backoff"
+            );
             assert_eq!(engine.inflight_entries(), 1, "probe leadership held");
             let refused = engine
                 .try_get_or_execute(&key("d"), ts(1_100_001), || unreachable!("no ticket left"))
@@ -1622,10 +1622,7 @@ mod tests {
 
     #[test]
     fn infallible_lookups_bypass_the_negative_cache_and_the_breaker() {
-        let engine = engine_with_tripped_breaker(
-            Arc::new(crate::runtime::Runtime::with_workers(1)),
-            RetryPolicy::none(),
-        );
+        let engine = engine_with_tripped_breaker(RetryPolicy::none());
         let memoized = engine
             .try_get_or_execute(&key("a"), ts(31), || unreachable!("memoized or refused"))
             .expect_err("inside the failure domain the key stays failed");
@@ -1773,7 +1770,7 @@ mod tests {
         .expect("retried to success");
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
-        assert_eq!(engine.fetch_retries(), 2);
+        assert_eq!(engine.stats_snapshot().fetch_retries, 2);
     }
 
     #[test]

@@ -28,15 +28,23 @@
 //! * **conservation** — Σ per-shard capacity == configured total;
 //! * **occupancy** — every shard's `used_bytes <= capacity_bytes`.
 //!
-//! [`RebalanceConfig::min_shard_fraction`] bounds how far a shard can shrink
-//! so a temporarily idle shard is never starved to zero and can win capacity
-//! back when its keys heat up.
+//! Each pass moves at most one step of 5% of a shard's fair share
+//! (`total/N`), and no shard shrinks below half its fair share, so a
+//! temporarily idle shard is never starved to zero and can win capacity back
+//! when its keys heat up.
 
 use crate::policy::QueryCache;
 use crate::profit::Profit;
 
 /// Configures profit-aware capacity rebalancing between the shards of a
-/// [`Watchman`](crate::engine::Watchman) engine.
+/// [`Watchman`](crate::engine::Watchman) engine: only *when* passes run.
+///
+/// What a pass may move is fixed.  A step is 5% of a shard's fair share
+/// (`total/N`).  Steps stay small because the gain-vs-loss comparison
+/// driving each move is a *marginal* argument (it prices the next victims),
+/// so a large step would evict far past the sets the signal priced, and
+/// small steps let a misjudged move be corrected cheaply on a later pass.
+/// No shard drops below half its fair share.
 ///
 /// The **profit signal** driving each pass has three components:
 ///
@@ -71,28 +79,20 @@ pub struct RebalanceConfig {
     /// deterministic replays (the simulator's shard sweep) use.  Passes
     /// never run on a session's request path in either mode.
     pub period: Option<std::time::Duration>,
-    /// The fraction of a shard's fair share (`total/N`) below which its
-    /// capacity never drops.  Clamped to `0.0..=1.0`.  A floor of 1.0
-    /// disables rebalancing entirely; 0.0 allows a shard to shrink to zero.
-    pub min_shard_fraction: f64,
-    /// The fraction of a shard's *fair share* (`total/N`) moved per pass.
-    /// Clamped to `0.0..=1.0`.  Steps must stay small relative to one
-    /// shard's capacity: the gain-vs-loss comparison driving each move is a
-    /// *marginal* argument (it prices the single next victim), so a pass
-    /// that moved a large slice of a shard would evict far past the sets the
-    /// signal priced.  Small steps also let misjudged moves be corrected
-    /// cheaply on later passes.
-    pub step_fraction: f64,
 }
 
+/// The fraction of a shard's fair share (`total/N`) below which its capacity
+/// never drops.
+const MIN_SHARD_FRACTION: f64 = 0.5;
+
+/// The fraction of a shard's fair share one pass moves.
+const STEP_FRACTION: f64 = 0.05;
+
 impl RebalanceConfig {
-    /// The default: a background pass every 50 ms, floor at 50% of the fair
-    /// share, move 5% of one fair share per step.
+    /// The default: a background pass every 50 ms.
     pub fn new() -> Self {
         RebalanceConfig {
             period: Some(std::time::Duration::from_millis(50)),
-            min_shard_fraction: 0.5,
-            step_fraction: 0.05,
         }
     }
 
@@ -110,52 +110,27 @@ impl RebalanceConfig {
         self
     }
 
-    /// Returns the configuration with a different per-shard floor fraction.
-    pub fn with_min_shard_fraction(mut self, fraction: f64) -> Self {
-        self.min_shard_fraction = fraction;
-        self
-    }
-
-    /// Returns the configuration with a different per-pass step fraction.
-    pub fn with_step_fraction(mut self, fraction: f64) -> Self {
-        self.step_fraction = fraction;
-        self
-    }
-
-    /// The configuration with out-of-range values clamped into their
-    /// documented domains (applied once at engine build time).
+    /// The configuration with its period clamped to at least one
+    /// millisecond (applied once at engine build time).
     pub(crate) fn sanitized(mut self) -> Self {
         self.period = self
             .period
             .map(|period| period.max(std::time::Duration::from_millis(1)));
-        self.min_shard_fraction = if self.min_shard_fraction.is_finite() {
-            self.min_shard_fraction.clamp(0.0, 1.0)
-        } else {
-            0.5
-        };
-        self.step_fraction = if self.step_fraction.is_finite() {
-            self.step_fraction.clamp(0.0, 1.0)
-        } else {
-            0.05
-        };
         self
     }
+}
 
-    /// The smallest capacity any shard may hold, given the configured total
-    /// and shard count.
-    pub(crate) fn floor_bytes(&self, total_capacity: u64, shards: usize) -> u64 {
-        let fair_share = total_capacity as f64 / shards.max(1) as f64;
-        (self.min_shard_fraction * fair_share).floor() as u64
-    }
+/// The smallest capacity any shard may hold, given the configured total and
+/// shard count.
+pub(crate) fn floor_bytes(total_capacity: u64, shards: usize) -> u64 {
+    let fair_share = total_capacity as f64 / shards.max(1) as f64;
+    (MIN_SHARD_FRACTION * fair_share).floor() as u64
+}
 
-    /// The number of bytes one pass moves (zero when `step_fraction` is 0).
-    pub(crate) fn step_bytes(&self, total_capacity: u64, shards: usize) -> u64 {
-        if self.step_fraction <= 0.0 {
-            return 0;
-        }
-        let fair_share = total_capacity as f64 / shards.max(1) as f64;
-        ((self.step_fraction * fair_share).round() as u64).max(1)
-    }
+/// The number of bytes one pass moves (at least one).
+pub(crate) fn step_bytes(total_capacity: u64, shards: usize) -> u64 {
+    let fair_share = total_capacity as f64 / shards.max(1) as f64;
+    ((STEP_FRACTION * fair_share).round() as u64).max(1)
 }
 
 impl Default for RebalanceConfig {
@@ -336,32 +311,19 @@ mod tests {
 
     #[test]
     fn config_sanitization_clamps_domains() {
-        let config = RebalanceConfig {
-            period: Some(std::time::Duration::ZERO),
-            min_shard_fraction: -3.0,
-            step_fraction: 42.0,
-        }
-        .sanitized();
+        let config = RebalanceConfig::new()
+            .with_period(std::time::Duration::ZERO)
+            .sanitized();
         assert_eq!(config.period, Some(std::time::Duration::from_millis(1)));
-        assert_eq!(config.min_shard_fraction, 0.0);
-        assert_eq!(config.step_fraction, 1.0);
-        let nan = RebalanceConfig {
-            period: None,
-            min_shard_fraction: f64::NAN,
-            step_fraction: f64::NAN,
-        }
-        .sanitized();
-        assert_eq!(nan.period, None, "manual mode survives sanitization");
-        assert_eq!(nan.min_shard_fraction, 0.5);
-        assert_eq!(nan.step_fraction, 0.05);
+        let manual = RebalanceConfig::new().manual().sanitized();
+        assert_eq!(manual.period, None, "manual mode survives sanitization");
     }
 
     #[test]
     fn floor_scales_with_fair_share() {
-        let config = RebalanceConfig::new().with_min_shard_fraction(0.5);
-        assert_eq!(config.floor_bytes(1_000, 4), 125);
-        assert_eq!(config.floor_bytes(1_000, 1), 500);
-        assert_eq!(RebalanceConfig::new().floor_bytes(0, 4), 0);
+        assert_eq!(floor_bytes(1_000, 4), 125);
+        assert_eq!(floor_bytes(1_000, 1), 500);
+        assert_eq!(floor_bytes(0, 4), 0);
     }
 
     #[test]

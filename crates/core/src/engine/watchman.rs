@@ -12,13 +12,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::clock::Timestamp;
 use crate::coherence::DependencyIndex;
-use crate::engine::builder::{KeyNormalizer, WatchmanBuilder};
+use crate::engine::builder::WatchmanBuilder;
 use crate::engine::events::{CacheEvent, CacheObserver};
 use crate::engine::failure::{
     CircuitBreaker, FailureConfig, FetchError, NegativeCacheConfig, StalenessPolicy,
 };
 use crate::engine::policy_kind::PolicyKind;
-use crate::engine::rebalance::{plan_transfer, RebalanceConfig, RebalanceOutcome, ShardSignal};
+use crate::engine::rebalance::{
+    floor_bytes, plan_transfer, step_bytes, RebalanceOutcome, ShardSignal,
+};
 use crate::engine::single_flight::{Flight, WaiterSlot};
 use crate::key::QueryKey;
 use crate::metrics::{CacheStats, FragmentationTracker};
@@ -106,8 +108,6 @@ impl StatsSnapshot {
 struct StaleEntry<V> {
     value: Arc<V>,
     cost: ExecutionCost,
-    size_bytes: u64,
-    stored: Timestamp,
 }
 
 /// A memoized fetch failure with an expiry.
@@ -146,8 +146,6 @@ impl<V> ShardFailureState<V> {
         key: &QueryKey,
         value: Arc<V>,
         cost: ExecutionCost,
-        size_bytes: u64,
-        now: Timestamp,
         policy: &StalenessPolicy,
     ) {
         if policy.max_entries == 0 {
@@ -155,15 +153,7 @@ impl<V> ShardFailureState<V> {
         }
         if self
             .stale
-            .insert(
-                key.clone(),
-                StaleEntry {
-                    value,
-                    cost,
-                    size_bytes,
-                    stored: now,
-                },
-            )
+            .insert(key.clone(), StaleEntry { value, cost })
             .is_some()
         {
             self.stale_order.retain(|k| k != key);
@@ -179,20 +169,10 @@ impl<V> ShardFailureState<V> {
         }
     }
 
-    /// The last-known-good value for `key`, if one exists and the staleness
-    /// policy judges it worth serving at `now`.
-    pub(super) fn stale_for(
-        &self,
-        key: &QueryKey,
-        now: Timestamp,
-        policy: &StalenessPolicy,
-    ) -> Option<(Arc<V>, ExecutionCost)> {
+    /// The last-known-good value for `key`, if the store holds one.
+    pub(super) fn stale_for(&self, key: &QueryKey) -> Option<(Arc<V>, ExecutionCost)> {
         let entry = self.stale.get(key)?;
-        if policy.worth_serving(entry.cost, entry.size_bytes, entry.stored, now) {
-            Some((Arc::clone(&entry.value), entry.cost))
-        } else {
-            None
-        }
+        Some((Arc::clone(&entry.value), entry.cost))
     }
 
     fn drop_stale(&mut self, key: &QueryKey) {
@@ -363,7 +343,6 @@ struct RebalancePassState {
 }
 
 struct RebalancerState {
-    config: RebalanceConfig,
     rebalances: AtomicU64,
     /// Passes run (including ones that moved nothing), for observability and
     /// for the no-pass-on-request-path tests.
@@ -376,8 +355,8 @@ struct RebalancerState {
 }
 
 /// A one-shot signal the engine fires at drop to stop its background
-/// rebalance task, even when the task lives on a *shared* runtime that
-/// outlives the engine.
+/// rebalance task: the task lives on the engine's runtime, which a caller
+/// holding [`Watchman::runtime`] can keep alive after the engine is gone.
 #[derive(Default)]
 struct ShutdownCell {
     fired: AtomicBool,
@@ -402,32 +381,9 @@ impl ShutdownCell {
     }
 }
 
-/// Where the engine's runtime comes from: an externally shared one, or a
-/// lazily created owned pool (no threads are spawned until a retry backoff's
-/// timer or a background task needs them — a lookup that never sleeps, on
-/// any door, never pays for a pool).
-struct RuntimeSlot {
-    external: Option<Arc<Runtime>>,
-    workers: usize,
-    own: OnceLock<Arc<Runtime>>,
-}
-
-impl RuntimeSlot {
-    fn get(&self) -> Arc<Runtime> {
-        match &self.external {
-            Some(runtime) => Arc::clone(runtime),
-            None => Arc::clone(
-                self.own
-                    .get_or_init(|| Arc::new(Runtime::with_workers(self.workers))),
-            ),
-        }
-    }
-}
-
 pub(super) struct Inner<V> {
     pub(super) shards: Vec<Shard<V>>,
     pub(super) observers: Vec<Arc<dyn CacheObserver>>,
-    pub(super) normalizer: KeyNormalizer,
     policy: PolicyKind,
     total_capacity_bytes: u64,
     /// Failure-domain configuration for the fallible fetch pipeline.
@@ -438,13 +394,19 @@ pub(super) struct Inner<V> {
     /// Lookups answered straight from a shard's negative cache.
     pub(super) negative_hits: AtomicU64,
     rebalancer: Option<RebalancerState>,
-    runtime: RuntimeSlot,
+    /// The engine's own runtime, created on first use: no threads are
+    /// spawned until a retry backoff's timer or a background task needs
+    /// them, so a lookup that never sleeps, on any door, never pays for a
+    /// pool.
+    runtime: OnceLock<Arc<Runtime>>,
+    /// The worker count `runtime` is created with.
+    runtime_workers: usize,
     /// The latest logical timestamp any operation carried, in microseconds.
     /// The background rebalance task evaluates victim profits "now", and the
     /// engine's notion of now is whatever the sessions last said it was.
     latest_now: AtomicU64,
-    /// Fired on drop so the background rebalance task exits promptly even on
-    /// a shared runtime.
+    /// Fired on drop so the background rebalance task exits promptly even
+    /// while a caller still holds the runtime.
     rebalance_shutdown: OnceLock<Arc<ShutdownCell>>,
     /// Storage-fragmentation sample series, fed by [`Watchman::stats_snapshot`]
     /// (one `used/capacity` sample per snapshot).  A leaf lock: taken while
@@ -573,8 +535,7 @@ where
                 }
             })
             .collect();
-        let rebalancer = builder.rebalance.as_ref().map(|config| RebalancerState {
-            config: config.clone(),
+        let rebalancer = builder.rebalance.as_ref().map(|_| RebalancerState {
             rebalances: AtomicU64::new(0),
             passes: AtomicU64::new(0),
             pass: Mutex::new(RebalancePassState {
@@ -591,18 +552,14 @@ where
             inner: Arc::new(Inner {
                 shards,
                 observers: builder.observers,
-                normalizer: builder.normalizer,
                 policy: builder.policy,
                 total_capacity_bytes: builder.capacity_bytes,
                 failure: builder.failure,
                 fetch_retries: AtomicU64::new(0),
                 negative_hits: AtomicU64::new(0),
                 rebalancer,
-                runtime: RuntimeSlot {
-                    external: builder.runtime,
-                    workers: builder.runtime_workers,
-                    own: OnceLock::new(),
-                },
+                runtime: OnceLock::new(),
+                runtime_workers: builder.runtime_workers,
                 latest_now: AtomicU64::new(0),
                 rebalance_shutdown: OnceLock::new(),
                 fragmentation: Mutex::new(FragmentationTracker::new()),
@@ -634,12 +591,17 @@ where
     /// The runtime whose timer sleeps retry backoffs and which runs the
     /// engine's background tasks.
     ///
-    /// Lazily created on first use unless [`WatchmanBuilder::runtime`]
-    /// supplied a shared one.  Applications can spawn their own session
-    /// tasks here; a session that leads a flight runs its fetch on the
-    /// worker polling it.
+    /// The engine owns it and creates it on first use with
+    /// [`WatchmanBuilder::runtime_workers`] workers.  Applications can spawn
+    /// their own session tasks here; a session that leads a flight runs its
+    /// fetch on the worker polling it.
     pub fn runtime(&self) -> Arc<Runtime> {
-        self.inner.runtime.get()
+        let inner = &self.inner;
+        Arc::clone(
+            inner
+                .runtime
+                .get_or_init(|| Arc::new(Runtime::with_workers(inner.runtime_workers))),
+        )
     }
 
     pub(super) fn shard_index(&self, key: &QueryKey) -> usize {
@@ -715,8 +677,8 @@ where
     }
 
     /// Spawns the background rebalance task on the engine's runtime.  The
-    /// task holds only weak references, so it never keeps the engine (or a
-    /// shared runtime) alive; the engine's drop fires its shutdown cell.
+    /// task holds only weak references, so it never keeps the engine (or
+    /// its runtime) alive; the engine's drop fires its shutdown cell.
     fn spawn_background_rebalancer(&self, period: Duration) {
         let cell = Arc::new(ShutdownCell::default());
         self.inner
@@ -760,8 +722,8 @@ where
         rb.pass_threads.lock().push(std::thread::current().id());
 
         let total = self.inner.total_capacity_bytes;
-        let floor = rb.config.floor_bytes(total, self.inner.shards.len());
-        let step = rb.config.step_bytes(total, self.inner.shards.len());
+        let floor = floor_bytes(total, self.inner.shards.len());
+        let step = step_bytes(total, self.inner.shards.len());
 
         // Observe every shard's signal (one shard lock at a time) and fold
         // it into the exponentially smoothed per-shard gain/loss estimates:
@@ -862,10 +824,9 @@ where
     /// concurrent executions.
     pub fn get(&self, key: &QueryKey, now: Timestamp) -> Option<Arc<V>> {
         self.observe_now(now);
-        let key = self.inner.normalizer.apply(key);
-        let index = self.shard_index(&key);
+        let index = self.shard_index(key);
         let mut shard = self.inner.shards[index].lock();
-        shard.cache.get(&key, now).map(Arc::clone)
+        shard.cache.get(key, now).map(Arc::clone)
     }
 
     /// Offers a freshly retrieved set for admission after a miss.
@@ -876,23 +837,11 @@ where
         cost: ExecutionCost,
         now: Timestamp,
     ) -> InsertOutcome {
-        self.insert_shared(key, Arc::new(value), cost, now)
-    }
-
-    /// Offers an already-shared retrieved set for admission.
-    pub fn insert_shared(
-        &self,
-        key: QueryKey,
-        value: Arc<V>,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> InsertOutcome {
         self.observe_now(now);
-        let key = self.inner.normalizer.apply(&key);
         let index = self.shard_index(&key);
         let size_bytes = value.size_bytes();
         let mut shard = self.inner.shards[index].lock();
-        let outcome = shard.cache.insert(key.clone(), value, cost, now);
+        let outcome = shard.cache.insert(key.clone(), Arc::new(value), cost, now);
         record_shard_telemetry(index, shard.cache.used_bytes(), outcome.evicted());
         // Emitted under the shard lock so observers see this shard's events
         // in cache order (see the events module docs).
@@ -902,30 +851,21 @@ where
         outcome
     }
 
-    /// Fetch retries the fallible pipeline has issued (attempts beyond the
-    /// first, across every key and shard).
-    pub fn fetch_retries(&self) -> u64 {
-        self.inner.fetch_retries.load(Ordering::Relaxed)
-    }
-
-    /// Lookups answered straight from a shard's negative cache.
-    pub fn negative_hits(&self) -> u64 {
-        self.inner.negative_hits.load(Ordering::Relaxed)
-    }
-
     /// Removes the retrieved set for `key` because a warehouse update made it
     /// stale.  Returns whether it was resident.
     pub fn invalidate(&self, key: &QueryKey) -> bool {
-        let key = self.inner.normalizer.apply(key);
-        let index = self.shard_index(&key);
+        let index = self.shard_index(key);
         let mut shard = self.inner.shards[index].lock();
         // Invalidated data is *wrong*, not merely old: the last-known-good
         // copy must never be stale-served after an invalidation.
-        shard.failure.drop_stale(&key);
-        shard.failure.drop_negative(&key);
-        let removed = shard.cache.remove(&key);
+        shard.failure.drop_stale(key);
+        shard.failure.drop_negative(key);
+        let removed = shard.cache.remove(key);
         if removed && !self.inner.observers.is_empty() {
-            self.emit(vec![CacheEvent::Invalidated { key, shard: index }]);
+            self.emit(vec![CacheEvent::Invalidated {
+                key: key.clone(),
+                shard: index,
+            }]);
         }
         removed
     }
@@ -954,17 +894,15 @@ where
     /// the replacement policy's state and the [`StatsSnapshot`] byte-for-byte
     /// unchanged, so monitoring never perturbs replay-visible behavior.
     pub fn peek(&self, key: &QueryKey) -> Option<Arc<V>> {
-        let key = self.inner.normalizer.apply(key);
-        let index = self.shard_index(&key);
+        let index = self.shard_index(key);
         let shard = self.inner.shards[index].lock();
-        shard.cache.peek(&key).map(Arc::clone)
+        shard.cache.peek(key).map(Arc::clone)
     }
 
     /// Whether a retrieved set for `key` is currently cached.
     pub fn contains(&self, key: &QueryKey) -> bool {
-        let key = self.inner.normalizer.apply(key);
-        let index = self.shard_index(&key);
-        self.inner.shards[index].lock().cache.contains(&key)
+        let index = self.shard_index(key);
+        self.inner.shards[index].lock().cache.contains(key)
     }
 
     /// Number of cached retrieved sets across all shards.
@@ -1002,6 +940,10 @@ where
     }
 
     /// Number of capacity transfers the rebalancer has performed.
+    ///
+    /// Unlike [`Watchman::stats_snapshot`], this records no fragmentation
+    /// sample, so a driver can report it without perturbing the snapshot a
+    /// caller takes afterwards.
     pub fn rebalance_count(&self) -> u64 {
         self.inner
             .rebalancer
@@ -1020,16 +962,6 @@ where
             .rebalancer
             .as_ref()
             .map_or(0, |rb| rb.passes.load(Ordering::Relaxed))
-    }
-
-    /// Fraction of capacity currently in use.
-    pub fn utilization(&self) -> f64 {
-        let capacity = self.capacity_bytes();
-        if capacity == 0 {
-            0.0
-        } else {
-            self.used_bytes() as f64 / capacity as f64
-        }
     }
 
     /// The keys currently cached, across all shards, in unspecified order.

@@ -72,16 +72,15 @@
 //! | [`runtime`] | Hand-rolled async [`Runtime`](runtime::Runtime): worker pool, task queue, timers, epoll IO reactor with async [`net`](runtime::net) wrappers, [`block_on`](runtime::block_on) |
 //! | [`key`] | Query IDs, signatures, delimiter compression (paper §3) |
 //! | [`value`] | [`CachePayload`](value::CachePayload), retrieved sets, execution costs |
-//! | [`clock`] | Logical timestamps and clock sources |
+//! | [`clock`] | Logical timestamps and a manually driven clock |
 //! | [`history`] | Sliding-window reference histories (Eq. 3) |
 //! | [`profit`] | The profit and estimated-profit metrics (Eq. 2, 5, 6, 8) |
 //! | [`policy`] | The [`QueryCache`](policy::QueryCache) trait, LNC-R/LNC-RA and all baselines |
 //! | [`retained`] | Retained reference information (§2.4) |
 //! | [`coherence`] | Relation-dependency tracking and invalidation on warehouse updates (§3) |
-//! | [`equivalence`] | Canonical query matching, pluggable into the engine as a [`KeyNormalizer`](engine::KeyNormalizer) (§6) |
+//! | [`equivalence`] | Canonical query keys (§6): a caller applies [`canonical_key`](equivalence::canonical_key) before the engine lookup |
 //! | [`metrics`] | Cost savings ratio, hit ratio, fragmentation (§4.1) |
 //! | [`telemetry`] | Process-global metrics registry, latency histograms, flight recorder (see OBSERVABILITY.md) |
-//! | [`theory`] | LNC\* and the exact knapsack oracle (§2.3) |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -107,18 +106,17 @@ pub mod retained;
 pub mod runtime;
 pub mod sync;
 pub mod telemetry;
-pub mod theory;
 pub mod value;
 
 /// Convenient re-exports of the types most applications need.
 pub mod prelude {
-    pub use crate::clock::{Clock, ManualClock, MonotonicClock, Timestamp};
+    pub use crate::clock::{ManualClock, Timestamp};
     pub use crate::coherence::{
         invalidate_affected, DependencyIndex, DependencyObserver, InvalidationReport,
     };
     pub use crate::engine::{
-        BreakerConfig, CacheEvent, CacheObserver, FailureConfig, FetchError, KeyNormalizer, Lookup,
-        LookupError, LookupFuture, LookupSource, NegativeCacheConfig, PolicyKind, RebalanceConfig,
+        BreakerConfig, CacheEvent, CacheObserver, FailureConfig, FetchError, Lookup, LookupError,
+        LookupFuture, LookupSource, NegativeCacheConfig, PolicyKind, RebalanceConfig,
         RebalanceOutcome, RetryPolicy, StalenessPolicy, StatsSnapshot, Watchman,
     };
     pub use crate::history::ReferenceHistory;

@@ -74,9 +74,9 @@ pub const TRACE_RING_SLOTS: usize = 1024;
 /// Minimum spacing between automatic anomaly dumps, in microseconds.
 const ANOMALY_DUMP_INTERVAL_US: u64 = 5_000_000;
 
-/// Maximum shard index tracked by the per-shard occupancy gauges.  Engines
-/// with more shards clamp to the last slot (the builder caps shard counts
-/// far below this in practice).
+/// Number of per-shard occupancy gauges.  Shards past the first
+/// `MAX_SHARD_GAUGES` have no gauge: their occupancy is left out of the
+/// exposition rather than written over another shard's.
 pub const MAX_SHARD_GAUGES: usize = 64;
 
 // ---------------------------------------------------------------------------
@@ -667,15 +667,18 @@ impl Telemetry {
         }
     }
 
-    /// Sets the occupancy gauge for shard `index` (clamped to the gauge
-    /// array) to `used_bytes`.
+    /// Sets the occupancy gauge for shard `index` to `used_bytes`.  Shards
+    /// past the first [`MAX_SHARD_GAUGES`] have no gauge and are ignored.
     pub fn set_shard_used(&self, index: usize, used_bytes: u64) {
-        self.shard_used[index.min(MAX_SHARD_GAUGES - 1)].set(used_bytes);
+        if let Some(gauge) = self.shard_used.get(index) {
+            gauge.set(used_bytes);
+        }
     }
 
-    /// The occupancy gauge for shard `index` (clamped).
+    /// The occupancy gauge for shard `index`; zero for shards past the
+    /// first [`MAX_SHARD_GAUGES`].
     pub fn shard_used(&self, index: usize) -> u64 {
-        self.shard_used[index.min(MAX_SHARD_GAUGES - 1)].get()
+        self.shard_used.get(index).map_or(0, Gauge::get)
     }
 
     /// Records an event that doubles as an **anomaly**: appends it to the

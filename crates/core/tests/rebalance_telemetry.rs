@@ -41,25 +41,21 @@ fn keys_by_shard(count: usize) -> [Vec<QueryKey>; 2] {
 
 #[test]
 fn rebalance_evictions_reach_the_registry() {
-    const TOTAL: u64 = 20_000;
+    // One step (5% of a 20 kB half) fits exactly one hot set.
+    const TOTAL: u64 = 40_000;
     let engine: Watchman<SizedPayload> = Watchman::builder()
         .shards(2)
         .policy(PolicyKind::LNC_RA)
         .capacity_bytes(TOTAL)
-        .rebalance(
-            RebalanceConfig::new()
-                .manual()
-                .with_min_shard_fraction(0.25)
-                .with_step_fraction(0.1),
-        )
+        .rebalance(RebalanceConfig::new().manual())
         .build();
     let [hot, junk] = keys_by_shard(120);
     // Shard 0 sees a hot working set of valuable summaries that does not
     // fit its static half; shard 1 fills with one-off junk, so capacity
     // taken from it must evict.
-    let hot: Vec<_> = hot.into_iter().take(15).collect();
+    let hot: Vec<_> = hot.into_iter().take(30).collect();
     assert!(
-        hot.len() == 15 && junk.len() >= 20,
+        hot.len() == 30 && junk.len() >= 20,
         "probe found too few keys"
     );
 

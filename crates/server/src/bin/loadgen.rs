@@ -397,8 +397,6 @@ fn chaos_sweep(
             breaker: Some(BreakerConfig::default()),
             staleness: Some(StalenessPolicy {
                 max_entries: SWEEP_KEYS * 4,
-                min_cost_per_byte: 0.0,
-                max_age_us: None,
             }),
             negative: NegativeCacheConfig::default(),
         },

@@ -35,7 +35,9 @@ use watchman_sim::REBALANCE_EVERY_RECORDS;
 use watchman_trace::Trace;
 
 use crate::client::{connect_handshaken, Client, ClientError};
-use crate::wire::{self, GetRequest, GetResponse, Request, Response, WireError, WireSource};
+use crate::wire::{
+    self, FrameReader, GetRequest, GetResponse, Request, Response, WireError, WireSource,
+};
 
 /// Replays `trace` through `client` with the deterministic protocol of the
 /// in-process drivers (one session, in trace order, a rebalance pass every
@@ -630,10 +632,11 @@ fn run_storm(
         .map(|(stream, requests)| {
             runtime.spawn(async move {
                 let mut tally = Tally::new();
+                let mut reader = FrameReader::new();
                 let total = requests.len();
                 for (id, request) in requests.into_iter().enumerate() {
                     let sent = Instant::now();
-                    let result = storm_round_trip(&stream, id as u64, request).await;
+                    let result = storm_round_trip(&stream, &mut reader, id as u64, request).await;
                     let outcome = Outcome::classify(result.as_ref());
                     tally.outcomes.add(outcome, 1);
                     if result.is_ok() {
@@ -677,22 +680,28 @@ fn run_storm(
 }
 
 /// One storm request on `stream`, answered as a [`Client`] call would
-/// answer it.
+/// answer it.  The request goes out as one length-prefixed `write_all`
+/// (a [`wire::FrameWriter`] flush would feed the server's write-stall
+/// histogram in the same process registry); the reply is read through the
+/// connection's `reader`.
 async fn storm_round_trip(
     stream: &TcpStream,
+    reader: &mut FrameReader,
     id: u64,
     request: GetRequest,
 ) -> Result<GetResponse, ClientError> {
     let body = wire::encode_request(id, &Request::Get(request));
-    wire::write_frame_async(stream, &body)
-        .await
-        .map_err(WireError::Io)?;
-    let reply = wire::read_frame_async(stream)
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&body);
+    stream.write_all(&frame).await.map_err(WireError::Io)?;
+    let reply = reader
+        .next_frame(stream)
         .await?
         .ok_or(WireError::Truncated {
             context: "response frame",
         })?;
-    let (reply_id, response) = wire::decode_response(&reply)?;
+    let (reply_id, response) = wire::decode_response(reply)?;
     if reply_id != id {
         return Err(ClientError::Wire(WireError::Protocol(format!(
             "response id {reply_id} does not match request id {id}"

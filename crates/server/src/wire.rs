@@ -88,10 +88,10 @@
 //!
 //! ## Buffered IO
 //!
-//! Framing helpers come in two tiers.  The per-frame helpers
-//! ([`read_frame`], [`write_frame`] and their async variants) issue two
-//! syscalls per frame — right for the handshake and for lockstep callers
-//! with a single request in flight.  Everything after the handshake, on
+//! Framing helpers come in two tiers.  The blocking per-frame helpers
+//! [`read_frame`] and [`write_frame`] issue two syscalls per frame — right
+//! for the handshake and for lockstep callers with a single request in
+//! flight.  Everything after the handshake, on
 //! **both** ends, reads through a [`FrameReader`]: it drains every pipelined
 //! frame a single `recv` returned out of a reusable buffer, filled by
 //! [`poll_fill`](FrameReader::poll_fill) in a server session and by its
@@ -99,8 +99,8 @@
 //! depth-32 burst costs each side one `recv`, not 64.  Sessions answer
 //! through a [`FrameWriter`], which stages each burst's responses and
 //! flushes them as one vectored write.  The analyzer's
-//! `unbuffered-frame-write-in-session` rule keeps the per-frame helpers
-//! out of session paths.
+//! `unbuffered-frame-write-in-session` rule keeps [`write_frame`] out of
+//! session paths.
 
 use std::fmt;
 use std::future::{poll_fn, Future};
@@ -465,54 +465,6 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> 
     Ok(Some(body))
 }
 
-/// Writes one frame to a reactor-driven stream (async twin of
-/// [`write_frame`]).  The length prefix and body go out as one buffer so a
-/// frame is a single `write_all` from the runtime's point of view.
-pub async fn write_frame_async(stream: &NetStream, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame body too large"))?;
-    let mut buffer = Vec::with_capacity(4 + body.len());
-    buffer.extend_from_slice(&len.to_le_bytes());
-    buffer.extend_from_slice(body);
-    stream.write_all(&buffer).await
-}
-
-/// Reads one frame body from a reactor-driven stream (async twin of
-/// [`read_frame`]): `Ok(None)` on a clean EOF *between* frames, a
-/// [`WireError::Truncated`] on EOF inside one, [`MAX_FRAME_BYTES`] enforced
-/// before the body is allocated.
-pub async fn read_frame_async(stream: &NetStream) -> Result<Option<Vec<u8>>, WireError> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < header.len() {
-        match stream.read(&mut header[filled..]).await {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    context: "frame header",
-                })
-            }
-            Ok(n) => filled += n,
-            Err(err) => return Err(WireError::Io(err)),
-        }
-    }
-    let declared = u32::from_le_bytes(header);
-    if declared > MAX_FRAME_BYTES {
-        return Err(WireError::FrameTooLarge { declared });
-    }
-    let mut body = vec![0u8; declared as usize];
-    stream.read_exact(&mut body).await.map_err(|err| {
-        if err.kind() == io::ErrorKind::UnexpectedEof {
-            WireError::Truncated {
-                context: "frame body",
-            }
-        } else {
-            WireError::Io(err)
-        }
-    })?;
-    Ok(Some(body))
-}
-
 enum ReadOutcome {
     Full,
     Eof,
@@ -550,8 +502,8 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// A buffered frame reader: one reusable userspace buffer per connection
 /// end that drains as many pipelined frames per `recv` as arrived, instead
-/// of the two-plus syscalls per frame the unbuffered [`read_frame`] /
-/// [`read_frame_async`] cost (header `read_exact`, then body).
+/// of the two-plus syscalls per frame the unbuffered [`read_frame`] costs
+/// (header `read_exact`, then body).
 ///
 /// [`FrameReader::take_frame`] hands the frame body out as a slice into the
 /// buffer — no per-frame allocation — whose borrow ends when the caller is
@@ -715,7 +667,7 @@ impl FrameReader {
     }
 
     /// Which decode step an EOF right now would truncate — mirrors the
-    /// contexts [`read_frame_async`] reports.
+    /// contexts [`read_frame`] reports.
     pub fn truncation_context(&self) -> &'static str {
         if self.buffered() < 4 {
             "frame header"
@@ -736,8 +688,8 @@ impl FrameReader {
         }
     }
 
-    /// Reads the next frame: the buffered twin of [`read_frame_async`],
-    /// returning `Ok(None)` on a clean EOF *between* frames and
+    /// Reads the next frame from a reactor-driven stream, returning
+    /// `Ok(None)` on a clean EOF *between* frames and
     /// [`WireError::Truncated`] on EOF inside one.
     pub async fn next_frame(&mut self, stream: &NetStream) -> Result<Option<&[u8]>, WireError> {
         while !self.frame_ready()? {
@@ -779,7 +731,7 @@ impl FrameReader {
 /// burst's 64 `write_all`s into one syscall.
 ///
 /// Server sessions must write through this — analyzer rule 7 bans direct
-/// [`write_frame_async`] calls in session paths.
+/// [`write_frame`] calls in session paths.
 pub struct FrameWriter {
     buf: Vec<u8>,
 }
@@ -1596,19 +1548,25 @@ mod tests {
         // back reversed, then observe the clean EOF.
         let server = runtime.spawn(async move {
             let (stream, _) = listener.accept().await.expect("accept");
-            let first = read_frame_async(&stream)
+            let mut reader = FrameReader::new();
+            let first = reader
+                .next_frame(&stream)
                 .await
                 .expect("first frame")
-                .expect("not eof");
-            let second = read_frame_async(&stream)
+                .expect("not eof")
+                .to_vec();
+            let second = reader
+                .next_frame(&stream)
                 .await
                 .expect("second frame")
                 .expect("not eof");
             assert_eq!(second, b"");
             let reversed: Vec<u8> = first.iter().rev().copied().collect();
-            write_frame_async(&stream, &reversed).await.expect("write");
+            let mut writer = FrameWriter::new();
+            writer.stage(&reversed).expect("stage");
+            writer.flush(&stream).await.expect("write");
             assert!(
-                read_frame_async(&stream).await.expect("eof").is_none(),
+                reader.next_frame(&stream).await.expect("eof").is_none(),
                 "peer close between frames is a clean EOF"
             );
         });
@@ -2013,7 +1971,11 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let server = runtime.spawn(async move {
             let (stream, _) = listener.accept().await.expect("accept");
-            read_frame_async(&stream).await
+            let mut reader = FrameReader::new();
+            reader
+                .next_frame(&stream)
+                .await
+                .map(|frame| frame.is_some())
         });
         let mut client = std::net::TcpStream::connect(addr).expect("connect");
         client.write_all(&[0xFF, 0xFF, 0xFF, 0xFF]).unwrap();

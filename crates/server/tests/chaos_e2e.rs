@@ -52,11 +52,7 @@ fn degradation_server(
         failure: FailureConfig {
             retry: RetryPolicy::default(),
             breaker: Some(BreakerConfig::default()),
-            staleness: Some(StalenessPolicy {
-                max_entries: 1_024,
-                min_cost_per_byte: 0.0,
-                max_age_us: None,
-            }),
+            staleness: Some(StalenessPolicy { max_entries: 1_024 }),
             negative: NegativeCacheConfig::default(),
         },
         max_inflight,

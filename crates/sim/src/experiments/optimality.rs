@@ -13,11 +13,11 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use watchman_core::theory::{lnc_star_skipping, KnapsackItem};
 use watchman_warehouse::QueryInstance;
 
 use crate::runner::run_policy;
 use crate::table::{percent, ratio, TextTable};
+use crate::theory::{lnc_star_skipping, KnapsackItem};
 use crate::workload::{ExperimentScale, Workload};
 use crate::PolicyKind;
 

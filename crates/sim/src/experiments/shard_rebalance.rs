@@ -81,15 +81,9 @@ pub struct ShardRebalanceExperiment {
 impl ShardRebalanceExperiment {
     /// The rebalance configuration the sweep uses: `manual()` scheduling
     /// (the replay driver runs a pass every 128 records — wall-clock
-    /// background passes would make the replay nondeterministic), floor at
-    /// 50% of the fair share, 5% of one fair share per step — steps small
-    /// enough that each move stays within the marginal gain-vs-loss argument
-    /// that justifies it.
+    /// background passes would make the replay nondeterministic).
     pub fn rebalance_config() -> RebalanceConfig {
-        RebalanceConfig::new()
-            .manual()
-            .with_min_shard_fraction(0.5)
-            .with_step_fraction(0.05)
+        RebalanceConfig::new().manual()
     }
 
     /// Runs the sweep on the skewed TPC-D workload with LNC-RA (the paper's

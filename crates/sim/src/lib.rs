@@ -16,7 +16,9 @@
 //! * [`experiments`] — one module per paper figure (2–7) plus extension
 //!   ablations;
 //! * [`table`] — text-table rendering used by the figure binaries and the
-//!   Criterion benches.
+//!   Criterion benches;
+//! * [`theory`] — LNC\* and the exact knapsack oracle of the §2.3
+//!   optimality model, behind the optimality-gap experiment.
 //!
 //! Each figure also has a binary (`fig2_infinite_cache`, `fig3_impact_of_k`,
 //! `fig4_5_cost_savings`, `fig6_fragmentation`, `fig7_buffer_hints`,
@@ -30,6 +32,7 @@
 pub mod experiments;
 pub mod runner;
 pub mod table;
+pub mod theory;
 pub mod workload;
 
 pub use experiments::{

@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 
-use watchman::core::theory::{expected_cost_savings_ratio, lnc_star_skipping, KnapsackItem};
 use watchman::prelude::*;
+use watchman::sim::theory::{expected_cost_savings_ratio, lnc_star_skipping, KnapsackItem};
 
 fn main() {
     let scale = ExperimentScale::quick(5_000);

@@ -9,8 +9,7 @@
 //!   single-flight miss deduplication and cache events), the LNC-R
 //!   replacement and LNC-A admission algorithms (combined: LNC-RA), the
 //!   retained-reference-information mechanism, the comparison baselines
-//!   (LRU, LRU-K, LFU, LCS, GreedyDual-Size), metrics and the §2.3
-//!   optimality oracles.
+//!   (LRU, LRU-K, LFU, LCS, GreedyDual-Size) and metrics.
 //! * [`warehouse`] ([`watchman_warehouse`]) — the synthetic data warehouse:
 //!   TPC-D, Set Query and the 14-relation buffer workload, with cost,
 //!   result-size and page-access models.
@@ -18,7 +17,8 @@
 //! * [`buffer`] ([`watchman_buffer`]) — the page-level LRU buffer manager
 //!   with p₀-redundancy hints, subscribable to engine cache events.
 //! * [`sim`] ([`watchman_sim`]) — the experiment harness reproducing the
-//!   paper's Figures 2–7 and the extension ablations.
+//!   paper's Figures 2–7 and the extension ablations, with the §2.3
+//!   optimality oracles.
 //! * [`server`] ([`watchman_server`]) — the networked front end: the
 //!   versioned wire protocol, the `watchmand` cache server (misses coalesce
 //!   across client connections), a typed pipelining client and the

@@ -178,26 +178,21 @@ fn killed_async_leader_hands_over_to_exactly_one_waiter() {
 
 /// The background rebalancer keeps capacity conserved while async sessions
 /// hammer the engine, and it stops when the engine is dropped even though
-/// the runtime (shared, external) lives on.
+/// the engine's runtime, still held here, lives on.
 #[test]
 fn background_rebalancer_under_async_traffic_conserves_and_shuts_down() {
     const SESSIONS: usize = 4;
     const OPS_PER_SESSION: usize = 1_500;
     const TOTAL: u64 = 100_000;
 
-    let runtime = Arc::new(Runtime::with_workers(3));
     let engine: Watchman<SizedPayload> = Watchman::builder()
         .shards(8)
         .policy(PolicyKind::LncRa { k: 4 })
         .capacity_bytes(TOTAL)
-        .runtime(Arc::clone(&runtime))
-        .rebalance(
-            RebalanceConfig::new()
-                .with_period(Duration::from_millis(2))
-                .with_min_shard_fraction(0.25)
-                .with_step_fraction(0.1),
-        )
+        .runtime_workers(3)
+        .rebalance(RebalanceConfig::new().with_period(Duration::from_millis(2)))
         .build();
+    let runtime = engine.runtime();
 
     let done = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..SESSIONS)
@@ -263,8 +258,9 @@ fn background_rebalancer_under_async_traffic_conserves_and_shuts_down() {
         (SESSIONS * OPS_PER_SESSION) as u64,
         "one recorded reference per lookup, coalesced included"
     );
+    assert!(snapshot.rebalances > 0, "the rebalancer moved capacity");
 
-    // Drop the engine: its background task must exit even though the shared
+    // Drop the engine: its background task must exit even though its
     // runtime lives on.
     drop(engine);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);

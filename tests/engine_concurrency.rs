@@ -102,12 +102,7 @@ fn rebalancing_conserves_capacity_under_concurrent_traffic() {
         .shards(8)
         .policy(PolicyKind::LncRa { k: 4 })
         .capacity_bytes(TOTAL)
-        .rebalance(
-            RebalanceConfig::new()
-                .with_period(std::time::Duration::from_millis(2))
-                .with_min_shard_fraction(0.25)
-                .with_step_fraction(0.1),
-        )
+        .rebalance(RebalanceConfig::new().with_period(std::time::Duration::from_millis(2)))
         .build();
     let done = Arc::new(AtomicU64::new(0));
 
@@ -172,7 +167,8 @@ fn rebalancing_conserves_capacity_under_concurrent_traffic() {
         (THREADS * OPS_PER_THREAD) as u64,
         "one recorded reference per lookup, coalesced included"
     );
-    let floor = (0.25 * (TOTAL / 8) as f64) as u64;
+    assert!(snapshot.rebalances > 0, "the rebalancer moved capacity");
+    let floor = (0.5 * (TOTAL / 8) as f64) as u64;
     assert!(
         snapshot.per_shard_capacity.iter().all(|&c| c >= floor),
         "floor violated: {:?}",
@@ -272,12 +268,7 @@ proptest! {
             .shards(shards)
             .policy(PolicyKind::LncRa { k: 4 })
             .capacity_bytes(capacity)
-            .rebalance(
-                RebalanceConfig::new()
-                    .manual()
-                    .with_min_shard_fraction(0.25)
-                    .with_step_fraction(0.2),
-            )
+            .rebalance(RebalanceConfig::new().manual())
             .build();
         let mut now = 0u64;
         for (i, &(query, size, cost, advance)) in ops.iter().enumerate() {

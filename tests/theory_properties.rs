@@ -1,11 +1,11 @@
 //! Property-based tests for the §2.3 optimality model and the profit metric.
 
 use proptest::prelude::*;
-use watchman::core::theory::{
+use watchman::prelude::*;
+use watchman::sim::theory::{
     expected_cost_savings_ratio, expected_miss_cost, lnc_star, lnc_star_skipping, optimal_knapsack,
     KnapsackItem,
 };
-use watchman::prelude::*;
 
 fn item_strategy() -> impl Strategy<Value = KnapsackItem> {
     (0.01f64..1.0, 1.0f64..1_000.0, 1u64..40).prop_map(|(p, c, s)| KnapsackItem::new(p, c, s))
