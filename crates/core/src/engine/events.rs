@@ -94,51 +94,3 @@ pub trait CacheObserver: Send + Sync {
     /// Called once per cache lifecycle event.
     fn on_cache_event(&self, event: &CacheEvent);
 }
-
-/// A simple observer that counts events, useful in tests and diagnostics.
-#[derive(Debug, Default)]
-pub struct EventCounters {
-    admitted: std::sync::atomic::AtomicU64,
-    rejected: std::sync::atomic::AtomicU64,
-    evicted: std::sync::atomic::AtomicU64,
-    invalidated: std::sync::atomic::AtomicU64,
-}
-
-impl EventCounters {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of admissions observed.
-    pub fn admitted(&self) -> u64 {
-        self.admitted.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of rejections observed.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of evictions observed.
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of invalidations observed.
-    pub fn invalidated(&self) -> u64 {
-        self.invalidated.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-impl CacheObserver for EventCounters {
-    fn on_cache_event(&self, event: &CacheEvent) {
-        use std::sync::atomic::Ordering::Relaxed;
-        match event {
-            CacheEvent::Admitted { .. } => self.admitted.fetch_add(1, Relaxed),
-            CacheEvent::Rejected { .. } => self.rejected.fetch_add(1, Relaxed),
-            CacheEvent::Evicted { .. } => self.evicted.fetch_add(1, Relaxed),
-            CacheEvent::Invalidated { .. } => self.invalidated.fetch_add(1, Relaxed),
-        };
-    }
-}

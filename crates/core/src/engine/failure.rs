@@ -349,11 +349,9 @@ impl CircuitBreaker {
 
     fn transition(&mut self, next: State) {
         // The single choke point every legal transition passes through, so
-        // the process-wide telemetry counters cover all breakers at once.
-        let telemetry = crate::telemetry::global();
-        telemetry.breaker_transitions.incr();
+        // `transitions` and the registry's trip counter miss none.
         if matches!(next, State::Open { .. }) {
-            telemetry.breaker_trips.incr();
+            crate::telemetry::global().breaker_trips.incr();
         }
         self.state = next;
         self.transitions += 1;

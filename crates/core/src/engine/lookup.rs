@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use crate::clock::Timestamp;
 use crate::engine::failure::{BreakerState, FetchError, LookupError};
 use crate::engine::single_flight::{Flight, FlightOutcome, WaiterSlot};
-use crate::engine::watchman::{record_shard_telemetry, Shard, ShardState, Watchman};
+use crate::engine::watchman::{record_evictions, Shard, ShardState, Watchman};
 use crate::key::QueryKey;
 use crate::policy::InsertOutcome;
 use crate::runtime::Sleep;
@@ -264,7 +264,6 @@ where
     ) -> Result<bool, (Arc<FetchError>, bool)> {
         if let Some(error) = state.failure.fresh_negative(key, now) {
             self.inner.negative_hits.fetch_add(1, Ordering::Relaxed);
-            crate::telemetry::global().negative_hits.incr();
             return Err((error, true));
         }
         let Some(breaker) = state.failure.breaker.as_mut() else {
@@ -288,9 +287,7 @@ where
         }
         self.inner.fetch_retries.fetch_add(1, Ordering::Relaxed);
         let delay = retry.backoff(attempt, key.signature().value());
-        let telemetry = crate::telemetry::global();
-        telemetry.fetch_retries.incr();
-        telemetry.recorder.record(
+        crate::telemetry::global().recorder.record(
             TraceKind::FetchRetry,
             key.signature().value(),
             u64::from(attempt),
@@ -337,7 +334,7 @@ where
             state.failure.drop_negative(key);
         }
         let outcome = state.cache.insert(key.clone(), value, cost, now);
-        record_shard_telemetry(shard_index, state.cache.used_bytes(), outcome.evicted());
+        record_evictions(outcome.evicted());
         crate::telemetry::global().recorder.record(
             TraceKind::LookupExecuted,
             key.signature().value(),

@@ -88,7 +88,7 @@ pub(crate) mod single_flight;
 mod watchman;
 
 pub use builder::WatchmanBuilder;
-pub use events::{CacheEvent, CacheObserver, EventCounters};
+pub use events::{CacheEvent, CacheObserver};
 pub use failure::{
     splitmix64, BreakerConfig, BreakerState, CircuitBreaker, FailureConfig, FetchError,
     LookupError, NegativeCacheConfig, RetryPolicy, StalenessPolicy,
@@ -142,9 +142,26 @@ mod tests {
             1,
             "repeat lookups must hit"
         );
-        let stats = engine.stats();
+        let stats = engine.stats_snapshot().total;
         assert_eq!(stats.references, 3);
         assert_eq!(stats.hits, 2);
+    }
+
+    #[test]
+    fn stats_snapshot_is_a_pure_read() {
+        let engine = engine(4, 4_000);
+        for i in 0..40u64 {
+            engine.get_or_execute(&key(&format!("q{}", i % 13)), ts(i + 1), || {
+                (SizedPayload::new(300), ExecutionCost::from_blocks(10 + i))
+            });
+        }
+        let first = engine.stats_snapshot();
+        assert!(first.used_bytes > 0 && first.total.evictions > 0);
+        assert_eq!(
+            engine.stats_snapshot(),
+            first,
+            "a snapshot must write nothing"
+        );
     }
 
     #[test]
@@ -222,6 +239,28 @@ mod tests {
         assert_eq!(zero.capacity_bytes(), 0);
     }
 
+    /// Counts the events an engine publishes, by kind: the observer tests
+    /// check the event stream itself, not the engine's counters.
+    #[derive(Default)]
+    struct EventTally {
+        admitted: AtomicU64,
+        rejected: AtomicU64,
+        evicted: AtomicU64,
+        invalidated: AtomicU64,
+    }
+
+    impl CacheObserver for EventTally {
+        fn on_cache_event(&self, event: &CacheEvent) {
+            let counter = match event {
+                CacheEvent::Admitted { .. } => &self.admitted,
+                CacheEvent::Rejected { .. } => &self.rejected,
+                CacheEvent::Evicted { .. } => &self.evicted,
+                CacheEvent::Invalidated { .. } => &self.invalidated,
+            };
+            counter.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     fn engine_with(shards: usize, capacity: u64) -> Watchman<SizedPayload> {
         Watchman::builder()
             .shards(shards)
@@ -235,7 +274,7 @@ mod tests {
         // Regression: a re-insert of a cached key whose payload grew used to
         // report AlreadyCached with no eviction information, so observer
         // mirrors kept the displaced keys forever.
-        let counters = Arc::new(EventCounters::new());
+        let counters = Arc::new(EventTally::default());
         let deps = Arc::new(crate::coherence::DependencyObserver::new(
             |key: &QueryKey| vec![format!("REL_{}", key.text())],
         ));
@@ -257,8 +296,16 @@ mod tests {
         assert!(outcome.is_cached());
         assert!(!outcome.is_admitted(), "a refresh is not a new admission");
         assert!(!engine.contains(&key("b")));
-        assert_eq!(counters.evicted(), 1, "the eviction must be published");
-        assert_eq!(counters.admitted(), 2, "a refresh emits no Admitted event");
+        assert_eq!(
+            counters.evicted.load(Ordering::SeqCst),
+            1,
+            "the eviction must be published"
+        );
+        assert_eq!(
+            counters.admitted.load(Ordering::SeqCst),
+            2,
+            "a refresh emits no Admitted event"
+        );
         assert!(
             deps.affected_by("REL_b").is_empty(),
             "the dependency mirror must drop the evicted key"
@@ -268,7 +315,7 @@ mod tests {
 
     #[test]
     fn observers_see_admissions_evictions_and_invalidations() {
-        let counters = Arc::new(EventCounters::new());
+        let counters = Arc::new(EventTally::default());
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(1)
             .policy(PolicyKind::Lru)
@@ -284,14 +331,14 @@ mod tests {
                 ts(i as u64 + 1),
             );
         }
-        assert_eq!(counters.admitted(), 3);
-        assert_eq!(counters.evicted(), 1);
+        assert_eq!(counters.admitted.load(Ordering::SeqCst), 3);
+        assert_eq!(counters.evicted.load(Ordering::SeqCst), 1);
         assert!(engine.invalidate(&key("c")));
         assert!(
             !engine.invalidate(&key("c")),
             "second invalidation is a no-op"
         );
-        assert_eq!(counters.invalidated(), 1);
+        assert_eq!(counters.invalidated.load(Ordering::SeqCst), 1);
         // An oversized offer is rejected and reported.
         engine.insert(
             key("huge"),
@@ -299,7 +346,7 @@ mod tests {
             ExecutionCost::from_blocks(10),
             ts(10),
         );
-        assert_eq!(counters.rejected(), 1);
+        assert_eq!(counters.rejected.load(Ordering::SeqCst), 1);
     }
 
     /// Classifies `count` generated keys by the shard they hash to, by
@@ -331,7 +378,7 @@ mod tests {
     fn rebalancer_moves_capacity_to_the_starved_shard() {
         // One step (5% of a 20 kB half) fits exactly one hot set.
         const TOTAL: u64 = 40_000;
-        let counters = Arc::new(EventCounters::new());
+        let counters = Arc::new(EventTally::default());
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(2)
             .policy(PolicyKind::LNC_RA)
@@ -390,8 +437,9 @@ mod tests {
 
         let capacities = engine.shard_capacities();
         let floor = (0.5 * (TOTAL / 2) as f64) as u64;
+        let snapshot = engine.stats_snapshot();
         assert!(
-            engine.rebalance_count() > 0,
+            snapshot.rebalances > 0,
             "the starved shard must have attracted capacity"
         );
         assert!(
@@ -402,18 +450,15 @@ mod tests {
             capacities.iter().all(|&c| c >= floor),
             "no shard may fall below the floor: {capacities:?}"
         );
-        let snapshot = engine.stats_snapshot();
-        assert_eq!(snapshot.rebalances, engine.rebalance_count());
         assert_eq!(snapshot.capacity_bytes, TOTAL);
         // The donor's shrink evictions were published to observers.
-        assert!(counters.evicted() > 0);
+        assert!(counters.evicted.load(Ordering::SeqCst) > 0);
     }
 
     #[test]
     fn rebalance_now_without_configuration_is_inert() {
         let engine = engine(4, 1 << 20);
         assert!(engine.rebalance_now(ts(1)).is_none());
-        assert_eq!(engine.rebalance_count(), 0);
         assert_eq!(engine.stats_snapshot().rebalances, 0);
     }
 
@@ -557,7 +602,7 @@ mod tests {
         assert!(engine.is_empty());
         assert_eq!(engine.used_bytes(), 0);
         // Statistics survive a clear.
-        assert_eq!(engine.stats().references, 1);
+        assert_eq!(engine.stats_snapshot().total.references, 1);
     }
 
     #[test]
@@ -573,7 +618,7 @@ mod tests {
             engine.get_or_execute_async(&key("q"), ts(2), || unreachable!("served from cache")),
         );
         assert_eq!(again.source, LookupSource::Hit);
-        assert_eq!(engine.stats().hits, 1);
+        assert_eq!(engine.stats_snapshot().total.hits, 1);
     }
 
     #[test]
@@ -606,8 +651,6 @@ mod tests {
             .expect("fetch never fails");
         }
         assert_eq!(sync_engine.stats_snapshot(), async_engine.stats_snapshot());
-        // A snapshot records one fragmentation sample, so each comparison
-        // pairs engines that have been snapshotted equally often.
         assert_eq!(
             try_sync_engine.stats_snapshot(),
             try_async_engine.stats_snapshot()
@@ -917,7 +960,7 @@ mod tests {
                 raw.insert(k, Arc::new(SizedPayload::new(size)), cost, now);
             }
         }
-        assert_eq!(shard_engine.stats(), raw.stats_snapshot());
+        assert_eq!(shard_engine.stats_snapshot().total, raw.stats_snapshot());
         assert_eq!(shard_engine.used_bytes(), raw.used_bytes());
         assert_eq!(shard_engine.len(), raw.len());
     }
@@ -979,17 +1022,7 @@ mod tests {
                 assert!(engine.peek(&key("q3")).is_some(), "{kind}: q3 is cached");
                 assert!(engine.peek(&key("absent")).is_none());
             }
-            let mut after = engine.stats_snapshot();
-            // Snapshots are deliberately not idempotent in one respect: each
-            // call records one fragmentation sample.  Peek must leave the
-            // occupancy itself untouched, so the *fractions* still match;
-            // align the sample bookkeeping and compare everything else.
-            assert_eq!(
-                after.fragmentation.average_used_fraction(),
-                before.fragmentation.average_used_fraction(),
-                "{kind}: peek must not change occupancy"
-            );
-            after.fragmentation = before.fragmentation.clone();
+            let after = engine.stats_snapshot();
             assert_eq!(after, before, "{kind}: peek must not mutate statistics");
         }
     }
@@ -1095,7 +1128,7 @@ mod tests {
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
         assert_eq!(engine.stats_snapshot().fetch_retries, 2);
-        let stats = engine.stats();
+        let stats = engine.stats_snapshot().total;
         assert_eq!(
             stats.fetch_errors, 0,
             "a retried-to-success lookup is a plain miss"
@@ -1121,7 +1154,7 @@ mod tests {
         assert!(!err.error.is_retryable());
         assert!(!err.negative_hit);
         assert_eq!(engine.stats_snapshot().fetch_retries, 0);
-        let stats = engine.stats();
+        let stats = engine.stats_snapshot().total;
         assert_eq!(stats.fetch_errors, 1);
         assert_eq!(stats.references, 1);
         assert_eq!(stats.misses(), 0, "an errored reference is not a miss");
@@ -1160,7 +1193,7 @@ mod tests {
             .expect_err("fresh failure");
         assert!(!third.negative_hit);
         assert_eq!(invocations.load(Ordering::SeqCst), 2);
-        let stats = engine.stats();
+        let stats = engine.stats_snapshot().total;
         assert_eq!(stats.fetch_errors, 3, "all three references errored");
         assert_eq!(stats.references, 3);
     }
@@ -1182,7 +1215,7 @@ mod tests {
         engine
             .try_get_or_execute(&key("report"), ts(1), || payload_ok(256, 5_000))
             .expect("priming fetch succeeds");
-        let saved_after_prime = engine.stats().saved_cost;
+        let saved_after_prime = engine.stats_snapshot().total.saved_cost;
         // Drop the cached copy (clear keeps statistics and the stale store).
         engine.clear();
         // The refetch fails: the engine degrades to the last-known-good copy.
@@ -1193,7 +1226,7 @@ mod tests {
             .expect("stale serve");
         assert_eq!(lookup.source, LookupSource::Stale);
         assert_eq!(lookup.value.size_bytes(), 256);
-        let stats = engine.stats();
+        let stats = engine.stats_snapshot().total;
         assert_eq!(stats.stale_serves, 1);
         assert_eq!(stats.fetch_errors, 0, "a stale serve is not an error");
         assert_eq!(
@@ -1612,7 +1645,7 @@ mod tests {
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(executions.load(Ordering::SeqCst), 1);
         assert_eq!(engine.inflight_entries(), 0);
-        let stats = engine.stats();
+        let stats = engine.stats_snapshot().total;
         assert_eq!(stats.references, 2);
         assert_eq!((stats.hits, stats.coalesced, stats.stale_serves), (0, 0, 0));
         assert_eq!(stats.fetch_errors, 1, "the leader's reference");
@@ -1669,7 +1702,7 @@ mod tests {
         });
         assert_eq!(shared.source, LookupSource::Coalesced);
         assert_eq!(shared.value.size_bytes(), 64);
-        assert_eq!(engine.stats().coalesced, 1);
+        assert_eq!(engine.stats_snapshot().total.coalesced, 1);
     }
 
     #[test]
@@ -1732,7 +1765,7 @@ mod tests {
             errors.iter().all(|e| Arc::ptr_eq(e, &errors[0])),
             "one failure, one shared Arc for every session"
         );
-        let stats = engine.stats();
+        let stats = engine.stats_snapshot().total;
         assert_eq!(stats.fetch_errors, 4);
         assert_eq!(stats.references, 4);
     }

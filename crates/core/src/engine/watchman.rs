@@ -23,21 +23,20 @@ use crate::engine::rebalance::{
 };
 use crate::engine::single_flight::{Flight, WaiterSlot};
 use crate::key::QueryKey;
-use crate::metrics::{CacheStats, FragmentationTracker};
+use crate::metrics::CacheStats;
 use crate::policy::{InsertOutcome, QueryCache};
 use crate::runtime::{Runtime, Sleep};
 use crate::sync::{Mutex, MutexGuard};
 use crate::value::{CachePayload, ExecutionCost};
 
-/// Publishes a change to a shard's contents to telemetry — an insert, or a
-/// rebalance transfer's capacity change: the shard's occupancy gauge and the
-/// global eviction counter.  Called under the shard lock (both targets are
-/// atomics, so this adds no lock class).
-pub(super) fn record_shard_telemetry(shard_index: usize, used_bytes: u64, evicted: &[QueryKey]) {
-    let telemetry = crate::telemetry::global();
-    telemetry.set_shard_used(shard_index, used_bytes);
+/// Adds an insert's or a rebalance transfer's evictions to the registry's
+/// eviction counter.  Called under the shard lock (the target is an atomic,
+/// so this adds no lock class).
+pub(super) fn record_evictions(evicted: &[QueryKey]) {
     if !evicted.is_empty() {
-        telemetry.evictions.add(evicted.len() as u64);
+        crate::telemetry::global()
+            .evictions
+            .add(evicted.len() as u64);
     }
 }
 
@@ -45,7 +44,8 @@ pub(super) fn record_shard_telemetry(shard_index: usize, used_bytes: u64, evicte
 ///
 /// The snapshot is *atomic*: every shard is locked for the duration of the
 /// read, so the per-shard capacities always sum to the configured total even
-/// while a rebalance pass is moving bytes between shards.
+/// while a rebalance pass is moving bytes between shards.  Taking one is a
+/// pure read: two snapshots with no operation between them are equal.
 ///
 /// Snapshots are serde-serializable: the server's `STATS` opcode, the
 /// benchmark reports and the load generator all exchange this one schema
@@ -85,10 +85,6 @@ pub struct StatsSnapshot {
     /// itself never sheds — this is always zero in engine-produced snapshots
     /// and is filled in by `watchmand` before a STATS response is encoded.
     pub sheds: u64,
-    /// Storage-fragmentation statistics (the paper's tertiary metric): each
-    /// snapshot call records one `used/capacity` sample into the engine's
-    /// tracker and copies the accumulated series out here.
-    pub fragmentation: FragmentationTracker,
 }
 
 impl StatsSnapshot {
@@ -332,7 +328,8 @@ struct RebalancePassState {
     smoothed_gain: Vec<f64>,
     /// Exponentially smoothed per-shard step loss ([`QueryCache::shrink_loss`]).
     smoothed_loss: Vec<f64>,
-    /// Number of passes run (including ones that moved nothing).
+    /// Number of passes run (including ones that moved nothing): the one
+    /// count [`Watchman::rebalance_passes`] reads.
     pass_index: u64,
     /// The last executed transfer, as (donor, recipient, pass_index).
     /// Shrinking a shard feeds its own starvation signal (the evicted sets
@@ -344,9 +341,6 @@ struct RebalancePassState {
 
 struct RebalancerState {
     rebalances: AtomicU64,
-    /// Passes run (including ones that moved nothing), for observability and
-    /// for the no-pass-on-request-path tests.
-    passes: AtomicU64,
     pass: Mutex<RebalancePassState>,
     /// Thread identities of every pass, recorded in unit tests to prove that
     /// passes never run on a session thread.
@@ -408,10 +402,6 @@ pub(super) struct Inner<V> {
     /// Fired on drop so the background rebalance task exits promptly even
     /// while a caller still holds the runtime.
     rebalance_shutdown: OnceLock<Arc<ShutdownCell>>,
-    /// Storage-fragmentation sample series, fed by [`Watchman::stats_snapshot`]
-    /// (one `used/capacity` sample per snapshot).  A leaf lock: taken while
-    /// holding every shard lock, never the other way around.
-    fragmentation: Mutex<FragmentationTracker>,
 }
 
 impl<V> Drop for Inner<V> {
@@ -467,7 +457,7 @@ impl<V> Drop for Inner<V> {
 ///     unreachable!("served from cache")
 /// });
 /// assert_eq!(again.source, LookupSource::Hit);
-/// assert_eq!(engine.stats().hits, 1);
+/// assert_eq!(engine.stats_snapshot().total.hits, 1);
 /// ```
 pub struct Watchman<V> {
     pub(super) inner: Arc<Inner<V>>,
@@ -537,7 +527,6 @@ where
             .collect();
         let rebalancer = builder.rebalance.as_ref().map(|_| RebalancerState {
             rebalances: AtomicU64::new(0),
-            passes: AtomicU64::new(0),
             pass: Mutex::new(RebalancePassState {
                 last_pressure: vec![0; shard_count],
                 smoothed_gain: vec![0.0; shard_count],
@@ -562,12 +551,8 @@ where
                 runtime_workers: builder.runtime_workers,
                 latest_now: AtomicU64::new(0),
                 rebalance_shutdown: OnceLock::new(),
-                fragmentation: Mutex::new(FragmentationTracker::new()),
             }),
         };
-        crate::telemetry::global()
-            .shard_count
-            .set(shard_count as u64);
         if let Some(period) = builder
             .rebalance
             .and_then(|config| config.period)
@@ -717,7 +702,6 @@ where
         // The pass state mutex serializes passes (the background task and
         // any driver-scheduled calls).
         let mut pass = rb.pass.lock();
-        rb.passes.fetch_add(1, Ordering::Relaxed);
         #[cfg(test)]
         rb.pass_threads.lock().push(std::thread::current().id());
 
@@ -792,8 +776,7 @@ where
         // The donor's evictions are real removals: publish them (under the
         // donor's lock, like every other eviction) so the registry and
         // observer mirrors stay exact.
-        record_shard_telemetry(donor, donor_state.cache.used_bytes(), &evicted);
-        record_shard_telemetry(recipient, recipient_state.cache.used_bytes(), &[]);
+        record_evictions(&evicted);
         if !self.inner.observers.is_empty() {
             let events = evicted
                 .iter()
@@ -842,7 +825,7 @@ where
         let size_bytes = value.size_bytes();
         let mut shard = self.inner.shards[index].lock();
         let outcome = shard.cache.insert(key.clone(), Arc::new(value), cost, now);
-        record_shard_telemetry(index, shard.cache.used_bytes(), outcome.evicted());
+        record_evictions(outcome.evicted());
         // Emitted under the shard lock so observers see this shard's events
         // in cache order (see the events module docs).
         if !self.inner.observers.is_empty() {
@@ -939,18 +922,6 @@ where
         guards.iter().map(|s| s.cache.capacity_bytes()).collect()
     }
 
-    /// Number of capacity transfers the rebalancer has performed.
-    ///
-    /// Unlike [`Watchman::stats_snapshot`], this records no fragmentation
-    /// sample, so a driver can report it without perturbing the snapshot a
-    /// caller takes afterwards.
-    pub fn rebalance_count(&self) -> u64 {
-        self.inner
-            .rebalancer
-            .as_ref()
-            .map_or(0, |rb| rb.rebalances.load(Ordering::Relaxed))
-    }
-
     /// Number of rebalance passes run, including ones that moved nothing.
     ///
     /// With a background period configured this grows over wall-clock time;
@@ -961,7 +932,7 @@ where
         self.inner
             .rebalancer
             .as_ref()
-            .map_or(0, |rb| rb.passes.load(Ordering::Relaxed))
+            .map_or(0, |rb| rb.pass.lock().pass_index)
     }
 
     /// The keys currently cached, across all shards, in unspecified order.
@@ -980,22 +951,14 @@ where
         }
     }
 
-    /// The aggregate statistics summed across shards.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::new();
-        for shard in &self.inner.shards {
-            total.merge(&shard.lock().cache.stats_snapshot());
-        }
-        total
-    }
-
     /// A full owned snapshot: aggregate and per-shard counters, occupancies,
     /// capacities, single-flight coalescing and rebalancing activity.
     ///
     /// Every shard is locked for the duration of the read (in index order,
     /// consistent with the rebalancer's lock order), so the snapshot is
     /// internally consistent: per-shard capacities sum to the configured
-    /// total even while a rebalance pass runs concurrently.
+    /// total even while a rebalance pass runs concurrently.  It writes
+    /// nothing, so repeated snapshots of an idle engine are equal.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
         let mut total = CacheStats::new();
@@ -1006,14 +969,12 @@ where
         let mut capacity_bytes = 0;
         let mut entries = 0;
         let mut breaker_transitions = 0;
-        let telemetry = crate::telemetry::global();
-        for (index, state) in guards.iter().enumerate() {
+        for state in &guards {
             let stats = state.cache.stats_snapshot();
             total.merge(&stats);
             per_shard.push(stats);
             let used = state.cache.used_bytes();
             let capacity = state.cache.capacity_bytes();
-            telemetry.set_shard_used(index, used);
             per_shard_used.push(used);
             per_shard_capacity.push(capacity);
             used_bytes += used;
@@ -1025,15 +986,6 @@ where
                 .as_ref()
                 .map_or(0, CircuitBreaker::transitions);
         }
-        telemetry.shard_count.set(guards.len() as u64);
-        // One occupancy sample per snapshot, taken while every shard guard
-        // is still held so the sample matches the reported numbers.  The
-        // tracker mutex is a leaf: nothing is acquired under it.
-        let fragmentation = {
-            let mut tracker = self.inner.fragmentation.lock();
-            tracker.record(used_bytes, capacity_bytes);
-            tracker.clone()
-        };
         StatsSnapshot {
             total,
             per_shard,
@@ -1051,7 +1003,6 @@ where
             negative_hits: self.inner.negative_hits.load(Ordering::Relaxed),
             breaker_transitions,
             sheds: 0,
-            fragmentation,
         }
     }
 

@@ -57,7 +57,7 @@
 //! // Subsequent references are served from the cache, payloads shared by Arc.
 //! let again = engine.get_or_execute(&key, Timestamp::from_secs(2), || unreachable!());
 //! assert_eq!(again.source, LookupSource::Hit);
-//! assert_eq!(engine.stats().hits, 1);
+//! assert_eq!(engine.stats_snapshot().total.hits, 1);
 //! ```
 //!
 //! Single-threaded tools (the simulator, the optimality oracles) can still

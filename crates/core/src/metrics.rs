@@ -164,12 +164,6 @@ impl CacheStats {
         }
     }
 
-    /// The total execution cost actually *incurred* (cost of references that
-    /// missed the cache) — the quantity LNC-R/LNC-A aim to minimize.
-    pub fn incurred_cost(&self) -> f64 {
-        self.total_cost - self.saved_cost
-    }
-
     /// Merges another set of counters into this one (used when aggregating
     /// per-shard statistics from the concurrent wrapper).
     pub fn merge(&mut self, other: &CacheStats) {
@@ -193,7 +187,7 @@ impl CacheStats {
 /// The paper defines external fragmentation as the average fraction of
 /// *unused* cache space; the complementary "fraction of used space" is what
 /// Figure 6 plots.  The simulator records one sample after every query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FragmentationTracker {
     samples: u64,
     used_fraction_sum: f64,
@@ -235,15 +229,6 @@ impl FragmentationTracker {
         }
     }
 
-    /// Average external fragmentation: `1 − average_used_fraction`.
-    pub fn average_fragmentation(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            1.0 - self.average_used_fraction()
-        }
-    }
-
     /// The minimum observed used fraction (the paper reports "the fraction of
     /// used space never drops below …").
     pub fn min_used_fraction(&self) -> f64 {
@@ -268,7 +253,6 @@ mod tests {
         let stats = CacheStats::new();
         assert_eq!(stats.hit_ratio(), 0.0);
         assert_eq!(stats.cost_savings_ratio(), 0.0);
-        assert_eq!(stats.incurred_cost(), 0.0);
         assert_eq!(stats.misses(), 0);
     }
 
@@ -293,7 +277,7 @@ mod tests {
         stats.record_miss(cost(100.0));
         assert!((stats.cost_savings_ratio() - 0.9).abs() < 1e-12);
         assert!((stats.hit_ratio() - 0.5).abs() < 1e-12);
-        assert!((stats.incurred_cost() - 100.0).abs() < 1e-12);
+        assert!((stats.total_cost - stats.saved_cost - 100.0).abs() < 1e-12);
     }
 
     #[test]
@@ -325,7 +309,7 @@ mod tests {
         // Two of three references saved their cost.
         assert!((stats.hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
         assert!((stats.cost_savings_ratio() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((stats.incurred_cost() - 100.0).abs() < 1e-12);
+        assert!((stats.total_cost - stats.saved_cost - 100.0).abs() < 1e-12);
     }
 
     #[test]
@@ -427,7 +411,6 @@ mod tests {
         frag.record(100, 100);
         assert_eq!(frag.samples(), 2);
         assert!((frag.average_used_fraction() - 0.75).abs() < 1e-12);
-        assert!((frag.average_fragmentation() - 0.25).abs() < 1e-12);
         assert!((frag.min_used_fraction() - 0.5).abs() < 1e-12);
     }
 

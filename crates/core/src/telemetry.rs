@@ -15,10 +15,13 @@
 //!   two major buckets subdivided into 4 linear sub-buckets (≤ 25 % relative
 //!   bucket width), all `AtomicU64`, so `record` is lock-free and wait-free.
 //!   Snapshots are mergeable and expose p50/p95/p99/max.
-//! * [`Telemetry`] — the process-global registry of named counters, gauges
+//! * [`Telemetry`] — the process-global registry of process-level counters
 //!   and histograms, reached via [`global()`].  Hot paths touch single
 //!   atomics; the JSON exposition ([`MetricsSnapshot`], versioned by
-//!   [`METRICS_SCHEMA_VERSION`]) is assembled only when scraped.
+//!   [`METRICS_SCHEMA_VERSION`]) is assembled only when scraped.  Counts an
+//!   engine or server owns (retries, negative hits, breaker transitions,
+//!   sheds, shard occupancy) are not kept here: the server reads them from
+//!   its own books when it builds the exposition.
 //! * [`FlightRecorder`] — a fixed ring of structured trace events guarded by
 //!   per-slot sequence counters (a seqlock: writers never block, readers
 //!   detect torn slots and skip them).  Always on, a handful of relaxed
@@ -37,7 +40,7 @@
 //!
 //! ## Concurrency (see CONCURRENCY.md)
 //!
-//! The registry holds **no locks at all** — counters, gauges and histogram
+//! The registry holds **no locks at all** — counters and histogram
 //! buckets are plain `AtomicU64`s with relaxed ordering (they are
 //! statistics, not synchronization).  The flight-recorder ring uses
 //! acquire/release only on the per-slot sequence word.  Nothing in this
@@ -57,7 +60,13 @@ use serde::{Deserialize, Serialize};
 /// Version of the [`MetricsSnapshot`] JSON exposition schema.  Bumped on
 /// any breaking change to field names or semantics; scrapers check it
 /// before interpreting the maps.
-pub const METRICS_SCHEMA_VERSION: u32 = 1;
+///
+/// v2: the engine and server counts (`engine.fetch.retries`,
+/// `engine.negative_hits`, `engine.breaker.transitions`, `server.sheds`,
+/// the shard gauges) are the scraped server's own, not the process's, and
+/// `engine.fragmentation.used_permille` is the occupancy at scrape time
+/// rather than a mean over earlier scrapes.
+pub const METRICS_SCHEMA_VERSION: u32 = 2;
 
 /// Number of buckets in a [`Histogram`]: 4 linear buckets for values 0–3,
 /// then 4 sub-buckets per power of two up to `u64::MAX`.
@@ -73,11 +82,6 @@ pub const TRACE_RING_SLOTS: usize = 1024;
 
 /// Minimum spacing between automatic anomaly dumps, in microseconds.
 const ANOMALY_DUMP_INTERVAL_US: u64 = 5_000_000;
-
-/// Number of per-shard occupancy gauges.  Shards past the first
-/// `MAX_SHARD_GAUGES` have no gauge: their occupancy is left out of the
-/// exposition rather than written over another shard's.
-pub const MAX_SHARD_GAUGES: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Clock authority
@@ -108,7 +112,7 @@ pub fn elapsed_us(start: Instant) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Counters and gauges
+// Counters
 // ---------------------------------------------------------------------------
 
 /// A monotonically increasing event counter (relaxed atomic increments).
@@ -134,29 +138,6 @@ impl Counter {
     }
 
     /// The current count.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins instantaneous value (occupancy, depth, configuration).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// Creates a zeroed gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overwrites the value.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// The current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -564,8 +545,8 @@ pub struct TraceDump {
 // The registry
 // ---------------------------------------------------------------------------
 
-/// The process-global telemetry registry: every counter, gauge and
-/// histogram the engine, runtime and server report, plus the flight
+/// The process-global telemetry registry: the latency histograms, the
+/// runtime and session counters, breaker trips, evictions and the flight
 /// recorder.  Obtain it with [`global()`]; all members are lock-free.
 ///
 /// Tests share the process global — assertions on it must be *delta*-based
@@ -596,18 +577,11 @@ pub struct Telemetry {
     pub session_read_stall_us: Histogram,
     /// Time a session spent flushing response bytes to a slow peer, µs.
     pub session_write_stall_us: Histogram,
-    /// Fetch retries scheduled after retryable failures.
-    pub fetch_retries: Counter,
-    /// Circuit-breaker state transitions (all kinds).
-    pub breaker_transitions: Counter,
-    /// Circuit-breaker transitions *to open* specifically.
+    /// Circuit-breaker transitions *to open*, across every engine in the
+    /// process.
     pub breaker_trips: Counter,
-    /// Memoized-failure (negative cache) hits.
-    pub negative_hits: Counter,
-    /// Cache evictions across all shards.
+    /// Cache evictions across all shards of every engine in the process.
     pub evictions: Counter,
-    /// Requests refused at admission control.
-    pub sheds: Counter,
     /// Sessions evicted by the read-deadline (slow-loris) guard.
     pub slow_loris_evictions: Counter,
     /// Task polls at or above [`LONG_POLL_THRESHOLD_US`].
@@ -617,11 +591,8 @@ pub struct Telemetry {
     pub reactor_wakeups: Counter,
     /// Automatic anomaly dumps emitted (rate-limited).
     pub anomaly_dumps: Counter,
-    /// Number of engine shards feeding the occupancy gauges.
-    pub shard_count: Gauge,
     /// The flight recorder.
     pub recorder: FlightRecorder,
-    shard_used: [Gauge; MAX_SHARD_GAUGES],
     last_anomaly_dump_us: AtomicU64,
 }
 
@@ -646,39 +617,15 @@ impl Telemetry {
             timer_lag_us: Histogram::new(),
             session_read_stall_us: Histogram::new(),
             session_write_stall_us: Histogram::new(),
-            fetch_retries: Counter::new(),
-            breaker_transitions: Counter::new(),
             breaker_trips: Counter::new(),
-            negative_hits: Counter::new(),
             evictions: Counter::new(),
-            sheds: Counter::new(),
             slow_loris_evictions: Counter::new(),
             long_polls: Counter::new(),
             reactor_wakeups: Counter::new(),
             anomaly_dumps: Counter::new(),
-            shard_count: Gauge::new(),
             recorder: FlightRecorder::new(),
-            shard_used: [const {
-                Gauge {
-                    value: AtomicU64::new(0),
-                }
-            }; MAX_SHARD_GAUGES],
             last_anomaly_dump_us: AtomicU64::new(0),
         }
-    }
-
-    /// Sets the occupancy gauge for shard `index` to `used_bytes`.  Shards
-    /// past the first [`MAX_SHARD_GAUGES`] have no gauge and are ignored.
-    pub fn set_shard_used(&self, index: usize, used_bytes: u64) {
-        if let Some(gauge) = self.shard_used.get(index) {
-            gauge.set(used_bytes);
-        }
-    }
-
-    /// The occupancy gauge for shard `index`; zero for shards past the
-    /// first [`MAX_SHARD_GAUGES`].
-    pub fn shard_used(&self, index: usize) -> u64 {
-        self.shard_used.get(index).map_or(0, Gauge::get)
     }
 
     /// Records an event that doubles as an **anomaly**: appends it to the
@@ -702,30 +649,25 @@ impl Telemetry {
         self.anomaly_dumps.incr();
         eprintln!(
             "telemetry: anomaly {} key={key:#018x} a={a} b={b} — ring has {} events \
-             (sheds={} breaker_trips={} slow_loris={} retries={})",
+             (breaker_trips={} slow_loris={})",
             TraceKind::name(kind.code()),
             self.recorder.events_recorded(),
-            self.sheds.get(),
             self.breaker_trips.get(),
             self.slow_loris_evictions.get(),
-            self.fetch_retries.get(),
         );
     }
 
-    /// Assembles the versioned JSON exposition.  Callers with runtime or
-    /// server context (steals, parks, queue depth, inflight) add their
+    /// Assembles the versioned JSON exposition of the registry.  Its
+    /// `gauges` map is empty: callers with engine, runtime or server context
+    /// (shard occupancy, steals, queue depth, inflight, sheds) add their
     /// entries to the returned maps before serializing.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = BTreeMap::new();
         let mut insert = |name: &str, value: u64| {
             counters.insert(name.to_string(), value);
         };
-        insert("engine.fetch.retries", self.fetch_retries.get());
-        insert("engine.breaker.transitions", self.breaker_transitions.get());
         insert("engine.breaker.trips", self.breaker_trips.get());
-        insert("engine.negative_hits", self.negative_hits.get());
         insert("engine.evictions", self.evictions.get());
-        insert("server.sheds", self.sheds.get());
         insert(
             "server.slow_loris_evictions",
             self.slow_loris_evictions.get(),
@@ -734,16 +676,6 @@ impl Telemetry {
         insert("runtime.reactor.wakeups", self.reactor_wakeups.get());
         insert("telemetry.anomaly_dumps", self.anomaly_dumps.get());
         insert("telemetry.trace_events", self.recorder.events_recorded());
-
-        let mut gauges = BTreeMap::new();
-        let shards = self.shard_count.get().min(MAX_SHARD_GAUGES as u64);
-        gauges.insert("engine.shard_count".to_string(), self.shard_count.get());
-        for index in 0..shards as usize {
-            gauges.insert(
-                format!("engine.shard.{index:02}.used_bytes"),
-                self.shard_used[index].get(),
-            );
-        }
 
         let mut histograms = BTreeMap::new();
         let mut hist = |name: &str, histogram: &Histogram| {
@@ -768,7 +700,7 @@ impl Telemetry {
             schema: METRICS_SCHEMA_VERSION,
             uptime_us: now_us(),
             counters,
-            gauges,
+            gauges: BTreeMap::new(),
             histograms,
         }
     }
@@ -896,17 +828,13 @@ mod tests {
         let telemetry = Telemetry::new();
         telemetry.lookup_hit_us.record(42);
         telemetry.lookup_hit_us.record(4242);
-        telemetry.fetch_retries.add(7);
-        telemetry.shard_count.set(2);
-        telemetry.set_shard_used(0, 1024);
-        telemetry.set_shard_used(1, 2048);
+        telemetry.evictions.add(7);
         let snapshot = telemetry.snapshot();
         let json = serde_json::to_string(&snapshot).expect("serialize");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(snapshot, back);
         assert_eq!(back.schema, METRICS_SCHEMA_VERSION);
-        assert_eq!(back.counter("engine.fetch.retries"), 7);
-        assert_eq!(back.gauge("engine.shard.01.used_bytes"), 2048);
+        assert_eq!(back.counter("engine.evictions"), 7);
         assert_eq!(
             back.histogram("engine.lookup.hit_us").map(|h| h.count),
             Some(2)

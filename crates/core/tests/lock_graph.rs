@@ -269,7 +269,7 @@ fn rebalancer_two_lock_transfer_keeps_index_order() {
             });
         }
         engine.rebalance_now(Timestamp::from_micros(now_us));
-        transfers = engine.rebalance_count();
+        transfers = engine.stats_snapshot().rebalances;
         if transfers > 0 {
             break;
         }

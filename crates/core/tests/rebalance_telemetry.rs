@@ -115,11 +115,4 @@ fn rebalance_evictions_reach_the_registry() {
         snapshot.total.evictions,
         "the registry and the engine agree over the whole run"
     );
-    for shard in [outcome.donor, outcome.recipient] {
-        assert_eq!(
-            registry.shard_used(shard),
-            snapshot.per_shard_used[shard],
-            "shard {shard}'s occupancy gauge is current after the transfer"
-        );
-    }
 }

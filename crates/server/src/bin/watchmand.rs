@@ -11,15 +11,18 @@
 //! ```
 //!
 //! `--metrics-interval SECS` logs a one-line telemetry summary (lookup
-//! counts by outcome, retries, sheds, evictions, scheduler steals) to
-//! stderr every `SECS` seconds — the always-on operational signal; the
-//! full exposition stays behind the `METRICS` opcode.
+//! counts by outcome, retries, sheds, evictions, breaker trips, trace
+//! events) to stderr every `SECS` seconds — the always-on operational
+//! signal.  The line is read from this server's own `METRICS` exposition,
+//! through a client connected to its address, so the log and a scrape can
+//! never disagree; the full exposition stays behind the `METRICS` opcode.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use watchman_core::engine::{PolicyKind, RebalanceConfig};
-use watchman_server::{serve, ServerConfig};
+use watchman_core::telemetry::MetricsSnapshot;
+use watchman_server::{serve, Client, ServerConfig};
 
 fn parse_policy(name: &str, k: usize) -> Option<PolicyKind> {
     Some(match name {
@@ -32,6 +35,29 @@ fn parse_policy(name: &str, k: usize) -> Option<PolicyKind> {
         "gds" => PolicyKind::GreedyDualSize,
         _ => return None,
     })
+}
+
+/// The `--metrics-interval` log line, read from one `METRICS` exposition.
+fn metrics_line(metrics: &MetricsSnapshot) -> String {
+    let lookups = |outcome: &str| {
+        metrics
+            .histogram(&format!("engine.lookup.{outcome}_us"))
+            .map_or(0, |histogram| histogram.count)
+    };
+    format!(
+        "metrics: hits={} executed={} coalesced={} stale={} errors={} \
+         retries={} sheds={} evictions={} breaker_trips={} trace_events={}",
+        lookups("hit"),
+        lookups("executed"),
+        lookups("coalesced"),
+        lookups("stale"),
+        lookups("error"),
+        metrics.counter("engine.fetch.retries"),
+        metrics.counter("server.sheds"),
+        metrics.counter("engine.evictions"),
+        metrics.counter("engine.breaker.trips"),
+        metrics.counter("telemetry.trace_events"),
+    )
 }
 
 fn usage() -> ExitCode {
@@ -134,27 +160,29 @@ fn main() -> ExitCode {
     );
     if metrics_interval_secs > 0 {
         // A detached logger thread: dies with the process, so shutdown
-        // needs no extra plumbing.
+        // needs no extra plumbing.  It keeps one connection and reconnects
+        // after a failed scrape.
         let interval = Duration::from_secs(metrics_interval_secs);
+        let addr = handle.addr().to_string();
         std::thread::Builder::new()
             .name("watchmand-metrics".to_owned())
-            .spawn(move || loop {
-                std::thread::sleep(interval);
-                let telemetry = watchman_core::telemetry::global();
-                eprintln!(
-                    "metrics: hits={} executed={} coalesced={} stale={} errors={} \
-                     retries={} sheds={} evictions={} breaker_trips={} trace_events={}",
-                    telemetry.lookup_hit_us.snapshot().count,
-                    telemetry.lookup_executed_us.snapshot().count,
-                    telemetry.lookup_coalesced_us.snapshot().count,
-                    telemetry.lookup_stale_us.snapshot().count,
-                    telemetry.lookup_error_us.snapshot().count,
-                    telemetry.fetch_retries.get(),
-                    telemetry.sheds.get(),
-                    telemetry.evictions.get(),
-                    telemetry.breaker_trips.get(),
-                    telemetry.recorder.events_recorded(),
-                );
+            .spawn(move || {
+                let mut client: Option<Client> = None;
+                loop {
+                    std::thread::sleep(interval);
+                    let scrape = match client.as_mut() {
+                        Some(client) => client.metrics(),
+                        None => Client::connect(addr.as_str())
+                            .and_then(|connected| client.insert(connected).metrics()),
+                    };
+                    match scrape {
+                        Ok(metrics) => eprintln!("{}", metrics_line(&metrics)),
+                        Err(err) => {
+                            eprintln!("metrics: scrape failed: {err}");
+                            client = None;
+                        }
+                    }
+                }
             })
             .expect("spawn metrics logger thread");
     }

@@ -316,7 +316,8 @@ pub struct Report {
     /// For a sweep, how far every `METRICS` counter and every histogram's
     /// sample count had moved between a scrape just before the run and the
     /// last one issued while it was live (`None` if none landed).  Deltas,
-    /// because the registry is process-global.
+    /// because the histograms and the registry's counters are
+    /// process-global.
     pub mid_run: Option<BTreeMap<String, u64>>,
 }
 

@@ -50,7 +50,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use watchman_core::clock::Timestamp;
 use watchman_core::coherence::DependencyObserver;
-use watchman_core::engine::{FailureConfig, LookupSource, PolicyKind, RebalanceConfig, Watchman};
+use watchman_core::engine::{
+    FailureConfig, LookupSource, PolicyKind, RebalanceConfig, StatsSnapshot, Watchman,
+};
 use watchman_core::key::{QueryKey, Signature};
 use watchman_core::runtime::net::{FaultInjector, TcpListener, TcpStream};
 use watchman_core::runtime::{block_on, Runtime};
@@ -305,9 +307,9 @@ struct Shared {
     /// `GET`s currently holding an admission permit.
     inflight: AtomicUsize,
     /// Requests shed with `BUSY` (admission gate full or deadline judged
-    /// unmeetable).  Folded into `STATS` responses as
-    /// `StatsSnapshot::sheds` — sheds never reach the engine, so the engine
-    /// cannot count them.
+    /// unmeetable): the one count of sheds, folded into `STATS` as
+    /// `StatsSnapshot::sheds` and into `METRICS` as `server.sheds` — sheds
+    /// never reach the engine, so the engine cannot count them.
     sheds: AtomicU64,
     /// EWMA of `GET` service time in µs (α = 1/8): the basis of the
     /// `BUSY` retry-after hint and of deadline-aware shedding.
@@ -818,13 +820,7 @@ async fn handle_request(shared: &Shared, request: Request<&str>) -> Response<Pre
                 },
             }
         }
-        Request::Stats => {
-            // The engine never sees shed requests, so the server owns the
-            // shed counter and folds it into the snapshot here.
-            let mut snapshot = shared.engine.stats_snapshot();
-            snapshot.sheds = shared.sheds.load(Ordering::Relaxed);
-            Response::Stats(snapshot)
-        }
+        Request::Stats => Response::Stats(stats_snapshot(shared)),
         Request::Invalidate { relation } => {
             let report = shared.deps.apply_update(&shared.engine, relation);
             Response::Invalidate {
@@ -854,24 +850,45 @@ async fn handle_request(shared: &Shared, request: Request<&str>) -> Response<Pre
     }
 }
 
-/// Assembles the `METRICS` exposition: the process-global registry plus the
-/// entries only this layer can see — scheduler counters, queue depth, live
-/// sessions, the admission gate, and the engine's fragmentation average
-/// (refreshed by taking a stats snapshot, which also updates the per-shard
-/// occupancy gauges under the shard locks).
+/// The engine's snapshot with the server's shed count folded in: the
+/// engine never sees shed requests, so the server owns that count.
+fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
+    let mut snapshot = shared.engine.stats_snapshot();
+    snapshot.sheds = shared.sheds.load(Ordering::Relaxed);
+    snapshot
+}
+
+/// Assembles the `METRICS` exposition: the process-global registry plus
+/// what this server's own books hold — the engine's retry, negative-hit,
+/// breaker-transition and occupancy counts and the shed count, all read
+/// from one [`stats_snapshot`] — and the runtime and session state only
+/// this layer can see.
 fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
-    let stats = shared.engine.stats_snapshot();
+    let stats = stats_snapshot(shared);
     let mut snapshot = telemetry::global().snapshot();
     let scheduler = shared.runtime.scheduler_stats();
-    snapshot
-        .counters
-        .insert("runtime.scheduler.steals".to_owned(), scheduler.steals);
-    snapshot
-        .counters
-        .insert("runtime.scheduler.parks".to_owned(), scheduler.parks);
+    let mut counter = |name: &str, value: u64| {
+        snapshot.counters.insert(name.to_owned(), value);
+    };
+    counter("runtime.scheduler.steals", scheduler.steals);
+    counter("runtime.scheduler.parks", scheduler.parks);
+    counter("engine.fetch.retries", stats.fetch_retries);
+    counter("engine.negative_hits", stats.negative_hits);
+    counter("engine.breaker.transitions", stats.breaker_transitions);
+    counter("server.sheds", stats.sheds);
     let mut gauge = |name: &str, value: u64| {
         snapshot.gauges.insert(name.to_owned(), value);
     };
+    gauge("engine.shard_count", stats.per_shard_used.len() as u64);
+    for (index, &used) in stats.per_shard_used.iter().enumerate() {
+        gauge(&format!("engine.shard.{index:02}.used_bytes"), used);
+    }
+    gauge(
+        "engine.fragmentation.used_permille",
+        (stats.used_bytes.saturating_mul(1000))
+            .checked_div(stats.capacity_bytes)
+            .unwrap_or(0),
+    );
     gauge("runtime.queue_depth", shared.runtime.queue_depth() as u64);
     gauge("runtime.workers", shared.workers as u64);
     gauge("runtime.alive_tasks", shared.runtime.alive_tasks() as u64);
@@ -887,10 +904,6 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     gauge(
         "server.service_ewma_us",
         shared.service_ewma_us.load(Ordering::Relaxed),
-    );
-    gauge(
-        "engine.fragmentation.used_permille",
-        (stats.fragmentation.average_used_fraction() * 1000.0) as u64,
     );
     snapshot
 }
@@ -950,14 +963,11 @@ fn retry_after_hint(shared: &Shared) -> u64 {
         .clamp(1_000, 100_000)
 }
 
-/// One shed: the server-local counter (folded into `STATS`), the telemetry
-/// counter, and a `Shed` anomaly trace carrying the refused query's
-/// signature and the hint the client was sent.
+/// One shed: the server's shed counter and a `Shed` anomaly trace carrying
+/// the refused query's signature and the hint the client was sent.
 fn record_shed(shared: &Shared, get: &GetRequest<&str>, retry_after_us: u64) {
     shared.sheds.fetch_add(1, Ordering::Relaxed);
-    let telemetry = telemetry::global();
-    telemetry.sheds.incr();
-    telemetry.anomaly(
+    telemetry::global().anomaly(
         TraceKind::Shed,
         // Signature only: a shedding server has no CPU to build keys with.
         Signature::of_raw_query(get.key).value(),

@@ -68,7 +68,7 @@
 //! |---|---|
 //! | `GET` | `source: u8` (0 hit, 1 executed, 2 coalesced), `cost_blocks: f64`, `full_len: u64`, prefix bytes (`u32` length + bytes), `service_us: u64`, `deadline_exceeded: u8` |
 //! | `PEEK` | `cached: u8`, `size_bytes: u64` |
-//! | `STATS` | JSON-encoded [`StatsSnapshot`] string |
+//! | `STATS` | JSON-encoded [`StatsSnapshot`] string: the engine's counters, occupancy and capacity per shard, plus the server's shed count; taking it changes nothing |
 //! | `INVALIDATE` | `affected: u32`, `invalidated: u32` |
 //! | `REBALANCE_NOW` | `moved: u8`; if 1: `donor: u32`, `recipient: u32`, `moved_bytes: u64`, `evicted: u32` |
 //! | `SHUTDOWN` | (empty) |
@@ -122,7 +122,10 @@ pub const MAGIC: [u8; 4] = *b"WMAN";
 /// v3 added the telemetry admin surface: `METRICS` (the versioned
 /// [`MetricsSnapshot`] exposition) and `TRACE_DUMP` (the flight recorder's
 /// ring as a [`TraceDump`]).
-pub const VERSION: u16 = 3;
+/// v4 dropped the `fragmentation` sample series from the `STATS` body: a
+/// snapshot is now a pure read, and `METRICS` derives
+/// `engine.fragmentation.used_permille` from the occupancy it reports.
+pub const VERSION: u16 = 4;
 
 /// Hard upper bound on a frame body; larger length prefixes are treated as
 /// stream corruption and fail the connection.

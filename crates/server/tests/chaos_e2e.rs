@@ -231,6 +231,97 @@ fn doomed_key_walk_warms_evicts_then_serves_stale() {
 }
 
 #[test]
+fn metrics_report_each_servers_own_books() {
+    // Two servers in one process: a faulted one that retries, answers from
+    // its negative cache and sheds, and a fault-free one.  Each server's
+    // METRICS must read its own engine's and its own shed count, never the
+    // other server's.
+    const SEED: u64 = 0xB00C;
+    let scratch = FaultPlan::canonical(SEED);
+    let mut salt = 0;
+    let doomed = find_key(&scratch, true, &mut salt);
+    let faulted = degradation_server(1 << 20, 2, 4, Some(Arc::new(FaultPlan::canonical(SEED))));
+    let mut client = Client::connect(faulted.addr().to_string()).expect("client connects");
+    client.set_retry_policy(RetryPolicy::none());
+    let request = |key: &str, ts: u64, deadline_hint_us: u64| GetRequest {
+        key: key.to_owned(),
+        timestamp_us: ts,
+        result_bytes: 1_024,
+        cost_blocks: 100,
+        fetch_delay_us: 200,
+        deadline_hint_us,
+        payload_prefix_cap: 0,
+    };
+
+    // A sweep of fresh keys: the plan's flaky ones fail their first
+    // attempt and succeed on the retry.
+    for index in 0..100u64 {
+        let key = format!("SELECT payload FROM sweep WHERE k = {index}");
+        client
+            .get(request(&key, 1_000 * (index + 1), 0))
+            .expect("flaky keys recover on the retry");
+    }
+    // The doomed key: warm it, drop it and its stale copy, then refetch.
+    // The refetch fails for good; the repeat is a negative-cache hit.
+    client
+        .get(request(&doomed, 200_000, 0))
+        .expect("warm-up get");
+    client.invalidate_relation("PROBE").expect("invalidate");
+    for ts in [210_000, 211_000] {
+        assert!(client.get(request(&doomed, ts, 0)).is_err());
+    }
+    // A 1 µs budget the service-time estimate says cannot be met: shed.
+    assert!(matches!(
+        client.get(request("SELECT shed FROM sweep", 220_000, 1)),
+        Err(ClientError::Busy { .. })
+    ));
+
+    let clean = degradation_server(1 << 20, 2, 4, None);
+    let mut clean_client = Client::connect(clean.addr().to_string()).expect("client connects");
+    for index in 0..10u64 {
+        clean_client
+            .get(request(
+                &format!("SELECT clean FROM t{index}"),
+                index + 1,
+                0,
+            ))
+            .expect("fault-free get");
+    }
+    let clean_metrics = clean_client.metrics().expect("METRICS");
+    for name in [
+        "engine.fetch.retries",
+        "engine.negative_hits",
+        "server.sheds",
+    ] {
+        assert_eq!(
+            clean_metrics.counter(name),
+            0,
+            "the fault-free server reports the faulted server's {name}"
+        );
+    }
+    clean.join();
+
+    // The faulted server is idle: its METRICS and STATS read the same books.
+    let metrics = client.metrics().expect("METRICS");
+    let stats = client.stats().expect("STATS");
+    assert!(stats.fetch_retries > 0, "no flaky key was retried");
+    assert!(
+        stats.negative_hits > 0,
+        "the repeat missed the negative cache"
+    );
+    assert!(stats.sheds > 0, "the over-budget request was not shed");
+    for (name, book) in [
+        ("engine.fetch.retries", stats.fetch_retries),
+        ("engine.negative_hits", stats.negative_hits),
+        ("engine.breaker.transitions", stats.breaker_transitions),
+        ("server.sheds", stats.sheds),
+    ] {
+        assert_eq!(metrics.counter(name), book, "METRICS {name} vs STATS");
+    }
+    faulted.join();
+}
+
+#[test]
 fn empty_plan_tpcd_replay_is_byte_identical_to_in_process() {
     // The same deterministic TPC-D trace twice: in process through the
     // infallible async front door, and over the wire through a server with

@@ -1,17 +1,13 @@
 //! Trace replay: drive a cache (bare policy or concurrent engine) with a
 //! workload trace and collect the paper's performance metrics.
 //!
-//! Three engine drivers exist:
+//! Two engine drivers exist, both one session and fully deterministic:
 //!
-//! * [`replay_trace_engine`] — one session, synchronous
-//!   [`Watchman::get_or_execute`]; fully deterministic.
-//! * [`replay_trace_engine_async`] — one session, the asynchronous
+//! * [`replay_trace_engine`] — synchronous [`Watchman::get_or_execute`].
+//! * [`replay_trace_engine_async`] — the asynchronous
 //!   [`Watchman::get_or_execute_async`] path driven to completion per
-//!   record; deterministic, and byte-identical to the synchronous replay
-//!   (the two front doors share one implementation).
-//! * [`replay_trace_engine_concurrent`] — N session tasks on the engine's
-//!   runtime, replaying disjoint slices of the trace concurrently; exercises
-//!   coalescing and contention, so per-run metrics vary with scheduling.
+//!   record; byte-identical to the synchronous replay (the two front doors
+//!   share one implementation).
 
 use serde::{Deserialize, Serialize};
 use watchman_core::clock::Timestamp;
@@ -203,83 +199,21 @@ where
     engine_result(engine, cache_fraction, &fragmentation)
 }
 
-/// Replays `trace` through the engine with `sessions` concurrent session
-/// tasks on the engine's own runtime — the multiuser deployment of paper §3
-/// driven end to end through [`Watchman::get_or_execute_async`].
-///
-/// Records are dealt round-robin across sessions; each session awaits its
-/// lookups in trace order, so sessions race on the shared cache exactly like
-/// live front-end sessions would (coalesced references included).  Aggregate
-/// counters still balance (`references == trace.len()`), but eviction
-/// decisions depend on interleaving, so per-run metrics are not
-/// deterministic.  Occupancy is sampled once per session batch rather than
-/// per reference; the fragmentation figures are therefore coarse.
-pub fn replay_trace_engine_concurrent(
-    trace: &Trace,
-    engine: &Watchman<SizedPayload>,
-    sessions: usize,
-    cache_fraction: f64,
-) -> RunResult {
-    let sessions = sessions.max(1);
-    let runtime = engine.runtime();
-    let mut fragmentation = FragmentationTracker::new();
-    let handles: Vec<_> = (0..sessions)
-        .map(|session| {
-            let engine = engine.clone();
-            // Each session owns its slice of the trace (round-robin deal).
-            let records: Vec<(u64, String, u64, u64)> = trace
-                .iter()
-                .skip(session)
-                .step_by(sessions)
-                .map(|r| {
-                    (
-                        r.timestamp_us,
-                        r.query_text.clone(),
-                        r.result_bytes,
-                        r.cost_blocks,
-                    )
-                })
-                .collect();
-            runtime.spawn(async move {
-                for (timestamp_us, query_text, result_bytes, cost_blocks) in records {
-                    let key = QueryKey::from_raw_query(&query_text);
-                    engine
-                        .get_or_execute_async(
-                            &key,
-                            Timestamp::from_micros(timestamp_us),
-                            move || {
-                                (
-                                    SizedPayload::new(result_bytes),
-                                    ExecutionCost::from_blocks(cost_blocks),
-                                )
-                            },
-                        )
-                        .await;
-                }
-            })
-        })
-        .collect();
-    for handle in handles {
-        block_on(handle).expect("session task completed");
-        fragmentation.record(engine.used_bytes(), engine.capacity_bytes());
-    }
-    engine_result(engine, cache_fraction, &fragmentation)
-}
-
 fn engine_result(
     engine: &Watchman<SizedPayload>,
     cache_fraction: f64,
     fragmentation: &FragmentationTracker,
 ) -> RunResult {
+    let snapshot = engine.stats_snapshot();
     let mut result = RunResult::from_stats(
         engine.policy().label(),
         engine.capacity_bytes(),
         cache_fraction,
-        &engine.stats(),
+        &snapshot.total,
         fragmentation,
     );
-    result.shards = engine.shard_count();
-    result.rebalances = engine.rebalance_count();
+    result.shards = snapshot.per_shard.len();
+    result.rebalances = snapshot.rebalances;
     result
 }
 
@@ -472,28 +406,6 @@ mod tests {
             async_engine.stats_snapshot(),
             "engine snapshots must be identical"
         );
-    }
-
-    #[test]
-    fn concurrent_replay_accounts_for_every_reference() {
-        let trace = quick_trace(1_200, 10);
-        let capacity = (trace.database_bytes as f64 * 0.01).round() as u64;
-        let engine: watchman_core::engine::Watchman<SizedPayload> =
-            watchman_core::engine::Watchman::builder()
-                .shards(4)
-                .policy(PolicyKind::LNC_RA)
-                .capacity_bytes(capacity)
-                .runtime_workers(3)
-                .build();
-        let result = replay_trace_engine_concurrent(&trace, &engine, 4, 0.01);
-        assert_eq!(result.references, trace.len() as u64);
-        let snapshot = engine.stats_snapshot();
-        assert_eq!(
-            snapshot.total.references,
-            snapshot.total.hits + snapshot.total.coalesced + snapshot.total.misses(),
-            "references partition into hits, coalesced waits and misses"
-        );
-        assert!(engine.used_bytes() <= engine.capacity_bytes());
     }
 
     #[test]

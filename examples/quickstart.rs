@@ -68,7 +68,7 @@ fn main() {
         }
     }
 
-    let stats = cache.stats();
+    let stats = cache.stats_snapshot().total;
     println!();
     println!("references          : {}", stats.references);
     println!("hits                : {}", stats.hits);

@@ -92,9 +92,8 @@ pub mod prelude {
         serve, Client, GetRequest, Report, Requests, Scenario, ServerConfig, ServerHandle,
     };
     pub use watchman_sim::{
-        replay_trace, replay_trace_engine, replay_trace_engine_async,
-        replay_trace_engine_concurrent, run_infinite, run_policy, run_policy_sharded,
-        ExperimentScale, RunResult, Workload,
+        replay_trace, replay_trace_engine, replay_trace_engine_async, run_infinite, run_policy,
+        run_policy_sharded, ExperimentScale, RunResult, Workload,
     };
     pub use watchman_trace::{Trace, TraceConfig, TraceGenerator, TraceRecord, TraceStats};
     pub use watchman_warehouse::{
