@@ -9,7 +9,7 @@
 //!   `Watchman::get_or_execute`: every waiter parks a whole thread (plus the
 //!   cost of creating it) for the duration of the leader's fetch;
 //! * **async** — N tasks on a fixed 2-worker runtime await
-//!   `Watchman::get_or_execute_async`: waiters suspend as registered wakers,
+//!   `Watchman::try_get_or_execute_async`: waiters suspend as registered wakers,
 //!   and the thread count stays at the pool size no matter how many
 //!   sessions pile up.
 //!
@@ -71,15 +71,16 @@ fn async_storm(engine: &Watchman<SizedPayload>, sessions: usize, round: u64) -> 
             let key = key.clone();
             runtime.spawn(async move {
                 engine
-                    .get_or_execute_async(
+                    .try_get_or_execute_async(
                         &key,
                         Timestamp::from_micros(round * 1_000 + session as u64 + 1),
                         || {
                             std::thread::sleep(Duration::from_millis(FETCH_MILLIS));
-                            (SizedPayload::new(1_024), ExecutionCost::from_blocks(50_000))
+                            Ok((SizedPayload::new(1_024), ExecutionCost::from_blocks(50_000)))
                         },
                     )
-                    .await;
+                    .await
+                    .expect("fetch never fails");
             })
         })
         .collect();

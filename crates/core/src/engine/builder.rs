@@ -120,8 +120,7 @@ impl<V> WatchmanBuilder<V> {
     }
 
     /// Configures the failure domain of the fallible fetch pipeline
-    /// ([`Watchman::try_get_or_execute`] /
-    /// [`Watchman::try_get_or_execute_async`]): the leader's retry policy,
+    /// ([`Watchman::try_get_or_execute_async`]): the leader's retry policy,
     /// the per-shard circuit breaker, the last-known-good store stale
     /// serves come from, and the negative cache for memoized
     /// failures.  The default config retries transient errors with seeded

@@ -414,7 +414,7 @@ pub struct FailureConfig {
     pub negative: NegativeCacheConfig,
 }
 
-/// A terminally failed lookup, as surfaced by `try_get_or_execute`.
+/// A terminally failed lookup, as surfaced by `try_get_or_execute_async`.
 #[derive(Debug, Clone)]
 pub struct LookupError {
     /// The fetch failure, shared with every coalesced waiter.

@@ -1,6 +1,6 @@
 //! The lookup protocol of paper §3 — probe the cache, on a miss execute once
 //! and offer the retrieved set for admission — as one poll-based state
-//! machine ([`LookupFuture`]) and the four front doors that adapt it.  A
+//! machine ([`LookupFuture`]) and the two front doors that adapt it.  A
 //! session that takes leadership runs its fetch inside that same poll, on
 //! whichever thread polls it.
 
@@ -104,47 +104,49 @@ where
     ///
     /// This is the synchronous front door: a lock-and-`get` hit fast path,
     /// then [`block_on`](crate::runtime::block_on) over the same
-    /// [`LookupFuture`] state machine [`Watchman::get_or_execute_async`]
+    /// [`LookupFuture`] state machine [`Watchman::try_get_or_execute_async`]
     /// returns.  The leader's `fetch` runs on the calling thread, so it
     /// needs no `Send + 'static` bounds and a single-threaded replay is
     /// fully deterministic.
+    ///
+    /// It runs *outside* the failure domain of the fallible door: it
+    /// consults neither the negative cache nor the breaker, feeds neither,
+    /// and a session coalesced behind a fallible leader that failed starts
+    /// over with its own fetch.
     pub fn get_or_execute<F>(&self, key: &QueryKey, now: Timestamp, fetch: F) -> Lookup<V>
     where
         F: FnOnce() -> (V, ExecutionCost) + Unpin,
     {
-        self.lookup_blocking(key, now, Infallible(Some(fetch)))
+        self.observe_now(now);
+        let started = crate::telemetry::now();
+        let shard = self.shard_index(key);
+        // Hit fast path: the engine's hottest operation needs none of the
+        // future machinery (engine clone, waker, pinning).  This is exactly
+        // the check the future's Start state performs; on a miss the Start
+        // state repeats the `get`, which is stat-neutral (misses are
+        // recorded at insert, and retained-reference records deduplicate on
+        // the timestamp), so the two doors stay byte-identical.
+        {
+            let mut state = self.inner.shards[shard].lock();
+            if let Some(value) = state.cache.get(key, now) {
+                let lookup = Lookup::served(Arc::clone(value), LookupSource::Hit);
+                drop(state);
+                record_lookup_telemetry(Some(started), LookupSource::Hit);
+                return lookup;
+            }
+        }
+        let mut lookup = self.lookup(key.clone(), now, Infallible(Some(fetch)));
+        lookup.shard = Some(shard);
+        lookup.started = Some(started);
+        crate::runtime::block_on(lookup)
     }
 
-    /// The asynchronous front door: like [`Watchman::get_or_execute`], but
-    /// returns a [`LookupFuture`], so a waiting session suspends (a
-    /// registered waker) instead of blocking an OS thread.
-    ///
-    /// Thousands of sessions can wait on slow warehouse queries while the
-    /// thread count stays at the runtime's worker-pool size.  The leader's
-    /// `fetch` runs inside the poll that takes leadership, on whichever
-    /// thread polls the future, and occupies that thread for its duration.
-    /// The future is lazy (nothing happens until it is polled) and
-    /// cancellation-safe: dropping it deregisters the session's waker, and
-    /// if the session had been woken to take over an abandoned flight, the
-    /// wake is passed to the next waiter.
-    ///
-    /// A panicking `fetch` unwinds out of the leader's poll, exactly as on
-    /// the synchronous door; one waiter takes over the execution.
-    pub fn get_or_execute_async<F>(
-        &self,
-        key: &QueryKey,
-        now: Timestamp,
-        fetch: F,
-    ) -> LookupFuture<V, Infallible<F>>
-    where
-        F: FnOnce() -> (V, ExecutionCost) + Unpin,
-    {
-        self.lookup(key.clone(), now, Infallible(Some(fetch)))
-    }
-
-    /// Like [`Watchman::get_or_execute`], but the fetch is **fallible**: it
-    /// returns `Result<(V, Cost), `[`FetchError`]`>`, and an error — unlike a
-    /// panic — is a first-class outcome of the lookup.
+    /// The asynchronous, **fallible** front door: like
+    /// [`Watchman::get_or_execute`], but the fetch returns
+    /// `Result<(V, Cost), `[`FetchError`]`>`, an error — unlike a panic — is
+    /// a first-class outcome of the lookup, and the door returns a
+    /// [`LookupFuture`], so waiting sessions suspend (a registered waker)
+    /// instead of blocking OS threads.
     ///
     /// * **Single-flight errors are shared.** A terminal fetch error resolves
     ///   the flight for *every* coalesced waiter at once; all of them observe
@@ -168,33 +170,16 @@ where
     ///   new executions outright (stale-serving when possible) until a
     ///   half-open probe succeeds.
     ///
-    /// The infallible doors run the same state machine *outside* this
-    /// failure domain: they consult neither the negative cache nor the
-    /// breaker, feed neither, and a session coalesced behind a fallible
-    /// leader that failed starts over with its own fetch.
+    /// The leader fetches in the poll that takes leadership, on whichever
+    /// thread polls the future, and sleeps its retry backoffs on the
+    /// engine's runtime timer.  The future is lazy (nothing happens until it
+    /// is polled) and cancellation-safe: dropping it deregisters a waiter;
+    /// a leader dropped during a backoff abandons its flight, so one waiter
+    /// takes over with its own fetch (with no waiters the cell is retired).
     ///
     /// A **panicking** fetch keeps the infallible contract: the panic
-    /// propagates to this caller and one waiter takes over the execution.
-    pub fn try_get_or_execute<F>(
-        &self,
-        key: &QueryKey,
-        now: Timestamp,
-        fetch: F,
-    ) -> Result<Lookup<V>, LookupError>
-    where
-        F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Unpin,
-    {
-        self.lookup_blocking(key, now, Fallible(fetch))
-    }
-
-    /// The asynchronous fallible front door: like
-    /// [`Watchman::try_get_or_execute`], but returns a [`LookupFuture`], so
-    /// waiting sessions suspend instead of blocking OS threads.  The leader
-    /// fetches in the poll that takes leadership and sleeps its retry
-    /// backoffs on the engine's runtime timer.  Dropping the future
-    /// deregisters a waiter; a leader dropped during a backoff abandons its
-    /// flight, so one waiter takes over with its own fetch (with no waiters
-    /// the cell is retired).
+    /// unwinds out of the leader's poll and one waiter takes over the
+    /// execution.
     pub fn try_get_or_execute_async<F>(
         &self,
         key: &QueryKey,
@@ -207,8 +192,8 @@ where
         self.lookup(key.clone(), now, Fallible(fetch))
     }
 
-    /// The one constructor behind every front door.
-    fn lookup<M>(&self, key: QueryKey, now: Timestamp, mode: M) -> LookupFuture<V, M> {
+    /// The one constructor behind both front doors.
+    pub(super) fn lookup<M>(&self, key: QueryKey, now: Timestamp, mode: M) -> LookupFuture<V, M> {
         LookupFuture {
             engine: self.clone(),
             key,
@@ -219,36 +204,6 @@ where
             attempts: 0,
             started: None,
         }
-    }
-
-    /// The synchronous doors: the hit fast path, then the state machine
-    /// driven to completion on the calling thread.
-    fn lookup_blocking<M>(&self, key: &QueryKey, now: Timestamp, mode: M) -> M::Output
-    where
-        M: FetchMode<V> + Unpin,
-    {
-        self.observe_now(now);
-        let started = crate::telemetry::now();
-        let shard = self.shard_index(key);
-        // Hit fast path: the engine's hottest operation needs none of the
-        // future machinery (engine clone, waker, pinning).  This is exactly
-        // the check the future's Start state performs; on a miss the Start
-        // state repeats the `get`, which is stat-neutral (misses are
-        // recorded at insert, and retained-reference records deduplicate on
-        // the timestamp), so sync and async doors stay byte-identical.
-        {
-            let mut state = self.inner.shards[shard].lock();
-            if let Some(value) = state.cache.get(key, now) {
-                let lookup = Lookup::served(Arc::clone(value), LookupSource::Hit);
-                drop(state);
-                record_lookup_telemetry(Some(started), LookupSource::Hit);
-                return M::output(Ok(lookup));
-            }
-        }
-        let mut lookup = self.lookup(key.clone(), now, mode);
-        lookup.shard = Some(shard);
-        lookup.started = Some(started);
-        crate::runtime::block_on(lookup)
     }
 
     /// The failure-domain gate in front of a new flight, under the shard
@@ -460,8 +415,8 @@ where
 }
 
 /// How a lookup's leader obtains the retrieved set: the one parameter of
-/// [`LookupFuture`].  The two implementations are the infallible doors'
-/// [`Infallible`] and the `try_*` doors' [`Fallible`]; everything else —
+/// [`LookupFuture`].  The two implementations are the infallible door's
+/// [`Infallible`] and the fallible door's [`Fallible`]; everything else —
 /// hit, coalesce, lead, retry, abandonment, takeover — is the same code.
 pub trait FetchMode<V> {
     /// What the lookup resolves to.
@@ -482,10 +437,10 @@ pub trait FetchMode<V> {
     fn output(result: Result<Lookup<V>, LookupError>) -> Self::Output;
 }
 
-/// The fetch of [`Watchman::get_or_execute`] and its async variant: runs
-/// once, cannot return an error, and stays outside the failure domain.
+/// The fetch of [`Watchman::get_or_execute`]: runs once, cannot return an
+/// error, and stays outside the failure domain.
 #[derive(Debug)]
-pub struct Infallible<F>(Option<F>);
+pub struct Infallible<F>(pub(super) Option<F>);
 
 impl<V, F> FetchMode<V> for Infallible<F>
 where
@@ -510,8 +465,8 @@ where
     }
 }
 
-/// The fetch of [`Watchman::try_get_or_execute`] and its async variant:
-/// re-invoked on every retry, inside the failure domain.
+/// The fetch of [`Watchman::try_get_or_execute_async`]: re-invoked on every
+/// retry, inside the failure domain.
 #[derive(Debug)]
 pub struct Fallible<F>(F);
 
@@ -577,13 +532,14 @@ enum Step<V> {
     Restart,
 }
 
-/// The one lookup state machine: the future every async front door returns,
-/// and the one [`block_on`](crate::runtime::block_on) drives in place inside
-/// the synchronous doors.  `M` is the door's fetch mode — infallible, or
-/// fallible and so inside the failure domain — and is not nameable outside
-/// the engine.
+/// The one lookup state machine: the future
+/// [`Watchman::try_get_or_execute_async`] returns, and the one
+/// [`block_on`](crate::runtime::block_on) drives in place inside
+/// [`Watchman::get_or_execute`].  `M` is the door's fetch mode — infallible,
+/// or fallible and so inside the failure domain — and is not nameable
+/// outside the engine.
 ///
-/// Resolves to [`Lookup`] for the infallible doors; for the `try_*` doors to
+/// Resolves to [`Lookup`] for the infallible door; for the fallible one to
 /// `Ok(`[`Lookup`]`)` — including [`LookupSource::Stale`] serves — or
 /// `Err(`[`LookupError`]`)` carrying the shared `Arc<FetchError>`.
 ///
@@ -605,8 +561,8 @@ pub struct LookupFuture<V, M> {
     /// Fetch attempts this session has made as the leader of the current
     /// flight.
     attempts: u32,
-    /// When this session first touched the engine (the synchronous doors
-    /// preset it; the async ones stamp it on first poll), feeding the
+    /// When this session first touched the engine (the synchronous door
+    /// presets it; the async one stamps it on first poll), feeding the
     /// outcome-keyed lookup-latency telemetry.
     started: Option<Instant>,
 }

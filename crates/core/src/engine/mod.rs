@@ -7,14 +7,13 @@
 //! * [`Watchman`] — a builder-configured facade that hash-partitions the
 //!   keyspace by query signature across N per-shard policy instances and
 //!   shares payloads as `Arc<V>`;
-//! * [`Watchman::get_or_execute`] / [`Watchman::get_or_execute_async`] —
-//!   the session entry points, with **single-flight** deduplication so
+//! * [`Watchman::get_or_execute`] / [`Watchman::try_get_or_execute_async`]
+//!   — the session entry points, with **single-flight** deduplication so
 //!   concurrent misses on the same query execute the warehouse query exactly
-//!   once.  Every front door — these two and the fallible `try_*` pair —
-//!   is a thin adapter over one poll-based state machine ([`LookupFuture`]):
-//!   the async doors suspend waiting sessions as futures (a waiting session
-//!   costs a waker, not a parked OS thread); the sync doors put a hit fast
-//!   path in front and drive the same future with
+//!   once.  Both front doors are thin adapters over one poll-based state
+//!   machine ([`LookupFuture`]): the async door suspends waiting sessions as
+//!   futures (a waiting session costs a waker, not a parked OS thread); the
+//!   sync door puts a hit fast path in front and drives the same future with
 //!   [`block_on`](crate::runtime::block_on).  Either way the leader fetches
 //!   in the poll that takes leadership, on whichever thread polls it;
 //! * [`PolicyKind`] — the one construction path for every replacement /
@@ -39,17 +38,16 @@
 //! cell, and the panic unwinds out of the original leader's poll.
 //!
 //! Expected failures — the warehouse itself erroring out — go through the
-//! *fallible* front doors [`Watchman::try_get_or_execute`] /
-//! [`Watchman::try_get_or_execute_async`], whose fetch closures return
-//! `Result<(V, ExecutionCost), FetchError>`.  They run the same state
-//! machine *inside the failure domain* described next; the infallible doors
-//! stay outside it (they neither consult nor feed the negative cache, the
-//! breaker or the stale store, and a session coalesced behind a fallible
-//! leader that failed starts over with its own fetch).  A terminal error (retry
-//! budget from [`RetryPolicy`] exhausted, or a fatal error) resolves the
-//! flight for **every** coalesced waiter with one shared
-//! `Arc<FetchError>`, feeds a short-TTL per-key negative cache, and trips
-//! the per-shard [`CircuitBreaker`] once the rolling failure rate crosses
+//! *fallible* front door [`Watchman::try_get_or_execute_async`], whose fetch
+//! closures return `Result<(V, ExecutionCost), FetchError>`.  It runs the
+//! same state machine *inside the failure domain* described next; the
+//! infallible door stays outside it (it neither consults nor feeds the
+//! negative cache, the breaker or the stale store, and a session coalesced
+//! behind a fallible leader that failed starts over with its own fetch).  A
+//! terminal error (retry budget from [`RetryPolicy`] exhausted, or a fatal
+//! error) resolves the flight for **every** coalesced waiter with one
+//! shared `Arc<FetchError>`, feeds a short-TTL per-key negative cache, and
+//! trips the per-shard [`CircuitBreaker`] once the rolling failure rate crosses
 //! its threshold.  When a [`StalenessPolicy`] is configured, a failed lookup
 //! whose key the shard's last-known-good store holds is answered from it as
 //! [`LookupSource::Stale`] — accounted separately so degraded answers never
@@ -99,6 +97,10 @@ pub use rebalance::{RebalanceConfig, RebalanceOutcome};
 pub use watchman::{StatsSnapshot, Watchman};
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests bound their waits in wall-clock time"
+)]
 mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -606,31 +608,12 @@ mod tests {
     }
 
     #[test]
-    fn async_lookup_round_trip() {
-        use crate::runtime::block_on;
-        let engine = engine(4, 1 << 20);
-        let first = block_on(engine.get_or_execute_async(&key("q"), ts(1), || {
-            (SizedPayload::new(128), ExecutionCost::from_blocks(1_000))
-        }));
-        assert_eq!(first.source, LookupSource::Executed);
-        assert!(first.outcome.as_ref().is_some_and(|o| o.is_admitted()));
-        let again = block_on(
-            engine.get_or_execute_async(&key("q"), ts(2), || unreachable!("served from cache")),
-        );
-        assert_eq!(again.source, LookupSource::Hit);
-        assert_eq!(engine.stats_snapshot().total.hits, 1);
-    }
-
-    #[test]
     fn sync_and_async_paths_yield_identical_snapshots() {
         // One deterministic single-session op sequence, replayed through
-        // each of the four front doors on fresh engines: they are adapters
-        // over one state machine, so every counter must match exactly.
-        use crate::runtime::block_on;
+        // both front doors on fresh engines: they are adapters over one
+        // state machine, so every counter must match exactly.
         let sync_engine = engine(4, 40_000);
         let async_engine = engine(4, 40_000);
-        let try_sync_engine = engine(4, 40_000);
-        let try_async_engine = engine(4, 40_000);
         for i in 0..400u64 {
             let name = format!("q{}", i % 37);
             let k = key(&name);
@@ -638,27 +621,12 @@ mod tests {
             let size = 100 + (i % 9) * 150;
             let cost = ExecutionCost::from_blocks(500 + (i % 13) * 900);
             sync_engine.get_or_execute(&k, now, || (SizedPayload::new(size), cost));
-            block_on(
-                async_engine.get_or_execute_async(&k, now, move || (SizedPayload::new(size), cost)),
-            );
-            try_sync_engine
-                .try_get_or_execute(&k, now, || Ok((SizedPayload::new(size), cost)))
-                .expect("fetch never fails");
-            block_on(
-                try_async_engine
-                    .try_get_or_execute_async(&k, now, move || Ok((SizedPayload::new(size), cost))),
-            )
+            try_get(&async_engine, &k, now, || {
+                Ok((SizedPayload::new(size), cost))
+            })
             .expect("fetch never fails");
         }
         assert_eq!(sync_engine.stats_snapshot(), async_engine.stats_snapshot());
-        assert_eq!(
-            try_sync_engine.stats_snapshot(),
-            try_async_engine.stats_snapshot()
-        );
-        assert_eq!(
-            sync_engine.stats_snapshot(),
-            try_sync_engine.stats_snapshot()
-        );
     }
 
     #[test]
@@ -667,7 +635,6 @@ mod tests {
         // spawned fetch is killed mid-flight (panics), exactly one waiter
         // takes over the same flight cell, and the panic is re-raised on the
         // leader's session.
-        use crate::runtime::block_on;
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(1)
             .policy(PolicyKind::LNC_RA)
@@ -681,13 +648,11 @@ mod tests {
                 let attempts = Arc::clone(&attempts);
                 scope.spawn(move || {
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        block_on(
-                            engine.get_or_execute_async(&key("fragile"), ts(1), move || {
-                                attempts.fetch_add(1, Ordering::SeqCst);
-                                std::thread::sleep(std::time::Duration::from_millis(20));
-                                panic!("warehouse connection lost");
-                            }),
-                        )
+                        try_get(&engine, &key("fragile"), ts(1), move || {
+                            attempts.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            panic!("warehouse connection lost");
+                        })
                     }));
                     assert!(result.is_err(), "leader session must re-raise the panic");
                 });
@@ -706,13 +671,11 @@ mod tests {
                         );
                         std::thread::yield_now();
                     }
-                    let lookup =
-                        block_on(
-                            engine.get_or_execute_async(&key("fragile"), ts(2), move || {
-                                attempts.fetch_add(1, Ordering::SeqCst);
-                                (SizedPayload::new(64), ExecutionCost::from_blocks(100))
-                            }),
-                        );
+                    let lookup = try_get(&engine, &key("fragile"), ts(2), move || {
+                        attempts.fetch_add(1, Ordering::SeqCst);
+                        payload_ok(64, 100)
+                    })
+                    .expect("the takeover succeeds");
                     assert_eq!(lookup.value.size_bytes(), 64);
                     assert_eq!(lookup.source, LookupSource::Executed);
                 });
@@ -807,7 +770,6 @@ mod tests {
         // Regression: a panicking fetch on a key nobody else ever requests
         // used to leave its (dead) flight cell — and the boxed panic
         // payload — in the shard's in-flight table forever.
-        use crate::runtime::block_on;
         let engine = engine(2, 1 << 20);
 
         // Sync path: the leader panics with no waiters registered.
@@ -826,11 +788,9 @@ mod tests {
         // Async path: same.  The fetch panics inside the leader's own poll,
         // so the cell is retired before the panic reaches this caller.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            block_on(
-                engine.get_or_execute_async(&key("doomed-async"), ts(2), || {
-                    panic!("warehouse connection lost")
-                }),
-            )
+            try_get(&engine, &key("doomed-async"), ts(2), || {
+                panic!("warehouse connection lost")
+            })
         }));
         assert!(result.is_err());
         assert_eq!(
@@ -1079,6 +1039,19 @@ mod tests {
         Ok((SizedPayload::new(size), ExecutionCost::from_blocks(blocks)))
     }
 
+    /// The fallible door driven to completion on the calling thread.
+    fn try_get<F>(
+        engine: &Watchman<SizedPayload>,
+        key: &QueryKey,
+        now: Timestamp,
+        fetch: F,
+    ) -> Result<Lookup<SizedPayload>, LookupError>
+    where
+        F: FnMut() -> Result<(SizedPayload, ExecutionCost), FetchError> + Unpin,
+    {
+        crate::runtime::block_on(engine.try_get_or_execute_async(key, now, fetch))
+    }
+
     #[test]
     fn try_path_success_is_stat_identical_to_infallible_path() {
         // The fallible front door with an always-Ok fetch must be
@@ -1092,8 +1065,7 @@ mod tests {
             let size = 100 + (i % 7) * 120;
             let cost = ExecutionCost::from_blocks(400 + (i % 11) * 800);
             plain.get_or_execute(&k, now, || (SizedPayload::new(size), cost));
-            fallible
-                .try_get_or_execute(&k, now, || Ok((SizedPayload::new(size), cost)))
+            try_get(&fallible, &k, now, || Ok((SizedPayload::new(size), cost)))
                 .expect("fetch never fails");
         }
         assert_eq!(plain.stats_snapshot(), fallible.stats_snapshot());
@@ -1116,15 +1088,14 @@ mod tests {
             })
             .build();
         let attempts = AtomicU64::new(0);
-        let lookup = engine
-            .try_get_or_execute(&key("flaky"), ts(1), || {
-                if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
-                    Err(FetchError::transient("warehouse hiccup"))
-                } else {
-                    payload_ok(128, 1_000)
-                }
-            })
-            .expect("third attempt succeeds");
+        let lookup = try_get(&engine, &key("flaky"), ts(1), || {
+            if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
+                Err(FetchError::transient("warehouse hiccup"))
+            } else {
+                payload_ok(128, 1_000)
+            }
+        })
+        .expect("third attempt succeeds");
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
         assert_eq!(engine.stats_snapshot().fetch_retries, 2);
@@ -1144,12 +1115,11 @@ mod tests {
             .capacity_bytes(1 << 20)
             .build();
         let attempts = AtomicU64::new(0);
-        let err = engine
-            .try_get_or_execute(&key("doomed"), ts(1), || {
-                attempts.fetch_add(1, Ordering::SeqCst);
-                Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("relation dropped"))
-            })
-            .expect_err("fatal error surfaces");
+        let err = try_get(&engine, &key("doomed"), ts(1), || {
+            attempts.fetch_add(1, Ordering::SeqCst);
+            Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("relation dropped"))
+        })
+        .expect_err("fatal error surfaces");
         assert_eq!(attempts.load(Ordering::SeqCst), 1, "fatal = no retry");
         assert!(!err.error.is_retryable());
         assert!(!err.negative_hit);
@@ -1173,24 +1143,18 @@ mod tests {
             invocations.fetch_add(1, Ordering::SeqCst);
             Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("down"))
         };
-        let first = engine
-            .try_get_or_execute(&key("q"), ts(1), fetch)
-            .expect_err("fetch fails");
+        let first = try_get(&engine, &key("q"), ts(1), fetch).expect_err("fetch fails");
         assert!(!first.negative_hit);
         // Inside the TTL window: answered from the negative cache, fetch not
         // invoked, and the memoized error is the *same* Arc.
-        let second = engine
-            .try_get_or_execute(&key("q"), ts(2), fetch)
-            .expect_err("memoized failure");
+        let second = try_get(&engine, &key("q"), ts(2), fetch).expect_err("memoized failure");
         assert!(second.negative_hit);
         assert!(Arc::ptr_eq(&first.error, &second.error));
         assert_eq!(invocations.load(Ordering::SeqCst), 1);
         assert_eq!(engine.stats_snapshot().negative_hits, 1);
         // Past the TTL (default 50ms of logical time): the entry expired and
         // the fetch runs again.
-        let third = engine
-            .try_get_or_execute(&key("q"), ts(60_000), fetch)
-            .expect_err("fresh failure");
+        let third = try_get(&engine, &key("q"), ts(60_000), fetch).expect_err("fresh failure");
         assert!(!third.negative_hit);
         assert_eq!(invocations.load(Ordering::SeqCst), 2);
         let stats = engine.stats_snapshot().total;
@@ -1212,18 +1176,16 @@ mod tests {
             .build();
         // Prime: a successful fallible fetch lands the value in the cache
         // AND the shard's last-known-good store.
-        engine
-            .try_get_or_execute(&key("report"), ts(1), || payload_ok(256, 5_000))
+        try_get(&engine, &key("report"), ts(1), || payload_ok(256, 5_000))
             .expect("priming fetch succeeds");
         let saved_after_prime = engine.stats_snapshot().total.saved_cost;
         // Drop the cached copy (clear keeps statistics and the stale store).
         engine.clear();
         // The refetch fails: the engine degrades to the last-known-good copy.
-        let lookup = engine
-            .try_get_or_execute(&key("report"), ts(10), || {
-                Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("down"))
-            })
-            .expect("stale serve");
+        let lookup = try_get(&engine, &key("report"), ts(10), || {
+            Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("down"))
+        })
+        .expect("stale serve");
         assert_eq!(lookup.source, LookupSource::Stale);
         assert_eq!(lookup.value.size_bytes(), 256);
         let stats = engine.stats_snapshot().total;
@@ -1240,11 +1202,10 @@ mod tests {
         // Invalidation kills the last-known-good copy: wrong data is worse
         // than no data.
         engine.invalidate(&key("report"));
-        let err = engine
-            .try_get_or_execute(&key("report"), ts(200_000), || {
-                Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("still down"))
-            })
-            .expect_err("no stale copy after invalidation");
+        let err = try_get(&engine, &key("report"), ts(200_000), || {
+            Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("still down"))
+        })
+        .expect_err("no stale copy after invalidation");
         assert!(!err.negative_hit);
     }
 
@@ -1277,33 +1238,25 @@ mod tests {
         };
         // Two terminal failures cross min_samples at 100% failure rate: the
         // breaker opens.
-        engine
-            .try_get_or_execute(&key("a"), ts(10), failing)
-            .unwrap_err();
-        engine
-            .try_get_or_execute(&key("b"), ts(20), failing)
-            .unwrap_err();
+        try_get(&engine, &key("a"), ts(10), failing).unwrap_err();
+        try_get(&engine, &key("b"), ts(20), failing).unwrap_err();
         assert_eq!(invocations.load(Ordering::SeqCst), 2);
         // Open: the next lookup is refused without invoking the fetch.
-        let refused = engine
-            .try_get_or_execute(&key("c"), ts(30), failing)
-            .expect_err("breaker refuses");
+        let refused = try_get(&engine, &key("c"), ts(30), failing).expect_err("breaker refuses");
         assert_eq!(invocations.load(Ordering::SeqCst), 2, "no fetch while open");
         assert!(refused.error.message().contains("circuit breaker open"));
         assert!(engine.stats_snapshot().breaker_transitions >= 1);
         // After open_for_us elapses, the admit IS the half-open probe; its
         // success closes the breaker again.
-        let recovered = engine
-            .try_get_or_execute(&key("c"), ts(1_100_000), || payload_ok(64, 500))
+        let recovered = try_get(&engine, &key("c"), ts(1_100_000), || payload_ok(64, 500))
             .expect("half-open probe succeeds");
         assert_eq!(recovered.source, LookupSource::Executed);
         let snapshot = engine.stats_snapshot();
         // closed→open, open→half-open, half-open→closed.
         assert_eq!(snapshot.breaker_transitions, 3);
         // And the shard serves normally again.
-        let hit = engine
-            .try_get_or_execute(&key("c"), ts(1_200_000), || unreachable!("cached"))
-            .expect("hit");
+        let hit =
+            try_get(&engine, &key("c"), ts(1_200_000), || unreachable!("cached")).expect("hit");
         assert_eq!(hit.source, LookupSource::Hit);
     }
 
@@ -1329,15 +1282,15 @@ mod tests {
             })
             .build();
         for (name, now) in [("a", 10), ("b", 20)] {
-            engine
-                .try_get_or_execute(&key(name), ts(now), || {
-                    Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("down"))
-                })
-                .unwrap_err();
+            try_get(&engine, &key(name), ts(now), || {
+                Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("down"))
+            })
+            .unwrap_err();
         }
-        let refused = engine
-            .try_get_or_execute(&key("c"), ts(30), || unreachable!("breaker is open"))
-            .expect_err("breaker refuses");
+        let refused = try_get(&engine, &key("c"), ts(30), || {
+            unreachable!("breaker is open")
+        })
+        .expect_err("breaker refuses");
         assert!(refused.error.message().contains("circuit breaker open"));
         engine
     }
@@ -1356,31 +1309,22 @@ mod tests {
         // its ticket; with `half_open_probes: 1` the shard then refused
         // every fetch forever.
         let engine = engine_with_tripped_breaker(RetryPolicy::none());
-        for (door, now) in [("sync", 1_100_000), ("async", 1_100_001)] {
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let fetch = || -> Result<(SizedPayload, ExecutionCost), FetchError> {
-                    panic!("warehouse connection lost")
-                };
-                match door {
-                    "sync" => engine.try_get_or_execute(&key("c"), ts(now), fetch),
-                    _ => crate::runtime::block_on(engine.try_get_or_execute_async(
-                        &key("c"),
-                        ts(now),
-                        fetch,
-                    )),
-                }
-            }));
-            assert!(panicked.is_err(), "{door}: the probe's panic propagates");
-            // The fetch panicked inside the leader's poll: the cell was
-            // retired before the panic reached this caller.
-            assert_eq!(engine.inflight_entries(), 0, "{door}: cell retired");
-        }
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            try_get(&engine, &key("c"), ts(1_100_000), || {
+                panic!("warehouse connection lost")
+            })
+        }));
+        assert!(panicked.is_err(), "the probe's panic propagates");
+        // The fetch panicked inside the leader's poll: the cell was retired
+        // before the panic reached this caller.
+        assert_eq!(engine.inflight_entries(), 0, "cell retired");
         // The ticket is back: the next arrival is the probe, long after.
-        let recovered = engine
-            .try_get_or_execute(&key("c"), ts(2_000_000_000), || payload_ok(64, 500))
-            .expect("the returned ticket admits a new probe");
+        let recovered = try_get(&engine, &key("c"), ts(2_000_000_000), || {
+            payload_ok(64, 500)
+        })
+        .expect("the returned ticket admits a new probe");
         assert_eq!(recovered.source, LookupSource::Executed);
-        // closed→open, open→half-open, half-open→closed: the lost probes
+        // closed→open, open→half-open, half-open→closed: the lost probe
         // moved no state.
         assert_eq!(engine.stats_snapshot().breaker_transitions, 3);
     }
@@ -1489,9 +1433,10 @@ mod tests {
                 "the probe is in its backoff"
             );
             assert_eq!(engine.inflight_entries(), 1, "probe leadership held");
-            let refused = engine
-                .try_get_or_execute(&key("d"), ts(1_100_001), || unreachable!("no ticket left"))
-                .expect_err("the one ticket is out");
+            let refused = try_get(&engine, &key("d"), ts(1_100_001), || {
+                unreachable!("no ticket left")
+            })
+            .expect_err("the one ticket is out");
             assert!(refused.error.message().contains("circuit breaker open"));
             // Dropping the future here is the cancellation.
         }
@@ -1500,9 +1445,10 @@ mod tests {
             0,
             "the waiterless cell is retired"
         );
-        let recovered = engine
-            .try_get_or_execute(&key("d"), ts(2_000_000_000), || payload_ok(64, 500))
-            .expect("the returned ticket admits a new probe");
+        let recovered = try_get(&engine, &key("d"), ts(2_000_000_000), || {
+            payload_ok(64, 500)
+        })
+        .expect("the returned ticket admits a new probe");
         assert_eq!(recovered.source, LookupSource::Executed);
         // closed→open, open→half-open, half-open→closed.
         assert_eq!(engine.stats_snapshot().breaker_transitions, 3);
@@ -1565,7 +1511,6 @@ mod tests {
 
     #[test]
     fn leader_fetch_runs_on_the_polling_thread() {
-        use crate::runtime::block_on;
         use std::sync::mpsc;
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(1)
@@ -1576,22 +1521,17 @@ mod tests {
         let caller = std::thread::current().id();
         let (ran_on_tx, ran_on) = mpsc::channel();
         let tx = ran_on_tx.clone();
-        let lookup = block_on(
-            engine.get_or_execute_async(&key("infallible"), ts(1), move || {
-                tx.send(std::thread::current().id()).unwrap();
-                (SizedPayload::new(64), ExecutionCost::from_blocks(700))
-            }),
-        );
+        let lookup = engine.get_or_execute(&key("infallible"), ts(1), move || {
+            tx.send(std::thread::current().id()).unwrap();
+            (SizedPayload::new(64), ExecutionCost::from_blocks(700))
+        });
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(ran_on.recv().unwrap(), caller, "infallible door");
-        let lookup =
-            block_on(
-                engine.try_get_or_execute_async(&key("fallible"), ts(2), move || {
-                    ran_on_tx.send(std::thread::current().id()).unwrap();
-                    payload_ok(64, 700)
-                }),
-            )
-            .expect("the fetch succeeds");
+        let lookup = try_get(&engine, &key("fallible"), ts(2), move || {
+            ran_on_tx.send(std::thread::current().id()).unwrap();
+            payload_ok(64, 700)
+        })
+        .expect("the fetch succeeds");
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(ran_on.recv().unwrap(), caller, "fallible door");
     }
@@ -1624,12 +1564,15 @@ mod tests {
                 ))
             });
             started_rx.recv().unwrap();
+            // The infallible door's future, polled by hand to register it
+            // as the flight's waiter.
             let mut waiter = {
                 let executions = Arc::clone(&executions);
-                engine.get_or_execute_async(&key("shared"), ts(2), move || {
+                let fetch = move || {
                     executions.fetch_add(1, Ordering::SeqCst);
                     (SizedPayload::new(64), ExecutionCost::from_blocks(700))
-                })
+                };
+                engine.lookup(key("shared"), ts(2), lookup::Infallible(Some(fetch)))
             };
             poll_once_pending(&mut waiter);
             release_tx.send(()).unwrap();
@@ -1656,9 +1599,10 @@ mod tests {
     #[test]
     fn infallible_lookups_bypass_the_negative_cache_and_the_breaker() {
         let engine = engine_with_tripped_breaker(RetryPolicy::none());
-        let memoized = engine
-            .try_get_or_execute(&key("a"), ts(31), || unreachable!("memoized or refused"))
-            .expect_err("inside the failure domain the key stays failed");
+        let memoized = try_get(&engine, &key("a"), ts(31), || {
+            unreachable!("memoized or refused")
+        })
+        .expect_err("inside the failure domain the key stays failed");
         assert!(memoized.negative_hit);
         // Same key, same instant, open breaker: the infallible door executes.
         let lookup = engine.get_or_execute(&key("a"), ts(31), || {
@@ -1666,9 +1610,10 @@ mod tests {
         });
         assert_eq!(lookup.source, LookupSource::Executed);
         // And it fed nothing back: the breaker is still open.
-        let refused = engine
-            .try_get_or_execute(&key("c"), ts(32), || unreachable!("breaker is open"))
-            .expect_err("breaker still refuses");
+        let refused = try_get(&engine, &key("c"), ts(32), || {
+            unreachable!("breaker is open")
+        })
+        .expect_err("breaker still refuses");
         assert!(refused.error.message().contains("circuit breaker open"));
         assert_eq!(engine.stats_snapshot().breaker_transitions, 1);
     }
@@ -1681,15 +1626,11 @@ mod tests {
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let shared = std::thread::scope(|scope| {
             let leader = scope.spawn(|| {
-                crate::runtime::block_on(engine.get_or_execute_async(
-                    &key("shared"),
-                    ts(1),
-                    move || {
-                        started_tx.send(()).unwrap();
-                        release_rx.recv().unwrap();
-                        (SizedPayload::new(64), ExecutionCost::from_blocks(700))
-                    },
-                ))
+                engine.get_or_execute(&key("shared"), ts(1), move || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    (SizedPayload::new(64), ExecutionCost::from_blocks(700))
+                })
             });
             started_rx.recv().unwrap();
             let mut waiter = engine.try_get_or_execute_async(&key("shared"), ts(2), || {
@@ -1814,17 +1755,12 @@ mod tests {
             .capacity_bytes(1 << 20)
             .failure(no_retry())
             .build();
-        engine
-            .try_get_or_execute(&key("ok"), ts(1), || payload_ok(100, 900))
-            .expect("success");
-        engine
-            .try_get_or_execute(&key("bad"), ts(2), || {
-                Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("boom"))
-            })
-            .unwrap_err();
-        engine
-            .try_get_or_execute(&key("bad"), ts(3), || unreachable!("memoized"))
-            .unwrap_err();
+        try_get(&engine, &key("ok"), ts(1), || payload_ok(100, 900)).expect("success");
+        try_get(&engine, &key("bad"), ts(2), || {
+            Err::<(SizedPayload, ExecutionCost), _>(FetchError::fatal("boom"))
+        })
+        .unwrap_err();
+        try_get(&engine, &key("bad"), ts(3), || unreachable!("memoized")).unwrap_err();
         let snapshot = engine.stats_snapshot();
         assert_eq!(snapshot.total.fetch_errors, 2);
         assert_eq!(snapshot.negative_hits, 1);

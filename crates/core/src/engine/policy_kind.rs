@@ -89,6 +89,12 @@ impl PolicyKind {
     ///
     /// The returned cache is `Send` so it can live inside one shard of the
     /// concurrent engine; plain single-threaded use works the same way.
+    // A `_` arm would let a new variant compile with no policy behind it.
+    // Clippy reports a `_` standing for one variant under the second lint.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn build<V>(&self, capacity_bytes: u64) -> Box<dyn QueryCache<V> + Send>
     where
         V: CachePayload + Send + 'static,

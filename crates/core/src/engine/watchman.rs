@@ -421,14 +421,14 @@ impl<V> Drop for Inner<V> {
 /// * the keyspace is hash-partitioned by query signature across N shards,
 ///   each an independent [`PolicyKind`] instance behind its own lock;
 /// * payloads are shared as `Arc<V>`, so hits never copy retrieved sets;
-/// * [`Watchman::get_or_execute`] / [`Watchman::get_or_execute_async`]
+/// * [`Watchman::get_or_execute`] / [`Watchman::try_get_or_execute_async`]
 ///   deduplicate concurrent misses on the same query (*single-flight*):
 ///   exactly one session executes the warehouse query, the rest share its
-///   result.  Both entry points — and the fallible `try_*` pair — drive
-///   the **same poll-based state machine**; the synchronous ones
-///   [`block_on`](crate::runtime::block_on) it with an inline fetch, the
-///   asynchronous ones suspend waiting sessions as futures on the engine's
-///   [`Runtime`] instead of parking OS threads;
+///   result.  Both entry points drive the **same poll-based state
+///   machine**; the synchronous one [`block_on`](crate::runtime::block_on)s
+///   it with an inline fetch, the asynchronous one suspends waiting
+///   sessions as futures on the engine's [`Runtime`] instead of parking OS
+///   threads;
 /// * admissions, rejections, evictions and invalidations are published to
 ///   [`CacheObserver`]s, which the coherence index and the buffer manager's
 ///   p₀-hint machinery subscribe to;

@@ -2,7 +2,7 @@
 //!
 //! Warehouse queries take seconds, so the cache manager must never serialize
 //! sessions behind one another's executions (paper §3).  The poll-based
-//! engine ([`Watchman::get_or_execute_async`]) suspends waiting sessions as
+//! engine ([`Watchman::try_get_or_execute_async`]) suspends waiting sessions as
 //! futures instead of parking OS threads; *something* has to poll those
 //! futures, and the build environment is offline (no tokio), so this module
 //! provides the minimal executor the engine needs:
@@ -14,9 +14,9 @@
 //! * [`block_on`] — drives any future to completion on the calling thread,
 //!   parking between polls.  This is the bridge the synchronous engine entry
 //!   points use: after a lock-and-`get` hit fast path, `get_or_execute`
-//!   drives the same lookup future as `get_or_execute_async` with
-//!   `block_on`, so a leader's fetch runs on the calling thread and never
-//!   touches the worker pool.
+//!   drives the lookup future with `block_on`, so a leader's fetch runs on
+//!   the calling thread and never touches the worker pool.  It must not run
+//!   on a worker: a debug build panics there.
 //!
 //! ## Scheduling model
 //!
@@ -87,7 +87,12 @@
 //! [`Runtime::scheduler_stats`] exports steal/park counters so load tests
 //! can assert the stealing actually engages.
 //!
-//! [`Watchman::get_or_execute_async`]: crate::engine::Watchman::get_or_execute_async
+//! [`Watchman::try_get_or_execute_async`]: crate::engine::Watchman::try_get_or_execute_async
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the timer heap reads the raw clock"
+)]
 
 pub mod net;
 pub(crate) mod queue;
@@ -606,12 +611,20 @@ impl Drop for Runtime {
 /// runtime created them), so it works for futures that are neither `Send`
 /// nor `'static`.
 ///
+/// It must not run on a runtime worker: a nested `block_on` parks the
+/// worker's thread, and with one worker per core a handful of such tasks
+/// deadlock the runtime.  Debug builds panic there.
+///
 /// ```
 /// use watchman_core::runtime::block_on;
 ///
 /// assert_eq!(block_on(async { 2 + 2 }), 4);
 /// ```
 pub fn block_on<F: Future>(future: F) -> F::Output {
+    debug_assert!(
+        WORKER_CONTEXT.get().is_none(),
+        "block_on called on a runtime worker"
+    );
     struct Parker {
         notified: Mutex<bool>,
         wakeup: Condvar,
@@ -684,6 +697,14 @@ mod tests {
     fn block_on_drives_plain_futures() {
         assert_eq!(block_on(async { 1 + 2 }), 3);
         assert_eq!(block_on(yield_now()), ());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn block_on_panics_on_a_worker() {
+        let runtime = Runtime::with_workers(1);
+        let nested = runtime.spawn(async { block_on(async { 1 }) });
+        assert!(matches!(block_on(nested), Err(JoinError::Panicked)));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! touches `std::sync` locks.
 //!
 //! Every `Mutex`/`Condvar`/`RwLock` in `watchman-core` and `watchman-server`
-//! goes through the wrappers in this module (the `analyzer` crate's
-//! `raw-sync` rule enforces it).  The wrappers buy two things:
+//! goes through the wrappers in this module (clippy's `disallowed_types`,
+//! configured in the workspace's `clippy.toml` files, enforces it).  The
+//! wrappers buy two things:
 //!
 //! 1. **One poisoned-lock policy.**  A lock whose holder panicked is
 //!    *recovered*, not unwrapped: the guard is taken from the
@@ -50,6 +51,11 @@
 //! flag orders that today's code never executes concurrently, and that is
 //! the point — see `CONCURRENCY.md` at the repo root for the documented
 //! lock hierarchy this module enforces.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the one home of the raw std::sync locks"
+)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

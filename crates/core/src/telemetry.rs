@@ -33,8 +33,8 @@
 //!
 //! This module is also the **single sanctioned home of wall-clock reads** on
 //! the engine and session hot paths: [`now()`], [`now_us()`] and
-//! [`elapsed_us()`].  Analyzer rule 10 (`raw-instant-timing`) rejects raw
-//! `Instant::now()` in `engine/` and server session code so that every
+//! [`elapsed_us()`].  The core and server crates' `clippy.toml` files ban
+//! raw `Instant::now()` outside the runtime and the load drivers, so that every
 //! timing site is discoverable here and instrumentation cannot silently
 //! fork from the metrics it feeds.
 //!
@@ -49,6 +49,11 @@
 //!
 //! [`runtime`]: crate::runtime
 //! [`sync`]: crate::sync
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the home of the one clock, now()"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,7 +99,7 @@ fn epoch() -> Instant {
 }
 
 /// Reads the monotonic clock.  The one sanctioned `Instant::now()` for
-/// engine and session timing code (analyzer rule 10): deadline arithmetic
+/// engine and session timing code (see the module docs): deadline arithmetic
 /// (`telemetry::now() + backoff`) and latency measurement both flow through
 /// here.
 pub fn now() -> Instant {

@@ -59,12 +59,14 @@ fn busy_engine_keeps_the_lock_graph_acyclic() {
                             (SizedPayload::new(900), ExecutionCost::from_blocks(40))
                         });
                     } else {
-                        let handle = engine.runtime().spawn(engine.get_or_execute_async(
+                        let handle = engine.runtime().spawn(engine.try_get_or_execute_async(
                             &key,
                             now,
-                            move || (SizedPayload::new(900), ExecutionCost::from_blocks(40)),
+                            move || Ok((SizedPayload::new(900), ExecutionCost::from_blocks(40))),
                         ));
-                        let lookup = block_on(handle).expect("async lookup completes");
+                        let lookup = block_on(handle)
+                            .expect("async lookup completes")
+                            .expect("fetch never fails");
                         assert!(lookup.value.size_bytes() > 0);
                     }
                     if i % 64 == 63 {
@@ -134,10 +136,11 @@ fn reactor_locks_stay_leaves_of_the_hierarchy() {
                     let key = QueryKey::new(format!("conn-{}", request[0] % 4));
                     let now = Timestamp::from_micros(u64::from(request[0]) + 1);
                     let lookup = engine
-                        .get_or_execute_async(&key, now, || {
-                            (SizedPayload::new(700), ExecutionCost::from_blocks(25))
+                        .try_get_or_execute_async(&key, now, || {
+                            Ok((SizedPayload::new(700), ExecutionCost::from_blocks(25)))
                         })
-                        .await;
+                        .await
+                        .expect("fetch never fails");
                     assert!(lookup.value.size_bytes() > 0);
                     stream.write_all(&request).await.expect("write response");
                 }));

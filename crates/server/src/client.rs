@@ -28,6 +28,12 @@
 //!   load) is retried after the server's own retry-after hint, and
 //!   surfaces as [`ClientError::Busy`] once the retry budget is spent.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the blocking, lockstep client"
+)]
+
 use std::fmt;
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -136,6 +142,10 @@ pub fn connect_handshaken(addr: &str) -> Result<TcpStream, ClientError> {
 struct Connection {
     stream: TcpStream,
     reader: wire::FrameReader,
+    /// Staging buffer for outgoing batches: every pipelined request of a
+    /// call is encoded here and sent as one write, reusing its capacity
+    /// across calls instead of growing a fresh `Vec` per call.
+    encode_buf: Vec<u8>,
 }
 
 /// A connection to a `watchmand` server.
@@ -154,11 +164,6 @@ pub struct Client {
     /// stream — a client facing a stalled server must not block forever on
     /// a connection its own retry policy would otherwise have replaced.
     read_timeout: Option<Duration>,
-    /// Staging buffer for outgoing batches: every pipelined request of a
-    /// call is encoded here and sent as one write.  Lives on the client so
-    /// steady-state batches reuse its capacity instead of growing a fresh
-    /// `Vec` per call.
-    encode_buf: Vec<u8>,
 }
 
 impl fmt::Debug for Client {
@@ -180,7 +185,6 @@ impl Client {
             reconnect: RetryPolicy::default(),
             retry_stream: 0,
             read_timeout: None,
-            encode_buf: Vec::new(),
         };
         client.ensure_connected()?;
         Ok(client)
@@ -214,17 +218,15 @@ impl Client {
         backoff: Duration,
     ) -> Result<Client, ClientError> {
         let addr = addr.into();
-        let mut last = None;
-        for attempt in 0..attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(backoff);
+        let mut result = Client::connect(addr.clone());
+        for _ in 1..attempts {
+            if result.is_ok() {
+                break;
             }
-            match Client::connect(addr.clone()) {
-                Ok(client) => return Ok(client),
-                Err(err) => last = Some(err),
-            }
+            std::thread::sleep(backoff);
+            result = Client::connect(addr.clone());
         }
-        Err(last.expect("at least one attempt"))
+        result
     }
 
     /// The address this client talks to.
@@ -233,17 +235,20 @@ impl Client {
     }
 
     fn ensure_connected(&mut self) -> Result<&mut Connection, ClientError> {
-        if self.conn.is_none() {
-            let stream = connect_handshaken(&self.addr)?;
-            if self.read_timeout.is_some() {
-                let _ = stream.set_read_timeout(self.read_timeout);
+        match self.conn {
+            Some(ref mut conn) => Ok(conn),
+            None => {
+                let stream = connect_handshaken(&self.addr)?;
+                if self.read_timeout.is_some() {
+                    let _ = stream.set_read_timeout(self.read_timeout);
+                }
+                Ok(self.conn.insert(Connection {
+                    stream,
+                    reader: wire::FrameReader::new(),
+                    encode_buf: Vec::new(),
+                }))
             }
-            self.conn = Some(Connection {
-                stream,
-                reader: wire::FrameReader::new(),
-            });
         }
-        Ok(self.conn.as_mut().expect("just connected"))
     }
 
     /// Whether a lost-response retry of `request` is safe.  A retried `GET`
@@ -335,13 +340,14 @@ impl Client {
     fn try_call_batch(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
         let first_id = self.next_id;
         self.next_id += requests.len() as u64;
-        self.ensure_connected()?;
-        let Connection { stream, reader } =
-            self.conn.as_mut().expect("ensure_connected fills the slot");
+        let Connection {
+            stream,
+            reader,
+            encode_buf: batch,
+        } = self.ensure_connected()?;
         // Pipelining: every request frame is encoded into one contiguous
         // buffer (length prefixes interleaved in place) and the whole batch
         // goes out in a single write before the first response is read.
-        let batch = &mut self.encode_buf;
         batch.clear();
         for (offset, request) in requests.iter().enumerate() {
             batch.extend_from_slice(&[0; 4]);
@@ -374,8 +380,12 @@ impl Client {
     }
 
     fn call(&mut self, request: Request) -> Result<Response, ClientError> {
-        let mut responses = self.call_batch(std::slice::from_ref(&request))?;
-        let response = responses.pop().expect("one response per request");
+        let response = self
+            .call_batch(std::slice::from_ref(&request))?
+            .pop()
+            .ok_or(WireError::Truncated {
+                context: "response frame",
+            })?;
         match response {
             Response::Error { message } => Err(ClientError::Server { message }),
             Response::Busy { retry_after_us } => Err(ClientError::Busy { retry_after_us }),

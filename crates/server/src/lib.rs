@@ -35,6 +35,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
+// Session code routes fetch and IO errors into retry, stale-serve and shed;
+// an unwrap turns a recoverable fault into a dead session.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod client;
 pub mod fault;

@@ -1,7 +1,7 @@
 //! Wire-backed trace replay and the one load driver, over real sockets.
 //!
 //! [`replay_trace_wire`] is the network twin of
-//! [`watchman_sim::replay_trace_engine_async`]: one connection replays a
+//! [`watchman_sim::replay_trace_engine`]: one connection replays a
 //! deterministic trace record by record (pipelined in
 //! [`REBALANCE_EVERY_RECORDS`]-sized batches, which the server answers in
 //! order), schedules a rebalance pass at exactly the same points the
@@ -19,7 +19,13 @@
 //! connections cannot each cost a client thread any more than a server
 //! session can.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "load drivers time clients, not sessions"
+)]
+
 use std::collections::BTreeMap;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::thread;
@@ -58,11 +64,10 @@ pub fn replay_trace_wire(client: &mut Client, trace: &Trace) -> Result<StatsSnap
             })
             .collect();
         client.get_many(batch)?;
-        if chunk.len() == chunk_len {
-            // Same schedule as `replay_records`: a pass after every full
-            // 128-record batch, at the last record's logical time.
-            let now = chunk.last().expect("non-empty chunk").timestamp_us;
-            client.rebalance_now(now)?;
+        // Same schedule as `replay_trace_engine`: a pass after every full
+        // 128-record batch, at the last record's logical time.
+        if let Some(last) = chunk.last().filter(|_| chunk.len() == chunk_len) {
+            client.rebalance_now(last.timestamp_us)?;
         }
     }
     client.stats()
@@ -558,10 +563,11 @@ fn run_threads(
             .collect();
         let mut tally = Tally::new();
         for handle in handles {
-            tally.merge(&handle.join().expect("client thread"));
+            tally.merge(&handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
         }
         finished.store(true, Ordering::SeqCst);
-        let mid_run = scraper.and_then(|handle| handle.join().expect("scraper thread"));
+        let mid_run =
+            scraper.and_then(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
         (tally, mid_run)
     })
 }

@@ -72,6 +72,14 @@ use std::future::{poll_fn, Future};
 /// (defensive: a corrupt or hostile `result_bytes` must not OOM the server).
 pub const MAX_RESULT_BYTES: u64 = 64 << 20;
 
+// The payload-prefix clamp in the GET path relies on this ordering: a
+// clamped prefix plus its response header fits one frame, and no frame can
+// carry more than a GET may declare.
+const _: () = assert!(
+    wire::MAX_PREFIX_BYTES < wire::MAX_FRAME_BYTES
+        && wire::MAX_FRAME_BYTES as u64 <= MAX_RESULT_BYTES
+);
+
 /// Back-off before retrying a failed `accept` (EMFILE, transient network
 /// errors) so the accept task does not spin.
 const ACCEPT_RETRY_TICK: Duration = Duration::from_millis(25);
@@ -460,6 +468,10 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
 
     let supervisor_slot = shared.shutdown.register_slot();
     let supervisor_shared = Arc::clone(&shared);
+    #[expect(
+        clippy::expect_used,
+        reason = "a host that cannot spawn one thread cannot serve"
+    )]
     let thread = thread::Builder::new()
         .name("watchmand-supervisor".to_owned())
         .spawn(move || supervise(supervisor_shared, supervisor_slot))

@@ -98,9 +98,8 @@
 //! blocking twin [`fill_from`](FrameReader::fill_from) in the client, so a
 //! depth-32 burst costs each side one `recv`, not 64.  Sessions answer
 //! through a [`FrameWriter`], which stages each burst's responses and
-//! flushes them as one vectored write.  The analyzer's
-//! `unbuffered-frame-write-in-session` rule keeps [`write_frame`] out of
-//! session paths.
+//! flushes them as one vectored write.  The server crate's `clippy.toml`
+//! bans [`write_frame`] outside the blocking client and load drivers.
 
 use std::fmt;
 use std::future::{poll_fn, Future};
@@ -552,14 +551,8 @@ impl FrameReader {
     /// The buffered partial frame's declared body length, once its header's
     /// four bytes are in.
     fn declared_len(&self) -> Option<u32> {
-        if self.buffered() < 4 {
-            return None;
-        }
-        Some(u32::from_le_bytes(
-            self.buf[self.start..self.start + 4]
-                .try_into()
-                .expect("four header bytes"),
-        ))
+        let header = self.buf[self.start..self.end].first_chunk::<4>()?;
+        Some(u32::from_le_bytes(*header))
     }
 
     /// Whether a complete frame is buffered.  Fails with
@@ -583,6 +576,7 @@ impl FrameReader {
     ///
     /// If no complete frame is buffered ([`FrameReader::frame_ready`] must
     /// have returned `Ok(true)`).
+    #[expect(clippy::expect_used, reason = "the documented # Panics contract")]
     pub fn take_frame(&mut self) -> &[u8] {
         let declared = self.declared_len().expect("take_frame: header buffered") as usize;
         let body_start = self.start + 4;
@@ -733,8 +727,8 @@ impl FrameReader {
 /// flushed with a single vectored write, collapsing a pipeline-depth-64
 /// burst's 64 `write_all`s into one syscall.
 ///
-/// Server sessions must write through this — analyzer rule 7 bans direct
-/// [`write_frame`] calls in session paths.
+/// Server sessions must write through this — the server crate's
+/// `clippy.toml` bans direct [`write_frame`] calls in session paths.
 pub struct FrameWriter {
     buf: Vec<u8>,
 }
@@ -891,22 +885,24 @@ impl<'a> BodyReader<'a> {
         Ok(self.take(1, context)?[0])
     }
 
+    fn array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], WireError> {
+        let bytes = *self.body[self.pos..]
+            .first_chunk::<N>()
+            .ok_or(WireError::Truncated { context })?;
+        self.pos += N;
+        Ok(bytes)
+    }
+
     fn u16(&mut self, context: &'static str) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, context)?.try_into().unwrap(),
-        ))
+        Ok(u16::from_le_bytes(self.array(context)?))
     }
 
     fn u32(&mut self, context: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, context)?.try_into().unwrap(),
-        ))
+        Ok(u32::from_le_bytes(self.array(context)?))
     }
 
     fn u64(&mut self, context: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, context)?.try_into().unwrap(),
-        ))
+        Ok(u64::from_le_bytes(self.array(context)?))
     }
 
     fn f64(&mut self, context: &'static str) -> Result<f64, WireError> {
@@ -1268,6 +1264,11 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "tests play the blocking peer"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -19,6 +19,12 @@
 //!   feeding it is evicted by the read deadline while healthy sessions
 //!   proceed.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "tests play the blocking peer"
+)]
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -35,7 +41,7 @@ use watchman_server::{
     replay_trace_wire, serve, Client, ClientError, FaultPlan, GetRequest, Requests, Scenario,
     ServerConfig, ServerHandle, WireSource, SWEEP_KEYS, SWEEP_RESULT_BYTES,
 };
-use watchman_sim::{replay_trace_engine_async, ExperimentScale, Workload};
+use watchman_sim::{replay_trace_engine, ExperimentScale, Workload};
 
 /// A server wired for degradation: stale serving and the breaker enabled, a
 /// small admission gate, a read deadline, and (optionally) a fault plan.
@@ -324,7 +330,7 @@ fn metrics_report_each_servers_own_books() {
 #[test]
 fn empty_plan_tpcd_replay_is_byte_identical_to_in_process() {
     // The same deterministic TPC-D trace twice: in process through the
-    // infallible async front door, and over the wire through a server with
+    // infallible sync front door, and over the wire through a server with
     // a *no-op fault plan* installed — which routes every GET through the
     // fallible pipeline.  Identical snapshots prove the failure domain is
     // invisible when nothing fails.
@@ -340,7 +346,7 @@ fn empty_plan_tpcd_replay_is_byte_identical_to_in_process() {
         .capacity_bytes(capacity)
         .rebalance(rebalance.clone())
         .build();
-    replay_trace_engine_async(trace, &in_process, cache_fraction);
+    replay_trace_engine(trace, &in_process, cache_fraction);
     let expected = in_process.stats_snapshot();
 
     let server = serve(ServerConfig {

@@ -5,9 +5,15 @@
 //! * a multi-client **storm** showing cross-connection miss coalescing with
 //!   exactly-once execution per missed key;
 //! * the **wire-backed deterministic replay** whose final `StatsSnapshot`
-//!   is byte-identical to the in-process async replay of the same trace;
+//!   is byte-identical to the in-process replay of the same trace;
 //! * **failure isolation**: malformed and truncated frames fail their own
 //!   connection only, and internal errors surface as error responses.
+
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "tests play the blocking peer"
+)]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -21,7 +27,7 @@ use watchman_server::wire::{self, Request, Response};
 use watchman_server::{
     replay_trace_wire, serve, Client, ClientError, GetRequest, ServerConfig, WireSource,
 };
-use watchman_sim::{replay_trace_engine_async, ExperimentScale, Workload};
+use watchman_sim::{replay_trace_engine, ExperimentScale, Workload};
 
 fn test_server(capacity_bytes: u64, shards: usize) -> watchman_server::ServerHandle {
     serve(ServerConfig {
@@ -253,9 +259,9 @@ fn metrics_gauge_every_shard_from_the_servers_own_snapshot() {
 }
 
 #[test]
-fn wire_replay_is_byte_identical_to_in_process_async_replay() {
+fn wire_replay_is_byte_identical_to_in_process_replay() {
     // The same deterministic TPC-D trace, the same engine configuration:
-    // one replayed in process through the async front door, one replayed
+    // one replayed in process through the sync front door, one replayed
     // over loopback through the wire protocol.  The final snapshots must
     // match byte for byte — the wire adds no replay-visible semantics.
     let workload = Workload::tpcd(ExperimentScale::quick(1_500));
@@ -270,7 +276,7 @@ fn wire_replay_is_byte_identical_to_in_process_async_replay() {
         .capacity_bytes(capacity)
         .rebalance(rebalance.clone())
         .build();
-    replay_trace_engine_async(trace, &in_process, cache_fraction);
+    replay_trace_engine(trace, &in_process, cache_fraction);
     let expected = in_process.stats_snapshot();
 
     let server = serve(ServerConfig {

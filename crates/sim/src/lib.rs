@@ -40,9 +40,8 @@ pub use experiments::{
     InfiniteCacheExperiment, OptimalityExperiment, PolicyZooExperiment, ShardRebalanceExperiment,
 };
 pub use runner::{
-    replay_trace, replay_trace_engine, replay_trace_engine_async, run_infinite, run_policy,
-    run_policy_sharded, run_policy_sharded_with, run_result_from_snapshot, RunResult,
-    REBALANCE_EVERY_RECORDS,
+    replay_trace, replay_trace_engine, run_infinite, run_policy, run_policy_sharded,
+    run_policy_sharded_with, run_result_from_snapshot, RunResult, REBALANCE_EVERY_RECORDS,
 };
 pub use watchman_core::engine::PolicyKind;
 pub use workload::{ExperimentScale, Workload};

@@ -1,13 +1,8 @@
 //! Trace replay: drive a cache (bare policy or concurrent engine) with a
 //! workload trace and collect the paper's performance metrics.
 //!
-//! Two engine drivers exist, both one session and fully deterministic:
-//!
-//! * [`replay_trace_engine`] — synchronous [`Watchman::get_or_execute`].
-//! * [`replay_trace_engine_async`] — the asynchronous
-//!   [`Watchman::get_or_execute_async`] path driven to completion per
-//!   record; byte-identical to the synchronous replay (the two front doors
-//!   share one implementation).
+//! The engine driver, [`replay_trace_engine`], is one session calling
+//! [`Watchman::get_or_execute`] and is fully deterministic.
 
 use serde::{Deserialize, Serialize};
 use watchman_core::clock::Timestamp;
@@ -15,7 +10,6 @@ use watchman_core::engine::{RebalanceConfig, StatsSnapshot, Watchman};
 use watchman_core::key::QueryKey;
 use watchman_core::metrics::{CacheStats, FragmentationTracker};
 use watchman_core::policy::QueryCache;
-use watchman_core::runtime::block_on;
 use watchman_core::value::{ExecutionCost, SizedPayload};
 use watchman_trace::Trace;
 
@@ -136,61 +130,16 @@ pub fn replay_trace_engine(
     engine: &Watchman<SizedPayload>,
     cache_fraction: f64,
 ) -> RunResult {
-    replay_records(
-        trace,
-        engine,
-        cache_fraction,
-        |engine, key, now, size, cost| {
-            engine.get_or_execute(key, now, || {
-                (SizedPayload::new(size), ExecutionCost::from_blocks(cost))
-            });
-        },
-    )
-}
-
-/// Like [`replay_trace_engine`], but drives the **asynchronous** front door
-/// ([`Watchman::get_or_execute_async`]) to completion for each record.
-///
-/// One session awaiting each lookup in turn is fully deterministic — the
-/// leader's fetch runs on this thread, in the poll that takes leadership —
-/// so this replay yields a byte-identical
-/// [`RunResult`] (and engine `StatsSnapshot`) to the synchronous one: the
-/// two front doors share a single miss/coalesce/abandon implementation.
-pub fn replay_trace_engine_async(
-    trace: &Trace,
-    engine: &Watchman<SizedPayload>,
-    cache_fraction: f64,
-) -> RunResult {
-    replay_records(
-        trace,
-        engine,
-        cache_fraction,
-        |engine, key, now, size, cost| {
-            block_on(engine.get_or_execute_async(key, now, move || {
-                (SizedPayload::new(size), ExecutionCost::from_blocks(cost))
-            }));
-        },
-    )
-}
-
-/// The shared single-session replay loop: only the per-record lookup call
-/// differs between the sync and async drivers, and keeping everything else
-/// (timestamps, driver-scheduled rebalance passes, fragmentation sampling)
-/// in one place is what guarantees the two stay byte-identical.
-fn replay_records<F>(
-    trace: &Trace,
-    engine: &Watchman<SizedPayload>,
-    cache_fraction: f64,
-    mut lookup: F,
-) -> RunResult
-where
-    F: FnMut(&Watchman<SizedPayload>, &QueryKey, Timestamp, u64, u64),
-{
     let mut fragmentation = FragmentationTracker::new();
     for (index, record) in trace.iter().enumerate() {
         let now = Timestamp::from_micros(record.timestamp_us);
         let key = QueryKey::from_raw_query(&record.query_text);
-        lookup(engine, &key, now, record.result_bytes, record.cost_blocks);
+        engine.get_or_execute(&key, now, || {
+            (
+                SizedPayload::new(record.result_bytes),
+                ExecutionCost::from_blocks(record.cost_blocks),
+            )
+        });
         if (index as u64 + 1).is_multiple_of(REBALANCE_EVERY_RECORDS) {
             engine.rebalance_now(now);
         }
@@ -380,32 +329,6 @@ mod tests {
         assert_eq!(via_engine.evictions, via_policy.evictions);
         assert!((via_engine.cost_savings_ratio - via_policy.cost_savings_ratio).abs() < 1e-12);
         assert!((via_engine.hit_ratio - via_policy.hit_ratio).abs() < 1e-12);
-    }
-
-    #[test]
-    fn async_replay_is_byte_identical_to_sync_replay() {
-        // Acceptance criterion: the sync and async front doors share one
-        // miss/coalesce/abandon implementation, so a deterministic
-        // single-session TPC-D replay must yield identical snapshots.
-        let trace = quick_trace(1_500, 9);
-        let capacity = (trace.database_bytes as f64 * 0.01).round() as u64;
-        let build = || -> watchman_core::engine::Watchman<SizedPayload> {
-            watchman_core::engine::Watchman::builder()
-                .shards(4)
-                .policy(PolicyKind::LNC_RA)
-                .capacity_bytes(capacity)
-                .build()
-        };
-        let sync_engine = build();
-        let async_engine = build();
-        let via_sync = replay_trace_engine(&trace, &sync_engine, 0.01);
-        let via_async = replay_trace_engine_async(&trace, &async_engine, 0.01);
-        assert_eq!(via_sync, via_async, "RunResults must match field for field");
-        assert_eq!(
-            sync_engine.stats_snapshot(),
-            async_engine.stats_snapshot(),
-            "engine snapshots must be identical"
-        );
     }
 
     #[test]

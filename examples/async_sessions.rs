@@ -5,7 +5,7 @@
 //! (paper §3).  This example plays a busy morning at a warehouse front end:
 //! a crowd of analyst sessions — far more sessions than the runtime has
 //! worker threads — issue overlapping report queries through
-//! [`Watchman::get_or_execute_async`].  Sessions that miss on a query
+//! [`Watchman::try_get_or_execute_async`].  Sessions that miss on a query
 //! already in flight *suspend* (a registered waker, not a parked thread)
 //! and share the leader's result when it lands; the engine's thread count
 //! stays at the worker-pool size throughout.
@@ -60,21 +60,22 @@ fn main() {
                     let now = clock.advance(1_000);
                     let fetch_benchmark = benchmark.clone();
                     let lookup = engine
-                        .get_or_execute_async(&key, now, move || {
+                        .try_get_or_execute_async(&key, now, move || {
                             let executor = QueryExecutor::new(&fetch_benchmark);
                             let result = executor.execute(instance);
                             // The scan's latency: the leader holds its worker
                             // this long while later sessions coalesce.
                             std::thread::sleep(std::time::Duration::from_millis(1));
-                            (SizedPayload::new(result.declared_result_bytes), result.cost)
+                            Ok((SizedPayload::new(result.declared_result_bytes), result.cost))
                         })
-                        .await;
+                        .await
+                        .expect("the synthetic warehouse never fails");
                     match lookup.source {
                         LookupSource::Hit => sources[0] += 1,
                         LookupSource::Executed => sources[1] += 1,
                         LookupSource::Coalesced => sources[2] += 1,
-                        // The infallible path never degrades to stale.
-                        LookupSource::Stale => unreachable!("stale needs the fallible path"),
+                        // A fetch that never fails never degrades to stale.
+                        LookupSource::Stale => unreachable!("stale needs a failed fetch"),
                     }
                 }
                 sources

@@ -61,8 +61,9 @@
 //! ```
 //!
 //! Sessions that should *suspend* instead of blocking threads while a
-//! multi-second warehouse query executes can use the asynchronous front door,
-//! [`get_or_execute_async`](watchman_core::engine::Watchman::get_or_execute_async),
+//! multi-second warehouse query executes can use the asynchronous, fallible
+//! front door,
+//! [`try_get_or_execute_async`](watchman_core::engine::Watchman::try_get_or_execute_async),
 //! backed by the hand-rolled [`runtime`](watchman_core::runtime) — see the
 //! `async_sessions` example.
 //!
@@ -92,8 +93,8 @@ pub mod prelude {
         serve, Client, GetRequest, Report, Requests, Scenario, ServerConfig, ServerHandle,
     };
     pub use watchman_sim::{
-        replay_trace, replay_trace_engine, replay_trace_engine_async, run_infinite, run_policy,
-        run_policy_sharded, ExperimentScale, RunResult, Workload,
+        replay_trace, replay_trace_engine, run_infinite, run_policy, run_policy_sharded,
+        ExperimentScale, RunResult, Workload,
     };
     pub use watchman_trace::{Trace, TraceConfig, TraceGenerator, TraceRecord, TraceStats};
     pub use watchman_warehouse::{

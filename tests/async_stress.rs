@@ -1,5 +1,5 @@
 //! Async execution stress tests: many session tasks on a multi-worker
-//! runtime racing through [`Watchman::get_or_execute_async`], plus the
+//! runtime racing through [`Watchman::try_get_or_execute_async`], plus the
 //! abandoned-flight takeover protocol and runtime lifecycle guarantees.
 //!
 //! CI runs this suite as its dedicated async stress step
@@ -47,17 +47,18 @@ fn async_single_flight_executes_each_miss_exactly_once() {
                         let now = Timestamp::from_micros((round * KEYS + offset + 1) as u64);
                         let executions = Arc::clone(&executions);
                         let lookup = engine
-                            .get_or_execute_async(&key, now, move || {
+                            .try_get_or_execute_async(&key, now, move || {
                                 executions[key_index].fetch_add(1, Ordering::SeqCst);
                                 // Hold the flight open long enough for other
                                 // sessions to pile up behind the leader.
                                 std::thread::sleep(Duration::from_micros(500));
-                                (
+                                Ok((
                                     SizedPayload::new(256 + key_index as u64),
                                     ExecutionCost::from_blocks(1_000),
-                                )
+                                ))
                             })
-                            .await;
+                            .await
+                            .expect("fetch never fails");
                         assert_eq!(lookup.value.size_bytes(), 256 + key_index as u64);
                     }
                 }
@@ -111,7 +112,7 @@ fn killed_async_leader_hands_over_to_exactly_one_waiter() {
         let key = key.clone();
         runtime.spawn(async move {
             engine
-                .get_or_execute_async(&key, Timestamp::from_micros(1), move || {
+                .try_get_or_execute_async(&key, Timestamp::from_micros(1), move || {
                     attempts.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(Duration::from_millis(30));
                     panic!("warehouse connection lost mid-fetch");
@@ -137,11 +138,16 @@ fn killed_async_leader_hands_over_to_exactly_one_waiter() {
             let key = key.clone();
             runtime.spawn(async move {
                 let lookup = engine
-                    .get_or_execute_async(&key, Timestamp::from_micros(2 + i as u64), move || {
-                        attempts.fetch_add(1, Ordering::SeqCst);
-                        (SizedPayload::new(777), ExecutionCost::from_blocks(10))
-                    })
-                    .await;
+                    .try_get_or_execute_async(
+                        &key,
+                        Timestamp::from_micros(2 + i as u64),
+                        move || {
+                            attempts.fetch_add(1, Ordering::SeqCst);
+                            Ok((SizedPayload::new(777), ExecutionCost::from_blocks(10)))
+                        },
+                    )
+                    .await
+                    .expect("the takeover fetch succeeds");
                 assert_eq!(
                     lookup.value.size_bytes(),
                     777,
@@ -164,7 +170,7 @@ fn killed_async_leader_hands_over_to_exactly_one_waiter() {
         match block_on(waiter).expect("waiter session completed") {
             LookupSource::Executed => executed += 1,
             LookupSource::Coalesced | LookupSource::Hit => {}
-            LookupSource::Stale => unreachable!("stale needs the fallible path"),
+            LookupSource::Stale => unreachable!("stale needs a failed fetch"),
         }
     }
     assert_eq!(executed, 1, "exactly one waiter becomes the new leader");
@@ -209,13 +215,14 @@ fn background_rebalancer_under_async_traffic_conserves_and_shuts_down() {
                     };
                     let now = Timestamp::from_micros((session * OPS_PER_SESSION + i + 1) as u64);
                     engine
-                        .get_or_execute_async(&QueryKey::new(name), now, move || {
-                            (
+                        .try_get_or_execute_async(&QueryKey::new(name), now, move || {
+                            Ok((
                                 SizedPayload::new(500 + (i as u64 % 11) * 400),
                                 ExecutionCost::from_blocks(10 + (i as u64 % 5) * 10_000),
-                            )
+                            ))
                         })
-                        .await;
+                        .await
+                        .expect("fetch never fails");
                 }
                 done.fetch_add(1, Ordering::SeqCst);
             })
@@ -273,9 +280,10 @@ fn background_rebalancer_under_async_traffic_conserves_and_shuts_down() {
     }
 }
 
-/// Sync and async front doors produce identical statistics on the same
+/// The sync and async front doors produce identical statistics on the same
 /// deterministic replay (the concurrent-engine acceptance criterion, here at
-/// the facade level with a real TPC-D trace via the sim drivers).
+/// the facade level with a real TPC-D trace): the sim's driver against the
+/// same records awaited one by one through the fallible door.
 #[test]
 fn tpcd_trace_sync_and_async_replays_are_byte_identical() {
     let workload = Workload::tpcd(ExperimentScale::quick(2_000).with_seed(42));
@@ -289,8 +297,19 @@ fn tpcd_trace_sync_and_async_replays_are_byte_identical() {
     };
     let sync_engine = build();
     let async_engine = build();
-    let via_sync = replay_trace_engine(&workload.trace, &sync_engine, 0.01);
-    let via_async = watchman::sim::replay_trace_engine_async(&workload.trace, &async_engine, 0.01);
-    assert_eq!(via_sync, via_async);
+    replay_trace_engine(&workload.trace, &sync_engine, 0.01);
+    for (index, record) in workload.trace.iter().enumerate() {
+        let now = Timestamp::from_micros(record.timestamp_us);
+        let key = QueryKey::from_raw_query(&record.query_text);
+        let (size, cost) = (record.result_bytes, record.cost_blocks);
+        block_on(async_engine.try_get_or_execute_async(&key, now, move || {
+            Ok((SizedPayload::new(size), ExecutionCost::from_blocks(cost)))
+        }))
+        .expect("fetch never fails");
+        // The sim driver's rebalance schedule.
+        if (index as u64 + 1).is_multiple_of(watchman::sim::REBALANCE_EVERY_RECORDS) {
+            async_engine.rebalance_now(now);
+        }
+    }
     assert_eq!(sync_engine.stats_snapshot(), async_engine.stats_snapshot());
 }

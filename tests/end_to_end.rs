@@ -202,12 +202,13 @@ fn async_engine_serves_suspended_sessions_end_to_end() {
                     // benchmark copy (the closure must be Send + 'static).
                     let fetch_benchmark = benchmark.clone();
                     let lookup = engine
-                        .get_or_execute_async(&key, now, move || {
+                        .try_get_or_execute_async(&key, now, move || {
                             let executor = QueryExecutor::new(&fetch_benchmark);
                             let result = executor.execute(instance);
-                            (SizedPayload::new(result.declared_result_bytes), result.cost)
+                            Ok((SizedPayload::new(result.declared_result_bytes), result.cost))
                         })
-                        .await;
+                        .await
+                        .expect("the synthetic warehouse never fails");
                     assert!(lookup.value.size_bytes() > 0);
                 }
             })
