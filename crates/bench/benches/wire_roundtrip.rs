@@ -280,7 +280,7 @@ fn bench_connection_scaling(quick: bool, loopback: Vec<PipelineRow>) {
     );
 
     // Row 2: the storm — connections far past any sane thread count, with
-    // the server's SERVER_INFO sampled while all of them are open.
+    // the server's METRICS scraped while all of them are open.
     let storm = run(Scenario {
         connections: storm_connections,
         pipeline: 1,

@@ -121,10 +121,10 @@ impl<V> WatchmanBuilder<V> {
 
     /// Configures the failure domain of the fallible fetch pipeline
     /// ([`Watchman::try_get_or_execute_async`]): the leader's retry policy,
-    /// the per-shard circuit breaker, the last-known-good store stale
-    /// serves come from, and the negative cache for memoized
-    /// failures.  The default config retries transient errors with seeded
-    /// exponential backoff but enables neither breaker nor stale serving.
+    /// the per-shard circuit breaker and whether last-known-good copies are
+    /// kept for stale serving.  The default config retries transient errors
+    /// with seeded exponential backoff but enables neither breaker nor stale
+    /// serving; terminal failures are memoized either way.
     pub fn failure(mut self, config: FailureConfig) -> Self {
         self.failure = config;
         self

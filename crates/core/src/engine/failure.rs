@@ -4,8 +4,8 @@
 //! presumes the warehouse answers.  This module is the engine's model of the
 //! warehouse *not* answering: typed fetch errors, a bounded retry policy with
 //! deterministic jitter (replay stays byte-identical), a per-shard circuit
-//! breaker, and the sizing of the last-known-good store and the negative
-//! cache.
+//! breaker, and the switch that keeps last-known-good copies for stale
+//! serving.
 //!
 //! Everything here is pure state + logical time: the breaker takes an
 //! explicit `now` [`Timestamp`] instead of reading a clock, so the checker
@@ -368,50 +368,22 @@ impl CircuitBreaker {
     }
 }
 
-/// Sizing for the per-shard last-known-good store.  A failed fetch is
-/// answered with the stored value whenever the store holds one for its key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StalenessPolicy {
-    /// Last-known-good entries retained per shard.
-    pub max_entries: usize,
-}
-
-impl Default for StalenessPolicy {
-    fn default() -> Self {
-        StalenessPolicy { max_entries: 256 }
-    }
-}
-
-/// Sizing for the per-key negative cache (memoized fetch failures).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NegativeCacheConfig {
-    /// How long (logical microseconds) a memoized failure answers for its
-    /// key before the next reference retries the warehouse.
-    pub ttl_us: u64,
-    /// Entries retained per shard.
-    pub max_entries: usize,
-}
-
-impl Default for NegativeCacheConfig {
-    fn default() -> Self {
-        NegativeCacheConfig {
-            ttl_us: 50_000,
-            max_entries: 256,
-        }
-    }
-}
-
 /// Everything the fallible pipeline needs, bundled for the builder.
+///
+/// A terminal failure is always memoized in its key's slot for 50 ms of
+/// logical time.  Each shard keeps stale copies and memoized failures for
+/// at most 1,024 keys; past that, the key whose latest record is oldest
+/// loses both.
 #[derive(Debug, Clone, Default)]
 pub struct FailureConfig {
     /// Leader-side retry of transient fetch errors.
     pub retry: RetryPolicy,
     /// Per-shard circuit breaker; `None` disables breaking.
     pub breaker: Option<BreakerConfig>,
-    /// Stale serving; `None` means errors always surface.
-    pub staleness: Option<StalenessPolicy>,
-    /// Per-key memoized failures.
-    pub negative: NegativeCacheConfig,
+    /// Keep the value of every successful fallible fetch as its key's
+    /// last-known-good copy, and answer a failed lookup with it; off means
+    /// errors always surface.
+    pub serve_stale: bool,
 }
 
 /// A terminally failed lookup, as surfaced by `try_get_or_execute_async`.
@@ -419,7 +391,7 @@ pub struct FailureConfig {
 pub struct LookupError {
     /// The fetch failure, shared with every coalesced waiter.
     pub error: Arc<FetchError>,
-    /// Whether this reference was answered from the negative cache (the
+    /// Whether this reference was answered from the key's memoized failure (the
     /// warehouse was not re-consulted).
     pub negative_hit: bool,
 }

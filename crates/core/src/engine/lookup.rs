@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use crate::clock::Timestamp;
 use crate::engine::failure::{BreakerState, FetchError, LookupError};
 use crate::engine::single_flight::{Flight, FlightOutcome, WaiterSlot};
-use crate::engine::watchman::{record_evictions, Shard, ShardState, Watchman};
+use crate::engine::watchman::{record_evictions, Shard, Watchman};
 use crate::key::QueryKey;
 use crate::policy::InsertOutcome;
 use crate::runtime::Sleep;
@@ -110,7 +110,7 @@ where
     /// fully deterministic.
     ///
     /// It runs *outside* the failure domain of the fallible door: it
-    /// consults neither the negative cache nor the breaker, feeds neither,
+    /// consults neither memoized failures nor the breaker, feeds neither,
     /// and a session coalesced behind a fallible leader that failed starts
     /// over with its own fetch.
     pub fn get_or_execute<F>(&self, key: &QueryKey, now: Timestamp, fetch: F) -> Lookup<V>
@@ -156,13 +156,13 @@ where
     ///   configured [`crate::engine::RetryPolicy`] — bounded attempts,
     ///   exponential backoff with deterministic seeded jitter, slept on the
     ///   engine's runtime timer so replays stay byte-identical.
-    /// * **Negative caching.** A terminal failure is memoized per key for a
-    ///   short TTL; lookups inside the window resolve immediately
-    ///   (`negative_hit == true`) without invoking the fetch.
-    /// * **Graceful degradation.** When a
-    ///   [`StalenessPolicy`](crate::engine::StalenessPolicy) is configured,
-    ///   a failed (or breaker-refused) lookup serves the last-known-good
-    ///   value the shard holds as [`LookupSource::Stale`] — paid into
+    /// * **Negative caching.** A terminal failure is memoized in the key's
+    ///   slot for 50 ms of logical time; lookups inside the window resolve
+    ///   immediately (`negative_hit == true`) without invoking the fetch.
+    /// * **Graceful degradation.** With
+    ///   [`FailureConfig::serve_stale`](crate::engine::FailureConfig::serve_stale)
+    ///   on, a failed (or breaker-refused) lookup serves the last-known-good
+    ///   value the key's slot holds as [`LookupSource::Stale`] — paid into
     ///   `total_cost` but never into `saved_cost`, so stale serves cannot
     ///   inflate the cost-savings ratio.
     /// * **Circuit breaking.** With a [`crate::engine::BreakerConfig`], a
@@ -206,32 +206,6 @@ where
         }
     }
 
-    /// The failure-domain gate in front of a new flight, under the shard
-    /// lock.  `Err((error, negative_hit))` resolves the lookup without a
-    /// fetch: the key has a fresh memoized failure, or the shard's breaker
-    /// refuses.  `Ok(probe)` lets the fetch proceed; `probe` says the
-    /// admission drew a half-open probe ticket, which the new cell carries.
-    fn admit_fetch(
-        &self,
-        state: &mut ShardState<V>,
-        key: &QueryKey,
-        now: Timestamp,
-    ) -> Result<bool, (Arc<FetchError>, bool)> {
-        if let Some(error) = state.failure.fresh_negative(key, now) {
-            self.inner.negative_hits.fetch_add(1, Ordering::Relaxed);
-            return Err((error, true));
-        }
-        let Some(breaker) = state.failure.breaker.as_mut() else {
-            return Ok(false);
-        };
-        if breaker.admit(now) {
-            Ok(matches!(breaker.state(), BreakerState::HalfOpen))
-        } else {
-            let refused = FetchError::transient("circuit breaker open: fetch refused");
-            Err((Arc::new(refused), false))
-        }
-    }
-
     /// Decides whether a leader whose `attempt`-th try returned `error`
     /// tries again.  `Some(backoff)` counts and traces the retry; `None`
     /// means the error is terminal (fatal, or the budget is spent).
@@ -251,17 +225,17 @@ where
         Some(delay)
     }
 
-    /// Completes a leader's execution: offers the value for admission,
-    /// retires the in-flight entry, and publishes the resulting events.
+    /// Completes a leader's execution: settles the key's slot, offers the
+    /// value for admission, and publishes the resulting events.
     ///
     /// A `failure_domain` leader also updates the failure domain under the
-    /// same shard lock: the breaker records a success, a fresh
-    /// last-known-good copy lands in the stale store (when a
-    /// [`StalenessPolicy`](crate::engine::StalenessPolicy) is configured),
-    /// and any memoized failure for the key is dropped.  Outside it none of
-    /// that is touched — except that a cell carrying a half-open probe
-    /// ticket (taken over from a failure-domain leader) settles the ticket
-    /// whoever completes it.
+    /// same shard lock: the breaker records a success, the slot keeps a
+    /// fresh last-known-good copy (with
+    /// [`FailureConfig::serve_stale`](crate::engine::FailureConfig::serve_stale)
+    /// on) and drops any memoized failure.  Outside it none of that is
+    /// touched — except that a cell carrying a half-open probe ticket (taken
+    /// over from a failure-domain leader) settles the ticket whoever
+    /// completes it.
     #[allow(clippy::too_many_arguments)]
     fn finish_leader_insert(
         &self,
@@ -274,20 +248,10 @@ where
         failure_domain: bool,
     ) -> InsertOutcome {
         let size_bytes = value.size_bytes();
+        let stale =
+            (failure_domain && self.inner.failure.serve_stale).then(|| (Arc::clone(&value), cost));
         let mut state = self.inner.shards[shard_index].lock();
-        if flight.take_probe() || failure_domain {
-            if let Some(breaker) = state.failure.breaker.as_mut() {
-                breaker.record_success(now);
-            }
-        }
-        if failure_domain {
-            if let Some(staleness) = &self.inner.failure.staleness {
-                state
-                    .failure
-                    .store_stale(key, Arc::clone(&value), cost, staleness);
-            }
-            state.failure.drop_negative(key);
-        }
+        state.settle_success(key, flight, now, failure_domain, stale);
         let outcome = state.cache.insert(key.clone(), value, cost, now);
         record_evictions(outcome.evicted());
         crate::telemetry::global().recorder.record(
@@ -296,7 +260,6 @@ where
             shard_index as u64,
             cost.value() as u64,
         );
-        state.retire(key, flight);
         // Emitted under the shard lock: observers see this shard's events in
         // cache order.
         if !self.inner.observers.is_empty() {
@@ -312,12 +275,12 @@ where
     }
 
     /// Resolves a fallible leader's *terminal* fetch failure.  Under the
-    /// shard lock: retires the in-flight entry (so new arrivals start a fresh
-    /// flight instead of joining a doomed one), memoizes the error in the
-    /// negative cache, and feeds the breaker's rolling failure window.  Then
-    /// fails the flight cell, so every waiter observes the same shared error
-    /// — waking them only once the negative entry is visible keeps their
-    /// stale/negative consultations consistent.
+    /// shard lock: retires the flight from the key's slot (so new arrivals
+    /// start a fresh flight instead of joining a doomed one), memoizes the
+    /// error in the same slot, and feeds the breaker's rolling failure
+    /// window.  Then fails the flight cell, so every waiter observes the
+    /// same shared error — waking them only once the memoized failure is
+    /// visible keeps what they read from the slot consistent.
     fn fail_leader(
         &self,
         key: &QueryKey,
@@ -328,11 +291,8 @@ where
     ) -> Arc<FetchError> {
         let error = Arc::new(error);
         let mut state = self.inner.shards[shard_index].lock();
-        state.retire(key, flight);
-        state
-            .failure
-            .store_negative(key, Arc::clone(&error), now, &self.inner.failure.negative);
-        if let Some(breaker) = state.failure.breaker.as_mut() {
+        state.settle_failure(key, flight, &error, now);
+        if let Some(breaker) = state.breaker.as_mut() {
             let was_open = matches!(breaker.state(), BreakerState::Open);
             breaker.record_failure(now);
             if !was_open && matches!(breaker.state(), BreakerState::Open) {
@@ -374,7 +334,7 @@ where
     }
 
     /// Resolves this session's share of a failed lookup: serves the
-    /// last-known-good value when the shard holds one
+    /// last-known-good value when the key's slot holds one
     /// (recording a stale reference — cost paid, nothing saved), otherwise
     /// records an error reference and surfaces the shared error.  Every
     /// session — leader, coalesced waiter, negative-cache hit — resolves
@@ -389,8 +349,8 @@ where
         negative_hit: bool,
     ) -> Result<Lookup<V>, LookupError> {
         let mut state = self.inner.shards[shard_index].lock();
-        // The store is empty unless a staleness policy is configured.
-        if let Some((value, cost)) = state.failure.stale_for(key) {
+        // Slots hold no stale copy unless `serve_stale` is on.
+        if let Some((value, cost)) = state.stale_for(key) {
             state.cache.record_stale_reference(cost);
             crate::telemetry::global().recorder.record(
                 TraceKind::LookupStale,
@@ -423,8 +383,8 @@ pub trait FetchMode<V> {
     type Output;
 
     /// Whether the session takes part in the failure domain: it consults
-    /// the negative cache and the shard's breaker before leading, feeds
-    /// breaker, stale store and negative cache when its fetch settles, and
+    /// the key's memoized failure and the shard's breaker before leading,
+    /// feeds the breaker and the slot's records when its fetch settles, and
     /// shares a coalesced leader's terminal error.  Outside the domain none
     /// of that state is read or written, and a session whose leader failed
     /// with an error starts over with its own fetch.
@@ -458,8 +418,8 @@ where
         match result {
             Ok(lookup) => lookup,
             // Its own fetch never returns `Err`, it restarts instead of
-            // sharing a fallible leader's error, and it never consults the
-            // negative cache or the breaker.
+            // sharing a fallible leader's error, and it never consults
+            // memoized failures or the breaker.
             Err(failure) => unreachable!("infallible lookup observed a fetch error: {failure}"),
         }
     }
@@ -515,7 +475,7 @@ enum LookupState<V> {
 
 /// What one poll step decided, lifted out of the state borrow so the state
 /// machine can transition freely.
-enum Step<V> {
+pub(super) enum Step<V> {
     Return(Lookup<V>),
     /// Resolve a failure for *this* session: stale-serve if the shard holds
     /// a last-known-good value, otherwise surface the shared error.
@@ -629,31 +589,8 @@ where
                     let mut state = this.engine.inner.shards[shard_index].lock();
                     if let Some(value) = state.cache.get(&this.key, this.now) {
                         Step::Return(Lookup::served(Arc::clone(value), LookupSource::Hit))
-                    } else if let Some(flight) = state.inflight.get(&this.key) {
-                        // A live flight wins over a memoized failure: the
-                        // in-flight leader may be retrying its way to a
-                        // success this session can share.
-                        Step::BecomeWaiter(Arc::clone(flight))
                     } else {
-                        // A refused shard degrades without ever invoking
-                        // the fetch; outside the failure domain every miss
-                        // leads.
-                        let admitted = if M::FAILURE_DOMAIN {
-                            this.engine.admit_fetch(&mut state, &this.key, this.now)
-                        } else {
-                            Ok(false)
-                        };
-                        match admitted {
-                            Ok(probe) => {
-                                let flight = Arc::new(Flight::with_probe(probe));
-                                state.inflight.insert(this.key.clone(), Arc::clone(&flight));
-                                Step::Lead(flight)
-                            }
-                            Err((error, negative_hit)) => Step::Resolve {
-                                error,
-                                negative_hit,
-                            },
-                        }
+                        state.start_flight(&this.key, this.now, M::FAILURE_DOMAIN)
                     }
                 }
                 LookupState::Waiting { flight, slot } => match flight.poll_wait(slot, cx) {
@@ -820,7 +757,7 @@ impl<V, M> Drop for LookupFuture<V, M> {
 /// Abandons the leader's flight if its fetch panics, so waiters are not
 /// stranded on a flight that will never complete.  Exactly one waiter is
 /// woken to take over leadership of the same cell; with no waiters at all
-/// the cell is retired from the in-flight table (see [`Shard::abandon`]).
+/// the cell is retired from its key's slot (see [`Shard::abandon`]).
 struct AbandonGuard<'a, V> {
     shard: &'a Shard<V>,
     key: &'a QueryKey,

@@ -42,16 +42,22 @@
 //! closures return `Result<(V, ExecutionCost), FetchError>`.  It runs the
 //! same state machine *inside the failure domain* described next; the
 //! infallible door stays outside it (it neither consults nor feeds the
-//! negative cache, the breaker or the stale store, and a session coalesced
-//! behind a fallible leader that failed starts over with its own fetch).  A
-//! terminal error (retry budget from [`RetryPolicy`] exhausted, or a fatal
-//! error) resolves the flight for **every** coalesced waiter with one
-//! shared `Arc<FetchError>`, feeds a short-TTL per-key negative cache, and
-//! trips the per-shard [`CircuitBreaker`] once the rolling failure rate crosses
-//! its threshold.  When a [`StalenessPolicy`] is configured, a failed lookup
-//! whose key the shard's last-known-good store holds is answered from it as
-//! [`LookupSource::Stale`] — accounted separately so degraded answers never
-//! inflate the paper's CSR.
+//! breaker or a key's memoized failure and last-known-good copy, and a
+//! session coalesced behind a fallible leader that failed starts over with
+//! its own fetch).  A terminal error (retry budget from [`RetryPolicy`]
+//! exhausted, or a fatal error) resolves the flight for **every** coalesced
+//! waiter with one shared `Arc<FetchError>`, is memoized in the key's slot
+//! for a short logical TTL, and trips the per-shard [`CircuitBreaker`] once
+//! the rolling failure rate crosses its threshold.  With
+//! [`FailureConfig::serve_stale`] on, a failed lookup whose key's slot holds
+//! a last-known-good copy is answered from it as [`LookupSource::Stale`] —
+//! accounted separately so degraded answers never inflate the paper's CSR.
+//!
+//! Each shard keeps one slot per key it is fetching or holds a record for:
+//! the key's flight (with the breaker's half-open probe ticket, when the
+//! flight drew one), its last-known-good copy and its memoized failure.  A
+//! slot is removed once it holds none of them, and stale copies and
+//! failures share one bound of 1,024 keys per shard, kept in store order.
 //!
 //! ## Quick start
 //!
@@ -89,7 +95,7 @@ pub use builder::WatchmanBuilder;
 pub use events::{CacheEvent, CacheObserver};
 pub use failure::{
     splitmix64, BreakerConfig, BreakerState, CircuitBreaker, FailureConfig, FetchError,
-    LookupError, NegativeCacheConfig, RetryPolicy, StalenessPolicy,
+    LookupError, RetryPolicy,
 };
 pub use lookup::{Lookup, LookupFuture, LookupSource};
 pub use policy_kind::PolicyKind;
@@ -769,7 +775,7 @@ mod tests {
     fn abandoned_flight_with_no_waiters_is_retired() {
         // Regression: a panicking fetch on a key nobody else ever requests
         // used to leave its (dead) flight cell — and the boxed panic
-        // payload — in the shard's in-flight table forever.
+        // payload — in its shard forever.
         let engine = engine(2, 1 << 20);
 
         // Sync path: the leader panics with no waiters registered.
@@ -1026,8 +1032,8 @@ mod tests {
 
     // ---- fallible fetch pipeline -------------------------------------------
 
-    /// A failure config with no retries, breaker, or staleness: errors are
-    /// terminal on the first attempt (negative caching still applies).
+    /// A failure config with no retries, breaker, or stale serving: errors
+    /// are terminal on the first attempt (failures are still memoized).
     fn no_retry() -> FailureConfig {
         FailureConfig {
             retry: RetryPolicy::none(),
@@ -1170,7 +1176,7 @@ mod tests {
             .capacity_bytes(1 << 20)
             .failure(FailureConfig {
                 retry: RetryPolicy::none(),
-                staleness: Some(StalenessPolicy::default()),
+                serve_stale: true,
                 ..FailureConfig::default()
             })
             .build();
@@ -1179,7 +1185,7 @@ mod tests {
         try_get(&engine, &key("report"), ts(1), || payload_ok(256, 5_000))
             .expect("priming fetch succeeds");
         let saved_after_prime = engine.stats_snapshot().total.saved_cost;
-        // Drop the cached copy (clear keeps statistics and the stale store).
+        // Drop the cached copy (clear keeps statistics and the key's slot).
         engine.clear();
         // The refetch fails: the engine degrades to the last-known-good copy.
         let lookup = try_get(&engine, &key("report"), ts(10), || {
@@ -1224,10 +1230,6 @@ mod tests {
                     open_for_us: 1_000_000,
                     half_open_probes: 1,
                 }),
-                negative: NegativeCacheConfig {
-                    ttl_us: 1, // effectively off: this test isolates the breaker
-                    max_entries: 1,
-                },
                 ..FailureConfig::default()
             })
             .build();
@@ -1768,5 +1770,111 @@ mod tests {
         let json = serde_json::to_string(&snapshot).expect("snapshot serializes");
         let back: StatsSnapshot = serde_json::from_str(&json).expect("snapshot parses");
         assert_eq!(snapshot, back, "JSON round trip must be exact");
+    }
+
+    // ---- the per-key slot map ----------------------------------------------
+
+    fn failing() -> Result<(SizedPayload, ExecutionCost), FetchError> {
+        Err(FetchError::transient("down"))
+    }
+
+    #[test]
+    fn oldest_recorded_key_loses_both_records_past_the_bound() {
+        use super::watchman::{FAILURE_TTL_US, MAX_RECORDED_KEYS};
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .failure(FailureConfig {
+                retry: RetryPolicy::none(),
+                serve_stale: true,
+                ..FailureConfig::default()
+            })
+            .build();
+        // "restored" is stored first; "oldest" next, with a stale copy and
+        // then a memoized failure; then the rest of the bound fills up.
+        try_get(&engine, &key("restored"), ts(1), || payload_ok(64, 500)).expect("primed");
+        try_get(&engine, &key("oldest"), ts(2), || payload_ok(64, 500)).expect("primed");
+        engine.clear();
+        let served = try_get(&engine, &key("oldest"), ts(3), failing).expect("stale serve");
+        assert_eq!(served.source, LookupSource::Stale);
+        for i in 0..MAX_RECORDED_KEYS - 2 {
+            try_get(&engine, &key(&format!("fill{i}")), ts(4), || {
+                payload_ok(64, 500)
+            })
+            .expect("fill");
+        }
+        assert_eq!(
+            engine.slot_count(),
+            MAX_RECORDED_KEYS,
+            "exactly at the bound"
+        );
+        // Storing "restored" again moves it to the newest end, so one more
+        // key pushes the bound past "oldest" alone.
+        engine.clear();
+        try_get(&engine, &key("restored"), ts(5), || payload_ok(64, 500)).expect("refetch");
+        try_get(&engine, &key("newcomer"), ts(6), || payload_ok(64, 500)).expect("past bound");
+        assert_eq!(engine.slot_count(), MAX_RECORDED_KEYS);
+
+        // Inside the failure's TTL, yet "oldest" runs its fetch (no memoized
+        // failure) and surfaces the error (no stale copy).
+        let now = ts(7);
+        assert!(now.as_micros() < 3 + FAILURE_TTL_US);
+        engine.clear();
+        let invocations = AtomicU64::new(0);
+        let err = try_get(&engine, &key("oldest"), now, || {
+            invocations.fetch_add(1, Ordering::SeqCst);
+            failing()
+        })
+        .expect_err("neither record survives");
+        assert!(!err.negative_hit);
+        assert_eq!(invocations.load(Ordering::SeqCst), 1);
+        let kept = try_get(&engine, &key("restored"), now, failing).expect("stale serve");
+        assert_eq!(kept.source, LookupSource::Stale);
+    }
+
+    #[test]
+    fn invalidate_drops_a_memoized_failure() {
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(1)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(1 << 20)
+            .failure(no_retry())
+            .build();
+        try_get(&engine, &key("q"), ts(1), failing).expect_err("fetch fails");
+        let memoized = try_get(&engine, &key("q"), ts(2), || unreachable!("memoized"))
+            .expect_err("memoized failure");
+        assert!(memoized.negative_hit);
+        engine.invalidate(&key("q"));
+        assert_eq!(engine.slot_count(), 0, "the bare slot is removed");
+        let lookup = try_get(&engine, &key("q"), ts(3), || payload_ok(64, 500))
+            .expect("the warehouse is asked again");
+        assert_eq!(lookup.source, LookupSource::Executed);
+    }
+
+    #[test]
+    fn successful_lookups_without_stale_serving_leave_no_slot() {
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(4)
+            .policy(PolicyKind::LNC_RA)
+            .capacity_bytes(4_000)
+            .failure(no_retry())
+            .build();
+        for i in 0..200u64 {
+            let k = key(&format!("q{}", i % 37));
+            let now = ts(i + 1);
+            if i % 2 == 0 {
+                try_get(&engine, &k, now, || payload_ok(300, 500)).expect("fetch succeeds");
+            } else {
+                engine.get_or_execute(&k, now, || {
+                    (SizedPayload::new(300), ExecutionCost::from_blocks(500))
+                });
+            }
+        }
+        assert!(
+            engine.stats_snapshot().total.misses() > 37,
+            "the cache churned"
+        );
+        assert_eq!(engine.slot_count(), 0);
     }
 }

@@ -21,8 +21,8 @@
 //!   (its future is dropped), [`Flight::forget_waiter`] wakes the next
 //!   waiter in line; when the *last* waiter gives up (or none was
 //!   registered at the failure), the engine retires the cell from its
-//!   in-flight table — panicking keys that are never re-requested must not
-//!   leak cells — and the next arrival for the key starts a fresh flight.
+//!   key's slot — panicking keys that are never re-requested must not leak
+//!   cells — and the next arrival for the key starts a fresh flight.
 //!
 //! Takeover reuses the cell in place ([`Flight::poll_wait`] returns
 //! [`FlightOutcome::TakeOver`] after atomically flipping the state back to
@@ -41,7 +41,7 @@
 //! `Arc<FetchError>` — there is nothing to take over, because the leader
 //! already spent its whole retry budget on the query.  The engine retires a
 //! failed cell immediately, so the next reference to the key starts a fresh
-//! flight (or is answered by the negative cache).
+//! flight (or is answered by the key's memoized failure).
 
 use std::sync::Arc;
 
@@ -124,10 +124,6 @@ pub struct Flight<V> {
     state: Mutex<FlightState<V>>,
     /// Monotonic waiter-id source.
     next_waiter: std::sync::atomic::AtomicU64,
-    /// Whether this cell holds one of its shard breaker's half-open probe
-    /// tickets.  The ticket belongs to the *cell*, not to a session, so it
-    /// survives takeovers; whoever settles or retires the cell takes it.
-    probe: std::sync::atomic::AtomicBool,
 }
 
 impl<V> std::fmt::Debug for Flight<V> {
@@ -141,26 +137,12 @@ impl<V> std::fmt::Debug for Flight<V> {
 impl<V> Flight<V> {
     /// Creates a pending flight with no registered waiters.
     pub fn new() -> Self {
-        Self::with_probe(false)
-    }
-
-    /// Like [`Flight::new`]; `probe` says whether the cell's admission drew
-    /// a half-open probe ticket from its shard's circuit breaker.
-    pub fn with_probe(probe: bool) -> Self {
         Flight {
             state: Mutex::new(FlightState::Pending {
                 waiters: Vec::new(),
             }),
             next_waiter: std::sync::atomic::AtomicU64::new(0),
-            probe: std::sync::atomic::AtomicBool::new(probe),
         }
-    }
-
-    /// Takes the cell's half-open probe ticket, if it still holds one: `true`
-    /// at most once per cell, so a ticket is settled or returned exactly once.
-    /// Only called under the shard lock, which orders it against the breaker.
-    pub fn take_probe(&self) -> bool {
-        self.probe.swap(false, std::sync::atomic::Ordering::Relaxed)
     }
 
     fn lock(&self) -> MutexGuard<'_, FlightState<V>> {
@@ -190,7 +172,7 @@ impl<V> Flight<V> {
     /// there is no takeover candidate: the leader already exhausted its
     /// retry budget, so each waiter observes the same shared error (and
     /// decides for itself whether a stale serve applies).  The caller must
-    /// retire the cell from the in-flight table, exactly as it would after
+    /// retire the cell from its key's slot, exactly as it would after
     /// the last waiter of an abandoned cell gives up.
     ///
     /// Failing a completed (or already failed) flight is a no-op.
@@ -216,7 +198,7 @@ impl<V> Flight<V> {
     /// over leadership.  Returns the number of waiters still registered after
     /// the wake — **including** the woken candidate's claim on the cell, so
     /// when it is zero (nobody waiting at all) the engine retires the cell
-    /// from its in-flight table instead of leaking it.
+    /// from its key's slot instead of leaking it.
     ///
     /// Abandoning an already-abandoned flight wakes one more waiter (used
     /// when a takeover candidate is cancelled before it could lead); a
@@ -312,7 +294,7 @@ impl<V> Flight<V> {
     /// woken — at worst a spurious wake, never a lost takeover.  Returns
     /// `true` when the flight is abandoned with **no** waiter left to take
     /// it over: the caller (the engine) should then retire the cell from
-    /// its in-flight table so never-re-requested panicking keys do not
+    /// its key's slot so never-re-requested panicking keys do not
     /// accumulate dead cells.
     pub fn forget_waiter(&self, slot: &mut WaiterSlot) -> bool {
         let Some(id) = slot.id.take() else {

@@ -1,6 +1,7 @@
 //! The sharded concurrent cache engine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -14,9 +15,8 @@ use crate::clock::Timestamp;
 use crate::coherence::DependencyIndex;
 use crate::engine::builder::WatchmanBuilder;
 use crate::engine::events::{CacheEvent, CacheObserver};
-use crate::engine::failure::{
-    CircuitBreaker, FailureConfig, FetchError, NegativeCacheConfig, StalenessPolicy,
-};
+use crate::engine::failure::{BreakerState, CircuitBreaker, FailureConfig, FetchError};
+use crate::engine::lookup::Step;
 use crate::engine::policy_kind::PolicyKind;
 use crate::engine::rebalance::{
     floor_bytes, plan_transfer, step_bytes, RebalanceOutcome, ShardSignal,
@@ -75,8 +75,8 @@ pub struct StatsSnapshot {
     /// Number of fetch retries the fallible pipeline issued (attempts beyond
     /// the first, across every key).
     pub fetch_retries: u64,
-    /// Number of lookups answered straight from the per-shard negative cache
-    /// (a memoized recent fetch failure) without invoking the fetch closure.
+    /// Number of lookups answered straight from a memoized recent fetch
+    /// failure in the key's slot, without invoking the fetch closure.
     pub negative_hits: u64,
     /// Total circuit-breaker state transitions across shards
     /// (closed→open, open→half-open, half-open→closed, half-open→open).
@@ -99,145 +99,84 @@ impl StatsSnapshot {
     }
 }
 
-/// A last-known-good value retained for stale serving after its cache entry
-/// is gone (evicted or superseded by a failing refetch).
-struct StaleEntry<V> {
-    value: Arc<V>,
-    cost: ExecutionCost,
+/// How long a memoized fetch failure answers for its key, in logical
+/// microseconds; the first reference after that retries the warehouse.
+pub(super) const FAILURE_TTL_US: u64 = 50_000;
+
+/// Keys per shard whose slot may hold a record: a last-known-good copy or a
+/// memoized failure.  Past it, the key whose latest record is oldest loses
+/// both.
+pub(super) const MAX_RECORDED_KEYS: usize = 1_024;
+
+/// What a shard knows about one key besides its cached set: the flight
+/// fetching it, its last-known-good copy and its memoized failure.  The
+/// slot lives in the shard's map only while it holds one of the three.
+struct KeySlot<V> {
+    flight: Option<Arc<Flight<V>>>,
+    /// Whether `flight` holds one of the breaker's half-open probe tickets.
+    /// The ticket belongs to the cell, not to a session, so it survives
+    /// takeovers; whoever settles or retires the cell takes it.
+    probe: bool,
+    /// The last-known-good copy and its cost (kept with `serve_stale`).
+    stale: Option<(Arc<V>, ExecutionCost)>,
+    /// The memoized terminal failure and when it expires.
+    failure: Option<(Arc<FetchError>, Timestamp)>,
+    /// The store sequence under which the shard's `recorded` order lists
+    /// this key, while it holds a stale copy or a failure.
+    recorded_at: Option<u64>,
 }
 
-/// A memoized fetch failure with an expiry.
-struct NegativeEntry {
-    error: Arc<FetchError>,
-    expires: Timestamp,
-}
-
-/// Per-shard failure-domain state.  Lives *inside* the shard mutex, so it
-/// introduces no new lock class: every breaker/stale/negative operation
-/// happens under the same shard lock that already guards the cache and the
-/// in-flight map (see CONCURRENCY.md).
-pub(super) struct ShardFailureState<V> {
-    pub(super) breaker: Option<CircuitBreaker>,
-    stale: HashMap<QueryKey, StaleEntry<V>>,
-    stale_order: VecDeque<QueryKey>,
-    negative: HashMap<QueryKey, NegativeEntry>,
-    negative_order: VecDeque<QueryKey>,
-}
-
-impl<V> ShardFailureState<V> {
-    fn new(breaker: Option<CircuitBreaker>) -> Self {
-        ShardFailureState {
-            breaker,
-            stale: HashMap::new(),
-            stale_order: VecDeque::new(),
-            negative: HashMap::new(),
-            negative_order: VecDeque::new(),
+impl<V> KeySlot<V> {
+    fn new() -> Self {
+        KeySlot {
+            flight: None,
+            probe: false,
+            stale: None,
+            failure: None,
+            recorded_at: None,
         }
     }
 
-    /// Record a last-known-good value.  Bounded FIFO: the oldest first-stored
-    /// key is dropped once the store exceeds the policy's `max_entries`.
-    pub(super) fn store_stale(
-        &mut self,
-        key: &QueryKey,
-        value: Arc<V>,
-        cost: ExecutionCost,
-        policy: &StalenessPolicy,
-    ) {
-        if policy.max_entries == 0 {
-            return;
-        }
-        if self
-            .stale
-            .insert(key.clone(), StaleEntry { value, cost })
-            .is_some()
-        {
-            self.stale_order.retain(|k| k != key);
-        }
-        self.stale_order.push_back(key.clone());
-        while self.stale.len() > policy.max_entries {
-            match self.stale_order.pop_front() {
-                Some(evict) => {
-                    self.stale.remove(&evict);
-                }
-                None => break,
+    fn is_empty(&self) -> bool {
+        self.flight.is_none() && self.stale.is_none() && self.failure.is_none()
+    }
+
+    /// Takes `flight` out of the slot if it is still the slot's own cell,
+    /// returning whether that cell held a probe ticket.  A racer that cloned
+    /// an abandoned cell's `Arc` before its retirement can still take the
+    /// orphan over and settle it, by which time the slot holds no flight or
+    /// a fresh one: the orphan finds no ticket.
+    fn retire(&mut self, flight: &Arc<Flight<V>>) -> bool {
+        let own = self
+            .flight
+            .take_if(|own| Arc::ptr_eq(own, flight))
+            .is_some();
+        own && std::mem::take(&mut self.probe)
+    }
+
+    /// Takes the slot out of the store order once it holds no record.
+    fn unlist_if_bare(&mut self, recorded: &mut BTreeMap<u64, QueryKey>) {
+        if self.stale.is_none() && self.failure.is_none() {
+            if let Some(seq) = self.recorded_at.take() {
+                recorded.remove(&seq);
             }
-        }
-    }
-
-    /// The last-known-good value for `key`, if the store holds one.
-    pub(super) fn stale_for(&self, key: &QueryKey) -> Option<(Arc<V>, ExecutionCost)> {
-        let entry = self.stale.get(key)?;
-        Some((Arc::clone(&entry.value), entry.cost))
-    }
-
-    fn drop_stale(&mut self, key: &QueryKey) {
-        if self.stale.remove(key).is_some() {
-            self.stale_order.retain(|k| k != key);
-        }
-    }
-
-    /// Memoize a terminal fetch failure.  Bounded FIFO like the stale store.
-    pub(super) fn store_negative(
-        &mut self,
-        key: &QueryKey,
-        error: Arc<FetchError>,
-        now: Timestamp,
-        config: &NegativeCacheConfig,
-    ) {
-        if config.max_entries == 0 || config.ttl_us == 0 {
-            return;
-        }
-        let expires = now.advanced_by(config.ttl_us);
-        if self
-            .negative
-            .insert(key.clone(), NegativeEntry { error, expires })
-            .is_some()
-        {
-            self.negative_order.retain(|k| k != key);
-        }
-        self.negative_order.push_back(key.clone());
-        while self.negative.len() > config.max_entries {
-            match self.negative_order.pop_front() {
-                Some(evict) => {
-                    self.negative.remove(&evict);
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// The memoized failure for `key` if it has not expired; expired entries
-    /// are removed lazily on the way past.
-    pub(super) fn fresh_negative(
-        &mut self,
-        key: &QueryKey,
-        now: Timestamp,
-    ) -> Option<Arc<FetchError>> {
-        match self.negative.get(key) {
-            Some(entry) if now.as_micros() < entry.expires.as_micros() => {
-                Some(Arc::clone(&entry.error))
-            }
-            Some(_) => {
-                self.negative.remove(key);
-                self.negative_order.retain(|k| k != key);
-                None
-            }
-            None => None,
-        }
-    }
-
-    pub(super) fn drop_negative(&mut self, key: &QueryKey) {
-        if self.negative.remove(key).is_some() {
-            self.negative_order.retain(|k| k != key);
         }
     }
 }
 
+/// One shard: its cached sets, its breaker and one slot per key it is
+/// fetching or holds a record for.  The breaker and the slots live inside
+/// the shard mutex, so they add no lock class (see CONCURRENCY.md).
 pub(super) struct ShardState<V> {
     pub(super) cache: Box<dyn QueryCache<Arc<V>> + Send>,
-    pub(super) inflight: HashMap<QueryKey, Arc<Flight<V>>>,
-    pub(super) failure: ShardFailureState<V>,
+    pub(super) breaker: Option<CircuitBreaker>,
+    slots: HashMap<QueryKey, KeySlot<V>>,
+    /// The keys whose slot holds a record, by the sequence of their latest
+    /// store: the first entry is the one the bound drops next.
+    recorded: BTreeMap<u64, QueryKey>,
+    next_store: u64,
+    /// Lookups answered from a memoized failure.
+    negative_hits: u64,
 }
 
 pub(super) struct Shard<V> {
@@ -245,18 +184,105 @@ pub(super) struct Shard<V> {
 }
 
 impl<V> ShardState<V> {
-    /// Removes `flight`'s cell from the in-flight table, if it is still the
-    /// one registered for `key`: a racer that cloned an abandoned cell's
-    /// `Arc` before its retirement can still take the orphan over and settle
-    /// it, by which time the entry is gone or belongs to a fresh flight.
-    pub(super) fn retire(&mut self, key: &QueryKey, flight: &Arc<Flight<V>>) {
-        if self
-            .inflight
-            .get(key)
-            .is_some_and(|entry| Arc::ptr_eq(entry, flight))
-        {
-            self.inflight.remove(key);
+    /// The lookup's step after a cache miss: join the key's flight, resolve
+    /// from its fresh memoized failure or the breaker's refusal without a
+    /// fetch, or lead a new flight.  Outside the failure domain
+    /// (`failure_domain == false`) only the flight is read, and every other
+    /// miss leads.
+    pub(super) fn start_flight(
+        &mut self,
+        key: &QueryKey,
+        now: Timestamp,
+        failure_domain: bool,
+    ) -> Step<V> {
+        let mut entry = self.slots.entry(key.clone());
+        if let Entry::Occupied(occupied) = &mut entry {
+            let slot = occupied.get_mut();
+            // A live flight wins over a memoized failure: its leader may be
+            // retrying its way to a success this session can share.
+            if let Some(flight) = &slot.flight {
+                return Step::BecomeWaiter(Arc::clone(flight));
+            }
+            match &slot.failure {
+                Some((error, expires)) if failure_domain && now < *expires => {
+                    self.negative_hits += 1;
+                    return Step::Resolve {
+                        error: Arc::clone(error),
+                        negative_hit: true,
+                    };
+                }
+                // Expired: dropped on the way past.
+                Some(_) if failure_domain => {
+                    slot.failure = None;
+                    slot.unlist_if_bare(&mut self.recorded);
+                }
+                _ => {}
+            }
         }
+        let mut probe = false;
+        if let Some(breaker) = self.breaker.as_mut().filter(|_| failure_domain) {
+            if !breaker.admit(now) {
+                if let Entry::Occupied(occupied) = entry {
+                    if occupied.get().is_empty() {
+                        occupied.remove();
+                    }
+                }
+                let refused = FetchError::transient("circuit breaker open: fetch refused");
+                return Step::Resolve {
+                    error: Arc::new(refused),
+                    negative_hit: false,
+                };
+            }
+            probe = breaker.state() == BreakerState::HalfOpen;
+        }
+        let flight = Arc::new(Flight::new());
+        let slot = entry.or_insert_with(KeySlot::new);
+        slot.flight = Some(Arc::clone(&flight));
+        slot.probe = probe;
+        Step::Lead(flight)
+    }
+
+    /// `flight`'s fetch succeeded: retires the cell and settles its probe
+    /// ticket with the breaker, which a failure-domain leader's success
+    /// feeds even without one.  Inside the failure domain the key's
+    /// memoized failure is dropped and `stale`, if given, becomes its
+    /// last-known-good copy.
+    pub(super) fn settle_success(
+        &mut self,
+        key: &QueryKey,
+        flight: &Arc<Flight<V>>,
+        now: Timestamp,
+        failure_domain: bool,
+        stale: Option<(Arc<V>, ExecutionCost)>,
+    ) {
+        let probe = self.settle(key, flight, |slot| {
+            if failure_domain {
+                slot.failure = None;
+            }
+            let stored = stale.is_some();
+            slot.stale = stale.or(slot.stale.take());
+            stored
+        });
+        if probe || failure_domain {
+            if let Some(breaker) = self.breaker.as_mut() {
+                breaker.record_success(now);
+            }
+        }
+    }
+
+    /// `flight`'s fetch failed terminally: retires the cell and memoizes
+    /// `error` for the key until [`FAILURE_TTL_US`] past `now`.
+    pub(super) fn settle_failure(
+        &mut self,
+        key: &QueryKey,
+        flight: &Arc<Flight<V>>,
+        error: &Arc<FetchError>,
+        now: Timestamp,
+    ) {
+        self.settle(key, flight, |slot| {
+            slot.failure = Some((Arc::clone(error), now.advanced_by(FAILURE_TTL_US)));
+            true
+        });
     }
 
     /// Retires a cell that no session is left to resolve.  This is the one
@@ -265,11 +291,67 @@ impl<V> ShardState<V> {
     /// cancelled, and nobody took the flight over), so the ticket it drew at
     /// admission goes back for the next arrival to draw.
     fn retire_unresolved(&mut self, key: &QueryKey, flight: &Arc<Flight<V>>) {
-        self.retire(key, flight);
-        if flight.take_probe() {
-            if let Some(breaker) = self.failure.breaker.as_mut() {
+        if self.settle(key, flight, |_| false) {
+            if let Some(breaker) = self.breaker.as_mut() {
                 breaker.release_probe();
             }
+        }
+    }
+
+    /// The one completion step on `key`'s slot: retires `flight` from it,
+    /// then lets `update` change its records.  `update` returns whether it
+    /// stored one, which moves the key to the newest end of the store order
+    /// and may push the oldest key past [`MAX_RECORDED_KEYS`].  A slot left
+    /// holding nothing is removed.  Returns whether the retired cell held a
+    /// probe ticket.
+    fn settle(
+        &mut self,
+        key: &QueryKey,
+        flight: &Arc<Flight<V>>,
+        update: impl FnOnce(&mut KeySlot<V>) -> bool,
+    ) -> bool {
+        let mut entry = match self.slots.entry(key.clone()) {
+            Entry::Occupied(entry) => entry,
+            Entry::Vacant(entry) => entry.insert_entry(KeySlot::new()),
+        };
+        let slot = entry.get_mut();
+        let probe = slot.retire(flight);
+        if update(slot) {
+            if let Some(seq) = slot.recorded_at.replace(self.next_store) {
+                self.recorded.remove(&seq);
+            }
+            self.recorded.insert(self.next_store, key.clone());
+            self.next_store += 1;
+        } else {
+            slot.unlist_if_bare(&mut self.recorded);
+        }
+        if slot.is_empty() {
+            entry.remove();
+        }
+        if self.recorded.len() > MAX_RECORDED_KEYS {
+            if let Some((_, oldest)) = self.recorded.pop_first() {
+                self.forget_records(&oldest);
+            }
+        }
+        probe
+    }
+
+    /// The last-known-good copy of `key`, if its slot holds one.
+    pub(super) fn stale_for(&self, key: &QueryKey) -> Option<(Arc<V>, ExecutionCost)> {
+        let (value, cost) = self.slots.get(key)?.stale.as_ref()?;
+        Some((Arc::clone(value), *cost))
+    }
+
+    /// Drops `key`'s last-known-good copy and memoized failure.
+    fn forget_records(&mut self, key: &QueryKey) {
+        let Some(slot) = self.slots.get_mut(key) else {
+            return;
+        };
+        slot.stale = None;
+        slot.failure = None;
+        slot.unlist_if_bare(&mut self.recorded);
+        if slot.is_empty() {
+            self.slots.remove(key);
         }
     }
 }
@@ -287,7 +369,7 @@ impl<V> Shard<V> {
     /// This is the single abandon path: shard lock first, then the flight's
     /// own lock inside [`Flight::abandon`], so the zero-waiter check and the
     /// removal are atomic against new sessions joining the flight.  The
-    /// worst case of the orphan race described at [`ShardState::retire`] is
+    /// worst case of the orphan race described at [`KeySlot::retire`] is
     /// one duplicate execution.
     pub(super) fn abandon(&self, key: &QueryKey, flight: &Arc<Flight<V>>) {
         let mut state = self.lock();
@@ -385,8 +467,6 @@ pub(super) struct Inner<V> {
     /// Fetch retries issued by the fallible pipeline (attempts beyond the
     /// first), across every key and shard.
     pub(super) fetch_retries: AtomicU64,
-    /// Lookups answered straight from a shard's negative cache.
-    pub(super) negative_hits: AtomicU64,
     rebalancer: Option<RebalancerState>,
     /// The engine's own runtime, created on first use: no threads are
     /// spawned until a retry backoff's timer or a background task needs
@@ -516,10 +596,11 @@ where
                         u32::try_from(i).unwrap_or(u32::MAX),
                         ShardState {
                             cache: builder.policy.build::<Arc<V>>(capacity),
-                            inflight: HashMap::new(),
-                            failure: ShardFailureState::new(
-                                builder.failure.breaker.clone().map(CircuitBreaker::new),
-                            ),
+                            breaker: builder.failure.breaker.clone().map(CircuitBreaker::new),
+                            slots: HashMap::new(),
+                            recorded: BTreeMap::new(),
+                            next_store: 0,
+                            negative_hits: 0,
                         },
                     ),
                 }
@@ -545,7 +626,6 @@ where
                 total_capacity_bytes: builder.capacity_bytes,
                 failure: builder.failure,
                 fetch_retries: AtomicU64::new(0),
-                negative_hits: AtomicU64::new(0),
                 rebalancer,
                 runtime: OnceLock::new(),
                 runtime_workers: builder.runtime_workers,
@@ -840,9 +920,9 @@ where
         let index = self.shard_index(key);
         let mut shard = self.inner.shards[index].lock();
         // Invalidated data is *wrong*, not merely old: the last-known-good
-        // copy must never be stale-served after an invalidation.
-        shard.failure.drop_stale(key);
-        shard.failure.drop_negative(key);
+        // copy must never be stale-served after an invalidation, and a
+        // memoized failure is no longer the warehouse's answer either.
+        shard.forget_records(key);
         let removed = shard.cache.remove(key);
         if removed && !self.inner.observers.is_empty() {
             self.emit(vec![CacheEvent::Invalidated {
@@ -969,6 +1049,7 @@ where
         let mut capacity_bytes = 0;
         let mut entries = 0;
         let mut breaker_transitions = 0;
+        let mut negative_hits = 0;
         for state in &guards {
             let stats = state.cache.stats_snapshot();
             total.merge(&stats);
@@ -980,8 +1061,8 @@ where
             used_bytes += used;
             capacity_bytes += capacity;
             entries += state.cache.len();
+            negative_hits += state.negative_hits;
             breaker_transitions += state
-                .failure
                 .breaker
                 .as_ref()
                 .map_or(0, CircuitBreaker::transitions);
@@ -1000,7 +1081,7 @@ where
                 .as_ref()
                 .map_or(0, |rb| rb.rebalances.load(Ordering::Relaxed)),
             fetch_retries: self.inner.fetch_retries.load(Ordering::Relaxed),
-            negative_hits: self.inner.negative_hits.load(Ordering::Relaxed),
+            negative_hits,
             breaker_transitions,
             sheds: 0,
         }
@@ -1013,7 +1094,24 @@ where
         self.inner
             .shards
             .iter()
-            .map(|shard| shard.lock().inflight.len())
+            .map(|shard| {
+                let state = shard.lock();
+                state
+                    .slots
+                    .values()
+                    .filter(|slot| slot.flight.is_some())
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Number of key slots across all shards, whatever they hold.
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(|shard| shard.lock().slots.len())
             .sum()
     }
 

@@ -116,8 +116,8 @@ pub mod prelude {
     };
     pub use crate::engine::{
         BreakerConfig, CacheEvent, CacheObserver, FailureConfig, FetchError, Lookup, LookupError,
-        LookupFuture, LookupSource, NegativeCacheConfig, PolicyKind, RebalanceConfig,
-        RebalanceOutcome, RetryPolicy, StalenessPolicy, StatsSnapshot, Watchman,
+        LookupFuture, LookupSource, PolicyKind, RebalanceConfig, RebalanceOutcome, RetryPolicy,
+        StatsSnapshot, Watchman,
     };
     pub use crate::history::ReferenceHistory;
     pub use crate::key::{QueryKey, Signature};

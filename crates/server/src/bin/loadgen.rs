@@ -20,8 +20,8 @@
 //!
 //! `--connections N` switches from the trace replay to the **connection
 //! storm**: N simultaneously open connections (256, 1 000, …) each send
-//! `--rounds` requests, and the server's `SERVER_INFO` is sampled while all
-//! of them are open.  The run also *fails* if the server's thread count
+//! `--rounds` requests, and the server's `METRICS` is scraped while all of
+//! them are open.  The run also *fails* if the server's thread count
 //! scales with the connection count — the proof that sessions are tasks on
 //! the IO reactor, not threads.
 //!
@@ -43,9 +43,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde::Serialize;
-use watchman_core::engine::{
-    BreakerConfig, FailureConfig, NegativeCacheConfig, RetryPolicy, StalenessPolicy,
-};
+use watchman_core::engine::{BreakerConfig, FailureConfig, RetryPolicy};
 use watchman_core::telemetry::METRICS_SCHEMA_VERSION;
 use watchman_server::{
     serve, Client, FaultPlan, Report, Requests, Scenario, ServerConfig, SWEEP_KEYS,
@@ -395,10 +393,7 @@ fn chaos_sweep(
         failure: FailureConfig {
             retry: RetryPolicy::default(),
             breaker: Some(BreakerConfig::default()),
-            staleness: Some(StalenessPolicy {
-                max_entries: SWEEP_KEYS * 4,
-            }),
-            negative: NegativeCacheConfig::default(),
+            serve_stale: true,
         },
         max_inflight: 4,
         read_deadline: Some(Duration::from_millis(250)),

@@ -263,7 +263,6 @@ impl Client {
                 | Request::Peek { .. }
                 | Request::Stats
                 | Request::Shutdown
-                | Request::ServerInfo
                 | Request::Metrics
                 | Request::TraceDump
         )
@@ -470,22 +469,6 @@ impl Client {
         }
     }
 
-    /// Fetches the server's execution-stack shape: OS thread count, runtime
-    /// worker count, and live session count.  The load generator uses this
-    /// to assert that 1 000 connections do **not** cost 1 000 threads.
-    pub fn server_info(&mut self) -> Result<(u32, u32, u32), ClientError> {
-        match self.call(Request::ServerInfo)? {
-            Response::ServerInfo {
-                threads,
-                workers,
-                sessions,
-            } => Ok((threads, workers, sessions)),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "SERVER_INFO",
-            }),
-        }
-    }
-
     /// Fetches the server's telemetry exposition: every counter, gauge and
     /// latency histogram as one versioned snapshot.  The load generator
     /// scrapes this mid-storm; CI asserts the scrape parses and the storm's
@@ -539,7 +522,7 @@ mod tests {
     use std::net::TcpListener;
 
     /// Serves one full exchange on `stream` by hand: handshake, then one
-    /// `SERVER_INFO` request answered with a canned response.
+    /// `PEEK` request answered with a canned response.
     fn serve_one_exchange(mut stream: TcpStream) {
         let hello = wire::read_frame(&mut stream)
             .expect("hello frame")
@@ -550,11 +533,10 @@ mod tests {
             .expect("request frame")
             .expect("request present");
         let (request_id, request) = wire::decode_request(&frame).expect("decode request");
-        assert!(matches!(request, Request::ServerInfo));
-        let response = Response::ServerInfo {
-            threads: 1,
-            workers: 1,
-            sessions: 1,
+        assert!(matches!(request, Request::Peek { .. }));
+        let response = Response::Peek {
+            cached: false,
+            size_bytes: 0,
         };
         let body = wire::encode_response(request_id, &response).expect("encode response");
         wire::write_frame(&mut stream, &body).expect("write response");
@@ -593,10 +575,10 @@ mod tests {
             max_delay: Duration::from_millis(5),
             jitter_seed: 7,
         });
-        client.server_info().expect("call on healthy connection");
+        client.peek("q").expect("call on healthy connection");
         // The server closed connection 1; this call must reconnect through
         // two dropped connections before the fourth accept serves it.
-        client.server_info().expect("call rides out the flap");
+        client.peek("q").expect("call rides out the flap");
         // Hang up so connection 4's drain read sees EOF instead of waiting
         // on a client that never speaks again.
         drop(client);
@@ -618,10 +600,10 @@ mod tests {
         });
         let mut client = Client::connect(&addr).expect("connect");
         client.set_retry_policy(RetryPolicy::none());
-        client.server_info().expect("healthy call");
+        client.peek("q").expect("healthy call");
         // The server is closing connection 1 (this request's bytes unblock
         // its drain read); fail-fast must surface the loss, not loop.
-        let err = client.server_info().expect_err("no retry budget");
+        let err = client.peek("q").expect_err("no retry budget");
         assert!(matches!(
             err,
             ClientError::Wire(_) | ClientError::Connect { .. }

@@ -15,7 +15,7 @@
 //!   attempt of each fetch episode fails with a transient error, the
 //!   leader's retry succeeds) and a smaller slice is *doomed after warm-up*
 //!   (the first fetch ever succeeds, every refetch fails terminally — the
-//!   shape that exercises stale serving and the negative cache).
+//!   shape that exercises stale serving and memoized failures).
 //! * **Wire faults** — the plan implements
 //!   [`FaultInjector`](watchman_core::runtime::net::FaultInjector) and is
 //!   installed on accepted session streams: designated connections are

@@ -239,7 +239,7 @@ pub struct ServerDelta {
     pub sheds: u64,
     /// Fetch retries past the first attempt.
     pub fetch_retries: u64,
-    /// Lookups absorbed by the negative cache.
+    /// Lookups answered from a key's memoized failure.
     pub negative_hits: u64,
     /// Circuit-breaker state transitions.
     pub breaker_transitions: u64,
@@ -274,9 +274,9 @@ impl ServerDelta {
 /// Both execution stacks as a storm left them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct StormProbe {
-    /// The server process's OS thread count, sampled over `SERVER_INFO`
-    /// while every storm connection was still open (0 when the platform
-    /// cannot report it).
+    /// The server process's OS thread count, from one `METRICS` scrape
+    /// taken while every storm connection was still open (0 when the
+    /// platform cannot report it).
     pub server_threads: u32,
     /// The server runtime's worker count, from the same sample.
     pub server_workers: u32,
@@ -316,7 +316,7 @@ pub struct Report {
     pub throughput_qps: f64,
     /// The server's own account of the run.
     pub server: ServerDelta,
-    /// The storm's `SERVER_INFO` sample and client scheduler counters.
+    /// The storm's `METRICS` sample and client scheduler counters.
     pub storm: Option<StormProbe>,
     /// For a sweep, how far every `METRICS` counter and every histogram's
     /// sample count had moved between a scrape just before the run and the
@@ -620,8 +620,8 @@ fn drive_connection(
 /// on a [`STORM_WORKERS`]-wide runtime.  Connects and handshakes are done
 /// upfront (blocking, one at a time) so the async phase measures
 /// steady-state request traffic.  Each task hands its stream back when its
-/// rounds are done, so every connection is still open when `SERVER_INFO`
-/// is sampled on `admin`; they close only after that.
+/// rounds are done, so every connection is still open when `METRICS` is
+/// scraped on `admin`; they close only after that.
 fn run_storm(
     addr: &str,
     lists: Vec<Vec<GetRequest>>,
@@ -671,15 +671,16 @@ fn run_storm(
             open.push(stream);
         }
     }
-    let (server_threads, server_workers, server_sessions) = admin.server_info()?;
+    let metrics = admin.metrics()?;
     drop(open);
+    let gauge = |name| u32::try_from(metrics.gauge(name)).unwrap_or(u32::MAX);
     let scheduler = runtime.scheduler_stats();
     Ok((
         tally,
         StormProbe {
-            server_threads,
-            server_workers,
-            server_sessions,
+            server_threads: gauge("process.threads"),
+            server_workers: gauge("runtime.workers"),
+            server_sessions: gauge("server.sessions"),
             client_steals: scheduler.steals,
             client_parks: scheduler.parks,
         },

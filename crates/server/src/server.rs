@@ -16,7 +16,7 @@
 //!   engine's single-flight cells (two clients missing on the same query
 //!   execute it once);
 //! * admin opcodes (`STATS`, `PEEK`, `INVALIDATE`, `REBALANCE_NOW`,
-//!   `SHUTDOWN`, `SERVER_INFO`) map onto the engine's snapshot,
+//!   `SHUTDOWN`, `METRICS`, `TRACE_DUMP`) map onto the engine's snapshot,
 //!   non-mutating probe, coherence, rebalancing and introspection entry
 //!   points.
 //!
@@ -116,7 +116,7 @@ pub struct ServerConfig {
     /// Optional profit-aware capacity rebalancing between shards.
     pub rebalance: Option<RebalanceConfig>,
     /// Failure-domain configuration handed to the engine: fetch retry
-    /// policy, circuit breaker, stale serving, negative cache.  Every
+    /// policy, circuit breaker, stale serving.  Every
     /// `GET` runs inside it, but only a fetch error engages it, and only an
     /// installed [`fault_plan`](Self::fault_plan) produces those.
     pub failure: FailureConfig,
@@ -790,7 +790,7 @@ fn synthesize_payload(signature: u64, len: u64) -> Bytes {
 }
 
 /// The OS thread count of this process, from `/proc/self/status`.  `None`
-/// where procfs is unavailable — the `SERVER_INFO` response reports 0 then.
+/// where procfs is unavailable — the `process.threads` gauge reads 0 then.
 fn process_thread_count() -> Option<u32> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     parse_thread_count(&status)
@@ -852,11 +852,6 @@ async fn handle_request(shared: &Shared, request: Request<&str>) -> Response<Pre
             }))
         }
         Request::Shutdown => Response::Shutdown,
-        Request::ServerInfo => Response::ServerInfo {
-            threads: process_thread_count().unwrap_or(0),
-            workers: shared.workers as u32,
-            sessions: shared.sessions.load(Ordering::SeqCst) as u32,
-        },
         Request::Metrics => Response::Metrics(metrics_snapshot(shared)),
         Request::TraceDump => Response::TraceDump(telemetry::global().recorder.dump()),
     }
@@ -913,6 +908,10 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
         shared.inflight.load(Ordering::SeqCst) as u64,
     );
     gauge("server.max_inflight", shared.max_inflight as u64);
+    gauge(
+        "process.threads",
+        u64::from(process_thread_count().unwrap_or(0)),
+    );
     gauge(
         "server.service_ewma_us",
         shared.service_ewma_us.load(Ordering::Relaxed),

@@ -43,9 +43,10 @@
 //! | 4 | `INVALIDATE` | relation string |
 //! | 5 | `REBALANCE_NOW` | `timestamp_us: u64` |
 //! | 6 | `SHUTDOWN` | (empty) |
-//! | 7 | `SERVER_INFO` | (empty) |
 //! | 8 | `METRICS` | (empty) |
 //! | 9 | `TRACE_DUMP` | (empty) |
+//!
+//! Opcode 7 (`SERVER_INFO`, retired in v5) is never reused.
 //!
 //! `GET` carries the replay protocol of the simulator: the key is the raw
 //! query text, and `result_bytes`/`cost_blocks` describe what executing the
@@ -72,7 +73,6 @@
 //! | `INVALIDATE` | `affected: u32`, `invalidated: u32` |
 //! | `REBALANCE_NOW` | `moved: u8`; if 1: `donor: u32`, `recipient: u32`, `moved_bytes: u64`, `evicted: u32` |
 //! | `SHUTDOWN` | (empty) |
-//! | `SERVER_INFO` | `threads: u32`, `workers: u32`, `sessions: u32` |
 //! | `METRICS` | JSON-encoded [`MetricsSnapshot`] string |
 //! | `TRACE_DUMP` | JSON-encoded [`TraceDump`] string |
 //!
@@ -124,7 +124,9 @@ pub const MAGIC: [u8; 4] = *b"WMAN";
 /// v4 dropped the `fragmentation` sample series from the `STATS` body: a
 /// snapshot is now a pure read, and `METRICS` derives
 /// `engine.fragmentation.used_permille` from the occupancy it reports.
-pub const VERSION: u16 = 4;
+/// v5 retired `SERVER_INFO` (opcode 7): `METRICS` gauges the same three
+/// numbers as `process.threads`, `runtime.workers` and `server.sessions`.
+pub const VERSION: u16 = 5;
 
 /// Hard upper bound on a frame body; larger length prefixes are treated as
 /// stream corruption and fail the connection.
@@ -301,10 +303,6 @@ pub enum Request<K = String> {
     },
     /// Stop accepting connections, drain in-flight requests, exit.
     Shutdown,
-    /// Report the server process's execution-stack shape (thread count,
-    /// runtime workers, live sessions).  Load tests use this to prove
-    /// sessions are tasks, not threads.
-    ServerInfo,
     /// Fetch the process-wide telemetry exposition: every counter, gauge
     /// and latency histogram as one versioned [`MetricsSnapshot`].
     Metrics,
@@ -397,16 +395,6 @@ pub enum Response<P = Vec<u8>> {
     RebalanceNow(Option<RebalanceSummary>),
     /// Answer to [`Request::Shutdown`].
     Shutdown,
-    /// Answer to [`Request::ServerInfo`].
-    ServerInfo {
-        /// OS threads in the server process (from `/proc/self/status`;
-        /// 0 when the platform cannot report it).
-        threads: u32,
-        /// Worker threads in the engine's runtime pool.
-        workers: u32,
-        /// Sessions (connections) currently live.
-        sessions: u32,
-    },
     /// Answer to [`Request::Metrics`].
     Metrics(MetricsSnapshot),
     /// Answer to [`Request::TraceDump`].
@@ -938,7 +926,7 @@ const OP_STATS: u8 = 3;
 const OP_INVALIDATE: u8 = 4;
 const OP_REBALANCE_NOW: u8 = 5;
 const OP_SHUTDOWN: u8 = 6;
-const OP_SERVER_INFO: u8 = 7;
+// Opcode 7 was `SERVER_INFO` until v5; it is never reused.
 const OP_METRICS: u8 = 8;
 const OP_TRACE_DUMP: u8 = 9;
 
@@ -1005,7 +993,6 @@ pub fn encode_request_into(out: &mut Vec<u8>, request_id: u64, request: &Request
             put_u64(out, *timestamp_us);
         }
         Request::Shutdown => put_u8(out, OP_SHUTDOWN),
-        Request::ServerInfo => put_u8(out, OP_SERVER_INFO),
         Request::Metrics => put_u8(out, OP_METRICS),
         Request::TraceDump => put_u8(out, OP_TRACE_DUMP),
     }
@@ -1046,7 +1033,6 @@ pub fn decode_request_as<'a, K: From<&'a str>>(
             timestamp_us: reader.u64("REBALANCE_NOW timestamp")?,
         },
         OP_SHUTDOWN => Request::Shutdown,
-        OP_SERVER_INFO => Request::ServerInfo,
         OP_METRICS => Request::Metrics,
         OP_TRACE_DUMP => Request::TraceDump,
         opcode => return Err(WireError::UnknownOpcode { opcode, request_id }),
@@ -1138,16 +1124,6 @@ pub fn encode_response_into<P: AsRef<[u8]>>(
             }
         }
         Response::Shutdown => put_u8(out, OP_SHUTDOWN),
-        Response::ServerInfo {
-            threads,
-            workers,
-            sessions,
-        } => {
-            put_u8(out, OP_SERVER_INFO);
-            put_u32(out, *threads);
-            put_u32(out, *workers);
-            put_u32(out, *sessions);
-        }
         Response::Metrics(snapshot) => {
             put_u8(out, OP_METRICS);
             let json = serde_json::to_string(snapshot)
@@ -1232,11 +1208,6 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
                     }
                 },
                 OP_SHUTDOWN => Response::Shutdown,
-                OP_SERVER_INFO => Response::ServerInfo {
-                    threads: reader.u32("SERVER_INFO threads")?,
-                    workers: reader.u32("SERVER_INFO workers")?,
-                    sessions: reader.u32("SERVER_INFO sessions")?,
-                },
                 OP_METRICS => {
                     let json = reader.string("METRICS body")?;
                     let snapshot: MetricsSnapshot = serde_json::from_str(&json)
@@ -1320,7 +1291,6 @@ mod tests {
         });
         round_trip_request(Request::RebalanceNow { timestamp_us: 42 });
         round_trip_request(Request::Shutdown);
-        round_trip_request(Request::ServerInfo);
         round_trip_request(Request::Metrics);
         round_trip_request(Request::TraceDump);
     }
@@ -1365,11 +1335,6 @@ mod tests {
             evicted: 2,
         })));
         round_trip_response(Response::Shutdown);
-        round_trip_response(Response::ServerInfo {
-            threads: 6,
-            workers: 4,
-            sessions: 1024,
-        });
         round_trip_response(Response::Error {
             message: "boom".to_owned(),
         });
@@ -1494,15 +1459,18 @@ mod tests {
 
     #[test]
     fn unknown_opcode_carries_the_request_id() {
-        let mut body = Vec::new();
-        put_u64(&mut body, 55);
-        put_u8(&mut body, 200);
-        match decode_request(&body) {
-            Err(WireError::UnknownOpcode { opcode, request_id }) => {
-                assert_eq!(opcode, 200);
-                assert_eq!(request_id, 55);
+        // 7 is the retired `SERVER_INFO`: it stays unknown.
+        for unknown in [7, 200] {
+            let mut body = Vec::new();
+            put_u64(&mut body, 55);
+            put_u8(&mut body, unknown);
+            match decode_request(&body) {
+                Err(WireError::UnknownOpcode { opcode, request_id }) => {
+                    assert_eq!(opcode, unknown);
+                    assert_eq!(request_id, 55);
+                }
+                other => panic!("expected UnknownOpcode, got {other:?}"),
             }
-            other => panic!("expected UnknownOpcode, got {other:?}"),
         }
     }
 

@@ -31,8 +31,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use watchman_core::engine::{
-    BreakerConfig, FailureConfig, NegativeCacheConfig, PolicyKind, RebalanceConfig, RetryPolicy,
-    StalenessPolicy, Watchman,
+    BreakerConfig, FailureConfig, PolicyKind, RebalanceConfig, RetryPolicy, Watchman,
 };
 use watchman_core::key::QueryKey;
 use watchman_core::value::SizedPayload;
@@ -58,8 +57,7 @@ fn degradation_server(
         failure: FailureConfig {
             retry: RetryPolicy::default(),
             breaker: Some(BreakerConfig::default()),
-            staleness: Some(StalenessPolicy { max_entries: 1_024 }),
-            negative: NegativeCacheConfig::default(),
+            serve_stale: true,
         },
         max_inflight,
         read_deadline: Some(Duration::from_millis(250)),
