@@ -375,14 +375,23 @@ fn eviction_pressure_report(quick: bool, assert_ref: Option<&str>) {
     );
     // Cargo runs benches with the package directory as CWD; anchor the
     // report at the workspace root so the committed artifact stays in place.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_policy_ops.json");
-    match std::fs::write(path, &json) {
+    // A `--quick` run writes under `target/` and leaves the committed file.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let dir = if quick {
+        format!("{root}/target")
+    } else {
+        root.to_owned()
+    };
+    let path = format!("{dir}/BENCH_policy_ops.json");
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
         Ok(()) => println!("wrote {path}"),
         Err(error) => println!("could not write {path}: {error}"),
     }
 
+    // A relative reference names a file at the workspace root.
     if let Some(ref_path) = assert_ref {
-        assert_against_reference(ref_path, &results);
+        let ref_path = std::path::Path::new(root).join(ref_path);
+        assert_against_reference(&ref_path.to_string_lossy(), &results);
     }
 }
 

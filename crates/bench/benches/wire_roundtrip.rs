@@ -119,7 +119,6 @@ fn bench_loopback(rounds: u64) -> Vec<PipelineRow> {
         policy: PolicyKind::LNC_RA,
         capacity_bytes: 16 << 20,
         runtime_workers: 2,
-        rebalance: None,
         ..ServerConfig::default()
     })
     .expect("bench server binds");
@@ -324,13 +323,13 @@ fn bench_connection_scaling(quick: bool, loopback: Vec<PipelineRow>) {
         },
     };
     // Cargo runs benches with the package directory as CWD; anchor the
-    // report at the workspace root next to BENCH_policy_ops.json.
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_connection_scaling.json"
-    );
+    // report at the workspace root next to BENCH_policy_ops.json.  A
+    // `--quick` run writes under `target/`, leaving the committed report.
+    let under = if quick { "/../../target" } else { "/../.." };
+    let dir = format!("{}{under}", env!("CARGO_MANIFEST_DIR"));
+    let path = format!("{dir}/BENCH_connection_scaling.json");
     let json = serde_json::to_string_pretty(&scaling).expect("report serializes");
-    match std::fs::write(path, json + "\n") {
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json + "\n")) {
         Ok(()) => println!("wrote {path}"),
         Err(error) => println!("could not write {path}: {error}"),
     }

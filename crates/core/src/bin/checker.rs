@@ -16,17 +16,16 @@
 
 use watchman_core::checker::models::{
     CircuitBreakerModel, DriverSeatModel, InvertedLockOrderModel, ReactorRegistrationModel,
-    RebalanceModel, RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
+    RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
 };
 use watchman_core::checker::{explore, Model};
 
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let budget = if quick { 150 } else { 1_500 };
-    let models: [&dyn Model; 7] = [
+    let models: [&dyn Model; 6] = [
         &SingleFlightModel,
         &RuntimeDropModel,
-        &RebalanceModel,
         &ReactorRegistrationModel,
         &WorkStealingQueueModel,
         &CircuitBreakerModel,

@@ -37,15 +37,13 @@
 //! Virtual locks ([`Ctl::lock`]) only *model* blocking — the scheduler
 //! never actually deadlocks the process.  Because exactly one model thread
 //! runs at a time, models may also drive **real** engine types (the
-//! single-flight model below runs the production [`Flight`] cell) and
+//! single-flight model below runs the production `Flight` cell) and
 //! explore their API-level interleavings safely.
 //!
 //! The state machines this repo most needs checked ship as built-in
 //! models: [`models::SingleFlightModel`] (leader panic → takeover →
 //! forget_waiter), [`models::RuntimeDropModel`] (`Runtime::drop` vs a
-//! worker mid-poll), [`models::RebalanceModel`] (two-lock capacity
-//! transfer vs an atomic stats snapshot),
-//! [`models::ReactorRegistrationModel`] (IO-reactor event delivery vs a
+//! worker mid-poll), [`models::ReactorRegistrationModel`] (IO-reactor event delivery vs a
 //! cancelled task dropping its registration, against the real `ReadyCell`),
 //! [`models::WorkStealingQueueModel`] (the run-queue push/steal/park
 //! protocol, against the real `RunQueue` — a parked worker nobody wakes
@@ -55,10 +53,8 @@
 //! [`models::DriverSeatModel`] (the same run queue with the reactor's
 //! driver seat: one idle worker blocks in the reactor's turn instead of on
 //! its condvar, and an unpark must reach it there).
-//! `cargo run -p watchman-core --bin checker` explores all seven; see
+//! `cargo run -p watchman-core --bin checker` explores all six; see
 //! `CONCURRENCY.md`.
-//!
-//! [`Flight`]: crate::engine::single_flight::Flight
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -587,7 +583,7 @@ pub mod models {
     use std::task::{Context, Poll};
 
     /// Model 1: the single-flight abandonment / takeover protocol, driving
-    /// the **real** [`Flight`] cell.
+    /// the **real** `Flight` cell.
     ///
     /// Thread 0 is the original leader: its fetch panics inside its own
     /// poll, and the unwind abandons the flight.  Thread 1 is a loyal
@@ -818,104 +814,10 @@ pub mod models {
         }
     }
 
-    /// Model 3: the rebalancer's two-lock capacity transfer versus a
-    /// concurrent all-shard stats snapshot, mirrored with checker
-    /// primitives.  Both sides follow the index-order discipline the engine
-    /// documents (`CONCURRENCY.md`); the invariant is Σ-capacity
-    /// conservation — the snapshot must never observe capacity mid-flight
-    /// (the transfer happens under both shard locks), and the total must
-    /// still sum after every schedule.
-    pub struct RebalanceModel;
-
-    const LOCK_SHARD_0: u64 = 10;
-    const LOCK_SHARD_1: u64 = 11;
-    const TOTAL_CAPACITY: u64 = 100;
-
-    struct RebalanceState {
-        capacity: [u64; 2],
-        snapshots: Vec<u64>,
-    }
-
-    impl Model for RebalanceModel {
-        fn name(&self) -> &'static str {
-            "rebalance two-lock transfer vs stats snapshot"
-        }
-
-        fn instantiate(&self) -> ModelRun {
-            let state = Arc::new(Mutex::new(RebalanceState {
-                capacity: [60, 40],
-                snapshots: Vec::new(),
-            }));
-
-            let rebalancer = {
-                let state = Arc::clone(&state);
-                Box::new(move |ctl: &Ctl| {
-                    // Observe phase: one shard lock at a time.
-                    ctl.lock(LOCK_SHARD_0);
-                    let donor_has = state.lock().capacity[0];
-                    ctl.unlock(LOCK_SHARD_0);
-                    ctl.lock(LOCK_SHARD_1);
-                    let _recipient_has = state.lock().capacity[1];
-                    ctl.unlock(LOCK_SHARD_1);
-                    // Transfer phase: both locks, in index order, donor
-                    // shrinks and recipient grows under the pair.
-                    let step = donor_has.min(10);
-                    ctl.lock(LOCK_SHARD_0);
-                    ctl.lock(LOCK_SHARD_1);
-                    {
-                        let mut state = state.lock();
-                        state.capacity[0] -= step;
-                        ctl.point(); // snapshot must NOT observe this window
-                        state.capacity[1] += step;
-                    }
-                    ctl.unlock(LOCK_SHARD_1);
-                    ctl.unlock(LOCK_SHARD_0);
-                }) as Box<dyn FnOnce(&Ctl) + Send>
-            };
-
-            let snapshotter = {
-                let state = Arc::clone(&state);
-                Box::new(move |ctl: &Ctl| {
-                    // stats_snapshot: all shard locks, in index order, held
-                    // simultaneously.
-                    ctl.lock(LOCK_SHARD_0);
-                    let first = state.lock().capacity[0];
-                    ctl.point();
-                    ctl.lock(LOCK_SHARD_1);
-                    let second = state.lock().capacity[1];
-                    let total = first + second;
-                    ctl.unlock(LOCK_SHARD_1);
-                    ctl.unlock(LOCK_SHARD_0);
-                    assert_eq!(
-                        total, TOTAL_CAPACITY,
-                        "snapshot observed a capacity transfer mid-flight"
-                    );
-                    state.lock().snapshots.push(total);
-                }) as Box<dyn FnOnce(&Ctl) + Send>
-            };
-
-            ModelRun {
-                threads: vec![rebalancer, snapshotter],
-                finale: Box::new(move || {
-                    let state = state.lock();
-                    let total: u64 = state.capacity.iter().sum();
-                    if total != TOTAL_CAPACITY {
-                        return Err(format!(
-                            "capacity not conserved: {:?} sums to {total}, expected \
-                             {TOTAL_CAPACITY}",
-                            state.capacity
-                        ));
-                    }
-                    Ok(())
-                }),
-            }
-        }
-    }
-
-    /// Model 4: reactor event delivery versus registration drop, driving
-    /// the **real** [`ReadyCell`](crate::runtime::reactor::ReadyCell) from
+    /// Model 3: reactor event delivery versus registration drop, driving
+    /// the **real** `ReadyCell` from
     /// the IO reactor.  (Which thread delivers — today the worker in the
-    /// driver seat — is immaterial to the cell: see model 7 for the seat.)
+    /// driver seat — is immaterial to the cell: see model 6 for the seat.)
     ///
     /// Thread 0 is a session task's read future running the exact net-wrapper
     /// loop: `poll_ready` → non-blocking syscall → tick-checked
@@ -1067,8 +969,8 @@ pub mod models {
         }
     }
 
-    /// Model 5: the work-stealing scheduler's push/steal/park protocol,
-    /// driving the **real** [`RunQueue`](crate::runtime::queue::RunQueue)
+    /// Model 4: the work-stealing scheduler's push/steal/park protocol,
+    /// driving the **real** `RunQueue`
     /// from the runtime.
     ///
     /// Two workers and a producer share a `RunQueue<u32>`.  The producer
@@ -1135,16 +1037,16 @@ pub mod models {
         }
     }
 
-    /// Model 7: model 5 with the reactor's **driver seat** — the same
+    /// Model 6: model 4 with the reactor's **driver seat** — the same
     /// producer and two workers on the real
-    /// [`RunQueue`](crate::runtime::queue::RunQueue), but a parking worker
+    /// `RunQueue`, but a parking worker
     /// first tries the seat, step for step as the worker loop's `drive`
     /// does: seat CAS, *then* the permit check, then "blocked in the
     /// reactor's turn", modelled as a wait on a wake-pipe flag that only
     /// the queue's real driver waker sets (installed as a checker flag
     /// waker, so the write happens inside the real `unpark`, not in a
     /// mirror).  The worker that loses the seat parks on its condvar as in
-    /// model 5.  The pipe is drained and the idle list left *before* the
+    /// model 4.  The pipe is drained and the idle list left *before* the
     /// seat is, as `Reactor::turn` and `drive` do; a byte that lands after
     /// the drain stays for the next driver, which it costs one spurious
     /// turn.
@@ -1155,7 +1057,7 @@ pub mod models {
     /// after the turn returned but before the seat is left (a stale byte,
     /// never a lost one).  A worker asleep in the turn with its permit
     /// granted and the pipe empty is the lost wakeup this model exists to
-    /// rule out.  Invariants as in model 5.
+    /// rule out.  Invariants as in model 4.
     pub struct DriverSeatModel;
 
     /// Set by the queue's driver waker: unread bytes in the wake pipe.
@@ -1171,7 +1073,7 @@ pub mod models {
         }
     }
 
-    /// Models 5 and 7: a producer and two workers on one real run queue;
+    /// Models 4 and 6: a producer and two workers on one real run queue;
     /// `with_seat` lets a parking worker block in the driver seat.
     fn queue_model(with_seat: bool) -> ModelRun {
         use crate::runtime::queue::{RunQueue, NO_WORKER};
@@ -1290,7 +1192,7 @@ pub mod models {
         }
     }
 
-    /// Model 6: the per-shard circuit breaker's full transition cycle,
+    /// Model 5: the per-shard circuit breaker's full transition cycle,
     /// driving the **real** [`CircuitBreaker`] under the virtual shard lock
     /// it lives inside in the engine.
     ///
@@ -1446,11 +1348,14 @@ pub mod models {
         }
     }
 
-    /// A deliberately broken variant — two threads taking the two shard
-    /// locks in **opposite** order — used to prove the explorer actually
-    /// finds deadlocks (a checker that reports "0 violations" on everything
-    /// is indistinguishable from one that checks nothing).
+    /// A deliberately broken variant — two threads taking two locks in
+    /// **opposite** order — used to prove the explorer actually finds
+    /// deadlocks (a checker that reports "0 violations" on everything is
+    /// indistinguishable from one that checks nothing).
     pub struct InvertedLockOrderModel;
+
+    const LOCK_A: u64 = 10;
+    const LOCK_B: u64 = 11;
 
     impl Model for InvertedLockOrderModel {
         fn name(&self) -> &'static str {
@@ -1459,18 +1364,18 @@ pub mod models {
 
         fn instantiate(&self) -> ModelRun {
             let forward = Box::new(move |ctl: &Ctl| {
-                ctl.lock(LOCK_SHARD_0);
+                ctl.lock(LOCK_A);
                 ctl.point();
-                ctl.lock(LOCK_SHARD_1);
-                ctl.unlock(LOCK_SHARD_1);
-                ctl.unlock(LOCK_SHARD_0);
+                ctl.lock(LOCK_B);
+                ctl.unlock(LOCK_B);
+                ctl.unlock(LOCK_A);
             }) as Box<dyn FnOnce(&Ctl) + Send>;
             let backward = Box::new(move |ctl: &Ctl| {
-                ctl.lock(LOCK_SHARD_1);
+                ctl.lock(LOCK_B);
                 ctl.point();
-                ctl.lock(LOCK_SHARD_0);
-                ctl.unlock(LOCK_SHARD_0);
-                ctl.unlock(LOCK_SHARD_1);
+                ctl.lock(LOCK_A);
+                ctl.unlock(LOCK_A);
+                ctl.unlock(LOCK_B);
             }) as Box<dyn FnOnce(&Ctl) + Send>;
             ModelRun {
                 threads: vec![forward, backward],
@@ -1484,7 +1389,7 @@ pub mod models {
 mod tests {
     use super::models::{
         CircuitBreakerModel, DriverSeatModel, InvertedLockOrderModel, ReactorRegistrationModel,
-        RebalanceModel, RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
+        RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
     };
     use super::*;
 
@@ -1503,18 +1408,6 @@ mod tests {
     #[test]
     fn runtime_drop_model_is_clean_and_exhaustive() {
         let exploration = explore(&RuntimeDropModel, 5_000);
-        assert!(exploration.exhausted, "{}", exploration.summary());
-        assert!(
-            exploration.violations.is_empty(),
-            "{}\nfirst violation: {:?}",
-            exploration.summary(),
-            exploration.violations.first()
-        );
-    }
-
-    #[test]
-    fn rebalance_model_is_clean_and_exhaustive() {
-        let exploration = explore(&RebalanceModel, 5_000);
         assert!(exploration.exhausted, "{}", exploration.summary());
         assert!(
             exploration.violations.is_empty(),

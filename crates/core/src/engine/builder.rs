@@ -10,7 +10,6 @@ use std::sync::Arc;
 use crate::engine::events::CacheObserver;
 use crate::engine::failure::FailureConfig;
 use crate::engine::policy_kind::PolicyKind;
-use crate::engine::rebalance::RebalanceConfig;
 use crate::engine::watchman::Watchman;
 use crate::value::CachePayload;
 
@@ -33,7 +32,6 @@ pub struct WatchmanBuilder<V> {
     pub(super) policy: PolicyKind,
     pub(super) capacity_bytes: u64,
     pub(super) observers: Vec<Arc<dyn CacheObserver>>,
-    pub(super) rebalance: Option<RebalanceConfig>,
     pub(super) runtime_workers: usize,
     pub(super) failure: FailureConfig,
     _payload: std::marker::PhantomData<fn() -> V>,
@@ -46,7 +44,6 @@ impl<V> std::fmt::Debug for WatchmanBuilder<V> {
             .field("policy", &self.policy)
             .field("capacity_bytes", &self.capacity_bytes)
             .field("observers", &self.observers.len())
-            .field("rebalance", &self.rebalance)
             .field("runtime_workers", &self.runtime_workers)
             .finish()
     }
@@ -59,7 +56,6 @@ impl<V> Default for WatchmanBuilder<V> {
             policy: PolicyKind::LNC_RA,
             capacity_bytes: 0,
             observers: Vec::new(),
-            rebalance: None,
             runtime_workers: 2,
             failure: FailureConfig::default(),
             _payload: std::marker::PhantomData,
@@ -84,7 +80,8 @@ impl<V> WatchmanBuilder<V> {
         self
     }
 
-    /// Sets the total cache capacity, split evenly across shards.
+    /// Sets the total cache capacity, split evenly across shards.  Each
+    /// shard keeps its `total/N` share for the engine's lifetime.
     pub fn capacity_bytes(mut self, capacity_bytes: u64) -> Self {
         self.capacity_bytes = capacity_bytes;
         self
@@ -94,19 +91,6 @@ impl<V> WatchmanBuilder<V> {
     /// [`CacheEvent`](crate::engine::CacheEvent) stream.
     pub fn observer(mut self, observer: Arc<dyn CacheObserver>) -> Self {
         self.observers.push(observer);
-        self
-    }
-
-    /// Enables profit-aware capacity rebalancing between shards.
-    ///
-    /// Without this, every shard keeps its static `total/N` split for the
-    /// engine's lifetime.  Passes run on a background runtime task every
-    /// [`RebalanceConfig::period`] (never on a session's request path); a
-    /// `manual()` config leaves scheduling to explicit
-    /// [`Watchman::rebalance_now`] calls.  See [`RebalanceConfig`] for the
-    /// profit signal and pass mechanics.
-    pub fn rebalance(mut self, config: RebalanceConfig) -> Self {
-        self.rebalance = Some(config.sanitized());
         self
     }
 

@@ -117,7 +117,6 @@ where
     where
         F: FnOnce() -> (V, ExecutionCost) + Unpin,
     {
-        self.observe_now(now);
         let started = crate::telemetry::now();
         let shard = self.shard_index(key);
         // Hit fast path: the engine's hottest operation needs none of the
@@ -582,7 +581,6 @@ where
             let step = match &mut this.state {
                 LookupState::Finished => panic!("LookupFuture polled after completion"),
                 LookupState::Start => {
-                    this.engine.observe_now(this.now);
                     let shard_index = *this
                         .shard
                         .get_or_insert_with(|| this.engine.shard_index(&this.key));

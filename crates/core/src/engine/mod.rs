@@ -5,8 +5,9 @@
 //! module is that library surface, designed for many concurrent sessions:
 //!
 //! * [`Watchman`] — a builder-configured facade that hash-partitions the
-//!   keyspace by query signature across N per-shard policy instances and
-//!   shares payloads as `Arc<V>`;
+//!   keyspace by query signature across N per-shard policy instances, each
+//!   holding a fixed `total/N` of the capacity, and shares payloads as
+//!   `Arc<V>`;
 //! * [`Watchman::get_or_execute`] / [`Watchman::try_get_or_execute_async`]
 //!   — the session entry points, with **single-flight** deduplication so
 //!   concurrent misses on the same query execute the warehouse query exactly
@@ -21,12 +22,6 @@
 //! * [`CacheEvent`] / [`CacheObserver`] — the lifecycle event stream that
 //!   the coherence [`DependencyIndex`](crate::coherence::DependencyIndex)
 //!   and the buffer manager's p₀-redundancy hints subscribe to;
-//! * [`RebalanceConfig`] — optional profit-aware capacity rebalancing that
-//!   moves bytes from capacity-rich to capacity-starved shards on skewed
-//!   keyspaces (the per-shard split is a static `total/N` otherwise).
-//!   Passes run on a **background runtime task** every
-//!   [`RebalanceConfig::period`] — never on a session's request path — and
-//!   the task stops when the engine is dropped;
 //! * [`StatsSnapshot`] — owned, aggregated statistics across shards.
 //!
 //! ## Failure handling
@@ -87,7 +82,6 @@ mod events;
 mod failure;
 mod lookup;
 mod policy_kind;
-mod rebalance;
 pub(crate) mod single_flight;
 mod watchman;
 
@@ -99,7 +93,6 @@ pub use failure::{
 };
 pub use lookup::{Lookup, LookupFuture, LookupSource};
 pub use policy_kind::PolicyKind;
-pub use rebalance::{RebalanceConfig, RebalanceOutcome};
 pub use watchman::{StatsSnapshot, Watchman};
 
 #[cfg(test)]
@@ -355,119 +348,6 @@ mod tests {
             ts(10),
         );
         assert_eq!(counters.rejected.load(Ordering::SeqCst), 1);
-    }
-
-    /// Classifies `count` generated keys by the shard they hash to, by
-    /// probing a throwaway engine and watching per-shard occupancy grow.
-    fn keys_by_shard(shards: usize, count: usize) -> Vec<Vec<QueryKey>> {
-        let probe = engine_with(shards, 1 << 30);
-        let mut buckets = vec![Vec::new(); shards];
-        let mut previous = vec![0u64; shards];
-        for i in 0..count {
-            let k = key(&format!("classify-{i}"));
-            probe.insert(
-                k.clone(),
-                SizedPayload::new(1),
-                ExecutionCost::from_blocks(1),
-                ts(i as u64 + 1),
-            );
-            let snapshot = probe.stats_snapshot();
-            for (shard, bucket) in buckets.iter_mut().enumerate() {
-                if snapshot.per_shard_used[shard] != previous[shard] {
-                    bucket.push(k.clone());
-                }
-                previous[shard] = snapshot.per_shard_used[shard];
-            }
-        }
-        buckets
-    }
-
-    #[test]
-    fn rebalancer_moves_capacity_to_the_starved_shard() {
-        // One step (5% of a 20 kB half) fits exactly one hot set.
-        const TOTAL: u64 = 40_000;
-        let counters = Arc::new(EventTally::default());
-        let engine: Watchman<SizedPayload> = Watchman::builder()
-            .shards(2)
-            .policy(PolicyKind::LNC_RA)
-            .capacity_bytes(TOTAL)
-            .rebalance(RebalanceConfig::new().manual()) // driven explicitly below
-            .observer(Arc::clone(&counters) as Arc<dyn CacheObserver>)
-            .build();
-        let buckets = keys_by_shard(2, 120);
-        // Shard 0 sees a hot working set of valuable summaries that does not
-        // fit its static half; shard 1 sees only one-off junk.
-        let hot: Vec<_> = buckets[0].iter().take(30).cloned().collect();
-        let junk: Vec<_> = buckets[1].clone();
-        assert!(
-            hot.len() == 30 && junk.len() >= 20,
-            "probe found too few keys"
-        );
-
-        let mut now = 0u64;
-        let mut junk_round = 0usize;
-        for round in 0..60u64 {
-            for k in &hot {
-                now += 1_000;
-                engine.get_or_execute(&k.clone(), ts(now), || {
-                    (
-                        SizedPayload::new(1_000),
-                        ExecutionCost::from_blocks(100_000),
-                    )
-                });
-            }
-            // A couple of never-repeating junk queries per round.
-            for _ in 0..2 {
-                let k = &junk[junk_round % junk.len()];
-                junk_round += 1;
-                now += 1_000;
-                engine.get_or_execute(&k.clone(), ts(now), || {
-                    (SizedPayload::new(2_000), ExecutionCost::from_blocks(1))
-                });
-            }
-            if round % 3 == 2 {
-                engine.rebalance_now(ts(now));
-            }
-            // The invariants hold at every step, not just at the end.
-            let snapshot = engine.stats_snapshot();
-            assert_eq!(
-                snapshot.per_shard_capacity.iter().sum::<u64>(),
-                TOTAL,
-                "capacity must be conserved across rebalances"
-            );
-            for shard in 0..2 {
-                assert!(
-                    snapshot.per_shard_used[shard] <= snapshot.per_shard_capacity[shard],
-                    "occupancy invariant violated on shard {shard}"
-                );
-            }
-        }
-
-        let capacities = engine.shard_capacities();
-        let floor = (0.5 * (TOTAL / 2) as f64) as u64;
-        let snapshot = engine.stats_snapshot();
-        assert!(
-            snapshot.rebalances > 0,
-            "the starved shard must have attracted capacity"
-        );
-        assert!(
-            capacities[0] > capacities[1],
-            "capacity must flow toward the hot shard: {capacities:?}"
-        );
-        assert!(
-            capacities.iter().all(|&c| c >= floor),
-            "no shard may fall below the floor: {capacities:?}"
-        );
-        assert_eq!(snapshot.capacity_bytes, TOTAL);
-        // The donor's shrink evictions were published to observers.
-        assert!(counters.evicted.load(Ordering::SeqCst) > 0);
-    }
-
-    #[test]
-    fn rebalance_now_without_configuration_is_inert() {
-        let engine = engine(4, 1 << 20);
-        assert!(engine.rebalance_now(ts(1)).is_none());
-        assert_eq!(engine.stats_snapshot().rebalances, 0);
     }
 
     #[test]
@@ -811,102 +691,6 @@ mod tests {
         });
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(engine.inflight_entries(), 0);
-    }
-
-    #[test]
-    fn rebalance_passes_never_run_on_a_session_thread() {
-        let engine: Watchman<SizedPayload> = Watchman::builder()
-            .shards(4)
-            .policy(PolicyKind::LNC_RA)
-            .capacity_bytes(10_000)
-            .runtime_workers(1)
-            .rebalance(RebalanceConfig::new().with_period(std::time::Duration::from_millis(2)))
-            .build();
-        // Shard 0 sees a hot working set of valuable sets that does not fit
-        // its quarter (and fits a step, 5% of the quarter, one set at a
-        // time); the other shards see cheap one-off junk.
-        let buckets = keys_by_shard(4, 200);
-        let hot = &buckets[0][..30];
-        let junk = buckets[1..].concat();
-        // Hammer the request path from this (session) thread while the
-        // background task runs passes, and moves capacity, on the runtime
-        // worker.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut i = 0usize;
-        while engine.rebalance_passes() < 3 || engine.stats_snapshot().rebalances == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background task never ran a pass that moved capacity"
-            );
-            i += 1;
-            let (k, size, cost) = if i.is_multiple_of(2) {
-                (&hot[i / 2 % hot.len()], 100, 100_000)
-            } else {
-                (&junk[i / 2 % junk.len()], 200, 1)
-            };
-            engine.get_or_execute(k, ts(i as u64 + 1), || {
-                (SizedPayload::new(size), ExecutionCost::from_blocks(cost))
-            });
-        }
-        let session_thread = std::thread::current().id();
-        let pass_threads = engine.rebalance_pass_threads();
-        assert!(!pass_threads.is_empty());
-        assert!(
-            pass_threads.iter().all(|&id| id != session_thread),
-            "a rebalance pass ran on the session thread"
-        );
-    }
-
-    #[test]
-    fn manual_rebalancing_runs_no_passes_from_the_request_path() {
-        let engine: Watchman<SizedPayload> = Watchman::builder()
-            .shards(4)
-            .policy(PolicyKind::LNC_RA)
-            .capacity_bytes(10_000)
-            .rebalance(RebalanceConfig::new().manual())
-            .build();
-        for i in 0..2_000u64 {
-            engine.get_or_execute(&key(&format!("q{}", i % 60)), ts(i + 1), || {
-                (SizedPayload::new(300), ExecutionCost::from_blocks(500))
-            });
-        }
-        assert_eq!(
-            engine.rebalance_passes(),
-            0,
-            "no request-path trigger may remain"
-        );
-        engine.rebalance_now(ts(3_000));
-        assert_eq!(engine.rebalance_passes(), 1, "explicit passes still work");
-    }
-
-    #[test]
-    fn background_rebalancer_stops_when_the_engine_drops() {
-        // The engine's runtime, held here, outlives the engine: the
-        // engine's background task must exit promptly once it is dropped.
-        let engine: Watchman<SizedPayload> = Watchman::builder()
-            .shards(2)
-            .policy(PolicyKind::LNC_RA)
-            .capacity_bytes(10_000)
-            .runtime_workers(1)
-            .rebalance(RebalanceConfig::new().with_period(std::time::Duration::from_millis(5)))
-            .build();
-        let runtime = engine.runtime();
-        assert_eq!(runtime.alive_tasks(), 1, "background task spawned");
-        // Let it run at least one pass so we know it was really alive.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while engine.rebalance_passes() == 0 {
-            assert!(std::time::Instant::now() < deadline, "task never ran");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        drop(engine);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while runtime.alive_tasks() > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background task survived the engine it belongs to"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
     }
 
     #[test]

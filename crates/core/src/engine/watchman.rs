@@ -2,12 +2,8 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-use std::task::{Context, Poll, Waker};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -18,20 +14,17 @@ use crate::engine::events::{CacheEvent, CacheObserver};
 use crate::engine::failure::{BreakerState, CircuitBreaker, FailureConfig, FetchError};
 use crate::engine::lookup::Step;
 use crate::engine::policy_kind::PolicyKind;
-use crate::engine::rebalance::{
-    floor_bytes, plan_transfer, step_bytes, RebalanceOutcome, ShardSignal,
-};
 use crate::engine::single_flight::{Flight, WaiterSlot};
 use crate::key::QueryKey;
 use crate::metrics::CacheStats;
 use crate::policy::{InsertOutcome, QueryCache};
-use crate::runtime::{Runtime, Sleep};
+use crate::runtime::Runtime;
 use crate::sync::{Mutex, MutexGuard};
 use crate::value::{CachePayload, ExecutionCost};
 
-/// Adds an insert's or a rebalance transfer's evictions to the registry's
-/// eviction counter.  Called under the shard lock (the target is an atomic,
-/// so this adds no lock class).
+/// Adds an insert's evictions to the registry's eviction counter.  Called
+/// under the shard lock (the target is an atomic, so this adds no lock
+/// class).
 pub(super) fn record_evictions(evicted: &[QueryKey]) {
     if !evicted.is_empty() {
         crate::telemetry::global()
@@ -42,10 +35,10 @@ pub(super) fn record_evictions(evicted: &[QueryKey]) {
 
 /// An owned, aggregated snapshot of the engine's statistics.
 ///
-/// The snapshot is *atomic*: every shard is locked for the duration of the
-/// read, so the per-shard capacities always sum to the configured total even
-/// while a rebalance pass is moving bytes between shards.  Taking one is a
-/// pure read: two snapshots with no operation between them are equal.
+/// The snapshot reads one shard at a time.  Each shard's capacity is fixed
+/// at build time and each shard's books balance under its own lock, so the
+/// sums balance too.  Taking one is a pure read: two snapshots with no
+/// operation between them are equal.
 ///
 /// Snapshots are serde-serializable: the server's `STATS` opcode, the
 /// benchmark reports and the load generator all exchange this one schema
@@ -57,12 +50,8 @@ pub struct StatsSnapshot {
     pub total: CacheStats,
     /// The per-shard counters, indexed by shard.
     pub per_shard: Vec<CacheStats>,
-    /// The per-shard capacities in bytes, indexed by shard.  With
-    /// rebalancing enabled these drift away from the static `total/N` split
-    /// toward the profit-heavy shards; they always sum to `capacity_bytes`.
-    pub per_shard_capacity: Vec<u64>,
     /// The per-shard occupancies in bytes, indexed by shard.  Each entry is
-    /// bounded by the matching `per_shard_capacity` entry.
+    /// bounded by its shard's fixed share of `capacity_bytes`.
     pub per_shard_used: Vec<u64>,
     /// Bytes currently cached, summed across shards.
     pub used_bytes: u64,
@@ -70,8 +59,6 @@ pub struct StatsSnapshot {
     pub capacity_bytes: u64,
     /// Number of cached retrieved sets across shards.
     pub entries: usize,
-    /// Number of capacity transfers the rebalancer has performed.
-    pub rebalances: u64,
     /// Number of fetch retries the fallible pipeline issued (attempts beyond
     /// the first, across every key).
     pub fetch_retries: u64,
@@ -395,68 +382,6 @@ impl<V> Shard<V> {
     }
 }
 
-/// The rebalancer's mutable bookkeeping, behind one mutex that also
-/// serializes passes.
-struct RebalancePassState {
-    /// Per-shard cumulative pressure (rejections + evictions) observed at
-    /// the previous pass.
-    last_pressure: Vec<u64>,
-    /// Exponentially smoothed per-shard step gain ([`QueryCache::grow_gain`]).
-    /// Instantaneous profit estimates spike transiently — a single valuable
-    /// eviction inflates a shard's retained store for several passes — and
-    /// paying real evictions for a spike is how a rebalancer starts
-    /// thrashing.  Smoothing across passes lets only *persistent* starvation
-    /// attract capacity.
-    smoothed_gain: Vec<f64>,
-    /// Exponentially smoothed per-shard step loss ([`QueryCache::shrink_loss`]).
-    smoothed_loss: Vec<f64>,
-    /// Number of passes run (including ones that moved nothing): the one
-    /// count [`Watchman::rebalance_passes`] reads.
-    pass_index: u64,
-    /// The last executed transfer, as (donor, recipient, pass_index).
-    /// Shrinking a shard feeds its own starvation signal (the evicted sets
-    /// land in its retained store), so an unchecked planner slowly sloshes
-    /// capacity back and forth between two shards; refusing to reverse the
-    /// most recent transfer for a cooldown period breaks that feedback loop.
-    last_transfer: Option<(usize, usize, u64)>,
-}
-
-struct RebalancerState {
-    rebalances: AtomicU64,
-    pass: Mutex<RebalancePassState>,
-    /// Thread identities of every pass, recorded in unit tests to prove that
-    /// passes never run on a session thread.
-    #[cfg(test)]
-    pass_threads: Mutex<Vec<std::thread::ThreadId>>,
-}
-
-/// A one-shot signal the engine fires at drop to stop its background
-/// rebalance task: the task lives on the engine's runtime, which a caller
-/// holding [`Watchman::runtime`] can keep alive after the engine is gone.
-#[derive(Default)]
-struct ShutdownCell {
-    fired: AtomicBool,
-    waker: Mutex<Option<Waker>>,
-}
-
-impl ShutdownCell {
-    fn register(&self, waker: &Waker) {
-        *self.waker.lock() = Some(waker.clone());
-    }
-
-    fn fire(&self) {
-        self.fired.store(true, Ordering::Release);
-        let waker = self.waker.lock().take();
-        if let Some(waker) = waker {
-            waker.wake();
-        }
-    }
-
-    fn is_fired(&self) -> bool {
-        self.fired.load(Ordering::Acquire)
-    }
-}
-
 pub(super) struct Inner<V> {
     pub(super) shards: Vec<Shard<V>>,
     pub(super) observers: Vec<Arc<dyn CacheObserver>>,
@@ -467,29 +392,12 @@ pub(super) struct Inner<V> {
     /// Fetch retries issued by the fallible pipeline (attempts beyond the
     /// first), across every key and shard.
     pub(super) fetch_retries: AtomicU64,
-    rebalancer: Option<RebalancerState>,
     /// The engine's own runtime, created on first use: no threads are
-    /// spawned until a retry backoff's timer or a background task needs
-    /// them, so a lookup that never sleeps, on any door, never pays for a
-    /// pool.
+    /// spawned until a retry backoff's timer needs them, so a lookup that
+    /// never sleeps, on any door, never pays for a pool.
     runtime: OnceLock<Arc<Runtime>>,
     /// The worker count `runtime` is created with.
     runtime_workers: usize,
-    /// The latest logical timestamp any operation carried, in microseconds.
-    /// The background rebalance task evaluates victim profits "now", and the
-    /// engine's notion of now is whatever the sessions last said it was.
-    latest_now: AtomicU64,
-    /// Fired on drop so the background rebalance task exits promptly even
-    /// while a caller still holds the runtime.
-    rebalance_shutdown: OnceLock<Arc<ShutdownCell>>,
-}
-
-impl<V> Drop for Inner<V> {
-    fn drop(&mut self) {
-        if let Some(cell) = self.rebalance_shutdown.get() {
-            cell.fire();
-        }
-    }
 }
 
 /// The WATCHMAN engine: a thread-safe, sharded retrieved-set cache facade.
@@ -499,7 +407,8 @@ impl<V> Drop for Inner<V> {
 /// concurrent engine:
 ///
 /// * the keyspace is hash-partitioned by query signature across N shards,
-///   each an independent [`PolicyKind`] instance behind its own lock;
+///   each an independent [`PolicyKind`] instance behind its own lock, with
+///   a fixed `total/N` share of the capacity;
 /// * payloads are shared as `Arc<V>`, so hits never copy retrieved sets;
 /// * [`Watchman::get_or_execute`] / [`Watchman::try_get_or_execute_async`]
 ///   deduplicate concurrent misses on the same query (*single-flight*):
@@ -589,36 +498,18 @@ where
                 // Distribute the division remainder so capacities sum exactly.
                 let capacity = base + u64::from((i as u64) < remainder);
                 Shard {
-                    // The shard index is the lock's declared rank: whenever
-                    // two shard locks nest (rebalance transfers, atomic
-                    // snapshots) they must be acquired in index order.
-                    state: Mutex::with_rank(
-                        u32::try_from(i).unwrap_or(u32::MAX),
-                        ShardState {
-                            cache: builder.policy.build::<Arc<V>>(capacity),
-                            breaker: builder.failure.breaker.clone().map(CircuitBreaker::new),
-                            slots: HashMap::new(),
-                            recorded: BTreeMap::new(),
-                            next_store: 0,
-                            negative_hits: 0,
-                        },
-                    ),
+                    state: Mutex::new(ShardState {
+                        cache: builder.policy.build::<Arc<V>>(capacity),
+                        breaker: builder.failure.breaker.clone().map(CircuitBreaker::new),
+                        slots: HashMap::new(),
+                        recorded: BTreeMap::new(),
+                        next_store: 0,
+                        negative_hits: 0,
+                    }),
                 }
             })
             .collect();
-        let rebalancer = builder.rebalance.as_ref().map(|_| RebalancerState {
-            rebalances: AtomicU64::new(0),
-            pass: Mutex::new(RebalancePassState {
-                last_pressure: vec![0; shard_count],
-                smoothed_gain: vec![0.0; shard_count],
-                smoothed_loss: vec![0.0; shard_count],
-                pass_index: 0,
-                last_transfer: None,
-            }),
-            #[cfg(test)]
-            pass_threads: Mutex::new(Vec::new()),
-        });
-        let engine = Watchman {
+        Watchman {
             inner: Arc::new(Inner {
                 shards,
                 observers: builder.observers,
@@ -626,21 +517,10 @@ where
                 total_capacity_bytes: builder.capacity_bytes,
                 failure: builder.failure,
                 fetch_retries: AtomicU64::new(0),
-                rebalancer,
                 runtime: OnceLock::new(),
                 runtime_workers: builder.runtime_workers,
-                latest_now: AtomicU64::new(0),
-                rebalance_shutdown: OnceLock::new(),
             }),
-        };
-        if let Some(period) = builder
-            .rebalance
-            .and_then(|config| config.period)
-            .filter(|_| shard_count >= 2)
-        {
-            engine.spawn_background_rebalancer(period);
         }
-        engine
     }
 
     /// The policy every shard runs.
@@ -653,8 +533,7 @@ where
         self.inner.shards.len()
     }
 
-    /// The runtime whose timer sleeps retry backoffs and which runs the
-    /// engine's background tasks.
+    /// The runtime whose timer sleeps retry backoffs.
     ///
     /// The engine owns it and creates it on first use with
     /// [`WatchmanBuilder::runtime_workers`] workers.  Applications can spawn
@@ -675,14 +554,6 @@ where
         // the raw value.
         let mixed = key.signature().value().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ((mixed >> 32) as usize) % self.inner.shards.len()
-    }
-
-    /// Folds an operation's logical timestamp into the engine's notion of
-    /// "now" (used by background rebalance passes).
-    pub(super) fn observe_now(&self, now: Timestamp) {
-        self.inner
-            .latest_now
-            .fetch_max(now.as_micros(), Ordering::Relaxed);
     }
 
     pub(super) fn emit(&self, events: Vec<CacheEvent>) {
@@ -741,144 +612,6 @@ where
         }
     }
 
-    /// Spawns the background rebalance task on the engine's runtime.  The
-    /// task holds only weak references, so it never keeps the engine (or
-    /// its runtime) alive; the engine's drop fires its shutdown cell.
-    fn spawn_background_rebalancer(&self, period: Duration) {
-        let cell = Arc::new(ShutdownCell::default());
-        self.inner
-            .rebalance_shutdown
-            .set(Arc::clone(&cell))
-            .ok()
-            .expect("background rebalancer spawned once");
-        let runtime = self.runtime();
-        let task = RebalanceTask {
-            engine: Arc::downgrade(&self.inner),
-            shutdown: cell,
-            runtime: runtime.inner_handle(),
-            sleep: runtime.sleep(period),
-            period,
-        };
-        runtime.spawn(task);
-    }
-
-    /// Runs one rebalance pass immediately and returns what it did (or
-    /// `None` when rebalancing is not configured or the shard signals do not
-    /// justify a move).
-    ///
-    /// This is the *driver-scheduled* entry point: deterministic replays
-    /// (the simulator's shard sweep) and tests call it explicitly instead of
-    /// configuring a background period.  Sessions never trigger passes —
-    /// `get`/`insert`/`get_or_execute` carry no rebalancing work at all.
-    pub fn rebalance_now(&self, now: Timestamp) -> Option<RebalanceOutcome> {
-        self.rebalance_pass(now)
-    }
-
-    fn rebalance_pass(&self, now: Timestamp) -> Option<RebalanceOutcome> {
-        let rb = self.inner.rebalancer.as_ref()?;
-        if self.inner.shards.len() < 2 {
-            return None;
-        }
-        // The pass state mutex serializes passes (the background task and
-        // any driver-scheduled calls).
-        let mut pass = rb.pass.lock();
-        #[cfg(test)]
-        rb.pass_threads.lock().push(std::thread::current().id());
-
-        let total = self.inner.total_capacity_bytes;
-        let floor = floor_bytes(total, self.inner.shards.len());
-        let step = step_bytes(total, self.inner.shards.len());
-
-        // Observe every shard's signal (one shard lock at a time) and fold
-        // it into the exponentially smoothed per-shard gain/loss estimates:
-        // instantaneous profit estimates spike (one valuable eviction
-        // inflates a shard's retained store for a few passes), and paying
-        // real evictions for a spike is how a rebalancer starts thrashing.
-        const SMOOTHING: f64 = 0.4;
-        let mut signals = Vec::with_capacity(self.inner.shards.len());
-        let mut cumulative = Vec::with_capacity(self.inner.shards.len());
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            let mut state = shard.lock();
-            let mut signal =
-                ShardSignal::observe(state.cache.as_mut(), pass.last_pressure[i], step, now);
-            cumulative.push(pass.last_pressure[i] + signal.pressure);
-            pass.smoothed_loss[i] =
-                (1.0 - SMOOTHING) * pass.smoothed_loss[i] + SMOOTHING * signal.loss.value();
-            signal.loss = crate::profit::Profit::new(pass.smoothed_loss[i]);
-            if let Some(gain) = signal.gain {
-                pass.smoothed_gain[i] =
-                    (1.0 - SMOOTHING) * pass.smoothed_gain[i] + SMOOTHING * gain.value();
-                signal.gain = Some(crate::profit::Profit::new(pass.smoothed_gain[i]));
-            }
-            signals.push(signal);
-        }
-        pass.last_pressure.copy_from_slice(&cumulative);
-        pass.pass_index += 1;
-
-        let (donor, recipient, amount) = plan_transfer(&signals, floor, step)?;
-        // Refuse to reverse the most recent transfer for a while (see
-        // `RebalancePassState::last_transfer`).
-        const REVERSAL_COOLDOWN_PASSES: u64 = 24;
-        if let Some((last_donor, last_recipient, at)) = pass.last_transfer {
-            if donor == last_recipient
-                && recipient == last_donor
-                && pass.pass_index.saturating_sub(at) < REVERSAL_COOLDOWN_PASSES
-            {
-                return None;
-            }
-        }
-
-        // Transfer under BOTH shard locks (acquired in index order, the same
-        // order every multi-lock path uses) so Σ capacity == total holds at
-        // every point another thread can observe.
-        let (low, high) = (donor.min(recipient), donor.max(recipient));
-        let mut low_guard = self.inner.shards[low].lock();
-        let mut high_guard = self.inner.shards[high].lock();
-        let (donor_state, recipient_state) = if donor < recipient {
-            (&mut *low_guard, &mut *high_guard)
-        } else {
-            (&mut *high_guard, &mut *low_guard)
-        };
-        let donor_capacity = donor_state.cache.capacity_bytes();
-        let recipient_capacity = recipient_state.cache.capacity_bytes();
-        // Capacities only change under the pass mutex we hold, so the
-        // planned amount is still valid; be defensive anyway.
-        let amount = amount.min(donor_capacity.saturating_sub(floor));
-        if amount == 0 {
-            return None;
-        }
-        let evicted = donor_state
-            .cache
-            .set_capacity_bytes(donor_capacity - amount, now);
-        recipient_state
-            .cache
-            .set_capacity_bytes(recipient_capacity + amount, now);
-        // The donor's evictions are real removals: publish them (under the
-        // donor's lock, like every other eviction) so the registry and
-        // observer mirrors stay exact.
-        record_evictions(&evicted);
-        if !self.inner.observers.is_empty() {
-            let events = evicted
-                .iter()
-                .map(|key| CacheEvent::Evicted {
-                    key: key.clone(),
-                    shard: donor,
-                })
-                .collect();
-            self.emit(events);
-        }
-        drop(high_guard);
-        drop(low_guard);
-        pass.last_transfer = Some((donor, recipient, pass.pass_index));
-        rb.rebalances.fetch_add(1, Ordering::Relaxed);
-        Some(RebalanceOutcome {
-            donor,
-            recipient,
-            moved_bytes: amount,
-            evicted,
-        })
-    }
-
     /// Looks up the retrieved set for `key`, recording one query reference.
     ///
     /// Returns a shared handle to the cached value on a hit.  Callers that
@@ -886,7 +619,6 @@ where
     /// [`Watchman::get_or_execute`], which additionally deduplicates
     /// concurrent executions.
     pub fn get(&self, key: &QueryKey, now: Timestamp) -> Option<Arc<V>> {
-        self.observe_now(now);
         let index = self.shard_index(key);
         let mut shard = self.inner.shards[index].lock();
         shard.cache.get(key, now).map(Arc::clone)
@@ -900,7 +632,6 @@ where
         cost: ExecutionCost,
         now: Timestamp,
     ) -> InsertOutcome {
-        self.observe_now(now);
         let index = self.shard_index(&key);
         let size_bytes = value.size_bytes();
         let mut shard = self.inner.shards[index].lock();
@@ -987,32 +718,9 @@ where
             .sum()
     }
 
-    /// Total configured capacity across all shards.
-    ///
-    /// Rebalancing moves capacity *between* shards but never changes the
-    /// total, so this is a constant established at build time.
+    /// Total configured capacity across all shards, fixed at build time.
     pub fn capacity_bytes(&self) -> u64 {
         self.inner.total_capacity_bytes
-    }
-
-    /// The current per-shard capacities in bytes (an atomic snapshot: they
-    /// always sum to [`Watchman::capacity_bytes`]).
-    pub fn shard_capacities(&self) -> Vec<u64> {
-        let guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
-        guards.iter().map(|s| s.cache.capacity_bytes()).collect()
-    }
-
-    /// Number of rebalance passes run, including ones that moved nothing.
-    ///
-    /// With a background period configured this grows over wall-clock time;
-    /// in `manual()` mode it counts [`Watchman::rebalance_now`] calls.  It
-    /// never grows from session operations — passes do not run on the
-    /// request path.
-    pub fn rebalance_passes(&self) -> u64 {
-        self.inner
-            .rebalancer
-            .as_ref()
-            .map_or(0, |rb| rb.pass.lock().pass_index)
     }
 
     /// The keys currently cached, across all shards, in unspecified order.
@@ -1031,35 +739,28 @@ where
         }
     }
 
-    /// A full owned snapshot: aggregate and per-shard counters, occupancies,
-    /// capacities, single-flight coalescing and rebalancing activity.
+    /// A full owned snapshot: aggregate and per-shard counters, occupancies
+    /// and failure-domain activity.
     ///
-    /// Every shard is locked for the duration of the read (in index order,
-    /// consistent with the rebalancer's lock order), so the snapshot is
-    /// internally consistent: per-shard capacities sum to the configured
-    /// total even while a rebalance pass runs concurrently.  It writes
+    /// Shards are read one lock at a time (see [`StatsSnapshot`]).  It writes
     /// nothing, so repeated snapshots of an idle engine are equal.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
+        let shards = self.inner.shards.len();
         let mut total = CacheStats::new();
-        let mut per_shard = Vec::with_capacity(guards.len());
-        let mut per_shard_capacity = Vec::with_capacity(guards.len());
-        let mut per_shard_used = Vec::with_capacity(guards.len());
+        let mut per_shard = Vec::with_capacity(shards);
+        let mut per_shard_used = Vec::with_capacity(shards);
         let mut used_bytes = 0;
-        let mut capacity_bytes = 0;
         let mut entries = 0;
         let mut breaker_transitions = 0;
         let mut negative_hits = 0;
-        for state in &guards {
+        for shard in &self.inner.shards {
+            let state = shard.lock();
             let stats = state.cache.stats_snapshot();
             total.merge(&stats);
             per_shard.push(stats);
             let used = state.cache.used_bytes();
-            let capacity = state.cache.capacity_bytes();
             per_shard_used.push(used);
-            per_shard_capacity.push(capacity);
             used_bytes += used;
-            capacity_bytes += capacity;
             entries += state.cache.len();
             negative_hits += state.negative_hits;
             breaker_transitions += state
@@ -1070,16 +771,10 @@ where
         StatsSnapshot {
             total,
             per_shard,
-            per_shard_capacity,
             per_shard_used,
             used_bytes,
-            capacity_bytes,
+            capacity_bytes: self.inner.total_capacity_bytes,
             entries,
-            rebalances: self
-                .inner
-                .rebalancer
-                .as_ref()
-                .map_or(0, |rb| rb.rebalances.load(Ordering::Relaxed)),
             fetch_retries: self.inner.fetch_retries.load(Ordering::Relaxed),
             negative_hits,
             breaker_transitions,
@@ -1115,66 +810,13 @@ where
             .sum()
     }
 
-    /// Thread identities of every rebalance pass (test instrumentation for
-    /// the no-pass-on-a-session-thread guarantee).
+    /// Each shard's fixed capacity in bytes, by shard.
     #[cfg(test)]
-    pub(crate) fn rebalance_pass_threads(&self) -> Vec<std::thread::ThreadId> {
+    pub(crate) fn shard_capacities(&self) -> Vec<u64> {
         self.inner
-            .rebalancer
-            .as_ref()
-            .map_or(Vec::new(), |rb| rb.pass_threads.lock().clone())
-    }
-}
-
-/// The background task that runs rebalance passes every `period`.
-///
-/// Holds only weak references: it never keeps the engine alive, and exits
-/// when the engine is dropped (the shutdown cell fires), when the runtime
-/// goes away, or when the engine is gone at wake time.
-struct RebalanceTask<V> {
-    engine: Weak<Inner<V>>,
-    shutdown: Arc<ShutdownCell>,
-    runtime: Weak<crate::runtime::RuntimeInner>,
-    sleep: Sleep,
-    period: Duration,
-}
-
-impl<V> Future for RebalanceTask<V>
-where
-    V: CachePayload + Send + Sync + 'static,
-{
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        loop {
-            // Register before checking: a fire between check and suspend
-            // must not be lost.
-            this.shutdown.register(cx.waker());
-            if this.shutdown.is_fired() {
-                return Poll::Ready(());
-            }
-            match Pin::new(&mut this.sleep).poll(cx) {
-                Poll::Pending => return Poll::Pending,
-                Poll::Ready(()) => {
-                    if this.shutdown.is_fired() {
-                        return Poll::Ready(());
-                    }
-                    let Some(inner) = this.engine.upgrade() else {
-                        return Poll::Ready(());
-                    };
-                    let engine = Watchman { inner };
-                    let now =
-                        Timestamp::from_micros(engine.inner.latest_now.load(Ordering::Relaxed));
-                    engine.rebalance_pass(now);
-                    drop(engine);
-                    if this.runtime.upgrade().is_none() {
-                        return Poll::Ready(());
-                    }
-                    this.sleep =
-                        Sleep::until(this.runtime.clone(), crate::telemetry::now() + this.period);
-                }
-            }
-        }
+            .shards
+            .iter()
+            .map(|shard| shard.lock().cache.capacity_bytes())
+            .collect()
     }
 }

@@ -68,14 +68,14 @@
 //!
 //! | Module | Contents |
 //! |--------|----------|
-//! | [`engine`] | **The concurrent engine**: sharded [`Watchman`](engine::Watchman) facade, poll-based single-flight misses (sync + async front doors), [`PolicyKind`](engine::PolicyKind), [`CacheEvent`](engine::CacheEvent) observers, [`StatsSnapshot`](engine::StatsSnapshot) |
-//! | [`runtime`] | Hand-rolled async [`Runtime`](runtime::Runtime): worker pool, task queue, timers, epoll IO reactor with async [`net`](runtime::net) wrappers, [`block_on`](runtime::block_on) |
+//! | [`engine`] | **The concurrent engine**: sharded [`Watchman`] facade, poll-based single-flight misses (sync + async front doors), [`PolicyKind`], [`CacheEvent`] observers, [`StatsSnapshot`] |
+//! | [`runtime`] | Hand-rolled async [`Runtime`]: worker pool, task queue, timers, epoll IO reactor with async [`net`](runtime::net) wrappers, [`block_on`] |
 //! | [`key`] | Query IDs, signatures, delimiter compression (paper §3) |
-//! | [`value`] | [`CachePayload`](value::CachePayload), retrieved sets, execution costs |
+//! | [`value`] | [`CachePayload`], retrieved sets, execution costs |
 //! | [`clock`] | Logical timestamps and a manually driven clock |
 //! | [`history`] | Sliding-window reference histories (Eq. 3) |
 //! | [`profit`] | The profit and estimated-profit metrics (Eq. 2, 5, 6, 8) |
-//! | [`policy`] | The [`QueryCache`](policy::QueryCache) trait, LNC-R/LNC-RA and all baselines |
+//! | [`policy`] | The [`QueryCache`] trait, LNC-R/LNC-RA and all baselines |
 //! | [`retained`] | Retained reference information (§2.4) |
 //! | [`coherence`] | Relation-dependency tracking and invalidation on warehouse updates (§3) |
 //! | [`equivalence`] | Canonical query keys (§6): a caller applies [`canonical_key`](equivalence::canonical_key) before the engine lookup |
@@ -116,8 +116,7 @@ pub mod prelude {
     };
     pub use crate::engine::{
         BreakerConfig, CacheEvent, CacheObserver, FailureConfig, FetchError, Lookup, LookupError,
-        LookupFuture, LookupSource, PolicyKind, RebalanceConfig, RebalanceOutcome, RetryPolicy,
-        StatsSnapshot, Watchman,
+        LookupFuture, LookupSource, PolicyKind, RetryPolicy, StatsSnapshot, Watchman,
     };
     pub use crate::history::ReferenceHistory;
     pub use crate::key::{QueryKey, Signature};

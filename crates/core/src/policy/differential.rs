@@ -7,9 +7,9 @@
 //! policy twice — over its index (the [`OrdIndex`] of static ranks for the
 //! five baselines, the decay index for LNC-R/LNC-RA) and over the scan — and
 //! asserts at every step that both caches answer each `get` alike, return
-//! equal [`InsertOutcome`]s (evicted keys in order), evict alike on every
-//! capacity change, price `min_cached_profit`, `shrink_loss` and `grow_gain`
-//! alike, and retain the same histories.  The scan offers no bound on the
+//! equal [`InsertOutcome`]s (evicted keys in order), select the same victims
+//! for a spread of byte targets, price the least cached profit alike, and
+//! retain the same histories.  The scan offers no bound on the
 //! victims' `c/s`, so it always selects them: LNC-A's shortcut is held to
 //! the full selection.  The §2.4 store is driven on its own against a store
 //! ordered by the scan.
@@ -117,8 +117,7 @@ impl RetainedOrder for Scan {
 /// One step of a generated trace.
 #[derive(Debug, Clone)]
 struct Op {
-    /// Action selector: 0 = remove, 1 = shrink-and-regrow, else reference
-    /// (get, insert on miss).
+    /// Action selector: 0 = remove, else reference (get, insert on miss).
     action: u8,
     /// Which query (small id space so that repetitions occur).
     query: u8,
@@ -188,19 +187,6 @@ fn run_differential<R, O, S>(
                 QueryCache::remove(&mut indexed, &key),
                 QueryCache::remove(&mut scan, &key)
             ),
-            1 => {
-                // Shrink to half the occupancy, then grow back so the trace
-                // continues.
-                let capacity = indexed.capacity_bytes();
-                let target = indexed.used_bytes() / 2;
-                for bytes in [target, capacity] {
-                    assert_eq!(
-                        indexed.set_capacity_bytes(bytes, ts),
-                        scan.set_capacity_bytes(bytes, ts),
-                        "{name}: resizing to {bytes} evicted differently"
-                    );
-                }
-            }
             _ => {
                 let hit = indexed.get(&key, ts).is_some();
                 assert_eq!(hit, scan.get(&key, ts).is_some(), "{name}: {op:?}");
@@ -223,20 +209,11 @@ fn run_differential<R, O, S>(
         );
         agree(&mut indexed, &mut scan, ts);
     }
-
-    // Final end-to-end drain: shrinking to zero evicts every cached set in
-    // the same order.
-    let ts = Timestamp::from_micros(now.max(1) + 1);
-    assert_eq!(
-        indexed.set_capacity_bytes(0, ts),
-        scan.set_capacity_bytes(0, ts),
-        "{name}: full drain diverged"
-    );
-    assert_eq!(indexed.used_bytes(), 0);
 }
 
-/// The victims of a spread of shrinks, on copies, and the signals and
-/// retained histories of both caches at `now`.
+/// The victims both caches select for a spread of byte targets, on copies,
+/// up to the whole occupancy, and their least profits and retained
+/// histories at `now`.
 fn agree<R, O, S>(
     indexed: &mut RankedCache<SizedPayload, R, O>,
     scan: &mut RankedCache<SizedPayload, S, Scan>,
@@ -246,16 +223,12 @@ fn agree<R, O, S>(
     O: VictimOrder<R>,
     S: RankRule,
 {
-    let (name, used, capacity) = (
-        indexed.name(),
-        indexed.used_bytes(),
-        indexed.capacity_bytes(),
-    );
-    for target in [used.saturating_sub(1), used / 2, 0] {
+    let (name, used) = (indexed.name(), indexed.used_bytes());
+    for needed in [used.min(1), used - used / 2, used] {
         assert_eq!(
-            indexed.clone().set_capacity_bytes(target, now),
-            scan.clone().set_capacity_bytes(target, now),
-            "{name}: victims of a shrink to {target} diverged"
+            indexed.clone().victim_keys(needed, now),
+            scan.clone().victim_keys(needed, now),
+            "{name}: victims for {needed} bytes diverged"
         );
     }
     assert_eq!(
@@ -263,18 +236,6 @@ fn agree<R, O, S>(
         scan.min_cached_profit(now),
         "{name}: min_cached_profit diverged"
     );
-    for bytes in [1, 500, capacity / 2, capacity] {
-        assert_eq!(
-            indexed.shrink_loss(bytes, now),
-            scan.shrink_loss(bytes, now),
-            "{name}: shrink_loss diverged for {bytes} bytes"
-        );
-        assert_eq!(
-            indexed.grow_gain(bytes, now),
-            scan.grow_gain(bytes, now),
-            "{name}: grow_gain diverged for {bytes} bytes"
-        );
-    }
     let retained = |mut keys: Vec<QueryKey>| {
         keys.sort_unstable_by(|a, b| a.text().cmp(b.text()));
         keys

@@ -3,10 +3,9 @@
 //! [`RankedCache`](crate::policy::ranked::RankedCache) keeps every cached
 //! set's eviction priority in an [`OrdIndex`] next to its
 //! [`EntryStore`](crate::index::EntryStore) and updates it on every
-//! reference, admission, refresh and removal, so victim selection — and
-//! [`min_cached_profit`](crate::policy::QueryCache::min_cached_profit), which
-//! the rebalancer polls per shard — is O(log n) where a scan of the cache was
-//! O(n) per victim: the heap-managed replacement of GreedyDual-Size (Cao &
+//! reference, admission, refresh and removal, so victim selection — and the
+//! least cached profit that the §2.4 purge compares against — is O(log n)
+//! where a scan of the cache was O(n) per victim: the heap-managed replacement of GreedyDual-Size (Cao &
 //! Irani '97) and the priority-queue LNC-R implementation sketched in the
 //! paper's §3.
 //!

@@ -161,6 +161,11 @@ pub struct LncRule<X: RetainedOrder = DecayIndex> {
 }
 
 impl<X: RetainedOrder> LncRule<X> {
+    /// The set's reference rate (Eq. 3) at `now`.
+    fn rate(set: &RetainedInfo, now: Timestamp) -> f64 {
+        set.state.rate(now).unwrap_or(0.0)
+    }
+
     pub(crate) fn new(config: &LncConfig) -> Self {
         LncRule {
             k: config.k.max(1),
@@ -176,7 +181,6 @@ impl<X: RetainedOrder> LncRule<X> {
 impl<X: RetainedOrder> RankRule for LncRule<X> {
     type State = ReferenceHistory;
     type Rank = Profit;
-    const RATED: bool = true;
 
     fn name(&self) -> &'static str {
         if self.admission {
@@ -203,10 +207,6 @@ impl<X: RetainedOrder> RankRule for LncRule<X> {
 
     fn price(set: &RetainedInfo, now: Timestamp) -> Profit {
         set.profit(now)
-    }
-
-    fn rate(set: &RetainedInfo, now: Timestamp) -> f64 {
-        set.state.rate(now).unwrap_or(0.0)
     }
 
     /// The retained history if one exists, with the current reference, or a
@@ -334,23 +334,6 @@ impl<X: RetainedOrder> RankRule for LncRule<X> {
         if let Some(min_profit) = least() {
             self.retained.purge_below(min_profit, now);
         }
-    }
-
-    /// Greedily packs the most profitable retained (denied-residency) sets
-    /// into the hypothetical extra capacity.
-    fn grow_gain(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
-        if bytes == 0 || self.retained.is_empty() {
-            return Some(Profit::ZERO);
-        }
-        let mut free = bytes;
-        let mut packed = Vec::new();
-        for info in self.retained.ranked_by_profit_desc(now) {
-            if info.size_bytes <= free {
-                free -= info.size_bytes;
-                packed.push((Self::rate(info, now), info.cost, info.size_bytes));
-            }
-        }
-        Some(Profit::of_list(packed))
     }
 
     fn cleared(&mut self) {
@@ -741,65 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_shrink_evicts_lowest_profit_first() {
-        let mut cache = LncCache::lnc_r(600);
-        // Same size and reference pattern, ascending cost → ascending profit.
-        reference(&mut cache, "cheap", 200, 1.0, 1);
-        reference(&mut cache, "mid", 200, 100.0, 2);
-        reference(&mut cache, "pricey", 200, 10_000.0, 3);
-        for t in [10u64, 20, 30] {
-            cache.get(&key("cheap"), ts(t));
-            cache.get(&key("mid"), ts(t + 1));
-            cache.get(&key("pricey"), ts(t + 2));
-        }
-        // Shrink so exactly one set must go: it must be the lowest-profit one.
-        let evicted = QueryCache::set_capacity_bytes(&mut cache, 400, ts(40));
-        assert_eq!(evicted, vec![key("cheap")]);
-        assert!(cache.contains(&key("mid")));
-        assert!(cache.contains(&key("pricey")));
-        assert_eq!(cache.capacity_bytes(), 400);
-        // The victim's reference information is retained (§2.4), so it can
-        // win its way back in later.
-        assert!(cache.retained_entries() > 0);
-        // Shrink below the next set: "mid" goes before "pricey".
-        let evicted = QueryCache::set_capacity_bytes(&mut cache, 200, ts(41));
-        assert_eq!(evicted, vec![key("mid")]);
-        assert_eq!(cache.used_bytes(), 200);
-    }
-
-    #[test]
-    fn grow_gain_prices_retained_sets() {
-        // Two residents whose aggregate profit rejects the contender while
-        // the contender's own profit still clears the §2.4 retention bar
-        // (it must beat only the *minimum* cached profit to stay retained).
-        let mut cache = LncCache::lnc_ra(400);
-        reference(&mut cache, "low", 200, 100.0, 1);
-        reference(&mut cache, "high", 200, 10_000.0, 1);
-        let outcome = cache.insert(key("contender"), payload(400), cost(400.0), ts(11));
-        assert_eq!(
-            outcome,
-            InsertOutcome::Rejected(RejectReason::AdmissionTest)
-        );
-        assert_eq!(
-            cache.retained_entries(),
-            1,
-            "the contender must be retained"
-        );
-
-        let gain = QueryCache::grow_gain(&mut cache, 400, ts(12)).unwrap();
-        assert!(
-            gain > Profit::ZERO,
-            "a retained denied set must make extra capacity valuable"
-        );
-        // The retained set does not fit a 10-byte grant → no gain.
-        let none = QueryCache::grow_gain(&mut cache, 10, ts(12)).unwrap();
-        assert_eq!(none, Profit::ZERO);
-        // Shrink loss prices the would-be victims.
-        let loss = QueryCache::shrink_loss(&mut cache, 200, ts(12)).unwrap();
-        assert!(loss > Profit::ZERO);
-    }
-
-    #[test]
     fn min_cached_profit_matches_lowest_entry() {
         let mut cache = LncCache::lnc_ra(10_000);
         reference(&mut cache, "low", 1_000, 1.0, 1);
@@ -1056,18 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn a_shrink_that_evicts_the_certified_set_voids_the_certificate() {
-        let mut both = certified_low();
-        let evicted = QueryCache::set_capacity_bytes(&mut both.0, 1_000, ts(2_000));
-        assert_eq!(evicted, vec![key("low")]);
-        assert_eq!(
-            QueryCache::set_capacity_bytes(&mut both.1, 1_000, ts(2_000)),
-            evicted
-        );
-        decide(&mut both, "keeper", 1_000, 25.0, 2_005);
-    }
-
-    #[test]
     fn clear_voids_the_certificate() {
         let mut both = certified_low();
         both.0.clear();
@@ -1075,59 +987,5 @@ mod tests {
         // The first newcomer takes a slot the certified set held.
         decide(&mut both, "x", 1_000, 1_000.0, 2_000);
         decide(&mut both, "y", 2_000, 10.0, 2_001);
-    }
-
-    /// `grow_gain` as it was: the retained store sorted by keys priced at
-    /// every comparison, then packed greedily.
-    fn sort_and_pack(retained: &RetainedStore, bytes: u64, now: Timestamp) -> Option<Profit> {
-        if bytes == 0 || retained.is_empty() {
-            return Some(Profit::ZERO);
-        }
-        let mut ranked: Vec<&RetainedInfo> = retained.iter().collect();
-        ranked.sort_unstable_by_key(|info| {
-            (
-                std::cmp::Reverse(info.profit(now)),
-                info.key.signature().value(),
-            )
-        });
-        let (mut free, mut packed) = (bytes, Vec::new());
-        for info in ranked {
-            if info.size_bytes <= free {
-                free -= info.size_bytes;
-                packed.push((
-                    LncRule::<DecayIndex>::rate(info, now),
-                    info.cost,
-                    info.size_bytes,
-                ));
-            }
-        }
-        Some(Profit::of_list(packed))
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-
-        /// Histories from a coarse grid, so that profits tie and sizes are
-        /// zero: the gain is the sort's, bit for bit.
-        #[test]
-        fn grow_gain_packs_what_the_sort_packed(
-            histories in proptest::collection::vec((0u64..4, 0u64..4, 1u64..4, 0u64..4), 0..150),
-            bytes in 0u64..6_000,
-        ) {
-            let mut rule: LncRule = LncRule::new(&LncConfig::lnc_ra(1));
-            let now = ts(10_000);
-            for (i, &(size, c, samples, first)) in histories.iter().enumerate() {
-                let mut state = ReferenceHistory::new(4);
-                for at in 0..samples {
-                    state.record(ts(first * 1_000 + at * 500));
-                }
-                let (size_bytes, cost) = (size * 500, ExecutionCost::from_blocks(c * 10));
-                let info = RetainedInfo { key: key(&format!("h{i}")), size_bytes, cost, state };
-                rule.retained.insert(info, now);
-            }
-            let expected = sort_and_pack(&rule.retained, bytes, now);
-            let gain = rule.grow_gain(bytes, now);
-            assert_eq!(gain.map(|p| p.value().to_bits()), expected.map(|p| p.value().to_bits()));
-        }
     }
 }

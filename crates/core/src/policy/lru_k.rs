@@ -359,16 +359,18 @@ mod tests {
 
     #[test]
     fn a_full_store_expires_before_it_refuses() {
-        let mut cache = timed_out(10, 2, 200);
-        for (name, now) in [("a", 1), ("b", 2), ("c", 3), ("d", 4)] {
+        let mut cache = timed_out(10, 2, 300);
+        for (name, now) in [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)] {
             insert(&mut cache, name, 100, now);
         }
         assert_eq!(cache.retained_entries(), 2);
-        // Full and nothing due: the victim's history is refused.
-        assert_eq!(cache.set_capacity_bytes(100, ts(5)), vec![key("c")]);
+        // A refresh that grows makes room without an admission, so only the
+        // victim's filing can expire histories.  Full and nothing due: the
+        // victim's history is refused.
+        assert_eq!(insert(&mut cache, "e", 200, 6).evicted(), &[key("c")]);
         assert!(!cache.rule.retained.contains(&key("c")));
         // Full, but both held histories are due: they make room.
-        assert_eq!(cache.set_capacity_bytes(0, ts(20)), vec![key("d")]);
+        assert_eq!(insert(&mut cache, "e", 300, 20).evicted(), &[key("d")]);
         assert!(cache.rule.retained.contains(&key("d")));
         assert_eq!(cache.retained_entries(), 1);
     }

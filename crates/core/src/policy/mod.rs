@@ -26,12 +26,12 @@
 //! re-scanning the cache per eviction.  With `n` cached sets and `v` victims
 //! per decision:
 //!
-//! | order | policies | admit | hit | evict (total) | `min_cached_profit` | shrink by `b` |
-//! |---|---|---|---|---|---|---|
-//! | [`index`] of static ranks | LRU, LRU-K³, LFU, LCS, GDS | O(log n) | O(log n) | O(v log n) | O(log n) | O(v log n) |
-//! | decay index | LNC-R, LNC-RA | O(log n) | O(1) | O(b + v log n)¹ | O(b + log n)¹ | O(b + v log n)¹ |
-//! | decay index, a first-time set the bound rejects² | LNC-RA | O(K + b) + purge | — | none | — | — |
-//! | scan (tests only) | all seven | O(1) | O(1) | O(n log n) | O(n log n) | O(n log n) |
+//! | order | policies | admit | hit | evict (total) | least profit (§2.4 purge) |
+//! |---|---|---|---|---|---|
+//! | `index` of static ranks | LRU, LRU-K³, LFU, LCS, GDS | O(log n) | O(log n) | O(v log n) | O(log n) |
+//! | decay index | LNC-R, LNC-RA | O(log n) | O(1) | O(b + v log n)¹ | O(b + log n)¹ |
+//! | decay index, a first-time set the bound rejects² | LNC-RA | O(K + b) + purge | — | none | — |
+//! | scan (tests only) | all seven | O(1) | O(1) | O(n log n) | O(n log n) |
 //!
 //! ¹ LNC profits re-evaluate the Eq. 3 rate at the decision's `now`, and the
 //! profits of two untouched sets can cross as time advances, so no static
@@ -48,8 +48,8 @@
 //! for it: the least floor of the first non-empty bucket of each of the
 //! `K` sample-count groups the victims can come from.  When that bound
 //! already rejects the set, no victim is selected or scored; the §2.4 purge
-//! that follows every decision (`min_cached_profit`) is the rest of the
-//! rejection.
+//! that follows every decision (it prices the least profit among cached
+//! sets) is the rest of the rejection.
 //!
 //! ³ LRU-K's admission also expires the retained histories whose period has
 //! passed, at O(1) per history expired.
@@ -57,7 +57,8 @@
 //! The scan is the one oracle: it re-scores every set and sorts, and the
 //! `differential` module (test builds only) replays random traces through
 //! each policy over its index and over the scan, asserting identical
-//! decisions, evictions, signal values and retained histories at every step.
+//! decisions, evictions, victim orders, least profits and retained
+//! histories at every step.
 
 pub mod gds;
 pub(crate) mod index;
@@ -76,7 +77,6 @@ use std::fmt;
 use crate::clock::Timestamp;
 use crate::key::QueryKey;
 use crate::metrics::CacheStats;
-use crate::profit::Profit;
 use crate::value::{CachePayload, ExecutionCost};
 
 /// Why an offered retrieved set was not admitted.
@@ -239,52 +239,6 @@ pub trait QueryCache<V: CachePayload> {
 
     /// Total cache capacity in bytes.
     fn capacity_bytes(&self) -> u64;
-
-    /// Changes the cache capacity to `capacity_bytes`, returning the keys of
-    /// any sets evicted to satisfy the new bound.
-    ///
-    /// Growing (or shrinking into free space) never evicts.  Shrinking below
-    /// the current occupancy evicts sets using the policy's own victim
-    /// selection — lowest profit first for LNC-R/LNC-RA, least recently used
-    /// for LRU, and so on — until `used_bytes() <= capacity_bytes`.  The
-    /// evictions are real: they are counted in the eviction statistics and
-    /// (where the policy supports it) the victims' reference information is
-    /// retained, exactly as if an oversized insert had displaced them.  `now`
-    /// is the logical time at which victim profits are evaluated.
-    ///
-    /// This is the primitive the concurrent engine's capacity rebalancer uses
-    /// to move bytes between shards.
-    fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey>;
-
-    /// The profit of the set the policy would evict next, or `None` when the
-    /// cache is empty.
-    ///
-    /// For LNC-R/LNC-RA this is the paper's marginal profit `λ·c/s` of the
-    /// lowest-profit cached set; the baseline policies report the estimated
-    /// profit `c/s` (Eq. 6) of their current victim.  The engine's capacity
-    /// rebalancer reads this as the *marginal loss* of shrinking a shard: a
-    /// shard whose next victim is nearly worthless gives up almost nothing.
-    ///
-    /// Takes `&mut self` (as do the other capacity-planning signals below):
-    /// the answer is read off the policy's victim index, and consulting the
-    /// index may lazily re-score or compact it.  The cache contents and
-    /// statistics are never changed.
-    fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit>;
-
-    /// The aggregate profit (Eq. 5: `Σλc / Σs`) of the sets this cache would
-    /// evict to shrink by `bytes` — what a capacity donation of that size
-    /// would actually cost.  `None` when the policy keeps no rate estimate
-    /// to price a shrink with (the baselines); the engine's rebalancer then
-    /// falls back to [`QueryCache::min_cached_profit`].
-    fn shrink_loss(&mut self, bytes: u64, now: Timestamp) -> Option<Profit>;
-
-    /// The aggregate profit (Eq. 5) of the most valuable denied-residency
-    /// sets that would fit into `bytes` of additional capacity — what a
-    /// capacity grant of that size could plausibly win back.  LNC-RA's §2.4
-    /// retained reference information makes this exact.  `None` when the
-    /// policy retains no such information to price (the baselines); the
-    /// engine's rebalancer then falls back to rejection/eviction pressure.
-    fn grow_gain(&mut self, bytes: u64, now: Timestamp) -> Option<Profit>;
 
     /// Accumulated reference / cost statistics.
     fn stats(&self) -> &CacheStats;

@@ -15,9 +15,8 @@
 //!   admission test and what it retains: [`lru`](super::lru),
 //!   [`lfu`](super::lfu), [`lcs`](super::lcs), [`gds`](super::gds),
 //!   [`lru_k`](super::lru_k) and [`lnc`](super::lnc) are each one rule;
-//! * a [`VictimOrder`] — how the lowest ranks are found: an
-//!   [`OrdIndex`](super::index::OrdIndex) of static ranks for the five
-//!   baselines, the [`DecayIndex`](crate::decay::DecayIndex) of Figure 1's
+//! * a [`VictimOrder`] — how the lowest ranks are found: an `OrdIndex` of
+//!   static ranks for the five baselines, the `DecayIndex` of Figure 1's
 //!   decaying two-level order for LNC, and, in tests, a scan that re-scores
 //!   and sorts every set — the one oracle both are held to.
 //!
@@ -48,9 +47,6 @@ pub trait RankRule: Clone + fmt::Debug {
 
     /// Whether the victim is the set of *greatest* rank, not the least.
     const VICTIM_IS_MAX: bool = false;
-    /// Whether the rule keeps a rate estimate (Eq. 3): only then does it
-    /// price a shrink ([`QueryCache::shrink_loss`]).
-    const RATED: bool = false;
 
     /// The policy name reported by [`QueryCache::name`].
     fn name(&self) -> &'static str;
@@ -65,20 +61,15 @@ pub trait RankRule: Clone + fmt::Debug {
         1
     }
 
-    /// The rank of a set within its group at `now`.  An
-    /// [`OrdIndex`](super::index::OrdIndex) keeps the rank a set has when it
-    /// is filed or referenced, so it only serves rules that ignore `now`.
+    /// The rank of a set within its group at `now`.  An `OrdIndex` keeps the
+    /// rank a set has when it is filed or referenced, so it only serves
+    /// rules that ignore `now`.
     fn rank(set: &SetInfo<Self::State>, now: Timestamp) -> Self::Rank;
 
-    /// What the least-ranked set is worth to
-    /// [`QueryCache::min_cached_profit`]; by default `c/s` (Eq. 6).
+    /// What the least-ranked set is worth to the §2.4 purge
+    /// ([`RankRule::purge`]); by default `c/s` (Eq. 6).
     fn price(set: &SetInfo<Self::State>, _now: Timestamp) -> Profit {
         Profit::estimated(set.cost, set.size_bytes)
-    }
-
-    /// The set's reference rate at `now`, for a [`RankRule::RATED`] rule.
-    fn rate(_set: &SetInfo<Self::State>, _now: Timestamp) -> f64 {
-        0.0
     }
 
     /// The state of a set about to be admitted.  Runs after the miss is
@@ -141,11 +132,6 @@ pub trait RankRule: Clone + fmt::Debug {
     /// Runs after every admission and every refusal by the admission test;
     /// `least` prices the least-ranked cached set across groups.
     fn purge(&mut self, _least: impl FnOnce() -> Option<Profit>, _now: Timestamp) {}
-
-    /// [`QueryCache::grow_gain`]: what `bytes` more capacity could win back.
-    fn grow_gain(&mut self, _bytes: u64, _now: Timestamp) -> Option<Profit> {
-        None
-    }
 
     /// [`QueryCache::clear`] emptied the cache.
     fn cleared(&mut self) {}
@@ -380,6 +366,29 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
         self.group_bytes[R::group(&info.state)] -= info.size_bytes;
         Some(value)
     }
+
+    /// The price of the least-ranked cached set at `now`: what the §2.4
+    /// purge compares retained histories against.
+    #[cfg(test)]
+    pub(crate) fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
+        let now = self.clock(now);
+        least(&mut self.order, &self.entries, &mut self.certified, now)
+    }
+
+    /// The keys of the victims selected to free `needed` bytes at `now`, in
+    /// eviction order.  Nothing is evicted.
+    #[cfg(test)]
+    pub(crate) fn victim_keys(&mut self, needed: u64, now: Timestamp) -> Vec<QueryKey> {
+        let now = self.clock(now);
+        let victims = self.select(needed, now);
+        let keys = victims
+            .iter()
+            .filter_map(|&id| self.entries.by_id(id))
+            .map(|e| e.info.key.clone())
+            .collect();
+        self.victims = victims;
+        keys
+    }
 }
 
 impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCache<V, R, O> {
@@ -501,48 +510,6 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
 
     fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
-    }
-
-    fn set_capacity_bytes(&mut self, capacity_bytes: u64, now: Timestamp) -> Vec<QueryKey> {
-        let now = self.clock(now);
-        self.capacity_bytes = capacity_bytes;
-        // Shrinking below occupancy evicts in the rule's own victim order,
-        // with the same side effects as demand-driven evictions.
-        self.make_room(now)
-    }
-
-    fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
-        let now = self.clock(now);
-        least(&mut self.order, &self.entries, &mut self.certified, now)
-    }
-
-    fn shrink_loss(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
-        let now = self.clock(now);
-        if !R::RATED {
-            return None;
-        }
-        // Shrinking into free space costs nothing.
-        let used = self.used_bytes();
-        let free = self.capacity_bytes.saturating_sub(used);
-        if bytes <= free || self.entries.is_empty() {
-            return Some(Profit::ZERO);
-        }
-        // Price the victims the rule would actually pick for this shrink.
-        let victims = self.select((bytes - free).min(used), now);
-        let entries = &self.entries;
-        let loss = Profit::of_list(
-            victims
-                .iter()
-                .filter_map(|&id| entries.by_id(id))
-                .map(|e| (R::rate(&e.info, now), e.info.cost, e.info.size_bytes)),
-        );
-        self.victims = victims;
-        Some(loss)
-    }
-
-    fn grow_gain(&mut self, bytes: u64, now: Timestamp) -> Option<Profit> {
-        let now = self.clock(now);
-        self.rule.grow_gain(bytes, now)
     }
 
     fn stats(&self) -> &CacheStats {

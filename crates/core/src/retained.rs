@@ -42,7 +42,6 @@
 //! the original LRU-K design instead, and ranks them not at all
 //! ([`RetainedOrder`] for `()`).
 
-use std::cmp::Reverse;
 use std::fmt;
 
 use crate::clock::Timestamp;
@@ -290,26 +289,6 @@ impl<X: RetainedOrder> RetainedStore<X> {
     /// Iterates over retained entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &RetainedInfo> {
         self.entries.iter().map(|(_, info)| info)
-    }
-
-    /// Retained entries ranked by descending profit at `now`, ties broken by
-    /// key signature.
-    ///
-    /// This is the lookup discipline shared by the capacity-planning signals
-    /// ([`QueryCache::grow_gain`](crate::policy::QueryCache::grow_gain)
-    /// greedily packs this order): callers no longer sort hash-map iteration
-    /// output themselves, which made tie outcomes depend on the map's seed.
-    pub fn ranked_by_profit_desc(&self, now: Timestamp) -> impl Iterator<Item = &RetainedInfo> {
-        // Each history is priced once, not on both sides of every comparison.
-        let mut ranked: Vec<_> = self
-            .iter()
-            .map(|info| {
-                let rank = (Reverse(info.profit(now)), info.key.signature().value());
-                (rank, info)
-            })
-            .collect();
-        ranked.sort_unstable_by_key(|&(rank, _)| rank);
-        ranked.into_iter().map(|(_, info)| info)
     }
 }
 

@@ -23,7 +23,7 @@
 //! The ready set is **sharded**: each worker owns a local run queue (a FIFO
 //! plus a one-slot LIFO) behind its own mutex, with a global injector for
 //! submissions that carry no placement hint and randomized work stealing to
-//! rebalance load (the data plane lives in `queue.rs`):
+//! spread load (the data plane lives in `queue.rs`):
 //!
 //! * **Placement follows the wake.**  A wake performed *by* a worker lands
 //!   in that worker's queue — in the LIFO slot when it wakes another task
@@ -73,8 +73,7 @@
 //!   against the earliest deadline (in the seat, `epoll_wait`'s timeout
 //!   rounds it up to a whole millisecond).  A pool whose every worker is
 //!   stuck in a long blocking fetch fires timers late.  Fine for the
-//!   engine's background maintenance (rebalance passes), unsuitable for
-//!   high-resolution timing.
+//!   engine's retry backoffs, unsuitable for high-resolution timing.
 //! * **Shutdown is prompt, not graceful-drain.**  Dropping the [`Runtime`]
 //!   (or calling [`Runtime::shutdown`] on a shared handle) grants every
 //!   worker's park permit, stops polling, drops all
@@ -507,10 +506,6 @@ impl Runtime {
     /// a consistent-enough gauge, not an atomic snapshot.
     pub fn queue_depth(&self) -> usize {
         self.inner.queue.depth()
-    }
-
-    pub(crate) fn inner_handle(&self) -> Weak<RuntimeInner> {
-        Arc::downgrade(&self.inner)
     }
 
     /// The runtime's IO reactor, created on first use.

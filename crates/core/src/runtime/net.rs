@@ -1,4 +1,4 @@
-//! Non-blocking TCP wrappers over the runtime's IO [reactor](super::reactor).
+//! Non-blocking TCP wrappers over the runtime's IO reactor.
 //!
 //! [`TcpListener`] and [`TcpStream`] wrap their `std::net` counterparts in
 //! non-blocking mode, registered edge-triggered with the owning runtime's

@@ -36,11 +36,10 @@
 //!      cycle detection and `lock_graph::assert_clean` turns any finding
 //!      into a panic with both witness stacks, which is how the CI
 //!      `lock-graph` test runs gate the repo;
-//!    * *same-class* nesting (the rebalancer holding two shard locks at
-//!      once) is legal only with declared **ranks** acquired in strictly
-//!      ascending order — [`Mutex::with_rank`] is how the shard vector
-//!      declares "index order".  An acquisition that holds a same-class
-//!      lock of equal or higher rank is recorded as a rank violation;
+//!    * *same-class* nesting (a thread holding one lock of a class while
+//!      it acquires another of the same class, say two shard locks) is
+//!      always recorded as a violation: no path in the tree needs it, and
+//!      the class graph could not order it;
 //!    * the runtime's workers additionally flag any task poll entered while
 //!      the polling thread holds an engine lock (**lock-held-across-poll**):
 //!      a blocking fetch or a suspended task must never pin a shard or
@@ -124,28 +123,18 @@ mod instr_impl {
     #[derive(Clone)]
     pub(super) struct Held {
         pub class: ClassKey,
-        pub rank: Option<u32>,
         /// Where `.lock()` was called (not where the lock was created).
         pub acquired_at: &'static Location<'static>,
     }
 
     impl Held {
         fn describe(&self) -> String {
-            match self.rank {
-                Some(rank) => format!(
-                    "{}[rank {}] (locked at {}:{})",
-                    self.class.label(),
-                    rank,
-                    self.acquired_at.file(),
-                    self.acquired_at.line()
-                ),
-                None => format!(
-                    "{} (locked at {}:{})",
-                    self.class.label(),
-                    self.acquired_at.file(),
-                    self.acquired_at.line()
-                ),
-            }
+            format!(
+                "{} (locked at {}:{})",
+                self.class.label(),
+                self.acquired_at.file(),
+                self.acquired_at.line()
+            )
         }
     }
 
@@ -165,13 +154,11 @@ mod instr_impl {
     pub(super) struct Graph {
         /// Directed class edges: held → acquired, with the first witness.
         pub edges: HashMap<(ClassKey, ClassKey), EdgeWitness>,
-        /// Same-class acquisitions violating the strict rank order.
-        pub rank_violations: Vec<String>,
+        /// Same-class acquisitions: a lock taken while its thread held
+        /// another lock of the same class.
+        pub same_class_nestings: Vec<String>,
         /// Task polls entered with engine locks held.
         pub poll_violations: Vec<String>,
-        /// Legal (strictly ascending) same-class nestings observed — lets
-        /// tests assert a multi-lock code path actually executed.
-        pub ranked_nestings: u64,
     }
 
     pub(super) static GRAPH: StdMutex<Option<Graph>> = StdMutex::new(None);
@@ -197,41 +184,22 @@ mod instr_impl {
 
     /// Records an acquisition: folds the current held stack into the graph,
     /// then pushes the new entry.  Called *after* the real lock succeeds.
-    pub(super) fn on_acquire(
-        class: ClassKey,
-        rank: Option<u32>,
-        acquired_at: &'static Location<'static>,
-    ) {
+    pub(super) fn on_acquire(class: ClassKey, acquired_at: &'static Location<'static>) {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if !held.is_empty() {
                 let stack: Vec<String> = held.iter().map(Held::describe).collect();
-                let acquired = Held {
-                    class,
-                    rank,
-                    acquired_at,
-                };
+                let acquired = Held { class, acquired_at };
                 let acquired_desc = acquired.describe();
                 with_graph(|graph| {
                     for h in held.iter() {
                         if h.class == class {
-                            // Same-class nesting: legal only with declared
-                            // ranks in strictly ascending order.
-                            let ordered = matches!(
-                                (h.rank, rank),
-                                (Some(outer), Some(inner)) if outer < inner
-                            );
-                            if ordered {
-                                graph.ranked_nestings += 1;
-                            } else {
-                                graph.rank_violations.push(format!(
-                                    "same-class nesting out of rank order on {}: \
-                                     acquired {} while holding [{}]",
-                                    thread_label(),
-                                    acquired_desc,
-                                    stack.join(", ")
-                                ));
-                            }
+                            graph.same_class_nestings.push(format!(
+                                "same-class nesting on {}: acquired {} while holding [{}]",
+                                thread_label(),
+                                acquired_desc,
+                                stack.join(", ")
+                            ));
                         } else {
                             graph
                                 .edges
@@ -245,11 +213,7 @@ mod instr_impl {
                     }
                 });
             }
-            held.push(Held {
-                class,
-                rank,
-                acquired_at,
-            });
+            held.push(Held { class, acquired_at });
         });
     }
 
@@ -299,8 +263,6 @@ pub use instr_impl::{locks_held_on_thread, note_task_poll};
 pub struct Mutex<T: ?Sized> {
     #[cfg(feature = "lock-graph")]
     class: instr_impl::ClassKey,
-    #[cfg(feature = "lock-graph")]
-    rank: Option<u32>,
     inner: std::sync::Mutex<T>,
 }
 
@@ -355,26 +317,6 @@ impl<T> Mutex<T> {
         Mutex {
             #[cfg(feature = "lock-graph")]
             class: instr_impl::ClassKey::of(std::panic::Location::caller()),
-            #[cfg(feature = "lock-graph")]
-            rank: None,
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-
-    /// Creates a lock with a declared *rank* inside its class.  Locks of one
-    /// class may be nested only in strictly ascending rank order — this is
-    /// how the engine's shard vector declares "acquire in index order"
-    /// (the discipline the rebalancer's two-lock transfer and the atomic
-    /// `stats_snapshot` rely on).
-    #[track_caller]
-    pub fn with_rank(rank: u32, value: T) -> Self {
-        #[cfg(not(feature = "lock-graph"))]
-        let _ = rank;
-        Mutex {
-            #[cfg(feature = "lock-graph")]
-            class: instr_impl::ClassKey::of(std::panic::Location::caller()),
-            #[cfg(feature = "lock-graph")]
-            rank: Some(rank),
             inner: std::sync::Mutex::new(value),
         }
     }
@@ -393,7 +335,7 @@ impl<T: ?Sized> Mutex<T> {
             poisoned.into_inner()
         });
         #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(self.class, self.rank, site);
+        instr_impl::on_acquire(self.class, site);
         MutexGuard {
             #[cfg(feature = "lock-graph")]
             _held: HeldToken { class: self.class },
@@ -415,7 +357,7 @@ impl<T: ?Sized> Mutex<T> {
             Err(std::sync::TryLockError::WouldBlock) => return None,
         };
         #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(self.class, self.rank, site);
+        instr_impl::on_acquire(self.class, site);
         Some(MutexGuard {
             #[cfg(feature = "lock-graph")]
             _held: HeldToken { class: self.class },
@@ -484,7 +426,7 @@ impl Condvar {
             poisoned.into_inner()
         });
         #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(class, None, site);
+        instr_impl::on_acquire(class, site);
         MutexGuard {
             #[cfg(feature = "lock-graph")]
             _held: HeldToken { class },
@@ -518,7 +460,7 @@ impl Condvar {
                 poisoned.into_inner()
             });
         #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(class, None, site);
+        instr_impl::on_acquire(class, site);
         (
             MutexGuard {
                 #[cfg(feature = "lock-graph")]
@@ -547,8 +489,6 @@ impl Condvar {
 pub struct RwLock<T: ?Sized> {
     #[cfg(feature = "lock-graph")]
     class: instr_impl::ClassKey,
-    #[cfg(feature = "lock-graph")]
-    rank: Option<u32>,
     inner: std::sync::RwLock<T>,
 }
 
@@ -598,8 +538,6 @@ impl<T> RwLock<T> {
         RwLock {
             #[cfg(feature = "lock-graph")]
             class: instr_impl::ClassKey::of(std::panic::Location::caller()),
-            #[cfg(feature = "lock-graph")]
-            rank: None,
             inner: std::sync::RwLock::new(value),
         }
     }
@@ -615,7 +553,7 @@ impl<T: ?Sized> RwLock<T> {
             poisoned.into_inner()
         });
         #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(self.class, self.rank, site);
+        instr_impl::on_acquire(self.class, site);
         RwLockReadGuard {
             #[cfg(feature = "lock-graph")]
             _held: HeldToken { class: self.class },
@@ -632,7 +570,7 @@ impl<T: ?Sized> RwLock<T> {
             poisoned.into_inner()
         });
         #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(self.class, self.rank, site);
+        instr_impl::on_acquire(self.class, site);
         RwLockWriteGuard {
             #[cfg(feature = "lock-graph")]
             _held: HeldToken { class: self.class },
@@ -694,15 +632,12 @@ pub mod lock_graph {
         /// list of its edges, so the report carries a witness stack for
         /// every direction involved.
         pub cycles: Vec<Vec<Edge>>,
-        /// Same-class acquisitions that violated the strict rank order.
-        pub rank_violations: Vec<String>,
+        /// Same-class acquisitions: any is a violation.
+        pub same_class_nestings: Vec<String>,
         /// Task polls entered with engine locks held.
         pub poll_violations: Vec<String>,
         /// Poisoned-lock recoveries observed process-wide.
         pub poison_recoveries: u64,
-        /// Legal ranked same-class nestings (e.g. shard-lock pairs taken in
-        /// index order by the rebalancer or an atomic snapshot).
-        pub ranked_nestings: u64,
     }
 
     impl Report {
@@ -711,20 +646,23 @@ pub mod lock_graph {
             self.cycles.is_empty()
         }
 
-        /// Whether the run was fully clean: acyclic, rank-disciplined, and
-        /// no lock was ever held across a task poll.
+        /// Whether the run was fully clean: acyclic, no same-class nesting,
+        /// and no lock was ever held across a task poll.
         pub fn is_clean(&self) -> bool {
-            self.is_acyclic() && self.rank_violations.is_empty() && self.poll_violations.is_empty()
+            self.is_acyclic()
+                && self.same_class_nestings.is_empty()
+                && self.poll_violations.is_empty()
         }
 
         /// A human-readable rendering of every finding.
         pub fn describe(&self) -> String {
             let mut out = String::new();
             out.push_str(&format!(
-                "lock-order graph: {} edges, {} cycles, {} rank violations, {} poll violations\n",
+                "lock-order graph: {} edges, {} cycles, {} same-class nestings, \
+                 {} poll violations\n",
                 self.edges.len(),
                 self.cycles.len(),
-                self.rank_violations.len(),
+                self.same_class_nestings.len(),
                 self.poll_violations.len()
             ));
             for (i, cycle) in self.cycles.iter().enumerate() {
@@ -740,8 +678,8 @@ pub mod lock_graph {
                     ));
                 }
             }
-            for violation in &self.rank_violations {
-                out.push_str(&format!("rank violation: {violation}\n"));
+            for violation in &self.same_class_nestings {
+                out.push_str(&format!("{violation}\n"));
             }
             for violation in &self.poll_violations {
                 out.push_str(&format!("poll violation: {violation}\n"));
@@ -752,34 +690,31 @@ pub mod lock_graph {
 
     /// Snapshots the global graph and runs cycle detection over it.
     pub fn report() -> Report {
-        let (edges, rank_violations, poll_violations, ranked_nestings) =
-            instr_impl::with_graph(|graph| {
-                (
-                    graph
-                        .edges
-                        .iter()
-                        .map(|(k, w)| (*k, w.clone()))
-                        .collect::<Vec<((ClassKey, ClassKey), EdgeWitness)>>(),
-                    graph.rank_violations.clone(),
-                    graph.poll_violations.clone(),
-                    graph.ranked_nestings,
-                )
-            });
+        let (edges, same_class_nestings, poll_violations) = instr_impl::with_graph(|graph| {
+            (
+                graph
+                    .edges
+                    .iter()
+                    .map(|(k, w)| (*k, w.clone()))
+                    .collect::<Vec<((ClassKey, ClassKey), EdgeWitness)>>(),
+                graph.same_class_nestings.clone(),
+                graph.poll_violations.clone(),
+            )
+        });
         let cycles = find_cycles(&edges);
         let mut edge_list: Vec<Edge> = edges.iter().map(|(k, w)| make_edge(*k, w)).collect();
         edge_list.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
         Report {
             edges: edge_list,
             cycles,
-            rank_violations,
+            same_class_nestings,
             poll_violations,
             poison_recoveries: super::poison_recoveries(),
-            ranked_nestings,
         }
     }
 
     /// Panics with the full report if the recorded graph has a cycle, a
-    /// rank violation, or a lock-held-across-poll finding.
+    /// same-class nesting, or a lock-held-across-poll finding.
     pub fn assert_clean() {
         let report = report();
         assert!(report.is_clean(), "{}", report.describe());
@@ -790,9 +725,8 @@ pub mod lock_graph {
     pub fn reset() {
         instr_impl::with_graph(|graph| {
             graph.edges.clear();
-            graph.rank_violations.clear();
+            graph.same_class_nestings.clear();
             graph.poll_violations.clear();
-            graph.ranked_nestings = 0;
         });
     }
 
@@ -966,29 +900,16 @@ mod tests {
 
     #[cfg(feature = "lock-graph")]
     #[test]
-    fn ranked_same_class_nesting_is_legal_only_ascending() {
-        fn make(rank: u32) -> Mutex<u32> {
-            Mutex::with_rank(rank, 0)
-        }
-        let shards: Vec<Mutex<u32>> = (0..3).map(make).collect();
+    fn any_same_class_nesting_is_flagged() {
+        let shards: Vec<Mutex<u32>> = (0..3).map(|_| Mutex::new(0)).collect();
         lock_graph::reset();
         {
             let _low = shards[0].lock();
             let _high = shards[2].lock();
         }
-        assert!(
-            lock_graph::report().rank_violations.is_empty(),
-            "ascending rank order is the documented discipline"
-        );
-        {
-            let _high = shards[2].lock();
-            let _low = shards[0].lock();
-        }
         let report = lock_graph::report();
-        assert!(
-            !report.rank_violations.is_empty(),
-            "descending same-class order must be flagged"
-        );
+        assert_eq!(report.same_class_nestings.len(), 1, "{}", report.describe());
+        assert!(!report.is_clean());
         lock_graph::reset();
     }
 }

@@ -64,6 +64,8 @@ struct Args {
     rounds: usize,
     chaos: Option<String>,
     metrics: bool,
+    /// A CI-sized run, whose chaos scorecard goes under `target/`.
+    quick: bool,
     shutdown: bool,
 }
 
@@ -82,6 +84,7 @@ impl Default for Args {
             rounds: 4,
             chaos: None,
             metrics: false,
+            quick: false,
             shutdown: false,
         }
     }
@@ -105,7 +108,6 @@ fn value<T: FromStr>(iter: &mut std::slice::Iter<'_, String>) -> Result<T, ExitC
 
 fn parse_args() -> Result<Args, ExitCode> {
     let mut args = Args::default();
-    let mut quick = false;
     let mut explicit_clients = None;
     let mut explicit_queries = None;
     let mut explicit_rounds = None;
@@ -125,7 +127,7 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--rounds" => explicit_rounds = Some(value(&mut iter)?),
             "--chaos" => args.chaos = Some(value(&mut iter)?),
             "--metrics" => args.metrics = true,
-            "--quick" => quick = true,
+            "--quick" => args.quick = true,
             "--shutdown" => args.shutdown = true,
             "--help" | "-h" => return Err(usage()),
             other => {
@@ -136,7 +138,7 @@ fn parse_args() -> Result<Args, ExitCode> {
     }
     // --quick shrinks the *defaults* only; explicit --clients/--queries win
     // regardless of flag order.
-    if quick {
+    if args.quick {
         args.queries = 600;
         args.clients = 4;
         args.rounds = 2;
@@ -144,7 +146,7 @@ fn parse_args() -> Result<Args, ExitCode> {
     if args.chaos.is_some() {
         // The chaos sweep's defaults; --quick shortens it.
         args.clients = 8;
-        args.rounds = if quick { 80 } else { 200 };
+        args.rounds = if args.quick { 80 } else { 200 };
     }
     args.clients = explicit_clients.unwrap_or(args.clients);
     args.queries = explicit_queries.unwrap_or(args.queries);
@@ -507,12 +509,17 @@ fn run_chaos(spec: &str, args: &Args) -> Result<(), String> {
         baseline,
         faulted,
     };
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_fault_injection.json"
-    );
+    // A full run rewrites the committed scorecard at the workspace root; a
+    // `--quick` run writes under `target/`, leaving the checkout as it was.
+    let under = if args.quick {
+        "/../../target"
+    } else {
+        "/../.."
+    };
+    let dir = format!("{}{under}", env!("CARGO_MANIFEST_DIR"));
+    let path = format!("{dir}/BENCH_fault_injection.json");
     let json = serde_json::to_string_pretty(&scorecard).map_err(|err| err.to_string())?;
-    match std::fs::write(path, json + "\n") {
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json + "\n")) {
         Ok(()) => println!("loadgen: wrote {path}"),
         Err(error) => println!("loadgen: could not write {path}: {error}"),
     }

@@ -7,7 +7,7 @@
 //! ```text
 //! watchmand [--addr HOST:PORT] [--shards N] [--capacity-bytes N]
 //!           [--policy lnc-ra|lnc-r|lru|lru-k|lfu|lcs|gds] [--k N]
-//!           [--workers N] [--rebalance-ms N] [--metrics-interval SECS]
+//!           [--workers N] [--metrics-interval SECS]
 //! ```
 //!
 //! `--metrics-interval SECS` logs a one-line telemetry summary (lookup
@@ -20,7 +20,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use watchman_core::engine::{PolicyKind, RebalanceConfig};
+use watchman_core::engine::PolicyKind;
 use watchman_core::telemetry::MetricsSnapshot;
 use watchman_server::{serve, Client, ServerConfig};
 
@@ -64,7 +64,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: watchmand [--addr HOST:PORT] [--shards N] [--capacity-bytes N]\n\
          \x20                [--policy lnc-ra|lnc-r|lru|lru-k|lfu|lcs|gds] [--k N]\n\
-         \x20                [--workers N] [--rebalance-ms N] [--metrics-interval SECS]"
+         \x20                [--workers N] [--metrics-interval SECS]"
     );
     ExitCode::FAILURE
 }
@@ -76,7 +76,6 @@ fn main() -> ExitCode {
     };
     let mut policy_name = "lnc-ra".to_owned();
     let mut k = 4usize;
-    let mut rebalance_ms: Option<u64> = None;
     let mut metrics_interval_secs: u64 = 0;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -114,10 +113,6 @@ fn main() -> ExitCode {
                 Some(v) => config.runtime_workers = v,
                 None => return usage(),
             },
-            "--rebalance-ms" => match value("--rebalance-ms").and_then(|v| v.parse().ok()) {
-                Some(v) => rebalance_ms = Some(v),
-                None => return usage(),
-            },
             "--metrics-interval" => {
                 match value("--metrics-interval").and_then(|v| v.parse().ok()) {
                     Some(v) => metrics_interval_secs = v,
@@ -140,10 +135,6 @@ fn main() -> ExitCode {
         return usage();
     };
     config.policy = policy;
-    if let Some(ms) = rebalance_ms {
-        config.rebalance =
-            Some(RebalanceConfig::new().with_period(Duration::from_millis(ms.max(1))));
-    }
 
     let shards = config.shards;
     let capacity = config.capacity_bytes;

@@ -4,7 +4,7 @@
 //!
 //! * **Typed calls** — [`Client::get`], [`Client::get_many`],
 //!   [`Client::peek`], [`Client::stats`], [`Client::invalidate_relation`],
-//!   [`Client::rebalance_now`], [`Client::shutdown_server`];
+//!   [`Client::shutdown_server`];
 //! * **Pipelining** — [`Client::get_many`] encodes every request frame
 //!   into one buffer and sends the batch with a single write before
 //!   reading the first response, and the responses are read back through
@@ -19,7 +19,7 @@
 //!   facing a flapping server does not reconnect in lockstep.  Retries
 //!   only cover requests whose replay is safe (`GET` — answered as a hit
 //!   after a lost response — `PEEK`, `STATS`, `SHUTDOWN`).
-//!   `REBALANCE_NOW` and `INVALIDATE` are **not** replayed: a lost
+//!   `INVALIDATE` is **not** replayed: a lost
 //!   response there surfaces as an error so the caller decides.  A retried
 //!   `GET` is *visible* in the server's statistics as one extra reference,
 //!   which is why deterministic replays run over loopback where
@@ -43,7 +43,7 @@ use std::time::Duration;
 use watchman_core::engine::{RetryPolicy, StatsSnapshot};
 use watchman_core::telemetry::{MetricsSnapshot, TraceDump};
 
-use crate::wire::{self, GetRequest, GetResponse, RebalanceSummary, Request, Response, WireError};
+use crate::wire::{self, GetRequest, GetResponse, Request, Response, WireError};
 
 /// Everything that can go wrong on a client call.
 #[derive(Debug)]
@@ -253,9 +253,9 @@ impl Client {
 
     /// Whether a lost-response retry of `request` is safe.  A retried `GET`
     /// is answered as a hit, `PEEK`/`STATS` read nothing, and a second
-    /// `SHUTDOWN` is a no-op — but `REBALANCE_NOW` moves capacity *again*
-    /// and `INVALIDATE` reports different counts on replay, so those
-    /// surface the connection error to the caller instead.
+    /// `SHUTDOWN` is a no-op — but `INVALIDATE` reports different counts
+    /// on replay, so it surfaces the connection error to the caller
+    /// instead.
     fn retry_safe(request: &Request) -> bool {
         matches!(
             request,
@@ -452,19 +452,6 @@ impl Client {
             } => Ok((affected, invalidated)),
             _ => Err(ClientError::UnexpectedResponse {
                 expected: "INVALIDATE",
-            }),
-        }
-    }
-
-    /// Runs one rebalance pass at the given logical time.
-    pub fn rebalance_now(
-        &mut self,
-        timestamp_us: u64,
-    ) -> Result<Option<RebalanceSummary>, ClientError> {
-        match self.call(Request::RebalanceNow { timestamp_us })? {
-            Response::RebalanceNow(outcome) => Ok(outcome),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "REBALANCE_NOW",
             }),
         }
     }

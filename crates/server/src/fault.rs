@@ -17,7 +17,7 @@
 //!   (the first fetch ever succeeds, every refetch fails terminally — the
 //!   shape that exercises stale serving and memoized failures).
 //! * **Wire faults** — the plan implements
-//!   [`FaultInjector`](watchman_core::runtime::net::FaultInjector) and is
+//!   [`FaultInjector`] and is
 //!   installed on accepted session streams: designated connections are
 //!   reset after a few reads, one is stalled mid-stream (the slow-loris the
 //!   read deadline evicts), and the rest pass through untouched.

@@ -51,6 +51,4 @@ pub use replay::{
     replay_trace_wire, Outcome, Report, Requests, Scenario, SWEEP_KEYS, SWEEP_RESULT_BYTES,
 };
 pub use server::{serve, ServerConfig, ServerError, ServerHandle, ServerPayload};
-pub use wire::{
-    GetRequest, GetResponse, RebalanceSummary, Request, Response, WireError, WireSource,
-};
+pub use wire::{GetRequest, GetResponse, Request, Response, WireError, WireSource};

@@ -2,11 +2,9 @@
 //!
 //! [`replay_trace_wire`] is the network twin of
 //! [`watchman_sim::replay_trace_engine`]: one connection replays a
-//! deterministic trace record by record (pipelined in
-//! [`REBALANCE_EVERY_RECORDS`]-sized batches, which the server answers in
-//! order), schedules a rebalance pass at exactly the same points the
-//! in-process drivers do, and returns the server engine's final
-//! [`StatsSnapshot`] — byte-identical to the in-process replay of the same
+//! deterministic trace record by record (pipelined in batches of
+//! `REPLAY_BATCH_RECORDS`, which the server answers in order) and
+//! returns the server engine's final [`StatsSnapshot`] — byte-identical to the in-process replay of the same
 //! trace on the same engine configuration, which is the end-to-end proof
 //! that the wire adds no replay-visible semantics.
 //!
@@ -37,7 +35,6 @@ use watchman_core::metrics::CacheStats;
 use watchman_core::runtime::net::TcpStream;
 use watchman_core::runtime::{block_on, Runtime};
 use watchman_core::telemetry::{HistogramSnapshot, MetricsSnapshot};
-use watchman_sim::REBALANCE_EVERY_RECORDS;
 use watchman_trace::Trace;
 
 use crate::client::{connect_handshaken, Client, ClientError};
@@ -45,13 +42,14 @@ use crate::wire::{
     self, FrameReader, GetRequest, GetResponse, Request, Response, WireError, WireSource,
 };
 
+/// Records [`replay_trace_wire`] pipelines per `get_many` batch.
+const REPLAY_BATCH_RECORDS: usize = 128;
+
 /// Replays `trace` through `client` with the deterministic protocol of the
-/// in-process drivers (one session, in trace order, a rebalance pass every
-/// [`REBALANCE_EVERY_RECORDS`] records) and returns the server's final
-/// snapshot.
+/// in-process drivers (one session, in trace order) and returns the
+/// server's final snapshot.
 pub fn replay_trace_wire(client: &mut Client, trace: &Trace) -> Result<StatsSnapshot, ClientError> {
-    let chunk_len = REBALANCE_EVERY_RECORDS as usize;
-    for chunk in trace.records.chunks(chunk_len) {
+    for chunk in trace.records.chunks(REPLAY_BATCH_RECORDS) {
         let batch: Vec<GetRequest> = chunk
             .iter()
             .map(|record| {
@@ -64,11 +62,6 @@ pub fn replay_trace_wire(client: &mut Client, trace: &Trace) -> Result<StatsSnap
             })
             .collect();
         client.get_many(batch)?;
-        // Same schedule as `replay_trace_engine`: a pass after every full
-        // 128-record batch, at the last record's logical time.
-        if let Some(last) = chunk.last().filter(|_| chunk.len() == chunk_len) {
-            client.rebalance_now(last.timestamp_us)?;
-        }
     }
     client.stats()
 }

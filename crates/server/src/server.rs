@@ -15,10 +15,9 @@
 //!   suspend**, and misses coalesce across *connections* through the
 //!   engine's single-flight cells (two clients missing on the same query
 //!   execute it once);
-//! * admin opcodes (`STATS`, `PEEK`, `INVALIDATE`, `REBALANCE_NOW`,
-//!   `SHUTDOWN`, `METRICS`, `TRACE_DUMP`) map onto the engine's snapshot,
-//!   non-mutating probe, coherence, rebalancing and introspection entry
-//!   points.
+//! * admin opcodes (`STATS`, `PEEK`, `INVALIDATE`, `SHUTDOWN`, `METRICS`,
+//!   `TRACE_DUMP`) map onto the engine's snapshot, non-mutating probe,
+//!   coherence and introspection entry points.
 //!
 //! ## Failure isolation
 //!
@@ -33,7 +32,7 @@
 //! `SHUTDOWN` (or [`ServerHandle::shutdown`]) fires a shutdown signal that
 //! every parked task observes through its registered waker — there is no
 //! polling tick.  Idle sessions close at their next frame boundary; a
-//! session mid-frame or mid-request gets [`DRAIN_GRACE`] to finish, after
+//! session mid-frame or mid-request gets `DRAIN_GRACE` to finish, after
 //! which the supervisor cancels the remaining tasks by shutting the runtime
 //! down.  [`ServerHandle::join`] returns once the drain completes.
 
@@ -50,9 +49,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use watchman_core::clock::Timestamp;
 use watchman_core::coherence::DependencyObserver;
-use watchman_core::engine::{
-    FailureConfig, LookupSource, PolicyKind, RebalanceConfig, StatsSnapshot, Watchman,
-};
+use watchman_core::engine::{FailureConfig, LookupSource, PolicyKind, StatsSnapshot, Watchman};
 use watchman_core::key::{QueryKey, Signature};
 use watchman_core::runtime::net::{FaultInjector, TcpListener, TcpStream};
 use watchman_core::runtime::{block_on, Runtime};
@@ -61,9 +58,7 @@ use watchman_core::telemetry::{self, MetricsSnapshot, TraceKind};
 use watchman_core::value::{CachePayload, ExecutionCost};
 
 use crate::fault::FaultPlan;
-use crate::wire::{
-    self, GetRequest, GetResponse, RebalanceSummary, Request, Response, WireError, WireSource,
-};
+use crate::wire::{self, GetRequest, GetResponse, Request, Response, WireError, WireSource};
 
 use std::future::{poll_fn, Future};
 
@@ -113,8 +108,6 @@ pub struct ServerConfig {
     /// Session tasks share this pool; they suspend while waiting on the
     /// network, so idle connections occupy no worker.
     pub runtime_workers: usize,
-    /// Optional profit-aware capacity rebalancing between shards.
-    pub rebalance: Option<RebalanceConfig>,
     /// Failure-domain configuration handed to the engine: fetch retry
     /// policy, circuit breaker, stale serving.  Every
     /// `GET` runs inside it, but only a fetch error engages it, and only an
@@ -143,7 +136,6 @@ impl Default for ServerConfig {
             policy: PolicyKind::LNC_RA,
             capacity_bytes: 64 << 20,
             runtime_workers: 4,
-            rebalance: None,
             failure: FailureConfig::default(),
             max_inflight: 0,
             read_deadline: None,
@@ -421,17 +413,14 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let deps: Arc<DependencyObserver<RelationResolver>> = Arc::new(DependencyObserver::new(
         resolve_relations as RelationResolver,
     ));
-    let mut builder = Watchman::builder()
+    let engine: Watchman<ServerPayload> = Watchman::builder()
         .shards(config.shards)
         .policy(config.policy)
         .capacity_bytes(config.capacity_bytes)
         .runtime_workers(config.runtime_workers)
         .failure(config.failure.clone())
-        .observer(deps.clone());
-    if let Some(rebalance) = config.rebalance {
-        builder = builder.rebalance(rebalance);
-    }
-    let engine: Watchman<ServerPayload> = builder.build();
+        .observer(deps.clone())
+        .build();
     let runtime = engine.runtime();
 
     // The listener registers with the runtime's reactor at bind time (this
@@ -839,17 +828,6 @@ async fn handle_request(shared: &Shared, request: Request<&str>) -> Response<Pre
                 affected: report.affected.len() as u32,
                 invalidated: report.invalidated.len() as u32,
             }
-        }
-        Request::RebalanceNow { timestamp_us } => {
-            let outcome = shared
-                .engine
-                .rebalance_now(Timestamp::from_micros(timestamp_us));
-            Response::RebalanceNow(outcome.map(|outcome| RebalanceSummary {
-                donor: outcome.donor as u32,
-                recipient: outcome.recipient as u32,
-                moved_bytes: outcome.moved_bytes,
-                evicted: outcome.evicted.len() as u32,
-            }))
         }
         Request::Shutdown => Response::Shutdown,
         Request::Metrics => Response::Metrics(metrics_snapshot(shared)),

@@ -41,12 +41,12 @@
 //! | 2 | `PEEK` | key string |
 //! | 3 | `STATS` | (empty) |
 //! | 4 | `INVALIDATE` | relation string |
-//! | 5 | `REBALANCE_NOW` | `timestamp_us: u64` |
 //! | 6 | `SHUTDOWN` | (empty) |
 //! | 8 | `METRICS` | (empty) |
 //! | 9 | `TRACE_DUMP` | (empty) |
 //!
-//! Opcode 7 (`SERVER_INFO`, retired in v5) is never reused.
+//! Opcodes 5 (the shard capacity-transfer call, retired in v6) and 7
+//! (`SERVER_INFO`, retired in v5) are never reused.
 //!
 //! `GET` carries the replay protocol of the simulator: the key is the raw
 //! query text, and `result_bytes`/`cost_blocks` describe what executing the
@@ -69,9 +69,8 @@
 //! |---|---|
 //! | `GET` | `source: u8` (0 hit, 1 executed, 2 coalesced), `cost_blocks: f64`, `full_len: u64`, prefix bytes (`u32` length + bytes), `service_us: u64`, `deadline_exceeded: u8` |
 //! | `PEEK` | `cached: u8`, `size_bytes: u64` |
-//! | `STATS` | JSON-encoded [`StatsSnapshot`] string: the engine's counters, occupancy and capacity per shard, plus the server's shed count; taking it changes nothing |
+//! | `STATS` | JSON-encoded [`StatsSnapshot`] string: the engine's counters and occupancy per shard, plus the server's shed count; taking it changes nothing |
 //! | `INVALIDATE` | `affected: u32`, `invalidated: u32` |
-//! | `REBALANCE_NOW` | `moved: u8`; if 1: `donor: u32`, `recipient: u32`, `moved_bytes: u64`, `evicted: u32` |
 //! | `SHUTDOWN` | (empty) |
 //! | `METRICS` | JSON-encoded [`MetricsSnapshot`] string |
 //! | `TRACE_DUMP` | JSON-encoded [`TraceDump`] string |
@@ -126,7 +125,10 @@ pub const MAGIC: [u8; 4] = *b"WMAN";
 /// `engine.fragmentation.used_permille` from the occupancy it reports.
 /// v5 retired `SERVER_INFO` (opcode 7): `METRICS` gauges the same three
 /// numbers as `process.threads`, `runtime.workers` and `server.sessions`.
-pub const VERSION: u16 = 5;
+/// v6 retired opcode 5, which moved capacity between shards, and dropped
+/// the transfer count and the per-shard capacities from the `STATS` body:
+/// every shard keeps its fixed `total/N` capacity.
+pub const VERSION: u16 = 6;
 
 /// Hard upper bound on a frame body; larger length prefixes are treated as
 /// stream corruption and fail the connection.
@@ -296,11 +298,6 @@ pub enum Request<K = String> {
         /// The updated base relation (case-insensitive match).
         relation: K,
     },
-    /// Run one capacity-rebalance pass immediately.
-    RebalanceNow {
-        /// Logical time at which victim profits are evaluated.
-        timestamp_us: u64,
-    },
     /// Stop accepting connections, drain in-flight requests, exit.
     Shutdown,
     /// Fetch the process-wide telemetry exposition: every counter, gauge
@@ -356,19 +353,6 @@ pub struct GetResponse<P = Vec<u8>> {
     pub deadline_exceeded: bool,
 }
 
-/// The outcome of a `REBALANCE_NOW` pass that moved capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceSummary {
-    /// The shard that gave up capacity.
-    pub donor: u32,
-    /// The shard that received it.
-    pub recipient: u32,
-    /// Bytes moved.
-    pub moved_bytes: u64,
-    /// Number of sets the donor evicted to shrink.
-    pub evicted: u32,
-}
-
 /// A response frame payload (`P` as in [`GetResponse`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response<P = Vec<u8>> {
@@ -390,9 +374,6 @@ pub enum Response<P = Vec<u8>> {
         /// Sets that were actually resident and removed.
         invalidated: u32,
     },
-    /// Answer to [`Request::RebalanceNow`]: `None` when the pass moved
-    /// nothing.
-    RebalanceNow(Option<RebalanceSummary>),
     /// Answer to [`Request::Shutdown`].
     Shutdown,
     /// Answer to [`Request::Metrics`].
@@ -924,7 +905,7 @@ const OP_GET: u8 = 1;
 const OP_PEEK: u8 = 2;
 const OP_STATS: u8 = 3;
 const OP_INVALIDATE: u8 = 4;
-const OP_REBALANCE_NOW: u8 = 5;
+// Opcode 5 moved capacity between shards until v6; it is never reused.
 const OP_SHUTDOWN: u8 = 6;
 // Opcode 7 was `SERVER_INFO` until v5; it is never reused.
 const OP_METRICS: u8 = 8;
@@ -988,10 +969,6 @@ pub fn encode_request_into(out: &mut Vec<u8>, request_id: u64, request: &Request
             put_u8(out, OP_INVALIDATE);
             put_str(out, relation);
         }
-        Request::RebalanceNow { timestamp_us } => {
-            put_u8(out, OP_REBALANCE_NOW);
-            put_u64(out, *timestamp_us);
-        }
         Request::Shutdown => put_u8(out, OP_SHUTDOWN),
         Request::Metrics => put_u8(out, OP_METRICS),
         Request::TraceDump => put_u8(out, OP_TRACE_DUMP),
@@ -1028,9 +1005,6 @@ pub fn decode_request_as<'a, K: From<&'a str>>(
         OP_STATS => Request::Stats,
         OP_INVALIDATE => Request::Invalidate {
             relation: reader.str("INVALIDATE relation")?.into(),
-        },
-        OP_REBALANCE_NOW => Request::RebalanceNow {
-            timestamp_us: reader.u64("REBALANCE_NOW timestamp")?,
         },
         OP_SHUTDOWN => Request::Shutdown,
         OP_METRICS => Request::Metrics,
@@ -1110,19 +1084,6 @@ pub fn encode_response_into<P: AsRef<[u8]>>(
             put_u32(out, *affected);
             put_u32(out, *invalidated);
         }
-        Response::RebalanceNow(outcome) => {
-            put_u8(out, OP_REBALANCE_NOW);
-            match outcome {
-                None => put_u8(out, 0),
-                Some(summary) => {
-                    put_u8(out, 1);
-                    put_u32(out, summary.donor);
-                    put_u32(out, summary.recipient);
-                    put_u64(out, summary.moved_bytes);
-                    put_u32(out, summary.evicted);
-                }
-            }
-        }
         Response::Shutdown => put_u8(out, OP_SHUTDOWN),
         Response::Metrics(snapshot) => {
             put_u8(out, OP_METRICS);
@@ -1191,21 +1152,6 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
                 OP_INVALIDATE => Response::Invalidate {
                     affected: reader.u32("INVALIDATE affected")?,
                     invalidated: reader.u32("INVALIDATE invalidated")?,
-                },
-                OP_REBALANCE_NOW => match reader.u8("REBALANCE_NOW moved")? {
-                    0 => Response::RebalanceNow(None),
-                    1 => Response::RebalanceNow(Some(RebalanceSummary {
-                        donor: reader.u32("REBALANCE_NOW donor")?,
-                        recipient: reader.u32("REBALANCE_NOW recipient")?,
-                        moved_bytes: reader.u64("REBALANCE_NOW bytes")?,
-                        evicted: reader.u32("REBALANCE_NOW evicted")?,
-                    })),
-                    value => {
-                        return Err(WireError::InvalidEnum {
-                            field: "rebalance moved flag",
-                            value,
-                        })
-                    }
                 },
                 OP_SHUTDOWN => Response::Shutdown,
                 OP_METRICS => {
@@ -1289,7 +1235,6 @@ mod tests {
         round_trip_request(Request::Invalidate {
             relation: "LINEITEM".to_owned(),
         });
-        round_trip_request(Request::RebalanceNow { timestamp_us: 42 });
         round_trip_request(Request::Shutdown);
         round_trip_request(Request::Metrics);
         round_trip_request(Request::TraceDump);
@@ -1327,13 +1272,6 @@ mod tests {
             affected: 3,
             invalidated: 2,
         });
-        round_trip_response(Response::RebalanceNow(None));
-        round_trip_response(Response::RebalanceNow(Some(RebalanceSummary {
-            donor: 0,
-            recipient: 3,
-            moved_bytes: 4_096,
-            evicted: 2,
-        })));
         round_trip_response(Response::Shutdown);
         round_trip_response(Response::Error {
             message: "boom".to_owned(),
@@ -1459,8 +1397,9 @@ mod tests {
 
     #[test]
     fn unknown_opcode_carries_the_request_id() {
-        // 7 is the retired `SERVER_INFO`: it stays unknown.
-        for unknown in [7, 200] {
+        // 5 (the retired capacity transfer) and 7 (the retired
+        // `SERVER_INFO`) stay unknown.
+        for unknown in [5, 7, 200] {
             let mut body = Vec::new();
             put_u64(&mut body, 55);
             put_u8(&mut body, unknown);

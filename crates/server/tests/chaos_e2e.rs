@@ -30,9 +30,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use watchman_core::engine::{
-    BreakerConfig, FailureConfig, PolicyKind, RebalanceConfig, RetryPolicy, Watchman,
-};
+use watchman_core::engine::{BreakerConfig, FailureConfig, PolicyKind, RetryPolicy, Watchman};
 use watchman_core::key::QueryKey;
 use watchman_core::value::SizedPayload;
 use watchman_server::wire;
@@ -336,13 +334,11 @@ fn empty_plan_tpcd_replay_is_byte_identical_to_in_process() {
     let trace = &workload.trace;
     let cache_fraction = 0.01;
     let capacity = (trace.database_bytes as f64 * cache_fraction).round() as u64;
-    let rebalance = RebalanceConfig::new().manual();
 
     let in_process: Watchman<SizedPayload> = Watchman::builder()
         .shards(4)
         .policy(PolicyKind::LNC_RA)
         .capacity_bytes(capacity)
-        .rebalance(rebalance.clone())
         .build();
     replay_trace_engine(trace, &in_process, cache_fraction);
     let expected = in_process.stats_snapshot();
@@ -353,7 +349,6 @@ fn empty_plan_tpcd_replay_is_byte_identical_to_in_process() {
         policy: PolicyKind::LNC_RA,
         capacity_bytes: capacity,
         runtime_workers: 2,
-        rebalance: Some(rebalance),
         fault_plan: Some(Arc::new(FaultPlan::empty(0))),
         ..ServerConfig::default()
     })

@@ -20,7 +20,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use watchman_core::engine::{PolicyKind, RebalanceConfig, Watchman};
+use watchman_core::engine::{PolicyKind, Watchman};
 use watchman_core::telemetry::{MetricsSnapshot, METRICS_SCHEMA_VERSION};
 use watchman_core::value::SizedPayload;
 use watchman_server::wire::{self, Request, Response};
@@ -36,7 +36,6 @@ fn test_server(capacity_bytes: u64, shards: usize) -> watchman_server::ServerHan
         policy: PolicyKind::LNC_RA,
         capacity_bytes,
         runtime_workers: 4,
-        rebalance: None,
         ..ServerConfig::default()
     })
     .expect("server binds on loopback")
@@ -268,13 +267,11 @@ fn wire_replay_is_byte_identical_to_in_process_replay() {
     let trace = &workload.trace;
     let cache_fraction = 0.01;
     let capacity = (trace.database_bytes as f64 * cache_fraction).round() as u64;
-    let rebalance = RebalanceConfig::new().manual();
 
     let in_process: Watchman<SizedPayload> = Watchman::builder()
         .shards(4)
         .policy(PolicyKind::LNC_RA)
         .capacity_bytes(capacity)
-        .rebalance(rebalance.clone())
         .build();
     replay_trace_engine(trace, &in_process, cache_fraction);
     let expected = in_process.stats_snapshot();
@@ -285,7 +282,6 @@ fn wire_replay_is_byte_identical_to_in_process_replay() {
         policy: PolicyKind::LNC_RA,
         capacity_bytes: capacity,
         runtime_workers: 2,
-        rebalance: Some(rebalance),
         ..ServerConfig::default()
     })
     .expect("server binds");
@@ -296,7 +292,6 @@ fn wire_replay_is_byte_identical_to_in_process_replay() {
         expected, over_wire,
         "wire replay snapshot must be byte-identical to the in-process replay"
     );
-    assert!(expected.rebalances > 0, "the replay exercised rebalancing");
     server.join();
 }
 

@@ -7,7 +7,6 @@
 use watchman_sim::{
     BufferHintExperiment, CostSavingsExperiment, ExperimentScale, FragmentationExperiment,
     ImpactOfKExperiment, InfiniteCacheExperiment, OptimalityExperiment, PolicyZooExperiment,
-    ShardRebalanceExperiment,
 };
 
 fn main() {
@@ -50,7 +49,4 @@ fn main() {
 
     let optimality = OptimalityExperiment::run(scale, &[0.01, 0.05]);
     print!("{}", optimality.render());
-
-    let shard_sweep = ShardRebalanceExperiment::run(scale);
-    print!("{}", shard_sweep.render());
 }

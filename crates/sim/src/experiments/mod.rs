@@ -10,7 +10,6 @@
 //! | [`buffer_hints`] | Figure 7 — buffer-manager hit ratio vs p₀ |
 //! | [`policy_zoo`] | Extension — LNC-RA vs LRU-K / LFU / LCS / GreedyDual-Size |
 //! | [`optimality`] | Extension — on-line LNC-RA vs the static LNC\* oracle of §2.3 |
-//! | [`shard_rebalance`] | Extension — shards × cache-fraction sweep, static vs profit-rebalanced capacity |
 //!
 //! Each experiment type has a `run(scale)` constructor and a `render()`
 //! method that prints the same rows/series the corresponding paper figure
@@ -23,7 +22,6 @@ pub mod impact_of_k;
 pub mod infinite_cache;
 pub mod optimality;
 pub mod policy_zoo;
-pub mod shard_rebalance;
 
 pub use buffer_hints::BufferHintExperiment;
 pub use cost_savings::CostSavingsExperiment;
@@ -32,4 +30,3 @@ pub use impact_of_k::ImpactOfKExperiment;
 pub use infinite_cache::InfiniteCacheExperiment;
 pub use optimality::OptimalityExperiment;
 pub use policy_zoo::PolicyZooExperiment;
-pub use shard_rebalance::ShardRebalanceExperiment;

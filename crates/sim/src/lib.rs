@@ -37,11 +37,11 @@ pub mod workload;
 
 pub use experiments::{
     BufferHintExperiment, CostSavingsExperiment, FragmentationExperiment, ImpactOfKExperiment,
-    InfiniteCacheExperiment, OptimalityExperiment, PolicyZooExperiment, ShardRebalanceExperiment,
+    InfiniteCacheExperiment, OptimalityExperiment, PolicyZooExperiment,
 };
 pub use runner::{
     replay_trace, replay_trace_engine, run_infinite, run_policy, run_policy_sharded,
-    run_policy_sharded_with, run_result_from_snapshot, RunResult, REBALANCE_EVERY_RECORDS,
+    run_result_from_snapshot, RunResult,
 };
 pub use watchman_core::engine::PolicyKind;
 pub use workload::{ExperimentScale, Workload};

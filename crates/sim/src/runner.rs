@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 use watchman_core::clock::Timestamp;
-use watchman_core::engine::{RebalanceConfig, StatsSnapshot, Watchman};
+use watchman_core::engine::{StatsSnapshot, Watchman};
 use watchman_core::key::QueryKey;
 use watchman_core::metrics::{CacheStats, FragmentationTracker};
 use watchman_core::policy::QueryCache;
@@ -14,13 +14,6 @@ use watchman_core::value::{ExecutionCost, SizedPayload};
 use watchman_trace::Trace;
 
 use crate::{BoxedCache, PolicyKind};
-
-/// How often the deterministic replay drivers schedule a rebalance pass
-/// ([`Watchman::rebalance_now`]), in trace records.  The engine itself never
-/// runs passes on the request path; a wall-clock background task would make
-/// replays nondeterministic, so the drivers schedule passes explicitly — the
-/// logical-time analogue of the background period.
-pub const REBALANCE_EVERY_RECORDS: u64 = 128;
 
 /// The metrics of one (trace, policy, cache size) run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,9 +43,6 @@ pub struct RunResult {
     /// Number of shards the capacity was partitioned across (1 for bare
     /// policy replays).
     pub shards: usize,
-    /// Number of capacity transfers the engine's rebalancer performed
-    /// (0 when rebalancing is disabled).
-    pub rebalances: u64,
 }
 
 impl RunResult {
@@ -76,7 +66,6 @@ impl RunResult {
             rejections: stats.rejections,
             evictions: stats.evictions,
             shards: 1,
-            rebalances: 0,
         }
     }
 }
@@ -121,17 +110,13 @@ pub fn replay_trace(
 /// Replays `trace` through a concurrent [`Watchman`] engine using
 /// [`Watchman::get_or_execute`] — the same protocol a live multiuser front
 /// end runs, here driven by one session.
-///
-/// Every [`REBALANCE_EVERY_RECORDS`] records the driver schedules one
-/// rebalance pass ([`Watchman::rebalance_now`]); a no-op unless the engine
-/// was built with rebalancing enabled.
 pub fn replay_trace_engine(
     trace: &Trace,
     engine: &Watchman<SizedPayload>,
     cache_fraction: f64,
 ) -> RunResult {
     let mut fragmentation = FragmentationTracker::new();
-    for (index, record) in trace.iter().enumerate() {
+    for record in trace.iter() {
         let now = Timestamp::from_micros(record.timestamp_us);
         let key = QueryKey::from_raw_query(&record.query_text);
         engine.get_or_execute(&key, now, || {
@@ -140,9 +125,6 @@ pub fn replay_trace_engine(
                 ExecutionCost::from_blocks(record.cost_blocks),
             )
         });
-        if (index as u64 + 1).is_multiple_of(REBALANCE_EVERY_RECORDS) {
-            engine.rebalance_now(now);
-        }
         fragmentation.record(engine.used_bytes(), engine.capacity_bytes());
     }
     engine_result(engine, cache_fraction, &fragmentation)
@@ -162,7 +144,6 @@ fn engine_result(
         fragmentation,
     );
     result.shards = snapshot.per_shard.len();
-    result.rebalances = snapshot.rebalances;
     result
 }
 
@@ -193,7 +174,6 @@ pub fn run_result_from_snapshot(
         rejections: snapshot.total.rejections,
         evictions: snapshot.total.evictions,
         shards: snapshot.per_shard.len(),
-        rebalances: snapshot.rebalances,
     }
 }
 
@@ -204,44 +184,22 @@ pub fn run_policy(trace: &Trace, kind: PolicyKind, cache_fraction: f64) -> RunRe
 }
 
 /// Like [`run_policy`], but hash-partitions the keyspace across `shards`
-/// independent policy instances — the configuration a concurrent deployment
-/// runs.  With a single replaying session the aggregate metrics measure the
-/// effect of partitioning the capacity, not of contention.
+/// independent policy instances of `total/N` bytes each — the configuration
+/// a concurrent deployment runs.  With a single replaying session the
+/// aggregate metrics measure the effect of partitioning the capacity, not
+/// of contention.
 pub fn run_policy_sharded(
     trace: &Trace,
     kind: PolicyKind,
     cache_fraction: f64,
     shards: usize,
 ) -> RunResult {
-    run_policy_sharded_with(trace, kind, cache_fraction, shards, None)
-}
-
-/// Like [`run_policy_sharded`], but optionally enabling the engine's
-/// profit-aware capacity rebalancing between shards.
-///
-/// This is the runner the static-vs-rebalanced shard sweep uses: the same
-/// trace replayed at the same shard count, once with the static `total/N`
-/// split (`rebalance: None`) and once with capacity following per-shard
-/// profit (`rebalance: Some(..)`).  The config is forced into `manual()`
-/// mode and passes are driver-scheduled every [`REBALANCE_EVERY_RECORDS`]
-/// records: a wall-clock background task would make the replay
-/// nondeterministic.
-pub fn run_policy_sharded_with(
-    trace: &Trace,
-    kind: PolicyKind,
-    cache_fraction: f64,
-    shards: usize,
-    rebalance: Option<RebalanceConfig>,
-) -> RunResult {
     let capacity = (trace.database_bytes as f64 * cache_fraction).round() as u64;
-    let mut builder = Watchman::builder()
+    let engine: Watchman<SizedPayload> = Watchman::builder()
         .shards(shards)
         .policy(kind)
-        .capacity_bytes(capacity);
-    if let Some(config) = rebalance {
-        builder = builder.rebalance(config.manual());
-    }
-    let engine: Watchman<SizedPayload> = builder.build();
+        .capacity_bytes(capacity)
+        .build();
     replay_trace_engine(trace, &engine, cache_fraction)
 }
 
@@ -331,20 +289,58 @@ mod tests {
         assert!((via_engine.hit_ratio - via_policy.hit_ratio).abs() < 1e-12);
     }
 
+    /// Replays `trace` through `shards` bare `kind` policies holding the
+    /// engine's `total/N` split, routed by signature as the engine routes.
+    fn replay_routed(
+        trace: &Trace,
+        kind: PolicyKind,
+        capacity: u64,
+        shards: usize,
+    ) -> Vec<BoxedCache> {
+        let (base, remainder) = (capacity / shards as u64, capacity % shards as u64);
+        let mut caches: Vec<BoxedCache> = (0..shards as u64)
+            .map(|i| kind.build(base + u64::from(i < remainder)))
+            .collect();
+        for record in trace.iter() {
+            let now = Timestamp::from_micros(record.timestamp_us);
+            let key = QueryKey::from_raw_query(&record.query_text);
+            let mixed = key.signature().value().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let cache = &mut caches[((mixed >> 32) as usize) % shards];
+            if cache.get(&key, now).is_none() {
+                cache.insert(
+                    key,
+                    SizedPayload::new(record.result_bytes),
+                    ExecutionCost::from_blocks(record.cost_blocks),
+                    now,
+                );
+            }
+        }
+        caches
+    }
+
     #[test]
-    fn sharded_replay_stays_close_to_unsharded() {
+    fn sharded_replay_equals_routed_bare_policies() {
+        // One session: an N-shard engine makes exactly the decisions of N
+        // bare policies of total/N bytes each, counter for counter.
         let trace = quick_trace(1_500, 7);
-        let unsharded = run_policy(&trace, PolicyKind::LNC_RA, 0.01);
-        let sharded = run_policy_sharded(&trace, PolicyKind::LNC_RA, 0.01, 8);
-        assert_eq!(sharded.references, unsharded.references);
-        // Partitioning the capacity changes individual eviction decisions but
-        // must not collapse the cost savings.
-        assert!(
-            sharded.cost_savings_ratio > 0.5 * unsharded.cost_savings_ratio,
-            "sharded CSR {} vs unsharded {}",
-            sharded.cost_savings_ratio,
-            unsharded.cost_savings_ratio
-        );
+        let capacity = (trace.database_bytes as f64 * 0.01).round() as u64;
+        for kind in [PolicyKind::LNC_RA, PolicyKind::LNC_R, PolicyKind::Lru] {
+            for shards in [2, 4, 8] {
+                let engine: Watchman<SizedPayload> = Watchman::builder()
+                    .shards(shards)
+                    .policy(kind)
+                    .capacity_bytes(capacity)
+                    .build();
+                replay_trace_engine(&trace, &engine, 0.01);
+                let snapshot = engine.stats_snapshot();
+                let caches = replay_routed(&trace, kind, capacity, shards);
+                let bare: Vec<CacheStats> = caches.iter().map(|c| c.stats_snapshot()).collect();
+                let used: Vec<u64> = caches.iter().map(|c| c.used_bytes()).collect();
+                assert_eq!(snapshot.per_shard, bare, "{kind} at {shards} shards");
+                assert_eq!(snapshot.per_shard_used, used, "{kind} at {shards} shards");
+                assert_eq!(snapshot.total.references, trace.len() as u64);
+            }
+        }
     }
 
     #[test]

@@ -85,10 +85,9 @@ impl Workload {
     /// never-repeating low-summarization templates Q13/Q16.  With so few
     /// distinct hot keys, the engine's signature hashing lands *unequal
     /// slices of the hot working set* on different shards — exactly the
-    /// keyspace skew that starves a static `total/N` capacity split and that
-    /// profit-aware rebalancing is designed to repair.  (A smooth popularity
-    /// skew over thousands of keys would not do this: hashing would average
-    /// it out across shards.)
+    /// keyspace skew that starves a static `total/N` capacity split.  (A
+    /// smooth popularity skew over thousands of keys would not do this:
+    /// hashing would average it out across shards.)
     pub fn tpcd_skewed(scale: ExperimentScale) -> Workload {
         let benchmark = tpcd::benchmark();
         let mut weights = vec![0.5; benchmark.template_count()];

@@ -29,7 +29,6 @@ fn main() {
         policy: PolicyKind::LncRa { k: 4 },
         capacity_bytes: 8 << 20,
         runtime_workers: 2,
-        rebalance: None,
         ..ServerConfig::default()
     })
     .expect("bind loopback");

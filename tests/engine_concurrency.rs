@@ -86,23 +86,20 @@ fn single_flight_executes_each_miss_exactly_once() {
     assert_eq!(snapshot.entries, KEYS);
 }
 
-/// Rebalancing under real thread pressure: sessions hammer a small sharded
-/// cache while the engine's **background runtime task** moves capacity
-/// between shards (passes every 2 ms — never on a session thread), and a
-/// monitor thread snapshots the engine throughout.  Conservation
-/// (Σ per-shard capacity == configured total) and occupancy
-/// (used ≤ capacity per shard) must hold in every snapshot.
+/// Sessions hammer a small sharded cache while a monitor thread snapshots
+/// the engine throughout: every shard's occupancy stays within its fixed
+/// `total/N` share in every snapshot.
 #[test]
-fn rebalancing_conserves_capacity_under_concurrent_traffic() {
+fn concurrent_snapshots_keep_every_shard_within_its_share() {
     const THREADS: usize = 4;
     const OPS_PER_THREAD: usize = 3_000;
     const TOTAL: u64 = 100_000;
+    const SHARE: u64 = TOTAL / 8;
 
     let engine: Watchman<SizedPayload> = Watchman::builder()
         .shards(8)
         .policy(PolicyKind::LncRa { k: 4 })
         .capacity_bytes(TOTAL)
-        .rebalance(RebalanceConfig::new().with_period(std::time::Duration::from_millis(2)))
         .build();
     let done = Arc::new(AtomicU64::new(0));
 
@@ -137,20 +134,10 @@ fn rebalancing_conserves_capacity_under_concurrent_traffic() {
             let mut checks = 0u64;
             while done.load(Ordering::SeqCst) < THREADS as u64 {
                 let snapshot = engine.stats_snapshot();
-                assert_eq!(
-                    snapshot.per_shard_capacity.iter().sum::<u64>(),
-                    TOTAL,
-                    "capacity not conserved mid-rebalance"
-                );
-                for (shard, (&used, &capacity)) in snapshot
-                    .per_shard_used
-                    .iter()
-                    .zip(&snapshot.per_shard_capacity)
-                    .enumerate()
-                {
+                for (shard, &used) in snapshot.per_shard_used.iter().enumerate() {
                     assert!(
-                        used <= capacity,
-                        "shard {shard} occupancy {used} exceeds capacity {capacity}"
+                        used <= SHARE,
+                        "shard {shard} occupancy {used} exceeds its share {SHARE}"
                     );
                 }
                 checks += 1;
@@ -160,19 +147,15 @@ fn rebalancing_conserves_capacity_under_concurrent_traffic() {
     });
 
     let snapshot = engine.stats_snapshot();
-    assert_eq!(snapshot.per_shard_capacity.iter().sum::<u64>(), TOTAL);
     assert_eq!(snapshot.capacity_bytes, TOTAL);
     assert_eq!(
         snapshot.total.references,
         (THREADS * OPS_PER_THREAD) as u64,
         "one recorded reference per lookup, coalesced included"
     );
-    assert!(snapshot.rebalances > 0, "the rebalancer moved capacity");
-    let floor = (0.5 * (TOTAL / 8) as f64) as u64;
     assert!(
-        snapshot.per_shard_capacity.iter().all(|&c| c >= floor),
-        "floor violated: {:?}",
-        snapshot.per_shard_capacity
+        snapshot.total.evictions > 0,
+        "the traffic must press on the shares"
     );
 }
 
@@ -255,45 +238,36 @@ proptest! {
     }
 
     #[test]
-    fn rebalancing_replay_upholds_conservation_and_occupancy(
+    fn sharded_replay_keeps_every_shard_within_its_share(
         ops in proptest::collection::vec(op_strategy(), 50..250),
         shards in 2usize..9,
     ) {
-        // Small capacity + aggressive rebalancing (driver-scheduled every 16
-        // ops, the deterministic analogue of the background task): capacity
-        // moves while the replay runs, and after every operation
-        // Σ capacity == total and used ≤ capacity per shard.
+        // Small capacity: after every operation each shard's occupancy is
+        // within its fixed share (`total/N`, the remainder going to the
+        // first shards).
         let capacity = 40_000u64;
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(shards)
             .policy(PolicyKind::LncRa { k: 4 })
             .capacity_bytes(capacity)
-            .rebalance(RebalanceConfig::new().manual())
             .build();
+        let (base, remainder) = (capacity / shards as u64, capacity % shards as u64);
         let mut now = 0u64;
-        for (i, &(query, size, cost, advance)) in ops.iter().enumerate() {
+        for &(query, size, cost, advance) in &ops {
             now += advance;
             let key = QueryKey::new(format!("prop-query-{query}"));
             engine.get_or_execute(&key, Timestamp::from_micros(now), || {
                 (SizedPayload::new(size), ExecutionCost::from_blocks(cost))
             });
-            if i % 16 == 15 {
-                engine.rebalance_now(Timestamp::from_micros(now));
-            }
             let snapshot = engine.stats_snapshot();
-            prop_assert_eq!(
-                snapshot.per_shard_capacity.iter().sum::<u64>(),
-                capacity,
-                "conservation violated after {} rebalances",
-                snapshot.rebalances
-            );
-            for shard in 0..shards {
+            for (shard, &used) in snapshot.per_shard_used.iter().enumerate() {
+                let share = base + u64::from((shard as u64) < remainder);
                 prop_assert!(
-                    snapshot.per_shard_used[shard] <= snapshot.per_shard_capacity[shard],
-                    "shard {} occupancy {} exceeds its capacity {}",
+                    used <= share,
+                    "shard {} occupancy {} exceeds its share {}",
                     shard,
-                    snapshot.per_shard_used[shard],
-                    snapshot.per_shard_capacity[shard]
+                    used,
+                    share
                 );
             }
         }

@@ -95,83 +95,6 @@ fn replay_checked(cache: &mut dyn QueryCache<SizedPayload>, ops: &[Op]) -> (u64,
     (cache.stats().hits, cache.stats().admissions)
 }
 
-/// Shared helper for the dynamic-capacity property: shrinks the cache below
-/// its occupancy, then grows it back, checking the `set_capacity_bytes`
-/// contract at every step — the capacity invariant is restored by real,
-/// stats-counted evictions; growing (or shrinking into free space) evicts
-/// nothing.
-fn check_capacity_resize(cache: &mut dyn QueryCache<SizedPayload>, now: Timestamp) {
-    let original_capacity = cache.capacity_bytes();
-    let used = cache.used_bytes();
-    let entries = cache.len();
-    let evictions_before = cache.stats().evictions;
-
-    // Shrink to half the occupancy: the overshoot must be evicted.
-    let target = used / 2;
-    let evicted = cache.set_capacity_bytes(target, now);
-    assert_eq!(
-        cache.capacity_bytes(),
-        target,
-        "{}: capacity must track the shrink",
-        cache.name()
-    );
-    assert!(
-        cache.used_bytes() <= target,
-        "{}: occupancy {} exceeds shrunk capacity {}",
-        cache.name(),
-        cache.used_bytes(),
-        target
-    );
-    for key in &evicted {
-        assert!(
-            !cache.contains(key),
-            "{}: shrink victim still resident",
-            cache.name()
-        );
-    }
-    assert_eq!(
-        cache.len(),
-        entries - evicted.len(),
-        "{}: every shrink victim must be reported",
-        cache.name()
-    );
-    assert_eq!(
-        cache.stats().evictions,
-        evictions_before + evicted.len() as u64,
-        "{}: shrink evictions must be recorded in the statistics",
-        cache.name()
-    );
-    if used > 0 {
-        assert!(
-            !evicted.is_empty(),
-            "{}: shrinking below occupancy must evict something",
-            cache.name()
-        );
-    }
-
-    // Grow back: free capacity appears, nothing else changes.
-    let survivors = cache.len();
-    let evicted = cache.set_capacity_bytes(original_capacity, now);
-    assert!(
-        evicted.is_empty(),
-        "{}: growing must never evict",
-        cache.name()
-    );
-    assert_eq!(cache.capacity_bytes(), original_capacity);
-    assert_eq!(cache.len(), survivors);
-
-    // Shrink to zero: everything must go.
-    let evicted = cache.set_capacity_bytes(0, now);
-    assert_eq!(
-        evicted.len(),
-        survivors,
-        "{}: shrink-to-zero evicts all",
-        cache.name()
-    );
-    assert_eq!(cache.used_bytes(), 0);
-    assert_eq!(cache.len(), 0);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -186,22 +109,6 @@ proptest! {
             cache.clear();
             prop_assert_eq!(cache.used_bytes(), 0);
             prop_assert_eq!(cache.len(), 0);
-        }
-    }
-
-    #[test]
-    fn set_capacity_shrink_grow_semantics_hold_for_every_policy(
-        ops in proptest::collection::vec(op_strategy(), 1..200),
-        capacity in 2_000u64..150_000,
-    ) {
-        let mut now = 0u64;
-        for op in &ops {
-            now += op.advance_us;
-        }
-        let end = Timestamp::from_micros(now + 1);
-        for mut cache in policies(capacity) {
-            replay_checked(cache.as_mut(), &ops);
-            check_capacity_resize(cache.as_mut(), end);
         }
     }
 
