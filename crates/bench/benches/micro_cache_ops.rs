@@ -8,7 +8,7 @@
 //! the perf trajectory of the replacement machinery is recorded run over
 //! run.  Pass `--quick` for a CI-sized smoke pass.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BatchSize, Criterion};
 use watchman_core::engine::{PolicyKind, Watchman};
@@ -178,8 +178,32 @@ impl PressureResult {
 }
 
 /// Sustained admissions/sec into a full cache of `entries` sets: every
-/// insert must evict through the policy's replacement machinery.
-fn measure_policy(kind: PolicyKind, entries: usize, ops: u64) -> PressureResult {
+/// insert must evict through the policy's replacement machinery.  The cell
+/// is run again, each time on a freshly filled cache, until its timed
+/// admissions add up to `min_elapsed`; the rate is every admission over
+/// their total time.
+fn measure_policy(
+    kind: PolicyKind,
+    entries: usize,
+    ops: u64,
+    min_elapsed: Duration,
+) -> PressureResult {
+    let (mut done, mut elapsed) = (0, Duration::ZERO);
+    while done == 0 || elapsed < min_elapsed {
+        elapsed += time_admissions(kind, entries, ops);
+        done += ops;
+    }
+    PressureResult {
+        policy: kind.label(),
+        entries,
+        ops: done,
+        elapsed_ms: elapsed.as_secs_f64() * 1e3,
+        admissions_per_sec: done as f64 / elapsed.as_secs_f64(),
+    }
+}
+
+/// Fills a cache of `entries` sets, then times `ops` admissions into it.
+fn time_admissions(kind: PolicyKind, entries: usize, ops: u64) -> Duration {
     let capacity = entries as u64 * PAYLOAD_BYTES;
     let mut cache = kind.build::<SizedPayload>(capacity);
     for i in 0..entries as u64 {
@@ -203,15 +227,13 @@ fn measure_policy(kind: PolicyKind, entries: usize, ops: u64) -> PressureResult 
             Timestamp::from_micros(base + i),
         );
     }
-    let elapsed = start.elapsed();
-    PressureResult {
-        policy: kind.label(),
-        entries,
-        ops,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        admissions_per_sec: ops as f64 / elapsed.as_secs_f64(),
-    }
+    start.elapsed()
 }
+
+/// How much timed work a `--quick` cell adds up to: one pass of its 1,000
+/// admissions takes 0.4–2 ms, too short a window for a rate the guard can
+/// compare.
+const QUICK_MIN_ELAPSED: Duration = Duration::from_millis(20);
 
 /// Operation count per cell, scaled down with the cache size so the report
 /// stays CI-sized.
@@ -313,9 +335,14 @@ fn eviction_pressure_report(quick: bool, assert_ref: Option<&str>) {
         "{:>34} {:>9} {:>8} {:>12} {:>16}",
         "policy", "entries", "ops", "elapsed", "admissions/sec"
     );
+    let min_elapsed = if quick {
+        QUICK_MIN_ELAPSED
+    } else {
+        Duration::ZERO
+    };
     for &entries in sizes {
         for kind in PolicyKind::all() {
-            let result = measure_policy(kind, entries, ops_for(entries, quick));
+            let result = measure_policy(kind, entries, ops_for(entries, quick), min_elapsed);
             println!(
                 "{:>34} {:>9} {:>8} {:>9.1} ms {:>16.0}",
                 result.policy,

@@ -13,7 +13,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use watchman_core::engine::{CacheEvent, CacheObserver};
+use watchman_core::engine::CacheObserver;
 use watchman_core::key::{QueryKey, Signature};
 use watchman_core::sync::{Mutex, MutexGuard};
 use watchman_warehouse::PageId;
@@ -126,16 +126,17 @@ impl QueryReferenceTracker {
     }
 }
 
-/// A [`CacheObserver`] that turns the engine's event stream into p₀ buffer
-/// hints (paper §3).
+/// A [`CacheObserver`] that turns the engine's residency changes into p₀
+/// buffer hints (paper §3).
 ///
 /// The observer mirrors the cache's contents as a set of query signatures:
-/// admissions add, evictions and invalidations remove.  When a retrieved set
-/// is admitted, it resolves the query's page accesses with `resolver`,
-/// computes which of those pages are p₀-redundant against the mirrored
-/// signature set, and demotes them in the shared [`BufferPool`] — exactly the
-/// hint WATCHMAN sends the buffer manager after caching a set, now driven
-/// automatically by the engine instead of hand-wired in the simulation loop.
+/// `admitted` adds, `removed` (an eviction or an invalidation) removes.
+/// When a retrieved set is admitted, it resolves the query's page accesses
+/// with `resolver`, computes which of those pages are p₀-redundant against
+/// the mirrored signature set, and demotes them in the shared
+/// [`BufferPool`] — exactly the hint WATCHMAN sends the buffer manager after
+/// caching a set, now driven automatically by the engine instead of
+/// hand-wired in the simulation loop.
 ///
 /// Query page references still need to be recorded as queries execute; call
 /// [`RedundancyHintObserver::record_access`] from the execution path (misses
@@ -194,27 +195,23 @@ impl<F> CacheObserver for RedundancyHintObserver<F>
 where
     F: Fn(&QueryKey) -> Vec<PageId> + Send + Sync,
 {
-    fn on_cache_event(&self, event: &CacheEvent) {
-        match event {
-            CacheEvent::Admitted { key, .. } => {
-                let pages = (self.resolver)(key);
-                let hint = {
-                    let mut state = self.lock_state();
-                    state.cached.insert(key.signature());
-                    let cached = &state.cached;
-                    state
-                        .tracker
-                        .redundant_pages(&pages, self.threshold, |sig| cached.contains(&sig))
-                };
-                if !hint.is_empty() {
-                    self.pool.lock().demote(&hint);
-                }
-            }
-            CacheEvent::Evicted { key, .. } | CacheEvent::Invalidated { key, .. } => {
-                self.lock_state().cached.remove(&key.signature());
-            }
-            CacheEvent::Rejected { .. } => {}
+    fn admitted(&self, key: &QueryKey) {
+        let pages = (self.resolver)(key);
+        let hint = {
+            let mut state = self.lock_state();
+            state.cached.insert(key.signature());
+            let cached = &state.cached;
+            state
+                .tracker
+                .redundant_pages(&pages, self.threshold, |sig| cached.contains(&sig))
+        };
+        if !hint.is_empty() {
+            self.pool.lock().demote(&hint);
         }
+    }
+
+    fn removed(&self, key: &QueryKey) {
+        self.lock_state().cached.remove(&key.signature());
     }
 }
 

@@ -15,7 +15,7 @@
 use crate::sync::{Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet};
 
-use crate::engine::{CacheEvent, CacheObserver};
+use crate::engine::CacheObserver;
 use crate::key::QueryKey;
 
 /// Maps base relations to the cached queries that depend on them.
@@ -121,7 +121,7 @@ impl DependencyIndex {
 }
 
 /// The outcome of applying a warehouse update through
-/// [`invalidate_affected`].
+/// [`invalidate_affected`] or [`DependencyObserver::apply_update`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InvalidationReport {
     /// Keys that were tracked as dependent on the updated relation.
@@ -129,6 +129,18 @@ pub struct InvalidationReport {
     /// The subset of `affected` that was actually resident in the cache and
     /// has been removed.
     pub invalidated: Vec<QueryKey>,
+}
+
+impl InvalidationReport {
+    /// Calls `remove` on every affected key; the ones it reports resident
+    /// are the invalidated ones.
+    fn invalidate(affected: Vec<QueryKey>, mut remove: impl FnMut(&QueryKey) -> bool) -> Self {
+        let invalidated = affected.iter().filter(|key| remove(key)).cloned().collect();
+        InvalidationReport {
+            affected,
+            invalidated,
+        }
+    }
 }
 
 /// Invalidates every cached retrieved set that depends on `relation`.
@@ -139,25 +151,21 @@ pub struct InvalidationReport {
 pub fn invalidate_affected<F>(
     index: &mut DependencyIndex,
     relation: &str,
-    mut remove: F,
+    remove: F,
 ) -> InvalidationReport
 where
     F: FnMut(&QueryKey) -> bool,
 {
-    let affected = index.take_affected_by(relation);
-    let invalidated = affected.iter().filter(|key| remove(key)).cloned().collect();
-    InvalidationReport {
-        affected,
-        invalidated,
-    }
+    InvalidationReport::invalidate(index.take_affected_by(relation), remove)
 }
 
 /// A [`CacheObserver`] that keeps a [`DependencyIndex`] synchronized with an
 /// engine's contents.
 ///
-/// On every admission the observer asks `resolver` which base relations the
-/// query reads and registers them; evictions and invalidations unregister the
-/// key.  Subscribe it at build time and the index never goes stale:
+/// When a set becomes resident the observer asks `resolver` which base
+/// relations the query reads and registers them; when it stops being
+/// resident, by eviction or invalidation, the key is unregistered.
+/// Subscribe it at build time and the index never goes stale:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -216,7 +224,7 @@ where
     /// cached set in `engine` and returns the report.
     ///
     /// The index entries for the affected keys are taken out first and the
-    /// engine's resulting `Invalidated` events then find nothing left to
+    /// engine's resulting `removed` calls then find nothing left to
     /// unregister, so the lock is never held across the engine call.
     pub fn apply_update<V>(
         &self,
@@ -227,15 +235,7 @@ where
         V: crate::value::CachePayload + Send + Sync + 'static,
     {
         let affected = self.lock().take_affected_by(relation);
-        let invalidated = affected
-            .iter()
-            .filter(|key| engine.invalidate(key))
-            .cloned()
-            .collect();
-        InvalidationReport {
-            affected,
-            invalidated,
-        }
+        InvalidationReport::invalidate(affected, |key| engine.invalidate(key))
     }
 }
 
@@ -243,17 +243,13 @@ impl<F> CacheObserver for DependencyObserver<F>
 where
     F: Fn(&QueryKey) -> Vec<String> + Send + Sync,
 {
-    fn on_cache_event(&self, event: &CacheEvent) {
-        match event {
-            CacheEvent::Admitted { key, .. } => {
-                let relations = (self.resolver)(key);
-                self.lock().register(key.clone(), relations);
-            }
-            CacheEvent::Evicted { key, .. } | CacheEvent::Invalidated { key, .. } => {
-                self.lock().unregister(key);
-            }
-            CacheEvent::Rejected { .. } => {}
-        }
+    fn admitted(&self, key: &QueryKey) {
+        let relations = (self.resolver)(key);
+        self.lock().register(key.clone(), relations);
+    }
+
+    fn removed(&self, key: &QueryKey) {
+        self.lock().unregister(key);
     }
 }
 

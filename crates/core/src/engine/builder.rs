@@ -87,8 +87,8 @@ impl<V> WatchmanBuilder<V> {
         self
     }
 
-    /// Subscribes an observer to the engine's
-    /// [`CacheEvent`](crate::engine::CacheEvent) stream.
+    /// Subscribes an observer to the engine's residency changes: it hears
+    /// every set that becomes or stops being resident.
     pub fn observer(mut self, observer: Arc<dyn CacheObserver>) -> Self {
         self.observers.push(observer);
         self

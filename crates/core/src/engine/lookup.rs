@@ -225,7 +225,8 @@ where
     }
 
     /// Completes a leader's execution: settles the key's slot, offers the
-    /// value for admission, and publishes the resulting events.
+    /// value for admission, and tells the observers what became or stopped
+    /// being resident.
     ///
     /// A `failure_domain` leader also updates the failure domain under the
     /// same shard lock: the breaker records a success, the slot keeps a
@@ -246,7 +247,6 @@ where
         now: Timestamp,
         failure_domain: bool,
     ) -> InsertOutcome {
-        let size_bytes = value.size_bytes();
         let stale =
             (failure_domain && self.inner.failure.serve_stale).then(|| (Arc::clone(&value), cost));
         let mut state = self.inner.shards[shard_index].lock();
@@ -259,17 +259,7 @@ where
             shard_index as u64,
             cost.value() as u64,
         );
-        // Emitted under the shard lock: observers see this shard's events in
-        // cache order.
-        if !self.inner.observers.is_empty() {
-            self.emit(Self::insert_events(
-                key,
-                size_bytes,
-                cost,
-                &outcome,
-                shard_index,
-            ));
-        }
+        self.notify(outcome.evicted(), outcome.is_admitted().then_some(key));
         outcome
     }
 
@@ -312,7 +302,7 @@ where
 
     /// Resolves a won takeover race on an abandoned flight into a hit or real
     /// leadership.  The failed leader may have panicked *after* its insert
-    /// succeeded (in a user observer's emit), leaving the value cached: then
+    /// succeeded (in a user observer), leaving the value cached: then
     /// the session is served the hit instead of re-running a multi-second
     /// fetch, and passes leadership along — the next candidate repeats this
     /// check, and the last abandonment retires the cell.
@@ -665,7 +655,7 @@ where
                     loop {
                         this.attempts += 1;
                         // The guard stays armed through the fetch AND, on
-                        // success, the completion (insert + observer emit):
+                        // success, the completion (insert + observer calls):
                         // a panic anywhere before `complete` — including
                         // user observer code — must wake exactly one waiter
                         // to take over this same flight cell (retiring the

@@ -19,9 +19,10 @@
 //!   in the poll that takes leadership, on whichever thread polls it;
 //! * [`PolicyKind`] — the one construction path for every replacement /
 //!   admission policy, shared by the engine, the simulator and the examples;
-//! * [`CacheEvent`] / [`CacheObserver`] — the lifecycle event stream that
-//!   the coherence [`DependencyIndex`](crate::coherence::DependencyIndex)
-//!   and the buffer manager's p₀-redundancy hints subscribe to;
+//! * [`CacheObserver`] — told when a set becomes resident and when it
+//!   stops being resident; the coherence
+//!   [`DependencyIndex`](crate::coherence::DependencyIndex) and the buffer
+//!   manager's p₀-redundancy hints subscribe to it;
 //! * [`StatsSnapshot`] — owned, aggregated statistics across shards.
 //!
 //! ## Failure handling
@@ -86,7 +87,7 @@ pub(crate) mod single_flight;
 mod watchman;
 
 pub use builder::WatchmanBuilder;
-pub use events::{CacheEvent, CacheObserver};
+pub use events::CacheObserver;
 pub use failure::{
     splitmix64, BreakerConfig, BreakerState, CircuitBreaker, FailureConfig, FetchError,
     LookupError, RetryPolicy,
@@ -240,25 +241,21 @@ mod tests {
         assert_eq!(zero.capacity_bytes(), 0);
     }
 
-    /// Counts the events an engine publishes, by kind: the observer tests
-    /// check the event stream itself, not the engine's counters.
+    /// Counts the observer calls an engine makes, by kind: the observer
+    /// tests check the calls themselves, not the engine's counters.
     #[derive(Default)]
     struct EventTally {
         admitted: AtomicU64,
-        rejected: AtomicU64,
-        evicted: AtomicU64,
-        invalidated: AtomicU64,
+        removed: AtomicU64,
     }
 
     impl CacheObserver for EventTally {
-        fn on_cache_event(&self, event: &CacheEvent) {
-            let counter = match event {
-                CacheEvent::Admitted { .. } => &self.admitted,
-                CacheEvent::Rejected { .. } => &self.rejected,
-                CacheEvent::Evicted { .. } => &self.evicted,
-                CacheEvent::Invalidated { .. } => &self.invalidated,
-            };
-            counter.fetch_add(1, Ordering::SeqCst);
+        fn admitted(&self, _: &QueryKey) {
+            self.admitted.fetch_add(1, Ordering::SeqCst);
+        }
+
+        fn removed(&self, _: &QueryKey) {
+            self.removed.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -298,14 +295,14 @@ mod tests {
         assert!(!outcome.is_admitted(), "a refresh is not a new admission");
         assert!(!engine.contains(&key("b")));
         assert_eq!(
-            counters.evicted.load(Ordering::SeqCst),
+            counters.removed.load(Ordering::SeqCst),
             1,
-            "the eviction must be published"
+            "the eviction must be reported"
         );
         assert_eq!(
             counters.admitted.load(Ordering::SeqCst),
             2,
-            "a refresh emits no Admitted event"
+            "a refresh reports no admission"
         );
         assert!(
             deps.affected_by("REL_b").is_empty(),
@@ -333,21 +330,75 @@ mod tests {
             );
         }
         assert_eq!(counters.admitted.load(Ordering::SeqCst), 3);
-        assert_eq!(counters.evicted.load(Ordering::SeqCst), 1);
+        assert_eq!(counters.removed.load(Ordering::SeqCst), 1);
         assert!(engine.invalidate(&key("c")));
         assert!(
             !engine.invalidate(&key("c")),
             "second invalidation is a no-op"
         );
-        assert_eq!(counters.invalidated.load(Ordering::SeqCst), 1);
-        // An oversized offer is rejected and reported.
-        engine.insert(
+        assert_eq!(counters.removed.load(Ordering::SeqCst), 2);
+        // A rejection changes nothing resident and notifies nothing.
+        let outcome = engine.insert(
             key("huge"),
             SizedPayload::new(10_000),
             ExecutionCost::from_blocks(10),
             ts(10),
         );
-        assert_eq!(counters.rejected.load(Ordering::SeqCst), 1);
+        assert!(!outcome.is_cached(), "{outcome}");
+        assert_eq!(counters.admitted.load(Ordering::SeqCst), 3);
+        assert_eq!(counters.removed.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn the_dependency_mirror_equals_the_cache_after_every_step() {
+        // Every key depends on "ALL", so the observer's mirror of it must be
+        // exactly the resident set, whatever the policy did: hits, admissions
+        // with victims, rejections, refreshes that grow and evict, and
+        // invalidations.
+        let (mut hits, mut rejections, mut grown_evictions, mut invalidations) = (0, 0, 0, 0);
+        for policy in PolicyKind::all() {
+            let deps = Arc::new(crate::coherence::DependencyObserver::new(|_: &QueryKey| {
+                vec!["ALL".to_owned()]
+            }));
+            let engine: Watchman<SizedPayload> = Watchman::builder()
+                .shards(4)
+                .policy(policy)
+                .capacity_bytes(4_000)
+                .observer(Arc::clone(&deps) as Arc<dyn CacheObserver>)
+                .build();
+            let mut state = 0x5EED_u64;
+            for step in 0..3_000u64 {
+                state = splitmix64(state);
+                let name = format!("q{}", (state >> 8) % 60);
+                let size = 50 + (state >> 16) % 1_150; // a shard holds 1,000
+                let cost = ExecutionCost::from_blocks(1 + (state >> 32) % 1_000);
+                let now = ts(step + 1);
+                match state % 10 {
+                    0 => invalidations += u64::from(engine.invalidate(&key(&name))),
+                    1 | 2 => {
+                        let outcome = engine.insert(key(&name), SizedPayload::new(size), cost, now);
+                        if !outcome.is_admitted() && outcome.is_cached() {
+                            grown_evictions += outcome.evicted().len();
+                        }
+                        rejections += u64::from(!outcome.is_cached());
+                    }
+                    _ => {
+                        let lookup = engine
+                            .get_or_execute(&key(&name), now, || (SizedPayload::new(size), cost));
+                        hits += u64::from(lookup.source == LookupSource::Hit);
+                        let rejected = lookup.outcome.is_some_and(|o| !o.is_cached());
+                        rejections += u64::from(rejected);
+                    }
+                }
+                let mirrored: std::collections::HashSet<QueryKey> =
+                    deps.affected_by("ALL").into_iter().collect();
+                let cached: std::collections::HashSet<QueryKey> =
+                    engine.cached_keys().into_iter().collect();
+                assert_eq!(mirrored, cached, "{policy} after step {step}");
+            }
+        }
+        assert!(hits > 0 && rejections > 0 && invalidations > 0);
+        assert!(grown_evictions > 0, "no refresh grew into an eviction");
     }
 
     #[test]
@@ -578,17 +629,17 @@ mod tests {
     #[test]
     fn takeover_after_post_insert_panic_serves_the_cached_value() {
         // The leader's fetch succeeds and the insert lands, then a user
-        // observer panics during the emit (still inside the leader's
+        // observer panics on the admission (still inside the leader's
         // completion).  The flight is abandoned — but the value IS cached,
         // so the woken waiter must be served a hit instead of re-running
         // the multi-second warehouse query.
         struct PanicOnAdmit;
         impl CacheObserver for PanicOnAdmit {
-            fn on_cache_event(&self, event: &CacheEvent) {
-                if matches!(event, CacheEvent::Admitted { .. }) {
-                    panic!("observer failed");
-                }
+            fn admitted(&self, _: &QueryKey) {
+                panic!("observer failed");
             }
+
+            fn removed(&self, _: &QueryKey) {}
         }
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(1)

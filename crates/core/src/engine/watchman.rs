@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use crate::clock::Timestamp;
 use crate::coherence::DependencyIndex;
 use crate::engine::builder::WatchmanBuilder;
-use crate::engine::events::{CacheEvent, CacheObserver};
+use crate::engine::events::CacheObserver;
 use crate::engine::failure::{BreakerState, CircuitBreaker, FailureConfig, FetchError};
 use crate::engine::lookup::Step;
 use crate::engine::policy_kind::PolicyKind;
@@ -418,7 +418,7 @@ pub(super) struct Inner<V> {
 ///   it with an inline fetch, the asynchronous one suspends waiting
 ///   sessions as futures on the engine's [`Runtime`] instead of parking OS
 ///   threads;
-/// * admissions, rejections, evictions and invalidations are published to
+/// * every set that becomes or stops being resident is reported to the
 ///   [`CacheObserver`]s, which the coherence index and the buffer manager's
 ///   p₀-hint machinery subscribe to;
 /// * statistics aggregate across shards into an owned [`StatsSnapshot`].
@@ -556,59 +556,17 @@ where
         ((mixed >> 32) as usize) % self.inner.shards.len()
     }
 
-    pub(super) fn emit(&self, events: Vec<CacheEvent>) {
-        if self.inner.observers.is_empty() {
-            return;
+    /// Tells the observers that every key in `removed` stopped being
+    /// resident, then that `admitted` became resident.  Called under the
+    /// shard lock, so they hear each shard's changes in cache order (see the
+    /// events module docs).
+    pub(super) fn notify(&self, removed: &[QueryKey], admitted: Option<&QueryKey>) {
+        let observers = &self.inner.observers;
+        for key in removed {
+            observers.iter().for_each(|observer| observer.removed(key));
         }
-        for event in &events {
-            for observer in &self.inner.observers {
-                observer.on_cache_event(event);
-            }
-        }
-    }
-
-    pub(super) fn insert_events(
-        key: &QueryKey,
-        size_bytes: u64,
-        cost: ExecutionCost,
-        outcome: &InsertOutcome,
-        shard: usize,
-    ) -> Vec<CacheEvent> {
-        match outcome {
-            InsertOutcome::Admitted { evicted } => {
-                let mut events = Vec::with_capacity(evicted.len() + 1);
-                for victim in evicted {
-                    events.push(CacheEvent::Evicted {
-                        key: victim.clone(),
-                        shard,
-                    });
-                }
-                events.push(CacheEvent::Admitted {
-                    key: key.clone(),
-                    size_bytes,
-                    cost,
-                    shard,
-                });
-                events
-            }
-            InsertOutcome::Rejected(reason) => {
-                vec![CacheEvent::Rejected {
-                    key: key.clone(),
-                    reason: *reason,
-                    shard,
-                }]
-            }
-            // A refresh emits no Admitted event (the key was already
-            // resident), but a refresh whose payload grew may still have
-            // evicted victims — observers mirroring cache contents must see
-            // those removals or they keep stale keys.
-            InsertOutcome::AlreadyCached { evicted } => evicted
-                .iter()
-                .map(|victim| CacheEvent::Evicted {
-                    key: victim.clone(),
-                    shard,
-                })
-                .collect(),
+        if let Some(key) = admitted {
+            observers.iter().for_each(|observer| observer.admitted(key));
         }
     }
 
@@ -633,15 +591,10 @@ where
         now: Timestamp,
     ) -> InsertOutcome {
         let index = self.shard_index(&key);
-        let size_bytes = value.size_bytes();
         let mut shard = self.inner.shards[index].lock();
         let outcome = shard.cache.insert(key.clone(), Arc::new(value), cost, now);
         record_evictions(outcome.evicted());
-        // Emitted under the shard lock so observers see this shard's events
-        // in cache order (see the events module docs).
-        if !self.inner.observers.is_empty() {
-            self.emit(Self::insert_events(&key, size_bytes, cost, &outcome, index));
-        }
+        self.notify(outcome.evicted(), outcome.is_admitted().then_some(&key));
         outcome
     }
 
@@ -655,11 +608,8 @@ where
         // memoized failure is no longer the warehouse's answer either.
         shard.forget_records(key);
         let removed = shard.cache.remove(key);
-        if removed && !self.inner.observers.is_empty() {
-            self.emit(vec![CacheEvent::Invalidated {
-                key: key.clone(),
-                shard: index,
-            }]);
+        if removed {
+            self.notify(std::slice::from_ref(key), None);
         }
         removed
     }

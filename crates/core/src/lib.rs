@@ -68,7 +68,7 @@
 //!
 //! | Module | Contents |
 //! |--------|----------|
-//! | [`engine`] | **The concurrent engine**: sharded [`Watchman`] facade, poll-based single-flight misses (sync + async front doors), [`PolicyKind`], [`CacheEvent`] observers, [`StatsSnapshot`] |
+//! | [`engine`] | **The concurrent engine**: sharded [`Watchman`] facade, poll-based single-flight misses (sync + async front doors), [`PolicyKind`], residency observers ([`CacheObserver`]: `admitted`/`removed`), [`StatsSnapshot`] |
 //! | [`runtime`] | Hand-rolled async [`Runtime`]: worker pool, task queue, timers, epoll IO reactor with async [`net`](runtime::net) wrappers, [`block_on`] |
 //! | [`key`] | Query IDs, signatures, delimiter compression (paper §3) |
 //! | [`value`] | [`CachePayload`], retrieved sets, execution costs |
@@ -115,8 +115,8 @@ pub mod prelude {
         invalidate_affected, DependencyIndex, DependencyObserver, InvalidationReport,
     };
     pub use crate::engine::{
-        BreakerConfig, CacheEvent, CacheObserver, FailureConfig, FetchError, Lookup, LookupError,
-        LookupFuture, LookupSource, PolicyKind, RetryPolicy, StatsSnapshot, Watchman,
+        BreakerConfig, CacheObserver, FailureConfig, FetchError, Lookup, LookupError, LookupFuture,
+        LookupSource, PolicyKind, RetryPolicy, StatsSnapshot, Watchman,
     };
     pub use crate::history::ReferenceHistory;
     pub use crate::key::{QueryKey, Signature};

@@ -621,6 +621,122 @@ mod tests {
         assert!(cache.contains(&key("mid")));
     }
 
+    /// Five 100-byte sets filling a 500-byte LNC-RA cache, with this table
+    /// at t = 100 µs (λ = samples / (100 − oldest reference), Eq. 3):
+    ///
+    /// ```text
+    /// set  cost  refs    samples  λ      c/s  profit λ·c/s (Eq. 2)
+    /// v1     50  10      1        1/90   0.5  0.005556
+    /// v2    400  20      1        1/80   4    0.05
+    /// v3    100  30, 60  2        2/70   1    0.028571
+    /// v4    300  40, 70  2        2/60   3    0.1
+    /// v5   1000  50, 80  2        2/50   10   0.4
+    /// ```
+    ///
+    /// Figure 1 takes the one-sample group first, so a 300-byte newcomer
+    /// displaces v1, v2, v3 in that order: v2 goes before v3 although its
+    /// profit is higher.  For those victims Eq. 5 is
+    /// (50/90 + 400/80 + 200/70) / 300 = 8.412698 / 300 = 0.028042 and
+    /// Eq. 8 is (50 + 400 + 100) / 300 = 1.833333.
+    fn five_sets() -> LncCache<SizedPayload> {
+        let mut cache = LncCache::lnc_ra(500);
+        for (name, c, at) in [
+            ("v1", 50.0, 10),
+            ("v2", 400.0, 20),
+            ("v3", 100.0, 30),
+            ("v4", 300.0, 40),
+            ("v5", 1_000.0, 50),
+        ] {
+            assert!(reference(&mut cache, name, 100, c, at).is_admitted());
+        }
+        for (name, at) in [("v3", 60), ("v4", 70), ("v5", 80)] {
+            assert!(cache.get(&key(name), ts(at)).is_some());
+        }
+        let now = ts(100);
+        let profit = |name| cache.profit_of(&key(name), now).unwrap().value();
+        for (name, expected) in [
+            ("v1", 50.0 / 90.0 / 100.0),
+            ("v2", 400.0 / 80.0 / 100.0),
+            ("v3", 200.0 / 70.0 / 100.0),
+            ("v4", 600.0 / 60.0 / 100.0),
+            ("v5", 2_000.0 / 50.0 / 100.0),
+        ] {
+            assert!((profit(name) - expected).abs() < 1e-12, "{name}");
+        }
+        cache
+    }
+
+    fn residents(cache: &LncCache<SizedPayload>) -> Vec<QueryKey> {
+        let mut keys = cache.cached_keys();
+        keys.sort();
+        keys
+    }
+
+    #[test]
+    fn eq7_eq8_by_hand_on_five_sets() {
+        let victims = vec![key("v1"), key("v2"), key("v3")];
+        // The bound: 300 bytes are needed and the groups up to 2 hold all
+        // 500, so it is the least c/s in them, v1's 0.5.
+        let mut cache = five_sets();
+        assert_eq!(cache.order.least_ratio(2), 0.5);
+        // c/s = 120/300 = 0.4 ≤ 0.5: rejected by the bound, no selection.
+        let outcome = reference(&mut cache, "x", 300, 120.0, 100);
+        assert_eq!(
+            outcome,
+            InsertOutcome::Rejected(RejectReason::AdmissionTest)
+        );
+        assert_eq!(cache.rule.settled_by_bound, 1);
+        assert_eq!(cache.len(), 5);
+
+        // c/s = 540/300 = 1.8: above the bound, at or under Eq. 8's 1.833333,
+        // so the selection runs and Eq. 7 loses the comparison.
+        let mut cache = five_sets();
+        let outcome = reference(&mut cache, "x", 300, 540.0, 100);
+        assert_eq!(
+            outcome,
+            InsertOutcome::Rejected(RejectReason::AdmissionTest)
+        );
+        assert_eq!(cache.rule.settled_by_bound, 0);
+        assert_eq!(cache.len(), 5);
+
+        // c/s = 560/300 = 1.866667 > 1.833333: admitted over v1, v2, v3.
+        let mut cache = five_sets();
+        let outcome = reference(&mut cache, "x", 300, 560.0, 100);
+        assert_eq!(outcome.evicted(), victims.as_slice());
+        assert!(outcome.is_admitted());
+        assert_eq!(residents(&cache), vec![key("v4"), key("v5"), key("x")]);
+    }
+
+    #[test]
+    fn eq4_eq5_by_hand_on_five_sets() {
+        // "x" is first offered at t = 90 with c/s = 0.4, under the bound, and
+        // rejected; its retained history survives the purge (profit 0.4 at
+        // t = 90 against a least cached profit of v1's 1/80 · 0.5).  Offered
+        // again at t = 100 it has two samples, λ = 2/(100 − 90) = 0.2, so
+        // Eq. 4 compares 0.2 · c/300 with Eq. 5's 0.028042: it admits for
+        // c > 42.063.  The bound never applies to a set with a history, even
+        // one whose c/s (0.14) is under it.
+        for (c, admitted) in [(42.0, false), (43.0, true)] {
+            let mut cache = five_sets();
+            let first = reference(&mut cache, "x", 300, 120.0, 90);
+            assert_eq!(first, InsertOutcome::Rejected(RejectReason::AdmissionTest));
+            assert_eq!(cache.rule.settled_by_bound, 1);
+            let outcome = reference(&mut cache, "x", 300, c, 100);
+            assert_eq!(cache.rule.settled_by_bound, 1, "c = {c}");
+            if admitted {
+                assert_eq!(outcome.evicted(), &[key("v1"), key("v2"), key("v3")]);
+                assert_eq!(residents(&cache), vec![key("v4"), key("v5"), key("x")]);
+            } else {
+                assert_eq!(
+                    outcome,
+                    InsertOutcome::Rejected(RejectReason::AdmissionTest),
+                    "c = {c}"
+                );
+                assert_eq!(cache.len(), 5);
+            }
+        }
+    }
+
     #[test]
     fn retained_reference_info_enables_later_admission() {
         // A small expensive set is initially rejected because the cache is

@@ -12,8 +12,9 @@
 //!    incremented ([`poison_recoveries`]) and a diagnostic naming the lock
 //!    site is written to stderr once per process.  The engine's critical
 //!    sections are written to keep their data structurally valid at every
-//!    panic point (fetches and user observer callbacks run *outside* the
-//!    locks wherever possible, and the panic paths are tested), so
+//!    panic point (fetches run *outside* the locks, user observers are
+//!    called under the shard lock only after the cache's books are
+//!    consistent, and the panic paths are tested), so
 //!    recovering is safe — and it means one panicking server session can
 //!    never cascade poison-unwrap aborts across every other session that
 //!    shares the engine, which is exactly what the pre-migration

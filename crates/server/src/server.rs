@@ -985,6 +985,17 @@ async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response<Prefix> 
             ),
         };
     }
+    // The fetch sleeps on this session's worker, and a drain joins that
+    // worker: a delay past the drain grace would hold shutdown past it.
+    if u128::from(get.fetch_delay_us) > DRAIN_GRACE.as_micros() {
+        return Response::Error {
+            message: format!(
+                "fetch_delay_us {} exceeds the {} µs drain grace",
+                get.fetch_delay_us,
+                DRAIN_GRACE.as_micros()
+            ),
+        };
+    }
     // Overload control, ahead of any engine work.  Two sheds, both answered
     // with `BUSY` + a retry-after hint instead of queueing:
     //  * the admission gate is full — more in-flight `GET`s would only grow

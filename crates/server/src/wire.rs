@@ -52,9 +52,12 @@
 //! query text, and `result_bytes`/`cost_blocks` describe what executing the
 //! query against the warehouse would produce (on a miss the server
 //! "executes" by materializing a payload of that size, sleeping
-//! `fetch_delay_us` to stand in for the scan).  `deadline_hint_us` is a
-//! service-time budget: the server reports (but does not enforce) whether
-//! servicing exceeded it.  `payload_prefix_cap` bounds how many payload
+//! `fetch_delay_us` to stand in for the scan).  The server refuses, with an
+//! error response and before any engine work, a `GET` whose `result_bytes`
+//! exceeds 64 MiB or whose `fetch_delay_us` exceeds 1,000,000 µs, the grace
+//! a drain gives in-flight requests.  `deadline_hint_us` is a service-time
+//! budget: the server reports (but does not enforce) whether servicing
+//! exceeded it.  `payload_prefix_cap` bounds how many payload
 //! bytes the response carries back — metrics-only callers send 0.
 //!
 //! ## Responses
@@ -249,6 +252,7 @@ pub struct GetRequest<K = String> {
     pub cost_blocks: u64,
     /// Simulated execution time of a miss, in microseconds (the stand-in
     /// for a multi-second warehouse scan; 0 for deterministic replays).
+    /// The server refuses a delay above 1,000,000 µs, its drain grace.
     pub fetch_delay_us: u32,
     /// Service-time budget in microseconds; 0 means none.  Advisory: the
     /// response reports whether it was exceeded.

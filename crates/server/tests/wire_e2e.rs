@@ -629,6 +629,29 @@ fn oversized_result_bytes_is_refused_with_an_error_response() {
 }
 
 #[test]
+fn fetch_delay_past_the_drain_grace_is_refused_without_sleeping() {
+    let server = test_server(1 << 20, 1);
+    let mut client = Client::connect(server.addr().to_string()).expect("client");
+    let started = Instant::now();
+    let err = client
+        .get(GetRequest {
+            fetch_delay_us: 1_000_001,
+            ..GetRequest::metrics_only("SELECT slow FROM t", 1_000, 128, 100)
+        })
+        .expect_err("a delay past the drain grace must be refused");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "refused only after {:?}",
+        started.elapsed()
+    );
+    assert!(
+        matches!(err, ClientError::Server { ref message } if message.contains("fetch_delay_us")),
+        "got {err}"
+    );
+    server.join();
+}
+
+#[test]
 fn shutdown_opcode_drains_the_server() {
     let server = test_server(1 << 20, 1);
     let addr = server.addr();

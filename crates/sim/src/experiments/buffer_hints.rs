@@ -95,10 +95,11 @@ impl BufferHintExperiment {
     /// Replays the workload once with the given p₀ threshold (`None` = hints
     /// disabled).
     ///
-    /// The hint path is event-driven: a [`RedundancyHintObserver`] subscribed
-    /// to the engine mirrors the cache's contents from admission/eviction
-    /// events and demotes p₀-redundant pages whenever a set is admitted — the
-    /// replay loop only executes queries and records page accesses.
+    /// The hint path is observer-driven: a [`RedundancyHintObserver`]
+    /// subscribed to the engine mirrors the cache's contents from its
+    /// `admitted`/`removed` calls and demotes p₀-redundant pages whenever a
+    /// set is admitted — the replay loop only executes queries and records
+    /// page accesses.
     fn run_once(
         workload: &Workload,
         config: &BufferHintConfig,

@@ -1,8 +1,8 @@
 //! WATCHMAN ↔ buffer-manager cooperation (paper §3, Figure 7).
 //!
 //! This example wires the retrieved-set engine, the page-level buffer pool
-//! and the query-reference tracker together through the engine's cache-event
-//! stream: a [`RedundancyHintObserver`] subscribes to admissions and demotes
+//! and the query-reference tracker together through the engine's residency
+//! observer: a [`RedundancyHintObserver`] hears admissions and demotes
 //! p₀-redundant pages automatically, replacing the hand-wired hint loop the
 //! Figure 7 experiment runs.
 //!
