@@ -179,17 +179,12 @@ impl PressureResult {
 
 /// Sustained admissions/sec into a full cache of `entries` sets: every
 /// insert must evict through the policy's replacement machinery.  The cell
-/// is run again, each time on a freshly filled cache, until its timed
-/// admissions add up to `min_elapsed`; the rate is every admission over
-/// their total time.
-fn measure_policy(
-    kind: PolicyKind,
-    entries: usize,
-    ops: u64,
-    min_elapsed: Duration,
-) -> PressureResult {
+/// is run again, each time on a freshly filled and warmed cache, until its
+/// timed admissions add up to [`MIN_ELAPSED`]; the rate is every admission
+/// over their total time.
+fn measure_policy(kind: PolicyKind, entries: usize, ops: u64) -> PressureResult {
     let (mut done, mut elapsed) = (0, Duration::ZERO);
-    while done == 0 || elapsed < min_elapsed {
+    while elapsed < MIN_ELAPSED {
         elapsed += time_admissions(kind, entries, ops);
         done += ops;
     }
@@ -202,7 +197,15 @@ fn measure_policy(
     }
 }
 
-/// Fills a cache of `entries` sets, then times `ops` admissions into it.
+/// Admissions made into a freshly filled cache before a cell's timed ones.
+/// Straight after the prefill, LRU-K's retained histories have not settled
+/// and the rate is a warm-up rate: an LRU-4 cache kept admitting for
+/// 15,000–28,000 admissions ran at about 0.7 times the rate of its first
+/// 1,000.
+const WARM_UP_ADMISSIONS: u64 = 20_000;
+
+/// Fills a cache of `entries` sets, admits [`WARM_UP_ADMISSIONS`] more so
+/// it reaches its steady state, then times `ops` admissions into it.
 fn time_admissions(kind: PolicyKind, entries: usize, ops: u64) -> Duration {
     let capacity = entries as u64 * PAYLOAD_BYTES;
     let mut cache = kind.build::<SizedPayload>(capacity);
@@ -216,24 +219,31 @@ fn time_admissions(kind: PolicyKind, entries: usize, ops: u64) -> Duration {
     }
     assert_eq!(cache.len(), entries, "{kind}: prefill must fill the cache");
     let base = entries as u64 + 1;
-    let start = Instant::now();
-    for i in 0..ops {
-        // Expensive newcomers so cost-aware admission tests admit them and
-        // the eviction path runs on every operation.
+    // Expensive newcomers so cost-aware admission tests admit them and the
+    // eviction path runs on every operation.
+    let mut admit = |i: u64| {
         cache.insert(
             QueryKey::new(format!("pressure-{i}")),
             SizedPayload::new(PAYLOAD_BYTES),
             ExecutionCost::from_blocks(50_000),
             Timestamp::from_micros(base + i),
-        );
+        )
+    };
+    for i in 0..WARM_UP_ADMISSIONS {
+        admit(i);
+    }
+    let start = Instant::now();
+    for i in WARM_UP_ADMISSIONS..WARM_UP_ADMISSIONS + ops {
+        admit(i);
     }
     start.elapsed()
 }
 
-/// How much timed work a `--quick` cell adds up to: one pass of its 1,000
-/// admissions takes 0.4–2 ms, too short a window for a rate the guard can
-/// compare.
-const QUICK_MIN_ELAPSED: Duration = Duration::from_millis(20);
+/// How much timed work a cell adds up to, in full and `--quick` runs alike:
+/// one pass of 500–4,000 admissions takes 0.2–6 ms, too short a window for
+/// a rate the guard can compare (three one-pass full runs read LRU-4 at
+/// 0.61–1.88M admissions/s).
+const MIN_ELAPSED: Duration = Duration::from_millis(20);
 
 /// Operation count per cell, scaled down with the cache size so the report
 /// stays CI-sized.
@@ -335,14 +345,9 @@ fn eviction_pressure_report(quick: bool, assert_ref: Option<&str>) {
         "{:>34} {:>9} {:>8} {:>12} {:>16}",
         "policy", "entries", "ops", "elapsed", "admissions/sec"
     );
-    let min_elapsed = if quick {
-        QUICK_MIN_ELAPSED
-    } else {
-        Duration::ZERO
-    };
     for &entries in sizes {
         for kind in PolicyKind::all() {
-            let result = measure_policy(kind, entries, ops_for(entries, quick), min_elapsed);
+            let result = measure_policy(kind, entries, ops_for(entries, quick));
             println!(
                 "{:>34} {:>9} {:>8} {:>9.1} ms {:>16.0}",
                 result.policy,

@@ -23,21 +23,25 @@ use crate::value::{CachePayload, ExecutionCost};
 
 /// Records a finished lookup into the outcome-keyed telemetry histograms
 /// ([`crate::telemetry`]): latency from the session's first touch of the
-/// engine to the resolved lookup, bucketed by how it resolved.  A coalesced
-/// resolution also feeds the single-flight wait histogram — for a waiter,
-/// the whole lookup *was* the wait.
+/// engine to the resolved lookup, bucketed by how it resolved.  A hit is
+/// timed in nanoseconds and only when its thread sampled it (`started` is
+/// `None` for the rest); every other outcome missed its probe, so it is
+/// always timed, in microseconds.  A coalesced resolution also feeds the
+/// single-flight wait histogram — for a waiter, the whole lookup *was* the
+/// wait.
 fn record_lookup_telemetry(started: Option<Instant>, source: LookupSource) {
+    use crate::telemetry::{elapsed_ns, elapsed_us};
     let Some(started) = started else { return };
-    let micros = crate::telemetry::elapsed_us(started);
     let telemetry = crate::telemetry::global();
     match source {
-        LookupSource::Hit => telemetry.lookup_hit_us.record(micros),
-        LookupSource::Executed => telemetry.lookup_executed_us.record(micros),
+        LookupSource::Hit => telemetry.lookup_hit_ns.record(elapsed_ns(started)),
+        LookupSource::Executed => telemetry.lookup_executed_us.record(elapsed_us(started)),
         LookupSource::Coalesced => {
+            let micros = elapsed_us(started);
             telemetry.lookup_coalesced_us.record(micros);
             telemetry.singleflight_wait_us.record(micros);
         }
-        LookupSource::Stale => telemetry.lookup_stale_us.record(micros),
+        LookupSource::Stale => telemetry.lookup_stale_us.record(elapsed_us(started)),
     }
 }
 
@@ -117,7 +121,7 @@ where
     where
         F: FnOnce() -> (V, ExecutionCost) + Unpin,
     {
-        let started = crate::telemetry::now();
+        let started = crate::telemetry::sample_lookup();
         let shard = self.shard_index(key);
         // Hit fast path: the engine's hottest operation needs none of the
         // future machinery (engine clone, waker, pinning).  This is exactly
@@ -130,13 +134,14 @@ where
             if let Some(value) = state.cache.get(key, now) {
                 let lookup = Lookup::served(Arc::clone(value), LookupSource::Hit);
                 drop(state);
-                record_lookup_telemetry(Some(started), LookupSource::Hit);
+                record_lookup_telemetry(started, LookupSource::Hit);
                 return lookup;
             }
         }
         let mut lookup = self.lookup(key.clone(), now, Infallible(Some(fetch)));
         lookup.shard = Some(shard);
-        lookup.started = Some(started);
+        // A miss is always timed; a sampled lookup keeps its earlier start.
+        lookup.started = Some(started.unwrap_or_else(crate::telemetry::now));
         crate::runtime::block_on(lookup)
     }
 
@@ -510,9 +515,11 @@ pub struct LookupFuture<V, M> {
     /// Fetch attempts this session has made as the leader of the current
     /// flight.
     attempts: u32,
-    /// When this session first touched the engine (the synchronous door
-    /// presets it; the async one stamps it on first poll), feeding the
-    /// outcome-keyed lookup-latency telemetry.
+    /// When this session first touched the engine, feeding the
+    /// outcome-keyed lookup-latency telemetry.  The synchronous door presets
+    /// it; the async one stamps it in its first `Start` step, before the
+    /// probe when the thread samples the lookup and otherwise when the probe
+    /// misses.  It stays `None` only for an unsampled hit.
     started: Option<Instant>,
 }
 
@@ -564,13 +571,16 @@ where
         // All fields are Unpin (`M` by bound — every ordinary closure is),
         // so plain projection is safe without unsafe code.
         let this = self.get_mut();
-        if this.started.is_none() {
-            this.started = Some(crate::telemetry::now());
-        }
         loop {
             let step = match &mut this.state {
                 LookupState::Finished => panic!("LookupFuture polled after completion"),
                 LookupState::Start => {
+                    // Only the first `Start` decides: after it, either the
+                    // lookup hit and returned or its probe missed and
+                    // stamped `started`.
+                    if this.started.is_none() {
+                        this.started = crate::telemetry::sample_lookup();
+                    }
                     let shard_index = *this
                         .shard
                         .get_or_insert_with(|| this.engine.shard_index(&this.key));
@@ -578,7 +588,10 @@ where
                     if let Some(value) = state.cache.get(&this.key, this.now) {
                         Step::Return(Lookup::served(Arc::clone(value), LookupSource::Hit))
                     } else {
-                        state.start_flight(&this.key, this.now, M::FAILURE_DOMAIN)
+                        let step = state.start_flight(&this.key, this.now, M::FAILURE_DOMAIN);
+                        drop(state);
+                        this.started.get_or_insert_with(crate::telemetry::now);
+                        step
                     }
                 }
                 LookupState::Waiting { flight, slot } => match flight.poll_wait(slot, cx) {

@@ -1712,4 +1712,83 @@ mod tests {
         );
         assert_eq!(engine.slot_count(), 0);
     }
+
+    /// A hit reads the clock only when its thread samples it, one lookup in
+    /// 64, and then twice (start and end).  An executed miss reads it five
+    /// times, sampled or not, as it did when every lookup was timed: the
+    /// lookup's start and end, the fetch attempt's start and end, and the
+    /// flight recorder's timestamp.
+    #[test]
+    fn lookups_read_the_clock_only_when_sampled_or_missed() {
+        use crate::runtime::block_on;
+        use crate::telemetry::{clock_reads, LOOKUP_SAMPLE_PERIOD};
+
+        const HITS: u64 = 640;
+        const MISS_READS: u64 = 5;
+        fn counted(lookup: impl FnOnce()) -> u64 {
+            let before = clock_reads();
+            lookup();
+            clock_reads() - before
+        }
+        // Each case runs on a fresh thread, whose first lookup is its first
+        // sample.
+        fn on_fresh_thread(case: impl FnOnce() + Send) {
+            std::thread::scope(|scope| scope.spawn(case).join().expect("counting thread"));
+        }
+        let engine = engine(1, 1 << 20);
+        let hot = key("hot");
+        let outcome = engine.insert(
+            hot.clone(),
+            SizedPayload::new(64),
+            ExecutionCost::from_blocks(10),
+            ts(1),
+        );
+        assert!(outcome.is_admitted());
+        let fill = || (SizedPayload::new(64), ExecutionCost::from_blocks(10));
+
+        on_fresh_thread(|| {
+            let sync_hits = counted(|| {
+                for i in 0..HITS {
+                    let lookup = engine.get_or_execute(&hot, ts(2 + i), || unreachable!("a hit"));
+                    assert_eq!(lookup.source, LookupSource::Hit);
+                }
+            });
+            let async_hits = counted(|| {
+                for i in 0..HITS {
+                    let lookup =
+                        block_on(engine.try_get_or_execute_async(&hot, ts(1_000 + i), || {
+                            unreachable!("a hit")
+                        }));
+                    assert_eq!(lookup.expect("a hit").source, LookupSource::Hit);
+                }
+            });
+            let sampled = HITS / u64::from(LOOKUP_SAMPLE_PERIOD);
+            assert_eq!(sync_hits, 2 * sampled, "{HITS} hits through the sync door");
+            assert_eq!(
+                async_hits,
+                2 * sampled,
+                "{HITS} hits through the async door"
+            );
+        });
+        for door in ["sync", "async"] {
+            on_fresh_thread(|| {
+                for case in ["sampled", "unsampled"] {
+                    let miss = key(&format!("{door}-{case}"));
+                    let reads = counted(|| {
+                        let source = if door == "sync" {
+                            engine.get_or_execute(&miss, ts(5_000), fill).source
+                        } else {
+                            block_on(
+                                engine.try_get_or_execute_async(&miss, ts(5_000), || Ok(fill())),
+                            )
+                            .expect("executed")
+                            .source
+                        };
+                        assert_eq!(source, LookupSource::Executed);
+                    });
+                    assert_eq!(reads, MISS_READS, "a {case} executed miss, {door} door");
+                }
+            });
+        }
+    }
 }

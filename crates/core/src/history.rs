@@ -124,23 +124,6 @@ impl ReferenceHistory {
     pub fn metadata_bytes(&self) -> u64 {
         (self.times.len() * std::mem::size_of::<Timestamp>()) as u64 + 16
     }
-
-    /// Merges another history into this one, keeping the `K` most recent
-    /// timestamps across both.  Used when a retrieved set is re-admitted and
-    /// both a retained history and fresh references exist.
-    pub fn merge(&mut self, other: &ReferenceHistory) {
-        let mut all: Vec<Timestamp> = self
-            .times
-            .iter()
-            .chain(other.times.iter())
-            .copied()
-            .collect();
-        all.sort_unstable();
-        let keep = all.len().saturating_sub(self.k);
-        self.times.clear();
-        self.times.extend(all.into_iter().skip(keep));
-        self.total_references += other.total_references;
-    }
 }
 
 #[cfg(test)]
@@ -242,21 +225,6 @@ mod tests {
         let h = ReferenceHistory::with_first_reference(4, ts(10));
         assert_eq!(h.sample_count(), 1);
         assert_eq!(h.total_references(), 1);
-    }
-
-    #[test]
-    fn merge_keeps_most_recent_k() {
-        let mut a = ReferenceHistory::new(3);
-        a.record(ts(10));
-        a.record(ts(30));
-        let mut b = ReferenceHistory::new(3);
-        b.record(ts(20));
-        b.record(ts(40));
-        a.merge(&b);
-        assert_eq!(a.sample_count(), 3);
-        assert_eq!(a.oldest_reference(), Some(ts(20)));
-        assert_eq!(a.last_reference(), Some(ts(40)));
-        assert_eq!(a.total_references(), 4);
     }
 
     #[test]

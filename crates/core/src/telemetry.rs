@@ -24,28 +24,34 @@
 //!   its own books when it builds the exposition.
 //! * [`FlightRecorder`] — a fixed ring of structured trace events guarded by
 //!   per-slot sequence counters (a seqlock: writers never block, readers
-//!   detect torn slots and skip them).  Always on, a handful of relaxed
-//!   atomic stores per event.  Dumped on demand (`TRACE_DUMP`) or
-//!   automatically — rate-limited — when an anomaly fires (breaker trip,
-//!   shed, slow-loris eviction).
+//!   detect torn slots and skip them).  Always on, a compare-and-swap and a
+//!   handful of relaxed atomic stores per event.  Dumped on demand
+//!   (`TRACE_DUMP`) or automatically — rate-limited — when an anomaly fires
+//!   (breaker trip, shed, slow-loris eviction).
 //!
 //! ## Clock authority
 //!
 //! This module is also the **single sanctioned home of wall-clock reads** on
-//! the engine and session hot paths: [`now()`], [`now_us()`] and
-//! [`elapsed_us()`].  The core and server crates' `clippy.toml` files ban
-//! raw `Instant::now()` outside the runtime and the load drivers, so that every
-//! timing site is discoverable here and instrumentation cannot silently
-//! fork from the metrics it feeds.
+//! the engine and session hot paths: [`now()`], [`now_us()`],
+//! [`elapsed_us()`], [`elapsed_ns()`] and [`sample_lookup()`].  The core and
+//! server crates' `clippy.toml` files ban raw `Instant::now()` outside the
+//! runtime and the load drivers, so that every timing site is discoverable
+//! here and instrumentation cannot silently fork from the metrics it feeds.
+//!
+//! A lookup reads the clock only when its probe misses or when it is its
+//! thread's 1-in-[`LOOKUP_SAMPLE_PERIOD`] sample: an unsampled hit reads
+//! none.
 //!
 //! ## Concurrency (see CONCURRENCY.md)
 //!
 //! The registry holds **no locks at all** — counters and histogram
 //! buckets are plain `AtomicU64`s with relaxed ordering (they are
 //! statistics, not synchronization).  The flight-recorder ring uses
-//! acquire/release only on the per-slot sequence word.  Nothing in this
-//! module can therefore participate in a lock cycle: telemetry calls are
-//! safe under any lock, including shard locks and runtime queue locks.
+//! acquire/release only on the per-slot sequence word, plus the two fences
+//! a seqlock needs: release after a writer's claim, acquire before a
+//! reader's second load.  Nothing in this module can therefore participate
+//! in a lock cycle: telemetry calls are safe under any lock, including
+//! shard locks and runtime queue locks.
 //!
 //! [`runtime`]: crate::runtime
 //! [`sync`]: crate::sync
@@ -56,7 +62,7 @@
 )]
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -66,12 +72,17 @@ use serde::{Deserialize, Serialize};
 /// any breaking change to field names or semantics; scrapers check it
 /// before interpreting the maps.
 ///
+/// v3: `engine.lookup.hit_us` became `engine.lookup.hit_ns`, in nanoseconds
+/// and sampled: each thread times one lookup in [`LOOKUP_SAMPLE_PERIOD`], so
+/// its count is about a 64th of the hits.  The other lookup histograms keep
+/// one sample per lookup.
+///
 /// v2: the engine and server counts (`engine.fetch.retries`,
 /// `engine.negative_hits`, `engine.breaker.transitions`, `server.sheds`,
 /// the shard gauges) are the scraped server's own, not the process's, and
 /// `engine.fragmentation.used_permille` is the occupancy at scrape time
 /// rather than a mean over earlier scrapes.
-pub const METRICS_SCHEMA_VERSION: u32 = 2;
+pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 /// Number of buckets in a [`Histogram`]: 4 linear buckets for values 0–3,
 /// then 4 sub-buckets per power of two up to `u64::MAX`.
@@ -100,20 +111,51 @@ fn epoch() -> Instant {
 
 /// Reads the monotonic clock.  The one sanctioned `Instant::now()` for
 /// engine and session timing code (see the module docs): deadline arithmetic
-/// (`telemetry::now() + backoff`) and latency measurement both flow through
-/// here.
+/// (`telemetry::now() + backoff`), latency measurement and the flight
+/// recorder's timestamps all flow through here.
 pub fn now() -> Instant {
+    #[cfg(test)]
+    CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
     Instant::now()
 }
 
 /// Microseconds since process start (the flight recorder's timestamp base).
 pub fn now_us() -> u64 {
-    epoch().elapsed().as_micros() as u64
+    now().saturating_duration_since(epoch()).as_micros() as u64
 }
 
 /// Microseconds elapsed since `start`, saturating.
 pub fn elapsed_us(start: Instant) -> u64 {
-    start.elapsed().as_micros() as u64
+    now().saturating_duration_since(start).as_micros() as u64
+}
+
+/// Nanoseconds elapsed since `start`, saturating.
+pub fn elapsed_ns(start: Instant) -> u64 {
+    now().saturating_duration_since(start).as_nanos() as u64
+}
+
+/// Each thread times one lookup in this many: its first, then every 64th.
+/// A hit is a single probe of a few hundred nanoseconds, so timing every
+/// one would spend about half of it reading the clock.
+pub const LOOKUP_SAMPLE_PERIOD: u32 = 64;
+
+/// Starts a lookup's clock if the lookup is its thread's 1-in-
+/// [`LOOKUP_SAMPLE_PERIOD`] sample, and reads no clock otherwise.  Call it
+/// once per lookup, before the probe.
+pub fn sample_lookup() -> Option<Instant> {
+    thread_local! {
+        static UNTIL_SAMPLE: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+    UNTIL_SAMPLE.with(|left| match left.get() {
+        0 => {
+            left.set(LOOKUP_SAMPLE_PERIOD - 1);
+            Some(now())
+        }
+        n => {
+            left.set(n - 1);
+            None
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -398,11 +440,13 @@ impl TraceKind {
 
 /// One ring slot: a sequence word plus four payload words.
 ///
-/// The sequence word is a per-slot seqlock: a writer stores `2·n + 1` (odd:
-/// write in progress for generation `n`), fills the payload, then stores
-/// `2·n + 2` (even: generation `n` complete).  Readers accept a slot only
-/// when they observe the *same even* sequence before and after reading the
-/// payload.  No waiting in either direction — a torn slot is simply skipped.
+/// The sequence word is a per-slot seqlock: a writer claims the slot by
+/// moving it from an older even sequence to `2·n + 1` (odd: write in
+/// progress for generation `n`), fills the payload, then stores `2·n + 2`
+/// (even: generation `n` complete).  Readers accept a slot only when they
+/// observe the *same even* sequence before and after reading the payload.
+/// No waiting in either direction — a torn slot is simply skipped, and a
+/// writer that finds the slot claimed drops its event.
 #[derive(Debug)]
 struct TraceSlot {
     seq: AtomicU64,
@@ -428,16 +472,19 @@ impl TraceSlot {
 
 /// A bounded, always-on ring of recent structured events.
 ///
-/// Writers pay one `fetch_add` plus five relaxed stores and two
-/// release stores; they never block and never allocate.  [`dump`] walks the
-/// ring without stopping writers; a slot overwritten mid-read fails its
-/// sequence check and is dropped from the dump.  The protocol is exact
-/// unless a single write is straddled by a **full ring wrap**
-/// ([`TRACE_RING_SLOTS`] subsequent events while one store sequence is in
-/// flight), which the dump tolerates by design — this is a diagnostic
-/// recorder, not a transport.
+/// Writers pay one `fetch_add`, one compare-and-swap, five relaxed stores,
+/// a release fence and a release store; they never block and never
+/// allocate.  [`dump`] walks the ring without stopping writers; a slot
+/// overwritten mid-read fails its sequence check and is dropped from the
+/// dump.  Only one writer fills a slot at a time: one that falls a **full
+/// ring wrap** behind ([`TRACE_RING_SLOTS`] later events claimed its slot
+/// first) or finds its slot still being written drops its event, which
+/// then counts in [`events_recorded`] but never appears in a dump.  So the
+/// dump never mixes two events' fields — this is a diagnostic recorder,
+/// not a transport.
 ///
 /// [`dump`]: FlightRecorder::dump
+/// [`events_recorded`]: FlightRecorder::events_recorded
 #[derive(Debug)]
 pub struct FlightRecorder {
     cursor: AtomicU64,
@@ -463,9 +510,25 @@ impl FlightRecorder {
     pub fn record(&self, kind: TraceKind, key: u64, a: u64, b: u64) {
         let index = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(index as usize) % self.slots.len()];
-        // Odd marks the write in progress; release orders it before the
-        // payload stores for any reader that acquires it.
-        slot.seq.store(2 * index + 1, Ordering::Release);
+        let claim = 2 * index + 1;
+        // Claim the slot from a finished, older generation; odd marks the
+        // write in progress.  A slot still being written, or already taken
+        // by a later lap, is left alone and this event is dropped.
+        let current = slot.seq.load(Ordering::Relaxed);
+        if current % 2 == 1
+            || current > claim
+            || slot
+                .seq
+                .compare_exchange(current, claim, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        // A release store orders only the writes before it, so the payload
+        // stores below could move above the odd claim.  This fence keeps
+        // them after it: a reader whose payload loads see any of them also
+        // sees the odd sequence on its second load.
+        fence(Ordering::Release);
         slot.ts_us.store(now_us(), Ordering::Relaxed);
         slot.kind.store(kind.code(), Ordering::Relaxed);
         slot.key.store(key, Ordering::Relaxed);
@@ -473,10 +536,11 @@ impl FlightRecorder {
         slot.b.store(b, Ordering::Relaxed);
         // Even publishes generation `index`; release orders the payload
         // before it.
-        slot.seq.store(2 * index + 2, Ordering::Release);
+        slot.seq.store(claim + 1, Ordering::Release);
     }
 
-    /// Total events ever recorded (ring writes, including overwritten ones).
+    /// Total events ever recorded (including ones since overwritten in the
+    /// ring or dropped by a writer that found its slot claimed).
     pub fn events_recorded(&self) -> u64 {
         self.cursor.load(Ordering::Relaxed)
     }
@@ -494,7 +558,11 @@ impl FlightRecorder {
             let key = slot.key.load(Ordering::Relaxed);
             let a = slot.a.load(Ordering::Relaxed);
             let b = slot.b.load(Ordering::Relaxed);
-            let after = slot.seq.load(Ordering::Acquire);
+            // An acquire load orders only the reads after it, so the payload
+            // loads above could move below the second sequence load.  This
+            // fence keeps them before it.
+            fence(Ordering::Acquire);
+            let after = slot.seq.load(Ordering::Relaxed);
             if before != after {
                 continue; // overwritten while reading
             }
@@ -558,8 +626,9 @@ pub struct TraceDump {
 /// (counters moved), never exact.
 #[derive(Debug)]
 pub struct Telemetry {
-    /// Lookup latency for cache hits (front-door entry to return), µs.
-    pub lookup_hit_us: Histogram,
+    /// Lookup latency for cache hits (front-door entry to return), ns, of
+    /// the hits each thread samples ([`sample_lookup`]).
+    pub lookup_hit_ns: Histogram,
     /// Lookup latency for misses that executed their query, µs.
     pub lookup_executed_us: Histogram,
     /// Lookup latency for references coalesced onto another session's
@@ -611,7 +680,7 @@ impl Telemetry {
     /// Creates a fresh registry (tests; production uses [`global()`]).
     pub fn new() -> Self {
         Self {
-            lookup_hit_us: Histogram::new(),
+            lookup_hit_ns: Histogram::new(),
             lookup_executed_us: Histogram::new(),
             lookup_coalesced_us: Histogram::new(),
             lookup_stale_us: Histogram::new(),
@@ -686,7 +755,7 @@ impl Telemetry {
         let mut hist = |name: &str, histogram: &Histogram| {
             histograms.insert(name.to_string(), histogram.snapshot());
         };
-        hist("engine.lookup.hit_us", &self.lookup_hit_us);
+        hist("engine.lookup.hit_ns", &self.lookup_hit_ns);
         hist("engine.lookup.executed_us", &self.lookup_executed_us);
         hist("engine.lookup.coalesced_us", &self.lookup_coalesced_us);
         hist("engine.lookup.stale_us", &self.lookup_stale_us);
@@ -749,6 +818,19 @@ impl MetricsSnapshot {
 pub fn global() -> &'static Telemetry {
     static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
     GLOBAL.get_or_init(Telemetry::new)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Clock reads made through [`now()`] on this thread, so tests can
+    /// count what a code path pays for its timing.
+    static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The clock reads this thread has made through [`now()`] so far.
+#[cfg(test)]
+pub(crate) fn clock_reads() -> u64 {
+    CLOCK_READS.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]
@@ -831,8 +913,8 @@ mod tests {
     #[test]
     fn metrics_snapshot_json_round_trips_exactly() {
         let telemetry = Telemetry::new();
-        telemetry.lookup_hit_us.record(42);
-        telemetry.lookup_hit_us.record(4242);
+        telemetry.lookup_hit_ns.record(42);
+        telemetry.lookup_hit_ns.record(4242);
         telemetry.evictions.add(7);
         let snapshot = telemetry.snapshot();
         let json = serde_json::to_string(&snapshot).expect("serialize");
@@ -841,7 +923,7 @@ mod tests {
         assert_eq!(back.schema, METRICS_SCHEMA_VERSION);
         assert_eq!(back.counter("engine.evictions"), 7);
         assert_eq!(
-            back.histogram("engine.lookup.hit_us").map(|h| h.count),
+            back.histogram("engine.lookup.hit_ns").map(|h| h.count),
             Some(2)
         );
     }
@@ -884,30 +966,68 @@ mod tests {
 
     #[test]
     fn recorder_is_consistent_under_concurrent_writers() {
+        use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
+
+        // Every field of an event derives from one value, so an event that
+        // mixes two writes' fields cannot pass the check below.  Writers wrap
+        // the ring many times while two readers dump it concurrently.
+        const WRITERS: u64 = 4;
+        const EVENTS: u64 = 20_000;
+        const KINDS: [TraceKind; 4] = [
+            TraceKind::SessionOpen,
+            TraceKind::SessionClose,
+            TraceKind::LookupExecuted,
+            TraceKind::FetchRetry,
+        ];
+        let kind_of = |value: u64| KINDS[(value % KINDS.len() as u64) as usize];
         let recorder = Arc::new(FlightRecorder::new());
-        let writers: Vec<_> = (0..4)
+        let writing = Arc::new(AtomicBool::new(true));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (recorder, writing) = (Arc::clone(&recorder), Arc::clone(&writing));
+                std::thread::spawn(move || {
+                    let mut checked = 0u64;
+                    while writing.load(Ordering::Relaxed) {
+                        for event in recorder.dump().events {
+                            let value = event.key;
+                            assert_eq!(
+                                (event.kind.as_str(), event.a, event.b),
+                                (
+                                    TraceKind::name(kind_of(value).code()),
+                                    value.rotate_left(17),
+                                    !value
+                                ),
+                                "a dump returned an event mixing two writes"
+                            );
+                            checked += 1;
+                        }
+                    }
+                    checked
+                })
+            })
+            .collect();
+        let writers: Vec<_> = (0..WRITERS)
             .map(|writer| {
                 let recorder = Arc::clone(&recorder);
                 std::thread::spawn(move || {
-                    for index in 0..2000u64 {
-                        recorder.record(TraceKind::SessionClose, writer, index, index * 2);
+                    for index in 0..EVENTS {
+                        let value = writer << 32 | index;
+                        recorder.record(kind_of(value), value, value.rotate_left(17), !value);
                     }
                 })
             })
             .collect();
-        for _ in 0..50 {
-            let dump = recorder.dump();
-            for event in &dump.events {
-                // Payload invariant: b is always 2·a for these writers — a
-                // torn slot that slipped the seqlock would break it.
-                assert_eq!(event.b, event.a * 2, "torn slot escaped the seqlock");
-            }
-        }
         for writer in writers {
             writer.join().expect("writer");
         }
-        assert_eq!(recorder.events_recorded(), 8000);
+        writing.store(false, Ordering::Relaxed);
+        for reader in readers {
+            reader.join().expect("reader");
+        }
+        assert_eq!(recorder.events_recorded(), WRITERS * EVENTS);
+        let settled = recorder.dump();
+        assert!(!settled.events.is_empty() && settled.events.len() <= TRACE_RING_SLOTS);
     }
 
     #[test]

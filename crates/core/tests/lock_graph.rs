@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use watchman_core::clock::Timestamp;
-use watchman_core::engine::{PolicyKind, Watchman};
+use watchman_core::engine::{
+    FailureConfig, FetchError, LookupSource, PolicyKind, RetryPolicy, Watchman,
+};
 use watchman_core::key::QueryKey;
 use watchman_core::runtime::block_on;
 use watchman_core::sync::lock_graph;
@@ -233,6 +235,89 @@ fn run_queue_locks_stay_leaves_of_the_hierarchy() {
         report.edges.iter().all(|edge| !queue_class(&edge.from)),
         "a run-queue lock was held while acquiring another lock — the slot, \
          injector, idle-list and permit locks must stay leaf classes:\n{}",
+        report.describe()
+    );
+    lock_graph::assert_clean();
+}
+
+/// An abandoned flight is retired under its shard's lock: `Shard::abandon`
+/// takes the shard `.state` lock, then the flight's `.state` lock to wake one
+/// waiter (CONCURRENCY.md's "shard lock, then flight lock").  Two leaders
+/// abandon here, each with a coalesced waiter that then takes over: one
+/// whose retried fetch panics, and one dropped while it sleeps out a retry
+/// backoff.  The graph must hold the shard → flight edge and stay clean.
+#[test]
+fn abandoned_flights_take_the_flight_lock_under_the_shard_lock() {
+    use std::future::Future;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::pin::Pin;
+    use std::task::{Context, Waker};
+    use std::time::Duration;
+
+    fn poll_once_pending<F: Future + Unpin>(future: &mut F) {
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(Pin::new(future).poll(&mut cx).is_pending());
+    }
+    let engine_with_backoff = |backoff: Duration| -> Watchman<SizedPayload> {
+        Watchman::builder()
+            .shards(2)
+            .policy(PolicyKind::LncRa { k: 4 })
+            .capacity_bytes(40_000)
+            .failure(FailureConfig {
+                retry: RetryPolicy {
+                    max_attempts: 2,
+                    base_delay: backoff,
+                    max_delay: backoff,
+                    jitter_seed: 0,
+                },
+                ..FailureConfig::default()
+            })
+            .build()
+    };
+    let fill = || Ok((SizedPayload::new(500), ExecutionCost::from_blocks(20)));
+    let now = Timestamp::from_micros(1);
+
+    // A leader whose first attempt fails transiently and whose retry
+    // panics, with a waiter registered during its backoff.
+    let engine = engine_with_backoff(Duration::from_millis(1));
+    let key = QueryKey::new("panicking-leader");
+    let mut attempts = 0;
+    let mut leader = engine.try_get_or_execute_async(&key, now, move || {
+        attempts += 1;
+        if attempts == 1 {
+            return Err(FetchError::transient("first attempt fails"));
+        }
+        panic!("the retried fetch panics")
+    });
+    poll_once_pending(&mut leader);
+    let mut waiter = engine.try_get_or_execute_async(&key, now, fill);
+    poll_once_pending(&mut waiter);
+    let panicked = catch_unwind(AssertUnwindSafe(|| block_on(leader)));
+    assert!(panicked.is_err(), "the leader's panic propagates");
+    let took_over = block_on(waiter).expect("the waiter's own fetch succeeds");
+    assert_eq!(took_over.source, LookupSource::Executed);
+
+    // A leader dropped while it sleeps out an hour-long backoff.
+    let engine = engine_with_backoff(Duration::from_secs(3_600));
+    let key = QueryKey::new("dropped-leader");
+    let mut leader = engine.try_get_or_execute_async(&key, now, || {
+        Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("backs off"))
+    });
+    poll_once_pending(&mut leader);
+    let mut waiter = engine.try_get_or_execute_async(&key, now, fill);
+    poll_once_pending(&mut waiter);
+    drop(leader);
+    let took_over = block_on(waiter).expect("the waiter's own fetch succeeds");
+    assert_eq!(took_over.source, LookupSource::Executed);
+
+    let report = lock_graph::report();
+    assert!(
+        report
+            .edges
+            .iter()
+            .any(|edge| edge.from.contains("engine/watchman.rs")
+                && edge.to.contains("engine/single_flight.rs")),
+        "no shard .state -> flight .state edge was recorded\n{}",
         report.describe()
     );
     lock_graph::assert_clean();

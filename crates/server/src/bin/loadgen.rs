@@ -216,8 +216,8 @@ fn run_metrics_scrape(addr: &str) -> Result<(), String> {
             metrics.gauge("engine.shard_count") > 0,
         ),
         (
-            "histogram engine.lookup.hit_us",
-            metrics.histogram("engine.lookup.hit_us").is_some(),
+            "histogram engine.lookup.hit_ns",
+            metrics.histogram("engine.lookup.hit_ns").is_some(),
         ),
         (
             "histogram runtime.task.poll_us",
@@ -228,11 +228,13 @@ fn run_metrics_scrape(addr: &str) -> Result<(), String> {
             return Err(format!("METRICS exposition is missing {family}"));
         }
     }
-    let lookups: u64 = ["hit", "executed", "coalesced", "stale", "error"]
-        .iter()
-        .filter_map(|outcome| metrics.histogram(&format!("engine.lookup.{outcome}_us")))
-        .map(|h| h.count)
-        .sum();
+    // The hit histogram holds only sampled hits, so the lookup total comes
+    // from the engine's own reference count.
+    let lookups = client
+        .stats()
+        .map_err(|err| format!("STATS scrape failed: {err}"))?
+        .total
+        .references;
     println!(
         "loadgen: METRICS schema v{} from {addr}: {} counters, {} gauges, {} histograms; \
          {} lookups, {} retries, {} sheds, uptime {:.1} s",

@@ -123,18 +123,31 @@ fn storm_executes_each_missed_key_exactly_once_across_connections() {
 #[test]
 fn metrics_exposition_and_trace_dump_move_under_traffic() {
     const KEYS: u64 = 16;
-    let server = test_server(1 << 20, 4);
+    const HIT_ROUNDS: u64 = 8;
+    const HITS: u64 = KEYS * HIT_ROUNDS;
+    // One runtime worker, so every lookup runs on one thread and its
+    // 1-in-64 hit sample lands at least once in any 64 of its hits.
+    let server = serve(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        shards: 4,
+        policy: PolicyKind::LNC_RA,
+        capacity_bytes: 1 << 20,
+        runtime_workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server binds on loopback");
     let addr = server.addr().to_string();
     let mut admin = Client::connect(addr.clone()).expect("admin connects");
     let before = admin.metrics().expect("METRICS before traffic");
     assert_eq!(before.schema, METRICS_SCHEMA_VERSION);
+    let hits_before = admin.stats().expect("STATS before traffic").total.hits;
 
-    // Two sweeps over the same keys: the first executes every key, the
-    // second is all served hits.  The latency histograms live in the
+    // Sweeps over the same keys: the first executes every key, the rest
+    // are all served hits.  The latency histograms live in the
     // process-global registry, and other tests in this binary record into
     // them concurrently, so their assertions are monotonic deltas (>=).
     let mut client = Client::connect(addr).expect("client connects");
-    for round in 0..2u64 {
+    for round in 0..=HIT_ROUNDS {
         for key_index in 0..KEYS {
             client
                 .get(GetRequest::metrics_only(
@@ -158,9 +171,19 @@ fn metrics_exposition_and_trace_dump_move_under_traffic() {
             >= lookups(&before, "engine.lookup.executed_us") + KEYS,
         "first sweep must have recorded {KEYS} executed-lookup latencies"
     );
+    // Hits are counted by the engine's books and timed by sampling: each
+    // thread times one lookup in 64.
+    let hits_after = admin.stats().expect("STATS after traffic").total.hits;
+    assert_eq!(
+        hits_after - hits_before,
+        HITS,
+        "every hit sweep is served hits"
+    );
     assert!(
-        lookups(&after, "engine.lookup.hit_us") >= lookups(&before, "engine.lookup.hit_us") + KEYS,
-        "second sweep must have recorded {KEYS} hit latencies"
+        lookups(&after, "engine.lookup.hit_ns")
+            >= lookups(&before, "engine.lookup.hit_ns") + HITS / 64,
+        "{HITS} hits on one thread must have sampled at least {} hit latencies",
+        HITS / 64
     );
     // The server layer fills these in at exposition time: both connections
     // of this test are open sessions, and the poll histogram moved because
