@@ -576,38 +576,83 @@ pub mod models {
     //! the explorer actually detects deadlocks.
 
     use super::{Ctl, Model, ModelRun, ThreadBody};
-    use crate::engine::single_flight::{Flight, FlightOutcome, WaiterSlot};
+    use crate::clock::Timestamp;
+    use crate::engine::single_flight::{FlightOutcome, WaiterSlot};
+    use crate::engine::{Leader, PolicyKind, Shard, Step};
+    use crate::key::QueryKey;
     use crate::sync::Mutex;
     use crate::value::ExecutionCost;
     use std::sync::Arc;
     use std::task::{Context, Poll};
 
-    /// Model 1: the single-flight abandonment / takeover protocol, driving
-    /// the **real** `Flight` cell.
+    /// Model 1: the single-flight protocol, driving a **real** shard's key
+    /// slot and the **real** `Flight` cell.
     ///
-    /// Thread 0 is the original leader: its fetch panics inside its own
-    /// poll, and the unwind abandons the flight.  Thread 1 is a loyal
-    /// waiter: it polls until the flight resolves, and if it wins the
-    /// takeover race it completes the flight itself.  Thread 2 is a flaky
-    /// waiter: the first time it suspends it gives up (`forget_waiter`),
-    /// exercising the candidate-cancellation path that must pass the
-    /// takeover wake along rather than lose it.
+    /// Thread 0 leads the key's flight, which starts without a cell: its
+    /// fetch panics inside its own poll, and the unwind abandons the flight
+    /// (`Shard::abandon`).  Threads 1 and 2 arrive on the key through
+    /// `start_flight`: while the flight is live they join it, the first of
+    /// them creating its cell, and once it is retired they lead a fresh
+    /// one.  Thread 1 is a loyal waiter: it polls until the flight
+    /// resolves.  Thread 2 is a flaky waiter: the first time it suspends it
+    /// gives up (`Shard::forget_waiter`), exercising the
+    /// candidate-cancellation path that must pass the takeover wake along
+    /// rather than lose it.  A session that leads, by takeover or afresh,
+    /// settles its flight in the slot and completes the cell it gets back
+    /// or holds.
     ///
     /// Invariants: no schedule deadlocks (in particular, no registered
     /// waiter sleeps through the abandonment — a lost wakeup parks thread 1
-    /// forever and the scheduler reports it), and the cell always ends
-    /// `Done` with the takeover value.
+    /// forever and the scheduler reports it), every session that resolves
+    /// observes the value a successor leader published, and the slot ends
+    /// with no flight: one that nobody is left to resolve is retired,
+    /// whether or not a waiter made it a cell.
     pub struct SingleFlightModel;
 
-    /// The value the takeover leader publishes.
-    const TAKEOVER_VALUE: u64 = 42;
+    /// The value every successor leader publishes.
+    const SUCCESSOR_VALUE: &str = "fetched by a successor";
     /// Wake flags: one per waiting session.
     const FLAG_LOYAL: u64 = 101;
     const FLAG_FLAKY: u64 = 102;
 
-    /// Polls `flight` as a waiter until it resolves; completes the flight
-    /// when this session wins the takeover race.  Returns the observed value.
-    fn drive_waiter(ctl: &Ctl, flight: &Flight<u64>, flag: u64, flaky: bool) -> Option<u64> {
+    type ModelShard = Shard<String>;
+
+    /// Leads `leader`'s flight to success: its fetch, then the settle that
+    /// retires it from the slot, then completing whatever cell it has.
+    fn lead(ctl: &Ctl, shard: &ModelShard, key: &QueryKey, leader: &Leader<String>) -> String {
+        ctl.point();
+        let retired = shard
+            .lock()
+            .settle_success(key, leader.id, Timestamp::ZERO, false, None);
+        if let Some(cell) = retired.as_ref().or(leader.cell.as_ref()) {
+            ctl.point();
+            cell.complete(
+                Arc::new(SUCCESSOR_VALUE.to_owned()),
+                ExecutionCost::from_blocks(1),
+            );
+        }
+        SUCCESSOR_VALUE.to_owned()
+    }
+
+    /// One session arriving on `key`: joins its live flight and polls the
+    /// cell until it resolves, completing the flight itself when it wins
+    /// the takeover race, or leads a fresh flight.  Returns the observed
+    /// value, or `None` when a flaky session gave up.
+    fn arrive(
+        ctl: &Ctl,
+        shard: &ModelShard,
+        key: &QueryKey,
+        flag: u64,
+        flaky: bool,
+    ) -> Option<String> {
+        // A model thread starts parked, so its arrival is already a
+        // scheduling decision.
+        let step = shard.lock().start_flight(key, Timestamp::ZERO, false);
+        let (id, cell) = match step {
+            Step::BecomeWaiter(id, cell) => (id, cell),
+            Step::Lead(leader) => return Some(lead(ctl, shard, key, &leader)),
+            _ => panic!("outside the failure domain a miss waits or leads"),
+        };
         let waker = ctl.flag_waker(flag);
         let mut cx = Context::from_waker(&waker);
         let mut slot = WaiterSlot::new();
@@ -615,22 +660,24 @@ pub mod models {
         loop {
             ctl.clear_flag(flag);
             ctl.point();
-            match flight.poll_wait(&mut slot, &mut cx) {
-                Poll::Ready(FlightOutcome::Done(value, _)) => return Some(*value),
+            match cell.poll_wait(&mut slot, &mut cx) {
+                Poll::Ready(FlightOutcome::Done(value, _)) => return Some((*value).clone()),
                 Poll::Ready(FlightOutcome::Failed(_)) => {
                     panic!("this model never fails the flight with a fetch error")
                 }
                 Poll::Ready(FlightOutcome::TakeOver) => {
-                    // This session is the new leader: execute and publish.
-                    ctl.point();
-                    flight.complete(Arc::new(TAKEOVER_VALUE), ExecutionCost::from_blocks(1));
-                    return Some(TAKEOVER_VALUE);
+                    // This session is the new leader, on the same cell.
+                    let leader = Leader {
+                        id,
+                        cell: Some(Arc::clone(&cell)),
+                    };
+                    return Some(lead(ctl, shard, key, &leader));
                 }
                 Poll::Pending if flaky && first_suspension => {
                     // Cancelled session: its future is dropped while the
                     // flight is unresolved.
                     ctl.point();
-                    flight.forget_waiter(&mut slot);
+                    shard.forget_waiter(key, id, &cell, &mut slot);
                     return None;
                 }
                 Poll::Pending => {
@@ -647,49 +694,51 @@ pub mod models {
         }
 
         fn instantiate(&self) -> ModelRun {
-            let flight: Arc<Flight<u64>> = Arc::new(Flight::new());
-            let observed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-
-            let leader = {
-                let flight = Arc::clone(&flight);
-                Box::new(move |ctl: &Ctl| {
-                    // The fetch runs, then panics: the unwind abandons.
-                    ctl.point();
-                    flight.abandon();
-                }) as Box<dyn FnOnce(&Ctl) + Send>
+            let shard: Arc<ModelShard> = Arc::new(Shard::new(PolicyKind::Lru.build(1 << 20), None));
+            let key = QueryKey::new("SELECT model FROM single_flight");
+            let Step::Lead(leader) = shard.lock().start_flight(&key, Timestamp::ZERO, false) else {
+                panic!("the first miss on a fresh shard leads")
             };
+            let observed: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
 
-            let loyal = {
-                let flight = Arc::clone(&flight);
+            let panicking_leader = {
+                let shard = Arc::clone(&shard);
+                let key = key.clone();
+                Box::new(move |_: &Ctl| {
+                    // The fetch ran (the thread's start is a scheduling
+                    // point), then panicked: the unwind abandons.
+                    shard.abandon(&key, &leader);
+                }) as ThreadBody
+            };
+            let session = |flag: u64, flaky: bool| {
+                let shard = Arc::clone(&shard);
+                let key = key.clone();
                 let observed = Arc::clone(&observed);
                 Box::new(move |ctl: &Ctl| {
-                    let value = drive_waiter(ctl, &flight, FLAG_LOYAL, false)
-                        .expect("loyal waiter always resolves");
-                    observed.lock().push(value);
-                }) as Box<dyn FnOnce(&Ctl) + Send>
-            };
-
-            let flaky = {
-                let flight = Arc::clone(&flight);
-                let observed = Arc::clone(&observed);
-                Box::new(move |ctl: &Ctl| {
-                    if let Some(value) = drive_waiter(ctl, &flight, FLAG_FLAKY, true) {
-                        observed.lock().push(value);
-                    }
-                }) as Box<dyn FnOnce(&Ctl) + Send>
+                    let value = arrive(ctl, &shard, &key, flag, flaky);
+                    assert!(flaky || value.is_some(), "a loyal session always resolves");
+                    observed.lock().extend(value);
+                }) as ThreadBody
             };
 
             ModelRun {
-                threads: vec![leader, loyal, flaky],
+                threads: vec![
+                    panicking_leader,
+                    session(FLAG_LOYAL, false),
+                    session(FLAG_FLAKY, true),
+                ],
                 finale: Box::new(move || {
                     let observed = observed.lock();
-                    if observed.iter().any(|value| *value != TAKEOVER_VALUE) {
+                    if observed.iter().any(|value| value != SUCCESSOR_VALUE) {
                         return Err(format!(
-                            "a waiter observed a value other than the takeover's: {observed:?}"
+                            "a session observed a value no successor published: {observed:?}"
                         ));
                     }
                     if observed.is_empty() {
                         return Err("no session ever observed the completed flight".to_owned());
+                    }
+                    if shard.lock().in_flight(&key) {
+                        return Err("the key's slot still holds a flight".to_owned());
                     }
                     Ok(())
                 }),
@@ -1396,6 +1445,7 @@ mod tests {
     #[test]
     fn single_flight_model_is_clean() {
         let exploration = explore(&SingleFlightModel, 400);
+        assert!(exploration.exhausted, "{}", exploration.summary());
         assert!(exploration.schedules > 10, "{}", exploration.summary());
         assert!(
             exploration.violations.is_empty(),

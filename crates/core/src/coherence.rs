@@ -16,7 +16,7 @@ use crate::sync::{Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet};
 
 use crate::engine::CacheObserver;
-use crate::key::QueryKey;
+use crate::key::{QueryKey, SignatureMap, SignatureState};
 
 /// Maps base relations to the cached queries that depend on them.
 ///
@@ -28,9 +28,9 @@ use crate::key::QueryKey;
 #[derive(Debug, Default, Clone)]
 pub struct DependencyIndex {
     /// relation name → keys of cached sets that read it.
-    by_relation: HashMap<String, HashSet<QueryKey>>,
+    by_relation: HashMap<String, HashSet<QueryKey, SignatureState>>,
     /// key → relations it reads (needed for unregistering).
-    by_key: HashMap<QueryKey, HashSet<String>>,
+    by_key: SignatureMap<QueryKey, HashSet<String>>,
 }
 
 impl DependencyIndex {

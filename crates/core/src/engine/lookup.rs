@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use crate::clock::Timestamp;
 use crate::engine::failure::{BreakerState, FetchError, LookupError};
 use crate::engine::single_flight::{Flight, FlightOutcome, WaiterSlot};
-use crate::engine::watchman::{record_evictions, Shard, Watchman};
+use crate::engine::watchman::{record_evictions, Leader, Shard, ShardState, Watchman};
 use crate::key::QueryKey;
 use crate::policy::InsertOutcome;
 use crate::runtime::Sleep;
@@ -23,19 +23,22 @@ use crate::value::{CachePayload, ExecutionCost};
 
 /// Records a finished lookup into the outcome-keyed telemetry histograms
 /// ([`crate::telemetry`]): latency from the session's first touch of the
-/// engine to the resolved lookup, bucketed by how it resolved.  A hit is
-/// timed in nanoseconds and only when its thread sampled it (`started` is
-/// `None` for the rest); every other outcome missed its probe, so it is
-/// always timed, in microseconds.  A coalesced resolution also feeds the
-/// single-flight wait histogram — for a waiter, the whole lookup *was* the
-/// wait.
-fn record_lookup_telemetry(started: Option<Instant>, source: LookupSource) {
+/// engine to the resolved lookup, bucketed by how it resolved.  A hit or an
+/// executed lookup is recorded only when its thread `sampled` it, a hit in
+/// nanoseconds (`started` is `None` for an unsampled one); every other
+/// outcome missed its probe, so it is always timed, in microseconds.  A
+/// coalesced resolution also feeds the single-flight wait histogram — for a
+/// waiter, the whole lookup *was* the wait.
+fn record_lookup_telemetry(started: Option<Instant>, sampled: bool, source: LookupSource) {
     use crate::telemetry::{elapsed_ns, elapsed_us};
     let Some(started) = started else { return };
     let telemetry = crate::telemetry::global();
     match source {
         LookupSource::Hit => telemetry.lookup_hit_ns.record(elapsed_ns(started)),
-        LookupSource::Executed => telemetry.lookup_executed_us.record(elapsed_us(started)),
+        LookupSource::Executed if sampled => {
+            telemetry.lookup_executed_us.record(elapsed_us(started));
+        }
+        LookupSource::Executed => {}
         LookupSource::Coalesced => {
             let micros = elapsed_us(started);
             telemetry.lookup_coalesced_us.record(micros);
@@ -84,7 +87,7 @@ pub struct Lookup<V> {
 impl<V> Lookup<V> {
     /// A lookup this session did not execute: nothing was offered for
     /// admission, so there is no outcome.
-    fn served(value: Arc<V>, source: LookupSource) -> Self {
+    pub(super) fn served(value: Arc<V>, source: LookupSource) -> Self {
         Lookup {
             value,
             source,
@@ -106,12 +109,13 @@ where
     /// panics, exactly one waiter is woken to take over as the new leader
     /// and the panic propagates out of the leader's call.
     ///
-    /// This is the synchronous front door: a lock-and-`get` hit fast path,
-    /// then [`block_on`](crate::runtime::block_on) over the same
+    /// This is the synchronous front door: one lock and one probe, which
+    /// either hits or decides the miss's step, then
+    /// [`block_on`](crate::runtime::block_on) over the same
     /// [`LookupFuture`] state machine [`Watchman::try_get_or_execute_async`]
-    /// returns.  The leader's `fetch` runs on the calling thread, so it
-    /// needs no `Send + 'static` bounds and a single-threaded replay is
-    /// fully deterministic.
+    /// returns, entered with that step.  The leader's `fetch` runs on the
+    /// calling thread, so it needs no `Send + 'static` bounds and a
+    /// single-threaded replay is fully deterministic.
     ///
     /// It runs *outside* the failure domain of the fallible door: it
     /// consults neither memoized failures nor the breaker, feeds neither,
@@ -123,24 +127,21 @@ where
     {
         let started = crate::telemetry::sample_lookup();
         let shard = self.shard_index(key);
-        // Hit fast path: the engine's hottest operation needs none of the
-        // future machinery (engine clone, waker, pinning).  This is exactly
-        // the check the future's Start state performs; on a miss the Start
-        // state repeats the `get`, which is stat-neutral (misses are
-        // recorded at insert, and retained-reference records deduplicate on
-        // the timestamp), so the two doors stay byte-identical.
-        {
-            let mut state = self.inner.shards[shard].lock();
-            if let Some(value) = state.cache.get(key, now) {
-                let lookup = Lookup::served(Arc::clone(value), LookupSource::Hit);
-                drop(state);
-                record_lookup_telemetry(started, LookupSource::Hit);
-                return lookup;
-            }
+        // The future's own `Start` probe, taken here: a hit needs none of the
+        // future machinery (engine clone, waker, pinning), and a miss enters
+        // the state machine with the step this probe decided, so it locks the
+        // shard once before its fetch.
+        let step = self.inner.shards[shard].lock().probe(key, now, false);
+        if let Step::Return(lookup) = step {
+            record_lookup_telemetry(started, started.is_some(), LookupSource::Hit);
+            return lookup;
         }
         let mut lookup = self.lookup(key.clone(), now, Infallible(Some(fetch)));
         lookup.shard = Some(shard);
-        // A miss is always timed; a sampled lookup keeps its earlier start.
+        lookup.state = LookupState::Start(Some(step));
+        lookup.sampled = started.is_some();
+        // A missed probe is always stamped; a sampled lookup keeps its
+        // earlier start.
         lookup.started = Some(started.unwrap_or_else(crate::telemetry::now));
         crate::runtime::block_on(lookup)
     }
@@ -204,9 +205,10 @@ where
             shard: None,
             now,
             mode,
-            state: LookupState::Start,
+            state: LookupState::Start(None),
             attempts: 0,
             started: None,
+            sampled: false,
         }
     }
 
@@ -241,12 +243,16 @@ where
     /// touched — except that a cell carrying a half-open probe ticket (taken
     /// over from a failure-domain leader) settles the ticket whoever
     /// completes it.
+    ///
+    /// The retired flight's cell, if a waiter made one, moves into `leader`:
+    /// the caller completes it, and if an observer panics first the
+    /// leader's abandon guard hands it to a waiter.
     #[allow(clippy::too_many_arguments)]
     fn finish_leader_insert(
         &self,
         key: &QueryKey,
         shard_index: usize,
-        flight: &Arc<Flight<V>>,
+        leader: &mut Leader<V>,
         value: Arc<V>,
         cost: ExecutionCost,
         now: Timestamp,
@@ -255,7 +261,9 @@ where
         let stale =
             (failure_domain && self.inner.failure.serve_stale).then(|| (Arc::clone(&value), cost));
         let mut state = self.inner.shards[shard_index].lock();
-        state.settle_success(key, flight, now, failure_domain, stale);
+        if let Some(cell) = state.settle_success(key, leader.id, now, failure_domain, stale) {
+            leader.cell = Some(cell);
+        }
         let outcome = state.cache.insert(key.clone(), value, cost, now);
         record_evictions(outcome.evicted());
         crate::telemetry::global().recorder.record(
@@ -272,20 +280,21 @@ where
     /// shard lock: retires the flight from the key's slot (so new arrivals
     /// start a fresh flight instead of joining a doomed one), memoizes the
     /// error in the same slot, and feeds the breaker's rolling failure
-    /// window.  Then fails the flight cell, so every waiter observes the
-    /// same shared error — waking them only once the memoized failure is
-    /// visible keeps what they read from the slot consistent.
+    /// window.  Then fails the flight's cell, if it has one, so every
+    /// waiter observes the same shared error — waking them only once the
+    /// memoized failure is visible keeps what they read from the slot
+    /// consistent.
     fn fail_leader(
         &self,
         key: &QueryKey,
         shard_index: usize,
-        flight: &Arc<Flight<V>>,
+        leader: &Leader<V>,
         error: FetchError,
         now: Timestamp,
     ) -> Arc<FetchError> {
         let error = Arc::new(error);
         let mut state = self.inner.shards[shard_index].lock();
-        state.settle_failure(key, flight, &error, now);
+        let retired = state.settle_failure(key, leader.id, &error, now);
         if let Some(breaker) = state.breaker.as_mut() {
             let was_open = matches!(breaker.state(), BreakerState::Open);
             breaker.record_failure(now);
@@ -301,7 +310,9 @@ where
             }
         }
         drop(state);
-        flight.fail(Arc::clone(&error));
+        if let Some(cell) = retired.as_ref().or(leader.cell.as_ref()) {
+            cell.fail(Arc::clone(&error));
+        }
         error
     }
 
@@ -316,14 +327,14 @@ where
         key: &QueryKey,
         shard_index: usize,
         now: Timestamp,
-        flight: Arc<Flight<V>>,
+        leader: Leader<V>,
     ) -> Step<V> {
         let shard = &self.inner.shards[shard_index];
         let cached = shard.lock().cache.get(key, now).map(Arc::clone);
         let Some(value) = cached else {
-            return Step::Lead(flight);
+            return Step::Lead(leader);
         };
-        shard.abandon(key, &flight);
+        shard.abandon(key, &leader);
         Step::Return(Lookup::served(value, LookupSource::Hit))
     }
 
@@ -440,8 +451,12 @@ where
     }
 }
 
-/// Times one fetch attempt into the `fetch.attempt_us` histogram.
-fn timed_attempt<T>(attempt: impl FnOnce() -> T) -> T {
+/// Times one fetch attempt into the `fetch.attempt_us` histogram when its
+/// lookup is `sampled`; otherwise reads no clock.
+fn timed_attempt<T>(sampled: bool, attempt: impl FnOnce() -> T) -> T {
+    if !sampled {
+        return attempt();
+    }
     let start = crate::telemetry::now();
     let result = attempt();
     crate::telemetry::global()
@@ -451,9 +466,13 @@ fn timed_attempt<T>(attempt: impl FnOnce() -> T) -> T {
 }
 
 enum LookupState<V> {
-    Start,
-    /// A coalescing waiter, suspended on the flight's waker list.
+    /// Probe the cache — unless the sync door already did, leaving the step
+    /// its probe decided.
+    Start(Option<Step<V>>),
+    /// A coalescing waiter of flight `id`, suspended on its cell's waker
+    /// list.
     Waiting {
+        id: u64,
         flight: Arc<Flight<V>>,
         slot: WaiterSlot,
     },
@@ -461,7 +480,7 @@ enum LookupState<V> {
     /// flight stays pending (this session still leads it); waiters keep
     /// coalescing onto it while the backoff elapses.
     Backoff {
-        flight: Arc<Flight<V>>,
+        leader: Leader<V>,
         sleep: Sleep,
     },
     Finished,
@@ -469,7 +488,7 @@ enum LookupState<V> {
 
 /// What one poll step decided, lifted out of the state borrow so the state
 /// machine can transition freely.
-pub(super) enum Step<V> {
+pub(crate) enum Step<V> {
     Return(Lookup<V>),
     /// Resolve a failure for *this* session: stale-serve if the shard holds
     /// a last-known-good value, otherwise surface the shared error.
@@ -477,8 +496,9 @@ pub(super) enum Step<V> {
         error: Arc<FetchError>,
         negative_hit: bool,
     },
-    BecomeWaiter(Arc<Flight<V>>),
-    Lead(Arc<Flight<V>>),
+    /// Wait on the cell of flight `id`.
+    BecomeWaiter(u64, Arc<Flight<V>>),
+    Lead(Leader<V>),
     Suspend,
     /// A failure-domain leader failed the awaited flight with an error and
     /// this session is outside the domain: go back to `Start` and look
@@ -521,6 +541,9 @@ pub struct LookupFuture<V, M> {
     /// probe when the thread samples the lookup and otherwise when the probe
     /// misses.  It stays `None` only for an unsampled hit.
     started: Option<Instant>,
+    /// Whether the thread sampled this lookup: only a sampled lookup times
+    /// its fetch attempts and records an executed outcome.
+    sampled: bool,
 }
 
 impl<V, M> std::fmt::Debug for LookupFuture<V, M> {
@@ -553,7 +576,7 @@ where
     fn finish(&mut self, result: Result<Lookup<V>, LookupError>) -> Poll<M::Output> {
         self.state = LookupState::Finished;
         match &result {
-            Ok(lookup) => record_lookup_telemetry(self.started, lookup.source),
+            Ok(lookup) => record_lookup_telemetry(self.started, self.sampled, lookup.source),
             Err(_) => record_lookup_error_telemetry(self.started),
         }
         Poll::Ready(M::output(result))
@@ -574,27 +597,31 @@ where
         loop {
             let step = match &mut this.state {
                 LookupState::Finished => panic!("LookupFuture polled after completion"),
-                LookupState::Start => {
-                    // Only the first `Start` decides: after it, either the
-                    // lookup hit and returned or its probe missed and
-                    // stamped `started`.
-                    if this.started.is_none() {
-                        this.started = crate::telemetry::sample_lookup();
-                    }
-                    let shard_index = *this
-                        .shard
-                        .get_or_insert_with(|| this.engine.shard_index(&this.key));
-                    let mut state = this.engine.inner.shards[shard_index].lock();
-                    if let Some(value) = state.cache.get(&this.key, this.now) {
-                        Step::Return(Lookup::served(Arc::clone(value), LookupSource::Hit))
-                    } else {
-                        let step = state.start_flight(&this.key, this.now, M::FAILURE_DOMAIN);
-                        drop(state);
-                        this.started.get_or_insert_with(crate::telemetry::now);
+                LookupState::Start(decided) => match decided.take() {
+                    Some(step) => step,
+                    None => {
+                        // Only the first `Start` samples: after it, either
+                        // the lookup hit and returned or its probe missed
+                        // and stamped `started`.
+                        if this.started.is_none() {
+                            this.started = crate::telemetry::sample_lookup();
+                            this.sampled = this.started.is_some();
+                        }
+                        let shard_index = *this
+                            .shard
+                            .get_or_insert_with(|| this.engine.shard_index(&this.key));
+                        let step = this.engine.inner.shards[shard_index].lock().probe(
+                            &this.key,
+                            this.now,
+                            M::FAILURE_DOMAIN,
+                        );
+                        if !matches!(step, Step::Return(_)) {
+                            this.started.get_or_insert_with(crate::telemetry::now);
+                        }
                         step
                     }
-                }
-                LookupState::Waiting { flight, slot } => match flight.poll_wait(slot, cx) {
+                },
+                LookupState::Waiting { id, flight, slot } => match flight.poll_wait(slot, cx) {
                     Poll::Pending => Step::Suspend,
                     Poll::Ready(FlightOutcome::Done(value, cost)) => {
                         // A coalesced wait is still one logical reference
@@ -615,8 +642,12 @@ where
                     Poll::Ready(FlightOutcome::TakeOver) => {
                         let shard_index = this.shard.expect("set before waiting");
                         this.attempts = 0;
+                        let leader = Leader {
+                            id: *id,
+                            cell: Some(Arc::clone(flight)),
+                        };
                         this.engine
-                            .take_over(&this.key, shard_index, this.now, Arc::clone(flight))
+                            .take_over(&this.key, shard_index, this.now, leader)
                     }
                     // The leader's terminal error resolved the flight for
                     // every coalesced waiter at once; inside the failure
@@ -633,18 +664,25 @@ where
                     // cell is retired, so it leads a fresh flight.
                     Poll::Ready(FlightOutcome::Failed(_)) => Step::Restart,
                 },
-                LookupState::Backoff { flight, sleep } => match Pin::new(sleep).poll(cx) {
+                LookupState::Backoff { sleep, .. } => match Pin::new(sleep).poll(cx) {
                     Poll::Pending => Step::Suspend,
                     // Backoff elapsed: resume leading the same flight with
                     // the next attempt.
-                    Poll::Ready(()) => Step::Lead(Arc::clone(flight)),
+                    Poll::Ready(()) => {
+                        let LookupState::Backoff { leader, .. } =
+                            std::mem::replace(&mut this.state, LookupState::Finished)
+                        else {
+                            unreachable!("matched above")
+                        };
+                        Step::Lead(leader)
+                    }
                 },
             };
 
             match step {
                 Step::Suspend => return Poll::Pending,
                 Step::Restart => {
-                    this.state = LookupState::Start;
+                    this.state = LookupState::Start(None);
                     // Loop: look the key up afresh.
                 }
                 Step::Return(lookup) => return this.finish(Ok(lookup)),
@@ -652,14 +690,15 @@ where
                     error,
                     negative_hit,
                 } => return this.resolve(error, negative_hit),
-                Step::BecomeWaiter(flight) => {
+                Step::BecomeWaiter(id, flight) => {
                     this.state = LookupState::Waiting {
+                        id,
                         flight,
                         slot: WaiterSlot::new(),
                     };
                     // Loop: poll the flight, registering our waker.
                 }
-                Step::Lead(flight) => {
+                Step::Lead(mut leader) => {
                     // The guard below owns the flight while the fetch runs:
                     // a leader left in `Backoff` would be abandoned a second
                     // time by `Drop` if the fetch panicked.
@@ -671,28 +710,30 @@ where
                         // success, the completion (insert + observer calls):
                         // a panic anywhere before `complete` — including
                         // user observer code — must wake exactly one waiter
-                        // to take over this same flight cell (retiring the
-                        // cell when nobody waits) instead of stranding the
-                        // waiters on a flight that never resolves.  The
-                        // panic itself unwinds out of this poll.
+                        // to take over this same flight (retiring it when
+                        // nobody waits) instead of stranding the waiters on
+                        // a flight that never resolves.  The panic itself
+                        // unwinds out of this poll.
                         let guard = AbandonGuard {
                             shard: &this.engine.inner.shards[shard_index],
                             key: &this.key,
-                            flight: &flight,
+                            leader: &mut leader,
                         };
-                        match timed_attempt(|| this.mode.attempt()) {
+                        match timed_attempt(this.sampled, || this.mode.attempt()) {
                             Ok((value, cost)) => {
                                 let value = Arc::new(value);
                                 let outcome = this.engine.finish_leader_insert(
                                     &this.key,
                                     shard_index,
-                                    &flight,
+                                    guard.leader,
                                     Arc::clone(&value),
                                     cost,
                                     this.now,
                                     M::FAILURE_DOMAIN,
                                 );
-                                flight.complete(Arc::clone(&value), cost);
+                                if let Some(cell) = &guard.leader.cell {
+                                    cell.complete(Arc::clone(&value), cost);
+                                }
                                 std::mem::forget(guard);
                                 return this.finish(Ok(Lookup {
                                     value,
@@ -711,14 +752,14 @@ where
                                         continue;
                                     }
                                     let sleep = this.engine.runtime().sleep(delay);
-                                    this.state = LookupState::Backoff { flight, sleep };
+                                    this.state = LookupState::Backoff { leader, sleep };
                                     // Loop: poll the backoff sleep.
                                     break;
                                 }
                                 let error = this.engine.fail_leader(
                                     &this.key,
                                     shard_index,
-                                    &flight,
+                                    &leader,
                                     error,
                                     this.now,
                                 );
@@ -739,18 +780,18 @@ impl<V, M> Drop for LookupFuture<V, M> {
             // take over an abandoned flight, the wake is passed along so no
             // takeover is lost, and the last waiter of an abandoned flight
             // retires the cell.
-            LookupState::Waiting { flight, slot } => {
+            LookupState::Waiting { id, flight, slot } => {
                 let shard_index = self.shard.expect("set before waiting");
-                self.engine.inner.shards[shard_index].forget_waiter(&self.key, flight, slot);
+                self.engine.inner.shards[shard_index].forget_waiter(&self.key, *id, flight, slot);
             }
-            // A leader dropped mid-backoff still owns a pending flight:
-            // abandon it so a waiter takes leadership over with its own
-            // fetch (a waiterless cell is retired).
-            LookupState::Backoff { flight, .. } => {
+            // A leader dropped mid-backoff, or before it ever fetched, still
+            // owns a pending flight: abandon it so a waiter takes leadership
+            // over with its own fetch (a waiterless flight is retired).
+            LookupState::Backoff { leader, .. } | LookupState::Start(Some(Step::Lead(leader))) => {
                 let shard_index = self.shard.expect("set before leading");
-                self.engine.inner.shards[shard_index].abandon(&self.key, flight);
+                self.engine.inner.shards[shard_index].abandon(&self.key, leader);
             }
-            LookupState::Start | LookupState::Finished => {}
+            LookupState::Start(_) | LookupState::Finished => {}
         }
     }
 }
@@ -758,15 +799,27 @@ impl<V, M> Drop for LookupFuture<V, M> {
 /// Abandons the leader's flight if its fetch panics, so waiters are not
 /// stranded on a flight that will never complete.  Exactly one waiter is
 /// woken to take over leadership of the same cell; with no waiters at all
-/// the cell is retired from its key's slot (see [`Shard::abandon`]).
+/// the flight is retired from its key's slot (see [`Shard::abandon`]).
 struct AbandonGuard<'a, V> {
     shard: &'a Shard<V>,
     key: &'a QueryKey,
-    flight: &'a Arc<Flight<V>>,
+    leader: &'a mut Leader<V>,
 }
 
 impl<V> Drop for AbandonGuard<'_, V> {
     fn drop(&mut self) {
-        self.shard.abandon(self.key, self.flight);
+        self.shard.abandon(self.key, self.leader);
+    }
+}
+
+impl<V: CachePayload> ShardState<V> {
+    /// The lookup's first step, under the shard lock: a hit, or on a miss
+    /// what [`ShardState::start_flight`] decides.  Both doors take it, so
+    /// they share one probe→step rule.
+    fn probe(&mut self, key: &QueryKey, now: Timestamp, failure_domain: bool) -> Step<V> {
+        match self.cache.get(key, now) {
+            Some(value) => Step::Return(Lookup::served(Arc::clone(value), LookupSource::Hit)),
+            None => self.start_flight(key, now, failure_domain),
+        }
     }
 }

@@ -23,19 +23,25 @@ use crate::value::CachePayload;
 pub enum PolicyKind {
     /// LNC-RA (replacement + admission) with reference window `k`.
     LncRa {
-        /// The reference window `K`.
+        /// The reference window `K`, at most
+        /// [`MAX_WINDOW`](crate::history::MAX_WINDOW) (larger values
+        /// are clamped to it).
         k: usize,
     },
     /// LNC-R (replacement only) with reference window `k`.
     LncR {
-        /// The reference window `K`.
+        /// The reference window `K`, at most
+        /// [`MAX_WINDOW`](crate::history::MAX_WINDOW) (larger values
+        /// are clamped to it).
         k: usize,
     },
     /// Vanilla LRU (the paper's primary baseline).
     Lru,
     /// LRU-K with reference window `k`.
     LruK {
-        /// The reference window `K`.
+        /// The reference window `K`, at most
+        /// [`MAX_WINDOW`](crate::history::MAX_WINDOW) (larger values
+        /// are clamped to it).
         k: usize,
     },
     /// Least frequently used.

@@ -7,7 +7,9 @@
 //! is a *future-style* cell: waiters suspend by registering a [`Waker`]
 //! through [`Flight::poll_wait`] instead of blocking an OS thread on a
 //! condvar, so thousands of coalesced sessions cost thousands of wakers, not
-//! thousands of parked threads.
+//! thousands of parked threads.  The engine makes a flight's cell only
+//! when its first waiter joins: its key slot names the flight by an id,
+//! and an uncontended leader never touches a cell.
 //!
 //! ## The abandonment / takeover protocol
 //!

@@ -1,7 +1,7 @@
 //! The sharded concurrent cache engine.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -15,7 +15,7 @@ use crate::engine::failure::{BreakerState, CircuitBreaker, FailureConfig, FetchE
 use crate::engine::lookup::Step;
 use crate::engine::policy_kind::PolicyKind;
 use crate::engine::single_flight::{Flight, WaiterSlot};
-use crate::key::QueryKey;
+use crate::key::{QueryKey, SignatureMap};
 use crate::metrics::CacheStats;
 use crate::policy::{InsertOutcome, QueryCache};
 use crate::runtime::Runtime;
@@ -95,15 +95,34 @@ pub(super) const FAILURE_TTL_US: u64 = 50_000;
 /// both.
 pub(super) const MAX_RECORDED_KEYS: usize = 1_024;
 
+/// A session's claim to lead the flight with this id in its key's slot.
+/// A leader that started the flight holds no cell: the slot creates one
+/// only when a waiter joins, and hands it to the leader when it settles.
+/// A leader that took an abandoned flight over from a waiter's seat holds
+/// the cell it waited on.
+pub(crate) struct Leader<V> {
+    pub(crate) id: u64,
+    pub(crate) cell: Option<Arc<Flight<V>>>,
+}
+
+/// The flight fetching a key, as its slot records it.
+struct InFlight<V> {
+    /// Names the flight for its leader, whoever that is after takeovers.
+    id: u64,
+    /// The waiters' rendezvous, created by the first waiter that joins, so
+    /// an uncontended miss never allocates one.
+    cell: Option<Arc<Flight<V>>>,
+    /// Whether the flight holds one of the breaker's half-open probe
+    /// tickets.  The ticket belongs to the flight, not to a session, so it
+    /// survives takeovers; whoever settles or retires the flight takes it.
+    probe: bool,
+}
+
 /// What a shard knows about one key besides its cached set: the flight
 /// fetching it, its last-known-good copy and its memoized failure.  The
 /// slot lives in the shard's map only while it holds one of the three.
 struct KeySlot<V> {
-    flight: Option<Arc<Flight<V>>>,
-    /// Whether `flight` holds one of the breaker's half-open probe tickets.
-    /// The ticket belongs to the cell, not to a session, so it survives
-    /// takeovers; whoever settles or retires the cell takes it.
-    probe: bool,
+    flight: Option<InFlight<V>>,
     /// The last-known-good copy and its cost (kept with `serve_stale`).
     stale: Option<(Arc<V>, ExecutionCost)>,
     /// The memoized terminal failure and when it expires.
@@ -117,7 +136,6 @@ impl<V> KeySlot<V> {
     fn new() -> Self {
         KeySlot {
             flight: None,
-            probe: false,
             stale: None,
             failure: None,
             recorded_at: None,
@@ -128,17 +146,13 @@ impl<V> KeySlot<V> {
         self.flight.is_none() && self.stale.is_none() && self.failure.is_none()
     }
 
-    /// Takes `flight` out of the slot if it is still the slot's own cell,
-    /// returning whether that cell held a probe ticket.  A racer that cloned
-    /// an abandoned cell's `Arc` before its retirement can still take the
-    /// orphan over and settle it, by which time the slot holds no flight or
-    /// a fresh one: the orphan finds no ticket.
-    fn retire(&mut self, flight: &Arc<Flight<V>>) -> bool {
-        let own = self
-            .flight
-            .take_if(|own| Arc::ptr_eq(own, flight))
-            .is_some();
-        own && std::mem::take(&mut self.probe)
+    /// Takes the flight with id `id` out of the slot, if it is still the
+    /// slot's own.  A racer that cloned an abandoned cell's `Arc` before its
+    /// retirement can still take the orphan over and settle it, by which
+    /// time the slot holds no flight or one with a fresh id: the orphan
+    /// retires nothing and finds no ticket.
+    fn retire(&mut self, id: u64) -> Option<InFlight<V>> {
+        self.flight.take_if(|own| own.id == id)
     }
 
     /// Takes the slot out of the store order once it holds no record.
@@ -154,19 +168,21 @@ impl<V> KeySlot<V> {
 /// One shard: its cached sets, its breaker and one slot per key it is
 /// fetching or holds a record for.  The breaker and the slots live inside
 /// the shard mutex, so they add no lock class (see CONCURRENCY.md).
-pub(super) struct ShardState<V> {
+pub(crate) struct ShardState<V> {
     pub(super) cache: Box<dyn QueryCache<Arc<V>> + Send>,
     pub(super) breaker: Option<CircuitBreaker>,
-    slots: HashMap<QueryKey, KeySlot<V>>,
+    slots: SignatureMap<QueryKey, KeySlot<V>>,
     /// The keys whose slot holds a record, by the sequence of their latest
     /// store: the first entry is the one the bound drops next.
     recorded: BTreeMap<u64, QueryKey>,
     next_store: u64,
+    /// The id of the shard's latest flight.
+    last_flight: u64,
     /// Lookups answered from a memoized failure.
     negative_hits: u64,
 }
 
-pub(super) struct Shard<V> {
+pub(crate) struct Shard<V> {
     state: Mutex<ShardState<V>>,
 }
 
@@ -176,7 +192,7 @@ impl<V> ShardState<V> {
     /// fetch, or lead a new flight.  Outside the failure domain
     /// (`failure_domain == false`) only the flight is read, and every other
     /// miss leads.
-    pub(super) fn start_flight(
+    pub(crate) fn start_flight(
         &mut self,
         key: &QueryKey,
         now: Timestamp,
@@ -187,8 +203,9 @@ impl<V> ShardState<V> {
             let slot = occupied.get_mut();
             // A live flight wins over a memoized failure: its leader may be
             // retrying its way to a success this session can share.
-            if let Some(flight) = &slot.flight {
-                return Step::BecomeWaiter(Arc::clone(flight));
+            if let Some(flight) = &mut slot.flight {
+                let cell = flight.cell.get_or_insert_with(|| Arc::new(Flight::new()));
+                return Step::BecomeWaiter(flight.id, Arc::clone(cell));
             }
             match &slot.failure {
                 Some((error, expires)) if failure_domain && now < *expires => {
@@ -222,27 +239,32 @@ impl<V> ShardState<V> {
             }
             probe = breaker.state() == BreakerState::HalfOpen;
         }
-        let flight = Arc::new(Flight::new());
+        self.last_flight += 1;
+        let id = self.last_flight;
         let slot = entry.or_insert_with(KeySlot::new);
-        slot.flight = Some(Arc::clone(&flight));
-        slot.probe = probe;
-        Step::Lead(flight)
+        slot.flight = Some(InFlight {
+            id,
+            cell: None,
+            probe,
+        });
+        Step::Lead(Leader { id, cell: None })
     }
 
-    /// `flight`'s fetch succeeded: retires the cell and settles its probe
-    /// ticket with the breaker, which a failure-domain leader's success
-    /// feeds even without one.  Inside the failure domain the key's
+    /// Flight `id`'s fetch succeeded: retires the flight and settles its
+    /// probe ticket with the breaker, which a failure-domain leader's
+    /// success feeds even without one.  Inside the failure domain the key's
     /// memoized failure is dropped and `stale`, if given, becomes its
-    /// last-known-good copy.
-    pub(super) fn settle_success(
+    /// last-known-good copy.  Returns the retired flight's cell, if a
+    /// waiter made one.
+    pub(crate) fn settle_success(
         &mut self,
         key: &QueryKey,
-        flight: &Arc<Flight<V>>,
+        id: u64,
         now: Timestamp,
         failure_domain: bool,
         stale: Option<(Arc<V>, ExecutionCost)>,
-    ) {
-        let probe = self.settle(key, flight, |slot| {
+    ) -> Option<Arc<Flight<V>>> {
+        let retired = self.settle(key, id, |slot| {
             if failure_domain {
                 slot.failure = None;
             }
@@ -250,59 +272,64 @@ impl<V> ShardState<V> {
             slot.stale = stale.or(slot.stale.take());
             stored
         });
+        let probe = retired.as_ref().is_some_and(|flight| flight.probe);
         if probe || failure_domain {
             if let Some(breaker) = self.breaker.as_mut() {
                 breaker.record_success(now);
             }
         }
+        retired.and_then(|flight| flight.cell)
     }
 
-    /// `flight`'s fetch failed terminally: retires the cell and memoizes
-    /// `error` for the key until [`FAILURE_TTL_US`] past `now`.
+    /// Flight `id`'s fetch failed terminally: retires the flight and
+    /// memoizes `error` for the key until [`FAILURE_TTL_US`] past `now`.
+    /// Returns the retired flight's cell, if a waiter made one.
     pub(super) fn settle_failure(
         &mut self,
         key: &QueryKey,
-        flight: &Arc<Flight<V>>,
+        id: u64,
         error: &Arc<FetchError>,
         now: Timestamp,
-    ) {
-        self.settle(key, flight, |slot| {
+    ) -> Option<Arc<Flight<V>>> {
+        let retired = self.settle(key, id, |slot| {
             slot.failure = Some((Arc::clone(error), now.advanced_by(FAILURE_TTL_US)));
             true
         });
+        retired.and_then(|flight| flight.cell)
     }
 
-    /// Retires a cell that no session is left to resolve.  This is the one
-    /// place a half-open probe ticket is *returned*: the cell's fetch ended
-    /// without an outcome for the breaker (its leader panicked or was
+    /// Retires a flight that no session is left to resolve.  This is the
+    /// one place a half-open probe ticket is *returned*: the flight's fetch
+    /// ended without an outcome for the breaker (its leader panicked or was
     /// cancelled, and nobody took the flight over), so the ticket it drew at
     /// admission goes back for the next arrival to draw.
-    fn retire_unresolved(&mut self, key: &QueryKey, flight: &Arc<Flight<V>>) {
-        if self.settle(key, flight, |_| false) {
+    fn retire_unresolved(&mut self, key: &QueryKey, id: u64) {
+        let retired = self.settle(key, id, |_| false);
+        if retired.is_some_and(|flight| flight.probe) {
             if let Some(breaker) = self.breaker.as_mut() {
                 breaker.release_probe();
             }
         }
     }
 
-    /// The one completion step on `key`'s slot: retires `flight` from it,
-    /// then lets `update` change its records.  `update` returns whether it
-    /// stored one, which moves the key to the newest end of the store order
-    /// and may push the oldest key past [`MAX_RECORDED_KEYS`].  A slot left
-    /// holding nothing is removed.  Returns whether the retired cell held a
-    /// probe ticket.
+    /// The one completion step on `key`'s slot: retires flight `id` from
+    /// it, then lets `update` change its records.  `update` returns whether
+    /// it stored one, which moves the key to the newest end of the store
+    /// order and may push the oldest key past [`MAX_RECORDED_KEYS`].  A slot
+    /// left holding nothing is removed.  Returns the retired flight, if the
+    /// slot still held it.
     fn settle(
         &mut self,
         key: &QueryKey,
-        flight: &Arc<Flight<V>>,
+        id: u64,
         update: impl FnOnce(&mut KeySlot<V>) -> bool,
-    ) -> bool {
+    ) -> Option<InFlight<V>> {
         let mut entry = match self.slots.entry(key.clone()) {
             Entry::Occupied(entry) => entry,
             Entry::Vacant(entry) => entry.insert_entry(KeySlot::new()),
         };
         let slot = entry.get_mut();
-        let probe = slot.retire(flight);
+        let retired = slot.retire(id);
         if update(slot) {
             if let Some(seq) = slot.recorded_at.replace(self.next_store) {
                 self.recorded.remove(&seq);
@@ -320,7 +347,21 @@ impl<V> ShardState<V> {
                 self.forget_records(&oldest);
             }
         }
-        probe
+        retired
+    }
+
+    /// Whether `key`'s slot holds a flight.
+    pub(crate) fn in_flight(&self, key: &QueryKey) -> bool {
+        self.slots
+            .get(key)
+            .is_some_and(|slot| slot.flight.is_some())
+    }
+
+    /// The cell of flight `id`, if the slot still holds that flight and a
+    /// waiter has joined it.
+    fn cell_of(&self, key: &QueryKey, id: u64) -> Option<&Arc<Flight<V>>> {
+        let flight = self.slots.get(key)?.flight.as_ref()?;
+        flight.cell.as_ref().filter(|_| flight.id == id)
     }
 
     /// The last-known-good copy of `key`, if its slot holds one.
@@ -344,40 +385,64 @@ impl<V> ShardState<V> {
 }
 
 impl<V> Shard<V> {
-    pub(super) fn lock(&self) -> MutexGuard<'_, ShardState<V>> {
+    /// A shard caching with `cache`, behind `breaker` if it has one.
+    pub(crate) fn new(
+        cache: Box<dyn QueryCache<Arc<V>> + Send>,
+        breaker: Option<CircuitBreaker>,
+    ) -> Self {
+        Shard {
+            state: Mutex::new(ShardState {
+                cache,
+                breaker,
+                slots: SignatureMap::default(),
+                recorded: BTreeMap::new(),
+                next_store: 0,
+                last_flight: 0,
+                negative_hits: 0,
+            }),
+        }
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ShardState<V>> {
         self.state.lock()
     }
 
-    /// Abandons `flight` — its leader panicked, was cancelled, or passed on
-    /// a takeover — waking one waiter to take it over; when no waiter holds
-    /// a claim on it, retires the cell instead.  Without that, a panicking
-    /// key that is never re-requested would leak its cell forever.
+    /// Abandons `leader`'s flight — its leader panicked, was cancelled, or
+    /// passed on a takeover — waking one waiter to take it over; when no
+    /// waiter holds a claim on it (or none ever joined, so it has no cell),
+    /// retires the flight instead.  Without that, a panicking key that is
+    /// never re-requested would leak its flight forever.
     ///
-    /// This is the single abandon path: shard lock first, then the flight's
+    /// This is the single abandon path: shard lock first, then the cell's
     /// own lock inside [`Flight::abandon`], so the zero-waiter check and the
     /// removal are atomic against new sessions joining the flight.  The
     /// worst case of the orphan race described at [`KeySlot::retire`] is
     /// one duplicate execution.
-    pub(super) fn abandon(&self, key: &QueryKey, flight: &Arc<Flight<V>>) {
+    pub(crate) fn abandon(&self, key: &QueryKey, leader: &Leader<V>) {
         let mut state = self.lock();
-        if flight.abandon() == 0 {
-            state.retire_unresolved(key, flight);
+        let invested = state
+            .cell_of(key, leader.id)
+            .or(leader.cell.as_ref())
+            .map_or(0, |cell| cell.abandon());
+        if invested == 0 {
+            state.retire_unresolved(key, leader.id);
         }
     }
 
-    /// Deregisters a cancelled waiter (same lock order as
+    /// Deregisters a cancelled waiter of flight `id` (same lock order as
     /// [`Shard::abandon`]).  If it had been woken to take an abandoned
     /// flight over, the wake moves to the next waiter; if it was the last
-    /// one, the cell is retired.
-    pub(super) fn forget_waiter(
+    /// one, the flight is retired.
+    pub(crate) fn forget_waiter(
         &self,
         key: &QueryKey,
-        flight: &Arc<Flight<V>>,
+        id: u64,
+        cell: &Flight<V>,
         slot: &mut WaiterSlot,
     ) {
         let mut state = self.lock();
-        if flight.forget_waiter(slot) {
-            state.retire_unresolved(key, flight);
+        if cell.forget_waiter(slot) {
+            state.retire_unresolved(key, id);
         }
     }
 }
@@ -497,16 +562,10 @@ where
             .map(|i| {
                 // Distribute the division remainder so capacities sum exactly.
                 let capacity = base + u64::from((i as u64) < remainder);
-                Shard {
-                    state: Mutex::new(ShardState {
-                        cache: builder.policy.build::<Arc<V>>(capacity),
-                        breaker: builder.failure.breaker.clone().map(CircuitBreaker::new),
-                        slots: HashMap::new(),
-                        recorded: BTreeMap::new(),
-                        next_store: 0,
-                        negative_hits: 0,
-                    }),
-                }
+                Shard::new(
+                    builder.policy.build::<Arc<V>>(capacity),
+                    builder.failure.breaker.clone().map(CircuitBreaker::new),
+                )
             })
             .collect();
         Watchman {
@@ -732,8 +791,9 @@ where
         }
     }
 
-    /// Number of in-flight single-flight cells across all shards (test
-    /// instrumentation for the abandoned-cell retirement guarantee).
+    /// Number of flights in flight across all shards, with or without a
+    /// cell (test instrumentation for the abandoned-flight retirement
+    /// guarantee).
     #[cfg(test)]
     pub(crate) fn inflight_entries(&self) -> usize {
         self.inner
@@ -745,6 +805,23 @@ where
                     .slots
                     .values()
                     .filter(|slot| slot.flight.is_some())
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Number of in-flight flights that a waiter has given a cell.
+    #[cfg(test)]
+    pub(crate) fn flight_cells(&self) -> usize {
+        self.inner
+            .shards
+            .iter()
+            .map(|shard| {
+                let state = shard.lock();
+                state
+                    .slots
+                    .values()
+                    .filter(|slot| slot.flight.as_ref().is_some_and(|f| f.cell.is_some()))
                     .count()
             })
             .sum()

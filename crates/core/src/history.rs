@@ -13,30 +13,38 @@
 //! maximal available number is used, but such sets are given higher eviction
 //! priority by [`crate::policy::lnc`]'s victim selection.
 
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
 
 use crate::clock::Timestamp;
 
+/// The largest reference window `K` a history keeps.  The window lives
+/// inline in the history (no heap block per set), so it has a fixed bound;
+/// the paper's experiments use `K ≤ 4`.
+pub const MAX_WINDOW: usize = 8;
+
 /// The sliding window of the last `K` reference timestamps to a retrieved set.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReferenceHistory {
-    /// Most recent reference last; never longer than `k`.
-    times: VecDeque<Timestamp>,
-    /// Window size `K` (≥ 1).
+    /// The live samples, oldest first, in `times[..len]`; the slots past
+    /// `len` stay [`Timestamp::ZERO`], so the derived equality compares
+    /// live samples only.
+    times: [Timestamp; MAX_WINDOW],
+    /// Number of live samples (`≤ k`).
+    len: usize,
+    /// Window size `K` (`1..=MAX_WINDOW`).
     k: usize,
     /// Total number of references ever recorded (may exceed `k`).
     total_references: u64,
 }
 
 impl ReferenceHistory {
-    /// Creates an empty history with window size `k` (clamped to at least 1).
+    /// Creates an empty history with window size `k`, clamped to
+    /// `1..=`[`MAX_WINDOW`].
     pub fn new(k: usize) -> Self {
-        let k = k.max(1);
         ReferenceHistory {
-            times: VecDeque::with_capacity(k),
-            k,
+            times: [Timestamp::ZERO; MAX_WINDOW],
+            len: 0,
+            k: k.clamp(1, MAX_WINDOW),
             total_references: 0,
         }
     }
@@ -53,6 +61,11 @@ impl ReferenceHistory {
         self.k
     }
 
+    /// The live samples, oldest first.
+    fn samples(&self) -> &[Timestamp] {
+        &self.times[..self.len]
+    }
+
     /// Records a reference at time `now`, dropping the oldest sample if the
     /// window is full.
     ///
@@ -60,14 +73,16 @@ impl ReferenceHistory {
     /// clamped to the most recent recorded time so that rate estimates remain
     /// non-negative.
     pub fn record(&mut self, now: Timestamp) {
-        let now = match self.times.back() {
-            Some(&last) => now.max(last),
+        let now = match self.last_reference() {
+            Some(last) => now.max(last),
             None => now,
         };
-        if self.times.len() == self.k {
-            self.times.pop_front();
+        if self.len == self.k {
+            self.times.copy_within(1..self.k, 0);
+            self.len -= 1;
         }
-        self.times.push_back(now);
+        self.times[self.len] = now;
+        self.len += 1;
         self.total_references += 1;
     }
 
@@ -82,7 +97,7 @@ impl ReferenceHistory {
 
     /// Number of samples currently retained (`≤ K`).
     pub fn sample_count(&self) -> usize {
-        self.times.len()
+        self.len
     }
 
     /// Total number of references ever recorded.
@@ -92,17 +107,17 @@ impl ReferenceHistory {
 
     /// Whether no reference has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.len == 0
     }
 
     /// The most recent reference time, if any.
     pub fn last_reference(&self) -> Option<Timestamp> {
-        self.times.back().copied()
+        self.samples().last().copied()
     }
 
     /// The oldest retained reference time (`t_K` in Eq. 3), if any.
     pub fn oldest_reference(&self) -> Option<Timestamp> {
-        self.times.front().copied()
+        self.samples().first().copied()
     }
 
     /// Estimates the average reference rate `λᵢ` at time `now` (Eq. 3),
@@ -116,13 +131,13 @@ impl ReferenceHistory {
         let oldest = self.oldest_reference()?;
         let now = now.max(self.last_reference().unwrap_or(oldest));
         let elapsed = now.saturating_since(oldest).max(1);
-        Some(self.times.len() as f64 / elapsed as f64)
+        Some(self.len as f64 / elapsed as f64)
     }
 
     /// The number of bytes of metadata this history occupies (used when
     /// accounting for retained reference information).
     pub fn metadata_bytes(&self) -> u64 {
-        (self.times.len() * std::mem::size_of::<Timestamp>()) as u64 + 16
+        (self.len * std::mem::size_of::<Timestamp>()) as u64 + 16
     }
 }
 
@@ -147,6 +162,35 @@ mod tests {
     fn window_is_clamped_to_at_least_one() {
         let h = ReferenceHistory::new(0);
         assert_eq!(h.window(), 1);
+    }
+
+    #[test]
+    fn window_is_capped_at_max_window_and_keeps_its_newest_samples() {
+        assert_eq!(ReferenceHistory::new(MAX_WINDOW + 1).window(), MAX_WINDOW);
+        let mut h = ReferenceHistory::new(MAX_WINDOW);
+        for i in 1..=20 {
+            h.record(ts(i * 10));
+        }
+        assert_eq!(h.sample_count(), MAX_WINDOW);
+        let newest: Vec<Timestamp> = (13..=20).map(|i| ts(i * 10)).collect();
+        assert_eq!(h.samples(), newest.as_slice());
+        assert_eq!(h.total_references(), 20);
+    }
+
+    #[test]
+    fn equal_live_samples_make_equal_histories() {
+        // One history slid past its first samples, one that never saw them.
+        let mut slid = ReferenceHistory::new(2);
+        let mut fresh = ReferenceHistory::new(2);
+        for t in [10, 20, 30] {
+            slid.record(ts(t));
+        }
+        fresh.record(ts(20));
+        fresh.record(ts(30));
+        assert_eq!(slid.samples(), fresh.samples());
+        assert_ne!(slid, fresh, "total references differ");
+        fresh.total_references = slid.total_references;
+        assert_eq!(slid, fresh);
     }
 
     #[test]

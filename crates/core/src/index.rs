@@ -10,7 +10,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use crate::key::QueryKey;
+use crate::key::{QueryKey, SignatureMap, SignatureState};
 use crate::value::ExecutionCost;
 
 /// A stable handle to an entry inside an [`EntryStore`].
@@ -86,7 +86,7 @@ pub struct EntryStore<E> {
     slots: Vec<Option<E>>,
     free: Vec<usize>,
     /// signature → ids of entries with that signature (normally exactly one).
-    index: HashMap<u64, Ids>,
+    index: SignatureMap<u64, Ids>,
     len: usize,
 }
 
@@ -96,7 +96,7 @@ impl<E: KeyedEntry> EntryStore<E> {
         EntryStore {
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: SignatureMap::default(),
             len: 0,
         }
     }
@@ -106,7 +106,7 @@ impl<E: KeyedEntry> EntryStore<E> {
         EntryStore {
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
-            index: HashMap::with_capacity(capacity),
+            index: HashMap::with_capacity_and_hasher(capacity, SignatureState::default()),
             len: 0,
         }
     }

@@ -26,9 +26,11 @@
 //! persisted traces depend on the signature.
 
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +80,72 @@ impl fmt::Display for Signature {
         write!(f, "{:016x}", self.0)
     }
 }
+
+/// The [`BuildHasher`] of every signature-keyed map: a key that hashes as
+/// one `u64` (a [`QueryKey`] or a raw signature) is mixed by a single 64×64
+/// → 128-bit multiply folded to 64 bits, where `std`'s default runs
+/// SipHash-1-3 over a value that is already an FNV hash.  The seed is drawn
+/// once per process from [`RandomState`], so bucket placement cannot be
+/// predicted from a signature.  Iteration order is as unspecified as with
+/// `RandomState`.
+#[derive(Debug, Clone, Copy)]
+pub struct SignatureState {
+    seed: u64,
+}
+
+impl Default for SignatureState {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        SignatureState {
+            seed: *SEED.get_or_init(|| RandomState::new().hash_one(FNV_OFFSET)),
+        }
+    }
+}
+
+impl BuildHasher for SignatureState {
+    type Hasher = SignatureHasher;
+
+    fn build_hasher(&self) -> SignatureHasher {
+        SignatureHasher { state: self.seed }
+    }
+}
+
+/// The hasher [`SignatureState`] builds.  Bytes written other than as one
+/// `u64` are folded in a word at a time, so any key type stays usable.
+#[derive(Debug, Clone, Copy)]
+pub struct SignatureHasher {
+    state: u64,
+}
+
+/// An odd multiplier with well-spread bits (the 64-bit golden ratio).
+const FOLD_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The high and low halves of `a × b`, xor-ed together.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+impl Hasher for SignatureHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.state = folded_multiply(self.state ^ value, FOLD_MULTIPLIER);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// A `HashMap` keyed by signature, or by something hashed as one.
+pub type SignatureMap<K, V> = HashMap<K, V, SignatureState>;
 
 /// Compresses a raw query string into a canonical query ID.
 ///
@@ -462,5 +530,26 @@ mod tests {
         let a = QueryKey::new("a");
         let b = QueryKey::new("b");
         assert!(a < b);
+    }
+
+    #[test]
+    fn signature_maps_hash_a_key_as_its_signature() {
+        let state = SignatureState::default();
+        let key = QueryKey::from_raw_query("SELECT a FROM t");
+        assert_eq!(
+            state.hash_one(&key),
+            state.hash_one(key.signature().value())
+        );
+        // The seed is per process, so every map of it places keys alike.
+        assert_eq!(
+            state.hash_one(&key),
+            SignatureState::default().hash_one(&key)
+        );
+        let other = QueryKey::from_raw_query("SELECT b FROM t");
+        assert_ne!(state.hash_one(&key), state.hash_one(&other));
+        let mut map = SignatureMap::default();
+        map.insert(key.clone(), 1);
+        map.insert(other.clone(), 2);
+        assert_eq!((map[&key], map[&other]), (1, 2));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! [`RankedCache`](crate::policy::ranked::RankedCache) keeps every cached
 //! set's eviction priority in an [`OrdIndex`] next to its
-//! [`EntryStore`](crate::index::EntryStore) and updates it on every
+//! [`EntryStore`] and updates it on every
 //! reference, admission, refresh and removal, so victim selection — and the
 //! least cached profit that the §2.4 purge compares against — is O(log n)
 //! where a scan of the cache was O(n) per victim: the heap-managed replacement of GreedyDual-Size (Cao &

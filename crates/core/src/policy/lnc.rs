@@ -76,7 +76,7 @@
 
 use crate::clock::Timestamp;
 use crate::decay::DecayIndex;
-use crate::history::ReferenceHistory;
+use crate::history::{ReferenceHistory, MAX_WINDOW};
 use crate::index::{EntryId, EntryStore};
 use crate::key::QueryKey;
 use crate::policy::ranked::{Entry, RankRule, RankedCache, VictimOrder};
@@ -90,7 +90,8 @@ pub struct LncConfig {
     /// Cache capacity in bytes.  Use [`LncConfig::unbounded`] for the
     /// infinite-cache experiments.
     pub capacity_bytes: u64,
-    /// Number of reference timestamps retained per set (the `K` of Eq. 3).
+    /// Number of reference timestamps retained per set (the `K` of Eq. 3),
+    /// at most [`MAX_WINDOW`]: a history keeps no more samples.
     pub k: usize,
     /// Whether the LNC-A admission test is applied (true → LNC-RA,
     /// false → LNC-R).
@@ -127,9 +128,10 @@ impl LncConfig {
         }
     }
 
-    /// Returns the configuration with a different reference window `K`.
+    /// Returns the configuration with a different reference window `K`,
+    /// clamped to `1..=`[`MAX_WINDOW`].
     pub fn with_k(mut self, k: usize) -> Self {
-        self.k = k.max(1);
+        self.k = k.clamp(1, MAX_WINDOW);
         self
     }
 
@@ -168,7 +170,7 @@ impl<X: RetainedOrder> LncRule<X> {
 
     pub(crate) fn new(config: &LncConfig) -> Self {
         LncRule {
-            k: config.k.max(1),
+            k: config.k.clamp(1, MAX_WINDOW),
             admission: config.admission,
             retain_reference_info: config.retain_reference_info,
             retained: RetainedStore::new(config.max_retained_entries),

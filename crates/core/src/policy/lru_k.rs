@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 
 use crate::clock::Timestamp;
-use crate::history::ReferenceHistory;
+use crate::history::{ReferenceHistory, MAX_WINDOW};
 use crate::index::{EntryId, SetInfo};
 use crate::key::QueryKey;
 use crate::policy::index::OrdIndex;
@@ -39,7 +39,8 @@ use crate::value::{CachePayload, ExecutionCost};
 pub struct LruKConfig {
     /// Cache capacity in bytes.
     pub capacity_bytes: u64,
-    /// Number of reference times considered (the `K`).
+    /// Number of reference times considered (the `K`), at most
+    /// [`MAX_WINDOW`]: a history keeps no more samples.
     pub k: usize,
     /// How long (in microseconds of logical time) reference history is
     /// retained after eviction.  The classical guideline is the Five Minute
@@ -50,11 +51,12 @@ pub struct LruKConfig {
 }
 
 impl LruKConfig {
-    /// LRU-K with the given capacity and window `K`.
+    /// LRU-K with the given capacity and window `K`, clamped to
+    /// `1..=`[`MAX_WINDOW`].
     pub fn new(capacity_bytes: u64, k: usize) -> Self {
         LruKConfig {
             capacity_bytes,
-            k: k.max(1),
+            k: k.clamp(1, MAX_WINDOW),
             retained_info_period: 300 * 1_000_000,
             max_retained_entries: 16_384,
         }
@@ -77,7 +79,7 @@ pub struct LruKRule {
 impl LruKRule {
     pub(crate) fn new(config: &LruKConfig) -> Self {
         LruKRule {
-            k: config.k,
+            k: config.k.clamp(1, MAX_WINDOW),
             retained_info_period: config.retained_info_period,
             retained: RetainedStore::new(config.max_retained_entries),
             filings: VecDeque::new(),

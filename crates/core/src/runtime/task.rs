@@ -269,7 +269,7 @@ impl RunnableTask {
     }
 
     /// Drops the task's future in place (runtime shutdown): its `Drop`
-    /// reports [`JoinError::Cancelled`](super::JoinError::Cancelled) through
+    /// reports [`JoinError::Cancelled`] through
     /// the join handle.  Never blocks — if the future mutex is held, the
     /// task is being polled right now and that poll's epilogue performs the
     /// cleanup itself (see [`RunnableTask::run`]); a no-op if the task

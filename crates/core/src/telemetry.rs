@@ -40,7 +40,9 @@
 //!
 //! A lookup reads the clock only when its probe misses or when it is its
 //! thread's 1-in-[`LOOKUP_SAMPLE_PERIOD`] sample: an unsampled hit reads
-//! none.
+//! none, and an unsampled executed miss reads it twice (the stamp when its
+//! probe misses and its trace event's timestamp).  A hit or an executed
+//! lookup is *recorded* only when sampled.
 //!
 //! ## Concurrency (see CONCURRENCY.md)
 //!
@@ -72,6 +74,12 @@ use serde::{Deserialize, Serialize};
 /// any breaking change to field names or semantics; scrapers check it
 /// before interpreting the maps.
 ///
+/// v4: `engine.lookup.executed_us` and `fetch.attempt_us` are sampled too:
+/// only a lookup its thread samples times its fetch attempts and records
+/// an executed outcome, so their counts are about a 64th of the executed
+/// lookups and of the attempts.  Coalesced, stale and error lookups keep
+/// one sample each.
+///
 /// v3: `engine.lookup.hit_us` became `engine.lookup.hit_ns`, in nanoseconds
 /// and sampled: each thread times one lookup in [`LOOKUP_SAMPLE_PERIOD`], so
 /// its count is about a 64th of the hits.  The other lookup histograms keep
@@ -82,7 +90,7 @@ use serde::{Deserialize, Serialize};
 /// the shard gauges) are the scraped server's own, not the process's, and
 /// `engine.fragmentation.used_permille` is the occupancy at scrape time
 /// rather than a mean over earlier scrapes.
-pub const METRICS_SCHEMA_VERSION: u32 = 3;
+pub const METRICS_SCHEMA_VERSION: u32 = 4;
 
 /// Number of buckets in a [`Histogram`]: 4 linear buckets for values 0–3,
 /// then 4 sub-buckets per power of two up to `u64::MAX`.

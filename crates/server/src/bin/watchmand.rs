@@ -10,6 +10,9 @@
 //!           [--workers N] [--metrics-interval SECS]
 //! ```
 //!
+//! `--k` is the reference window of the K-based policies, at most
+//! `MAX_WINDOW` (8); a larger value is refused.
+//!
 //! `--metrics-interval SECS` logs a one-line telemetry summary (lookup
 //! counts by outcome, retries, sheds, evictions, breaker trips, trace
 //! events) to stderr every `SECS` seconds — the always-on operational
@@ -21,6 +24,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use watchman_core::engine::PolicyKind;
+use watchman_core::history::MAX_WINDOW;
 use watchman_core::telemetry::MetricsSnapshot;
 use watchman_server::{serve, Client, ServerConfig};
 
@@ -106,6 +110,10 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--k" => match value("--k").and_then(|v| v.parse().ok()) {
+                Some(v) if v > MAX_WINDOW => {
+                    eprintln!("watchmand: --k {v} is above the largest window, {MAX_WINDOW}");
+                    return usage();
+                }
                 Some(v) => k = v,
                 None => return usage(),
             },

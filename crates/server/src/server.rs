@@ -538,7 +538,7 @@ async fn accept_task(listener: TcpListener, shared: Arc<Shared>, slot: usize) {
     shared.shutdown.release_slot(slot);
 }
 
-/// How one `recv` into a session's [`FrameReader`] resolved.
+/// How one `recv` into a session's [`FrameReader`](crate::wire::FrameReader) resolved.
 enum Fill {
     /// More bytes arrived; the reader may now hold complete frames.
     Bytes,

@@ -122,11 +122,13 @@ fn storm_executes_each_missed_key_exactly_once_across_connections() {
 
 #[test]
 fn metrics_exposition_and_trace_dump_move_under_traffic() {
-    const KEYS: u64 = 16;
-    const HIT_ROUNDS: u64 = 8;
+    // One distinct miss per key, at least 64 of them.
+    const KEYS: u64 = 64;
+    const HIT_ROUNDS: u64 = 2;
     const HITS: u64 = KEYS * HIT_ROUNDS;
     // One runtime worker, so every lookup runs on one thread and its
-    // 1-in-64 hit sample lands at least once in any 64 of its hits.
+    // 1-in-64 sample lands at least once in any 64 of its hits, and in any
+    // 64 of its executed misses.
     let server = serve(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         shards: 4,
@@ -140,7 +142,7 @@ fn metrics_exposition_and_trace_dump_move_under_traffic() {
     let mut admin = Client::connect(addr.clone()).expect("admin connects");
     let before = admin.metrics().expect("METRICS before traffic");
     assert_eq!(before.schema, METRICS_SCHEMA_VERSION);
-    let hits_before = admin.stats().expect("STATS before traffic").total.hits;
+    let stats_before = admin.stats().expect("STATS before traffic").total;
 
     // Sweeps over the same keys: the first executes every key, the rest
     // are all served hits.  The latency histograms live in the
@@ -166,16 +168,22 @@ fn metrics_exposition_and_trace_dump_move_under_traffic() {
             .histogram(name)
             .map_or(0, |histogram| histogram.count)
     };
+    // Hits and executed misses are counted by the engine's books and timed
+    // by sampling: each thread times one lookup in 64.
+    let stats_after = admin.stats().expect("STATS after traffic").total;
+    assert_eq!(
+        stats_after.misses() - stats_before.misses(),
+        KEYS,
+        "the first sweep misses on every key"
+    );
     assert!(
         lookups(&after, "engine.lookup.executed_us")
-            >= lookups(&before, "engine.lookup.executed_us") + KEYS,
-        "first sweep must have recorded {KEYS} executed-lookup latencies"
+            >= lookups(&before, "engine.lookup.executed_us") + KEYS / 64,
+        "{KEYS} executed misses on one thread must have sampled at least {} latencies",
+        KEYS / 64
     );
-    // Hits are counted by the engine's books and timed by sampling: each
-    // thread times one lookup in 64.
-    let hits_after = admin.stats().expect("STATS after traffic").total.hits;
     assert_eq!(
-        hits_after - hits_before,
+        stats_after.hits - stats_before.hits,
         HITS,
         "every hit sweep is served hits"
     );
@@ -195,7 +203,7 @@ fn metrics_exposition_and_trace_dump_move_under_traffic() {
         "serving traffic must record task polls"
     );
     // Occupancy is read from this server's own snapshot at scrape time;
-    // the executed sweep inserted 16 KiB, so some shard must show bytes.
+    // the executed sweep inserted 64 KiB, so some shard must show bytes.
     assert!(after.gauge("engine.shard_count") == 4);
     assert!(
         (0..4).any(|shard| after.gauge(&format!("engine.shard.{shard:02}.used_bytes")) > 0),
