@@ -83,9 +83,10 @@
 //!   The one change that can *lower* a profit — a new size or cost — must be
 //!   [`file`](DecayIndex::file)d by the owner at once;
 //! * a removed set leaves its item behind (a *dead* item: the owner's probe
-//!   finds the slot empty).  It is dropped when reached or when the slot is
-//!   filed again, whichever comes first; slots are reused, so there are never
-//!   more dead items than the owner once held sets.
+//!   finds the slot empty, or its record no longer in this order).  It is
+//!   dropped when reached or when the slot is filed again, whichever comes
+//!   first; slots are reused, so there are never more dead items than the
+//!   owner once held sets.
 //!
 //! The bound assumes what Eq. 3 assumes: the owner's `now` never steps back,
 //! so no recorded reference and no chosen anchor lies after it.  Weights
@@ -218,8 +219,8 @@ impl Ascent {
     }
 }
 
-/// The victim order of LNC-R/LNC-RA and of the §2.4 retained store: see
-/// the module docs.
+/// The victim order of LNC-R/LNC-RA and the order of its §2.4 retained
+/// histories: see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct DecayIndex {
     /// Whether sets are filed by sample-count group; an owner that never

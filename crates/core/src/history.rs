@@ -133,12 +133,6 @@ impl ReferenceHistory {
         let elapsed = now.saturating_since(oldest).max(1);
         Some(self.len as f64 / elapsed as f64)
     }
-
-    /// The number of bytes of metadata this history occupies (used when
-    /// accounting for retained reference information).
-    pub fn metadata_bytes(&self) -> u64 {
-        (self.len * std::mem::size_of::<Timestamp>()) as u64 + 16
-    }
 }
 
 #[cfg(test)]
@@ -269,14 +263,5 @@ mod tests {
         let h = ReferenceHistory::with_first_reference(4, ts(10));
         assert_eq!(h.sample_count(), 1);
         assert_eq!(h.total_references(), 1);
-    }
-
-    #[test]
-    fn metadata_bytes_scales_with_samples() {
-        let mut h = ReferenceHistory::new(8);
-        let empty = h.metadata_bytes();
-        h.record(ts(1));
-        h.record(ts(2));
-        assert!(h.metadata_bytes() > empty);
     }
 }

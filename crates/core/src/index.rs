@@ -3,14 +3,13 @@
 //! WATCHMAN speeds up cache lookup by storing a *signature* (a hash of the
 //! query ID) with every cache entry; only entries whose signature matches the
 //! looked-up query are compared by exact query-ID match.  [`EntryStore`]
-//! packages that scheme as a slab of policy-specific entries plus a
-//! signature → entry-id index, so every policy gets collision-safe,
-//! allocation-friendly lookups without duplicating the bookkeeping.
+//! packages that scheme as a slab of entries plus a signature → entry-id
+//! index: a policy's cache keeps one, with one record per key, cached or
+//! retained, and gets collision-safe, allocation-friendly lookups.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
-use crate::key::{QueryKey, SignatureMap, SignatureState};
+use crate::key::{QueryKey, SignatureMap};
 use crate::value::ExecutionCost;
 
 /// A stable handle to an entry inside an [`EntryStore`].
@@ -34,13 +33,6 @@ impl EntryId {
     }
 }
 
-/// Trait implemented by policy entry types so the store can maintain its
-/// signature index.
-pub trait KeyedEntry {
-    /// The query key identifying this entry.
-    fn key(&self) -> &QueryKey;
-}
-
 /// What a cache knows about a retrieved set besides its payload: the key,
 /// the size and execution cost of the set, and what the policy keeps about
 /// it (for LNC-R and LRU-K its reference history, which is also what is
@@ -57,9 +49,31 @@ pub struct SetInfo<S> {
     pub state: S,
 }
 
-impl<S> KeyedEntry for SetInfo<S> {
-    fn key(&self) -> &QueryKey {
-        &self.key
+/// Where a set's record stands.
+#[derive(Debug, Clone)]
+pub(crate) enum Residency<V> {
+    /// Cached with this payload, in the cache's victim order.
+    Cached(V),
+    /// Not cached, in the policy's retained order (§2.4).
+    Retained,
+    /// In neither order: the set a decision is about, or a victim.
+    Pending,
+}
+
+/// The record of one key: what is known about its set, and where it stands.
+#[derive(Debug, Clone)]
+pub struct Record<V, S> {
+    pub(crate) info: SetInfo<S>,
+    pub(crate) residency: Residency<V>,
+}
+
+impl<V, S> Record<V, S> {
+    pub(crate) fn is_cached(&self) -> bool {
+        matches!(self.residency, Residency::Cached(_))
+    }
+
+    pub(crate) fn is_retained(&self) -> bool {
+        matches!(self.residency, Residency::Retained)
     }
 }
 
@@ -80,33 +94,24 @@ impl Ids {
     }
 }
 
-/// A slab of entries indexed by query-ID signature.
+/// A slab of records indexed by query-ID signature: a cache's one store,
+/// with one record per key, holding payloads of type `V`.
 #[derive(Debug, Clone)]
-pub struct EntryStore<E> {
-    slots: Vec<Option<E>>,
+pub struct EntryStore<V, S> {
+    slots: Vec<Option<Record<V, S>>>,
     free: Vec<usize>,
     /// signature → ids of entries with that signature (normally exactly one).
     index: SignatureMap<u64, Ids>,
     len: usize,
 }
 
-impl<E: KeyedEntry> EntryStore<E> {
+impl<V, S> EntryStore<V, S> {
     /// Creates an empty store.
     pub fn new() -> Self {
         EntryStore {
             slots: Vec::new(),
             free: Vec::new(),
             index: SignatureMap::default(),
-            len: 0,
-        }
-    }
-
-    /// Creates an empty store with room for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EntryStore {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            index: HashMap::with_capacity_and_hasher(capacity, SignatureState::default()),
             len: 0,
         }
     }
@@ -126,8 +131,8 @@ impl<E: KeyedEntry> EntryStore<E> {
     /// The caller is responsible for not inserting two entries with the same
     /// key; [`EntryStore::find`] can be used to check first.  If a duplicate
     /// is inserted anyway, lookups will consistently return the first one.
-    pub fn insert(&mut self, entry: E) -> EntryId {
-        let signature = entry.key().signature().value();
+    pub fn insert(&mut self, entry: Record<V, S>) -> EntryId {
+        let signature = entry.info.key.signature().value();
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = Some(entry);
@@ -156,42 +161,38 @@ impl<E: KeyedEntry> EntryStore<E> {
     /// collisions by exact key comparison.
     pub fn find(&self, key: &QueryKey) -> Option<EntryId> {
         let ids = self.index.get(&key.signature().value())?;
-        ids.as_slice()
-            .iter()
-            .copied()
-            .find(|id| self.slots[id.0].as_ref().is_some_and(|e| e.key() == key))
-    }
-
-    /// Whether an entry with the given key exists.
-    pub fn contains(&self, key: &QueryKey) -> bool {
-        self.find(key).is_some()
+        ids.as_slice().iter().copied().find(|id| {
+            self.slots[id.0]
+                .as_ref()
+                .is_some_and(|e| e.info.key == *key)
+        })
     }
 
     /// Returns a reference to the entry with the given key.
-    pub fn get(&self, key: &QueryKey) -> Option<&E> {
+    pub fn get(&self, key: &QueryKey) -> Option<&Record<V, S>> {
         self.find(key).and_then(|id| self.by_id(id))
     }
 
     /// Returns a mutable reference to the entry with the given key.
-    pub fn get_mut(&mut self, key: &QueryKey) -> Option<&mut E> {
+    pub fn get_mut(&mut self, key: &QueryKey) -> Option<&mut Record<V, S>> {
         let id = self.find(key)?;
         self.by_id_mut(id)
     }
 
     /// Returns a reference to the entry with the given id.
-    pub fn by_id(&self, id: EntryId) -> Option<&E> {
+    pub fn by_id(&self, id: EntryId) -> Option<&Record<V, S>> {
         self.slots.get(id.0).and_then(Option::as_ref)
     }
 
     /// Returns a mutable reference to the entry with the given id.
-    pub fn by_id_mut(&mut self, id: EntryId) -> Option<&mut E> {
+    pub fn by_id_mut(&mut self, id: EntryId) -> Option<&mut Record<V, S>> {
         self.slots.get_mut(id.0).and_then(Option::as_mut)
     }
 
     /// Removes and returns the entry with the given id.
-    pub fn remove(&mut self, id: EntryId) -> Option<E> {
+    pub fn remove(&mut self, id: EntryId) -> Option<Record<V, S>> {
         let entry = self.slots.get_mut(id.0)?.take()?;
-        let signature = entry.key().signature().value();
+        let signature = entry.info.key.signature().value();
         if let Entry::Occupied(mut ids) = self.index.entry(signature) {
             match ids.get_mut() {
                 Ids::One(_) => {
@@ -210,14 +211,8 @@ impl<E: KeyedEntry> EntryStore<E> {
         Some(entry)
     }
 
-    /// Removes and returns the entry with the given key.
-    pub fn remove_by_key(&mut self, key: &QueryKey) -> Option<E> {
-        let id = self.find(key)?;
-        self.remove(id)
-    }
-
     /// Iterates over `(id, entry)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (EntryId, &E)> {
+    pub fn iter(&self) -> impl Iterator<Item = (EntryId, &Record<V, S>)> {
         self.slots
             .iter()
             .enumerate()
@@ -225,7 +220,7 @@ impl<E: KeyedEntry> EntryStore<E> {
     }
 
     /// Iterates over mutable entries in unspecified order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (EntryId, &mut E)> {
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (EntryId, &mut Record<V, S>)> {
         self.slots
             .iter_mut()
             .enumerate()
@@ -241,7 +236,7 @@ impl<E: KeyedEntry> EntryStore<E> {
     }
 }
 
-impl<E: KeyedEntry> Default for EntryStore<E> {
+impl<V, S> Default for EntryStore<V, S> {
     fn default() -> Self {
         Self::new()
     }
@@ -251,23 +246,24 @@ impl<E: KeyedEntry> Default for EntryStore<E> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq)]
-    struct TestEntry {
-        key: QueryKey,
-        payload: u32,
-    }
-
-    impl KeyedEntry for TestEntry {
-        fn key(&self) -> &QueryKey {
-            &self.key
+    /// A record whose state is a payload to tell it by.
+    fn keyed(key: QueryKey, payload: u32) -> Record<(), u32> {
+        let cost = ExecutionCost::from_blocks(0);
+        let (size_bytes, state) = (0, payload);
+        let info = SetInfo {
+            key,
+            size_bytes,
+            cost,
+            state,
+        };
+        Record {
+            info,
+            residency: Residency::Cached(()),
         }
     }
 
-    fn entry(name: &str, payload: u32) -> TestEntry {
-        TestEntry {
-            key: QueryKey::new(name.to_owned()),
-            payload,
-        }
+    fn entry(name: &str, payload: u32) -> Record<(), u32> {
+        keyed(QueryKey::new(name.to_owned()), payload)
     }
 
     #[test]
@@ -276,18 +272,18 @@ mod tests {
         let id = store.insert(entry("q1", 7));
         assert_eq!(store.len(), 1);
         assert_eq!(store.find(&QueryKey::new("q1")), Some(id));
-        assert_eq!(store.get(&QueryKey::new("q1")).unwrap().payload, 7);
+        assert_eq!(store.get(&QueryKey::new("q1")).unwrap().info.state, 7);
         let removed = store.remove(id).unwrap();
-        assert_eq!(removed.payload, 7);
+        assert_eq!(removed.info.state, 7);
         assert!(store.is_empty());
         assert_eq!(store.find(&QueryKey::new("q1")), None);
     }
 
     #[test]
     fn missing_key_is_none() {
-        let store: EntryStore<TestEntry> = EntryStore::new();
+        let store: EntryStore<(), u32> = EntryStore::new();
         assert_eq!(store.find(&QueryKey::new("nope")), None);
-        assert!(!store.contains(&QueryKey::new("nope")));
+        assert!(store.get(&QueryKey::new("nope")).is_none());
     }
 
     #[test]
@@ -299,16 +295,16 @@ mod tests {
         // The freed slot must be reused so the slab does not grow unboundedly.
         assert_eq!(a.index(), b.index());
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(&QueryKey::new("b")).unwrap().payload, 2);
-        assert_eq!(store.get(&QueryKey::new("a")), None);
+        assert_eq!(store.get(&QueryKey::new("b")).unwrap().info.state, 2);
+        assert!(store.get(&QueryKey::new("a")).is_none());
     }
 
     #[test]
     fn get_mut_allows_updates() {
         let mut store = EntryStore::new();
         store.insert(entry("q", 1));
-        store.get_mut(&QueryKey::new("q")).unwrap().payload = 99;
-        assert_eq!(store.get(&QueryKey::new("q")).unwrap().payload, 99);
+        store.get_mut(&QueryKey::new("q")).unwrap().info.state = 99;
+        assert_eq!(store.get(&QueryKey::new("q")).unwrap().info.state, 99);
     }
 
     #[test]
@@ -318,7 +314,7 @@ mod tests {
         let b = store.insert(entry("b", 2));
         store.insert(entry("c", 3));
         store.remove(b);
-        let mut payloads: Vec<u32> = store.iter().map(|(_, e)| e.payload).collect();
+        let mut payloads: Vec<u32> = store.iter().map(|(_, e)| e.info.state).collect();
         payloads.sort_unstable();
         assert_eq!(payloads, vec![1, 3]);
     }
@@ -329,23 +325,15 @@ mod tests {
         store.insert(entry("a", 1));
         store.insert(entry("b", 2));
         for (_, e) in store.iter_mut() {
-            e.payload *= 10;
+            e.info.state *= 10;
         }
-        assert_eq!(store.get(&QueryKey::new("a")).unwrap().payload, 10);
-        assert_eq!(store.get(&QueryKey::new("b")).unwrap().payload, 20);
-    }
-
-    #[test]
-    fn remove_by_key_works() {
-        let mut store = EntryStore::new();
-        store.insert(entry("x", 5));
-        assert_eq!(store.remove_by_key(&QueryKey::new("x")).unwrap().payload, 5);
-        assert!(store.remove_by_key(&QueryKey::new("x")).is_none());
+        assert_eq!(store.get(&QueryKey::new("a")).unwrap().info.state, 10);
+        assert_eq!(store.get(&QueryKey::new("b")).unwrap().info.state, 20);
     }
 
     #[test]
     fn clear_empties_the_store() {
-        let mut store = EntryStore::with_capacity(4);
+        let mut store = EntryStore::new();
         store.insert(entry("a", 1));
         store.insert(entry("b", 2));
         store.clear();
@@ -365,25 +353,17 @@ mod tests {
         let ids: Vec<EntryId> = ["a", "b", "c"]
             .into_iter()
             .zip(1..)
-            .map(|(name, payload)| {
-                store.insert(TestEntry {
-                    key: key(name),
-                    payload,
-                })
-            })
+            .map(|(name, payload)| store.insert(keyed(key(name), payload)))
             .collect();
-        assert_eq!(store.get(&key("b")).unwrap().payload, 2);
+        assert_eq!(store.get(&key("b")).unwrap().info.state, 2);
         assert_eq!(store.find(&key("d")), None);
         store.remove(ids[1]);
         assert_eq!(store.find(&key("b")), None);
         store.remove(ids[0]);
-        assert_eq!(store.get(&key("c")).unwrap().payload, 3);
+        assert_eq!(store.get(&key("c")).unwrap().info.state, 3);
         store.remove(ids[2]);
         assert!(store.index.is_empty());
-        let again = store.insert(TestEntry {
-            key: key("a"),
-            payload: 4,
-        });
+        let again = store.insert(keyed(key("a"), 4));
         assert_eq!(store.find(&key("a")), Some(again));
     }
 }

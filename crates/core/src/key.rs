@@ -106,6 +106,8 @@ impl BuildHasher for SignatureState {
     type Hasher = SignatureHasher;
 
     fn build_hasher(&self) -> SignatureHasher {
+        #[cfg(test)]
+        PROBES.with(|probes| probes.set(probes.get() + 1));
         SignatureHasher { state: self.seed }
     }
 }
@@ -299,12 +301,6 @@ impl QueryKey {
     pub fn signature(&self) -> Signature {
         self.signature
     }
-
-    /// Returns the number of bytes of metadata this key occupies, used when
-    /// accounting for the space taken by retained reference information.
-    pub fn metadata_bytes(&self) -> u64 {
-        self.text.len() as u64 + std::mem::size_of::<Signature>() as u64
-    }
 }
 
 impl PartialEq for QueryKey {
@@ -351,6 +347,19 @@ impl From<String> for QueryKey {
     fn from(text: String) -> Self {
         QueryKey::new(text)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Hashers built on this thread: one per probe of a signature map, so
+    /// tests can count the key-indexed lookups a code path pays.
+    static PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The probes of signature maps this thread has made so far.
+#[cfg(test)]
+pub(crate) fn probes() -> u64 {
+    PROBES.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]
@@ -517,12 +526,6 @@ mod tests {
     fn display_replaces_separator_with_space() {
         let key = QueryKey::from_raw_query("SELECT  x FROM t");
         assert_eq!(key.to_string(), "SELECT x FROM t");
-    }
-
-    #[test]
-    fn metadata_bytes_accounts_for_text() {
-        let key = QueryKey::new("abcd");
-        assert_eq!(key.metadata_bytes(), 4 + 8);
     }
 
     #[test]

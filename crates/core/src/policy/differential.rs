@@ -11,8 +11,8 @@
 //! for a spread of byte targets, price the least cached profit alike, and
 //! retain the same histories.  The scan offers no bound on the
 //! victims' `c/s`, so it always selects them: LNC-A's shortcut is held to
-//! the full selection.  The §2.4 store is driven on its own against a store
-//! ordered by the scan.
+//! the full selection.  The §2.4 store is driven on its own, over records of
+//! its own, against a store ordered by the scan.
 //!
 //! The traces deliberately hammer the corners that break incremental
 //! indexes: same-key refreshes that change sizes and priorities, removals
@@ -39,10 +39,11 @@ use crate::policy::lfu::{LfuCache, LfuRule};
 use crate::policy::lnc::{LncCache, LncConfig, LncRule};
 use crate::policy::lru::{LruCache, LruRule};
 use crate::policy::lru_k::{LruKCache, LruKConfig, LruKRule};
-use crate::policy::ranked::{Entry, RankRule, RankedCache, VictimOrder};
+use crate::policy::ranked::{RankRule, RankedCache, VictimOrder};
 use crate::policy::QueryCache;
 use crate::profit::Profit;
-use crate::retained::{RetainedInfo, RetainedOrder, RetainedStore};
+use crate::retained::tests::Held;
+use crate::retained::{RetainedInfo, RetainedOrder};
 use crate::value::{ExecutionCost, SizedPayload};
 
 /// The order that re-scores every set at the decision's `now` and sorts.
@@ -76,13 +77,13 @@ impl<R: RankRule> VictimOrder<R> for Scan {
 
     fn ascend<V>(
         &mut self,
-        entries: &EntryStore<Entry<V, R::State>>,
+        records: &EntryStore<V, R::State>,
         now: Timestamp,
         by_group: bool,
         mut take: impl FnMut(EntryId) -> bool,
     ) {
-        let keyed = entries
-            .iter()
+        let keyed = (records.iter())
+            .filter(|(_, e)| e.is_cached())
             .map(|(id, e)| {
                 let group = if by_group { R::group(&e.info.state) } else { 0 };
                 ((group, R::rank(&e.info, now)), id)
@@ -95,23 +96,19 @@ impl<R: RankRule> VictimOrder<R> for Scan {
 }
 
 impl RetainedOrder for Scan {
-    fn file(&mut self, _: &RetainedInfo, _: EntryId) {}
-
-    fn ascend(
+    fn ascend<V>(
         &mut self,
-        entries: &EntryStore<RetainedInfo>,
+        records: &EntryStore<V, ReferenceHistory>,
         now: Timestamp,
         _: Option<Profit>,
         mut take: impl FnMut(EntryId, Profit) -> bool,
     ) {
-        let keyed = entries
-            .iter()
-            .map(|(id, info)| ((info.profit(now), info.key.signature().value()), id))
+        let keyed = (records.iter())
+            .filter(|(_, e)| e.is_retained())
+            .map(|(id, e)| ((e.info.profit(now), e.info.key.signature().value()), id))
             .collect();
         walk(keyed, false, |id, (profit, _)| take(id, profit));
     }
-
-    fn clear(&mut self) {}
 }
 
 /// One step of a generated trace.
@@ -241,8 +238,8 @@ fn agree<R, O, S>(
         keys
     };
     assert_eq!(
-        retained(indexed.rule.retained_keys()),
-        retained(scan.rule.retained_keys()),
+        retained(indexed.retained_keys()),
+        retained(scan.retained_keys()),
         "{name}: retained histories diverged"
     );
 }
@@ -327,8 +324,8 @@ proptest! {
         ops in proptest::collection::vec(retained_op_strategy(), 1..200),
         bound in 4usize..40,
     ) {
-        let mut indexed: RetainedStore<DecayIndex> = RetainedStore::new(bound);
-        let mut scan: RetainedStore<Scan> = RetainedStore::new(bound);
+        let mut indexed: Held<DecayIndex> = Held::new(bound);
+        let mut scan: Held<Scan> = Held::new(bound);
         let (mut now, mut latest) = (1_000_000u64, 0);
         for op in &ops {
             // The store's owner supplies monotone time.
@@ -337,16 +334,8 @@ proptest! {
             let ts = Timestamp::from_micros(latest);
             let key = QueryKey::new(format!("retained-{}", op.query));
             match op.action {
-                0 => {
-                    let taken = indexed.take(&key).map(|info| info.state);
-                    assert_eq!(taken, scan.take(&key).map(|info| info.state));
-                }
-                1 | 2 => {
-                    assert_eq!(
-                        indexed.record_reference(&key, ts),
-                        scan.record_reference(&key, ts)
-                    );
-                }
+                0 => assert_eq!(indexed.take(&key, ts), scan.take(&key, ts)),
+                1 | 2 => assert_eq!(indexed.record(&key, ts), scan.record(&key, ts)),
                 3..=5 => {
                     // Thresholds at, just beside and far from the profit of
                     // a history held (`==` must survive), and zero.
@@ -374,15 +363,10 @@ proptest! {
                         cost: ExecutionCost::from_blocks(op.cost),
                         state: history,
                     };
-                    indexed.insert(info.clone(), ts);
-                    scan.insert(info, ts);
+                    assert_eq!(indexed.retain(info.clone(), ts), scan.retain(info, ts));
                 }
             }
-            let mut left: Vec<&str> = indexed.iter().map(|info| info.key.text()).collect();
-            let mut right: Vec<&str> = scan.iter().map(|info| info.key.text()).collect();
-            left.sort_unstable();
-            right.sort_unstable();
-            assert_eq!(left, right, "retained key sets diverged after {op:?}");
+            assert_eq!(indexed.keys(), scan.keys(), "retained key sets diverged after {op:?}");
         }
     }
 }
@@ -405,7 +389,8 @@ proptest! {
 /// One step of a retained-store trace.
 #[derive(Debug, Clone)]
 struct RetainedOp {
-    /// 0 = take, 1–2 = record a reference, 3–5 = purge, else insert.
+    /// 0 = take up and cache, 1–2 = record a miss, 3–5 = purge, else
+    /// retain.
     action: u8,
     query: u8,
     size: u64,

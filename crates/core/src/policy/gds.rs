@@ -17,8 +17,7 @@
 //! with — and the rule owns `L`.
 
 use crate::clock::Timestamp;
-use crate::index::SetInfo;
-use crate::key::QueryKey;
+use crate::index::{EntryId, EntryStore, SetInfo};
 use crate::policy::index::{OrdF64, OrdIndex};
 use crate::policy::ranked::{RankRule, RankedCache};
 use crate::profit::Profit;
@@ -45,7 +44,7 @@ impl RankRule for GdsRule {
     }
 
     /// Only the newcomer's `c/s`: its own evictions have yet to raise `L`.
-    fn admit(&mut self, _: &QueryKey, cost: ExecutionCost, size_bytes: u64, _: Timestamp) -> f64 {
+    fn admit(&mut self, cost: ExecutionCost, size_bytes: u64, _: Timestamp) -> f64 {
         Profit::estimated(cost, size_bytes).value()
     }
 
@@ -58,8 +57,10 @@ impl RankRule for GdsRule {
     }
 
     /// Evicting the smallest-credit set raises the global inflation `L`.
-    fn denied(&mut self, set: SetInfo<f64>, _: Timestamp) {
-        self.inflation = self.inflation.max(set.state);
+    fn denied<V>(&mut self, records: &mut EntryStore<V, f64>, slot: EntryId, _: Timestamp) {
+        if let Some(set) = records.remove(slot) {
+            self.inflation = self.inflation.max(set.info.state);
+        }
     }
 
     fn cleared(&mut self) {

@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 
 use crate::clock::Timestamp;
 use crate::index::{EntryId, EntryStore, SetInfo};
-use crate::policy::ranked::{Entry, RankRule, VictimOrder};
+use crate::policy::ranked::{RankRule, VictimOrder};
 
 /// A totally ordered `f64` wrapper (IEEE-754 `total_cmp` order), used to key
 /// victim indexes by floating-point priorities such as the GreedyDual-Size
@@ -148,7 +148,7 @@ impl<R: RankRule> VictimOrder<R> for OrdIndex<R::Rank> {
 
     fn ascend<V>(
         &mut self,
-        _: &EntryStore<Entry<V, R::State>>,
+        _: &EntryStore<V, R::State>,
         _: Timestamp,
         _: bool,
         mut take: impl FnMut(EntryId) -> bool,

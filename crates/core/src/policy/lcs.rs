@@ -14,7 +14,6 @@ use std::cmp::Reverse;
 
 use crate::clock::Timestamp;
 use crate::index::SetInfo;
-use crate::key::QueryKey;
 use crate::policy::index::OrdIndex;
 use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
@@ -38,7 +37,7 @@ impl RankRule for LcsRule {
         (set.size_bytes, Reverse(set.state))
     }
 
-    fn admit(&mut self, _: &QueryKey, _: ExecutionCost, _: u64, now: Timestamp) -> Timestamp {
+    fn admit(&mut self, _: ExecutionCost, _: u64, now: Timestamp) -> Timestamp {
         now
     }
 

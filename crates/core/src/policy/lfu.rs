@@ -11,7 +11,6 @@
 
 use crate::clock::Timestamp;
 use crate::index::SetInfo;
-use crate::key::QueryKey;
 use crate::policy::index::OrdIndex;
 use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
@@ -33,7 +32,7 @@ impl RankRule for LfuRule {
         set.state
     }
 
-    fn admit(&mut self, _: &QueryKey, _: ExecutionCost, _: u64, now: Timestamp) -> Self::State {
+    fn admit(&mut self, _: ExecutionCost, _: u64, now: Timestamp) -> Self::State {
         (1, now)
     }
 

@@ -37,8 +37,9 @@
 //! A hit records its reference and leaves the index alone: a reference only
 //! raises a set's group and profit, so the position it was filed at stays a
 //! valid bound and is corrected when a decision next reaches it.  An
-//! invalidation leaves a dead item behind for the same treatment.  Only a
-//! refresh with a new size or cost re-files at once.  The bound needs a
+//! eviction or an invalidation leaves a dead item behind for the same
+//! treatment: the index finds the slot's record gone, or no longer cached.
+//! Only a refresh with a new size or cost re-files at once.  The bound needs a
 //! `now` that never steps back; the shell raises every `now` it is passed to
 //! the latest one it has seen, so a lagging reference is recorded at that
 //! time.
@@ -56,6 +57,12 @@
 //! voided one reads every bucket.  The answer and the sets scored on the way
 //! are the full ascent's, so a decision costs a bucket or two here instead of
 //! one per weight class, and the purge does the same against its threshold.
+//!
+//! The §2.4 histories are the records of evicted and refused sets, left in
+//! the cache's one store and ordered by a second, ungrouped decay index
+//! (`crate::retained`).  A reference looks its key up once in `get` and once
+//! in `insert`; only a set without a record adds one, and an eviction looks
+//! nothing up.
 //!
 //! # Rejections without victims
 //!
@@ -79,7 +86,7 @@ use crate::decay::DecayIndex;
 use crate::history::{ReferenceHistory, MAX_WINDOW};
 use crate::index::{EntryId, EntryStore};
 use crate::key::QueryKey;
-use crate::policy::ranked::{Entry, RankRule, RankedCache, VictimOrder};
+use crate::policy::ranked::{RankRule, RankedCache, VictimOrder};
 use crate::profit::Profit;
 use crate::retained::{RetainedInfo, RetainedOrder, RetainedStore};
 use crate::value::{CachePayload, ExecutionCost};
@@ -149,8 +156,7 @@ impl LncConfig {
 }
 
 /// LNC-R's ranking and LNC-A's admission test over sets whose state is their
-/// reference history, with the §2.4 retained histories kept in a store
-/// ordered by `X`.
+/// reference history, with the §2.4 retained histories ordered by `X`.
 #[derive(Debug, Clone)]
 pub struct LncRule<X: RetainedOrder = DecayIndex> {
     k: usize,
@@ -198,10 +204,6 @@ impl<X: RetainedOrder> RankRule for LncRule<X> {
         history.sample_count()
     }
 
-    fn groups(&self) -> usize {
-        self.k + 1
-    }
-
     /// The paper's profit `λ·c/s`, which is also what the least set is worth.
     fn rank(set: &RetainedInfo, now: Timestamp) -> Profit {
         set.profit(now)
@@ -211,37 +213,26 @@ impl<X: RetainedOrder> RankRule for LncRule<X> {
         set.profit(now)
     }
 
-    /// The retained history if one exists, with the current reference, or a
-    /// fresh history holding only it.
-    fn admit(
+    /// The retained history, with the current reference.
+    fn take_up<V>(
         &mut self,
-        key: &QueryKey,
-        _: ExecutionCost,
-        _: u64,
+        records: &mut EntryStore<V, ReferenceHistory>,
+        retained: Option<EntryId>,
         now: Timestamp,
-    ) -> ReferenceHistory {
-        match self.retained.take(key) {
-            Some(mut info) => {
-                info.state.record_once(now);
-                info.state
-            }
-            None => ReferenceHistory::with_first_reference(self.k, now),
-        }
+    ) -> Option<EntryId> {
+        self.retained.take_up(records, retained, now)
+    }
+
+    /// A fresh history holding only the current reference.
+    fn admit(&mut self, _: ExecutionCost, _: u64, now: Timestamp) -> ReferenceHistory {
+        ReferenceHistory::with_first_reference(self.k, now)
     }
 
     // Skip duplicate timestamps: a single-flight waiter retrying after an
     // abandoned flight re-issues the same logical reference, and its first
-    // pass may already sit in the history via promoted retained information.
+    // pass may already sit in the history via a retained record.
     fn touch(&mut self, set: &mut RetainedInfo, now: Timestamp) {
         set.state.record_once(now);
-    }
-
-    /// Records the reference against retained information, if any, so that
-    /// the admission decision that typically follows sees it.
-    fn missed(&mut self, key: &QueryKey, now: Timestamp) {
-        if self.retain_reference_info {
-            self.retained.record_reference(key, now);
-        }
     }
 
     /// Whether Eq. 8 rejects a first-time set whatever victims free `needed`
@@ -306,46 +297,53 @@ impl<X: RetainedOrder> RankRule for LncRule<X> {
     /// Retains the reference information of an evicted or rejected set (a
     /// rejected one may be admitted later once enough references accumulate,
     /// §2.4, last paragraph).
-    fn denied(&mut self, set: RetainedInfo, now: Timestamp) {
+    fn denied<V>(
+        &mut self,
+        records: &mut EntryStore<V, ReferenceHistory>,
+        slot: EntryId,
+        now: Timestamp,
+    ) {
         if self.retain_reference_info {
-            self.retained.insert(set, now);
+            self.retained.retain(records, slot, now);
+        } else {
+            records.remove(slot);
         }
     }
 
-    /// The set can never fit; remember its references anyway.
-    fn oversized(&mut self, key: &QueryKey, cost: ExecutionCost, size: u64, now: Timestamp) {
-        let state = self.admit(key, cost, size, now);
-        let (key, size_bytes) = (key.clone(), size);
-        self.denied(
-            RetainedInfo {
-                key,
-                size_bytes,
-                cost,
-                state,
-            },
-            now,
-        );
+    /// A set that can never fit has its references remembered anyway.
+    fn keeps_oversized(&self) -> bool {
+        self.retain_reference_info
     }
 
     /// The §2.4 retention policy: drop retained histories whose profit is
     /// below the least profit among cached sets.
-    fn purge(&mut self, least: impl FnOnce() -> Option<Profit>, now: Timestamp) {
-        if !self.retain_reference_info || self.retained.is_empty() {
+    fn purge<V>(
+        &mut self,
+        records: &mut EntryStore<V, ReferenceHistory>,
+        least: impl FnOnce(&EntryStore<V, ReferenceHistory>) -> Option<Profit>,
+        now: Timestamp,
+    ) {
+        if !self.retain_reference_info || self.retained.len() == 0 {
             return;
         }
-        if let Some(min_profit) = least() {
-            self.retained.purge_below(min_profit, now);
+        if let Some(min_profit) = least(records) {
+            self.retained.purge_below(records, min_profit, now);
         }
     }
 
     fn cleared(&mut self) {
         self.retained.clear();
     }
+}
 
-    #[cfg(test)]
-    fn retained_keys(&self) -> Vec<QueryKey> {
-        self.retained.iter().map(|info| info.key.clone()).collect()
-    }
+/// The cached set in `slot` and its tie-breaker, the slot: an item filed for
+/// a set since evicted is a dead one.
+fn cached<V>(
+    records: &EntryStore<V, ReferenceHistory>,
+    slot: EntryId,
+) -> Option<(&RetainedInfo, u64)> {
+    let record = records.by_id(slot).filter(|r| r.is_cached())?;
+    Some((&record.info, slot.index() as u64))
 }
 
 /// Figure 1's decaying two-level order, read off the decay index (see the
@@ -362,12 +360,12 @@ impl VictimOrder<LncRule> for DecayIndex {
 
     fn ascend<V>(
         &mut self,
-        entries: &EntryStore<Entry<V, ReferenceHistory>>,
+        records: &EntryStore<V, ReferenceHistory>,
         now: Timestamp,
         by_group: bool,
         mut take: impl FnMut(EntryId) -> bool,
     ) {
-        let set = |id: EntryId| Some((&entries.by_id(id)?.info, id.index() as u64));
+        let set = |id| cached(records, id);
         DecayIndex::ascend(self, now, by_group, None, None, set, |id, _| take(id));
     }
 
@@ -375,11 +373,11 @@ impl VictimOrder<LncRule> for DecayIndex {
     /// against the answer, the next certificate.
     fn least<V>(
         &mut self,
-        entries: &EntryStore<Entry<V, ReferenceHistory>>,
+        records: &EntryStore<V, ReferenceHistory>,
         now: Timestamp,
         within: Option<Profit>,
     ) -> Option<(EntryId, Profit)> {
-        let set = |id: EntryId| Some((&entries.by_id(id)?.info, id.index() as u64));
+        let set = |id| cached(records, id);
         let mut least = None;
         DecayIndex::ascend(self, now, false, None, within, set, |id, profit| {
             least = Some((id, profit));
@@ -424,11 +422,6 @@ impl<V: CachePayload, X: RetainedOrder, O: VictimOrder<LncRule<X>>> RankedCache<
         self.rule.retained.len()
     }
 
-    /// Approximate bytes of metadata used by retained reference information.
-    pub fn retained_metadata_bytes(&self) -> u64 {
-        self.rule.retained.metadata_bytes()
-    }
-
     /// The profit of the cached set for `key` at time `now`, if cached.
     pub fn profit_of(&self, key: &QueryKey, now: Timestamp) -> Option<Profit> {
         Some(self.info(key)?.profit(now))
@@ -453,7 +446,7 @@ impl<V: CachePayload, X: RetainedOrder, O: VictimOrder<LncRule<X>>> RankedCache<
 mod tests {
     use super::*;
     use crate::policy::differential::Scan;
-    use crate::policy::ranked::contract::{key, ts};
+    use crate::policy::ranked::contract::{self, key, ts};
     use crate::policy::{InsertOutcome, QueryCache, RejectReason};
     use crate::value::SizedPayload;
 
@@ -772,6 +765,33 @@ mod tests {
     }
 
     #[test]
+    fn a_newcomer_leaves_the_bound_before_its_victims_are_retained() {
+        // One history may be retained.  "x" is retained when refused, and
+        // its second reference evicts "a" (one sample, under "low"'s two):
+        // "a"'s history takes the place "x"'s left, and is worth keeping
+        // against "low", the least cached set.
+        let mut cache = LncCache::new(LncConfig {
+            max_retained_entries: 1,
+            ..LncConfig::lnc_ra(200)
+        });
+        reference(&mut cache, "low", 100, 1.0, 1);
+        reference(&mut cache, "a", 100, 10.0, 2);
+        assert!(cache.get(&key("low"), ts(3)).is_some());
+        let refused = reference(&mut cache, "x", 100, 6.0, 4);
+        assert_eq!(
+            refused,
+            InsertOutcome::Rejected(RejectReason::AdmissionTest)
+        );
+        assert_eq!(cache.retained_keys(), [key("x")]);
+        assert_eq!(
+            reference(&mut cache, "x", 100, 6.0, 5).evicted(),
+            &[key("a")]
+        );
+        assert_eq!(cache.retained_keys(), [key("a")]);
+        assert_eq!(cache.retained_entries(), 1);
+    }
+
+    #[test]
     fn disabling_retained_info_keeps_store_empty() {
         let mut cache: LncCache<SizedPayload> =
             LncCache::new(LncConfig::lnc_ra(200).with_retained_info(false));
@@ -779,7 +799,15 @@ mod tests {
         reference(&mut cache, "b", 150, 1.0, 2); // rejected or evicts a
         reference(&mut cache, "c", 150, 1.0, 3);
         assert_eq!(cache.retained_entries(), 0);
-        assert_eq!(cache.retained_metadata_bytes(), 0);
+    }
+
+    #[test]
+    fn invalidation_keeps_only_retained_histories() {
+        for config in [LncConfig::lnc_ra, LncConfig::lnc_r] {
+            contract::invalidation_keeps_only_retained_histories(|bytes| {
+                LncCache::new(config(bytes).with_k(2))
+            });
+        }
     }
 
     #[test]
@@ -904,7 +932,7 @@ mod tests {
     /// Rejections settled without a selection on the golden skewed trace
     /// (`crates/sim/tests/golden_replay.rs`: seed 13, 4 shards), summed over
     /// the shards, beside the rejections pinned there.
-    const SKEWED_RA_4_SETTLED: (u64, u64) = (4_897, 3_966);
+    const SKEWED_RA_4_SETTLED: (u64, u64) = (4_897, 3_961);
 
     /// Replays the golden skewed trace through four LNC-RA shards, each
     /// reference's time moved back by `lag(i)` µs for the `i`-th record.
@@ -990,7 +1018,7 @@ mod tests {
     /// bucket: profit evaluations, and bucket fronts loaded by the ascents
     /// across groups (the least cached profit, the purge and the
     /// displacement) and by group (the victim selections).
-    const SKEWED_RA_4_FULL_ASCENTS: (u64, u64, u64) = (18_163, 317_484, 27_069);
+    const SKEWED_RA_4_FULL_ASCENTS: (u64, u64, u64) = (18_178, 318_323, 27_212);
 
     #[test]
     fn due_buckets_score_the_same_sets_from_a_tenth_of_the_fronts() {
@@ -1043,8 +1071,8 @@ mod tests {
             keys
         };
         assert_eq!(
-            held(cache.rule.retained_keys()),
-            held(scan.rule.retained_keys()),
+            held(cache.retained_keys()),
+            held(scan.retained_keys()),
             "retained after {name}"
         );
         assert_eq!(
@@ -1105,5 +1133,135 @@ mod tests {
         // The first newcomer takes a slot the certified set held.
         decide(&mut both, "x", 1_000, 1_000.0, 2_000);
         decide(&mut both, "y", 2_000, 10.0, 2_001);
+    }
+
+    /// Key-indexed probes of one reference — its `get` and, on a miss, its
+    /// `insert` — on a warmed LNC-RA cache, by what the reference does.
+    /// Every probe is a hasher built for the cache's one table of records;
+    /// a history the purge drops costs one more, counted apart.
+    mod probes {
+        use super::*;
+        use crate::key::probes;
+
+        const CAPACITY: u64 = 256 << 10;
+        /// Probes per reference: a hit; a rejection of a first-time set and
+        /// of one with a retained history; an admission of a first-time set
+        /// and of one with a retained history, neither evicting; and an
+        /// eviction, over the admission it makes room for.
+        const HIT: u64 = 1;
+        const REJECTED_FIRST_TIME: u64 = 3;
+        const REJECTED_RETAINED: u64 = 2;
+        const ADMITTED_FIRST_TIME: u64 = 3;
+        const ADMITTED_RETAINED: u64 = 2;
+        const EACH_EVICTION: u64 = 0;
+
+        fn mix(i: u64) -> u64 {
+            i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20
+        }
+
+        /// A cache warmed by a skewed trace over 2 000 queries.  It first
+        /// holds 8 192 small sets at once and is cleared, which keeps its
+        /// table: the trace then runs it at under a fourth of its load
+        /// factor, where no insert makes it rehash.
+        fn warmed() -> (LncCache<SizedPayload>, u64) {
+            let mut cache = LncCache::lnc_ra(CAPACITY);
+            for i in 0..8_192 {
+                reference(&mut cache, &format!("filler-{i}"), 16, 10.0, 1);
+            }
+            assert_eq!(cache.len(), 8_192);
+            cache.clear();
+            let mut now = 1;
+            for i in 0..20_000u64 {
+                now += 10;
+                let query = mix(i) % 2_000 * (mix(i + 7) % 2_000) / 2_000;
+                let size = 512 + query * 7_919 % 8_192;
+                let c = 10.0 + (query * 104_729 % 9_990) as f64;
+                reference(&mut cache, &format!("q{query}"), size, c, now);
+            }
+            (cache, now)
+        }
+
+        /// The probes of one reference, less one per history the purge
+        /// dropped, and what the reference did.
+        fn counted(
+            cache: &mut LncCache<SizedPayload>,
+            name: &str,
+            size: u64,
+            c: f64,
+            now: u64,
+        ) -> (u64, InsertOutcome) {
+            let k = key(name);
+            let fresh = !cache.contains(&k) && cache.retained_info(&k).is_none();
+            let (records, before) = (cache.records(), probes());
+            let outcome = reference(cache, name, size, c, now);
+            let probed = probes() - before;
+            let dropped = records + usize::from(fresh) - cache.records();
+            (probed - dropped as u64, outcome)
+        }
+
+        /// Invalidates cached sets until `bytes` are free.
+        fn free(cache: &mut LncCache<SizedPayload>, bytes: u64) {
+            while cache.capacity_bytes() - cache.used_bytes() < bytes {
+                let victim = cache.cached_keys().swap_remove(0);
+                assert!(cache.remove(&victim).is_some());
+            }
+        }
+
+        #[test]
+        fn a_reference_probes_the_records_once_per_call() {
+            let (mut cache, mut now) = warmed();
+            let hot = cache.cached_keys().swap_remove(0);
+            let before = probes();
+            assert!(cache.get(&hot, ts(now)).is_some());
+            assert_eq!(probes() - before, HIT, "hit");
+
+            // Large sets worth a few times the least cached profit are
+            // turned away, and retained while they are worth that.
+            let rejected = InsertOutcome::Rejected(RejectReason::AdmissionTest);
+            let large = CAPACITY / 4;
+            let least = cache.min_cached_profit(ts(now)).expect("warm").value();
+            let worth = |times: f64| times * least * large as f64;
+            now += 10;
+            let (probed, outcome) = counted(&mut cache, "cheap", large, worth(3.0), now);
+            assert_eq!(outcome, rejected);
+            assert_eq!(probed, REJECTED_FIRST_TIME, "rejected, first-time");
+            assert!(cache.retained_info(&key("cheap")).is_some());
+            now += 10;
+            let (probed, outcome) = counted(&mut cache, "cheap", large, worth(3.0), now);
+            assert_eq!(outcome, rejected);
+            assert_eq!(
+                probed, REJECTED_RETAINED,
+                "rejected, with a retained history"
+            );
+
+            // A valuable set makes room for itself.
+            now += 10;
+            let evictions = cache.stats().evictions;
+            let (probed, outcome) = counted(&mut cache, "vip", large / 2, 1e9, now);
+            let evicted = cache.stats().evictions - evictions;
+            assert!(outcome.is_admitted() && evicted > 0, "{outcome:?}");
+            let expected = ADMITTED_FIRST_TIME + evicted * EACH_EVICTION;
+            assert_eq!(probed, expected, "admitted over {evicted} evictions");
+
+            // With room made by invalidation, a retained set and a new one
+            // are admitted outright.
+            now += 10;
+            let (_, outcome) = counted(&mut cache, "spare", large, worth(100.0), now);
+            assert_eq!(outcome, rejected);
+            assert!(cache.retained_info(&key("spare")).is_some());
+            free(&mut cache, large);
+            now += 10;
+            let (probed, outcome) = counted(&mut cache, "spare", large, worth(100.0), now);
+            assert_eq!(outcome, InsertOutcome::Admitted { evicted: vec![] });
+            assert_eq!(
+                probed, ADMITTED_RETAINED,
+                "admitted from a retained history"
+            );
+            free(&mut cache, 1_000);
+            now += 10;
+            let (probed, outcome) = counted(&mut cache, "newcomer", 1_000, 10.0, now);
+            assert_eq!(outcome, InsertOutcome::Admitted { evicted: vec![] });
+            assert_eq!(probed, ADMITTED_FIRST_TIME, "admitted, first-time");
+        }
     }
 }

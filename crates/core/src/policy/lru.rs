@@ -11,7 +11,6 @@
 
 use crate::clock::Timestamp;
 use crate::index::SetInfo;
-use crate::key::QueryKey;
 use crate::policy::index::OrdIndex;
 use crate::policy::ranked::{RankRule, RankedCache};
 use crate::value::{CachePayload, ExecutionCost};
@@ -44,7 +43,7 @@ impl RankRule for LruRule {
         set.state
     }
 
-    fn admit(&mut self, _: &QueryKey, _: ExecutionCost, _: u64, _: Timestamp) -> u64 {
+    fn admit(&mut self, _: ExecutionCost, _: u64, _: Timestamp) -> u64 {
         self.tick()
     }
 

@@ -14,24 +14,23 @@
 //! does not restart with an empty history.
 //!
 //! As a [`RankRule`]: a set's state is its reference history, its rank the
-//! backward K-distance read off it, and the rule owns the retained
-//! histories — it records misses into them, promotes one when its set is
-//! admitted again, and files every victim's.  They live in the same
-//! [`RetainedStore`] as LNC's, unranked: a history expires by time, so the
-//! rule queues every filing by its time and drops the front of the queue
-//! once it is older than the period, skipping a filing whose history was
-//! taken or filed again since.  Time never steps back inside the cache, so
-//! an expiry costs what it drops.
+//! backward K-distance read off it, and the rule retains every victim's
+//! record, which keeps the history in place: a miss records into it, and
+//! the set's next admission takes it up.  The rule keeps a
+//! `RetainedStore` as LNC does, unranked: a history expires by time, so
+//! the rule queues every filing by its time and drops the front of the
+//! queue once it is older than the period, skipping a filing whose record
+//! was taken up, admitted or filed again since.  Time never steps back
+//! inside the cache, so an expiry costs what it drops.
 
 use std::collections::VecDeque;
 
 use crate::clock::Timestamp;
 use crate::history::{ReferenceHistory, MAX_WINDOW};
 use crate::index::{EntryId, SetInfo};
-use crate::key::QueryKey;
 use crate::policy::index::OrdIndex;
 use crate::policy::ranked::{RankRule, RankedCache, VictimOrder};
-use crate::retained::RetainedStore;
+use crate::retained::{Histories, RetainedStore};
 use crate::value::{CachePayload, ExecutionCost};
 
 /// Configuration for [`LruKCache`].
@@ -89,21 +88,23 @@ impl LruKRule {
 
     /// Drops retained histories filed longer ago than the retention period
     /// (the timeout-based scheme of the original LRU-K paper).
-    fn expire(&mut self, now: Timestamp) {
+    fn expire<V>(&mut self, records: &mut Histories<V>, now: Timestamp) {
         while let Some(&(at, slot)) = self.filings.front() {
             if now.saturating_since(at) <= self.retained_info_period {
                 break;
             }
             self.filings.pop_front();
-            if self.filed_at[slot.index()] == at {
-                self.retained.remove(slot);
+            if self.current(records, (at, slot)) {
+                self.retained.forget(records, slot);
             }
         }
     }
 
-    /// Whether a queued filing still describes the history in its slot.
-    fn current(&self, (at, slot): (Timestamp, EntryId)) -> bool {
-        self.filed_at[slot.index()] == at && self.retained.holds(slot)
+    /// Whether a queued filing still describes the history in its slot: the
+    /// slot's record is retained, and was filed then.  A record admitted
+    /// again in place since is cached, and stays.
+    fn current<V>(&self, records: &Histories<V>, (at, slot): (Timestamp, EntryId)) -> bool {
+        self.filed_at[slot.index()] == at && records.by_id(slot).is_some_and(|r| r.is_retained())
     }
 }
 
@@ -130,51 +131,46 @@ impl RankRule for LruKRule {
         (full, reference.map_or(0, |t| t.as_micros()))
     }
 
-    /// Takes the set's retained history out *before* room is made: its
-    /// victims' histories are about to be filed, against the same bound.
-    fn admit(
+    /// Expires what is due, the set's own history included, then takes the
+    /// history up *before* room is made: its victims' histories are about
+    /// to be filed, against the same bound.
+    fn take_up<V>(
         &mut self,
-        key: &QueryKey,
-        _: ExecutionCost,
-        _: u64,
+        records: &mut Histories<V>,
+        retained: Option<EntryId>,
         now: Timestamp,
-    ) -> ReferenceHistory {
-        self.expire(now);
-        match self.retained.take(key) {
-            Some(mut retained) => {
-                retained.state.record_once(now);
-                retained.state
-            }
-            None => ReferenceHistory::with_first_reference(self.k, now),
-        }
+    ) -> Option<EntryId> {
+        self.expire(records, now);
+        self.retained.take_up(records, retained, now)
+    }
+
+    fn admit(&mut self, _: ExecutionCost, _: u64, now: Timestamp) -> ReferenceHistory {
+        ReferenceHistory::with_first_reference(self.k, now)
     }
 
     fn touch(&mut self, set: &mut SetInfo<ReferenceHistory>, now: Timestamp) {
         set.state.record_once(now);
     }
 
-    fn missed(&mut self, key: &QueryKey, now: Timestamp) {
-        self.retained.record_reference(key, now);
-    }
-
     /// Files the victim's history, unless the bound holds even after expiry.
-    fn denied(&mut self, set: SetInfo<ReferenceHistory>, now: Timestamp) {
+    fn denied<V>(&mut self, records: &mut Histories<V>, slot: EntryId, now: Timestamp) {
         if self.retained.is_full() {
-            self.expire(now);
+            self.expire(records, now);
         }
-        let Some(slot) = self.retained.insert(set, now) else {
+        if !self.retained.retain(records, slot, now) {
             return;
-        };
+        }
         if self.filed_at.len() <= slot.index() {
             self.filed_at.resize(slot.index() + 1, Timestamp::ZERO);
         }
         self.filed_at[slot.index()] = now;
         self.filings.push_back((now, slot));
-        // Filings of histories taken since pile up until their time passes;
+        // Filings of histories taken up since pile up until their time passes;
         // past twice the bound, drop them at once.
         if self.filings.len() > 2 * self.filed_at.len() {
             let filings = std::mem::take(&mut self.filings);
-            self.filings = filings.into_iter().filter(|&f| self.current(f)).collect();
+            let current = |&f: &(Timestamp, EntryId)| self.current(records, f);
+            self.filings = filings.into_iter().filter(current).collect();
         }
     }
 
@@ -183,19 +179,14 @@ impl RankRule for LruKRule {
         self.filings.clear();
         self.filed_at.clear();
     }
-
-    #[cfg(test)]
-    fn retained_keys(&self) -> Vec<QueryKey> {
-        self.retained.iter().map(|info| info.key.clone()).collect()
-    }
 }
 
 /// A retrieved-set cache with LRU-K replacement.
 ///
 /// Invalidation ([`QueryCache::remove`](crate::policy::QueryCache::remove))
 /// discards the resident set's reference history with the set — the update
-/// that triggered it may have changed the set entirely — and has nothing
-/// retained to discard: a key is never resident and retained at once.
+/// that triggered it may have changed the set entirely — and leaves a
+/// retained history alone: its set is not resident.
 pub type LruKCache<V> = RankedCache<V, LruKRule, OrdIndex<(bool, u64)>>;
 
 impl<V: CachePayload, O: VictimOrder<LruKRule>> RankedCache<V, LruKRule, O> {
@@ -300,13 +291,7 @@ mod tests {
         insert(&mut cache, "b", 100, 2); // evicts a, retains its history
         assert!(cache.get(&key("a"), ts(5)).is_none());
         assert!(cache.get(&key("a"), ts(5)).is_none()); // the retry
-        let samples = cache
-            .rule
-            .retained
-            .get(&key("a"))
-            .unwrap()
-            .state
-            .sample_count();
+        let samples = cache.retained_info(&key("a")).unwrap().state.sample_count();
         assert_eq!(samples, 2, "insert-time + one miss, not two");
     }
 
@@ -325,7 +310,7 @@ mod tests {
             1,
             "only b's fresh eviction is retained"
         );
-        assert!(!cache.rule.retained.contains(&key("a")));
+        assert!(cache.retained_info(&key("a")).is_none());
     }
 
     fn timed_out(
@@ -343,12 +328,12 @@ mod tests {
     fn retained_histories_expire_by_their_latest_filing() {
         let mut cache = timed_out(10, 16, 100);
         let retained =
-            |cache: &LruKCache<SizedPayload>, name: &str| cache.rule.retained.contains(&key(name));
+            |cache: &LruKCache<SizedPayload>, name: &str| cache.retained_info(&key(name)).is_some();
         insert(&mut cache, "a", 100, 1);
         insert(&mut cache, "b", 100, 2); // a filed at 2
-        insert(&mut cache, "a", 100, 3); // a taken; b filed at 3, in a's slot
+        insert(&mut cache, "a", 100, 3); // a taken up; b filed at 3
         insert(&mut cache, "c", 100, 8); // a filed again at 8
-                                         // a's first filing is due, but its slot now holds b, filed later.
+                                         // a's first filing is due, but a was filed again later.
         insert(&mut cache, "d", 100, 13);
         assert!(retained(&cache, "b") && retained(&cache, "a"));
         insert(&mut cache, "e", 100, 15);
@@ -357,6 +342,22 @@ mod tests {
         insert(&mut cache, "f", 100, 19);
         assert!(!retained(&cache, "a"));
         assert_eq!(cache.retained_entries(), 3);
+    }
+
+    #[test]
+    fn an_expiry_leaves_a_history_admitted_again() {
+        let mut cache = timed_out(10, 16, 300);
+        for (name, now) in [("a", 1), ("b", 2), ("c", 3), ("d", 4)] {
+            insert(&mut cache, name, 100, now); // a filed at 4
+        }
+        insert(&mut cache, "a", 100, 5); // a cached again in its record; b filed at 5
+        assert!(cache.remove(&key("c")));
+        // a's filing is due at 15, while a is cached: it stays.
+        assert!(insert(&mut cache, "e", 100, 15).evicted().is_empty());
+        assert!(cache.contains(&key("a")));
+        assert_eq!(cache.len(), 3);
+        assert!(cache.books_balance());
+        assert_eq!(cache.retained_keys(), [key("b")]);
     }
 
     #[test]
@@ -370,11 +371,18 @@ mod tests {
         // victim's filing can expire histories.  Full and nothing due: the
         // victim's history is refused.
         assert_eq!(insert(&mut cache, "e", 200, 6).evicted(), &[key("c")]);
-        assert!(!cache.rule.retained.contains(&key("c")));
+        assert!(cache.retained_info(&key("c")).is_none());
         // Full, but both held histories are due: they make room.
         assert_eq!(insert(&mut cache, "e", 300, 20).evicted(), &[key("d")]);
-        assert!(cache.rule.retained.contains(&key("d")));
+        assert!(cache.retained_info(&key("d")).is_some());
         assert_eq!(cache.retained_entries(), 1);
+    }
+
+    #[test]
+    fn invalidation_keeps_only_retained_histories() {
+        contract::invalidation_keeps_only_retained_histories(|bytes| {
+            LruKCache::with_capacity(bytes, 2)
+        });
     }
 
     #[test]

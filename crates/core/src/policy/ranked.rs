@@ -20,6 +20,12 @@
 //!   decaying two-level order for LNC, and, in tests, a scan that re-scores
 //!   and sorts every set — the one oracle both are held to.
 //!
+//! The shell keeps one record per key ([`EntryStore`]): a cached set's, or one
+//! its rule retains (§2.4).  A set is evicted, refused and admitted in its
+//! record's place.  Both orders are keyed by slot, and a slot outlives a
+//! stay in either, so whatever reaches a record by slot checks where it
+//! stands.
+//!
 //! Time never steps back inside the shell: Eq. 3 assumes it, and callers
 //! supply `now`, so every entry point raises its `now` to the latest one any
 //! call passed.
@@ -27,7 +33,8 @@
 use std::fmt;
 
 use crate::clock::Timestamp;
-use crate::index::{EntryId, EntryStore, KeyedEntry, SetInfo};
+use crate::history::MAX_WINDOW;
+use crate::index::{EntryId, EntryStore, Record, Residency, SetInfo};
 use crate::key::QueryKey;
 use crate::metrics::CacheStats;
 use crate::policy::{InsertOutcome, QueryCache, RejectReason};
@@ -39,7 +46,7 @@ use crate::value::{CachePayload, ExecutionCost};
 /// the hook; the defaults are what the baselines do: one group, admit
 /// everything, retain nothing.
 pub trait RankRule: Clone + fmt::Debug {
-    /// What the rule keeps about one cached set.
+    /// What the rule keeps about one set.
     type State: Clone + fmt::Debug;
     /// What orders the sets of one group.  Ties fall to the entry's slot:
     /// the first of a slot-order scan for a minimum, the last for a maximum.
@@ -51,14 +58,10 @@ pub trait RankRule: Clone + fmt::Debug {
     /// The policy name reported by [`QueryCache::name`].
     fn name(&self) -> &'static str;
 
-    /// Figure 1's group of a set: victims are taken from lower groups first.
+    /// Figure 1's group of a set, at most [`MAX_WINDOW`]: victims are taken
+    /// from lower groups first.
     fn group(_state: &Self::State) -> usize {
         0
-    }
-
-    /// How many groups there are.
-    fn groups(&self) -> usize {
-        1
     }
 
     /// The rank of a set within its group at `now`.  An `OrdIndex` keeps the
@@ -72,27 +75,30 @@ pub trait RankRule: Clone + fmt::Debug {
         Profit::estimated(set.cost, set.size_bytes)
     }
 
-    /// The state of a set about to be admitted.  Runs after the miss is
-    /// counted and the size checks passed, *before* room is made.
-    fn admit(
+    /// Runs first for a set about to be decided on, after the miss is
+    /// counted and the size checks passed, *before* room is made, with the
+    /// set's retained record.  Answers it once taken up — out of the
+    /// retained order, the reference recorded on it — or `None`.
+    fn take_up<V>(
         &mut self,
-        key: &QueryKey,
-        cost: ExecutionCost,
-        size: u64,
-        now: Timestamp,
-    ) -> Self::State;
+        _records: &mut EntryStore<V, Self::State>,
+        _retained: Option<EntryId>,
+        _now: Timestamp,
+    ) -> Option<EntryId> {
+        None
+    }
+
+    /// The state of a set [`RankRule::take_up`] found no record for.
+    fn admit(&mut self, cost: ExecutionCost, size: u64, now: Timestamp) -> Self::State;
 
     /// Completes a newcomer's state *after* room was made, where the state
     /// depends on the evictions the newcomer caused.
     fn settle(&mut self, _state: &mut Self::State) {}
 
-    /// A reference to a cached set: a hit, or a refresh through
-    /// [`QueryCache::insert`] (the set's cost and size are then already the
-    /// refreshed ones).
+    /// A reference to a set: a hit, a refresh through [`QueryCache::insert`]
+    /// (the set's cost and size are then already the refreshed ones), or a
+    /// [`QueryCache::get`] that found the set's retained record.
     fn touch(&mut self, set: &mut SetInfo<Self::State>, now: Timestamp);
-
-    /// A [`QueryCache::get`] that found nothing.
-    fn missed(&mut self, _key: &QueryKey, _now: Timestamp) {}
 
     /// Whether `set` is refused before any victim is selected for the
     /// `needed` bytes it lacks.  `group_bytes` are the cached bytes by group,
@@ -122,25 +128,36 @@ pub trait RankRule: Clone + fmt::Debug {
         true
     }
 
-    /// A set was denied residency: evicted (not invalidated) or refused by
-    /// the admission test.
-    fn denied(&mut self, _set: SetInfo<Self::State>, _now: Timestamp) {}
+    /// The set in `slot` was denied residency: evicted (not invalidated),
+    /// refused, or too large.  Its record, in neither order, is retained or,
+    /// by default, removed.
+    fn denied<V>(
+        &mut self,
+        records: &mut EntryStore<V, Self::State>,
+        slot: EntryId,
+        _now: Timestamp,
+    ) {
+        records.remove(slot);
+    }
 
-    /// A set larger than the whole cache was refused.
-    fn oversized(&mut self, _key: &QueryKey, _cost: ExecutionCost, _size: u64, _now: Timestamp) {}
+    /// Whether a set larger than the whole cache is taken up and denied; by
+    /// default its record, if any, is left alone.
+    fn keeps_oversized(&self) -> bool {
+        false
+    }
 
     /// Runs after every admission and every refusal by the admission test;
     /// `least` prices the least-ranked cached set across groups.
-    fn purge(&mut self, _least: impl FnOnce() -> Option<Profit>, _now: Timestamp) {}
-
-    /// [`QueryCache::clear`] emptied the cache.
-    fn cleared(&mut self) {}
-
-    /// The keys of the histories the rule retains, in unspecified order.
-    #[cfg(test)]
-    fn retained_keys(&self) -> Vec<QueryKey> {
-        Vec::new()
+    fn purge<V>(
+        &mut self,
+        _records: &mut EntryStore<V, Self::State>,
+        _least: impl FnOnce(&EntryStore<V, Self::State>) -> Option<Profit>,
+        _now: Timestamp,
+    ) {
     }
+
+    /// [`QueryCache::clear`] emptied the cache of every record.
+    fn cleared(&mut self) {}
 }
 
 /// How a [`RankedCache`] finds its lowest-ranked sets.  It is told when a
@@ -158,7 +175,7 @@ pub trait VictimOrder<R: RankRule>: Clone + fmt::Debug {
     fn touch(&mut self, _set: &SetInfo<R::State>, _slot: EntryId, _now: Timestamp) {}
 
     /// The set in `slot` left the cache.  By default the order finds the
-    /// slot empty when it next reaches it.
+    /// slot's record gone or no longer cached when it next reaches it.
     fn unfile(&mut self, _slot: EntryId) {}
 
     /// Hands the cached sets to `take` in ascending `(group, rank, slot)`
@@ -167,7 +184,7 @@ pub trait VictimOrder<R: RankRule>: Clone + fmt::Debug {
     /// `false`.
     fn ascend<V>(
         &mut self,
-        entries: &EntryStore<Entry<V, R::State>>,
+        records: &EntryStore<V, R::State>,
         now: Timestamp,
         by_group: bool,
         take: impl FnMut(EntryId) -> bool,
@@ -178,13 +195,13 @@ pub trait VictimOrder<R: RankRule>: Clone + fmt::Debug {
     /// may then skip what it knows to be priced above it.
     fn least<V>(
         &mut self,
-        entries: &EntryStore<Entry<V, R::State>>,
+        records: &EntryStore<V, R::State>,
         now: Timestamp,
         _within: Option<Profit>,
     ) -> Option<(EntryId, Profit)> {
         let mut least = None;
-        self.ascend(entries, now, false, |id| {
-            least = entries.by_id(id).map(|e| (id, R::price(&e.info, now)));
+        self.ascend(records, now, false, |id| {
+            least = records.by_id(id).map(|e| (id, R::price(&e.info, now)));
             false
         });
         least
@@ -200,29 +217,21 @@ pub trait VictimOrder<R: RankRule>: Clone + fmt::Debug {
     fn clear(&mut self);
 }
 
-/// A cached retrieved set.
-#[derive(Debug, Clone)]
-pub struct Entry<V, S> {
-    pub(crate) info: SetInfo<S>,
-    value: V,
-}
-
-impl<V, S> KeyedEntry for Entry<V, S> {
-    fn key(&self) -> &QueryKey {
-        &self.info.key
-    }
-}
+/// The set a decision is about, and its retained record if it had one.
+type Newcomer<S> = (SetInfo<S>, Option<EntryId>);
 
 /// A retrieved-set cache whose [`RankRule`] ranks, admits and retains, and
 /// whose [`VictimOrder`] finds the victims.
 #[derive(Debug, Clone)]
 pub struct RankedCache<V, R: RankRule, O: VictimOrder<R>> {
     capacity_bytes: u64,
-    entries: EntryStore<Entry<V, R::State>>,
+    records: EntryStore<V, R::State>,
+    /// How many records are cached.
+    cached: usize,
     pub(super) order: O,
     pub(super) rule: R,
     /// Cached bytes by group: they sum to the occupancy.
-    group_bytes: Vec<u64>,
+    group_bytes: [u64; MAX_WINDOW + 1],
     /// The last victim selection, kept for its allocation.
     victims: Vec<EntryId>,
     stats: CacheStats,
@@ -230,8 +239,8 @@ pub struct RankedCache<V, R: RankRule, O: VictimOrder<R>> {
     latest: Timestamp,
     /// The set the last [`least`] found and its price then.  Where the rank
     /// is the decaying profit (LNC), no least is priced above it until that
-    /// set is referenced, refreshed or removed: its own profit only decays,
-    /// and a newcomer can only lower the minimum.
+    /// set is referenced, refreshed or removed (which take it back): its own
+    /// profit only decays, and a newcomer can only lower the minimum.
     certified: Option<(EntryId, Profit)>,
 }
 
@@ -239,11 +248,11 @@ pub struct RankedCache<V, R: RankRule, O: VictimOrder<R>> {
 /// within the certificate, which it renews.
 fn least<V, R: RankRule, O: VictimOrder<R>>(
     order: &mut O,
-    entries: &EntryStore<Entry<V, R::State>>,
+    records: &EntryStore<V, R::State>,
     certified: &mut Option<(EntryId, Profit)>,
     now: Timestamp,
 ) -> Option<Profit> {
-    *certified = order.least(entries, now, certified.map(|(_, price)| price));
+    *certified = order.least(records, now, certified.map(|(_, price)| price));
     certified.map(|(_, price)| price)
 }
 
@@ -251,9 +260,10 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
     pub(crate) fn with_rule(capacity_bytes: u64, rule: R) -> Self {
         RankedCache {
             capacity_bytes,
-            entries: EntryStore::new(),
+            records: EntryStore::new(),
+            cached: 0,
             order: O::new(),
-            group_bytes: vec![0; rule.groups()],
+            group_bytes: [0; MAX_WINDOW + 1],
             rule,
             victims: Vec::new(),
             stats: CacheStats::new(),
@@ -268,17 +278,6 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
         self.latest
     }
 
-    /// The set in `slot` may be priced higher now, or be gone: it no longer
-    /// certifies the least price.
-    fn uncertify(&mut self, slot: EntryId) {
-        if self
-            .certified
-            .is_some_and(|(certified, _)| certified == slot)
-        {
-            self.certified = None;
-        }
-    }
-
     /// Selects the victims that free at least `needed` bytes: the shortest
     /// prefix of the victim order whose sizes reach it (Figure 1), or every
     /// set when they do not.
@@ -289,37 +288,43 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
             return victims;
         }
         debug_assert!(self.books_balance(), "group bytes diverged from the sets");
-        let (entries, mut freed) = (&self.entries, 0u64);
-        self.order.ascend(entries, now, true, |id| {
+        let (records, mut freed) = (&self.records, 0u64);
+        self.order.ascend(records, now, true, |id| {
             victims.push(id);
-            freed += entries.by_id(id).map_or(0, |e| e.info.size_bytes);
+            freed += records.by_id(id).map_or(0, |e| e.info.size_bytes);
             freed < needed
         });
         victims
     }
 
-    /// Whether every group's bytes are the sum of the sizes of its sets.
+    /// Whether every group's bytes are the sum of the sizes of its cached
+    /// sets, and their number the count.
     pub(crate) fn books_balance(&self) -> bool {
-        let mut groups = vec![0; self.group_bytes.len()];
-        for (_, e) in self.entries.iter() {
+        let (mut groups, mut cached) = ([0; MAX_WINDOW + 1], 0);
+        for (_, e) in self.records.iter().filter(|(_, e)| e.is_cached()) {
             groups[R::group(&e.info.state)] += e.info.size_bytes;
+            cached += 1;
         }
-        groups == self.group_bytes
+        cached == self.cached && groups == self.group_bytes
     }
 
-    /// Evicts the given sets, returning their keys.
+    /// Evicts the given sets, returning their keys.  Each leaves its record
+    /// to the rule, which retains or drops it.
     fn evict(&mut self, victims: Vec<EntryId>, now: Timestamp) -> Vec<QueryKey> {
         let mut evicted = Vec::with_capacity(victims.len());
         for &id in &victims {
-            let Some(Entry { info, .. }) = self.entries.remove(id) else {
+            let Some(record) = self.records.by_id_mut(id).filter(|e| e.is_cached()) else {
                 continue;
             };
-            self.uncertify(id);
+            record.residency = Residency::Pending;
+            let info = &record.info;
+            self.cached -= 1;
+            self.certified.take_if(|(held, _)| *held == id);
             self.order.unfile(id);
             self.group_bytes[R::group(&info.state)] -= info.size_bytes;
             self.stats.record_eviction(info.size_bytes);
             evicted.push(info.key.clone());
-            self.rule.denied(info, now);
+            self.rule.denied(&mut self.records, id, now);
         }
         self.victims = victims;
         evicted
@@ -336,14 +341,53 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
     }
 
     fn purge(&mut self, now: Timestamp) {
-        let (order, entries, certified) = (&mut self.order, &self.entries, &mut self.certified);
-        self.rule
-            .purge(|| least(order, entries, certified, now), now);
+        let (order, certified) = (&mut self.order, &mut self.certified);
+        (self.rule).purge(&mut self.records, |r| least(order, r, certified, now), now);
     }
 
-    /// A set the admission test turned away.
-    fn refuse(&mut self, info: SetInfo<R::State>, now: Timestamp) -> InsertOutcome {
-        self.rule.denied(info, now);
+    /// The set a decision is about: the history of its retained record
+    /// `found`, if the rule takes it up, or a fresh state.
+    fn newcomer(
+        &mut self,
+        found: Option<EntryId>,
+        key: QueryKey,
+        cost: ExecutionCost,
+        size_bytes: u64,
+        now: Timestamp,
+    ) -> Newcomer<R::State> {
+        let slot = self.rule.take_up(&mut self.records, found, now);
+        let state = match slot.and_then(|slot| self.records.by_id(slot)) {
+            Some(record) => record.info.state.clone(),
+            None => self.rule.admit(cost, size_bytes, now),
+        };
+        let set = SetInfo {
+            key,
+            size_bytes,
+            cost,
+            state,
+        };
+        (set, slot)
+    }
+
+    /// Files the newcomer's set in its record, made if it has none yet.
+    fn record(&mut self, (info, slot): Newcomer<R::State>) -> EntryId {
+        let Some(slot) = slot else {
+            let residency = Residency::Pending;
+            return self.records.insert(Record { info, residency });
+        };
+        self.records.by_id_mut(slot).expect("taken up").info = info;
+        slot
+    }
+
+    /// Hands a newcomer turned away to the rule in its record.
+    fn deny(&mut self, newcomer: Newcomer<R::State>, now: Timestamp) {
+        let slot = self.record(newcomer);
+        self.rule.denied(&mut self.records, slot, now);
+    }
+
+    /// A newcomer the admission test turned away.
+    fn refuse(&mut self, newcomer: Newcomer<R::State>, now: Timestamp) -> InsertOutcome {
+        self.deny(newcomer, now);
         self.stats.record_admission(false);
         self.purge(now);
         InsertOutcome::Rejected(RejectReason::AdmissionTest)
@@ -352,42 +396,28 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
     /// What is known about the cached set for `key`, read without recording
     /// a reference.
     pub(super) fn info(&self, key: &QueryKey) -> Option<&SetInfo<R::State>> {
-        self.entries.get(key).map(|e| &e.info)
+        let record = self.records.get(key).filter(|e| e.is_cached())?;
+        Some(&record.info)
     }
 
     /// Removes the set for `key` without evicting it, returning its payload.
     pub(super) fn invalidate(&mut self, key: &QueryKey) -> Option<V> {
-        let id = self.entries.find(key)?;
-        let Entry { info, value } = self.entries.remove(id)?;
+        let id = self.records.find(key)?;
+        // A retained record is left alone: its set is not cached.
+        if !self.records.by_id(id)?.is_cached() {
+            return None;
+        }
+        let Record { info, residency } = self.records.remove(id)?;
         // Invalidation is not an eviction: the rule is not told, so whatever
-        // it remembered about the set goes with the entry.
-        self.uncertify(id);
+        // it remembered about the set goes with the record.
+        self.cached -= 1;
+        self.certified.take_if(|(held, _)| *held == id);
         self.order.unfile(id);
         self.group_bytes[R::group(&info.state)] -= info.size_bytes;
-        Some(value)
-    }
-
-    /// The price of the least-ranked cached set at `now`: what the §2.4
-    /// purge compares retained histories against.
-    #[cfg(test)]
-    pub(crate) fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
-        let now = self.clock(now);
-        least(&mut self.order, &self.entries, &mut self.certified, now)
-    }
-
-    /// The keys of the victims selected to free `needed` bytes at `now`, in
-    /// eviction order.  Nothing is evicted.
-    #[cfg(test)]
-    pub(crate) fn victim_keys(&mut self, needed: u64, now: Timestamp) -> Vec<QueryKey> {
-        let now = self.clock(now);
-        let victims = self.select(needed, now);
-        let keys = victims
-            .iter()
-            .filter_map(|&id| self.entries.by_id(id))
-            .map(|e| e.info.key.clone())
-            .collect();
-        self.victims = victims;
-        keys
+        match residency {
+            Residency::Cached(value) => Some(value),
+            _ => None,
+        }
     }
 }
 
@@ -398,12 +428,15 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
 
     fn get(&mut self, key: &QueryKey, now: Timestamp) -> Option<&V> {
         let now = self.clock(now);
-        let Some(id) = self.entries.find(key) else {
-            self.rule.missed(key, now);
+        let id = self.records.find(key)?;
+        let Record { info, residency } = self.records.by_id_mut(id)?;
+        let Residency::Cached(value) = residency else {
+            // A retained history records the reference for the insert that
+            // typically follows; it is still a miss.
+            self.rule.touch(info, now);
             return None;
         };
-        self.uncertify(id);
-        let Entry { info, value } = self.entries.by_id_mut(id)?;
+        self.certified.take_if(|(held, _)| *held == id);
         let group = R::group(&info.state);
         self.rule.touch(info, now);
         let moved = R::group(&info.state);
@@ -427,12 +460,15 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
         let size_bytes = value.size_bytes();
         self.stats.record_miss(cost);
 
-        if let Some(id) = self.entries.find(&key) {
-            self.uncertify(id);
-            let entry = self.entries.by_id_mut(id).expect("found above");
+        let found = self.records.find(&key);
+        if let Some(id) = found.filter(|&id| self.records.by_id(id).is_some_and(Record::is_cached))
+        {
+            self.certified.take_if(|(held, _)| *held == id);
+            let entry = self.records.by_id_mut(id).expect("found above");
             let info = &mut entry.info;
             self.group_bytes[R::group(&info.state)] -= info.size_bytes;
-            (entry.value, info.cost, info.size_bytes) = (value, cost, size_bytes);
+            (entry.residency, info.cost, info.size_bytes) =
+                (Residency::Cached(value), cost, size_bytes);
             self.rule.touch(info, now);
             self.group_bytes[R::group(&info.state)] += size_bytes;
             // A new size or cost can lower the rank: re-file at once.
@@ -447,41 +483,40 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
             return InsertOutcome::Rejected(RejectReason::ZeroCapacity);
         }
         if size_bytes > self.capacity_bytes {
-            self.rule.oversized(&key, cost, size_bytes, now);
+            if self.rule.keeps_oversized() {
+                let newcomer = self.newcomer(found, key, cost, size_bytes, now);
+                self.deny(newcomer, now);
+            }
             self.stats.record_admission(false);
             return InsertOutcome::Rejected(RejectReason::TooLarge);
         }
 
-        let state = self.rule.admit(&key, cost, size_bytes, now);
-        let mut info = SetInfo {
-            key,
-            size_bytes,
-            cost,
-            state,
-        };
+        let (mut set, slot) = self.newcomer(found, key, cost, size_bytes, now);
         let free = self.capacity_bytes - self.used_bytes();
         let mut evicted = Vec::new();
         if free < size_bytes {
             let needed = size_bytes - free;
-            let (order, cached) = (&self.order, self.entries.len());
+            let (order, cached) = (&self.order, self.cached);
             let floor = |groups| order.least_ratio(groups);
-            if (self.rule).rejects_unseen(&info, needed, &self.group_bytes, cached, floor) {
-                return self.refuse(info, now);
+            if (self.rule).rejects_unseen(&set, needed, &self.group_bytes, cached, floor) {
+                return self.refuse((set, slot), now);
             }
             let victims = self.select(needed, now);
-            let entries = &self.entries;
-            let chosen = victims.iter().filter_map(|&id| entries.by_id(id));
-            if !self.rule.admits(&info, chosen.map(|e| &e.info), now) {
+            let records = &self.records;
+            let chosen = victims.iter().filter_map(|&id| records.by_id(id));
+            if !self.rule.admits(&set, chosen.map(|e| &e.info), now) {
                 self.victims = victims;
-                return self.refuse(info, now);
+                return self.refuse((set, slot), now);
             }
             evicted = self.evict(victims, now);
         }
 
-        self.rule.settle(&mut info.state);
-        self.group_bytes[R::group(&info.state)] += size_bytes;
-        let id = self.entries.insert(Entry { info, value });
-        let entry = self.entries.by_id(id).expect("just inserted");
+        self.rule.settle(&mut set.state);
+        self.group_bytes[R::group(&set.state)] += size_bytes;
+        let id = self.record((set, slot));
+        let entry = self.records.by_id_mut(id).expect("recorded above");
+        entry.residency = Residency::Cached(value);
+        self.cached += 1;
         self.order.file(&entry.info, id, now);
         self.stats.record_admission(true);
         self.purge(now);
@@ -493,15 +528,18 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
     }
 
     fn peek(&self, key: &QueryKey) -> Option<&V> {
-        self.entries.get(key).map(|entry| &entry.value)
+        match &self.records.get(key)?.residency {
+            Residency::Cached(value) => Some(value),
+            _ => None,
+        }
     }
 
     fn contains(&self, key: &QueryKey) -> bool {
-        self.entries.contains(key)
+        self.records.get(key).is_some_and(Record::is_cached)
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.cached
     }
 
     fn used_bytes(&self) -> u64 {
@@ -529,18 +567,62 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
     }
 
     fn clear(&mut self) {
-        self.entries.clear();
+        self.records.clear();
+        self.cached = 0;
         self.certified = None;
         self.order.clear();
-        self.group_bytes.fill(0);
+        self.group_bytes = [0; MAX_WINDOW + 1];
         self.rule.cleared();
     }
 
     fn cached_keys(&self) -> Vec<QueryKey> {
-        self.entries
-            .iter()
+        (self.records.iter())
+            .filter(|(_, e)| e.is_cached())
             .map(|(_, e)| e.info.key.clone())
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
+    /// The price of the least-ranked cached set at `now`: what the §2.4
+    /// purge compares retained histories against.
+    pub(crate) fn min_cached_profit(&mut self, now: Timestamp) -> Option<Profit> {
+        let now = self.clock(now);
+        least(&mut self.order, &self.records, &mut self.certified, now)
+    }
+
+    /// The keys of the victims selected to free `needed` bytes at `now`, in
+    /// eviction order.  Nothing is evicted.
+    pub(crate) fn victim_keys(&mut self, needed: u64, now: Timestamp) -> Vec<QueryKey> {
+        let now = self.clock(now);
+        let victims = self.select(needed, now);
+        let keys = victims
+            .iter()
+            .filter_map(|&id| self.records.by_id(id))
+            .map(|e| e.info.key.clone())
+            .collect();
+        self.victims = victims;
+        keys
+    }
+
+    /// What the rule retains about `key`'s set, if it retains its record.
+    pub(crate) fn retained_info(&self, key: &QueryKey) -> Option<&SetInfo<R::State>> {
+        let record = self.records.get(key).filter(|e| e.is_retained())?;
+        Some(&record.info)
+    }
+
+    /// The keys of the retained records, in unspecified order.
+    pub(crate) fn retained_keys(&self) -> Vec<QueryKey> {
+        (self.records.iter())
+            .filter(|(_, e)| e.is_retained())
+            .map(|(_, e)| e.info.key.clone())
+            .collect()
+    }
+
+    /// How many records the cache holds, cached or retained.
+    pub(crate) fn records(&self) -> usize {
+        self.records.len()
     }
 }
 
@@ -621,6 +703,44 @@ pub(super) mod contract {
         assert_eq!(cache.used_bytes(), 0);
         offer(&mut cache, "b", 100, 2);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Invalidation drops a cached set's record, history and all, and leaves
+    /// a retained history alone, for the set's next admission to build on.
+    /// `new` makes a cache with `K = 2`.
+    pub fn invalidation_keeps_only_retained_histories<R, O>(
+        new: impl Fn(u64) -> RankedCache<SizedPayload, R, O>,
+    ) where
+        R: RankRule<State = crate::history::ReferenceHistory>,
+        O: VictimOrder<R>,
+    {
+        let mut cache = new(200);
+        let reference = |cache: &mut RankedCache<SizedPayload, R, O>, name: &str, blocks, now| {
+            let cost = ExecutionCost::from_blocks(blocks);
+            match cache.get(&key(name), ts(now)) {
+                Some(_) => InsertOutcome::already_cached(),
+                None => cache.insert(key(name), SizedPayload::new(100), cost, ts(now)),
+            }
+        };
+        // "low" has both samples, "a" one, and is evicted first by a far
+        // more valuable set; "low" keeps the least cached profit under its
+        // history's, which is retained.
+        reference(&mut cache, "low", 1, 1);
+        reference(&mut cache, "low", 1, 2);
+        reference(&mut cache, "a", 10, 3);
+        assert_eq!(reference(&mut cache, "b", 10_000, 4).evicted(), &[key("a")]);
+        assert_eq!(cache.retained_keys(), [key("a")]);
+        // Invalidating the cached "b" keeps no history of it.
+        assert!(cache.remove(&key("b")));
+        assert_eq!(cache.retained_keys(), [key("a")]);
+        // "a" is not cached, so there is nothing to invalidate.
+        assert!(!cache.remove(&key("a")));
+        assert_eq!(cache.retained_keys(), [key("a")]);
+        // Its history survived: its next admission has both samples.
+        assert!(reference(&mut cache, "a", 10, 5).is_admitted());
+        let samples = cache.info(&key("a")).map(|set| set.state.sample_count());
+        assert_eq!(samples, Some(2));
+        assert!(cache.retained_keys().is_empty());
     }
 
     pub fn used_bytes_never_exceeds_capacity<R: RankRule, O: VictimOrder<R>>(

@@ -8,24 +8,27 @@
 //! first described for LRU-K.
 //!
 //! WATCHMAN therefore *retains* the reference information (timestamps, size
-//! and execution cost) of evicted and admission-rejected sets in a side
-//! table.  Instead of a wall-clock timeout (the "Five Minute Rule"), retained
-//! entries are dropped whenever their profit falls below the smallest profit
-//! among currently cached sets: valuable histories (small, expensive,
-//! frequently referenced sets) survive long, worthless ones disappear
-//! quickly, and the amount of retained information automatically scales with
-//! the cache size.
+//! and execution cost) of evicted and admission-rejected sets.  Instead of a
+//! wall-clock timeout (the "Five Minute Rule"), retained entries are dropped
+//! whenever their profit falls below the smallest profit among currently
+//! cached sets: valuable histories (small, expensive, frequently referenced
+//! sets) survive long, worthless ones disappear quickly, and the amount of
+//! retained information automatically scales with the cache size.
+//!
+//! A retained history is its set's record, left in the cache's one store
+//! ([`EntryStore`]) without a payload.  A `RetainedStore` keeps their
+//! order, keyed by slot (what it reaches it checks is still retained), their
+//! number and its bound.
 //!
 //! # The purge does not scan
 //!
-//! That rule runs after every admission and every rejection, and between
+//! The rule runs after every admission and every rejection, and between
 //! two decisions only the few histories *near the threshold* can have
 //! crossed it.  The store therefore files every history in a decay index
-//! (`crate::decay`; see there for the bound) and
-//! [`purge_below`](RetainedStore::purge_below) ascends it from the
-//! low-profit end, deciding every history it reaches with the reference
-//! expression `profit(now) < threshold` and stopping where the bound shows
-//! that nothing further can be below it.  Nor does it read every bucket: the
+//! (`crate::decay`; see there for the bound), and its `purge_below` ascends
+//! it from the low-profit end, deciding every history it reaches with the
+//! reference expression `profit(now) < threshold` and stopping where the
+//! bound shows that nothing further can be below it.  Nor does it read every bucket: the
 //! buckets are keyed by the time their bound can first cross the last
 //! purge's threshold, and a purge at or under that threshold loads only the
 //! buckets whose time has come (the index's "Due buckets").  A threshold
@@ -38,7 +41,7 @@
 //! store's owner supplies monotone time: no `now` it passes is earlier than
 //! one it passed before.
 //!
-//! LRU-K keeps its histories in the same store under the timeout scheme of
+//! LRU-K retains its histories the same way under the timeout scheme of
 //! the original LRU-K design instead, and ranks them not at all
 //! ([`RetainedOrder`] for `()`).
 
@@ -47,8 +50,7 @@ use std::fmt;
 use crate::clock::Timestamp;
 use crate::decay::DecayIndex;
 use crate::history::ReferenceHistory;
-use crate::index::{EntryId, EntryStore, SetInfo};
-use crate::key::QueryKey;
+use crate::index::{EntryId, EntryStore, Residency, SetInfo};
 use crate::profit::Profit;
 
 /// Reference metadata kept for a retrieved set that is not currently
@@ -62,31 +64,30 @@ impl RetainedInfo {
     pub fn profit(&self, now: Timestamp) -> Profit {
         Profit::of_history(&self.state, self.cost, self.size_bytes, now)
     }
-
-    /// Approximate number of bytes of cache metadata this entry occupies.
-    pub fn metadata_bytes(&self) -> u64 {
-        self.key.metadata_bytes() + self.state.metadata_bytes() + 16
-    }
 }
 
-/// How a [`RetainedStore`] finds its least profitable histories.
+/// The records of a cache whose sets keep their reference history.
+pub(crate) type Histories<V> = EntryStore<V, ReferenceHistory>;
+
+/// How a `RetainedStore` finds its least profitable histories.  By
+/// default it finds none: the order of a store whose histories expire by
+/// time, never by profit (LRU-K's), which refuses newcomers when full.
 pub trait RetainedOrder: Clone + fmt::Debug + Default {
-    /// Files the history in `slot`, just inserted or replaced.
-    fn file(&mut self, info: &RetainedInfo, slot: EntryId);
+    /// Files the history in `slot`, just retained.
+    fn file(&mut self, _info: &RetainedInfo, _slot: EntryId) {}
 
-    /// Hands the held histories to `take` in ascending `(profit, signature)`
-    /// order at `now`, until it returns `false`.  With `below`, the order
-    /// need only be exact for histories whose profit is under it.
-    fn ascend(
+    /// Hands the retained records to `take` in ascending
+    /// `(profit, signature)` order at `now`, until it returns `false`.  With
+    /// `below`, the order need only be exact for histories whose profit is
+    /// under it.
+    fn ascend<V>(
         &mut self,
-        entries: &EntryStore<RetainedInfo>,
-        now: Timestamp,
-        below: Option<Profit>,
-        take: impl FnMut(EntryId, Profit) -> bool,
-    );
-
-    /// Forgets every history.
-    fn clear(&mut self);
+        _records: &Histories<V>,
+        _now: Timestamp,
+        _below: Option<Profit>,
+        _take: impl FnMut(EntryId, Profit) -> bool,
+    ) {
+    }
 }
 
 impl RetainedOrder for DecayIndex {
@@ -94,16 +95,17 @@ impl RetainedOrder for DecayIndex {
         DecayIndex::file(self, info, slot);
     }
 
-    fn ascend(
+    fn ascend<V>(
         &mut self,
-        entries: &EntryStore<RetainedInfo>,
+        records: &Histories<V>,
         now: Timestamp,
         below: Option<Profit>,
         take: impl FnMut(EntryId, Profit) -> bool,
     ) {
-        // Histories of equal profit fall to their signature.
+        // A slot cached since it was filed is a dead item; histories of
+        // equal profit fall to their signature.
         let probe = |id| {
-            let info: &RetainedInfo = entries.by_id(id)?;
+            let info = &records.by_id(id).filter(|r| r.is_retained())?.info;
             Some((info, info.key.signature().value()))
         };
         // A purge's threshold cuts off every bound at or above it, so it
@@ -113,34 +115,16 @@ impl RetainedOrder for DecayIndex {
             self.key(threshold);
         }
     }
-
-    fn clear(&mut self) {
-        DecayIndex::clear(self);
-    }
 }
 
-/// The order of a store whose histories expire by time, never by profit
-/// (LRU-K's): nothing is ranked, so a full store refuses newcomers.
-impl RetainedOrder for () {
-    fn file(&mut self, _: &RetainedInfo, _: EntryId) {}
+impl RetainedOrder for () {}
 
-    fn ascend(
-        &mut self,
-        _: &EntryStore<RetainedInfo>,
-        _: Timestamp,
-        _: Option<Profit>,
-        _: impl FnMut(EntryId, Profit) -> bool,
-    ) {
-    }
-
-    fn clear(&mut self) {}
-}
-
-/// The side table of retained reference information.
+/// The order, the number and the bound of a cache's retained records.
 #[derive(Debug, Clone, Default)]
-pub struct RetainedStore<X: RetainedOrder = DecayIndex> {
-    entries: EntryStore<RetainedInfo>,
-    index: X,
+pub(crate) struct RetainedStore<X: RetainedOrder = DecayIndex> {
+    order: X,
+    /// How many records are retained.
+    len: usize,
     /// What a purge is about to drop, kept for its allocation.
     doomed: Vec<EntryId>,
     /// Hard safety bound on the number of retained entries; the profit-based
@@ -152,7 +136,7 @@ pub struct RetainedStore<X: RetainedOrder = DecayIndex> {
 
 impl<X: RetainedOrder> RetainedStore<X> {
     /// Creates a store bounded to `max_entries` retained histories.
-    pub fn new(max_entries: usize) -> Self {
+    pub(crate) fn new(max_entries: usize) -> Self {
         RetainedStore {
             max_entries: max_entries.max(1),
             ..Self::default()
@@ -160,135 +144,106 @@ impl<X: RetainedOrder> RetainedStore<X> {
     }
 
     /// Number of retained histories.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// Whether the store holds as many histories as its bound allows.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.max_entries
+    pub(crate) fn is_full(&self) -> bool {
+        self.len >= self.max_entries
     }
 
-    /// Total metadata bytes held by the store.
-    pub fn metadata_bytes(&self) -> u64 {
-        self.iter().map(RetainedInfo::metadata_bytes).sum()
+    /// Takes up the record in `slot`, if retained, for a set about to be
+    /// decided on: it leaves the store, and the reference is recorded on it
+    /// once (the `get` that missed recorded it already, and counting it
+    /// twice would inflate the λ estimate of Eq. 3).
+    pub(crate) fn take_up<V>(
+        &mut self,
+        records: &mut Histories<V>,
+        slot: Option<EntryId>,
+        now: Timestamp,
+    ) -> Option<EntryId> {
+        let record = records.by_id_mut(slot?).filter(|r| r.is_retained())?;
+        record.residency = Residency::Pending;
+        record.info.state.record_once(now);
+        self.len -= 1;
+        slot
     }
 
-    /// Returns the retained information for `key`, if any.
-    pub fn get(&self, key: &QueryKey) -> Option<&RetainedInfo> {
-        self.entries.get(key)
-    }
-
-    /// Whether information for `key` is retained.
-    pub fn contains(&self, key: &QueryKey) -> bool {
-        self.entries.contains(key)
-    }
-
-    /// Records a reference to a non-cached retrieved set, if its information
-    /// is retained.  Returns `true` if information for the key is retained.
-    ///
-    /// A reference carrying the same timestamp as the most recent recorded
-    /// one is **not** recorded again: one logical reference may reach the
-    /// cache twice at the same logical time (a single-flight waiter retrying
-    /// after an abandoned flight re-enters the lookup path), and double
-    /// counting it would inflate the λ estimate of Eq. 3.
-    pub fn record_reference(&mut self, key: &QueryKey, now: Timestamp) -> bool {
-        match self.entries.get_mut(key) {
-            Some(info) => {
-                info.state.record_once(now);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Inserts or replaces retained information, returning the slot it was
-    /// filed in.  If the store is at its hard bound, the entry with the
-    /// lowest profit is dropped first (ties broken by key signature, so
-    /// displacement is deterministic rather than following hash-map
-    /// iteration order), unless the newcomer is worth less: it is then
-    /// dropped instead, and `None` returned.
-    pub fn insert(&mut self, info: RetainedInfo, now: Timestamp) -> Option<EntryId> {
-        if let Some(id) = self.entries.find(&info.key) {
-            // A new size or cost can lower the profit: re-file at once.
-            self.index.file(&info, id);
-            *self.entries.by_id_mut(id).expect("found above") = info;
-            return Some(id);
-        }
+    /// Retains the record in `slot`, which is in neither the cache's order
+    /// nor this one, as it now is.  If the store is at its hard bound, the
+    /// record with the lowest profit is dropped first (ties broken by key
+    /// signature, so displacement is deterministic), unless the newcomer is
+    /// worth less: it is then dropped instead, and `false` returned.
+    pub(crate) fn retain<V>(
+        &mut self,
+        records: &mut Histories<V>,
+        slot: EntryId,
+        now: Timestamp,
+    ) -> bool {
         if self.is_full() {
-            let (entries, mut worst) = (&self.entries, None);
-            self.index.ascend(entries, now, None, |id, profit| {
+            let mut worst = None;
+            self.order.ascend(records, now, None, |id, profit| {
                 worst = Some((id, profit));
                 false
             });
-            let (id, profit) = worst?;
-            if info.profit(now) < profit {
-                return None;
-            }
-            self.entries.remove(id);
+            let worth = records.by_id(slot).map(|r| r.info.profit(now));
+            let Some((id, _)) = worst.filter(|&(_, least)| worth >= Some(least)) else {
+                records.remove(slot);
+                return false;
+            };
+            self.forget(records, id);
         }
-        let id = self.entries.insert(info);
-        self.index
-            .file(self.entries.by_id(id).expect("just inserted"), id);
-        Some(id)
+        let record = records.by_id_mut(slot).expect("a denied set's record");
+        record.residency = Residency::Retained;
+        self.order.file(&record.info, slot);
+        self.len += 1;
+        true
     }
 
-    /// Removes and returns the retained information for `key`, typically
-    /// because the retrieved set is being (re-)admitted to the cache.
-    pub fn take(&mut self, key: &QueryKey) -> Option<RetainedInfo> {
-        self.entries.remove_by_key(key)
+    /// Drops the retained record in `slot`.
+    pub(crate) fn forget<V>(&mut self, records: &mut Histories<V>, slot: EntryId) {
+        records.remove(slot);
+        self.len -= 1;
     }
 
-    /// Whether a history is filed in `slot`.
-    pub(crate) fn holds(&self, slot: EntryId) -> bool {
-        self.entries.by_id(slot).is_some()
-    }
-
-    /// Drops the history filed in `slot`, if any.
-    pub(crate) fn remove(&mut self, slot: EntryId) {
-        self.entries.remove(slot);
-    }
-
-    /// Applies the paper's retention policy: drop every retained entry whose
+    /// Applies the paper's retention policy: drop every retained record whose
     /// profit is smaller than `min_cached_profit`, the least profit among all
     /// currently cached retrieved sets.
     ///
-    /// Returns the number of entries dropped.  When the cache is empty the
+    /// Returns the number of records dropped.  When the cache is empty the
     /// caller should pass [`Profit::ZERO`], which retains everything (subject
     /// to the hard bound).
-    pub fn purge_below(&mut self, min_cached_profit: Profit, now: Timestamp) -> usize {
-        let before = self.entries.len();
-        if min_cached_profit > Profit::ZERO {
-            let (entries, doomed) = (&self.entries, &mut self.doomed);
-            self.index
-                .ascend(entries, now, Some(min_cached_profit), |id, profit| {
-                    let drop = profit < min_cached_profit;
-                    if drop {
-                        doomed.push(id);
-                    }
-                    drop
-                });
-            for id in self.doomed.drain(..) {
-                self.entries.remove(id);
-            }
+    pub(crate) fn purge_below<V>(
+        &mut self,
+        records: &mut Histories<V>,
+        min_cached_profit: Profit,
+        now: Timestamp,
+    ) -> usize {
+        if min_cached_profit <= Profit::ZERO {
+            return 0;
         }
-        before - self.entries.len()
+        let doomed = &mut self.doomed;
+        self.order
+            .ascend(records, now, Some(min_cached_profit), |id, profit| {
+                let drop = profit < min_cached_profit;
+                if drop {
+                    doomed.push(id);
+                }
+                drop
+            });
+        let dropped = self.doomed.len();
+        for id in self.doomed.drain(..) {
+            records.remove(id);
+        }
+        self.len -= dropped;
+        dropped
     }
 
-    /// Removes every retained entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.index.clear();
-    }
-
-    /// Iterates over retained entries in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &RetainedInfo> {
-        self.entries.iter().map(|(_, info)| info)
+    /// Forgets every retained record; the records themselves are cleared by
+    /// their owner.
+    pub(crate) fn clear(&mut self) {
+        *self = Self::new(self.max_entries);
     }
 }
 
@@ -296,23 +251,120 @@ impl RetainedStore {
     /// Exact profit evaluations the store's ascents have asked for.
     #[cfg(test)]
     pub(crate) fn evaluations(&self) -> u64 {
-        self.index.evaluations()
+        self.order.evaluations()
     }
 
     /// Bucket fronts the store's ascents have loaded.
     #[cfg(test)]
     pub(crate) fn fronts_loaded(&self) -> u64 {
-        self.index.fronts_loaded(false)
+        self.order.fronts_loaded(false)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::index::Record;
+    use crate::key::QueryKey;
     use crate::value::ExecutionCost;
 
-    fn store(max_entries: usize) -> RetainedStore {
-        RetainedStore::new(max_entries)
+    /// A store over records of its own, driven as a cache drives it: a
+    /// denied set is retained, a newcomer takes its history up and is then
+    /// cached, and a miss records its reference.  Cached records stay, so
+    /// the store's order meets slots that are no longer retained.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Held<X: RetainedOrder = DecayIndex> {
+        pub(crate) records: Histories<()>,
+        pub(crate) store: RetainedStore<X>,
+    }
+
+    impl<X: RetainedOrder> Held<X> {
+        pub(crate) fn new(max_entries: usize) -> Self {
+            Held {
+                records: EntryStore::new(),
+                store: RetainedStore::new(max_entries),
+            }
+        }
+
+        /// Retains `info` as a denied set: in its key's record, taken up
+        /// first if retained, or in a new one.  Returns whether it is kept.
+        pub(crate) fn retain(&mut self, info: RetainedInfo, now: Timestamp) -> bool {
+            let slot = match self.records.find(&info.key) {
+                Some(slot) => {
+                    self.store.take_up(&mut self.records, Some(slot), now);
+                    let record = self.records.by_id_mut(slot).expect("found");
+                    (record.info, record.residency) = (info, Residency::Pending);
+                    slot
+                }
+                None => self.records.insert(Record {
+                    info,
+                    residency: Residency::Pending,
+                }),
+            };
+            self.store.retain(&mut self.records, slot, now)
+        }
+
+        /// Takes the history for `key` up and caches its set, returning the
+        /// history.
+        pub(crate) fn take(&mut self, key: &QueryKey, now: Timestamp) -> Option<ReferenceHistory> {
+            let slot = self.records.find(key).filter(|&slot| self.held(slot))?;
+            self.store.take_up(&mut self.records, Some(slot), now);
+            let record = self.records.by_id_mut(slot)?;
+            record.residency = Residency::Cached(());
+            Some(record.info.state.clone())
+        }
+
+        /// Records a miss on `key`'s retained history, if it has one.
+        pub(crate) fn record(&mut self, key: &QueryKey, now: Timestamp) -> bool {
+            let Some(record) = self.records.get_mut(key).filter(|r| r.is_retained()) else {
+                return false;
+            };
+            record.info.state.record_once(now);
+            true
+        }
+
+        pub(crate) fn purge_below(&mut self, threshold: Profit, now: Timestamp) -> usize {
+            self.store.purge_below(&mut self.records, threshold, now)
+        }
+
+        fn held(&self, slot: EntryId) -> bool {
+            self.records.by_id(slot).is_some_and(|r| r.is_retained())
+        }
+
+        pub(crate) fn get(&self, key: &QueryKey) -> Option<&RetainedInfo> {
+            let slot = self.records.find(key).filter(|&slot| self.held(slot))?;
+            Some(&self.records.by_id(slot)?.info)
+        }
+
+        pub(crate) fn contains(&self, key: &QueryKey) -> bool {
+            self.get(key).is_some()
+        }
+
+        /// The retained histories, in unspecified order; their number is
+        /// the store's.
+        pub(crate) fn iter(&self) -> impl Iterator<Item = &RetainedInfo> {
+            let held: Vec<&RetainedInfo> = (self.records.iter())
+                .filter(|(_, r)| r.is_retained())
+                .map(|(_, r)| &r.info)
+                .collect();
+            assert_eq!(held.len(), self.store.len(), "the count drifted");
+            held.into_iter()
+        }
+
+        /// The keys retained, sorted.
+        pub(crate) fn keys(&self) -> Vec<&str> {
+            let mut keys: Vec<&str> = self.iter().map(|info| info.key.text()).collect();
+            keys.sort_unstable();
+            keys
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.iter().count()
+        }
+    }
+
+    fn store(max_entries: usize) -> Held {
+        Held::new(max_entries)
     }
 
     fn ts(us: u64) -> Timestamp {
@@ -335,17 +387,20 @@ mod tests {
     #[test]
     fn record_reference_updates_existing_entry_only() {
         let mut store = store(16);
-        store.insert(info("q1", 100, 50.0, &[10], 2), ts(10));
-        assert!(store.record_reference(&QueryKey::new("q1"), ts(20)));
-        assert!(!store.record_reference(&QueryKey::new("q2"), ts(20)));
-        assert_eq!(
+        store.retain(info("q1", 100, 50.0, &[10], 2), ts(10));
+        assert!(store.record(&QueryKey::new("q1"), ts(20)));
+        assert!(!store.record(&QueryKey::new("q2"), ts(20)));
+        let samples = |store: &Held| {
             store
                 .get(&QueryKey::new("q1"))
                 .unwrap()
                 .state
-                .sample_count(),
-            2
-        );
+                .sample_count()
+        };
+        assert_eq!(samples(&store), 2);
+        // A cached set's record is not a retained one.
+        store.take(&QueryKey::new("q1"), ts(30));
+        assert!(!store.record(&QueryKey::new("q1"), ts(40)));
     }
 
     #[test]
@@ -354,47 +409,53 @@ mod tests {
         // the lookup path with the same logical timestamp; the retained
         // history must not count that logical reference twice.
         let mut store = store(16);
-        store.insert(info("q1", 100, 50.0, &[10], 4), ts(10));
-        assert!(store.record_reference(&QueryKey::new("q1"), ts(20)));
-        assert!(store.record_reference(&QueryKey::new("q1"), ts(20)));
-        assert_eq!(
+        store.retain(info("q1", 100, 50.0, &[10], 4), ts(10));
+        assert!(store.record(&QueryKey::new("q1"), ts(20)));
+        assert!(store.record(&QueryKey::new("q1"), ts(20)));
+        let samples = |store: &Held| {
             store
                 .get(&QueryKey::new("q1"))
                 .unwrap()
                 .state
-                .sample_count(),
+                .sample_count()
+        };
+        assert_eq!(
+            samples(&store),
             2,
             "the second same-timestamp record must be a no-op"
         );
         // A later reference still counts.
-        assert!(store.record_reference(&QueryKey::new("q1"), ts(30)));
-        assert_eq!(
-            store
-                .get(&QueryKey::new("q1"))
-                .unwrap()
-                .state
-                .sample_count(),
-            3
-        );
+        assert!(store.record(&QueryKey::new("q1"), ts(30)));
+        assert_eq!(samples(&store), 3);
+        // Nor does the insert after the miss count it again.
+        let taken = store.take(&QueryKey::new("q1"), ts(30)).unwrap();
+        assert_eq!(taken.sample_count(), 3);
     }
 
     #[test]
     fn take_removes_the_entry() {
         let mut store = store(16);
-        store.insert(info("q1", 100, 50.0, &[10], 2), ts(10));
-        let taken = store.take(&QueryKey::new("q1")).unwrap();
-        assert_eq!(taken.size_bytes, 100);
-        assert!(store.is_empty());
-        assert!(store.take(&QueryKey::new("q1")).is_none());
+        store.retain(info("q1", 100, 50.0, &[10], 2), ts(10));
+        let taken = store.take(&QueryKey::new("q1"), ts(20)).unwrap();
+        assert_eq!(
+            taken.sample_count(),
+            2,
+            "the newcomer's reference is recorded"
+        );
+        assert_eq!(store.len(), 0);
+        assert_eq!(store.store.len(), 0);
+        assert!(store.take(&QueryKey::new("q1"), ts(20)).is_none());
+        // The record stays where it was, cached.
+        assert_eq!(store.records.len(), 1);
     }
 
     #[test]
     fn purge_drops_entries_below_min_cached_profit() {
         let mut store = store(16);
         // Valuable: small, expensive, recently referenced twice.
-        store.insert(info("valuable", 10, 1_000.0, &[90, 100], 2), ts(100));
+        store.retain(info("valuable", 10, 1_000.0, &[90, 100], 2), ts(100));
         // Worthless: huge, cheap, referenced once long ago.
-        store.insert(info("worthless", 1_000_000, 1.0, &[1], 2), ts(100));
+        store.retain(info("worthless", 1_000_000, 1.0, &[1], 2), ts(100));
         let now = ts(200);
         let threshold = store.get(&QueryKey::new("valuable")).unwrap().profit(now);
         // Purge with a threshold equal to the valuable entry's profit: the
@@ -403,13 +464,14 @@ mod tests {
         assert_eq!(dropped, 1);
         assert!(store.contains(&QueryKey::new("valuable")));
         assert!(!store.contains(&QueryKey::new("worthless")));
+        assert_eq!(store.records.len(), 1);
     }
 
     #[test]
     fn purge_with_zero_threshold_keeps_everything() {
         let mut store = store(16);
-        store.insert(info("a", 10, 10.0, &[5], 2), ts(5));
-        store.insert(info("b", 10, 10.0, &[6], 2), ts(6));
+        store.retain(info("a", 10, 10.0, &[5], 2), ts(5));
+        store.retain(info("b", 10, 10.0, &[6], 2), ts(6));
         assert_eq!(store.purge_below(Profit::ZERO, ts(100)), 0);
         assert_eq!(store.len(), 2);
     }
@@ -417,33 +479,37 @@ mod tests {
     #[test]
     fn hard_bound_displaces_lowest_profit_entry() {
         let mut store = store(2);
-        store.insert(info("low", 1_000_000, 1.0, &[1], 2), ts(1));
-        store.insert(info("mid", 100, 100.0, &[2], 2), ts(2));
+        store.retain(info("low", 1_000_000, 1.0, &[1], 2), ts(1));
+        store.retain(info("mid", 100, 100.0, &[2], 2), ts(2));
         // Store is full; inserting a high-profit entry displaces "low".
-        store.insert(info("high", 10, 10_000.0, &[3], 2), ts(3));
+        assert!(store.retain(info("high", 10, 10_000.0, &[3], 2), ts(3)));
         assert_eq!(store.len(), 2);
         assert!(store.contains(&QueryKey::new("high")));
         assert!(store.contains(&QueryKey::new("mid")));
         assert!(!store.contains(&QueryKey::new("low")));
+        assert_eq!(store.records.len(), 2);
     }
 
     #[test]
     fn hard_bound_rejects_entry_worse_than_all_retained() {
         let mut store = store(2);
-        store.insert(info("a", 10, 1_000.0, &[1, 2], 2), ts(2));
-        store.insert(info("b", 10, 1_000.0, &[1, 2], 2), ts(2));
-        store.insert(info("junk", 1_000_000, 1.0, &[3], 2), ts(3));
+        store.retain(info("a", 10, 1_000.0, &[1, 2], 2), ts(2));
+        store.retain(info("b", 10, 1_000.0, &[1, 2], 2), ts(2));
+        assert!(!store.retain(info("junk", 1_000_000, 1.0, &[3], 2), ts(3)));
         assert_eq!(store.len(), 2);
         assert!(!store.contains(&QueryKey::new("junk")));
+        assert_eq!(store.records.len(), 2, "the refused record is dropped");
     }
 
     #[test]
     fn reinsert_same_key_replaces_in_place_even_when_full() {
         let mut store = store(1);
-        store.insert(info("a", 10, 10.0, &[1], 2), ts(1));
-        store.insert(info("a", 20, 10.0, &[2], 2), ts(2));
+        store.retain(info("a", 10, 10.0, &[1], 2), ts(1));
+        let slot = store.records.find(&QueryKey::new("a"));
+        store.retain(info("a", 20, 10.0, &[2], 2), ts(2));
         assert_eq!(store.len(), 1);
         assert_eq!(store.get(&QueryKey::new("a")).unwrap().size_bytes, 20);
+        assert_eq!(store.records.find(&QueryKey::new("a")), slot);
     }
 
     #[test]
@@ -453,23 +519,17 @@ mod tests {
     }
 
     #[test]
-    fn metadata_bytes_is_positive_and_additive() {
-        let mut store = store(8);
-        assert_eq!(store.metadata_bytes(), 0);
-        store.insert(info("a", 10, 10.0, &[1], 2), ts(1));
-        let one = store.metadata_bytes();
-        store.insert(info("bb", 10, 10.0, &[1, 2], 2), ts(2));
-        assert!(store.metadata_bytes() > one);
-    }
-
-    #[test]
     fn clear_and_iter() {
         let mut store = store(8);
-        store.insert(info("a", 10, 10.0, &[1], 2), ts(1));
-        store.insert(info("b", 10, 10.0, &[1], 2), ts(1));
-        assert_eq!(store.iter().count(), 2);
-        store.clear();
-        assert!(store.is_empty());
+        store.retain(info("a", 10, 10.0, &[1], 2), ts(1));
+        store.retain(info("b", 10, 10.0, &[1], 2), ts(1));
+        store.retain(info("c", 10, 10.0, &[1], 2), ts(1));
+        store.take(&QueryKey::new("c"), ts(2));
+        assert_eq!(store.keys(), ["a", "b"]);
+        store.store.clear();
+        store.records.clear();
+        assert_eq!(store.store.len(), 0);
+        assert_eq!(store.iter().count(), 0);
     }
 
     /// A deterministic stream of sets with weights spread over four decades.
@@ -488,31 +548,31 @@ mod tests {
         let mut store = store(1 << 20);
         let threshold = Profit::new(1.8e-5);
         let mut now = 0;
-        let step = |store: &mut RetainedStore, i: u64, now: &mut u64| {
+        let step = |store: &mut Held, i: u64, now: &mut u64| {
             *now += 100;
-            store.insert(churn(i, *now), ts(*now));
+            store.retain(churn(i, *now), ts(*now));
             store.purge_below(threshold, ts(*now))
         };
         for i in 0..60_000 {
             step(&mut store, i, &mut now);
         }
         assert!(
-            (9_000..12_000).contains(&store.len()),
+            (9_000..12_000).contains(&store.store.len()),
             "steady state holds {} histories",
-            store.len()
+            store.store.len()
         );
         let mut dropped_total = 0;
         for i in 60_000..62_000 {
-            let before = store.index.evaluations();
+            let before = store.store.evaluations();
             let dropped = step(&mut store, i, &mut now);
-            let evaluated = (store.index.evaluations() - before) as usize;
+            let evaluated = (store.store.evaluations() - before) as usize;
             dropped_total += dropped;
             // What it drops, the one it stops at, and the few whose anchors
             // ran out: far inside one evaluation per non-empty bucket.
             assert!(
-                evaluated <= dropped + 16 && 16 < store.index.occupied_buckets(),
+                evaluated <= dropped + 16 && 16 < store.store.order.occupied_buckets(),
                 "a purge that dropped {dropped} of {} histories evaluated {evaluated}",
-                store.len()
+                store.store.len()
             );
         }
         assert!(dropped_total > 1_000, "the steady state must keep purging");
@@ -522,24 +582,25 @@ mod tests {
     fn a_risen_threshold_reads_every_bucket() {
         use crate::policy::differential::Scan;
         let mut store = store(1 << 12);
-        let mut scan: RetainedStore<Scan> = RetainedStore::new(1 << 12);
+        let mut scan: Held<Scan> = Held::new(1 << 12);
         for i in 0..400 {
-            store.insert(churn(i, 100 * i), ts(100 * i));
-            scan.insert(churn(i, 100 * i), ts(100 * i));
+            store.retain(churn(i, 100 * i), ts(100 * i));
+            scan.retain(churn(i, 100 * i), ts(100 * i));
         }
         let now = ts(40_000);
         let mut held: Vec<Profit> = scan.iter().map(|info| info.profit(now)).collect();
         held.sort();
         let (least, risen) = (held[40], held[100]);
-        let purge = |store: &mut RetainedStore, scan: &mut RetainedStore<Scan>, threshold| {
-            let (occupied, before) = (store.index.occupied_buckets(), store.fronts_loaded());
+        let purge = |store: &mut Held, scan: &mut Held<Scan>, threshold| {
+            let occupied = store.store.order.occupied_buckets();
+            let before = store.store.fronts_loaded();
             let dropped = store.purge_below(threshold, now);
             assert_eq!(
                 dropped,
                 scan.purge_below(threshold, now),
                 "purge at {threshold}"
             );
-            (store.fronts_loaded() - before, occupied as u64)
+            (store.store.fronts_loaded() - before, occupied as u64)
         };
         purge(&mut store, &mut scan, least);
         // The least cached set was evicted, and the threshold rose past the
@@ -561,23 +622,23 @@ mod tests {
         // size, cost and reference): ties fall to the signature.
         let bound = 64;
         let mut store = store(bound);
-        let mut scan: RetainedStore<Scan> = RetainedStore::new(bound);
+        let mut scan: Held<Scan> = Held::new(bound);
         let set = |i: u64| info(&format!("tie-{i}"), 100, (1 + i / 4) as f64, &[10], 2);
         for i in 0..bound as u64 {
-            store.insert(set(i), ts(20));
-            scan.insert(set(i), ts(20));
+            store.retain(set(i), ts(20));
+            scan.retain(set(i), ts(20));
         }
         // Newcomers from worthless to more valuable than anything held: each
         // displaces the scan's victim, or is dropped when the scan drops it.
         for i in 0..3 * bound as u64 {
             let newcomer = info(&format!("new-{i}"), 100, (i / 3) as f64, &[10 + i], 2);
-            store.insert(newcomer.clone(), ts(30 + i));
-            scan.insert(newcomer, ts(30 + i));
-            let mut held: Vec<&str> = store.iter().map(|info| info.key.text()).collect();
-            let mut expected: Vec<&str> = scan.iter().map(|info| info.key.text()).collect();
-            held.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(held, expected, "displacement {i} diverged from the scan");
+            store.retain(newcomer.clone(), ts(30 + i));
+            scan.retain(newcomer, ts(30 + i));
+            assert_eq!(
+                store.keys(),
+                scan.keys(),
+                "displacement {i} diverged from the scan"
+            );
         }
         assert_eq!(store.len(), bound);
     }
