@@ -41,7 +41,7 @@
 //! explore their API-level interleavings safely.
 //!
 //! The state machines this repo most needs checked ship as built-in
-//! models: [`models::SingleFlightModel`] (leader panic → takeover →
+//! models: [`models::SingleFlightModel`] (leader panic → restart →
 //! forget_waiter), [`models::RuntimeDropModel`] (`Runtime::drop` vs a
 //! worker mid-poll), [`models::ReactorRegistrationModel`] (IO-reactor event delivery vs a
 //! cancelled task dropping its registration, against the real `ReadyCell`),
@@ -590,23 +590,23 @@ pub mod models {
     ///
     /// Thread 0 leads the key's flight, which starts without a cell: its
     /// fetch panics inside its own poll, and the unwind abandons the flight
-    /// (`Shard::abandon`).  Threads 1 and 2 arrive on the key through
-    /// `start_flight`: while the flight is live they join it, the first of
-    /// them creating its cell, and once it is retired they lead a fresh
-    /// one.  Thread 1 is a loyal waiter: it polls until the flight
-    /// resolves.  Thread 2 is a flaky waiter: the first time it suspends it
-    /// gives up (`Shard::forget_waiter`), exercising the
-    /// candidate-cancellation path that must pass the takeover wake along
-    /// rather than lose it.  A session that leads, by takeover or afresh,
-    /// settles its flight in the slot and completes the cell it gets back
-    /// or holds.
+    /// in `Shard::abandon`'s two steps, with a scheduling point between
+    /// them: it retires the flight from the slot under the shard lock, then
+    /// abandons the cell, if a waiter made one, waking every waiter.
+    /// Threads 1 and 2 arrive on the key through `start_flight`: while a
+    /// flight is live they join it, the first of them creating its cell,
+    /// and otherwise they lead a fresh one.  A waiter that finds its flight
+    /// abandoned restarts and arrives again.  Thread 1 is a loyal session:
+    /// it polls until it resolves.  Thread 2 is a flaky session: the first
+    /// time it suspends it gives up (`Flight::forget_waiter`).  A session
+    /// that leads settles its flight in the slot and completes the cell it
+    /// gets back.
     ///
     /// Invariants: no schedule deadlocks (in particular, no registered
-    /// waiter sleeps through the abandonment — a lost wakeup parks thread 1
-    /// forever and the scheduler reports it), every session that resolves
-    /// observes the value a successor leader published, and the slot ends
-    /// with no flight: one that nobody is left to resolve is retired,
-    /// whether or not a waiter made it a cell.
+    /// waiter sleeps through the abandonment — a lost wakeup parks the
+    /// loyal session forever and the scheduler reports it), every session
+    /// that resolves observes the value a successor leader published, and
+    /// the slot ends with no flight.
     pub struct SingleFlightModel;
 
     /// The value every successor leader publishes.
@@ -618,13 +618,13 @@ pub mod models {
     type ModelShard = Shard<String>;
 
     /// Leads `leader`'s flight to success: its fetch, then the settle that
-    /// retires it from the slot, then completing whatever cell it has.
+    /// retires it from the slot, then completing its cell, if it has one.
     fn lead(ctl: &Ctl, shard: &ModelShard, key: &QueryKey, leader: &Leader<String>) -> String {
         ctl.point();
         let retired = shard
             .lock()
             .settle_success(key, leader.id, Timestamp::ZERO, false, None);
-        if let Some(cell) = retired.as_ref().or(leader.cell.as_ref()) {
+        if let Some(cell) = retired {
             ctl.point();
             cell.complete(
                 Arc::new(SUCCESSOR_VALUE.to_owned()),
@@ -635,9 +635,9 @@ pub mod models {
     }
 
     /// One session arriving on `key`: joins its live flight and polls the
-    /// cell until it resolves, completing the flight itself when it wins
-    /// the takeover race, or leads a fresh flight.  Returns the observed
-    /// value, or `None` when a flaky session gave up.
+    /// cell until it resolves, arriving again if the flight was abandoned,
+    /// or leads a fresh flight.  Returns the observed value, or `None` when
+    /// a flaky session gave up.
     fn arrive(
         ctl: &Ctl,
         shard: &ModelShard,
@@ -645,44 +645,40 @@ pub mod models {
         flag: u64,
         flaky: bool,
     ) -> Option<String> {
-        // A model thread starts parked, so its arrival is already a
-        // scheduling decision.
-        let step = shard.lock().start_flight(key, Timestamp::ZERO, false);
-        let (id, cell) = match step {
-            Step::BecomeWaiter(id, cell) => (id, cell),
-            Step::Lead(leader) => return Some(lead(ctl, shard, key, &leader)),
-            _ => panic!("outside the failure domain a miss waits or leads"),
-        };
         let waker = ctl.flag_waker(flag);
         let mut cx = Context::from_waker(&waker);
-        let mut slot = WaiterSlot::new();
         let mut first_suspension = true;
-        loop {
-            ctl.clear_flag(flag);
-            ctl.point();
-            match cell.poll_wait(&mut slot, &mut cx) {
-                Poll::Ready(FlightOutcome::Done(value, _)) => return Some((*value).clone()),
-                Poll::Ready(FlightOutcome::Failed(_)) => {
-                    panic!("this model never fails the flight with a fetch error")
-                }
-                Poll::Ready(FlightOutcome::TakeOver) => {
-                    // This session is the new leader, on the same cell.
-                    let leader = Leader {
-                        id,
-                        cell: Some(Arc::clone(&cell)),
-                    };
-                    return Some(lead(ctl, shard, key, &leader));
-                }
-                Poll::Pending if flaky && first_suspension => {
-                    // Cancelled session: its future is dropped while the
-                    // flight is unresolved.
-                    ctl.point();
-                    shard.forget_waiter(key, id, &cell, &mut slot);
-                    return None;
-                }
-                Poll::Pending => {
-                    first_suspension = false;
-                    ctl.wait_flag(flag);
+        // A model thread starts parked, so its first arrival is already a
+        // scheduling decision; a restart arrives after one.
+        'arrival: loop {
+            let step = shard.lock().start_flight(key, Timestamp::ZERO, false);
+            let cell = match step {
+                Step::BecomeWaiter(cell) => cell,
+                Step::Lead(leader) => return Some(lead(ctl, shard, key, &leader)),
+                _ => panic!("outside the failure domain a miss waits or leads"),
+            };
+            let mut slot = WaiterSlot::new();
+            loop {
+                ctl.clear_flag(flag);
+                ctl.point();
+                match cell.poll_wait(&mut slot, &mut cx) {
+                    Poll::Ready(FlightOutcome::Done(value, _)) => return Some((*value).clone()),
+                    Poll::Ready(FlightOutcome::Failed(_)) => {
+                        panic!("this model never fails the flight with a fetch error")
+                    }
+                    // Restart: look the key up again.
+                    Poll::Ready(FlightOutcome::Abandoned) => continue 'arrival,
+                    Poll::Pending if flaky && first_suspension => {
+                        // Cancelled session: its future is dropped while the
+                        // flight is unresolved.
+                        ctl.point();
+                        cell.forget_waiter(&mut slot);
+                        return None;
+                    }
+                    Poll::Pending => {
+                        first_suspension = false;
+                        ctl.wait_flag(flag);
+                    }
                 }
             }
         }
@@ -690,7 +686,7 @@ pub mod models {
 
     impl Model for SingleFlightModel {
         fn name(&self) -> &'static str {
-            "single-flight leader panic / takeover / forget_waiter"
+            "single-flight leader panic / restart / forget_waiter"
         }
 
         fn instantiate(&self) -> ModelRun {
@@ -704,10 +700,14 @@ pub mod models {
             let panicking_leader = {
                 let shard = Arc::clone(&shard);
                 let key = key.clone();
-                Box::new(move |_: &Ctl| {
+                Box::new(move |ctl: &Ctl| {
                     // The fetch ran (the thread's start is a scheduling
                     // point), then panicked: the unwind abandons.
-                    shard.abandon(&key, &leader);
+                    let retired = shard.lock().retire_unresolved(&key, leader.id);
+                    if let Some(cell) = retired {
+                        ctl.point();
+                        cell.abandon();
+                    }
                 }) as ThreadBody
             };
             let session = |flag: u64, flaky: bool| {

@@ -106,8 +106,13 @@ where
     /// Concurrent misses on the same query are **single-flight**: exactly one
     /// session runs `fetch` (outside any lock), the others wait for its
     /// result and share it without executing.  If the leader's `fetch`
-    /// panics, exactly one waiter is woken to take over as the new leader
-    /// and the panic propagates out of the leader's call.
+    /// panics, the panic propagates out of the leader's call and every
+    /// waiter looks the key up again: it hits if the leader's insert landed
+    /// before the panic, joins the flight one of them now leads, or leads
+    /// it with its own `fetch`.  So one of them executes again — and a
+    /// waiter that looks again only after that successor has finished
+    /// executes as well if the successor's set was refused admission, as
+    /// any miss on an uncached key does.
     ///
     /// This is the synchronous front door: one lock and one probe, which
     /// either hits or decides the miss's step, then
@@ -155,8 +160,7 @@ where
     ///
     /// * **Single-flight errors are shared.** A terminal fetch error resolves
     ///   the flight for *every* coalesced waiter at once; all of them observe
-    ///   the same `Arc<FetchError>` (no per-waiter re-execution, no takeover
-    ///   storm).
+    ///   the same `Arc<FetchError>` (no per-waiter re-execution).
     /// * **Retries.** The leader retries transient errors under the
     ///   configured [`crate::engine::RetryPolicy`] — bounded attempts,
     ///   exponential backoff with deterministic seeded jitter, slept on the
@@ -179,12 +183,13 @@ where
     /// thread polls the future, and sleeps its retry backoffs on the
     /// engine's runtime timer.  The future is lazy (nothing happens until it
     /// is polled) and cancellation-safe: dropping it deregisters a waiter;
-    /// a leader dropped during a backoff abandons its flight, so one waiter
-    /// takes over with its own fetch (with no waiters the cell is retired).
+    /// a leader dropped during a backoff abandons its flight, retiring it
+    /// from the key's slot and waking every waiter to look the key up again
+    /// as [`Watchman::get_or_execute`] describes.
     ///
     /// A **panicking** fetch keeps the infallible contract: the panic
-    /// unwinds out of the leader's poll and one waiter takes over the
-    /// execution.
+    /// unwinds out of the leader's poll and the flight is abandoned the
+    /// same way.
     pub fn try_get_or_execute_async<F>(
         &self,
         key: &QueryKey,
@@ -240,13 +245,12 @@ where
     /// fresh last-known-good copy (with
     /// [`FailureConfig::serve_stale`](crate::engine::FailureConfig::serve_stale)
     /// on) and drops any memoized failure.  Outside it none of that is
-    /// touched — except that a cell carrying a half-open probe ticket (taken
-    /// over from a failure-domain leader) settles the ticket whoever
-    /// completes it.
+    /// touched.
     ///
     /// The retired flight's cell, if a waiter made one, moves into `leader`:
     /// the caller completes it, and if an observer panics first the
-    /// leader's abandon guard hands it to a waiter.
+    /// leader's abandon guard abandons it, and its waiters hit the value
+    /// just inserted.
     #[allow(clippy::too_many_arguments)]
     fn finish_leader_insert(
         &self,
@@ -310,32 +314,10 @@ where
             }
         }
         drop(state);
-        if let Some(cell) = retired.as_ref().or(leader.cell.as_ref()) {
+        if let Some(cell) = retired {
             cell.fail(Arc::clone(&error));
         }
         error
-    }
-
-    /// Resolves a won takeover race on an abandoned flight into a hit or real
-    /// leadership.  The failed leader may have panicked *after* its insert
-    /// succeeded (in a user observer), leaving the value cached: then
-    /// the session is served the hit instead of re-running a multi-second
-    /// fetch, and passes leadership along — the next candidate repeats this
-    /// check, and the last abandonment retires the cell.
-    fn take_over(
-        &self,
-        key: &QueryKey,
-        shard_index: usize,
-        now: Timestamp,
-        leader: Leader<V>,
-    ) -> Step<V> {
-        let shard = &self.inner.shards[shard_index];
-        let cached = shard.lock().cache.get(key, now).map(Arc::clone);
-        let Some(value) = cached else {
-            return Step::Lead(leader);
-        };
-        shard.abandon(key, &leader);
-        Step::Return(Lookup::served(value, LookupSource::Hit))
     }
 
     /// Resolves this session's share of a failed lookup: serves the
@@ -382,7 +364,7 @@ where
 /// How a lookup's leader obtains the retrieved set: the one parameter of
 /// [`LookupFuture`].  The two implementations are the infallible door's
 /// [`Infallible`] and the fallible door's [`Fallible`]; everything else —
-/// hit, coalesce, lead, retry, abandonment, takeover — is the same code.
+/// hit, coalesce, lead, retry, abandonment, restart — is the same code.
 pub trait FetchMode<V> {
     /// What the lookup resolves to.
     type Output;
@@ -392,7 +374,8 @@ pub trait FetchMode<V> {
     /// feeds the breaker and the slot's records when its fetch settles, and
     /// shares a coalesced leader's terminal error.  Outside the domain none
     /// of that state is read or written, and a session whose leader failed
-    /// with an error starts over with its own fetch.
+    /// with an error starts over with its own fetch, as every waiter of an
+    /// abandoned flight does.
     const FAILURE_DOMAIN: bool;
 
     /// Runs one fetch attempt.
@@ -469,10 +452,8 @@ enum LookupState<V> {
     /// Probe the cache — unless the sync door already did, leaving the step
     /// its probe decided.
     Start(Option<Step<V>>),
-    /// A coalescing waiter of flight `id`, suspended on its cell's waker
-    /// list.
+    /// A coalescing waiter, suspended on its flight cell's waker list.
     Waiting {
-        id: u64,
         flight: Arc<Flight<V>>,
         slot: WaiterSlot,
     },
@@ -496,12 +477,12 @@ pub(crate) enum Step<V> {
         error: Arc<FetchError>,
         negative_hit: bool,
     },
-    /// Wait on the cell of flight `id`.
-    BecomeWaiter(u64, Arc<Flight<V>>),
+    /// Wait on this flight cell.
+    BecomeWaiter(Arc<Flight<V>>),
     Lead(Leader<V>),
     Suspend,
-    /// A failure-domain leader failed the awaited flight with an error and
-    /// this session is outside the domain: go back to `Start` and look
+    /// The awaited flight was abandoned, or failed with an error while this
+    /// session is outside the failure domain: go back to `Start` and look
     /// again with its own, still unconsumed fetch.
     Restart,
 }
@@ -520,8 +501,7 @@ pub(crate) enum Step<V> {
 /// Lazy: nothing happens until first poll.  The poll that takes leadership
 /// runs the fetch, so a leader suspends only to sleep out a retry backoff.
 /// Cancellation-safe: dropping it deregisters this session's waker from the
-/// flight it waits on; a dropped takeover candidate passes its wake to the
-/// next waiter, and a leader dropped mid-backoff abandons its flight to one.
+/// flight it waits on, and a leader dropped mid-backoff abandons its flight.
 pub struct LookupFuture<V, M> {
     engine: Watchman<V>,
     /// The key being looked up.
@@ -621,7 +601,7 @@ where
                         step
                     }
                 },
-                LookupState::Waiting { id, flight, slot } => match flight.poll_wait(slot, cx) {
+                LookupState::Waiting { flight, slot } => match flight.poll_wait(slot, cx) {
                     Poll::Pending => Step::Suspend,
                     Poll::Ready(FlightOutcome::Done(value, cost)) => {
                         // A coalesced wait is still one logical reference
@@ -635,20 +615,6 @@ where
                         }
                         Step::Return(Lookup::served(value, LookupSource::Coalesced))
                     }
-                    // The previous leader failed and this session won the
-                    // takeover race: it is the leader now, on the same
-                    // flight cell, with its own (still unconsumed) fetch
-                    // and a retry budget that starts from zero.
-                    Poll::Ready(FlightOutcome::TakeOver) => {
-                        let shard_index = this.shard.expect("set before waiting");
-                        this.attempts = 0;
-                        let leader = Leader {
-                            id: *id,
-                            cell: Some(Arc::clone(flight)),
-                        };
-                        this.engine
-                            .take_over(&this.key, shard_index, this.now, leader)
-                    }
                     // The leader's terminal error resolved the flight for
                     // every coalesced waiter at once; inside the failure
                     // domain all of them share one `Arc<FetchError>` (and
@@ -659,10 +625,14 @@ where
                             negative_hit: false,
                         }
                     }
-                    // Outside it the session cannot surface an error, but it
-                    // still holds its own fetch: start over — the failed
-                    // cell is retired, so it leads a fresh flight.
-                    Poll::Ready(FlightOutcome::Failed(_)) => Step::Restart,
+                    // Outside it the session cannot surface an error, and
+                    // an abandoned flight has nothing to share; either way
+                    // it still holds its own fetch: start over — the
+                    // resolved flight is retired, so the key's cache entry,
+                    // a successor's flight or a fresh one answers it.
+                    Poll::Ready(FlightOutcome::Failed(_) | FlightOutcome::Abandoned) => {
+                        Step::Restart
+                    }
                 },
                 LookupState::Backoff { sleep, .. } => match Pin::new(sleep).poll(cx) {
                     Poll::Pending => Step::Suspend,
@@ -690,9 +660,8 @@ where
                     error,
                     negative_hit,
                 } => return this.resolve(error, negative_hit),
-                Step::BecomeWaiter(id, flight) => {
+                Step::BecomeWaiter(flight) => {
                     this.state = LookupState::Waiting {
-                        id,
                         flight,
                         slot: WaiterSlot::new(),
                     };
@@ -709,11 +678,10 @@ where
                         // The guard stays armed through the fetch AND, on
                         // success, the completion (insert + observer calls):
                         // a panic anywhere before `complete` — including
-                        // user observer code — must wake exactly one waiter
-                        // to take over this same flight (retiring it when
-                        // nobody waits) instead of stranding the waiters on
-                        // a flight that never resolves.  The panic itself
-                        // unwinds out of this poll.
+                        // user observer code — must retire the flight and
+                        // wake every waiter to look again, instead of
+                        // stranding them on a flight that never resolves.
+                        // The panic itself unwinds out of this poll.
                         let guard = AbandonGuard {
                             shard: &this.engine.inner.shards[shard_index],
                             key: &this.key,
@@ -776,17 +744,11 @@ where
 impl<V, M> Drop for LookupFuture<V, M> {
     fn drop(&mut self) {
         match &mut self.state {
-            // A cancelled waiter must deregister; if it had been woken to
-            // take over an abandoned flight, the wake is passed along so no
-            // takeover is lost, and the last waiter of an abandoned flight
-            // retires the cell.
-            LookupState::Waiting { id, flight, slot } => {
-                let shard_index = self.shard.expect("set before waiting");
-                self.engine.inner.shards[shard_index].forget_waiter(&self.key, *id, flight, slot);
-            }
+            // A cancelled waiter deregisters; the flight stays its leader's
+            // to settle.
+            LookupState::Waiting { flight, slot } => flight.forget_waiter(slot),
             // A leader dropped mid-backoff, or before it ever fetched, still
-            // owns a pending flight: abandon it so a waiter takes leadership
-            // over with its own fetch (a waiterless flight is retired).
+            // owns a pending flight: abandon it, so its waiters look again.
             LookupState::Backoff { leader, .. } | LookupState::Start(Some(Step::Lead(leader))) => {
                 let shard_index = self.shard.expect("set before leading");
                 self.engine.inner.shards[shard_index].abandon(&self.key, leader);
@@ -797,9 +759,7 @@ impl<V, M> Drop for LookupFuture<V, M> {
 }
 
 /// Abandons the leader's flight if its fetch panics, so waiters are not
-/// stranded on a flight that will never complete.  Exactly one waiter is
-/// woken to take over leadership of the same cell; with no waiters at all
-/// the flight is retired from its key's slot (see [`Shard::abandon`]).
+/// stranded on a flight that will never complete (see [`Shard::abandon`]).
 struct AbandonGuard<'a, V> {
     shard: &'a Shard<V>,
     key: &'a QueryKey,

@@ -27,11 +27,11 @@
 //!
 //! ## Failure handling
 //!
-//! If a single-flight leader's fetch panics, the flight is *abandoned*:
-//! exactly one waiter is woken to take over leadership (no thundering herd,
-//! no lost wakeup — a cancelled candidate passes the wake along), the other
-//! waiters keep sleeping until the new leader completes the same flight
-//! cell, and the panic unwinds out of the original leader's poll.
+//! If a single-flight leader's fetch panics, the flight is *abandoned*: it
+//! is retired from its key's slot, every waiter is woken to look the key up
+//! again — a hit if the leader's insert landed, otherwise one of them leads
+//! a fresh flight and the rest join it — and the panic unwinds out of the
+//! original leader's poll.
 //!
 //! Expected failures — the warehouse itself erroring out — go through the
 //! *fallible* front door [`Watchman::try_get_or_execute_async`], whose fetch
@@ -570,10 +570,10 @@ mod tests {
 
     #[test]
     fn async_leader_panic_hands_the_flight_to_a_waiter() {
-        // The async-path regression for the takeover protocol: the leader's
-        // spawned fetch is killed mid-flight (panics), exactly one waiter
-        // takes over the same flight cell, and the panic is re-raised on the
-        // leader's session.
+        // The async-path regression for abandonment: the leader's fetch is
+        // killed mid-flight (panics), the waiter looks the key up again and
+        // leads a fresh flight, and the panic is re-raised on the leader's
+        // session.
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(1)
             .policy(PolicyKind::LNC_RA)
@@ -614,7 +614,7 @@ mod tests {
                         attempts.fetch_add(1, Ordering::SeqCst);
                         payload_ok(64, 100)
                     })
-                    .expect("the takeover succeeds");
+                    .expect("the successor's fetch succeeds");
                     assert_eq!(lookup.value.size_bytes(), 64);
                     assert_eq!(lookup.source, LookupSource::Executed);
                 });
@@ -623,7 +623,7 @@ mod tests {
         assert_eq!(
             attempts.load(Ordering::SeqCst),
             2,
-            "exactly one waiter must take over after abandonment"
+            "the waiter must execute once after abandonment"
         );
         assert!(engine.contains(&key("fragile")));
     }
@@ -633,8 +633,8 @@ mod tests {
         // The leader's fetch succeeds and the insert lands, then a user
         // observer panics on the admission (still inside the leader's
         // completion).  The flight is abandoned — but the value IS cached,
-        // so the woken waiter must be served a hit instead of re-running
-        // the multi-second warehouse query.
+        // so the woken waiter, looking again, must be served a hit instead
+        // of re-running the multi-second warehouse query.
         struct PanicOnAdmit;
         impl CacheObserver for PanicOnAdmit {
             fn admitted(&self, _: &QueryKey) {
@@ -700,7 +700,7 @@ mod tests {
         assert_eq!(
             engine.inflight_entries(),
             0,
-            "the abandoned cell is retired"
+            "the abandoned flight is retired"
         );
     }
 
@@ -1188,20 +1188,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn leader_dropped_in_backoff_hands_the_flight_to_one_waiter() {
-        use std::future::Future;
-        use std::task::{Context, Poll, Waker};
-        let engine: Watchman<SizedPayload> = Watchman::builder()
+    /// A one-shard engine whose leaders back off for an hour after a
+    /// transient error, caching in `capacity_bytes`.
+    fn engine_with_hour_backoff(capacity_bytes: u64) -> Watchman<SizedPayload> {
+        Watchman::builder()
             .shards(1)
             .policy(PolicyKind::LNC_RA)
-            .capacity_bytes(1 << 20)
+            .capacity_bytes(capacity_bytes)
             .failure(FailureConfig {
                 retry: retry_after_an_hour(),
                 ..FailureConfig::default()
             })
             .runtime_workers(1)
-            .build();
+            .build()
+    }
+
+    /// Parks a leader of `key` in its hour-long backoff, registers two
+    /// waiters behind it whose fetches return a `size_bytes` set, drops the
+    /// leader and polls both woken waiters in order.  Returns their sources
+    /// and how many times their fetches ran.
+    fn abandon_behind_two_waiters(
+        engine: &Watchman<SizedPayload>,
+        size_bytes: u64,
+    ) -> (Vec<LookupSource>, u64) {
+        use std::future::Future;
+        use std::task::{Context, Poll, Waker};
         let mut leader = engine.try_get_or_execute_async(&key("shared"), ts(1), || {
             Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("blip"))
         });
@@ -1219,7 +1230,7 @@ mod tests {
                 let flag = Arc::new(WokenFlag(std::sync::atomic::AtomicBool::new(false)));
                 let waiter = engine.try_get_or_execute_async(&key("shared"), ts(2), move || {
                     executions.fetch_add(1, Ordering::SeqCst);
-                    payload_ok(64, 700)
+                    payload_ok(size_bytes, 700)
                 });
                 (waiter, flag)
             })
@@ -1231,27 +1242,46 @@ mod tests {
         }
 
         drop(leader);
-        let woken: Vec<usize> = (0..waiters.len())
-            .filter(|&i| waiters[i].1 .0.load(Ordering::SeqCst))
-            .collect();
-        assert_eq!(woken.len(), 1, "exactly one waiter is woken to take over");
-        // The candidate leads the same cell with its own fetch, which runs
-        // in this poll; completing the flight wakes the other waiter.
+        assert_eq!(engine.inflight_entries(), 0, "the drop retires the flight");
         let mut sources = Vec::new();
-        for index in [woken[0], 1 - woken[0]] {
-            let (waiter, flag) = &mut waiters[index];
+        for (index, (waiter, flag)) in waiters.iter_mut().enumerate() {
             assert!(flag.0.load(Ordering::SeqCst), "waiter {index} was woken");
             let waker = Waker::from(Arc::clone(flag));
             let mut cx = Context::from_waker(&waker);
             match std::pin::Pin::new(waiter).poll(&mut cx) {
-                Poll::Ready(lookup) => sources.push(lookup.expect("the takeover succeeds").source),
+                Poll::Ready(lookup) => sources.push(lookup.expect("its fetch succeeds").source),
                 Poll::Pending => panic!("waiter {index} must resolve once woken"),
             }
         }
-        assert_eq!(sources, [LookupSource::Executed, LookupSource::Coalesced]);
-        assert_eq!(executions.load(Ordering::SeqCst), 1);
+        (sources, executions.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn leader_dropped_in_backoff_hands_the_flight_to_one_waiter() {
+        // Both waiters are woken and look again: the first leads a fresh
+        // flight with its own fetch, which runs in its poll and is
+        // admitted; the second hits the set.
+        let engine = engine_with_hour_backoff(1 << 20);
+        let (sources, executions) = abandon_behind_two_waiters(&engine, 64);
+        assert_eq!(sources, [LookupSource::Executed, LookupSource::Hit]);
+        assert_eq!(executions, 1);
         assert_eq!(engine.inflight_entries(), 0);
+        assert_eq!(engine.slot_count(), 0);
         assert!(engine.contains(&key("shared")));
+    }
+
+    #[test]
+    fn a_waiter_looking_again_after_a_refused_successor_executes() {
+        // As above, but the cache is too small for the set: the successor
+        // finishes and its set is refused before the second waiter looks
+        // again, so that waiter misses and executes too.
+        let engine = engine_with_hour_backoff(1_000);
+        let (sources, executions) = abandon_behind_two_waiters(&engine, 4_096);
+        assert_eq!(sources, [LookupSource::Executed, LookupSource::Executed]);
+        assert_eq!(executions, 2);
+        assert_eq!(engine.inflight_entries(), 0);
+        assert_eq!(engine.slot_count(), 0);
+        assert!(!engine.contains(&key("shared")));
     }
 
     #[test]
@@ -1296,19 +1326,10 @@ mod tests {
     #[test]
     fn a_flight_gets_a_cell_from_its_first_waiter_and_its_last_retires_it() {
         // The leader sleeps out a backoff holding its flight: no waiter, no
-        // cell.  The first waiter to join creates the cell.  Abandoned by
-        // its leader, the flight wakes that waiter to take over, and the
-        // waiter's cancellation, as the last claim, retires the flight.
-        let engine: Watchman<SizedPayload> = Watchman::builder()
-            .shards(1)
-            .policy(PolicyKind::LNC_RA)
-            .capacity_bytes(1 << 20)
-            .failure(FailureConfig {
-                retry: retry_after_an_hour(),
-                ..FailureConfig::default()
-            })
-            .runtime_workers(1)
-            .build();
+        // cell.  The first waiter to join creates the cell.  The leader is
+        // the flight's last claim: its drop retires the flight at once, and
+        // the woken waiter's cancellation leaves nothing behind.
+        let engine = engine_with_hour_backoff(1 << 20);
         let fetch = || Err::<(SizedPayload, ExecutionCost), _>(FetchError::transient("blip"));
         let mut leader = engine.try_get_or_execute_async(&key("k"), ts(1), fetch);
         poll_once_pending(&mut leader);
@@ -1326,15 +1347,11 @@ mod tests {
         drop(leader);
         assert_eq!(
             engine.inflight_entries(),
-            1,
-            "the woken waiter still claims the flight"
-        );
-        drop(waiter);
-        assert_eq!(
-            engine.inflight_entries(),
             0,
-            "the last claim's cancellation retires the flight"
+            "the leader's drop retires the flight"
         );
+        assert_eq!(engine.slot_count(), 0);
+        drop(waiter);
         assert_eq!(engine.slot_count(), 0);
     }
 

@@ -14,7 +14,7 @@ use crate::engine::events::CacheObserver;
 use crate::engine::failure::{BreakerState, CircuitBreaker, FailureConfig, FetchError};
 use crate::engine::lookup::Step;
 use crate::engine::policy_kind::PolicyKind;
-use crate::engine::single_flight::{Flight, WaiterSlot};
+use crate::engine::single_flight::Flight;
 use crate::key::{QueryKey, SignatureMap};
 use crate::metrics::CacheStats;
 use crate::policy::{InsertOutcome, QueryCache};
@@ -95,11 +95,11 @@ pub(super) const FAILURE_TTL_US: u64 = 50_000;
 /// both.
 pub(super) const MAX_RECORDED_KEYS: usize = 1_024;
 
-/// A session's claim to lead the flight with this id in its key's slot.
-/// A leader that started the flight holds no cell: the slot creates one
-/// only when a waiter joins, and hands it to the leader when it settles.
-/// A leader that took an abandoned flight over from a waiter's seat holds
-/// the cell it waited on.
+/// A session's claim to lead the flight with this id in its key's slot: the
+/// session that started the flight, until it settles it.  The slot creates
+/// the flight's cell only when a waiter joins, and hands it to the leader
+/// when its success retires the flight (`cell`), so the leader can still
+/// abandon it if an observer panics before the cell is completed.
 pub(crate) struct Leader<V> {
     pub(crate) id: u64,
     pub(crate) cell: Option<Arc<Flight<V>>>,
@@ -107,14 +107,14 @@ pub(crate) struct Leader<V> {
 
 /// The flight fetching a key, as its slot records it.
 struct InFlight<V> {
-    /// Names the flight for its leader, whoever that is after takeovers.
+    /// Names the flight for its leader.
     id: u64,
     /// The waiters' rendezvous, created by the first waiter that joins, so
     /// an uncontended miss never allocates one.
     cell: Option<Arc<Flight<V>>>,
     /// Whether the flight holds one of the breaker's half-open probe
-    /// tickets.  The ticket belongs to the flight, not to a session, so it
-    /// survives takeovers; whoever settles or retires the flight takes it.
+    /// tickets: its leader's success settles it, and its abandonment
+    /// returns it.
     probe: bool,
 }
 
@@ -147,10 +147,8 @@ impl<V> KeySlot<V> {
     }
 
     /// Takes the flight with id `id` out of the slot, if it is still the
-    /// slot's own.  A racer that cloned an abandoned cell's `Arc` before its
-    /// retirement can still take the orphan over and settle it, by which
-    /// time the slot holds no flight or one with a fresh id: the orphan
-    /// retires nothing and finds no ticket.
+    /// slot's own.  A leader whose observer panicked after its success
+    /// retired the flight finds none here, or a successor's.
     fn retire(&mut self, id: u64) -> Option<InFlight<V>> {
         self.flight.take_if(|own| own.id == id)
     }
@@ -205,7 +203,7 @@ impl<V> ShardState<V> {
             // retrying its way to a success this session can share.
             if let Some(flight) = &mut slot.flight {
                 let cell = flight.cell.get_or_insert_with(|| Arc::new(Flight::new()));
-                return Step::BecomeWaiter(flight.id, Arc::clone(cell));
+                return Step::BecomeWaiter(Arc::clone(cell));
             }
             match &slot.failure {
                 Some((error, expires)) if failure_domain && now < *expires => {
@@ -250,12 +248,10 @@ impl<V> ShardState<V> {
         Step::Lead(Leader { id, cell: None })
     }
 
-    /// Flight `id`'s fetch succeeded: retires the flight and settles its
-    /// probe ticket with the breaker, which a failure-domain leader's
-    /// success feeds even without one.  Inside the failure domain the key's
-    /// memoized failure is dropped and `stale`, if given, becomes its
-    /// last-known-good copy.  Returns the retired flight's cell, if a
-    /// waiter made one.
+    /// Flight `id`'s fetch succeeded: retires the flight.  Inside the
+    /// failure domain the breaker records the success, the key's memoized
+    /// failure is dropped and `stale`, if given, becomes its last-known-good
+    /// copy.  Returns the retired flight's cell, if a waiter made one.
     pub(crate) fn settle_success(
         &mut self,
         key: &QueryKey,
@@ -272,8 +268,9 @@ impl<V> ShardState<V> {
             slot.stale = stale.or(slot.stale.take());
             stored
         });
-        let probe = retired.as_ref().is_some_and(|flight| flight.probe);
-        if probe || failure_domain {
+        // Only a failure-domain leader draws a probe ticket, so this also
+        // settles the flight's ticket, if it drew one.
+        if failure_domain {
             if let Some(breaker) = self.breaker.as_mut() {
                 breaker.record_success(now);
             }
@@ -298,18 +295,19 @@ impl<V> ShardState<V> {
         retired.and_then(|flight| flight.cell)
     }
 
-    /// Retires a flight that no session is left to resolve.  This is the
-    /// one place a half-open probe ticket is *returned*: the flight's fetch
-    /// ended without an outcome for the breaker (its leader panicked or was
-    /// cancelled, and nobody took the flight over), so the ticket it drew at
-    /// admission goes back for the next arrival to draw.
-    fn retire_unresolved(&mut self, key: &QueryKey, id: u64) {
-        let retired = self.settle(key, id, |_| false);
-        if retired.is_some_and(|flight| flight.probe) {
+    /// Retires a flight whose leader panicked or was cancelled.  This is
+    /// the one place a half-open probe ticket is *returned*: the flight's
+    /// fetch ended without an outcome for the breaker, so the ticket it drew
+    /// at admission goes back for the next arrival to draw.  Returns the
+    /// retired flight's cell, if a waiter made one.
+    pub(crate) fn retire_unresolved(&mut self, key: &QueryKey, id: u64) -> Option<Arc<Flight<V>>> {
+        let retired = self.settle(key, id, |_| false)?;
+        if retired.probe {
             if let Some(breaker) = self.breaker.as_mut() {
                 breaker.release_probe();
             }
         }
+        retired.cell
     }
 
     /// The one completion step on `key`'s slot: retires flight `id` from
@@ -357,13 +355,6 @@ impl<V> ShardState<V> {
             .is_some_and(|slot| slot.flight.is_some())
     }
 
-    /// The cell of flight `id`, if the slot still holds that flight and a
-    /// waiter has joined it.
-    fn cell_of(&self, key: &QueryKey, id: u64) -> Option<&Arc<Flight<V>>> {
-        let flight = self.slots.get(key)?.flight.as_ref()?;
-        flight.cell.as_ref().filter(|_| flight.id == id)
-    }
-
     /// The last-known-good copy of `key`, if its slot holds one.
     pub(super) fn stale_for(&self, key: &QueryKey) -> Option<(Arc<V>, ExecutionCost)> {
         let (value, cost) = self.slots.get(key)?.stale.as_ref()?;
@@ -407,42 +398,16 @@ impl<V> Shard<V> {
         self.state.lock()
     }
 
-    /// Abandons `leader`'s flight — its leader panicked, was cancelled, or
-    /// passed on a takeover — waking one waiter to take it over; when no
-    /// waiter holds a claim on it (or none ever joined, so it has no cell),
-    /// retires the flight instead.  Without that, a panicking key that is
-    /// never re-requested would leak its flight forever.
-    ///
-    /// This is the single abandon path: shard lock first, then the cell's
-    /// own lock inside [`Flight::abandon`], so the zero-waiter check and the
-    /// removal are atomic against new sessions joining the flight.  The
-    /// worst case of the orphan race described at [`KeySlot::retire`] is
-    /// one duplicate execution.
+    /// Abandons `leader`'s flight: its leader panicked or was cancelled
+    /// before the fetch had an outcome.  Retires the flight from its key's
+    /// slot under the shard lock — a panicking key that is never requested
+    /// again must not leak it — then, with the lock dropped, abandons its
+    /// cell, if it has one, which wakes every waiter to look the key up
+    /// again.
     pub(crate) fn abandon(&self, key: &QueryKey, leader: &Leader<V>) {
-        let mut state = self.lock();
-        let invested = state
-            .cell_of(key, leader.id)
-            .or(leader.cell.as_ref())
-            .map_or(0, |cell| cell.abandon());
-        if invested == 0 {
-            state.retire_unresolved(key, leader.id);
-        }
-    }
-
-    /// Deregisters a cancelled waiter of flight `id` (same lock order as
-    /// [`Shard::abandon`]).  If it had been woken to take an abandoned
-    /// flight over, the wake moves to the next waiter; if it was the last
-    /// one, the flight is retired.
-    pub(crate) fn forget_waiter(
-        &self,
-        key: &QueryKey,
-        id: u64,
-        cell: &Flight<V>,
-        slot: &mut WaiterSlot,
-    ) {
-        let mut state = self.lock();
-        if cell.forget_waiter(slot) {
-            state.retire_unresolved(key, id);
+        let retired = self.lock().retire_unresolved(key, leader.id);
+        if let Some(cell) = retired.as_ref().or(leader.cell.as_ref()) {
+            cell.abandon();
         }
     }
 }

@@ -3,11 +3,10 @@
 //! WATCHMAN speeds up cache lookup by storing a *signature* (a hash of the
 //! query ID) with every cache entry; only entries whose signature matches the
 //! looked-up query are compared by exact query-ID match.  [`EntryStore`]
-//! packages that scheme as a slab of entries plus a signature → entry-id
-//! index: a policy's cache keeps one, with one record per key, cached or
-//! retained, and gets collision-safe, allocation-friendly lookups.
-
-use std::collections::hash_map::Entry;
+//! packages that scheme as a slab of entries plus a key → entry-id index
+//! hashed by signature: a policy's cache keeps one, with one record per
+//! key, cached or retained, and gets collision-safe, allocation-friendly
+//! lookups.
 
 use crate::key::{QueryKey, SignatureMap};
 use crate::value::ExecutionCost;
@@ -75,22 +74,15 @@ impl<V, S> Record<V, S> {
     pub(crate) fn is_retained(&self) -> bool {
         matches!(self.residency, Residency::Retained)
     }
-}
 
-/// The ids of the entries with one signature: one inline, so that an insert
-/// allocates nothing, and a list only after a collision.
-#[derive(Debug, Clone)]
-enum Ids {
-    One(EntryId),
-    Many(Vec<EntryId>),
-}
-
-impl Ids {
-    fn as_slice(&self) -> &[EntryId] {
-        match self {
-            Ids::One(id) => std::slice::from_ref(id),
-            Ids::Many(ids) => ids,
-        }
+    /// Replaces what is known about the set with `info`, which must be for
+    /// the same key.  The record keeps its own copy of the key, which the
+    /// store's index shares, so `info`'s copy of the text is not kept alive
+    /// beside it.
+    pub(crate) fn replace_info(&mut self, info: SetInfo<S>) {
+        debug_assert!(info.key == self.info.key, "a record keeps its key");
+        let key = std::mem::replace(&mut self.info, info).key;
+        self.info.key = key;
     }
 }
 
@@ -100,8 +92,10 @@ impl Ids {
 pub struct EntryStore<V, S> {
     slots: Vec<Option<Record<V, S>>>,
     free: Vec<usize>,
-    /// signature → ids of entries with that signature (normally exactly one).
-    index: SignatureMap<u64, Ids>,
+    /// key → id.  A `QueryKey` hashes as its signature and compares its
+    /// signature before its text, so this is §3's signature index with the
+    /// exact match resolving colliding signatures.
+    index: SignatureMap<QueryKey, EntryId>,
     len: usize,
 }
 
@@ -128,11 +122,10 @@ impl<V, S> EntryStore<V, S> {
 
     /// Inserts an entry and returns its id.
     ///
-    /// The caller is responsible for not inserting two entries with the same
-    /// key; [`EntryStore::find`] can be used to check first.  If a duplicate
-    /// is inserted anyway, lookups will consistently return the first one.
+    /// The caller must not insert two entries with the same key;
+    /// [`EntryStore::find`] can be used to check first.
     pub fn insert(&mut self, entry: Record<V, S>) -> EntryId {
-        let signature = entry.info.key.signature().value();
+        let key = entry.info.key.clone();
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = Some(entry);
@@ -144,15 +137,8 @@ impl<V, S> EntryStore<V, S> {
             }
         };
         let id = EntryId(slot);
-        match self.index.entry(signature) {
-            Entry::Vacant(vacant) => {
-                vacant.insert(Ids::One(id));
-            }
-            Entry::Occupied(mut ids) => match ids.get_mut() {
-                Ids::One(first) => *ids.get_mut() = Ids::Many(vec![*first, id]),
-                Ids::Many(all) => all.push(id),
-            },
-        }
+        let replaced = self.index.insert(key, id);
+        debug_assert!(replaced.is_none(), "a key is stored at most once");
         self.len += 1;
         id
     }
@@ -160,12 +146,7 @@ impl<V, S> EntryStore<V, S> {
     /// Finds the id of the entry with the given key, resolving signature
     /// collisions by exact key comparison.
     pub fn find(&self, key: &QueryKey) -> Option<EntryId> {
-        let ids = self.index.get(&key.signature().value())?;
-        ids.as_slice().iter().copied().find(|id| {
-            self.slots[id.0]
-                .as_ref()
-                .is_some_and(|e| e.info.key == *key)
-        })
+        self.index.get(key).copied()
     }
 
     /// Returns a reference to the entry with the given key.
@@ -192,20 +173,7 @@ impl<V, S> EntryStore<V, S> {
     /// Removes and returns the entry with the given id.
     pub fn remove(&mut self, id: EntryId) -> Option<Record<V, S>> {
         let entry = self.slots.get_mut(id.0)?.take()?;
-        let signature = entry.info.key.signature().value();
-        if let Entry::Occupied(mut ids) = self.index.entry(signature) {
-            match ids.get_mut() {
-                Ids::One(_) => {
-                    ids.remove();
-                }
-                Ids::Many(all) => {
-                    all.retain(|&other| other != id);
-                    if let [last] = all[..] {
-                        *ids.get_mut() = Ids::One(last);
-                    }
-                }
-            }
-        }
+        self.index.remove(&entry.info.key);
         self.free.push(id.0);
         self.len -= 1;
         Some(entry)

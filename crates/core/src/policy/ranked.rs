@@ -375,7 +375,8 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> RankedCache<V, R, O> {
             let residency = Residency::Pending;
             return self.records.insert(Record { info, residency });
         };
-        self.records.by_id_mut(slot).expect("taken up").info = info;
+        let record = self.records.by_id_mut(slot).expect("taken up");
+        record.replace_info(info);
         slot
     }
 

@@ -293,7 +293,8 @@ pub(crate) mod tests {
                 Some(slot) => {
                     self.store.take_up(&mut self.records, Some(slot), now);
                     let record = self.records.by_id_mut(slot).expect("found");
-                    (record.info, record.residency) = (info, Residency::Pending);
+                    record.replace_info(info);
+                    record.residency = Residency::Pending;
                     slot
                 }
                 None => self.records.insert(Record {

@@ -1,8 +1,8 @@
 //! Instrumented synchronization primitives — the only place the workspace
 //! touches `std::sync` locks.
 //!
-//! Every `Mutex`/`Condvar`/`RwLock` in `watchman-core` and `watchman-server`
-//! goes through the wrappers in this module (clippy's `disallowed_types`,
+//! Every `Mutex`/`Condvar` in `watchman-core` and `watchman-server` goes
+//! through the wrappers in this module (clippy's `disallowed_types`,
 //! configured in the workspace's `clippy.toml` files, enforces it).  The
 //! wrappers buy two things:
 //!
@@ -483,123 +483,6 @@ impl Condvar {
     }
 }
 
-/// A reader-writer lock wrapping [`std::sync::RwLock`] with the module's
-/// poison policy and (under `lock-graph`) lock-order recording.  Read
-/// acquisitions participate in the graph exactly like writes: a read-side
-/// nesting can deadlock against a writer just as well.
-pub struct RwLock<T: ?Sized> {
-    #[cfg(feature = "lock-graph")]
-    class: instr_impl::ClassKey,
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    #[track_caller]
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-/// The shared-read guard for an [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    #[cfg(feature = "lock-graph")]
-    _held: HeldToken,
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-/// The exclusive-write guard for an [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    #[cfg(feature = "lock-graph")]
-    _held: HeldToken,
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLockReadGuard<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLockWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T> RwLock<T> {
-    /// Creates a reader-writer lock; the call site becomes its class.
-    #[track_caller]
-    pub fn new(value: T) -> Self {
-        RwLock {
-            #[cfg(feature = "lock-graph")]
-            class: instr_impl::ClassKey::of(std::panic::Location::caller()),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access (poison recovered per the module policy).
-    #[track_caller]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let site = std::panic::Location::caller();
-        let inner = self.inner.read().unwrap_or_else(|poisoned| {
-            note_poison_recovery(site);
-            poisoned.into_inner()
-        });
-        #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(self.class, site);
-        RwLockReadGuard {
-            #[cfg(feature = "lock-graph")]
-            _held: HeldToken { class: self.class },
-            inner,
-        }
-    }
-
-    /// Acquires exclusive write access (poison recovered per the policy).
-    #[track_caller]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let site = std::panic::Location::caller();
-        let inner = self.inner.write().unwrap_or_else(|poisoned| {
-            note_poison_recovery(site);
-            poisoned.into_inner()
-        });
-        #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(self.class, site);
-        RwLockWriteGuard {
-            #[cfg(feature = "lock-graph")]
-            _held: HeldToken { class: self.class },
-            inner,
-        }
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 /// The `lock-graph` report surface.  Compiled only with the feature; test
 /// suites call [`assert_clean`](lock_graph::assert_clean) after driving the
 /// engine and the wire server through their scenarios.
@@ -821,13 +704,6 @@ mod tests {
         let held = lock.lock();
         assert!(lock.try_lock().is_none(), "held lock must refuse try_lock");
         drop(held);
-    }
-
-    #[test]
-    fn rwlock_round_trips_values() {
-        let lock = RwLock::new(String::from("a"));
-        lock.write().push('b');
-        assert_eq!(&*lock.read(), "ab");
     }
 
     #[test]

@@ -311,9 +311,10 @@ struct Shared {
     /// `StatsSnapshot::sheds` and into `METRICS` as `server.sheds` — sheds
     /// never reach the engine, so the engine cannot count them.
     sheds: AtomicU64,
-    /// EWMA of `GET` service time in µs (α = 1/8): the basis of the
-    /// `BUSY` retry-after hint and of deadline-aware shedding.
-    service_ewma_us: AtomicU64,
+    /// EWMA of `GET` service time (α = 1/8), held as [`EWMA_SCALE`] × µs
+    /// (see [`ewma_step`]): the basis of the `BUSY` retry-after hint and of
+    /// deadline-aware shedding.
+    service_ewma_scaled: AtomicU64,
     /// Mid-frame read deadline ([`ServerConfig::read_deadline`]).
     read_deadline: Option<Duration>,
     /// Installed fault plan, if any.
@@ -445,7 +446,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         max_inflight: config.max_inflight,
         inflight: AtomicUsize::new(0),
         sheds: AtomicU64::new(0),
-        service_ewma_us: AtomicU64::new(0),
+        service_ewma_scaled: AtomicU64::new(0),
         read_deadline: config.read_deadline,
         fault: config.fault_plan,
         conn_seq: AtomicU64::new(0),
@@ -890,10 +891,7 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
         "process.threads",
         u64::from(process_thread_count().unwrap_or(0)),
     );
-    gauge(
-        "server.service_ewma_us",
-        shared.service_ewma_us.load(Ordering::Relaxed),
-    );
+    gauge("server.service_ewma_us", service_ewma_us(shared));
     snapshot
 }
 
@@ -946,10 +944,7 @@ impl Drop for InflightPermit<'_> {
 /// a cold server still hints something sane and a pathological sample
 /// cannot tell clients to go away for minutes.
 fn retry_after_hint(shared: &Shared) -> u64 {
-    shared
-        .service_ewma_us
-        .load(Ordering::Relaxed)
-        .clamp(1_000, 100_000)
+    service_ewma_us(shared).clamp(1_000, 100_000)
 }
 
 /// One shed: the server's shed counter and a `Shed` anomaly trace carrying
@@ -965,15 +960,34 @@ fn record_shed(shared: &Shared, get: &GetRequest<&str>, retry_after_us: u64) {
     );
 }
 
-/// Folds one `GET`'s service time into the EWMA (α = 1/8).
-fn record_service_time(shared: &Shared, service_us: u64) {
-    let previous = shared.service_ewma_us.load(Ordering::Relaxed);
-    let next = if previous == 0 {
-        service_us
+/// The fixed-point scale of the service-time EWMA: it is stored as this
+/// many times its value in µs, so a sample under this many µs still moves
+/// it.
+const EWMA_SCALE: u64 = 8;
+
+/// One step of the service-time EWMA (α = 1/8) over `scaled`, the average
+/// times [`EWMA_SCALE`]: `avg' = avg - avg/8 + sample/8`, multiplied through
+/// by 8.  A zero `scaled` has seen no sample yet, so the first sample seeds
+/// it.
+fn ewma_step(scaled: u64, service_us: u64) -> u64 {
+    if scaled == 0 {
+        service_us.saturating_mul(EWMA_SCALE)
     } else {
-        previous - previous / 8 + service_us / 8
-    };
-    shared.service_ewma_us.store(next, Ordering::Relaxed);
+        (scaled - scaled / 8).saturating_add(service_us)
+    }
+}
+
+/// The service-time EWMA in µs.
+fn service_ewma_us(shared: &Shared) -> u64 {
+    shared.service_ewma_scaled.load(Ordering::Relaxed) / EWMA_SCALE
+}
+
+/// Folds one `GET`'s service time into the EWMA.
+fn record_service_time(shared: &Shared, service_us: u64) {
+    let previous = shared.service_ewma_scaled.load(Ordering::Relaxed);
+    shared
+        .service_ewma_scaled
+        .store(ewma_step(previous, service_us), Ordering::Relaxed);
 }
 
 async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response<Prefix> {
@@ -1011,7 +1025,7 @@ async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response<Prefix> 
         }
     };
     if shared.max_inflight > 0 && get.deadline_hint_us != 0 {
-        let estimate = shared.service_ewma_us.load(Ordering::Relaxed);
+        let estimate = service_ewma_us(shared);
         if estimate > get.deadline_hint_us {
             let retry_after_us = retry_after_hint(shared);
             record_shed(shared, &get, retry_after_us);
@@ -1053,16 +1067,13 @@ async fn handle_get(shared: &Shared, get: GetRequest<&str>) -> Response<Prefix> 
     let lookup = match outcome {
         Ok(lookup) => lookup,
         Err(failure) => {
-            record_service_time(
-                shared,
-                u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            );
+            record_service_time(shared, telemetry::elapsed_us(started));
             return Response::Error {
                 message: format!("fetch failed: {}", failure.error.message()),
             };
         }
     };
-    let service_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let service_us = telemetry::elapsed_us(started);
     record_service_time(shared, service_us);
     let source = match lookup.source {
         LookupSource::Hit => WireSource::Hit,
@@ -1121,6 +1132,28 @@ mod tests {
                 .collect();
             assert_eq!(&synthesize_payload(signature, len)[..], &expected[..]);
         }
+    }
+
+    #[test]
+    fn service_ewma_follows_samples_under_its_scale() {
+        let mut scaled = ewma_step(0, 100);
+        for _ in 0..500 {
+            scaled = ewma_step(scaled, 5);
+        }
+        assert_eq!(
+            scaled / EWMA_SCALE,
+            5,
+            "sub-8 µs samples pull the average down"
+        );
+        let mut scaled = ewma_step(0, 3);
+        for _ in 0..100 {
+            scaled = ewma_step(scaled, 1);
+        }
+        assert_eq!(
+            scaled / EWMA_SCALE,
+            1,
+            "a small first sample does not pin it"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Async execution stress tests: many session tasks on a multi-worker
 //! runtime racing through [`Watchman::try_get_or_execute_async`], plus the
-//! abandoned-flight takeover protocol and runtime lifecycle guarantees.
+//! abandoned-flight restart and runtime lifecycle guarantees.
 //!
 //! CI runs this suite as its dedicated async stress step
 //! (`cargo test --test async_stress`).
@@ -92,10 +92,11 @@ fn async_single_flight_executes_each_miss_exactly_once() {
 }
 
 /// The leader-kill regression under the async path: the first leader's fetch
-/// panics mid-flight while a crowd of sessions waits.  Exactly one waiter
-/// must take over (total fetch attempts == 2), every surviving session must
-/// be served the takeover value, and the leader's own session must observe
-/// the panic.
+/// panics mid-flight while a crowd of sessions waits.  Every waiter looks
+/// the key up again, and exactly one of them leads the successor flight
+/// (total fetch attempts == 2): the others join it or hit its admitted set,
+/// so every surviving session is served the successor's value, and the
+/// leader's own session must observe the panic.
 #[test]
 fn killed_async_leader_hands_over_to_exactly_one_waiter() {
     const WAITERS: usize = 12;
@@ -147,11 +148,11 @@ fn killed_async_leader_hands_over_to_exactly_one_waiter() {
                         },
                     )
                     .await
-                    .expect("the takeover fetch succeeds");
+                    .expect("the successor's fetch succeeds");
                 assert_eq!(
                     lookup.value.size_bytes(),
                     777,
-                    "waiter served the takeover leader's value"
+                    "waiter served the successor leader's value"
                 );
                 lookup.source
             })
@@ -177,7 +178,7 @@ fn killed_async_leader_hands_over_to_exactly_one_waiter() {
     assert_eq!(
         attempts.load(Ordering::SeqCst),
         2,
-        "doomed fetch once, takeover fetch once — no thundering herd of retries"
+        "doomed fetch once, successor fetch once — no thundering herd of retries"
     );
     assert!(engine.contains(&key));
 }
