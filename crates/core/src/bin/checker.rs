@@ -5,9 +5,12 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p watchman-core --bin checker            # full budget
-//! cargo run -p watchman-core --bin checker -- --quick # CI smoke budget
+//! cargo run --release -p watchman-core --bin checker
 //! ```
+//!
+//! Every model gets the same budget of 1,500 schedules; the summary line
+//! says whether a model's schedules were explored exhaustively or the
+//! budget bounded them.
 //!
 //! The self-test model (two threads taking two locks in opposite order) is
 //! *expected* to deadlock; the run fails if the explorer does **not** find
@@ -16,18 +19,17 @@
 
 use watchman_core::checker::models::{
     CircuitBreakerModel, DriverSeatModel, InvertedLockOrderModel, ReactorRegistrationModel,
-    RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
+    RunQueueModel, RuntimeDropModel, SingleFlightModel,
 };
 use watchman_core::checker::{explore, Model};
 
 fn main() {
-    let quick = std::env::args().any(|arg| arg == "--quick");
-    let budget = if quick { 150 } else { 1_500 };
+    let budget = 1_500;
     let models: [&dyn Model; 6] = [
         &SingleFlightModel,
         &RuntimeDropModel,
         &ReactorRegistrationModel,
-        &WorkStealingQueueModel,
+        &RunQueueModel,
         &CircuitBreakerModel,
         &DriverSeatModel,
     ];

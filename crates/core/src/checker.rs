@@ -45,9 +45,9 @@
 //! forget_waiter), [`models::RuntimeDropModel`] (`Runtime::drop` vs a
 //! worker mid-poll), [`models::ReactorRegistrationModel`] (IO-reactor event delivery vs a
 //! cancelled task dropping its registration, against the real `ReadyCell`),
-//! [`models::WorkStealingQueueModel`] (the run-queue push/steal/park
-//! protocol, against the real `RunQueue` — a parked worker nobody wakes
-//! while work sits queued is a lost wakeup),
+//! [`models::RunQueueModel`] (the run-queue push/park protocol, against
+//! the real `RunQueue` — a parked worker nobody wakes while work sits
+//! queued is a lost wakeup),
 //! [`models::CircuitBreakerModel`] (the per-shard breaker's trip /
 //! half-open / re-close cycle, against the real `CircuitBreaker`) and
 //! [`models::DriverSeatModel`] (the same run queue with the reactor's
@@ -571,9 +571,9 @@ pub fn explore(model: &dyn Model, limit: usize) -> Exploration {
 
 pub mod models {
     //! The built-in models: the state machines earlier PRs shipped with
-    //! hand-found races, the work-stealing run queue's push/steal/park
-    //! protocol, plus a deliberately broken lock-order model that proves
-    //! the explorer actually detects deadlocks.
+    //! hand-found races, the run queue's push/park protocol, plus a
+    //! deliberately broken lock-order model that proves the explorer
+    //! actually detects deadlocks.
 
     use super::{Ctl, Model, ModelRun, ThreadBody};
     use crate::clock::Timestamp;
@@ -1018,29 +1018,26 @@ pub mod models {
         }
     }
 
-    /// Model 4: the work-stealing scheduler's push/steal/park protocol,
-    /// driving the **real** `RunQueue`
-    /// from the runtime.
+    /// Model 4: the run queue's push/park protocol, driving the **real**
+    /// `RunQueue` from the runtime.
     ///
     /// Two workers and a producer share a `RunQueue<u32>`.  The producer
-    /// submits one item to the injector and one with a worker-0 placement
-    /// hint; each worker runs the exact worker-loop idle protocol —
-    /// pop/steal, then `prepare_park`, then the mandatory *re-scan*, then
-    /// park — with the blocking `park_wait` replaced by a checker wake
-    /// flag.  Real permit grants are mirrored onto the flags atomically
-    /// (within the granting thread's model step), so a schedule where a
-    /// worker parks while an item sits unclaimed and no permit is pending
-    /// is precisely a **lost wakeup**, and the scheduler reports the parked
-    /// thread as such.
+    /// pushes two items from outside the pool; each worker runs the exact
+    /// worker-loop idle protocol — pop, then `prepare_park`, then the
+    /// mandatory *re-scan*, then park — with the blocking `park_wait`
+    /// replaced by a checker wake flag.  Real permit grants are mirrored
+    /// onto the flags atomically (within the granting thread's model step),
+    /// so a schedule where a worker parks while an item sits unclaimed and
+    /// no permit is pending is precisely a **lost wakeup**, and the
+    /// scheduler reports the parked thread as such.
     ///
     /// The explored windows are the ones `queue.rs` documents: a push
     /// landing between a worker's `prepare_park` and its re-scan (the
-    /// re-scan must find the item), between the re-scan and the park (the
-    /// idle-list registration must route the permit to the parked worker),
-    /// and a steal racing the victim's own pop (the item must be consumed
-    /// exactly once, by exactly one of them).  Invariants: no deadlocks, no
-    /// item lost or double-consumed, and the queue drains empty.
-    pub struct WorkStealingQueueModel;
+    /// re-scan must find the item), and between the re-scan and the park
+    /// (the idle-list registration must route the permit to the parked
+    /// worker).  Invariants: no deadlocks, no item lost or consumed twice,
+    /// and the queue drains empty.
+    pub struct RunQueueModel;
 
     /// Park wake flags, one per model worker.
     const FLAG_PARK: [u64; 2] = [400, 401];
@@ -1076,9 +1073,9 @@ pub mod models {
         }
     }
 
-    impl Model for WorkStealingQueueModel {
+    impl Model for RunQueueModel {
         fn name(&self) -> &'static str {
-            "work-stealing run queue push/steal/park (lost-wakeup hunt)"
+            "run queue push/park (lost-wakeup hunt)"
         }
 
         fn instantiate(&self) -> ModelRun {
@@ -1125,7 +1122,7 @@ pub mod models {
     /// Models 4 and 6: a producer and two workers on one real run queue;
     /// `with_seat` lets a parking worker block in the driver seat.
     fn queue_model(with_seat: bool) -> ModelRun {
-        use crate::runtime::queue::{RunQueue, NO_WORKER};
+        use crate::runtime::queue::RunQueue;
 
         let queue: Arc<RunQueue<u32>> = Arc::new(RunQueue::new(2));
         let state = Arc::new(Mutex::new(QueueModelState {
@@ -1136,15 +1133,13 @@ pub mod models {
         let producer = {
             let queue = Arc::clone(&queue);
             Box::new(move |ctl: &Ctl| {
-                for (index, item) in QUEUE_ITEMS.into_iter().enumerate() {
+                for item in QUEUE_ITEMS {
                     ctl.point();
-                    // One injector submission, one with a worker hint —
-                    // both unpark paths.  The real push grants permits;
-                    // mirror them onto the checker flags within this
-                    // same model step (no yield between), so flag and
-                    // permit appear together atomically.
-                    let hint = if index == 0 { NO_WORKER } else { 0 };
-                    queue.push_remote(hint, item);
+                    // The real push grants permits; mirror them onto the
+                    // checker flags within this same model step (no yield
+                    // between), so flag and permit appear together
+                    // atomically.
+                    queue.push(None, item);
                     for (worker, flag) in FLAG_PARK.into_iter().enumerate() {
                         if queue.has_permit(worker) {
                             ctl.set_flag(flag);
@@ -1164,7 +1159,7 @@ pub mod models {
                 }
                 loop {
                     ctl.point();
-                    if let Some(item) = queue.pop(me).or_else(|| queue.steal(me)) {
+                    if let Some(item) = queue.pop() {
                         queue_model_consume(ctl, &queue, &state, item);
                         continue;
                     }
@@ -1175,7 +1170,7 @@ pub mod models {
                     // ...re-scan SECOND (a push that missed the
                     // registration must be seen here)...
                     ctl.point();
-                    if let Some(item) = queue.pop(me).or_else(|| queue.steal(me)) {
+                    if let Some(item) = queue.pop() {
                         queue.cancel_park(me);
                         queue_model_consume(ctl, &queue, &state, item);
                         continue;
@@ -1221,7 +1216,7 @@ pub mod models {
                 let state = state.lock();
                 if state.remaining != 0 {
                     return Err(format!(
-                        "{} items never consumed (lost in the queues)",
+                        "{} items never consumed (lost in the queue)",
                         state.remaining
                     ));
                 }
@@ -1438,7 +1433,7 @@ pub mod models {
 mod tests {
     use super::models::{
         CircuitBreakerModel, DriverSeatModel, InvertedLockOrderModel, ReactorRegistrationModel,
-        RuntimeDropModel, SingleFlightModel, WorkStealingQueueModel,
+        RunQueueModel, RuntimeDropModel, SingleFlightModel,
     };
     use super::*;
 
@@ -1480,8 +1475,8 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_queue_model_is_clean() {
-        let exploration = explore(&WorkStealingQueueModel, 4_000);
+    fn run_queue_model_is_clean() {
+        let exploration = explore(&RunQueueModel, 4_000);
         assert!(exploration.schedules > 10, "{}", exploration.summary());
         assert!(
             exploration.violations.is_empty(),

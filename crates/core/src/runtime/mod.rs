@@ -7,8 +7,8 @@
 //! futures, and the build environment is offline (no tokio), so this module
 //! provides the minimal executor the engine needs:
 //!
-//! * [`Runtime`] — a configurable pool of worker threads sharing one injector
-//!   queue of tasks, plus a timer heap for [`Runtime::sleep`];
+//! * [`Runtime`] — a configurable pool of worker threads sharing one FIFO
+//!   run queue of tasks, plus a timer heap for [`Runtime::sleep`];
 //! * [`Runtime::spawn`] — submits any `Future` and returns a [`JoinHandle`]
 //!   (itself a future) for its output;
 //! * [`block_on`] — drives any future to completion on the calling thread,
@@ -20,44 +20,30 @@
 //!
 //! ## Scheduling model
 //!
-//! The ready set is **sharded**: each worker owns a local run queue (a FIFO
-//! plus a one-slot LIFO) behind its own mutex, with a global injector for
-//! submissions that carry no placement hint and randomized work stealing to
-//! spread load (the data plane lives in `queue.rs`):
-//!
-//! * **Placement follows the wake.**  A wake performed *by* a worker lands
-//!   in that worker's queue — in the LIFO slot when it wakes another task
-//!   (a single-flight leader waking a follower hands it off while its state
-//!   is cache-hot, subject to a streak cap so hand-off chains cannot starve
-//!   the FIFO), or at the FIFO back when a task re-queues itself
-//!   ([`yield_now`] keeps its everything-else-first meaning); IO readiness
-//!   is delivered by a worker (below) and follows the same rule.  Wakes
-//!   from outside the pool go to the queue of the worker that *last
-//!   polled* the task, so a session keeps returning to the same core;
-//!   fresh spawns with no history go to the injector.  With one worker this
-//!   degenerates to the strict FIFO executor the deterministic tests rely on.
-//! * **Stealing bounds imbalance.**  A worker with an empty local queue
-//!   sweeps its siblings in xorshift-randomized order and takes half of the
-//!   first non-empty FIFO it finds, then falls back to the injector; every
-//!   61st pop services the injector first so remote submissions cannot
-//!   starve behind local wake traffic.  An idle worker parks on its own
-//!   permit (no shared condvar, no thundering herd); the
-//!   register-idle → re-scan → park protocol that makes parking race-free
-//!   is documented in `queue.rs`, asserted leaf-level in the lock-order
-//!   graph, and model-checked by the checker's work-stealing model
-//!   (`CONCURRENCY.md`).
+//! * **One FIFO.**  Every spawn and every wake — from a worker, from the
+//!   reactor or from an outside thread — pushes the task to the back of
+//!   one queue under one mutex, and every worker pops from the front (the
+//!   data plane lives in `queue.rs`).  One worker therefore runs tasks in
+//!   exactly the order they became ready: the strict FIFO executor the
+//!   deterministic tests rely on, and [`yield_now`] means "everything
+//!   already queued runs first".  An idle worker parks on its own permit
+//!   (no shared condvar, no thundering herd); the register-idle → re-scan
+//!   → park protocol that makes parking race-free is documented in
+//!   `queue.rs`, asserted leaf-level in the lock-order graph, and
+//!   model-checked by the checker's run-queue model (`CONCURRENCY.md`).
 //! * **IO readiness comes from the worker that goes idle.**  The first
 //!   [`net::TcpListener`]/[`net::TcpStream`] registration lazily creates
 //!   the reactor — one epoll instance, no thread.  From then on one idle
 //!   worker at a time holds the *driver seat* and parks in `epoll_wait`
 //!   instead of on its condvar (the cell and tick protocol is documented in
 //!   `reactor.rs`, the seat in `queue.rs`, both in `CONCURRENCY.md`).  A
-//!   readiness wake is a push onto the driver's own queue, so the session
-//!   runs on the thread `epoll_wait` returned on: one wake-up per request.
-//!   A worker that leaves the seat with something to run hands it to an
-//!   idle sibling first, and a busy pool polls epoll without blocking every
-//!   61st task, so readiness is never stuck behind a long poll or a full
-//!   queue.  Idle connections cost two parked wakers each, not threads.
+//!   readiness wake the driver delivers into an empty queue wakes nobody:
+//!   the session runs on the thread `epoll_wait` returned on, one wake-up
+//!   per request.  A worker that leaves the seat with something to run
+//!   hands the seat to an idle sibling first, and a busy worker polls epoll
+//!   without blocking every 61st task, so readiness is never stuck behind a
+//!   long poll or a full queue.  Idle connections cost two parked wakers
+//!   each, not threads.
 //! * **Blocking closures occupy a worker.**  The engine's fetch closures are
 //!   *blocking* by design (they model multi-second warehouse scans), and a
 //!   leader runs its fetch inside the poll that took leadership, so a task
@@ -65,8 +51,8 @@
 //!   to the number of concurrent executions you want to allow, exactly like
 //!   the paper sizes its multiprogramming level; waiting *sessions* cost
 //!   nothing either way because they suspend instead of holding threads.
-//!   Tasks queued behind a blocked worker do not wait for it — a sibling
-//!   steals them.
+//!   Tasks queued behind a blocked worker do not wait for it: the queue is
+//!   shared, so any idle worker pops them.
 //! * **Timers are best-effort.**  [`Sleep`] deadlines live in one global
 //!   heap guarded by an atomic earliest-deadline mirror, so the per-pop
 //!   check is a single load; workers fire due timers between tasks and park
@@ -83,8 +69,8 @@
 //!   drain (the networked server) signal their tasks first and call
 //!   `shutdown` only after a grace period.
 //!
-//! [`Runtime::scheduler_stats`] exports steal/park counters so load tests
-//! can assert the stealing actually engages.
+//! [`Runtime::scheduler_stats`] exports the park counter and
+//! [`Runtime::queue_depth`] the backlog, for the METRICS exposition.
 //!
 //! [`Watchman::try_get_or_execute_async`]: crate::engine::Watchman::try_get_or_execute_async
 
@@ -121,19 +107,20 @@ use timer::TimerEntry;
 
 thread_local! {
     /// Set on worker threads: this thread's worker index plus the address
-    /// of the runtime it belongs to.  `schedule` uses it to route
-    /// worker-origin wakes into the waking worker's own queue.
+    /// of the runtime it belongs to.  `schedule` passes the index on as
+    /// the pusher, so the seated driver's own deliveries wake nobody.
     static WORKER_CONTEXT: Cell<Option<(usize, *const ())>> = const { Cell::new(None) };
-    /// The task this thread is polling right now (null between polls), so
-    /// `schedule` can tell a self-wake (requeue at the FIFO back — yield
-    /// semantics) from a wake of another task (LIFO hand-off).
-    static POLLING_TASK: Cell<*const ()> = const { Cell::new(std::ptr::null()) };
 }
+
+/// A busy worker looks at the reactor (a non-blocking turn) before every
+/// this-many-th task, so ready sockets cannot starve behind a queue that
+/// never empties.
+const REACTOR_LOOK_INTERVAL: u32 = 61;
 
 /// The shared core of a [`Runtime`]; workers and task wakers hold it via
 /// `Arc`/`Weak` so dropping the `Runtime` handle is what initiates shutdown.
 pub(crate) struct RuntimeInner {
-    /// The sharded, work-stealing ready set (see `queue.rs`).
+    /// The shared FIFO ready set (see `queue.rs`).
     queue: RunQueue<Arc<RunnableTask>>,
     /// Pending [`Sleep`] registrations, earliest deadline first.  Guarded by
     /// its own mutex — never held together with any queue lock.
@@ -178,8 +165,8 @@ impl RuntimeInner {
         nanos.min(u128::from(u64::MAX - 1)) as u64
     }
 
-    /// Enqueues a task for polling.  Called from task wakers; placement
-    /// follows the wake (see the [module docs](self)).
+    /// Enqueues a task at the back of the run queue.  Called from task
+    /// wakers and `spawn`.
     pub(crate) fn schedule(&self, task: Arc<RunnableTask>) {
         if self.is_shutting_down() {
             // Dropping the task here settles its JoinHandle to Cancelled via
@@ -188,21 +175,10 @@ impl RuntimeInner {
             return;
         }
         let me = std::ptr::from_ref(self).cast::<()>();
-        let worker = WORKER_CONTEXT
+        let pusher = WORKER_CONTEXT
             .with(Cell::get)
             .and_then(|(index, owner)| (owner == me).then_some(index));
-        match worker {
-            Some(index) => {
-                let self_wake = POLLING_TASK.with(Cell::get) == Arc::as_ptr(&task).cast::<()>();
-                task.set_last_worker(index);
-                if self_wake {
-                    self.queue.push_local_fifo(index, task);
-                } else {
-                    self.queue.push_local_lifo(index, task);
-                }
-            }
-            None => self.queue.push_remote(task.last_worker(), task),
-        }
+        self.queue.push(pusher, task);
     }
 
     /// Registers a timer; the waker fires at (or shortly after) `deadline`.
@@ -280,15 +256,6 @@ impl RuntimeInner {
         }
     }
 
-    /// Polls `task` with this worker recorded as its placement hint and as
-    /// the thread's current poll (self-wake detection).
-    fn run_task(&self, index: usize, task: Arc<RunnableTask>) {
-        task.set_last_worker(index);
-        POLLING_TASK.with(|current| current.set(Arc::as_ptr(&task).cast::<()>()));
-        task.run();
-        POLLING_TASK.with(|current| current.set(std::ptr::null()));
-    }
-
     /// One turn in the driver seat, if there is a reactor and nobody drives
     /// it: `index` sleeps in `epoll_wait` (up to `timeout`) instead of on
     /// its condvar.  See [`RunQueue::try_take_seat`] for the protocol.
@@ -313,7 +280,6 @@ impl RuntimeInner {
         WORKER_CONTEXT.with(|context| {
             context.set(Some((index, Arc::as_ptr(self).cast::<()>())));
         });
-        let next = || self.queue.pop(index).or_else(|| self.queue.steal(index));
         // Whether this worker has just left the driver seat, and how many
         // tasks it has run.
         let mut drove = false;
@@ -325,13 +291,13 @@ impl RuntimeInner {
             // Fire due timers first so a busy run queue cannot starve the
             // timer heap indefinitely (one atomic load when nothing is due).
             self.fire_due_timers();
-            let Some(task) = next().or_else(|| {
+            let Some(task) = self.queue.pop().or_else(|| {
                 // Going idle: register as a parking candidate FIRST, re-scan
                 // SECOND — the order that makes the park race-free (a push
                 // that missed the registration is seen by this re-scan; a
                 // push that saw it grants the permit; see queue.rs).
                 self.queue.prepare_park(index);
-                let task = next();
+                let task = self.queue.pop();
                 if task.is_some() || self.is_shutting_down() {
                     self.queue.cancel_park(index);
                 } else {
@@ -350,14 +316,14 @@ impl RuntimeInner {
                 self.queue.unpark_one();
             }
             polls += 1;
-            let look = polls.is_multiple_of(queue::INJECTOR_INTERVAL);
+            let look = polls.is_multiple_of(REACTOR_LOOK_INTERVAL);
             if look && self.drive(index, Some(Duration::ZERO)) {
                 // That turn did not block: ready sockets must not starve
                 // behind a queue that never empties.  A sibling that went
                 // idle during it found the seat taken: send it back.
                 self.queue.unpark_one();
             }
-            self.run_task(index, task);
+            task.run();
         }
     }
 }
@@ -494,16 +460,13 @@ impl Runtime {
         self.worker_total
     }
 
-    /// Scheduler counters: steals and parks since the runtime started.
-    /// Load tests use this to assert work stealing actually engages.
+    /// Scheduler counters: parks since the runtime started.
     pub fn scheduler_stats(&self) -> QueueStats {
         self.inner.queue.stats()
     }
 
-    /// Ready tasks currently queued across every worker queue and the
-    /// injector (the scheduler backlog).  Sampled for the METRICS
-    /// exposition; each queue lock is taken one at a time, so the value is
-    /// a consistent-enough gauge, not an atomic snapshot.
+    /// Ready tasks currently queued (the scheduler backlog), sampled for
+    /// the METRICS exposition.
     pub fn queue_depth(&self) -> usize {
         self.inner.queue.depth()
     }
@@ -760,31 +723,41 @@ mod tests {
     }
 
     #[test]
-    fn an_idle_worker_steals_from_a_blocked_workers_queue() {
+    fn an_idle_worker_runs_what_a_blocked_worker_queued() {
         const FOLLOWERS: usize = 8;
         let runtime = Arc::new(Runtime::with_workers(2));
         let runtime_for_task = Arc::clone(&runtime);
-        // The flooder spawns followers from inside its own poll — they land
-        // in its worker's local queue, not the injector — then wedges that
-        // worker in a synchronous sleep.  The followers can only run before
-        // the sleep ends if the other worker raids the blocked one's queue,
-        // so joining them all proves the steal path and the stats pin it.
+        let ran = Arc::new(AtomicUsize::new(0));
+        let ran_for_task = Arc::clone(&ran);
+        // The flooder spawns followers from inside its own poll, then
+        // wedges its worker in a synchronous sleep.  Every follower has run
+        // by the time the sleep ends only if those spawns woke the other
+        // worker, parked since the start, and it took them.
+        wait_until("both workers parked", || {
+            runtime.inner.queue.all_parked(false)
+        });
         let flooder = runtime.spawn(async move {
             let followers: Vec<_> = (0..FOLLOWERS)
-                .map(|i| runtime_for_task.spawn(async move { i }))
+                .map(|i| {
+                    let ran = Arc::clone(&ran_for_task);
+                    runtime_for_task.spawn(async move {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        i
+                    })
+                })
                 .collect();
             std::thread::sleep(Duration::from_millis(200));
-            followers
+            (ran_for_task.load(Ordering::SeqCst), followers)
         });
-        let followers = block_on(flooder).unwrap();
+        let (ran_during_the_sleep, followers) = block_on(flooder).unwrap();
+        assert_eq!(
+            ran_during_the_sleep, FOLLOWERS,
+            "followers stranded behind the blocked worker"
+        );
         for (i, follower) in followers.into_iter().enumerate() {
             assert_eq!(block_on(follower).unwrap(), i);
         }
-        let stats = runtime.scheduler_stats();
-        assert!(
-            stats.steals > 0,
-            "the idle worker never stole from the blocked one: {stats:?}"
-        );
+        assert_eq!(ran.load(Ordering::SeqCst), FOLLOWERS);
     }
 
     #[test]
@@ -895,85 +868,34 @@ mod tests {
             .expect("no wake-up arrived within 5 s")
     }
 
-    /// A one-shot the test thread opens: the task parked on it is woken from
-    /// outside the pool, so it is filed at — and calls up — its last worker.
-    #[derive(Default)]
-    struct Gate {
-        open: AtomicBool,
-        waker: Mutex<Option<Waker>>,
-    }
-
-    impl Gate {
-        async fn wait(&self) {
-            std::future::poll_fn(|cx| {
-                *self.waker.lock() = Some(cx.waker().clone());
-                match self.open.load(Ordering::SeqCst) {
-                    true => Poll::Ready(()),
-                    false => Poll::Pending,
-                }
-            })
-            .await;
-        }
-
-        fn open(&self) {
-            self.open.store(true, Ordering::SeqCst);
-            if let Some(waker) = self.waker.lock().take() {
-                waker.wake();
-            }
-        }
-    }
-
     #[test]
     fn a_driver_called_away_to_blocking_work_hands_the_seat_over() {
         use std::io::Write;
         let runtime = Arc::new(Runtime::with_workers(2));
-        let idle_and_seated = || runtime.inner.queue.all_parked(true);
         let (mut client, server_side) = socket_pair();
+        let (mut blocker_client, blocker_side) = socket_pair();
         let stream = net::TcpStream::from_std(&runtime, server_side).expect("register");
-        let rounds = Arc::new(AtomicU64::new(0));
-        let reader = {
-            let rounds = Arc::clone(&rounds);
-            runtime.spawn(async move {
-                let mut byte = [0u8; 1];
-                stream.read_exact(&mut byte).await.expect("first byte");
-                rounds.store(1, Ordering::SeqCst);
-                stream.read_exact(&mut byte).await.expect("second byte");
-                Instant::now()
-            })
-        };
-        client.write_all(&[1]).expect("send");
-        wait_until("the reader is parked on its socket", || {
-            rounds.load(Ordering::SeqCst) == 1 && idle_and_seated()
+        let blocker_stream = net::TcpStream::from_std(&runtime, blocker_side).expect("register");
+        let reader = runtime.spawn(async move {
+            let mut byte = [0u8; 1];
+            stream.read_exact(&mut byte).await.expect("reader's byte");
+            Instant::now()
         });
-        // Outside submissions call up the condvar sleeper before the driver
-        // (it parked last).  Keep it busy, so the blocker-to-be is first
-        // polled by the driver — which then returns to the seat, the
-        // sibling to its condvar.
-        let napping = Arc::new(AtomicBool::new(false));
-        let nap = {
-            let napping = Arc::clone(&napping);
-            runtime.spawn(async move {
-                napping.store(true, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(50));
-            })
-        };
-        wait_until("the sibling naps", || napping.load(Ordering::SeqCst));
-        let gate = Arc::new(Gate::default());
-        let blocker = {
-            let gate = Arc::clone(&gate);
-            runtime.spawn(async move {
-                gate.wait().await;
-                std::thread::sleep(Duration::from_millis(200));
-            })
-        };
-        wait_until("the blocker is parked on its gate", || {
-            gate.waker.lock().is_some()
+        let blocker = runtime.spawn(async move {
+            let mut byte = [0u8; 1];
+            blocker_stream
+                .read_exact(&mut byte)
+                .await
+                .expect("blocker's byte");
+            std::thread::sleep(Duration::from_millis(200));
         });
-        block_on(nap).expect("nap");
-        wait_until("driver seated, sibling asleep", idle_and_seated);
-        // The wake goes to the blocker's last worker: the driver.  It must
-        // not take the seat along into its 200 ms of blocking.
-        gate.open();
+        wait_until("both tasks on their sockets, driver seated", || {
+            runtime.inner.queue.all_parked(true)
+        });
+        // The driver delivers the blocker's readiness into the empty queue
+        // and runs it itself.  It must not take the seat along into its
+        // 200 ms of blocking.
+        blocker_client.write_all(&[1]).expect("send");
         std::thread::sleep(Duration::from_millis(10));
         let readable_at = Instant::now();
         client.write_all(&[2]).expect("send");
@@ -1067,7 +989,7 @@ mod tests {
 
     #[test]
     fn single_worker_runs_tasks_fifo() {
-        let runtime = Runtime::with_workers(1);
+        let runtime = Arc::new(Runtime::with_workers(1));
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for i in 0..8 {
@@ -1080,5 +1002,24 @@ mod tests {
             block_on(handle).unwrap();
         }
         assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
+
+        // Tasks spawned from inside a poll run in spawn order too.
+        order.lock().clear();
+        let spawner = {
+            let runtime_for_task = Arc::clone(&runtime);
+            let order = Arc::clone(&order);
+            runtime.spawn(async move {
+                (0..3)
+                    .map(|i| {
+                        let order = Arc::clone(&order);
+                        runtime_for_task.spawn(async move { order.lock().push(i) })
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
+        for handle in block_on(spawner).unwrap() {
+            block_on(handle).unwrap();
+        }
+        assert_eq!(*order.lock(), vec![0, 1, 2]);
     }
 }

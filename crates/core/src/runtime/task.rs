@@ -7,13 +7,12 @@
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::sync::Mutex;
 
-use super::queue::NO_WORKER;
 use super::RuntimeInner;
 
 /// Why a [`JoinHandle`] resolved without its task's output.
@@ -161,7 +160,6 @@ impl<F: Future> TaskFuture<F> {
         let runnable = Arc::new(RunnableTask {
             future: Mutex::new(Some(Box::pin(task))),
             queued: AtomicBool::new(true),
-            last_worker: AtomicUsize::new(NO_WORKER),
             runtime,
         });
         (runnable, JoinHandle { slot })
@@ -206,24 +204,10 @@ pub(crate) struct RunnableTask {
     /// Whether the task currently sits in the ready queue; wakes while it is
     /// being polled re-queue it exactly once.
     queued: AtomicBool,
-    /// The worker that last polled this task ([`NO_WORKER`] before the first
-    /// poll).  Wakes from outside the pool (the reactor, external threads)
-    /// use it as a placement hint, so a session task keeps returning to the
-    /// worker whose cache holds its state.
-    last_worker: AtomicUsize,
     runtime: Weak<RuntimeInner>,
 }
 
 impl RunnableTask {
-    /// Records the worker about to poll this task (placement hint).
-    pub(crate) fn set_last_worker(&self, worker: usize) {
-        self.last_worker.store(worker, Ordering::Relaxed);
-    }
-
-    /// The worker that last polled this task, or [`NO_WORKER`].
-    pub(crate) fn last_worker(&self) -> usize {
-        self.last_worker.load(Ordering::Relaxed)
-    }
     /// Polls the task once.  Called by workers with no scheduler lock held.
     pub(crate) fn run(self: Arc<Self>) {
         // Clear the queued flag *before* polling: a wake arriving during the

@@ -74,6 +74,9 @@ use serde::{Deserialize, Serialize};
 /// any breaking change to field names or semantics; scrapers check it
 /// before interpreting the maps.
 ///
+/// v5: `runtime.scheduler.steals` is gone: the runtime's workers share one
+/// run queue, so nothing is stolen.
+///
 /// v4: `engine.lookup.executed_us` and `fetch.attempt_us` are sampled too:
 /// only a lookup its thread samples times its fetch attempts and records
 /// an executed outcome, so their counts are about a 64th of the executed
@@ -90,7 +93,7 @@ use serde::{Deserialize, Serialize};
 /// the shard gauges) are the scraped server's own, not the process's, and
 /// `engine.fragmentation.used_permille` is the occupancy at scrape time
 /// rather than a mean over earlier scrapes.
-pub const METRICS_SCHEMA_VERSION: u32 = 4;
+pub const METRICS_SCHEMA_VERSION: u32 = 5;
 
 /// Number of buckets in a [`Histogram`]: 4 linear buckets for values 0–3,
 /// then 4 sub-buckets per power of two up to `u64::MAX`.
@@ -741,7 +744,7 @@ impl Telemetry {
 
     /// Assembles the versioned JSON exposition of the registry.  Its
     /// `gauges` map is empty: callers with engine, runtime or server context
-    /// (shard occupancy, steals, queue depth, inflight, sheds) add their
+    /// (shard occupancy, parks, queue depth, inflight, sheds) add their
     /// entries to the returned maps before serializing.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = BTreeMap::new();

@@ -181,16 +181,15 @@ fn reactor_locks_stay_leaves_of_the_hierarchy() {
     lock_graph::assert_clean();
 }
 
-/// The work-stealing run queue's lock classes — the per-worker slot locks,
-/// the injector, the idle list and the park permits (all declared in
-/// `runtime/queue.rs`) — are leaves of the hierarchy, like the reactor's:
-/// a waker fired during a task poll acquires a queue lock while the task's
-/// future-slot lock is held (the expected inbound edge), but no queue lock
-/// is ever held while acquiring anything else.  That discipline is what
-/// lets `steal` raid victims in any order without ranking: each raid holds
-/// exactly one victim lock at a time.  This scenario keeps two workers
-/// busy with timers, yields and cross-task joins, then asserts queue
-/// classes only appear as edge *targets*.
+/// The run queue's lock classes — the ready queue, the idle list and the
+/// park permits (all declared in `runtime/queue.rs`) — are leaves of the
+/// hierarchy, like the reactor's: a waker fired during a task poll
+/// acquires a queue lock while the task's future-slot lock is held (the
+/// expected inbound edge), but no queue lock is ever held while acquiring
+/// anything else, so a push never holds the ready queue while it takes
+/// the idle list.  This scenario keeps two workers busy with timers,
+/// yields and cross-task joins, then asserts queue classes only appear as
+/// edge *targets*.
 #[test]
 fn run_queue_locks_stay_leaves_of_the_hierarchy() {
     use std::time::Duration;
@@ -203,11 +202,10 @@ fn run_queue_locks_stay_leaves_of_the_hierarchy() {
         .map(|i| {
             let runtime_inner = Arc::clone(&runtime);
             runtime.spawn(async move {
-                // Timer wakes exercise the unpark path; yields re-queue
-                // from inside a poll (the self-wake FIFO branch); the
-                // chained join wakes a sibling task from whichever worker
-                // completes this one (the LIFO hand-off branch).  Between
-                // them every schedule() branch runs.
+                // Timer wakes push from whichever worker fires them;
+                // yields re-queue a task from inside its own poll; the
+                // chained join wakes this task from whichever worker
+                // completes the sibling.
                 runtime_inner
                     .sleep(Duration::from_micros(i as u64 % 7))
                     .await;
@@ -233,8 +231,8 @@ fn run_queue_locks_stay_leaves_of_the_hierarchy() {
     );
     assert!(
         report.edges.iter().all(|edge| !queue_class(&edge.from)),
-        "a run-queue lock was held while acquiring another lock — the slot, \
-         injector, idle-list and permit locks must stay leaf classes:\n{}",
+        "a run-queue lock was held while acquiring another lock — the ready \
+         queue, idle-list and permit locks must stay leaf classes:\n{}",
         report.describe()
     );
     lock_graph::assert_clean();

@@ -182,7 +182,7 @@ const MID_RUN_MUST_MOVE: [&str; 5] = [
     "engine.fetch.retries",
     "engine.lookup.stale_us",
     "server.sheds",
-    "runtime.scheduler.steals",
+    "runtime.scheduler.parks",
     "telemetry.trace_events",
 ];
 
@@ -302,12 +302,8 @@ fn print_report(label: &str, report: &Report) {
     if let Some(storm) = &report.storm {
         println!(
             "  {label:<9} {} sessions on {} server threads ({} runtime workers); \
-             client scheduler: {} steals, {} parks",
-            storm.server_sessions,
-            storm.server_threads,
-            storm.server_workers,
-            storm.client_steals,
-            storm.client_parks,
+             client scheduler: {} parks",
+            storm.server_sessions, storm.server_threads, storm.server_workers, storm.client_parks,
         );
     }
     if let Some(moved) = &report.mid_run {

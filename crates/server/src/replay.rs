@@ -276,9 +276,6 @@ pub struct StormProbe {
     /// Live sessions in the same sample: the storm's connections plus the
     /// runner's admin connection.
     pub server_sessions: u32,
-    /// Ready-queue raids on the client runtime: zero would mean the storm
-    /// never exercised the work-stealing path.
-    pub client_steals: u64,
     /// Times a client-side worker parked empty-handed.
     pub client_parks: u64,
 }
@@ -674,7 +671,6 @@ fn run_storm(
             server_threads: gauge("process.threads"),
             server_workers: gauge("runtime.workers"),
             server_sessions: gauge("server.sessions"),
-            client_steals: scheduler.steals,
             client_parks: scheduler.parks,
         },
     ))

@@ -856,7 +856,6 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     let mut counter = |name: &str, value: u64| {
         snapshot.counters.insert(name.to_owned(), value);
     };
-    counter("runtime.scheduler.steals", scheduler.steals);
     counter("runtime.scheduler.parks", scheduler.parks);
     counter("engine.fetch.retries", stats.fetch_retries);
     counter("engine.negative_hits", stats.negative_hits);
