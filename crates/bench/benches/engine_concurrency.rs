@@ -21,7 +21,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use watchman_core::engine::{PolicyKind, Watchman};
+use watchman_core::engine::{LookupSource, PolicyKind, Watchman};
 use watchman_core::prelude::*;
 
 const THREADS: usize = 8;
@@ -35,12 +35,10 @@ fn warmed_engine(shards: usize) -> Watchman<SizedPayload> {
         .capacity_bytes(256 << 20)
         .build();
     for i in 0..KEYS {
-        engine.insert(
-            QueryKey::new(format!("warm-query-{i}")),
-            SizedPayload::new(512),
-            ExecutionCost::from_blocks(1_000),
-            Timestamp::from_micros(i as u64 + 1),
-        );
+        let key = QueryKey::new(format!("warm-query-{i}"));
+        engine.get_or_execute(&key, Timestamp::from_micros(i as u64 + 1), || {
+            (SizedPayload::new(512), ExecutionCost::from_blocks(1_000))
+        });
     }
     engine
 }
@@ -72,8 +70,9 @@ fn run_threaded(engine: &Watchman<SizedPayload>, iters: u64) -> Duration {
                         for i in 0..OPS_PER_THREAD_PER_ITER {
                             let key = &keys[(i * 7 + thread * 61) % KEYS];
                             let now = Timestamp::from_micros(tick.fetch_add(1, Ordering::Relaxed));
-                            let hit = engine.get(key, now);
-                            assert!(hit.is_some(), "warmed key must hit");
+                            let lookup =
+                                engine.get_or_execute(key, now, || unreachable!("warmed key"));
+                            assert_eq!(lookup.source, LookupSource::Hit, "warmed key must hit");
                         }
                         start.elapsed()
                     })

@@ -93,21 +93,13 @@ fn bench_engine(c: &mut Criterion) {
         .capacity_bytes(10 * 1024 * 1024)
         .build();
     for i in 0..1_000u64 {
-        engine.insert(
-            QueryKey::new(format!("warm-query-{i}")),
-            SizedPayload::new(512),
-            ExecutionCost::from_blocks(1_000),
-            Timestamp::from_micros(i + 1),
-        );
+        let key = QueryKey::new(format!("warm-query-{i}"));
+        engine.get_or_execute(&key, Timestamp::from_micros(i + 1), || {
+            (SizedPayload::new(512), ExecutionCost::from_blocks(1_000))
+        });
     }
     let key = QueryKey::new("warm-query-100".to_owned());
     let mut tick = 2_000_000u64;
-    group.bench_function("engine_get_hit", |b| {
-        b.iter(|| {
-            tick += 1;
-            engine.get(&key, Timestamp::from_micros(tick))
-        })
-    });
     group.bench_function("engine_get_or_execute_hit", |b| {
         b.iter(|| {
             tick += 1;

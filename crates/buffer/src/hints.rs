@@ -343,23 +343,19 @@ mod tests {
             .build();
 
         // The query executes: its pages enter the pool and the tracker.
-        let key = QueryKey::new("q1");
-        {
-            let mut pool = pool.lock();
-            for &p in &pages {
-                pool.access(p);
-            }
-        }
-        observer.record_access(&pages, key.signature());
-
         // Admission: both pages are used only by the now-cached query, so
         // both are p0-redundant and get demoted.
-        engine.insert(
-            key.clone(),
-            SizedPayload::new(100),
-            ExecutionCost::from_blocks(50),
-            Timestamp::from_secs(1),
-        );
+        let key = QueryKey::new("q1");
+        engine.get_or_execute(&key, Timestamp::from_secs(1), || {
+            {
+                let mut pool = pool.lock();
+                for &p in &pages {
+                    pool.access(p);
+                }
+            }
+            observer.record_access(&pages, key.signature());
+            (SizedPayload::new(100), ExecutionCost::from_blocks(50))
+        });
         assert_eq!(observer.cached_queries(), 1);
         assert_eq!(pool.lock().stats().demotions, 2);
 

@@ -1035,8 +1035,11 @@ pub mod models {
     /// landing between a worker's `prepare_park` and its re-scan (the
     /// re-scan must find the item), and between the re-scan and the park
     /// (the idle-list registration must route the permit to the parked
-    /// worker).  Invariants: no deadlocks, no item lost or consumed twice,
-    /// and the queue drains empty.
+    /// worker), and a worker's whole idle protocol landing between the
+    /// push's two halves, queueing and waking (the item must be queued
+    /// before the push looks for an idle worker).  Invariants: no
+    /// deadlocks, no item lost or consumed twice, and the queue drains
+    /// empty.
     pub struct RunQueueModel;
 
     /// Park wake flags, one per model worker.
@@ -1135,11 +1138,11 @@ pub mod models {
             Box::new(move |ctl: &Ctl| {
                 for item in QUEUE_ITEMS {
                     ctl.point();
-                    // The real push grants permits; mirror them onto the
-                    // checker flags within this same model step (no yield
-                    // between), so flag and permit appear together
-                    // atomically.
-                    queue.push(None, item);
+                    // The real push queues the item, yields, then grants
+                    // permits; mirror them onto the checker flags within
+                    // the granting step (no yield between), so flag and
+                    // permit appear together atomically.
+                    queue.push_with(None, item, || ctl.point());
                     for (worker, flag) in FLAG_PARK.into_iter().enumerate() {
                         if queue.has_permit(worker) {
                             ctl.set_flag(flag);

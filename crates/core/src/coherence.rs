@@ -185,7 +185,9 @@ where
 ///     .build();
 ///
 /// let key = QueryKey::from_raw_query("SELECT sum(price) FROM lineitem");
-/// engine.insert(key.clone(), SizedPayload::new(64), ExecutionCost::from_blocks(100), Timestamp::from_secs(1));
+/// engine.get_or_execute(&key, Timestamp::from_secs(1), || {
+///     (SizedPayload::new(64), ExecutionCost::from_blocks(100))
+/// });
 /// assert_eq!(deps.affected_by("LINEITEM"), vec![key.clone()]);
 ///
 /// // An update lands on LINEITEM: invalidate the dependents.

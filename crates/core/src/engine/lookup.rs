@@ -141,14 +141,24 @@ where
             record_lookup_telemetry(started, started.is_some(), LookupSource::Hit);
             return lookup;
         }
-        let mut lookup = self.lookup(key.clone(), now, Infallible(Some(fetch)));
+        // The session runs its fetch at most once: the fetch cannot fail, so
+        // its leader never retries.
+        let mut fetch = Some(fetch);
+        let once = move || Ok(fetch.take().expect("leader consumes its fetch once")());
+        let mut lookup = self.lookup(key.clone(), now, false, once);
         lookup.shard = Some(shard);
         lookup.state = LookupState::Start(Some(step));
         lookup.sampled = started.is_some();
         // A missed probe is always stamped; a sampled lookup keeps its
         // earlier start.
         lookup.started = Some(started.unwrap_or_else(crate::telemetry::now));
-        crate::runtime::block_on(lookup)
+        match crate::runtime::block_on(lookup) {
+            Ok(lookup) => lookup,
+            // Its own fetch never returns `Err`, it restarts instead of
+            // sharing a fallible leader's error, and it never consults
+            // memoized failures or the breaker.
+            Err(failure) => unreachable!("infallible lookup observed a fetch error: {failure}"),
+        }
     }
 
     /// The asynchronous, **fallible** front door: like
@@ -195,21 +205,28 @@ where
         key: &QueryKey,
         now: Timestamp,
         fetch: F,
-    ) -> LookupFuture<V, Fallible<F>>
+    ) -> LookupFuture<V, F>
     where
         F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Unpin,
     {
-        self.lookup(key.clone(), now, Fallible(fetch))
+        self.lookup(key.clone(), now, true, fetch)
     }
 
     /// The one constructor behind both front doors.
-    pub(super) fn lookup<M>(&self, key: QueryKey, now: Timestamp, mode: M) -> LookupFuture<V, M> {
+    pub(super) fn lookup<F>(
+        &self,
+        key: QueryKey,
+        now: Timestamp,
+        failure_domain: bool,
+        fetch: F,
+    ) -> LookupFuture<V, F> {
         LookupFuture {
             engine: self.clone(),
             key,
             shard: None,
             now,
-            mode,
+            fetch,
+            failure_domain,
             state: LookupState::Start(None),
             attempts: 0,
             started: None,
@@ -338,7 +355,7 @@ where
         let mut state = self.inner.shards[shard_index].lock();
         // Slots hold no stale copy unless `serve_stale` is on.
         if let Some((value, cost)) = state.stale_for(key) {
-            state.cache.record_stale_reference(cost);
+            state.lookup_stats.record_stale(cost);
             crate::telemetry::global().recorder.record(
                 TraceKind::LookupStale,
                 key.signature().value(),
@@ -347,7 +364,7 @@ where
             );
             return Ok(Lookup::served(value, LookupSource::Stale));
         }
-        state.cache.record_error_reference();
+        state.lookup_stats.record_fetch_error();
         crate::telemetry::global().recorder.record(
             TraceKind::LookupError,
             key.signature().value(),
@@ -358,79 +375,6 @@ where
             error,
             negative_hit,
         })
-    }
-}
-
-/// How a lookup's leader obtains the retrieved set: the one parameter of
-/// [`LookupFuture`].  The two implementations are the infallible door's
-/// [`Infallible`] and the fallible door's [`Fallible`]; everything else —
-/// hit, coalesce, lead, retry, abandonment, restart — is the same code.
-pub trait FetchMode<V> {
-    /// What the lookup resolves to.
-    type Output;
-
-    /// Whether the session takes part in the failure domain: it consults
-    /// the key's memoized failure and the shard's breaker before leading,
-    /// feeds the breaker and the slot's records when its fetch settles, and
-    /// shares a coalesced leader's terminal error.  Outside the domain none
-    /// of that state is read or written, and a session whose leader failed
-    /// with an error starts over with its own fetch, as every waiter of an
-    /// abandoned flight does.
-    const FAILURE_DOMAIN: bool;
-
-    /// Runs one fetch attempt.
-    fn attempt(&mut self) -> Result<(V, ExecutionCost), FetchError>;
-
-    /// Converts the resolved lookup into the door's output type.
-    fn output(result: Result<Lookup<V>, LookupError>) -> Self::Output;
-}
-
-/// The fetch of [`Watchman::get_or_execute`]: runs once, cannot return an
-/// error, and stays outside the failure domain.
-#[derive(Debug)]
-pub struct Infallible<F>(pub(super) Option<F>);
-
-impl<V, F> FetchMode<V> for Infallible<F>
-where
-    F: FnOnce() -> (V, ExecutionCost),
-{
-    type Output = Lookup<V>;
-    const FAILURE_DOMAIN: bool = false;
-
-    fn attempt(&mut self) -> Result<(V, ExecutionCost), FetchError> {
-        let fetch = self.0.take().expect("leader consumes its fetch once");
-        Ok(fetch())
-    }
-
-    fn output(result: Result<Lookup<V>, LookupError>) -> Lookup<V> {
-        match result {
-            Ok(lookup) => lookup,
-            // Its own fetch never returns `Err`, it restarts instead of
-            // sharing a fallible leader's error, and it never consults
-            // memoized failures or the breaker.
-            Err(failure) => unreachable!("infallible lookup observed a fetch error: {failure}"),
-        }
-    }
-}
-
-/// The fetch of [`Watchman::try_get_or_execute_async`]: re-invoked on every
-/// retry, inside the failure domain.
-#[derive(Debug)]
-pub struct Fallible<F>(F);
-
-impl<V, F> FetchMode<V> for Fallible<F>
-where
-    F: FnMut() -> Result<(V, ExecutionCost), FetchError>,
-{
-    type Output = Result<Lookup<V>, LookupError>;
-    const FAILURE_DOMAIN: bool = true;
-
-    fn attempt(&mut self) -> Result<(V, ExecutionCost), FetchError> {
-        (self.0)()
-    }
-
-    fn output(result: Result<Lookup<V>, LookupError>) -> Self::Output {
-        result
     }
 }
 
@@ -490,19 +434,19 @@ pub(crate) enum Step<V> {
 /// The one lookup state machine: the future
 /// [`Watchman::try_get_or_execute_async`] returns, and the one
 /// [`block_on`](crate::runtime::block_on) drives in place inside
-/// [`Watchman::get_or_execute`].  `M` is the door's fetch mode — infallible,
-/// or fallible and so inside the failure domain — and is not nameable
-/// outside the engine.
+/// [`Watchman::get_or_execute`].  `F` is the leader's fetch, re-invoked on
+/// every retry.
 ///
-/// Resolves to [`Lookup`] for the infallible door; for the fallible one to
-/// `Ok(`[`Lookup`]`)` — including [`LookupSource::Stale`] serves — or
-/// `Err(`[`LookupError`]`)` carrying the shared `Arc<FetchError>`.
+/// Resolves to `Ok(`[`Lookup`]`)` — including [`LookupSource::Stale`]
+/// serves — or `Err(`[`LookupError`]`)` carrying the shared
+/// `Arc<FetchError>`.  Only the fallible door's sessions can resolve to an
+/// error: the synchronous door's session stays outside the failure domain.
 ///
 /// Lazy: nothing happens until first poll.  The poll that takes leadership
 /// runs the fetch, so a leader suspends only to sleep out a retry backoff.
 /// Cancellation-safe: dropping it deregisters this session's waker from the
 /// flight it waits on, and a leader dropped mid-backoff abandons its flight.
-pub struct LookupFuture<V, M> {
+pub struct LookupFuture<V, F> {
     engine: Watchman<V>,
     /// The key being looked up.
     key: QueryKey,
@@ -510,7 +454,15 @@ pub struct LookupFuture<V, M> {
     shard: Option<usize>,
     now: Timestamp,
     /// The fetch.
-    mode: M,
+    fetch: F,
+    /// Whether the session takes part in the failure domain: it consults
+    /// the key's memoized failure and the shard's breaker before leading,
+    /// feeds the breaker and the slot's records when its fetch settles, and
+    /// shares a coalesced leader's terminal error.  Outside the domain none
+    /// of that state is read or written, and a session whose leader failed
+    /// with an error starts over with its own fetch, as every waiter of an
+    /// abandoned flight does.
+    failure_domain: bool,
     state: LookupState<V>,
     /// Fetch attempts this session has made as the leader of the current
     /// flight.
@@ -526,7 +478,7 @@ pub struct LookupFuture<V, M> {
     sampled: bool,
 }
 
-impl<V, M> std::fmt::Debug for LookupFuture<V, M> {
+impl<V, F> std::fmt::Debug for LookupFuture<V, F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LookupFuture")
             .field("key", &self.key)
@@ -536,14 +488,17 @@ impl<V, M> std::fmt::Debug for LookupFuture<V, M> {
     }
 }
 
-impl<V, M> LookupFuture<V, M>
+impl<V, F> LookupFuture<V, F>
 where
     V: CachePayload + Send + Sync + 'static,
-    M: FetchMode<V>,
 {
     /// Resolves this session's share of a failed lookup: a stale serve if
     /// the shard holds a last-known-good value, otherwise the shared error.
-    fn resolve(&mut self, error: Arc<FetchError>, negative_hit: bool) -> Poll<M::Output> {
+    fn resolve(
+        &mut self,
+        error: Arc<FetchError>,
+        negative_hit: bool,
+    ) -> Poll<Result<Lookup<V>, LookupError>> {
         let shard_index = self.shard.expect("set before resolving");
         let result = self
             .engine
@@ -551,27 +506,29 @@ where
         self.finish(result)
     }
 
-    /// Resolves the session: records its outcome-keyed latency and wraps the
-    /// result in the door's output type.
-    fn finish(&mut self, result: Result<Lookup<V>, LookupError>) -> Poll<M::Output> {
+    /// Resolves the session: records its outcome-keyed latency.
+    fn finish(
+        &mut self,
+        result: Result<Lookup<V>, LookupError>,
+    ) -> Poll<Result<Lookup<V>, LookupError>> {
         self.state = LookupState::Finished;
         match &result {
             Ok(lookup) => record_lookup_telemetry(self.started, self.sampled, lookup.source),
             Err(_) => record_lookup_error_telemetry(self.started),
         }
-        Poll::Ready(M::output(result))
+        Poll::Ready(result)
     }
 }
 
-impl<V, M> Future for LookupFuture<V, M>
+impl<V, F> Future for LookupFuture<V, F>
 where
     V: CachePayload + Send + Sync + 'static,
-    M: FetchMode<V> + Unpin,
+    F: FnMut() -> Result<(V, ExecutionCost), FetchError> + Unpin,
 {
-    type Output = M::Output;
+    type Output = Result<Lookup<V>, LookupError>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<M::Output> {
-        // All fields are Unpin (`M` by bound — every ordinary closure is),
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Result<Lookup<V>, LookupError>> {
+        // All fields are Unpin (`F` by bound — every ordinary closure is),
         // so plain projection is safe without unsafe code.
         let this = self.get_mut();
         loop {
@@ -593,7 +550,7 @@ where
                         let step = this.engine.inner.shards[shard_index].lock().probe(
                             &this.key,
                             this.now,
-                            M::FAILURE_DOMAIN,
+                            this.failure_domain,
                         );
                         if !matches!(step, Step::Return(_)) {
                             this.started.get_or_insert_with(crate::telemetry::now);
@@ -611,7 +568,7 @@ where
                         let shard_index = this.shard.expect("set before waiting");
                         {
                             let mut state = this.engine.inner.shards[shard_index].lock();
-                            state.cache.record_coalesced_reference(cost);
+                            state.lookup_stats.record_coalesced(cost);
                         }
                         Step::Return(Lookup::served(value, LookupSource::Coalesced))
                     }
@@ -619,7 +576,7 @@ where
                     // every coalesced waiter at once; inside the failure
                     // domain all of them share one `Arc<FetchError>` (and
                     // each resolves its own stale-vs-error outcome below).
-                    Poll::Ready(FlightOutcome::Failed(error)) if M::FAILURE_DOMAIN => {
+                    Poll::Ready(FlightOutcome::Failed(error)) if this.failure_domain => {
                         Step::Resolve {
                             error,
                             negative_hit: false,
@@ -687,7 +644,7 @@ where
                             key: &this.key,
                             leader: &mut leader,
                         };
-                        match timed_attempt(this.sampled, || this.mode.attempt()) {
+                        match timed_attempt(this.sampled, &mut this.fetch) {
                             Ok((value, cost)) => {
                                 let value = Arc::new(value);
                                 let outcome = this.engine.finish_leader_insert(
@@ -697,7 +654,7 @@ where
                                     Arc::clone(&value),
                                     cost,
                                     this.now,
-                                    M::FAILURE_DOMAIN,
+                                    this.failure_domain,
                                 );
                                 if let Some(cell) = &guard.leader.cell {
                                     cell.complete(Arc::clone(&value), cost);
@@ -741,7 +698,7 @@ where
     }
 }
 
-impl<V, M> Drop for LookupFuture<V, M> {
+impl<V, F> Drop for LookupFuture<V, F> {
     fn drop(&mut self) {
         match &mut self.state {
             // A cancelled waiter deregisters; the flight stays its leader's

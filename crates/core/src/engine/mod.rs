@@ -111,6 +111,7 @@ mod tests {
     use crate::clock::Timestamp;
     use crate::coherence::DependencyIndex;
     use crate::key::QueryKey;
+    use crate::policy::InsertOutcome;
     use crate::value::{CachePayload, ExecutionCost, SizedPayload};
 
     fn ts(us: u64) -> Timestamp {
@@ -127,6 +128,35 @@ mod tests {
             .policy(PolicyKind::LNC_RA)
             .capacity_bytes(capacity)
             .build()
+    }
+
+    /// Looks `key` up through the sync door, executing a `size_bytes` set
+    /// of `cost` on a miss.  Returns the admission outcome of an executed
+    /// lookup.
+    fn execute(
+        engine: &Watchman<SizedPayload>,
+        key: &QueryKey,
+        size_bytes: u64,
+        cost: ExecutionCost,
+        now: Timestamp,
+    ) -> Option<InsertOutcome> {
+        engine
+            .get_or_execute(key, now, || (SizedPayload::new(size_bytes), cost))
+            .outcome
+    }
+
+    /// Asserts the books balance in every shard and in total: each
+    /// reference is a hit, a coalesced wait, a fetch error, a stale serve
+    /// or a miss, and each miss offered its set for admission once.
+    fn assert_books_balance(snapshot: &StatsSnapshot) {
+        for stats in snapshot.per_shard.iter().chain([&snapshot.total]) {
+            let resolved = stats.hits + stats.coalesced + stats.fetch_errors + stats.stale_serves;
+            assert_eq!(
+                stats.references,
+                resolved + stats.insertions_offered,
+                "{stats:?}"
+            );
+        }
     }
 
     #[test]
@@ -172,9 +202,10 @@ mod tests {
     fn shards_partition_the_keyspace() {
         let engine = engine(8, 64 << 20);
         for i in 0..200u32 {
-            engine.insert(
-                key(&format!("query-{i}")),
-                SizedPayload::new(100),
+            execute(
+                &engine,
+                &key(&format!("query-{i}")),
+                100,
                 ExecutionCost::from_blocks(10),
                 ts(u64::from(i) + 1),
             );
@@ -220,18 +251,18 @@ mod tests {
         // Every shard can now hold data: a 1-byte set may lose the admission
         // test, but it must never be turned away for lack of any capacity.
         for i in 0..20 {
-            let outcome = engine.insert(
-                key(&format!("tiny-{i}")),
-                SizedPayload::new(1),
+            let outcome = execute(
+                &engine,
+                &key(&format!("tiny-{i}")),
+                1,
                 ExecutionCost::from_blocks(10),
                 ts(i + 1),
-            );
+            )
+            .expect("a new key executes");
             assert!(
                 !matches!(
                     outcome,
-                    crate::policy::InsertOutcome::Rejected(
-                        crate::policy::RejectReason::ZeroCapacity
-                    )
+                    InsertOutcome::Rejected(crate::policy::RejectReason::ZeroCapacity)
                 ),
                 "1-byte set must never see ZeroCapacity, got {outcome}"
             );
@@ -270,50 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_that_grows_payload_reports_its_evictions() {
-        // Regression: a re-insert of a cached key whose payload grew used to
-        // report AlreadyCached with no eviction information, so observer
-        // mirrors kept the displaced keys forever.
-        let counters = Arc::new(EventTally::default());
-        let deps = Arc::new(crate::coherence::DependencyObserver::new(
-            |key: &QueryKey| vec![format!("REL_{}", key.text())],
-        ));
-        let engine: Watchman<SizedPayload> = Watchman::builder()
-            .shards(1)
-            .policy(PolicyKind::Lru)
-            .capacity_bytes(300)
-            .observer(Arc::clone(&counters) as Arc<dyn CacheObserver>)
-            .observer(Arc::clone(&deps) as Arc<dyn CacheObserver>)
-            .build();
-        let cost = ExecutionCost::from_blocks(100);
-        engine.insert(key("a"), SizedPayload::new(100), cost, ts(1));
-        engine.insert(key("b"), SizedPayload::new(100), cost, ts(2));
-        assert_eq!(deps.affected_by("REL_b"), vec![key("b")]);
-
-        // Refresh "a" with a payload so large that "b" must be evicted.
-        let outcome = engine.insert(key("a"), SizedPayload::new(250), cost, ts(3));
-        assert_eq!(outcome.evicted(), &[key("b")]);
-        assert!(outcome.is_cached());
-        assert!(!outcome.is_admitted(), "a refresh is not a new admission");
-        assert!(!engine.contains(&key("b")));
-        assert_eq!(
-            counters.removed.load(Ordering::SeqCst),
-            1,
-            "the eviction must be reported"
-        );
-        assert_eq!(
-            counters.admitted.load(Ordering::SeqCst),
-            2,
-            "a refresh reports no admission"
-        );
-        assert!(
-            deps.affected_by("REL_b").is_empty(),
-            "the dependency mirror must drop the evicted key"
-        );
-        assert_eq!(deps.affected_by("REL_a"), vec![key("a")]);
-    }
-
-    #[test]
     fn observers_see_admissions_evictions_and_invalidations() {
         let counters = Arc::new(EventTally::default());
         let engine: Watchman<SizedPayload> = Watchman::builder()
@@ -324,9 +311,10 @@ mod tests {
             .build();
         // Two admissions fit; the third evicts the oldest.
         for (i, name) in ["a", "b", "c"].iter().enumerate() {
-            engine.insert(
-                key(name),
-                SizedPayload::new(100),
+            execute(
+                &engine,
+                &key(name),
+                100,
                 ExecutionCost::from_blocks(10),
                 ts(i as u64 + 1),
             );
@@ -340,12 +328,14 @@ mod tests {
         );
         assert_eq!(counters.removed.load(Ordering::SeqCst), 2);
         // A rejection changes nothing resident and notifies nothing.
-        let outcome = engine.insert(
-            key("huge"),
-            SizedPayload::new(10_000),
+        let outcome = execute(
+            &engine,
+            &key("huge"),
+            10_000,
             ExecutionCost::from_blocks(10),
             ts(10),
-        );
+        )
+        .expect("a new key executes");
         assert!(!outcome.is_cached(), "{outcome}");
         assert_eq!(counters.admitted.load(Ordering::SeqCst), 3);
         assert_eq!(counters.removed.load(Ordering::SeqCst), 2);
@@ -355,9 +345,8 @@ mod tests {
     fn the_dependency_mirror_equals_the_cache_after_every_step() {
         // Every key depends on "ALL", so the observer's mirror of it must be
         // exactly the resident set, whatever the policy did: hits, admissions
-        // with victims, rejections, refreshes that grow and evict, and
-        // invalidations.
-        let (mut hits, mut rejections, mut grown_evictions, mut invalidations) = (0, 0, 0, 0);
+        // with victims, rejections and invalidations.
+        let (mut hits, mut rejections, mut invalidations) = (0, 0, 0);
         for policy in PolicyKind::all() {
             let deps = Arc::new(crate::coherence::DependencyObserver::new(|_: &QueryKey| {
                 vec!["ALL".to_owned()]
@@ -377,13 +366,6 @@ mod tests {
                 let now = ts(step + 1);
                 match state % 10 {
                     0 => invalidations += u64::from(engine.invalidate(&key(&name))),
-                    1 | 2 => {
-                        let outcome = engine.insert(key(&name), SizedPayload::new(size), cost, now);
-                        if !outcome.is_admitted() && outcome.is_cached() {
-                            grown_evictions += outcome.evicted().len();
-                        }
-                        rejections += u64::from(!outcome.is_cached());
-                    }
                     _ => {
                         let lookup = engine
                             .get_or_execute(&key(&name), now, || (SizedPayload::new(size), cost));
@@ -400,25 +382,15 @@ mod tests {
             }
         }
         assert!(hits > 0 && rejections > 0 && invalidations > 0);
-        assert!(grown_evictions > 0, "no refresh grew into an eviction");
     }
 
     #[test]
     fn invalidate_relation_drives_the_dependency_index() {
         let engine = engine(4, 1 << 20);
         let mut index = DependencyIndex::new();
-        engine.insert(
-            key("orders-summary"),
-            SizedPayload::new(64),
-            ExecutionCost::from_blocks(100),
-            ts(1),
-        );
-        engine.insert(
-            key("parts-summary"),
-            SizedPayload::new(64),
-            ExecutionCost::from_blocks(100),
-            ts(2),
-        );
+        let cost = ExecutionCost::from_blocks(100);
+        execute(&engine, &key("orders-summary"), 64, cost, ts(1));
+        execute(&engine, &key("parts-summary"), 64, cost, ts(2));
         index.register(key("orders-summary"), ["ORDERS"]);
         index.register(key("parts-summary"), ["PART"]);
 
@@ -435,14 +407,10 @@ mod tests {
         let engine = engine(4, 1 << 20);
         let a = crate::equivalence::canonical_key("SELECT sum(x) FROM t WHERE p = 1 AND q = 2");
         let b = crate::equivalence::canonical_key("select SUM(x) from t where q = 2 and p = 1");
-        engine.insert(
-            a.clone(),
-            SizedPayload::new(64),
-            ExecutionCost::from_blocks(100),
-            ts(1),
-        );
+        execute(&engine, &a, 64, ExecutionCost::from_blocks(100), ts(1));
         assert!(engine.contains(&b), "equivalent query must share the entry");
-        assert!(engine.get(&b, ts(2)).is_some());
+        let lookup = engine.get_or_execute(&b, ts(2), || unreachable!("a hit"));
+        assert_eq!(lookup.source, LookupSource::Hit);
         assert_eq!(engine.len(), 1);
     }
 
@@ -477,6 +445,7 @@ mod tests {
             snapshot.total.coalesced >= 1,
             "at least one session must have coalesced"
         );
+        assert_books_balance(&snapshot);
     }
 
     #[test]
@@ -531,9 +500,10 @@ mod tests {
     #[test]
     fn clear_and_utilization() {
         let engine = engine(2, 1_000);
-        engine.insert(
-            key("q"),
-            SizedPayload::new(100),
+        execute(
+            &engine,
+            &key("q"),
+            100,
             ExecutionCost::from_blocks(10),
             ts(1),
         );
@@ -756,9 +726,7 @@ mod tests {
             let now = ts(i * 1_000 + 1);
             let size = 100 + (i % 7) * 30;
             let cost = ExecutionCost::from_blocks(500 + (i % 11) * 100);
-            if shard_engine.get(&k, now).is_none() {
-                shard_engine.insert(k.clone(), SizedPayload::new(size), cost, now);
-            }
+            execute(&shard_engine, &k, size, cost, now);
             if raw.get(&k, now).is_none() {
                 raw.insert(k, Arc::new(SizedPayload::new(size)), cost, now);
             }
@@ -777,14 +745,8 @@ mod tests {
         for i in 0..300u64 {
             let k = key(&format!("q{}", i % 17));
             let now = ts(i * 1_000 + 1);
-            if engine.get(&k, now).is_none() {
-                engine.insert(
-                    k,
-                    SizedPayload::new(100 + (i % 5) * 37),
-                    ExecutionCost::from_block_reads(250.5 + i as f64 * 0.875),
-                    now,
-                );
-            }
+            let cost = ExecutionCost::from_block_reads(250.5 + i as f64 * 0.875);
+            execute(&engine, &k, 100 + (i % 5) * 37, cost, now);
         }
         let snapshot = engine.stats_snapshot();
         assert!(snapshot.total.total_cost > 0.0);
@@ -813,12 +775,8 @@ mod tests {
                 .capacity_bytes(1 << 20)
                 .build();
             for i in 0..20u64 {
-                engine.insert(
-                    key(&format!("q{i}")),
-                    SizedPayload::new(200),
-                    ExecutionCost::from_blocks(1_000 + i),
-                    ts(i + 1),
-                );
+                let cost = ExecutionCost::from_blocks(1_000 + i);
+                execute(&engine, &key(&format!("q{i}")), 200, cost, ts(i + 1));
             }
             let before = engine.stats_snapshot();
             for _ in 0..50 {
@@ -834,34 +792,20 @@ mod tests {
     fn peek_does_not_refresh_recency() {
         // LRU with room for exactly two sets: A is older than B, so the next
         // admission must evict A — even after A was peeked many times.  A
-        // `get` in peek's place would have bumped A and evicted B instead.
+        // lookup in peek's place would have bumped A and evicted B instead.
         let engine: Watchman<SizedPayload> = Watchman::builder()
             .shards(1)
             .policy(PolicyKind::Lru)
             .capacity_bytes(200)
             .build();
-        engine.insert(
-            key("a"),
-            SizedPayload::new(100),
-            ExecutionCost::from_blocks(10),
-            ts(1),
-        );
-        engine.insert(
-            key("b"),
-            SizedPayload::new(100),
-            ExecutionCost::from_blocks(10),
-            ts(2),
-        );
+        let cost = ExecutionCost::from_blocks(10);
+        execute(&engine, &key("a"), 100, cost, ts(1));
+        execute(&engine, &key("b"), 100, cost, ts(2));
         for i in 0..25 {
             assert!(engine.peek(&key("a")).is_some());
             assert!(ts(i).as_micros() < u64::MAX);
         }
-        let outcome = engine.insert(
-            key("c"),
-            SizedPayload::new(100),
-            ExecutionCost::from_blocks(10),
-            ts(3),
-        );
+        let outcome = execute(&engine, &key("c"), 100, cost, ts(3)).expect("c executes");
         assert_eq!(outcome.evicted(), &[key("a")], "peeking must not protect a");
         assert!(engine.contains(&key("b")));
         assert!(engine.peek(&key("a")).is_none());
@@ -971,6 +915,7 @@ mod tests {
         assert_eq!(stats.fetch_errors, 1);
         assert_eq!(stats.references, 1);
         assert_eq!(stats.misses(), 0, "an errored reference is not a miss");
+        assert_books_balance(&engine.stats_snapshot());
     }
 
     #[test]
@@ -1003,6 +948,7 @@ mod tests {
         let stats = engine.stats_snapshot().total;
         assert_eq!(stats.fetch_errors, 3, "all three references errored");
         assert_eq!(stats.references, 3);
+        assert_books_balance(&engine.stats_snapshot());
     }
 
     #[test]
@@ -1042,6 +988,7 @@ mod tests {
             stats.total_cost > saved_after_prime,
             "stale serves pay their cost"
         );
+        assert_books_balance(&engine.stats_snapshot());
         // Invalidation kills the last-known-good copy: wrong data is worse
         // than no data.
         engine.invalidate(&key("report"));
@@ -1473,7 +1420,10 @@ mod tests {
                     executions.fetch_add(1, Ordering::SeqCst);
                     (SizedPayload::new(64), ExecutionCost::from_blocks(700))
                 };
-                engine.lookup(key("shared"), ts(2), lookup::Infallible(Some(fetch)))
+                let mut fetch = Some(fetch);
+                engine.lookup(key("shared"), ts(2), false, move || {
+                    Ok(fetch.take().expect("leads once")())
+                })
             };
             poll_once_pending(&mut waiter);
             release_tx.send(()).unwrap();
@@ -1484,7 +1434,7 @@ mod tests {
             // The waiter cannot surface an error: it starts over, leads a
             // fresh flight past the negative entry the failure left, and
             // executes.
-            crate::runtime::block_on(waiter)
+            crate::runtime::block_on(waiter).expect("the waiter cannot fail")
         });
         assert_eq!(lookup.source, LookupSource::Executed);
         assert_eq!(executions.load(Ordering::SeqCst), 1);
@@ -1495,6 +1445,7 @@ mod tests {
         assert_eq!(stats.fetch_errors, 1, "the leader's reference");
         assert_eq!(stats.misses(), 1, "the waiter's reference");
         assert_eq!(stats.insertions_offered, 1);
+        assert_books_balance(&engine.stats_snapshot());
     }
 
     #[test]
@@ -1545,6 +1496,7 @@ mod tests {
         assert_eq!(shared.source, LookupSource::Coalesced);
         assert_eq!(shared.value.size_bytes(), 64);
         assert_eq!(engine.stats_snapshot().total.coalesced, 1);
+        assert_books_balance(&engine.stats_snapshot());
     }
 
     #[test]
@@ -1610,6 +1562,7 @@ mod tests {
         let stats = engine.stats_snapshot().total;
         assert_eq!(stats.fetch_errors, 4);
         assert_eq!(stats.references, 4);
+        assert_books_balance(&engine.stats_snapshot());
     }
 
     #[test]
@@ -1666,6 +1619,7 @@ mod tests {
         assert_eq!(snapshot.total.fetch_errors, 2);
         assert_eq!(snapshot.negative_hits, 1);
         assert_eq!(snapshot.sheds, 0, "the engine never sheds; servers do");
+        assert_books_balance(&snapshot);
         let json = serde_json::to_string(&snapshot).expect("snapshot serializes");
         let back: StatsSnapshot = serde_json::from_str(&json).expect("snapshot parses");
         assert_eq!(snapshot, back, "JSON round trip must be exact");
@@ -1730,6 +1684,7 @@ mod tests {
         assert_eq!(invocations.load(Ordering::SeqCst), 1);
         let kept = try_get(&engine, &key("restored"), now, failing).expect("stale serve");
         assert_eq!(kept.source, LookupSource::Stale);
+        assert_books_balance(&engine.stats_snapshot());
     }
 
     #[test]
@@ -1805,13 +1760,8 @@ mod tests {
         }
         let engine = engine(1, 1 << 20);
         let hot = key("hot");
-        let outcome = engine.insert(
-            hot.clone(),
-            SizedPayload::new(64),
-            ExecutionCost::from_blocks(10),
-            ts(1),
-        );
-        assert!(outcome.is_admitted());
+        let outcome = execute(&engine, &hot, 64, ExecutionCost::from_blocks(10), ts(1));
+        assert!(outcome.is_some_and(|outcome| outcome.is_admitted()));
         let fill = || (SizedPayload::new(64), ExecutionCost::from_blocks(10));
 
         on_fresh_thread(|| {

@@ -17,7 +17,7 @@ use crate::engine::policy_kind::PolicyKind;
 use crate::engine::single_flight::Flight;
 use crate::key::{QueryKey, SignatureMap};
 use crate::metrics::CacheStats;
-use crate::policy::{InsertOutcome, QueryCache};
+use crate::policy::QueryCache;
 use crate::runtime::Runtime;
 use crate::sync::{Mutex, MutexGuard};
 use crate::value::{CachePayload, ExecutionCost};
@@ -178,6 +178,9 @@ pub(crate) struct ShardState<V> {
     last_flight: u64,
     /// Lookups answered from a memoized failure.
     negative_hits: u64,
+    /// The references the policy never sees: coalesced, stale-served and
+    /// failed lookups.  Snapshots merge them into the policy's own counts.
+    pub(super) lookup_stats: CacheStats,
 }
 
 pub(crate) struct Shard<V> {
@@ -390,6 +393,7 @@ impl<V> Shard<V> {
                 next_store: 0,
                 last_flight: 0,
                 negative_hits: 0,
+                lookup_stats: CacheStats::new(),
             }),
         }
     }
@@ -594,34 +598,6 @@ where
         }
     }
 
-    /// Looks up the retrieved set for `key`, recording one query reference.
-    ///
-    /// Returns a shared handle to the cached value on a hit.  Callers that
-    /// execute the query themselves on a miss should prefer
-    /// [`Watchman::get_or_execute`], which additionally deduplicates
-    /// concurrent executions.
-    pub fn get(&self, key: &QueryKey, now: Timestamp) -> Option<Arc<V>> {
-        let index = self.shard_index(key);
-        let mut shard = self.inner.shards[index].lock();
-        shard.cache.get(key, now).map(Arc::clone)
-    }
-
-    /// Offers a freshly retrieved set for admission after a miss.
-    pub fn insert(
-        &self,
-        key: QueryKey,
-        value: V,
-        cost: ExecutionCost,
-        now: Timestamp,
-    ) -> InsertOutcome {
-        let index = self.shard_index(&key);
-        let mut shard = self.inner.shards[index].lock();
-        let outcome = shard.cache.insert(key.clone(), Arc::new(value), cost, now);
-        record_evictions(outcome.evicted());
-        self.notify(outcome.evicted(), outcome.is_admitted().then_some(&key));
-        outcome
-    }
-
     /// Removes the retrieved set for `key` because a warehouse update made it
     /// stale.  Returns whether it was resident.
     pub fn invalidate(&self, key: &QueryKey) -> bool {
@@ -658,7 +634,7 @@ where
     /// mutation.  Returns the cached payload if resident.
     ///
     /// This is the *admin* probe (the server's `PEEK` opcode, diagnostics,
-    /// tests): unlike [`Watchman::get`], observing the cache this way leaves
+    /// tests): unlike a lookup, observing the cache this way leaves
     /// the replacement policy's state and the [`StatsSnapshot`] byte-for-byte
     /// unchanged, so monitoring never perturbs replay-visible behavior.
     pub fn peek(&self, key: &QueryKey) -> Option<Arc<V>> {
@@ -729,7 +705,8 @@ where
         let mut negative_hits = 0;
         for shard in &self.inner.shards {
             let state = shard.lock();
-            let stats = state.cache.stats_snapshot();
+            let mut stats = state.cache.stats_snapshot();
+            stats.merge(&state.lookup_stats);
             total.merge(&stats);
             per_shard.push(stats);
             let used = state.cache.used_bytes();

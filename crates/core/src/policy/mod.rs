@@ -243,30 +243,6 @@ pub trait QueryCache<V: CachePayload> {
     /// Accumulated reference / cost statistics.
     fn stats(&self) -> &CacheStats;
 
-    /// Records one query reference that was satisfied by *coalescing* onto
-    /// another session's in-flight execution of the same query (the
-    /// concurrent engine's single-flight path — the one reference the policy
-    /// cannot observe through `get`/`insert`).  Cache contents are untouched;
-    /// the statistics count the reference as hit-equivalent at the leader's
-    /// observed cost, keeping the documented
-    /// `references == hits + coalesced + misses` protocol intact.
-    fn record_coalesced_reference(&mut self, cost: ExecutionCost);
-
-    /// Records one query reference that ended in a *terminal fetch error*
-    /// (the concurrent engine's fallible pipeline: retry budget exhausted or
-    /// fatal error, no stale serve).  Cache contents are untouched; the
-    /// statistics count the reference with no cost movement, keeping the
-    /// extended `references == hits + coalesced + fetch_errors +
-    /// stale_serves + misses` protocol intact.
-    fn record_error_reference(&mut self);
-
-    /// Records one query reference answered with a *stale* last-known-good
-    /// value after a fetch failure or an open circuit breaker, where `cost`
-    /// is the refetch cost the caller was spared.  Cache contents are
-    /// untouched; the cost enters the CSR denominator but not the numerator
-    /// (degradation must never inflate the savings ratio).
-    fn record_stale_reference(&mut self, cost: ExecutionCost);
-
     /// An owned snapshot of the accumulated statistics.
     ///
     /// Prefer this over [`QueryCache::stats`] when aggregating across several

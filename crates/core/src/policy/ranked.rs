@@ -555,18 +555,6 @@ impl<V: CachePayload, R: RankRule, O: VictimOrder<R>> QueryCache<V> for RankedCa
         &self.stats
     }
 
-    fn record_coalesced_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_coalesced(cost);
-    }
-
-    fn record_error_reference(&mut self) {
-        self.stats.record_fetch_error();
-    }
-
-    fn record_stale_reference(&mut self, cost: ExecutionCost) {
-        self.stats.record_stale(cost);
-    }
-
     fn clear(&mut self) {
         self.records.clear();
         self.cached = 0;

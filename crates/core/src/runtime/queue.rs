@@ -91,11 +91,19 @@ impl<T> RunQueue<T> {
     /// is the seated driver delivering into an empty queue: it runs that
     /// item next itself, handing the seat to an idle sibling as it does.
     pub(crate) fn push(&self, pusher: Option<usize>, item: T) {
+        self.push_with(pusher, item, || {});
+    }
+
+    /// [`push`](Self::push), running `between` after the item is queued and
+    /// before a worker is woken: the checker's models schedule other
+    /// threads there, so the order of the two halves is under test.
+    pub(crate) fn push_with(&self, pusher: Option<usize>, item: T, between: impl FnOnce()) {
         let was_empty = {
             let mut ready = self.ready.lock();
             ready.push_back(item);
             ready.len() == 1
         };
+        between();
         if !was_empty || pusher.is_none_or(|worker| self.seat.load(Ordering::SeqCst) != worker) {
             self.unpark_one();
         }

@@ -394,26 +394,31 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceKind {
-    /// A miss executed its query (key = signature, a = shard, b = µs).
+    /// A miss executed its query (key = signature, a = shard, b = the
+    /// set's cost in blocks).
     LookupExecuted,
-    /// A stale value served after a failure (key, a = shard, b = µs).
+    /// A stale value served after a failure (key = signature, a = shard,
+    /// b = the set's cost in blocks).
     LookupStale,
-    /// A lookup surfaced a terminal fetch error (key, a = shard, b = µs).
+    /// A lookup surfaced a terminal fetch error (key = signature,
+    /// a = shard, b = 1 when a memoized failure answered it, else 0).
     LookupError,
     /// A retryable fetch failure scheduled a backoff (key, a = attempt,
     /// b = backoff µs).
     FetchRetry,
-    /// A circuit breaker transitioned to open (a = shard). **Anomaly.**
+    /// A circuit breaker transitioned to open (key = signature,
+    /// a = shard). **Anomaly.**
     BreakerTrip,
-    /// The server refused a request at admission (a = connection id,
-    /// b = inflight). **Anomaly.**
+    /// The server refused a request at admission (key = signature,
+    /// a = requests in flight, b = the retry-after hint in µs).
+    /// **Anomaly.**
     Shed,
-    /// A session was evicted for exceeding the read deadline
-    /// (a = connection id). **Anomaly.**
+    /// A session was evicted for exceeding the read deadline (a = bytes
+    /// buffered, b = µs stalled). **Anomaly.**
     SlowLorisEvict,
-    /// A session opened (a = connection id).
+    /// A session opened (a = connection id, b = live sessions).
     SessionOpen,
-    /// A session closed (a = connection id, b = requests served).
+    /// A session closed (a = connection id, b = sessions remaining).
     SessionClose,
 }
 

@@ -16,17 +16,19 @@
 //! `--metrics-interval SECS` logs a one-line telemetry summary (lookup
 //! counts by outcome, retries, sheds, evictions, breaker trips, trace
 //! events) to stderr every `SECS` seconds — the always-on operational
-//! signal.  The line is read from this server's own `METRICS` exposition,
-//! through a client connected to its address, so the log and a scrape can
-//! never disagree; the full exposition stays behind the `METRICS` opcode.
+//! signal.  The line is read from this server's own `STATS` snapshot (the
+//! lookup counts, every reference counted) and `METRICS` exposition (the
+//! rest), through a client connected to its address, so the log and a
+//! scrape can never disagree; the full exposition stays behind the
+//! `METRICS` opcode.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use watchman_core::engine::PolicyKind;
+use watchman_core::engine::{PolicyKind, StatsSnapshot};
 use watchman_core::history::MAX_WINDOW;
 use watchman_core::telemetry::MetricsSnapshot;
-use watchman_server::{serve, Client, ServerConfig};
+use watchman_server::{serve, Client, ClientError, ServerConfig};
 
 fn parse_policy(name: &str, k: usize) -> Option<PolicyKind> {
     Some(match name {
@@ -41,27 +43,38 @@ fn parse_policy(name: &str, k: usize) -> Option<PolicyKind> {
     })
 }
 
-/// The `--metrics-interval` log line, read from one `METRICS` exposition.
-fn metrics_line(metrics: &MetricsSnapshot) -> String {
-    let lookups = |outcome: &str| {
-        metrics
-            .histogram(&format!("engine.lookup.{outcome}_us"))
-            .map_or(0, |histogram| histogram.count)
-    };
+/// The `--metrics-interval` log line: the lookup counts by outcome from one
+/// `STATS` snapshot (the lookup histograms time only a sample of hits and
+/// executed lookups), everything else from one `METRICS` exposition.
+fn metrics_line(stats: &StatsSnapshot, metrics: &MetricsSnapshot) -> String {
+    let lookups = &stats.total;
     format!(
         "metrics: hits={} executed={} coalesced={} stale={} errors={} \
          retries={} sheds={} evictions={} breaker_trips={} trace_events={}",
-        lookups("hit"),
-        lookups("executed"),
-        lookups("coalesced"),
-        lookups("stale"),
-        lookups("error"),
+        lookups.hits,
+        lookups.misses(),
+        lookups.coalesced,
+        lookups.stale_serves,
+        lookups.fetch_errors,
         metrics.counter("engine.fetch.retries"),
         metrics.counter("server.sheds"),
         metrics.counter("engine.evictions"),
         metrics.counter("engine.breaker.trips"),
         metrics.counter("telemetry.trace_events"),
     )
+}
+
+/// Reads one `STATS` snapshot and one `METRICS` exposition over `client`,
+/// connecting to `addr` first when it holds no connection.
+fn scrape(
+    client: &mut Option<Client>,
+    addr: &str,
+) -> Result<(StatsSnapshot, MetricsSnapshot), ClientError> {
+    let client = match client {
+        Some(client) => client,
+        None => client.insert(Client::connect(addr)?),
+    };
+    Ok((client.stats()?, client.metrics()?))
 }
 
 fn usage() -> ExitCode {
@@ -169,13 +182,8 @@ fn main() -> ExitCode {
                 let mut client: Option<Client> = None;
                 loop {
                     std::thread::sleep(interval);
-                    let scrape = match client.as_mut() {
-                        Some(client) => client.metrics(),
-                        None => Client::connect(addr.as_str())
-                            .and_then(|connected| client.insert(connected).metrics()),
-                    };
-                    match scrape {
-                        Ok(metrics) => eprintln!("{}", metrics_line(&metrics)),
+                    match scrape(&mut client, &addr) {
+                        Ok((stats, metrics)) => eprintln!("{}", metrics_line(&stats, &metrics)),
                         Err(err) => {
                             eprintln!("metrics: scrape failed: {err}");
                             client = None;
@@ -189,4 +197,53 @@ fn main() -> ExitCode {
     handle.wait();
     println!("watchmand: drained, exiting");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use watchman_core::metrics::CacheStats;
+
+    #[test]
+    fn metrics_line_counts_every_lookup_from_stats() {
+        let total = CacheStats {
+            references: 1_000,
+            hits: 640,
+            coalesced: 30,
+            fetch_errors: 4,
+            stale_serves: 6,
+            ..CacheStats::default()
+        };
+        let stats = StatsSnapshot {
+            total: total.clone(),
+            per_shard: vec![total],
+            per_shard_used: vec![0],
+            used_bytes: 0,
+            capacity_bytes: 1 << 20,
+            entries: 0,
+            fetch_retries: 7,
+            negative_hits: 2,
+            breaker_transitions: 1,
+            sheds: 3,
+        };
+        let counters = [
+            ("engine.fetch.retries", 7),
+            ("server.sheds", 3),
+            ("engine.evictions", 12),
+            ("engine.breaker.trips", 1),
+            ("telemetry.trace_events", 99),
+        ];
+        let metrics = MetricsSnapshot {
+            schema: 0,
+            uptime_us: 0,
+            counters: counters.map(|(name, n)| (name.to_owned(), n)).into(),
+            gauges: Default::default(),
+            histograms: Default::default(),
+        };
+        assert_eq!(
+            metrics_line(&stats, &metrics),
+            "metrics: hits=640 executed=320 coalesced=30 stale=6 errors=4 \
+             retries=7 sheds=3 evictions=12 breaker_trips=1 trace_events=99"
+        );
+    }
 }

@@ -144,31 +144,26 @@ impl BufferHintExperiment {
         for record in workload.trace.iter() {
             let now = Timestamp::from_micros(record.timestamp_us);
             let key = QueryKey::from_raw_query(&record.query_text);
-            if cache.get(&key, now).is_some() {
-                // Retrieved set served from the WATCHMAN cache: the query is
-                // not executed and reads no pages.
-                continue;
-            }
-            // Execute the query: read its pages through the buffer pool and
-            // remember which query touched which page.
-            let pages = workload.benchmark.page_accesses(record.instance);
-            {
-                let mut pool = pool.lock();
-                for &page in &pages {
-                    pool.access(page);
+            // A hit is served from the WATCHMAN cache and reads no pages.  A
+            // miss executes the query: it reads its pages through the buffer
+            // pool and remembers which query touched which page; offering
+            // the set then triggers the observer's hint on admission.
+            cache.get_or_execute(&key, now, || {
+                let pages = workload.benchmark.page_accesses(record.instance);
+                {
+                    let mut pool = pool.lock();
+                    for &page in &pages {
+                        pool.access(page);
+                    }
                 }
-            }
-            if let Some(observer) = &observer {
-                observer.record_access(&pages, key.signature());
-            }
-
-            // Offering the set triggers the observer's hint on admission.
-            cache.insert(
-                key,
-                SizedPayload::new(record.result_bytes),
-                ExecutionCost::from_blocks(record.cost_blocks),
-                now,
-            );
+                if let Some(observer) = &observer {
+                    observer.record_access(&pages, key.signature());
+                }
+                (
+                    SizedPayload::new(record.result_bytes),
+                    ExecutionCost::from_blocks(record.cost_blocks),
+                )
+            });
         }
 
         let pool = pool.lock();

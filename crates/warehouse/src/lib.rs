@@ -29,7 +29,6 @@
 
 pub mod benchmark;
 pub mod catalog;
-pub mod datagen;
 pub mod executor;
 pub mod hashing;
 pub mod pages;
@@ -40,7 +39,6 @@ pub mod tpcd;
 
 pub use benchmark::{Benchmark, BenchmarkKind};
 pub use catalog::{Catalog, Relation};
-pub use datagen::{ColumnKind, ColumnSpec, DataGenerator};
 pub use executor::{ExecutionResult, QueryExecutor};
 pub use pages::{PageId, RelationId, PAGE_SIZE_BYTES};
 pub use template::{

@@ -115,29 +115,26 @@ fn run_with_hints(benchmark: &Benchmark, trace: &Trace, p0: Option<f64>) -> Run 
     for record in trace.iter() {
         let now = Timestamp::from_micros(record.timestamp_us);
         let key = QueryKey::from_raw_query(&record.query_text);
-        if cache.get(&key, now).is_some() {
-            continue; // answered from the retrieved-set cache: no page I/O
-        }
-        // Miss: the query runs against the warehouse and touches its pages.
-        let pages = benchmark.page_accesses(record.instance);
-        {
-            let mut pool = pool.lock();
-            for &page in &pages {
-                pool.access(page);
+        // A hit is answered from the retrieved-set cache with no page I/O.
+        // A miss runs the query against the warehouse, touching its pages;
+        // offering the set for admission then triggers the observer: if
+        // admitted, the now-redundant pages are demoted in the pool.
+        cache.get_or_execute(&key, now, || {
+            let pages = benchmark.page_accesses(record.instance);
+            {
+                let mut pool = pool.lock();
+                for &page in &pages {
+                    pool.access(page);
+                }
             }
-        }
-        if let Some(observer) = &observer {
-            observer.record_access(&pages, key.signature());
-        }
-
-        // Offering the set for admission triggers the observer: if admitted,
-        // the now-redundant pages are demoted in the pool automatically.
-        cache.insert(
-            key,
-            SizedPayload::new(record.result_bytes),
-            ExecutionCost::from_blocks(record.cost_blocks),
-            now,
-        );
+            if let Some(observer) = &observer {
+                observer.record_access(&pages, key.signature());
+            }
+            (
+                SizedPayload::new(record.result_bytes),
+                ExecutionCost::from_blocks(record.cost_blocks),
+            )
+        });
     }
     let stats = cache.stats_snapshot();
     let pool = pool.lock();
