@@ -2,29 +2,33 @@
 //! model under the controlled scheduler and fails (exit 1) if any schedule
 //! deadlocks, loses a wakeup, or violates a model invariant.
 //!
-//! Usage:
+//! Usage (the explorer schedules at the real locks, through the seam the
+//! `lock-graph` feature compiles into `watchman_core::sync`):
 //!
 //! ```text
-//! cargo run --release -p watchman-core --bin checker
+//! cargo run --release -p watchman-core --features lock-graph --bin checker
 //! ```
 //!
-//! Every model gets the same budget of 1,500 schedules; the summary line
-//! says whether a model's schedules were explored exhaustively or the
+//! Every model gets the same budget of [`BUDGET`] schedules; the summary
+//! line says whether a model's schedules were explored exhaustively or the
 //! budget bounded them.
 //!
-//! The self-test model (two threads taking two locks in opposite order) is
-//! *expected* to deadlock; the run fails if the explorer does **not** find
-//! it, proving deadlock detection works before the clean results of the
-//! real models are trusted.
+//! The two self-test models are *expected* to fail: two threads taking two
+//! locks in opposite order must deadlock, and a waiter that checks its
+//! predicate before it takes the condvar's lock must lose its wakeup.  The
+//! run fails if the explorer does **not** find both, proving detection
+//! works before the clean results of the real models are trusted.
 
 use watchman_core::checker::models::{
     CircuitBreakerModel, DriverSeatModel, InvertedLockOrderModel, ReactorRegistrationModel,
-    RunQueueModel, RuntimeDropModel, SingleFlightModel,
+    RunQueueModel, RuntimeDropModel, SingleFlightModel, UncheckedWaitModel,
 };
 use watchman_core::checker::{explore, Model};
 
+/// Schedules explored per model.
+const BUDGET: usize = 1_500;
+
 fn main() {
-    let budget = 1_500;
     let models: [&dyn Model; 6] = [
         &SingleFlightModel,
         &RuntimeDropModel,
@@ -37,7 +41,7 @@ fn main() {
     let mut total_schedules = 0;
     let mut failed = false;
     for model in models {
-        let exploration = explore(model, budget);
+        let exploration = explore(model, BUDGET);
         total_schedules += exploration.schedules;
         println!("{}", exploration.summary());
         if let Some((schedule, message)) = exploration.violations.first() {
@@ -47,23 +51,29 @@ fn main() {
         }
     }
 
-    // Prove the detector detects: the inverted-order model must deadlock.
-    let self_test = explore(&InvertedLockOrderModel, budget);
-    total_schedules += self_test.schedules;
-    let found_deadlock = self_test
-        .violations
-        .iter()
-        .any(|(_, message)| message.contains("deadlock"));
-    println!(
-        "{} — {}",
-        self_test.summary(),
-        if found_deadlock {
-            "detector self-test passed"
-        } else {
-            "SELF-TEST FAILED: seeded deadlock not found"
-        }
-    );
-    failed |= !found_deadlock;
+    // Prove the detector detects: each self-test must fail as seeded.
+    let self_tests: [(&dyn Model, &str); 2] = [
+        (&InvertedLockOrderModel, "deadlock"),
+        (&UncheckedWaitModel, "lost wakeup"),
+    ];
+    for (model, seeded) in self_tests {
+        let self_test = explore(model, BUDGET);
+        total_schedules += self_test.schedules;
+        let found = self_test
+            .violations
+            .iter()
+            .any(|(_, message)| message.contains(seeded));
+        println!(
+            "{} — {}",
+            self_test.summary(),
+            if found {
+                "detector self-test passed".to_owned()
+            } else {
+                format!("SELF-TEST FAILED: seeded {seeded} not found")
+            }
+        );
+        failed |= !found;
+    }
 
     println!("total: {total_schedules} distinct schedules explored");
     if failed {

@@ -8,7 +8,7 @@
 //! in *specific* interleavings a loaded box may never produce.  This module
 //! takes the systematic route, in the spirit of loom/CHESS: run a small
 //! multi-thread model under a **controlled scheduler** that permits exactly
-//! one thread to run between *yield points*, enumerate every reachable
+//! one thread to run between *scheduling points*, enumerate every reachable
 //! schedule by depth-first replay, and assert the model's invariants on each
 //! one.
 //!
@@ -16,46 +16,59 @@
 //!
 //! * A model ([`Model`]) instantiates fresh shared state plus a closure per
 //!   model thread.  Threads are real OS threads, but they only execute while
-//!   holding the scheduler's token; every instrumented operation on the
-//!   [`Ctl`] handle ([`Ctl::point`], [`Ctl::lock`], [`Ctl::wait_flag`], …)
-//!   hands the token back.
+//!   holding the scheduler's token, and they run the **real** code: every
+//!   [`sync::Mutex`](crate::sync::Mutex) and
+//!   [`sync::Condvar`](crate::sync::Condvar) operation on a model thread is
+//!   a scheduling point (the `sync` module's seam).  `lock` blocks, in
+//!   model time, while another model thread holds the lock; `try_lock`
+//!   yields, then tries; `Condvar::wait` releases the lock and blocks until
+//!   a notify that comes after the wait began, as in std.  The [`Ctl`]
+//!   handle adds what no lock expresses: plain points at atomics, syscalls
+//!   and polls ([`Ctl::point`]) and wake flags for poll-based types
+//!   ([`Ctl::flag_waker`], [`Ctl::wait_flag`]).
 //! * At each decision point the scheduler computes the *eligible* threads
-//!   (ready, or blocked on a lock that is now free / a flag that is now
-//!   set), consults the schedule script, and grants the token.  Replaying a
-//!   choice prefix and then always taking the first eligible thread makes
-//!   runs deterministic, so the explorer can enumerate schedules
-//!   depth-first: each run records how many options every decision point
-//!   had, and every untaken option becomes a new prefix to explore.
+//!   (ready, or blocked on a lock that is now free / a condvar that was
+//!   notified / a flag that is now set), consults the schedule script, and
+//!   grants the token.  Replaying a choice prefix and then always taking the
+//!   first eligible thread makes runs deterministic, so the explorer can
+//!   enumerate schedules depth-first: each run records how many options
+//!   every decision point had, and every untaken option becomes a new
+//!   prefix to explore.
 //! * **Deadlocks are detected, not suffered**: a state where unfinished
 //!   threads exist but none is eligible is reported with every thread's
-//!   block reason.  A thread blocked forever on a wake flag that nobody
-//!   will set is precisely a *lost wakeup*, and is labelled as such.
+//!   block reason.  A thread blocked forever on a condvar nobody will
+//!   notify, or a wake flag nobody will set, is precisely a *lost wakeup*,
+//!   and is labelled as such.
 //! * Model threads assert invariants inline (plus a finale check after all
 //!   threads finish); panics are caught and reported with the offending
-//!   schedule.
+//!   schedule.  Bookkeeping that is not under test (tallies, what a thread
+//!   saw) lives in atomics, so it adds no scheduling points.
 //!
-//! Virtual locks ([`Ctl::lock`]) only *model* blocking — the scheduler
-//! never actually deadlocks the process.  Because exactly one model thread
-//! runs at a time, models may also drive **real** engine types (the
-//! single-flight model below runs the production `Flight` cell) and
-//! explore their API-level interleavings safely.
+//! The scheduler never actually deadlocks the process: a model thread only
+//! takes a real lock once the scheduler has granted it the lock's virtual
+//! twin.
 //!
 //! The state machines this repo most needs checked ship as built-in
 //! models: [`models::SingleFlightModel`] (leader panic → restart →
-//! forget_waiter), [`models::RuntimeDropModel`] (`Runtime::drop` vs a
-//! worker mid-poll), [`models::ReactorRegistrationModel`] (IO-reactor event delivery vs a
+//! forget_waiter, against a real shard and `Shard::abandon`),
+//! [`models::RuntimeDropModel`] (`Runtime::drop` vs a worker mid-poll),
+//! [`models::ReactorRegistrationModel`] (IO-reactor event delivery vs a
 //! cancelled task dropping its registration, against the real `ReadyCell`),
 //! [`models::RunQueueModel`] (the run-queue push/park protocol, against
-//! the real `RunQueue` — a parked worker nobody wakes while work sits
-//! queued is a lost wakeup),
+//! the real `RunQueue` and its real `park_wait` — a parked worker nobody
+//! wakes while work sits queued is a lost wakeup),
 //! [`models::CircuitBreakerModel`] (the per-shard breaker's trip /
-//! half-open / re-close cycle, against the real `CircuitBreaker`) and
-//! [`models::DriverSeatModel`] (the same run queue with the reactor's
-//! driver seat: one idle worker blocks in the reactor's turn instead of on
-//! its condvar, and an unpark must reach it there).
-//! `cargo run -p watchman-core --bin checker` explores all six; see
-//! `CONCURRENCY.md`.
+//! half-open / re-close cycle, against the real `CircuitBreaker` under
+//! its shard's lock) and [`models::DriverSeatModel`] (the same run queue
+//! with the reactor's driver seat: one idle worker blocks in the reactor's
+//! turn instead of on its condvar, and an unpark must reach it there).
+//! Two self-test models must *fail*: an inverted lock order (deadlock) and
+//! a predicate checked outside the condvar's lock (lost wakeup).
+//! `cargo run -p watchman-core --features lock-graph --bin checker`
+//! explores them all; see `CONCURRENCY.md`.  The module is compiled into
+//! the crate's unit tests and `lock-graph` builds only.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -64,8 +77,10 @@ use crate::sync::{Condvar, Mutex};
 /// Why a parked model thread cannot run right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BlockReason {
-    /// Waiting on a virtual lock currently held by another thread.
-    Lock(u64),
+    /// Waiting on the lock at this address, held by another thread.
+    Lock(usize),
+    /// Waiting for a notify on the condvar at this address.
+    Condvar(usize),
     /// Waiting for a wake flag to be set.
     Flag(u64),
 }
@@ -73,7 +88,7 @@ enum BlockReason {
 /// A model thread's scheduling status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
-    /// Parked at a yield point, eligible to run.
+    /// Parked at a scheduling point, eligible to run.
     Ready,
     /// Currently holding the token.
     Running,
@@ -88,8 +103,13 @@ struct CtlState {
     status: Vec<Status>,
     /// The thread currently allowed to run, if any.
     token: Option<usize>,
-    /// Virtual lock table: lock id → holding thread.
-    holders: HashMap<u64, usize>,
+    /// Virtual lock table: lock address → holding thread.
+    holders: HashMap<usize, usize>,
+    /// Condvar waits no notify has ended yet, as (condvar address, thread),
+    /// oldest first.
+    waiting: Vec<(usize, usize)>,
+    /// Threads granted their start and not yet at a scheduling point.
+    starting: Vec<bool>,
     /// Wake flags (edge state persists until explicitly cleared).
     flags: HashMap<u64, bool>,
     /// A model thread panicked with this message.
@@ -98,6 +118,27 @@ struct CtlState {
     abort: bool,
 }
 
+impl CtlState {
+    /// Whether a thread parked as `status` may take the token now.
+    fn eligible(&self, id: usize, status: Status) -> bool {
+        match status {
+            Status::Ready => true,
+            Status::Blocked(BlockReason::Lock(lock)) => !self.holders.contains_key(&lock),
+            Status::Blocked(BlockReason::Condvar(condvar)) => {
+                !self.waiting.contains(&(condvar, id))
+            }
+            Status::Blocked(BlockReason::Flag(flag)) => self.flag(flag),
+            Status::Running | Status::Finished => false,
+        }
+    }
+
+    fn flag(&self, flag: u64) -> bool {
+        self.flags.get(&flag).copied().unwrap_or(false)
+    }
+}
+
+/// The scheduler proper.  Its own lock and condvar are unhooked: they are
+/// how model threads hand the token around, not part of any model.
 struct Controller {
     state: Mutex<CtlState>,
     changed: Condvar,
@@ -109,28 +150,41 @@ struct AbortToken;
 impl Controller {
     fn new(threads: usize) -> Self {
         Controller {
-            state: Mutex::new(CtlState {
+            state: Mutex::unhooked(CtlState {
                 // Threads start as Running and park themselves at their
                 // startup pause; the scheduler's "everyone parked" wait
                 // therefore also covers thread startup.
                 status: vec![Status::Running; threads],
                 token: None,
                 holders: HashMap::new(),
+                waiting: Vec::new(),
+                starting: vec![false; threads],
                 flags: HashMap::new(),
                 failure: None,
                 abort: false,
             }),
-            changed: Condvar::new(),
+            changed: Condvar::unhooked(),
         }
     }
 
-    /// Parks thread `me` with the status `classify` derives from current
-    /// state, then blocks until the scheduler grants it the token.
-    fn pause(&self, me: usize, classify: impl Fn(&CtlState) -> Status) {
+    /// Parks thread `me` until its first grant.  Its start and its first
+    /// scheduling point are one decision: it runs up to and through its
+    /// first lock, condvar or flag operation in one step, since a second
+    /// decision there would only repeat the one that started it.
+    fn start(&self, me: usize) {
+        self.pause(me, Status::Ready);
+        self.state.lock().starting[me] = true;
+    }
+
+    /// Parks thread `me` as `parked_as`, then blocks until the scheduler
+    /// grants it the token (at once, if it is starting and may go on).
+    fn pause(&self, me: usize, parked_as: Status) {
         let mut state = self.state.lock();
         debug_assert_eq!(state.status[me], Status::Running);
+        if std::mem::take(&mut state.starting[me]) && state.eligible(me, parked_as) {
+            return;
+        }
         state.token = None;
-        let parked_as = classify(&state);
         state.status[me] = parked_as;
         self.changed.notify_all();
         loop {
@@ -146,10 +200,10 @@ impl Controller {
         }
     }
 
-    fn set_flag_raw(&self, flag: u64) {
-        self.state.lock().flags.insert(flag, true);
+    fn set_flag(&self, flag: u64, value: bool) {
         // No notify needed: flags are only consulted by the scheduler at
         // decision points, which the setter's own pause/finish triggers.
+        self.state.lock().flags.insert(flag, value);
     }
 
     /// Marks `me` finished (normally or by panic) and releases the token.
@@ -166,98 +220,100 @@ impl Controller {
     }
 }
 
+thread_local! {
+    /// The running model thread's handle; `None` on every other thread.
+    static CURRENT: RefCell<Option<Ctl>> = const { RefCell::new(None) };
+}
+
+/// The calling thread's handle, if it is a model thread: the `sync` seam
+/// schedules its lock and condvar operations through it.
+pub(crate) fn current() -> Option<Ctl> {
+    CURRENT.try_with(|ctl| ctl.borrow().clone()).ok().flatten()
+}
+
 /// A model thread's handle to the controlled scheduler.  Every method that
-/// can interleave with other threads is a *yield point*: the token goes back
-/// to the scheduler and the thread parks until rescheduled.
+/// can interleave with other threads is a *scheduling point*: the token
+/// goes back to the scheduler and the thread parks until rescheduled.
+#[derive(Clone)]
 pub struct Ctl {
     controller: Arc<Controller>,
     id: usize,
 }
 
 impl Ctl {
-    /// A plain interleaving point: any eligible thread may run next.
+    /// A plain interleaving point: any eligible thread may run next.  Models
+    /// place one before a step the `sync` seam does not see: an atomic, a
+    /// syscall, a poll.
     pub fn point(&self) {
-        self.controller.pause(self.id, |_| Status::Ready);
+        self.controller.pause(self.id, Status::Ready);
     }
 
-    /// Acquires a virtual lock, blocking (in model time) while another
-    /// thread holds it.  One yield point per acquisition.
-    pub fn lock(&self, lock: u64) {
-        loop {
-            self.controller.pause(self.id, |state| {
-                if state.holders.contains_key(&lock) {
-                    Status::Blocked(BlockReason::Lock(lock))
-                } else {
-                    Status::Ready
-                }
-            });
-            let mut state = self.controller.state.lock();
-            if let std::collections::hash_map::Entry::Vacant(entry) = state.holders.entry(lock) {
-                entry.insert(self.id);
-                return;
-            }
-            // The scheduler only grants the token when the lock is free, so
-            // this retry is unreachable; loop anyway rather than trust it.
-        }
+    /// The seam's `Mutex::lock`: a scheduling point that blocks, in model
+    /// time, while another thread holds the lock at `lock`, then holds it.
+    pub(crate) fn lock(&self, lock: usize) {
+        self.controller
+            .pause(self.id, Status::Blocked(BlockReason::Lock(lock)));
+        self.hold(lock);
     }
 
-    /// Acquires a virtual lock only if it is free right now (one yield
-    /// point either way).  Mirrors `Mutex::try_lock`.
-    pub fn try_lock(&self, lock: u64) -> bool {
-        self.controller.pause(self.id, |_| Status::Ready);
-        let mut state = self.controller.state.lock();
-        if let std::collections::hash_map::Entry::Vacant(slot) = state.holders.entry(lock) {
-            slot.insert(self.id);
-            true
+    /// Records this thread as the holder of the free lock at `lock`.
+    pub(crate) fn hold(&self, lock: usize) {
+        let previous = self.controller.state.lock().holders.insert(lock, self.id);
+        debug_assert_eq!(previous, None, "the scheduler granted a held lock");
+    }
+
+    /// Releases the lock at `lock` (a guard's drop; never a scheduling
+    /// point, and quiet during tear-down unwinds).
+    pub(crate) fn unlock(&self, lock: usize) {
+        self.controller.state.lock().holders.remove(&lock);
+    }
+
+    /// The seam's `Condvar::wait`, with the lock already released: blocks
+    /// until a notify on `condvar` ends this wait — or, when `timed`, parks
+    /// ready, since the timeout may fire at any time.  Returns whether a
+    /// notify ended it.
+    pub(crate) fn wait(&self, condvar: usize, timed: bool) -> bool {
+        let me = (condvar, self.id);
+        self.controller.state.lock().waiting.push(me);
+        let parked_as = if timed {
+            Status::Ready
         } else {
-            false
-        }
+            Status::Blocked(BlockReason::Condvar(condvar))
+        };
+        self.controller.pause(self.id, parked_as);
+        let mut state = self.controller.state.lock();
+        let pending = state.waiting.iter().position(|wait| *wait == me);
+        pending.map(|index| state.waiting.remove(index)).is_none()
     }
 
-    /// Releases a virtual lock this thread holds.
-    pub fn unlock(&self, lock: u64) {
+    /// The seam's `notify_one` / `notify_all`: ends the oldest wait on
+    /// `condvar`, or every one.  A notify with no wait is lost, as in std.
+    pub(crate) fn notify(&self, condvar: usize, all: bool) {
         let mut state = self.controller.state.lock();
-        let holder = state.holders.remove(&lock);
-        assert_eq!(holder, Some(self.id), "unlock of a lock not held");
+        while let Some(index) = state.waiting.iter().position(|(cv, _)| *cv == condvar) {
+            state.waiting.remove(index);
+            if !all {
+                break;
+            }
+        }
     }
 
     /// Sets a wake flag (typically called from a model waker).
     pub fn set_flag(&self, flag: u64) {
-        self.controller.set_flag_raw(flag);
+        self.controller.set_flag(flag, true);
     }
 
     /// Clears a wake flag (re-arming before a poll, like a real waker slot).
     pub fn clear_flag(&self, flag: u64) {
-        self.controller.state.lock().flags.insert(flag, false);
-    }
-
-    /// Reads a wake flag without yielding.
-    pub fn flag(&self, flag: u64) -> bool {
-        *self
-            .controller
-            .state
-            .lock()
-            .flags
-            .get(&flag)
-            .unwrap_or(&false)
+        self.controller.set_flag(flag, false);
     }
 
     /// Blocks (in model time) until the flag is set.  A thread parked here
     /// when no live thread will ever set the flag is a **lost wakeup**; the
     /// scheduler reports it as such.
     pub fn wait_flag(&self, flag: u64) {
-        loop {
-            self.controller.pause(self.id, |state| {
-                if *state.flags.get(&flag).unwrap_or(&false) {
-                    Status::Ready
-                } else {
-                    Status::Blocked(BlockReason::Flag(flag))
-                }
-            });
-            if self.flag(flag) {
-                return;
-            }
-        }
+        self.controller
+            .pause(self.id, Status::Blocked(BlockReason::Flag(flag)));
     }
 
     /// A `std::task::Waker` that sets `flag` when woken — the bridge for
@@ -269,10 +325,10 @@ impl Ctl {
         }
         impl std::task::Wake for FlagWaker {
             fn wake(self: Arc<Self>) {
-                self.controller.set_flag_raw(self.flag);
+                self.controller.set_flag(self.flag, true);
             }
             fn wake_by_ref(self: &Arc<Self>) {
-                self.controller.set_flag_raw(self.flag);
+                self.controller.set_flag(self.flag, true);
             }
         }
         std::task::Waker::from(Arc::new(FlagWaker {
@@ -282,8 +338,6 @@ impl Ctl {
     }
 }
 
-/// One instantiation of a model: fresh shared state baked into per-thread
-/// closures, plus a finale invariant check run after every thread finishes.
 /// A model thread body: runs to completion under the controlled scheduler.
 pub type ThreadBody = Box<dyn FnOnce(&Ctl) + Send>;
 
@@ -323,12 +377,6 @@ struct RunResult {
 /// Safety valve against non-terminating models.
 const MAX_STEPS: usize = 100_000;
 
-thread_local! {
-    /// Set inside model threads so the quiet panic hook knows their panics
-    /// are caught and reported by the explorer, not genuine crashes.
-    static IN_MODEL_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
 /// Model panics (invariant asserts, abort-token unwinds) are caught and
 /// folded into the exploration report; without this, every violating
 /// schedule would also spray a stack trace on stderr.  The hook delegates
@@ -338,7 +386,7 @@ fn install_quiet_panic_hook() {
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if !IN_MODEL_THREAD.with(std::cell::Cell::get) {
+            if current().is_none() {
                 previous(info);
             }
         }));
@@ -363,9 +411,8 @@ fn run_schedule(model: &dyn Model, prefix: &[usize]) -> RunResult {
                 id,
             };
             scope.spawn(move || {
-                IN_MODEL_THREAD.with(|flag| flag.set(true));
-                // Every thread starts parked: wait for the first grant.
-                ctl.controller.pause(id, |_| Status::Ready);
+                CURRENT.with(|current| *current.borrow_mut() = Some(ctl.clone()));
+                ctl.controller.start(id);
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctl)));
                 let message = match result {
                     Ok(()) => None,
@@ -400,19 +447,8 @@ fn run_schedule(model: &dyn Model, prefix: &[usize]) -> RunResult {
                 .status
                 .iter()
                 .enumerate()
-                .filter_map(|(id, status)| match status {
-                    Status::Ready => Some(id),
-                    Status::Blocked(BlockReason::Lock(lock)) => {
-                        (!state.holders.contains_key(lock)).then_some(id)
-                    }
-                    Status::Blocked(BlockReason::Flag(flag)) => state
-                        .flags
-                        .get(flag)
-                        .copied()
-                        .unwrap_or(false)
-                        .then_some(id),
-                    Status::Running | Status::Finished => None,
-                })
+                .filter(|(id, status)| state.eligible(*id, **status))
+                .map(|(id, _)| id)
                 .collect();
             if eligible.is_empty() {
                 break RunOutcome::Violated(describe_deadlock(&state));
@@ -474,8 +510,15 @@ fn describe_deadlock(state: &CtlState) -> String {
             Status::Blocked(BlockReason::Lock(lock)) => {
                 let holder = state.holders.get(lock);
                 parts.push(format!(
-                    "thread {id} blocked on lock #{lock} (held by {})",
+                    "thread {id} blocked on lock {lock:#x} (held by {})",
                     holder.map_or_else(|| "nobody".to_owned(), |h| format!("thread {h}"))
+                ));
+            }
+            Status::Blocked(BlockReason::Condvar(condvar)) => {
+                lost_wakeup = true;
+                parts.push(format!(
+                    "thread {id} waiting on condvar {condvar:#x} that no live thread will \
+                     notify (lost wakeup)"
                 ));
             }
             Status::Blocked(BlockReason::Flag(flag)) => {
@@ -571,36 +614,36 @@ pub fn explore(model: &dyn Model, limit: usize) -> Exploration {
 
 pub mod models {
     //! The built-in models: the state machines earlier PRs shipped with
-    //! hand-found races, the run queue's push/park protocol, plus a
-    //! deliberately broken lock-order model that proves the explorer
-    //! actually detects deadlocks.
+    //! hand-found races, the run queue's push/park protocol, plus two
+    //! deliberately broken models that prove the explorer actually detects
+    //! deadlocks and lost wakeups.
 
     use super::{Ctl, Model, ModelRun, ThreadBody};
     use crate::clock::Timestamp;
     use crate::engine::single_flight::{FlightOutcome, WaiterSlot};
     use crate::engine::{Leader, PolicyKind, Shard, Step};
     use crate::key::QueryKey;
-    use crate::sync::Mutex;
+    use crate::sync::{Condvar, Mutex};
     use crate::value::ExecutionCost;
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Arc;
     use std::task::{Context, Poll};
 
     /// Model 1: the single-flight protocol, driving a **real** shard's key
-    /// slot and the **real** `Flight` cell.
+    /// slot, the **real** `Flight` cell and the **real** `Shard::abandon`.
     ///
     /// Thread 0 leads the key's flight, which starts without a cell: its
-    /// fetch panics inside its own poll, and the unwind abandons the flight
-    /// in `Shard::abandon`'s two steps, with a scheduling point between
-    /// them: it retires the flight from the slot under the shard lock, then
-    /// abandons the cell, if a waiter made one, waking every waiter.
-    /// Threads 1 and 2 arrive on the key through `start_flight`: while a
-    /// flight is live they join it, the first of them creating its cell,
-    /// and otherwise they lead a fresh one.  A waiter that finds its flight
-    /// abandoned restarts and arrives again.  Thread 1 is a loyal session:
-    /// it polls until it resolves.  Thread 2 is a flaky session: the first
-    /// time it suspends it gives up (`Flight::forget_waiter`).  A session
-    /// that leads settles its flight in the slot and completes the cell it
-    /// gets back.
+    /// fetch panicked, and the unwind abandons the flight in
+    /// `Shard::abandon`'s two steps: it retires the flight from the slot
+    /// under the shard lock, then abandons the cell, if a waiter made one,
+    /// waking every waiter.  Threads 1 and 2 arrive on the key through
+    /// `start_flight`: while a flight is live they join it, the first of
+    /// them creating its cell, and otherwise they lead a fresh one.  A
+    /// waiter that finds its flight abandoned restarts and arrives again.
+    /// Thread 1 is a loyal session: it polls until it resolves.  Thread 2 is
+    /// a flaky session: the first time it suspends it gives up
+    /// (`Flight::forget_waiter`).  A session that leads settles its flight
+    /// in the slot and completes the cell it gets back.
     ///
     /// Invariants: no schedule deadlocks (in particular, no registered
     /// waiter sleeps through the abandonment — a lost wakeup parks the
@@ -619,13 +662,11 @@ pub mod models {
 
     /// Leads `leader`'s flight to success: its fetch, then the settle that
     /// retires it from the slot, then completing its cell, if it has one.
-    fn lead(ctl: &Ctl, shard: &ModelShard, key: &QueryKey, leader: &Leader<String>) -> String {
-        ctl.point();
+    fn lead(shard: &ModelShard, key: &QueryKey, leader: &Leader<String>) -> String {
         let retired = shard
             .lock()
             .settle_success(key, leader.id, Timestamp::ZERO, false, None);
         if let Some(cell) = retired {
-            ctl.point();
             cell.complete(
                 Arc::new(SUCCESSOR_VALUE.to_owned()),
                 ExecutionCost::from_blocks(1),
@@ -648,19 +689,16 @@ pub mod models {
         let waker = ctl.flag_waker(flag);
         let mut cx = Context::from_waker(&waker);
         let mut first_suspension = true;
-        // A model thread starts parked, so its first arrival is already a
-        // scheduling decision; a restart arrives after one.
         'arrival: loop {
             let step = shard.lock().start_flight(key, Timestamp::ZERO, false);
             let cell = match step {
                 Step::BecomeWaiter(cell) => cell,
-                Step::Lead(leader) => return Some(lead(ctl, shard, key, &leader)),
+                Step::Lead(leader) => return Some(lead(shard, key, &leader)),
                 _ => panic!("outside the failure domain a miss waits or leads"),
             };
             let mut slot = WaiterSlot::new();
             loop {
                 ctl.clear_flag(flag);
-                ctl.point();
                 match cell.poll_wait(&mut slot, &mut cx) {
                     Poll::Ready(FlightOutcome::Done(value, _)) => return Some((*value).clone()),
                     Poll::Ready(FlightOutcome::Failed(_)) => {
@@ -671,7 +709,6 @@ pub mod models {
                     Poll::Pending if flaky && first_suspension => {
                         // Cancelled session: its future is dropped while the
                         // flight is unresolved.
-                        ctl.point();
                         cell.forget_waiter(&mut slot);
                         return None;
                     }
@@ -695,30 +732,26 @@ pub mod models {
             let Step::Lead(leader) = shard.lock().start_flight(&key, Timestamp::ZERO, false) else {
                 panic!("the first miss on a fresh shard leads")
             };
-            let observed: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
 
             let panicking_leader = {
                 let shard = Arc::clone(&shard);
                 let key = key.clone();
-                Box::new(move |ctl: &Ctl| {
-                    // The fetch ran (the thread's start is a scheduling
-                    // point), then panicked: the unwind abandons.
-                    let retired = shard.lock().retire_unresolved(&key, leader.id);
-                    if let Some(cell) = retired {
-                        ctl.point();
-                        cell.abandon();
-                    }
-                }) as ThreadBody
+                // The fetch ran (the thread's start is a scheduling point),
+                // then panicked: the unwind abandons.
+                Box::new(move |_: &Ctl| shard.abandon(&key, &leader)) as ThreadBody
             };
             let session = |flag: u64, flaky: bool| {
                 let shard = Arc::clone(&shard);
                 let key = key.clone();
-                let observed = Arc::clone(&observed);
-                Box::new(move |ctl: &Ctl| {
-                    let value = arrive(ctl, &shard, &key, flag, flaky);
-                    assert!(flaky || value.is_some(), "a loyal session always resolves");
-                    observed.lock().extend(value);
-                }) as ThreadBody
+                Box::new(
+                    move |ctl: &Ctl| match arrive(ctl, &shard, &key, flag, flaky) {
+                        Some(value) => assert_eq!(
+                            value, SUCCESSOR_VALUE,
+                            "a session observed a value no successor published"
+                        ),
+                        None => assert!(flaky, "a loyal session always resolves"),
+                    },
+                ) as ThreadBody
             };
 
             ModelRun {
@@ -728,30 +761,23 @@ pub mod models {
                     session(FLAG_FLAKY, true),
                 ],
                 finale: Box::new(move || {
-                    let observed = observed.lock();
-                    if observed.iter().any(|value| value != SUCCESSOR_VALUE) {
-                        return Err(format!(
-                            "a session observed a value no successor published: {observed:?}"
-                        ));
+                    // A fresh arrival leads unless a flight is still live.
+                    match shard.lock().start_flight(&key, Timestamp::ZERO, false) {
+                        Step::Lead(_) => Ok(()),
+                        _ => Err("the key's slot still holds a flight".to_owned()),
                     }
-                    if observed.is_empty() {
-                        return Err("no session ever observed the completed flight".to_owned());
-                    }
-                    if shard.lock().in_flight(&key) {
-                        return Err("the key's slot still holds a flight".to_owned());
-                    }
-                    Ok(())
                 }),
             }
         }
     }
 
-    /// Model 2: `Runtime::drop` versus a worker mid-poll, mirrored with
-    /// checker primitives (the real runtime's threads cannot be scheduled
-    /// from outside, so the model re-implements the exact protocol of
-    /// `Runtime::drop` + `RunnableTask::run`'s shutdown epilogue:
-    /// atomic-flag-first, lock-clear-sweep, non-blocking `try_cancel`,
-    /// join, second sweep).
+    /// Model 2: `Runtime::drop` versus a worker mid-poll.  The real
+    /// runtime's threads cannot be scheduled from outside, so the model
+    /// re-implements the exact protocol of `Runtime::drop` +
+    /// `RunnableTask::run`'s shutdown epilogue — atomic-flag-first,
+    /// lock-clear-sweep, non-blocking `try_cancel`, join, second sweep — over
+    /// `sync::Mutex` stand-ins for the scheduler lock and the two tasks'
+    /// future slots.
     ///
     /// Task A is being polled by the worker when shutdown starts; task B is
     /// suspended on an external waker.  Invariant: both tasks settle
@@ -760,29 +786,35 @@ pub mod models {
     /// forever — both are the PR 3 bug classes).
     pub struct RuntimeDropModel;
 
-    /// Virtual locks: the scheduler state and each task's future slot.
-    const LOCK_SCHED: u64 = 0;
-    const LOCK_FUT_A: u64 = 1;
-    const LOCK_FUT_B: u64 = 2;
     /// Wake flag: the worker thread exited (models `join`).
     const FLAG_WORKER_DONE: u64 = 200;
 
-    /// The mirrored runtime state (plain data; real mutual exclusion is
-    /// provided by the controlled scheduler's virtual locks).
-    #[derive(Default)]
+    /// The runtime's state, as the model needs it.
     struct DropState {
-        shutdown_flag: bool,
-        /// `Some` while the task's future exists; dropping it settles.
-        future: [bool; 2],
+        shutdown: AtomicBool,
+        /// The scheduler lock the drop clears the queues under.
+        scheduler: Mutex<()>,
+        /// Each task's future slot: `true` while its future exists.
+        futures: [Mutex<bool>; 2],
         /// Times each task settled (must end exactly 1 each).
-        settled: [u32; 2],
+        settled: [AtomicU32; 2],
     }
 
     impl DropState {
-        fn cancel(&mut self, task: usize) {
-            if self.future[task] {
-                self.future[task] = false;
-                self.settled[task] += 1;
+        /// Drops task `task`'s future, settling the task, if it still
+        /// exists.
+        fn cancel(&self, task: usize, future: &mut bool) {
+            if std::mem::take(future) {
+                self.settled[task].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        /// One `try_cancel` sweep: non-blocking on purpose.
+        fn sweep(&self) {
+            for (task, future) in self.futures.iter().enumerate() {
+                if let Some(mut future) = future.try_lock() {
+                    self.cancel(task, &mut future);
+                }
             }
         }
     }
@@ -793,37 +825,25 @@ pub mod models {
         }
 
         fn instantiate(&self) -> ModelRun {
-            let state = Arc::new(Mutex::new(DropState {
-                shutdown_flag: false,
-                future: [true, true],
-                settled: [0, 0],
-            }));
+            let state = Arc::new(DropState {
+                shutdown: AtomicBool::new(false),
+                scheduler: Mutex::new(()),
+                futures: [Mutex::new(true), Mutex::new(true)],
+                settled: [AtomicU32::new(0), AtomicU32::new(0)],
+            });
 
             let dropper = {
                 let state = Arc::clone(&state);
                 Box::new(move |ctl: &Ctl| {
-                    // Runtime::drop, step by step.
-                    state.lock().shutdown_flag = true; // atomic flag first
-                    ctl.point();
-                    ctl.lock(LOCK_SCHED); // clear queues under the lock
-                    ctl.unlock(LOCK_SCHED);
-                    // First try_cancel sweep: non-blocking on purpose.
-                    for lock in [LOCK_FUT_A, LOCK_FUT_B] {
-                        if ctl.try_lock(lock) {
-                            state.lock().cancel((lock - LOCK_FUT_A) as usize);
-                            ctl.unlock(lock);
-                        }
-                    }
-                    // Join the worker.
+                    // Runtime::drop, step by step: the atomic flag first,
+                    // then clear the queues under the scheduler lock.
+                    state.shutdown.store(true, Ordering::SeqCst);
+                    drop(state.scheduler.lock());
+                    state.sweep();
+                    // Join the worker, then sweep again.
                     ctl.wait_flag(FLAG_WORKER_DONE);
-                    // Second sweep, after the join.
-                    for lock in [LOCK_FUT_A, LOCK_FUT_B] {
-                        if ctl.try_lock(lock) {
-                            state.lock().cancel((lock - LOCK_FUT_A) as usize);
-                            ctl.unlock(lock);
-                        }
-                    }
-                }) as Box<dyn FnOnce(&Ctl) + Send>
+                    state.sweep();
+                }) as ThreadBody
             };
 
             let worker = {
@@ -831,26 +851,25 @@ pub mod models {
                 Box::new(move |ctl: &Ctl| {
                     // RunnableTask::run for task A: hold the future-slot
                     // lock across the poll.
-                    ctl.lock(LOCK_FUT_A);
+                    let mut future = state.futures[0].lock();
                     ctl.point(); // the poll itself (returns Pending)
-                    let shutting_down = state.lock().shutdown_flag;
-                    if shutting_down {
+                    if state.shutdown.load(Ordering::SeqCst) {
                         // The poll epilogue: the cancel sweep could not take
                         // our future mutex, so drop the future here.
-                        state.lock().cancel(0);
+                        state.cancel(0, &mut future);
                     }
-                    ctl.unlock(LOCK_FUT_A);
+                    drop(future);
                     ctl.point();
                     ctl.set_flag(FLAG_WORKER_DONE); // worker exits
-                }) as Box<dyn FnOnce(&Ctl) + Send>
+                }) as ThreadBody
             };
 
             ModelRun {
                 threads: vec![dropper, worker],
                 finale: Box::new(move || {
-                    let state = state.lock();
-                    for (task, count) in state.settled.iter().enumerate() {
-                        if *count != 1 {
+                    for (task, settled) in state.settled.iter().enumerate() {
+                        let count = settled.load(Ordering::Relaxed);
+                        if count != 1 {
                             return Err(format!(
                                 "task {task} settled {count} times (expected exactly once): \
                                  0 = hung JoinHandle, 2+ = double-settled alive counter"
@@ -876,7 +895,7 @@ pub mod models {
     /// its future drops, which deregisters the token from the table.  Thread
     /// 1 is the driving worker delivering two edge events for that token —
     /// one spurious, one carrying data — each time cloning the cell `Arc`
-    /// out of the (virtually locked) registration table and calling
+    /// out of the registration table under its lock and calling
     /// `set_ready` strictly after releasing it.
     ///
     /// The schedule space covers exactly the windows `reactor.rs` documents:
@@ -886,23 +905,12 @@ pub mod models {
     /// deregister-while-ready race where the driver has cloned the cell,
     /// the task drops the registration, and `set_ready` then wakes a stale
     /// waker on an orphaned cell (harmless by construction).  Invariants: no
-    /// schedule deadlocks, the task either reads exactly once or is
-    /// cancelled, and the registration is always gone at the end.
+    /// schedule deadlocks, the task reads only data that arrived, and the
+    /// registration is always gone at the end.
     pub struct ReactorRegistrationModel;
 
-    /// Virtual lock guarding the model's one-entry registration table.
-    const LOCK_TABLE: u64 = 20;
     /// Wake flag for the IO task's readiness waker.
     const FLAG_IO: u64 = 300;
-
-    /// How the model's session task ended.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum IoOutcome {
-        /// The read completed and the future resolved.
-        Read,
-        /// The task was cancelled after a second spurious suspension.
-        Cancelled,
-    }
 
     impl Model for ReactorRegistrationModel {
         fn name(&self) -> &'static str {
@@ -914,81 +922,69 @@ pub mod models {
 
             // The registration table entry (`Reactor::registrations` has one
             // relevant token here); `None` means deregistered.
-            let table: Arc<Mutex<Option<Arc<ReadyCell>>>> =
-                Arc::new(Mutex::new(Some(Arc::new(ReadyCell::new()))));
+            let cell = Arc::new(ReadyCell::new());
+            let table = Arc::new(Mutex::new(Some(Arc::clone(&cell))));
             // Whether the peer's bytes have arrived (what the non-blocking
-            // read syscall would observe).
-            let data = Arc::new(Mutex::new(false));
-            let outcome: Arc<Mutex<Option<IoOutcome>>> = Arc::new(Mutex::new(None));
+            // read syscall would observe): an atomic, so each access is an
+            // explicit point.
+            let data = Arc::new(AtomicBool::new(false));
 
             let io_task = {
                 let table = Arc::clone(&table);
                 let data = Arc::clone(&data);
-                let outcome = Arc::clone(&outcome);
                 Box::new(move |ctl: &Ctl| {
-                    let cell = table.lock().clone().expect("registration starts live");
                     let waker = ctl.flag_waker(FLAG_IO);
                     let mut cx = Context::from_waker(&waker);
                     let mut suspensions = 0u32;
-                    let finished = loop {
+                    loop {
                         ctl.clear_flag(FLAG_IO);
-                        ctl.point();
                         match cell.poll_ready(Dir::Read, &mut cx) {
                             Poll::Ready(tick) => {
                                 // The non-blocking read attempt.
                                 ctl.point();
-                                if *data.lock() {
-                                    break IoOutcome::Read;
+                                if data.load(Ordering::SeqCst) {
+                                    break;
                                 }
                                 // WouldBlock: clear with the observed tick.
                                 // If an event landed since, this must no-op
                                 // and the loop retries instead of parking.
                                 cell.clear_ready(Dir::Read, tick);
                             }
-                            Poll::Pending if suspensions >= 1 => {
-                                // A second data-less suspension: the session
-                                // is cancelled and its future drops.
-                                break IoOutcome::Cancelled;
-                            }
+                            // A second data-less suspension: the session is
+                            // cancelled and its future drops.
+                            Poll::Pending if suspensions >= 1 => break,
                             Poll::Pending => {
                                 suspensions += 1;
                                 ctl.wait_flag(FLAG_IO);
                             }
                         }
-                    };
+                    }
                     // Registration::drop — remove the table entry.  The
                     // driver may already hold a clone of the cell.
-                    ctl.lock(LOCK_TABLE);
                     let registration = table.lock().take();
-                    ctl.unlock(LOCK_TABLE);
                     assert!(
                         registration.is_some(),
                         "nothing else deregisters this token"
                     );
-                    *outcome.lock() = Some(finished);
                 }) as ThreadBody
             };
 
             let driver = {
                 let table = Arc::clone(&table);
-                let data = Arc::clone(&data);
                 Box::new(move |ctl: &Ctl| {
                     // Two edge events for the token: a spurious readable
                     // edge (no data behind it), then the real one.
                     for event in 0..2u32 {
                         if event == 1 {
-                            *data.lock() = true;
                             ctl.point();
+                            data.store(true, Ordering::SeqCst);
                         }
                         // Clone out under the table lock, deliver after
-                        // dropping it — the deregistration window.
-                        ctl.lock(LOCK_TABLE);
+                        // dropping it — the deregistration window.  The
+                        // target may be an orphaned cell by now; it must
+                        // stay a harmless stale wake either way.
                         let cell = table.lock().clone();
-                        ctl.unlock(LOCK_TABLE);
                         if let Some(cell) = cell {
-                            ctl.point();
-                            // May target an orphaned cell by now; must stay
-                            // a harmless stale wake either way.
                             cell.set_ready(true, false);
                         }
                     }
@@ -1003,16 +999,7 @@ pub mod models {
                             "registration still in the table after the task ended".to_owned()
                         );
                     }
-                    match *outcome.lock() {
-                        Some(IoOutcome::Read) => {
-                            if !*data.lock() {
-                                return Err("task read before the data arrived".to_owned());
-                            }
-                            Ok(())
-                        }
-                        Some(IoOutcome::Cancelled) => Ok(()),
-                        None => Err("task neither read nor was cancelled".to_owned()),
-                    }
+                    Ok(())
                 }),
             }
         }
@@ -1024,12 +1011,10 @@ pub mod models {
     /// Two workers and a producer share a `RunQueue<u32>`.  The producer
     /// pushes two items from outside the pool; each worker runs the exact
     /// worker-loop idle protocol — pop, then `prepare_park`, then the
-    /// mandatory *re-scan*, then park — with the blocking `park_wait`
-    /// replaced by a checker wake flag.  Real permit grants are mirrored
-    /// onto the flags atomically (within the granting thread's model step),
-    /// so a schedule where a worker parks while an item sits unclaimed and
-    /// no permit is pending is precisely a **lost wakeup**, and the
-    /// scheduler reports the parked thread as such.
+    /// mandatory *re-scan*, then the real blocking `park_wait` on its
+    /// condvar.  A schedule where a worker waits while an item sits
+    /// unclaimed and no notify will come is precisely a **lost wakeup**,
+    /// and the scheduler reports the parked thread as such.
     ///
     /// The explored windows are the ones `queue.rs` documents: a push
     /// landing between a worker's `prepare_park` and its re-scan (the
@@ -1042,39 +1027,33 @@ pub mod models {
     /// empty.
     pub struct RunQueueModel;
 
-    /// Park wake flags, one per model worker.
-    const FLAG_PARK: [u64; 2] = [400, 401];
     /// The items the producer submits (distinct, so double-consumption is
     /// visible).
     const QUEUE_ITEMS: [u32; 2] = [11, 22];
 
-    /// Shared tallies for the queue model.
-    struct QueueModelState {
-        remaining: u32,
-        consumed: Vec<u32>,
-    }
-
-    /// Consumes `item`; when it was the last one, performs the end-of-run
-    /// wake (the real `unpark_all`, mirrored onto both park flags) so
-    /// parked workers can observe completion and exit.
+    /// Consumes `item`, marking it in `consumed` (one bit per item; a
+    /// second consumption fails the model).  The last one wakes every
+    /// worker, as shutdown does (`unpark_all`), so parked workers observe
+    /// completion and exit.
     fn queue_model_consume(
-        ctl: &Ctl,
         queue: &crate::runtime::queue::RunQueue<u32>,
-        state: &Mutex<QueueModelState>,
+        consumed: &AtomicU32,
         item: u32,
     ) {
-        let drained = {
-            let mut state = state.lock();
-            state.consumed.push(item);
-            state.remaining -= 1;
-            state.remaining == 0
-        };
-        if drained {
+        let bit = 1
+            << QUEUE_ITEMS
+                .iter()
+                .position(|queued| *queued == item)
+                .expect("only submitted items are queued");
+        let before = consumed.fetch_or(bit, Ordering::Relaxed);
+        assert_eq!(before & bit, 0, "item {item} consumed twice");
+        if before | bit == ALL_CONSUMED {
             queue.unpark_all();
-            ctl.set_flag(FLAG_PARK[0]);
-            ctl.set_flag(FLAG_PARK[1]);
         }
     }
+
+    /// `consumed` once every item is.
+    const ALL_CONSUMED: u32 = (1 << QUEUE_ITEMS.len()) - 1;
 
     impl Model for RunQueueModel {
         fn name(&self) -> &'static str {
@@ -1128,87 +1107,66 @@ pub mod models {
         use crate::runtime::queue::RunQueue;
 
         let queue: Arc<RunQueue<u32>> = Arc::new(RunQueue::new(2));
-        let state = Arc::new(Mutex::new(QueueModelState {
-            remaining: QUEUE_ITEMS.len() as u32,
-            consumed: Vec::new(),
-        }));
+        let consumed = Arc::new(AtomicU32::new(0));
 
         let producer = {
             let queue = Arc::clone(&queue);
-            Box::new(move |ctl: &Ctl| {
+            Box::new(move |_: &Ctl| {
                 for item in QUEUE_ITEMS {
-                    ctl.point();
-                    // The real push queues the item, yields, then grants
-                    // permits; mirror them onto the checker flags within
-                    // the granting step (no yield between), so flag and
-                    // permit appear together atomically.
-                    queue.push_with(None, item, || ctl.point());
-                    for (worker, flag) in FLAG_PARK.into_iter().enumerate() {
-                        if queue.has_permit(worker) {
-                            ctl.set_flag(flag);
-                        }
-                    }
+                    queue.push(None, item);
                 }
             }) as ThreadBody
         };
 
         let worker = |me: usize| {
             let queue = Arc::clone(&queue);
-            let state = Arc::clone(&state);
+            let consumed = Arc::clone(&consumed);
             Box::new(move |ctl: &Ctl| {
                 if with_seat {
                     // First call wins; both workers offer the same flag.
                     queue.set_driver_waker(ctl.flag_waker(FLAG_TURN));
                 }
                 loop {
-                    ctl.point();
                     if let Some(item) = queue.pop() {
-                        queue_model_consume(ctl, &queue, &state, item);
+                        queue_model_consume(&queue, &consumed, item);
                         continue;
                     }
                     // The worker-loop idle protocol, step for step:
                     // register as idle FIRST...
-                    ctl.point();
                     queue.prepare_park(me);
                     // ...re-scan SECOND (a push that missed the
                     // registration must be seen here)...
-                    ctl.point();
                     if let Some(item) = queue.pop() {
                         queue.cancel_park(me);
-                        queue_model_consume(ctl, &queue, &state, item);
+                        queue_model_consume(&queue, &consumed, item);
                         continue;
                     }
-                    if state.lock().remaining == 0 {
+                    if consumed.load(Ordering::Relaxed) == ALL_CONSUMED {
                         queue.cancel_park(me);
                         return;
                     }
                     // ...and only then park: in the driver seat if it is
-                    // free — seat FIRST, permit check SECOND, and without a
-                    // permit block until the wake pipe is written...
-                    ctl.point();
-                    if with_seat && queue.try_take_seat(me) {
+                    // free — seat FIRST (an atomic, so an explicit point),
+                    // permit check SECOND, and without a permit block until
+                    // the wake pipe is written...
+                    if with_seat {
                         ctl.point();
-                        if !queue.try_take_permit(me) {
-                            ctl.wait_flag(FLAG_TURN);
-                            // The turn drains the pipe from the seat.
-                            ctl.clear_flag(FLAG_TURN);
+                        if queue.try_take_seat(me) {
+                            if !queue.try_take_permit(me) {
+                                ctl.wait_flag(FLAG_TURN);
+                                // The turn drains the pipe from the seat.
+                                ctl.clear_flag(FLAG_TURN);
+                            }
+                            // Off the idle list, deliver, then out of the
+                            // seat (an atomic store).
+                            queue.cancel_park(me);
+                            ctl.point();
+                            queue.leave_seat(me);
+                            continue;
                         }
-                        // Off the idle list, deliver, then out of the seat.
-                        queue.cancel_park(me);
-                        ctl.point();
-                        queue.leave_seat(me);
-                        continue;
                     }
-                    // ...else on the condvar.  The blocking park_wait is
-                    // modelled as: consume a pending permit, else wait
-                    // on the mirrored flag — a wait nobody will satisfy
-                    // is reported by the scheduler as a lost wakeup.
-                    ctl.clear_flag(FLAG_PARK[me]);
-                    ctl.point();
-                    if !queue.try_take_permit(me) {
-                        ctl.wait_flag(FLAG_PARK[me]);
-                        let _ = queue.try_take_permit(me);
-                    }
+                    // ...else on the condvar.
+                    queue.park_wait(me, None);
                 }
             }) as ThreadBody
         };
@@ -1216,19 +1174,10 @@ pub mod models {
         ModelRun {
             threads: vec![producer, worker(0), worker(1)],
             finale: Box::new(move || {
-                let state = state.lock();
-                if state.remaining != 0 {
+                let consumed = consumed.load(Ordering::Relaxed);
+                if consumed != ALL_CONSUMED {
                     return Err(format!(
-                        "{} items never consumed (lost in the queue)",
-                        state.remaining
-                    ));
-                }
-                let mut consumed = state.consumed.clone();
-                consumed.sort_unstable();
-                if consumed != QUEUE_ITEMS {
-                    return Err(format!(
-                        "items consumed {consumed:?}, expected {QUEUE_ITEMS:?} \
-                         (lost or double-consumed)"
+                        "items consumed {consumed:#b} of {ALL_CONSUMED:#b} (lost in the queue)"
                     ));
                 }
                 if !queue.drain().is_empty() {
@@ -1240,8 +1189,8 @@ pub mod models {
     }
 
     /// Model 5: the per-shard circuit breaker's full transition cycle,
-    /// driving the **real** [`CircuitBreaker`] under the virtual shard lock
-    /// it lives inside in the engine.
+    /// driving the **real** [`CircuitBreaker`] inside a **real** shard,
+    /// under the shard lock it lives under in the engine.
     ///
     /// Thread 0 is a failing session: two fetch episodes (admit under the
     /// shard lock, fetch outside it, record the failure back under the
@@ -1262,12 +1211,35 @@ pub mod models {
     /// [`CircuitBreaker`]: crate::engine::CircuitBreaker
     pub struct CircuitBreakerModel;
 
-    /// The virtual shard lock the breaker lives under.
-    const LOCK_BREAKER_SHARD: u64 = 30;
     /// Set once the failing session has recorded both failures.
     const FLAG_FAILER_DONE: u64 = 500;
     /// The model's open interval, in logical microseconds.
     const OPEN_FOR_US: u64 = 100;
+
+    /// Runs `f` on `shard`'s breaker under the shard lock.
+    fn with_breaker<R>(
+        shard: &ModelShard,
+        f: impl FnOnce(&mut crate::engine::CircuitBreaker) -> R,
+    ) -> R {
+        f(shard
+            .lock()
+            .breaker
+            .as_mut()
+            .expect("the model's shard has a breaker"))
+    }
+
+    /// Asks `shard`'s breaker to admit a fetch at `now`.
+    fn admit(shard: &ModelShard, now: Timestamp) -> bool {
+        with_breaker(shard, |breaker| {
+            let admitted = breaker.admit(now);
+            // Fast-fail is legal only once the trip happened.
+            assert!(
+                admitted || breaker.state() != crate::engine::BreakerState::Closed,
+                "a closed breaker refused a fetch"
+            );
+            admitted
+        })
+    }
 
     impl Model for CircuitBreakerModel {
         fn name(&self) -> &'static str {
@@ -1275,67 +1247,41 @@ pub mod models {
         }
 
         fn instantiate(&self) -> ModelRun {
-            use crate::clock::Timestamp;
             use crate::engine::{BreakerConfig, BreakerState, CircuitBreaker};
 
-            let breaker = Arc::new(Mutex::new(CircuitBreaker::new(BreakerConfig {
+            let breaker = CircuitBreaker::new(BreakerConfig {
                 window: 4,
                 failure_threshold: 0.5,
                 min_samples: 2,
                 open_for_us: OPEN_FOR_US,
                 half_open_probes: 2,
-            })));
+            });
+            let shard: Arc<ModelShard> =
+                Arc::new(Shard::new(PolicyKind::Lru.build(1 << 20), Some(breaker)));
 
             let failer = {
-                let breaker = Arc::clone(&breaker);
+                let shard = Arc::clone(&shard);
                 Box::new(move |ctl: &Ctl| {
                     for ts in [10u64, 20] {
                         let now = Timestamp::from_micros(ts);
-                        ctl.lock(LOCK_BREAKER_SHARD);
-                        let admitted = breaker.lock().admit(now);
-                        if !admitted {
-                            // Fast-fail is legal only once the trip happened.
-                            assert_ne!(
-                                breaker.lock().state(),
-                                BreakerState::Closed,
-                                "a closed breaker refused a fetch"
-                            );
+                        // The fetch runs outside the lock, between the two.
+                        if admit(&shard, now) {
+                            with_breaker(&shard, |breaker| breaker.record_failure(now));
                         }
-                        ctl.unlock(LOCK_BREAKER_SHARD);
-                        if admitted {
-                            ctl.point(); // the fetch runs outside the lock
-                            ctl.lock(LOCK_BREAKER_SHARD);
-                            breaker.lock().record_failure(now);
-                            ctl.unlock(LOCK_BREAKER_SHARD);
-                        }
-                        ctl.point();
                     }
                     ctl.set_flag(FLAG_FAILER_DONE);
-                }) as Box<dyn FnOnce(&Ctl) + Send>
+                }) as ThreadBody
             };
 
             let recoverer = {
-                let breaker = Arc::clone(&breaker);
+                let shard = Arc::clone(&shard);
                 Box::new(move |ctl: &Ctl| {
                     // An early success: recorded if admitted (the window may
                     // or may not contain it when the trip is evaluated),
                     // skipped if the breaker already tripped.
                     let early = Timestamp::from_micros(15);
-                    ctl.lock(LOCK_BREAKER_SHARD);
-                    let admitted = breaker.lock().admit(early);
-                    if !admitted {
-                        assert_ne!(
-                            breaker.lock().state(),
-                            BreakerState::Closed,
-                            "a closed breaker refused a fetch"
-                        );
-                    }
-                    ctl.unlock(LOCK_BREAKER_SHARD);
-                    if admitted {
-                        ctl.point();
-                        ctl.lock(LOCK_BREAKER_SHARD);
-                        breaker.lock().record_success(early);
-                        ctl.unlock(LOCK_BREAKER_SHARD);
+                    if admit(&shard, early) {
+                        with_breaker(&shard, |breaker| breaker.record_success(early));
                     }
 
                     // Recovery: strictly after the failures, with timestamps
@@ -1344,49 +1290,38 @@ pub mod models {
                     ctl.wait_flag(FLAG_FAILER_DONE);
                     for probe in 0..6u64 {
                         let now = Timestamp::from_micros(200 + probe * 10);
-                        ctl.lock(LOCK_BREAKER_SHARD);
-                        if breaker.lock().state() == BreakerState::Closed {
-                            ctl.unlock(LOCK_BREAKER_SHARD);
+                        let closed =
+                            with_breaker(&shard, |breaker| breaker.state() == BreakerState::Closed);
+                        if closed {
                             return;
                         }
-                        let admitted = breaker.lock().admit(now);
-                        ctl.unlock(LOCK_BREAKER_SHARD);
-                        ctl.point();
-                        if admitted {
-                            ctl.lock(LOCK_BREAKER_SHARD);
-                            breaker.lock().record_success(now);
-                            ctl.unlock(LOCK_BREAKER_SHARD);
-                            ctl.point();
+                        if admit(&shard, now) {
+                            with_breaker(&shard, |breaker| breaker.record_success(now));
                         }
                     }
-                    let state = breaker.lock().state();
-                    assert_eq!(
-                        state,
-                        BreakerState::Closed,
-                        "breaker never re-closed within the probe budget"
-                    );
-                }) as Box<dyn FnOnce(&Ctl) + Send>
+                    panic!("breaker never re-closed within the probe budget");
+                }) as ThreadBody
             };
 
             ModelRun {
                 threads: vec![failer, recoverer],
                 finale: Box::new(move || {
-                    let breaker = breaker.lock();
-                    if breaker.state() != BreakerState::Closed {
+                    let (state, transitions) =
+                        with_breaker(&shard, |breaker| (breaker.state(), breaker.transitions()));
+                    if state != BreakerState::Closed {
                         return Err(format!(
-                            "breaker finished {} with {} transitions, expected closed",
-                            breaker.state(),
-                            breaker.transitions()
+                            "breaker finished {state} with {transitions} transitions, \
+                             expected closed"
                         ));
                     }
                     // Half-open is unreachable before the failer finishes
                     // (every pre-recovery timestamp is inside the open
                     // interval), so the only legal history is one trip, one
                     // half-opening, one close.
-                    if breaker.transitions() != 3 {
+                    if transitions != 3 {
                         return Err(format!(
-                            "{} transitions, expected exactly closed → open → half-open → closed",
-                            breaker.transitions()
+                            "{transitions} transitions, expected exactly closed → open → \
+                             half-open → closed"
                         ));
                     }
                     Ok(())
@@ -1395,14 +1330,11 @@ pub mod models {
         }
     }
 
-    /// A deliberately broken variant — two threads taking two locks in
+    /// A deliberately broken model — two threads taking two real locks in
     /// **opposite** order — used to prove the explorer actually finds
     /// deadlocks (a checker that reports "0 violations" on everything is
     /// indistinguishable from one that checks nothing).
     pub struct InvertedLockOrderModel;
-
-    const LOCK_A: u64 = 10;
-    const LOCK_B: u64 = 11;
 
     impl Model for InvertedLockOrderModel {
         fn name(&self) -> &'static str {
@@ -1410,22 +1342,53 @@ pub mod models {
         }
 
         fn instantiate(&self) -> ModelRun {
-            let forward = Box::new(move |ctl: &Ctl| {
-                ctl.lock(LOCK_A);
-                ctl.point();
-                ctl.lock(LOCK_B);
-                ctl.unlock(LOCK_B);
-                ctl.unlock(LOCK_A);
-            }) as Box<dyn FnOnce(&Ctl) + Send>;
-            let backward = Box::new(move |ctl: &Ctl| {
-                ctl.lock(LOCK_B);
-                ctl.point();
-                ctl.lock(LOCK_A);
-                ctl.unlock(LOCK_A);
-                ctl.unlock(LOCK_B);
-            }) as Box<dyn FnOnce(&Ctl) + Send>;
+            let first = Arc::new(Mutex::new(()));
+            let second = Arc::new(Mutex::new(()));
+            let in_order = |outer: &Arc<Mutex<()>>, inner: &Arc<Mutex<()>>| {
+                let (outer, inner) = (Arc::clone(outer), Arc::clone(inner));
+                Box::new(move |_: &Ctl| {
+                    let _outer = outer.lock();
+                    let _inner = inner.lock();
+                }) as ThreadBody
+            };
             ModelRun {
-                threads: vec![forward, backward],
+                threads: vec![in_order(&first, &second), in_order(&second, &first)],
+                finale: Box::new(|| Ok(())),
+            }
+        }
+    }
+
+    /// A deliberately broken model — a waiter that reads its predicate
+    /// under a real lock, drops the lock, and only then waits on a real
+    /// condvar — used to prove the explorer maps condvars faithfully: the
+    /// notify that lands in the gap is lost, as in std, and the waiter
+    /// sleeps forever.
+    pub struct UncheckedWaitModel;
+
+    impl Model for UncheckedWaitModel {
+        fn name(&self) -> &'static str {
+            "predicate read outside the wait's lock (lost wakeup expected)"
+        }
+
+        fn instantiate(&self) -> ModelRun {
+            let pair = Arc::new((Mutex::new(false), Condvar::new()));
+            let waiter = {
+                let pair = Arc::clone(&pair);
+                Box::new(move |_: &Ctl| {
+                    let (ready, wakeup) = &*pair;
+                    let seen = *ready.lock();
+                    if !seen {
+                        drop(wakeup.wait(ready.lock()));
+                    }
+                }) as ThreadBody
+            };
+            let notifier = Box::new(move |_: &Ctl| {
+                let (ready, wakeup) = &*pair;
+                *ready.lock() = true;
+                wakeup.notify_one();
+            }) as ThreadBody;
+            ModelRun {
+                threads: vec![waiter, notifier],
                 finale: Box::new(|| Ok(())),
             }
         }
@@ -1436,102 +1399,84 @@ pub mod models {
 mod tests {
     use super::models::{
         CircuitBreakerModel, DriverSeatModel, InvertedLockOrderModel, ReactorRegistrationModel,
-        RunQueueModel, RuntimeDropModel, SingleFlightModel,
+        RunQueueModel, RuntimeDropModel, SingleFlightModel, UncheckedWaitModel,
     };
     use super::*;
 
-    #[test]
-    fn single_flight_model_is_clean() {
-        let exploration = explore(&SingleFlightModel, 400);
-        assert!(exploration.exhausted, "{}", exploration.summary());
-        assert!(exploration.schedules > 10, "{}", exploration.summary());
+    /// Explores `model` within `limit` schedules, failing on any violation.
+    fn clean(model: &dyn Model, limit: usize) -> Exploration {
+        let exploration = explore(model, limit);
         assert!(
             exploration.violations.is_empty(),
             "{}\nfirst violation: {:?}",
             exploration.summary(),
             exploration.violations.first()
         );
+        exploration
+    }
+
+    #[test]
+    fn single_flight_model_is_clean() {
+        let exploration = clean(&SingleFlightModel, 1_500);
+        assert!(exploration.exhausted, "{}", exploration.summary());
     }
 
     #[test]
     fn runtime_drop_model_is_clean_and_exhaustive() {
-        let exploration = explore(&RuntimeDropModel, 5_000);
+        let exploration = clean(&RuntimeDropModel, 1_500);
         assert!(exploration.exhausted, "{}", exploration.summary());
-        assert!(
-            exploration.violations.is_empty(),
-            "{}\nfirst violation: {:?}",
-            exploration.summary(),
-            exploration.violations.first()
-        );
     }
 
     #[test]
     fn reactor_registration_model_is_clean() {
-        let exploration = explore(&ReactorRegistrationModel, 5_000);
-        assert!(exploration.schedules > 10, "{}", exploration.summary());
-        assert!(
-            exploration.violations.is_empty(),
-            "{}\nfirst violation: {:?}",
-            exploration.summary(),
-            exploration.violations.first()
-        );
+        let exploration = clean(&ReactorRegistrationModel, 1_500);
+        assert!(exploration.exhausted, "{}", exploration.summary());
     }
 
     #[test]
     fn run_queue_model_is_clean() {
-        let exploration = explore(&RunQueueModel, 4_000);
-        assert!(exploration.schedules > 10, "{}", exploration.summary());
-        assert!(
-            exploration.violations.is_empty(),
-            "{}\nfirst violation: {:?}",
-            exploration.summary(),
-            exploration.violations.first()
-        );
+        // Bounded: the schedule space is far larger than any budget.
+        clean(&RunQueueModel, 4_000);
     }
 
     #[test]
     fn driver_seat_model_is_clean() {
-        let exploration = explore(&DriverSeatModel, 4_000);
-        assert!(exploration.schedules > 10, "{}", exploration.summary());
-        assert!(
-            exploration.violations.is_empty(),
-            "{}\nfirst violation: {:?}",
-            exploration.summary(),
-            exploration.violations.first()
-        );
+        clean(&DriverSeatModel, 4_000);
     }
 
     #[test]
     fn circuit_breaker_model_is_clean() {
-        let exploration = explore(&CircuitBreakerModel, 5_000);
-        assert!(exploration.schedules > 10, "{}", exploration.summary());
-        assert!(
-            exploration.violations.is_empty(),
-            "{}\nfirst violation: {:?}",
-            exploration.summary(),
-            exploration.violations.first()
-        );
+        let exploration = clean(&CircuitBreakerModel, 1_500);
+        assert!(exploration.exhausted, "{}", exploration.summary());
+    }
+
+    fn finds(model: &dyn Model, violation: &str) -> Vec<usize> {
+        let exploration = explore(model, 1_000);
+        let found = exploration
+            .violations
+            .iter()
+            .find(|(_, message)| message.contains(violation));
+        let Some((schedule, _)) = found else {
+            panic!("no {violation} found: {}", exploration.summary());
+        };
+        schedule.clone()
     }
 
     #[test]
     fn explorer_detects_the_seeded_deadlock() {
-        let exploration = explore(&InvertedLockOrderModel, 1_000);
-        assert!(
-            exploration
-                .violations
-                .iter()
-                .any(|(_, message)| message.contains("deadlock")),
-            "the inverted-order model must deadlock on some schedule: {}",
-            exploration.summary()
-        );
+        finds(&InvertedLockOrderModel, "deadlock");
+    }
+
+    #[test]
+    fn explorer_detects_the_lost_condvar_wakeup() {
+        finds(&UncheckedWaitModel, "lost wakeup");
     }
 
     #[test]
     fn replaying_a_violation_schedule_reproduces_it() {
-        let exploration = explore(&InvertedLockOrderModel, 1_000);
-        let (schedule, _) = exploration.violations.first().expect("deadlock found");
+        let schedule = finds(&InvertedLockOrderModel, "deadlock");
         // Replaying the recorded choices must hit the same violation.
-        let replay = run_schedule(&InvertedLockOrderModel, schedule);
+        let replay = run_schedule(&InvertedLockOrderModel, &schedule);
         assert!(matches!(replay.outcome, RunOutcome::Violated(_)));
     }
 }

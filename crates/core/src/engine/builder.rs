@@ -1,9 +1,7 @@
 //! Engine configuration: the builder.
 //!
 //! The engine looks up exactly the key it is given — the paper's §3 match on
-//! delimiter-compressed query text.  A caller that wants canonically
-//! equivalent queries to share an entry applies
-//! [`crate::equivalence::canonical_key`] before the lookup.
+//! delimiter-compressed query text.
 
 use std::sync::Arc;
 

@@ -92,9 +92,11 @@ pub use failure::{
     splitmix64, BreakerConfig, BreakerState, CircuitBreaker, FailureConfig, FetchError,
     LookupError, RetryPolicy,
 };
+#[cfg(any(test, feature = "lock-graph"))]
 pub(crate) use lookup::Step;
 pub use lookup::{Lookup, LookupFuture, LookupSource};
 pub use policy_kind::PolicyKind;
+#[cfg(any(test, feature = "lock-graph"))]
 pub(crate) use watchman::{Leader, Shard};
 pub use watchman::{StatsSnapshot, Watchman};
 
@@ -385,6 +387,32 @@ mod tests {
     }
 
     #[test]
+    fn clear_reports_every_cleared_set_to_the_observers() {
+        let deps = Arc::new(crate::coherence::DependencyObserver::new(|_: &QueryKey| {
+            vec!["ALL".to_owned()]
+        }));
+        let engine: Watchman<SizedPayload> = Watchman::builder()
+            .shards(4)
+            .policy(PolicyKind::Lru)
+            .capacity_bytes(1 << 20)
+            .observer(Arc::clone(&deps) as Arc<dyn CacheObserver>)
+            .build();
+        for (i, name) in ["a", "b", "c", "d", "e"].iter().enumerate() {
+            execute(
+                &engine,
+                &key(name),
+                64,
+                ExecutionCost::from_blocks(10),
+                ts(i as u64 + 1),
+            );
+        }
+        assert_eq!(deps.affected_by("ALL").len(), 5);
+        engine.clear();
+        assert!(engine.cached_keys().is_empty());
+        assert!(deps.affected_by("ALL").is_empty(), "the index went stale");
+    }
+
+    #[test]
     fn invalidate_relation_drives_the_dependency_index() {
         let engine = engine(4, 1 << 20);
         let mut index = DependencyIndex::new();
@@ -398,20 +426,6 @@ mod tests {
         assert_eq!(report.invalidated, vec![key("orders-summary")]);
         assert!(!engine.contains(&key("orders-summary")));
         assert!(engine.contains(&key("parts-summary")));
-    }
-
-    #[test]
-    fn canonical_sql_matching_merges_equivalent_queries() {
-        // The engine matches keys exactly; canonicalizing before the lookup
-        // is the caller's step.
-        let engine = engine(4, 1 << 20);
-        let a = crate::equivalence::canonical_key("SELECT sum(x) FROM t WHERE p = 1 AND q = 2");
-        let b = crate::equivalence::canonical_key("select SUM(x) from t where q = 2 and p = 1");
-        execute(&engine, &a, 64, ExecutionCost::from_blocks(100), ts(1));
-        assert!(engine.contains(&b), "equivalent query must share the entry");
-        let lookup = engine.get_or_execute(&b, ts(2), || unreachable!("a hit"));
-        assert_eq!(lookup.source, LookupSource::Hit);
-        assert_eq!(engine.len(), 1);
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl<V> KeySlot<V> {
 /// the shard mutex, so they add no lock class (see CONCURRENCY.md).
 pub(crate) struct ShardState<V> {
     pub(super) cache: Box<dyn QueryCache<Arc<V>> + Send>,
-    pub(super) breaker: Option<CircuitBreaker>,
+    pub(crate) breaker: Option<CircuitBreaker>,
     slots: SignatureMap<QueryKey, KeySlot<V>>,
     /// The keys whose slot holds a record, by the sequence of their latest
     /// store: the first entry is the one the bound drops next.
@@ -349,13 +349,6 @@ impl<V> ShardState<V> {
             }
         }
         retired
-    }
-
-    /// Whether `key`'s slot holds a flight.
-    pub(crate) fn in_flight(&self, key: &QueryKey) -> bool {
-        self.slots
-            .get(key)
-            .is_some_and(|slot| slot.flight.is_some())
     }
 
     /// The last-known-good copy of `key`, if its slot holds one.
@@ -682,10 +675,15 @@ where
         keys
     }
 
-    /// Removes every cached retrieved set (statistics are preserved).
+    /// Removes every cached retrieved set, reporting each to the observers
+    /// as removed.  Statistics, stale copies and memoized failures are
+    /// preserved.
     pub fn clear(&self) {
         for shard in &self.inner.shards {
-            shard.lock().cache.clear();
+            let mut state = shard.lock();
+            let cleared = state.cache.cached_keys();
+            state.cache.clear();
+            self.notify(&cleared, None);
         }
     }
 

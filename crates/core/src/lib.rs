@@ -74,11 +74,10 @@
 //! | [`value`] | [`CachePayload`], retrieved sets, execution costs |
 //! | [`clock`] | Logical timestamps and a manually driven clock |
 //! | [`history`] | Sliding-window reference histories (Eq. 3) |
-//! | [`profit`] | The profit and estimated-profit metrics (Eq. 2, 5, 6, 8) |
+//! | `profit` | The profit and estimated-profit metrics (Eq. 2, 5, 6, 8), crate-internal except [`Profit`] |
 //! | [`policy`] | The [`QueryCache`] trait, LNC-R/LNC-RA and all baselines |
-//! | [`retained`] | Retained reference information (§2.4) |
+//! | `retained` | Retained reference information (§2.4), crate-internal |
 //! | [`coherence`] | Relation-dependency tracking and invalidation on warehouse updates (§3) |
-//! | [`equivalence`] | Canonical query keys (§6): a caller applies [`canonical_key`](equivalence::canonical_key) before the engine lookup |
 //! | [`metrics`] | Cost savings ratio, hit ratio, fragmentation (§4.1) |
 //! | [`telemetry`] | Process-global metrics registry, latency histograms, flight recorder (see OBSERVABILITY.md) |
 
@@ -90,19 +89,19 @@
 // else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 
+#[cfg(any(test, feature = "lock-graph"))]
 pub mod checker;
 pub mod clock;
 pub mod coherence;
 mod decay;
 pub mod engine;
-pub mod equivalence;
 pub mod history;
-pub mod index;
+pub(crate) mod index;
 pub mod key;
 pub mod metrics;
 pub mod policy;
-pub mod profit;
-pub mod retained;
+pub(crate) mod profit;
+pub(crate) mod retained;
 pub mod runtime;
 pub mod sync;
 pub mod telemetry;

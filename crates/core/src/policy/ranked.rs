@@ -20,11 +20,11 @@
 //!   decaying two-level order for LNC, and, in tests, a scan that re-scores
 //!   and sorts every set — the one oracle both are held to.
 //!
-//! The shell keeps one record per key ([`EntryStore`]): a cached set's, or one
-//! its rule retains (§2.4).  A set is evicted, refused and admitted in its
-//! record's place.  Both orders are keyed by slot, and a slot outlives a
-//! stay in either, so whatever reaches a record by slot checks where it
-//! stands.
+//! The shell keeps one record per key (`retained::EntryStore`): a cached
+//! set's, or one its rule retains (§2.4).  A set is evicted, refused and
+//! admitted in its record's place.  Both orders are keyed by slot, and a
+//! slot outlives a stay in either, so whatever reaches a record by slot
+//! checks where it stands.
 //!
 //! Time never steps back inside the shell: Eq. 3 assumes it, and callers
 //! supply `now`, so every entry point raises its `now` to the latest one any

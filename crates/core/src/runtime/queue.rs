@@ -91,19 +91,11 @@ impl<T> RunQueue<T> {
     /// is the seated driver delivering into an empty queue: it runs that
     /// item next itself, handing the seat to an idle sibling as it does.
     pub(crate) fn push(&self, pusher: Option<usize>, item: T) {
-        self.push_with(pusher, item, || {});
-    }
-
-    /// [`push`](Self::push), running `between` after the item is queued and
-    /// before a worker is woken: the checker's models schedule other
-    /// threads there, so the order of the two halves is under test.
-    pub(crate) fn push_with(&self, pusher: Option<usize>, item: T, between: impl FnOnce()) {
         let was_empty = {
             let mut ready = self.ready.lock();
             ready.push_back(item);
             ready.len() == 1
         };
-        between();
         if !was_empty || pusher.is_none_or(|worker| self.seat.load(Ordering::SeqCst) != worker) {
             self.unpark_one();
         }
@@ -170,17 +162,10 @@ impl<T> RunQueue<T> {
     }
 
     /// Consumes `worker`'s pending permit without blocking, if one was
-    /// granted: the seated worker's permit check (the checker's models also
-    /// use it in place of the blocking [`park_wait`](Self::park_wait)).
+    /// granted: the seated worker's permit check.
     pub(crate) fn try_take_permit(&self, worker: usize) -> bool {
         let mut permit = self.parkers[worker].permit.lock();
         std::mem::replace(&mut *permit, false)
-    }
-
-    /// Whether `worker` has a pending permit (checker support: the model's
-    /// producer mirrors real permit grants onto checker wake flags).
-    pub(crate) fn has_permit(&self, worker: usize) -> bool {
-        *self.parkers[worker].permit.lock()
     }
 
     /// Parks `worker` until a permit arrives or `timeout` expires (`None` =
@@ -333,7 +318,7 @@ mod tests {
         queue.cancel_park(0);
         queue.leave_seat(0);
         assert!(queue.try_take_seat(1), "the seat is free again");
-        assert!(!queue.has_permit(0));
+        assert!(!queue.try_take_permit(0));
         queue.push(None, 6);
         assert_eq!(interrupts.0.load(Ordering::SeqCst), 1);
     }
@@ -344,13 +329,12 @@ mod tests {
         queue.prepare_park(1);
         assert!(queue.try_take_seat(0));
         queue.push(Some(0), 1);
-        assert!(!queue.has_permit(1), "the driver runs that one itself");
+        assert!(!queue.try_take_permit(1), "the driver runs that one itself");
         queue.push(Some(0), 2);
-        assert!(queue.has_permit(1), "a second item is surplus");
+        assert!(queue.try_take_permit(1), "a second item is surplus");
         assert_eq!(queue.drain(), vec![1, 2]);
         // Into an empty queue, an outsider's push wakes a worker, and so
         // does a worker's once it is out of the seat.
-        assert!(queue.try_take_permit(1));
         queue.prepare_park(1);
         queue.push(None, 3);
         assert!(queue.try_take_permit(1));
@@ -358,6 +342,6 @@ mod tests {
         queue.leave_seat(0);
         queue.prepare_park(1);
         queue.push(Some(0), 4);
-        assert!(queue.has_permit(1));
+        assert!(queue.try_take_permit(1));
     }
 }

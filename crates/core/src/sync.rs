@@ -4,7 +4,7 @@
 //! Every `Mutex`/`Condvar` in `watchman-core` and `watchman-server` goes
 //! through the wrappers in this module (clippy's `disallowed_types`,
 //! configured in the workspace's `clippy.toml` files, enforces it).  The
-//! wrappers buy two things:
+//! wrappers buy three things:
 //!
 //! 1. **One poisoned-lock policy.**  A lock whose holder panicked is
 //!    *recovered*, not unwrapped: the guard is taken from the
@@ -47,6 +47,23 @@
 //!      scheduler lock, or every other session on that lock serializes
 //!      behind a multi-second warehouse scan.
 //!
+//! 3. **The interleaving explorer's seam** (`crate::checker`, compiled
+//!    into the crate's unit tests and `lock-graph` builds).  On a thread the
+//!    explorer runs as a model thread, every operation here is a
+//!    scheduling point of its controlled scheduler: `lock` blocks, in model
+//!    time, while another model thread holds the lock (a virtual lock keyed
+//!    by the mutex's address, released when the guard drops); `try_lock`
+//!    yields, then tries without blocking; `Condvar::wait` releases the
+//!    lock, blocks until a `notify_one`/`notify_all` that comes after the
+//!    wait began — an earlier notify is lost, as in std — and takes the
+//!    lock again.  So the checker's models run the production code, not a
+//!    mirror of it.  On every other thread the seam is one thread-local
+//!    read per operation.  It shares the acquisition hook with the
+//!    recorder of point 2; the explorer's own controller uses
+//!    `Mutex::unhooked` and `Condvar::unhooked`, which neither sees.
+//!
+//! Without `lock-graph`, a release build compiles none of points 2 and 3.
+//!
 //! The acquisition checks are conservative and class-granular: they can
 //! flag orders that today's code never executes concurrently, and that is
 //! the point — see `CONCURRENCY.md` at the repo root for the documented
@@ -58,6 +75,9 @@
 )]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+#[cfg(any(test, feature = "lock-graph"))]
+use crate::checker::Ctl;
 
 /// Process-wide count of poisoned-lock recoveries (see the module docs).
 static POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
@@ -264,6 +284,10 @@ pub use instr_impl::{locks_held_on_thread, note_task_poll};
 pub struct Mutex<T: ?Sized> {
     #[cfg(feature = "lock-graph")]
     class: instr_impl::ClassKey,
+    /// Whether the acquisition hook sees this lock: false only for the
+    /// checker's own controller.
+    #[cfg(any(test, feature = "lock-graph"))]
+    hooked: bool,
     inner: std::sync::Mutex<T>,
 }
 
@@ -286,8 +310,8 @@ pub struct MutexGuard<'a, T: ?Sized> {
     // Declared before `inner` so the held-stack pop precedes the real
     // unlock — the graph must never observe the lock as free while the
     // thread still holds it.
-    #[cfg(feature = "lock-graph")]
-    _held: HeldToken,
+    #[cfg(any(test, feature = "lock-graph"))]
+    hook: Hook<'a, T>,
     inner: std::sync::MutexGuard<'a, T>,
 }
 
@@ -297,16 +321,25 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for MutexGuard<'_, T> {
     }
 }
 
-/// Held-stack bookkeeping for one acquisition; popping happens in `Drop`.
-#[cfg(feature = "lock-graph")]
-struct HeldToken {
-    class: instr_impl::ClassKey,
+/// One hooked acquisition, undone on drop: the held-stack pop and the
+/// checker's virtual unlock.
+#[cfg(any(test, feature = "lock-graph"))]
+struct Hook<'a, T: ?Sized> {
+    lock: &'a Mutex<T>,
+    /// The checker thread that scheduled the acquisition, if one did.
+    scheduled: Option<Ctl>,
 }
 
-#[cfg(feature = "lock-graph")]
-impl Drop for HeldToken {
+#[cfg(any(test, feature = "lock-graph"))]
+impl<T: ?Sized> Drop for Hook<'_, T> {
     fn drop(&mut self) {
-        instr_impl::on_release(self.class);
+        #[cfg(feature = "lock-graph")]
+        if self.lock.hooked {
+            instr_impl::on_release(self.lock.class);
+        }
+        if let Some(ctl) = &self.scheduled {
+            ctl.unlock(self.lock.address());
+        }
     }
 }
 
@@ -318,7 +351,51 @@ impl<T> Mutex<T> {
         Mutex {
             #[cfg(feature = "lock-graph")]
             class: instr_impl::ClassKey::of(std::panic::Location::caller()),
+            #[cfg(any(test, feature = "lock-graph"))]
+            hooked: true,
             inner: std::sync::Mutex::new(value),
+        }
+    }
+
+    /// A lock the acquisition hook never sees: the checker's controller,
+    /// which must not schedule or record itself.
+    #[cfg(any(test, feature = "lock-graph"))]
+    pub(crate) fn unhooked(value: T) -> Self {
+        Mutex {
+            hooked: false,
+            ..Self::new(value)
+        }
+    }
+}
+
+/// The acquisition hook the lock-order recorder and the checker's seam
+/// share (module docs, points 2 and 3).
+#[cfg(any(test, feature = "lock-graph"))]
+impl<T: ?Sized> Mutex<T> {
+    /// The checker thread that schedules this lock's operations, if the
+    /// calling thread is one.
+    fn scheduler(&self) -> Option<Ctl> {
+        self.hooked.then(crate::checker::current).flatten()
+    }
+
+    /// The checker's virtual lock id.
+    fn address(&self) -> usize {
+        std::ptr::from_ref(self).addr()
+    }
+
+    /// Records an acquisition the real lock just granted.
+    fn acquired(
+        &self,
+        _site: &'static std::panic::Location<'static>,
+        scheduled: Option<Ctl>,
+    ) -> Hook<'_, T> {
+        #[cfg(feature = "lock-graph")]
+        if self.hooked {
+            instr_impl::on_acquire(self.class, _site);
+        }
+        Hook {
+            lock: self,
+            scheduled,
         }
     }
 }
@@ -331,15 +408,15 @@ impl<T: ?Sized> Mutex<T> {
     #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let site = std::panic::Location::caller();
+        #[cfg(any(test, feature = "lock-graph"))]
+        let scheduled = self.scheduler().inspect(|ctl| ctl.lock(self.address()));
         let inner = self.inner.lock().unwrap_or_else(|poisoned| {
             note_poison_recovery(site);
             poisoned.into_inner()
         });
-        #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(self.class, site);
         MutexGuard {
-            #[cfg(feature = "lock-graph")]
-            _held: HeldToken { class: self.class },
+            #[cfg(any(test, feature = "lock-graph"))]
+            hook: self.acquired(site, scheduled),
             inner,
         }
     }
@@ -349,6 +426,8 @@ impl<T: ?Sized> Mutex<T> {
     #[track_caller]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         let site = std::panic::Location::caller();
+        #[cfg(any(test, feature = "lock-graph"))]
+        let scheduled = self.scheduler().inspect(Ctl::point);
         let inner = match self.inner.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::Poisoned(poisoned)) => {
@@ -357,11 +436,13 @@ impl<T: ?Sized> Mutex<T> {
             }
             Err(std::sync::TryLockError::WouldBlock) => return None,
         };
-        #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(self.class, site);
+        #[cfg(any(test, feature = "lock-graph"))]
+        if let Some(ctl) = &scheduled {
+            ctl.hold(self.address());
+        }
         Some(MutexGuard {
-            #[cfg(feature = "lock-graph")]
-            _held: HeldToken { class: self.class },
+            #[cfg(any(test, feature = "lock-graph"))]
+            hook: self.acquired(site, scheduled),
             inner,
         })
     }
@@ -385,6 +466,10 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
 /// their duration (the lock really is free while the thread sleeps) and
 /// re-record the acquisition on wakeup.
 pub struct Condvar {
+    /// Whether the checker's seam sees this condvar's notifies: false only
+    /// for the checker's own controller.
+    #[cfg(any(test, feature = "lock-graph"))]
+    hooked: bool,
     inner: std::sync::Condvar,
 }
 
@@ -404,33 +489,66 @@ impl Condvar {
     /// Creates a condition variable.
     pub fn new() -> Self {
         Condvar {
+            #[cfg(any(test, feature = "lock-graph"))]
+            hooked: true,
             inner: std::sync::Condvar::new(),
         }
+    }
+
+    /// A condvar the checker's seam never sees (its controller's own).
+    #[cfg(any(test, feature = "lock-graph"))]
+    pub(crate) fn unhooked() -> Self {
+        Condvar {
+            hooked: false,
+            inner: std::sync::Condvar::new(),
+        }
+    }
+
+    /// The checker's wait: releases `guard`, blocks in model time until a
+    /// notify on this condvar (or, `timed`, until the scheduler lets the
+    /// timeout fire) and takes the lock again.  Returns the relocked guard
+    /// and whether a notify ended the wait, or hands `guard` back when no
+    /// checker scheduled its acquisition.
+    #[cfg(any(test, feature = "lock-graph"))]
+    #[track_caller]
+    fn scheduled_wait<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timed: bool,
+    ) -> Result<(MutexGuard<'a, T>, bool), MutexGuard<'a, T>> {
+        let Some(ctl) = guard.hook.scheduled.clone() else {
+            return Err(guard);
+        };
+        let lock = guard.hook.lock;
+        drop(guard);
+        let notified = ctl.wait(std::ptr::from_ref(self).addr(), timed);
+        Ok((lock.lock(), notified))
     }
 
     /// Releases `guard` and blocks until notified, then reacquires.
     #[track_caller]
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let site = std::panic::Location::caller();
-        #[cfg(feature = "lock-graph")]
-        let (class, inner) = {
-            let MutexGuard { _held, inner } = guard;
-            // `_held` drops here: the stack entry is popped for the wait.
-            let class = _held.class;
-            drop(_held);
-            (class, inner)
+        #[cfg(any(test, feature = "lock-graph"))]
+        let guard = match self.scheduled_wait(guard, false) {
+            Ok((guard, _)) => return guard,
+            Err(guard) => guard,
         };
-        #[cfg(not(feature = "lock-graph"))]
+        #[cfg(any(test, feature = "lock-graph"))]
+        let (lock, inner) = {
+            let MutexGuard { hook, inner } = guard;
+            // `hook` drops here: the stack entry is popped for the wait.
+            (hook.lock, inner)
+        };
+        #[cfg(not(any(test, feature = "lock-graph")))]
         let inner = guard.inner;
         let inner = self.inner.wait(inner).unwrap_or_else(|poisoned| {
             note_poison_recovery(site);
             poisoned.into_inner()
         });
-        #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(class, site);
         MutexGuard {
-            #[cfg(feature = "lock-graph")]
-            _held: HeldToken { class },
+            #[cfg(any(test, feature = "lock-graph"))]
+            hook: lock.acquired(site, None),
             inner,
         }
     }
@@ -444,14 +562,17 @@ impl Condvar {
         timeout: std::time::Duration,
     ) -> (MutexGuard<'a, T>, bool) {
         let site = std::panic::Location::caller();
-        #[cfg(feature = "lock-graph")]
-        let (class, inner) = {
-            let MutexGuard { _held, inner } = guard;
-            let class = _held.class;
-            drop(_held);
-            (class, inner)
+        #[cfg(any(test, feature = "lock-graph"))]
+        let guard = match self.scheduled_wait(guard, true) {
+            Ok((guard, notified)) => return (guard, !notified),
+            Err(guard) => guard,
         };
-        #[cfg(not(feature = "lock-graph"))]
+        #[cfg(any(test, feature = "lock-graph"))]
+        let (lock, inner) = {
+            let MutexGuard { hook, inner } = guard;
+            (hook.lock, inner)
+        };
+        #[cfg(not(any(test, feature = "lock-graph")))]
         let inner = guard.inner;
         let (inner, result) = self
             .inner
@@ -460,12 +581,10 @@ impl Condvar {
                 note_poison_recovery(site);
                 poisoned.into_inner()
             });
-        #[cfg(feature = "lock-graph")]
-        instr_impl::on_acquire(class, site);
         (
             MutexGuard {
-                #[cfg(feature = "lock-graph")]
-                _held: HeldToken { class },
+                #[cfg(any(test, feature = "lock-graph"))]
+                hook: lock.acquired(site, None),
                 inner,
             },
             result.timed_out(),
@@ -474,12 +593,25 @@ impl Condvar {
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
+        #[cfg(any(test, feature = "lock-graph"))]
+        self.scheduled_notify(false);
         self.inner.notify_one();
     }
 
     /// Wakes every waiter.
     pub fn notify_all(&self) {
+        #[cfg(any(test, feature = "lock-graph"))]
+        self.scheduled_notify(true);
         self.inner.notify_all();
+    }
+
+    /// Ends the checker waits on this condvar that began before now: the
+    /// earliest one, or `all`.
+    #[cfg(any(test, feature = "lock-graph"))]
+    fn scheduled_notify(&self, all: bool) {
+        if let Some(ctl) = self.hooked.then(crate::checker::current).flatten() {
+            ctl.notify(std::ptr::from_ref(self).addr(), all);
+        }
     }
 }
 

@@ -196,50 +196,6 @@ fn coherence_invalidation_forces_recomputation() {
 }
 
 #[test]
-fn equivalence_canonical_keys_raise_the_hit_ratio() {
-    // §6 future work: matching canonically-equivalent queries instead of
-    // exact text turns syntactic variants into hits.
-    use watchman_core::equivalence::canonical_key;
-
-    let variants = [
-        "SELECT sum(l_extendedprice) FROM lineitem WHERE l_shipdate >= '1995-01-01' AND l_discount > 0.05",
-        "select SUM(l_extendedprice) from lineitem where l_discount > 0.05 and l_shipdate >= '1995-01-01'",
-        "SELECT Sum(l_extendedprice) FROM Lineitem WHERE l_shipdate >= '1995-01-01' AND l_discount > 0.05",
-    ];
-
-    // Exact matching: three distinct entries.
-    let mut exact: LncCache<SizedPayload> = LncCache::lnc_ra(1 << 20);
-    for (i, sql) in variants.iter().enumerate() {
-        let k = QueryKey::from_raw_query(sql);
-        if exact.get(&k, ts(i as u64)).is_none() {
-            exact.insert(
-                k,
-                SizedPayload::new(64),
-                ExecutionCost::from_blocks(1_000),
-                ts(i as u64),
-            );
-        }
-    }
-    assert_eq!(exact.stats().hits, 0);
-
-    // Canonical matching: one entry, two hits.
-    let mut canonical: LncCache<SizedPayload> = LncCache::lnc_ra(1 << 20);
-    for (i, sql) in variants.iter().enumerate() {
-        let k = canonical_key(sql);
-        if canonical.get(&k, ts(i as u64)).is_none() {
-            canonical.insert(
-                k,
-                SizedPayload::new(64),
-                ExecutionCost::from_blocks(1_000),
-                ts(i as u64),
-            );
-        }
-    }
-    assert_eq!(canonical.stats().hits, 2);
-    assert_eq!(canonical.len(), 1);
-}
-
-#[test]
 fn drill_down_session_keeps_the_upper_levels_cached() {
     // A hierarchical drill-down: the level-0 summary is referenced before
     // every descent, deeper levels are one-off.  The summary must stay cached

@@ -320,3 +320,38 @@ fn abandoned_flights_take_the_flight_lock_after_the_shard_lock() {
     );
     lock_graph::assert_clean();
 }
+
+/// The checker's single-flight and run-queue models run the real shard,
+/// flight-cell and run-queue code, so every schedule the explorer takes
+/// them through paints the lock-order graph too — interleavings no stress
+/// run is sure to reach.  The graph must stay clean, and no schedule may
+/// take a flight lock while it holds a shard lock.  (The checker's
+/// self-tests invert lock orders on purpose and stay out of this run.)
+#[test]
+fn explored_schedules_keep_the_lock_graph_clean() {
+    use watchman_core::checker::explore;
+    use watchman_core::checker::models::{RunQueueModel, SingleFlightModel};
+
+    let single_flight = explore(&SingleFlightModel, 1_500);
+    assert!(single_flight.exhausted, "{}", single_flight.summary());
+    let run_queue = explore(&RunQueueModel, 1_500);
+    for exploration in [&single_flight, &run_queue] {
+        assert!(
+            exploration.violations.is_empty(),
+            "{}",
+            exploration.summary()
+        );
+    }
+
+    let report = lock_graph::report();
+    assert!(
+        !report
+            .edges
+            .iter()
+            .any(|edge| edge.from.contains("engine/watchman.rs")
+                && edge.to.contains("engine/single_flight.rs")),
+        "an explored schedule took a flight lock under a shard lock\n{}",
+        report.describe()
+    );
+    lock_graph::assert_clean();
+}
